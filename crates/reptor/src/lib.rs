@@ -42,6 +42,7 @@ mod codec;
 mod config;
 mod durability;
 mod executor;
+mod mesh;
 mod messages;
 mod nio_transport;
 mod pipeline;
@@ -60,6 +61,7 @@ pub use durability::{
     crc32, encode_frame, scan_frames, DurableStore, Recovered, WalFrame, WalScan, MAX_FRAME,
     SLOT_BYTES, WAL_BASE,
 };
+pub use mesh::PEN_CAP;
 pub use messages::{
     batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, SignedMessage,
     View, MANIFEST_CHUNK,

@@ -3,104 +3,58 @@
 //! One selector thread per node multiplexes a full mesh of non-blocking
 //! TCP streams (exactly how Reptor/UpRight use the Java NIO selector for
 //! replica communication, paper §I/§III). Messages are framed with a 4-byte
-//! little-endian length prefix; the first frame on every stream is a hello
-//! carrying the sender's node id.
+//! little-endian length prefix; the first frame a dialer writes is its
+//! hello.
 //!
-//! Failure recovery mirrors [`crate::rubin_transport`]: when a stream
-//! breaks (retransmission-budget exhaustion, peer crash), the side that
-//! originally dialed — the higher node id — re-dials with exponential
-//! backoff while the other side parks outgoing frames until the
-//! replacement connection's hello arrives. Whole frames that were never
-//! written to the socket carry over; a frame already partially written
-//! when the stream died is dropped (re-sending its tail would desync the
-//! length-prefix framing), which the BFT layer above tolerates.
+//! Connection management (peer table, hello, holding pen, re-dial) is
+//! [`crate::mesh`]; this file is the TCP [`Wire`] under it. What is
+//! particular to a byte stream: a frame already partially written when its
+//! stream died is dropped rather than carried over (re-sending its tail
+//! would desync the length-prefix framing), which the BFT layer above
+//! tolerates.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::rc::Rc;
+use std::collections::VecDeque;
 
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 use simnet_socket::{
-    KeyId, Ops, ReadOutcome, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
+    KeyId, Ops, ReadOutcome, Selected, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
 };
 
-use crate::transport::{DeliveryFn, NodeId, Transport};
+use crate::mesh::{key, Mesh, Ready, Recv, Wire};
+use crate::state_transfer::MAX_STORE_BYTES;
+use crate::transport::{DeliveryFn, LaneDeliveryFn, NodeId, Transport};
 
 /// Base port for NIO transport listeners.
 const NIO_PORT_BASE: u32 = 900;
 
-/// First re-dial delay after a stream failure; doubles per consecutive
-/// failed attempt.
-const RECONNECT_BASE: Nanos = Nanos::from_millis(2);
+/// Most bytes one write hands the socket: queued frames are coalesced up
+/// to this.
+const WRITE_CHUNK: usize = 64 * 1024;
 
-/// Cap on the backoff doubling: delay = base << min(attempts, CAP_SHIFT).
-const RECONNECT_CAP_SHIFT: u32 = 5;
+/// Longest frame body a peer may announce. A whole checkpoint store is the
+/// largest object the protocol ships, and it travels in chunks, so no
+/// correct peer's frame reaches this; a longer prefix is an attack (or
+/// corruption) that would otherwise make `inbuf` buffer up to 4 GiB.
+const MAX_FRAME: usize = MAX_STORE_BYTES as usize;
 
-/// Maximum frames held for a peer whose stream is down or still
-/// connecting. Large enough to ride over a reconnect round-trip, small
-/// enough that a long outage cannot grow unbounded queues at healthy
-/// peers — a revived replica recovers truncated history through
-/// checkpoint state transfer instead of replay.
-const PEN_CAP: usize = 16;
-
-struct PeerConn {
+struct NioLink {
     stream: TcpStream,
     key: KeyId,
-    /// Whole frames not yet fully accepted by the socket.
-    outq: VecDeque<Vec<u8>>,
     /// Bytes of the front frame already written to the socket.
     front_written: usize,
     /// Partial inbound frame bytes.
     inbuf: Vec<u8>,
-    /// Peer id once the hello frame arrived (inbound connections).
-    peer: Option<NodeId>,
-    /// Stream failed; slot is retired (its selector key is cancelled) but
-    /// kept so `by_node` indices stay stable and its `outq` can carry over.
-    dead: bool,
-    /// This stream is a reconnect attempt (not an initial mesh dial).
-    redial: bool,
 }
 
-struct NioInner {
+struct NioWire {
     node: NodeId,
+    host: HostId,
     core: CoreId,
     net: Network,
     model: TcpModel,
     selector: Selector,
     listener: TcpListener,
     listener_key: KeyId,
-    conns: Vec<PeerConn>,
-    by_node: HashMap<NodeId, usize>,
-    /// Host of every group member, for re-dialing after a failure.
-    directory: HashMap<NodeId, HostId>,
-    /// This endpoint's own host (dial source address).
-    host: HostId,
-    /// Consecutive failed re-dial attempts per peer (drives the backoff).
-    redial_attempts: HashMap<NodeId, u32>,
-    delivery: Option<DeliveryFn>,
-    msgs_sent: u64,
-    msgs_delivered: u64,
-    reconnect_attempts: u64,
-    reconnects_completed: u64,
-}
-
-/// A full-mesh, selector-driven TCP transport endpoint.
-#[derive(Clone)]
-pub struct NioTransport {
-    inner: Rc<RefCell<NioInner>>,
-}
-
-impl fmt::Debug for NioTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("NioTransport")
-            .field("node", &inner.node)
-            .field("conns", &inner.conns.len())
-            .field("sent", &inner.msgs_sent)
-            .field("delivered", &inner.msgs_delivered)
-            .finish()
-    }
 }
 
 fn frame(msg: &[u8]) -> Vec<u8> {
@@ -108,6 +62,173 @@ fn frame(msg: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
     out.extend_from_slice(msg);
     out
+}
+
+impl NioWire {
+    fn link(&self, sim: &mut Simulator, stream: TcpStream, interest: Ops) -> NioLink {
+        let key = stream.register(sim, &self.selector, interest);
+        NioLink {
+            stream,
+            key,
+            front_written: 0,
+            inbuf: Vec::new(),
+        }
+    }
+}
+
+impl Wire for NioWire {
+    type Link = NioLink;
+    type Event = Selected;
+    const NAME: &'static str = "nio";
+    const LINK: &'static str = "stream";
+    const DOWN: &'static str = "conns_down";
+    /// TCP's SYN retransmission budget fails an unreachable dial itself.
+    const DIAL_TIMEOUT: Option<Nanos> = None;
+
+    fn listen(&mut self, sim: &mut Simulator) {
+        self.listener_key = self.listener.register(sim, &self.selector);
+    }
+
+    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, Vec<Selected>) + 'static) {
+        self.selector.select(sim, f);
+    }
+
+    fn ready(&self, ev: &Selected) -> Ready {
+        Ready {
+            accept: ev.key == self.listener_key,
+            connected: ev.ready.contains(Ops::CONNECT),
+            readable: ev.ready.contains(Ops::READ),
+            writable: ev.ready.contains(Ops::WRITE),
+        }
+    }
+
+    fn owns(link: &NioLink, ev: &Selected) -> bool {
+        link.key == ev.key
+    }
+
+    fn dial(&self, sim: &mut Simulator, peer: NodeId, host: HostId) -> Option<NioLink> {
+        let remote = Addr::new(host, NIO_PORT_BASE + peer);
+        let model = self.model.clone();
+        let stream = TcpStream::connect(sim, &self.net, self.host, self.core, model, remote);
+        Some(self.link(sim, stream, Ops::CONNECT | Ops::READ))
+    }
+
+    fn accept(&self, sim: &mut Simulator) -> Option<NioLink> {
+        let stream = self.listener.accept(sim)?;
+        Some(self.link(sim, stream, Ops::READ))
+    }
+
+    fn finish_connect(
+        &self,
+        sim: &mut Simulator,
+        link: &mut NioLink,
+        outq: &mut VecDeque<Vec<u8>>,
+    ) -> bool {
+        // A consumed connect-ready without establishment means the dial
+        // failed (SYN retransmission budget exhausted — e.g. the peer's
+        // host is down).
+        if !link.stream.finish_connect(sim) {
+            return false;
+        }
+        self.selector.set_interest(sim, link.key, Ops::READ);
+        // The hello must be the first frame on the stream, ahead of any
+        // carried-over output.
+        debug_assert_eq!(link.front_written, 0);
+        outq.push_front(frame(&self.node.to_le_bytes()));
+        true
+    }
+
+    fn is_established(link: &NioLink) -> bool {
+        link.stream.is_established()
+    }
+
+    fn encode(msg: Vec<u8>) -> Vec<u8> {
+        frame(&msg)
+    }
+
+    fn recv(&self, sim: &mut Simulator, link: &mut NioLink) -> Recv {
+        loop {
+            if let Some(prefix) = link.inbuf.first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                if len > MAX_FRAME {
+                    let key = key::<Self>(self.node, "oversize_frame");
+                    self.net.metrics().incr(&key);
+                    return Recv::Down;
+                }
+                if link.inbuf.len() >= 4 + len {
+                    let body = link.inbuf[4..4 + len].to_vec();
+                    link.inbuf.drain(..4 + len);
+                    return Recv::Msg(body);
+                }
+            }
+            match link.stream.read(sim, 1 << 20) {
+                Ok(ReadOutcome::Data(bytes)) => link.inbuf.extend(bytes),
+                Ok(ReadOutcome::WouldBlock) => return Recv::Idle,
+                Ok(ReadOutcome::Eof) | Err(_) => return Recv::Down,
+            }
+        }
+    }
+
+    fn flush(&self, sim: &mut Simulator, link: &mut NioLink, outq: &mut VecDeque<Vec<u8>>) {
+        while !outq.is_empty() && link.stream.is_established() {
+            // Coalesce queued frames into one write, resuming mid-frame
+            // where the last write left off.
+            let mut chunk = Vec::new();
+            let mut skip = link.front_written;
+            for f in outq.iter() {
+                let take = (WRITE_CHUNK - chunk.len()).min(f.len() - skip);
+                chunk.extend_from_slice(&f[skip..skip + take]);
+                skip = 0;
+                if chunk.len() == WRITE_CHUNK {
+                    break;
+                }
+            }
+            let Ok(mut n @ 1..) = link.stream.write(sim, &chunk) else {
+                break;
+            };
+            while n > 0 {
+                let remaining = outq[0].len() - link.front_written;
+                if n >= remaining {
+                    n -= remaining;
+                    outq.pop_front();
+                    link.front_written = 0;
+                } else {
+                    link.front_written += n;
+                    n = 0;
+                }
+            }
+        }
+        // WRITE interest only while there is something to flush.
+        let interest = if !link.stream.is_established() {
+            Ops::READ | Ops::CONNECT
+        } else if outq.is_empty() {
+            Ops::READ
+        } else {
+            Ops::READ | Ops::WRITE
+        };
+        self.selector.set_interest(sim, link.key, interest);
+    }
+
+    fn close(&self, sim: &mut Simulator, link: &mut NioLink, outq: &mut VecDeque<Vec<u8>>) {
+        if link.front_written > 0 {
+            // A partially-written frame cannot be resumed on a new stream;
+            // drop it so the carried queue stays frame-aligned.
+            outq.pop_front();
+            link.front_written = 0;
+        }
+        self.selector.cancel(link.key);
+        // Close the socket so its port unbinds: a peer that still thinks
+        // this stream is alive must see its segments go unanswered (RTO
+        // exhaustion -> EOF) instead of having them silently buffered and
+        // acked by a retired socket nobody reads.
+        link.stream.close(sim);
+    }
+}
+
+/// A full-mesh, selector-driven TCP transport endpoint.
+#[derive(Clone, Debug)]
+pub struct NioTransport {
+    mesh: Mesh<NioWire>,
 }
 
 impl NioTransport {
@@ -120,566 +241,59 @@ impl NioTransport {
         nodes: &[(NodeId, HostId, CoreId)],
         model: TcpModel,
     ) -> Vec<NioTransport> {
-        let transports: Vec<NioTransport> = nodes
-            .iter()
-            .map(|&(node, host, core)| {
-                let selector = Selector::new(net, host, core, NIO_SELECT_NS);
-                let listener =
-                    TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
-                        .expect("transport port free");
-                NioTransport {
-                    inner: Rc::new(RefCell::new(NioInner {
-                        node,
-                        core,
-                        net: net.clone(),
-                        model: model.clone(),
-                        selector,
-                        listener,
-                        listener_key: KeyId(u64::MAX),
-                        conns: Vec::new(),
-                        by_node: HashMap::new(),
-                        directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
-                        host,
-                        redial_attempts: HashMap::new(),
-                        delivery: None,
-                        msgs_sent: 0,
-                        msgs_delivered: 0,
-                        reconnect_attempts: 0,
-                        reconnects_completed: 0,
-                    })),
-                }
-            })
-            .collect();
-        // Register listeners and start the reactors.
-        for t in &transports {
-            let key = {
-                let inner = t.inner.borrow();
-                inner.listener.register(sim, &inner.selector)
-            };
-            t.inner.borrow_mut().listener_key = key;
-            t.pump(sim);
-        }
-        // Dial: node at index i connects to every earlier node.
-        for (idx, &(_node, host, _core)) in nodes.iter().enumerate() {
-            for &(peer, peer_host, _pcore) in &nodes[..idx] {
-                let t = &transports[idx];
-                let remote = Addr::new(peer_host, NIO_PORT_BASE + peer);
-                let (stream, key) = {
-                    let inner = t.inner.borrow();
-                    let stream = TcpStream::connect(
-                        sim,
-                        &inner.net,
-                        host,
-                        inner.core,
-                        inner.model.clone(),
-                        remote,
-                    );
-                    let key = stream.register(sim, &inner.selector, Ops::CONNECT | Ops::READ);
-                    (stream, key)
-                };
-                let mut inner = t.inner.borrow_mut();
-                let slot = inner.conns.len();
-                inner.conns.push(PeerConn {
-                    stream,
-                    key,
-                    outq: VecDeque::new(),
-                    front_written: 0,
-                    inbuf: Vec::new(),
-                    peer: Some(peer),
-                    dead: false,
-                    redial: false,
-                });
-                inner.by_node.insert(peer, slot);
-            }
-        }
-        transports
-    }
-
-    /// Messages delivered to this endpoint.
-    pub fn delivered_count(&self) -> u64 {
-        self.inner.borrow().msgs_delivered
+        let wire = |node, host, core| NioWire {
+            node,
+            host,
+            core,
+            net: net.clone(),
+            model: model.clone(),
+            selector: Selector::new(net, host, core, NIO_SELECT_NS),
+            listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
+                .expect("transport port free"),
+            listener_key: KeyId(u64::MAX),
+        };
+        let meshes = Mesh::build_group(sim, net, nodes, wire);
+        meshes
+            .into_iter()
+            .map(|mesh| NioTransport { mesh })
+            .collect()
     }
 
     /// Re-dial attempts made after stream failures.
     pub fn reconnect_attempts(&self) -> u64 {
-        self.inner.borrow().reconnect_attempts
+        self.mesh.counter("reconnect_attempts")
     }
 
     /// Re-dials that reached establishment.
     pub fn reconnects_completed(&self) -> u64 {
-        self.inner.borrow().reconnects_completed
+        self.mesh.counter("reconnects_completed")
     }
 
     /// Select calls performed by this endpoint's selector.
     pub fn selects_performed(&self) -> u64 {
-        self.inner.borrow().selector.selects_performed()
+        self.mesh.wire().selector.selects_performed()
     }
 
     /// The shared metrics registry of the fabric this endpoint runs on.
     pub fn metrics(&self) -> simnet::Metrics {
-        self.inner.borrow().net.metrics()
-    }
-
-    /// The reactor: parks a select and handles whatever becomes ready.
-    fn pump(&self, sim: &mut Simulator) {
-        let selector = self.inner.borrow().selector.clone();
-        let t = self.clone();
-        selector.select(sim, move |sim, ready| {
-            for ev in ready {
-                t.handle_event(sim, ev.key, ev.ready);
-            }
-            t.pump(sim);
-        });
-    }
-
-    fn handle_event(&self, sim: &mut Simulator, key: KeyId, ready: Ops) {
-        let listener_key = self.inner.borrow().listener_key;
-        if key == listener_key {
-            if ready.contains(Ops::ACCEPT) {
-                self.handle_accept(sim);
-            }
-            return;
-        }
-        let slot = {
-            let inner = self.inner.borrow();
-            inner.conns.iter().position(|c| c.key == key)
-        };
-        let Some(slot) = slot else { return };
-        if ready.contains(Ops::CONNECT) {
-            self.handle_connected(sim, slot);
-        }
-        if ready.contains(Ops::READ) {
-            self.handle_readable(sim, slot);
-        }
-        if ready.contains(Ops::WRITE) {
-            self.flush(sim, slot);
-        }
-    }
-
-    fn handle_accept(&self, sim: &mut Simulator) {
-        loop {
-            let accepted = {
-                let inner = self.inner.borrow();
-                inner.listener.accept(sim)
-            };
-            let Some(stream) = accepted else { break };
-            let key = {
-                let inner = self.inner.borrow();
-                stream.register(sim, &inner.selector, Ops::READ)
-            };
-            let mut inner = self.inner.borrow_mut();
-            inner.conns.push(PeerConn {
-                stream,
-                key,
-                outq: VecDeque::new(),
-                front_written: 0,
-                inbuf: Vec::new(),
-                peer: None,
-                dead: false,
-                redial: false,
-            });
-        }
-    }
-
-    fn handle_connected(&self, sim: &mut Simulator, slot: usize) {
-        let (stream, key, node, redial) = {
-            let inner = self.inner.borrow();
-            let c = &inner.conns[slot];
-            (c.stream.clone(), c.key, inner.node, c.redial)
-        };
-        if !stream.finish_connect(sim) {
-            // A consumed connect-ready without establishment means the dial
-            // failed (SYN retransmission budget exhausted — e.g. the peer's
-            // host is down). Initial mesh dials in a healthy fabric never
-            // hit this; a re-dial backs off and tries again.
-            if redial && !stream.is_established() {
-                self.on_conn_down(sim, slot);
-            }
-            return;
-        }
-        // A completed re-dial resets the peer's backoff.
-        let metrics = {
-            let mut inner = self.inner.borrow_mut();
-            if redial {
-                let peer = inner.conns[slot].peer.expect("re-dials know their peer");
-                inner.redial_attempts.remove(&peer);
-                inner.reconnects_completed += 1;
-                Some((inner.net.metrics(), inner.node))
-            } else {
-                None
-            }
-        };
-        if let Some((m, n)) = metrics {
-            m.incr(&format!("nio_transport.{n}.reconnects_completed"));
-            m.trace(
-                sim.now(),
-                "transport",
-                format!("nio reconnect up slot={slot}"),
-            );
-        }
-        {
-            let inner = self.inner.borrow();
-            inner.selector.set_interest(sim, key, Ops::READ);
-        }
-        // Send the hello frame identifying us. It must be the first frame
-        // on the stream, ahead of any carried-over output.
-        {
-            let mut inner = self.inner.borrow_mut();
-            debug_assert_eq!(inner.conns[slot].front_written, 0);
-            inner.conns[slot]
-                .outq
-                .push_front(frame(&node.to_le_bytes()));
-        }
-        self.flush(sim, slot);
-    }
-
-    fn handle_readable(&self, sim: &mut Simulator, slot: usize) {
-        loop {
-            let outcome = {
-                let inner = self.inner.borrow();
-                inner.conns[slot].stream.read(sim, 1 << 20)
-            };
-            match outcome {
-                Ok(ReadOutcome::Data(bytes)) => {
-                    self.inner.borrow_mut().conns[slot].inbuf.extend(bytes);
-                    self.parse_frames(sim, slot);
-                }
-                Ok(ReadOutcome::WouldBlock) => break,
-                Ok(ReadOutcome::Eof) | Err(_) => {
-                    self.on_conn_down(sim, slot);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn parse_frames(&self, sim: &mut Simulator, slot: usize) {
-        loop {
-            let parsed = {
-                let mut inner = self.inner.borrow_mut();
-                let c = &mut inner.conns[slot];
-                if c.inbuf.len() < 4 {
-                    None
-                } else {
-                    let len =
-                        u32::from_le_bytes(c.inbuf[..4].try_into().expect("4 bytes")) as usize;
-                    if c.inbuf.len() < 4 + len {
-                        None
-                    } else {
-                        let body: Vec<u8> = c.inbuf[4..4 + len].to_vec();
-                        c.inbuf.drain(..4 + len);
-                        Some(body)
-                    }
-                }
-            };
-            let Some(body) = parsed else { break };
-            self.handle_frame(sim, slot, body);
-        }
-    }
-
-    fn handle_frame(&self, sim: &mut Simulator, slot: usize, body: Vec<u8>) {
-        let (peer, delivery) = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.conns[slot].peer {
-                Some(p) => {
-                    inner.msgs_delivered += 1;
-                    (p, inner.delivery.clone())
-                }
-                None => {
-                    // First frame: the hello.
-                    if body.len() == 4 {
-                        let peer = u32::from_le_bytes(body.try_into().expect("4 bytes"));
-                        inner.conns[slot].peer = Some(peer);
-                        // A hello from an already-known peer means it
-                        // reconnected: retire the stale stream and carry
-                        // its queued (whole, unwritten) frames over.
-                        let mut retired = None;
-                        if let Some(&old) = inner.by_node.get(&peer) {
-                            if old != slot {
-                                let mut outq = std::mem::take(&mut inner.conns[old].outq);
-                                if inner.conns[old].front_written > 0 {
-                                    // The front frame went out partially on
-                                    // the dead stream; its tail would desync
-                                    // the framing. Drop it.
-                                    outq.pop_front();
-                                }
-                                inner.conns[old].front_written = 0;
-                                inner.conns[old].dead = true;
-                                let old_key = inner.conns[old].key;
-                                inner.selector.cancel(old_key);
-                                inner.conns[slot].outq = outq;
-                                retired = Some(inner.conns[old].stream.clone());
-                            }
-                        }
-                        inner.by_node.insert(peer, slot);
-                        drop(inner);
-                        if let Some(s) = retired {
-                            // Unbind the stale socket so anything still
-                            // addressed to it fails fast instead of being
-                            // acked into a buffer nobody drains.
-                            s.close(sim);
-                        }
-                        // The carried-over queue may have pending frames.
-                        self.flush(sim, slot);
-                    }
-                    return;
-                }
-            }
-        };
-        if let Some(cb) = delivery {
-            cb(sim, peer, body);
-        }
-    }
-
-    /// Retires a failed stream and, if this endpoint is the dialing side
-    /// for that peer (higher node id, mirroring
-    /// [`build_group`](NioTransport::build_group)), schedules a re-dial
-    /// with exponential backoff. The lower-id side keeps the dead slot as
-    /// a holding pen for queued frames until the peer re-dials.
-    fn on_conn_down(&self, sim: &mut Simulator, slot: usize) {
-        let (stream, peer, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.conns[slot].dead {
-                return;
-            }
-            inner.conns[slot].dead = true;
-            if inner.conns[slot].front_written > 0 {
-                // A partially-written frame cannot be resumed on a new
-                // stream; drop it so the carried queue stays frame-aligned.
-                inner.conns[slot].outq.pop_front();
-                inner.conns[slot].front_written = 0;
-            }
-            // The slot becomes a holding pen: shed everything but the
-            // newest PEN_CAP frames now, so a long outage hands the
-            // replacement stream recent traffic rather than stale history
-            // (recovered by catch-up/state transfer instead).
-            let shed = inner.conns[slot].outq.len().saturating_sub(PEN_CAP);
-            inner.conns[slot].outq.drain(..shed);
-            if shed > 0 {
-                let node = inner.node;
-                inner
-                    .net
-                    .metrics()
-                    .incr_by(&format!("nio_transport.{node}.pen_dropped"), shed as u64);
-            }
-            let key = inner.conns[slot].key;
-            inner.selector.cancel(key);
-            (
-                inner.conns[slot].stream.clone(),
-                inner.conns[slot].peer,
-                inner.node,
-                inner.net.metrics(),
-            )
-        };
-        // Close the socket so its port unbinds: a peer that still thinks
-        // this stream is alive must see its segments go unanswered (RTO
-        // exhaustion -> EOF) instead of having them silently buffered and
-        // acked by a retired socket nobody reads.
-        stream.close(sim);
-        metrics.incr(&format!("nio_transport.{node}.conns_down"));
-        metrics.trace(
-            sim.now(),
-            "transport",
-            format!("nio stream down slot={slot} peer={peer:?}"),
-        );
-        let Some(peer) = peer else {
-            return; // anonymous inbound stream that never said hello
-        };
-        if self.inner.borrow().by_node.get(&peer) != Some(&slot) {
-            return; // a replacement is already wired in
-        }
-        if node > peer {
-            self.schedule_redial(sim, peer);
-        }
-    }
-
-    /// Schedules the next connection attempt towards `peer`, delayed by
-    /// exponential backoff over the consecutive-failure count.
-    fn schedule_redial(&self, sim: &mut Simulator, peer: NodeId) {
-        let delay = {
-            let inner = self.inner.borrow();
-            let attempts = inner.redial_attempts.get(&peer).copied().unwrap_or(0);
-            Nanos::from_nanos(RECONNECT_BASE.as_nanos() << attempts.min(RECONNECT_CAP_SHIFT))
-        };
-        let t = self.clone();
-        sim.schedule_in(
-            delay,
-            Box::new(move |sim| {
-                t.redial_fire(sim, peer);
-            }),
-        );
-    }
-
-    /// Opens a replacement stream towards `peer`, carrying over the dead
-    /// slot's queued frames. A dial that cannot reach the peer fails on
-    /// its own (SYN retransmission budget) and surfaces through
-    /// [`handle_connected`](NioTransport::handle_connected), which backs
-    /// off and re-dials.
-    fn redial_fire(&self, sim: &mut Simulator, peer: NodeId) {
-        let (net, host, core, model, remote, outq, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(&slot) = inner.by_node.get(&peer) {
-                if !inner.conns[slot].dead {
-                    return; // already reconnected
-                }
-            }
-            let Some(&peer_host) = inner.directory.get(&peer) else {
-                return;
-            };
-            *inner.redial_attempts.entry(peer).or_insert(0) += 1;
-            inner.reconnect_attempts += 1;
-            let outq = match inner.by_node.get(&peer) {
-                Some(&slot) => std::mem::take(&mut inner.conns[slot].outq),
-                None => VecDeque::new(),
-            };
-            (
-                inner.net.clone(),
-                inner.host,
-                inner.core,
-                inner.model.clone(),
-                Addr::new(peer_host, NIO_PORT_BASE + peer),
-                outq,
-                inner.node,
-                inner.net.metrics(),
-            )
-        };
-        metrics.incr(&format!("nio_transport.{node}.reconnect_attempts"));
-        let stream = TcpStream::connect(sim, &net, host, core, model, remote);
-        let key = {
-            let inner = self.inner.borrow();
-            stream.register(sim, &inner.selector, Ops::CONNECT | Ops::READ)
-        };
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.conns.len();
-        inner.conns.push(PeerConn {
-            stream,
-            key,
-            outq,
-            front_written: 0,
-            inbuf: Vec::new(),
-            peer: Some(peer),
-            dead: false,
-            redial: true,
-        });
-        inner.by_node.insert(peer, slot);
-    }
-
-    fn enqueue(&self, sim: &mut Simulator, slot: usize, framed: Vec<u8>) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.conns[slot].outq.push_back(framed);
-            // A dead or still-connecting stream cannot drain; bound the
-            // holding pen by shedding the oldest frame (never a partially
-            // written one — writes only happen on established streams).
-            // The survivors are the newest traffic — recent checkpoints
-            // and votes — which is what a peer returning from a long
-            // outage can still use; older history is recovered by
-            // catch-up/state transfer, not by replay.
-            let draining = !inner.conns[slot].dead && inner.conns[slot].stream.is_established();
-            if !draining && inner.conns[slot].outq.len() > PEN_CAP {
-                inner.conns[slot].outq.pop_front();
-                let node = inner.node;
-                inner
-                    .net
-                    .metrics()
-                    .incr(&format!("nio_transport.{node}.pen_dropped"));
-            }
-        }
-        self.flush(sim, slot);
-    }
-
-    fn flush(&self, sim: &mut Simulator, slot: usize) {
-        if self.inner.borrow().conns[slot].dead {
-            return;
-        }
-        loop {
-            let (stream, chunk) = {
-                let inner = self.inner.borrow();
-                let c = &inner.conns[slot];
-                if c.outq.is_empty() || !c.stream.is_established() {
-                    break;
-                }
-                // Coalesce queued frames into one write of up to 64 KiB,
-                // resuming mid-frame where the last write left off.
-                let mut chunk = Vec::new();
-                let mut skip = c.front_written;
-                for f in &c.outq {
-                    let take = (64 * 1024 - chunk.len()).min(f.len() - skip);
-                    chunk.extend_from_slice(&f[skip..skip + take]);
-                    skip = 0;
-                    if chunk.len() == 64 * 1024 {
-                        break;
-                    }
-                }
-                (c.stream.clone(), chunk)
-            };
-            match stream.write(sim, &chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(mut n) => {
-                    let mut inner = self.inner.borrow_mut();
-                    let c = &mut inner.conns[slot];
-                    while n > 0 {
-                        let remaining = c.outq[0].len() - c.front_written;
-                        if n >= remaining {
-                            n -= remaining;
-                            c.outq.pop_front();
-                            c.front_written = 0;
-                        } else {
-                            c.front_written += n;
-                            n = 0;
-                        }
-                    }
-                }
-            }
-        }
-        // Track WRITE interest: only while there is something to flush.
-        let inner = self.inner.borrow();
-        let c = &inner.conns[slot];
-        if c.dead {
-            return; // key is cancelled; leave it alone
-        }
-        let connected = c.stream.is_established();
-        let interest = if !connected {
-            Ops::READ | Ops::CONNECT
-        } else if c.outq.is_empty() {
-            Ops::READ
-        } else {
-            Ops::READ | Ops::WRITE
-        };
-        inner.selector.set_interest(sim, c.key, interest);
+        self.mesh.metrics()
     }
 }
 
 impl Transport for NioTransport {
     fn node(&self) -> NodeId {
-        self.inner.borrow().node
+        self.mesh.node()
     }
 
     fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            inner.msgs_sent += 1;
-            inner.by_node.get(&to).copied()
-        };
-        let Some(slot) = slot else {
-            return; // no connection to that peer (yet): drop
-        };
-        self.enqueue(sim, slot, frame(&msg));
+        self.mesh.send(sim, to, msg);
     }
 
     fn set_delivery(&self, f: DeliveryFn) {
-        self.inner.borrow_mut().delivery = Some(f);
+        self.mesh.set_delivery(f);
     }
 
-    fn set_lane_delivery(&self, lanes: usize, f: crate::transport::LaneDeliveryFn) {
-        // Same demux rule as the default, plus per-lane delivery counters
-        // so benchmarks can see agreement traffic spreading over pipelines.
-        let metrics = self.metrics();
-        let node = self.node();
-        self.set_delivery(Rc::new(move |sim, from, bytes| {
-            let lane = crate::transport::wire_lane(&bytes, lanes);
-            metrics.incr(&format!("nio_transport.{node}.lane{lane}_delivered"));
-            f(sim, lane, from, bytes);
-        }));
+    fn set_lane_delivery(&self, lanes: usize, f: LaneDeliveryFn) {
+        self.mesh.set_lane_delivery(lanes, f);
     }
 }

@@ -26,6 +26,7 @@ use simnet::{CoreAffinity, CoreId, HostId, Nanos, Network, SimDisk, Simulator};
 use crate::config::ReptorConfig;
 use crate::durability::{DurableStore, WalFrame};
 use crate::executor::Executor;
+use crate::mesh::backoff;
 use crate::messages::{
     batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, SignedMessage,
     View, MANIFEST_CHUNK,
@@ -2759,10 +2760,10 @@ impl Replica {
     /// towards, until the replica has rejoined or the probe budget runs
     /// out (a lone replica in an idle group has nothing to rejoin to).
     ///
-    /// The probe period backs off exponentially with the same shape as the
-    /// transport reconnect policy (doubling, capped at `base << 5`): early
-    /// probes converge fast when peers are live, late ones stop flooding an
-    /// idle or partitioned group.
+    /// The probe period follows the transport's reconnect [`backoff`], so a
+    /// restarted replica and its re-dialing links converge on the same
+    /// cadence: early probes converge fast when peers are live, late ones
+    /// stop flooding an idle or partitioned group.
     fn arm_rejoin_probe(&self, sim: &mut Simulator) {
         const MAX_PROBES: u32 = 32;
         let (attempts, generation, le_at_arm, timeout) = {
@@ -2771,7 +2772,7 @@ impl Replica {
                 inner.rejoin_attempts,
                 inner.rejoin_generation,
                 inner.executor.last_executed,
-                rejoin_probe_delay(inner.cfg.view_change_timeout, inner.rejoin_attempts),
+                backoff(inner.cfg.view_change_timeout, inner.rejoin_attempts),
             )
         };
         if attempts >= MAX_PROBES {
@@ -3531,14 +3532,6 @@ fn batch_bytes(batch: &[Request]) -> usize {
     batch.iter().map(|r| r.payload.len() + 16).sum::<usize>()
 }
 
-/// Rejoin-probe backoff: doubles the probe period per attempt, capped at
-/// `base << 5` — the same schedule shape as the transport reconnect
-/// policy, so a restarted replica and its re-dialing channels converge on
-/// the same cadence instead of the probe flooding a still-down group.
-fn rejoin_probe_delay(base: Nanos, attempts: u32) -> Nanos {
-    base * (1u64 << attempts.min(5))
-}
-
 /// Byzantine store bytes: flips one byte in every chunk-sized slice, so
 /// each corrupted chunk fails its digest check at the fetcher while
 /// lengths (and therefore read offsets) stay valid.
@@ -3643,9 +3636,7 @@ mod tests {
     #[test]
     fn rejoin_probe_backoff_matches_reconnect_schedule() {
         let base = Nanos::from_millis(40);
-        let delays: Vec<u64> = (0..8)
-            .map(|a| rejoin_probe_delay(base, a).as_nanos())
-            .collect();
+        let delays: Vec<u64> = (0..8).map(|a| backoff(base, a).as_nanos()).collect();
         assert_eq!(delays[0], base.as_nanos(), "first probe fires after base");
         // Doubles per attempt up to the cap...
         for (i, w) in delays.windows(2).take(5).enumerate() {

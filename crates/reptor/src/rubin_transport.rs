@@ -4,83 +4,48 @@
 //! selector and channels (paper §IV: "We integrated RUBIN into Reptor,
 //! where it replaces the Java NIO selector and socket channel"). Because
 //! RUBIN channels are message-oriented, no length framing is needed; the
-//! first message on every channel is a hello carrying the sender's node id.
+//! first message a dialer writes is its hello.
 //!
-//! Failure recovery: when a channel breaks (queue-pair retry exhaustion,
-//! peer crash, connection rejection), the side that originally dialed —
-//! the higher node id — re-dials with exponential backoff, while the other
-//! side parks outgoing messages until the replacement connection and its
-//! hello arrive. Queued output survives the swap; messages that were
-//! in flight on the dead queue pair are lost, which the BFT layer above
-//! already tolerates (it re-sends during view changes and client retries).
+//! Connection management (peer table, hello, holding pen, re-dial) is
+//! [`crate::mesh`]; this file is the RUBIN [`Wire`] under it plus the
+//! one-sided READ/WRITE primitives only RDMA has. Messages that were in
+//! flight on a dead queue pair are lost, which the BFT layer above already
+//! tolerates (it re-sends during view changes and client retries).
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::rc::Rc;
 
 use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice, RnicModel};
 use rubin::{
     Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RecvOutcome, RubinConfig, RubinKey,
+    SelectedKey,
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
+use crate::mesh::{Mesh, Ready, Recv, Wire};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
-    DeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn, Transport,
+    DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
+    Transport,
 };
 
 /// Base port for RUBIN transport server channels.
 const RUBIN_PORT_BASE: u32 = 1100;
 
-/// First re-dial delay after a channel failure; doubles per consecutive
-/// failed attempt.
-const RECONNECT_BASE: Nanos = Nanos::from_millis(2);
-
-/// Cap on the backoff doubling: delay = base << min(attempts, CAP_SHIFT).
-const RECONNECT_CAP_SHIFT: u32 = 5;
-
-/// How long a re-dial may sit unestablished before it is abandoned. RDMA
-/// connection management has no timeout of its own — a ConnRequest lost to
-/// a crashed host would otherwise hang the dialer forever.
-const CONNECT_ATTEMPT_TIMEOUT: Nanos = Nanos::from_millis(20);
-
-/// Maximum messages held for a peer whose channel is down or still
-/// connecting. Large enough to ride over a reconnect round-trip, small
-/// enough that a long outage cannot grow unbounded queues at healthy
-/// peers — a revived replica recovers truncated history through
-/// checkpoint state transfer instead of replay.
-const PEN_CAP: usize = 16;
-
-struct PeerChan {
+struct RubinLink {
     channel: RdmaChannel,
     key: RubinKey,
-    /// Messages waiting for establishment or send-buffer space.
-    outq: VecDeque<Vec<u8>>,
-    /// Peer id, once known (outbound: immediately; inbound: after hello).
-    peer: Option<NodeId>,
+    /// Accepted channels send no hello, so they start out true.
     hello_sent: bool,
-    /// Channel failed; slot is retired (its selector key is cancelled) but
-    /// kept in place so `by_node` indices stay stable and its `outq` can be
-    /// carried over to the replacement channel.
-    dead: bool,
-    /// This channel is a reconnect attempt (not an initial mesh dial).
-    redial: bool,
 }
 
-struct RubinInner {
+struct RubinWire {
     node: NodeId,
     device: RdmaDevice,
     core: CoreId,
     cfg: RubinConfig,
     selector: RdmaSelector,
     server: RdmaServerChannel,
-    chans: Vec<PeerChan>,
-    by_node: HashMap<NodeId, usize>,
-    /// Host of every group member, for re-dialing after a failure.
-    directory: HashMap<NodeId, HostId>,
-    /// Consecutive failed re-dial attempts per peer (drives the backoff).
-    redial_attempts: HashMap<NodeId, u32>,
     /// Protection domain holding checkpoint-store regions. Allocated on
     /// first registration; MRs are validated per-rkey, not per-domain, so
     /// any peer queue pair can READ them.
@@ -95,35 +60,158 @@ struct RubinInner {
     /// Installed fast-path doorbell, rung when a peer WRITEs into one of
     /// our slot regions.
     slot_doorbell: Option<SlotDoorbellFn>,
-    delivery: Option<DeliveryFn>,
-    msgs_sent: u64,
-    msgs_delivered: u64,
-    reconnect_attempts: u64,
-    reconnects_completed: u64,
+}
+
+impl RubinWire {
+    fn link(&self, sim: &mut Simulator, channel: RdmaChannel, dialed: bool) -> RubinLink {
+        let interest = if dialed {
+            Interest::OP_ACCEPT | Interest::OP_RECEIVE
+        } else {
+            Interest::OP_RECEIVE
+        };
+        let key = self.selector.register_channel(sim, &channel, interest);
+        RubinLink {
+            channel,
+            key,
+            hello_sent: !dialed,
+        }
+    }
+}
+
+impl Wire for RubinWire {
+    type Link = RubinLink;
+    type Event = SelectedKey;
+    const NAME: &'static str = "rubin";
+    const LINK: &'static str = "channel";
+    const DOWN: &'static str = "channels_down";
+    /// RDMA connection management has no timeout of its own — a
+    /// ConnRequest (or its reply) lost to a crashed host would otherwise
+    /// hang the dialer forever.
+    const DIAL_TIMEOUT: Option<Nanos> = Some(Nanos::from_millis(20));
+
+    fn listen(&mut self, sim: &mut Simulator) {
+        self.selector.register_server(sim, &self.server);
+    }
+
+    fn select(
+        &self,
+        sim: &mut Simulator,
+        f: impl FnOnce(&mut Simulator, Vec<SelectedKey>) + 'static,
+    ) {
+        self.selector.select(sim, f);
+    }
+
+    fn ready(&self, ev: &SelectedKey) -> Ready {
+        Ready {
+            accept: ev.ready.contains(Interest::OP_CONNECT),
+            connected: ev.ready.contains(Interest::OP_ACCEPT),
+            readable: ev.ready.contains(Interest::OP_RECEIVE),
+            writable: ev.ready.contains(Interest::OP_SEND),
+        }
+    }
+
+    fn owns(link: &RubinLink, ev: &SelectedKey) -> bool {
+        link.key == ev.key
+    }
+
+    fn dial(&self, sim: &mut Simulator, peer: NodeId, host: HostId) -> Option<RubinLink> {
+        let remote = Addr::new(host, RUBIN_PORT_BASE + peer);
+        let channel =
+            RdmaChannel::connect(sim, &self.device, remote, self.cfg.clone(), self.core).ok()?;
+        Some(self.link(sim, channel, true))
+    }
+
+    fn accept(&self, sim: &mut Simulator) -> Option<RubinLink> {
+        let channel = self.server.accept(sim).ok()??;
+        Some(self.link(sim, channel, false))
+    }
+
+    /// Installs the fast-path doorbell on a freshly created channel. The
+    /// closure resolves this endpoint's installed handler and the
+    /// channel's peer id at ring time, so it is safe to install before
+    /// either is known (accept-side channels learn their peer only after
+    /// the hello; the handler arrives with `set_slot_doorbell`).
+    fn link_added(mesh: &Mesh<RubinWire>, link: &RubinLink) {
+        let mesh = mesh.clone();
+        let qp_num = link.channel.qp().num();
+        link.channel
+            .set_write_doorbell(Rc::new(move |sim, imm, len| {
+                let peer = mesh.peer_where(|l| l.channel.qp().num() == qp_num);
+                let db = mesh.wire().slot_doorbell.clone();
+                if let (Some(peer), Some(db)) = (peer, db) {
+                    db(sim, peer, imm, len);
+                }
+            }));
+    }
+
+    fn finish_connect(
+        &self,
+        sim: &mut Simulator,
+        link: &mut RubinLink,
+        _outq: &mut VecDeque<Vec<u8>>,
+    ) -> bool {
+        link.channel.finish_connect(sim)
+    }
+
+    fn is_established(link: &RubinLink) -> bool {
+        link.channel.is_established()
+    }
+
+    fn encode(msg: Vec<u8>) -> Vec<u8> {
+        msg
+    }
+
+    fn recv(&self, sim: &mut Simulator, link: &mut RubinLink) -> Recv {
+        match link.channel.read(sim) {
+            Ok(RecvOutcome::Msg(body)) => Recv::Msg(body),
+            Ok(RecvOutcome::WouldBlock) => Recv::Idle,
+            Ok(RecvOutcome::Eof) | Err(_) => Recv::Down,
+        }
+    }
+
+    fn flush(&self, sim: &mut Simulator, link: &mut RubinLink, outq: &mut VecDeque<Vec<u8>>) {
+        let established = link.channel.is_established();
+        if established && !link.hello_sent {
+            let hello = self.node.to_le_bytes();
+            link.hello_sent = matches!(link.channel.write(sim, &hello), Ok(true));
+        }
+        if established && link.hello_sent {
+            // A refused write means the send buffers are full: OP_SEND
+            // fires when space frees up.
+            while let Some(msg) = outq.front() {
+                if !matches!(link.channel.write(sim, msg), Ok(true)) {
+                    break;
+                }
+                outq.pop_front();
+            }
+        }
+        // OP_SEND readiness is level-triggered (send buffers are almost
+        // always available), so subscribe to it only while output is
+        // actually pending.
+        let mut want = Interest::OP_RECEIVE;
+        if !established {
+            want |= Interest::OP_ACCEPT;
+        } else if !link.hello_sent || !outq.is_empty() {
+            want |= Interest::OP_SEND;
+        }
+        self.selector.set_interest(sim, link.key, want);
+    }
+
+    fn close(&self, _sim: &mut Simulator, link: &mut RubinLink, _outq: &mut VecDeque<Vec<u8>>) {
+        self.selector.cancel(link.key);
+    }
 }
 
 /// A full-mesh, RDMA-selector-driven transport endpoint.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct RubinTransport {
-    inner: Rc<RefCell<RubinInner>>,
-}
-
-impl fmt::Debug for RubinTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("RubinTransport")
-            .field("node", &inner.node)
-            .field("chans", &inner.chans.len())
-            .field("sent", &inner.msgs_sent)
-            .field("delivered", &inner.msgs_delivered)
-            .finish()
-    }
+    mesh: Mesh<RubinWire>,
 }
 
 impl RubinTransport {
     /// The shared metrics registry of the fabric this endpoint runs on.
     pub fn metrics(&self) -> simnet::Metrics {
-        self.inner.borrow().device.net().metrics()
+        self.mesh.metrics()
     }
 
     /// Builds a fully meshed group over RUBIN channels. Run the simulator
@@ -135,588 +223,64 @@ impl RubinTransport {
         rnic: RnicModel,
         cfg: RubinConfig,
     ) -> Vec<RubinTransport> {
-        let transports: Vec<RubinTransport> = nodes
-            .iter()
-            .map(|&(node, host, core)| {
-                let device = RdmaDevice::open(net, host, rnic.clone());
-                let selector = RdmaSelector::new(&device, core, cfg.select_ns);
-                let server =
-                    RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
-                        .expect("transport port free");
-                RubinTransport {
-                    inner: Rc::new(RefCell::new(RubinInner {
-                        node,
-                        device,
-                        core,
-                        cfg: cfg.clone(),
-                        selector,
-                        server,
-                        chans: Vec::new(),
-                        by_node: HashMap::new(),
-                        directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
-                        redial_attempts: HashMap::new(),
-                        state_pd: None,
-                        state_regions: HashMap::new(),
-                        slot_regions: HashMap::new(),
-                        slot_doorbell: None,
-                        delivery: None,
-                        msgs_sent: 0,
-                        msgs_delivered: 0,
-                        reconnect_attempts: 0,
-                        reconnects_completed: 0,
-                    })),
-                }
-            })
-            .collect();
-        // Register servers with the selectors and start the reactors.
-        for t in &transports {
-            {
-                let inner = t.inner.borrow();
-                inner.selector.register_server(sim, &inner.server);
+        let wire = |node, host, core| {
+            let device = RdmaDevice::open(net, host, rnic.clone());
+            let selector = RdmaSelector::new(&device, core, cfg.select_ns);
+            let server =
+                RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
+                    .expect("transport port free");
+            RubinWire {
+                node,
+                device,
+                core,
+                cfg: cfg.clone(),
+                selector,
+                server,
+                state_pd: None,
+                state_regions: HashMap::new(),
+                slot_regions: HashMap::new(),
+                slot_doorbell: None,
             }
-            t.pump(sim);
-        }
-        // Dial: node at index i connects to every earlier node.
-        for (idx, _) in nodes.iter().enumerate() {
-            for &(peer, peer_host, _pcore) in &nodes[..idx] {
-                let t = &transports[idx];
-                let remote = Addr::new(peer_host, RUBIN_PORT_BASE + peer);
-                let (channel, key) = {
-                    let inner = t.inner.borrow();
-                    let channel = RdmaChannel::connect(
-                        sim,
-                        &inner.device,
-                        remote,
-                        inner.cfg.clone(),
-                        inner.core,
-                    )
-                    .expect("connect initiation succeeds");
-                    let key = inner.selector.register_channel(
-                        sim,
-                        &channel,
-                        Interest::OP_ACCEPT | Interest::OP_RECEIVE,
-                    );
-                    (channel, key)
-                };
-                t.install_doorbell(&channel);
-                let mut inner = t.inner.borrow_mut();
-                let slot = inner.chans.len();
-                inner.chans.push(PeerChan {
-                    channel,
-                    key,
-                    outq: VecDeque::new(),
-                    peer: Some(peer),
-                    hello_sent: false,
-                    dead: false,
-                    redial: false,
-                });
-                inner.by_node.insert(peer, slot);
-            }
-        }
-        transports
-    }
-
-    /// Messages delivered to this endpoint.
-    pub fn delivered_count(&self) -> u64 {
-        self.inner.borrow().msgs_delivered
+        };
+        let meshes = Mesh::build_group(sim, net, nodes, wire);
+        meshes
+            .into_iter()
+            .map(|mesh| RubinTransport { mesh })
+            .collect()
     }
 
     /// Re-dial attempts made after channel failures.
     pub fn reconnect_attempts(&self) -> u64 {
-        self.inner.borrow().reconnect_attempts
+        self.mesh.counter("reconnect_attempts")
     }
 
     /// Re-dials that reached establishment.
     pub fn reconnects_completed(&self) -> u64 {
-        self.inner.borrow().reconnects_completed
+        self.mesh.counter("reconnects_completed")
     }
 
     /// Select calls performed by this endpoint's selector.
     pub fn selects_performed(&self) -> u64 {
-        self.inner.borrow().selector.selects_performed()
-    }
-
-    /// Hybrid-queue events observed by this endpoint's selector.
-    pub fn hybrid_events(&self) -> u64 {
-        self.inner.borrow().selector.hybrid_events_total()
-    }
-
-    /// Diagnostic dump of the selector's keys.
-    pub fn debug_keys(&self) -> String {
-        self.inner.borrow().selector.debug_keys()
-    }
-
-    /// Diagnostic dump of per-channel state.
-    pub fn debug_channels(&self) -> String {
-        let inner = self.inner.borrow();
-        inner
-            .chans
-            .iter()
-            .map(|c| {
-                let s = c.channel.stats();
-                format!(
-                    "[peer={:?} hello={} outq={} dead={} tx={} rx={} stalls={} chan={:?}]",
-                    c.peer,
-                    c.hello_sent,
-                    c.outq.len(),
-                    c.dead,
-                    s.msgs_sent,
-                    s.msgs_received,
-                    s.send_stalls,
-                    c.channel
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    /// The reactor: parks a select and handles whatever becomes ready.
-    fn pump(&self, sim: &mut Simulator) {
-        let selector = self.inner.borrow().selector.clone();
-        let t = self.clone();
-        selector.select(sim, move |sim, ready| {
-            for ev in ready {
-                t.handle_event(sim, ev.key, ev.ready);
-            }
-            t.pump(sim);
-        });
-    }
-
-    fn handle_event(&self, sim: &mut Simulator, key: RubinKey, ready: Interest) {
-        if ready.contains(Interest::OP_CONNECT) {
-            self.handle_accept(sim);
-            return;
-        }
-        let slot = {
-            let inner = self.inner.borrow();
-            inner.chans.iter().position(|c| c.key == key)
-        };
-        let Some(slot) = slot else { return };
-        if ready.contains(Interest::OP_ACCEPT) {
-            self.handle_established(sim, slot);
-        }
-        if ready.contains(Interest::OP_RECEIVE) {
-            self.handle_receivable(sim, slot);
-        }
-        if ready.contains(Interest::OP_SEND) {
-            self.flush(sim, slot);
-        }
-    }
-
-    fn handle_accept(&self, sim: &mut Simulator) {
-        loop {
-            let accepted = {
-                let inner = self.inner.borrow();
-                inner.server.accept(sim)
-            };
-            let Ok(Some(channel)) = accepted else { break };
-            let key = {
-                let inner = self.inner.borrow();
-                inner
-                    .selector
-                    .register_channel(sim, &channel, Interest::OP_RECEIVE)
-            };
-            self.install_doorbell(&channel);
-            let mut inner = self.inner.borrow_mut();
-            inner.chans.push(PeerChan {
-                channel,
-                key,
-                outq: VecDeque::new(),
-                peer: None,
-                hello_sent: true, // server side sends no hello
-                dead: false,
-                redial: false,
-            });
-        }
-    }
-
-    fn handle_established(&self, sim: &mut Simulator, slot: usize) {
-        let channel = self.inner.borrow().chans[slot].channel.clone();
-        if !channel.finish_connect(sim) {
-            return;
-        }
-        // A completed re-dial resets the peer's backoff.
-        let metrics = {
-            let mut inner = self.inner.borrow_mut();
-            let c = &inner.chans[slot];
-            if c.redial {
-                let peer = c.peer.expect("re-dials always know their peer");
-                inner.redial_attempts.remove(&peer);
-                inner.reconnects_completed += 1;
-                Some((inner.device.net().metrics(), inner.node))
-            } else {
-                None
-            }
-        };
-        if let Some((m, node)) = metrics {
-            m.incr(&format!("rubin_transport.{node}.reconnects_completed"));
-            m.trace(
-                sim.now(),
-                "transport",
-                format!("rubin reconnect up slot={slot}"),
-            );
-        }
-        self.flush(sim, slot);
-    }
-
-    fn handle_receivable(&self, sim: &mut Simulator, slot: usize) {
-        loop {
-            let outcome = {
-                let inner = self.inner.borrow();
-                inner.chans[slot].channel.read(sim)
-            };
-            match outcome {
-                Ok(RecvOutcome::Msg(body)) => self.handle_message(sim, slot, body),
-                Ok(RecvOutcome::WouldBlock) => break,
-                Ok(RecvOutcome::Eof) | Err(_) => {
-                    self.on_channel_down(sim, slot);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn handle_message(&self, sim: &mut Simulator, slot: usize, body: Vec<u8>) {
-        let (peer, delivery) = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.chans[slot].peer {
-                Some(p) => {
-                    inner.msgs_delivered += 1;
-                    (p, inner.delivery.clone())
-                }
-                None => {
-                    // First message: the hello.
-                    if body.len() == 4 {
-                        let peer = u32::from_le_bytes(body.try_into().expect("4 bytes"));
-                        inner.chans[slot].peer = Some(peer);
-                        // A hello from an already-known peer means it
-                        // reconnected: retire the stale channel and carry
-                        // its queued output over to this one.
-                        if let Some(&old) = inner.by_node.get(&peer) {
-                            if old != slot {
-                                let outq = std::mem::take(&mut inner.chans[old].outq);
-                                inner.chans[old].dead = true;
-                                let old_key = inner.chans[old].key;
-                                inner.selector.cancel(old_key);
-                                inner.chans[slot].outq = outq;
-                            }
-                        }
-                        inner.by_node.insert(peer, slot);
-                        drop(inner);
-                        // The carried-over queue may have pending messages.
-                        self.flush(sim, slot);
-                    }
-                    return;
-                }
-            }
-        };
-        if let Some(cb) = delivery {
-            cb(sim, peer, body);
-        }
-    }
-
-    /// Retires a failed channel and, if this endpoint is the dialing side
-    /// for that peer, schedules a re-dial with exponential backoff.
-    ///
-    /// Mirrors [`build_group`](RubinTransport::build_group)'s mesh
-    /// direction: the higher-id node dials, so only it re-dials; the
-    /// lower-id side keeps the dead slot as a holding pen for queued
-    /// output until the peer's replacement connection arrives.
-    fn on_channel_down(&self, sim: &mut Simulator, slot: usize) {
-        let (peer, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.chans[slot].dead {
-                return;
-            }
-            inner.chans[slot].dead = true;
-            // The slot becomes a holding pen: shed everything but the
-            // newest PEN_CAP messages now, so a long outage hands the
-            // replacement channel recent traffic rather than stale
-            // history (recovered by catch-up/state transfer instead).
-            let shed = inner.chans[slot].outq.len().saturating_sub(PEN_CAP);
-            inner.chans[slot].outq.drain(..shed);
-            let key = inner.chans[slot].key;
-            inner.selector.cancel(key);
-            if shed > 0 {
-                let node = inner.node;
-                inner
-                    .device
-                    .net()
-                    .metrics()
-                    .incr_by(&format!("rubin_transport.{node}.pen_dropped"), shed as u64);
-            }
-            (
-                inner.chans[slot].peer,
-                inner.node,
-                inner.device.net().metrics(),
-            )
-        };
-        metrics.incr(&format!("rubin_transport.{node}.channels_down"));
-        metrics.trace(
-            sim.now(),
-            "transport",
-            format!("rubin channel down slot={slot} peer={peer:?}"),
-        );
-        let Some(peer) = peer else {
-            return; // anonymous inbound channel that never said hello
-        };
-        // Only act if this slot is still the peer's current channel (a
-        // replacement may already have been wired in via hello remap).
-        if self.inner.borrow().by_node.get(&peer) != Some(&slot) {
-            return;
-        }
-        if node > peer {
-            self.schedule_redial(sim, peer);
-        }
-    }
-
-    /// Schedules the next connection attempt towards `peer`, delayed by
-    /// exponential backoff over the consecutive-failure count.
-    fn schedule_redial(&self, sim: &mut Simulator, peer: NodeId) {
-        let delay = {
-            let inner = self.inner.borrow();
-            let attempts = inner.redial_attempts.get(&peer).copied().unwrap_or(0);
-            Nanos::from_nanos(RECONNECT_BASE.as_nanos() << attempts.min(RECONNECT_CAP_SHIFT))
-        };
-        let t = self.clone();
-        sim.schedule_in(
-            delay,
-            Box::new(move |sim| {
-                t.redial_fire(sim, peer);
-            }),
-        );
-    }
-
-    /// Opens a replacement channel towards `peer`, carrying over the dead
-    /// slot's queued output, and arms the attempt timeout.
-    fn redial_fire(&self, sim: &mut Simulator, peer: NodeId) {
-        let (device, cfg, core, remote, outq, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            // Already reconnected (or re-dial already in flight): nothing
-            // to do.
-            if let Some(&slot) = inner.by_node.get(&peer) {
-                if !inner.chans[slot].dead {
-                    return;
-                }
-            }
-            let Some(&host) = inner.directory.get(&peer) else {
-                return;
-            };
-            *inner.redial_attempts.entry(peer).or_insert(0) += 1;
-            inner.reconnect_attempts += 1;
-            let outq = match inner.by_node.get(&peer) {
-                Some(&slot) => std::mem::take(&mut inner.chans[slot].outq),
-                None => VecDeque::new(),
-            };
-            (
-                inner.device.clone(),
-                inner.cfg.clone(),
-                inner.core,
-                Addr::new(host, RUBIN_PORT_BASE + peer),
-                outq,
-                inner.node,
-                inner.device.net().metrics(),
-            )
-        };
-        metrics.incr(&format!("rubin_transport.{node}.reconnect_attempts"));
-        let chan = RdmaChannel::connect(sim, &device, remote, cfg, core);
-        let Ok(channel) = chan else {
-            // Could not even initiate (e.g. resource exhaustion): put the
-            // queue back and back off again.
-            let mut inner = self.inner.borrow_mut();
-            if let Some(&slot) = inner.by_node.get(&peer) {
-                inner.chans[slot].outq = outq;
-            }
-            drop(inner);
-            self.schedule_redial(sim, peer);
-            return;
-        };
-        let key = {
-            let inner = self.inner.borrow();
-            inner.selector.register_channel(
-                sim,
-                &channel,
-                Interest::OP_ACCEPT | Interest::OP_RECEIVE,
-            )
-        };
-        self.install_doorbell(&channel);
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            let slot = inner.chans.len();
-            inner.chans.push(PeerChan {
-                channel,
-                key,
-                outq,
-                peer: Some(peer),
-                hello_sent: false,
-                dead: false,
-                redial: true,
-            });
-            inner.by_node.insert(peer, slot);
-            slot
-        };
-        // RDMA CM never times out on its own; if the ConnRequest (or the
-        // reply) is lost, only this timer gets the dialer unstuck.
-        let t = self.clone();
-        sim.schedule_in(
-            CONNECT_ATTEMPT_TIMEOUT,
-            Box::new(move |sim| {
-                t.attempt_timeout_fire(sim, slot, peer);
-            }),
-        );
-    }
-
-    /// Abandons a re-dial that never established within the timeout.
-    fn attempt_timeout_fire(&self, sim: &mut Simulator, slot: usize, peer: NodeId) {
-        {
-            let inner = self.inner.borrow();
-            if inner.by_node.get(&peer) != Some(&slot) {
-                return; // superseded by a newer channel
-            }
-            let c = &inner.chans[slot];
-            if c.dead || c.channel.is_established() {
-                return; // already failed (and rescheduled) or succeeded
-            }
-        }
-        self.on_channel_down(sim, slot);
-    }
-
-    fn flush(&self, sim: &mut Simulator, slot: usize) {
-        if self.inner.borrow().chans[slot].dead {
-            return;
-        }
-        // Hello goes out first on outbound channels.
-        let need_hello = {
-            let inner = self.inner.borrow();
-            let c = &inner.chans[slot];
-            !c.hello_sent && c.channel.is_established()
-        };
-        if need_hello {
-            let (channel, node) = {
-                let inner = self.inner.borrow();
-                (inner.chans[slot].channel.clone(), inner.node)
-            };
-            if matches!(channel.write(sim, &node.to_le_bytes()), Ok(true)) {
-                self.inner.borrow_mut().chans[slot].hello_sent = true;
-            } else {
-                self.update_interest(sim, slot);
-                return; // retry on next OP_SEND
-            }
-        }
-        loop {
-            let (channel, msg) = {
-                let inner = self.inner.borrow();
-                let c = &inner.chans[slot];
-                if c.outq.is_empty() || !c.channel.is_established() || !c.hello_sent {
-                    break;
-                }
-                (
-                    c.channel.clone(),
-                    c.outq.front().cloned().expect("nonempty"),
-                )
-            };
-            match channel.write(sim, &msg) {
-                Ok(true) => {
-                    self.inner.borrow_mut().chans[slot].outq.pop_front();
-                }
-                Ok(false) | Err(_) => break, // OP_SEND will fire on space
-            }
-        }
-        self.update_interest(sim, slot);
-    }
-
-    /// Installs the fast-path doorbell on a freshly created channel. The
-    /// per-channel closure resolves this transport's installed handler and
-    /// the channel's peer id at ring time, so it is safe to install before
-    /// either is known (accept-side channels learn their peer only after
-    /// the hello; the handler arrives with `set_slot_doorbell`).
-    fn install_doorbell(&self, channel: &RdmaChannel) {
-        let t = self.clone();
-        let qp_num = channel.qp().num();
-        channel.set_write_doorbell(Rc::new(move |sim, imm, len| {
-            let (peer, db) = {
-                let inner = t.inner.borrow();
-                let peer = inner
-                    .chans
-                    .iter()
-                    .find(|c| c.channel.qp().num() == qp_num)
-                    .and_then(|c| c.peer);
-                (peer, inner.slot_doorbell.clone())
-            };
-            if let (Some(peer), Some(db)) = (peer, db) {
-                db(sim, peer, imm, len);
-            }
-        }));
-    }
-
-    /// OP_SEND readiness is level-triggered (send buffers are almost
-    /// always available), so the reactor only subscribes to it while
-    /// output is actually pending.
-    fn update_interest(&self, sim: &mut Simulator, slot: usize) {
-        let (selector, key, interest) = {
-            let inner = self.inner.borrow();
-            let c = &inner.chans[slot];
-            if c.dead {
-                return; // key is cancelled; leave it alone
-            }
-            let established = c.channel.is_established();
-            let mut want = Interest::OP_RECEIVE;
-            if !established {
-                want |= Interest::OP_ACCEPT;
-            }
-            if established && (!c.hello_sent || !c.outq.is_empty()) {
-                want |= Interest::OP_SEND;
-            }
-            (inner.selector.clone(), c.key, want)
-        };
-        selector.set_interest(sim, key, interest);
+        self.mesh.wire().selector.selects_performed()
     }
 }
 
 impl Transport for RubinTransport {
     fn node(&self) -> NodeId {
-        self.inner.borrow().node
+        self.mesh.node()
     }
 
     fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            inner.msgs_sent += 1;
-            inner.by_node.get(&to).copied()
-        };
-        let Some(slot) = slot else {
-            return; // no channel to that peer (yet): drop
-        };
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.chans[slot].outq.push_back(msg);
-            // A dead or still-connecting channel cannot drain; bound the
-            // holding pen by shedding the oldest message. The survivors are
-            // the newest traffic — recent checkpoints and votes — which is
-            // exactly what a peer coming back from a long outage can still
-            // use (older history is recovered by catch-up/state transfer,
-            // not by replay).
-            let draining = !inner.chans[slot].dead && inner.chans[slot].channel.is_established();
-            if !draining && inner.chans[slot].outq.len() > PEN_CAP {
-                inner.chans[slot].outq.pop_front();
-                let node = inner.node;
-                inner
-                    .device
-                    .net()
-                    .metrics()
-                    .incr(&format!("rubin_transport.{node}.pen_dropped"));
-            }
-        }
-        self.flush(sim, slot);
+        self.mesh.send(sim, to, msg);
     }
 
     fn set_delivery(&self, f: DeliveryFn) {
-        self.inner.borrow_mut().delivery = Some(f);
+        self.mesh.set_delivery(f);
     }
 
     fn register_state_region(&self, sim: &mut Simulator, bytes: &[u8]) -> Option<StateOffer> {
         let _ = sim;
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.mesh.wire_mut();
         if inner.state_pd.is_none() {
             let pd = inner.device.alloc_pd();
             inner.state_pd = Some(pd);
@@ -742,13 +306,13 @@ impl Transport for RubinTransport {
     }
 
     fn release_state_region(&self, offer: &StateOffer) {
-        if let Some(mr) = self.inner.borrow_mut().state_regions.remove(&offer.rkey) {
+        if let Some(mr) = self.mesh.wire_mut().state_regions.remove(&offer.rkey) {
             mr.invalidate();
         }
     }
 
     fn write_state_region(&self, offer: &StateOffer, offset: u64, bytes: &[u8]) -> bool {
-        let inner = self.inner.borrow();
+        let inner = self.mesh.wire();
         match inner.state_regions.get(&offer.rkey) {
             Some(mr) => mr.write(offset as usize, bytes).is_ok(),
             None => false,
@@ -764,23 +328,15 @@ impl Transport for RubinTransport {
         len: usize,
         done: StateReadFn,
     ) -> bool {
-        let channel = {
-            let inner = self.inner.borrow();
-            let Some(&slot) = inner.by_node.get(&peer) else {
-                return false;
-            };
-            let c = &inner.chans[slot];
-            if c.dead || !c.channel.is_established() {
-                return false;
-            }
-            c.channel.clone()
+        let Some(channel) = self.mesh.live_link(peer, |l| l.channel.clone()) else {
+            return false;
         };
         channel.post_read(sim, rkey, offset, len, done).is_ok()
     }
 
     fn register_write_region(&self, sim: &mut Simulator, len: usize) -> Option<SlotRegion> {
         let _ = sim;
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.mesh.wire_mut();
         if inner.state_pd.is_none() {
             let pd = inner.device.alloc_pd();
             inner.state_pd = Some(pd);
@@ -798,13 +354,13 @@ impl Transport for RubinTransport {
     fn release_write_region(&self, region: &SlotRegion) {
         // Invalidation is the PR 5 revocation fence: the rkey stays known
         // to the RNIC but any in-flight WRITE against it is denied.
-        if let Some(mr) = self.inner.borrow_mut().slot_regions.remove(&region.rkey) {
+        if let Some(mr) = self.mesh.wire_mut().slot_regions.remove(&region.rkey) {
             mr.invalidate();
         }
     }
 
     fn read_write_region(&self, region: &SlotRegion, offset: u64, len: usize) -> Option<Vec<u8>> {
-        let inner = self.inner.borrow();
+        let inner = self.mesh.wire();
         let mr = inner.slot_regions.get(&region.rkey)?;
         mr.read(offset as usize, len).ok()
     }
@@ -819,16 +375,8 @@ impl Transport for RubinTransport {
         imm: u32,
         done: SlotWriteFn,
     ) -> bool {
-        let channel = {
-            let inner = self.inner.borrow();
-            let Some(&slot) = inner.by_node.get(&peer) else {
-                return false;
-            };
-            let c = &inner.chans[slot];
-            if c.dead || !c.channel.is_established() {
-                return false;
-            }
-            c.channel.clone()
+        let Some(channel) = self.mesh.live_link(peer, |l| l.channel.clone()) else {
+            return false;
         };
         channel
             .post_write(sim, rkey, offset, data, imm, done)
@@ -836,18 +384,10 @@ impl Transport for RubinTransport {
     }
 
     fn set_slot_doorbell(&self, f: SlotDoorbellFn) {
-        self.inner.borrow_mut().slot_doorbell = Some(f);
+        self.mesh.wire_mut().slot_doorbell = Some(f);
     }
 
-    fn set_lane_delivery(&self, lanes: usize, f: crate::transport::LaneDeliveryFn) {
-        // Same demux rule as the default, plus per-lane delivery counters
-        // so benchmarks can see agreement traffic spreading over pipelines.
-        let metrics = self.metrics();
-        let node = self.node();
-        self.set_delivery(Rc::new(move |sim, from, bytes| {
-            let lane = crate::transport::wire_lane(&bytes, lanes);
-            metrics.incr(&format!("rubin_transport.{node}.lane{lane}_delivered"));
-            f(sim, lane, from, bytes);
-        }));
+    fn set_lane_delivery(&self, lanes: usize, f: LaneDeliveryFn) {
+        self.mesh.set_lane_delivery(lanes, f);
     }
 }

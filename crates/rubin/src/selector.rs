@@ -418,26 +418,6 @@ impl RdmaSelector {
         self.inner.borrow().selects
     }
 
-    /// Diagnostic dump of every key's interest/ready sets.
-    pub fn debug_keys(&self) -> String {
-        let inner = self.inner.borrow();
-        inner
-            .keys
-            .iter()
-            .map(|(k, e)| {
-                let what = match &e.what {
-                    Registered::Channel(_) => "chan",
-                    Registered::Server(_) => "srv",
-                };
-                format!(
-                    "{k:?}:{what} interest={:?} ready={:?} cancelled={}",
-                    e.interest, e.ready, e.cancelled
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" | ")
-    }
-
     /// Total events that flowed through the hybrid queue.
     pub fn hybrid_events_total(&self) -> u64 {
         self.inner.borrow().hybrid.total_events()

@@ -5,11 +5,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use rdma_verbs::RnicModel;
-use reptor::{NioTransport, RubinTransport, Transport};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Nanos, Simulator, TestBed};
-use simnet_socket::TcpModel;
+use rdma_verbs::{RdmaDevice, RnicModel};
+use reptor::{NioTransport, RubinTransport, Transport, PEN_CAP};
+use rubin::{Interest, RdmaChannel, RdmaSelector, RubinConfig};
+use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator, TestBed};
+use simnet_socket::{TcpModel, TcpStream};
 
 type Log = Rc<RefCell<Vec<(u32, u32, Vec<u8>)>>>;
 type MeshFn = fn(usize, u64) -> (Simulator, Vec<Rc<dyn Transport>>);
@@ -26,30 +26,86 @@ fn wire_log(transports: &[Rc<dyn Transport>]) -> Log {
     log
 }
 
-fn nio_mesh(n: usize, seed: u64) -> (Simulator, Vec<Rc<dyn Transport>>) {
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-    sim.run_until_idle();
-    (
-        sim,
-        ts.into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-    )
+/// An established `n`-node mesh (node `i` on `hosts[i]`) with one spare
+/// host outside the group, plus what the connection-layer battery needs to
+/// know about the stack underneath.
+struct Rig {
+    sim: Simulator,
+    net: Network,
+    hosts: Vec<HostId>,
+    ts: Vec<Rc<dyn Transport>>,
+    /// Metric keys are `<stack>_transport.<node>.<counter>`.
+    stack: &'static str,
+    /// The stack's link-down counter.
+    down: &'static str,
+    /// Connects from the spare host straight to a node's listener and
+    /// sends `msg` as the link's first message — where a dialer's hello
+    /// goes.
+    intrude: fn(&mut Rig, u32, &[u8]),
 }
 
-fn rubin_mesh(n: usize, seed: u64) -> (Simulator, Vec<Rc<dyn Transport>>) {
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
+impl Rig {
+    fn counter(&self, node: u32, name: &str) -> u64 {
+        let key = format!("{}_transport.{node}.{name}", self.stack);
+        self.net.metrics().counter(&key)
+    }
+
+    fn spare_host(&self) -> HostId {
+        *self.hosts.last().expect("spare host")
+    }
+}
+
+type RigFn = fn(usize, u64) -> Rig;
+type Nodes = Vec<(u32, HostId, CoreId)>;
+
+fn cluster(n: usize, seed: u64) -> (Simulator, Network, Vec<HostId>, Nodes) {
+    let (sim, net, hosts) = TestBed::cluster(seed, n + 1);
+    let nodes = hosts[..n]
         .iter()
         .enumerate()
         .map(|(i, &h)| (i as u32, h, CoreId(0)))
         .collect();
+    (sim, net, hosts, nodes)
+}
+
+fn dyns<T: Transport + 'static>(ts: Vec<T>) -> Vec<Rc<dyn Transport>> {
+    ts.into_iter()
+        .map(|t| Rc::new(t) as Rc<dyn Transport>)
+        .collect()
+}
+
+/// Writes `bytes` unframed onto a fresh TCP connection to `victim`'s
+/// listener (port base 900).
+fn nio_raw(r: &mut Rig, victim: u32, bytes: &[u8]) {
+    let remote = Addr::new(r.hosts[victim as usize], 900 + victim);
+    let (spare, model) = (r.spare_host(), TcpModel::linux_xeon());
+    let stream = TcpStream::connect(&mut r.sim, &r.net, spare, CoreId(0), model, remote);
+    r.sim.run_until_idle();
+    assert_eq!(stream.write(&mut r.sim, bytes), Ok(bytes.len()));
+    r.sim.run_until_idle();
+}
+
+fn nio_rig(n: usize, seed: u64) -> Rig {
+    let (mut sim, net, hosts, nodes) = cluster(n, seed);
+    let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
+    sim.run_until_idle();
+    Rig {
+        sim,
+        net,
+        hosts,
+        ts: dyns(ts),
+        stack: "nio",
+        down: "conns_down",
+        intrude: |r, victim, msg| {
+            let mut framed = (msg.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(msg);
+            nio_raw(r, victim, &framed);
+        },
+    }
+}
+
+fn rubin_rig(n: usize, seed: u64) -> Rig {
+    let (mut sim, net, hosts, nodes) = cluster(n, seed);
     let ts = RubinTransport::build_group(
         &mut sim,
         &net,
@@ -58,12 +114,38 @@ fn rubin_mesh(n: usize, seed: u64) -> (Simulator, Vec<Rc<dyn Transport>>) {
         RubinConfig::paper(),
     );
     sim.run_until_idle();
-    (
+    Rig {
         sim,
-        ts.into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-    )
+        net,
+        hosts,
+        ts: dyns(ts),
+        stack: "rubin",
+        down: "channels_down",
+        // Server channels listen at port base 1100.
+        intrude: |r, victim, msg| {
+            let cfg = RubinConfig::paper();
+            let device = RdmaDevice::open(&r.net, r.spare_host(), RnicModel::mt27520());
+            let selector = RdmaSelector::new(&device, CoreId(0), cfg.select_ns);
+            let remote = Addr::new(r.hosts[victim as usize], 1100 + victim);
+            let chan = RdmaChannel::connect(&mut r.sim, &device, remote, cfg, CoreId(0))
+                .expect("connect initiates");
+            selector.register_channel(&mut r.sim, &chan, Interest::OP_ACCEPT);
+            r.sim.run_until_idle();
+            assert!(chan.finish_connect(&mut r.sim));
+            assert_eq!(chan.write(&mut r.sim, msg), Ok(true));
+            r.sim.run_until_idle();
+        },
+    }
+}
+
+fn nio_mesh(n: usize, seed: u64) -> (Simulator, Vec<Rc<dyn Transport>>) {
+    let r = nio_rig(n, seed);
+    (r.sim, r.ts)
+}
+
+fn rubin_mesh(n: usize, seed: u64) -> (Simulator, Vec<Rc<dyn Transport>>) {
+    let r = rubin_rig(n, seed);
+    (r.sim, r.ts)
 }
 
 fn full_mesh_exchange(sim: &mut Simulator, ts: &[Rc<dyn Transport>]) {
@@ -217,4 +299,150 @@ fn transports_carry_interleaved_bidirectional_traffic() {
         sim.run_until_idle();
         assert_eq!(log.borrow().len(), 30);
     }
+}
+
+// ---- The connection layer (reptor's `mesh`), one battery over both wires ----
+
+/// Cuts the 0 <-> 1 link and returns once both ends have retired it. A
+/// broken link only shows to an end with traffic outstanding, so each end
+/// sends one probe (lost with the link).
+fn sever(r: &mut Rig) {
+    let (a, b) = (r.hosts[0], r.hosts[1]);
+    r.net.with_faults(|f| f.partition(a, b));
+    r.ts[0].send(&mut r.sim, 1, b"probe".to_vec());
+    r.ts[1].send(&mut r.sim, 0, b"probe".to_vec());
+    while r.counter(0, r.down) == 0 || r.counter(1, r.down) == 0 {
+        assert!(r.sim.step(), "both ends must notice the cut");
+    }
+}
+
+/// Parks `count` numbered messages in each direction behind a cut link,
+/// holds the cut for `hold`, heals it, and returns what arrived at
+/// `[node 0, node 1]`.
+fn park_and_heal(r: &mut Rig, count: u32, hold: Nanos) -> [Vec<u32>; 2] {
+    sever(r);
+    let log = wire_log(&r.ts);
+    for i in 0..count {
+        r.ts[0].send(&mut r.sim, 1, i.to_le_bytes().to_vec());
+        r.ts[1].send(&mut r.sim, 0, i.to_le_bytes().to_vec());
+    }
+    r.sim.run_for(hold);
+    let (a, b) = (r.hosts[0], r.hosts[1]);
+    r.net.with_faults(|f| f.heal(a, b));
+    r.sim.run_for(Nanos::from_secs(20));
+    let log = log.borrow();
+    [0, 1].map(|to| {
+        log.iter()
+            .filter(|(_, t, _)| *t == to)
+            .map(|(_, _, b)| u32::from_le_bytes(b.clone().try_into().expect("4 bytes")))
+            .collect()
+    })
+}
+
+#[test]
+fn short_partition_replays_the_parked_queue_losslessly_and_in_order() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(2, 40);
+        let n = PEN_CAP as u32;
+        let got = park_and_heal(&mut r, n, Nanos::ZERO);
+        let all: Vec<u32> = (0..n).collect();
+        assert_eq!(got, [all.clone(), all], "{}", r.stack);
+        assert_eq!(r.counter(0, "pen_dropped") + r.counter(1, "pen_dropped"), 0);
+    }
+}
+
+#[test]
+fn long_partition_hands_over_exactly_the_newest_pen_cap_messages() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(2, 41);
+        let (n, shed) = (PEN_CAP as u32, 7);
+        // Long enough for several re-dials to fail and pass the pen on.
+        let got = park_and_heal(&mut r, n + shed, Nanos::from_millis(400));
+        let newest: Vec<u32> = (shed..n + shed).collect();
+        assert_eq!(got, [newest.clone(), newest], "{}", r.stack);
+        for node in [0, 1] {
+            assert_eq!(r.counter(node, "pen_dropped"), shed as u64, "{}", r.stack);
+        }
+        assert!(r.counter(1, "reconnect_attempts") > 1, "{}", r.stack);
+    }
+}
+
+#[test]
+fn only_the_higher_id_redials() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(2, 42);
+        park_and_heal(&mut r, 1, Nanos::ZERO);
+        assert_eq!(r.counter(0, "reconnect_attempts"), 0, "{}", r.stack);
+        assert!(r.counter(1, "reconnect_attempts") >= 1, "{}", r.stack);
+        assert_eq!(r.counter(1, "reconnects_completed"), 1, "{}", r.stack);
+    }
+}
+
+#[test]
+fn redial_delays_follow_the_capped_doubling_schedule() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(2, 43);
+        sever(&mut r);
+        // at[k] = when the k-th re-dial (k + 1 attempts made) went out.
+        let mut at = Vec::new();
+        while at.len() < 9 {
+            assert!(r.sim.step());
+            if r.counter(1, "reconnect_attempts") > at.len() as u64 {
+                at.push(r.sim.now().as_nanos());
+            }
+        }
+        // Each unreachable dial takes the wire the same time to give up
+        // on, then waits base << min(attempts, 5) with base = 2 ms: the
+        // gaps differ from one another by the schedule alone.
+        let delay = |attempts: u32| Nanos::from_millis(2).as_nanos() << attempts.min(5);
+        let gaps: Vec<u64> = at.windows(2).map(|w| w[1] - w[0]).collect();
+        for (i, gap) in gaps.iter().enumerate() {
+            let attempts = i as u32 + 1;
+            assert_eq!(
+                gap - gaps[0],
+                delay(attempts) - delay(1),
+                "{} gap after attempt {attempts}",
+                r.stack
+            );
+        }
+    }
+}
+
+/// Node 2 keeps talking to node 0 in both directions.
+fn assert_link_0_2_alive(r: &mut Rig) {
+    let log = wire_log(&r.ts);
+    r.ts[2].send(&mut r.sim, 0, b"up".to_vec());
+    r.ts[0].send(&mut r.sim, 2, b"down".to_vec());
+    r.sim.run_until_idle();
+    assert_eq!(
+        *log.borrow(),
+        [(2, 0, b"up".to_vec()), (0, 2, b"down".to_vec())],
+        "{}",
+        r.stack
+    );
+}
+
+#[test]
+fn hello_with_unknown_or_own_id_is_refused_and_disturbs_nobody() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(3, 44);
+        for id in [99u32, 0] {
+            (r.intrude)(&mut r, 0, &id.to_le_bytes());
+        }
+        assert_eq!(r.counter(0, "hello_rejected"), 2, "{}", r.stack);
+        assert_eq!(r.counter(0, r.down), 2, "only the intruder's links closed");
+        // Had id 99 been taken, this would now go to the intruder.
+        assert_link_0_2_alive(&mut r);
+        assert_eq!(r.counter(0, "reconnect_attempts"), 0);
+        assert_eq!(r.counter(2, r.down), 0);
+    }
+}
+
+#[test]
+fn nio_oversize_length_prefix_tears_the_stream_down() {
+    let mut r = nio_rig(3, 45);
+    nio_raw(&mut r, 0, &u32::MAX.to_le_bytes());
+    assert_eq!(r.counter(0, "oversize_frame"), 1);
+    assert_eq!(r.counter(0, r.down), 1);
+    assert_link_0_2_alive(&mut r);
 }
