@@ -39,9 +39,9 @@ impl KeyTable {
     /// The symmetric key shared between `a` and `b` (order-independent).
     pub fn pair_key(&self, a: NodeId, b: NodeId) -> [u8; DIGEST_LEN] {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let mut msg = Vec::with_capacity(self.secret.len() + 8);
-        msg.extend_from_slice(&lo.to_le_bytes());
-        msg.extend_from_slice(&hi.to_le_bytes());
+        let mut msg = [0u8; 8];
+        msg[..4].copy_from_slice(&lo.to_le_bytes());
+        msg[4..].copy_from_slice(&hi.to_le_bytes());
         hmac_sha256(&self.secret, &msg)
     }
 

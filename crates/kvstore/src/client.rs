@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use reptor::{Client, KvOp, Message, ReptorConfig, Transport};
-use simnet::{Metrics, Simulator};
+use simnet::{Counters, Metrics, Simulator};
 
 use crate::lin::{KvEvent, KvHistOp};
 use crate::region::{
@@ -68,13 +68,24 @@ struct Lease {
     capacity: usize,
 }
 
+simnet::metric_names! {
+    /// Counters of one KV client, under `kv.c<id>.`.
+    enum KvCounter {
+        LeaseQueries => "kv_lease_queries",
+        ReadDenied => "kv_read_denied",
+        ReadTorn => "kv_read_torn",
+        ReadDivergent => "kv_read_divergent",
+        ReadOnesided => "kv_read_onesided",
+        ReadFallback => "kv_read_fallback",
+    }
+}
+
 struct KvClientInner {
     id: u32,
     n: usize,
     f: usize,
     transport: Rc<dyn Transport>,
-    metrics: Metrics,
-    prefix: String,
+    counters: Counters<KvCounter>,
     /// Known read leases, by replica. `BTreeMap` so quorum choice
     /// iterates deterministically.
     leases: BTreeMap<u32, Lease>,
@@ -143,8 +154,7 @@ impl KvClient {
             n: cfg.n,
             f: cfg.f(),
             transport,
-            metrics,
-            prefix: format!("kv.c{id}."),
+            counters: metrics.counters(&format!("kv.c{id}.")),
             leases: BTreeMap::new(),
             demerits: BTreeMap::new(),
             pending: HashMap::new(),
@@ -192,9 +202,8 @@ impl KvClient {
         self.inner.borrow().onesided.len() as u64 + self.client.stats().completed
     }
 
-    fn bump(&self, metric: &str) {
-        let inner = self.inner.borrow();
-        inner.metrics.incr(&format!("{}{}", inner.prefix, metric));
+    fn count(&self, counter: KvCounter) {
+        self.inner.borrow().counters[counter].incr();
     }
 
     /// Sends a lease query to every replica (cheap; answers arrive as
@@ -205,7 +214,7 @@ impl KvClient {
             inner.queried = true;
             (inner.id, inner.n)
         };
-        self.bump("kv_lease_queries");
+        self.count(KvCounter::LeaseQueries);
         for r in 0..n as u32 {
             self.client
                 .send_to_replica(sim, r, &Message::LeaseQuery { client: id });
@@ -326,7 +335,7 @@ impl KvClient {
                     inner.leases.remove(r);
                 }
             }
-            self.bump("kv_read_denied");
+            self.count(KvCounter::ReadDenied);
             // Re-learn the lease landscape (the denier may have rolled to
             // a fresh rkey legitimately) and serve this read safely.
             self.query_leases(sim);
@@ -343,7 +352,7 @@ impl KvClient {
         if verdicts.iter().any(|(_, v)| *v == KeyVerdict::Fallback) {
             // Torn or poisoned cell: the only safe answer is the
             // agreement path.
-            self.bump("kv_read_torn");
+            self.count(KvCounter::ReadTorn);
             self.fallback_get(sim, key, invoke);
             return;
         }
@@ -376,7 +385,7 @@ impl KvClient {
                     }
                 }
             }
-            self.bump("kv_read_divergent");
+            self.count(KvCounter::ReadDivergent);
             self.fallback_get(sim, key, invoke);
             return;
         }
@@ -395,14 +404,14 @@ impl KvClient {
             op: KvHistOp::Get { key, result },
         });
         drop(inner);
-        self.bump("kv_read_onesided");
+        self.count(KvCounter::ReadOnesided);
     }
 
     /// Serves a read through agreement, preserving the original
     /// invocation instant (the op began when `get` was called, and the
     /// checker must see the full interval).
     fn fallback_get(&self, sim: &mut Simulator, key: Vec<u8>, invoke: u64) {
-        self.bump("kv_read_fallback");
+        self.count(KvCounter::ReadFallback);
         let payload = KvOp::Get(key.clone()).encode();
         let ts = self.client.submit(sim, payload);
         self.inner.borrow_mut().pending.insert(

@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{Addr, CoreId, EventId, Frame, Nanos, Simulator};
+use simnet::{Addr, CoreId, Counters, EventId, Frame, Nanos, Simulator};
 
 use crate::device::{EventHook, RdmaDevice};
 use crate::error::{VerbsError, VerbsResult};
@@ -43,6 +43,27 @@ use crate::packet::RdmaPacket;
 use crate::types::{Access, QpNum, QpState, Wc, WcOpcode, WcStatus, WrId};
 use crate::wr::{RecvWr, SendOp, SendWr};
 use crate::CompletionQueue;
+
+simnet::metric_names! {
+    /// Counters of one queue pair, under `rdma.<host>.<qp>.`.
+    enum QpCounter {
+        RecvsPosted => "recvs_posted",
+        SendsPosted => "sends_posted",
+        InlineSends => "inline_sends",
+        DmaSends => "dma_sends",
+        RetryExceeded => "retry_exceeded",
+        Retransmits => "retransmits",
+        OooDropped => "ooo_dropped",
+        DuplicatesSuppressed => "duplicates_suppressed",
+        RnrRetries => "rnr_retries",
+        RecvsCompleted => "recvs_completed",
+        StaleRkeyDenied => "stale_rkey_denied",
+        FastPathWriteDenied => "fast_path_write_denied",
+        SendsCompleted => "sends_completed",
+        SignaledCompletions => "signaled_completions",
+        UnsignaledCompletions => "unsignaled_completions",
+    }
+}
 
 /// Counters exposed for tests, ablations and debugging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,10 +143,12 @@ pub(crate) struct QpInner {
     /// restarts the clock on every ACK).
     last_ack_progress: Nanos,
     stats: QpStats,
-    /// Shared cross-layer registry (the owning network's), plus this QP's
-    /// key prefix `rdma.{host}.{qpnum}.`.
+    /// Shared cross-layer registry (the owning network's), this QP's key
+    /// prefix `rdma.{host}.{qpnum}.` (for trace milestones) and its
+    /// counters under that prefix.
     metrics: simnet::Metrics,
     metrics_prefix: String,
+    counters: Counters<QpCounter>,
     /// Invoked after packet processing that may have produced completions
     /// or state changes — the completion-interrupt analogue RUBIN's event
     /// manager hooks into.
@@ -133,11 +156,6 @@ pub(crate) struct QpInner {
 }
 
 impl QpInner {
-    fn bump(&self, metric: &str, n: u64) {
-        self.metrics
-            .incr_by(&format!("{}{metric}", self.metrics_prefix), n);
-    }
-
     /// Advances the in-order watermark after accepting the expected
     /// sequence number. No-op for re-served duplicates (idempotent READs).
     fn rx_mark_seen(&mut self, seq: u64) {
@@ -206,6 +224,7 @@ impl QueuePair {
                 rx_expected: 0,
                 last_ack_progress: Nanos::ZERO,
                 stats: QpStats::default(),
+                counters: metrics.counters(&metrics_prefix),
                 metrics,
                 metrics_prefix,
                 event_hook: None,
@@ -380,7 +399,7 @@ impl QueuePair {
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
             inner.stats.recvs_posted += wrs.len() as u64;
-            inner.bump("recvs_posted", wrs.len() as u64);
+            inner.counters[QpCounter::RecvsPosted].add(wrs.len() as u64);
             inner.recv_queue.extend(wrs);
         }
         // Any held inbound messages can now be delivered (after the posting
@@ -457,12 +476,12 @@ impl QueuePair {
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
             inner.stats.sends_posted += wrs.len() as u64;
-            inner.bump("sends_posted", wrs.len() as u64);
+            inner.counters[QpCounter::SendsPosted].add(wrs.len() as u64);
             for wr in &wrs {
                 if wr.inline {
-                    inner.bump("inline_sends", 1);
+                    inner.counters[QpCounter::InlineSends].incr();
                 } else {
-                    inner.bump("dma_sends", 1);
+                    inner.counters[QpCounter::DmaSends].incr();
                 }
             }
             inner.outstanding_sends += wrs.len();
@@ -646,7 +665,7 @@ impl QueuePair {
             if p.retries_left == 0 {
                 let p = inner.pending.remove(&seq).expect("checked present");
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                inner.bump("retry_exceeded", 1);
+                inner.counters[QpCounter::RetryExceeded].incr();
                 inner.metrics.trace(
                     sim.now(),
                     "rdma",
@@ -667,7 +686,7 @@ impl QueuePair {
                 p.retry_timer = None;
                 let pkt = p.packet.clone();
                 inner.stats.retransmits += 1;
-                inner.bump("retransmits", 1);
+                inner.counters[QpCounter::Retransmits].incr();
                 Some((pkt, inner.local_addr, inner.remote))
             }
         };
@@ -767,13 +786,13 @@ impl QueuePair {
                 let mut inner = self.inner.borrow_mut();
                 if seq > inner.rx_expected {
                     inner.stats.ooo_dropped += 1;
-                    inner.bump("ooo_dropped", 1);
+                    inner.counters[QpCounter::OooDropped].incr();
                     Verdict::Drop
                 } else if seq == inner.rx_expected || is_read {
                     Verdict::Accept
                 } else {
                     inner.stats.duplicates_suppressed += 1;
-                    inner.bump("duplicates_suppressed", 1);
+                    inner.counters[QpCounter::DuplicatesSuppressed].incr();
                     // If the first copy is still parked in the RNR hold
                     // queue, stay silent: acking now would confirm data
                     // that may yet be rejected. Otherwise re-ack, because
@@ -879,7 +898,7 @@ impl QueuePair {
             } else {
                 if !redelivery {
                     inner.stats.rnr_stalls += 1;
-                    inner.bump("rnr_retries", 1);
+                    inner.counters[QpCounter::RnrRetries].incr();
                     inner.metrics.trace(
                         sim.now(),
                         "rdma",
@@ -907,7 +926,7 @@ impl QueuePair {
                             let _ = rwr.sge.mr.dma_write(rwr.sge.offset, &data);
                             qp.device.net().buffer_pool().put(data);
                             inner.stats.bytes_received += len as u64;
-                            inner.bump("recvs_completed", 1);
+                            inner.counters[QpCounter::RecvsCompleted].incr();
                             qp.device
                                 .net()
                                 .host(inner.local_addr.host)
@@ -1038,9 +1057,9 @@ impl QueuePair {
                 // permission fence firing: a deposed or equivocating leader's
                 // in-flight proposal is denied in the RNIC, never in software.
                 if matches!(e, VerbsError::Deregistered) {
-                    self.inner.borrow().bump("stale_rkey_denied", 1);
+                    self.inner.borrow().counters[QpCounter::StaleRkeyDenied].incr();
                 }
-                self.inner.borrow().bump("fast_path_write_denied", 1);
+                self.inner.borrow().counters[QpCounter::FastPathWriteDenied].incr();
                 self.device.net().buffer_pool().put(data);
                 self.send_nak(sim, seq, WcStatus::RemoteAccessError);
                 return;
@@ -1053,7 +1072,7 @@ impl QueuePair {
                 {
                     let mut inner = self.inner.borrow_mut();
                     inner.stats.rnr_stalls += 1;
-                    inner.bump("rnr_retries", 1);
+                    inner.counters[QpCounter::RnrRetries].incr();
                     inner.rx_mark_seen(seq);
                     inner.held.push_back(HeldInbound {
                         seq,
@@ -1098,7 +1117,7 @@ impl QueuePair {
                         .count_dma(len);
                     if let Some(iv) = imm {
                         if let Some(rwr) = inner.recv_queue.pop_front() {
-                            inner.bump("recvs_completed", 1);
+                            inner.counters[QpCounter::RecvsCompleted].incr();
                             let wc = Wc {
                                 wr_id: rwr.wr_id,
                                 status: WcStatus::Success,
@@ -1142,7 +1161,7 @@ impl QueuePair {
                 // firing: the region was invalidated on an epoch roll and
                 // the requester is reading with a stale offer.
                 if matches!(e, VerbsError::Deregistered) {
-                    self.inner.borrow().bump("stale_rkey_denied", 1);
+                    self.inner.borrow().counters[QpCounter::StaleRkeyDenied].incr();
                 }
                 self.send_nak(sim, seq, WcStatus::RemoteAccessError);
                 return;
@@ -1205,14 +1224,14 @@ impl QueuePair {
                 {
                     let mut inner = qp.inner.borrow_mut();
                     inner.stats.bytes_sent += len as u64;
-                    inner.bump("sends_completed", 1);
+                    inner.counters[QpCounter::SendsCompleted].incr();
                     qp.device
                         .net()
                         .host(inner.local_addr.host)
                         .borrow()
                         .count_dma(len);
                     if p.signaled || !ok {
-                        inner.bump("signaled_completions", 1);
+                        inner.counters[QpCounter::SignaledCompletions].incr();
                         let wc = Wc {
                             wr_id: p.wr_id,
                             status: if ok {
@@ -1228,7 +1247,7 @@ impl QueuePair {
                         inner.send_cq.push(wc);
                     } else {
                         inner.stats.completions_suppressed += 1;
-                        inner.bump("unsignaled_completions", 1);
+                        inner.counters[QpCounter::UnsignaledCompletions].incr();
                     }
                 }
                 qp.fire_hook(sim);
@@ -1243,9 +1262,9 @@ impl QueuePair {
                 inner.last_ack_progress = sim.now();
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
                 inner.stats.bytes_sent += p.byte_len as u64;
-                inner.bump("sends_completed", 1);
+                inner.counters[QpCounter::SendsCompleted].incr();
                 if p.signaled {
-                    inner.bump("signaled_completions", 1);
+                    inner.counters[QpCounter::SignaledCompletions].incr();
                     let wc = Wc {
                         wr_id: p.wr_id,
                         status: WcStatus::Success,
@@ -1257,7 +1276,7 @@ impl QueuePair {
                     inner.send_cq.push(wc);
                 } else {
                     inner.stats.completions_suppressed += 1;
-                    inner.bump("unsignaled_completions", 1);
+                    inner.counters[QpCounter::UnsignaledCompletions].incr();
                 }
                 let timer = p.retry_timer;
                 drop(inner);

@@ -64,6 +64,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes, so an
+    /// encode of known size allocates once.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -29,7 +29,7 @@
 //! fetching a larger delta; it never installs wrong state.
 
 use bft_crypto::Digest;
-use simnet::{Metrics, Nanos, SimDisk};
+use simnet::{Counters, Metrics, Nanos, SimDisk};
 
 use crate::codec::{Reader, Writer};
 use crate::messages::{Request, SeqNum};
@@ -206,6 +206,21 @@ pub struct Recovered {
     pub snapshot_corrupt: bool,
 }
 
+simnet::metric_names! {
+    /// Counters of one durable store, under its owner's prefix
+    /// (`reptor.r<id>.`).
+    enum StoreCounter {
+        WalFramesAppended => "wal_frames_appended",
+        WalBytesAppended => "wal_bytes_appended",
+        SnapshotSkippedOversize => "snapshot_skipped_oversize",
+        SnapshotWrites => "snapshot_writes",
+        SnapshotBytesWritten => "snapshot_bytes_written",
+        WalCompactions => "wal_compactions",
+        SnapshotCorruptFallback => "snapshot_corrupt_fallback",
+        WalFramesTruncated => "wal_frames_truncated",
+    }
+}
+
 /// A replica's persistence layer: two snapshot slots plus a WAL on one
 /// [`SimDisk`], with a volatile index rebuilt by [`DurableStore::recover`]
 /// after a crash.
@@ -229,8 +244,7 @@ pub struct DurableStore {
     active_slot: u64,
     /// Stable checkpoints seen since the last snapshot.
     stable_since_snapshot: u64,
-    metrics: Metrics,
-    prefix: String,
+    counters: Counters<StoreCounter>,
 }
 
 impl DurableStore {
@@ -255,13 +269,8 @@ impl DurableStore {
             // The first snapshot goes to slot 0 (`1 - active_slot`).
             active_slot: 1,
             stable_since_snapshot: 0,
-            metrics,
-            prefix,
+            counters: metrics.counters(&prefix),
         }
-    }
-
-    fn bump(&self, metric: &str, n: u64) {
-        self.metrics.incr_by(&format!("{}{metric}", self.prefix), n);
     }
 
     /// The underlying device (for fault arming in tests).
@@ -292,8 +301,8 @@ impl DurableStore {
         let done = self.disk.write(now, self.wal_end, &encoded);
         self.wal_end += encoded.len() as u64;
         self.wal_last_seq = Some(frame.seq);
-        self.bump("wal_frames_appended", 1);
-        self.bump("wal_bytes_appended", encoded.len() as u64);
+        self.counters[StoreCounter::WalFramesAppended].incr();
+        self.counters[StoreCounter::WalBytesAppended].add(encoded.len() as u64);
         self.wal_cache.push((frame.seq, encoded));
         done
     }
@@ -313,7 +322,7 @@ impl DurableStore {
         self.stable_since_snapshot = 0;
         let record = encode_slot(self.snap_gen + 1, seq, payload);
         if record.len() as u64 > SLOT_BYTES {
-            self.bump("snapshot_skipped_oversize", 1);
+            self.counters[StoreCounter::SnapshotSkippedOversize].incr();
             return now;
         }
         let slot = 1 - self.active_slot;
@@ -321,8 +330,8 @@ impl DurableStore {
         self.snap_gen += 1;
         self.snap_seq = Some(seq);
         self.active_slot = slot;
-        self.bump("snapshot_writes", 1);
-        self.bump("snapshot_bytes_written", record.len() as u64);
+        self.counters[StoreCounter::SnapshotWrites].incr();
+        self.counters[StoreCounter::SnapshotBytesWritten].add(record.len() as u64);
 
         // Compact: rewrite the WAL keeping only frames past the snapshot.
         if self.wal_enabled {
@@ -340,7 +349,7 @@ impl DurableStore {
             if self.wal_last_seq.is_none() {
                 self.wal_last_seq = Some(seq);
             }
-            self.bump("wal_compactions", 1);
+            self.counters[StoreCounter::WalCompactions].incr();
         }
         done
     }
@@ -373,7 +382,7 @@ impl DurableStore {
         }
         let snapshot_corrupt = saw_slot_bytes && best.is_none();
         if snapshot_corrupt {
-            self.bump("snapshot_corrupt_fallback", 1);
+            self.counters[StoreCounter::SnapshotCorruptFallback].incr();
         }
         match &best {
             Some((gen, seq, _, slot)) => {
@@ -392,7 +401,7 @@ impl DurableStore {
         let (wal_bytes, _) = self.disk.read(now, WAL_BASE, wal_len);
         let scan = scan_frames(&wal_bytes);
         if scan.truncated {
-            self.bump("wal_frames_truncated", 1);
+            self.counters[StoreCounter::WalFramesTruncated].incr();
             self.disk.truncate(now, WAL_BASE + scan.valid_bytes);
         }
         self.wal_end = WAL_BASE + scan.valid_bytes;

@@ -14,7 +14,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{CoreId, HostId, Metrics, Nanos, Network, Simulator};
+use simnet::{CoreId, Counter, HostId, Metrics, Nanos, Network, Simulator};
 
 use crate::transport::{wire_lane, DeliveryFn, LaneDeliveryFn, NodeId};
 
@@ -133,6 +133,9 @@ struct MeshInner<W: Wire> {
     node: NodeId,
     wire: W,
     metrics: Metrics,
+    /// Bumped per shed message while a link is down; the reconnect
+    /// milestones next to it are rare enough to go by name.
+    pen_dropped: Counter,
     links: Vec<Link<W::Link>>,
     /// Each identified peer's current link.
     by_node: HashMap<NodeId, usize>,
@@ -189,6 +192,7 @@ impl<W: Wire> Mesh<W> {
                     node,
                     wire: wire(node, host, core),
                     metrics: net.metrics(),
+                    pen_dropped: net.metrics().counter_handle(&key::<W>(node, "pen_dropped")),
                     links: Vec::new(),
                     by_node: HashMap::new(),
                     directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
@@ -255,12 +259,14 @@ impl<W: Wire> Mesh<W> {
     pub(crate) fn set_lane_delivery(&self, lanes: usize, f: LaneDeliveryFn) {
         let metrics = self.metrics();
         let node = self.node();
-        let keys: Vec<String> = (0..lanes.max(1))
-            .map(|lane| key::<W>(node, format_args!("lane{lane}_delivered")))
+        let delivered: Vec<Counter> = (0..lanes.max(1))
+            .map(|lane| {
+                metrics.counter_handle(&key::<W>(node, format_args!("lane{lane}_delivered")))
+            })
             .collect();
         self.set_delivery(Rc::new(move |sim, from, bytes| {
             let lane = wire_lane(&bytes, lanes);
-            metrics.incr(&keys[lane]);
+            delivered[lane].incr();
             f(sim, lane, from, bytes);
         }));
     }
@@ -281,7 +287,7 @@ impl<W: Wire> Mesh<W> {
             let draining = !link.dead && W::is_established(&link.wire);
             if !draining && link.outq.len() > PEN_CAP {
                 link.outq.pop_front();
-                inner.metrics.incr(&key::<W>(inner.node, "pen_dropped"));
+                inner.pen_dropped.incr();
             }
             slot
         };
@@ -471,8 +477,7 @@ impl<W: Wire> Mesh<W> {
             let shed = link.outq.len().saturating_sub(PEN_CAP);
             link.outq.drain(..shed);
             if shed > 0 {
-                let dropped = key::<W>(inner.node, "pen_dropped");
-                inner.metrics.incr_by(&dropped, shed as u64);
+                inner.pen_dropped.add(shed as u64);
             }
             inner.metrics.incr(&key::<W>(inner.node, W::DOWN));
             inner.metrics.trace(

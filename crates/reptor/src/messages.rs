@@ -41,6 +41,10 @@ impl Request {
         w.bytes(&self.payload);
     }
 
+    fn encoded_len(&self) -> usize {
+        4 + 8 + 4 + self.payload.len()
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Request, CodecError> {
         Ok(Request {
             client: r.u32()?,
@@ -289,9 +293,40 @@ impl Message {
         }
     }
 
+    /// Tag plus fixed-width fields and length prefixes of the widest
+    /// variant (`Checkpoint`: 1 + 8 + 32 + 4 + 4 + 8 + 8).
+    const MAX_FIXED_LEN: usize = 65;
+
+    /// An upper bound on the encoded size, tight to within
+    /// [`Message::MAX_FIXED_LEN`]: the variable-length parts are counted
+    /// exactly, the fixed fields of whichever variant by their maximum.
+    fn encoded_len_bound(&self) -> usize {
+        fn batch_len(batch: &[Request]) -> usize {
+            batch.iter().map(Request::encoded_len).sum()
+        }
+        let variable = match self {
+            Message::Request(req) => req.encoded_len(),
+            Message::PrePrepare { batch, .. } | Message::CatchUpReply { batch, .. } => {
+                batch_len(batch)
+            }
+            Message::Reply { result, .. } => result.len(),
+            Message::StateChunk { data, .. } => data.len(),
+            Message::ViewChange { prepared, .. } => prepared
+                .iter()
+                .map(|p| 8 + 8 + DIGEST_LEN + 4 + batch_len(&p.batch))
+                .sum(),
+            Message::NewView { pre_prepares, .. } => pre_prepares
+                .iter()
+                .map(|(_, _, batch)| 8 + DIGEST_LEN + 4 + batch_len(batch))
+                .sum(),
+            _ => 0,
+        };
+        Message::MAX_FIXED_LEN + variable
+    }
+
     /// Encodes the message body (without authentication).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len_bound());
         match self {
             Message::Request(req) => {
                 w.u8(0);
@@ -673,10 +708,11 @@ impl SignedMessage {
 
     /// Wire encoding: body, sender, MAC vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let macs = self.auth.macs.len();
+        let mut w = Writer::with_capacity(4 + self.body.len() + 8 + macs * (4 + DIGEST_LEN));
         w.bytes(&self.body);
         w.u32(self.auth.sender);
-        w.u32(self.auth.macs.len() as u32);
+        w.u32(macs as u32);
         for (node, mac) in &self.auth.macs {
             w.u32(*node);
             w.array(mac);
@@ -862,6 +898,14 @@ mod tests {
             let enc = m.encode();
             let dec = Message::decode(&enc).unwrap_or_else(|e| panic!("{}: {e}", m.kind()));
             assert_eq!(dec, m, "{}", m.kind());
+            // The encode buffer was sized once, never grown.
+            let bound = m.encoded_len_bound();
+            assert!(
+                (bound - Message::MAX_FIXED_LEN..=bound).contains(&enc.len()),
+                "{}: {} bytes against a bound of {bound}",
+                m.kind(),
+                enc.len()
+            );
         }
     }
 
@@ -904,6 +948,7 @@ mod tests {
         };
         let signed = SignedMessage::create(&msg, &keys0, &[1, 2, 3]);
         let wire = signed.encode();
+        assert_eq!(wire.len(), wire.capacity(), "encode buffer sized exactly");
         let decoded = SignedMessage::decode(&wire).unwrap();
         assert_eq!(decoded, signed);
         assert_eq!(decoded.verify_and_decode(&keys1).unwrap(), Some(msg));

@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use simnet::{Metrics, Nanos, Simulator};
+use simnet::{Counters, Metrics, Nanos, Simulator};
 
 use crate::replica::Replica;
 use crate::state::StateMachine;
@@ -77,11 +77,23 @@ pub struct RecoveryStats {
 /// Factory producing a fresh, empty service instance for each restart.
 pub type ServiceFactory = Box<dyn FnMut() -> Box<dyn StateMachine>>;
 
+simnet::metric_names! {
+    /// Counters of the recovery scheduler, under `recovery.`.
+    enum RecoveryCounter {
+        RotationsSkipped => "proactive_rotations_skipped",
+        EpochRolls => "proactive_epoch_rolls",
+        RotationsCompleted => "proactive_rotations_completed",
+        RefreshesStarted => "proactive_refreshes_started",
+        RefreshesCompleted => "proactive_refreshes_completed",
+        RefreshTimeouts => "proactive_refresh_timeouts",
+    }
+}
+
 struct SchedInner {
     replicas: Vec<Replica>,
     service: ServiceFactory,
     cfg: RecoveryConfig,
-    metrics: Metrics,
+    counters: Counters<RecoveryCounter>,
     /// The epoch the last roll advanced the group to.
     epoch: u64,
     /// Replica index currently mid-refresh (`None` between refreshes).
@@ -89,12 +101,6 @@ struct SchedInner {
     /// Victims still to refresh in the current rotation.
     pending: VecDeque<usize>,
     stats: RecoveryStats,
-}
-
-impl SchedInner {
-    fn bump(&self, metric: &str) {
-        self.metrics.incr(&format!("recovery.{metric}"));
-    }
 }
 
 /// Drives epoch-based proactive recovery over a replica group. Cheap to
@@ -119,7 +125,7 @@ impl RecoveryScheduler {
                 replicas,
                 service,
                 cfg,
-                metrics,
+                counters: metrics.counters("recovery."),
                 epoch: 0,
                 refreshing: None,
                 pending: VecDeque::new(),
@@ -152,12 +158,12 @@ impl RecoveryScheduler {
             let mut inner = self.inner.borrow_mut();
             if inner.refreshing.is_some() || !inner.pending.is_empty() {
                 inner.stats.rotations_skipped += 1;
-                inner.bump("proactive_rotations_skipped");
+                inner.counters[RecoveryCounter::RotationsSkipped].incr();
                 return false;
             }
             inner.epoch += 1;
             inner.stats.epoch_rolls += 1;
-            inner.bump("proactive_epoch_rolls");
+            inner.counters[RecoveryCounter::EpochRolls].incr();
             inner.pending = (0..inner.replicas.len()).collect();
             (inner.epoch, inner.replicas.clone())
         };
@@ -198,7 +204,7 @@ impl RecoveryScheduler {
                 }
                 None => {
                     inner.stats.rotations_completed += 1;
-                    inner.bump("proactive_rotations_completed");
+                    inner.counters[RecoveryCounter::RotationsCompleted].incr();
                     return;
                 }
             }
@@ -213,7 +219,7 @@ impl RecoveryScheduler {
                 sim.now() + inner.cfg.refresh_deadline,
             )
         };
-        self.inner.borrow().bump("proactive_refreshes_started");
+        self.inner.borrow().counters[RecoveryCounter::RefreshesStarted].incr();
         replica.restart(sim, fresh);
         self.poll_rejoin(sim, victim, poll, deadline);
     }
@@ -232,12 +238,12 @@ impl RecoveryScheduler {
                     let mut inner = sched.inner.borrow_mut();
                     inner.refreshing = None;
                     inner.stats.refreshes_completed += 1;
-                    inner.bump("proactive_refreshes_completed");
+                    inner.counters[RecoveryCounter::RefreshesCompleted].incr();
                 } else if sim.now() >= deadline {
                     let mut inner = sched.inner.borrow_mut();
                     inner.refreshing = None;
                     inner.stats.refresh_timeouts += 1;
-                    inner.bump("proactive_refresh_timeouts");
+                    inner.counters[RecoveryCounter::RefreshTimeouts].incr();
                 } else {
                     sched.poll_rejoin(sim, victim, poll, deadline);
                     return;

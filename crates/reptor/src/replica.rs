@@ -21,7 +21,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use bft_crypto::{Digest, KeyTable};
-use simnet::{CoreAffinity, CoreId, HostId, Nanos, Network, SimDisk, Simulator};
+use simnet::{
+    CoreAffinity, CoreId, Counter, Counters, Histos, HostId, Nanos, Network, SimDisk, Simulator,
+};
 
 use crate::config::ReptorConfig;
 use crate::durability::{DurableStore, WalFrame};
@@ -184,6 +186,69 @@ struct SlotGrantInfo {
     slots: u64,
 }
 
+simnet::metric_names! {
+    /// Counters of one replica, under `reptor.r<id>.`.
+    enum ReplicaCounter {
+        EpochRolls => "epoch_rolls",
+        MrRotations => "mr_rotations",
+        Restarts => "restarts",
+        LeaseRevocations => "lease_revocations",
+        DurableRestores => "durable_restores",
+        SnapshotCorruptFallback => "snapshot_corrupt_fallback",
+        WalFramesReplayed => "wal_frames_replayed",
+        CatchUpRequestsSent => "catch_up_requests_sent",
+        PrePreparesSent => "pre_prepares_sent",
+        FastPathGrantsSent => "fast_path_grants_sent",
+        FastPathRevocations => "fast_path_revocations",
+        LeaseRegistrations => "lease_registrations",
+        LeaseQueries => "lease_queries",
+        LeaseGrants => "lease_grants",
+        LeaseCellsForged => "lease_cells_forged",
+        LeaseCellBegins => "lease_cell_begins",
+        LeaseCellCommits => "lease_cell_commits",
+        FastPathGrantsReceived => "fast_path_grants_received",
+        FastPathWrites => "fast_path_writes",
+        FastPathFallbacks => "fast_path_fallbacks",
+        FastPathSlotConflicts => "fast_path_slot_conflicts",
+        FastPathDeliveries => "fast_path_deliveries",
+        PreparesSent => "prepares_sent",
+        CommitsSent => "commits_sent",
+        BatchesExecuted => "batches_executed",
+        RequestsExecuted => "requests_executed",
+        CheckpointsStable => "checkpoints_stable",
+        CheckpointGcFreed => "checkpoint_gc_freed",
+        StateTransferStarted => "state_transfer_started",
+        StateTransferReads => "state_transfer_reads",
+        StateTransferChunks => "state_transfer_chunks",
+        StateTransferBytes => "state_transfer_bytes",
+        StateTransferRetries => "state_transfer_retries",
+        StaleEpochRejected => "stale_epoch_rejected",
+        StateTransferChunksLocal => "state_transfer_chunks_local",
+        StateTransferBytesLocal => "state_transfer_bytes_local",
+        StateTransferUndecodable => "state_transfer_undecodable",
+        StateTransferRestoreFailed => "state_transfer_restore_failed",
+        StateTransferCompleted => "state_transfer_completed",
+        CatchUpRepliesSent => "catch_up_replies_sent",
+        CatchUpRepliesTruncated => "catch_up_replies_truncated",
+        CatchUpsApplied => "catch_ups_applied",
+        ViewChanges => "view_changes",
+        ViewChangesAbandoned => "view_changes_abandoned",
+        NewViewsEntered => "new_views_entered",
+    }
+}
+
+simnet::metric_names! {
+    /// Histograms of one replica, under `reptor.r<id>.`; the `phase.*`
+    /// ones are in simulated nanoseconds.
+    enum ReplicaHisto {
+        BatchFillPct => "batch_fill_pct",
+        RequestToPreprepare => "phase.request_to_preprepare",
+        PreprepareToPrepared => "phase.preprepare_to_prepared",
+        PreparedToCommitted => "phase.prepared_to_committed",
+        CommittedToExecuted => "phase.committed_to_executed",
+    }
+}
+
 struct ReplicaInner {
     id: ReplicaId,
     cfg: ReptorConfig,
@@ -249,7 +314,13 @@ struct ReplicaInner {
     stats: ReplicaStats,
     /// Shared registry plus this replica's `reptor.r{id}.` key prefix.
     metrics: simnet::Metrics,
+    /// `reptor.r{id}.`: key prefix of everything below and of this
+    /// replica's trace lines.
     metrics_prefix: String,
+    counters: Counters<ReplicaCounter>,
+    histos: Histos<ReplicaHisto>,
+    /// `pipeline.<lane>.committed`, one per pipeline.
+    lane_committed: Vec<Counter>,
     /// Request arrival instants, consumed when a request first appears in
     /// an accepted pre-prepare (feeds `phase.request_to_preprepare`).
     arrivals: HashMap<(ClientId, u64), Nanos>,
@@ -325,6 +396,13 @@ impl Replica {
         // are more pipelines than agreement cores.
         let num_cores = net.host(host).borrow().num_cores();
         let affinity = CoreAffinity::new(num_cores, cfg.pillars);
+        let metrics = net.metrics();
+        let metrics_prefix = format!("reptor.r{id}.");
+        let lane_committed = (0..cfg.pillars)
+            .map(|lane| {
+                metrics.counter_handle(&format!("{metrics_prefix}pipeline.{lane}.committed"))
+            })
+            .collect();
         let pipelines: Vec<Pipeline> = (0..cfg.pillars)
             .map(|lane| Pipeline::new(lane, affinity.lane_core(lane)))
             .collect();
@@ -373,8 +451,11 @@ impl Replica {
                 vc_attempts: 0,
                 send_horizon: Nanos::ZERO,
                 stats: ReplicaStats::default(),
-                metrics: net.metrics(),
-                metrics_prefix: format!("reptor.r{id}."),
+                counters: metrics.counters(&metrics_prefix),
+                histos: metrics.histos(&metrics_prefix),
+                lane_committed,
+                metrics,
+                metrics_prefix,
                 arrivals: HashMap::new(),
                 slot_region: None,
                 slot_granted_to: None,
@@ -523,7 +604,7 @@ impl Replica {
             }
             inner.recovery_epoch = epoch;
             inner.stats.epoch_rolls += 1;
-            inner.bump("epoch_rolls", 1);
+            inner.counters[ReplicaCounter::EpochRolls].incr();
             inner.metrics.trace(
                 sim.now(),
                 "reptor",
@@ -596,9 +677,8 @@ impl Replica {
             msgs.push(msg);
         }
         if !released.is_empty() {
-            self.inner
-                .borrow_mut()
-                .bump("mr_rotations", released.len() as u64);
+            self.inner.borrow_mut().counters[ReplicaCounter::MrRotations]
+                .add(released.len() as u64);
         }
         for old in &released {
             transport.release_state_region(old);
@@ -689,7 +769,7 @@ impl Replica {
             inner.lease_armed = false;
             inner.rejoin_attempts = 0;
             inner.rejoin_generation += 1;
-            inner.bump("restarts", 1);
+            inner.counters[ReplicaCounter::Restarts].incr();
             inner.metrics.trace(
                 sim.now(),
                 "reptor",
@@ -706,7 +786,7 @@ impl Replica {
         }
         if let Some(lease) = read_lease {
             transport.release_state_region(&lease);
-            self.inner.borrow_mut().bump("lease_revocations", 1);
+            self.inner.borrow_mut().counters[ReplicaCounter::LeaseRevocations].incr();
         }
         // Crash-consistent cold path: rebuild as much as the local drive
         // holds before asking peers for the rest.
@@ -744,14 +824,14 @@ impl Replica {
                         inner.executor.fast_forward(seq);
                         inner.low_mark = seq;
                         inner.next_seq = seq + 1;
-                        inner.bump("durable_restores", 1);
+                        inner.counters[ReplicaCounter::DurableRestores].incr();
                         true
                     }
                     // A CRC-valid slot that does not decode or restore
                     // means corruption below the CRC's reach; treat it
                     // like a corrupt slot and lean on peers.
                     _ => {
-                        inner.bump("snapshot_corrupt_fallback", 1);
+                        inner.counters[ReplicaCounter::SnapshotCorruptFallback].incr();
                         false
                     }
                 }
@@ -790,7 +870,7 @@ impl Replica {
             }
             if replayed > 0 {
                 inner.next_seq = inner.executor.last_executed + 1;
-                inner.bump("wal_frames_replayed", replayed);
+                inner.counters[ReplicaCounter::WalFramesReplayed].add(replayed);
             }
         }
         // Re-seal and attest the recovered position when it lands exactly
@@ -1068,7 +1148,7 @@ impl Replica {
             }
             inner.last_catch_up_at = now;
             inner.stats.catch_up_requests_sent += 1;
-            inner.bump("catch_up_requests_sent", 1);
+            inner.counters[ReplicaCounter::CatchUpRequestsSent].incr();
             Message::CatchUpRequest {
                 from_seq: inner.executor.last_executed + 1,
                 replica: inner.id,
@@ -1133,11 +1213,9 @@ impl Replica {
                         let cost = inner.cfg.crypto.digest_cost(batch_bytes(&batch));
                         inner.charge(sim, core, cost);
                         inner.stats.pre_prepares_sent += 1;
-                        inner.bump("pre_prepares_sent", 1);
-                        inner.observe(
-                            "batch_fill_pct",
-                            (batch.len() as u64 * 100) / inner.cfg.batch_size as u64,
-                        );
+                        inner.counters[ReplicaCounter::PrePreparesSent].incr();
+                        inner.histos[ReplicaHisto::BatchFillPct]
+                            .observe((batch.len() as u64 * 100) / inner.cfg.batch_size as u64);
                         Some((seq, digest, batch, inner.view, inner.byzantine))
                     }
                 }
@@ -1270,7 +1348,7 @@ impl Replica {
                 return; // no one-sided write path on this transport
             };
             inner.slot_granted_to = Some(view);
-            inner.bump("fast_path_grants_sent", 1);
+            inner.counters[ReplicaCounter::FastPathGrantsSent].incr();
             Message::SlotGrant {
                 view,
                 replica: inner.id,
@@ -1296,7 +1374,7 @@ impl Replica {
         };
         if let Some(region) = region {
             transport.release_write_region(&region);
-            self.inner.borrow_mut().bump("fast_path_revocations", 1);
+            self.inner.borrow_mut().counters[ReplicaCounter::FastPathRevocations].incr();
         }
     }
 
@@ -1362,7 +1440,7 @@ impl Replica {
         if let Some(mut offer) = offer {
             offer.epoch = epoch;
             inner.read_lease = Some(offer);
-            inner.bump("lease_registrations", 1);
+            inner.counters[ReplicaCounter::LeaseRegistrations].incr();
         }
     }
 
@@ -1378,7 +1456,7 @@ impl Replica {
         };
         if let Some(lease) = lease {
             transport.release_state_region(&lease);
-            self.inner.borrow_mut().bump("lease_revocations", 1);
+            self.inner.borrow_mut().counters[ReplicaCounter::LeaseRevocations].incr();
         }
     }
 
@@ -1403,7 +1481,7 @@ impl Replica {
             if inner.byzantine == ByzantineMode::Crash {
                 return;
             }
-            inner.bump("lease_queries", 1);
+            inner.counters[ReplicaCounter::LeaseQueries].incr();
             let advertised = match (inner.byzantine, inner.stale_lease) {
                 (ByzantineMode::StaleLeaseOffer, Some(stale)) => Some(stale),
                 _ => inner.read_lease,
@@ -1414,7 +1492,7 @@ impl Replica {
                 inner.recovery_epoch,
             ));
             if rkey != 0 {
-                inner.bump("lease_grants", 1);
+                inner.counters[ReplicaCounter::LeaseGrants].incr();
             }
             Message::LeaseGrant {
                 replica: inner.id,
@@ -1472,12 +1550,12 @@ impl Replica {
                 for b in &mut commit[64..72] {
                     *b ^= 0xA5;
                 }
-                self.inner.borrow_mut().bump("lease_cells_forged", 1);
+                self.inner.borrow_mut().counters[ReplicaCounter::LeaseCellsForged].incr();
             }
             if !transport.write_state_region(&lease, offset, &begin) {
                 return; // lease revoked mid-batch; fresh image comes with the next one
             }
-            self.inner.borrow_mut().bump("lease_cell_begins", 1);
+            self.inner.borrow_mut().counters[ReplicaCounter::LeaseCellBegins].incr();
             let replica = self.clone();
             let rkey = lease.rkey;
             sim.schedule_in(
@@ -1489,7 +1567,8 @@ impl Replica {
                     };
                     if let Some(l) = lease {
                         if l.rkey == rkey && transport.write_state_region(&l, offset, &commit) {
-                            replica.inner.borrow_mut().bump("lease_cell_commits", 1);
+                            replica.inner.borrow_mut().counters[ReplicaCounter::LeaseCellCommits]
+                                .incr();
                         }
                     }
                 }),
@@ -1528,7 +1607,7 @@ impl Replica {
                 slots,
             },
         );
-        inner.bump("fast_path_grants_received", 1);
+        inner.counters[ReplicaCounter::FastPathGrantsReceived].incr();
     }
 
     /// WRITEs the pre-prepare one-sided into each granted peer slot and
@@ -1597,11 +1676,11 @@ impl Replica {
         let mut inner = self.inner.borrow_mut();
         if written > 0 {
             inner.stats.fast_path_writes += written;
-            inner.bump("fast_path_writes", written);
+            inner.counters[ReplicaCounter::FastPathWrites].add(written);
         }
         if !uncovered.is_empty() {
             inner.stats.fast_path_fallbacks += uncovered.len() as u64;
-            inner.bump("fast_path_fallbacks", uncovered.len() as u64);
+            inner.counters[ReplicaCounter::FastPathFallbacks].add(uncovered.len() as u64);
         }
         uncovered
     }
@@ -1625,7 +1704,7 @@ impl Replica {
             };
             if current {
                 inner.stats.fast_path_fallbacks += 1;
-                inner.bump("fast_path_fallbacks", 1);
+                inner.counters[ReplicaCounter::FastPathFallbacks].incr();
             }
             current
         };
@@ -1685,11 +1764,11 @@ impl Replica {
             {
                 false
             } else if !inner.slot_accept(seq) {
-                inner.bump("fast_path_slot_conflicts", 1);
+                inner.counters[ReplicaCounter::FastPathSlotConflicts].incr();
                 false
             } else {
                 inner.stats.fast_path_deliveries += 1;
-                inner.bump("fast_path_deliveries", 1);
+                inner.counters[ReplicaCounter::FastPathDeliveries].incr();
                 true
             }
         };
@@ -1786,7 +1865,7 @@ impl Replica {
                 let lane = inner.affinity.lane_of(seq);
                 if inner.pipelines[lane].accept_pre_prepare(view, seq, digest, batch, me) {
                     inner.stats.prepares_sent += 1;
-                    inner.bump("prepares_sent", 1);
+                    inner.counters[ReplicaCounter::PreparesSent].incr();
                     inner.note_pre_prepare(sim.now(), seq);
                     true
                 } else {
@@ -1873,9 +1952,9 @@ impl Replica {
                 return;
             };
             inner.stats.commits_sent += 1;
-            inner.bump("commits_sent", 1);
+            inner.counters[ReplicaCounter::CommitsSent].incr();
             if let Some(d) = since_pp {
-                inner.observe("phase.preprepare_to_prepared", d);
+                inner.histos[ReplicaHisto::PreprepareToPrepared].observe(d);
             }
             Some((view, digest))
         };
@@ -1923,9 +2002,9 @@ impl Replica {
                 return;
             };
             if let Some(d) = since_prep {
-                inner.observe("phase.prepared_to_committed", d);
+                inner.histos[ReplicaHisto::PreparedToCommitted].observe(d);
             }
-            inner.bump_lane_committed(lane);
+            inner.lane_committed[lane].incr();
         }
         self.try_execute(sim);
     }
@@ -1960,9 +2039,9 @@ impl Replica {
                     .committed_at
                     .map(|t| sim.now().as_nanos().saturating_sub(t.as_nanos()));
                 inner.stats.executed_batches += 1;
-                inner.bump("batches_executed", 1);
+                inner.counters[ReplicaCounter::BatchesExecuted].incr();
                 if let Some(d) = since_commit {
-                    inner.observe("phase.committed_to_executed", d);
+                    inner.histos[ReplicaHisto::CommittedToExecuted].observe(d);
                 }
                 (exec.seq, exec.batch)
             };
@@ -1986,7 +2065,7 @@ impl Replica {
                         .insert(req.client, (req.timestamp, result.clone()));
                     inner.proposed.remove(&(req.client, req.timestamp));
                     inner.stats.executed_requests += 1;
-                    inner.bump("requests_executed", 1);
+                    inner.counters[ReplicaCounter::RequestsExecuted].incr();
                     replies.push((req.client, req.timestamp, result));
                 }
             }
@@ -2228,8 +2307,8 @@ impl Replica {
             } = &mut *inner;
             arrivals.retain(|(c, ts), _| client_state.get(c).is_none_or(|(t, _)| *t < *ts));
         }
-        inner.bump("checkpoints_stable", 1);
-        inner.bump("checkpoint_gc_freed", freed);
+        inner.counters[ReplicaCounter::CheckpointsStable].incr();
+        inner.counters[ReplicaCounter::CheckpointGcFreed].add(freed);
         inner.metrics.trace(
             sim.now(),
             "reptor",
@@ -2369,7 +2448,7 @@ impl Replica {
             }
             inner.transfer = Some(transfer);
             inner.stats.state_transfers_started += 1;
-            inner.bump("state_transfer_started", 1);
+            inner.counters[ReplicaCounter::StateTransferStarted].incr();
             inner.metrics.trace(
                 sim.now(),
                 "reptor",
@@ -2449,7 +2528,7 @@ impl Replica {
                     Box::new(move |sim, data| replica.on_state_read_done(sim, seq, idx, data)),
                 );
                 if issued {
-                    self.inner.borrow_mut().bump("state_transfer_reads", 1);
+                    self.inner.borrow_mut().counters[ReplicaCounter::StateTransferReads].incr();
                 } else {
                     // No live one-sided path to this responder right now
                     // (channel down or re-dialing): use the message path.
@@ -2508,12 +2587,12 @@ impl Replica {
                 }
             }
             if accepted_bytes > 0 {
-                inner.bump("state_transfer_chunks", 1);
-                inner.bump("state_transfer_bytes", accepted_bytes);
+                inner.counters[ReplicaCounter::StateTransferChunks].incr();
+                inner.counters[ReplicaCounter::StateTransferBytes].add(accepted_bytes);
             }
             if retried {
                 inner.stats.state_transfer_retries += 1;
-                inner.bump("state_transfer_retries", 1);
+                inner.counters[ReplicaCounter::StateTransferRetries].incr();
             }
         }
         self.drive_transfer(sim);
@@ -2539,7 +2618,7 @@ impl Replica {
             // stall timer rotates it to a peer with a fresh offer.
             if epoch != inner.recovery_epoch {
                 inner.stats.stale_epoch_rejected += 1;
-                inner.bump("stale_epoch_rejected", 1);
+                inner.counters[ReplicaCounter::StaleEpochRejected].incr();
                 return;
             }
             // A StaleCheckpoint responder answers with its *oldest*
@@ -2614,16 +2693,16 @@ impl Replica {
                 }
             }
             if accepted_bytes > 0 {
-                inner.bump("state_transfer_chunks", 1);
-                inner.bump("state_transfer_bytes", accepted_bytes);
+                inner.counters[ReplicaCounter::StateTransferChunks].incr();
+                inner.counters[ReplicaCounter::StateTransferBytes].add(accepted_bytes);
             }
             if local.0 > 0 {
-                inner.bump("state_transfer_chunks_local", local.0);
-                inner.bump("state_transfer_bytes_local", local.1);
+                inner.counters[ReplicaCounter::StateTransferChunksLocal].add(local.0);
+                inner.counters[ReplicaCounter::StateTransferBytesLocal].add(local.1);
             }
             if retried {
                 inner.stats.state_transfer_retries += 1;
-                inner.bump("state_transfer_retries", 1);
+                inner.counters[ReplicaCounter::StateTransferRetries].incr();
             }
         }
         self.drive_transfer(sim);
@@ -2644,7 +2723,7 @@ impl Replica {
                 // Digest-verified bytes that do not decode mean the
                 // certifying quorum itself was faulty (> f faults); there
                 // is no correct state to install.
-                inner.bump("state_transfer_undecodable", 1);
+                inner.counters[ReplicaCounter::StateTransferUndecodable].incr();
                 return;
             };
             (t.target, payload, bytes)
@@ -2652,7 +2731,7 @@ impl Replica {
         {
             let mut inner = self.inner.borrow_mut();
             if !inner.service.restore(&payload.service_snapshot) {
-                inner.bump("state_transfer_restore_failed", 1);
+                inner.counters[ReplicaCounter::StateTransferRestoreFailed].incr();
                 return;
             }
             inner.client_state = payload
@@ -2676,7 +2755,7 @@ impl Replica {
                 inner.pending_stable = None;
             }
             inner.stats.state_transfers_completed += 1;
-            inner.bump("state_transfer_completed", 1);
+            inner.counters[ReplicaCounter::StateTransferCompleted].incr();
             // The replica is provisioned again: the next crash's rejoin
             // probes must start back at the base backoff period.
             inner.rejoin_attempts = 0;
@@ -2742,7 +2821,7 @@ impl Replica {
                     };
                     if stalled {
                         inner.stats.state_transfer_retries += 1;
-                        inner.bump("state_transfer_retries", 1);
+                        inner.counters[ReplicaCounter::StateTransferRetries].incr();
                     }
                     stalled
                 };
@@ -2894,10 +2973,10 @@ impl Replica {
         {
             let mut inner = self.inner.borrow_mut();
             inner.stats.catch_up_replies_sent += replies.len() as u64;
-            inner.bump("catch_up_replies_sent", replies.len() as u64);
+            inner.counters[ReplicaCounter::CatchUpRepliesSent].add(replies.len() as u64);
             if truncated {
                 inner.stats.catch_up_replies_truncated += 1;
-                inner.bump("catch_up_replies_truncated", 1);
+                inner.counters[ReplicaCounter::CatchUpRepliesTruncated].incr();
             }
         }
         for msg in replies {
@@ -2989,9 +3068,9 @@ impl Replica {
                         },
                     );
                     inner.pipelines[lane].committed += 1;
-                    inner.bump_lane_committed(lane);
+                    inner.lane_committed[lane].incr();
                     inner.stats.catch_ups_applied += 1;
-                    inner.bump("catch_ups_applied", 1);
+                    inner.counters[ReplicaCounter::CatchUpsApplied].incr();
                     inner.metrics.trace(
                         now,
                         "reptor",
@@ -3016,7 +3095,7 @@ impl Replica {
             inner.in_view_change = true;
             inner.voted_view = new_view;
             inner.stats.view_changes_sent += 1;
-            inner.bump("view_changes", 1);
+            inner.counters[ReplicaCounter::ViewChanges].incr();
             inner.metrics.trace(
                 sim.now(),
                 "reptor",
@@ -3119,7 +3198,7 @@ impl Replica {
                             // stale certificate snapshot live at peers.
                             inner.voted_view = inner.view;
                             inner.stats.view_changes_abandoned += 1;
-                            inner.bump("view_changes_abandoned", 1);
+                            inner.counters[ReplicaCounter::ViewChangesAbandoned].incr();
                             inner.metrics.trace(
                                 sim.now(),
                                 "reptor",
@@ -3263,7 +3342,7 @@ impl Replica {
             inner.view = view;
             inner.in_view_change = false;
             inner.vc_attempts = 0;
-            inner.bump("new_views_entered", 1);
+            inner.counters[ReplicaCounter::NewViewsEntered].incr();
             inner.metrics.trace(
                 sim.now(),
                 "reptor",
@@ -3309,7 +3388,7 @@ impl Replica {
             {
                 let mut inner = self.inner.borrow_mut();
                 inner.stats.prepares_sent += 1;
-                inner.bump("prepares_sent", 1);
+                inner.counters[ReplicaCounter::PreparesSent].incr();
             }
             self.broadcast_to_replicas(
                 sim,
@@ -3387,24 +3466,6 @@ impl Replica {
 }
 
 impl ReplicaInner {
-    /// Increments `reptor.r{id}.{metric}` by `n`.
-    fn bump(&self, metric: &str, n: u64) {
-        self.metrics
-            .incr_by(&format!("{}{metric}", self.metrics_prefix), n);
-    }
-
-    /// Records `value` in the `reptor.r{id}.{metric}` histogram.
-    fn observe(&self, metric: &str, value: u64) {
-        self.metrics
-            .observe(&format!("{}{metric}", self.metrics_prefix), value);
-    }
-
-    /// Increments the per-pipeline committed-instance counter metric.
-    fn bump_lane_committed(&self, lane: usize) {
-        self.metrics
-            .incr(&format!("{}pipeline.{lane}.committed", self.metrics_prefix));
-    }
-
     /// Marks `seq` as pre-prepared at `now`: stamps the instance and
     /// settles the request→pre-prepare latency for every request in the
     /// batch whose arrival this replica witnessed.
@@ -3423,10 +3484,8 @@ impl ReplicaInner {
         };
         for key in keys {
             if let Some(t0) = self.arrivals.remove(&key) {
-                self.observe(
-                    "phase.request_to_preprepare",
-                    now.as_nanos().saturating_sub(t0.as_nanos()),
-                );
+                self.histos[ReplicaHisto::RequestToPreprepare]
+                    .observe(now.as_nanos().saturating_sub(t0.as_nanos()));
             }
         }
     }

@@ -6,6 +6,7 @@
 //! requests are pre-registered and can be reused as needed").
 
 use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice};
+use simnet::Counters;
 
 /// Index of a slab within its pool.
 pub type SlabIndex = usize;
@@ -21,6 +22,14 @@ pub struct PoolStats {
     pub high_water: usize,
 }
 
+simnet::metric_names! {
+    /// Counters of one host's buffer pools, under `rubin.<host>.pool.`.
+    enum PoolCounter {
+        Lends => "lends",
+        Exhaustions => "exhaustions",
+    }
+}
+
 /// A fixed pool of equally sized, pre-registered memory regions.
 #[derive(Debug)]
 pub struct BufferPool {
@@ -28,10 +37,8 @@ pub struct BufferPool {
     free: Vec<SlabIndex>,
     outstanding: usize,
     stats: PoolStats,
-    /// Shared registry plus this pool's `rubin.{host}.pool.` key prefix
-    /// (pools on one host aggregate into the same counters).
-    metrics: simnet::Metrics,
-    metrics_prefix: String,
+    /// Pools on one host aggregate into the same counters.
+    counters: Counters<PoolCounter>,
 }
 
 impl BufferPool {
@@ -53,8 +60,10 @@ impl BufferPool {
             free: (0..count).rev().collect(),
             outstanding: 0,
             stats: PoolStats::default(),
-            metrics: device.net().metrics(),
-            metrics_prefix: format!("rubin.{}.pool.", device.host()),
+            counters: device
+                .net()
+                .metrics()
+                .counters(&format!("rubin.{}.pool.", device.host())),
         }
     }
 
@@ -75,13 +84,12 @@ impl BufferPool {
                 self.outstanding += 1;
                 self.stats.lends += 1;
                 self.stats.high_water = self.stats.high_water.max(self.outstanding);
-                self.metrics.incr(&format!("{}lends", self.metrics_prefix));
+                self.counters[PoolCounter::Lends].incr();
                 Some((idx, self.slabs[idx].clone()))
             }
             None => {
                 self.stats.exhaustions += 1;
-                self.metrics
-                    .incr(&format!("{}exhaustions", self.metrics_prefix));
+                self.counters[PoolCounter::Exhaustions].incr();
                 None
             }
         }

@@ -14,7 +14,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use rdma_verbs::{CmEvent, QpNum, RdmaDevice};
-use simnet::{CoreId, Nanos, Simulator};
+use simnet::{CoreId, Counters, Histo, Nanos, Simulator};
 
 use crate::channel::RdmaChannel;
 use crate::event::{HybridEventQueue, Interest, RubinEvent, RubinKey};
@@ -41,6 +41,14 @@ struct KeyEntry {
     cancelled: bool,
 }
 
+simnet::metric_names! {
+    /// Counters of one selector, under `rubin.<host>.selector.`.
+    enum SelectorCounter {
+        EventsDispatched => "events_dispatched",
+        Polls => "polls",
+    }
+}
+
 type SelectCb = Box<dyn FnOnce(&mut Simulator, Vec<SelectedKey>)>;
 
 struct SelInner {
@@ -55,9 +63,9 @@ struct SelInner {
     process_scheduled: bool,
     cm_hooked: bool,
     selects: u64,
-    /// Shared registry plus this selector's `rubin.{host}.selector.` prefix.
-    metrics: simnet::Metrics,
-    metrics_prefix: String,
+    counters: Counters<SelectorCounter>,
+    /// `rubin.<host>.selector.events_per_round`.
+    events_per_round: Histo,
 }
 
 /// The RUBIN selector: multiplexes RDMA channels on one simulated thread.
@@ -83,7 +91,7 @@ impl RdmaSelector {
     /// call to `core`.
     pub fn new(device: &RdmaDevice, core: CoreId, select_ns: u64) -> RdmaSelector {
         let metrics = device.net().metrics();
-        let metrics_prefix = format!("rubin.{}.selector.", device.host());
+        let prefix = format!("rubin.{}.selector.", device.host());
         RdmaSelector {
             inner: Rc::new(RefCell::new(SelInner {
                 device: device.clone(),
@@ -97,8 +105,8 @@ impl RdmaSelector {
                 process_scheduled: false,
                 cm_hooked: false,
                 selects: 0,
-                metrics,
-                metrics_prefix,
+                counters: metrics.counters(&prefix),
+                events_per_round: metrics.histo_handle(&format!("{prefix}events_per_round")),
             })),
         }
     }
@@ -285,14 +293,8 @@ impl RdmaSelector {
         }
         if dispatched > 0 {
             let inner = self.inner.borrow();
-            inner.metrics.incr_by(
-                &format!("{}events_dispatched", inner.metrics_prefix),
-                dispatched,
-            );
-            inner.metrics.observe(
-                &format!("{}events_per_round", inner.metrics_prefix),
-                dispatched,
-            );
+            inner.counters[SelectorCounter::EventsDispatched].add(dispatched);
+            inner.events_per_round.observe(dispatched);
         }
         self.maybe_wake(sim);
     }
@@ -426,9 +428,7 @@ impl RdmaSelector {
     fn charge_select(&self, sim: &mut Simulator) -> Nanos {
         let mut inner = self.inner.borrow_mut();
         inner.selects += 1;
-        inner
-            .metrics
-            .incr(&format!("{}polls", inner.metrics_prefix));
+        inner.counters[SelectorCounter::Polls].incr();
         let (core, ns) = (inner.core, inner.select_ns);
         let device = inner.device.clone();
         drop(inner);

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{Addr, CoreId, CpuModel, EventId, Frame, HostId, Nanos, Network, Simulator};
+use simnet::{Addr, CoreId, Counters, CpuModel, EventId, Frame, HostId, Nanos, Network, Simulator};
 
 use crate::model::TcpModel;
 use crate::selector::{KeyId, Ops, Selector};
@@ -125,6 +125,15 @@ pub(crate) enum TcpSegment {
     Fin,
 }
 
+simnet::metric_names! {
+    /// Counters of one socket, under `tcp.<addr>.`.
+    enum TcpCounter {
+        Syscalls => "syscalls",
+        Copies => "copies",
+        Retransmits => "retransmits",
+    }
+}
+
 struct StreamInner {
     net: Network,
     host: HostId,
@@ -162,6 +171,7 @@ struct StreamInner {
     connect_ready: bool,
     reg: Option<(Selector, KeyId)>,
     stats: TcpStats,
+    counters: Counters<TcpCounter>,
 }
 
 impl StreamInner {
@@ -172,9 +182,8 @@ impl StreamInner {
     fn note_crossing(&mut self, copies: u64) {
         self.stats.syscalls += 1;
         self.stats.copies += copies;
-        let m = self.net.metrics();
-        m.incr(&format!("tcp.{}.syscalls", self.local));
-        m.incr_by(&format!("tcp.{}.copies", self.local), copies);
+        self.counters[TcpCounter::Syscalls].incr();
+        self.counters[TcpCounter::Copies].add(copies);
     }
 }
 
@@ -237,6 +246,7 @@ impl TcpStream {
                 connect_ready: false,
                 reg: None,
                 stats: TcpStats::default(),
+                counters: net.metrics().counters(&format!("tcp.{local}.")),
             })),
         };
         let s = stream.clone();
@@ -575,10 +585,7 @@ impl TcpStream {
             } else {
                 inner.rto_strikes += 1;
                 inner.stats.retransmits += 1;
-                inner
-                    .net
-                    .metrics()
-                    .incr(&format!("tcp.{}.retransmits", inner.local));
+                inner.counters[TcpCounter::Retransmits].incr();
                 let pool = inner.net.buffer_pool();
                 let (seq, bytes) = {
                     let (seq, front) = inner.unacked.front().expect("checked non-empty");

@@ -27,7 +27,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counters, Metrics};
 use crate::time::{Bandwidth, Nanos};
 
 /// Cost model of a simulated drive.
@@ -94,6 +94,19 @@ impl DiskFault {
     }
 }
 
+crate::metric_names! {
+    /// Counters of one drive, under `disk.<name>.`.
+    enum DiskCounter {
+        Writes => "writes",
+        BytesWritten => "bytes_written",
+        TornWrites => "torn_writes",
+        BitFlips => "bit_flips",
+        LostWrites => "lost_writes",
+        Reads => "reads",
+        BytesRead => "bytes_read",
+    }
+}
+
 #[derive(Debug)]
 struct DiskInner {
     spec: DiskSpec,
@@ -103,15 +116,10 @@ struct DiskInner {
     /// Armed one-shot faults, consumed front-first by the first write
     /// they apply to.
     faults: Vec<DiskFault>,
-    metrics: Metrics,
-    prefix: String,
+    counters: Counters<DiskCounter>,
 }
 
 impl DiskInner {
-    fn bump(&self, metric: &str, n: u64) {
-        self.metrics.incr_by(&format!("{}{metric}", self.prefix), n);
-    }
-
     /// Reserves device time starting at or after `now`, returning the
     /// completion instant (the [`Host::exec`](crate::Host::exec) idiom).
     fn charge(&mut self, now: Nanos, cost: Nanos) -> Nanos {
@@ -138,8 +146,7 @@ impl SimDisk {
                 data: Vec::new(),
                 busy_until: Nanos::ZERO,
                 faults: Vec::new(),
-                metrics,
-                prefix: format!("disk.{}.", name.into()),
+                counters: metrics.counters(&format!("disk.{}.", name.into())),
             })),
         }
     }
@@ -178,8 +185,8 @@ impl SimDisk {
         let mut inner = self.inner.borrow_mut();
         let cost = inner.spec.write_latency + inner.spec.write_bw.transmit_time(bytes.len());
         let done = inner.charge(now, cost);
-        inner.bump("writes", 1);
-        inner.bump("bytes_written", bytes.len() as u64);
+        inner.counters[DiskCounter::Writes].incr();
+        inner.counters[DiskCounter::BytesWritten].add(bytes.len() as u64);
 
         let fault = inner
             .faults
@@ -188,15 +195,15 @@ impl SimDisk {
             .map(|i| inner.faults.remove(i));
         let (persist_len, flip_at) = match fault {
             Some(DiskFault::TornWrite { at_byte }) => {
-                inner.bump("torn_writes", 1);
+                inner.counters[DiskCounter::TornWrites].incr();
                 ((at_byte - offset) as usize, None)
             }
             Some(DiskFault::BitFlip { at_byte }) => {
-                inner.bump("bit_flips", 1);
+                inner.counters[DiskCounter::BitFlips].incr();
                 (bytes.len(), Some((at_byte - offset) as usize))
             }
             Some(DiskFault::LostAfterAck) => {
-                inner.bump("lost_writes", 1);
+                inner.counters[DiskCounter::LostWrites].incr();
                 (0, None)
             }
             None => (bytes.len(), None),
@@ -220,8 +227,8 @@ impl SimDisk {
         let mut inner = self.inner.borrow_mut();
         let cost = inner.spec.read_latency + inner.spec.read_bw.transmit_time(len);
         let done = inner.charge(now, cost);
-        inner.bump("reads", 1);
-        inner.bump("bytes_read", len as u64);
+        inner.counters[DiskCounter::Reads].incr();
+        inner.counters[DiskCounter::BytesRead].add(len as u64);
         let mut out = vec![0u8; len];
         let dev_len = inner.data.len();
         let start = (offset as usize).min(dev_len);

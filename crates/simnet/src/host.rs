@@ -10,8 +10,23 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counters, Metrics};
 use crate::time::Nanos;
+
+crate::metric_names! {
+    /// Counters of one host, under `host.<id>.`.
+    enum HostCounter {
+        Syscalls => "syscalls",
+        KernelCrossings => "kernel_crossings",
+        Interrupts => "interrupts",
+        KernelCopies => "kernel_copies",
+        KernelCopyBytes => "kernel_copy_bytes",
+        UserCopies => "user_copies",
+        UserCopyBytes => "user_copy_bytes",
+        DmaTransfers => "dma_transfers",
+        DmaBytes => "dma_bytes",
+    }
+}
 
 /// Identifier of a host within a [`Network`](crate::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -92,7 +107,7 @@ pub struct Host {
     cores: Vec<Core>,
     cpu: CpuModel,
     metrics: Metrics,
-    metrics_prefix: String,
+    counters: Counters<HostCounter>,
 }
 
 /// Shared handle to a [`Host`].
@@ -106,31 +121,32 @@ impl Host {
         cpu: CpuModel,
     ) -> Host {
         assert!(num_cores > 0, "a host needs at least one core");
+        let metrics = Metrics::new();
         Host {
             id,
             name: name.into(),
             cores: vec![Core::default(); num_cores],
             cpu,
-            metrics: Metrics::new(),
-            metrics_prefix: format!("host.{id}."),
+            counters: Host::counters_in(&metrics, id),
+            metrics,
         }
+    }
+
+    fn counters_in(metrics: &Metrics, id: HostId) -> Counters<HostCounter> {
+        metrics.counters(&format!("host.{id}."))
     }
 
     /// Points this host's counters at a shared registry (done by
     /// [`Network::add_host`](crate::Network::add_host), so every host of one
     /// network reports into the same snapshot).
     pub(crate) fn attach_metrics(&mut self, metrics: Metrics) {
+        self.counters = Host::counters_in(&metrics, self.id);
         self.metrics = metrics;
     }
 
     /// Handle to the registry this host reports into.
     pub fn metrics(&self) -> Metrics {
         self.metrics.clone()
-    }
-
-    fn bump(&self, metric: &str, n: u64) {
-        self.metrics
-            .incr_by(&format!("{}{metric}", self.metrics_prefix), n);
     }
 
     /// This host's identifier.
@@ -183,8 +199,8 @@ impl Host {
     /// Charges one user/kernel crossing (syscall entry+exit) to `core` and
     /// counts it. Returns the completion instant.
     pub fn charge_syscall(&mut self, now: Nanos, core: CoreId) -> Nanos {
-        self.bump("syscalls", 1);
-        self.bump("kernel_crossings", 1);
+        self.counters[HostCounter::Syscalls].incr();
+        self.counters[HostCounter::KernelCrossings].incr();
         let cost = Nanos::from_nanos(self.cpu.syscall_ns);
         self.exec(now, core, cost)
     }
@@ -192,8 +208,8 @@ impl Host {
     /// Charges one interrupt (NIC RX, completion) to `core` and counts it as
     /// a kernel crossing. Returns the completion instant.
     pub fn charge_interrupt(&mut self, now: Nanos, core: CoreId) -> Nanos {
-        self.bump("interrupts", 1);
-        self.bump("kernel_crossings", 1);
+        self.counters[HostCounter::Interrupts].incr();
+        self.counters[HostCounter::KernelCrossings].incr();
         let cost = Nanos::from_nanos(self.cpu.interrupt_ns);
         self.exec(now, core, cost)
     }
@@ -202,8 +218,8 @@ impl Host {
     /// buffer staging) to `core` and counts it. Returns the completion
     /// instant.
     pub fn charge_kernel_copy(&mut self, now: Nanos, core: CoreId, bytes: usize) -> Nanos {
-        self.bump("kernel_copies", 1);
-        self.bump("kernel_copy_bytes", bytes as u64);
+        self.counters[HostCounter::KernelCopies].incr();
+        self.counters[HostCounter::KernelCopyBytes].add(bytes as u64);
         let cost = self.cpu.copy_cost(bytes);
         self.exec(now, core, cost)
     }
@@ -212,8 +228,8 @@ impl Host {
     /// buffer-to-buffer) to `core` and counts it. Returns the completion
     /// instant.
     pub fn charge_user_copy(&mut self, now: Nanos, core: CoreId, bytes: usize) -> Nanos {
-        self.bump("user_copies", 1);
-        self.bump("user_copy_bytes", bytes as u64);
+        self.counters[HostCounter::UserCopies].incr();
+        self.counters[HostCounter::UserCopyBytes].add(bytes as u64);
         let cost = self.cpu.copy_cost(bytes);
         self.exec(now, core, cost)
     }
@@ -222,8 +238,8 @@ impl Host {
     /// time — that asymmetry versus [`Host::charge_kernel_copy`] is the
     /// paper's core argument — so this only bumps counters.
     pub fn count_dma(&self, bytes: usize) {
-        self.bump("dma_transfers", 1);
-        self.bump("dma_bytes", bytes as u64);
+        self.counters[HostCounter::DmaTransfers].incr();
+        self.counters[HostCounter::DmaBytes].add(bytes as u64);
     }
 
     /// The instant `core` becomes free.
@@ -259,6 +275,21 @@ mod tests {
         // Second task at the same wall time queues behind the first.
         let b = h.exec(now, CoreId(0), Nanos::from_nanos(30));
         assert_eq!(b.as_nanos(), 180);
+    }
+
+    #[test]
+    fn counters_follow_the_attached_registry() {
+        let mut h = host(1);
+        let own = h.metrics();
+        h.count_dma(64);
+        let shared = Metrics::new();
+        h.attach_metrics(shared.clone());
+        h.count_dma(128);
+        h.charge_syscall(Nanos::ZERO, CoreId(0));
+        assert_eq!(own.counter("host.h0.dma_bytes"), 64);
+        assert_eq!(shared.counter("host.h0.dma_bytes"), 128);
+        assert_eq!(shared.counter("host.h0.syscalls"), 1);
+        assert_eq!(own.counter("host.h0.syscalls"), 0);
     }
 
     #[test]

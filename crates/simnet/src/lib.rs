@@ -71,7 +71,10 @@ pub use event::{speed, EventFn, EventId, QueueStats};
 pub use fault::{FaultCoins, FaultPlane, FaultVerdict};
 pub use frame::{Addr, Frame, Payload};
 pub use host::{CoreId, CpuModel, Host, HostId, HostRef};
-pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot, TraceEvent};
+pub use metrics::{
+    Counter, Counters, Gauge, Gauges, Histo, Histogram, HistogramSummary, Histos, MetricKind,
+    Metrics, MetricsSnapshot, TraceEvent,
+};
 pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network};
 pub use pool::{BytePool, PoolStats};
 pub use sched::CoreAffinity;

@@ -4,17 +4,31 @@
 //! [`Network::new`](crate::Network::new) and shared by every layer built on
 //! top: hosts, the TCP stack, the verbs stack, RUBIN, and the replication
 //! protocol). The registry is *deterministic*: counters, gauges and
-//! histograms are stored under ordered string keys, and
-//! [`MetricsSnapshot::to_json`] renders them byte-identically for identical
-//! simulations — which is what lets the test suite assert the paper's
-//! structural claims ("the RDMA data path crosses the kernel zero times")
-//! directly from counters, and lets a determinism regression test compare
-//! whole runs by comparing two JSON strings.
+//! histograms live in slot vectors behind one ordered name→slot index per
+//! kind, and [`MetricsSnapshot::to_json`] renders them byte-identically for
+//! identical simulations — which is what lets the test suite assert the
+//! paper's structural claims ("the RDMA data path crosses the kernel zero
+//! times") directly from counters, and lets a determinism regression test
+//! compare whole runs by comparing two JSON strings.
+//!
+//! There are two ways in, over the same slots:
+//!
+//! * **Handles** ([`Counter`], [`Gauge`], [`Histo`]) for anything bumped per
+//!   message. A layer formats `prefix + name` once at construction —
+//!   normally for a whole name table at a time, see [`metric_names!`] and
+//!   [`Handles`] — and a bump is then one indexed add: no formatting, no
+//!   string compare, no allocation. A handle finds its slot on its *first*
+//!   bump, so a key shows up in snapshots exactly when something was
+//!   recorded under it.
+//! * **By name** ([`Metrics::incr`], [`Metrics::set_gauge`],
+//!   [`Metrics::observe`], …) for cold sites, tests and readers: one
+//!   lookup-or-insert in the index per call.
 //!
 //! Key naming convention: `layer.scope.metric`, e.g.
 //! `host.h0.kernel_crossings`, `rdma.h1.qp3.rnr_retries`,
 //! `reptor.r2.view_changes`. Dots order lexicographically, so related keys
-//! group together in snapshots.
+//! group together in snapshots. `METRICS.md` at the repository root lists
+//! every key pattern; a test keeps it current.
 //!
 //! # Example
 //!
@@ -25,13 +39,16 @@
 //! m.incr("host.h0.syscalls");
 //! m.incr_by("host.h0.kernel_copy_bytes", 1024);
 //! m.observe("reptor.r0.batch_fill_pct", 75);
+//! let syscalls = m.counter_handle("host.h0.syscalls");
+//! syscalls.incr();
 //! let snap = m.snapshot();
-//! assert_eq!(snap.counter("host.h0.syscalls"), 1);
+//! assert_eq!(snap.counter("host.h0.syscalls"), 2);
 //! assert!(simnet::metrics::validate_json(&snap.to_json()).is_ok());
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -140,15 +157,238 @@ pub struct TraceEvent {
     pub event: String,
 }
 
+/// The values of one metric kind: a slot vector plus the ordered name→slot
+/// index. Slots are only ever appended, so a resolved slot number stays
+/// valid for the registry's lifetime.
+#[derive(Debug)]
+struct Slots<T> {
+    index: BTreeMap<Rc<str>, u32>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Slots<T> {
+        Slots {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Slots<T> {
+    fn get(&self, key: &str) -> Option<&T> {
+        self.index.get(key).map(|&slot| &self.values[slot as usize])
+    }
+
+    /// The slot of `key`, appended (holding `T::default()`) if the key is
+    /// new; `owned` supplies the index's copy of the key only then.
+    fn slot(&mut self, key: &str, owned: impl FnOnce() -> Rc<str>) -> u32 {
+        if let Some(&slot) = self.index.get(key) {
+            return slot;
+        }
+        let slot = u32::try_from(self.values.len()).expect("fewer than 2^32 metric keys");
+        self.values.push(T::default());
+        self.index.insert(owned(), slot);
+        slot
+    }
+
+    /// By-name lookup-or-insert.
+    fn entry(&mut self, key: &str) -> &mut T {
+        let slot = self.slot(key, || Rc::from(key));
+        &mut self.values[slot as usize]
+    }
+
+    /// `(key, value)` in lexicographic key order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.index
+            .iter()
+            .map(|(key, &slot)| (&**key, &self.values[slot as usize]))
+    }
+}
+
 #[derive(Debug, Default)]
 struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Slots<u64>,
+    gauges: Slots<i64>,
+    histograms: Slots<Histogram>,
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     trace_dropped: u64,
 }
+
+/// True if `key` is `<anything>.{metric}`.
+fn has_metric_suffix(key: &str, metric: &str) -> bool {
+    key.strip_suffix(metric)
+        .is_some_and(|scope| scope.ends_with('.'))
+}
+
+/// Kind of a metric slot, as listed by [`Metrics::catalogue`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum MetricKind {
+    /// Monotonic `u64` counter.
+    Counter,
+    /// Last-write `i64` gauge.
+    Gauge,
+    /// Histogram of `u64` observations.
+    Histogram,
+}
+
+impl MetricKind {
+    /// Lower-case name, as `METRICS.md` spells it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// Marks a handle that has not been bumped yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// What the three handle kinds share: the registry, the full key and the
+/// slot once known.
+#[derive(Debug, Clone)]
+struct Handle {
+    registry: Rc<RefCell<Registry>>,
+    key: Rc<str>,
+    slot: Cell<u32>,
+}
+
+impl Handle {
+    /// Applies `update` to this handle's value among `slots(registry)`,
+    /// finding (or creating) the slot on the first call.
+    fn update<T: Default>(
+        &self,
+        slots: impl FnOnce(&mut Registry) -> &mut Slots<T>,
+        update: impl FnOnce(&mut T),
+    ) {
+        let mut registry = self.registry.borrow_mut();
+        let slots = slots(&mut registry);
+        let mut slot = self.slot.get();
+        if slot == UNRESOLVED {
+            slot = slots.slot(&self.key, || Rc::clone(&self.key));
+            self.slot.set(slot);
+        }
+        update(&mut slots.values[slot as usize]);
+    }
+}
+
+/// Handle to one counter; see the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct Counter(Handle);
+
+impl Counter {
+    /// Increments the counter by one.
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// Increments the counter by `n` (`add(0)` still creates the key).
+    pub fn add(&self, n: u64) {
+        self.0.update(|r| &mut r.counters, |c| *c += n);
+    }
+}
+
+/// Handle to one gauge; see the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct Gauge(Handle);
+
+impl Gauge {
+    /// Sets the gauge to `value`.
+    pub fn set(&self, value: i64) {
+        self.0.update(|r| &mut r.gauges, |g| *g = value);
+    }
+}
+
+/// Handle to one histogram; see the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct Histo(Handle);
+
+impl Histo {
+    /// Records one observation.
+    pub fn observe(&self, value: u64) {
+        self.0.update(|r| &mut r.histograms, |h| h.observe(value));
+    }
+}
+
+/// A layer's table of metric names. Implemented by [`metric_names!`]; the
+/// table is that layer's slice of the metric catalogue.
+pub trait MetricNames: Copy {
+    /// Key suffixes, in variant order.
+    const NAMES: &'static [&'static str];
+
+    /// This variant's position in [`Self::NAMES`].
+    fn index(self) -> usize;
+}
+
+/// Declares a fieldless enum whose variants name a layer's metrics, and
+/// implements [`MetricNames`] for it:
+///
+/// ```
+/// use simnet::metrics::{Counters, Metrics};
+///
+/// simnet::metric_names! {
+///     /// Counters of one widget, under `widget.<id>.`.
+///     enum WidgetCounter {
+///         Spins => "spins",
+///         Jams => "jams",
+///     }
+/// }
+///
+/// let m = Metrics::new();
+/// let counters: Counters<WidgetCounter> = m.counters("widget.w0.");
+/// counters[WidgetCounter::Spins].incr();
+/// assert_eq!(m.counter("widget.w0.spins"), 1);
+/// assert!(!m.snapshot().counters.contains_key("widget.w0.jams"));
+/// ```
+#[macro_export]
+macro_rules! metric_names {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($variant:ident => $key:literal),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        $vis enum $name {
+            $(#[doc = $key] $variant),+
+        }
+
+        impl $crate::metrics::MetricNames for $name {
+            const NAMES: &'static [&'static str] = &[$($key),+];
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+/// One handle per name of the table `K`, all under one key prefix; index it
+/// with a `K` variant.
+#[derive(Debug, Clone)]
+pub struct Handles<K, H> {
+    handles: Box<[H]>,
+    names: PhantomData<K>,
+}
+
+impl<K: MetricNames, H> std::ops::Index<K> for Handles<K, H> {
+    type Output = H;
+
+    fn index(&self, name: K) -> &H {
+        &self.handles[name.index()]
+    }
+}
+
+/// Counter handles for the name table `K`.
+pub type Counters<K> = Handles<K, Counter>;
+/// Gauge handles for the name table `K`.
+pub type Gauges<K> = Handles<K, Gauge>;
+/// Histogram handles for the name table `K`.
+pub type Histos<K> = Handles<K, Histo>;
 
 /// Shared handle to a metrics registry. Cheap to clone; every layer of one
 /// simulated world holds the same underlying registry.
@@ -174,6 +414,63 @@ impl Metrics {
         }
     }
 
+    fn handle(&self, key: &str) -> Handle {
+        Handle {
+            registry: Rc::clone(&self.inner),
+            key: Rc::from(key),
+            slot: Cell::new(UNRESOLVED),
+        }
+    }
+
+    fn handles<K: MetricNames, H>(&self, prefix: &str, make: fn(Handle) -> H) -> Handles<K, H> {
+        let mut key = String::from(prefix);
+        let handles = K::NAMES
+            .iter()
+            .map(|name| {
+                key.truncate(prefix.len());
+                key.push_str(name);
+                make(self.handle(&key))
+            })
+            .collect();
+        Handles {
+            handles,
+            names: PhantomData,
+        }
+    }
+
+    /// A handle to the counter `key`. Nothing is created until its first
+    /// bump.
+    pub fn counter_handle(&self, key: &str) -> Counter {
+        Counter(self.handle(key))
+    }
+
+    /// A handle to the gauge `key`. Nothing is created until it is first
+    /// set.
+    pub fn gauge_handle(&self, key: &str) -> Gauge {
+        Gauge(self.handle(key))
+    }
+
+    /// A handle to the histogram `key`. Nothing is created until its first
+    /// observation.
+    pub fn histo_handle(&self, key: &str) -> Histo {
+        Histo(self.handle(key))
+    }
+
+    /// Counter handles for every name of `K`, keyed `{prefix}{name}`.
+    pub fn counters<K: MetricNames>(&self, prefix: &str) -> Counters<K> {
+        self.handles(prefix, Counter)
+    }
+
+    /// Gauge handles for every name of `K`, keyed `{prefix}{name}`.
+    pub fn gauges<K: MetricNames>(&self, prefix: &str) -> Gauges<K> {
+        self.handles(prefix, Gauge)
+    }
+
+    /// Histogram handles for every name of `K`, keyed `{prefix}{name}`.
+    pub fn histos<K: MetricNames>(&self, prefix: &str) -> Histos<K> {
+        self.handles(prefix, Histo)
+    }
+
     /// Increments the counter `key` by one.
     pub fn incr(&self, key: &str) {
         self.incr_by(key, 1);
@@ -181,13 +478,7 @@ impl Metrics {
 
     /// Increments the counter `key` by `n`.
     pub fn incr_by(&self, key: &str, n: u64) {
-        let mut reg = self.inner.borrow_mut();
-        match reg.counters.get_mut(key) {
-            Some(c) => *c += n,
-            None => {
-                reg.counters.insert(key.to_string(), n);
-            }
-        }
+        *self.inner.borrow_mut().counters.entry(key) += n;
     }
 
     /// Current value of counter `key` (zero if never incremented).
@@ -197,10 +488,7 @@ impl Metrics {
 
     /// Sets the gauge `key` to `value`.
     pub fn set_gauge(&self, key: &str, value: i64) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .insert(key.to_string(), value);
+        *self.inner.borrow_mut().gauges.entry(key) = value;
     }
 
     /// Current value of gauge `key` (zero if never set).
@@ -210,15 +498,7 @@ impl Metrics {
 
     /// Records `value` into the histogram `key`, creating it on first use.
     pub fn observe(&self, key: &str, value: u64) {
-        let mut reg = self.inner.borrow_mut();
-        match reg.histograms.get_mut(key) {
-            Some(h) => h.observe(value),
-            None => {
-                let mut h = Histogram::new();
-                h.observe(value);
-                reg.histograms.insert(key.to_string(), h);
-            }
-        }
+        self.inner.borrow_mut().histograms.entry(key).observe(value);
     }
 
     /// A clone of the histogram `key`, if any values were observed.
@@ -255,14 +535,28 @@ impl Metrics {
     /// Sums every counter whose key ends in `.{metric}` — e.g.
     /// `total("syscalls")` adds the syscall counters of all hosts.
     pub fn total(&self, metric: &str) -> u64 {
-        let suffix = format!(".{metric}");
-        self.inner
-            .borrow()
-            .counters
+        let reg = self.inner.borrow();
+        reg.counters
             .iter()
-            .filter(|(k, _)| k.ends_with(&suffix))
-            .map(|(_, v)| v)
+            .filter(|(key, _)| has_metric_suffix(key, metric))
+            .map(|(_, value)| value)
             .sum()
+    }
+
+    /// Kind and key of every metric recorded so far, ordered by kind, then
+    /// key.
+    pub fn catalogue(&self) -> Vec<(MetricKind, String)> {
+        fn keys<T>(
+            kind: MetricKind,
+            slots: &Slots<T>,
+        ) -> impl Iterator<Item = (MetricKind, String)> + '_ {
+            slots.index.keys().map(move |key| (kind, key.to_string()))
+        }
+        let reg = self.inner.borrow();
+        keys(MetricKind::Counter, &reg.counters)
+            .chain(keys(MetricKind::Gauge, &reg.gauges))
+            .chain(keys(MetricKind::Histogram, &reg.histograms))
+            .collect()
     }
 
     /// Produces an immutable, serializable snapshot of everything recorded
@@ -270,12 +564,20 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let reg = self.inner.borrow();
         MetricsSnapshot {
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
+            counters: reg
+                .counters
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+            gauges: reg
+                .gauges
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
             histograms: reg
                 .histograms
                 .iter()
-                .map(|(k, h)| (k.clone(), h.summary()))
+                .map(|(k, h)| (k.to_string(), h.summary()))
                 .collect(),
             trace: reg.trace.iter().cloned().collect(),
             trace_dropped: reg.trace_dropped,
@@ -320,11 +622,10 @@ impl MetricsSnapshot {
 
     /// Sums every counter whose key ends in `.{metric}`.
     pub fn total(&self, metric: &str) -> u64 {
-        let suffix = format!(".{metric}");
         self.counters
             .iter()
-            .filter(|(k, _)| k.ends_with(&suffix))
-            .map(|(_, v)| v)
+            .filter(|(key, _)| has_metric_suffix(key, metric))
+            .map(|(_, value)| value)
             .sum()
     }
 
@@ -584,6 +885,84 @@ mod tests {
         m.incr_by("host.h0.syscalls_total_other", 100);
         assert_eq!(m.total("syscalls"), 7);
         assert_eq!(m.snapshot().total("syscalls"), 7);
+    }
+
+    crate::metric_names! {
+        enum Probe {
+            Hits => "hits",
+            Misses => "misses",
+        }
+    }
+
+    #[test]
+    fn handle_and_by_name_paths_render_identical_json() {
+        let by_name = Metrics::new();
+        by_name.incr("probe.p0.hits");
+        by_name.incr_by("probe.p0.misses", 3);
+        by_name.incr("aaa.first");
+        by_name.set_gauge("probe.p0.depth", -4);
+        by_name.observe("probe.p0.wait_ns", 17);
+        by_name.observe("probe.p0.wait_ns", 5);
+
+        let by_handle = Metrics::new();
+        let counters: Counters<Probe> = by_handle.counters("probe.p0.");
+        // Bumped in another order than the keys sort: slots are numbered
+        // by first use, snapshots are ordered by key.
+        counters[Probe::Misses].add(3);
+        counters[Probe::Hits].incr();
+        by_handle.counter_handle("aaa.first").incr();
+        by_handle.gauge_handle("probe.p0.depth").set(-4);
+        let wait = by_handle.histo_handle("probe.p0.wait_ns");
+        wait.observe(17);
+        wait.observe(5);
+
+        assert_eq!(by_handle.snapshot(), by_name.snapshot());
+        assert_eq!(by_handle.snapshot().to_json(), by_name.snapshot().to_json());
+        assert_eq!(by_handle.catalogue(), by_name.catalogue());
+    }
+
+    #[test]
+    fn never_bumped_handle_leaves_no_key() {
+        let m = Metrics::new();
+        let counters: Counters<Probe> = m.counters("probe.p0.");
+        let _gauge = m.gauge_handle("probe.p0.depth");
+        let _histo = m.histo_handle("probe.p0.wait_ns");
+        counters[Probe::Hits].incr();
+        assert_eq!(m.counter("probe.p0.misses"), 0);
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.counters.keys().collect::<Vec<_>>(),
+            ["probe.p0.hits"],
+            "only the bumped counter exists"
+        );
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
+        assert_eq!(
+            m.catalogue(),
+            [(MetricKind::Counter, "probe.p0.hits".to_string())]
+        );
+    }
+
+    #[test]
+    fn zero_increment_still_creates_the_key() {
+        let m = Metrics::new();
+        m.incr_by("by.name", 0);
+        m.counter_handle("by.handle").add(0);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.get("by.name"), Some(&0));
+        assert_eq!(snap.counters.get("by.handle"), Some(&0));
+    }
+
+    #[test]
+    fn handles_and_names_for_one_key_share_a_slot() {
+        let m = Metrics::new();
+        let a = m.counter_handle("shared.key");
+        let b = m.counter_handle("shared.key");
+        a.incr();
+        m.incr("shared.key");
+        b.add(5);
+        a.clone().incr();
+        assert_eq!(m.counter("shared.key"), 8);
+        assert_eq!(m.snapshot().counters.len(), 1);
     }
 
     #[test]

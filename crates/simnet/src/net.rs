@@ -8,7 +8,7 @@
 //! faults, and schedules delivery to the destination handler.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use rand::Rng;
@@ -16,8 +16,8 @@ use rand::Rng;
 use crate::fault::{FaultCoins, FaultPlane, FaultVerdict};
 use crate::frame::{Addr, Frame};
 use crate::host::{CpuModel, Host, HostId, HostRef};
-use crate::metrics::Metrics;
-use crate::pool::BytePool;
+use crate::metrics::{Counters, Gauges, Metrics};
+use crate::pool::{BytePool, PoolGauge};
 use crate::sim::Simulator;
 use crate::time::{Bandwidth, Nanos};
 
@@ -97,6 +97,34 @@ pub struct NetStats {
     pub unroutable: u64,
 }
 
+crate::metric_names! {
+    /// Fault counters of one directed host pair, under `net.<src>.<dst>.`.
+    enum FaultCounter {
+        Dropped => "faults_dropped",
+        Corrupted => "faults_corrupted",
+        Duplicated => "faults_duplicated",
+    }
+}
+
+crate::metric_names! {
+    /// Event-core gauges, under `sim.`; see
+    /// [`QueueStats`](crate::QueueStats) for what each one counts.
+    enum SimGauge {
+        Scheduled => "events_scheduled",
+        Executed => "events_executed",
+        Cancelled => "events_cancelled",
+        TombstonesPurged => "events_tombstones_purged",
+        TombstonesLive => "events_tombstones_live",
+        Compactions => "events_compactions",
+        Pending => "events_pending",
+        HighWater => "events_high_water",
+        Shards => "events_shards",
+        RunHits => "events_run_hits",
+        Merges => "events_merges",
+        IndexStale => "events_index_stale",
+    }
+}
+
 struct NetInner {
     hosts: Vec<HostRef>,
     links: Vec<Link>,
@@ -114,7 +142,23 @@ struct NetInner {
     stats: NetStats,
     next_ephemeral_port: u32,
     metrics: Metrics,
+    /// Fault counters per directed host pair, made on the pair's first
+    /// injected fault.
+    fault_counters: BTreeMap<(HostId, HostId), Counters<FaultCounter>>,
+    sim_gauges: Gauges<SimGauge>,
     pool: BytePool,
+    pool_gauges: Gauges<PoolGauge>,
+}
+
+impl NetInner {
+    fn count_fault(&mut self, src: HostId, dst: HostId, fault: FaultCounter) {
+        let metrics = &self.metrics;
+        let counters = self
+            .fault_counters
+            .entry((src, dst))
+            .or_insert_with(|| metrics.counters(&format!("net.{src}.{dst}.")));
+        counters[fault].incr();
+    }
 }
 
 /// Shared handle to the simulated network.
@@ -164,6 +208,8 @@ impl std::fmt::Debug for Network {
 impl Network {
     /// Creates an empty network.
     pub fn new() -> Network {
+        let metrics = Metrics::new();
+        let pool = BytePool::new("net");
         Network {
             inner: Rc::new(RefCell::new(NetInner {
                 hosts: Vec::new(),
@@ -176,8 +222,11 @@ impl Network {
                 loopback_busy: std::collections::HashMap::new(),
                 stats: NetStats::default(),
                 next_ephemeral_port: 49_152,
-                metrics: Metrics::new(),
-                pool: BytePool::new("net"),
+                fault_counters: BTreeMap::new(),
+                sim_gauges: metrics.gauges("sim."),
+                pool_gauges: pool.gauges(&metrics),
+                metrics,
+                pool,
             })),
         }
     }
@@ -337,10 +386,7 @@ impl Network {
             FaultVerdict::Drop => {
                 let mut inner = self.inner.borrow_mut();
                 inner.stats.dropped_by_fault += 1;
-                inner.metrics.incr(&format!(
-                    "net.{}.{}.faults_dropped",
-                    frame.src.host, frame.dst.host
-                ));
+                inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Dropped);
             }
             FaultVerdict::Deliver {
                 extra_delay,
@@ -352,20 +398,14 @@ impl Network {
                     frame.corrupted = true;
                     let mut inner = self.inner.borrow_mut();
                     inner.stats.corrupted_by_fault += 1;
-                    inner.metrics.incr(&format!(
-                        "net.{}.{}.faults_corrupted",
-                        frame.src.host, frame.dst.host
-                    ));
+                    inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Corrupted);
                 }
                 if duplicate {
                     let copy = frame.clone();
                     {
                         let mut inner = self.inner.borrow_mut();
                         inner.stats.duplicated_by_fault += 1;
-                        inner.metrics.incr(&format!(
-                            "net.{}.{}.faults_duplicated",
-                            frame.src.host, frame.dst.host
-                        ));
+                        inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Duplicated);
                     }
                     self.transmit(sim, copy, extra_delay);
                 }
@@ -480,21 +520,22 @@ impl Network {
     /// network's `pool.*` occupancy gauges into the shared metrics
     /// registry, so snapshots capture event-core and allocation health.
     pub fn publish_sim_gauges(&self, sim: &Simulator) {
-        let m = self.metrics();
+        let inner = self.inner.borrow();
+        let g = &inner.sim_gauges;
         let q = sim.queue_stats();
-        m.set_gauge("sim.events_scheduled", q.scheduled as i64);
-        m.set_gauge("sim.events_executed", sim.executed_events() as i64);
-        m.set_gauge("sim.events_cancelled", q.cancelled as i64);
-        m.set_gauge("sim.events_tombstones_purged", q.tombstones_purged as i64);
-        m.set_gauge("sim.events_tombstones_live", q.tombstones as i64);
-        m.set_gauge("sim.events_compactions", q.compactions as i64);
-        m.set_gauge("sim.events_pending", q.pending as i64);
-        m.set_gauge("sim.events_high_water", q.high_water as i64);
-        m.set_gauge("sim.events_shards", sim.queue_shards() as i64);
-        m.set_gauge("sim.events_run_hits", q.run_hits as i64);
-        m.set_gauge("sim.events_merges", q.merges as i64);
-        m.set_gauge("sim.events_index_stale", q.index_stale as i64);
-        self.inner.borrow().pool.publish(&m);
+        g[SimGauge::Scheduled].set(q.scheduled as i64);
+        g[SimGauge::Executed].set(sim.executed_events() as i64);
+        g[SimGauge::Cancelled].set(q.cancelled as i64);
+        g[SimGauge::TombstonesPurged].set(q.tombstones_purged as i64);
+        g[SimGauge::TombstonesLive].set(q.tombstones as i64);
+        g[SimGauge::Compactions].set(q.compactions as i64);
+        g[SimGauge::Pending].set(q.pending as i64);
+        g[SimGauge::HighWater].set(q.high_water as i64);
+        g[SimGauge::Shards].set(sim.queue_shards() as i64);
+        g[SimGauge::RunHits].set(q.run_hits as i64);
+        g[SimGauge::Merges].set(q.merges as i64);
+        g[SimGauge::IndexStale].set(q.index_stale as i64);
+        inner.pool.publish(&inner.pool_gauges);
     }
 
     /// Charges `work` of CPU time on `core` of `host`, returning completion

@@ -9,12 +9,26 @@
 //! The pool is pure bookkeeping over deterministic callers — takes and
 //! returns happen in event order, so recycling never perturbs a fixed-seed
 //! run. Occupancy and hit/miss counts are surfaced as `pool.*` gauges in
-//! metrics snapshots (see [`BytePool::publish`]).
+//! metrics snapshots by
+//! [`Network::publish_sim_gauges`](crate::Network::publish_sim_gauges).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Gauges, Metrics};
+
+crate::metric_names! {
+    /// Gauges one pool publishes, under `pool.<name>.`.
+    pub(crate) enum PoolGauge {
+        Takes => "takes",
+        Returns => "returns",
+        Misses => "misses",
+        Dropped => "dropped",
+        Outstanding => "outstanding",
+        HighWater => "high_water",
+        Parked => "parked",
+    }
+}
 
 /// Smallest size class (everything under 64 bytes shares one class).
 const MIN_CLASS: u32 = 6;
@@ -146,18 +160,22 @@ impl BytePool {
         self.inner.borrow().stats
     }
 
-    /// Publishes the counters as `pool.<name>.*` gauges into `metrics`.
-    pub fn publish(&self, metrics: &Metrics) {
-        let inner = self.inner.borrow();
-        let s = inner.stats;
-        let p = &inner.name;
-        metrics.set_gauge(&format!("pool.{p}.takes"), s.takes as i64);
-        metrics.set_gauge(&format!("pool.{p}.returns"), s.returns as i64);
-        metrics.set_gauge(&format!("pool.{p}.misses"), s.misses as i64);
-        metrics.set_gauge(&format!("pool.{p}.dropped"), s.dropped as i64);
-        metrics.set_gauge(&format!("pool.{p}.outstanding"), s.outstanding);
-        metrics.set_gauge(&format!("pool.{p}.high_water"), s.high_water);
-        metrics.set_gauge(&format!("pool.{p}.parked"), s.parked as i64);
+    /// This pool's `pool.<name>.*` gauge handles in `metrics`, for
+    /// [`BytePool::publish`].
+    pub(crate) fn gauges(&self, metrics: &Metrics) -> Gauges<PoolGauge> {
+        metrics.gauges(&format!("pool.{}.", self.inner.borrow().name))
+    }
+
+    /// Publishes the counters through `gauges`.
+    pub(crate) fn publish(&self, gauges: &Gauges<PoolGauge>) {
+        let s = self.inner.borrow().stats;
+        gauges[PoolGauge::Takes].set(s.takes as i64);
+        gauges[PoolGauge::Returns].set(s.returns as i64);
+        gauges[PoolGauge::Misses].set(s.misses as i64);
+        gauges[PoolGauge::Dropped].set(s.dropped as i64);
+        gauges[PoolGauge::Outstanding].set(s.outstanding);
+        gauges[PoolGauge::HighWater].set(s.high_water);
+        gauges[PoolGauge::Parked].set(s.parked as i64);
     }
 }
 
@@ -220,7 +238,7 @@ mod tests {
         let pool = BytePool::new("net");
         let b = pool.take(100);
         pool.put(b);
-        pool.publish(&m);
+        pool.publish(&pool.gauges(&m));
         let snap = m.snapshot();
         assert_eq!(snap.gauge("pool.net.takes"), 1);
         assert_eq!(snap.gauge("pool.net.returns"), 1);

@@ -1,0 +1,149 @@
+//! Heap-allocation budgets for the two steady states the system benchmark
+//! judges host-side cost on (`echo_rubin`, `pbft_rubin`), pinned in tier-1
+//! because `benchmark/` cannot be edited alongside the code it measures.
+//!
+//! Counts repeat exactly, in debug and release builds alike, so each budget
+//! sits about 15 % above what the harness below measures (32.5 and 682.5;
+//! run with `--nocapture` to see them). With a `format!`ed key per counter
+//! bump, the state before typed metric handles, the same harness read 109.0
+//! and 1,978.3.
+
+#[path = "../crates/simnet/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use counting_alloc::{allocs, CountingAlloc};
+use rdma_verbs::RnicModel;
+use reptor::{Client, CounterService, Replica, ReptorConfig, RubinTransport, Transport};
+use rubin::RubinConfig;
+use simnet::{CoreId, CpuModel, HostId, Network, Simulator, TestBed};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const PAYLOAD: usize = 1024;
+
+/// Allocations per 1 KB message echoed over `RubinTransport` on one host.
+const ECHO_BUDGET: f64 = 37.0;
+/// Allocations per 1 KB request ordered by four replicas over RUBIN.
+const PBFT_BUDGET: f64 = 785.0;
+
+fn rubin_group(
+    sim: &mut Simulator,
+    net: &Network,
+    nodes: &[(u32, HostId, CoreId)],
+) -> Vec<Rc<dyn Transport>> {
+    let group =
+        RubinTransport::build_group(sim, net, nodes, RnicModel::mt27520(), RubinConfig::paper());
+    // Let the mesh establish before traffic starts.
+    sim.run_until_idle();
+    group
+        .into_iter()
+        .map(|t| Rc::new(t) as Rc<dyn Transport>)
+        .collect()
+}
+
+#[test]
+fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
+    const WARMUP: u64 = 200;
+    const MEASURED: u64 = 1_000;
+
+    let mut sim = Simulator::new(7);
+    let net = Network::new();
+    let host = net.add_host("local", 4, CpuModel::xeon_v2());
+    let nodes = [(0, host, CoreId(0)), (1, host, CoreId(2))];
+    let transports = rubin_group(&mut sim, &net, &nodes);
+    let (server, client) = (transports[0].clone(), transports[1].clone());
+
+    let echo_via = server.clone();
+    server.set_delivery(Rc::new(move |sim, from, bytes| {
+        echo_via.send(sim, from, bytes);
+    }));
+    let echoed = Rc::new(Cell::new(0u64));
+    let seen = echoed.clone();
+    client.set_delivery(Rc::new(move |_sim, _from, bytes| {
+        assert_eq!(bytes.len(), PAYLOAD);
+        seen.set(seen.get() + 1);
+    }));
+
+    let mut echo = |count: u64| {
+        for _ in 0..count {
+            let want = echoed.get() + 1;
+            client.send(&mut sim, 0, vec![0x5a; PAYLOAD]);
+            while echoed.get() < want {
+                assert!(sim.step(), "echo stalled");
+            }
+        }
+    };
+    echo(WARMUP);
+    let before = allocs();
+    echo(MEASURED);
+    let per_message = (allocs() - before) as f64 / MEASURED as f64;
+    println!("echo over RUBIN: {per_message:.1} allocations per message");
+    assert!(
+        per_message <= ECHO_BUDGET,
+        "{per_message:.1} allocations per echoed message, budget {ECHO_BUDGET}"
+    );
+}
+
+#[test]
+fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
+    const OUTSTANDING: u64 = 8;
+    const WARMUP_ROUNDS: u64 = 10;
+    const MEASURED_ROUNDS: u64 = 50;
+
+    let cfg = ReptorConfig::small();
+    let n = cfg.n;
+    let (mut sim, net, hosts) = TestBed::cluster(7, n + 1);
+    let nodes: Vec<(u32, HostId, CoreId)> = hosts
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| (i as u32, h, CoreId(0)))
+        .collect();
+    let transports = rubin_group(&mut sim, &net, &nodes);
+    let replicas: Vec<Replica> = (0..n)
+        .map(|i| {
+            Replica::new(
+                i as u32,
+                cfg.clone(),
+                reptor::DOMAIN_SECRET,
+                transports[i].clone(),
+                &net,
+                hosts[i],
+                Box::new(CounterService::default()),
+            )
+        })
+        .collect();
+    let client = Client::new(n as u32, cfg, reptor::DOMAIN_SECRET, transports[n].clone());
+
+    let mut rounds = |count: u64| {
+        for _ in 0..count {
+            let want = client.stats().completed + OUTSTANDING;
+            for _ in 0..OUTSTANDING {
+                client.submit(&mut sim, vec![0x5a; PAYLOAD]);
+            }
+            while client.stats().completed < want {
+                assert!(sim.step(), "agreement stalled");
+            }
+        }
+    };
+    rounds(WARMUP_ROUNDS);
+    let before = allocs();
+    rounds(MEASURED_ROUNDS);
+    let requests = MEASURED_ROUNDS * OUTSTANDING;
+    let per_request = (allocs() - before) as f64 / requests as f64;
+    println!("PBFT over RUBIN: {per_request:.1} allocations per request");
+    assert!(
+        per_request <= PBFT_BUDGET,
+        "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
+    );
+    for r in &replicas {
+        assert!(
+            r.stats().executed_requests >= requests,
+            "replica {}",
+            r.id()
+        );
+    }
+}
