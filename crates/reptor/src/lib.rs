@@ -194,7 +194,7 @@ mod tests {
         assert!(c.run_until_completed(5, 1_000_000));
         c.settle();
         c.assert_safety();
-        assert_eq!(c.replicas[0].last_executed(), 5);
+        assert_eq!(c.replicas[0].stats().executed_requests, 5);
         assert_eq!(c.replicas[3].last_executed(), 0, "crashed replica is dead");
     }
 
@@ -279,7 +279,7 @@ mod tests {
         assert!(c.run_until_completed(5, 2_000_000));
         c.settle();
         c.assert_safety();
-        assert_eq!(c.replicas[0].last_executed(), 5);
+        assert_eq!(c.replicas[0].stats().executed_requests, 5);
         assert_eq!(c.replicas[3].last_executed(), 0);
     }
 
@@ -296,7 +296,7 @@ mod tests {
         assert!(c.run_until_completed(5, 3_000_000));
         c.settle();
         c.assert_safety();
-        assert_eq!(c.replicas[0].last_executed(), 5);
+        assert_eq!(c.replicas[0].stats().executed_requests, 5);
     }
 
     #[test]

@@ -1180,22 +1180,37 @@ impl Replica {
                     let in_flight =
                         (inner.next_seq - 1).saturating_sub(inner.executor.last_executed);
                     let high_mark = inner.low_mark + 2 * inner.cfg.checkpoint_interval;
-                    if in_flight >= inner.cfg.window as u64 || inner.next_seq > high_mark {
+                    // Self-clocked batching (Nagle's rule on agreement
+                    // instances): a full batch is never held; a partial one
+                    // is cut only while no proposal of this primary is
+                    // still unexecuted. Otherwise its requests stay at the
+                    // front of `pending` and the batch is cut when it
+                    // fills, when the open instance executes or when a view
+                    // is entered — `try_execute` and `enter_view` both end
+                    // here. A held request thus waits only on local
+                    // execution progress, which the backups' request timers
+                    // already police: a primary that holds forever is
+                    // deposed like a `SilentPrimary`.
+                    let batch_size = inner.cfg.batch_size;
+                    let held = in_flight > 0
+                        && inner
+                            .pending
+                            .iter()
+                            .filter(|r| inner.awaits_proposal(r))
+                            .take(batch_size)
+                            .count()
+                            < batch_size;
+                    if in_flight >= inner.cfg.window as u64 || inner.next_seq > high_mark || held {
                         None
                     } else {
                         let mut batch: Vec<Request> = Vec::new();
-                        while batch.len() < inner.cfg.batch_size {
+                        while batch.len() < batch_size {
                             let Some(r) = inner.pending.pop_front() else {
                                 break;
                             };
-                            let stale = inner
-                                .client_state
-                                .get(&r.client)
-                                .is_some_and(|(ts, _)| *ts >= r.timestamp);
-                            if stale || inner.proposed.contains(&(r.client, r.timestamp)) {
-                                continue;
+                            if inner.awaits_proposal(&r) {
+                                batch.push(r);
                             }
-                            batch.push(r);
                         }
                         if batch.is_empty() {
                             return;
@@ -2033,6 +2048,11 @@ impl Replica {
                     // A checkpoint certified while this replica was behind
                     // may now be reachable.
                     self.maybe_deferred_stable(sim);
+                    // Every caller that moved `last_executed` without a
+                    // pop (state transfer, catch-up) leaves through here,
+                    // so a held partial batch or a full window never
+                    // waits for the next arrival to be re-examined.
+                    self.try_propose(sim);
                     return;
                 };
                 let since_commit = exec
@@ -2050,11 +2070,7 @@ impl Replica {
                 let mut inner = self.inner.borrow_mut();
                 for req in &batch {
                     // Deduplicate across re-proposals (view changes).
-                    let stale = inner
-                        .client_state
-                        .get(&req.client)
-                        .is_some_and(|(ts, _)| *ts >= req.timestamp);
-                    if stale {
+                    if inner.executed(req) {
                         continue;
                     }
                     let cost = inner.service.op_cost(req);
@@ -2067,6 +2083,13 @@ impl Replica {
                     inner.stats.executed_requests += 1;
                     inner.counters[ReplicaCounter::RequestsExecuted].incr();
                     replies.push((req.client, req.timestamp, result));
+                }
+                // Only a primary pops `pending` to propose; everyone else
+                // retires requests here, once executed, so the buffer (and
+                // `on_request`'s scan of it) stays as short as the
+                // unexecuted backlog.
+                while inner.pending.front().is_some_and(|r| inner.executed(r)) {
+                    inner.pending.pop_front();
                 }
             }
             for (client, ts, result) in replies {
@@ -3466,6 +3489,19 @@ impl Replica {
 }
 
 impl ReplicaInner {
+    /// True once `req`, or a later request of its client, has executed.
+    fn executed(&self, req: &Request) -> bool {
+        self.client_state
+            .get(&req.client)
+            .is_some_and(|(ts, _)| *ts >= req.timestamp)
+    }
+
+    /// True while a buffered request is live: neither executed nor sitting
+    /// in an instance already proposed.
+    fn awaits_proposal(&self, req: &Request) -> bool {
+        !self.executed(req) && !self.proposed.contains(&(req.client, req.timestamp))
+    }
+
     /// Marks `seq` as pre-prepared at `now`: stamps the instance and
     /// settles the request→pre-prepare latency for every request in the
     /// batch whose arrival this replica witnessed.

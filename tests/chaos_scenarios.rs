@@ -312,11 +312,14 @@ fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
             }
         }
     });
+    // Enough requests for ~10 agreement instances: a burst fills batches,
+    // and only a corrupted frame that carries a protocol message (not an
+    // ACK) can reach a MAC check.
     let client = w.client.clone();
-    for _ in 0..8 {
+    for _ in 0..64 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 8);
+    run_to_completion(&mut w, 64);
     w.sim.run_until_idle();
     assert_total_order(&w.replicas);
     let bad_macs: u64 = w.replicas.iter().map(|r| r.stats().bad_mac_dropped).sum();
@@ -325,10 +328,10 @@ fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
         "5% corruption must surface as MAC rejections somewhere"
     );
     for r in &w.replicas {
-        assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
+        assert_eq!(r.stats().executed_requests, 64, "replica {}", r.id());
     }
     let last = client.completions().last().unwrap().result.clone();
-    assert_eq!(last, 8u64.to_le_bytes());
+    assert_eq!(last, 64u64.to_le_bytes());
 }
 
 /// The flagship recovery scenario: the primary's host loses power

@@ -235,3 +235,39 @@ fn seven_replicas_survive_two_cascading_silent_primaries() {
         assert_eq!(r.stats().executed_requests, 3);
     }
 }
+
+#[test]
+fn requests_held_at_a_crashing_primary_complete_exactly_once() {
+    // The primary has one instance open and the rest of the burst held
+    // behind it (self-clocked batching) when it dies: the held requests
+    // were never proposed, so only the backups' request timers and the new
+    // primary's own buffer can bring them back.
+    for seed in 1..=5 {
+        let mut c = cluster(seed, ReptorConfig::small());
+        let client = c.clients[0].clone();
+        for _ in 0..8 {
+            client.submit(&mut c.sim, b"inc".to_vec());
+        }
+        // The burst left the client in one instant, so by the time a
+        // backup answers the first PRE-PREPARE all of it has reached the
+        // primary.
+        while c.replicas[1..].iter().all(|r| r.stats().prepares_sent == 0) {
+            assert!(c.sim.step());
+        }
+        let primary = &c.replicas[0];
+        assert_eq!(primary.stats().pre_prepares_sent, 1, "seed {seed}");
+        assert_eq!(primary.last_executed(), 0, "seed {seed}");
+        primary.set_byzantine(ByzantineMode::Crash);
+
+        assert!(c.run_until_completed(8, 15_000_000), "seed {seed}");
+        c.settle();
+        c.assert_safety();
+        let mut answered: Vec<u64> = client.completions().iter().map(|d| d.timestamp).collect();
+        answered.sort_unstable();
+        assert_eq!(answered, (1..=8).collect::<Vec<u64>>(), "seed {seed}");
+        for r in &c.replicas[1..] {
+            assert!(r.view() >= 1, "seed {seed}: replica {}", r.id());
+            assert_eq!(r.stats().executed_requests, 8, "seed {seed}");
+        }
+    }
+}
