@@ -11,13 +11,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rdma_verbs::RnicModel;
-use reptor::{NioTransport, RubinTransport, Transport};
-use rubin::RubinConfig;
+use reptor::{Stack, Transport};
 use simnet::{
     throughput_ops_per_sec, CoreId, CpuModel, LatencyRecorder, Nanos, Network, Series, Simulator,
 };
-use simnet_socket::TcpModel;
 
 use crate::{pattern, EchoResult, PAYLOAD_SWEEP};
 
@@ -139,41 +136,25 @@ fn drive_echo(
     }
 }
 
-/// One 4-core machine, as in the paper's local run. Client and server are
-/// two endpoints on different cores of the same host.
-fn local_host(seed: u64) -> (Simulator, Network, simnet::HostId) {
-    let sim = Simulator::new(seed);
+/// Echo between two endpoints of `stack` on one 4-core machine, as in the
+/// paper's local run: server on core 0, client on core 2.
+fn selector_echo(stack: Stack, seed: u64, payload: usize, msgs: usize) -> EchoResult {
+    let mut sim = Simulator::new(seed);
     let net = Network::new();
     let host = net.add_host("local", 4, CpuModel::xeon_v2());
-    (sim, net, host)
+    let nodes = [(0u32, host, CoreId(0)), (1u32, host, CoreId(2))];
+    let ts = stack.mesh(&mut sim, &net, &nodes);
+    drive_echo(&mut sim, ts[1].clone(), ts[0].clone(), payload, msgs)
 }
 
 /// Echo over the Java-NIO-style selector stack.
 pub fn nio_selector_echo(payload: usize, msgs: usize) -> EchoResult {
-    let (mut sim, net, host) = local_host(0xF1641);
-    let nodes = [(0u32, host, CoreId(0)), (1u32, host, CoreId(2))];
-    let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-    sim.run_until_idle(); // connections + hellos settle
-    let server: Rc<dyn Transport> = Rc::new(ts[0].clone());
-    let client: Rc<dyn Transport> = Rc::new(ts[1].clone());
-    drive_echo(&mut sim, client, server, payload, msgs)
+    selector_echo(Stack::Nio, 0xF1641, payload, msgs)
 }
 
 /// Echo over the RUBIN selector stack.
 pub fn rubin_selector_echo(payload: usize, msgs: usize) -> EchoResult {
-    let (mut sim, net, host) = local_host(0xF1642);
-    let nodes = [(0u32, host, CoreId(0)), (1u32, host, CoreId(2))];
-    let ts = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let server: Rc<dyn Transport> = Rc::new(ts[0].clone());
-    let client: Rc<dyn Transport> = Rc::new(ts[1].clone());
-    drive_echo(&mut sim, client, server, payload, msgs)
+    selector_echo(Stack::Rubin, 0xF1642, payload, msgs)
 }
 
 /// Shape checks for Figure 4 (§V): RUBIN ~19–20 % lower latency at the

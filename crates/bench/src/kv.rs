@@ -50,12 +50,12 @@ pub fn kv_read_point(
         ..ReptorConfig::small()
     };
     let mut h = KvHarness::build(Stack::Rubin, seed, clients, cfg, 256);
-    let t0 = h.sim.now();
+    let t0 = h.cluster.sim.now();
     assert!(
         h.run_ycsb(spec, seed, ops, 600_000_000),
         "bench run wedged (leases={leases} seed={seed})"
     );
-    let elapsed = h.sim.now() - t0;
+    let elapsed = h.cluster.sim.now() - t0;
     let hist = h.history();
     let mut reads = 0u64;
     let mut lat_sum_ns = 0u64;

@@ -7,41 +7,14 @@
 //! against a 4-replica Reptor group whose replica communication runs over
 //! the NIO-TCP stack, the RUBIN-RDMA stack, or the direct fabric.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
+pub use reptor::Stack;
 use reptor::{
-    Client, DurabilityConfig, EchoService, KvOp, KvService, NioTransport, RecoveryConfig,
-    RecoveryScheduler, Replica, ReptorConfig, RubinTransport, SimTransport, Transport,
-    DOMAIN_SECRET,
+    Cluster, DurabilityConfig, EchoService, KvOp, KvService, RecoveryConfig, RecoveryScheduler,
+    ReptorConfig,
 };
-use rubin::RubinConfig;
-use simnet::{throughput_ops_per_sec, CoreId, LatencyRecorder, Series, TestBed};
-use simnet_socket::TcpModel;
+use simnet::{throughput_ops_per_sec, HostId, LatencyRecorder, Nanos, Series};
 
 use crate::EchoResult;
-
-/// Which comm stack the replicas use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// Direct fabric delivery (no comm-stack CPU model) — the upper bound.
-    Direct,
-    /// Java-NIO-style TCP stack.
-    Nio,
-    /// RUBIN RDMA stack.
-    Rubin,
-}
-
-impl Stack {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stack::Direct => "Direct",
-            Stack::Nio => "TCP (NIO)",
-            Stack::Rubin => "RDMA (Rubin)",
-        }
-    }
-}
 
 /// The pipeline counts swept by the COP scaling experiment (Behl et al.'s
 /// Consensus-Oriented Parallelization). `p = 4` oversubscribes the three
@@ -179,69 +152,19 @@ fn bft_instrumented(
     seed: u64,
     cfg: ReptorConfig,
 ) -> (EchoResult, simnet::MetricsSnapshot) {
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-
-    let transports: Vec<Rc<dyn Transport>> = match stack {
-        Stack::Direct => {
-            let pairs: Vec<(u32, simnet::HostId)> = nodes.iter().map(|&(n, h, _)| (n, h)).collect();
-            SimTransport::build_group(&net, &pairs)
-                .into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-        Stack::Nio => {
-            let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-            sim.run_until_idle();
-            ts.into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-        Stack::Rubin => {
-            let ts = RubinTransport::build_group(
-                &mut sim,
-                &net,
-                &nodes,
-                RnicModel::mt27520(),
-                RubinConfig::paper(),
-            );
-            sim.run_until_idle();
-            ts.into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-    };
-
-    let _replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(EchoService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg, DOMAIN_SECRET, transports[n].clone());
+    let mut c = Cluster::build(stack, cfg, 1, seed, || Box::new(EchoService::default()));
+    let client = c.clients[0].clone();
 
     let mut gen = crate::workload::Workload::new(mix, seed ^ 0x5EED);
-    let t0 = sim.now();
+    let t0 = c.sim.now();
     let mut submitted = 0u64;
     let mut guard = 0u64;
     while client.stats().completed < total {
         while submitted < total && client.pending_count() < depth {
-            client.submit(&mut sim, gen.next_payload());
+            client.submit(&mut c.sim, gen.next_payload());
             submitted += 1;
         }
-        if !sim.step() {
+        if !c.sim.step() {
             break;
         }
         guard += 1;
@@ -259,14 +182,14 @@ fn bft_instrumented(
         "not all requests completed over {stack:?}"
     );
     let mut rec = LatencyRecorder::new();
-    for c in client.completions() {
-        rec.record(c.latency());
+    for done in client.completions() {
+        rec.record(done.latency());
     }
     let result = EchoResult {
         latency_us: rec.mean().as_micros_f64(),
-        rps: throughput_ops_per_sec(total, sim.now() - t0),
+        rps: throughput_ops_per_sec(total, c.sim.now() - t0),
     };
-    (result, net.metrics().snapshot())
+    (result, c.metrics().snapshot())
 }
 
 /// Runs the checkpoint state-transfer recovery drill over the RUBIN stack
@@ -280,89 +203,51 @@ pub fn state_transfer_instrumented(seed: u64) -> simnet::MetricsSnapshot {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(EchoService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg.clone(), DOMAIN_SECRET, transports[n].clone());
-
-    // One request in flight at a time so every request lands in its own
-    // agreement instance and sequence numbers advance predictably.
-    let drive = |sim: &mut simnet::Simulator, client: &Client, total: u64| {
-        let mut guard = 0u64;
-        while client.stats().completed < total {
-            if client.pending_count() == 0 {
-                client.submit(sim, vec![7u8; 64]);
-            }
-            if !sim.step() {
-                break;
-            }
-            guard += 1;
-            assert!(guard < 60_000_000, "state-transfer drill stalled");
-        }
-    };
+    let mut c = Cluster::build(Stack::Rubin, cfg, 1, seed, || {
+        Box::new(EchoService::default())
+    });
 
     // Warm up, then cut replica 2 off from everyone (client included).
-    drive(&mut sim, &client, 3);
-    let laggard = hosts[2];
-    net.with_faults(|f| {
-        for &h in &hosts {
-            if h != laggard {
-                f.partition(h, laggard);
-            }
-        }
-    });
+    c.submit_sequentially(pings(3));
+    let laggard = c.hosts[2];
+    set_isolated(&c, laggard, true);
     // Three checkpoint intervals of progress put the laggard below the
     // low-water mark; the hold lets QP retries exhaust so the outage is
     // real (holding pens shed, channels break) rather than replayable.
-    drive(&mut sim, &client, 15);
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(100));
-    net.with_faults(|f| {
-        for &h in &hosts {
-            if h != laggard {
-                f.heal(h, laggard);
+    c.submit_sequentially(pings(12));
+    c.sim.run_for(Nanos::from_millis(100));
+    set_isolated(&c, laggard, false);
+    c.sim.run_for(Nanos::from_millis(150));
+    // Fresh traffic triggers the laggard's recovery path; give the
+    // transfer time to finish.
+    c.submit_sequentially(pings(3));
+    c.sim.run_for(Nanos::from_millis(400));
+    assert!(
+        c.replicas[2].stats().state_transfers_completed >= 1,
+        "recovery drill must complete a state transfer"
+    );
+    c.metrics().snapshot()
+}
+
+/// Partitions `host` from every other host of the cluster, clients
+/// included, or heals those partitions.
+fn set_isolated(c: &Cluster, host: HostId, isolated: bool) {
+    c.net.with_faults(|f| {
+        for &other in c.hosts.iter().filter(|&&h| h != host) {
+            if isolated {
+                f.partition(other, host);
+            } else {
+                f.heal(other, host);
             }
         }
     });
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(150));
-    // Fresh traffic triggers the laggard's recovery path; give the
-    // transfer time to finish.
-    drive(&mut sim, &client, 18);
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(400));
-    assert!(
-        replicas[2].stats().state_transfers_completed >= 1,
-        "recovery drill must complete a state transfer"
-    );
-    net.metrics().snapshot()
+}
+
+/// `count` 64-byte requests for [`Cluster::submit_sequentially`]: one in
+/// flight at a time, so every request lands in its own agreement instance
+/// and sequence numbers advance predictably.
+fn pings(count: usize) -> impl Iterator<Item = Vec<u8>> {
+    std::iter::repeat_n(vec![7u8; 64], count)
 }
 
 /// Result of the durable cold-restart drill: the same crash/restart
@@ -414,97 +299,46 @@ fn durable_restart_run(seed: u64, durability: Option<DurabilityConfig>) -> simne
         durability,
         ..ReptorConfig::small()
     };
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
+    let mut c = Cluster::build(
+        Stack::Rubin,
+        cfg,
+        1,
+        seed,
+        || Box::new(KvService::default()),
     );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(KvService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg.clone(), DOMAIN_SECRET, transports[n].clone());
-
-    // One request per agreement instance, fixed-size values so the
-    // checkpoint payload layout is chunk-stable between the victim's
-    // replayed position and the target checkpoint.
-    let drive = |sim: &mut simnet::Simulator, payloads: &[Vec<u8>], done: u64| {
-        let mut guard = 0u64;
-        for (i, p) in payloads.iter().enumerate() {
-            client.submit(sim, p.clone());
-            while client.stats().completed < done + i as u64 + 1 {
-                assert!(sim.step(), "durable restart drill went idle");
-                guard += 1;
-                assert!(guard < 60_000_000, "durable restart drill stalled");
-            }
-        }
-    };
+    // Requests go out one per agreement instance, with fixed-size values
+    // so the checkpoint payload layout is chunk-stable between the
+    // victim's replayed position and the target checkpoint.
     let put = |key: String, val: Vec<u8>| KvOp::Put(key.into_bytes(), val).encode();
 
     // Seed 64 keys: seqs 1..=64, stable checkpoint at 64 everywhere.
     let seeds: Vec<Vec<u8>> = (0..64)
         .map(|i| put(format!("k{i:03}"), vec![i as u8; 32]))
         .collect();
-    drive(&mut sim, &seeds, 0);
-    sim.run_until_idle();
+    c.submit_sequentially(seeds);
+    c.settle();
 
     // Cut the victim off, overwrite 8 of the 64 keys (two checkpoint
     // intervals: seqs 65..=72, stable 72), and hold until retry
     // exhaustion breaks the channels — the outage is real.
-    let victim = hosts[1];
-    net.with_faults(|f| {
-        for &h in &hosts {
-            if h != victim {
-                f.partition(h, victim);
-            }
-        }
-    });
+    let victim = c.hosts[1];
+    set_isolated(&c, victim, true);
     let updates: Vec<Vec<u8>> = (0..8)
         .map(|i| put(format!("k{i:03}"), vec![0xBB + i as u8; 32]))
         .collect();
-    drive(&mut sim, &updates, 64);
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(100));
-    net.with_faults(|f| {
-        for &h in &hosts {
-            if h != victim {
-                f.heal(h, victim);
-            }
-        }
-    });
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(150));
+    c.submit_sequentially(updates);
+    c.sim.run_for(Nanos::from_millis(100));
+    set_isolated(&c, victim, false);
+    c.sim.run_for(Nanos::from_millis(150));
 
     // Cold restart: volatile state gone, the drive (if any) survives.
-    replicas[1].restart(&mut sim, Box::new(KvService::default()));
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(400));
+    c.replicas[1].restart(&mut c.sim, Box::new(KvService::default()));
+    c.sim.run_for(Nanos::from_millis(400));
     assert!(
-        replicas[1].stats().state_transfers_completed >= 1,
+        c.replicas[1].stats().state_transfers_completed >= 1,
         "cold-restarted replica must complete a state transfer"
     );
-    net.metrics().snapshot()
+    c.metrics().snapshot()
 }
 
 /// Runs the durable cold-restart drill over the RUBIN stack: the same
@@ -540,91 +374,54 @@ pub fn recovery_epoch_drill_instrumented(seed: u64) -> simnet::MetricsSnapshot {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(EchoService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg.clone(), DOMAIN_SECRET, transports[n].clone());
+    let mut c = Cluster::build(Stack::Rubin, cfg, 1, seed, || {
+        Box::new(EchoService::default())
+    });
+    let client = c.clients[0].clone();
 
     // Warm up past the first checkpoint so refreshed replicas have a
     // certified store to rebuild from.
-    let mut guard = 0u64;
-    while client.stats().completed < 6 {
-        if client.pending_count() == 0 {
-            client.submit(&mut sim, vec![7u8; 64]);
-        }
-        assert!(sim.step(), "recovery drill went idle in warm-up");
-        guard += 1;
-        assert!(guard < 60_000_000, "recovery drill warm-up stalled");
-    }
+    c.submit_sequentially(pings(6));
 
     let sched = RecoveryScheduler::new(
-        replicas.clone(),
+        c.replicas.clone(),
         RecoveryConfig {
-            period: simnet::Nanos::from_millis(30),
-            poll: simnet::Nanos::from_millis(2),
-            refresh_deadline: simnet::Nanos::from_millis(400),
+            period: Nanos::from_millis(30),
+            poll: Nanos::from_millis(2),
+            refresh_deadline: Nanos::from_millis(400),
         },
-        net.metrics(),
+        c.metrics(),
         Box::new(|| Box::new(EchoService::default())),
     );
-    sched.start(&mut sim, 1);
+    sched.start(&mut c.sim, 1);
 
     // Closed-loop load straight through the rotation: the stagger bound
     // keeps the quorum intact, so requests keep completing while each
     // replica in turn is torn down and rebuilt.
+    let mut guard = 0u64;
     while sched.stats().rotations_completed < 1 {
         if client.pending_count() == 0 {
-            client.submit(&mut sim, vec![7u8; 64]);
+            client.submit(&mut c.sim, vec![7u8; 64]);
         }
-        assert!(sim.step(), "recovery drill went idle mid-rotation");
+        assert!(c.sim.step(), "recovery drill went idle mid-rotation");
         guard += 1;
         assert!(guard < 60_000_000, "recovery drill rotation stalled");
     }
-    sim.run_until(sim.now() + simnet::Nanos::from_millis(100));
+    c.sim.run_for(Nanos::from_millis(100));
 
     let stats = sched.stats();
     assert_eq!(
-        stats.refreshes_completed, n as u64,
+        stats.refreshes_completed, c.cfg.n as u64,
         "every replica must refresh and rejoin in the drill ({stats:?})"
     );
-    for r in &replicas {
+    for r in &c.replicas {
         assert!(
             r.stats().state_transfers_completed >= 1,
             "drilled replica {} must have rebuilt by state transfer",
             r.id()
         );
     }
-    net.metrics().snapshot()
+    c.metrics().snapshot()
 }
 
 /// Request payload used by the one-sided fast-path comparison (BFT

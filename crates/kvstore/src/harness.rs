@@ -1,49 +1,16 @@
-//! A deterministic test harness: a replicated KV group plus a fleet of
-//! [`KvClient`]s under a YCSB-style closed-loop driver.
-//!
-//! Mirrors the bench crate's replicated-system builder (same stacks, same
-//! host/transport models) but with [`KvStoreService`] replicas, leases
-//! armed, and clients that record full operation histories for the
-//! linearizability checker.
+//! A deterministic test harness: a replicated KV group — a
+//! [`reptor::Cluster`] whose replicas run [`KvStoreService`] (DESIGN.md
+//! "Building a world") — plus a fleet of [`KvClient`]s that record full
+//! operation histories for the linearizability checker, under a YCSB-style
+//! closed-loop driver.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
-use reptor::{
-    Client, NioTransport, Replica, ReptorConfig, RubinTransport, SimTransport, Transport,
-    DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+pub use reptor::Stack;
+use reptor::{Cluster, ReptorConfig};
 
 use crate::client::KvClient;
 use crate::lin::{check_linearizable, KvEvent, KvHistOp};
 use crate::service::KvStoreService;
 use crate::workload::{ClientWorkload, YcsbSpec};
-
-/// Which comm stack the group runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// Direct fabric delivery; no one-sided read path (message-path
-    /// reads only — the fallback baseline).
-    Direct,
-    /// Java-NIO-style TCP stack; also message-path only.
-    Nio,
-    /// RUBIN RDMA stack: one-sided reads available.
-    Rubin,
-}
-
-impl Stack {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stack::Direct => "Direct",
-            Stack::Nio => "TCP (NIO)",
-            Stack::Rubin => "RDMA (Rubin)",
-        }
-    }
-}
 
 /// The default replica-group configuration for KV runs: the standard
 /// 4-replica small() group with read leases armed.
@@ -56,12 +23,9 @@ pub fn kv_config() -> ReptorConfig {
 
 /// A replicated KV group with history-recording clients.
 pub struct KvHarness {
-    /// The discrete-event simulator.
-    pub sim: Simulator,
-    /// The simulated network.
-    pub net: Network,
-    /// The replica group.
-    pub replicas: Vec<Replica>,
+    /// The replica group: simulator, fabric, replicas and the agreement
+    /// clients the KV clients wrap.
+    pub cluster: Cluster,
     /// The KV clients (node ids `n ..`).
     pub clients: Vec<KvClient>,
 }
@@ -77,78 +41,29 @@ impl KvHarness {
         cfg: ReptorConfig,
         capacity: usize,
     ) -> KvHarness {
-        let n = cfg.n;
-        let (mut sim, net, hosts) = TestBed::cluster(seed, n + num_clients);
-        let nodes: Vec<(u32, HostId, CoreId)> = hosts
+        let cluster = Cluster::build(stack, cfg, num_clients, seed, || {
+            Box::new(KvStoreService::new(capacity))
+        });
+        let endpoints = &cluster.transports[cluster.cfg.n..];
+        let clients = cluster
+            .clients
             .iter()
-            .enumerate()
-            .map(|(i, &h)| (i as u32, h, CoreId(0)))
-            .collect();
-
-        let transports: Vec<Rc<dyn Transport>> = match stack {
-            Stack::Direct => {
-                let pairs: Vec<(u32, HostId)> = nodes.iter().map(|&(n, h, _)| (n, h)).collect();
-                SimTransport::build_group(&net, &pairs)
-                    .into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-            Stack::Nio => {
-                let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-                sim.run_until_idle();
-                ts.into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-            Stack::Rubin => {
-                let ts = RubinTransport::build_group(
-                    &mut sim,
-                    &net,
-                    &nodes,
-                    RnicModel::mt27520(),
-                    RubinConfig::paper(),
-                );
-                sim.run_until_idle();
-                ts.into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-        };
-
-        let replicas: Vec<Replica> = (0..n)
-            .map(|i| {
-                Replica::new(
-                    i as u32,
-                    cfg.clone(),
-                    DOMAIN_SECRET,
-                    transports[i].clone(),
-                    &net,
-                    hosts[i],
-                    Box::new(KvStoreService::new(capacity)),
+            .zip(endpoints)
+            .map(|(client, transport)| {
+                KvClient::new(
+                    client.clone(),
+                    &cluster.cfg,
+                    transport.clone(),
+                    cluster.metrics(),
                 )
             })
             .collect();
-
-        let clients: Vec<KvClient> = (0..num_clients)
-            .map(|i| {
-                let id = (n + i) as u32;
-                let client = Client::new(id, cfg.clone(), DOMAIN_SECRET, transports[n + i].clone());
-                KvClient::new(client, &cfg, transports[n + i].clone(), net.metrics())
-            })
-            .collect();
-
-        KvHarness {
-            sim,
-            net,
-            replicas,
-            clients,
-        }
+        KvHarness { cluster, clients }
     }
 
     /// The run's full cross-layer metrics snapshot.
     pub fn metrics_snapshot(&self) -> simnet::MetricsSnapshot {
-        self.net.publish_sim_gauges(&self.sim);
-        self.net.metrics().snapshot()
+        self.cluster.metrics_snapshot()
     }
 
     /// Drives every client through `ops_per_client` operations of `spec`
@@ -168,7 +83,7 @@ impl KvHarness {
             .map(|c| ClientWorkload::new(c.id(), spec.clone(), run_seed))
             .collect();
         for c in &self.clients {
-            c.query_leases(&mut self.sim);
+            c.query_leases(&mut self.cluster.sim);
         }
         let mut events = 0u64;
         loop {
@@ -182,9 +97,9 @@ impl KvHarness {
                     continue;
                 }
                 match wls[i].next_op() {
-                    KvHistOp::Get { key, .. } => c.get(&mut self.sim, key),
-                    KvHistOp::Put { key, val } => c.put(&mut self.sim, key, val),
-                    KvHistOp::Del { key } => c.del(&mut self.sim, key),
+                    KvHistOp::Get { key, .. } => c.get(&mut self.cluster.sim, key),
+                    KvHistOp::Put { key, val } => c.put(&mut self.cluster.sim, key, val),
+                    KvHistOp::Del { key } => c.del(&mut self.cluster.sim, key),
                 }
             }
             if all_issued && self.clients.iter().all(|c| !c.busy()) {
@@ -192,7 +107,7 @@ impl KvHarness {
             }
             let mut stepped = false;
             for _ in 0..256 {
-                if !self.sim.step() {
+                if !self.cluster.sim.step() {
                     break;
                 }
                 stepped = true;
@@ -239,7 +154,7 @@ impl KvHarness {
     /// Sum of a per-node counter across the whole run (suffix-matched,
     /// i.e. both replica- and client-side counters).
     pub fn total(&self, metric: &str) -> u64 {
-        self.net.metrics().total(metric)
+        self.cluster.metrics().total(metric)
     }
 }
 

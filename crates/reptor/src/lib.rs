@@ -17,6 +17,9 @@
 //! * [`RubinTransport`] — message-oriented RUBIN channels driven by the
 //!   RDMA selector (the paper's contribution).
 //!
+//! [`Cluster::build`] wires a replica group and its clients over any of
+//! them, chosen by [`Stack`].
+//!
 //! # Example: a replicated counter reaching consensus
 //!
 //! ```
@@ -54,7 +57,7 @@ mod state_transfer;
 mod transport;
 
 pub use client::{AuxHandler, Client, ClientStats, Completion};
-pub use cluster::{Cluster, DOMAIN_SECRET};
+pub use cluster::{Cluster, Stack, DOMAIN_SECRET};
 pub use codec::{CodecError, Reader, Writer};
 pub use config::{DurabilityConfig, ReptorConfig};
 pub use durability::{

@@ -223,12 +223,6 @@ impl<W: Wire> Mesh<W> {
         self.inner.borrow().metrics.clone()
     }
 
-    /// This endpoint's `<NAME>_transport.<node>.<name>` counter.
-    pub(crate) fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.borrow();
-        inner.metrics.counter(&key::<W>(inner.node, name))
-    }
-
     pub(crate) fn wire(&self) -> Ref<'_, W> {
         Ref::map(self.inner.borrow(), |i| &i.wire)
     }

@@ -259,21 +259,6 @@ impl NioTransport {
             .collect()
     }
 
-    /// Re-dial attempts made after stream failures.
-    pub fn reconnect_attempts(&self) -> u64 {
-        self.mesh.counter("reconnect_attempts")
-    }
-
-    /// Re-dials that reached establishment.
-    pub fn reconnects_completed(&self) -> u64 {
-        self.mesh.counter("reconnects_completed")
-    }
-
-    /// Select calls performed by this endpoint's selector.
-    pub fn selects_performed(&self) -> u64 {
-        self.mesh.wire().selector.selects_performed()
-    }
-
     /// The shared metrics registry of the fabric this endpoint runs on.
     pub fn metrics(&self) -> simnet::Metrics {
         self.mesh.metrics()

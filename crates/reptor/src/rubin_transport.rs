@@ -248,21 +248,6 @@ impl RubinTransport {
             .map(|mesh| RubinTransport { mesh })
             .collect()
     }
-
-    /// Re-dial attempts made after channel failures.
-    pub fn reconnect_attempts(&self) -> u64 {
-        self.mesh.counter("reconnect_attempts")
-    }
-
-    /// Re-dials that reached establishment.
-    pub fn reconnects_completed(&self) -> u64 {
-        self.mesh.counter("reconnects_completed")
-    }
-
-    /// Select calls performed by this endpoint's selector.
-    pub fn selects_performed(&self) -> u64 {
-        self.mesh.wire().selector.selects_performed()
-    }
 }
 
 impl Transport for RubinTransport {

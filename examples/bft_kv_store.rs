@@ -8,87 +8,41 @@
 //!
 //! Run with: `cargo run --example bft_kv_store`
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
-use reptor::{
-    ByzantineMode, Client, KvOp, KvService, NodeId, Replica, ReptorConfig, RubinTransport,
-    Transport, DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, TestBed};
+use reptor::{ByzantineMode, Cluster, KvOp, KvService, ReptorConfig, Stack};
 
 fn main() {
-    let cfg = ReptorConfig::small();
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(7, n + 1);
-    let nodes: Vec<(NodeId, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-
-    // Replica communication over the RUBIN RDMA stack.
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle(); // connection management settles
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                Rc::new(transports[i].clone()) as Rc<dyn Transport>,
-                &net,
-                hosts[i],
-                Box::new(KvService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg.clone(), DOMAIN_SECRET, {
-        Rc::new(transports[n].clone()) as Rc<dyn Transport>
+    // Four replicas and one client, replica communication over the RUBIN
+    // RDMA stack.
+    let mut c = Cluster::build(Stack::Rubin, ReptorConfig::small(), 1, 7, || {
+        Box::new(KvService::default())
     });
-
-    let run = |sim: &mut simnet::Simulator, want: u64| {
-        let mut guard = 0u64;
-        while client.stats().completed < want {
-            assert!(sim.step(), "cluster went idle early");
-            guard += 1;
-            assert!(guard < 20_000_000, "stalled");
-        }
-    };
+    let client = c.clients[0].clone();
 
     println!("== putting keys through BFT consensus over RDMA ==");
     let mut want = 0;
     for (k, v) in [("alice", "42"), ("bob", "17"), ("carol", "99")] {
         client.submit(
-            &mut sim,
+            &mut c.sim,
             KvOp::Put(k.as_bytes().to_vec(), v.as_bytes().to_vec()).encode(),
         );
         want += 1;
     }
-    run(&mut sim, want);
-    for c in client.completions() {
+    c.run_to_completion(want);
+    for put in client.completions() {
         println!(
             "  put #{} -> {:?} in {}",
-            c.timestamp,
-            String::from_utf8_lossy(&c.result),
-            c.latency()
+            put.timestamp,
+            String::from_utf8_lossy(&put.result),
+            put.latency()
         );
     }
 
     println!("\n== crashing replica 3 (f = 1 tolerated) ==");
-    replicas[3].set_byzantine(ByzantineMode::Crash);
+    c.replicas[3].set_byzantine(ByzantineMode::Crash);
 
-    client.submit(&mut sim, KvOp::Get(b"bob".to_vec()).encode());
+    client.submit(&mut c.sim, KvOp::Get(b"bob".to_vec()).encode());
     want += 1;
-    run(&mut sim, want);
+    c.run_to_completion(want);
     let got = client.completions().last().unwrap().clone();
     println!(
         "  get bob -> {:?} in {} (despite the crash)",
@@ -98,7 +52,7 @@ fn main() {
     assert_eq!(got.result, b"17");
 
     println!("\n== replica states ==");
-    for r in &replicas {
+    for r in &c.replicas {
         let digest = r.with_service(|s| s.state_digest());
         println!(
             "  replica {}: executed {} requests, state digest {}",
@@ -107,5 +61,11 @@ fn main() {
             digest.short()
         );
     }
-    println!("\nRDMA transport stats (replica 0): {:?}", transports[0]);
+    let m = c.metrics();
+    println!(
+        "\nRDMA work across the group: {} sends posted ({} inline), {} retransmits",
+        m.total("sends_posted"),
+        m.total("inline_sends"),
+        m.total("retransmits")
+    );
 }

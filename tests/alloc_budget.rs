@@ -17,10 +17,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use counting_alloc::{allocs, CountingAlloc};
-use rdma_verbs::RnicModel;
-use reptor::{Client, CounterService, Replica, ReptorConfig, RubinTransport, Transport};
-use rubin::RubinConfig;
-use simnet::{CoreId, CpuModel, HostId, Network, Simulator, TestBed};
+use reptor::{Cluster, CounterService, ReptorConfig, Stack};
+use simnet::{CoreId, CpuModel, Network, Simulator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -32,21 +30,6 @@ const ECHO_BUDGET: f64 = 37.0;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
 const PBFT_BUDGET: f64 = 450.0;
 
-fn rubin_group(
-    sim: &mut Simulator,
-    net: &Network,
-    nodes: &[(u32, HostId, CoreId)],
-) -> Vec<Rc<dyn Transport>> {
-    let group =
-        RubinTransport::build_group(sim, net, nodes, RnicModel::mt27520(), RubinConfig::paper());
-    // Let the mesh establish before traffic starts.
-    sim.run_until_idle();
-    group
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect()
-}
-
 #[test]
 fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
     const WARMUP: u64 = 200;
@@ -56,7 +39,7 @@ fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
     let net = Network::new();
     let host = net.add_host("local", 4, CpuModel::xeon_v2());
     let nodes = [(0, host, CoreId(0)), (1, host, CoreId(2))];
-    let transports = rubin_group(&mut sim, &net, &nodes);
+    let transports = Stack::Rubin.mesh(&mut sim, &net, &nodes);
     let (server, client) = (transports[0].clone(), transports[1].clone());
 
     let echo_via = server.clone();
@@ -96,39 +79,18 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
     const WARMUP_ROUNDS: u64 = 10;
     const MEASURED_ROUNDS: u64 = 50;
 
-    let cfg = ReptorConfig::small();
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(7, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = rubin_group(&mut sim, &net, &nodes);
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                reptor::DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(CounterService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg, reptor::DOMAIN_SECRET, transports[n].clone());
+    let mut c = Cluster::build(Stack::Rubin, ReptorConfig::small(), 1, 7, || {
+        Box::new(CounterService::default())
+    });
+    let client = c.clients[0].clone();
 
     let mut rounds = |count: u64| {
         for _ in 0..count {
             let want = client.stats().completed + OUTSTANDING;
             for _ in 0..OUTSTANDING {
-                client.submit(&mut sim, vec![0x5a; PAYLOAD]);
+                client.submit(&mut c.sim, vec![0x5a; PAYLOAD]);
             }
-            while client.stats().completed < want {
-                assert!(sim.step(), "agreement stalled");
-            }
+            c.run_to_completion(want);
         }
     };
     rounds(WARMUP_ROUNDS);
@@ -141,7 +103,7 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
         per_request <= PBFT_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
     );
-    for r in &replicas {
+    for r in &c.replicas {
         assert!(
             r.stats().executed_requests >= requests,
             "replica {}",

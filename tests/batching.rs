@@ -13,81 +13,10 @@ use std::rc::Rc;
 
 use bft_crypto::Digest;
 use proptest::prelude::*;
-use rdma_verbs::RnicModel;
 use reptor::{
-    Client, ClientId, Cluster, CounterService, NioTransport, Replica, ReptorConfig, Request,
-    RubinTransport, SeqNum, StateMachine, Transport, DOMAIN_SECRET,
+    ClientId, Cluster, CounterService, ReptorConfig, Request, SeqNum, Stack, StateMachine,
 };
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Nanos, TestBed};
-use simnet_socket::TcpModel;
-
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    Sim,
-    Nio,
-    Rubin,
-}
-
-/// A replica group plus clients over the chosen comm stack, in the shape
-/// of `Cluster::sim_transport` so its drivers and checks apply to all three.
-fn cluster(
-    stack: Stack,
-    seed: u64,
-    cfg: ReptorConfig,
-    clients: usize,
-    mut service: impl FnMut() -> Box<dyn StateMachine>,
-) -> Cluster {
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + clients);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match stack {
-        Stack::Sim => return Cluster::sim_transport(cfg, clients, seed, service),
-        Stack::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        Stack::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    // Let the mesh establish before the protocol starts.
-    sim.run_until_idle();
-    let replicas = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                service(),
-            )
-        })
-        .collect();
-    let clients = (n..n + clients)
-        .map(|i| Client::new(i as u32, cfg.clone(), DOMAIN_SECRET, transports[i].clone()))
-        .collect();
-    Cluster {
-        sim,
-        net,
-        replicas,
-        clients,
-        cfg,
-    }
-}
+use simnet::{HostId, Nanos};
 
 fn counter() -> Box<dyn StateMachine> {
     Box::new(CounterService::default())
@@ -168,8 +97,8 @@ impl PartialWatch {
 #[test]
 fn eight_outstanding_fill_batches_on_every_stack() {
     const TOTAL: u64 = 200;
-    for stack in [Stack::Sim, Stack::Rubin, Stack::Nio] {
-        let mut c = cluster(stack, 18, ReptorConfig::small(), 1, counter);
+    for stack in [Stack::Direct, Stack::Rubin, Stack::Nio] {
+        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 18, counter);
         let mut watch = PartialWatch::default();
         closed_loop(&mut c, 8, TOTAL, |c| watch.observe(c));
         c.settle();
@@ -215,7 +144,7 @@ fn full_batches_are_never_held_behind_an_open_instance() {
         batch_size: 3,
         ..ReptorConfig::small()
     };
-    let mut c = cluster(Stack::Sim, 19, cfg, 1, counter);
+    let mut c = Cluster::build(Stack::Direct, cfg, 1, 19, counter);
     let mut watch = PartialWatch::default();
     closed_loop(&mut c, 8, TOTAL, |c| watch.observe(c));
     c.settle();
@@ -238,7 +167,7 @@ fn single_outstanding_client_sees_no_added_latency() {
             batch_size,
             ..ReptorConfig::small()
         };
-        let mut c = cluster(Stack::Sim, 20, cfg, 1, counter);
+        let mut c = Cluster::build(Stack::Direct, cfg, 1, 20, counter);
         closed_loop(&mut c, 1, 50, |_| {});
         let done = c.clients[0].completions();
         done.iter().map(|d| d.latency().as_nanos()).sum::<u64>() as f64 / done.len() as f64
@@ -288,7 +217,7 @@ fn run_schedule(cfg: ReptorConfig, clients: usize, seed: u64, at_us: &[u64]) -> 
     // Replica 0's service is built first and shares its log with the test.
     let order = Rc::new(RefCell::new(Vec::new()));
     let mut shared = Some(order.clone());
-    let mut c = cluster(Stack::Sim, seed, cfg, clients, || {
+    let mut c = Cluster::build(Stack::Direct, cfg, clients, seed, || {
         Box::new(OrderLog {
             order: shared.take().unwrap_or_default(),
             chain: Digest::ZERO,
@@ -367,7 +296,7 @@ fn primary_proposes_held_batch_when_state_transfer_completes_its_instance() {
         checkpoint_interval: 2,
         ..ReptorConfig::small()
     };
-    let mut c = cluster(Stack::Sim, 22, cfg, 1, counter);
+    let mut c = Cluster::build(Stack::Direct, cfg, 1, 22, counter);
     let client = c.clients[0].clone();
     let (primary, backups) = (c.replicas[0].clone(), c.replicas[1..].to_vec());
     client.submit(&mut c.sim, b"inc".to_vec());
@@ -433,7 +362,7 @@ fn same_seed_snapshots_are_byte_identical_under_batching() {
                     pillars,
                     ..ReptorConfig::small()
                 };
-                let mut c = cluster(stack, 23, cfg, 1, counter);
+                let mut c = Cluster::build(stack, cfg, 1, 23, counter);
                 closed_loop(&mut c, 8, 64, |_| {});
                 c.settle();
                 assert!(c.replicas[0].stats().executed_batches < 64);

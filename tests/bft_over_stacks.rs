@@ -1,187 +1,186 @@
 //! Integration tests spanning the whole workspace: PBFT agreement driven
 //! over each of the three comm stacks (direct fabric, NIO-TCP, RUBIN-RDMA)
 //! — the paper's end goal of an RDMA-enabled BFT protocol, exercised end
-//! to end.
+//! to end. Every scenario is one body run on a [`Stack`]; what the client
+//! and the service see must not depend on which.
 
-use std::rc::Rc;
+use bft_crypto::Digest;
+use reptor::{ByzantineMode, Cluster, CounterService, ReptorConfig, Stack};
 
-use rdma_verbs::RnicModel;
-use reptor::{
-    ByzantineMode, Client, CounterService, NioTransport, Replica, ReptorConfig, RubinTransport,
-    Transport, DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+const STACKS: [Stack; 3] = [Stack::Direct, Stack::Nio, Stack::Rubin];
 
-enum StackKind {
-    Nio,
-    Rubin,
+/// What a run looks like from outside the comm stack.
+#[derive(Debug)]
+struct Outcome {
+    /// The client's `(timestamp, result)` replies in completion order.
+    replies: Vec<(u64, Vec<u8>)>,
+    /// The service state every live replica ended in.
+    state: Digest,
+    /// Mean request latency in nanoseconds (differs per stack by design).
+    mean_latency_ns: u128,
 }
 
-struct World {
-    sim: Simulator,
-    net: Network,
-    replicas: Vec<Replica>,
-    client: Client,
+impl Outcome {
+    fn seen_by_client(&self) -> (&[(u64, Vec<u8>)], Digest) {
+        (&self.replies, self.state)
+    }
 }
 
-fn build(kind: StackKind, seed: u64) -> World {
-    let cfg = ReptorConfig::small();
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
+/// `requests` counter increments in one burst against a four-replica
+/// group with `fault` injected at one replica; checks safety and that the
+/// other replicas executed everything and agree on the state.
+fn counter_run(
+    stack: Stack,
+    seed: u64,
+    requests: u64,
+    fault: Option<(usize, ByzantineMode)>,
+) -> (Cluster, Outcome) {
+    let mut c = Cluster::build(stack, ReptorConfig::small(), 1, seed, || {
+        Box::new(CounterService::default())
+    });
+    if let Some((replica, mode)) = fault {
+        c.replicas[replica].set_byzantine(mode);
+    }
+    let client = c.clients[0].clone();
+    for _ in 0..requests {
+        client.submit(&mut c.sim, b"inc".to_vec());
+    }
+    c.run_to_completion(requests);
+    let done = client.completions();
+    let mean_latency_ns = done
+        .iter()
+        .map(|d| d.latency().as_nanos() as u128)
+        .sum::<u128>()
+        / done.len() as u128;
+    c.settle();
+    c.assert_safety();
+
+    let faulty = fault.map(|(replica, _)| replica);
+    let states: Vec<Digest> = c
+        .replicas
         .iter()
         .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    // Let the mesh establish before the protocol starts.
-    sim.run_until_idle();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(CounterService::default()),
-            )
+        .filter(|(i, _)| Some(*i) != faulty)
+        .map(|(_, r)| {
+            assert_eq!(
+                r.stats().executed_requests,
+                requests,
+                "{stack:?}: replica {}",
+                r.id()
+            );
+            r.with_service(|s| s.state_digest())
         })
         .collect();
-    let client = Client::new(n as u32, cfg, DOMAIN_SECRET, transports[n].clone());
-    World {
-        sim,
-        net,
-        replicas,
-        client,
-    }
+    assert!(
+        states.windows(2).all(|w| w[0] == w[1]),
+        "{stack:?}: replicas diverged"
+    );
+    let outcome = Outcome {
+        replies: done.into_iter().map(|d| (d.timestamp, d.result)).collect(),
+        state: states[0],
+        mean_latency_ns,
+    };
+    (c, outcome)
 }
 
-fn run_to_completion(w: &mut World, want: u64) {
-    let mut guard: u64 = 0;
-    while w.client.stats().completed < want {
-        assert!(w.sim.step(), "simulation went idle before completion");
-        guard += 1;
-        assert!(guard < 20_000_000, "agreement stalled");
-    }
+/// The fault-free burst: ten increments, answered 1..=10 in order.
+fn counter_scenario(stack: Stack, seed: u64) -> Outcome {
+    let (_, outcome) = counter_run(stack, seed, 10, None);
+    let want: Vec<(u64, Vec<u8>)> = (1..=10u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
+    assert_eq!(outcome.replies, want, "{stack:?}");
+    outcome
 }
 
-fn assert_total_order(replicas: &[Replica]) {
-    let logs: Vec<_> = replicas.iter().map(Replica::executed_log).collect();
-    for a in &logs {
-        for b in &logs {
-            for (sa, da) in a {
-                for (sb, db) in b {
-                    if sa == sb {
-                        assert_eq!(da, db, "divergent execution at seq {sa}");
-                    }
-                }
-            }
-        }
-    }
+#[test]
+fn bft_counter_over_direct_stack() {
+    counter_scenario(Stack::Direct, 100);
 }
 
 #[test]
 fn bft_counter_over_nio_tcp_stack() {
-    let mut w = build(StackKind::Nio, 101);
-    let client = w.client.clone();
-    for _ in 0..10 {
-        client.submit(&mut w.sim, b"inc".to_vec());
-    }
-    run_to_completion(&mut w, 10);
-    w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
-    for r in &w.replicas {
-        assert_eq!(r.stats().executed_requests, 10, "replica {}", r.id());
-    }
-    let last = client.completions().last().unwrap().result.clone();
-    assert_eq!(last, 10u64.to_le_bytes());
+    counter_scenario(Stack::Nio, 101);
 }
 
 #[test]
 fn bft_counter_over_rubin_rdma_stack() {
-    let mut w = build(StackKind::Rubin, 102);
-    let client = w.client.clone();
-    for _ in 0..10 {
-        client.submit(&mut w.sim, b"inc".to_vec());
+    counter_scenario(Stack::Rubin, 102);
+}
+
+/// The integration claim itself: the comm stack is invisible to the
+/// protocol's observers. Same seed, same workload — the same reply
+/// sequence and the same state digest on all three stacks.
+#[test]
+fn replies_and_state_are_identical_on_all_three_stacks() {
+    let runs = STACKS.map(|stack| counter_scenario(stack, 103));
+    for (stack, run) in STACKS.iter().zip(&runs) {
+        assert_eq!(
+            run.seen_by_client(),
+            runs[0].seen_by_client(),
+            "{stack:?} vs {:?}",
+            STACKS[0]
+        );
     }
-    run_to_completion(&mut w, 10);
-    w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
-    for r in &w.replicas {
-        assert_eq!(r.stats().executed_requests, 10, "replica {}", r.id());
-    }
-    let last = client.completions().last().unwrap().result.clone();
-    assert_eq!(last, 10u64.to_le_bytes());
 }
 
 #[test]
 fn rdma_stack_commits_faster_than_tcp_stack() {
     // The paper's motivation end to end: agreement latency over RUBIN must
-    // beat agreement latency over the NIO TCP stack.
-    let latency = |kind: StackKind| {
-        let mut w = build(kind, 103);
-        let client = w.client.clone();
-        for _ in 0..10 {
-            client.submit(&mut w.sim, b"inc".to_vec());
-        }
-        run_to_completion(&mut w, 10);
-        let comps = client.completions();
-        let total: u128 = comps.iter().map(|c| c.latency().as_nanos() as u128).sum();
-        total / comps.len() as u128
-    };
-    let tcp = latency(StackKind::Nio);
-    let rdma = latency(StackKind::Rubin);
+    // beat agreement latency over the NIO TCP stack — and the direct fabric,
+    // which charges no comm-stack CPU at all, bounds both from below.
+    let [direct, tcp, rdma] = STACKS.map(|stack| counter_scenario(stack, 103).mean_latency_ns);
     assert!(
         rdma < tcp,
         "RDMA agreement ({rdma}ns) must beat TCP agreement ({tcp}ns)"
     );
+    assert!(
+        direct < rdma,
+        "the direct fabric ({direct}ns) is the floor under RDMA ({rdma}ns)"
+    );
+}
+
+/// A silent primary is voted out and the request commits in a later view.
+fn byzantine_leader_scenario(stack: Stack, seed: u64) -> Outcome {
+    let fault = Some((0, ByzantineMode::SilentPrimary));
+    let (c, outcome) = counter_run(stack, seed, 1, fault);
+    for r in &c.replicas[1..] {
+        assert!(r.view() >= 1, "{stack:?}: view change must have happened");
+    }
+    outcome
 }
 
 #[test]
 fn byzantine_leader_tolerated_over_rubin_stack() {
-    let mut w = build(StackKind::Rubin, 104);
-    w.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
-    let client = w.client.clone();
-    client.submit(&mut w.sim, b"inc".to_vec());
-    run_to_completion(&mut w, 1);
-    w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
-    for r in &w.replicas[1..] {
-        assert!(r.view() >= 1, "view change must have happened");
+    byzantine_leader_scenario(Stack::Rubin, 104);
+}
+
+#[test]
+fn byzantine_leader_tolerated_identically_on_all_three_stacks() {
+    let runs = STACKS.map(|stack| byzantine_leader_scenario(stack, 104));
+    for run in &runs {
+        assert_eq!(run.seen_by_client(), runs[0].seen_by_client());
     }
+}
+
+/// A crashed backup costs nothing but its vote.
+fn crashed_replica_scenario(stack: Stack, seed: u64) -> Outcome {
+    let (c, outcome) = counter_run(stack, seed, 5, Some((2, ByzantineMode::Crash)));
+    assert_eq!(
+        c.replicas[2].last_executed(),
+        0,
+        "{stack:?}: crashed is dead"
+    );
+    outcome
 }
 
 #[test]
 fn crashed_replica_tolerated_over_nio_stack() {
-    let mut w = build(StackKind::Nio, 105);
-    w.replicas[2].set_byzantine(ByzantineMode::Crash);
-    let client = w.client.clone();
-    for _ in 0..5 {
-        client.submit(&mut w.sim, b"inc".to_vec());
+    crashed_replica_scenario(Stack::Nio, 105);
+}
+
+#[test]
+fn crashed_replica_tolerated_identically_on_all_three_stacks() {
+    let runs = STACKS.map(|stack| crashed_replica_scenario(stack, 105));
+    for run in &runs {
+        assert_eq!(run.seen_by_client(), runs[0].seen_by_client());
     }
-    run_to_completion(&mut w, 5);
-    w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
-    assert_eq!(w.replicas[0].stats().executed_requests, 5);
-    let _ = &w.net;
 }

@@ -133,7 +133,7 @@ proptest! {
 fn stale_lease_offer_is_rnic_denied_and_rotated_out() {
     for seed in 1u64..=5 {
         let mut h = KvHarness::build(Stack::Rubin, 0x51E + seed, 3, kv_config(), 64);
-        h.replicas[1].set_byzantine(ByzantineMode::StaleLeaseOffer);
+        h.cluster.replicas[1].set_byzantine(ByzantineMode::StaleLeaseOffer);
         assert!(
             h.run_ycsb(&YcsbSpec::b(16), seed, 25, 60_000_000),
             "run wedged (seed {seed})"
@@ -170,7 +170,7 @@ fn stale_lease_offer_is_rnic_denied_and_rotated_out() {
 fn forged_lease_cells_are_outvoted_and_never_served() {
     for seed in 1u64..=5 {
         let mut h = KvHarness::build(Stack::Rubin, 0xF0C + seed, 3, kv_config(), 64);
-        h.replicas[1].set_byzantine(ByzantineMode::ForgedLeaseCells);
+        h.cluster.replicas[1].set_byzantine(ByzantineMode::ForgedLeaseCells);
         assert!(
             h.run_ycsb(&YcsbSpec::a(16), seed, 25, 60_000_000),
             "run wedged (seed {seed})"
@@ -208,7 +208,7 @@ fn forged_lease_cells_are_outvoted_and_never_served() {
 fn apply_lag_quorum_divergence_never_inverts_reads() {
     for seed in 1u64..=5 {
         let mut h = KvHarness::build(Stack::Rubin, 0xAB1 + seed, 3, kv_config(), 64);
-        h.net.with_faults(|f| {
+        h.cluster.net.with_faults(|f| {
             for src in [0u32, 1, 3] {
                 f.set_extra_delay(HostId(src), HostId(2), Nanos::from_micros(400));
             }

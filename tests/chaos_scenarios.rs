@@ -19,152 +19,25 @@
 //!   view-change to a new primary, and the transport layer re-dials the
 //!   restarted host with exponential backoff.
 
-use std::rc::Rc;
+mod common;
 
-use rdma_verbs::RnicModel;
+use common::chaos_seed;
 use reptor::{
-    ByzantineMode, Client, CounterService, NioTransport, RecoveryConfig, RecoveryScheduler,
-    Replica, ReptorConfig, RubinTransport, Transport, DOMAIN_SECRET,
+    ByzantineMode, Cluster, CounterService, RecoveryConfig, RecoveryScheduler, ReptorConfig, Stack,
 };
-use rubin::RubinConfig;
-use simnet::{ChaosAction, ChaosSchedule, CoreId, HostId, Nanos, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+use simnet::{ChaosAction, ChaosSchedule, Nanos};
 
-/// Seed for the chaos timeline; CI sweeps this via the environment.
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+/// Four counter replicas and one client on `stack`.
+fn build(stack: Stack, seed: u64, cfg: ReptorConfig) -> Cluster {
+    Cluster::build(stack, cfg, 1, seed, || Box::new(CounterService::default()))
 }
 
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
-}
-
-/// The concrete transport endpoints, kept so scenarios can assert on
-/// reconnect counters after the protocol layer is done with them.
-enum Stacks {
-    Nio(Vec<NioTransport>),
-    Rubin(Vec<RubinTransport>),
-}
-
-impl Stacks {
-    fn reconnect_attempts(&self) -> u64 {
-        match self {
-            Stacks::Nio(ts) => ts.iter().map(NioTransport::reconnect_attempts).sum(),
-            Stacks::Rubin(ts) => ts.iter().map(RubinTransport::reconnect_attempts).sum(),
-        }
-    }
-
-    fn reconnects_completed(&self) -> u64 {
-        match self {
-            Stacks::Nio(ts) => ts.iter().map(NioTransport::reconnects_completed).sum(),
-            Stacks::Rubin(ts) => ts.iter().map(RubinTransport::reconnects_completed).sum(),
-        }
-    }
-}
-
-struct World {
-    sim: Simulator,
-    net: Network,
-    hosts: Vec<HostId>,
-    replicas: Vec<Replica>,
-    client: Client,
-    stacks: Stacks,
-}
-
-fn build(kind: StackKind, seed: u64) -> World {
-    build_cfg(kind, seed, ReptorConfig::small())
-}
-
-fn build_cfg(kind: StackKind, seed: u64, cfg: ReptorConfig) -> World {
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let (stacks, transports): (Stacks, Vec<Rc<dyn Transport>>) = match kind {
-        StackKind::Nio => {
-            let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-            let dyns = ts
-                .iter()
-                .map(|t| Rc::new(t.clone()) as Rc<dyn Transport>)
-                .collect();
-            (Stacks::Nio(ts), dyns)
-        }
-        StackKind::Rubin => {
-            let ts = RubinTransport::build_group(
-                &mut sim,
-                &net,
-                &nodes,
-                RnicModel::mt27520(),
-                RubinConfig::paper(),
-            );
-            let dyns = ts
-                .iter()
-                .map(|t| Rc::new(t.clone()) as Rc<dyn Transport>)
-                .collect();
-            (Stacks::Rubin(ts), dyns)
-        }
-    };
-    // Let the mesh establish before faults or traffic start.
-    sim.run_until_idle();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(CounterService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg, DOMAIN_SECRET, transports[n].clone());
-    World {
-        sim,
-        net,
-        hosts,
-        replicas,
-        client,
-        stacks,
-    }
-}
-
-fn run_to_completion(w: &mut World, want: u64) {
-    let mut guard: u64 = 0;
-    while w.client.stats().completed < want {
-        assert!(w.sim.step(), "simulation went idle before completion");
-        guard += 1;
-        assert!(guard < 20_000_000, "agreement stalled");
-    }
-}
-
-fn assert_total_order(replicas: &[Replica]) {
-    let logs: Vec<_> = replicas.iter().map(Replica::executed_log).collect();
-    for a in &logs {
-        for b in &logs {
-            for (sa, da) in a {
-                for (sb, db) in b {
-                    if sa == sb {
-                        assert_eq!(da, db, "divergent execution at seq {sa}");
-                    }
-                }
-            }
-        }
-    }
+fn incs(count: u64) -> impl Iterator<Item = Vec<u8>> {
+    (0..count).map(|_| b"inc".to_vec())
 }
 
 /// Installs directional loss `p` on every ordered host pair.
-fn lossy_mesh(w: &World, p: f64) {
+fn lossy_mesh(w: &Cluster, p: f64) {
     w.net.with_faults(|f| {
         for &a in &w.hosts {
             for &b in &w.hosts {
@@ -179,18 +52,18 @@ fn lossy_mesh(w: &World, p: f64) {
 /// Agreement under packet loss: the per-stack reliability layer (RC
 /// retransmission / TCP go-back-N) absorbs 1–5% drop rates without the
 /// protocol noticing.
-fn loss_scenario(kind: StackKind, seed: u64) {
-    let mut w = build(kind, seed);
+fn loss_scenario(kind: Stack, seed: u64) {
+    let mut w = build(kind, seed, ReptorConfig::small());
     // 1%..5% depending on the seed, so the CI matrix sweeps the range.
     let p = 0.01 * (1 + seed % 5) as f64;
     lossy_mesh(&w, p);
-    let client = w.client.clone();
+    let client = w.clients[0].clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 10);
+    w.run_to_completion(10);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(r.stats().executed_requests, 10, "replica {}", r.id());
     }
@@ -200,19 +73,19 @@ fn loss_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn pbft_reaches_agreement_under_loss_on_rubin_stack() {
-    loss_scenario(StackKind::Rubin, chaos_seed());
+    loss_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn pbft_reaches_agreement_under_loss_on_nio_stack() {
-    loss_scenario(StackKind::Nio, chaos_seed());
+    loss_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Duplicated and reordered frames must never double-execute a request:
 /// the QP/TCP sequence layer suppresses wire-level duplicates and the
 /// replica's client-request dedup absorbs client resends.
-fn dup_reorder_scenario(kind: StackKind, seed: u64) {
-    let mut w = build(kind, seed);
+fn dup_reorder_scenario(kind: Stack, seed: u64) {
+    let mut w = build(kind, seed, ReptorConfig::small());
     w.net.with_faults(|f| {
         for &a in &w.hosts {
             for &b in &w.hosts {
@@ -223,13 +96,13 @@ fn dup_reorder_scenario(kind: StackKind, seed: u64) {
             }
         }
     });
-    let client = w.client.clone();
+    let client = w.clients[0].clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 10);
+    w.run_to_completion(10);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(
             r.stats().executed_requests,
@@ -240,7 +113,7 @@ fn dup_reorder_scenario(kind: StackKind, seed: u64) {
     }
     let last = client.completions().last().unwrap().result.clone();
     assert_eq!(last, 10u64.to_le_bytes(), "counter incremented exactly 10x");
-    if matches!(kind, StackKind::Rubin) {
+    if matches!(kind, Stack::Rubin) {
         // The RDMA receive path saw and suppressed wire duplicates.
         let snap = w.net.metrics().snapshot();
         assert!(
@@ -252,12 +125,12 @@ fn dup_reorder_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn duplicated_and_reordered_frames_execute_exactly_once_on_rubin_stack() {
-    dup_reorder_scenario(StackKind::Rubin, chaos_seed());
+    dup_reorder_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack() {
-    dup_reorder_scenario(StackKind::Nio, chaos_seed());
+    dup_reorder_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Client-request idempotence under resend-like pressure: with every
@@ -266,7 +139,7 @@ fn duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack() {
 /// wire-level sequence dedup).
 #[test]
 fn duplicated_client_requests_are_deduplicated_by_replicas() {
-    let mut w = build(StackKind::Rubin, chaos_seed());
+    let mut w = build(Stack::Rubin, chaos_seed(), ReptorConfig::small());
     let client_host = *w.hosts.last().unwrap();
     w.net.with_faults(|f| {
         for &h in &w.hosts[..w.hosts.len() - 1] {
@@ -274,13 +147,13 @@ fn duplicated_client_requests_are_deduplicated_by_replicas() {
             f.set_reorder_jitter(client_host, h, Nanos::from_micros(3));
         }
     });
-    let client = w.client.clone();
+    let client = w.clients[0].clone();
     for _ in 0..5 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 5);
+    w.run_to_completion(5);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(r.stats().executed_requests, 5, "replica {}", r.id());
     }
@@ -299,7 +172,7 @@ fn duplicated_client_requests_are_deduplicated_by_replicas() {
 /// bytes inside the RDMA data packets).
 #[test]
 fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
-    let mut w = build(StackKind::Rubin, chaos_seed());
+    let mut w = build(Stack::Rubin, chaos_seed(), ReptorConfig::small());
     // Corrupt only replica↔replica links; the client's links stay clean so
     // requests and replies flow. MACs turn corruption into plain loss.
     let replica_hosts = &w.hosts[..w.hosts.len() - 1];
@@ -315,13 +188,13 @@ fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
     // Enough requests for ~10 agreement instances: a burst fills batches,
     // and only a corrupted frame that carries a protocol message (not an
     // ACK) can reach a MAC check.
-    let client = w.client.clone();
+    let client = w.clients[0].clone();
     for _ in 0..64 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 64);
+    w.run_to_completion(64);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     let bad_macs: u64 = w.replicas.iter().map(|r| r.stats().bad_mac_dropped).sum();
     assert!(
         bad_macs > 0,
@@ -341,15 +214,15 @@ fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
 /// after which the mesh is whole again — and nothing executed twice.
 ///
 /// Returns the run's metrics snapshot JSON for the determinism test.
-fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
-    let mut w = build(kind, seed);
-    let client = w.client.clone();
+fn primary_crash_scenario(kind: Stack, seed: u64) -> String {
+    let mut w = build(kind, seed, ReptorConfig::small());
+    let client = w.clients[0].clone();
 
     // Phase 1: a healthy prefix under the original primary (replica 0).
     for _ in 0..3 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 3);
+    w.run_to_completion(3);
     w.sim.run_until_idle();
     assert_eq!(w.replicas[0].stats().executed_requests, 3);
 
@@ -373,13 +246,13 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
     for _ in 0..5 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 8);
+    w.run_to_completion(8);
     for r in &w.replicas[1..] {
         assert!(r.view() >= 1, "replica {} must have view-changed", r.id());
         assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
     }
     assert!(
-        w.stacks.reconnect_attempts() > 0,
+        w.metrics().total("reconnect_attempts") > 0,
         "peers must have re-dialed the crashed host"
     );
 
@@ -405,14 +278,14 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
     w.sim.run_until(t_heal + Nanos::from_millis(150));
 
     assert!(
-        w.stacks.reconnects_completed() > 0,
+        w.metrics().total("reconnects_completed") > 0,
         "re-dials must succeed once the host is back"
     );
     // Exactly-once execution end to end: the live replicas executed the
     // full workload exactly once each; the revived replica holds its
     // pre-crash prefix plus however much of the replayed backlog it could
     // commit — never more than the workload, never a duplicate.
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas[1..] {
         assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
     }
@@ -428,7 +301,7 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn primary_crash_view_change_and_reconnect_on_rubin_stack() {
-    let json = primary_crash_scenario(StackKind::Rubin, chaos_seed());
+    let json = primary_crash_scenario(Stack::Rubin, chaos_seed());
     // The snapshot records the recovery machinery that ran.
     assert!(json.contains("reconnect_attempts"));
     assert!(json.contains("reconnects_completed"));
@@ -437,7 +310,7 @@ fn primary_crash_view_change_and_reconnect_on_rubin_stack() {
 
 #[test]
 fn primary_crash_view_change_and_reconnect_on_nio_stack() {
-    let json = primary_crash_scenario(StackKind::Nio, chaos_seed());
+    let json = primary_crash_scenario(Stack::Nio, chaos_seed());
     assert!(json.contains("reconnect_attempts"));
     assert!(json.contains("reconnects_completed"));
     assert!(json.contains("retransmits"));
@@ -447,21 +320,9 @@ fn primary_crash_view_change_and_reconnect_on_nio_stack() {
 /// change, reconnect backoff — replays byte-identically from a seed.
 #[test]
 fn fixed_seed_crash_timeline_replays_byte_identically() {
-    let a = primary_crash_scenario(StackKind::Rubin, chaos_seed());
-    let b = primary_crash_scenario(StackKind::Rubin, chaos_seed());
+    let a = primary_crash_scenario(Stack::Rubin, chaos_seed());
+    let b = primary_crash_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
-}
-
-/// Submits `count` requests one at a time, waiting for each to complete,
-/// so every request lands in its own agreement instance (concurrent
-/// submission would batch them and collapse the checkpoint-interval
-/// arithmetic the state-transfer scenarios rely on).
-fn submit_sequentially(w: &mut World, count: u64, already_done: u64) {
-    let client = w.client.clone();
-    for i in 0..count {
-        client.submit(&mut w.sim, b"inc".to_vec());
-        run_to_completion(w, already_done + i + 1);
-    }
 }
 
 /// The tentpole recovery scenario: one backup is partitioned away while
@@ -481,17 +342,17 @@ fn submit_sequentially(w: &mut World, count: u64, already_done: u64) {
 /// detect this and route the transfer around it.
 ///
 /// Returns the run's metrics snapshot JSON for the determinism test.
-fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed: u64) -> String {
+fn state_transfer_scenario(kind: Stack, responder_fault: ByzantineMode, seed: u64) -> String {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
     let interval = cfg.checkpoint_interval;
-    let mut w = build_cfg(kind, seed, cfg);
+    let mut w = build(kind, seed, cfg);
     let laggard = w.replicas[2].clone();
 
     // Phase 1: a healthy prefix everyone executes and checkpoints.
-    submit_sequentially(&mut w, 3, 0);
+    w.submit_sequentially(incs(3));
     w.sim.run_until_idle();
     assert_eq!(laggard.last_executed(), 3);
 
@@ -523,7 +384,7 @@ fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed
     // after retry exhaustion and the holding pens shed the backlog. This
     // is what makes the scenario a true long outage: on heal, replay
     // cannot resurrect the missed instances.
-    submit_sequentially(&mut w, 3 * interval, 3);
+    w.submit_sequentially(incs(3 * interval));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_eq!(laggard.last_executed(), 3, "partitioned replica is frozen");
     for r in [&w.replicas[0], &w.replicas[1], &w.replicas[3]] {
@@ -559,8 +420,7 @@ fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed
     // carry checkpoint attestations that steer it into state transfer;
     // the grace timer, the transfer itself and the per-instance tail all
     // run on the 40 ms protocol timeout.
-    let total = 3 + 3 * interval;
-    submit_sequentially(&mut w, 3, total);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(400));
 
     let stats = laggard.stats();
@@ -580,7 +440,7 @@ fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed
         );
     }
 
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     assert_eq!(
         laggard.last_executed(),
         w.replicas[0].last_executed(),
@@ -602,7 +462,7 @@ fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed
 
 #[test]
 fn partitioned_replica_rejoins_via_state_transfer_on_rubin_stack() {
-    let json = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
+    let json = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
     // On the RDMA stack the chunks move by one-sided READs.
     assert!(json.contains("state_transfer_reads"));
     assert!(json.contains("\"reptor.r2.state_transfer_completed\":"));
@@ -610,35 +470,23 @@ fn partitioned_replica_rejoins_via_state_transfer_on_rubin_stack() {
 
 #[test]
 fn partitioned_replica_rejoins_via_state_transfer_on_nio_stack() {
-    let json = state_transfer_scenario(StackKind::Nio, ByzantineMode::Honest, chaos_seed());
+    let json = state_transfer_scenario(Stack::Nio, ByzantineMode::Honest, chaos_seed());
     assert!(json.contains("\"reptor.r2.state_transfer_completed\":"));
 }
 
 #[test]
 fn bogus_state_chunks_responder_is_detected_and_routed_around() {
-    state_transfer_scenario(
-        StackKind::Rubin,
-        ByzantineMode::BogusStateChunks,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Rubin, ByzantineMode::BogusStateChunks, chaos_seed());
 }
 
 #[test]
 fn bogus_state_chunks_responder_is_routed_around_on_nio_stack() {
-    state_transfer_scenario(
-        StackKind::Nio,
-        ByzantineMode::BogusStateChunks,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Nio, ByzantineMode::BogusStateChunks, chaos_seed());
 }
 
 #[test]
 fn stale_checkpoint_responder_is_detected_and_routed_around() {
-    state_transfer_scenario(
-        StackKind::Rubin,
-        ByzantineMode::StaleCheckpoint,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Rubin, ByzantineMode::StaleCheckpoint, chaos_seed());
 }
 
 /// A full state transfer — partition, watermark lag, manifest and chunk
@@ -646,8 +494,8 @@ fn stale_checkpoint_responder_is_detected_and_routed_around() {
 /// byte-identically from a fixed seed.
 #[test]
 fn fixed_seed_state_transfer_replays_byte_identically() {
-    let a = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
-    let b = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
+    let a = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
+    let b = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -656,17 +504,17 @@ fn fixed_seed_state_transfer_replays_byte_identically() {
 /// gone. `Replica::restart` rebuilds it from a fresh service instance;
 /// rejoin probes steer it through catch-up attestations into a state
 /// transfer and back into live agreement.
-fn restart_scenario(kind: StackKind, seed: u64) {
+fn restart_scenario(kind: Stack, seed: u64) {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
     let interval = cfg.checkpoint_interval;
-    let mut w = build_cfg(kind, seed, cfg);
+    let mut w = build(kind, seed, cfg);
     let victim = w.replicas[1].clone();
 
     // Healthy prefix.
-    submit_sequentially(&mut w, 3, 0);
+    w.submit_sequentially(incs(3));
     w.sim.run_until_idle();
     assert_eq!(victim.last_executed(), 3);
 
@@ -689,7 +537,7 @@ fn restart_scenario(kind: StackKind, seed: u64) {
     // lasts long enough for retry exhaustion to break the channels to the
     // dead host: the victim's history is truncated everywhere and the
     // holding pens shed the backlog.
-    submit_sequentially(&mut w, 3 * interval, 3);
+    w.submit_sequentially(incs(3 * interval));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     for r in [&w.replicas[0], &w.replicas[2], &w.replicas[3]] {
         assert!(r.low_mark() >= 2 * interval);
@@ -716,10 +564,9 @@ fn restart_scenario(kind: StackKind, seed: u64) {
     );
 
     // The rejoined replica executes new requests with everyone else.
-    let total = 3 + 3 * interval;
-    submit_sequentially(&mut w, 3, total);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     assert_eq!(victim.last_executed(), w.replicas[0].last_executed());
     let digests: Vec<_> = w
         .replicas
@@ -733,12 +580,12 @@ fn restart_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack() {
-    restart_scenario(StackKind::Rubin, chaos_seed());
+    restart_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack() {
-    restart_scenario(StackKind::Nio, chaos_seed());
+    restart_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Proactive recovery colliding with a partition: a full epoch rotation
@@ -750,16 +597,16 @@ fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack() {
 /// wedging, and complete the rotation. After the heal the abandoned
 /// replica — restarted cold into the partition — recovers through its
 /// own rejoin probes and converges.
-fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
+fn refresh_partition_collision_scenario(kind: Stack, seed: u64) {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build_cfg(kind, seed, cfg);
+    let mut w = build(kind, seed, cfg);
 
     // Healthy prefix past the first checkpoint, so every replica holds a
     // certified store a refreshed member can rebuild from.
-    submit_sequentially(&mut w, 6, 0);
+    w.submit_sequentially(incs(6));
     w.sim.run_until_idle();
 
     // Cut replica 2 off from every other host, client included.
@@ -821,7 +668,7 @@ fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
     heal.install(&mut w.sim, &w.net);
     w.sim.run_until(t_heal + Nanos::from_millis(150));
 
-    submit_sequentially(&mut w, 3, 6);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(2000));
 
     let victim = &w.replicas[2];
@@ -829,7 +676,7 @@ fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
         victim.stats().state_transfers_completed >= 1,
         "healed victim must have rebuilt by state transfer"
     );
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     assert_eq!(victim.last_executed(), w.replicas[0].last_executed());
     let digests: Vec<_> = w
         .replicas
@@ -846,12 +693,12 @@ fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn proactive_refresh_collides_with_partition_on_rubin_stack() {
-    refresh_partition_collision_scenario(StackKind::Rubin, chaos_seed());
+    refresh_partition_collision_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn proactive_refresh_collides_with_partition_on_nio_stack() {
-    refresh_partition_collision_scenario(StackKind::Nio, chaos_seed());
+    refresh_partition_collision_scenario(Stack::Nio, chaos_seed());
 }
 
 /// A Byzantine responder advertising a stale-epoch rkey, on the RDMA
@@ -870,13 +717,13 @@ fn stale_epoch_offer_scenario(seed: u64) -> String {
         ..ReptorConfig::small()
     };
     let interval = cfg.checkpoint_interval;
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
+    let mut w = build(Stack::Rubin, seed, cfg);
     let laggard = w.replicas[2].clone();
 
     // Healthy prefix; replica 3's agreement role stays honest so
     // checkpoint certificates still form — it lies only as a state
     // server, and only after the epoch roll arms `stale_offer`.
-    submit_sequentially(&mut w, 3, 0);
+    w.submit_sequentially(incs(3));
     w.sim.run_until_idle();
     w.replicas[3].set_byzantine(ByzantineMode::StaleEpochOffer);
 
@@ -898,7 +745,7 @@ fn stale_epoch_offer_scenario(seed: u64) -> String {
     }
     cut.install(&mut w.sim, &w.net);
     w.sim.run_until(t_cut + Nanos::from_micros(1));
-    submit_sequentially(&mut w, 3 * interval, 3);
+    w.submit_sequentially(incs(3 * interval));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
     // The scheduler's fence step, applied directly for exact timing:
@@ -928,8 +775,7 @@ fn stale_epoch_offer_scenario(seed: u64) -> String {
     }
     heal.install(&mut w.sim, &w.net);
     w.sim.run_until(t_heal + Nanos::from_millis(150));
-    let total = 3 + 3 * interval;
-    submit_sequentially(&mut w, 3, total);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(400));
 
     let stats = laggard.stats();
@@ -960,7 +806,7 @@ fn stale_epoch_offer_scenario(seed: u64) -> String {
         );
     }
 
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     assert_eq!(laggard.last_executed(), w.replicas[0].last_executed());
     let digests: Vec<_> = w
         .replicas
@@ -993,15 +839,15 @@ fn equivocating_slot_writer_scenario(seed: u64) -> String {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
-    let client = w.client.clone();
+    let mut w = build(Stack::Rubin, seed, cfg);
+    let client = w.clients[0].clone();
 
     // Healthy prefix: the followers' slot grants reach the leader, so
     // the equivocation below rides the fast path, not the message path.
     for _ in 0..3 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 3);
+    w.run_to_completion(3);
     w.sim.run_until_idle();
     assert!(
         w.replicas[0].stats().fast_path_writes > 0,
@@ -1012,7 +858,7 @@ fn equivocating_slot_writer_scenario(seed: u64) -> String {
     for _ in 0..5 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 8);
+    w.run_to_completion(8);
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
     for r in &w.replicas[1..] {
@@ -1023,7 +869,7 @@ fn equivocating_slot_writer_scenario(seed: u64) -> String {
         );
         assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
     }
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     // Liveness: every request completed. Note the equivocator *may* get
     // one of its two versions committed (its tweaked payloads ride the
     // view-change proof merge — a known property of MAC-authenticated
@@ -1066,14 +912,14 @@ fn deposed_slot_writer_scenario(seed: u64) -> String {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
-    let client = w.client.clone();
+    let mut w = build(Stack::Rubin, seed, cfg);
+    let client = w.clients[0].clone();
 
     // Healthy prefix under replica 0, so it holds live slot grants.
     for _ in 0..3 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 3);
+    w.run_to_completion(3);
     w.sim.run_until_idle();
     assert!(w.replicas[0].stats().fast_path_writes > 0);
 
@@ -1083,7 +929,7 @@ fn deposed_slot_writer_scenario(seed: u64) -> String {
     for _ in 0..5 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 8);
+    w.run_to_completion(8);
     // Let the deposed leader learn of the new view and fire its stale
     // WRITEs, and the group settle.
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
@@ -1094,14 +940,14 @@ fn deposed_slot_writer_scenario(seed: u64) -> String {
     for _ in 0..4 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 12);
+    w.run_to_completion(12);
     w.sim.run_until(w.sim.now() + Nanos::from_millis(50));
 
     for r in &w.replicas[1..] {
         assert!(r.view() >= 1, "replica {} must have view-changed", r.id());
         assert_eq!(r.stats().executed_requests, 12, "replica {}", r.id());
     }
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     let last = client.completions().last().unwrap().result.clone();
     assert_eq!(last, 12u64.to_le_bytes(), "no stale proposal may execute");
 

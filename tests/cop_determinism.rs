@@ -16,10 +16,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use reptor::{
-    Client, Cluster, CounterService, NodeId, Replica, ReptorConfig, SignedMessage, SimTransport,
-    Transport, DOMAIN_SECRET,
+    Cluster, CounterService, NodeId, Replica, ReptorConfig, SignedMessage, Stack, Transport,
 };
-use simnet::{Simulator, TestBed};
+use simnet::{CoreId, HostId, Simulator, TestBed};
 
 /// A single-client cluster with `pipelines` COP pipelines and unbatched
 /// agreement, so request `k` lands at sequence number `k` regardless of
@@ -125,7 +124,7 @@ fn executor_total_order_is_independent_of_pipeline_count() {
 /// targets one COP pipeline of one replica while leaving the other lanes
 /// untouched.
 struct LossyLaneZero {
-    inner: SimTransport,
+    inner: Rc<dyn Transport>,
     lanes: usize,
     lossy: Rc<Cell<bool>>,
 }
@@ -166,76 +165,52 @@ fn lane_loss_stalls_one_pipeline_while_others_commit() {
         ..ReptorConfig::small()
     };
     let (mut sim, net, hosts) = TestBed::cluster(0x10_55, cfg.n + 1);
-    let nodes: Vec<(u32, simnet::HostId)> = hosts
+    let nodes: Vec<(NodeId, HostId, CoreId)> = hosts
         .iter()
         .enumerate()
-        .map(|(i, &h)| (i as u32, h))
+        .map(|(i, &h)| (i as NodeId, h, CoreId(0)))
         .collect();
-    let transports = SimTransport::build_group(&net, &nodes);
+    let mut transports = Stack::Direct.mesh(&mut sim, &net, &nodes);
     let lossy = Rc::new(Cell::new(true));
 
     // Replica 3 (a backup) sees lane-0 loss; everyone else is healthy.
-    let replicas: Vec<Replica> = (0..cfg.n)
-        .map(|i| {
-            let transport: Rc<dyn Transport> = if i == 3 {
-                Rc::new(LossyLaneZero {
-                    inner: transports[i].clone(),
-                    lanes: PIPELINES,
-                    lossy: lossy.clone(),
-                })
-            } else {
-                Rc::new(transports[i].clone())
-            };
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transport,
-                &net,
-                hosts[i],
-                Box::new(CounterService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(
-        cfg.n as u32,
-        cfg.clone(),
-        DOMAIN_SECRET,
-        Rc::new(transports[cfg.n].clone()) as Rc<dyn Transport>,
-    );
+    transports[3] = Rc::new(LossyLaneZero {
+        inner: transports[3].clone(),
+        lanes: PIPELINES,
+        lossy: lossy.clone(),
+    });
+    let mut c = Cluster::with_transports(cfg, sim, net, hosts, transports, || {
+        Box::new(CounterService::default())
+    });
+    let client = c.clients[0].clone();
 
     for _ in 0..REQUESTS {
-        client.submit(&mut sim, b"inc".to_vec());
+        client.submit(&mut c.sim, b"inc".to_vec());
     }
     // The healthy 2f + 1 replicas complete every request without the
     // victim's lane-0 votes.
-    let mut steps = 0u64;
-    while client.stats().completed < REQUESTS {
-        assert!(sim.step(), "cluster must make progress");
-        steps += 1;
-        assert!(steps < 5_000_000, "cluster stalled under lane-0 loss");
-    }
+    c.run_to_completion(REQUESTS);
 
     // Seqs 1..=12 split as lane `s % 4`: lane 0 owns 4, 8, 12. The victim's
     // lane 0 never commits, but its other pipelines keep making progress,
     // and the executor blocks exactly at the first lane-0 gap (seq 4).
-    let victim = &replicas[3];
+    let victim = &c.replicas[3];
     let stats = victim.pipeline_stats();
     assert_eq!(stats[0].committed, 0, "lane 0 must be starved at victim");
     let others: u64 = stats[1..].iter().map(|p| p.committed).sum();
     assert!(others > 0, "healthy pipelines must keep committing");
     assert!(victim.last_executed() < 4, "executor blocked at lane-0 gap");
-    assert_eq!(replicas[0].last_executed(), REQUESTS);
+    assert_eq!(c.replicas[0].last_executed(), REQUESTS);
 
     // Heal the lane and let the catch-up protocol repair the gap.
     lossy.set(false);
-    sim.run_until_idle();
+    c.sim.run_until_idle();
     assert_eq!(
         victim.last_executed(),
         REQUESTS,
         "victim must catch up after the lane heals"
     );
     assert!(victim.stats().catch_ups_applied > 0, "repair used catch-up");
-    let logs: Vec<_> = replicas.iter().map(Replica::executed_log).collect();
+    let logs: Vec<_> = c.replicas.iter().map(Replica::executed_log).collect();
     assert!(logs.windows(2).all(|w| w[0] == w[1]), "identical histories");
 }

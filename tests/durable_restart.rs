@@ -12,40 +12,14 @@
 //! Every scenario is seeded from `CHAOS_SEED` (CI sweeps 1–5) and
 //! replays byte-identically, asserted over the full metrics snapshot.
 
-use std::rc::Rc;
+mod common;
 
-use rdma_verbs::RnicModel;
+use common::chaos_seed;
 use reptor::{
-    ByzantineMode, Client, CounterService, DurabilityConfig, KvOp, KvService, NioTransport,
-    Replica, ReptorConfig, RubinTransport, StateMachine, Transport, DOMAIN_SECRET, SLOT_BYTES,
+    ByzantineMode, Cluster, CounterService, DurabilityConfig, KvOp, KvService, ReptorConfig, Stack,
+    StateMachine, SLOT_BYTES,
 };
-use rubin::RubinConfig;
-use simnet::{
-    ChaosAction, ChaosSchedule, CoreId, DiskFault, DiskSpec, HostId, Nanos, Network, Simulator,
-    TestBed,
-};
-use simnet_socket::TcpModel;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
-}
-
-struct World {
-    sim: Simulator,
-    net: Network,
-    hosts: Vec<HostId>,
-    replicas: Vec<Replica>,
-    client: Client,
-}
+use simnet::{ChaosAction, ChaosSchedule, DiskFault, DiskSpec, Nanos};
 
 fn durable_cfg(snapshot_every: u64) -> ReptorConfig {
     ReptorConfig {
@@ -59,99 +33,12 @@ fn durable_cfg(snapshot_every: u64) -> ReptorConfig {
     }
 }
 
-fn build(
-    kind: StackKind,
-    seed: u64,
-    cfg: ReptorConfig,
-    service: impl Fn() -> Box<dyn StateMachine>,
-) -> World {
-    let n = cfg.n;
-    let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    sim.run_until_idle();
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                service(),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg, DOMAIN_SECRET, transports[n].clone());
-    World {
-        sim,
-        net,
-        hosts,
-        replicas,
-        client,
-    }
-}
-
-fn run_to_completion(w: &mut World, want: u64) {
-    let mut guard: u64 = 0;
-    while w.client.stats().completed < want {
-        assert!(w.sim.step(), "simulation went idle before completion");
-        guard += 1;
-        assert!(guard < 20_000_000, "agreement stalled");
-    }
-}
-
-/// One request per agreement instance, so checkpoint-interval arithmetic
-/// stays exact (see `chaos_scenarios.rs`).
-fn submit_sequentially(w: &mut World, payloads: &[Vec<u8>], already_done: u64) {
-    let client = w.client.clone();
-    for (i, p) in payloads.iter().enumerate() {
-        client.submit(&mut w.sim, p.clone());
-        run_to_completion(w, already_done + i as u64 + 1);
-    }
-}
-
 fn incs(n: usize) -> Vec<Vec<u8>> {
     vec![b"inc".to_vec(); n]
 }
 
-fn assert_total_order(replicas: &[Replica]) {
-    let logs: Vec<_> = replicas.iter().map(Replica::executed_log).collect();
-    for a in &logs {
-        for b in &logs {
-            for (sa, da) in a {
-                for (sb, db) in b {
-                    if sa == sb {
-                        assert_eq!(da, db, "divergent execution at seq {sa}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn assert_converged(w: &World) {
-    assert_total_order(&w.replicas);
+fn assert_converged(w: &Cluster) {
+    w.assert_safety();
     let digests: Vec<_> = w
         .replicas
         .iter()
@@ -169,7 +56,7 @@ fn assert_converged(w: &World) {
 /// Schedules a crash of replica `idx` (host power-off + fail-silent mode)
 /// at `at`. Does not advance the simulation — the full-cluster scenario
 /// installs several crashes at the same instant before running.
-fn crash_at(w: &mut World, idx: usize, at: Nanos) {
+fn crash_at(w: &mut Cluster, idx: usize, at: Nanos) {
     ChaosSchedule::new()
         .at(at, ChaosAction::CrashHost { host: w.hosts[idx] })
         .install(&mut w.sim, &w.net);
@@ -184,7 +71,7 @@ fn crash_at(w: &mut World, idx: usize, at: Nanos) {
 
 /// Powers the host back on and restarts the replica cold at `at`.
 fn restart_at(
-    w: &mut World,
+    w: &mut Cluster,
     idx: usize,
     at: Nanos,
     service: impl Fn() -> Box<dyn StateMachine> + 'static,
@@ -210,17 +97,19 @@ fn put(key: String, val: Vec<u8>) -> Vec<u8> {
 /// prefix locally, and fetch only the missing delta — most checkpoint
 /// chunks are satisfied from the locally rebuilt payload, asserted via
 /// the `state_transfer_*_local` byte counters.
-fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
+fn torn_wal_tail_scenario(kind: Stack, seed: u64) -> String {
     // No snapshot compaction (large `snapshot_every`): the WAL carries
     // the full history, so the torn tail is the only storage damage.
-    let mut w = build(kind, seed, durable_cfg(100), || Box::<KvService>::default());
+    let mut w = Cluster::build(kind, durable_cfg(100), 1, seed, || {
+        Box::<KvService>::default()
+    });
     let victim = w.replicas[1].clone();
 
     // Seed 40 fixed-size keys: seqs 1..=40, stable checkpoint at 40.
     let seeds: Vec<Vec<u8>> = (0..40)
         .map(|i| put(format!("k{i:03}"), vec![i as u8; 32]))
         .collect();
-    submit_sequentially(&mut w, &seeds, 0);
+    w.submit_sequentially(seeds);
     w.sim.run_until_idle();
     assert_eq!(victim.last_executed(), 40);
 
@@ -230,7 +119,7 @@ fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
     disk.arm_fault(DiskFault::TornWrite {
         at_byte: disk.len() + 10,
     });
-    submit_sequentially(&mut w, &[put("k000".into(), vec![0xAA; 32])], 40);
+    w.submit_sequentially([put("k000".into(), vec![0xAA; 32])]);
 
     // Power loss. The drive survives; the torn frame 41 is on it.
     let t_crash = w.sim.now() + Nanos::from_micros(100);
@@ -243,7 +132,7 @@ fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
     let updates: Vec<Vec<u8>> = (0..8)
         .map(|i| put(format!("k{i:03}"), vec![0xBB + i as u8; 32]))
         .collect();
-    submit_sequentially(&mut w, &updates, 41);
+    w.submit_sequentially(updates);
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
     // Power on. Recovery: scan truncates frame 41, replay reaches 40,
@@ -288,7 +177,7 @@ fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
     let tail: Vec<Vec<u8>> = (0..3)
         .map(|i| put(format!("t{i:03}"), vec![0xEE; 32]))
         .collect();
-    submit_sequentially(&mut w, &tail, 49);
+    w.submit_sequentially(tail);
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_converged(&w);
     m.snapshot().to_json()
@@ -296,20 +185,20 @@ fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack() {
-    let json = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
+    let json = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r1.state_transfer_bytes_local\":"));
     assert!(json.contains("\"disk.r1.torn_writes\":1"));
 }
 
 #[test]
 fn torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack() {
-    torn_wal_tail_scenario(StackKind::Nio, chaos_seed());
+    torn_wal_tail_scenario(Stack::Nio, chaos_seed());
 }
 
 #[test]
 fn fixed_seed_torn_tail_timeline_replays_byte_identically() {
-    let a = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
-    let b = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
+    let a = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
+    let b = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -317,8 +206,8 @@ fn fixed_seed_torn_tail_timeline_replays_byte_identically() {
 /// corrupted in flight. The CRCs catch the damage at restart, recovery
 /// counts the fallback and rebuilds entirely from peers — corrupt local
 /// state is never installed.
-fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
-    let mut w = build(kind, seed, durable_cfg(1), || {
+fn bitflip_snapshot_scenario(kind: Stack, seed: u64) -> String {
+    let mut w = Cluster::build(kind, durable_cfg(1), 1, seed, || {
         Box::<CounterService>::default()
     });
     let victim = w.replicas[1].clone();
@@ -332,14 +221,14 @@ fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
 
     // Two stable checkpoints (seqs 4 and 8) → two corrupted snapshots,
     // one per slot; the WAL compacts to empty behind them.
-    submit_sequentially(&mut w, &incs(8), 0);
+    w.submit_sequentially(incs(8));
     w.sim.run_until_idle();
     assert_eq!(victim.last_executed(), 8);
 
     let t_crash = w.sim.now() + Nanos::from_micros(100);
     crash_at(&mut w, 1, t_crash);
     w.sim.run_until(t_crash + Nanos::from_micros(1));
-    submit_sequentially(&mut w, &incs(8), 8);
+    w.submit_sequentially(incs(8));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
     let t_back = w.sim.now() + Nanos::from_millis(1);
@@ -362,7 +251,7 @@ fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
         "recovery must fall back to peer state transfer"
     );
 
-    submit_sequentially(&mut w, &incs(3), 16);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_converged(&w);
     m.snapshot().to_json()
@@ -370,7 +259,7 @@ fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn bitflipped_snapshot_falls_back_to_peer_state_transfer() {
-    let json = bitflip_snapshot_scenario(StackKind::Rubin, chaos_seed());
+    let json = bitflip_snapshot_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r1.snapshot_corrupt_fallback\":"));
 }
 
@@ -379,8 +268,8 @@ fn bitflipped_snapshot_falls_back_to_peer_state_transfer() {
 /// valid snapshot and a WAL whose frames start past the snapshot seq —
 /// the contiguity check refuses to replay across the gap, and the
 /// replica rebuilds from peers instead of installing a wrong prefix.
-fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
-    let mut w = build(kind, seed, durable_cfg(1), || {
+fn compaction_crash_scenario(kind: Stack, seed: u64) -> String {
+    let mut w = Cluster::build(kind, durable_cfg(1), 1, seed, || {
         Box::<CounterService>::default()
     });
     let victim = w.replicas[1].clone();
@@ -392,14 +281,14 @@ fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
 
     // Seqs 1..=6: stable checkpoint at 4 (torn snapshot + compaction to
     // frames 5..6), then two more appends.
-    submit_sequentially(&mut w, &incs(6), 0);
+    w.submit_sequentially(incs(6));
     w.sim.run_until_idle();
     assert_eq!(victim.last_executed(), 6);
 
     let t_crash = w.sim.now() + Nanos::from_micros(100);
     crash_at(&mut w, 1, t_crash);
     w.sim.run_until(t_crash + Nanos::from_micros(1));
-    submit_sequentially(&mut w, &incs(10), 6);
+    w.submit_sequentially(incs(10));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
     let t_back = w.sim.now() + Nanos::from_millis(1);
@@ -422,7 +311,7 @@ fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
         "recovery must fall back to peer state transfer"
     );
 
-    submit_sequentially(&mut w, &incs(3), 16);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_converged(&w);
     m.snapshot().to_json()
@@ -430,21 +319,21 @@ fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn crash_during_compaction_recovers_safely_from_peers() {
-    compaction_crash_scenario(StackKind::Rubin, chaos_seed());
+    compaction_crash_scenario(Stack::Rubin, chaos_seed());
 }
 
 /// Whole-cluster power loss: every replica restarts cold from its own
 /// drive. Each one installs its snapshot, re-seals and attests the
 /// recovered checkpoint, and the group resumes — with zero state-transfer
 /// traffic, because nobody is missing anything a peer would have.
-fn full_cluster_restart_scenario(kind: StackKind, seed: u64) -> String {
-    let mut w = build(kind, seed, durable_cfg(1), || {
+fn full_cluster_restart_scenario(kind: Stack, seed: u64) -> String {
+    let mut w = Cluster::build(kind, durable_cfg(1), 1, seed, || {
         Box::<CounterService>::default()
     });
 
     // Two stable checkpoints; every replica's drive holds a seq-8
     // snapshot and an empty (compacted) WAL.
-    submit_sequentially(&mut w, &incs(8), 0);
+    w.submit_sequentially(incs(8));
     w.sim.run_until_idle();
 
     // Correlated power failure: all four replica hosts die at once.
@@ -490,29 +379,29 @@ fn full_cluster_restart_scenario(kind: StackKind, seed: u64) -> String {
     }
 
     // The recovered group serves new traffic.
-    submit_sequentially(&mut w, &incs(3), 8);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_converged(&w);
-    let last = w.client.completions().last().unwrap().result.clone();
+    let last = w.clients[0].completions().last().unwrap().result.clone();
     assert_eq!(last, 11u64.to_le_bytes(), "no increment lost or doubled");
     m.snapshot().to_json()
 }
 
 #[test]
 fn full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack() {
-    let json = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
+    let json = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r0.durable_restores\":1"));
 }
 
 #[test]
 fn full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack() {
-    full_cluster_restart_scenario(StackKind::Nio, chaos_seed());
+    full_cluster_restart_scenario(Stack::Nio, chaos_seed());
 }
 
 #[test]
 fn fixed_seed_full_cluster_restart_replays_byte_identically() {
-    let a = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
-    let b = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
+    let a = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
+    let b = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -528,22 +417,19 @@ fn second_crash_rejoins_without_inherited_backoff() {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Rubin, chaos_seed(), cfg, || {
+    let mut w = Cluster::build(Stack::Rubin, cfg, 1, chaos_seed(), || {
         Box::<CounterService>::default()
     });
     let victim = w.replicas[1].clone();
 
-    let mut done = 0u64;
     for round in 0..2u64 {
-        submit_sequentially(&mut w, &incs(3), done);
-        done += 3;
+        w.submit_sequentially(incs(3));
         w.sim.run_until_idle();
 
         let t_crash = w.sim.now() + Nanos::from_micros(100);
         crash_at(&mut w, 1, t_crash);
         w.sim.run_until(t_crash + Nanos::from_micros(1));
-        submit_sequentially(&mut w, &incs(12), done);
-        done += 12;
+        w.submit_sequentially(incs(12));
         w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
 
         let t_back = w.sim.now() + Nanos::from_millis(1);
@@ -555,7 +441,7 @@ fn second_crash_rejoins_without_inherited_backoff() {
              inherited backoff tier would stall it past the drill window"
         );
     }
-    submit_sequentially(&mut w, &incs(3), done);
+    w.submit_sequentially(incs(3));
     w.sim.run_until(w.sim.now() + Nanos::from_millis(100));
     assert_converged(&w);
 }

@@ -17,102 +17,35 @@
 //!   stack) and across COP pipeline counts, the message path engages
 //!   cleanly as the fallback.
 
-use std::rc::Rc;
+mod common;
 
-use rdma_verbs::RnicModel;
-use reptor::{
-    Client, CounterService, NioTransport, Replica, ReptorConfig, RubinTransport, Transport,
-    DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, CpuModel, HostId, LinkSpec, Nanos, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+use common::chaos_seed;
+use reptor::{Cluster, CounterService, ReptorConfig, Stack};
+use simnet::{CpuModel, HostId, LinkSpec, Nanos, Network, Simulator};
 
-/// Seed for the scenario timeline; CI sweeps this via the environment.
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+fn counter() -> Box<dyn reptor::StateMachine> {
+    Box::new(CounterService::default())
 }
 
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
+/// Four counter replicas and one client on `stack`.
+fn build(stack: Stack, seed: u64, cfg: ReptorConfig) -> Cluster {
+    Cluster::build(stack, cfg, 1, seed, counter)
 }
 
-struct World {
-    sim: Simulator,
-    net: Network,
-    replicas: Vec<Replica>,
-    client: Client,
-}
-
-/// A full-mesh world on the given stack. `propagation` overrides the
-/// one-way link delay (the 2-delay scenario uses a delay that dwarfs
-/// every CPU and serialization cost so hop counts dominate).
-fn build(kind: StackKind, seed: u64, cfg: ReptorConfig, propagation: Option<Nanos>) -> World {
-    let n = cfg.n;
-    let (mut sim, net, hosts) = match propagation {
-        None => TestBed::cluster(seed, n + 1),
-        Some(d) => {
-            let sim = Simulator::new(seed);
-            let net = Network::new();
-            let hosts: Vec<HostId> = (0..n + 1)
-                .map(|i| net.add_host(format!("replica-{i}"), 4, CpuModel::xeon_v2()))
-                .collect();
-            net.connect_full_mesh(LinkSpec {
-                propagation: d,
-                ..LinkSpec::ten_gbe()
-            });
-            (sim, net, hosts)
-        }
-    };
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
+/// The same group on a full mesh whose one-way link delay is `propagation`
+/// (the 2-delay scenario uses a delay that dwarfs every CPU and
+/// serialization cost so hop counts dominate).
+fn build_with_propagation(seed: u64, cfg: ReptorConfig, propagation: Nanos) -> Cluster {
+    let sim = Simulator::new(seed);
+    let net = Network::new();
+    let hosts: Vec<HostId> = (0..cfg.n + 1)
+        .map(|i| net.add_host(format!("replica-{i}"), 4, CpuModel::xeon_v2()))
         .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    // Let the mesh establish before traffic starts.
-    sim.run_until_idle();
-
-    let replicas: Vec<Replica> = (0..n)
-        .map(|i| {
-            Replica::new(
-                i as u32,
-                cfg.clone(),
-                DOMAIN_SECRET,
-                transports[i].clone(),
-                &net,
-                hosts[i],
-                Box::new(CounterService::default()),
-            )
-        })
-        .collect();
-    let client = Client::new(n as u32, cfg, DOMAIN_SECRET, transports[n].clone());
-    World {
-        sim,
-        net,
-        replicas,
-        client,
-    }
+    net.connect_full_mesh(LinkSpec {
+        propagation,
+        ..LinkSpec::ten_gbe()
+    });
+    Cluster::on_fabric(Stack::Rubin, cfg, sim, net, hosts, counter)
 }
 
 fn fast_cfg() -> ReptorConfig {
@@ -122,52 +55,18 @@ fn fast_cfg() -> ReptorConfig {
     }
 }
 
-fn run_to_completion(w: &mut World, want: u64) {
-    let mut guard: u64 = 0;
-    while w.client.stats().completed < want {
-        assert!(w.sim.step(), "simulation went idle before completion");
-        guard += 1;
-        assert!(guard < 20_000_000, "agreement stalled");
-    }
-}
-
-fn assert_total_order(replicas: &[Replica]) {
-    let logs: Vec<_> = replicas.iter().map(Replica::executed_log).collect();
-    for a in &logs {
-        for b in &logs {
-            for (sa, da) in a {
-                for (sb, db) in b {
-                    if sa == sb {
-                        assert_eq!(da, db, "divergent execution at seq {sa}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Drives `count` requests one at a time so every request lands in its
-/// own agreement instance.
-fn submit_sequentially(w: &mut World, count: u64, already_done: u64) {
-    let client = w.client.clone();
-    for i in 0..count {
-        client.submit(&mut w.sim, b"inc".to_vec());
-        run_to_completion(w, already_done + i + 1);
-    }
-}
-
 /// The common case: leader deposits proposals one-sided, followers ring
 /// the doorbell and run prepare/commit unchanged. Returns the snapshot
 /// JSON for the determinism test.
 fn fast_path_commit_scenario(seed: u64) -> String {
-    let mut w = build(StackKind::Rubin, seed, fast_cfg(), None);
-    let client = w.client.clone();
+    let mut w = build(Stack::Rubin, seed, fast_cfg());
+    let client = w.clients[0].clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 10);
+    w.run_to_completion(10);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(r.stats().executed_requests, 10, "replica {}", r.id());
     }
@@ -218,12 +117,12 @@ fn fixed_seed_fast_path_timeline_replays_byte_identically() {
 fn fast_path_commits_two_network_delays_after_the_write_lands() {
     let delay = Nanos::from_micros(300);
     // Keep bandwidth costs negligible relative to the propagation delay.
-    let mut w = build(StackKind::Rubin, chaos_seed(), fast_cfg(), Some(delay));
+    let mut w = build_with_propagation(chaos_seed(), fast_cfg(), delay);
     // First request arms the grants (and may ride the message path);
     // everything after it is the common case under test.
-    submit_sequentially(&mut w, 6, 0);
+    w.submit_sequentially((0..6).map(|_| b"inc".to_vec()));
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     let deliveries: u64 = w
         .replicas
         .iter()
@@ -267,14 +166,14 @@ fn disabled_fast_path_leaves_no_trace_in_the_snapshot() {
             fast_path: fast,
             ..ReptorConfig::small()
         };
-        let mut w = build(StackKind::Rubin, chaos_seed(), cfg, None);
-        let client = w.client.clone();
+        let mut w = build(Stack::Rubin, chaos_seed(), cfg);
+        let client = w.clients[0].clone();
         for _ in 0..10 {
             client.submit(&mut w.sim, b"inc".to_vec());
         }
-        run_to_completion(&mut w, 10);
+        w.run_to_completion(10);
         w.sim.run_until_idle();
-        assert_total_order(&w.replicas);
+        w.assert_safety();
         w.net.metrics().snapshot().to_json()
     };
     let off = run(false);
@@ -298,14 +197,14 @@ fn message_fallback_scenario(pillars: usize, seed: u64) {
         pillars,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Nio, seed, cfg, None);
-    let client = w.client.clone();
+    let mut w = build(Stack::Nio, seed, cfg);
+    let client = w.clients[0].clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 10);
+    w.run_to_completion(10);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(r.stats().executed_requests, 10, "replica {}", r.id());
     }
@@ -342,14 +241,14 @@ fn fast_path_composes_with_four_cop_pipelines() {
         pillars: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Rubin, chaos_seed(), cfg, None);
-    let client = w.client.clone();
+    let mut w = build(Stack::Rubin, chaos_seed(), cfg);
+    let client = w.clients[0].clone();
     for _ in 0..20 {
         client.submit(&mut w.sim, b"inc".to_vec());
     }
-    run_to_completion(&mut w, 20);
+    w.run_to_completion(20);
     w.sim.run_until_idle();
-    assert_total_order(&w.replicas);
+    w.assert_safety();
     for r in &w.replicas {
         assert_eq!(r.stats().executed_requests, 20, "replica {}", r.id());
     }

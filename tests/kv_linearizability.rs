@@ -14,17 +14,12 @@
 //! and that the client's fallback engaged (`kv_read_fallback`), so the
 //! safety path is exercised, not just available.
 
+mod common;
+
+use common::chaos_seed;
 use kvstore::{kv_config, KvHarness, KvStoreService, Stack, YcsbSpec};
 use reptor::{ByzantineMode, Cluster, KvOp, ReptorConfig};
 use simnet::LatencyMatrix;
-
-/// Seed for the scenario timeline; CI sweeps this via the environment.
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 /// Benign case on the RDMA stack: leases arm, one-sided reads engage and
 /// dominate a read-heavy mix, and the recorded history linearizes.
@@ -79,8 +74,8 @@ fn lease_revocation_mid_run_denies_stale_rkeys_and_stays_linearizable() {
     // A backup restarts cold. Its lease MR is released before the WAL
     // replays (counter bumps immediately), so the stale rkey clients
     // still cache is dead at the RNIC from this instant on.
-    let victim = h.replicas[1].clone();
-    victim.restart(&mut h.sim, Box::new(KvStoreService::new(128)));
+    let victim = h.cluster.replicas[1].clone();
+    victim.restart(&mut h.cluster.sim, Box::new(KvStoreService::new(128)));
     assert!(
         h.total("lease_revocations") >= 1,
         "restart must revoke the read lease before recovery"
@@ -120,13 +115,13 @@ fn view_change_rolls_leases_and_stays_linearizable() {
     // (workload A): one-sided reads would keep completing against the
     // dead primary's still-mapped region, but any write stalls until the
     // election, so the phase cannot finish in view 0.
-    h.replicas[0].set_byzantine(ByzantineMode::Crash);
+    h.cluster.replicas[0].set_byzantine(ByzantineMode::Crash);
     assert!(
         h.run_ycsb(&YcsbSpec::a(12), seed ^ 0x77, 10, 120_000_000),
         "view change never completed (seed {seed})"
     );
     assert!(
-        h.replicas[1].view() >= 1,
+        h.cluster.replicas[1].view() >= 1,
         "backups must have left view 0 (seed {seed})"
     );
     assert!(

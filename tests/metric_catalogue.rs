@@ -108,7 +108,7 @@ fn kv_group(into: &mut Catalogue, stack: Stack, seed: u64, durable: bool) {
     let mut h = KvHarness::build(stack, seed, 3, cfg, CELLS);
     // `TestBed::cluster` numbers hosts like nodes: replicas, then clients.
     let (primary, peers) = (HostId(0), [HostId(1), HostId(n)]);
-    h.net.with_faults(|f| {
+    h.cluster.net.with_faults(|f| {
         for peer in peers {
             f.set_loss(peer, primary, 0.1);
             f.set_duplication(primary, peer, 0.2);
@@ -119,16 +119,16 @@ fn kv_group(into: &mut Catalogue, stack: Stack, seed: u64, durable: bool) {
         h.run_ycsb(&YcsbSpec::a(12), seed, 40, 40_000_000),
         "KV run wedged"
     );
-    h.net.with_faults(|f| f.clear());
+    h.cluster.net.with_faults(|f| f.clear());
     if durable {
-        h.replicas[1].restart(&mut h.sim, Box::new(KvStoreService::new(CELLS)));
+        h.cluster.replicas[1].restart(&mut h.cluster.sim, Box::new(KvStoreService::new(CELLS)));
         assert!(
             h.run_ycsb(&YcsbSpec::a(12), seed + 1, 40, 40_000_000),
             "KV run wedged after the restart"
         );
     }
     h.check_history().expect("KV run must linearize");
-    collect(into, &h.net, &h.sim);
+    collect(into, &h.cluster.net, &h.cluster.sim);
 }
 
 fn render(catalogue: &Catalogue) -> String {

@@ -506,9 +506,7 @@ proptest! {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        use rdma_verbs::RnicModel;
-        use reptor::{RubinTransport, SlotRegion, Transport};
-        use rubin::RubinConfig;
+        use reptor::{SlotRegion, Stack};
         use simnet::{CoreId, HostId, TestBed};
 
         const LEN: usize = 4096;
@@ -518,16 +516,8 @@ proptest! {
             .enumerate()
             .map(|(i, &h)| (i as u32, h, CoreId(0)))
             .collect();
-        let ts = RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        );
-        let leader: Rc<dyn Transport> = Rc::new(ts[0].clone());
-        let follower: Rc<dyn Transport> = Rc::new(ts[1].clone());
-        sim.run_until_idle();
+        let ts = Stack::Rubin.mesh(&mut sim, &net, &nodes);
+        let (leader, follower) = (ts[0].clone(), ts[1].clone());
 
         // Record every doorbell the follower hears.
         let bells: Rc<RefCell<Vec<(u32, usize)>>> = Rc::new(RefCell::new(vec![]));

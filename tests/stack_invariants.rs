@@ -16,8 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bench::fig3;
-use rdma_verbs::RnicModel;
-use reptor::{Cluster, CounterService, NodeId, ReptorConfig, RubinTransport, Transport};
+use reptor::{Cluster, CounterService, NodeId, ReptorConfig, Stack};
 use rubin::RubinConfig;
 use simnet::metrics::validate_json;
 use simnet::{CoreId, HostId, TestBed};
@@ -165,14 +164,7 @@ fn one_sided_state_read_costs_the_responder_zero_cpu_work() {
     let (mut sim, net, hosts) = TestBed::cluster(77, 2);
     let nodes: Vec<(NodeId, HostId, CoreId)> =
         vec![(0, hosts[0], CoreId(0)), (1, hosts[1], CoreId(0))];
-    let group = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
+    let group = Stack::Rubin.mesh(&mut sim, &net, &nodes);
 
     // The responder (node 0) registers a checkpoint-store-sized region.
     let store: Vec<u8> = (0..CHUNK * CHUNKS).map(|i| (i % 251) as u8).collect();

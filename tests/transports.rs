@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rdma_verbs::{RdmaDevice, RnicModel};
-use reptor::{NioTransport, RubinTransport, Transport, PEN_CAP};
+use reptor::{Stack, Transport, PEN_CAP};
 use rubin::{Interest, RdmaChannel, RdmaSelector, RubinConfig};
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator, TestBed};
 use simnet_socket::{TcpModel, TcpStream};
@@ -68,12 +68,6 @@ fn cluster(n: usize, seed: u64) -> (Simulator, Network, Vec<HostId>, Nodes) {
     (sim, net, hosts, nodes)
 }
 
-fn dyns<T: Transport + 'static>(ts: Vec<T>) -> Vec<Rc<dyn Transport>> {
-    ts.into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect()
-}
-
 /// Writes `bytes` unframed onto a fresh TCP connection to `victim`'s
 /// listener (port base 900).
 fn nio_raw(r: &mut Rig, victim: u32, bytes: &[u8]) {
@@ -87,13 +81,12 @@ fn nio_raw(r: &mut Rig, victim: u32, bytes: &[u8]) {
 
 fn nio_rig(n: usize, seed: u64) -> Rig {
     let (mut sim, net, hosts, nodes) = cluster(n, seed);
-    let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-    sim.run_until_idle();
+    let ts = Stack::Nio.mesh(&mut sim, &net, &nodes);
     Rig {
         sim,
         net,
         hosts,
-        ts: dyns(ts),
+        ts,
         stack: "nio",
         down: "conns_down",
         intrude: |r, victim, msg| {
@@ -106,19 +99,12 @@ fn nio_rig(n: usize, seed: u64) -> Rig {
 
 fn rubin_rig(n: usize, seed: u64) -> Rig {
     let (mut sim, net, hosts, nodes) = cluster(n, seed);
-    let ts = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
+    let ts = Stack::Rubin.mesh(&mut sim, &net, &nodes);
     Rig {
         sim,
         net,
         hosts,
-        ts: dyns(ts),
+        ts,
         stack: "rubin",
         down: "channels_down",
         // Server channels listen at port base 1100.
