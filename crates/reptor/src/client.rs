@@ -3,7 +3,7 @@
 //! raise it, see [`Client::set_reply_quorum`]).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -23,7 +23,8 @@ pub struct ClientStats {
     pub completed: u64,
     /// Retransmissions sent.
     pub retransmissions: u64,
-    /// Replies dropped for failing MAC verification.
+    /// Messages dropped for failing MAC verification, or for speaking in
+    /// the name of a node other than the one that authenticated them.
     pub bad_mac_dropped: u64,
 }
 
@@ -64,7 +65,7 @@ struct ClientInner {
     keys: KeyTable,
     transport: Rc<dyn Transport>,
     next_ts: u64,
-    pending: HashMap<u64, PendingReq>,
+    pending: BTreeMap<u64, PendingReq>,
     completions: Vec<Completion>,
     resend_timeout: Nanos,
     max_retries: u32,
@@ -113,7 +114,7 @@ impl Client {
                 cfg,
                 transport: transport.clone(),
                 next_ts: 1,
-                pending: HashMap::new(),
+                pending: BTreeMap::new(),
                 completions: Vec::new(),
                 max_retries: 20,
                 stats: ClientStats::default(),
@@ -265,8 +266,10 @@ impl Client {
         let msg = {
             let mut inner = self.inner.borrow_mut();
             match signed.verify_and_decode(&inner.keys) {
-                Ok(Some(m)) => m,
-                Ok(None) => {
+                // A reply counts for the replica whose keys made it, not
+                // for the one its body names.
+                Ok(Some(m)) if m.author(|v| inner.cfg.primary(v)) == signed.auth.sender => m,
+                Ok(_) => {
                     inner.stats.bad_mac_dropped += 1;
                     return;
                 }

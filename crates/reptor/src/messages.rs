@@ -293,6 +293,30 @@ impl Message {
         }
     }
 
+    /// The node this message claims to come from: the id its body names,
+    /// or for a PRE-PREPARE, which names none, the primary of its view.
+    /// An authenticator proves only which node produced the bytes, so a
+    /// receiver must compare the two before it counts the message as that
+    /// node's word.
+    pub fn author(&self, primary_of: impl Fn(View) -> ReplicaId) -> u32 {
+        match self {
+            Message::Request(Request { client, .. }) | Message::LeaseQuery { client } => *client,
+            Message::PrePrepare { view, .. } => primary_of(*view),
+            Message::Prepare { replica, .. }
+            | Message::Commit { replica, .. }
+            | Message::Reply { replica, .. }
+            | Message::Checkpoint { replica, .. }
+            | Message::ViewChange { replica, .. }
+            | Message::NewView { replica, .. }
+            | Message::CatchUpRequest { replica, .. }
+            | Message::CatchUpReply { replica, .. }
+            | Message::StateRequest { replica, .. }
+            | Message::StateChunk { replica, .. }
+            | Message::SlotGrant { replica, .. }
+            | Message::LeaseGrant { replica, .. } => *replica,
+        }
+    }
+
     /// Tag plus fixed-width fields and length prefixes of the widest
     /// variant (`Checkpoint`: 1 + 8 + 32 + 4 + 4 + 8 + 8).
     const MAX_FIXED_LEN: usize = 65;

@@ -62,6 +62,14 @@ pub fn wire_lane(bytes: &[u8], lanes: usize) -> usize {
 }
 
 /// A message-oriented, non-blocking transport between group members.
+///
+/// Its user calls every method with its own state borrowed (the replica
+/// holds one `RefCell` borrow for a whole entry point), so no callback may
+/// run from inside the call that registers or posts it: delivery and
+/// doorbell callbacks fire only from simulator events, and a
+/// [`StateReadFn`] or [`SlotWriteFn`] fires from the completion event of
+/// the operation it was posted with — never from `read_state`/`write_slot`
+/// themselves, which drop it unrun when they return `false`.
 pub trait Transport {
     /// This endpoint's node id.
     fn node(&self) -> NodeId;

@@ -231,3 +231,104 @@ fn compromised_replica_is_contained_by_the_protocol() {
         "service unaffected"
     );
 }
+
+/// What a Byzantine replica 3 can put on the wire: anything at all, under
+/// valid MACs of its own (a client shares pair keys with every replica and
+/// could do the same). Replica 3 itself is silenced; the test speaks for it
+/// through its transport endpoint.
+fn forge_as_replica_3(c: &mut reptor::Cluster, to: u32, msg: &reptor::Message) {
+    let keys = bft_crypto::KeyTable::new(3, reptor::DOMAIN_SECRET.to_vec());
+    let wire = reptor::SignedMessage::create(msg, &keys, &[to]).encode();
+    c.transports[3].send(&mut c.sim, to, wire);
+}
+
+/// `f + 1` matching replies complete a request, so each must count for the
+/// replica that authenticated it: one Byzantine replica answering in two
+/// correct replicas' names must not hand the client a fabricated result.
+#[test]
+fn forged_replies_do_not_complete_a_request() {
+    use reptor::{ByzantineMode, Cluster, CounterService, Message, ReptorConfig};
+    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 56, || {
+        Box::new(CounterService::default())
+    });
+    c.replicas[3].set_byzantine(ByzantineMode::Crash);
+    let client = c.clients[0].clone();
+    let timestamp = client.submit(&mut c.sim, b"inc".to_vec());
+    // One hop from the client, against the five the honest replies need.
+    for replica in [0, 1] {
+        let forged = Message::Reply {
+            view: 0,
+            client: client.id(),
+            timestamp,
+            replica,
+            result: b"fabricated".to_vec(),
+        };
+        forge_as_replica_3(&mut c, client.id(), &forged);
+    }
+    assert!(c.run_until_completed(1, 2_000_000));
+    c.settle();
+    assert_eq!(
+        client.completions()[0].result,
+        1u64.to_le_bytes().to_vec(),
+        "the request completes with what the honest replicas executed"
+    );
+    assert!(
+        client.stats().bad_mac_dropped >= 2,
+        "both forgeries counted"
+    );
+}
+
+/// A full forged certificate — PRE-PREPARE in the primary's name, PREPAREs
+/// and COMMITs in every backup's — must not make a correct replica execute
+/// a batch the primary never proposed.
+#[test]
+fn forged_agreement_votes_do_not_commit_a_batch() {
+    use reptor::{batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig};
+    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 57, || {
+        Box::new(CounterService::default())
+    });
+    c.replicas[3].set_byzantine(ByzantineMode::Crash);
+    let batch = vec![reptor::Request {
+        client: c.clients[0].id(),
+        timestamp: 1,
+        payload: b"never proposed".to_vec(),
+    }];
+    let digest = batch_digest(&batch);
+    let (view, seq) = (0, 1);
+    let mut forged = vec![Message::PrePrepare {
+        view,
+        seq,
+        digest,
+        batch,
+    }];
+    for replica in [0, 2, 3] {
+        forged.push(Message::Prepare {
+            view,
+            seq,
+            digest,
+            replica,
+        });
+        forged.push(Message::Commit {
+            view,
+            seq,
+            digest,
+            replica,
+        });
+    }
+    // All but replica 3's own PREPARE and COMMIT speak in another's name.
+    let in_others_names = forged.len() as u64 - 2;
+    for msg in &forged {
+        forge_as_replica_3(&mut c, 1, msg);
+    }
+    c.settle();
+    assert_eq!(c.replicas[1].last_executed(), 0, "nothing was agreed on");
+    // The group then orders a real request at the same sequence number.
+    c.submit_sequentially([b"inc".to_vec()]);
+    c.settle();
+    c.assert_safety();
+    assert!(!c.replicas[1]
+        .executed_log()
+        .iter()
+        .any(|&(_, d)| d == digest));
+    assert!(c.replicas[1].stats().bad_mac_dropped >= in_others_names);
+}
