@@ -1,0 +1,205 @@
+//! Inbound path: wire bytes and client requests in, the request timers.
+
+use super::*;
+
+impl ReplicaInner {
+    pub(super) fn on_raw(&mut self, sim: &mut Simulator, lane: usize, bytes: &[u8]) {
+        let signed = match SignedMessage::decode(bytes) {
+            Ok(s) => s,
+            Err(_) => {
+                self.stats.malformed_dropped += 1;
+                return;
+            }
+        };
+        let msg = match signed.verify_and_decode(&self.keys) {
+            Err(_) => {
+                self.stats.malformed_dropped += 1;
+                return;
+            }
+            // The MAC proves who produced the bytes, not whom they speak
+            // for: a vote in another node's name is no better than none.
+            Ok(Some(m)) if m.author(|v| self.cfg.primary(v)) == signed.auth.sender => m,
+            Ok(_) => {
+                self.stats.bad_mac_dropped += 1;
+                return;
+            }
+        };
+        // Charge MAC verification to the core of the pipeline that owns
+        // this message's sequence number — the transport's lane demux
+        // already derived it from the wire frame (lane 0 / core 0 for
+        // non-agreement messages).
+        let core = self.lane_core_for(lane, &msg);
+        let cost = self.cfg.crypto.verify_cost(signed.body.len());
+        self.charge(sim, core, cost);
+        self.dispatch(sim, msg);
+    }
+
+    pub(super) fn dispatch(&mut self, sim: &mut Simulator, msg: Message) {
+        // Construction has no simulator handle, so the initial (view-0)
+        // slot grant rides the first event this replica processes.
+        self.maybe_arm_fast_path(sim);
+        self.maybe_arm_read_lease(sim);
+        match msg {
+            Message::Request(req) => self.on_request(sim, req),
+            Message::PrePrepare {
+                view,
+                seq,
+                digest,
+                batch,
+            } => self.handle_pre_prepare(sim, view, seq, digest, batch),
+            Message::Prepare {
+                view,
+                seq,
+                digest,
+                replica,
+            } => self.handle_prepare(sim, view, seq, digest, replica),
+            Message::Commit {
+                view,
+                seq,
+                digest,
+                replica,
+            } => self.handle_commit(sim, view, seq, digest, replica),
+            Message::Checkpoint {
+                seq,
+                state_digest,
+                replica,
+                store_rkey,
+                store_len,
+                store_epoch,
+            } => self.handle_checkpoint(
+                sim,
+                seq,
+                state_digest,
+                replica,
+                StateOffer {
+                    rkey: store_rkey,
+                    len: store_len,
+                    epoch: store_epoch,
+                },
+            ),
+            Message::ViewChange {
+                new_view,
+                last_stable,
+                prepared,
+                replica,
+                ..
+            } => self.handle_view_change(sim, new_view, last_stable, prepared, replica),
+            Message::NewView {
+                view,
+                pre_prepares,
+                replica,
+            } => self.handle_new_view(sim, view, pre_prepares, replica),
+            Message::CatchUpRequest { from_seq, replica } => {
+                self.handle_catch_up_request(sim, from_seq, replica)
+            }
+            Message::CatchUpReply {
+                seq,
+                view,
+                digest,
+                batch,
+                replica,
+            } => self.handle_catch_up_reply(sim, seq, view, digest, batch, replica),
+            Message::StateRequest {
+                seq,
+                chunk,
+                replica,
+                epoch,
+            } => self.handle_state_request(sim, seq, chunk, replica, epoch),
+            Message::StateChunk {
+                seq,
+                chunk,
+                data,
+                replica,
+            } => self.handle_state_chunk(sim, seq, chunk, data, replica),
+            Message::SlotGrant {
+                view,
+                replica,
+                rkey,
+                slot_size,
+                slots,
+            } => self.handle_slot_grant(view, replica, rkey, slot_size, slots),
+            Message::LeaseQuery { client } => self.handle_lease_query(sim, client),
+            Message::LeaseGrant { .. } => { /* replicas ignore lease grants */ }
+            Message::Reply { .. } => { /* replicas ignore replies */ }
+        }
+    }
+
+    /// A client request, from the wire or straight from the harness.
+    pub(super) fn on_request(&mut self, sim: &mut Simulator, req: Request) {
+        self.maybe_arm_fast_path(sim);
+        match self.client_state.get(&req.client) {
+            Some((last_ts, _)) if req.timestamp < *last_ts => return, // stale
+            Some((last_ts, result)) if req.timestamp == *last_ts => {
+                // Duplicate of the last executed request: resend reply.
+                let (ts, result) = (*last_ts, result.clone());
+                self.send_reply(sim, req.client, ts, result);
+                return;
+            }
+            _ => {}
+        }
+
+        let key = (req.client, req.timestamp);
+        // Every replica buffers the request: backups need it in case
+        // they become primary after a view change.
+        if !self.proposed.contains(&key)
+            && !self.pending.iter().any(|r| (r.client, r.timestamp) == key)
+        {
+            self.pending.push_back(req.clone());
+            self.arrivals.entry(key).or_insert_with(|| sim.now());
+        }
+        if self.cfg.primary(self.view) == self.id {
+            self.try_propose(sim);
+        } else {
+            // Backup: arm the view-change timer for this request.
+            self.arm_request_timer(sim, req);
+        }
+    }
+
+    /// True while `req` is unexecuted in the view its timer was armed in.
+    fn stalled(&self, req: &Request, view_at_start: View) -> bool {
+        !self.executed(req) && self.view == view_at_start && !self.in_view_change
+    }
+
+    fn arm_request_timer(&self, sim: &mut Simulator, req: Request) {
+        let view_at_start = self.view;
+        self.later(sim, self.cfg.view_change_timeout, move |r, sim| {
+            if r.stalled(&req, view_at_start) {
+                // Ask before accusing: the stall may be this replica
+                // lagging (its commits were lost for good, e.g. MAC
+                // rejections), not a faulty primary. A premature
+                // VIEW-CHANGE vote is worse than a late one — the vote
+                // freezes a snapshot of prepared certificates, while a
+                // catch-up round costs one more timeout.
+                r.request_catch_up(sim);
+                // Second stage, after the catch-up round was given a
+                // chance: if the request is still unexecuted in the same
+                // view, vote.
+                r.later(sim, r.cfg.view_change_timeout, move |r, sim| {
+                    if r.stalled(&req, view_at_start) {
+                        r.start_view_change(sim, view_at_start + 1);
+                    }
+                });
+            }
+        });
+    }
+
+    /// Broadcasts a CATCH-UP-REQUEST for everything past `last_executed`.
+    /// Rate-limited: every stalled request funnels here.
+    pub(super) fn request_catch_up(&mut self, sim: &mut Simulator) {
+        let gap = self.cfg.view_change_timeout.as_nanos() / 2;
+        let now = sim.now().as_nanos();
+        if self.last_catch_up_at != 0 && now < self.last_catch_up_at + gap {
+            return;
+        }
+        self.last_catch_up_at = now;
+        self.stats.catch_up_requests_sent += 1;
+        self.counters[ReplicaCounter::CatchUpRequestsSent].incr();
+        self.broadcast_to_replicas(
+            sim,
+            Message::CatchUpRequest {
+                from_seq: self.executor.last_executed + 1,
+                replica: self.id,
+            },
+        );
+    }
+}
