@@ -84,6 +84,7 @@ struct KvClientInner {
     id: u32,
     n: usize,
     f: usize,
+    client: Client,
     transport: Rc<dyn Transport>,
     counters: Counters<KvCounter>,
     /// Known read leases, by replica. `BTreeMap` so quorum choice
@@ -107,9 +108,12 @@ struct KvClientInner {
 }
 
 /// A KV client over one replicated cluster.
+///
+/// It owns the agreement-path client and, through it, the transport; the
+/// callbacks it leaves with them (lease grants, one-sided read
+/// completions) refer back to it weakly.
 #[derive(Clone)]
 pub struct KvClient {
-    client: Client,
     inner: Rc<RefCell<KvClientInner>>,
 }
 
@@ -153,6 +157,7 @@ impl KvClient {
             id,
             n: cfg.n,
             f: cfg.f(),
+            client: client.clone(),
             transport,
             counters: metrics.counters(&format!("kv.c{id}.")),
             leases: BTreeMap::new(),
@@ -162,13 +167,16 @@ impl KvClient {
             inflight_reads: 0,
             queried: false,
         }));
-        let handler_inner = inner.clone();
+        let handler_inner = Rc::downgrade(&inner);
         client.set_aux_handler(Rc::new(move |_sim, msg| {
-            if let Message::LeaseGrant {
-                replica, rkey, len, ..
-            } = msg
+            if let (
+                Some(inner),
+                Message::LeaseGrant {
+                    replica, rkey, len, ..
+                },
+            ) = (handler_inner.upgrade(), msg)
             {
-                let mut i = handler_inner.borrow_mut();
+                let mut i = inner.borrow_mut();
                 match (rkey, capacity_from_len(len)) {
                     (0, _) | (_, None) => {
                         i.leases.remove(&replica);
@@ -179,12 +187,12 @@ impl KvClient {
                 }
             }
         }));
-        KvClient { client, inner }
+        KvClient { inner }
     }
 
     /// The wrapped agreement-path client.
-    pub fn client(&self) -> &Client {
-        &self.client
+    pub fn client(&self) -> Client {
+        self.inner.borrow().client.clone()
     }
 
     /// This client's node id.
@@ -194,12 +202,14 @@ impl KvClient {
 
     /// True while any operation (message-path or one-sided) is in flight.
     pub fn busy(&self) -> bool {
-        self.client.pending_count() > 0 || self.inner.borrow().inflight_reads > 0
+        let inner = self.inner.borrow();
+        inner.client.pending_count() > 0 || inner.inflight_reads > 0
     }
 
     /// Completed operations so far (both paths).
     pub fn completed_ops(&self) -> u64 {
-        self.inner.borrow().onesided.len() as u64 + self.client.stats().completed
+        let inner = self.inner.borrow();
+        inner.onesided.len() as u64 + inner.client.stats().completed
     }
 
     fn count(&self, counter: KvCounter) {
@@ -215,9 +225,9 @@ impl KvClient {
             (inner.id, inner.n)
         };
         self.count(KvCounter::LeaseQueries);
+        let client = self.client();
         for r in 0..n as u32 {
-            self.client
-                .send_to_replica(sim, r, &Message::LeaseQuery { client: id });
+            client.send_to_replica(sim, r, &Message::LeaseQuery { client: id });
         }
     }
 
@@ -225,7 +235,7 @@ impl KvClient {
     pub fn put(&self, sim: &mut Simulator, key: Vec<u8>, val: Vec<u8>) {
         let invoke = sim.now().as_nanos();
         let payload = KvOp::Put(key.clone(), val.clone()).encode();
-        let ts = self.client.submit(sim, payload);
+        let ts = self.client().submit(sim, payload);
         self.inner
             .borrow_mut()
             .pending
@@ -236,7 +246,7 @@ impl KvClient {
     pub fn del(&self, sim: &mut Simulator, key: Vec<u8>) {
         let invoke = sim.now().as_nanos();
         let payload = KvOp::Del(key.clone()).encode();
-        let ts = self.client.submit(sim, payload);
+        let ts = self.client().submit(sim, payload);
         self.inner
             .borrow_mut()
             .pending
@@ -280,7 +290,7 @@ impl KvClient {
         let transport = self.inner.borrow().transport.clone();
         for (replica, lease) in quorum {
             let off = cell_offset(bucket_of(&key, lease.capacity)) as u64;
-            let kv = self.clone();
+            let kv = Rc::downgrade(&self.inner);
             let res = results.clone();
             let key2 = key.clone();
             let issued = transport.read_state(
@@ -293,7 +303,9 @@ impl KvClient {
                     res.borrow_mut().push((replica, bytes));
                     if res.borrow().len() == want {
                         let all = std::mem::take(&mut *res.borrow_mut());
-                        kv.finish_read(sim, key2, invoke, all);
+                        if let Some(inner) = kv.upgrade() {
+                            KvClient { inner }.finish_read(sim, key2, invoke, all);
+                        }
                     }
                 }),
             );
@@ -413,7 +425,7 @@ impl KvClient {
     fn fallback_get(&self, sim: &mut Simulator, key: Vec<u8>, invoke: u64) {
         self.count(KvCounter::ReadFallback);
         let payload = KvOp::Get(key.clone()).encode();
-        let ts = self.client.submit(sim, payload);
+        let ts = self.client().submit(sim, payload);
         self.inner.borrow_mut().pending.insert(
             ts,
             (
@@ -432,7 +444,7 @@ impl KvClient {
     pub fn history(&self) -> Vec<KvEvent> {
         let inner = self.inner.borrow();
         let mut events = inner.onesided.clone();
-        let completions: HashMap<u64, (u64, Vec<u8>)> = self
+        let completions: HashMap<u64, (u64, Vec<u8>)> = inner
             .client
             .completions()
             .into_iter()

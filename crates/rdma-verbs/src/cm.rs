@@ -142,11 +142,11 @@ pub(crate) fn listen(device: &RdmaDevice, port: u32) -> VerbsResult<CmListener> 
     if device.net().is_bound(addr) {
         return Err(VerbsError::AddrInUse);
     }
-    let dev = device.clone();
+    let dev = device.downgrade();
     device.net().bind(
         addr,
         Box::new(move |sim, frame| {
-            let Ok(pkt) = frame.into_payload::<RdmaPacket>() else {
+            let (Some(dev), Ok(pkt)) = (dev.upgrade(), frame.into_payload::<RdmaPacket>()) else {
                 return;
             };
             if let RdmaPacket::ConnReq {
@@ -191,14 +191,16 @@ pub(crate) fn connect(
     let reply_addr = device.net().ephemeral_port(device.host());
 
     // Bind a one-shot reply port for the accept/reject.
-    let dev = device.clone();
-    let qp_for_reply = qp.clone();
+    let qp_for_reply = qp.downgrade();
     device.net().bind(
         reply_addr,
         Box::new(move |sim, frame| {
-            let Ok(pkt) = frame.into_payload::<RdmaPacket>() else {
+            let (Some(qp_for_reply), Ok(pkt)) =
+                (qp_for_reply.upgrade(), frame.into_payload::<RdmaPacket>())
+            else {
                 return;
             };
+            let dev = &qp_for_reply.device;
             match pkt {
                 RdmaPacket::ConnAccept {
                     conn_id,

@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
@@ -14,10 +14,12 @@ use crate::error::VerbsResult;
 use crate::mr::{MemoryRegion, MrTable, ProtectionDomain};
 use crate::packet::RdmaPacket;
 use crate::qp::QueuePair;
-use crate::types::{Access, CqId, LKey, PdId, QpNum, RKey};
+use crate::types::{Access, CqId, PdId, QpNum, RKey};
 
 /// A callback invoked when device or queue-pair events arrive (used by
-/// selectors to wake their event loops).
+/// selectors to wake their event loops). The device and its queue pairs
+/// keep a hook for as long as they live, so a hook refers to whatever owns
+/// them through a `Weak`.
 pub type EventHook = Rc<dyn Fn(&mut Simulator)>;
 
 /// Configuration for creating a queue pair.
@@ -37,15 +39,13 @@ pub(crate) struct DeviceInner {
     net: Network,
     host: HostId,
     model: RnicModel,
-    mr_table: RefCell<MrTable>,
+    mr_table: Rc<RefCell<MrTable>>,
     next_pd: Cell<u32>,
     next_cq: Cell<u32>,
     next_qp: Cell<u32>,
-    next_key: Cell<u32>,
     next_conn: Cell<u64>,
     cm_events: RefCell<VecDeque<CmEvent>>,
     cm_hook: RefCell<Option<EventHook>>,
-    mrs_registered: Cell<u64>,
 }
 
 /// An open RDMA device context on a host (the analogue of
@@ -77,15 +77,13 @@ impl RdmaDevice {
                 net: net.clone(),
                 host,
                 model,
-                mr_table: RefCell::new(MrTable::default()),
+                mr_table: MrTable::new(),
                 next_pd: Cell::new(0),
                 next_cq: Cell::new(0),
                 next_qp: Cell::new(0),
-                next_key: Cell::new(1),
                 next_conn: Cell::new(0),
                 cm_events: RefCell::new(VecDeque::new()),
                 cm_hook: RefCell::new(None),
-                mrs_registered: Cell::new(0),
             }),
         }
     }
@@ -113,26 +111,20 @@ impl RdmaDevice {
     }
 
     /// Registers a memory region of `len` zeroed bytes with the given
-    /// access flags.
+    /// access flags. The device holds the region until it is deregistered
+    /// ([`MemoryRegion::invalidate`]).
     ///
     /// Registration is a slow operation on real hardware; the cost is
     /// available via [`RnicModel::reg_mr_cost`] for callers that register
     /// on the critical path (the RUBIN buffer pool pre-registers at setup
     /// precisely to avoid this).
     pub fn reg_mr(&self, pd: &ProtectionDomain, len: usize, access: Access) -> MemoryRegion {
-        let key = self.inner.next_key.get();
-        self.inner.next_key.set(key + 1);
-        let mr = MemoryRegion::new(pd.id(), len, access, LKey(key), RKey(key));
-        self.inner.mr_table.borrow_mut().insert(&mr);
-        self.inner
-            .mrs_registered
-            .set(self.inner.mrs_registered.get() + 1);
-        mr
+        MrTable::register(&self.inner.mr_table, pd.id(), len, access)
     }
 
     /// Number of regions registered so far.
     pub fn mrs_registered(&self) -> u64 {
-        self.inner.mrs_registered.get()
+        self.inner.mr_table.borrow().registered()
     }
 
     /// Creates a completion queue of the given capacity, optionally
@@ -157,17 +149,22 @@ impl RdmaDevice {
             cfg.recv_cq.clone(),
             addr,
         );
-        let qp_for_handler = qp.clone();
+        // The network outlives the queue pair and must not keep it (and
+        // through it this device and the network itself) alive.
+        let qp_for_handler = qp.downgrade();
         self.inner.net.bind(
             addr,
             Box::new(move |sim, frame| {
+                let Some(qp) = qp_for_handler.upgrade() else {
+                    return;
+                };
                 let corrupted = frame.corrupted;
                 match frame.into_payload::<RdmaPacket>() {
                     Ok(mut pkt) => {
                         if corrupted {
                             corrupt_packet(&mut pkt);
                         }
-                        qp_for_handler.handle_packet(sim, pkt)
+                        qp.handle_packet(sim, pkt)
                     }
                     Err(_) => debug_assert!(false, "non-RDMA frame on QP port"),
                 }
@@ -275,6 +272,19 @@ impl RdmaDevice {
         let id = self.inner.next_conn.get();
         self.inner.next_conn.set(id + 1);
         id
+    }
+
+    pub(crate) fn downgrade(&self) -> WeakDevice {
+        WeakDevice(Rc::downgrade(&self.inner))
+    }
+}
+
+/// What a frame handler bound in the network holds of its device.
+pub(crate) struct WeakDevice(Weak<DeviceInner>);
+
+impl WeakDevice {
+    pub(crate) fn upgrade(&self) -> Option<RdmaDevice> {
+        self.0.upgrade().map(|inner| RdmaDevice { inner })
     }
 }
 

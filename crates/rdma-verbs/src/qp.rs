@@ -33,11 +33,11 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use simnet::{Addr, CoreId, Counters, EventId, Frame, Nanos, Simulator};
 
-use crate::device::{EventHook, RdmaDevice};
+use crate::device::{EventHook, RdmaDevice, WeakDevice};
 use crate::error::{VerbsError, VerbsResult};
 use crate::packet::RdmaPacket;
 use crate::types::{Access, QpNum, QpState, Wc, WcOpcode, WcStatus, WrId};
@@ -179,6 +179,21 @@ pub struct QueuePair {
     pub(crate) device: RdmaDevice,
 }
 
+/// What a frame handler bound in the network holds of its queue pair.
+pub(crate) struct WeakQp {
+    inner: Weak<RefCell<QpInner>>,
+    device: WeakDevice,
+}
+
+impl WeakQp {
+    pub(crate) fn upgrade(&self) -> Option<QueuePair> {
+        Some(QueuePair {
+            inner: self.inner.upgrade()?,
+            device: self.device.upgrade()?,
+        })
+    }
+}
+
 impl fmt::Debug for QueuePair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.borrow();
@@ -230,6 +245,13 @@ impl QueuePair {
                 event_hook: None,
             })),
             device,
+        }
+    }
+
+    pub(crate) fn downgrade(&self) -> WeakQp {
+        WeakQp {
+            inner: Rc::downgrade(&self.inner),
+            device: self.device.downgrade(),
         }
     }
 

@@ -190,11 +190,11 @@ impl RecvWr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mr::MemoryRegion;
-    use crate::types::{Access, LKey, PdId};
+    use crate::mr::{MemoryRegion, MrTable};
+    use crate::types::{Access, PdId};
 
     fn mr() -> MemoryRegion {
-        MemoryRegion::new(PdId(0), 64, Access::LOCAL_WRITE, LKey(1), RKey(2))
+        MrTable::register(&MrTable::new(), PdId(0), 64, Access::LOCAL_WRITE)
     }
 
     #[test]

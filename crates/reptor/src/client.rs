@@ -121,9 +121,13 @@ impl Client {
                 aux_handler: None,
             })),
         };
-        let c = client.clone();
+        // The transport is the client's; its delivery hook must not keep
+        // the client alive.
+        let c = Rc::downgrade(&client.inner);
         transport.set_delivery(Rc::new(move |sim, _from, bytes| {
-            c.on_raw(sim, bytes);
+            if let Some(inner) = c.upgrade() {
+                Client { inner }.on_raw(sim, bytes);
+            }
         }));
         client
     }

@@ -12,7 +12,7 @@
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use simnet::{CoreId, Counter, HostId, Metrics, Nanos, Network, Simulator};
 
@@ -152,8 +152,20 @@ pub(crate) fn key<W: Wire>(node: NodeId, counter: impl fmt::Display) -> String {
 }
 
 /// One endpoint of a full mesh over wire `W`.
+///
+/// The mesh owns its wire (selector, channels or streams); a callback it
+/// parks in them refers back through a [`WeakMesh`].
 pub(crate) struct Mesh<W: Wire> {
     inner: Rc<RefCell<MeshInner<W>>>,
+}
+
+/// The mesh as seen from a callback kept by something the mesh owns.
+pub(crate) struct WeakMesh<W: Wire>(Weak<RefCell<MeshInner<W>>>);
+
+impl<W: Wire> WeakMesh<W> {
+    pub(crate) fn upgrade(&self) -> Option<Mesh<W>> {
+        self.0.upgrade().map(|inner| Mesh { inner })
+    }
 }
 
 impl<W: Wire> Clone for Mesh<W> {
@@ -213,6 +225,10 @@ impl<W: Wire> Mesh<W> {
             }
         }
         meshes
+    }
+
+    pub(crate) fn downgrade(&self) -> WeakMesh<W> {
+        WeakMesh(Rc::downgrade(&self.inner))
     }
 
     pub(crate) fn node(&self) -> NodeId {
@@ -313,8 +329,9 @@ impl<W: Wire> Mesh<W> {
 
     /// The reactor: parks a select and handles whatever becomes ready.
     fn pump(&self, sim: &mut Simulator) {
-        let t = self.clone();
+        let t = self.downgrade();
         self.inner.borrow().wire.select(sim, move |sim, ready| {
+            let Some(t) = t.upgrade() else { return };
             for ev in ready {
                 t.on_event(sim, ev);
             }

@@ -140,7 +140,7 @@ impl ReplicaInner {
                 let Ok(imm) = u32::try_from(slot) else {
                     return false;
                 };
-                let replica = self.handle();
+                let replica = self.weak();
                 let fallback = msg.clone();
                 self.transport.write_slot(
                     sim,
@@ -153,7 +153,7 @@ impl ReplicaInner {
                     // whatever state the replica is in by then, and
                     // `send_msg` keeps a crashed replica silent.
                     Box::new(move |sim, ok| {
-                        if !ok {
+                        if let Some(replica) = replica.upgrade().filter(|_| !ok) {
                             replica.enter(|r| r.fast_path_write_failed(sim, peer, fallback));
                         }
                     }),

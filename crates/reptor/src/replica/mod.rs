@@ -379,6 +379,17 @@ impl fmt::Debug for Replica {
     }
 }
 
+/// The replica as seen from a callback kept by something the replica owns:
+/// its transport's delivery and doorbell hooks, a channel's pending
+/// one-sided operation. Such a callback must not keep the replica alive.
+struct WeakReplica(Weak<RefCell<ReplicaInner>>);
+
+impl WeakReplica {
+    fn upgrade(&self) -> Option<Replica> {
+        self.0.upgrade().map(|inner| Replica { inner })
+    }
+}
+
 impl Replica {
     /// Creates a replica and wires it to `transport`'s delivery callback.
     pub fn new(
@@ -476,19 +487,23 @@ impl Replica {
         // Inbound demultiplexing: the transport peeks the sequence number
         // out of the wire frame and routes agreement traffic to its owning
         // pipeline (lane 0 carries everything without a sequence number).
-        let r = replica.clone();
+        let r = replica.inner.borrow().weak();
         transport.set_lane_delivery(
             lanes,
             Rc::new(move |sim, lane, _from, bytes| {
-                r.unless_crashed(|inner| inner.on_raw(sim, lane, &bytes));
+                if let Some(r) = r.upgrade() {
+                    r.unless_crashed(|inner| inner.on_raw(sim, lane, &bytes));
+                }
             }),
         );
         // Fast-path doorbell: a one-sided WRITE that landed in this
         // replica's slot region surfaces here with the slot index as the
         // immediate (no-op on transports without one-sided writes).
-        let r = replica.clone();
+        let r = replica.inner.borrow().weak();
         transport.set_slot_doorbell(Rc::new(move |sim, peer, imm, len| {
-            r.unless_crashed(|inner| inner.on_slot_doorbell(sim, peer, imm, len));
+            if let Some(r) = r.upgrade() {
+                r.unless_crashed(|inner| inner.on_slot_doorbell(sim, peer, imm, len));
+            }
         }));
         replica
     }
@@ -656,11 +671,17 @@ impl Replica {
 
 impl ReplicaInner {
     /// A strong handle to this replica, for the callbacks it hands to the
-    /// simulator and the transport.
+    /// simulator (which the replica does not own).
     fn handle(&self) -> Replica {
         Replica {
             inner: self.me.upgrade().expect("a method is running on it"),
         }
+    }
+
+    /// A weak handle to this replica, for the callbacks it hands to its
+    /// transport.
+    fn weak(&self) -> WeakReplica {
+        WeakReplica(self.me.clone())
     }
 
     /// Runs `f` on this replica `delay` from now — as its own entry point,

@@ -276,7 +276,7 @@ impl ReplicaInner {
                     return self.finish_transfer(sim);
                 };
                 if offer.readable() {
-                    let replica = self.handle();
+                    let replica = self.weak();
                     let issued = self.transport.read_state(
                         sim,
                         peer,
@@ -284,7 +284,10 @@ impl ReplicaInner {
                         idx as u64 * CHUNK_SIZE as u64,
                         manifest.chunk_len(idx),
                         Box::new(move |sim, data| {
-                            replica.unless_crashed(|r| r.on_state_read_done(sim, seq, idx, data));
+                            if let Some(replica) = replica.upgrade() {
+                                replica
+                                    .unless_crashed(|r| r.on_state_read_done(sim, seq, idx, data));
+                            }
                         }),
                     );
                     if issued {

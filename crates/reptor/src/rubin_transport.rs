@@ -132,10 +132,11 @@ impl Wire for RubinWire {
     /// either is known (accept-side channels learn their peer only after
     /// the hello; the handler arrives with `set_slot_doorbell`).
     fn link_added(mesh: &Mesh<RubinWire>, link: &RubinLink) {
-        let mesh = mesh.clone();
+        let mesh = mesh.downgrade();
         let qp_num = link.channel.qp().num();
         link.channel
             .set_write_doorbell(Rc::new(move |sim, imm, len| {
+                let Some(mesh) = mesh.upgrade() else { return };
                 let peer = mesh.peer_where(|l| l.channel.qp().num() == qp_num);
                 let db = mesh.wire().slot_doorbell.clone();
                 if let (Some(peer), Some(db)) = (peer, db) {
@@ -337,8 +338,8 @@ impl Transport for RubinTransport {
     }
 
     fn release_write_region(&self, region: &SlotRegion) {
-        // Invalidation is the PR 5 revocation fence: the rkey stays known
-        // to the RNIC but any in-flight WRITE against it is denied.
+        // Invalidation is the PR 5 revocation fence: any in-flight WRITE
+        // against the rkey is denied as deregistered.
         if let Some(mr) = self.mesh.wire_mut().slot_regions.remove(&region.rkey) {
             mr.invalidate();
         }

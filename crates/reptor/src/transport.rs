@@ -251,10 +251,15 @@ impl SimTransport {
                     })),
                 };
                 let addr = Addr::new(host, SIM_TRANSPORT_PORT + node);
-                let t2 = t.clone();
+                // The network outlives the endpoint and must not keep it
+                // alive.
+                let t2 = Rc::downgrade(&t.inner);
                 net.bind(
                     addr,
                     Box::new(move |sim, frame| {
+                        let Some(t2) = t2.upgrade().map(|inner| SimTransport { inner }) else {
+                            return;
+                        };
                         let corrupted = frame.corrupted;
                         if let Ok(mut m) = frame.into_payload::<SimMsg>() {
                             // Materialize fault-injected corruption so the

@@ -24,8 +24,8 @@ use simnet::{Addr, CoreId, Nanos, Simulator};
 
 use crate::buffer::{BufferPool, SlabIndex};
 use crate::config::RubinConfig;
-use crate::event::{Interest, RubinKey};
-use crate::selector::RdmaSelector;
+use crate::event::Interest;
+use crate::selector::Registration;
 
 /// Errors surfaced by channel operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +112,8 @@ impl BorrowedMsg {
         inner
             .recv_pool
             .slab(self.slab)
-            .with_slice(|s| f(&s[..self.len]))
+            .with_slice(0, self.len, f)
+            .expect("received message fits its slab")
     }
 
     /// Returns the buffer to the channel for batched re-posting.
@@ -204,6 +205,15 @@ struct PendingWrite {
     done: WriteDoneFn,
 }
 
+/// Where an outstanding send's payload lives until the send completes.
+enum SendBuf {
+    /// A slab of the send pool, given back on completion.
+    Slab(SlabIndex),
+    /// The application's own buffer, registered for this one send (zero
+    /// copy) and deregistered on completion.
+    Registered(MemoryRegion),
+}
+
 pub(crate) struct ChanInner {
     device: RdmaDevice,
     qp: QueuePair,
@@ -212,8 +222,8 @@ pub(crate) struct ChanInner {
     cfg: RubinConfig,
     send_pool: BufferPool,
     recv_pool: BufferPool,
-    /// Outstanding sends in posting order: `(wr_id, pooled slab if any)`.
-    inflight: VecDeque<(u64, Option<SlabIndex>)>,
+    /// Outstanding sends in posting order.
+    inflight: VecDeque<(u64, SendBuf)>,
     /// Outstanding one-sided READs by wr_id (disjoint id range).
     pending_reads: HashMap<u64, PendingRead>,
     /// Outstanding one-sided WRITEs by wr_id (disjoint id range).
@@ -234,7 +244,7 @@ pub(crate) struct ChanInner {
     eof: bool,
     broken: Option<String>,
     conn_id: Option<u64>,
-    reg: Option<(RdmaSelector, RubinKey)>,
+    reg: Option<Registration>,
     /// Invoked for inbound WRITE_WITH_IMM completions instead of queueing
     /// the (payload-free) receive slab as a message.
     write_doorbell: Option<WriteDoorbellFn>,
@@ -426,8 +436,8 @@ impl RdmaChannel {
         self.inner.borrow().cfg.clone()
     }
 
-    pub(crate) fn set_registration(&self, selector: &RdmaSelector, key: RubinKey) {
-        self.inner.borrow_mut().reg = Some((selector.clone(), key));
+    pub(crate) fn set_registration(&self, reg: Registration) {
+        self.inner.borrow_mut().reg = Some(reg);
     }
 
     /// Marks the channel established (selector dispatch of the
@@ -563,21 +573,22 @@ impl RdmaChannel {
             let wr_id = inner.send_count;
             inner.send_count += 1;
             inner.outstanding_sends += 1;
-            let (sge, slab, inline) = match path {
+            let (sge, buf, inline) = match path {
                 Path::Inline(idx, mr) => {
                     inner.stats.inline_sends += 1;
-                    (Sge::new(mr, 0, data.len()), Some(idx), true)
+                    (Sge::new(mr, 0, data.len()), SendBuf::Slab(idx), true)
                 }
                 Path::Pooled(idx, mr) => {
                     inner.stats.copied_sends += 1;
-                    (Sge::new(mr, 0, data.len()), Some(idx), false)
+                    (Sge::new(mr, 0, data.len()), SendBuf::Slab(idx), false)
                 }
                 Path::ZeroCopy(mr) => {
                     inner.stats.zero_copy_sends += 1;
-                    (Sge::new(mr, 0, data.len()), None, false)
+                    let sge = Sge::new(mr.clone(), 0, data.len());
+                    (sge, SendBuf::Registered(mr), false)
                 }
             };
-            inner.inflight.push_back((wr_id, slab));
+            inner.inflight.push_back((wr_id, buf));
             inner.stats.msgs_sent += 1;
             inner.stats.bytes_sent += data.len() as u64;
             let mut wr = SendWr::send(WrId(wr_id), sge);
@@ -941,14 +952,16 @@ impl RdmaChannel {
                     WcStatus::Success => {
                         // RC completes in order: everything up to and
                         // including this wr_id is done.
-                        while let Some(&(id, slab)) = inner.inflight.front() {
-                            if id > wc.wr_id.0 {
-                                break;
-                            }
-                            inner.inflight.pop_front();
+                        while inner
+                            .inflight
+                            .front()
+                            .is_some_and(|&(id, _)| id <= wc.wr_id.0)
+                        {
+                            let (_, buf) = inner.inflight.pop_front().expect("checked");
                             inner.outstanding_sends -= 1;
-                            if let Some(idx) = slab {
-                                inner.send_pool.give_back(idx);
+                            match buf {
+                                SendBuf::Slab(idx) => inner.send_pool.give_back(idx),
+                                SendBuf::Registered(mr) => mr.invalidate(),
                             }
                         }
                     }
@@ -1021,10 +1034,10 @@ impl RdmaChannel {
                 && inner.send_pool.available() > 0;
             (inner.reg.clone(), receive, send, inner.accept_ready)
         };
-        if let Some((sel, key)) = reg {
-            sel.set_ready(sim, key, Interest::OP_RECEIVE, receive);
-            sel.set_ready(sim, key, Interest::OP_SEND, send);
-            sel.set_ready(sim, key, Interest::OP_ACCEPT, accept);
+        if let Some(reg) = reg {
+            reg.set_ready(sim, Interest::OP_RECEIVE, receive);
+            reg.set_ready(sim, Interest::OP_SEND, send);
+            reg.set_ready(sim, Interest::OP_ACCEPT, accept);
         }
     }
 

@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use rdma_verbs::{CmEvent, QpNum, RdmaDevice};
 use simnet::{CoreId, Counters, Histo, Nanos, Simulator};
@@ -62,16 +62,45 @@ struct SelInner {
     wake_scheduled: bool,
     process_scheduled: bool,
     cm_hooked: bool,
-    selects: u64,
     counters: Counters<SelectorCounter>,
     /// `rubin.<host>.selector.events_per_round`.
     events_per_round: Histo,
 }
 
 /// The RUBIN selector: multiplexes RDMA channels on one simulated thread.
+///
+/// The selector owns its registered channels; what they and the verbs
+/// objects below them hold of the selector is a weak handle.
 #[derive(Clone)]
 pub struct RdmaSelector {
     inner: Rc<RefCell<SelInner>>,
+}
+
+/// The selector as seen from what it owns: a queue pair's or the device's
+/// event hook, a registered channel reporting readiness.
+#[derive(Clone)]
+struct WeakSelector(Weak<RefCell<SelInner>>);
+
+impl WeakSelector {
+    fn upgrade(&self) -> Option<RdmaSelector> {
+        self.0.upgrade().map(|inner| RdmaSelector { inner })
+    }
+}
+
+/// What a registered channel keeps of its registration.
+#[derive(Clone)]
+pub(crate) struct Registration {
+    selector: WeakSelector,
+    key: RubinKey,
+}
+
+impl Registration {
+    /// Channel-side readiness report; a no-op once the selector is gone.
+    pub(crate) fn set_ready(&self, sim: &mut Simulator, op: Interest, on: bool) {
+        if let Some(sel) = self.selector.upgrade() {
+            sel.set_ready(sim, self.key, op, on);
+        }
+    }
 }
 
 impl fmt::Debug for RdmaSelector {
@@ -81,7 +110,6 @@ impl fmt::Debug for RdmaSelector {
             .field("keys", &inner.keys.len())
             .field("hybrid_pending", &inner.hybrid.len())
             .field("parked", &inner.parked.is_some())
-            .field("selects", &inner.selects)
             .finish()
     }
 }
@@ -104,10 +132,20 @@ impl RdmaSelector {
                 wake_scheduled: false,
                 process_scheduled: false,
                 cm_hooked: false,
-                selects: 0,
                 counters: metrics.counters(&prefix),
                 events_per_round: metrics.histo_handle(&format!("{prefix}events_per_round")),
             })),
+        }
+    }
+
+    fn downgrade(&self) -> WeakSelector {
+        WeakSelector(Rc::downgrade(&self.inner))
+    }
+
+    fn registration(&self, key: RubinKey) -> Registration {
+        Registration {
+            selector: self.downgrade(),
+            key,
         }
     }
 
@@ -138,9 +176,10 @@ impl RdmaSelector {
         if already {
             return;
         }
-        let sel = self.clone();
+        let sel = self.downgrade();
         let device = self.inner.borrow().device.clone();
         device.set_cm_hook(Rc::new(move |sim| {
+            let Some(sel) = sel.upgrade() else { return };
             // Event manager: copy CM events into the hybrid queue.
             let dev = sel.inner.borrow().device.clone();
             while let Some(ev) = dev.poll_cm_event() {
@@ -162,9 +201,10 @@ impl RdmaSelector {
         interest: Interest,
     ) -> RubinKey {
         let key = self.alloc_key(Registered::Channel(channel.clone()), interest);
-        channel.set_registration(self, key);
-        let sel = self.clone();
+        channel.set_registration(self.registration(key));
+        let sel = self.downgrade();
         channel.qp().set_event_hook(Rc::new(move |sim| {
+            let Some(sel) = sel.upgrade() else { return };
             sel.inner
                 .borrow_mut()
                 .hybrid
@@ -180,7 +220,7 @@ impl RdmaSelector {
     /// Registers a server channel for `OP_CONNECT` readiness.
     pub fn register_server(&self, sim: &mut Simulator, server: &RdmaServerChannel) -> RubinKey {
         let key = self.alloc_key(Registered::Server(server.clone()), Interest::OP_CONNECT);
-        server.set_registration(self, key);
+        server.set_registration(self.registration(key));
         self.hook_cm(sim);
         if server.pending_count() > 0 {
             self.set_ready(sim, key, Interest::OP_CONNECT, true);
@@ -222,8 +262,7 @@ impl RdmaSelector {
         }
     }
 
-    /// Channel-side readiness report.
-    pub(crate) fn set_ready(&self, sim: &mut Simulator, key: RubinKey, op: Interest, on: bool) {
+    fn set_ready(&self, sim: &mut Simulator, key: RubinKey, op: Interest, on: bool) {
         {
             let mut inner = self.inner.borrow_mut();
             let Some(entry) = inner.keys.get_mut(&key) else {
@@ -415,19 +454,13 @@ impl RdmaSelector {
         self.maybe_wake(sim);
     }
 
-    /// Select calls performed.
-    pub fn selects_performed(&self) -> u64 {
-        self.inner.borrow().selects
-    }
-
     /// Total events that flowed through the hybrid queue.
     pub fn hybrid_events_total(&self) -> u64 {
         self.inner.borrow().hybrid.total_events()
     }
 
     fn charge_select(&self, sim: &mut Simulator) -> Nanos {
-        let mut inner = self.inner.borrow_mut();
-        inner.selects += 1;
+        let inner = self.inner.borrow();
         inner.counters[SelectorCounter::Polls].incr();
         let (core, ns) = (inner.core, inner.select_ns);
         let device = inner.device.clone();

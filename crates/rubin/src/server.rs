@@ -10,8 +10,8 @@ use simnet::{Addr, CoreId, Simulator};
 
 use crate::channel::{ChannelError, RdmaChannel};
 use crate::config::RubinConfig;
-use crate::event::{Interest, RubinKey};
-use crate::selector::RdmaSelector;
+use crate::event::Interest;
+use crate::selector::Registration;
 
 struct ServerInner {
     device: RdmaDevice,
@@ -21,7 +21,7 @@ struct ServerInner {
     cfg: RubinConfig,
     core: CoreId,
     pending: VecDeque<ConnRequest>,
-    reg: Option<(RdmaSelector, RubinKey)>,
+    reg: Option<Registration>,
     accepted: u64,
 }
 
@@ -95,8 +95,8 @@ impl RdmaServerChannel {
         self.inner.borrow().pending.len()
     }
 
-    pub(crate) fn set_registration(&self, selector: &RdmaSelector, key: RubinKey) {
-        self.inner.borrow_mut().reg = Some((selector.clone(), key));
+    pub(crate) fn set_registration(&self, reg: Registration) {
+        self.inner.borrow_mut().reg = Some(reg);
     }
 
     /// Queues an inbound connection request (selector dispatch; exposed for
@@ -107,8 +107,8 @@ impl RdmaServerChannel {
             inner.pending.push_back(req);
             inner.reg.clone()
         };
-        if let Some((sel, key)) = reg {
-            sel.set_ready(sim, key, Interest::OP_CONNECT, true);
+        if let Some(reg) = reg {
+            reg.set_ready(sim, Interest::OP_CONNECT, true);
         }
     }
 
@@ -132,9 +132,9 @@ impl RdmaServerChannel {
             inner.accepted += 1;
             inner.reg.clone()
         };
-        if let Some((sel, key)) = reg {
+        if let Some(reg) = reg {
             let still = self.pending_count() > 0;
-            sel.set_ready(sim, key, Interest::OP_CONNECT, still);
+            reg.set_ready(sim, Interest::OP_CONNECT, still);
         }
         Ok(Some(channel))
     }

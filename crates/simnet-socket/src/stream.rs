@@ -249,10 +249,15 @@ impl TcpStream {
                 counters: net.metrics().counters(&format!("tcp.{local}.")),
             })),
         };
-        let s = stream.clone();
+        // The network outlives the socket and must not keep it alive: a
+        // socket nobody holds any more is a closed port.
+        let s = Rc::downgrade(&stream.inner);
         net.bind(
             local,
             Box::new(move |sim, frame| {
+                let Some(s) = s.upgrade().map(|inner| TcpStream { inner }) else {
+                    return;
+                };
                 let corrupted = frame.corrupted;
                 if let Ok(mut seg) = frame.into_payload::<TcpSegment>() {
                     // A fault-corrupted frame damages the payload it
@@ -905,10 +910,13 @@ impl TcpListener {
                 reg: None,
             })),
         };
-        let l = listener.clone();
+        let l = Rc::downgrade(&listener.inner);
         net.bind(
             addr,
             Box::new(move |sim, frame| {
+                let Some(l) = l.upgrade().map(|inner| TcpListener { inner }) else {
+                    return;
+                };
                 if let Ok(TcpSegment::Syn { reply_to }) = frame.into_payload::<TcpSegment>() {
                     l.handle_syn(sim, reply_to);
                 }

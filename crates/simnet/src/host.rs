@@ -114,34 +114,25 @@ pub struct Host {
 pub type HostRef = Rc<RefCell<Host>>;
 
 impl Host {
+    /// A host reporting into `metrics` ([`Network::add_host`](crate::Network::add_host)
+    /// passes the network's registry, so every host of one network reports
+    /// into the same snapshot).
     pub(crate) fn new(
         id: HostId,
         name: impl Into<String>,
         num_cores: usize,
         cpu: CpuModel,
+        metrics: Metrics,
     ) -> Host {
         assert!(num_cores > 0, "a host needs at least one core");
-        let metrics = Metrics::new();
         Host {
             id,
             name: name.into(),
             cores: vec![Core::default(); num_cores],
             cpu,
-            counters: Host::counters_in(&metrics, id),
+            counters: metrics.counters(&format!("host.{id}.")),
             metrics,
         }
-    }
-
-    fn counters_in(metrics: &Metrics, id: HostId) -> Counters<HostCounter> {
-        metrics.counters(&format!("host.{id}."))
-    }
-
-    /// Points this host's counters at a shared registry (done by
-    /// [`Network::add_host`](crate::Network::add_host), so every host of one
-    /// network reports into the same snapshot).
-    pub(crate) fn attach_metrics(&mut self, metrics: Metrics) {
-        self.counters = Host::counters_in(&metrics, self.id);
-        self.metrics = metrics;
     }
 
     /// Handle to the registry this host reports into.
@@ -263,7 +254,13 @@ mod tests {
     use super::*;
 
     fn host(cores: usize) -> Host {
-        Host::new(HostId(0), "test", cores, CpuModel::xeon_v2())
+        Host::new(
+            HostId(0),
+            "test",
+            cores,
+            CpuModel::xeon_v2(),
+            Metrics::new(),
+        )
     }
 
     #[test]
@@ -279,17 +276,13 @@ mod tests {
 
     #[test]
     fn counters_follow_the_attached_registry() {
-        let mut h = host(1);
-        let own = h.metrics();
-        h.count_dma(64);
         let shared = Metrics::new();
-        h.attach_metrics(shared.clone());
+        let mut h = Host::new(HostId(0), "test", 1, CpuModel::xeon_v2(), shared.clone());
         h.count_dma(128);
         h.charge_syscall(Nanos::ZERO, CoreId(0));
-        assert_eq!(own.counter("host.h0.dma_bytes"), 64);
         assert_eq!(shared.counter("host.h0.dma_bytes"), 128);
         assert_eq!(shared.counter("host.h0.syscalls"), 1);
-        assert_eq!(own.counter("host.h0.syscalls"), 0);
+        assert_eq!(h.metrics().counter("host.h0.dma_bytes"), 128);
     }
 
     #[test]

@@ -235,8 +235,7 @@ impl Network {
     pub fn add_host(&self, name: impl Into<String>, cores: usize, cpu: CpuModel) -> HostId {
         let mut inner = self.inner.borrow_mut();
         let id = HostId(inner.hosts.len() as u32);
-        let mut host = Host::new(id, name, cores, cpu);
-        host.attach_metrics(inner.metrics.clone());
+        let host = Host::new(id, name, cores, cpu, inner.metrics.clone());
         inner.hosts.push(Rc::new(RefCell::new(host)));
         id
     }

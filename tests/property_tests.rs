@@ -825,3 +825,148 @@ proptest! {
         prop_assert_eq!(run(seed)?, run(seed)?);
     }
 }
+
+// ---------------------------------------------------------------------
+// Registered memory: first-touch bytes against a plain-`Vec` oracle
+// ---------------------------------------------------------------------
+
+use proptest::strategy::Just;
+use rdma_verbs::{
+    connect_pair, Access, QpConfig, RdmaDevice, RnicModel, SendWr, Sge, VerbsError, WrId,
+};
+
+#[derive(Debug, Clone)]
+enum MrOp {
+    Write(usize, Vec<u8>),
+    Read(usize, usize),
+    View(usize, usize),
+    Invalidate,
+}
+
+/// Offsets and lengths around a region of at most 256 bytes: mostly small
+/// (inside, straddling and just past the end), sometimes exactly `len`
+/// (resolved against the region when the op runs), sometimes huge.
+fn arb_extent() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..300,
+        0usize..300,
+        Just(usize::MAX - 1),
+        Just(usize::MAX)
+    ]
+}
+
+fn arb_mr_op() -> impl Strategy<Value = MrOp> {
+    let bytes = proptest::collection::vec(any::<u8>(), 0..64);
+    prop_oneof![
+        (arb_extent(), bytes.clone()).prop_map(|(o, d)| MrOp::Write(o, d)),
+        (arb_extent(), bytes).prop_map(|(o, d)| MrOp::Write(o, d)),
+        (arb_extent(), arb_extent()).prop_map(|(o, n)| MrOp::Read(o, n)),
+        (arb_extent(), arb_extent()).prop_map(|(o, n)| MrOp::View(o, n)),
+        (arb_extent(), arb_extent()).prop_map(|(o, n)| MrOp::View(o, n)),
+        Just(MrOp::Invalidate),
+    ]
+}
+
+proptest! {
+    /// A region behaves like `vec![0; len]` behind bounds and validity
+    /// checks, whatever part of it has been touched: writes land, reads
+    /// and in-place views of written, never-written and straddling ranges
+    /// agree with the oracle, zero-length operations at `len` succeed,
+    /// overflowing ranges fail without panicking, and after `invalidate`
+    /// every access is `Deregistered` and the rkey is never issued again.
+    #[test]
+    fn memory_region_matches_vec_oracle(
+        len in 0usize..256,
+        ops in proptest::collection::vec(arb_mr_op(), 1..24),
+        at_len in any::<bool>(),
+    ) {
+        let tb = simnet::TestBed::paper_testbed(1);
+        let dev = RdmaDevice::open(&tb.net, tb.a, RnicModel::mt27520());
+        let pd = dev.alloc_pd();
+        let mr = dev.reg_mr(&pd, len, Access::LOCAL_WRITE);
+        let mut oracle = Some(vec![0u8; len]);
+        // Zero-length operations exactly at the end of the region.
+        let edge = [MrOp::Write(len, Vec::new()), MrOp::Read(len, 0), MrOp::View(len, 0)];
+        let ops = ops.into_iter().chain(if at_len { edge.to_vec() } else { Vec::new() });
+        for op in ops {
+            let in_bounds = |o: usize, n: usize| o.checked_add(n).filter(|&end| end <= len);
+            let expect_err = |got: Option<VerbsError>, fits: bool| match (&oracle, got) {
+                (None, Some(VerbsError::Deregistered)) => true,
+                (Some(_), Some(VerbsError::InvalidRange { capacity, .. })) => {
+                    !fits && capacity == len
+                }
+                (Some(_), None) => fits,
+                _ => false,
+            };
+            match op {
+                MrOp::Write(o, data) => {
+                    let end = in_bounds(o, data.len());
+                    let got = mr.write(o, &data);
+                    prop_assert!(expect_err(got.err(), end.is_some()), "write({o}, {})", data.len());
+                    if let (Some(oracle), Some(end)) = (oracle.as_mut(), end) {
+                        oracle[o..end].copy_from_slice(&data);
+                    }
+                }
+                MrOp::Read(o, n) => {
+                    let end = in_bounds(o, n);
+                    let got = mr.read(o, n);
+                    if let (Some(oracle), Some(end), Ok(bytes)) = (&oracle, end, &got) {
+                        prop_assert_eq!(bytes, &oracle[o..end]);
+                    }
+                    prop_assert!(expect_err(got.err(), end.is_some()), "read({o}, {n})");
+                }
+                MrOp::View(o, n) => {
+                    let end = in_bounds(o, n);
+                    let got = mr.with_slice(o, n, <[u8]>::to_vec);
+                    if let (Some(oracle), Some(end), Ok(bytes)) = (&oracle, end, &got) {
+                        prop_assert_eq!(bytes, &oracle[o..end]);
+                    }
+                    prop_assert!(expect_err(got.err(), end.is_some()), "view({o}, {n})");
+                }
+                MrOp::Invalidate => {
+                    mr.invalidate();
+                    oracle = None;
+                    prop_assert!(!mr.is_valid());
+                    prop_assert_eq!(mr.len(), len);
+                    let next = dev.reg_mr(&pd, 8, Access::NONE);
+                    prop_assert!(next.rkey().0 > mr.rkey().0, "rkeys are never reused");
+                }
+            }
+        }
+    }
+
+    /// A one-sided READ through a real queue pair sees the same bytes: the
+    /// written prefix as written, the never-written rest as zeros.
+    #[test]
+    fn one_sided_read_of_untouched_range_returns_zeros(
+        written in proptest::collection::vec(any::<u8>(), 0..64),
+        offset in 0usize..128,
+        len in 1usize..128,
+    ) {
+        let mut tb = simnet::TestBed::paper_testbed(2);
+        let dev_a = RdmaDevice::open(&tb.net, tb.a, RnicModel::mt27520());
+        let dev_b = RdmaDevice::open(&tb.net, tb.b, RnicModel::mt27520());
+        let (pd_a, pd_b) = (dev_a.alloc_pd(), dev_b.alloc_pd());
+        let qp = |dev: &RdmaDevice, pd| {
+            let cq = dev.create_cq(16, None);
+            let cfg = QpConfig { pd, send_cq: cq.clone(), recv_cq: cq.clone(), core: simnet::CoreId(0) };
+            (dev.create_qp(&cfg), cq)
+        };
+        let ((qp_a, cq_a), (qp_b, _cq_b)) = (qp(&dev_a, pd_a), qp(&dev_b, pd_b));
+        connect_pair(&qp_a, &qp_b).unwrap();
+
+        let remote = dev_b.reg_mr(&pd_b, 256, Access::REMOTE_READ);
+        remote.write(0, &written).unwrap();
+        let mut oracle = vec![0u8; 256];
+        oracle[..written.len()].copy_from_slice(&written);
+
+        let sink = dev_a.reg_mr(&pd_a, len, Access::LOCAL_WRITE);
+        let wr = SendWr::read(WrId(1), Sge::whole(sink.clone()), remote.rkey(), offset).signaled();
+        qp_a.post_send(&mut tb.sim, wr).unwrap();
+        tb.sim.run_until_idle();
+        let done = cq_a.poll(4);
+        prop_assert_eq!(done.len(), 1);
+        prop_assert!(done[0].is_ok());
+        prop_assert_eq!(sink.read(0, len).unwrap(), &oracle[offset..offset + len]);
+    }
+}
