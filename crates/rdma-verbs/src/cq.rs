@@ -127,6 +127,12 @@ impl CompletionQueue {
         inner.entries.drain(..n).collect()
     }
 
+    /// Drains every queued completion onto the end of `out`, so a caller
+    /// that keeps its buffer polls without allocating.
+    pub fn poll_into(&self, out: &mut Vec<Wc>) {
+        out.extend(self.inner.borrow_mut().entries.drain(..));
+    }
+
     /// Number of completions currently queued.
     pub fn pending(&self) -> usize {
         self.inner.borrow().entries.len()
@@ -182,6 +188,23 @@ mod tests {
         assert_eq!(got[1].wr_id, WrId(2));
         assert_eq!(cq.pending(), 1);
         assert_eq!(cq.total_completions(), 3);
+    }
+
+    #[test]
+    fn poll_into_appends_everything_and_keeps_the_buffer() {
+        let cq = CompletionQueue::new(CqId(0), 8, None);
+        let mut out = Vec::with_capacity(4);
+        cq.poll_into(&mut out);
+        assert!(out.is_empty());
+        cq.push(wc(1));
+        cq.push(wc(2));
+        cq.poll_into(&mut out);
+        cq.push(wc(3));
+        cq.poll_into(&mut out);
+        let ids: Vec<u64> = out.iter().map(|w| w.wr_id.0).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        assert_eq!(cq.pending(), 0);
+        assert_eq!(out.capacity(), 4, "no reallocation below capacity");
     }
 
     #[test]

@@ -2,12 +2,23 @@
 
 use super::*;
 
-/// Fixed byte size of one fast-path pre-prepare slot. A batch whose
-/// encoded PRE-PREPARE exceeds this falls back to the message path for
-/// that proposal (the slot region layout is static per view).
-const FAST_PATH_SLOT_SIZE: u64 = 4096;
+/// What a fast-path slot reserves per request of a batch: a 1 KiB payload
+/// and its framing.
+const SLOT_BYTES_PER_REQUEST: u64 = 1024 + 128;
 
 impl ReplicaInner {
+    /// Byte size of one fast-path pre-prepare slot: a full batch of 1 KiB
+    /// requests fits (16 KiB at `batch_size` 10), never below 4 KiB. A
+    /// batch whose encoded PRE-PREPARE still exceeds this falls back to
+    /// the message path for that proposal (the slot region layout is
+    /// static per view). Unwritten slot bytes cost nothing (DESIGN.md
+    /// "Registered memory").
+    fn slot_size(&self) -> u64 {
+        (self.cfg.batch_size as u64 * SLOT_BYTES_PER_REQUEST)
+            .next_power_of_two()
+            .max(4096)
+    }
+
     /// Lazily runs the initial (view-0) slot grant: construction has no
     /// simulator handle, so the grant rides the first event a follower
     /// processes. Idempotent; no-op unless the fast path is configured.
@@ -22,7 +33,7 @@ impl ReplicaInner {
     /// Registers (if needed) this follower's pre-prepare slot region and
     /// grants its WRITE rkey to the leader of `view`. The region covers
     /// one full agreement window — `2 · checkpoint_interval` slots of
-    /// [`FAST_PATH_SLOT_SIZE`] bytes, indexed by `seq % slots` — so no two
+    /// [`slot_size`](Self::slot_size) bytes, indexed by `seq % slots` — so no two
     /// in-window instances ever share a slot.
     pub(super) fn grant_slot_region(&mut self, sim: &mut Simulator, view: View) {
         if !self.cfg.fast_path {
@@ -36,7 +47,7 @@ impl ReplicaInner {
         if self.slot_region.is_none() {
             self.slot_region = self
                 .transport
-                .register_write_region(sim, (slots * FAST_PATH_SLOT_SIZE) as usize);
+                .register_write_region(sim, (slots * self.slot_size()) as usize);
         }
         let Some(region) = self.slot_region else {
             return; // no one-sided write path on this transport
@@ -49,7 +60,7 @@ impl ReplicaInner {
                 view,
                 replica: self.id,
                 rkey: region.rkey,
-                slot_size: FAST_PATH_SLOT_SIZE,
+                slot_size: self.slot_size(),
                 slots,
             },
             &[leader],
@@ -236,12 +247,12 @@ impl ReplicaInner {
             return;
         };
         let slots = 2 * self.cfg.checkpoint_interval;
-        if u64::from(slot) >= slots || len as u64 > FAST_PATH_SLOT_SIZE {
+        if u64::from(slot) >= slots || len as u64 > self.slot_size() {
             return;
         }
         let Some(bytes) =
             self.transport
-                .read_write_region(&region, u64::from(slot) * FAST_PATH_SLOT_SIZE, len)
+                .read_write_region(&region, u64::from(slot) * self.slot_size(), len)
         else {
             return;
         };

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use rdma_verbs::{
     Access, ConnRequest, MemoryRegion, ProtectionDomain, QpConfig, QueuePair, RKey, RdmaDevice,
-    RecvWr, SendWr, Sge, VerbsError, WcOpcode, WcStatus, WrId,
+    RecvWr, SendWr, Sge, VerbsError, Wc, WcOpcode, WcStatus, WrId,
 };
 use simnet::{Addr, CoreId, Nanos, Simulator};
 
@@ -239,6 +239,9 @@ pub(crate) struct ChanInner {
     to_repost: Vec<SlabIndex>,
     /// Borrowed slabs dropped without release, reclaimed lazily.
     parked_slabs: Vec<SlabIndex>,
+    /// Poll buffers of the two completion queues, kept between polls.
+    send_wcs: Vec<Wc>,
+    recv_wcs: Vec<Wc>,
     established: bool,
     accept_ready: bool,
     eof: bool,
@@ -327,6 +330,8 @@ impl RdmaChannel {
                 rx_ready: VecDeque::new(),
                 to_repost: Vec::new(),
                 parked_slabs: Vec::new(),
+                send_wcs: Vec::new(),
+                recv_wcs: Vec::new(),
                 established,
                 accept_ready: false,
                 eof: false,
@@ -866,19 +871,12 @@ impl RdmaChannel {
                 }
                 return Ok(None);
             };
-            let cpu = inner
-                .device
-                .net()
-                .host(inner.device.host())
-                .borrow()
-                .cpu()
-                .clone();
-            inner
-                .device
-                .net()
-                .host(inner.device.host())
-                .borrow_mut()
-                .exec(sim.now(), inner.core, Nanos::from_nanos(cpu.runtime_io_ns));
+            {
+                let host_ref = inner.device.net().host(inner.device.host());
+                let mut h = host_ref.borrow_mut();
+                let runtime = Nanos::from_nanos(h.cpu().runtime_io_ns);
+                h.exec(sim.now(), inner.core, runtime);
+            }
             inner.stats.msgs_received += 1;
             inner.stats.bytes_received += len as u64;
             inner.stats.borrowed_reads += 1;
@@ -894,27 +892,22 @@ impl RdmaChannel {
     }
 
     /// Drains this channel's completion queues, recycling send buffers and
-    /// queueing received messages. Charges one poll call. Registered
-    /// channels have this driven by the selector's event manager; manual
-    /// drivers call it directly.
-    pub fn process_completions(&self, sim: &mut Simulator) {
-        let (send_wcs, recv_wcs) = {
-            let inner = self.inner.borrow();
-            let s = inner.qp.send_cq().poll(usize::MAX);
-            let r = inner.qp.recv_cq().poll(usize::MAX);
-            (s, r)
-        };
-        let total = send_wcs.len() + recv_wcs.len();
-        {
-            let inner = self.inner.borrow();
-            inner.device.charge_poll(sim, inner.core, total);
-        }
+    /// queueing received messages. Charges one poll call and returns how
+    /// many completions it found. Registered channels have this driven by
+    /// the selector's event manager; manual drivers call it directly.
+    pub fn process_completions(&self, sim: &mut Simulator) -> usize {
         let mut finished_reads: Vec<(ReadDoneFn, Option<Vec<u8>>)> = Vec::new();
         let mut finished_writes: Vec<(WriteDoneFn, bool)> = Vec::new();
         let mut doorbells: Vec<(WriteDoorbellFn, u32, usize)> = Vec::new();
-        {
+        let total = {
             let mut inner = self.inner.borrow_mut();
-            for wc in send_wcs {
+            let mut send_wcs = std::mem::take(&mut inner.send_wcs);
+            let mut recv_wcs = std::mem::take(&mut inner.recv_wcs);
+            inner.qp.send_cq().poll_into(&mut send_wcs);
+            inner.qp.recv_cq().poll_into(&mut recv_wcs);
+            let total = send_wcs.len() + recv_wcs.len();
+            inner.device.charge_poll(sim, inner.core, total);
+            for wc in send_wcs.drain(..) {
                 // One-sided WRITE completions also carry their own id range
                 // and resolve a pending-write callback outside the in-order
                 // SEND pop. A non-success status here is the RNIC denying a
@@ -973,7 +966,7 @@ impl RdmaChannel {
                     }
                 }
             }
-            for wc in recv_wcs {
+            for wc in recv_wcs.drain(..) {
                 match wc.status {
                     WcStatus::Success if wc.opcode == WcOpcode::RecvRdmaWithImm => {
                         // A peer's WRITE_WITH_IMM: the payload was DMA'd
@@ -1002,7 +995,10 @@ impl RdmaChannel {
                     }
                 }
             }
-        }
+            inner.send_wcs = send_wcs;
+            inner.recv_wcs = recv_wcs;
+            total
+        };
         // Callbacks run with the channel borrow released: a completion
         // handler may immediately post follow-up reads or sends.
         for (done, data) in finished_reads {
@@ -1021,6 +1017,7 @@ impl RdmaChannel {
             self.return_slab(sim, None).ok();
         }
         self.refresh_readiness(sim);
+        total
     }
 
     /// Recomputes readiness and reports it to the registered selector.

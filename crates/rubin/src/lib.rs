@@ -489,6 +489,143 @@ mod tests {
         );
     }
 
+    /// `(delivery instant, message)` in delivery order.
+    type Deliveries = Rc<RefCell<Vec<(Nanos, Vec<u8>)>>>;
+
+    /// A reactor on `chan`'s own core: every wake-up reads the channel dry,
+    /// records the deliveries and selects again.
+    fn reactor(w: &mut World, chan: &RdmaChannel) -> (RdmaSelector, Deliveries) {
+        fn arm(
+            sim: &mut simnet::Simulator,
+            sel: &RdmaSelector,
+            chan: &RdmaChannel,
+            got: &Deliveries,
+        ) {
+            let (sel2, chan, got) = (sel.clone(), chan.clone(), got.clone());
+            sel.select(sim, move |sim, _ready| {
+                while let RecvOutcome::Msg(m) = chan.read(sim).unwrap() {
+                    got.borrow_mut().push((sim.now(), m));
+                }
+                arm(sim, &sel2, &chan, &got);
+            });
+        }
+        let sel = RdmaSelector::new(&w.dev_b, CoreId(0), chan.config().select_ns);
+        sel.register_channel(&mut w.tb.sim, chan, Interest::OP_RECEIVE);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        arm(&mut w.tb.sim, &sel, chan, &got);
+        (sel, got)
+    }
+
+    /// `rubin.<host b>.selector.<name>`: every selector of the host counts
+    /// under the one key, so tests read differences.
+    fn selector_counter(w: &World, name: &str) -> u64 {
+        let key = format!("rubin.{}.selector.{name}", w.dev_b.host());
+        w.tb.net.metrics().counter(&key)
+    }
+
+    fn numbered(i: u8) -> Vec<u8> {
+        (0..1024).map(|j| i.wrapping_add(j as u8)).collect()
+    }
+
+    #[test]
+    fn busy_selector_polls_once_for_everything_that_arrived() {
+        let mut w = world(31);
+        let (client, server) = connected_channels(&mut w, RubinConfig::paper());
+        let (_sel, got) = reactor(&mut w, &server);
+        let (polls, wakes) = (
+            selector_counter(&w, "cq_polls"),
+            selector_counter(&w, "polls"),
+        );
+        // The selector thread's core has 200 us of other work queued.
+        let start = w.tb.sim.now();
+        let busy = Nanos::from_micros(200);
+        w.tb.net
+            .host(w.tb.b)
+            .borrow_mut()
+            .exec(start, CoreId(0), busy);
+        for i in 0..10 {
+            assert!(client.write(&mut w.tb.sim, &numbered(i)).unwrap());
+        }
+        w.tb.sim.run_until_idle();
+
+        assert_eq!(selector_counter(&w, "polls") - wakes, 1, "one wake-up");
+        // The arrival that schedules the wake-up polls where it arrives;
+        // the nine behind it wait for the wake-up's own drain.
+        assert_eq!(selector_counter(&w, "cq_polls") - polls, 2);
+        let got = got.borrow();
+        assert_eq!(got.len(), 10);
+        for (i, (at, msg)) in got.iter().enumerate() {
+            assert_eq!(msg, &numbered(i as u8), "message {i} in order, intact");
+            assert_eq!(*at, got[0].0, "one wake-up delivers all ten");
+        }
+        assert!(got[0].0 >= start + busy);
+    }
+
+    #[test]
+    fn idle_selector_polls_at_arrival_and_delivery_instants_do_not_move() {
+        let mut w = world(32);
+        let (client, server) = connected_channels(&mut w, RubinConfig::paper());
+        let (_sel, got) = reactor(&mut w, &server);
+        let polls = selector_counter(&w, "cq_polls");
+        let start = w.tb.sim.now();
+        for i in 0..10u8 {
+            w.tb.sim
+                .run_until(start + Nanos::from_micros(100 * u64::from(i)));
+            assert!(client.write(&mut w.tb.sim, &numbered(i)).unwrap());
+        }
+        w.tb.sim.run_until_idle();
+
+        assert_eq!(selector_counter(&w, "cq_polls") - polls, 10);
+        let got = got.borrow();
+        let offsets: Vec<u64> = got.iter().map(|(at, _)| (*at - start).as_nanos()).collect();
+        // Nanoseconds measured at the parent of the deferred-poll change
+        // (one poll per completion event): an idle selector is untouched.
+        let at_parent: Vec<u64> = (0..10).map(|i| 18_302 + 100_000 * i).collect();
+        assert_eq!(offsets, at_parent);
+        for (i, (_, msg)) in got.iter().enumerate() {
+            assert_eq!(msg, &numbered(i as u8));
+        }
+    }
+
+    #[test]
+    fn select_now_sees_an_arrival_nobody_polled_for() {
+        let mut w = world(33);
+        let (client, server) = connected_channels(&mut w, RubinConfig::paper());
+        let sel = RdmaSelector::new(&w.dev_b, CoreId(0), server.config().select_ns);
+        let key = sel.register_channel(&mut w.tb.sim, &server, Interest::OP_RECEIVE);
+        // A wake-up is pending behind 200 us of other work when the
+        // message arrives, so its completion event waits in the hybrid
+        // queue.
+        let now = w.tb.sim.now();
+        w.tb.net
+            .host(w.tb.b)
+            .borrow_mut()
+            .exec(now, CoreId(0), Nanos::from_micros(200));
+        client.write(&mut w.tb.sim, b"first").unwrap();
+        w.tb.sim.run_until(now + Nanos::from_micros(20));
+        sel.select(&mut w.tb.sim, |_, _| {});
+        client.write(&mut w.tb.sim, b"second").unwrap();
+        w.tb.sim.run_until(now + Nanos::from_micros(40));
+        assert_eq!(
+            server.read(&mut w.tb.sim).unwrap(),
+            RecvOutcome::Msg(b"first".to_vec())
+        );
+        assert_eq!(server.read(&mut w.tb.sim).unwrap(), RecvOutcome::WouldBlock);
+        // A non-blocking caller on the same thread must see "second".
+        let ready = sel.select_now(&mut w.tb.sim);
+        assert_eq!(
+            ready,
+            [SelectedKey {
+                key,
+                ready: Interest::OP_RECEIVE
+            }]
+        );
+        assert_eq!(
+            server.read(&mut w.tb.sim).unwrap(),
+            RecvOutcome::Msg(b"second".to_vec())
+        );
+    }
+
     #[test]
     fn cancelled_key_stops_firing() {
         let mut w = world(18);

@@ -7,6 +7,12 @@
 //! connection event into the **hybrid event queue** and notifies the
 //! selector, which matches events to channels, updates the keys' ready
 //! sets and wakes the parked `select()` (paper Figure 2, steps 1–5).
+//!
+//! An event marks, the wake-up polls: while a wake-up of the selector
+//! thread is pending, completion events wait in the hybrid queue and the
+//! wake-up drains it, polling each channel's completion queues once for
+//! everything that accumulated. An idle selector (no wake-up pending) polls
+//! at arrival, so unloaded latency does not depend on the rule.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -39,6 +45,9 @@ struct KeyEntry {
     interest: Interest,
     ready: Interest,
     cancelled: bool,
+    /// Hybrid events up to this sequence number need no poll of their own:
+    /// a poll of this channel ran after they were queued.
+    polled_through: u64,
 }
 
 simnet::metric_names! {
@@ -46,6 +55,8 @@ simnet::metric_names! {
     enum SelectorCounter {
         EventsDispatched => "events_dispatched",
         Polls => "polls",
+        CqPolls => "cq_polls",
+        CqPollsEmpty => "cq_polls_empty",
     }
 }
 
@@ -160,6 +171,7 @@ impl RdmaSelector {
                 interest,
                 ready: Interest::NONE,
                 cancelled: false,
+                polled_through: 0,
             },
         );
         key
@@ -301,30 +313,59 @@ impl RdmaSelector {
         );
     }
 
-    /// Drains the hybrid event queue, dispatching each event to the
-    /// matching selection key (paper Figure 2, step 5: compare ids and
-    /// event type, update the key's ready set).
+    /// The event-manager notification: an idle selector handles the events
+    /// where they arrive; one with a wake-up pending leaves them queued for
+    /// the wake-up's own drain.
     fn process(&self, sim: &mut Simulator) {
+        if self.inner.borrow().wake_scheduled {
+            return;
+        }
+        self.drain(sim);
+        self.maybe_wake(sim);
+    }
+
+    /// Drains the hybrid event queue in arrival order, dispatching each
+    /// event to the matching selection key (paper Figure 2, step 5: compare
+    /// ids and event type, update the key's ready set). A channel's
+    /// completion queues are polled once for all of its events queued
+    /// before that poll.
+    fn drain(&self, sim: &mut Simulator) {
         let mut dispatched: u64 = 0;
         loop {
-            let ev = { self.inner.borrow_mut().hybrid.pop() };
-            let Some(ev) = ev else { break };
+            let next = {
+                let mut inner = self.inner.borrow_mut();
+                let ev = inner.hybrid.pop();
+                // The arrival number of `ev`: the queue is FIFO.
+                let seq = inner.hybrid.total_events() - inner.hybrid.len() as u64;
+                ev.map(|ev| (ev, seq))
+            };
+            let Some((ev, seq)) = next else { break };
             dispatched += 1;
             match ev {
                 RubinEvent::Completion { key } => {
                     let chan = {
-                        let inner = self.inner.borrow();
-                        match inner.keys.get(&key) {
+                        let mut inner = self.inner.borrow_mut();
+                        let queued = inner.hybrid.total_events();
+                        match inner.keys.get_mut(&key) {
                             Some(KeyEntry {
                                 what: Registered::Channel(c),
                                 cancelled: false,
+                                polled_through,
                                 ..
-                            }) => Some(c.clone()),
+                            }) if *polled_through < seq => {
+                                *polled_through = queued;
+                                Some(c.clone())
+                            }
                             _ => None,
                         }
                     };
                     if let Some(c) = chan {
-                        c.process_completions(sim);
+                        let found = c.process_completions(sim);
+                        let inner = self.inner.borrow();
+                        inner.counters[SelectorCounter::CqPolls].incr();
+                        if found == 0 {
+                            inner.counters[SelectorCounter::CqPollsEmpty].incr();
+                        }
                     }
                 }
                 RubinEvent::Connection(cm) => self.dispatch_cm(sim, cm),
@@ -335,7 +376,6 @@ impl RdmaSelector {
             inner.counters[SelectorCounter::EventsDispatched].add(dispatched);
             inner.events_per_round.observe(dispatched);
         }
-        self.maybe_wake(sim);
     }
 
     fn dispatch_cm(&self, sim: &mut Simulator, ev: CmEvent) {
@@ -425,10 +465,11 @@ impl RdmaSelector {
         }
     }
 
-    /// Non-blocking select: charges one select call and returns the
-    /// currently ready keys.
+    /// Non-blocking select: charges one select call, handles the events
+    /// that have arrived and returns the currently ready keys.
     pub fn select_now(&self, sim: &mut Simulator) -> Vec<SelectedKey> {
         self.charge_select(sim);
+        self.drain(sim);
         self.collect_ready()
     }
 
@@ -457,6 +498,11 @@ impl RdmaSelector {
     /// Total events that flowed through the hybrid queue.
     pub fn hybrid_events_total(&self) -> u64 {
         self.inner.borrow().hybrid.total_events()
+    }
+
+    /// Events waiting in the hybrid queue for the selector thread.
+    pub fn hybrid_pending(&self) -> usize {
+        self.inner.borrow().hybrid.len()
     }
 
     fn charge_select(&self, sim: &mut Simulator) -> Nanos {
@@ -510,6 +556,9 @@ impl RdmaSelector {
                     inner.wake_scheduled = false;
                     inner.parked.take()
                 };
+                // The selector thread runs: what arrived while it was
+                // busy is handled now, before the ready sets are read.
+                sel.drain(sim);
                 let Some(cb) = cb else { return };
                 let ready = sel.collect_ready();
                 if ready.is_empty() {

@@ -3,8 +3,8 @@
 //! `benchmark/` cannot be edited alongside the code it measures.
 //!
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
-//! each budget sits about 15 % above what the harness below measures (32.5
-//! and 390.0 allocations, 4.67 MiB peak live; run with `--nocapture` to see
+//! each budget sits about 15 % above what the harness below measures (30.3
+//! and 371.8 allocations, 4.65 MiB peak live; run with `--nocapture` to see
 //! them). With a `format!`ed key per counter
 //! bump, the state before typed metric handles, the same harness read 109.0
 //! and 1,978.3. The PBFT figure scales with the messages per request: an
@@ -27,9 +27,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PAYLOAD: usize = 1024;
 
 /// Allocations per 1 KB message echoed over `RubinTransport` on one host.
-const ECHO_BUDGET: f64 = 37.0;
+const ECHO_BUDGET: f64 = 35.0;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
-const PBFT_BUDGET: f64 = 450.0;
+const PBFT_BUDGET: f64 = 430.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
 const PBFT_PEAK_LIVE_MIB: f64 = 5.4;

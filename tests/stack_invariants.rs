@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bench::fig3;
+use bench::{fig3, fig4};
 use reptor::{Cluster, CounterService, NodeId, ReptorConfig, Stack};
 use rubin::RubinConfig;
 use simnet::metrics::validate_json;
@@ -362,6 +362,36 @@ fn simulator_health_gauges_are_published_and_consistent() {
         snap.gauge("pool.net.takes") - snap.gauge("pool.net.returns"),
         snap.gauge("pool.net.outstanding")
     );
+}
+
+#[test]
+fn saturated_rubin_selector_polls_each_completion_queue_once_per_wake_up() {
+    // The paper's Figure 4 echo (window 30, bursts of 10) keeps both
+    // selector threads saturated: completion events wait in the hybrid
+    // queue and each wake-up polls a channel once for all of them. Polling
+    // per event measured 4.000 polls per echo here, 1.750 of them empty
+    // (the ACK of an unsignaled send leaves no completion).
+    const ECHOES: u64 = 6000;
+    let (_, snap) = fig4::rubin_selector_echo_instrumented(1024, ECHOES as usize);
+    let polls = snap.total("cq_polls");
+    let empty = snap.total("cq_polls_empty");
+    assert!(polls > 0, "the selectors must have polled");
+    assert!(
+        (polls as f64) < 0.6 * ECHOES as f64,
+        "{polls} completion-queue polls for {ECHOES} echoes"
+    );
+    assert!(
+        empty * 20 <= polls,
+        "{empty} of {polls} polls found nothing"
+    );
+    // Coalescing the polls starves nobody of receive buffers and loses no
+    // wire buffer.
+    assert_eq!(snap.total("rnr_retries"), 0);
+    assert_eq!(
+        snap.gauge("pool.net.takes") - snap.gauge("pool.net.returns"),
+        snap.gauge("pool.net.outstanding")
+    );
+    assert_eq!(snap.gauge("pool.net.outstanding"), 0);
 }
 
 #[test]
