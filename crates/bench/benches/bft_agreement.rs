@@ -7,7 +7,9 @@
 use std::time::Duration;
 
 use bench::replicated::{bft_echo, Stack};
+use bench::workload::Mix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use reptor::ReptorConfig;
 
 fn bft_points(c: &mut Criterion) {
     let mut g = c.benchmark_group("bft_agreement");
@@ -18,7 +20,7 @@ fn bft_points(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("stack", format!("{stack:?}")),
             &stack,
-            |b, &s| b.iter(|| bft_echo(s, 1024, 15, 4, 7)),
+            |b, &s| b.iter(|| bft_echo(s, Mix::Fixed(1024), 15, 4, 7, ReptorConfig::small())),
         );
     }
     g.finish();

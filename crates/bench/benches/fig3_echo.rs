@@ -46,7 +46,7 @@ fn fig3_points(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("rubin_channel", payload),
             &payload,
-            |b, &p| b.iter(|| bench::fig3::channel_echo(p, 10, bench_cfg())),
+            |b, &p| b.iter(|| bench::fig3::channel_echo(p, 10, bench_cfg(), 0.0)),
         );
     }
     g.finish();

@@ -16,7 +16,9 @@ use rdma_verbs::{
     connect_pair, Access, QpConfig, RdmaDevice, RecvWr, RnicModel, SendWr, Sge, WrId,
 };
 use rubin::{RdmaChannel, RecvOutcome, RubinConfig};
-use simnet::{throughput_ops_per_sec, CoreId, LatencyRecorder, Nanos, Series, TestBed};
+use simnet::{
+    throughput_ops_per_sec, CoreId, LatencyRecorder, MetricsSnapshot, Nanos, Series, TestBed,
+};
 use simnet_socket::{ReadOutcome, TcpListener, TcpModel, TcpStream};
 
 use crate::{pattern, EchoResult, PAYLOAD_SWEEP};
@@ -31,10 +33,10 @@ pub fn run(msgs: usize) -> (Vec<Series>, Vec<Series>) {
     let mut thr = lat.clone();
     for &payload in &PAYLOAD_SWEEP {
         let points = [
-            tcp_echo(payload, msgs),
+            tcp_echo(payload, msgs).0,
             send_recv_echo(payload, msgs),
             write_oneway(payload, msgs),
-            channel_echo(payload, msgs, RubinConfig::paper()),
+            channel_echo(payload, msgs, RubinConfig::paper(), 0.0).0,
         ];
         for (i, p) in points.iter().enumerate() {
             lat[i].push(payload, p.latency_us);
@@ -45,15 +47,10 @@ pub fn run(msgs: usize) -> (Vec<Series>, Vec<Series>) {
 }
 
 /// Plain TCP echo: the client ping-pongs `msgs` messages of `payload`
-/// bytes with a server on the other machine.
-pub fn tcp_echo(payload: usize, msgs: usize) -> EchoResult {
-    tcp_echo_instrumented(payload, msgs).0
-}
-
-/// As [`tcp_echo`], additionally returning the run's full cross-layer
-/// [`simnet::MetricsSnapshot`] (used by the report sidecar and the stack
-/// invariant tests).
-pub fn tcp_echo_instrumented(payload: usize, msgs: usize) -> (EchoResult, simnet::MetricsSnapshot) {
+/// bytes with a server on the other machine. Returns the operating point
+/// and the run's full cross-layer [`MetricsSnapshot`] (callers that want
+/// only the figure take `.0`).
+pub fn tcp_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
     let mut tb = TestBed::paper_testbed(0xF163);
     let model = TcpModel::linux_xeon();
     let listener =
@@ -342,42 +339,18 @@ fn client_pd(end: &VerbsEnd) -> rdma_verbs::ProtectionDomain {
     end.pd
 }
 
-/// The RUBIN RDMA channel echo with a configurable optimization set (the
-/// ablation benchmark reuses this with other configs).
-pub fn channel_echo(payload: usize, msgs: usize, cfg: RubinConfig) -> EchoResult {
-    channel_echo_instrumented(payload, msgs, cfg).0
-}
-
-/// As [`channel_echo`], additionally returning the run's full cross-layer
-/// [`simnet::MetricsSnapshot`] (used by the report sidecar and the stack
-/// invariant tests).
-pub fn channel_echo_instrumented(
-    payload: usize,
-    msgs: usize,
-    cfg: RubinConfig,
-) -> (EchoResult, simnet::MetricsSnapshot) {
-    channel_echo_run(payload, msgs, cfg, 0.0)
-}
-
-/// As [`channel_echo_instrumented`] but with frame loss probability `loss`
-/// applied to both directions of the link *after* establishment: the RC
-/// retransmission path recovers every drop while the data path stays on
-/// the RNIC (asserted by the stack-invariant tests).
-pub fn channel_echo_lossy_instrumented(
+/// The RUBIN RDMA channel echo with a configurable optimization set.
+/// Frame loss probability `loss` (0.0 for the figure) applies to both
+/// directions of the link *after* establishment: the RC retransmission path
+/// recovers every drop while the data path stays on the RNIC (asserted by
+/// the stack-invariant tests). Returns the operating point and the run's
+/// full cross-layer [`MetricsSnapshot`].
+pub fn channel_echo(
     payload: usize,
     msgs: usize,
     cfg: RubinConfig,
     loss: f64,
-) -> (EchoResult, simnet::MetricsSnapshot) {
-    channel_echo_run(payload, msgs, cfg, loss)
-}
-
-fn channel_echo_run(
-    payload: usize,
-    msgs: usize,
-    cfg: RubinConfig,
-    loss: f64,
-) -> (EchoResult, simnet::MetricsSnapshot) {
+) -> (EchoResult, MetricsSnapshot) {
     let mut tb = TestBed::paper_testbed(0xF1634);
     let dev_a = RdmaDevice::open(&tb.net, tb.a, RnicModel::mt27520());
     let dev_b = RdmaDevice::open(&tb.net, tb.b, RnicModel::mt27520());

@@ -31,9 +31,9 @@ pub fn run(msgs: usize) -> (Vec<Series>, Vec<Series>) {
     let mut thr = lat.clone();
     for &payload in &PAYLOAD_SWEEP {
         eprintln!("[fig4] payload {payload}: rubin...");
-        let rubin = rubin_selector_echo(payload, msgs);
+        let (rubin, _) = rubin_selector_echo(payload, msgs);
         eprintln!("[fig4] payload {payload}: tcp...");
-        let tcp = nio_selector_echo(payload, msgs);
+        let (tcp, _) = nio_selector_echo(payload, msgs);
         lat[0].push(payload, rubin.latency_us);
         lat[1].push(payload, tcp.latency_us);
         thr[0].push(payload, rubin.rps);
@@ -156,22 +156,13 @@ fn selector_echo(
 }
 
 /// Echo over the Java-NIO-style selector stack.
-pub fn nio_selector_echo(payload: usize, msgs: usize) -> EchoResult {
-    selector_echo(Stack::Nio, 0xF1641, payload, msgs).0
+pub fn nio_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
+    selector_echo(Stack::Nio, 0xF1641, payload, msgs)
 }
 
-/// Echo over the RUBIN selector stack.
-pub fn rubin_selector_echo(payload: usize, msgs: usize) -> EchoResult {
-    rubin_selector_echo_instrumented(payload, msgs).0
-}
-
-/// As [`rubin_selector_echo`], additionally returning the run's cross-layer
-/// [`MetricsSnapshot`] (the stack-invariant tests count completion-queue
-/// polls per echo on it).
-pub fn rubin_selector_echo_instrumented(
-    payload: usize,
-    msgs: usize,
-) -> (EchoResult, MetricsSnapshot) {
+/// Echo over the RUBIN selector stack (the stack-invariant tests count
+/// completion-queue polls per echo on its [`MetricsSnapshot`]).
+pub fn rubin_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
     selector_echo(Stack::Rubin, 0xF1642, payload, msgs)
 }
 

@@ -15,14 +15,21 @@
 //!   against the replicated KV store vs. the ordered message path,
 //!   both linearizability-checked.
 //!
-//! Binaries `fig3`, `fig4`, `replicated` and `ablation` print the series
-//! as aligned tables; Criterion benches wrap representative points.
+//! [`rows`] is the evaluation table: one row per experiment, each a
+//! function from its positional arguments to a [`gate::Report`] (printed
+//! tables, checks, sidecar sections). The one binary, `bench <name> [args]`,
+//! runs a row and passes its report through [`gate::gate`], which writes
+//! `target/bench/<name>.json` and exits non-zero on any failed check;
+//! `bench all` is CI's evaluation step. EXPERIMENTS.md owns the command of
+//! each experiment. Criterion benches wrap representative points.
 
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;
+pub mod gate;
 pub mod kv;
 pub mod replicated;
+pub mod rows;
 pub mod workload;
 
 /// The payload sweep of the paper's Figures 3 and 4 (1 KB – 100 KB).

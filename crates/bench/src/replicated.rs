@@ -12,8 +12,9 @@ use reptor::{
     Cluster, DurabilityConfig, EchoService, KvOp, KvService, RecoveryConfig, RecoveryScheduler,
     ReptorConfig,
 };
-use simnet::{throughput_ops_per_sec, HostId, LatencyRecorder, Nanos, Series};
+use simnet::{throughput_ops_per_sec, HostId, LatencyRecorder, MetricsSnapshot, Nanos, Series};
 
+use crate::workload::{Mix, Workload};
 use crate::EchoResult;
 
 /// The pipeline counts swept by the COP scaling experiment (Behl et al.'s
@@ -49,9 +50,9 @@ pub fn cop_config(pipelines: usize) -> ReptorConfig {
 
 /// Measures one COP scaling point with `p` pipelines.
 pub fn cop_point(pipelines: usize, total: u64, depth: usize) -> CopPoint {
-    let r = bft_configured(
+    let (r, _) = bft_echo(
         Stack::Direct,
-        crate::workload::Mix::Fixed(COP_PAYLOAD),
+        Mix::Fixed(COP_PAYLOAD),
         total,
         depth,
         0xC0B + pipelines as u64,
@@ -75,87 +76,22 @@ pub fn cop_scaling(total: u64, depth: usize) -> Vec<CopPoint> {
         .collect()
 }
 
-/// Runs `total` echo requests of `payload` bytes through a 4-replica PBFT
-/// group over the chosen stack, keeping `depth` requests in flight.
-pub fn bft_echo(stack: Stack, payload: usize, total: u64, depth: usize, seed: u64) -> EchoResult {
-    bft_workload(
-        stack,
-        crate::workload::Mix::Fixed(payload),
-        total,
-        depth,
-        seed,
-    )
-}
-
-/// Runs `total` requests drawn from `mix` through a 4-replica PBFT group
-/// over the chosen stack, keeping `depth` requests in flight.
-pub fn bft_workload(
+/// Runs `total` requests drawn from `mix` through a 4-replica PBFT echo
+/// group configured by `cfg` over the chosen stack, keeping `depth` requests
+/// in flight; returns the operating point and the run's full cross-layer
+/// [`MetricsSnapshot`] (callers that want only the figure take `.0`).
+pub fn bft_echo(
     stack: Stack,
-    mix: crate::workload::Mix,
-    total: u64,
-    depth: usize,
-    seed: u64,
-) -> EchoResult {
-    bft_configured(stack, mix, total, depth, seed, ReptorConfig::small())
-}
-
-/// As [`bft_echo`], additionally returning the run's full cross-layer
-/// [`simnet::MetricsSnapshot`] (used by the report sidecar).
-pub fn bft_echo_instrumented(
-    stack: Stack,
-    payload: usize,
-    total: u64,
-    depth: usize,
-    seed: u64,
-) -> (EchoResult, simnet::MetricsSnapshot) {
-    bft_instrumented(
-        stack,
-        crate::workload::Mix::Fixed(payload),
-        total,
-        depth,
-        seed,
-        ReptorConfig::small(),
-    )
-}
-
-/// As [`bft_workload`], with an explicit replica-group configuration.
-pub fn bft_configured(
-    stack: Stack,
-    mix: crate::workload::Mix,
+    mix: Mix,
     total: u64,
     depth: usize,
     seed: u64,
     cfg: ReptorConfig,
-) -> EchoResult {
-    bft_instrumented(stack, mix, total, depth, seed, cfg).0
-}
-
-/// As [`bft_configured`], additionally returning the run's full
-/// cross-layer [`simnet::MetricsSnapshot`] (used by the fast-path
-/// comparison and the report sidecar).
-pub fn bft_configured_instrumented(
-    stack: Stack,
-    mix: crate::workload::Mix,
-    total: u64,
-    depth: usize,
-    seed: u64,
-    cfg: ReptorConfig,
-) -> (EchoResult, simnet::MetricsSnapshot) {
-    bft_instrumented(stack, mix, total, depth, seed, cfg)
-}
-
-fn bft_instrumented(
-    stack: Stack,
-    mix: crate::workload::Mix,
-    total: u64,
-    depth: usize,
-    seed: u64,
-    cfg: ReptorConfig,
-) -> (EchoResult, simnet::MetricsSnapshot) {
+) -> (EchoResult, MetricsSnapshot) {
     let mut c = Cluster::build(stack, cfg, 1, seed, || Box::new(EchoService::default()));
     let client = c.clients[0].clone();
 
-    let mut gen = crate::workload::Workload::new(mix, seed ^ 0x5EED);
+    let mut gen = Workload::new(mix, seed ^ 0x5EED);
     let t0 = c.sim.now();
     let mut submitted = 0u64;
     let mut guard = 0u64;
@@ -198,7 +134,7 @@ fn bft_instrumented(
 /// the one-sided RDMA READ fast path. The report sidecar embeds this
 /// snapshot so the bench artifact records the `state_transfer_*` counters
 /// (started/chunks/bytes/reads/retries/completed) for every CI run.
-pub fn state_transfer_instrumented(seed: u64) -> simnet::MetricsSnapshot {
+pub fn state_transfer_instrumented(seed: u64) -> MetricsSnapshot {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
@@ -257,9 +193,9 @@ fn pings(count: usize) -> impl Iterator<Item = Vec<u8>> {
 #[derive(Debug, Clone)]
 pub struct DurableRestartDrill {
     /// Metrics of the baseline run (no durability: full peer fetch).
-    pub baseline: simnet::MetricsSnapshot,
+    pub baseline: MetricsSnapshot,
     /// Metrics of the durable run (WAL replay + delta fetch).
-    pub durable: simnet::MetricsSnapshot,
+    pub durable: MetricsSnapshot,
 }
 
 impl DurableRestartDrill {
@@ -293,7 +229,7 @@ impl DurableRestartDrill {
 /// restarts cold and rebuilds via state transfer. With `durability` set,
 /// the restart first replays the local WAL and the transfer degrades to a
 /// delta fetch of the changed chunks.
-fn durable_restart_run(seed: u64, durability: Option<DurabilityConfig>) -> simnet::MetricsSnapshot {
+fn durable_restart_run(seed: u64, durability: Option<DurabilityConfig>) -> MetricsSnapshot {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         durability,
@@ -369,7 +305,7 @@ pub fn durable_restart_drill_instrumented(seed: u64) -> DurableRestartDrill {
 /// sidecar embeds this snapshot so the bench artifact records the
 /// `proactive_*` counters (epoch_rolls/refreshes/rotations) plus the
 /// `mr_rotations` and `epoch_rolls` replica counters for every CI run.
-pub fn recovery_epoch_drill_instrumented(seed: u64) -> simnet::MetricsSnapshot {
+pub fn recovery_epoch_drill_instrumented(seed: u64) -> MetricsSnapshot {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
@@ -439,7 +375,7 @@ pub struct FastPathComparison {
     pub fast: EchoResult,
     /// Cross-layer metrics snapshot of the fast-path run — carries the
     /// `fast_path_*` counters the report sidecar and bench gate embed.
-    pub snapshot: simnet::MetricsSnapshot,
+    pub snapshot: MetricsSnapshot,
 }
 
 /// Measures PBFT commit latency over the RUBIN stack with the one-sided
@@ -450,14 +386,13 @@ pub struct FastPathComparison {
 /// common-case commit latency must sit strictly below the message path
 /// — the gated bench asserts exactly that.
 pub fn fast_path_comparison(total: u64, depth: usize, seed: u64) -> FastPathComparison {
-    let mix = crate::workload::Mix::Fixed(FAST_PATH_PAYLOAD);
-    let (message, _) =
-        bft_instrumented(Stack::Rubin, mix, total, depth, seed, ReptorConfig::small());
+    let mix = Mix::Fixed(FAST_PATH_PAYLOAD);
+    let (message, _) = bft_echo(Stack::Rubin, mix, total, depth, seed, ReptorConfig::small());
     let fast_cfg = ReptorConfig {
         fast_path: true,
         ..ReptorConfig::small()
     };
-    let (fast, snapshot) = bft_instrumented(Stack::Rubin, mix, total, depth, seed, fast_cfg);
+    let (fast, snapshot) = bft_echo(Stack::Rubin, mix, total, depth, seed, fast_cfg);
     FastPathComparison {
         message,
         fast,
@@ -472,11 +407,10 @@ pub const BFT_PAYLOADS: [usize; 4] = [256, 1024, 4 * 1024, 16 * 1024];
 /// Runs every named workload mix over all three stacks; returns one
 /// `(mix label, stack label, result)` row per combination.
 pub fn run_mixes(total: u64, depth: usize) -> Vec<(String, &'static str, EchoResult)> {
-    use crate::workload::Mix;
     let mut rows = Vec::new();
     for mix in [Mix::KvStore, Mix::WebFrontend, Mix::Ledger] {
         for stack in [Stack::Rubin, Stack::Nio] {
-            let r = bft_workload(stack, mix, total, depth, 0xB5);
+            let (r, _) = bft_echo(stack, mix, total, depth, 0xB5, ReptorConfig::small());
             rows.push((mix.label(), stack.label(), r));
         }
     }
@@ -491,7 +425,14 @@ pub fn run(total: u64, depth: usize) -> (Vec<Series>, Vec<Series>) {
     let mut thr = lat.clone();
     for &payload in &BFT_PAYLOADS {
         for (i, &stack) in stacks.iter().enumerate() {
-            let r = bft_echo(stack, payload, total, depth, 0xB4);
+            let (r, _) = bft_echo(
+                stack,
+                Mix::Fixed(payload),
+                total,
+                depth,
+                0xB4,
+                ReptorConfig::small(),
+            );
             lat[i].push(payload, r.latency_us);
             thr[i].push(payload, r.rps);
         }

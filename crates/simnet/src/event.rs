@@ -37,9 +37,10 @@
 //!   counter triggers a compaction sweep when dead entries outnumber live
 //!   ones, so cancel-heavy runs (per-segment ACK timers) stay bounded.
 //!
-//! The `shadow-event-queue` feature runs the pre-sharding [`legacy`] queue in
-//! lock-step and asserts every pop agrees — the transition-safety harness
-//! proving the refactor preserves the total order.
+//! Under `cfg(test)` every queue carries the pre-sharding global heap (the
+//! `legacy` module) and [`EventQueue::pop`] asserts that both agree on each
+//! pop's `(time, seq)`, so every simnet unit test that runs a simulation is
+//! also a lock-step proof that sharding preserves the total order.
 
 use std::cmp::Ordering;
 
@@ -274,7 +275,7 @@ pub(crate) struct EventQueue {
     merges: u64,
     index_stale: u64,
     cache: Option<RunCache>,
-    #[cfg(feature = "shadow-event-queue")]
+    #[cfg(test)]
     shadow: legacy::LegacyEventQueue,
 }
 
@@ -302,7 +303,7 @@ impl EventQueue {
             merges: 0,
             index_stale: 0,
             cache: None,
-            #[cfg(feature = "shadow-event-queue")]
+            #[cfg(test)]
             shadow: legacy::LegacyEventQueue::new(),
         }
     }
@@ -364,8 +365,8 @@ impl EventQueue {
         self.live += 1;
         self.high_water = self.high_water.max(self.live);
         self.scheduled += 1;
-        #[cfg(feature = "shadow-event-queue")]
-        self.shadow.push(at, Box::new(|_| {}));
+        #[cfg(test)]
+        self.shadow.push(at);
         EventId(id)
     }
 
@@ -383,7 +384,7 @@ impl EventQueue {
         self.live -= 1;
         self.tombstones += 1;
         self.cancelled += 1;
-        #[cfg(feature = "shadow-event-queue")]
+        #[cfg(test)]
         self.shadow.cancel(id.0 >> SLOT_BITS);
         self.maybe_compact();
     }
@@ -457,7 +458,7 @@ impl EventQueue {
     /// Full merge via the head index: pops the globally minimal live event,
     /// discarding dead entries and stale index entries along the way, and
     /// opens a new fenced run for the winning shard.
-    fn merge_pop(&mut self) -> Option<(u32, Nanos, EventFn)> {
+    fn merge_pop(&mut self) -> Option<(u32, Entry, EventFn)> {
         self.merges += 1;
         loop {
             let top = *self.index.peek()?;
@@ -477,7 +478,7 @@ impl EventQueue {
                 // lets the fast path keep popping it.
                 let fence = self.index.peek().map(|i| i.e.key());
                 self.cache = Some(RunCache { shard, fence });
-                return Some((shard as u32, top.e.at, action));
+                return Some((shard as u32, top.e, action));
             }
             // Dead head: no run opened, so restore the shard's index cover.
             if let Some(&next) = self.shards[shard].peek() {
@@ -492,27 +493,16 @@ impl EventQueue {
     /// Pops the next live (non-cancelled) event with its shard.
     pub fn pop(&mut self) -> Option<(u32, Nanos, EventFn)> {
         let popped = self.pop_inner();
-        #[cfg(feature = "shadow-event-queue")]
-        match &popped {
-            Some((_, at, _)) => {
-                let (s_at, _s_seq) = self
-                    .shadow
-                    .pop()
-                    .expect("shadow queue agrees the queue is non-empty");
-                assert_eq!(
-                    s_at, *at,
-                    "sharded queue diverged from the legacy total order"
-                );
-            }
-            None => assert!(
-                self.shadow.pop().is_none(),
-                "shadow queue still has live events"
-            ),
-        }
-        popped
+        #[cfg(test)]
+        assert_eq!(
+            self.shadow.pop(),
+            popped.as_ref().map(|(_, e, _)| (e.at, e.id >> SLOT_BITS)),
+            "sharded queue diverged from the legacy (time, seq) order"
+        );
+        popped.map(|(shard, e, action)| (shard, e.at, action))
     }
 
-    fn pop_inner(&mut self) -> Option<(u32, Nanos, EventFn)> {
+    fn pop_inner(&mut self) -> Option<(u32, Entry, EventFn)> {
         if self.live == 0 {
             self.retire_cache();
             return None;
@@ -528,7 +518,7 @@ impl EventQueue {
                 self.shards[c.shard].pop();
                 if let Some(action) = self.claim(head) {
                     self.run_hits += 1;
-                    return Some((c.shard as u32, head.at, action));
+                    return Some((c.shard as u32, head, action));
                 }
             }
             self.retire_cache();
@@ -613,49 +603,21 @@ impl EventQueue {
 /// per shard while the merge scan stays a cache-line-friendly sweep.
 pub(crate) const DEFAULT_SHARDS: usize = 16;
 
-pub(crate) mod legacy {
-    //! The pre-sharding event queue: one global `BinaryHeap` of boxed
-    //! events plus a cancelled-id `HashSet` checked on every pop. Kept as
-    //! the lock-step oracle for the `shadow-event-queue` feature and as the
-    //! measured baseline of the `sim_speed` bench.
+#[cfg(test)]
+mod legacy {
+    //! The pre-sharding event queue: one global `BinaryHeap` keyed by
+    //! `(time, seq)` plus a cancelled-id `HashSet` checked on every pop.
+    //! Kept as the order oracle the sharded queue is tested against.
 
-    use std::cmp::Ordering;
+    use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashSet};
 
-    use super::EventFn;
     use crate::time::Nanos;
 
-    pub(crate) struct ScheduledEvent {
-        pub at: Nanos,
-        pub id: u64,
-        #[allow(dead_code)]
-        pub action: EventFn,
-    }
-
-    impl PartialEq for ScheduledEvent {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.id == other.id
-        }
-    }
-
-    impl Eq for ScheduledEvent {}
-
-    impl PartialOrd for ScheduledEvent {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl Ord for ScheduledEvent {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-        }
-    }
-
-    pub(crate) struct LegacyEventQueue {
-        heap: BinaryHeap<ScheduledEvent>,
+    pub(super) struct LegacyEventQueue {
+        heap: BinaryHeap<Reverse<(Nanos, u64)>>,
         cancelled: HashSet<u64>,
-        next_id: u64,
+        next_seq: u64,
     }
 
     impl LegacyEventQueue {
@@ -663,203 +625,37 @@ pub(crate) mod legacy {
             LegacyEventQueue {
                 heap: BinaryHeap::new(),
                 cancelled: HashSet::new(),
-                next_id: 0,
+                next_seq: 0,
             }
         }
 
-        pub fn push(&mut self, at: Nanos, action: EventFn) -> u64 {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.heap.push(ScheduledEvent { at, id, action });
-            id
+        pub fn push(&mut self, at: Nanos) {
+            self.heap.push(Reverse((at, self.next_seq)));
+            self.next_seq += 1;
         }
 
-        pub fn cancel(&mut self, id: u64) {
-            self.cancelled.insert(id);
+        pub fn cancel(&mut self, seq: u64) {
+            self.cancelled.insert(seq);
         }
 
         pub fn pop(&mut self) -> Option<(Nanos, u64)> {
-            while let Some(ev) = self.heap.pop() {
-                if self.cancelled.remove(&ev.id) {
-                    continue;
+            while let Some(Reverse((at, seq))) = self.heap.pop() {
+                if !self.cancelled.remove(&seq) {
+                    return Some((at, seq));
                 }
-                return Some((ev.at, ev.id));
             }
             None
         }
 
-        #[allow(dead_code)]
         pub fn peek_time(&mut self) -> Option<Nanos> {
-            loop {
-                match self.heap.peek() {
-                    None => return None,
-                    Some(ev) if self.cancelled.contains(&ev.id) => {
-                        let ev = self.heap.pop().expect("peeked event exists");
-                        self.cancelled.remove(&ev.id);
-                    }
-                    Some(ev) => return Some(ev.at),
+            while let Some(&Reverse((at, seq))) = self.heap.peek() {
+                if !self.cancelled.remove(&seq) {
+                    return Some(at);
                 }
+                self.heap.pop();
             }
+            None
         }
-    }
-}
-
-pub mod speed {
-    //! The event-core micro-benchmark behind `bench --bin sim_speed`.
-    //!
-    //! Both queue generations run the *same* deterministic workload — a
-    //! standing window of pending events spread across simulated hosts,
-    //! with a slice of timers cancelled before they fire, the shape the RC
-    //! transports and geo runs actually produce — and report events/sec.
-
-    use super::{legacy::LegacyEventQueue, EventQueue};
-    use crate::time::Nanos;
-
-    /// Workload knobs for [`events_per_sec`].
-    #[derive(Debug, Clone, Copy)]
-    pub struct SpeedWorkload {
-        /// Total events scheduled.
-        pub events: u64,
-        /// Standing pending-event window.
-        pub window: usize,
-        /// Every k-th event is cancelled before firing (0 = none).
-        pub cancel_every: u64,
-        /// Simulated host count driving the shard hints.
-        pub hosts: u32,
-        /// Maximum events per same-host burst: when a host wakes up it
-        /// schedules a cascade of follow-ups (handler completions, DMA
-        /// doorbells, acks) clustered a few nanoseconds apart — the shape
-        /// the RC transports actually produce.
-        pub burst: u64,
-    }
-
-    impl Default for SpeedWorkload {
-        fn default() -> SpeedWorkload {
-            // The scale-out regime the PR targets: a thousand-client WAN
-            // run holds a ~100k-event standing window dominated by
-            // retransmission guards, nearly all cancelled by their acks.
-            SpeedWorkload {
-                events: 600_000,
-                window: 100_000,
-                cancel_every: 2,
-                hosts: 32,
-                burst: 8,
-            }
-        }
-    }
-
-    /// Which event-core generation to measure.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Core {
-        /// The pre-sharding global heap + cancelled-id `HashSet`.
-        Legacy,
-        /// The sharded slab queue with conservative lookahead.
-        Sharded,
-    }
-
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    /// Runs the workload on the chosen core and returns `(events_per_sec,
-    /// executed)`. Deterministic in its decisions; only the wall-clock
-    /// denominator varies by machine.
-    pub fn events_per_sec(core: Core, w: SpeedWorkload, seed: u64) -> (f64, u64) {
-        enum Q {
-            Legacy(LegacyEventQueue),
-            Sharded(EventQueue),
-        }
-        let mut q = match core {
-            Core::Legacy => Q::Legacy(LegacyEventQueue::new()),
-            Core::Sharded => Q::Sharded(EventQueue::with_shards(16)),
-        };
-        let mut rng = seed | 1;
-        let mut now = Nanos::ZERO;
-        let mut pending: usize = 0;
-        let mut executed: u64 = 0;
-        let mut last_id: Option<u64> = None;
-        let start = std::time::Instant::now();
-        let mut scheduled: u64 = 0;
-        while scheduled < w.events {
-            // A host wakes up and schedules a burst of follow-up events.
-            // Three in four bursts are local cascades (handler work, DMA
-            // completions, acks a few nanoseconds out); the rest are long
-            // retransmission-guard timers — the population the cancels hit.
-            let host = (lcg(&mut rng) % w.hosts as u64) as u32;
-            let burst_len = 1 + lcg(&mut rng) % w.burst.max(1);
-            let base = if lcg(&mut rng).is_multiple_of(4) {
-                now + Nanos::from_nanos(10_000 + lcg(&mut rng) % 100_000)
-            } else {
-                now + Nanos::from_nanos(20 + lcg(&mut rng) % 200)
-            };
-            for j in 0..burst_len {
-                if scheduled >= w.events {
-                    break;
-                }
-                let at = base + Nanos::from_nanos(5 * j);
-                let id = match &mut q {
-                    Q::Legacy(q) => q.push(at, Box::new(|_| {})),
-                    Q::Sharded(q) => q.push(at, host, Box::new(|_| {})).0,
-                };
-                scheduled += 1;
-                pending += 1;
-                if w.cancel_every > 0 && scheduled.is_multiple_of(w.cancel_every) {
-                    // Cancel the previously scheduled event (an ACK
-                    // arriving before its retransmission timer fires).
-                    if let Some(prev) = last_id.take() {
-                        match &mut q {
-                            Q::Legacy(q) => q.cancel(prev),
-                            Q::Sharded(q) => q.cancel(super::EventId(prev)),
-                        }
-                        pending -= 1;
-                    }
-                }
-                last_id = Some(id);
-                while pending > w.window {
-                    let popped = match &mut q {
-                        Q::Legacy(q) => q.pop().map(|(at, _)| at),
-                        Q::Sharded(q) => q.pop().map(|(_, at, _)| at),
-                    };
-                    if let Some(at) = popped {
-                        now = at;
-                        executed += 1;
-                    }
-                    pending -= 1;
-                }
-            }
-        }
-        loop {
-            let popped = match &mut q {
-                Q::Legacy(q) => q.pop(),
-                Q::Sharded(q) => q.pop().map(|(_, at, _)| (at, 0)),
-            };
-            if popped.is_none() {
-                break;
-            }
-            executed += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        if std::env::var("SIM_SPEED_DEBUG").is_ok() {
-            if let Q::Sharded(q) = &q {
-                eprintln!("  sharded stats: {:?}", q.stats());
-            }
-        }
-        (executed as f64 / elapsed, executed)
-    }
-
-    /// Runs both cores on the same workload and asserts they execute the
-    /// same number of events; returns `(legacy_eps, sharded_eps)`.
-    pub fn compare(w: SpeedWorkload, seed: u64) -> (f64, f64) {
-        let (legacy_eps, legacy_n) = events_per_sec(Core::Legacy, w, seed);
-        let (sharded_eps, sharded_n) = events_per_sec(Core::Sharded, w, seed);
-        assert_eq!(
-            legacy_n, sharded_n,
-            "both cores must execute the same workload"
-        );
-        (legacy_eps, sharded_eps)
     }
 }
 
@@ -975,9 +771,9 @@ mod tests {
 
     #[test]
     fn matches_legacy_order_under_random_churn() {
-        use legacy::LegacyEventQueue;
-        let mut new_q = EventQueue::with_shards(5);
-        let mut old_q = LegacyEventQueue::new();
+        // The oracle is the queue's own shadow heap: `push` and `cancel`
+        // feed it, and every `pop` asserts both agree on `(time, seq)`.
+        let mut q = EventQueue::with_shards(5);
         let mut state = 0x5EEDu64;
         let mut lcg = move || {
             state = state
@@ -985,49 +781,24 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let mut live_new: Vec<EventId> = Vec::new();
-        let mut live_old: Vec<u64> = Vec::new();
+        let mut live: Vec<EventId> = Vec::new();
         for _ in 0..5_000 {
             match lcg() % 4 {
                 0 | 1 => {
                     let at = Nanos::from_nanos(lcg() % 512);
                     let shard = (lcg() % 5) as u32;
-                    live_new.push(new_q.push(at, shard, noop()));
-                    live_old.push(old_q.push(at, noop()));
+                    live.push(q.push(at, shard, noop()));
                 }
-                2 if !live_new.is_empty() => {
-                    let i = (lcg() as usize) % live_new.len();
-                    new_q.cancel(live_new.swap_remove(i));
-                    old_q.cancel(live_old.swap_remove(i));
+                2 if !live.is_empty() => {
+                    let i = (lcg() as usize) % live.len();
+                    q.cancel(live.swap_remove(i));
                 }
                 _ => {
-                    let a = new_q.pop().map(|(_, at, _)| at);
-                    let b = old_q.pop().map(|(at, _)| at);
-                    assert_eq!(a, b, "pop order diverged");
-                    assert_eq!(new_q.peek_time(), old_q.peek_time());
+                    q.pop();
+                    assert_eq!(q.peek_time(), q.shadow.peek_time());
                 }
             }
         }
-        loop {
-            let a = new_q.pop().map(|(_, at, _)| at);
-            let b = old_q.pop().map(|(at, _)| at);
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn speed_harness_cores_agree() {
-        let w = speed::SpeedWorkload {
-            events: 5_000,
-            window: 500,
-            cancel_every: 3,
-            hosts: 8,
-            burst: 8,
-        };
-        let (l, s) = speed::compare(w, 7);
-        assert!(l > 0.0 && s > 0.0);
+        while q.pop().is_some() {}
     }
 }

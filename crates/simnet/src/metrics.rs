@@ -684,7 +684,7 @@ fn push_entries<'a, V: 'a>(
 }
 
 /// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -18,8 +18,8 @@ fn main() {
         "payload", "RUBIN lat(us)", "NIO lat(us)", "gain", "RUBIN rps", "NIO rps", "gain"
     );
     for payload in [1024usize, 8 * 1024, 64 * 1024] {
-        let rubin = fig4::rubin_selector_echo(payload, 60);
-        let nio = fig4::nio_selector_echo(payload, 60);
+        let (rubin, _) = fig4::rubin_selector_echo(payload, 60);
+        let (nio, _) = fig4::nio_selector_echo(payload, 60);
         println!(
             "{:>9}K {:>14.1} {:>14.1} {:>8.0}% | {:>12.0} {:>12.0} {:>8.0}%",
             payload / 1024,

@@ -128,7 +128,7 @@ proptest! {
 /// client falls back to agreement for that read, rotates the liar out of
 /// its quorum, and resumes one-sided reads against the honest `2f + 1`.
 /// Swept over seeds 1–5 in one go (the scenario must not be
-/// seed-sensitive, and CI's CHAOS_SEED matrix re-runs it redundantly).
+/// seed-sensitive; it does not read `CHAOS_SEED`, so CI runs it once).
 #[test]
 fn stale_lease_offer_is_rnic_denied_and_rotated_out() {
     for seed in 1u64..=5 {

@@ -26,7 +26,7 @@ const MSGS: usize = 10;
 
 #[test]
 fn rdma_data_path_has_zero_kernel_copies_and_zero_crossings() {
-    let (_, snap) = fig3::channel_echo_instrumented(PAYLOAD, MSGS, RubinConfig::paper());
+    let (_, snap) = fig3::channel_echo(PAYLOAD, MSGS, RubinConfig::paper(), 0.0);
 
     // The data path never enters the kernel: no socket-buffer copies, no
     // syscalls, no interrupts.
@@ -60,7 +60,7 @@ fn lossy_rdma_run_still_moves_every_byte_by_dma_with_zero_kernel_crossings() {
     // Frame loss forces the RC retransmission path to do real work; the
     // recovery must happen inside the RNIC model — robustness must not
     // silently re-route traffic through the socket cost model.
-    let (_, snap) = fig3::channel_echo_lossy_instrumented(PAYLOAD, MSGS, RubinConfig::paper(), 0.1);
+    let (_, snap) = fig3::channel_echo(PAYLOAD, MSGS, RubinConfig::paper(), 0.1);
 
     // The fault plane actually dropped frames and the QP recovered them.
     assert!(
@@ -97,7 +97,7 @@ fn lossy_rdma_run_still_moves_every_byte_by_dma_with_zero_kernel_crossings() {
 fn quiescent_rdma_run_has_no_rnr_retries() {
     // The RUBIN channel keeps receives pre-posted, so a well-paced echo
     // never hits receiver-not-ready backoff.
-    let (_, snap) = fig3::channel_echo_instrumented(PAYLOAD, MSGS, RubinConfig::paper());
+    let (_, snap) = fig3::channel_echo(PAYLOAD, MSGS, RubinConfig::paper(), 0.0);
     assert_eq!(
         snap.total("rnr_retries"),
         0,
@@ -110,7 +110,7 @@ fn quiescent_rdma_run_has_no_rnr_retries() {
 
 #[test]
 fn socket_data_path_pays_exactly_two_copies_and_two_crossings_per_message() {
-    let (_, snap) = fig3::tcp_echo_instrumented(PAYLOAD, MSGS);
+    let (_, snap) = fig3::tcp_echo(PAYLOAD, MSGS);
 
     // An echo is two messages (request + reply); each message is copied
     // exactly twice: user→kernel on write, kernel→user on read.
@@ -372,7 +372,7 @@ fn saturated_rubin_selector_polls_each_completion_queue_once_per_wake_up() {
     // per event measured 4.000 polls per echo here, 1.750 of them empty
     // (the ACK of an unsignaled send leaves no completion).
     const ECHOES: u64 = 6000;
-    let (_, snap) = fig4::rubin_selector_echo_instrumented(1024, ECHOES as usize);
+    let (_, snap) = fig4::rubin_selector_echo(1024, ECHOES as usize);
     let polls = snap.total("cq_polls");
     let empty = snap.total("cq_polls_empty");
     assert!(polls > 0, "the selectors must have polled");
@@ -398,7 +398,7 @@ fn saturated_rubin_selector_polls_each_completion_queue_once_per_wake_up() {
 fn rubin_stack_recycles_pooled_buffers_without_leaking() {
     // The RDMA data path allocates its wire payloads from the network's
     // buffer pool; a settled echo run must return every one.
-    let (_, snap) = fig3::channel_echo_instrumented(PAYLOAD, MSGS, RubinConfig::paper());
+    let (_, snap) = fig3::channel_echo(PAYLOAD, MSGS, RubinConfig::paper(), 0.0);
     let takes = snap.gauge("pool.net.takes");
     let returns = snap.gauge("pool.net.returns");
     let outstanding = snap.gauge("pool.net.outstanding");
