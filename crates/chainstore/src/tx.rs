@@ -5,37 +5,40 @@
 //! records (the permissioned SCM case).
 
 use bft_crypto::Digest;
+use reptor::codec;
 
-/// A ledger transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transaction {
-    /// Moves `amount` from one account to another.
-    Transfer {
-        /// Source account.
-        from: String,
-        /// Destination account.
-        to: String,
-        /// Amount in minimal units.
-        amount: u64,
-    },
-    /// Records a supply-chain custody event for an item.
-    Shipment {
-        /// Item identifier.
-        item: String,
-        /// Releasing party.
-        from: String,
-        /// Receiving party.
-        to: String,
-        /// Location of the hand-over.
-        location: String,
-    },
-    /// Mints new funds to an account (genesis/faucet, permissioned only).
-    Mint {
-        /// Receiving account.
-        to: String,
-        /// Amount in minimal units.
-        amount: u64,
-    },
+reptor::wire_format! {
+    /// A ledger transaction.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Transaction {
+        /// Moves `amount` from one account to another.
+        0 => Transfer {
+            /// Source account.
+            from: String,
+            /// Destination account.
+            to: String,
+            /// Amount in minimal units.
+            amount: u64,
+        },
+        /// Records a supply-chain custody event for an item.
+        1 => Shipment {
+            /// Item identifier.
+            item: String,
+            /// Releasing party.
+            from: String,
+            /// Receiving party.
+            to: String,
+            /// Location of the hand-over.
+            location: String,
+        },
+        /// Mints new funds to an account (genesis/faucet, permissioned only).
+        2 => Mint {
+            /// Receiving account.
+            to: String,
+            /// Amount in minimal units.
+            amount: u64,
+        },
+    }
 }
 
 impl Transaction {
@@ -73,87 +76,12 @@ impl Transaction {
 
     /// Binary encoding (used as the BFT request payload).
     pub fn encode(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        let mut out = Vec::new();
-        match self {
-            Transaction::Transfer { from, to, amount } => {
-                out.push(0);
-                put_str(&mut out, from);
-                put_str(&mut out, to);
-                out.extend_from_slice(&amount.to_le_bytes());
-            }
-            Transaction::Shipment {
-                item,
-                from,
-                to,
-                location,
-            } => {
-                out.push(1);
-                put_str(&mut out, item);
-                put_str(&mut out, from);
-                put_str(&mut out, to);
-                put_str(&mut out, location);
-            }
-            Transaction::Mint { to, amount } => {
-                out.push(2);
-                put_str(&mut out, to);
-                out.extend_from_slice(&amount.to_le_bytes());
-            }
-        }
-        out
+        codec::encode(self)
     }
 
     /// Decodes a transaction; `None` on malformed input.
     pub fn decode(buf: &[u8]) -> Option<Transaction> {
-        fn get_str(buf: &[u8]) -> Option<(String, &[u8])> {
-            if buf.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
-            let rest = &buf[4..];
-            if rest.len() < len {
-                return None;
-            }
-            let s = String::from_utf8(rest[..len].to_vec()).ok()?;
-            Some((s, &rest[len..]))
-        }
-        fn get_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
-            if buf.len() < 8 {
-                return None;
-            }
-            Some((u64::from_le_bytes(buf[..8].try_into().ok()?), &buf[8..]))
-        }
-        let (&tag, rest) = buf.split_first()?;
-        match tag {
-            0 => {
-                let (from, rest) = get_str(rest)?;
-                let (to, rest) = get_str(rest)?;
-                let (amount, rest) = get_u64(rest)?;
-                rest.is_empty()
-                    .then_some(Transaction::Transfer { from, to, amount })
-            }
-            1 => {
-                let (item, rest) = get_str(rest)?;
-                let (from, rest) = get_str(rest)?;
-                let (to, rest) = get_str(rest)?;
-                let (location, rest) = get_str(rest)?;
-                rest.is_empty().then_some(Transaction::Shipment {
-                    item,
-                    from,
-                    to,
-                    location,
-                })
-            }
-            2 => {
-                let (to, rest) = get_str(rest)?;
-                let (amount, rest) = get_u64(rest)?;
-                rest.is_empty().then_some(Transaction::Mint { to, amount })
-            }
-            _ => None,
-        }
+        codec::decode(buf).ok()
     }
 }
 
@@ -189,8 +117,7 @@ mod tests {
         enc.push(0);
         assert_eq!(Transaction::decode(&enc), None);
         // Non-UTF8 account names rejected.
-        let mut bad = vec![2u8, 2, 0, 0, 0, 0xFF, 0xFE];
-        bad.extend_from_slice(&1u64.to_le_bytes());
+        let bad = [2u8, 2, 0, 0, 0, 0xFF, 0xFE, 1, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(Transaction::decode(&bad), None);
     }
 }

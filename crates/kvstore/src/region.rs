@@ -41,6 +41,9 @@ pub const KEY_MAX: usize = 48;
 pub const VAL_MAX: usize = 88;
 /// Default number of cells in a region.
 pub const DEFAULT_CAPACITY: usize = 1024;
+/// Most cells a region may have (a 160 MiB image); a snapshot claiming
+/// more is corrupt, not a region to allocate.
+pub const MAX_CAPACITY: usize = 1 << 20;
 
 /// FNV-1a bucket index of `key` in a `capacity`-cell region.
 pub fn bucket_of(key: &[u8], capacity: usize) -> usize {

@@ -5,16 +5,20 @@
 //! [`crate::region`] image of its applied state and stages the two-phase
 //! cell writes the replica publishes into the leased MR after each batch.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use bft_crypto::Digest;
-use reptor::{KvOp, Reader, RegionWrite, Request, StateMachine, Writer};
+use reptor::{codec, KvOp, RegionWrite, Request, StateMachine};
 
 use crate::region::{
     bucket_of, cell_offset, encode_cell, encode_header, encode_poisoned, fits, CELL_SIZE,
-    DEFAULT_CAPACITY, HEADER_SIZE,
+    DEFAULT_CAPACITY, HEADER_SIZE, MAX_CAPACITY,
 };
+
+/// Snapshot record: apply version, region capacity, then the map.
+type Snapshot<'a> = (u64, u64, Cow<'a, BTreeMap<Vec<u8>, Vec<u8>>>);
 
 /// A replicated key/value store exposing its applied state as a leased
 /// read region.
@@ -41,7 +45,10 @@ impl Default for KvStoreService {
 impl KvStoreService {
     /// Creates a store whose read region has `capacity` cells.
     pub fn new(capacity: usize) -> KvStoreService {
-        assert!(capacity > 0, "region needs at least one cell");
+        assert!(
+            (1..=MAX_CAPACITY).contains(&capacity),
+            "region needs 1..={MAX_CAPACITY} cells"
+        );
         let mut image = vec![0u8; HEADER_SIZE + capacity * CELL_SIZE];
         image[..HEADER_SIZE].copy_from_slice(&encode_header(capacity));
         KvStoreService {
@@ -186,33 +193,15 @@ impl StateMachine for KvStoreService {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.version);
-        w.u64(self.capacity as u64);
-        w.u32(self.map.len() as u32);
-        for (k, v) in &self.map {
-            w.bytes(k);
-            w.bytes(v);
-        }
-        w.finish()
+        let record: Snapshot = (self.version, self.capacity as u64, Cow::Borrowed(&self.map));
+        codec::encode(&record)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        let mut r = Reader::new(snapshot);
-        let Ok(version) = r.u64() else { return false };
-        let Ok(capacity) = r.u64() else { return false };
-        let Ok(count) = r.u32() else { return false };
-        if capacity == 0 {
+        let Ok((version, capacity, map)) = codec::decode::<Snapshot>(snapshot) else {
             return false;
-        }
-        let mut map = BTreeMap::new();
-        for _ in 0..count {
-            let (Ok(k), Ok(v)) = (r.bytes(), r.bytes()) else {
-                return false;
-            };
-            map.insert(k, v);
-        }
-        if r.expect_end().is_err() {
+        };
+        if capacity == 0 || capacity > MAX_CAPACITY as u64 {
             return false;
         }
         let capacity = capacity as usize;
@@ -223,7 +212,7 @@ impl StateMachine for KvStoreService {
             self.image[..HEADER_SIZE].copy_from_slice(&encode_header(capacity));
         }
         self.version = version;
-        self.map = map;
+        self.map = map.into_owned();
         self.rebuild_region();
         true
     }
@@ -373,6 +362,21 @@ mod tests {
                 (a, b) => panic!("diverged: {a:?} vs {b:?}"),
             }
         }
+    }
+
+    /// A snapshot is a region to build; one claiming no cells or more than
+    /// [`MAX_CAPACITY`] is refused, not allocated, and leaves the store be.
+    #[test]
+    fn snapshot_with_impossible_capacity_is_refused() {
+        let mut s = KvStoreService::new(8);
+        put(&mut s, b"k", b"v");
+        let before = s.state_digest();
+        for capacity in [0, MAX_CAPACITY as u64 + 1, u64::MAX] {
+            let empty = BTreeMap::new();
+            let record: Snapshot = (7, capacity, Cow::Borrowed(&empty));
+            assert!(!s.restore(&codec::encode(&record)), "capacity {capacity}");
+        }
+        assert_eq!((s.capacity(), s.state_digest()), (8, before));
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //! Either way the replica restarts from a consistent prefix, merely
 //! fetching a larger delta; it never installs wrong state.
 
+use std::borrow::Cow;
+
 use bft_crypto::Digest;
 use simnet::{Counters, Metrics, Nanos, SimDisk};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{self, Codec, Reader};
 use crate::messages::{Request, SeqNum};
 
 /// Byte size of one snapshot slot. Payloads that don't fit are not
@@ -80,65 +82,26 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// One durable record: an executed batch with its agreement digest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalFrame {
-    /// The batch's sequence number.
-    pub seq: SeqNum,
-    /// The batch digest the agreement layer committed (re-recorded into
-    /// the executor's safety witness on replay).
-    pub digest: Digest,
-    /// The client requests of the batch, in execution order.
-    pub requests: Vec<Request>,
-}
-
-impl WalFrame {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.seq);
-        w.array(self.digest.as_bytes());
-        w.u32(self.requests.len() as u32);
-        for r in &self.requests {
-            w.u32(r.client);
-            w.u64(r.timestamp);
-            w.bytes(&r.payload);
-        }
-        w.finish()
-    }
-
-    fn decode_payload(bytes: &[u8]) -> Option<WalFrame> {
-        let mut r = Reader::new(bytes);
-        let seq = r.u64().ok()?;
-        let digest = Digest(r.array().ok()?);
-        let n = r.u32().ok()?;
-        let mut requests = Vec::new();
-        for _ in 0..n {
-            let client = r.u32().ok()?;
-            let timestamp = r.u64().ok()?;
-            let payload = r.bytes().ok()?;
-            requests.push(Request {
-                client,
-                timestamp,
-                payload,
-            });
-        }
-        r.expect_end().ok()?;
-        Some(WalFrame {
-            seq,
-            digest,
-            requests,
-        })
+crate::wire_format! {
+    /// One durable record: an executed batch with its agreement digest.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WalFrame {
+        /// The batch's sequence number.
+        pub seq: SeqNum,
+        /// The batch digest the agreement layer committed (re-recorded into
+        /// the executor's safety witness on replay).
+        pub digest: Digest,
+        /// The client requests of the batch, in execution order.
+        pub requests: Vec<Request>,
     }
 }
 
 /// Encodes one frame as it is laid out on disk:
 /// `len u32 | crc32(payload) u32 | payload`.
 pub fn encode_frame(frame: &WalFrame) -> Vec<u8> {
-    let payload = frame.encode_payload();
-    let mut w = Writer::new();
-    w.u32(payload.len() as u32);
-    w.u32(crc32(&payload));
-    let mut out = w.finish();
+    let payload = codec::encode(frame);
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    (payload.len() as u32, crc32(&payload)).write(&mut out);
     out.extend_from_slice(&payload);
     out
 }
@@ -162,19 +125,20 @@ pub fn scan_frames(bytes: &[u8]) -> WalScan {
     let mut frames: Vec<WalFrame> = Vec::new();
     let mut pos = 0usize;
     loop {
-        if bytes.len() - pos < FRAME_HEADER {
+        let mut r = Reader::new(&bytes[pos..]);
+        let Ok((len, crc)) = <(u32, u32)>::read(&mut r) else {
+            break;
+        };
+        if len == 0 || len > MAX_FRAME {
             break;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if len == 0 || len > MAX_FRAME as usize || bytes.len() - pos - FRAME_HEADER < len {
+        let Ok(payload) = r.take(len as usize) else {
             break;
-        }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
+        };
         if crc32(payload) != crc {
             break;
         }
-        let Some(frame) = WalFrame::decode_payload(payload) else {
+        let Ok(frame) = codec::decode::<WalFrame>(payload) else {
             break;
         };
         if let Some(last) = frames.last() {
@@ -182,7 +146,7 @@ pub fn scan_frames(bytes: &[u8]) -> WalScan {
                 break;
             }
         }
-        pos += FRAME_HEADER + len;
+        pos += FRAME_HEADER + payload.len();
         frames.push(frame);
     }
     WalScan {
@@ -421,37 +385,25 @@ impl DurableStore {
     }
 }
 
-/// Slot record: `gen u64 | seq u64 | payload bytes | crc u32` with the
-/// CRC over everything before it. A generation of zero never validates,
-/// so an unwritten (all-zero) slot is simply invalid.
+/// Slot record: `gen u64 | seq u64 | payload bytes`, then a `crc u32` over
+/// those bytes. A generation of zero never validates, so an unwritten
+/// (all-zero) slot is simply invalid.
+type SlotRecord<'a> = (u64, SeqNum, Cow<'a, [u8]>);
+
 fn encode_slot(gen: u64, seq: SeqNum, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(gen);
-    w.u64(seq);
-    w.bytes(payload);
-    let mut out = w.finish();
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let record: SlotRecord = (gen, seq, Cow::Borrowed(payload));
+    let mut out = Vec::with_capacity(record.encoded_len() + 4);
+    record.write(&mut out);
+    crc32(&out).write(&mut out);
     out
 }
 
 fn decode_slot(region: &[u8]) -> Option<(u64, SeqNum, Vec<u8>)> {
     let mut r = Reader::new(region);
-    let gen = r.u64().ok()?;
-    if gen == 0 {
-        return None;
-    }
-    let seq = r.u64().ok()?;
-    let payload = r.bytes().ok()?;
-    let body_len = region.len() - r.remaining();
-    if r.remaining() < 4 {
-        return None;
-    }
-    let crc = u32::from_le_bytes(region[body_len..body_len + 4].try_into().expect("4 bytes"));
-    if crc32(&region[..body_len]) != crc {
-        return None;
-    }
-    Some((gen, seq, payload))
+    let (gen, seq, payload) = SlotRecord::read(&mut r).ok()?;
+    let body = &region[..region.len() - r.remaining()];
+    let crc = u32::read(&mut r).ok()?;
+    (gen != 0 && crc32(body) == crc).then(|| (gen, seq, payload.into_owned()))
 }
 
 #[cfg(test)]
@@ -595,6 +547,23 @@ mod tests {
         assert!(s.record_stable());
         s.write_snapshot(Nanos::ZERO, 4, b"x");
         assert!(!s.record_stable(), "counter reset by the snapshot");
+    }
+
+    /// The slot record, byte for byte (the public formats are pinned in
+    /// `tests/wire_format.rs`). A slot is read back with the rest of its
+    /// region, so zeros past the CRC are ignored.
+    #[test]
+    fn slot_record_is_pinned() {
+        const SLOT: &str = "03000000000000004000000000000000070000007061796c6f6164b0339d12";
+        let record = encode_slot(3, 64, b"payload");
+        let hex: String = record.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SLOT);
+        let mut region: Vec<u8> = (0..SLOT.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&SLOT[i..i + 2], 16).expect("hex"))
+            .collect();
+        region.resize(64, 0);
+        assert_eq!(decode_slot(&region), Some((3, 64, b"payload".to_vec())));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 mod client;
 mod cluster;
-mod codec;
+pub mod codec;
 mod config;
 mod durability;
 mod executor;
@@ -58,7 +58,7 @@ mod transport;
 
 pub use client::{AuxHandler, Client, ClientStats, Completion};
 pub use cluster::{Cluster, Stack, DOMAIN_SECRET};
-pub use codec::{CodecError, Reader, Writer};
+pub use codec::{Codec, CodecError};
 pub use config::{DurabilityConfig, ReptorConfig};
 pub use durability::{
     crc32, encode_frame, scan_frames, DurableStore, Recovered, WalFrame, WalScan, MAX_FRAME,

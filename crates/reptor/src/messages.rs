@@ -1,8 +1,8 @@
 //! PBFT protocol messages and their wire encoding.
 
-use bft_crypto::{Authenticator, Digest, KeyTable, DIGEST_LEN};
+use bft_crypto::{Authenticator, Digest, KeyTable, NodeId, DIGEST_LEN};
 
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{self, Codec, CodecError, Reader};
 
 /// A view number (the current primary is `view % n`).
 pub type View = u64;
@@ -13,16 +13,18 @@ pub type ReplicaId = u32;
 /// Client identifier (assigned above the replica id range).
 pub type ClientId = u32;
 
-/// A client request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// The issuing client.
-    pub client: ClientId,
-    /// Client-local monotonically increasing timestamp (deduplication and
-    /// reply matching).
-    pub timestamp: u64,
-    /// Opaque operation for the replicated service.
-    pub payload: Vec<u8>,
+crate::wire_format! {
+    /// A client request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Request {
+        /// The issuing client.
+        pub client: ClientId,
+        /// Client-local monotonically increasing timestamp (deduplication and
+        /// reply matching).
+        pub timestamp: u64,
+        /// Opaque operation for the replicated service.
+        pub payload: Vec<u8>,
+    }
 }
 
 impl Request {
@@ -34,24 +36,6 @@ impl Request {
             &self.payload,
         ])
     }
-
-    fn encode(&self, w: &mut Writer) {
-        w.u32(self.client);
-        w.u64(self.timestamp);
-        w.bytes(&self.payload);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + 8 + 4 + self.payload.len()
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Request, CodecError> {
-        Ok(Request {
-            client: r.u32()?,
-            timestamp: r.u64()?,
-            payload: r.bytes()?,
-        })
-    }
 }
 
 /// Digest of an ordered batch of requests.
@@ -61,210 +45,214 @@ pub fn batch_digest(batch: &[Request]) -> Digest {
     Digest::of_parts(&slices)
 }
 
-/// Evidence that a request batch reached the *prepared* state in some view
-/// (carried in VIEW-CHANGE messages).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedProof {
-    /// Sequence number of the batch.
-    pub seq: SeqNum,
-    /// View in which it prepared.
-    pub view: View,
-    /// The batch digest.
-    pub digest: Digest,
-    /// The batch itself, so the new primary can re-propose it.
-    pub batch: Vec<Request>,
+crate::wire_format! {
+    /// Evidence that a request batch reached the *prepared* state in some view
+    /// (carried in VIEW-CHANGE messages).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PreparedProof {
+        /// Sequence number of the batch.
+        pub seq: SeqNum,
+        /// View in which it prepared.
+        pub view: View,
+        /// The batch digest.
+        pub digest: Digest,
+        /// The batch itself, so the new primary can re-propose it.
+        pub batch: Vec<Request>,
+    }
 }
 
-/// A PBFT protocol message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
-    /// Client request submitted for ordering.
-    Request(Request),
-    /// Leader proposal: assignment of a sequence number to a batch.
-    PrePrepare {
-        /// Current view.
-        view: View,
-        /// Assigned sequence number.
-        seq: SeqNum,
-        /// Digest of `batch`.
-        digest: Digest,
-        /// The proposed request batch.
-        batch: Vec<Request>,
-    },
-    /// Backup agreement on the leader's assignment.
-    Prepare {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Batch digest.
-        digest: Digest,
-        /// Sending replica.
-        replica: ReplicaId,
-    },
-    /// Commit vote: the sender has a prepared certificate.
-    Commit {
-        /// Current view.
-        view: View,
-        /// Sequence number.
-        seq: SeqNum,
-        /// Batch digest.
-        digest: Digest,
-        /// Sending replica.
-        replica: ReplicaId,
-    },
-    /// Execution result returned to a client.
-    Reply {
-        /// View at execution time.
-        view: View,
-        /// The client the reply is for.
-        client: ClientId,
-        /// Echo of the request timestamp.
-        timestamp: u64,
-        /// Replying replica.
-        replica: ReplicaId,
-        /// Service result.
-        result: Vec<u8>,
-    },
-    /// Periodic stable-state advertisement for log truncation.
-    ///
-    /// Doubles as the checkpoint-store certificate for state transfer: the
-    /// digest is the chunked store's root, and on RDMA transports the
-    /// sender piggybacks the rkey of the registered store region so a
-    /// lagging replica can fetch chunks with one-sided READs.
-    Checkpoint {
-        /// Sequence number the checkpoint covers.
-        seq: SeqNum,
-        /// Root digest of the checkpoint store at `seq` (covers the
-        /// serialized service state and executor position).
-        state_digest: Digest,
-        /// Sending replica.
-        replica: ReplicaId,
-        /// Remote key of the sender's registered checkpoint-store region;
-        /// zero when the transport has no one-sided read path.
-        store_rkey: u32,
-        /// Byte length of the registered store region (zero with no offer).
-        store_len: u64,
-        /// Recovery epoch the store region was registered under. A proactive
-        /// epoch roll re-registers the region and invalidates the previous
-        /// one, so an rkey tagged with a stale epoch is fenced by the RNIC.
-        store_epoch: u64,
-    },
-    /// Vote to move to a new view after a suspected faulty primary.
-    ViewChange {
-        /// The proposed new view.
-        new_view: View,
-        /// The sender's last stable checkpoint.
-        last_stable: SeqNum,
-        /// Digest of that checkpoint's state.
-        checkpoint_digest: Digest,
-        /// Prepared certificates above the stable checkpoint.
-        prepared: Vec<PreparedProof>,
-        /// Sending replica.
-        replica: ReplicaId,
-    },
-    /// The new primary's installation message.
-    NewView {
-        /// The view being installed.
-        view: View,
-        /// Re-issued proposals `(seq, digest, batch)` for prepared batches.
-        pre_prepares: Vec<(SeqNum, Digest, Vec<Request>)>,
-        /// The new primary.
-        replica: ReplicaId,
-    },
-    /// A lagging replica asks its peers to re-send committed instances it
-    /// missed. Agreement messages lost above the transport (e.g. corrupted
-    /// frames rejected by MAC verification) are never retransmitted by the
-    /// fabric, so the protocol provides its own recovery path.
-    CatchUpRequest {
-        /// First sequence number the sender is missing
-        /// (its `last_executed + 1`).
-        from_seq: SeqNum,
-        /// Sending replica.
-        replica: ReplicaId,
-    },
-    /// Re-delivery of one executed instance to a lagging replica. `f + 1`
-    /// matching replies prove at least one honest replica executed the
-    /// batch, which requires a commit certificate — the batch is final.
-    CatchUpReply {
-        /// Sequence number of the instance.
-        seq: SeqNum,
-        /// View in which the sender holds the instance.
-        view: View,
-        /// Batch digest.
-        digest: Digest,
-        /// The executed batch.
-        batch: Vec<Request>,
-        /// Sending replica.
-        replica: ReplicaId,
-    },
-    /// A replica in state transfer asks a peer for one piece of its
-    /// checkpoint store (the message path; RDMA transports read chunks
-    /// one-sided instead).
-    StateRequest {
-        /// Checkpoint sequence number being fetched.
-        seq: SeqNum,
-        /// Chunk index, or [`MANIFEST_CHUNK`] for the store manifest.
-        chunk: u32,
-        /// Requesting replica.
-        replica: ReplicaId,
-        /// Recovery epoch of the offer being fetched; the responder rejects
-        /// requests carrying a stale epoch (the message-path mirror of the
-        /// RNIC rkey fence).
-        epoch: u64,
-    },
-    /// One piece of a checkpoint store, served to a fetching replica. The
-    /// fetcher verifies `data` against the digest recorded in the
-    /// certified manifest, so a Byzantine responder cannot plant state.
-    StateChunk {
-        /// Checkpoint sequence number.
-        seq: SeqNum,
-        /// Chunk index, or [`MANIFEST_CHUNK`] for the store manifest.
-        chunk: u32,
-        /// Chunk (or manifest) bytes.
-        data: Vec<u8>,
-        /// Responding replica.
-        replica: ReplicaId,
-    },
-    /// A follower's fast-path WRITE-permission grant towards the primary of
-    /// `view`: the rkey of its pre-prepare slot region for that view. Sent
-    /// at view installation; the region is revoked (and the rkey fenced by
-    /// the RNIC) when the follower moves past `view`.
-    SlotGrant {
-        /// View the grant is valid for.
-        view: View,
-        /// Granting replica (the slot region's owner).
-        replica: ReplicaId,
-        /// Remote WRITE key of the slot region.
-        rkey: u32,
-        /// Size of one slot in bytes.
-        slot_size: u64,
-        /// Number of slots in the region (the agreement window).
-        slots: u64,
-    },
-    /// A client's request for a replica's current read lease (the rkey of
-    /// its applied-state region). Sent before the first one-sided read and
-    /// again whenever a read is RNIC-denied, which is how clients discover
-    /// revocations.
-    LeaseQuery {
-        /// Querying client.
-        client: ClientId,
-    },
-    /// A replica's answer to [`Message::LeaseQuery`]: the rkey under which
-    /// its applied-state region is currently readable. `rkey == 0` means
-    /// no lease is available (leases disabled, or transport without
-    /// one-sided reads) and the client must use message-path reads.
-    LeaseGrant {
-        /// Granting replica (the region's owner).
-        replica: ReplicaId,
-        /// Remote READ key of the applied-state region; 0 if none.
-        rkey: u32,
-        /// Region length in bytes.
-        len: u64,
-        /// Recovery epoch the lease was issued under (diagnostics; the
-        /// RNIC, not this field, enforces revocation).
-        epoch: u64,
-    },
+crate::wire_format! {
+    /// A PBFT protocol message.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Message {
+        /// Client request submitted for ordering.
+        0 => Request(req: Request),
+        /// Leader proposal: assignment of a sequence number to a batch.
+        1 => PrePrepare {
+            /// Current view.
+            view: View,
+            /// Assigned sequence number.
+            seq: SeqNum,
+            /// Digest of `batch`.
+            digest: Digest,
+            /// The proposed request batch.
+            batch: Vec<Request>,
+        },
+        /// Backup agreement on the leader's assignment.
+        2 => Prepare {
+            /// Current view.
+            view: View,
+            /// Sequence number.
+            seq: SeqNum,
+            /// Batch digest.
+            digest: Digest,
+            /// Sending replica.
+            replica: ReplicaId,
+        },
+        /// Commit vote: the sender has a prepared certificate.
+        3 => Commit {
+            /// Current view.
+            view: View,
+            /// Sequence number.
+            seq: SeqNum,
+            /// Batch digest.
+            digest: Digest,
+            /// Sending replica.
+            replica: ReplicaId,
+        },
+        /// Execution result returned to a client.
+        4 => Reply {
+            /// View at execution time.
+            view: View,
+            /// The client the reply is for.
+            client: ClientId,
+            /// Echo of the request timestamp.
+            timestamp: u64,
+            /// Replying replica.
+            replica: ReplicaId,
+            /// Service result.
+            result: Vec<u8>,
+        },
+        /// Periodic stable-state advertisement for log truncation.
+        ///
+        /// Doubles as the checkpoint-store certificate for state transfer: the
+        /// digest is the chunked store's root, and on RDMA transports the
+        /// sender piggybacks the rkey of the registered store region so a
+        /// lagging replica can fetch chunks with one-sided READs.
+        5 => Checkpoint {
+            /// Sequence number the checkpoint covers.
+            seq: SeqNum,
+            /// Root digest of the checkpoint store at `seq` (covers the
+            /// serialized service state and executor position).
+            state_digest: Digest,
+            /// Sending replica.
+            replica: ReplicaId,
+            /// Remote key of the sender's registered checkpoint-store region;
+            /// zero when the transport has no one-sided read path.
+            store_rkey: u32,
+            /// Byte length of the registered store region (zero with no offer).
+            store_len: u64,
+            /// Recovery epoch the store region was registered under. A proactive
+            /// epoch roll re-registers the region and invalidates the previous
+            /// one, so an rkey tagged with a stale epoch is fenced by the RNIC.
+            store_epoch: u64,
+        },
+        /// Vote to move to a new view after a suspected faulty primary.
+        6 => ViewChange {
+            /// The proposed new view.
+            new_view: View,
+            /// The sender's last stable checkpoint.
+            last_stable: SeqNum,
+            /// Digest of that checkpoint's state.
+            checkpoint_digest: Digest,
+            /// Prepared certificates above the stable checkpoint.
+            prepared: Vec<PreparedProof>,
+            /// Sending replica.
+            replica: ReplicaId,
+        },
+        /// The new primary's installation message.
+        7 => NewView {
+            /// The view being installed.
+            view: View,
+            /// Re-issued proposals `(seq, digest, batch)` for prepared batches.
+            pre_prepares: Vec<(SeqNum, Digest, Vec<Request>)>,
+            /// The new primary.
+            replica: ReplicaId,
+        },
+        /// A lagging replica asks its peers to re-send committed instances it
+        /// missed. Agreement messages lost above the transport (e.g. corrupted
+        /// frames rejected by MAC verification) are never retransmitted by the
+        /// fabric, so the protocol provides its own recovery path.
+        8 => CatchUpRequest {
+            /// First sequence number the sender is missing
+            /// (its `last_executed + 1`).
+            from_seq: SeqNum,
+            /// Sending replica.
+            replica: ReplicaId,
+        },
+        /// Re-delivery of one executed instance to a lagging replica. `f + 1`
+        /// matching replies prove at least one honest replica executed the
+        /// batch, which requires a commit certificate — the batch is final.
+        9 => CatchUpReply {
+            /// Sequence number of the instance.
+            seq: SeqNum,
+            /// View in which the sender holds the instance.
+            view: View,
+            /// Batch digest.
+            digest: Digest,
+            /// The executed batch.
+            batch: Vec<Request>,
+            /// Sending replica.
+            replica: ReplicaId,
+        },
+        /// A replica in state transfer asks a peer for one piece of its
+        /// checkpoint store (the message path; RDMA transports read chunks
+        /// one-sided instead).
+        10 => StateRequest {
+            /// Checkpoint sequence number being fetched.
+            seq: SeqNum,
+            /// Chunk index, or [`MANIFEST_CHUNK`] for the store manifest.
+            chunk: u32,
+            /// Requesting replica.
+            replica: ReplicaId,
+            /// Recovery epoch of the offer being fetched; the responder rejects
+            /// requests carrying a stale epoch (the message-path mirror of the
+            /// RNIC rkey fence).
+            epoch: u64,
+        },
+        /// One piece of a checkpoint store, served to a fetching replica. The
+        /// fetcher verifies `data` against the digest recorded in the
+        /// certified manifest, so a Byzantine responder cannot plant state.
+        11 => StateChunk {
+            /// Checkpoint sequence number.
+            seq: SeqNum,
+            /// Chunk index, or [`MANIFEST_CHUNK`] for the store manifest.
+            chunk: u32,
+            /// Chunk (or manifest) bytes.
+            data: Vec<u8>,
+            /// Responding replica.
+            replica: ReplicaId,
+        },
+        /// A follower's fast-path WRITE-permission grant towards the primary of
+        /// `view`: the rkey of its pre-prepare slot region for that view. Sent
+        /// at view installation; the region is revoked (and the rkey fenced by
+        /// the RNIC) when the follower moves past `view`.
+        12 => SlotGrant {
+            /// View the grant is valid for.
+            view: View,
+            /// Granting replica (the slot region's owner).
+            replica: ReplicaId,
+            /// Remote WRITE key of the slot region.
+            rkey: u32,
+            /// Size of one slot in bytes.
+            slot_size: u64,
+            /// Number of slots in the region (the agreement window).
+            slots: u64,
+        },
+        /// A client's request for a replica's current read lease (the rkey of
+        /// its applied-state region). Sent before the first one-sided read and
+        /// again whenever a read is RNIC-denied, which is how clients discover
+        /// revocations.
+        13 => LeaseQuery {
+            /// Querying client.
+            client: ClientId,
+        },
+        /// A replica's answer to [`Message::LeaseQuery`]: the rkey under which
+        /// its applied-state region is currently readable. `rkey == 0` means
+        /// no lease is available (leases disabled, or transport without
+        /// one-sided reads) and the client must use message-path reads.
+        14 => LeaseGrant {
+            /// Granting replica (the region's owner).
+            replica: ReplicaId,
+            /// Remote READ key of the applied-state region; 0 if none.
+            rkey: u32,
+            /// Region length in bytes.
+            len: u64,
+            /// Recovery epoch the lease was issued under (diagnostics; the
+            /// RNIC, not this field, enforces revocation).
+            epoch: u64,
+        },
+    }
 }
 
 /// Sentinel chunk index requesting/carrying the checkpoint-store manifest
@@ -317,233 +305,9 @@ impl Message {
         }
     }
 
-    /// Tag plus fixed-width fields and length prefixes of the widest
-    /// variant (`Checkpoint`: 1 + 8 + 32 + 4 + 4 + 8 + 8).
-    const MAX_FIXED_LEN: usize = 65;
-
-    /// An upper bound on the encoded size, tight to within
-    /// [`Message::MAX_FIXED_LEN`]: the variable-length parts are counted
-    /// exactly, the fixed fields of whichever variant by their maximum.
-    fn encoded_len_bound(&self) -> usize {
-        fn batch_len(batch: &[Request]) -> usize {
-            batch.iter().map(Request::encoded_len).sum()
-        }
-        let variable = match self {
-            Message::Request(req) => req.encoded_len(),
-            Message::PrePrepare { batch, .. } | Message::CatchUpReply { batch, .. } => {
-                batch_len(batch)
-            }
-            Message::Reply { result, .. } => result.len(),
-            Message::StateChunk { data, .. } => data.len(),
-            Message::ViewChange { prepared, .. } => prepared
-                .iter()
-                .map(|p| 8 + 8 + DIGEST_LEN + 4 + batch_len(&p.batch))
-                .sum(),
-            Message::NewView { pre_prepares, .. } => pre_prepares
-                .iter()
-                .map(|(_, _, batch)| 8 + DIGEST_LEN + 4 + batch_len(batch))
-                .sum(),
-            _ => 0,
-        };
-        Message::MAX_FIXED_LEN + variable
-    }
-
     /// Encodes the message body (without authentication).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.encoded_len_bound());
-        match self {
-            Message::Request(req) => {
-                w.u8(0);
-                req.encode(&mut w);
-            }
-            Message::PrePrepare {
-                view,
-                seq,
-                digest,
-                batch,
-            } => {
-                w.u8(1);
-                w.u64(*view);
-                w.u64(*seq);
-                w.array(digest.as_bytes());
-                w.u32(batch.len() as u32);
-                for r in batch {
-                    r.encode(&mut w);
-                }
-            }
-            Message::Prepare {
-                view,
-                seq,
-                digest,
-                replica,
-            } => {
-                w.u8(2);
-                w.u64(*view);
-                w.u64(*seq);
-                w.array(digest.as_bytes());
-                w.u32(*replica);
-            }
-            Message::Commit {
-                view,
-                seq,
-                digest,
-                replica,
-            } => {
-                w.u8(3);
-                w.u64(*view);
-                w.u64(*seq);
-                w.array(digest.as_bytes());
-                w.u32(*replica);
-            }
-            Message::Reply {
-                view,
-                client,
-                timestamp,
-                replica,
-                result,
-            } => {
-                w.u8(4);
-                w.u64(*view);
-                w.u32(*client);
-                w.u64(*timestamp);
-                w.u32(*replica);
-                w.bytes(result);
-            }
-            Message::Checkpoint {
-                seq,
-                state_digest,
-                replica,
-                store_rkey,
-                store_len,
-                store_epoch,
-            } => {
-                w.u8(5);
-                w.u64(*seq);
-                w.array(state_digest.as_bytes());
-                w.u32(*replica);
-                w.u32(*store_rkey);
-                w.u64(*store_len);
-                w.u64(*store_epoch);
-            }
-            Message::ViewChange {
-                new_view,
-                last_stable,
-                checkpoint_digest,
-                prepared,
-                replica,
-            } => {
-                w.u8(6);
-                w.u64(*new_view);
-                w.u64(*last_stable);
-                w.array(checkpoint_digest.as_bytes());
-                w.u32(prepared.len() as u32);
-                for p in prepared {
-                    w.u64(p.seq);
-                    w.u64(p.view);
-                    w.array(p.digest.as_bytes());
-                    w.u32(p.batch.len() as u32);
-                    for r in &p.batch {
-                        r.encode(&mut w);
-                    }
-                }
-                w.u32(*replica);
-            }
-            Message::NewView {
-                view,
-                pre_prepares,
-                replica,
-            } => {
-                w.u8(7);
-                w.u64(*view);
-                w.u32(pre_prepares.len() as u32);
-                for (seq, digest, batch) in pre_prepares {
-                    w.u64(*seq);
-                    w.array(digest.as_bytes());
-                    w.u32(batch.len() as u32);
-                    for r in batch {
-                        r.encode(&mut w);
-                    }
-                }
-                w.u32(*replica);
-            }
-            Message::CatchUpRequest { from_seq, replica } => {
-                w.u8(8);
-                w.u64(*from_seq);
-                w.u32(*replica);
-            }
-            Message::CatchUpReply {
-                seq,
-                view,
-                digest,
-                batch,
-                replica,
-            } => {
-                w.u8(9);
-                w.u64(*seq);
-                w.u64(*view);
-                w.array(digest.as_bytes());
-                w.u32(batch.len() as u32);
-                for r in batch {
-                    r.encode(&mut w);
-                }
-                w.u32(*replica);
-            }
-            Message::StateRequest {
-                seq,
-                chunk,
-                replica,
-                epoch,
-            } => {
-                w.u8(10);
-                w.u64(*seq);
-                w.u32(*chunk);
-                w.u32(*replica);
-                w.u64(*epoch);
-            }
-            Message::StateChunk {
-                seq,
-                chunk,
-                data,
-                replica,
-            } => {
-                w.u8(11);
-                w.u64(*seq);
-                w.u32(*chunk);
-                w.bytes(data);
-                w.u32(*replica);
-            }
-            Message::SlotGrant {
-                view,
-                replica,
-                rkey,
-                slot_size,
-                slots,
-            } => {
-                w.u8(12);
-                w.u64(*view);
-                w.u32(*replica);
-                w.u32(*rkey);
-                w.u64(*slot_size);
-                w.u64(*slots);
-            }
-            Message::LeaseQuery { client } => {
-                w.u8(13);
-                w.u32(*client);
-            }
-            Message::LeaseGrant {
-                replica,
-                rkey,
-                len,
-                epoch,
-            } => {
-                w.u8(14);
-                w.u32(*replica);
-                w.u32(*rkey);
-                w.u64(*len);
-                w.u64(*epoch);
-            }
-        }
-        w.finish()
+        codec::encode(self)
     }
 
     /// Decodes a message body.
@@ -553,174 +317,25 @@ impl Message {
     /// Any [`CodecError`] on malformed input (treated by replicas as a
     /// Byzantine message and dropped).
     pub fn decode(buf: &[u8]) -> Result<Message, CodecError> {
-        let mut r = Reader::new(buf);
-        let msg = Self::decode_inner(&mut r)?;
-        r.expect_end()?;
-        Ok(msg)
-    }
-
-    fn decode_inner(r: &mut Reader<'_>) -> Result<Message, CodecError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => Message::Request(Request::decode(r)?),
-            1 => {
-                let view = r.u64()?;
-                let seq = r.u64()?;
-                let digest = Digest(r.array::<DIGEST_LEN>()?);
-                let n = r.u32()? as usize;
-                let mut batch = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    batch.push(Request::decode(r)?);
-                }
-                Message::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch,
-                }
-            }
-            2 => Message::Prepare {
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: Digest(r.array::<DIGEST_LEN>()?),
-                replica: r.u32()?,
-            },
-            3 => Message::Commit {
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: Digest(r.array::<DIGEST_LEN>()?),
-                replica: r.u32()?,
-            },
-            4 => Message::Reply {
-                view: r.u64()?,
-                client: r.u32()?,
-                timestamp: r.u64()?,
-                replica: r.u32()?,
-                result: r.bytes()?,
-            },
-            5 => Message::Checkpoint {
-                seq: r.u64()?,
-                state_digest: Digest(r.array::<DIGEST_LEN>()?),
-                replica: r.u32()?,
-                store_rkey: r.u32()?,
-                store_len: r.u64()?,
-                store_epoch: r.u64()?,
-            },
-            6 => {
-                let new_view = r.u64()?;
-                let last_stable = r.u64()?;
-                let checkpoint_digest = Digest(r.array::<DIGEST_LEN>()?);
-                let np = r.u32()? as usize;
-                let mut prepared = Vec::with_capacity(np.min(4096));
-                for _ in 0..np {
-                    let seq = r.u64()?;
-                    let view = r.u64()?;
-                    let digest = Digest(r.array::<DIGEST_LEN>()?);
-                    let nb = r.u32()? as usize;
-                    let mut batch = Vec::with_capacity(nb.min(4096));
-                    for _ in 0..nb {
-                        batch.push(Request::decode(r)?);
-                    }
-                    prepared.push(PreparedProof {
-                        seq,
-                        view,
-                        digest,
-                        batch,
-                    });
-                }
-                Message::ViewChange {
-                    new_view,
-                    last_stable,
-                    checkpoint_digest,
-                    prepared,
-                    replica: r.u32()?,
-                }
-            }
-            7 => {
-                let view = r.u64()?;
-                let np = r.u32()? as usize;
-                let mut pre_prepares = Vec::with_capacity(np.min(4096));
-                for _ in 0..np {
-                    let seq = r.u64()?;
-                    let digest = Digest(r.array::<DIGEST_LEN>()?);
-                    let nb = r.u32()? as usize;
-                    let mut batch = Vec::with_capacity(nb.min(4096));
-                    for _ in 0..nb {
-                        batch.push(Request::decode(r)?);
-                    }
-                    pre_prepares.push((seq, digest, batch));
-                }
-                Message::NewView {
-                    view,
-                    pre_prepares,
-                    replica: r.u32()?,
-                }
-            }
-            8 => Message::CatchUpRequest {
-                from_seq: r.u64()?,
-                replica: r.u32()?,
-            },
-            9 => {
-                let seq = r.u64()?;
-                let view = r.u64()?;
-                let digest = Digest(r.array::<DIGEST_LEN>()?);
-                let nb = r.u32()? as usize;
-                let mut batch = Vec::with_capacity(nb.min(4096));
-                for _ in 0..nb {
-                    batch.push(Request::decode(r)?);
-                }
-                Message::CatchUpReply {
-                    seq,
-                    view,
-                    digest,
-                    batch,
-                    replica: r.u32()?,
-                }
-            }
-            10 => Message::StateRequest {
-                seq: r.u64()?,
-                chunk: r.u32()?,
-                replica: r.u32()?,
-                epoch: r.u64()?,
-            },
-            11 => Message::StateChunk {
-                seq: r.u64()?,
-                chunk: r.u32()?,
-                data: r.bytes()?,
-                replica: r.u32()?,
-            },
-            12 => Message::SlotGrant {
-                view: r.u64()?,
-                replica: r.u32()?,
-                rkey: r.u32()?,
-                slot_size: r.u64()?,
-                slots: r.u64()?,
-            },
-            13 => Message::LeaseQuery { client: r.u32()? },
-            14 => Message::LeaseGrant {
-                replica: r.u32()?,
-                rkey: r.u32()?,
-                len: r.u64()?,
-                epoch: r.u64()?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "Message",
-                    tag,
-                })
-            }
-        })
+        codec::decode(buf)
     }
 }
 
-/// A message plus its MAC-vector authenticator, as it travels on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignedMessage {
-    /// Encoded message body.
-    pub body: Vec<u8>,
-    /// MAC vector over `body`.
-    pub auth: Authenticator,
+crate::wire_format! {
+    /// A message plus its MAC-vector authenticator, as it travels on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SignedMessage {
+        /// Encoded message body.
+        pub body: Vec<u8>,
+        /// MAC vector over `body`.
+        pub auth: Authenticator,
+    }
 }
+
+crate::wire_format!(impl Authenticator {
+    sender: NodeId,
+    macs: Vec<(NodeId, [u8; DIGEST_LEN])>,
+});
 
 impl SignedMessage {
     /// Authenticates `msg` from the holder of `keys` towards `receivers`.
@@ -732,16 +347,7 @@ impl SignedMessage {
 
     /// Wire encoding: body, sender, MAC vector.
     pub fn encode(&self) -> Vec<u8> {
-        let macs = self.auth.macs.len();
-        let mut w = Writer::with_capacity(4 + self.body.len() + 8 + macs * (4 + DIGEST_LEN));
-        w.bytes(&self.body);
-        w.u32(self.auth.sender);
-        w.u32(macs as u32);
-        for (node, mac) in &self.auth.macs {
-            w.u32(*node);
-            w.array(mac);
-        }
-        w.finish()
+        codec::encode(self)
     }
 
     /// Decodes the wire form.
@@ -750,27 +356,7 @@ impl SignedMessage {
     ///
     /// Any [`CodecError`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<SignedMessage, CodecError> {
-        let mut r = Reader::new(buf);
-        let body = r.bytes()?;
-        let sender = r.u32()?;
-        let n = r.u32()? as usize;
-        if n > 1_000_000 {
-            return Err(CodecError::BadLength {
-                claimed: n,
-                remaining: r.remaining(),
-            });
-        }
-        let mut macs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let node = r.u32()?;
-            let mac = r.array::<DIGEST_LEN>()?;
-            macs.push((node, mac));
-        }
-        r.expect_end()?;
-        Ok(SignedMessage {
-            body,
-            auth: Authenticator { sender, macs },
-        })
+        codec::decode(buf)
     }
 
     /// Peeks the agreement sequence number out of an encoded wire frame
@@ -784,16 +370,16 @@ impl SignedMessage {
     /// Byzantine header can only misroute its own frame to a different
     /// pipeline core; verification and full decoding still gate acceptance.
     pub fn peek_wire_seq(wire: &[u8]) -> Option<SeqNum> {
-        let body_len = u32::from_le_bytes(wire.get(..4)?.try_into().ok()?) as usize;
-        let body = wire.get(4..4 + body_len)?;
-        let seq_at = |off: usize| -> Option<SeqNum> {
-            Some(u64::from_le_bytes(body.get(off..off + 8)?.try_into().ok()?))
-        };
-        match body.first()? {
-            // PRE-PREPARE / PREPARE / COMMIT: tag, view u64, seq u64.
-            1..=3 => seq_at(9),
-            // CATCH-UP-REPLY: tag, seq u64.
-            9 => seq_at(1),
+        let mut wire = Reader::new(wire);
+        let body_len = wire.count::<u8>().ok()?;
+        let mut body = Reader::new(wire.take(body_len).ok()?);
+        let tag = u8::read(&mut body).ok()?;
+        let mut field = || u64::read(&mut body).ok();
+        match tag {
+            // PRE-PREPARE / PREPARE / COMMIT: tag, view, seq.
+            1..=3 => field().and_then(|_view| field()),
+            // CATCH-UP-REPLY: tag, seq.
+            9 => field(),
             _ => None,
         }
     }
@@ -922,14 +508,8 @@ mod tests {
             let enc = m.encode();
             let dec = Message::decode(&enc).unwrap_or_else(|e| panic!("{}: {e}", m.kind()));
             assert_eq!(dec, m, "{}", m.kind());
-            // The encode buffer was sized once, never grown.
-            let bound = m.encoded_len_bound();
-            assert!(
-                (bound - Message::MAX_FIXED_LEN..=bound).contains(&enc.len()),
-                "{}: {} bytes against a bound of {bound}",
-                m.kind(),
-                enc.len()
-            );
+            // The encode buffer was sized once, exactly, never grown.
+            assert_eq!(enc.len(), enc.capacity(), "{}", m.kind());
         }
     }
 

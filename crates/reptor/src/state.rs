@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use bft_crypto::Digest;
 use simnet::Nanos;
 
-use crate::codec::{Reader, Writer};
+use crate::codec;
 use crate::messages::Request;
 
 /// A deterministic replicated service.
@@ -102,21 +102,15 @@ impl StateMachine for EchoService {
     }
 
     fn state_digest(&self) -> Digest {
-        Digest::of(&self.ops.to_le_bytes())
+        Digest::of(&self.snapshot())
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        self.ops.to_le_bytes().to_vec()
+        codec::encode(&self.ops)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        match <[u8; 8]>::try_from(snapshot) {
-            Ok(raw) => {
-                self.ops = u64::from_le_bytes(raw);
-                true
-            }
-            Err(_) => false,
-        }
+        codec::decode(snapshot).map(|ops| self.ops = ops).is_ok()
     }
 }
 
@@ -139,104 +133,57 @@ impl StateMachine for CounterService {
         if req.payload == b"inc" {
             self.value += 1;
         }
-        self.value.to_le_bytes().to_vec()
+        codec::encode(&self.value)
     }
 
     fn state_digest(&self) -> Digest {
-        Digest::of(&self.value.to_le_bytes())
+        Digest::of(&self.snapshot())
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        self.value.to_le_bytes().to_vec()
+        codec::encode(&self.value)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        match <[u8; 8]>::try_from(snapshot) {
-            Ok(raw) => {
-                self.value = u64::from_le_bytes(raw);
-                true
-            }
-            Err(_) => false,
-        }
+        codec::decode(snapshot)
+            .map(|value| self.value = value)
+            .is_ok()
     }
 }
 
-/// Operations understood by [`KvService`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvOp {
-    /// Read a key.
-    Get(Vec<u8>),
-    /// Write a key.
-    Put(Vec<u8>, Vec<u8>),
-    /// Delete a key.
-    Del(Vec<u8>),
+crate::wire_format! {
+    /// Operations understood by [`KvService`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum KvOp {
+        /// Read a key.
+        0 => Get(key: Vec<u8>),
+        /// Write a key.
+        1 => Put(key: Vec<u8>, value: Vec<u8>),
+        /// Delete a key.
+        2 => Del(key: Vec<u8>),
+    }
 }
 
 impl KvOp {
     /// Encodes the operation as a request payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            KvOp::Get(k) => {
-                out.push(0);
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-            }
-            KvOp::Put(k, v) => {
-                out.push(1);
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
-            KvOp::Del(k) => {
-                out.push(2);
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-            }
-        }
-        out
+        codec::encode(self)
     }
 
     /// Decodes a request payload. `None` on malformed input (executed as a
     /// no-op so replicas stay deterministic even for garbage requests).
     pub fn decode(buf: &[u8]) -> Option<KvOp> {
-        fn take(buf: &[u8]) -> Option<(Vec<u8>, &[u8])> {
-            if buf.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
-            let rest = &buf[4..];
-            if rest.len() < len {
-                return None;
-            }
-            Some((rest[..len].to_vec(), &rest[len..]))
-        }
-        let (&tag, rest) = buf.split_first()?;
-        match tag {
-            0 => {
-                let (k, rest) = take(rest)?;
-                rest.is_empty().then_some(KvOp::Get(k))
-            }
-            1 => {
-                let (k, rest) = take(rest)?;
-                let (v, rest) = take(rest)?;
-                rest.is_empty().then_some(KvOp::Put(k, v))
-            }
-            2 => {
-                let (k, rest) = take(rest)?;
-                rest.is_empty().then_some(KvOp::Del(k))
-            }
-            _ => None,
-        }
+        codec::decode(buf).ok()
     }
 }
 
-/// A replicated key/value store.
-#[derive(Debug, Default, Clone)]
-pub struct KvService {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-    version: u64,
+crate::wire_format! {
+    /// A replicated key/value store. Its snapshot is its fields.
+    #[derive(Debug, Default, Clone)]
+    pub struct KvService {
+        version: u64,
+        map: BTreeMap<Vec<u8>, Vec<u8>>,
+    }
 }
 
 impl KvService {
@@ -278,7 +225,7 @@ impl StateMachine for KvService {
 
     fn state_digest(&self) -> Digest {
         let mut parts: Vec<&[u8]> = Vec::with_capacity(self.map.len() * 2 + 1);
-        let ver = self.version.to_le_bytes();
+        let ver = codec::encode(&self.version);
         parts.push(&ver);
         for (k, v) in &self.map {
             parts.push(k);
@@ -288,33 +235,11 @@ impl StateMachine for KvService {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.version);
-        w.u32(self.map.len() as u32);
-        for (k, v) in &self.map {
-            w.bytes(k);
-            w.bytes(v);
-        }
-        w.finish()
+        codec::encode(self)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        let mut r = Reader::new(snapshot);
-        let Ok(version) = r.u64() else { return false };
-        let Ok(count) = r.u32() else { return false };
-        let mut map = BTreeMap::new();
-        for _ in 0..count {
-            let (Ok(k), Ok(v)) = (r.bytes(), r.bytes()) else {
-                return false;
-            };
-            map.insert(k, v);
-        }
-        if r.expect_end().is_err() {
-            return false;
-        }
-        self.version = version;
-        self.map = map;
-        true
+        codec::decode(snapshot).map(|kv| *self = kv).is_ok()
     }
 }
 
@@ -333,9 +258,9 @@ mod tests {
     #[test]
     fn counter_applies_in_order() {
         let mut c = CounterService::default();
-        assert_eq!(c.apply(&req(b"inc".to_vec())), 1u64.to_le_bytes());
-        assert_eq!(c.apply(&req(b"inc".to_vec())), 2u64.to_le_bytes());
-        assert_eq!(c.apply(&req(b"get".to_vec())), 2u64.to_le_bytes());
+        assert_eq!(c.apply(&req(b"inc".to_vec())), codec::encode(&1u64));
+        assert_eq!(c.apply(&req(b"inc".to_vec())), codec::encode(&2u64));
+        assert_eq!(c.apply(&req(b"get".to_vec())), codec::encode(&2u64));
         assert_eq!(c.value(), 2);
     }
 

@@ -20,9 +20,9 @@
 //! kept, so a Byzantine peer can slow a transfer down but never poison or
 //! restart it.
 
-use bft_crypto::{Digest, DIGEST_LEN};
+use bft_crypto::Digest;
 
-use crate::codec::{Reader, Writer};
+use crate::codec;
 use crate::messages::{ClientId, ReplicaId, SeqNum};
 
 /// Bytes per checkpoint-store chunk. Deliberately small so even modest
@@ -62,18 +62,20 @@ impl StateOffer {
     }
 }
 
-/// The serialized content of a checkpoint: executor position, service
-/// snapshot and client session table — everything a rejoining replica
-/// needs to resume agreement above the checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CheckpointPayload {
-    /// The sequence number the state reflects (executor position).
-    pub seq: SeqNum,
-    /// Opaque [`StateMachine::snapshot`](crate::state::StateMachine::snapshot) bytes.
-    pub service_snapshot: Vec<u8>,
-    /// Per-client last-reply table, sorted by client id (determinism: every
-    /// honest replica serializes the identical byte string).
-    pub clients: Vec<(ClientId, u64, Vec<u8>)>,
+crate::wire_format! {
+    /// The serialized content of a checkpoint: executor position, service
+    /// snapshot and client session table — everything a rejoining replica
+    /// needs to resume agreement above the checkpoint.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct CheckpointPayload {
+        /// The sequence number the state reflects (executor position).
+        pub seq: SeqNum,
+        /// Opaque [`StateMachine::snapshot`](crate::state::StateMachine::snapshot) bytes.
+        pub service_snapshot: Vec<u8>,
+        /// Per-client last-reply table, sorted by client id (determinism: every
+        /// honest replica serializes the identical byte string).
+        pub clients: Vec<(ClientId, u64, Vec<u8>)>,
+    }
 }
 
 impl CheckpointPayload {
@@ -83,49 +85,26 @@ impl CheckpointPayload {
             self.clients.windows(2).all(|w| w[0].0 < w[1].0),
             "client table must be sorted and deduplicated"
         );
-        let mut w = Writer::new();
-        w.u64(self.seq);
-        w.bytes(&self.service_snapshot);
-        w.u32(self.clients.len() as u32);
-        for (client, timestamp, reply) in &self.clients {
-            w.u32(*client);
-            w.u64(*timestamp);
-            w.bytes(reply);
-        }
-        w.finish()
+        codec::encode(self)
     }
 
     /// Decodes a payload. `None` on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Option<CheckpointPayload> {
-        let mut r = Reader::new(bytes);
-        let seq = r.u64().ok()?;
-        let service_snapshot = r.bytes().ok()?;
-        let n = r.u32().ok()? as usize;
-        let mut clients = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let client = r.u32().ok()?;
-            let timestamp = r.u64().ok()?;
-            let reply = r.bytes().ok()?;
-            clients.push((client, timestamp, reply));
-        }
-        r.expect_end().ok()?;
-        Some(CheckpointPayload {
-            seq,
-            service_snapshot,
-            clients,
-        })
+        codec::decode(bytes).ok()
     }
 }
 
-/// The decoded store manifest: the certified description of every chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Checkpoint sequence number the store covers.
-    pub seq: SeqNum,
-    /// Total payload length in bytes.
-    pub total_len: u64,
-    /// Digest of each `CHUNK_SIZE` slice, in order.
-    pub chunks: Vec<Digest>,
+crate::wire_format! {
+    /// The decoded store manifest: the certified description of every chunk.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Manifest {
+        /// Checkpoint sequence number the store covers.
+        pub seq: SeqNum,
+        /// Total payload length in bytes.
+        pub total_len: u64,
+        /// Digest of each `CHUNK_SIZE` slice, in order.
+        pub chunks: Vec<Digest>,
+    }
 }
 
 impl Manifest {
@@ -136,26 +115,11 @@ impl Manifest {
         if Digest::of(bytes) != root {
             return None;
         }
-        let mut r = Reader::new(bytes);
-        let got_seq = r.u64().ok()?;
-        let total_len = r.u64().ok()?;
-        let n = r.u32().ok()? as usize;
-        if got_seq != seq || total_len > MAX_STORE_BYTES {
-            return None;
-        }
-        if n != total_len.div_ceil(CHUNK_SIZE as u64) as usize {
-            return None;
-        }
-        let mut chunks = Vec::with_capacity(n);
-        for _ in 0..n {
-            chunks.push(Digest(r.array::<DIGEST_LEN>().ok()?));
-        }
-        r.expect_end().ok()?;
-        Some(Manifest {
-            seq,
-            total_len,
-            chunks,
-        })
+        let m: Manifest = codec::decode(bytes).ok()?;
+        let whole = m.seq == seq
+            && m.total_len <= MAX_STORE_BYTES
+            && m.chunks.len() as u64 == m.total_len.div_ceil(CHUNK_SIZE as u64);
+        whole.then_some(m)
     }
 
     /// Length in bytes of chunk `idx` (the final chunk may be short).
@@ -178,14 +142,11 @@ pub struct CheckpointStore {
 impl CheckpointStore {
     /// Chunks and seals `payload` as the checkpoint store for `seq`.
     pub fn build(seq: SeqNum, payload: Vec<u8>) -> CheckpointStore {
-        let mut w = Writer::new();
-        w.u64(seq);
-        w.u64(payload.len() as u64);
-        w.u32(payload.len().div_ceil(CHUNK_SIZE) as u32);
-        for chunk in payload.chunks(CHUNK_SIZE) {
-            w.array(Digest::of(chunk).as_bytes());
-        }
-        let manifest = w.finish();
+        let manifest = codec::encode(&Manifest {
+            seq,
+            total_len: payload.len() as u64,
+            chunks: payload.chunks(CHUNK_SIZE).map(Digest::of).collect(),
+        });
         let root = Digest::of(&manifest);
         CheckpointStore {
             seq,

@@ -10,6 +10,9 @@
 //! and 1,978.3. The PBFT figure scales with the messages per request: an
 //! 8-request round is two agreement instances (batches of 1 and 7), and read
 //! 682.5 as eight.
+//!
+//! The same allocator pins what a hostile frame may cost a receiver before
+//! it is refused: less than a kilobyte, whatever count it claims.
 
 #[path = "../crates/simnet/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -18,7 +21,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use counting_alloc::{allocs, peak_live_bytes, reset_peak, CountingAlloc};
-use reptor::{Cluster, CounterService, ReptorConfig, Stack};
+use reptor::{Cluster, CodecError, CounterService, Message, ReptorConfig, SignedMessage, Stack};
 use simnet::{CoreId, CpuModel, Network, Simulator};
 
 #[global_allocator]
@@ -121,4 +124,45 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
             r.id()
         );
     }
+}
+
+/// A count a peer claims is checked against the bytes that follow it before
+/// anything is reserved. Both frames reach a correct replica: the envelope
+/// before any MAC is verified, the PRE-PREPARE body behind a valid MAC or a
+/// slot grant. Before the list reader's one check, the first reserved
+/// 4,096 MAC slots (147,456 bytes) and the second 4,096 requests.
+#[test]
+fn hostile_counts_are_refused_before_anything_is_allocated() {
+    // Empty body, sender 0, then a claim of 1,000,000 MACs: 12 bytes.
+    let envelope: Vec<u8> = [0u32, 0, 1_000_000]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    // PRE-PREPARE: tag, view, seq, digest, then a claim of u32::MAX
+    // requests: 53 bytes.
+    let mut pre_prepare = vec![1u8];
+    pre_prepare.extend_from_slice(&[0; 8 + 8 + 32]);
+    pre_prepare.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!((envelope.len(), pre_prepare.len()), (12, 53));
+
+    let base = reset_peak();
+    let signed = SignedMessage::decode(&envelope);
+    let growth = peak_live_bytes() - base;
+    assert!(
+        matches!(signed, Err(CodecError::BadLength { .. })),
+        "{signed:?}"
+    );
+    assert!(
+        growth < 1024,
+        "envelope decode peaked {growth} bytes above its base"
+    );
+
+    let base = reset_peak();
+    let msg = Message::decode(&pre_prepare);
+    let growth = peak_live_bytes() - base;
+    assert!(matches!(msg, Err(CodecError::BadLength { .. })), "{msg:?}");
+    assert!(
+        growth < 1024,
+        "PRE-PREPARE decode peaked {growth} bytes above its base"
+    );
 }

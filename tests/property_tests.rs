@@ -3,9 +3,11 @@
 
 use bft_crypto::{hmac_sha256, sha256, verify_hmac, Digest, KeyTable, Sha256};
 use chainstore::{Chain, Transaction};
+use kvstore::KvStoreService;
 use proptest::prelude::*;
 use reptor::{
-    Cluster, CounterService, KvOp, Message, PreparedProof, ReptorConfig, Request, SignedMessage,
+    CheckpointPayload, Cluster, CounterService, KvOp, KvService, Manifest, Message, PreparedProof,
+    ReptorConfig, Request, SignedMessage, StateMachine,
 };
 use rubin::HybridEventQueue;
 use simnet::{Bandwidth, Nanos, Simulator};
@@ -218,23 +220,107 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     slots,
                 }
             }),
+        (any::<u64>(), any::<u32>())
+            .prop_map(|(from_seq, replica)| Message::CatchUpRequest { from_seq, replica }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            arb_digest(),
+            arb_batch(),
+            any::<u32>()
+        )
+            .prop_map(|(seq, view, digest, batch, replica)| {
+                Message::CatchUpReply {
+                    seq,
+                    view,
+                    digest,
+                    batch,
+                    replica,
+                }
+            }),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            proptest::collection::vec(any::<u8>(), 0..300),
+            any::<u32>()
+        )
+            .prop_map(|(seq, chunk, data, replica)| Message::StateChunk {
+                seq,
+                chunk,
+                data,
+                replica
+            }),
+        any::<u32>().prop_map(|client| Message::LeaseQuery { client }),
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
+            |(replica, rkey, len, epoch)| Message::LeaseGrant {
+                replica,
+                rkey,
+                len,
+                epoch
+            }
+        ),
     ]
 }
 
+/// `bytes` with the byte at `at` (wrapped into range) XORed by `mask`: a
+/// near miss of a valid encoding, which decodes far more often than noise.
+fn flipped(mut bytes: Vec<u8>, at: prop::sample::Index, mask: u8) -> Vec<u8> {
+    if !bytes.is_empty() {
+        let i = at.index(bytes.len());
+        bytes[i] ^= mask;
+    }
+    bytes
+}
+
 proptest! {
-    /// Every protocol message round-trips through the wire codec.
+    /// Every protocol message round-trips through the wire codec, and the
+    /// lane demultiplexer reads the sequence number out of the signed wire
+    /// of exactly the four kinds that carry one on an agreement lane.
     #[test]
     fn message_codec_roundtrip(msg in arb_message()) {
         let enc = msg.encode();
         let dec = Message::decode(&enc).expect("well-formed encoding decodes");
-        prop_assert_eq!(dec, msg);
+        prop_assert_eq!(&dec, &msg);
+        let keys = KeyTable::new(0, b"prop".to_vec());
+        let wire = SignedMessage::create(&msg, &keys, &[1]).encode();
+        let lane_seq = match msg {
+            Message::PrePrepare { seq, .. }
+            | Message::Prepare { seq, .. }
+            | Message::Commit { seq, .. }
+            | Message::CatchUpReply { seq, .. } => Some(seq),
+            _ => None,
+        };
+        prop_assert_eq!(SignedMessage::peek_wire_seq(&wire), lane_seq, "{}", msg.kind());
     }
 
-    /// Decoding arbitrary bytes never panics (Byzantine input hardening).
+    /// No decoder a peer or a drive can feed panics on arbitrary bytes
+    /// (Byzantine input hardening), and the request-path formats are
+    /// canonical: whatever decodes re-encodes to the very same bytes, for
+    /// noise and for near misses of a valid encoding alike.
     #[test]
-    fn message_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Message::decode(&bytes);
-        let _ = SignedMessage::decode(&bytes);
+    fn message_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512),
+                                   msg in arb_message(),
+                                   at in any::<prop::sample::Index>(),
+                                   mask in 1u8..=255) {
+        let keys = KeyTable::new(0, b"prop".to_vec());
+        let signed = SignedMessage::create(&msg, &keys, &[1, 2]);
+        for input in [
+            bytes.clone(),
+            flipped(msg.encode(), at, mask),
+            flipped(signed.encode(), at, mask),
+        ] {
+            if let Ok(m) = Message::decode(&input) {
+                prop_assert_eq!(m.encode(), input.clone());
+            }
+            if let Ok(s) = SignedMessage::decode(&input) {
+                prop_assert_eq!(s.encode(), input.clone());
+            }
+        }
+        let _ = CheckpointPayload::decode(&bytes);
+        let seq = bytes.get(..8).map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+        let _ = Manifest::verify_and_decode(&bytes, seq, Digest::of(&bytes));
+        let _ = KvService::default().restore(&bytes);
+        let _ = KvStoreService::default().restore(&bytes);
     }
 
     /// Signed messages round-trip and verify end to end.
@@ -251,29 +337,46 @@ proptest! {
     }
 
     /// KV operations round-trip; arbitrary payloads never panic the
-    /// decoder.
+    /// decoder, and whatever decodes re-encodes to the same bytes.
     #[test]
     fn kv_op_roundtrip(k in proptest::collection::vec(any::<u8>(), 0..64),
                        v in proptest::collection::vec(any::<u8>(), 0..64),
-                       garbage in proptest::collection::vec(any::<u8>(), 0..128)) {
-        for op in [KvOp::Get(k.clone()), KvOp::Put(k.clone(), v), KvOp::Del(k)] {
+                       garbage in proptest::collection::vec(any::<u8>(), 0..128),
+                       at in any::<prop::sample::Index>(),
+                       mask in 1u8..=255) {
+        let put = KvOp::Put(k.clone(), v);
+        let near_miss = flipped(put.encode(), at, mask);
+        for op in [KvOp::Get(k.clone()), put, KvOp::Del(k)] {
             prop_assert_eq!(KvOp::decode(&op.encode()), Some(op));
         }
-        let _ = KvOp::decode(&garbage);
+        for input in [garbage, near_miss] {
+            if let Some(op) = KvOp::decode(&input) {
+                prop_assert_eq!(op.encode(), input);
+            }
+        }
     }
 
-    /// Ledger transactions round-trip; garbage never panics.
+    /// Ledger transactions round-trip; garbage never panics, and whatever
+    /// decodes re-encodes to the same bytes.
     #[test]
     fn transaction_roundtrip(a in "[a-z]{1,12}", b in "[a-z]{1,12}", amount in any::<u64>(),
-                             garbage in proptest::collection::vec(any::<u8>(), 0..128)) {
+                             garbage in proptest::collection::vec(any::<u8>(), 0..128),
+                             at in any::<prop::sample::Index>(),
+                             mask in 1u8..=255) {
+        let shipment = Transaction::shipment(&a, &b, &a, &b);
+        let near_miss = flipped(shipment.encode(), at, mask);
         for tx in [
             Transaction::transfer(&a, &b, amount),
             Transaction::mint(&a, amount),
-            Transaction::shipment(&a, &b, &a, &b),
+            shipment,
         ] {
             prop_assert_eq!(Transaction::decode(&tx.encode()), Some(tx));
         }
-        let _ = Transaction::decode(&garbage);
+        for input in [garbage, near_miss] {
+            if let Some(tx) = Transaction::decode(&input) {
+                prop_assert_eq!(tx.encode(), input);
+            }
+        }
     }
 }
 
