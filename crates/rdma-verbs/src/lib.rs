@@ -396,7 +396,7 @@ mod tests {
         // delay delivers the request to the responder RNIC.
         let mr = remote.clone();
         p.tb.sim
-            .schedule_in(Nanos::from_nanos(10), Box::new(move |_| mr.invalidate()));
+            .schedule_in(Nanos::from_nanos(10), move |_| mr.invalidate());
         p.tb.sim.run_until_idle();
         let tx = p.scq_a.poll(8);
         assert_eq!(tx.len(), 1);
@@ -981,10 +981,9 @@ mod tests {
         let (a, b) = (p.tb.a, p.tb.b);
         p.tb.net.with_faults(|f| f.set_loss(a, b, 1.0));
         let net = p.tb.net.clone();
-        p.tb.sim.schedule_at(
-            Nanos::from_micros(2_500),
-            Box::new(move |_| net.with_faults(|f| f.set_loss(a, b, 0.0))),
-        );
+        p.tb.sim.schedule_at(Nanos::from_micros(2_500), move |_| {
+            net.with_faults(|f| f.set_loss(a, b, 0.0))
+        });
         send_bytes(&mut p, &[9u8; 32], true);
         p.tb.sim.run_until_idle();
         assert!(p.qp_a.stats().retransmits >= 2, "early copies were lost");
@@ -1010,10 +1009,9 @@ mod tests {
         let (a, b) = (p.tb.a, p.tb.b);
         p.tb.net.with_faults(|f| f.set_loss(b, a, 1.0));
         let net = p.tb.net.clone();
-        p.tb.sim.schedule_at(
-            Nanos::from_micros(2_500),
-            Box::new(move |_| net.with_faults(|f| f.set_loss(b, a, 0.0))),
-        );
+        p.tb.sim.schedule_at(Nanos::from_micros(2_500), move |_| {
+            net.with_faults(|f| f.set_loss(b, a, 0.0))
+        });
         send_bytes(&mut p, &[5u8; 32], true);
         p.tb.sim.run_until_idle();
         assert!(p.qp_b.stats().duplicates_suppressed >= 1);

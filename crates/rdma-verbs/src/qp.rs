@@ -427,7 +427,7 @@ impl QueuePair {
         // Any held inbound messages can now be delivered (after the posting
         // CPU work completes).
         let qp = self.clone();
-        sim.schedule_at(cpu_done, Box::new(move |sim| qp.drain_held(sim)));
+        sim.schedule_at(cpu_done, move |sim| qp.drain_held(sim));
         Ok(())
     }
 
@@ -437,7 +437,7 @@ impl QueuePair {
     ///
     /// As for [`post_send_batch`](Self::post_send_batch).
     pub fn post_send(&self, sim: &mut Simulator, wr: SendWr) -> VerbsResult<()> {
-        self.post_send_batch(sim, vec![wr])
+        self.post_sends(sim, [wr])
     }
 
     /// Posts a batch of send work requests in one doorbell.
@@ -455,9 +455,20 @@ impl QueuePair {
     /// * [`VerbsError::PdMismatch`] / [`VerbsError::InvalidRange`] /
     ///   [`VerbsError::LocalAccess`] for bad buffers.
     pub fn post_send_batch(&self, sim: &mut Simulator, wrs: Vec<SendWr>) -> VerbsResult<()> {
+        self.post_sends(sim, wrs)
+    }
+
+    /// Validates and posts `wrs` in one doorbell: the body of
+    /// [`post_send`](Self::post_send) (over `[wr]`, no `Vec`) and
+    /// [`post_send_batch`](Self::post_send_batch).
+    fn post_sends<W>(&self, sim: &mut Simulator, wrs: W) -> VerbsResult<()>
+    where
+        W: AsRef<[SendWr]> + IntoIterator<Item = SendWr>,
+    {
         let model = self.device.model().clone();
         let cpu_done;
         {
+            let batch = wrs.as_ref();
             let mut inner = self.inner.borrow_mut();
             if !inner.state.can_post_send() {
                 return Err(VerbsError::InvalidQpState {
@@ -465,19 +476,19 @@ impl QueuePair {
                     state: inner.state,
                 });
             }
-            if wrs.len() > model.max_post_batch {
+            if batch.len() > model.max_post_batch {
                 return Err(VerbsError::BatchTooLarge {
-                    len: wrs.len(),
+                    len: batch.len(),
                     max: model.max_post_batch,
                 });
             }
-            if inner.outstanding_sends + wrs.len() > model.max_send_wr {
+            if inner.outstanding_sends + batch.len() > model.max_send_wr {
                 return Err(VerbsError::QueueFull {
                     qp: inner.num,
                     capacity: model.max_send_wr,
                 });
             }
-            for wr in &wrs {
+            for wr in batch {
                 if wr.sge.mr.pd() != inner.pd {
                     return Err(VerbsError::PdMismatch);
                 }
@@ -494,19 +505,19 @@ impl QueuePair {
                     return Err(VerbsError::LocalAccess);
                 }
             }
-            let cost = model.post_batch_cost(wrs.len());
+            let cost = model.post_batch_cost(batch.len());
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
-            inner.stats.sends_posted += wrs.len() as u64;
-            inner.counters[QpCounter::SendsPosted].add(wrs.len() as u64);
-            for wr in &wrs {
+            inner.stats.sends_posted += batch.len() as u64;
+            inner.counters[QpCounter::SendsPosted].add(batch.len() as u64);
+            for wr in batch {
                 if wr.inline {
                     inner.counters[QpCounter::InlineSends].incr();
                 } else {
                     inner.counters[QpCounter::DmaSends].incr();
                 }
             }
-            inner.outstanding_sends += wrs.len();
+            inner.outstanding_sends += batch.len();
         }
         // NIC processing: WQE fetch plus payload DMA (skipped inline).
         // The NIC consumes WQEs strictly in posting order (RC ordering).
@@ -529,7 +540,7 @@ impl QueuePair {
                 ready
             };
             let qp = self.clone();
-            sim.schedule_at(nic_ready, Box::new(move |sim| qp.nic_transmit(sim, wr)));
+            sim.schedule_at(nic_ready, move |sim| qp.nic_transmit(sim, wr));
         }
         Ok(())
     }
@@ -641,7 +652,7 @@ impl QueuePair {
     /// Arms the retransmission timer for `seq` with an explicit delay.
     fn arm_retry_in(&self, sim: &mut Simulator, seq: u64, delay: Nanos) {
         let qp = self.clone();
-        let id = sim.schedule_in(delay, Box::new(move |sim| qp.retry_fire(sim, seq)));
+        let id = sim.schedule_in(delay, move |sim| qp.retry_fire(sim, seq));
         if let Some(p) = self.inner.borrow_mut().pending.get_mut(&seq) {
             p.retry_timer = Some(id);
         }
@@ -940,42 +951,39 @@ impl QueuePair {
                 let cqe_at = sim.now() + dma + Nanos::from_nanos(model.cqe_ns);
                 let qp = self.clone();
                 let len = data.len();
-                sim.schedule_at(
-                    cqe_at,
-                    Box::new(move |sim| {
-                        let (num, remote, local) = {
-                            let mut inner = qp.inner.borrow_mut();
-                            let _ = rwr.sge.mr.dma_write(rwr.sge.offset, &data);
-                            qp.device.net().buffer_pool().put(data);
-                            inner.stats.bytes_received += len as u64;
-                            inner.counters[QpCounter::RecvsCompleted].incr();
-                            qp.device
-                                .net()
-                                .host(inner.local_addr.host)
-                                .borrow()
-                                .count_dma(len);
-                            let wc = Wc {
-                                wr_id: rwr.wr_id,
-                                status: WcStatus::Success,
-                                opcode: WcOpcode::Recv,
-                                byte_len: len,
-                                qp: inner.num,
-                                imm,
-                            };
-                            inner.recv_cq.push(wc);
-                            (inner.num, inner.remote, inner.local_addr)
+                sim.schedule_at(cqe_at, move |sim| {
+                    let (num, remote, local) = {
+                        let mut inner = qp.inner.borrow_mut();
+                        let _ = rwr.sge.mr.dma_write(rwr.sge.offset, &data);
+                        qp.device.net().buffer_pool().put(data);
+                        inner.stats.bytes_received += len as u64;
+                        inner.counters[QpCounter::RecvsCompleted].incr();
+                        qp.device
+                            .net()
+                            .host(inner.local_addr.host)
+                            .borrow()
+                            .count_dma(len);
+                        let wc = Wc {
+                            wr_id: rwr.wr_id,
+                            status: WcStatus::Success,
+                            opcode: WcOpcode::Recv,
+                            byte_len: len,
+                            qp: inner.num,
+                            imm,
                         };
-                        let _ = num;
-                        if let Some((raddr, _)) = remote {
-                            let ack = RdmaPacket::Ack { seq };
-                            let wire = ack.wire_bytes(model.ack_bytes);
-                            qp.device
-                                .net()
-                                .send(sim, Frame::new(local, raddr, wire, ack));
-                        }
-                        qp.fire_hook(sim);
-                    }),
-                );
+                        inner.recv_cq.push(wc);
+                        (inner.num, inner.remote, inner.local_addr)
+                    };
+                    let _ = num;
+                    if let Some((raddr, _)) = remote {
+                        let ack = RdmaPacket::Ack { seq };
+                        let wire = ack.wire_bytes(model.ack_bytes);
+                        qp.device
+                            .net()
+                            .send(sim, Frame::new(local, raddr, wire, ack));
+                    }
+                    qp.fire_hook(sim);
+                });
             }
             Action::FailLength(rwr) => {
                 let (local, remote) = {
@@ -1021,7 +1029,7 @@ impl QueuePair {
                     });
                 }
                 let qp = self.clone();
-                sim.schedule_at(deadline, Box::new(move |sim| qp.expire_held(sim, seq)));
+                sim.schedule_at(deadline, move |sim| qp.expire_held(sim, seq));
             }
         }
     }
@@ -1111,7 +1119,7 @@ impl QueuePair {
                 let deadline = sim.now()
                     + Nanos::from_nanos(model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1));
                 let qp = self.clone();
-                sim.schedule_at(deadline, Box::new(move |sim| qp.expire_held(sim, seq)));
+                sim.schedule_at(deadline, move |sim| qp.expire_held(sim, seq));
                 return;
             }
         }
@@ -1119,50 +1127,47 @@ impl QueuePair {
         let dma = model.dma_cost(data.len());
         let done_at = sim.now() + dma;
         let qp = self.clone();
-        sim.schedule_at(
-            done_at,
-            Box::new(move |sim| {
-                let len = data.len();
-                let write_ok = target.dma_write(offset, &data).is_ok();
-                qp.device.net().buffer_pool().put(data);
-                if !write_ok {
-                    qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                    return;
-                }
-                let (local, remote) = {
-                    let mut inner = qp.inner.borrow_mut();
-                    inner.stats.bytes_received += len as u64;
-                    qp.device
-                        .net()
-                        .host(inner.local_addr.host)
-                        .borrow()
-                        .count_dma(len);
-                    if let Some(iv) = imm {
-                        if let Some(rwr) = inner.recv_queue.pop_front() {
-                            inner.counters[QpCounter::RecvsCompleted].incr();
-                            let wc = Wc {
-                                wr_id: rwr.wr_id,
-                                status: WcStatus::Success,
-                                opcode: WcOpcode::RecvRdmaWithImm,
-                                byte_len: len,
-                                qp: inner.num,
-                                imm: Some(iv),
-                            };
-                            inner.recv_cq.push(wc);
-                        }
+        sim.schedule_at(done_at, move |sim| {
+            let len = data.len();
+            let write_ok = target.dma_write(offset, &data).is_ok();
+            qp.device.net().buffer_pool().put(data);
+            if !write_ok {
+                qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
+                return;
+            }
+            let (local, remote) = {
+                let mut inner = qp.inner.borrow_mut();
+                inner.stats.bytes_received += len as u64;
+                qp.device
+                    .net()
+                    .host(inner.local_addr.host)
+                    .borrow()
+                    .count_dma(len);
+                if let Some(iv) = imm {
+                    if let Some(rwr) = inner.recv_queue.pop_front() {
+                        inner.counters[QpCounter::RecvsCompleted].incr();
+                        let wc = Wc {
+                            wr_id: rwr.wr_id,
+                            status: WcStatus::Success,
+                            opcode: WcOpcode::RecvRdmaWithImm,
+                            byte_len: len,
+                            qp: inner.num,
+                            imm: Some(iv),
+                        };
+                        inner.recv_cq.push(wc);
                     }
-                    (inner.local_addr, inner.remote)
-                };
-                if let Some((raddr, _)) = remote {
-                    let ack = RdmaPacket::Ack { seq };
-                    let wire = ack.wire_bytes(model.ack_bytes);
-                    qp.device
-                        .net()
-                        .send(sim, Frame::new(local, raddr, wire, ack));
                 }
-                qp.fire_hook(sim);
-            }),
-        );
+                (inner.local_addr, inner.remote)
+            };
+            if let Some((raddr, _)) = remote {
+                let ack = RdmaPacket::Ack { seq };
+                let wire = ack.wire_bytes(model.ack_bytes);
+                qp.device
+                    .net()
+                    .send(sim, Frame::new(local, raddr, wire, ack));
+            }
+            qp.fire_hook(sim);
+        });
     }
 
     fn handle_read(&self, sim: &mut Simulator, rkey: u32, offset: usize, len: usize, seq: u64) {
@@ -1194,30 +1199,27 @@ impl QueuePair {
         self.inner.borrow_mut().rx_mark_seen(seq);
         let dma = model.dma_cost(len);
         let qp = self.clone();
-        sim.schedule_at(
-            sim.now() + dma,
-            Box::new(move |sim| {
-                let pool = qp.device.net().buffer_pool();
-                let data = match target.dma_read_pooled(offset, len, &pool) {
-                    Ok(d) => d,
-                    Err(_) => {
-                        qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                        return;
-                    }
-                };
-                let (local, remote) = {
-                    let inner = qp.inner.borrow();
-                    (inner.local_addr, inner.remote)
-                };
-                if let Some((raddr, _)) = remote {
-                    let resp = RdmaPacket::ReadResp { seq, data };
-                    let wire = resp.wire_bytes(model.ack_bytes);
-                    qp.device
-                        .net()
-                        .send(sim, Frame::new(local, raddr, wire, resp));
+        sim.schedule_at(sim.now() + dma, move |sim| {
+            let pool = qp.device.net().buffer_pool();
+            let data = match target.dma_read_pooled(offset, len, &pool) {
+                Ok(d) => d,
+                Err(_) => {
+                    qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
+                    return;
                 }
-            }),
-        );
+            };
+            let (local, remote) = {
+                let inner = qp.inner.borrow();
+                (inner.local_addr, inner.remote)
+            };
+            if let Some((raddr, _)) = remote {
+                let resp = RdmaPacket::ReadResp { seq, data };
+                let wire = resp.wire_bytes(model.ack_bytes);
+                qp.device
+                    .net()
+                    .send(sim, Frame::new(local, raddr, wire, resp));
+            }
+        });
     }
 
     fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>) {
@@ -1239,7 +1241,7 @@ impl QueuePair {
         let qp = self.clone();
         sim.schedule_at(
             sim.now() + dma + Nanos::from_nanos(model.cqe_ns),
-            Box::new(move |sim| {
+            move |sim| {
                 let len = data.len();
                 let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
                 qp.device.net().buffer_pool().put(data);
@@ -1273,7 +1275,7 @@ impl QueuePair {
                     }
                 }
                 qp.fire_hook(sim);
-            }),
+            },
         );
     }
 

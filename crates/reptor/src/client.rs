@@ -239,28 +239,25 @@ impl Client {
     fn arm_resend(&self, sim: &mut Simulator, ts: u64) {
         let timeout = self.inner.borrow().resend_timeout;
         let client = self.clone();
-        sim.schedule_in(
-            timeout,
-            Box::new(move |sim| {
-                let request = {
-                    let mut inner = client.inner.borrow_mut();
-                    let max = inner.max_retries;
-                    match inner.pending.get_mut(&ts) {
-                        Some(p) if p.retries < max => {
-                            p.retries += 1;
-                            let req = p.request.clone();
-                            inner.stats.retransmissions += 1;
-                            Some(req)
-                        }
-                        _ => None,
+        sim.schedule_in(timeout, move |sim| {
+            let request = {
+                let mut inner = client.inner.borrow_mut();
+                let max = inner.max_retries;
+                match inner.pending.get_mut(&ts) {
+                    Some(p) if p.retries < max => {
+                        p.retries += 1;
+                        let req = p.request.clone();
+                        inner.stats.retransmissions += 1;
+                        Some(req)
                     }
-                };
-                if let Some(req) = request {
-                    client.send_request(sim, &req);
-                    client.arm_resend(sim, ts);
+                    _ => None,
                 }
-            }),
-        );
+            };
+            if let Some(req) = request {
+                client.send_request(sim, &req);
+                client.arm_resend(sim, ts);
+            }
+        });
     }
 
     fn on_raw(&self, sim: &mut Simulator, bytes: Vec<u8>) {

@@ -514,10 +514,9 @@ impl<W: Wire> Mesh<W> {
     fn schedule_redial(&self, sim: &mut Simulator, peer: NodeId) {
         let attempts = self.inner.borrow().redial_attempts.get(&peer).copied();
         let t = self.clone();
-        sim.schedule_in(
-            backoff(RECONNECT_BASE, attempts.unwrap_or(0)),
-            Box::new(move |sim| t.redial_fire(sim, peer)),
-        );
+        sim.schedule_in(backoff(RECONNECT_BASE, attempts.unwrap_or(0)), move |sim| {
+            t.redial_fire(sim, peer)
+        });
     }
 
     /// Opens a replacement link towards `peer`, carrying over the dead
@@ -554,21 +553,18 @@ impl<W: Wire> Mesh<W> {
         let slot = self.add_link(link, Some(peer), outq, true);
         if let Some(timeout) = W::DIAL_TIMEOUT {
             let t = self.clone();
-            sim.schedule_in(
-                timeout,
-                Box::new(move |sim| {
-                    let stuck = {
-                        let inner = t.inner.borrow();
-                        let link = &inner.links[slot];
-                        inner.by_node.get(&peer) == Some(&slot)
-                            && !link.dead
-                            && !W::is_established(&link.wire)
-                    };
-                    if stuck {
-                        t.link_down(sim, slot);
-                    }
-                }),
-            );
+            sim.schedule_in(timeout, move |sim| {
+                let stuck = {
+                    let inner = t.inner.borrow();
+                    let link = &inner.links[slot];
+                    inner.by_node.get(&peer) == Some(&slot)
+                        && !link.dead
+                        && !W::is_established(&link.wire)
+                };
+                if stuck {
+                    t.link_down(sim, slot);
+                }
+            });
         }
     }
 

@@ -226,30 +226,27 @@ impl RecoveryScheduler {
 
     fn poll_rejoin(&self, sim: &mut Simulator, victim: usize, poll: Nanos, deadline: Nanos) {
         let sched = self.clone();
-        sim.schedule_in(
-            poll,
-            Box::new(move |sim| {
-                let rejoined = {
-                    let inner = sched.inner.borrow();
-                    let r = &inner.replicas[victim];
-                    r.last_executed() > 0 && !r.transfer_in_progress()
-                };
-                if rejoined {
-                    let mut inner = sched.inner.borrow_mut();
-                    inner.refreshing = None;
-                    inner.stats.refreshes_completed += 1;
-                    inner.counters[RecoveryCounter::RefreshesCompleted].incr();
-                } else if sim.now() >= deadline {
-                    let mut inner = sched.inner.borrow_mut();
-                    inner.refreshing = None;
-                    inner.stats.refresh_timeouts += 1;
-                    inner.counters[RecoveryCounter::RefreshTimeouts].incr();
-                } else {
-                    sched.poll_rejoin(sim, victim, poll, deadline);
-                    return;
-                }
-                sched.refresh_next(sim);
-            }),
-        );
+        sim.schedule_in(poll, move |sim| {
+            let rejoined = {
+                let inner = sched.inner.borrow();
+                let r = &inner.replicas[victim];
+                r.last_executed() > 0 && !r.transfer_in_progress()
+            };
+            if rejoined {
+                let mut inner = sched.inner.borrow_mut();
+                inner.refreshing = None;
+                inner.stats.refreshes_completed += 1;
+                inner.counters[RecoveryCounter::RefreshesCompleted].incr();
+            } else if sim.now() >= deadline {
+                let mut inner = sched.inner.borrow_mut();
+                inner.refreshing = None;
+                inner.stats.refresh_timeouts += 1;
+                inner.counters[RecoveryCounter::RefreshTimeouts].incr();
+            } else {
+                sched.poll_rejoin(sim, victim, poll, deadline);
+                return;
+            }
+            sched.refresh_next(sim);
+        });
     }
 }

@@ -157,18 +157,14 @@ impl ReplicaInner {
             // crashed inside the window.
             let replica = self.handle();
             let rkey = lease.rkey;
-            sim.schedule_in(
-                LEASE_TORN_WINDOW,
-                Box::new(move |_sim| {
-                    replica.enter(|r| {
-                        let live = r.read_lease.filter(|l| l.rkey == rkey);
-                        if live.is_some_and(|l| r.transport.write_state_region(&l, offset, &commit))
-                        {
-                            r.counters[ReplicaCounter::LeaseCellCommits].incr();
-                        }
-                    });
-                }),
-            );
+            sim.schedule_in(LEASE_TORN_WINDOW, move |_sim| {
+                replica.enter(|r| {
+                    let live = r.read_lease.filter(|l| l.rkey == rkey);
+                    if live.is_some_and(|l| r.transport.write_state_region(&l, offset, &commit)) {
+                        r.counters[ReplicaCounter::LeaseCellCommits].incr();
+                    }
+                });
+            });
         }
     }
 }

@@ -693,10 +693,9 @@ impl ReplicaInner {
         f: impl FnOnce(&mut ReplicaInner, &mut Simulator) + 'static,
     ) {
         let replica = self.handle();
-        sim.schedule_in(
-            delay,
-            Box::new(move |sim| replica.unless_crashed(|inner| f(inner, sim))),
-        );
+        sim.schedule_in(delay, move |sim| {
+            replica.unless_crashed(|inner| f(inner, sim))
+        });
     }
 }
 
@@ -734,14 +733,11 @@ impl ReplicaInner {
         let bytes = signed.encode();
         let receivers = receivers.to_vec();
         let transport = self.transport.clone();
-        sim.schedule_at(
-            send_at,
-            Box::new(move |sim| {
-                for &r in &receivers {
-                    transport.send(sim, r, bytes.clone());
-                }
-            }),
-        );
+        sim.schedule_at(send_at, move |sim| {
+            for &r in &receivers {
+                transport.send(sim, r, bytes.clone());
+            }
+        });
     }
 
     /// The core an outbound message's MAC work runs on: the owning

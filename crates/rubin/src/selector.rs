@@ -304,13 +304,10 @@ impl RdmaSelector {
             inner.process_scheduled = true;
         }
         let sel = self.clone();
-        sim.schedule_in(
-            Nanos::ZERO,
-            Box::new(move |sim| {
-                sel.inner.borrow_mut().process_scheduled = false;
-                sel.process(sim);
-            }),
-        );
+        sim.schedule_in(Nanos::ZERO, move |sim| {
+            sel.inner.borrow_mut().process_scheduled = false;
+            sel.process(sim);
+        });
     }
 
     /// The event-manager notification: an idle selector handles the events
@@ -548,25 +545,22 @@ impl RdmaSelector {
         self.inner.borrow_mut().wake_scheduled = true;
         let fire_at = self.charge_select(sim);
         let sel = self.clone();
-        sim.schedule_at(
-            fire_at,
-            Box::new(move |sim| {
-                let cb = {
-                    let mut inner = sel.inner.borrow_mut();
-                    inner.wake_scheduled = false;
-                    inner.parked.take()
-                };
-                // The selector thread runs: what arrived while it was
-                // busy is handled now, before the ready sets are read.
-                sel.drain(sim);
-                let Some(cb) = cb else { return };
-                let ready = sel.collect_ready();
-                if ready.is_empty() {
-                    sel.inner.borrow_mut().parked = Some(cb);
-                } else {
-                    cb(sim, ready);
-                }
-            }),
-        );
+        sim.schedule_at(fire_at, move |sim| {
+            let cb = {
+                let mut inner = sel.inner.borrow_mut();
+                inner.wake_scheduled = false;
+                inner.parked.take()
+            };
+            // The selector thread runs: what arrived while it was
+            // busy is handled now, before the ready sets are read.
+            sel.drain(sim);
+            let Some(cb) = cb else { return };
+            let ready = sel.collect_ready();
+            if ready.is_empty() {
+                sel.inner.borrow_mut().parked = Some(cb);
+            } else {
+                cb(sim, ready);
+            }
+        });
     }
 }

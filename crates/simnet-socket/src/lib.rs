@@ -424,10 +424,9 @@ mod tests {
         let (a, b) = (tb.a, tb.b);
         tb.net.with_faults(|f| f.set_loss(a, b, 1.0));
         let net = tb.net.clone();
-        tb.sim.schedule_at(
-            Nanos::from_micros(1_200),
-            Box::new(move |_| net.with_faults(|f| f.set_loss(a, b, 0.0))),
-        );
+        tb.sim.schedule_at(Nanos::from_micros(1_200), move |_| {
+            net.with_faults(|f| f.set_loss(a, b, 0.0))
+        });
         let client = TcpStream::connect(
             &mut tb.sim,
             &tb.net,

@@ -291,24 +291,21 @@ impl Selector {
                 .exec(sim.now(), core, Nanos::from_nanos(ns))
         };
         let sel = self.clone();
-        sim.schedule_at(
-            fire_at,
-            Box::new(move |sim| {
-                let cb = {
-                    let mut inner = sel.inner.borrow_mut();
-                    inner.wake_scheduled = false;
-                    inner.parked.take()
-                };
-                let Some(cb) = cb else { return };
-                let ready = sel.collect_ready();
-                if ready.is_empty() {
-                    // Readiness vanished while waking: re-park.
-                    sel.inner.borrow_mut().parked = Some(cb);
-                } else {
-                    cb(sim, ready);
-                }
-            }),
-        );
+        sim.schedule_at(fire_at, move |sim| {
+            let cb = {
+                let mut inner = sel.inner.borrow_mut();
+                inner.wake_scheduled = false;
+                inner.parked.take()
+            };
+            let Some(cb) = cb else { return };
+            let ready = sel.collect_ready();
+            if ready.is_empty() {
+                // Readiness vanished while waking: re-park.
+                sel.inner.borrow_mut().parked = Some(cb);
+            } else {
+                cb(sim, ready);
+            }
+        });
     }
 }
 

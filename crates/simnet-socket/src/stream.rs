@@ -309,20 +309,17 @@ impl TcpStream {
             )
         };
         let s = stream.clone();
-        sim.schedule_at(
-            done,
-            Box::new(move |sim| {
-                let (net, local) = {
-                    let inner = s.inner.borrow();
-                    (inner.net.clone(), inner.local)
-                };
-                net.send(
-                    sim,
-                    Frame::new(local, remote, 40, TcpSegment::Syn { reply_to: local }),
-                );
-                s.arm_syn_retry(sim);
-            }),
-        );
+        sim.schedule_at(done, move |sim| {
+            let (net, local) = {
+                let inner = s.inner.borrow();
+                (inner.net.clone(), inner.local)
+            };
+            net.send(
+                sim,
+                Frame::new(local, remote, 40, TcpSegment::Syn { reply_to: local }),
+            );
+            s.arm_syn_retry(sim);
+        });
         stream
     }
 
@@ -330,7 +327,7 @@ impl TcpStream {
     fn arm_syn_retry(&self, sim: &mut Simulator) {
         let rto = self.inner.borrow().model.rto;
         let s = self.clone();
-        let id = sim.schedule_in(rto, Box::new(move |sim| s.syn_retry_fire(sim)));
+        let id = sim.schedule_in(rto, move |sim| s.syn_retry_fire(sim));
         self.inner.borrow_mut().rto_timer = Some(id);
     }
 
@@ -474,7 +471,7 @@ impl TcpStream {
             (n, done)
         };
         let s = self.clone();
-        sim.schedule_at(pump_at, Box::new(move |sim| s.pump(sim)));
+        sim.schedule_at(pump_at, move |sim| s.pump(sim));
         self.refresh_readiness(sim);
         Ok(n)
     }
@@ -529,23 +526,20 @@ impl TcpStream {
             };
             let wire = seg_bytes.len() + header;
             // Schedule the wire transmission when the kernel work is done.
-            sim.schedule_at(
-                send_at,
-                Box::new(move |sim| {
-                    net.send(
-                        sim,
-                        Frame::new(
-                            local,
-                            remote,
-                            wire,
-                            TcpSegment::Data {
-                                seq,
-                                bytes: seg_bytes,
-                            },
-                        ),
-                    );
-                }),
-            );
+            sim.schedule_at(send_at, move |sim| {
+                net.send(
+                    sim,
+                    Frame::new(
+                        local,
+                        remote,
+                        wire,
+                        TcpSegment::Data {
+                            seq,
+                            bytes: seg_bytes,
+                        },
+                    ),
+                );
+            });
         }
         let needs_timer = {
             let inner = self.inner.borrow();
@@ -564,7 +558,7 @@ impl TcpStream {
     fn arm_rto(&self, sim: &mut Simulator) {
         let rto = self.inner.borrow().model.rto;
         let s = self.clone();
-        let id = sim.schedule_in(rto, Box::new(move |sim| s.rto_fire(sim)));
+        let id = sim.schedule_in(rto, move |sim| s.rto_fire(sim));
         self.inner.borrow_mut().rto_timer = Some(id);
     }
 
@@ -672,15 +666,12 @@ impl TcpStream {
             )
         };
         if let Some(remote) = remote {
-            sim.schedule_at(
-                credit_at,
-                Box::new(move |sim| {
-                    net.send(
-                        sim,
-                        Frame::new(local, remote, ack_bytes, TcpSegment::Credit { total_read }),
-                    );
-                }),
-            );
+            sim.schedule_at(credit_at, move |sim| {
+                net.send(
+                    sim,
+                    Frame::new(local, remote, ack_bytes, TcpSegment::Credit { total_read }),
+                );
+            });
         }
         self.refresh_readiness(sim);
         Ok(ReadOutcome::Data(data))
@@ -751,56 +742,53 @@ impl TcpStream {
                     )
                 };
                 let s = self.clone();
-                sim.schedule_at(
-                    done,
-                    Box::new(move |sim| {
-                        let (net, local, remote, ack_bytes, upto) = {
-                            let mut inner = s.inner.borrow_mut();
-                            let pool = inner.net.buffer_pool();
-                            if seq == inner.rcv_next {
-                                inner.recv_buf.extend(bytes.iter());
-                                pool.put(bytes);
+                sim.schedule_at(done, move |sim| {
+                    let (net, local, remote, ack_bytes, upto) = {
+                        let mut inner = s.inner.borrow_mut();
+                        let pool = inner.net.buffer_pool();
+                        if seq == inner.rcv_next {
+                            inner.recv_buf.extend(bytes.iter());
+                            pool.put(bytes);
+                            inner.rcv_next += 1;
+                            while let Some(parked) = {
+                                let next = inner.rcv_next;
+                                inner.rcv_ooo.remove(&next)
+                            } {
+                                inner.recv_buf.extend(parked.iter());
+                                pool.put(parked);
                                 inner.rcv_next += 1;
-                                while let Some(parked) = {
-                                    let next = inner.rcv_next;
-                                    inner.rcv_ooo.remove(&next)
-                                } {
-                                    inner.recv_buf.extend(parked.iter());
-                                    pool.put(parked);
-                                    inner.rcv_next += 1;
-                                }
-                            } else if seq > inner.rcv_next {
-                                if let std::collections::btree_map::Entry::Vacant(e) =
-                                    inner.rcv_ooo.entry(seq)
-                                {
-                                    e.insert(bytes);
-                                } else {
-                                    inner.stats.dup_segments += 1;
-                                    pool.put(bytes);
-                                }
+                            }
+                        } else if seq > inner.rcv_next {
+                            if let std::collections::btree_map::Entry::Vacant(e) =
+                                inner.rcv_ooo.entry(seq)
+                            {
+                                e.insert(bytes);
                             } else {
-                                // Already delivered: the cumulative ack
-                                // below repairs the sender's view.
                                 inner.stats.dup_segments += 1;
                                 pool.put(bytes);
                             }
-                            (
-                                inner.net.clone(),
-                                inner.local,
-                                inner.remote,
-                                inner.model.ack_bytes,
-                                inner.rcv_next,
-                            )
-                        };
-                        if let Some(remote) = remote {
-                            net.send(
-                                sim,
-                                Frame::new(local, remote, ack_bytes, TcpSegment::Ack { upto }),
-                            );
+                        } else {
+                            // Already delivered: the cumulative ack
+                            // below repairs the sender's view.
+                            inner.stats.dup_segments += 1;
+                            pool.put(bytes);
                         }
-                        s.refresh_readiness(sim);
-                    }),
-                );
+                        (
+                            inner.net.clone(),
+                            inner.local,
+                            inner.remote,
+                            inner.model.ack_bytes,
+                            inner.rcv_next,
+                        )
+                    };
+                    if let Some(remote) = remote {
+                        net.send(
+                            sim,
+                            Frame::new(local, remote, ack_bytes, TcpSegment::Ack { upto }),
+                        );
+                    }
+                    s.refresh_readiness(sim);
+                });
             }
             TcpSegment::Ack { upto } => {
                 let (timer, rearm) = {

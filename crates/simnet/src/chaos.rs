@@ -199,15 +199,12 @@ impl ChaosSchedule {
     pub fn install(&self, sim: &mut Simulator, net: &Network) {
         for (at, action) in self.entries.clone() {
             let net = net.clone();
-            sim.schedule_at(
-                at,
-                Box::new(move |sim| {
-                    net.with_faults(|f| action.apply(f));
-                    let m = net.metrics();
-                    m.incr("chaos.actions_applied");
-                    m.trace(sim.now(), "chaos", action.label());
-                }),
-            );
+            sim.schedule_at(at, move |sim| {
+                net.with_faults(|f| action.apply(f));
+                let m = net.metrics();
+                m.incr("chaos.actions_applied");
+                m.trace(sim.now(), "chaos", action.label());
+            });
         }
     }
 }

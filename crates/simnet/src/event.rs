@@ -14,9 +14,10 @@
 //!
 //! * **Arena-allocated events.** Actions live in a slab ([`Slot`] arena with
 //!   a free list); the heaps order 16-byte plain-old-data [`Entry`] values
-//!   (`(time, id)`), so a sift moves two words instead of a fat closure
-//!   pointer, and the slot index is packed into the id's low bits — no side
-//!   map is needed to find an event from its handle.
+//!   (`(time, id)`), so a sift moves two words instead of a closure, and
+//!   the slot index is packed into the id's low bits — no side map is
+//!   needed to find an event from its handle. A slot stores its closure in
+//!   place ([`Action`]), so scheduling an event allocates nothing.
 //! * **Per-host shards.** Events carry a shard hint (the destination host of
 //!   a frame delivery, propagated to everything an event schedules in turn),
 //!   and each shard keeps its own small heap — small enough to stay
@@ -43,6 +44,8 @@
 //! also a lock-step proof that sharding preserves the total order.
 
 use std::cmp::Ordering;
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 use crate::sim::Simulator;
 use crate::time::Nanos;
@@ -147,7 +150,109 @@ impl<T: Copy + Ord> MinHeap4<T> {
 }
 
 /// An event action: a one-shot closure run at its scheduled time.
+///
+/// [`Simulator::schedule_at`](crate::Simulator::schedule_at) and its
+/// siblings take any `FnOnce(&mut Simulator) + 'static`; a boxed one (this
+/// type) is accepted too, and is stored like any other closure.
 pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
+
+/// Closure bytes a slot holds in place. The largest closure the system
+/// schedules on the benchmark workloads is 96 B (the RDMA receive-placement
+/// step in `QueuePair::handle_inbound_send`); the rest are 8–80 B.
+const INLINE_BYTES: usize = 96;
+
+/// In-place storage for one closure: [`INLINE_BYTES`], 8-aligned.
+type InlineBuf = MaybeUninit<[u64; INLINE_BYTES / 8]>;
+
+/// A scheduled closure stored in place, without a heap allocation.
+///
+/// A closure larger than [`INLINE_BYTES`] or aligned above 8 is boxed, and
+/// the `Box` (8 bytes) is what the buffer holds, so every closure takes the
+/// one path below. [`QueueStats::boxed`] counts the boxed ones.
+///
+/// Invariant: `buf` holds a live value of the closure type `F` that `call`
+/// was instantiated for, and exactly one of [`run`](Action::run) or `Drop`
+/// consumes it. All the event core's `unsafe` code is in this type.
+pub(crate) struct Action {
+    buf: InlineBuf,
+    /// Runs the `F` at the pointer (`Some`) or drops it (`None`).
+    call: unsafe fn(*mut u8, Option<&mut Simulator>),
+    /// The stored closure usually captures `Rc`s: keep `Action` (and so the
+    /// `Simulator`) `!Send` and `!Sync`, as the boxed closure was.
+    _not_send: PhantomData<EventFn>,
+}
+
+impl Action {
+    /// Whether a value of type `T` fits the in-place buffer.
+    const fn fits<T>() -> bool {
+        size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= align_of::<InlineBuf>()
+    }
+
+    /// Stores `f` in the empty `dst`, boxing it if it does not fit.
+    /// Returns whether it was boxed.
+    #[inline]
+    fn put<F: FnOnce(&mut Simulator) + 'static>(dst: &mut Option<Action>, f: F) -> bool {
+        if Action::fits::<F>() {
+            Action::put_inline(dst, f);
+            false
+        } else {
+            Action::put_inline(dst, Box::new(f));
+            true
+        }
+    }
+
+    /// Writes `f` straight into `dst`'s buffer: one move of the closure.
+    #[inline]
+    fn put_inline<F: FnOnce(&mut Simulator) + 'static>(dst: &mut Option<Action>, f: F) {
+        assert!(Action::fits::<F>());
+        debug_assert!(dst.is_none(), "slot already holds an action");
+        let action = dst.insert(Action {
+            buf: MaybeUninit::uninit(),
+            call: Action::call::<F>,
+            _not_send: PhantomData,
+        });
+        // SAFETY: `fits` checked that an `F` fits `buf`'s size and
+        // alignment. Nothing between `insert` and this write can panic, so
+        // no `Action` with an empty buffer is ever dropped or run; after it,
+        // the invariant holds for `call::<F>`.
+        unsafe { action.buf.as_mut_ptr().cast::<F>().write(f) };
+    }
+
+    /// Runs the closure, consuming it.
+    #[inline]
+    pub(crate) fn run(self, sim: &mut Simulator) {
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: by the invariant `buf` holds the live `F` that `call` was
+        // made for; `ManuallyDrop` keeps `Drop` from consuming it again.
+        unsafe { (this.call)(this.buf.as_mut_ptr().cast(), Some(sim)) }
+    }
+
+    /// Runs (`sim` is `Some`) or drops (`None`) the `F` at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `p` must point to a live, aligned `F` that nothing uses afterwards.
+    unsafe fn call<F: FnOnce(&mut Simulator)>(p: *mut u8, sim: Option<&mut Simulator>) {
+        let p = p.cast::<F>();
+        match sim {
+            Some(sim) => {
+                // SAFETY: the caller hands over the live `F`; it is read once.
+                let f = unsafe { p.read() };
+                f(sim);
+            }
+            // SAFETY: as above; it is dropped once, in place.
+            None => unsafe { p.drop_in_place() },
+        }
+    }
+}
+
+impl Drop for Action {
+    fn drop(&mut self) {
+        // SAFETY: `run` never lets `Drop` see its action, so by the
+        // invariant `buf` still holds the live `F` for `call`.
+        unsafe { (self.call)(self.buf.as_mut_ptr().cast(), None) }
+    }
+}
 
 /// Bits of an [`EventId`] holding the arena slot index.
 const SLOT_BITS: u32 = 24;
@@ -190,18 +295,22 @@ impl Ord for Entry {
 }
 
 /// One arena slot: the stored action plus the id it belongs to, so stale
-/// heap entries pointing at a recycled slot are recognised as dead.
+/// heap entries pointing at a recycled slot are recognised as dead. 112
+/// bytes: `None` is `Action::call`'s null niche.
 struct Slot {
     id: u64,
-    action: Option<EventFn>,
+    action: Option<Action>,
 }
 
 /// Counters describing the queue's lifetime behaviour, surfaced as the
-/// `sim.events_*` gauges in metrics snapshots.
+/// `sim.events_*` gauges in metrics snapshots (all but `boxed`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled.
     pub scheduled: u64,
+    /// Events whose closure was too large or too aligned for its slot and
+    /// was boxed: one heap allocation each.
+    pub boxed: u64,
     /// Events cancelled before firing.
     pub cancelled: u64,
     /// Dead heap entries drained lazily on pop/peek.
@@ -267,6 +376,7 @@ pub(crate) struct EventQueue {
     live: usize,
     tombstones: usize,
     scheduled: u64,
+    boxed: u64,
     cancelled: u64,
     tombstones_purged: u64,
     compactions: u64,
@@ -295,6 +405,7 @@ impl EventQueue {
             live: 0,
             tombstones: 0,
             scheduled: 0,
+            boxed: 0,
             cancelled: 0,
             tombstones_purged: 0,
             compactions: 0,
@@ -317,7 +428,23 @@ impl EventQueue {
         slot.id == entry.id && slot.action.is_some()
     }
 
-    pub fn push(&mut self, at: Nanos, shard_hint: u32, action: EventFn) -> EventId {
+    /// Schedules `action` at `at`. The closure goes straight into its slot;
+    /// everything else is [`enqueue`](Self::enqueue), which is not generic.
+    #[inline]
+    pub fn push<F>(&mut self, at: Nanos, shard_hint: u32, action: F) -> EventId
+    where
+        F: FnOnce(&mut Simulator) + 'static,
+    {
+        let id = self.enqueue(at, shard_hint);
+        if Action::put(&mut self.slots[(id & SLOT_MASK) as usize].action, action) {
+            self.boxed += 1;
+        }
+        EventId(id)
+    }
+
+    /// Takes a slot, stamps it with a fresh id and orders `(at, id)`; the
+    /// caller fills the slot's action before anything else runs.
+    fn enqueue(&mut self, at: Nanos, shard_hint: u32) -> u64 {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -334,10 +461,7 @@ impl EventQueue {
         self.next_seq += 1;
         debug_assert!(seq < (1 << (64 - SLOT_BITS)), "event sequence overflow");
         let id = (seq << SLOT_BITS) | slot as u64;
-        self.slots[slot as usize] = Slot {
-            id,
-            action: Some(action),
-        };
+        self.slots[slot as usize].id = id;
         let shard = (shard_hint as usize) % self.shards.len();
         // A push into another shard below the fence can change the merge
         // winner; retire the fast path and re-merge on the next pop.
@@ -367,7 +491,7 @@ impl EventQueue {
         self.scheduled += 1;
         #[cfg(test)]
         self.shadow.push(at);
-        EventId(id)
+        id
     }
 
     pub fn cancel(&mut self, id: EventId) {
@@ -379,7 +503,8 @@ impl EventQueue {
         if slot.id != id.0 || slot.action.is_none() {
             return; // already ran or already cancelled
         }
-        slot.action = None;
+        // Dropped on return, once the queue's books are straight.
+        let _action = slot.action.take();
         self.free.push(idx as u32);
         self.live -= 1;
         self.tombstones += 1;
@@ -437,28 +562,25 @@ impl EventQueue {
         }
     }
 
-    /// Takes `entry`'s action out of the arena if it is still live; purges
-    /// the tombstone counter otherwise.
+    /// Frees `entry`'s slot if its event is still live, leaving the action
+    /// in it for [`pop`](Self::pop) to move out; purges the tombstone
+    /// counter otherwise.
     #[inline]
-    fn claim(&mut self, entry: Entry) -> Option<EventFn> {
-        let idx = (entry.id & SLOT_MASK) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.id == entry.id {
-            if let Some(action) = slot.action.take() {
-                self.free.push(idx as u32);
-                self.live -= 1;
-                return Some(action);
-            }
+    fn claim(&mut self, entry: Entry) -> bool {
+        if self.is_live(entry) {
+            self.free.push((entry.id & SLOT_MASK) as u32);
+            self.live -= 1;
+            return true;
         }
         self.tombstones -= 1;
         self.tombstones_purged += 1;
-        None
+        false
     }
 
     /// Full merge via the head index: pops the globally minimal live event,
     /// discarding dead entries and stale index entries along the way, and
     /// opens a new fenced run for the winning shard.
-    fn merge_pop(&mut self) -> Option<(u32, Entry, EventFn)> {
+    fn merge_pop(&mut self) -> Option<(u32, Entry)> {
         self.merges += 1;
         loop {
             let top = *self.index.peek()?;
@@ -471,14 +593,14 @@ impl EventQueue {
             }
             self.index.pop();
             self.shards[shard].pop();
-            if let Some(action) = self.claim(top.e) {
+            if self.claim(top.e) {
                 // Open a run: the shard's next head stays un-indexed while
                 // the fence (runner-up key; possibly a stale entry, which
                 // is conservative — a too-low fence only re-merges early)
                 // lets the fast path keep popping it.
                 let fence = self.index.peek().map(|i| i.e.key());
                 self.cache = Some(RunCache { shard, fence });
-                return Some((shard as u32, top.e, action));
+                return Some((shard as u32, top.e));
             }
             // Dead head: no run opened, so restore the shard's index cover.
             if let Some(&next) = self.shards[shard].peek() {
@@ -490,19 +612,26 @@ impl EventQueue {
         }
     }
 
-    /// Pops the next live (non-cancelled) event with its shard.
-    pub fn pop(&mut self) -> Option<(u32, Nanos, EventFn)> {
+    /// Pops the next live (non-cancelled) event with its shard. The action
+    /// moves out of its slot here, once.
+    pub fn pop(&mut self) -> Option<(u32, Nanos, Action)> {
         let popped = self.pop_inner();
         #[cfg(test)]
         assert_eq!(
             self.shadow.pop(),
-            popped.as_ref().map(|(_, e, _)| (e.at, e.id >> SLOT_BITS)),
+            popped.map(|(_, e)| (e.at, e.id >> SLOT_BITS)),
             "sharded queue diverged from the legacy (time, seq) order"
         );
-        popped.map(|(shard, e, action)| (shard, e.at, action))
+        let (shard, e) = popped?;
+        let action = self.slots[(e.id & SLOT_MASK) as usize].action.take();
+        Some((
+            shard,
+            e.at,
+            action.expect("a claimed slot holds its action"),
+        ))
     }
 
-    fn pop_inner(&mut self) -> Option<(u32, Entry, EventFn)> {
+    fn pop_inner(&mut self) -> Option<(u32, Entry)> {
         if self.live == 0 {
             self.retire_cache();
             return None;
@@ -516,9 +645,9 @@ impl EventQueue {
                     break;
                 }
                 self.shards[c.shard].pop();
-                if let Some(action) = self.claim(head) {
+                if self.claim(head) {
                     self.run_hits += 1;
-                    return Some((c.shard as u32, head, action));
+                    return Some((c.shard as u32, head));
                 }
             }
             self.retire_cache();
@@ -586,6 +715,7 @@ impl EventQueue {
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             scheduled: self.scheduled,
+            boxed: self.boxed,
             cancelled: self.cancelled,
             tombstones_purged: self.tombstones_purged,
             compactions: self.compactions,
@@ -662,9 +792,12 @@ mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::mem::{align_of_val, size_of_val};
+    use std::rc::Rc;
 
-    fn noop() -> EventFn {
-        Box::new(|_| {})
+    fn noop() -> impl FnOnce(&mut Simulator) {
+        |_| {}
     }
 
     #[test]
@@ -800,5 +933,165 @@ mod tests {
             }
         }
         while q.pop().is_some() {}
+    }
+
+    /// Runs and drops of the closures that captured a [`Witness`].
+    #[derive(Default)]
+    struct Tally {
+        ran: Cell<u32>,
+        dropped: Cell<u32>,
+    }
+
+    impl Tally {
+        fn counts(&self) -> (u32, u32) {
+            (self.ran.get(), self.dropped.get())
+        }
+    }
+
+    /// A captured `Rc` that reports its one drop (a second would show).
+    struct Witness(Rc<Tally>);
+
+    impl Witness {
+        fn ran(&self) {
+            self.0.ran.set(self.0.ran.get() + 1);
+        }
+    }
+
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            self.0.dropped.set(self.0.dropped.get() + 1);
+        }
+    }
+
+    fn ns(n: u64) -> Nanos {
+        Nanos::from_nanos(n)
+    }
+
+    #[test]
+    fn a_run_event_drops_its_capture_once() {
+        let tally = Rc::new(Tally::default());
+        let mut sim = Simulator::new(0);
+        let w = Witness(tally.clone());
+        sim.schedule_in(ns(1), move |_| w.ran());
+        assert_eq!(tally.counts(), (0, 0));
+        sim.run_until_idle();
+        assert_eq!(tally.counts(), (1, 1));
+        assert_eq!(Rc::strong_count(&tally), 1);
+        assert_eq!(sim.queue_stats().boxed, 0);
+    }
+
+    #[test]
+    fn a_cancelled_event_drops_its_capture_once_at_cancel() {
+        let tally = Rc::new(Tally::default());
+        let mut sim = Simulator::new(0);
+        let w = Witness(tally.clone());
+        let id = sim.schedule_in(ns(1), move |_| w.ran());
+        sim.cancel(id);
+        assert_eq!(tally.counts(), (0, 1));
+        sim.cancel(id);
+        sim.run_until_idle();
+        assert_eq!(tally.counts(), (0, 1));
+        assert_eq!(Rc::strong_count(&tally), 1);
+    }
+
+    #[test]
+    fn dropping_a_simulator_drops_each_pending_capture_once() {
+        let tally = Rc::new(Tally::default());
+        let mut sim = Simulator::new(0);
+        for t in 1..=3 {
+            let w = Witness(tally.clone());
+            sim.schedule_in(ns(t), move |_| w.ran());
+        }
+        let w = Witness(tally.clone());
+        sim.schedule_in(ns(4), move |_| w.ran());
+        sim.run_until(ns(1));
+        assert_eq!(tally.counts(), (1, 1));
+        drop(sim);
+        assert_eq!(tally.counts(), (1, 4));
+        assert_eq!(Rc::strong_count(&tally), 1);
+    }
+
+    #[test]
+    fn a_closure_of_exactly_the_buffer_size_is_stored_in_place() {
+        assert_eq!(size_of::<Slot>(), 112);
+        let tally = Rc::new(Tally::default());
+        let mut sim = Simulator::new(0);
+        let (words, w) = ([1u64; 11], Witness(tally.clone()));
+        let f = move |_: &mut Simulator| {
+            assert_eq!(words.iter().sum::<u64>(), 11);
+            w.ran();
+        };
+        assert_eq!(size_of_val(&f), INLINE_BYTES);
+        sim.schedule_in(ns(1), f);
+        sim.run_until_idle();
+        assert_eq!(tally.counts(), (1, 1));
+        assert_eq!(sim.queue_stats().boxed, 0);
+    }
+
+    #[test]
+    fn oversized_and_overaligned_closures_are_boxed_run_and_drop_once() {
+        #[repr(align(16))]
+        struct Aligned(u64);
+
+        let tally = Rc::new(Tally::default());
+        let mut sim = Simulator::new(0);
+        let (bytes, w) = ([7u8; 200], Witness(tally.clone()));
+        let big = move |_: &mut Simulator| {
+            assert_eq!(bytes.iter().map(|&b| b as u32).sum::<u32>(), 1_400);
+            w.ran();
+        };
+        assert!(size_of_val(&big) > INLINE_BYTES);
+        let (a, w) = (Aligned(0xA11), Witness(tally.clone()));
+        let aligned = move |_: &mut Simulator| {
+            assert_eq!(std::hint::black_box(&a).0, 0xA11);
+            w.ran();
+        };
+        assert_eq!(align_of_val(&aligned), 16);
+        sim.schedule_in(ns(1), big);
+        sim.schedule_in(ns(2), aligned);
+        assert_eq!(sim.queue_stats().boxed, 2);
+        sim.run_until_idle();
+        assert_eq!(tally.counts(), (2, 2));
+
+        // Boxed, then cancelled or left pending: still dropped once.
+        let (bytes, w) = ([0u8; 200], Witness(tally.clone()));
+        let id = sim.schedule_in(ns(1), move |_| {
+            std::hint::black_box(bytes);
+            w.ran();
+        });
+        sim.cancel(id);
+        assert_eq!(tally.counts(), (2, 3));
+        let (a, w) = (Aligned(1), Witness(tally.clone()));
+        sim.schedule_in(ns(1), move |_| {
+            std::hint::black_box(&a);
+            w.ran();
+        });
+        assert_eq!(sim.queue_stats().boxed, 4);
+        drop(sim);
+        assert_eq!(tally.counts(), (2, 4));
+        assert_eq!(Rc::strong_count(&tally), 1);
+    }
+
+    thread_local! {
+        static ZST_RUNS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    fn bump(_: &mut Simulator) {
+        ZST_RUNS.with(|c| c.set(c.get() + 1));
+    }
+
+    #[test]
+    fn a_zero_sized_closure_runs_and_cancels() {
+        assert_eq!(size_of_val(&bump), 0);
+        let mut sim = Simulator::new(0);
+        sim.schedule_in(ns(1), bump);
+        let closure = |sim: &mut Simulator| bump(sim);
+        assert_eq!(size_of_val(&closure), 0);
+        sim.schedule_in(ns(2), closure);
+        let id = sim.schedule_in(ns(3), bump);
+        sim.cancel(id);
+        sim.run_until_idle();
+        assert_eq!(ZST_RUNS.with(Cell::get), 2);
+        assert_eq!(sim.queue_stats().boxed, 0);
     }
 }

@@ -457,11 +457,7 @@ impl Network {
         // Deliveries shard by destination host: the handler runs (and mostly
         // reschedules) on that host, keeping event-queue traffic local.
         let shard = frame.dst.host.0;
-        sim.schedule_at_on(
-            shard,
-            deliver_at,
-            Box::new(move |sim| net.deliver(sim, frame)),
-        );
+        sim.schedule_at_on(shard, deliver_at, move |sim| net.deliver(sim, frame));
     }
 
     fn deliver(&self, sim: &mut Simulator, frame: Frame) {

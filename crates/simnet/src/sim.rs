@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::event::{EventFn, EventId, EventQueue, QueueStats};
+use crate::event::{EventId, EventQueue, QueueStats};
 use crate::time::Nanos;
 
 /// A deterministic, single-threaded discrete-event simulator.
@@ -24,10 +24,10 @@ use crate::time::Nanos;
 /// let mut sim = Simulator::new(42);
 /// let fired = Rc::new(Cell::new(false));
 /// let f = fired.clone();
-/// sim.schedule_in(Nanos::from_micros(5), Box::new(move |sim| {
+/// sim.schedule_in(Nanos::from_micros(5), move |sim| {
 ///     assert_eq!(sim.now(), Nanos::from_micros(5));
 ///     f.set(true);
-/// }));
+/// });
 /// sim.run_until_idle();
 /// assert!(fired.get());
 /// ```
@@ -84,7 +84,11 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: Nanos, action: EventFn) -> EventId {
+    pub fn schedule_at(
+        &mut self,
+        at: Nanos,
+        action: impl FnOnce(&mut Simulator) + 'static,
+    ) -> EventId {
         self.schedule_at_on(self.current_shard, at, action)
     }
 
@@ -95,7 +99,12 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at_on(&mut self, shard_hint: u32, at: Nanos, action: EventFn) -> EventId {
+    pub fn schedule_at_on(
+        &mut self,
+        shard_hint: u32,
+        at: Nanos,
+        action: impl FnOnce(&mut Simulator) + 'static,
+    ) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={} at={}",
@@ -106,7 +115,11 @@ impl Simulator {
     }
 
     /// Schedules `action` to run `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Nanos, action: EventFn) -> EventId {
+    pub fn schedule_in(
+        &mut self,
+        delay: Nanos,
+        action: impl FnOnce(&mut Simulator) + 'static,
+    ) -> EventId {
         let at = self.now + delay;
         self.queue.push(at, self.current_shard, action)
     }
@@ -126,10 +139,10 @@ impl Simulator {
             F: FnMut(&mut Simulator) -> bool + 'static,
         {
             if action(sim) {
-                sim.schedule_in(period, Box::new(move |sim| tick(sim, period, action)));
+                sim.schedule_in(period, move |sim| tick(sim, period, action));
             }
         }
-        self.schedule_in(period, Box::new(move |sim| tick(sim, period, action)))
+        self.schedule_in(period, move |sim| tick(sim, period, action))
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that has
@@ -147,7 +160,7 @@ impl Simulator {
                 self.now = at;
                 self.executed += 1;
                 self.current_shard = shard;
-                action(self);
+                action.run(self);
                 true
             }
             None => false,
@@ -216,10 +229,9 @@ mod tests {
         let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for t in [30u64, 10, 20] {
             let log = log.clone();
-            sim.schedule_at(
-                Nanos::from_nanos(t),
-                Box::new(move |sim| log.borrow_mut().push(sim.now().as_nanos())),
-            );
+            sim.schedule_at(Nanos::from_nanos(t), move |sim| {
+                log.borrow_mut().push(sim.now().as_nanos())
+            });
         }
         sim.run_until_idle();
         assert_eq!(*log.borrow(), vec![10, 20, 30]);
@@ -231,19 +243,13 @@ mod tests {
         let mut sim = Simulator::new(0);
         let hits = Rc::new(RefCell::new(0u32));
         let h = hits.clone();
-        sim.schedule_in(
-            Nanos::from_nanos(1),
-            Box::new(move |sim| {
-                let h2 = h.clone();
-                sim.schedule_in(
-                    Nanos::from_nanos(1),
-                    Box::new(move |_| {
-                        *h2.borrow_mut() += 1;
-                    }),
-                );
-                *h.borrow_mut() += 1;
-            }),
-        );
+        sim.schedule_in(Nanos::from_nanos(1), move |sim| {
+            let h2 = h.clone();
+            sim.schedule_in(Nanos::from_nanos(1), move |_| {
+                *h2.borrow_mut() += 1;
+            });
+            *h.borrow_mut() += 1;
+        });
         let end = sim.run_until_idle();
         assert_eq!(*hits.borrow(), 2);
         assert_eq!(end.as_nanos(), 2);
@@ -282,12 +288,9 @@ mod tests {
         let hits = Rc::new(RefCell::new(0u32));
         for t in [5u64, 15] {
             let h = hits.clone();
-            sim.schedule_at(
-                Nanos::from_nanos(t),
-                Box::new(move |_| {
-                    *h.borrow_mut() += 1;
-                }),
-            );
+            sim.schedule_at(Nanos::from_nanos(t), move |_| {
+                *h.borrow_mut() += 1;
+            });
         }
         sim.run_until(Nanos::from_nanos(10));
         assert_eq!(*hits.borrow(), 1);
@@ -301,12 +304,9 @@ mod tests {
         let mut sim = Simulator::new(0);
         let hits = Rc::new(RefCell::new(0u32));
         let h = hits.clone();
-        let id = sim.schedule_in(
-            Nanos::from_nanos(5),
-            Box::new(move |_| {
-                *h.borrow_mut() += 1;
-            }),
-        );
+        let id = sim.schedule_in(Nanos::from_nanos(5), move |_| {
+            *h.borrow_mut() += 1;
+        });
         sim.cancel(id);
         sim.run_until_idle();
         assert_eq!(*hits.borrow(), 0);
@@ -316,9 +316,9 @@ mod tests {
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_in_the_past_panics() {
         let mut sim = Simulator::new(0);
-        sim.schedule_at(Nanos::from_nanos(10), Box::new(|_| {}));
+        sim.schedule_at(Nanos::from_nanos(10), |_| {});
         sim.run_until_idle();
-        sim.schedule_at(Nanos::from_nanos(5), Box::new(|_| {}));
+        sim.schedule_at(Nanos::from_nanos(5), |_| {});
     }
 
     #[test]

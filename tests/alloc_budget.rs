@@ -3,13 +3,18 @@
 //! `benchmark/` cannot be edited alongside the code it measures.
 //!
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
-//! each budget sits about 15 % above what the harness below measures (30.3
-//! and 371.8 allocations, 4.65 MiB peak live; run with `--nocapture` to see
-//! them). With a `format!`ed key per counter
-//! bump, the state before typed metric handles, the same harness read 109.0
-//! and 1,978.3. The PBFT figure scales with the messages per request: an
+//! each budget sits about 15 % above what the harness below measures (12.0
+//! and 213.2 allocations, 4.75 MiB peak live; run with `--nocapture` to see
+//! them). With a boxed closure per scheduled event and a one-element `Vec`
+//! per posted send, the same harness read 30.3 and 371.6; with a `format!`ed
+//! key per counter bump, the state before typed metric handles, 109.0 and
+//! 1,978.3. The PBFT figure scales with the messages per request: an
 //! 8-request round is two agreement instances (batches of 1 and 7), and read
 //! 682.5 as eight.
+//!
+//! Neither steady state may box an event closure: one that outgrows its
+//! in-place slot buffer fails here instead of costing an allocation per
+//! event unnoticed.
 //!
 //! The same allocator pins what a hostile frame may cost a receiver before
 //! it is refused: less than a kilobyte, whatever count it claims.
@@ -30,9 +35,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PAYLOAD: usize = 1024;
 
 /// Allocations per 1 KB message echoed over `RubinTransport` on one host.
-const ECHO_BUDGET: f64 = 35.0;
+const ECHO_BUDGET: f64 = 14.0;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
-const PBFT_BUDGET: f64 = 430.0;
+const PBFT_BUDGET: f64 = 245.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
 const PBFT_PEAK_LIVE_MIB: f64 = 5.4;
@@ -74,6 +79,11 @@ fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
     echo(MEASURED);
     let per_message = (allocs() - before) as f64 / MEASURED as f64;
     println!("echo over RUBIN: {per_message:.1} allocations per message");
+    assert_eq!(
+        sim.queue_stats().boxed,
+        0,
+        "an event closure outgrew its slot"
+    );
     assert!(
         per_message <= ECHO_BUDGET,
         "{per_message:.1} allocations per echoed message, budget {ECHO_BUDGET}"
@@ -107,6 +117,11 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
     let requests = MEASURED_ROUNDS * OUTSTANDING;
     let per_request = (allocs() - before) as f64 / requests as f64;
     println!("PBFT over RUBIN: {per_request:.1} allocations per request");
+    assert_eq!(
+        c.sim.queue_stats().boxed,
+        0,
+        "an event closure outgrew its slot"
+    );
     assert!(
         per_request <= PBFT_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"

@@ -225,12 +225,9 @@ fn run_schedule(cfg: ReptorConfig, clients: usize, seed: u64, at_us: &[u64]) -> 
     });
     for (k, &at) in at_us.iter().enumerate() {
         let client = c.clients[k % clients].clone();
-        c.sim.schedule_in(
-            Nanos::from_micros(at),
-            Box::new(move |sim| {
-                client.submit(sim, vec![k as u8]);
-            }),
-        );
+        c.sim.schedule_in(Nanos::from_micros(at), move |sim| {
+            client.submit(sim, vec![k as u8]);
+        });
     }
     let per_client = |i: usize| ((at_us.len() + clients - 1 - i) / clients) as u64;
     while (0..clients).any(|i| c.clients[i].stats().completed < per_client(i)) {

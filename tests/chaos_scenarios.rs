@@ -232,12 +232,9 @@ fn primary_crash_scenario(kind: Stack, seed: u64) -> String {
         .at(t_crash, ChaosAction::CrashHost { host: w.hosts[0] })
         .install(&mut w.sim, &w.net);
     let r0 = w.replicas[0].clone();
-    w.sim.schedule_at(
-        t_crash,
-        Box::new(move |_sim| {
-            r0.set_byzantine(ByzantineMode::Crash);
-        }),
-    );
+    w.sim.schedule_at(t_crash, move |_sim| {
+        r0.set_byzantine(ByzantineMode::Crash);
+    });
     w.sim.run_until(t_crash + Nanos::from_micros(1));
 
     // Phase 3: requests submitted into the faulty window. Backups arm
@@ -268,12 +265,9 @@ fn primary_crash_scenario(kind: Stack, seed: u64) -> String {
         .at(t_heal, ChaosAction::RestartHost { host: w.hosts[0] })
         .install(&mut w.sim, &w.net);
     let r0 = w.replicas[0].clone();
-    w.sim.schedule_at(
-        t_heal,
-        Box::new(move |_sim| {
-            r0.set_byzantine(ByzantineMode::Honest);
-        }),
-    );
+    w.sim.schedule_at(t_heal, move |_sim| {
+        r0.set_byzantine(ByzantineMode::Honest);
+    });
     // Backoff caps at 64 ms; give the slowest dialer two full windows.
     w.sim.run_until(t_heal + Nanos::from_millis(150));
 
@@ -525,12 +519,9 @@ fn restart_scenario(kind: Stack, seed: u64) {
         .at(t_crash, ChaosAction::CrashHost { host: victim_host })
         .install(&mut w.sim, &w.net);
     let v = victim.clone();
-    w.sim.schedule_at(
-        t_crash,
-        Box::new(move |_sim| {
-            v.set_byzantine(ByzantineMode::Crash);
-        }),
-    );
+    w.sim.schedule_at(t_crash, move |_sim| {
+        v.set_byzantine(ByzantineMode::Crash);
+    });
     w.sim.run_until(t_crash + Nanos::from_micros(1));
 
     // The live trio executes three checkpoint intervals, and the outage
@@ -550,12 +541,9 @@ fn restart_scenario(kind: Stack, seed: u64) {
         .at(t_back, ChaosAction::RestartHost { host: victim_host })
         .install(&mut w.sim, &w.net);
     let v = victim.clone();
-    w.sim.schedule_at(
-        t_back,
-        Box::new(move |sim| {
-            v.restart(sim, Box::new(CounterService::default()));
-        }),
-    );
+    w.sim.schedule_at(t_back, move |sim| {
+        v.restart(sim, Box::new(CounterService::default()));
+    });
     w.sim.run_until(t_back + Nanos::from_millis(400));
 
     assert!(

@@ -61,12 +61,9 @@ fn crash_at(w: &mut Cluster, idx: usize, at: Nanos) {
         .at(at, ChaosAction::CrashHost { host: w.hosts[idx] })
         .install(&mut w.sim, &w.net);
     let v = w.replicas[idx].clone();
-    w.sim.schedule_at(
-        at,
-        Box::new(move |_sim| {
-            v.set_byzantine(ByzantineMode::Crash);
-        }),
-    );
+    w.sim.schedule_at(at, move |_sim| {
+        v.set_byzantine(ByzantineMode::Crash);
+    });
 }
 
 /// Powers the host back on and restarts the replica cold at `at`.
@@ -80,12 +77,9 @@ fn restart_at(
         .at(at, ChaosAction::RestartHost { host: w.hosts[idx] })
         .install(&mut w.sim, &w.net);
     let v = w.replicas[idx].clone();
-    w.sim.schedule_at(
-        at,
-        Box::new(move |sim| {
-            v.restart(sim, service());
-        }),
-    );
+    w.sim.schedule_at(at, move |sim| {
+        v.restart(sim, service());
+    });
 }
 
 fn put(key: String, val: Vec<u8>) -> Vec<u8> {

@@ -395,9 +395,9 @@ proptest! {
         let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for d in delays {
             let log = log.clone();
-            sim.schedule_in(Nanos::from_nanos(d), Box::new(move |sim| {
+            sim.schedule_in(Nanos::from_nanos(d), move |sim| {
                 log.borrow_mut().push(sim.now().as_nanos());
-            }));
+            });
         }
         sim.run_until_idle();
         let log = log.borrow();
