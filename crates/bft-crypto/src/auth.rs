@@ -45,29 +45,35 @@ impl KeyTable {
         hmac_sha256(&self.secret, &msg)
     }
 
+    /// This node's MAC of `message` towards `receiver`: one entry of an
+    /// authenticator.
+    pub fn mac(&self, message: &[u8], receiver: NodeId) -> [u8; DIGEST_LEN] {
+        hmac_sha256(&self.pair_key(self.me, receiver), message)
+    }
+
+    /// Whether `mac` is `sender`'s MAC of `message` towards this node.
+    pub fn verify_mac(&self, message: &[u8], sender: NodeId, mac: &[u8; DIGEST_LEN]) -> bool {
+        verify_hmac(&self.pair_key(sender, self.me), message, mac)
+    }
+
     /// Authenticates `message` towards every node in `receivers`.
     pub fn authenticate(&self, message: &[u8], receivers: &[NodeId]) -> Authenticator {
-        let macs = receivers
-            .iter()
-            .map(|&r| {
-                let key = self.pair_key(self.me, r);
-                (r, hmac_sha256(&key, message))
-            })
-            .collect();
         Authenticator {
             sender: self.me,
-            macs,
+            macs: receivers
+                .iter()
+                .map(|&r| (r, self.mac(message, r)))
+                .collect(),
         }
     }
 
     /// Verifies that `auth` (sent by `auth.sender`) covers `message` for
-    /// this node.
+    /// this node: the first entry addressed to this node decides.
     pub fn verify(&self, message: &[u8], auth: &Authenticator) -> bool {
-        let Some((_, mac)) = auth.macs.iter().find(|(r, _)| *r == self.me) else {
-            return false;
-        };
-        let key = self.pair_key(auth.sender, self.me);
-        verify_hmac(&key, message, mac)
+        auth.macs
+            .iter()
+            .find(|(r, _)| *r == self.me)
+            .is_some_and(|(_, mac)| self.verify_mac(message, auth.sender, mac))
     }
 }
 
@@ -125,6 +131,17 @@ mod tests {
         let mut forged = auth.clone();
         forged.sender = 2;
         assert!(!receiver.verify(b"msg", &forged));
+    }
+
+    #[test]
+    fn one_mac_primitives_agree_with_the_vector() {
+        let sender = KeyTable::new(0, b"domain".to_vec());
+        let receiver = KeyTable::new(2, b"domain".to_vec());
+        let auth = sender.authenticate(b"msg", &[1, 2]);
+        assert_eq!(auth.macs[1], (2, sender.mac(b"msg", 2)));
+        assert!(receiver.verify_mac(b"msg", 0, &auth.macs[1].1));
+        assert!(!receiver.verify_mac(b"msg", 0, &auth.macs[0].1));
+        assert!(!receiver.verify_mac(b"msg", 1, &auth.macs[1].1));
     }
 
     #[test]

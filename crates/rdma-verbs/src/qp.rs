@@ -372,11 +372,13 @@ impl QueuePair {
     ///
     /// As for [`post_recv_batch`](Self::post_recv_batch).
     pub fn post_recv(&self, sim: &mut Simulator, wr: RecvWr) -> VerbsResult<()> {
-        self.post_recv_batch(sim, vec![wr])
+        self.post_recv_batch(sim, [wr])
     }
 
     /// Posts a batch of receive work requests in one doorbell, the
-    /// batched-posting optimization of paper §IV.
+    /// batched-posting optimization of paper §IV. The batch is anything
+    /// that lends a slice and yields its requests: a `Vec`, an array, or a
+    /// `drain` of a buffer the caller keeps.
     ///
     /// # Errors
     ///
@@ -385,10 +387,14 @@ impl QueuePair {
     /// * [`VerbsError::QueueFull`] beyond `max_recv_wr` outstanding.
     /// * [`VerbsError::PdMismatch`] / [`VerbsError::InvalidRange`] /
     ///   [`VerbsError::LocalAccess`] for bad buffers.
-    pub fn post_recv_batch(&self, sim: &mut Simulator, wrs: Vec<RecvWr>) -> VerbsResult<()> {
+    pub fn post_recv_batch<W>(&self, sim: &mut Simulator, wrs: W) -> VerbsResult<()>
+    where
+        W: AsRef<[RecvWr]> + IntoIterator<Item = RecvWr>,
+    {
         let model = self.device.model().clone();
         let cpu_done;
         {
+            let batch = wrs.as_ref();
             let mut inner = self.inner.borrow_mut();
             if !inner.state.can_post_recv() {
                 return Err(VerbsError::InvalidQpState {
@@ -396,19 +402,19 @@ impl QueuePair {
                     state: inner.state,
                 });
             }
-            if wrs.len() > model.max_post_batch {
+            if batch.len() > model.max_post_batch {
                 return Err(VerbsError::BatchTooLarge {
-                    len: wrs.len(),
+                    len: batch.len(),
                     max: model.max_post_batch,
                 });
             }
-            if inner.recv_queue.len() + wrs.len() > model.max_recv_wr {
+            if inner.recv_queue.len() + batch.len() > model.max_recv_wr {
                 return Err(VerbsError::QueueFull {
                     qp: inner.num,
                     capacity: model.max_recv_wr,
                 });
             }
-            for wr in &wrs {
+            for wr in batch {
                 if wr.sge.mr.pd() != inner.pd {
                     return Err(VerbsError::PdMismatch);
                 }
@@ -417,11 +423,12 @@ impl QueuePair {
                     return Err(VerbsError::LocalAccess);
                 }
             }
-            let cost = model.post_batch_cost(wrs.len());
+            let len = batch.len();
+            let cost = model.post_batch_cost(len);
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
-            inner.stats.recvs_posted += wrs.len() as u64;
-            inner.counters[QpCounter::RecvsPosted].add(wrs.len() as u64);
+            inner.stats.recvs_posted += len as u64;
+            inner.counters[QpCounter::RecvsPosted].add(len as u64);
             inner.recv_queue.extend(wrs);
         }
         // Any held inbound messages can now be delivered (after the posting

@@ -11,7 +11,7 @@ use bft_crypto::KeyTable;
 use simnet::{Nanos, Simulator};
 
 use crate::config::ReptorConfig;
-use crate::messages::{ClientId, Message, ReplicaId, Request, SignedMessage};
+use crate::messages::{ClientId, Envelope, Message, ReplicaId, Request};
 use crate::transport::Transport;
 
 /// Client statistics.
@@ -26,6 +26,9 @@ pub struct ClientStats {
     /// Messages dropped for failing MAC verification, or for speaking in
     /// the name of a node other than the one that authenticated them.
     pub bad_mac_dropped: u64,
+    /// Messages dropped as malformed: an envelope or a body that does not
+    /// decode.
+    pub malformed_dropped: u64,
 }
 
 /// One finished request, as recorded by the client.
@@ -53,7 +56,8 @@ impl Completion {
 pub type AuxHandler = Rc<dyn Fn(&mut Simulator, Message)>;
 
 struct PendingReq {
-    request: Request,
+    /// The sealed REQUEST, re-sent as is: its MACs are deterministic.
+    wire: Vec<u8>,
     replies: HashMap<ReplicaId, Vec<u8>>,
     submitted_at: Nanos,
     retries: u32,
@@ -183,12 +187,11 @@ impl Client {
 
     /// Sends an arbitrary signed message to one replica (lease queries).
     pub fn send_to_replica(&self, sim: &mut Simulator, replica: ReplicaId, msg: &Message) {
-        let (bytes, transport) = {
+        let (wire, transport) = {
             let inner = self.inner.borrow();
-            let signed = SignedMessage::create(msg, &inner.keys, &[replica]);
-            (signed.encode(), inner.transport.clone())
+            (msg.seal(&inner.keys, &[replica]), inner.transport.clone())
         };
-        transport.send(sim, replica, bytes);
+        transport.send(sim, replica, wire);
     }
 
     /// Submits an operation to the replicated service; returns its
@@ -196,43 +199,39 @@ impl Client {
     /// arm their view-change timers) and retransmits until a reply quorum
     /// of matching replies arrives.
     pub fn submit(&self, sim: &mut Simulator, payload: Vec<u8>) -> u64 {
-        let (ts, request) = {
+        let ts = {
             let mut inner = self.inner.borrow_mut();
             let ts = inner.next_ts;
             inner.next_ts += 1;
-            let request = Request {
+            let request = Message::Request(Request {
                 client: inner.id,
                 timestamp: ts,
                 payload,
-            };
+            });
+            let wire = request.seal_for(&inner.keys, inner.cfg.n, |r| r as ReplicaId);
             inner.pending.insert(
                 ts,
                 PendingReq {
-                    request: request.clone(),
+                    wire,
                     replies: HashMap::new(),
                     submitted_at: sim.now(),
                     retries: 0,
                 },
             );
             inner.stats.submitted += 1;
-            (ts, request)
+            ts
         };
-        self.send_request(sim, &request);
+        self.send_request(sim, ts);
         self.arm_resend(sim, ts);
         ts
     }
 
-    fn send_request(&self, sim: &mut Simulator, request: &Request) {
-        let (signed, transport, replicas) = {
-            let inner = self.inner.borrow();
-            let replicas: Vec<u32> = (0..inner.cfg.n as u32).collect();
-            let signed =
-                SignedMessage::create(&Message::Request(request.clone()), &inner.keys, &replicas);
-            (signed, inner.transport.clone(), replicas)
-        };
-        let bytes = signed.encode();
-        for r in replicas {
-            transport.send(sim, r, bytes.clone());
+    /// Sends pending request `ts`'s sealed bytes to every replica.
+    fn send_request(&self, sim: &mut Simulator, ts: u64) {
+        let inner = self.inner.borrow();
+        let (transport, wire) = (inner.transport.clone(), &inner.pending[&ts].wire);
+        for r in 0..inner.cfg.n as ReplicaId {
+            transport.send(sim, r, wire.clone());
         }
     }
 
@@ -240,41 +239,44 @@ impl Client {
         let timeout = self.inner.borrow().resend_timeout;
         let client = self.clone();
         sim.schedule_in(timeout, move |sim| {
-            let request = {
+            let resend = {
                 let mut inner = client.inner.borrow_mut();
                 let max = inner.max_retries;
                 match inner.pending.get_mut(&ts) {
                     Some(p) if p.retries < max => {
                         p.retries += 1;
-                        let req = p.request.clone();
                         inner.stats.retransmissions += 1;
-                        Some(req)
+                        true
                     }
-                    _ => None,
+                    _ => false,
                 }
             };
-            if let Some(req) = request {
-                client.send_request(sim, &req);
+            if resend {
+                client.send_request(sim, ts);
                 client.arm_resend(sim, ts);
             }
         });
     }
 
     fn on_raw(&self, sim: &mut Simulator, bytes: Vec<u8>) {
-        let Ok(signed) = SignedMessage::decode(&bytes) else {
-            return;
-        };
         let msg = {
             let mut inner = self.inner.borrow_mut();
-            match signed.verify_and_decode(&inner.keys) {
+            let opened = Envelope::parse(&bytes).and_then(|envelope| {
+                let msg = envelope.open(&inner.keys)?;
                 // A reply counts for the replica whose keys made it, not
                 // for the one its body names.
-                Ok(Some(m)) if m.author(|v| inner.cfg.primary(v)) == signed.auth.sender => m,
-                Ok(_) => {
+                Ok(msg.filter(|m| m.author(|v| inner.cfg.primary(v)) == envelope.sender()))
+            });
+            match opened {
+                Ok(Some(m)) => m,
+                Ok(None) => {
                     inner.stats.bad_mac_dropped += 1;
                     return;
                 }
-                Err(_) => return,
+                Err(_) => {
+                    inner.stats.malformed_dropped += 1;
+                    return;
+                }
             }
         };
         let Message::Reply {
@@ -292,29 +294,67 @@ impl Client {
             }
             return;
         };
-        let completed = {
-            let mut inner = self.inner.borrow_mut();
-            let quorum = inner.reply_quorum;
-            let Some(p) = inner.pending.get_mut(&timestamp) else {
-                return; // already completed or unknown
-            };
-            p.replies.insert(replica, result.clone());
-            let matching = p.replies.values().filter(|r| **r == result).count();
-            if matching >= quorum {
-                let p = inner.pending.remove(&timestamp).expect("present");
-                let completion = Completion {
-                    timestamp,
-                    result,
-                    submitted_at: p.submitted_at,
-                    completed_at: sim.now(),
-                };
-                inner.completions.push(completion);
-                inner.stats.completed += 1;
-                true
-            } else {
-                false
-            }
+        let mut inner = self.inner.borrow_mut();
+        let quorum = inner.reply_quorum;
+        let Some(p) = inner.pending.get_mut(&timestamp) else {
+            return; // already completed or unknown
         };
-        let _ = completed;
+        p.replies.insert(replica, result);
+        let result = &p.replies[&replica];
+        if p.replies.values().filter(|r| *r == result).count() < quorum {
+            return;
+        }
+        let mut p = inner.pending.remove(&timestamp).expect("present");
+        inner.completions.push(Completion {
+            timestamp,
+            result: p.replies.remove(&replica).expect("just tallied"),
+            submitted_at: p.submitted_at,
+            completed_at: sim.now(),
+        });
+        inner.stats.completed += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bft_crypto::Authenticator;
+
+    use super::*;
+    use crate::cluster::{Cluster, DOMAIN_SECRET};
+    use crate::messages::SignedMessage;
+    use crate::state::CounterService;
+
+    /// The client counts what does not decode, as a replica does: a cut
+    /// envelope, and a body behind a valid MAC that is no message.
+    #[test]
+    fn undecodable_frames_are_counted_as_malformed() {
+        let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 1, || {
+            Box::new(CounterService::default())
+        });
+        let client = c.clients[0].clone();
+        let replica = KeyTable::new(0, DOMAIN_SECRET);
+        let reply = Message::Reply {
+            view: 0,
+            client: client.id(),
+            timestamp: 1,
+            replica: 0,
+            result: b"ok".to_vec(),
+        };
+        let mut truncated = reply.seal(&replica, &[client.id()]);
+        truncated.pop();
+        client.on_raw(&mut c.sim, truncated);
+
+        let body = vec![0xFF, 1, 2, 3];
+        let garbage = SignedMessage {
+            auth: Authenticator {
+                sender: 0,
+                macs: vec![(client.id(), replica.mac(&body, client.id()))],
+            },
+            body,
+        };
+        client.on_raw(&mut c.sim, garbage.encode());
+
+        let stats = client.stats();
+        assert_eq!((stats.malformed_dropped, stats.bad_mac_dropped), (2, 0));
     }
 }

@@ -75,17 +75,18 @@ impl Executor {
     /// horizon and appends to the safety witness. Returns `None` while the
     /// head-of-line instance is still in agreement (later seqs may already
     /// be committed in other pipelines — they wait their turn).
+    ///
+    /// The batch is moved out of its log entry, not copied; the caller
+    /// hands it back with [`Executor::put_back`] once it has executed.
     pub(crate) fn pop_ready(&mut self, pipelines: &mut [Pipeline]) -> Option<ExecutableBatch> {
         let next = self.next_seq();
-        let lane = (next % pipelines.len() as u64) as usize;
-        debug_assert!(pipelines[lane].owns(next, pipelines.len()));
-        let entry = pipelines[lane].log.get_mut(&next)?;
+        let entry = pipelines[lane_of(next, pipelines)].log.get_mut(&next)?;
         if !entry.committed || entry.executed {
             return None;
         }
         entry.executed = true;
         let digest = entry.digest.expect("committed instance has digest");
-        let batch = entry.batch.clone().expect("committed instance has batch");
+        let batch = entry.batch.take().expect("committed instance has batch");
         let committed_at = entry.committed_at;
         self.last_executed = next;
         self.executed_log.push((next, digest));
@@ -95,6 +96,21 @@ impl Executor {
             committed_at,
         })
     }
+
+    /// Returns an executed batch to its log entry, which keeps serving it
+    /// (catch-up replies, prepared proofs) until a checkpoint truncates it.
+    pub(crate) fn put_back(pipelines: &mut [Pipeline], seq: SeqNum, batch: Vec<Request>) {
+        if let Some(entry) = pipelines[lane_of(seq, pipelines)].log.get_mut(&seq) {
+            entry.batch = Some(batch);
+        }
+    }
+}
+
+/// The pipeline owning `seq`.
+fn lane_of(seq: SeqNum, pipelines: &[Pipeline]) -> usize {
+    let lane = (seq % pipelines.len() as u64) as usize;
+    debug_assert!(pipelines[lane].owns(seq, pipelines.len()));
+    lane
 }
 
 #[cfg(test)]
@@ -128,6 +144,18 @@ mod tests {
         assert!(ex.pop_ready(&mut pls).is_none());
         assert_eq!(ex.last_executed, 2);
         assert_eq!(ex.executed_log.len(), 2);
+    }
+
+    #[test]
+    fn popped_batch_moves_out_and_is_put_back() {
+        let mut pls = vec![Pipeline::new(0, CoreId(1)), Pipeline::new(1, CoreId(2))];
+        let mut ex = Executor::new();
+        pls[1].install(1, committed(1));
+        let exec = ex.pop_ready(&mut pls).expect("seq 1");
+        assert!(pls[1].log[&1].batch.is_none(), "moved, not copied");
+        Executor::put_back(&mut pls, exec.seq, exec.batch);
+        assert_eq!(pls[1].log[&1].batch, Some(vec![]));
+        assert!(ex.pop_ready(&mut pls).is_none(), "executed once");
     }
 
     #[test]

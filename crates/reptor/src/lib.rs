@@ -66,8 +66,8 @@ pub use durability::{
 };
 pub use mesh::PEN_CAP;
 pub use messages::{
-    batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, SignedMessage,
-    View, MANIFEST_CHUNK,
+    batch_digest, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request, SeqNum,
+    SignedMessage, View, MANIFEST_CHUNK,
 };
 pub use nio_transport::NioTransport;
 pub use pipeline::PipelineStats;

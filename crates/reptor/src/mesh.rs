@@ -82,11 +82,7 @@ pub(crate) trait Wire: Sized + 'static {
     /// Registers the listener with the selector.
     fn listen(&mut self, sim: &mut Simulator);
     /// Parks one blocking select.
-    fn select(
-        &self,
-        sim: &mut Simulator,
-        f: impl FnOnce(&mut Simulator, Vec<Self::Event>) + 'static,
-    );
+    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, &[Self::Event]) + 'static);
     fn ready(&self, ev: &Self::Event) -> Ready;
     /// Whether `ev` belongs to `link`'s selector key.
     fn owns(link: &Self::Link, ev: &Self::Event) -> bool;
@@ -339,8 +335,8 @@ impl<W: Wire> Mesh<W> {
         });
     }
 
-    fn on_event(&self, sim: &mut Simulator, ev: W::Event) {
-        let ready = self.inner.borrow().wire.ready(&ev);
+    fn on_event(&self, sim: &mut Simulator, ev: &W::Event) {
+        let ready = self.inner.borrow().wire.ready(ev);
         if ready.accept {
             loop {
                 let Some(link) = self.inner.borrow().wire.accept(sim) else {
@@ -351,7 +347,7 @@ impl<W: Wire> Mesh<W> {
         }
         let slot = {
             let inner = self.inner.borrow();
-            inner.links.iter().position(|l| W::owns(&l.wire, &ev))
+            inner.links.iter().position(|l| W::owns(&l.wire, ev))
         };
         let Some(slot) = slot else { return };
         if ready.connected {

@@ -319,35 +319,194 @@ impl Message {
     pub fn decode(buf: &[u8]) -> Result<Message, CodecError> {
         codec::decode(buf)
     }
-}
 
-crate::wire_format! {
-    /// A message plus its MAC-vector authenticator, as it travels on the wire.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct SignedMessage {
-        /// Encoded message body.
-        pub body: Vec<u8>,
-        /// MAC vector over `body`.
-        pub auth: Authenticator,
+    /// Seals the message from the holder of `keys` towards `receivers`:
+    /// its wire envelope, written once into one buffer (see [`Envelope`]).
+    pub fn seal(&self, keys: &KeyTable, receivers: &[NodeId]) -> Vec<u8> {
+        self.seal_for(keys, receivers.len(), |i| receivers[i])
+    }
+
+    /// [`Message::seal`] towards `count` receivers named by index, for a
+    /// receiver set that is not a slice.
+    pub(crate) fn seal_for(
+        &self,
+        keys: &KeyTable,
+        count: usize,
+        receiver: impl Fn(usize) -> NodeId,
+    ) -> Vec<u8> {
+        write_envelope(
+            self.encoded_len(),
+            |out| self.write(out),
+            keys.me(),
+            count,
+            |i, body| {
+                let r = receiver(i);
+                (r, keys.mac(body, r))
+            },
+        )
     }
 }
 
-crate::wire_format!(impl Authenticator {
+/// Bytes of one MAC entry of an envelope: the receiver, then its MAC.
+const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
+
+/// The one envelope writer: `[body_len][body][sender][count]`, then
+/// `count` `(receiver, mac)` entries, in one buffer allocated once at
+/// exactly its length. `write_body` appends the `body_len` body bytes, and
+/// `entry(i, body)` gives entry `i`, its MAC computed over the body where
+/// it already sits in that buffer.
+fn write_envelope(
+    body_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
     sender: NodeId,
-    macs: Vec<(NodeId, [u8; DIGEST_LEN])>,
-});
+    count: usize,
+    mut entry: impl FnMut(usize, &[u8]) -> (NodeId, [u8; DIGEST_LEN]),
+) -> Vec<u8> {
+    let len = 4 + body_len + 4 + 4 + count * MAC_ENTRY_LEN;
+    let mut out = Vec::with_capacity(len);
+    (body_len as u32).write(&mut out);
+    write_body(&mut out);
+    debug_assert_eq!(out.len(), 4 + body_len, "body_len disagrees with the body");
+    sender.write(&mut out);
+    (count as u32).write(&mut out);
+    for i in 0..count {
+        let (receiver, mac) = entry(i, &out[4..4 + body_len]);
+        receiver.write(&mut out);
+        mac.write(&mut out);
+    }
+    debug_assert_eq!(out.len(), len, "envelope sized exactly");
+    out
+}
+
+/// Flips the first byte of each of the `receivers` MACs that end a sealed
+/// envelope: the bytes a replica with corrupted session keys sends.
+pub(crate) fn corrupt_macs(wire: &mut [u8], receivers: usize) {
+    let macs = wire.len() - receivers * MAC_ENTRY_LEN;
+    for entry in wire[macs..].chunks_exact_mut(MAC_ENTRY_LEN) {
+        entry[4] ^= 0xFF;
+    }
+}
+
+/// A signed envelope read in place: its body and MAC entries are slices of
+/// the buffer it arrived in, so opening one copies nothing but what the
+/// decoded [`Message`] owns.
+///
+/// [`Envelope::parse`] checks the framing before any MAC is computed;
+/// [`Envelope::open`] verifies this node's MAC and decodes the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope<'a> {
+    body: &'a [u8],
+    sender: NodeId,
+    /// The MAC entries, [`MAC_ENTRY_LEN`] bytes each.
+    macs: &'a [u8],
+}
+
+impl<'a> Envelope<'a> {
+    /// Reads the framing of `wire`: one bounds check per field, the codec's
+    /// count check on the MAC list, and trailing bytes refused.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed framing.
+    pub fn parse(wire: &'a [u8]) -> Result<Envelope<'a>, CodecError> {
+        let mut r = Reader::new(wire);
+        let body_len = r.count::<u8>()?;
+        let body = r.take(body_len)?;
+        let sender = NodeId::read(&mut r)?;
+        let count = r.count::<(NodeId, [u8; DIGEST_LEN])>()?;
+        let macs = r.take(count * MAC_ENTRY_LEN)?;
+        r.expect_end()?;
+        Ok(Envelope { body, sender, macs })
+    }
+
+    /// The encoded message body.
+    pub fn body(&self) -> &'a [u8] {
+        self.body
+    }
+
+    /// The node whose keys made the MACs.
+    pub fn sender(&self) -> NodeId {
+        self.sender
+    }
+
+    /// The `(receiver, mac)` entries, in wire order.
+    fn macs(&self) -> impl ExactSizeIterator<Item = (NodeId, &'a [u8; DIGEST_LEN])> {
+        self.macs.chunks_exact(MAC_ENTRY_LEN).map(|entry| {
+            let (receiver, mac) = entry
+                .split_first_chunk()
+                .expect("an entry starts with its receiver");
+            (
+                NodeId::from_le_bytes(*receiver),
+                mac.try_into().expect("and ends with its MAC"),
+            )
+        })
+    }
+
+    /// Whether the first entry addressed to the holder of `keys` is the
+    /// sender's MAC of the body: [`KeyTable::verify`]'s rule.
+    fn verify(&self, keys: &KeyTable) -> bool {
+        self.macs()
+            .find(|(r, _)| *r == keys.me())
+            .is_some_and(|(_, mac)| keys.verify_mac(self.body, self.sender, mac))
+    }
+
+    /// Verifies the MAC for the holder of `keys` and decodes the body.
+    ///
+    /// # Errors
+    ///
+    /// A codec error for a malformed body; a failed verification is
+    /// `Ok(None)`, so callers can count it as Byzantine behaviour rather
+    /// than a local fault.
+    pub fn open(&self, keys: &KeyTable) -> Result<Option<Message>, CodecError> {
+        if !self.verify(keys) {
+            return Ok(None);
+        }
+        Message::decode(self.body).map(Some)
+    }
+}
+
+/// An [`Envelope`] copied out of its buffer. The protocol seals with
+/// [`Message::seal`] and opens envelopes in place; this owned form is for
+/// tests and probes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignedMessage {
+    /// Encoded message body.
+    pub body: Vec<u8>,
+    /// MAC vector over `body`.
+    pub auth: Authenticator,
+}
+
+impl From<Envelope<'_>> for SignedMessage {
+    fn from(envelope: Envelope<'_>) -> SignedMessage {
+        SignedMessage {
+            body: envelope.body.to_vec(),
+            auth: Authenticator {
+                sender: envelope.sender,
+                macs: envelope.macs().map(|(r, mac)| (r, *mac)).collect(),
+            },
+        }
+    }
+}
 
 impl SignedMessage {
     /// Authenticates `msg` from the holder of `keys` towards `receivers`.
     pub fn create(msg: &Message, keys: &KeyTable, receivers: &[u32]) -> SignedMessage {
-        let body = msg.encode();
-        let auth = keys.authenticate(&body, receivers);
-        SignedMessage { body, auth }
+        let wire = msg.seal(keys, receivers);
+        Envelope::parse(&wire)
+            .expect("a sealed envelope parses")
+            .into()
     }
 
     /// Wire encoding: body, sender, MAC vector.
     pub fn encode(&self) -> Vec<u8> {
-        codec::encode(self)
+        let macs = &self.auth.macs;
+        write_envelope(
+            self.body.len(),
+            |out| out.extend_from_slice(&self.body),
+            self.auth.sender,
+            macs.len(),
+            |i, _| macs[i],
+        )
     }
 
     /// Decodes the wire form.
@@ -356,7 +515,7 @@ impl SignedMessage {
     ///
     /// Any [`CodecError`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<SignedMessage, CodecError> {
-        codec::decode(buf)
+        Envelope::parse(buf).map(SignedMessage::from)
     }
 
     /// Peeks the agreement sequence number out of an encoded wire frame
@@ -395,7 +554,7 @@ impl SignedMessage {
         if !keys.verify(&self.body, &self.auth) {
             return Ok(None);
         }
-        Ok(Some(Message::decode(&self.body)?))
+        Message::decode(&self.body).map(Some)
     }
 }
 
@@ -561,6 +720,40 @@ mod tests {
         let mut tampered = decoded.clone();
         tampered.body[0] ^= 0xFF;
         assert_eq!(tampered.verify_and_decode(&keys1).unwrap(), None);
+    }
+
+    #[test]
+    fn sealed_envelope_opens_in_place() {
+        let keys0 = KeyTable::new(0, b"secret".to_vec());
+        let keys2 = KeyTable::new(2, b"secret".to_vec());
+        let msg = Message::Request(req(9, 4));
+        let wire = msg.seal(&keys0, &[1, 2, 3]);
+        assert_eq!(wire.len(), wire.capacity(), "seal buffer sized exactly");
+        assert_eq!(
+            wire,
+            SignedMessage::create(&msg, &keys0, &[1, 2, 3]).encode()
+        );
+        let envelope = Envelope::parse(&wire).unwrap();
+        assert_eq!((envelope.sender(), envelope.macs().len()), (0, 3));
+        assert_eq!(envelope.open(&keys2).unwrap(), Some(msg));
+        let outsider = KeyTable::new(7, b"secret".to_vec());
+        assert_eq!(envelope.open(&outsider).unwrap(), None);
+    }
+
+    #[test]
+    fn corrupted_macs_match_the_flipped_authenticator() {
+        let keys = KeyTable::new(1, b"secret".to_vec());
+        let msg = Message::CatchUpRequest {
+            from_seq: 3,
+            replica: 1,
+        };
+        let mut signed = SignedMessage::create(&msg, &keys, &[0, 2, 3]);
+        for (_, mac) in &mut signed.auth.macs {
+            mac[0] ^= 0xFF;
+        }
+        let mut wire = msg.seal(&keys, &[0, 2, 3]);
+        corrupt_macs(&mut wire, 3);
+        assert_eq!(wire, signed.encode());
     }
 
     #[test]

@@ -89,8 +89,8 @@ impl Wire for NioWire {
         self.listener_key = self.listener.register(sim, &self.selector);
     }
 
-    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, Vec<Selected>) + 'static) {
-        self.selector.select(sim, f);
+    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, &[Selected]) + 'static) {
+        self.selector.select(sim, move |sim, ready| f(sim, &ready));
     }
 
     fn ready(&self, ev: &Selected) -> Ready {

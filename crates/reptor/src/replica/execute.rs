@@ -48,19 +48,24 @@ impl ReplicaInner {
             self.publish_region_writes(sim);
             // Durability: log the executed batch before it is reflected in
             // any checkpoint, so a crash between checkpoints replays it.
-            if let Some(durable) = self.durable.as_mut() {
-                let digest = self
-                    .executor
-                    .executed_log
-                    .last()
-                    .map_or(Digest::ZERO, |&(_, d)| d);
-                let frame = WalFrame {
-                    seq,
-                    digest,
-                    requests: batch,
-                };
-                durable.append_batch(sim.now(), &frame);
-            }
+            let batch = match self.durable.as_mut() {
+                Some(durable) => {
+                    let digest = self
+                        .executor
+                        .executed_log
+                        .last()
+                        .map_or(Digest::ZERO, |&(_, d)| d);
+                    let frame = WalFrame {
+                        seq,
+                        digest,
+                        requests: batch,
+                    };
+                    durable.append_batch(sim.now(), &frame);
+                    frame.requests
+                }
+                None => batch,
+            };
+            Executor::put_back(&mut self.pipelines, seq, batch);
             // Checkpointing.
             if seq.is_multiple_of(self.cfg.checkpoint_interval) {
                 self.make_checkpoint(sim, seq);
@@ -95,7 +100,7 @@ impl ReplicaInner {
                 replica: self.id,
                 result,
             },
-            &[client],
+            Receivers::One(client),
         );
     }
 }

@@ -63,7 +63,7 @@ impl ReplicaInner {
                 slot_size: self.slot_size(),
                 slots,
             },
-            &[leader],
+            Receivers::One(leader),
         );
     }
 
@@ -125,10 +125,10 @@ impl ReplicaInner {
         seq: SeqNum,
         digest: Digest,
         batch: &[Request],
-        peers: &[u32],
-    ) -> Vec<u32> {
+        peers: Receivers,
+    ) -> Receivers {
         if !self.cfg.fast_path {
-            return peers.to_vec();
+            return peers;
         }
         let msg = Message::PrePrepare {
             view,
@@ -142,7 +142,7 @@ impl ReplicaInner {
         let bytes = msg.encode();
         let mut uncovered = Vec::new();
         let mut written = 0u64;
-        for &peer in peers {
+        for peer in (0..peers.len()).map(|i| peers.get(i)) {
             let covered = self.slot_grants.get(&peer).copied().is_some_and(|g| {
                 if g.view != view || g.slots == 0 || bytes.len() as u64 > g.slot_size {
                     return false;
@@ -184,7 +184,7 @@ impl ReplicaInner {
             self.stats.fast_path_fallbacks += uncovered.len() as u64;
             self.counters[ReplicaCounter::FastPathFallbacks].add(uncovered.len() as u64);
         }
-        uncovered
+        Receivers::Listed(uncovered)
     }
 
     /// A posted slot WRITE completed with an error: the peer's RNIC denied
@@ -203,7 +203,7 @@ impl ReplicaInner {
         if current {
             self.stats.fast_path_fallbacks += 1;
             self.counters[ReplicaCounter::FastPathFallbacks].incr();
-            self.send_msg(sim, msg, &[peer]);
+            self.send_msg(sim, msg, Receivers::One(peer));
         }
     }
 

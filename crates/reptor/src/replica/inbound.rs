@@ -4,21 +4,18 @@ use super::*;
 
 impl ReplicaInner {
     pub(super) fn on_raw(&mut self, sim: &mut Simulator, lane: usize, bytes: &[u8]) {
-        let signed = match SignedMessage::decode(bytes) {
-            Ok(s) => s,
-            Err(_) => {
-                self.stats.malformed_dropped += 1;
-                return;
-            }
+        let Ok(envelope) = Envelope::parse(bytes) else {
+            self.stats.malformed_dropped += 1;
+            return;
         };
-        let msg = match signed.verify_and_decode(&self.keys) {
+        let msg = match envelope.open(&self.keys) {
             Err(_) => {
                 self.stats.malformed_dropped += 1;
                 return;
             }
             // The MAC proves who produced the bytes, not whom they speak
             // for: a vote in another node's name is no better than none.
-            Ok(Some(m)) if m.author(|v| self.cfg.primary(v)) == signed.auth.sender => m,
+            Ok(Some(m)) if m.author(|v| self.cfg.primary(v)) == envelope.sender() => m,
             Ok(_) => {
                 self.stats.bad_mac_dropped += 1;
                 return;
@@ -29,7 +26,7 @@ impl ReplicaInner {
         // already derived it from the wire frame (lane 0 / core 0 for
         // non-agreement messages).
         let core = self.lane_core_for(lane, &msg);
-        let cost = self.cfg.crypto.verify_cost(signed.body.len());
+        let cost = self.cfg.crypto.verify_cost(envelope.body().len());
         self.charge(sim, core, cost);
         self.dispatch(sim, msg);
     }
@@ -144,26 +141,28 @@ impl ReplicaInner {
         if !self.proposed.contains(&key)
             && !self.pending.iter().any(|r| (r.client, r.timestamp) == key)
         {
-            self.pending.push_back(req.clone());
+            self.pending.push_back(req);
             self.arrivals.entry(key).or_insert_with(|| sim.now());
         }
         if self.cfg.primary(self.view) == self.id {
             self.try_propose(sim);
         } else {
             // Backup: arm the view-change timer for this request.
-            self.arm_request_timer(sim, req);
+            self.arm_request_timer(sim, key);
         }
     }
 
-    /// True while `req` is unexecuted in the view its timer was armed in.
-    fn stalled(&self, req: &Request, view_at_start: View) -> bool {
-        !self.executed(req) && self.view == view_at_start && !self.in_view_change
+    /// True while request `key` is unexecuted in the view its timer was
+    /// armed in.
+    fn stalled(&self, (client, timestamp): (ClientId, u64), view_at_start: View) -> bool {
+        !self.has_executed(client, timestamp) && self.view == view_at_start && !self.in_view_change
     }
 
-    fn arm_request_timer(&self, sim: &mut Simulator, req: Request) {
+    /// Arms the view-change timer of request `key`, `(client, timestamp)`.
+    fn arm_request_timer(&self, sim: &mut Simulator, key: (ClientId, u64)) {
         let view_at_start = self.view;
         self.later(sim, self.cfg.view_change_timeout, move |r, sim| {
-            if r.stalled(&req, view_at_start) {
+            if r.stalled(key, view_at_start) {
                 // Ask before accusing: the stall may be this replica
                 // lagging (its commits were lost for good, e.g. MAC
                 // rejections), not a faulty primary. A premature
@@ -175,7 +174,7 @@ impl ReplicaInner {
                 // chance: if the request is still unexecuted in the same
                 // view, vote.
                 r.later(sim, r.cfg.view_change_timeout, move |r, sim| {
-                    if r.stalled(&req, view_at_start) {
+                    if r.stalled(key, view_at_start) {
                         r.start_view_change(sim, view_at_start + 1);
                     }
                 });

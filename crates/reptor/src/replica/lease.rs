@@ -108,7 +108,7 @@ impl ReplicaInner {
                 len,
                 epoch,
             },
-            &[client],
+            Receivers::One(client),
         );
     }
 

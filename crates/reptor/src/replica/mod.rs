@@ -30,13 +30,14 @@ use simnet::{
     CoreAffinity, CoreId, Counter, Counters, Histos, HostId, Nanos, Network, SimDisk, Simulator,
 };
 
+use crate::codec::Codec;
 use crate::config::ReptorConfig;
 use crate::durability::{DurableStore, WalFrame};
 use crate::executor::Executor;
 use crate::mesh::backoff;
 use crate::messages::{
-    batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, SignedMessage,
-    View, MANIFEST_CHUNK,
+    batch_digest, corrupt_macs, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request,
+    SeqNum, View, MANIFEST_CHUNK,
 };
 use crate::pipeline::{Instance, Pipeline, PipelineStats};
 use crate::state::{RegionWrite, StateMachine};
@@ -703,40 +704,81 @@ impl ReplicaInner {
 // Outbound path
 // ------------------------------------------------------------------
 
-impl ReplicaInner {
-    fn broadcast_to_replicas(&mut self, sim: &mut Simulator, msg: Message) {
-        let peers: Vec<u32> = (0..self.cfg.n as u32).filter(|&r| r != self.id).collect();
-        self.send_msg(sim, msg, &peers);
+/// Whom one outbound message goes to. The deferred send carries it, so
+/// the common sets are values rather than heap lists.
+#[derive(Debug)]
+enum Receivers {
+    /// One node: a replica or a client.
+    One(u32),
+    /// Every replica but the sender.
+    Peers { n: u32, me: ReplicaId },
+    /// Any other set: fast-path fallbacks, an equivocator's halves.
+    Listed(Vec<u32>),
+}
+
+impl Receivers {
+    fn len(&self) -> usize {
+        match self {
+            Receivers::One(_) => 1,
+            Receivers::Peers { n, .. } => *n as usize - 1,
+            Receivers::Listed(list) => list.len(),
+        }
     }
 
-    fn send_msg(&mut self, sim: &mut Simulator, msg: Message, receivers: &[u32]) {
-        if receivers.is_empty() || self.byzantine == ByzantineMode::Crash {
+    /// The `i`-th receiver, in sending order.
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            Receivers::One(r) => *r,
+            Receivers::Peers { me, .. } => {
+                let i = i as u32;
+                if i < *me {
+                    i
+                } else {
+                    i + 1
+                }
+            }
+            Receivers::Listed(list) => list[i],
+        }
+    }
+}
+
+impl ReplicaInner {
+    fn peers(&self) -> Receivers {
+        Receivers::Peers {
+            n: self.cfg.n as u32,
+            me: self.id,
+        }
+    }
+
+    fn broadcast_to_replicas(&mut self, sim: &mut Simulator, msg: Message) {
+        self.send_msg(sim, msg, self.peers());
+    }
+
+    fn send_msg(&mut self, sim: &mut Simulator, msg: Message, to: Receivers) {
+        let count = to.len();
+        if count == 0 || self.byzantine == ByzantineMode::Crash {
             return;
         }
-        let mut signed = SignedMessage::create(&msg, &self.keys, receivers);
+        let mut wire = msg.seal_for(&self.keys, count, |i| to.get(i));
         if self.byzantine == ByzantineMode::CorruptMacs {
-            for (_, mac) in &mut signed.auth.macs {
-                mac[0] ^= 0xFF;
-            }
+            corrupt_macs(&mut wire, count);
         }
         let core = self.msg_core(&msg);
-        let cost = self
-            .cfg
-            .crypto
-            .authenticator_cost(signed.body.len(), receivers.len());
+        let cost = self.cfg.crypto.authenticator_cost(msg.encoded_len(), count);
         let done = self.charge(sim, core, cost);
         // Keep the wire order equal to the submission order even when
         // MAC work lands on different pipeline cores: the comm stack
         // still has a single outbound sender queue.
         let send_at = done.max(self.send_horizon);
         self.send_horizon = send_at;
-        let bytes = signed.encode();
-        let receivers = receivers.to_vec();
         let transport = self.transport.clone();
+        // Every receiver but the last gets a copy; the last takes the
+        // sealed buffer itself.
         sim.schedule_at(send_at, move |sim| {
-            for &r in &receivers {
-                transport.send(sim, r, bytes.clone());
+            for i in 0..count - 1 {
+                transport.send(sim, to.get(i), wire.clone());
             }
+            transport.send(sim, to.get(count - 1), wire);
         });
     }
 

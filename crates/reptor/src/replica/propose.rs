@@ -5,9 +5,15 @@ use super::*;
 impl ReplicaInner {
     /// True once `req`, or a later request of its client, has executed.
     pub(super) fn executed(&self, req: &Request) -> bool {
+        self.has_executed(req.client, req.timestamp)
+    }
+
+    /// True once `client`'s request `timestamp`, or a later one, has
+    /// executed.
+    pub(super) fn has_executed(&self, client: ClientId, timestamp: u64) -> bool {
         self.client_state
-            .get(&req.client)
-            .is_some_and(|(ts, _)| *ts >= req.timestamp)
+            .get(&client)
+            .is_some_and(|(ts, _)| *ts >= timestamp)
     }
 
     /// True while a buffered request is live: neither executed nor sitting
@@ -84,7 +90,6 @@ impl ReplicaInner {
             self.histos[ReplicaHisto::BatchFillPct]
                 .observe((batch.len() as u64 * 100) / self.cfg.batch_size as u64);
             let view = self.view;
-            let (n, me) = (self.cfg.n as u32, self.id);
 
             if self.byzantine == ByzantineMode::EquivocatingPrimary {
                 // Conflicting proposals: half the group sees the real batch,
@@ -102,9 +107,11 @@ impl ReplicaInner {
                     alt[0].payload.push(0xEE);
                 }
                 let alt_digest = batch_digest(&alt);
-                let half: Vec<u32> = (0..n).filter(|&r| r != me && r % 2 == 0).collect();
-                let other: Vec<u32> = (0..n).filter(|&r| r != me && r % 2 == 1).collect();
-                let half = self.propose_via_slots(sim, view, seq, digest, &batch, &half);
+                let (n, me) = (self.cfg.n as u32, self.id);
+                let half = |parity| {
+                    Receivers::Listed((0..n).filter(|&r| r != me && r % 2 == parity).collect())
+                };
+                let even = self.propose_via_slots(sim, view, seq, digest, &batch, half(0));
                 self.send_msg(
                     sim,
                     Message::PrePrepare {
@@ -113,9 +120,9 @@ impl ReplicaInner {
                         digest,
                         batch: batch.clone(),
                     },
-                    &half,
+                    even,
                 );
-                let other = self.propose_via_slots(sim, view, seq, alt_digest, &alt, &other);
+                let odd = self.propose_via_slots(sim, view, seq, alt_digest, &alt, half(1));
                 self.send_msg(
                     sim,
                     Message::PrePrepare {
@@ -124,18 +131,17 @@ impl ReplicaInner {
                         digest: alt_digest,
                         batch: alt,
                     },
-                    &other,
+                    odd,
                 );
                 // The equivocator records its own (first) version.
                 self.accept_pre_prepare(sim, view, seq, digest, batch);
                 continue;
             }
 
-            let peers: Vec<u32> = (0..n).filter(|&r| r != me).collect();
             // Fast path: deposit the proposal one-sided into every granted
             // follower slot; any peer without a usable grant gets the
             // message-path PRE-PREPARE instead.
-            let uncovered = self.propose_via_slots(sim, view, seq, digest, &batch, &peers);
+            let uncovered = self.propose_via_slots(sim, view, seq, digest, &batch, self.peers());
             self.send_msg(
                 sim,
                 Message::PrePrepare {
@@ -144,7 +150,7 @@ impl ReplicaInner {
                     digest,
                     batch: batch.clone(),
                 },
-                &uncovered,
+                uncovered,
             );
             // The primary's pre-prepare stands in for its prepare.
             self.accept_pre_prepare(sim, view, seq, digest, batch);

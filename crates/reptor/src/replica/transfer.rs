@@ -308,7 +308,7 @@ impl ReplicaInner {
                 replica: self.id,
                 epoch: offer.epoch,
             },
-            &[peer],
+            Receivers::One(peer),
         );
     }
 
@@ -401,7 +401,7 @@ impl ReplicaInner {
                 data,
                 replica: self.id,
             },
-            &[requester],
+            Receivers::One(requester),
         );
     }
 

@@ -96,7 +96,7 @@ impl Wire for RubinWire {
     fn select(
         &self,
         sim: &mut Simulator,
-        f: impl FnOnce(&mut Simulator, Vec<SelectedKey>) + 'static,
+        f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
         self.selector.select(sim, f);
     }

@@ -237,6 +237,8 @@ pub(crate) struct ChanInner {
     rx_ready: VecDeque<(SlabIndex, usize)>,
     /// Consumed receive slabs awaiting batched re-posting.
     to_repost: Vec<SlabIndex>,
+    /// Work requests of one re-post, kept between re-posts.
+    repost_wrs: Vec<RecvWr>,
     /// Borrowed slabs dropped without release, reclaimed lazily.
     parked_slabs: Vec<SlabIndex>,
     /// Poll buffers of the two completion queues, kept between polls.
@@ -329,6 +331,7 @@ impl RdmaChannel {
                 outstanding_sends: 0,
                 rx_ready: VecDeque::new(),
                 to_repost: Vec::new(),
+                repost_wrs: Vec::new(),
                 parked_slabs: Vec::new(),
                 send_wcs: Vec::new(),
                 recv_wcs: Vec::new(),
@@ -389,25 +392,56 @@ impl RdmaChannel {
     }
 
     fn post_initial_receives(&self, sim: &mut Simulator) -> Result<(), ChannelError> {
-        let (qp, wrs, batch_limit) = {
-            let mut inner = self.inner.borrow_mut();
-            let mut wrs = Vec::with_capacity(inner.cfg.recv_buffers);
+        {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             for _ in 0..inner.cfg.recv_buffers {
-                let (idx, mr) = inner
+                let (idx, _) = inner
                     .recv_pool
                     .lend()
                     .expect("fresh pool has all slabs free");
-                wrs.push(RecvWr::new(WrId(idx as u64), Sge::whole(mr)));
+                inner.to_repost.push(idx);
             }
-            let limit = inner.device.model().max_post_batch;
-            (inner.qp.clone(), wrs, limit)
-        };
-        let mut iter = wrs.into_iter().peekable();
-        while iter.peek().is_some() {
-            let batch: Vec<RecvWr> = iter.by_ref().take(batch_limit).collect();
-            qp.post_recv_batch(sim, batch)?;
         }
-        Ok(())
+        self.post_receives(sim)
+    }
+
+    /// Posts every slab queued in `to_repost`, in doorbell batches of the
+    /// device's limit, through the channel's kept work-request buffer.
+    fn post_receives(&self, sim: &mut Simulator) -> Result<(), ChannelError> {
+        let (qp, mut wrs, limit) = {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let mut wrs = std::mem::take(&mut inner.repost_wrs);
+            let pool = &inner.recv_pool;
+            wrs.extend(
+                inner
+                    .to_repost
+                    .drain(..)
+                    .map(|idx| RecvWr::new(WrId(idx as u64), Sge::whole(pool.slab(idx).clone()))),
+            );
+            (inner.qp.clone(), wrs, inner.device.model().max_post_batch)
+        };
+        let mut posted = Ok(());
+        while posted.is_ok() && !wrs.is_empty() {
+            let n = wrs.len().min(limit);
+            posted = qp.post_recv_batch(sim, wrs.drain(..n));
+        }
+        wrs.clear();
+        self.inner.borrow_mut().repost_wrs = wrs;
+        posted.map_err(ChannelError::from)
+    }
+
+    /// Posts the queued slabs once they fill a re-post batch.
+    fn repost_if_full(&self, sim: &mut Simulator) -> Result<(), ChannelError> {
+        {
+            let mut inner = self.inner.borrow_mut();
+            if inner.to_repost.len() < inner.cfg.recv_batch {
+                return Ok(());
+            }
+            inner.stats.repost_batches += 1;
+        }
+        self.post_receives(sim)
     }
 
     /// The underlying queue pair (hook installation, tests).
@@ -753,7 +787,7 @@ impl RdmaChannel {
         if !self.inner.borrow().parked_slabs.is_empty() {
             self.return_slab(sim, None)?;
         }
-        let (data, repost) = {
+        let data = {
             let mut inner = self.inner.borrow_mut();
             let Some((slab, len)) = inner.rx_ready.pop_front() else {
                 if inner.eof {
@@ -779,31 +813,9 @@ impl RdmaChannel {
             inner.stats.msgs_received += 1;
             inner.stats.bytes_received += len as u64;
             inner.to_repost.push(slab);
-            let repost = if inner.to_repost.len() >= inner.cfg.recv_batch {
-                inner.stats.repost_batches += 1;
-                let slabs = std::mem::take(&mut inner.to_repost);
-                let wrs: Vec<RecvWr> = slabs
-                    .iter()
-                    .map(|&idx| {
-                        RecvWr::new(
-                            WrId(idx as u64),
-                            Sge::whole(inner.recv_pool.slab(idx).clone()),
-                        )
-                    })
-                    .collect();
-                Some((inner.qp.clone(), wrs, inner.device.model().max_post_batch))
-            } else {
-                None
-            };
-            (data, repost)
+            data
         };
-        if let Some((qp, wrs, limit)) = repost {
-            let mut iter = wrs.into_iter().peekable();
-            while iter.peek().is_some() {
-                let batch: Vec<RecvWr> = iter.by_ref().take(limit).collect();
-                qp.post_recv_batch(sim, batch)?;
-            }
-        }
+        self.repost_if_full(sim)?;
         self.refresh_readiness(sim);
         Ok(RecvOutcome::Msg(data))
     }
@@ -815,38 +827,16 @@ impl RdmaChannel {
         sim: &mut Simulator,
         slab: Option<SlabIndex>,
     ) -> Result<(), ChannelError> {
-        let repost = {
-            let mut inner = self.inner.borrow_mut();
+        {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             if let Some(slab) = slab {
                 inner.to_repost.push(slab);
             }
             // Reclaim any slabs parked by dropped `BorrowedMsg`s.
-            let parked = std::mem::take(&mut inner.parked_slabs);
-            inner.to_repost.extend(parked);
-            if inner.to_repost.len() >= inner.cfg.recv_batch {
-                inner.stats.repost_batches += 1;
-                let slabs = std::mem::take(&mut inner.to_repost);
-                let wrs: Vec<RecvWr> = slabs
-                    .iter()
-                    .map(|&idx| {
-                        RecvWr::new(
-                            WrId(idx as u64),
-                            Sge::whole(inner.recv_pool.slab(idx).clone()),
-                        )
-                    })
-                    .collect();
-                Some((inner.qp.clone(), wrs, inner.device.model().max_post_batch))
-            } else {
-                None
-            }
-        };
-        if let Some((qp, wrs, limit)) = repost {
-            let mut iter = wrs.into_iter().peekable();
-            while iter.peek().is_some() {
-                let batch: Vec<RecvWr> = iter.by_ref().take(limit).collect();
-                qp.post_recv_batch(sim, batch)?;
-            }
+            inner.to_repost.append(&mut inner.parked_slabs);
         }
+        self.repost_if_full(sim)?;
         self.refresh_readiness(sim);
         Ok(())
     }

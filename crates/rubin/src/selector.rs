@@ -20,7 +20,7 @@ use std::fmt;
 use std::rc::{Rc, Weak};
 
 use rdma_verbs::{CmEvent, QpNum, RdmaDevice};
-use simnet::{CoreId, Counters, Histo, Nanos, Simulator};
+use simnet::{Action, CoreId, Counters, Histo, Nanos, Simulator};
 
 use crate::channel::RdmaChannel;
 use crate::event::{HybridEventQueue, Interest, RubinEvent, RubinKey};
@@ -60,8 +60,6 @@ simnet::metric_names! {
     }
 }
 
-type SelectCb = Box<dyn FnOnce(&mut Simulator, Vec<SelectedKey>)>;
-
 struct SelInner {
     device: RdmaDevice,
     core: CoreId,
@@ -69,7 +67,10 @@ struct SelInner {
     keys: BTreeMap<RubinKey, KeyEntry>,
     next_key: u64,
     hybrid: HybridEventQueue,
-    parked: Option<SelectCb>,
+    /// The parked select call, held in place; it reads `ready` when run.
+    parked: Option<Action>,
+    /// The ready keys handed to the parked call, kept between wake-ups.
+    ready: Vec<SelectedKey>,
     wake_scheduled: bool,
     process_scheduled: bool,
     cm_hooked: bool,
@@ -140,6 +141,7 @@ impl RdmaSelector {
                 next_key: 0,
                 hybrid: HybridEventQueue::new(),
                 parked: None,
+                ready: Vec::new(),
                 wake_scheduled: false,
                 process_scheduled: false,
                 cm_hooked: false,
@@ -467,11 +469,12 @@ impl RdmaSelector {
     pub fn select_now(&self, sim: &mut Simulator) -> Vec<SelectedKey> {
         self.charge_select(sim);
         self.drain(sim);
-        self.collect_ready()
+        ready_keys(&self.inner.borrow().keys).collect()
     }
 
     /// Blocking select: `f` runs (after one select-call cost) once at least
-    /// one registered key is ready.
+    /// one registered key is ready, with the ready keys. Neither the parked
+    /// call nor the key list allocates: the selector keeps both.
     ///
     /// # Panics
     ///
@@ -479,15 +482,23 @@ impl RdmaSelector {
     pub fn select(
         &self,
         sim: &mut Simulator,
-        f: impl FnOnce(&mut Simulator, Vec<SelectedKey>) + 'static,
+        f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
+        let sel = self.downgrade();
+        let call = Action::new(move |sim| {
+            let Some(sel) = sel.upgrade() else { return };
+            let mut ready = std::mem::take(&mut sel.inner.borrow_mut().ready);
+            f(sim, &ready);
+            ready.clear();
+            sel.inner.borrow_mut().ready = ready;
+        });
         {
             let mut inner = self.inner.borrow_mut();
             assert!(
                 inner.parked.is_none(),
                 "selector already has a parked select call"
             );
-            inner.parked = Some(Box::new(f));
+            inner.parked = Some(call);
         }
         self.maybe_wake(sim);
     }
@@ -513,19 +524,6 @@ impl RdmaSelector {
             .host(device.host())
             .borrow_mut()
             .exec(sim.now(), core, Nanos::from_nanos(ns))
-    }
-
-    fn collect_ready(&self) -> Vec<SelectedKey> {
-        let inner = self.inner.borrow();
-        inner
-            .keys
-            .iter()
-            .filter(|(_, e)| !e.cancelled)
-            .filter_map(|(k, e)| {
-                let ready = e.ready.and(e.interest);
-                (!ready.is_empty()).then_some(SelectedKey { key: *k, ready })
-            })
-            .collect()
     }
 
     fn maybe_wake(&self, sim: &mut Simulator) {
@@ -555,12 +553,28 @@ impl RdmaSelector {
             // busy is handled now, before the ready sets are read.
             sel.drain(sim);
             let Some(cb) = cb else { return };
-            let ready = sel.collect_ready();
-            if ready.is_empty() {
-                sel.inner.borrow_mut().parked = Some(cb);
+            let any = {
+                let mut guard = sel.inner.borrow_mut();
+                let inner = &mut *guard;
+                inner.ready.clear();
+                inner.ready.extend(ready_keys(&inner.keys));
+                !inner.ready.is_empty()
+            };
+            if any {
+                cb.run(sim);
             } else {
-                cb(sim, ready);
+                sel.inner.borrow_mut().parked = Some(cb);
             }
         });
     }
+}
+
+/// The live keys whose ready set meets their interest, in key order.
+fn ready_keys(keys: &BTreeMap<RubinKey, KeyEntry>) -> impl Iterator<Item = SelectedKey> + '_ {
+    keys.iter()
+        .filter(|(_, e)| !e.cancelled)
+        .filter_map(|(k, e)| {
+            let ready = e.ready.and(e.interest);
+            (!ready.is_empty()).then_some(SelectedKey { key: *k, ready })
+        })
 }

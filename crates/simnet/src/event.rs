@@ -44,6 +44,7 @@
 //! also a lock-step proof that sharding preserves the total order.
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
@@ -164,16 +165,18 @@ const INLINE_BYTES: usize = 96;
 /// In-place storage for one closure: [`INLINE_BYTES`], 8-aligned.
 type InlineBuf = MaybeUninit<[u64; INLINE_BYTES / 8]>;
 
-/// A scheduled closure stored in place, without a heap allocation.
+/// A one-shot closure stored in place, without a heap allocation: what an
+/// event slot holds, and what anything else that keeps one pending closure
+/// at a time (a parked select call) can hold.
 ///
 /// A closure larger than [`INLINE_BYTES`] or aligned above 8 is boxed, and
 /// the `Box` (8 bytes) is what the buffer holds, so every closure takes the
-/// one path below. [`QueueStats::boxed`] counts the boxed ones.
+/// one path below. [`QueueStats::boxed`] counts the boxed event closures.
 ///
 /// Invariant: `buf` holds a live value of the closure type `F` that `call`
 /// was instantiated for, and exactly one of [`run`](Action::run) or `Drop`
 /// consumes it. All the event core's `unsafe` code is in this type.
-pub(crate) struct Action {
+pub struct Action {
     buf: InlineBuf,
     /// Runs the `F` at the pointer (`Some`) or drops it (`None`).
     call: unsafe fn(*mut u8, Option<&mut Simulator>),
@@ -183,6 +186,13 @@ pub(crate) struct Action {
 }
 
 impl Action {
+    /// Stores `f`, in place unless it does not fit.
+    pub fn new<F: FnOnce(&mut Simulator) + 'static>(f: F) -> Action {
+        let mut slot = None;
+        Action::put(&mut slot, f);
+        slot.expect("just stored")
+    }
+
     /// Whether a value of type `T` fits the in-place buffer.
     const fn fits<T>() -> bool {
         size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= align_of::<InlineBuf>()
@@ -220,7 +230,7 @@ impl Action {
 
     /// Runs the closure, consuming it.
     #[inline]
-    pub(crate) fn run(self, sim: &mut Simulator) {
+    pub fn run(self, sim: &mut Simulator) {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: by the invariant `buf` holds the live `F` that `call` was
         // made for; `ManuallyDrop` keeps `Drop` from consuming it again.
@@ -243,6 +253,12 @@ impl Action {
             // SAFETY: as above; it is dropped once, in place.
             None => unsafe { p.drop_in_place() },
         }
+    }
+}
+
+impl fmt::Debug for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Action")
     }
 }
 

@@ -67,7 +67,7 @@ pub mod zipf;
 
 pub use chaos::{ChaosAction, ChaosSchedule};
 pub use disk::{DiskFault, DiskSpec, SimDisk};
-pub use event::{EventFn, EventId, QueueStats};
+pub use event::{Action, EventFn, EventId, QueueStats};
 pub use fault::{FaultCoins, FaultPlane, FaultVerdict};
 pub use frame::{Addr, Frame, Payload};
 pub use host::{CoreId, CpuModel, Host, HostId, HostRef};

@@ -3,11 +3,14 @@
 //! `benchmark/` cannot be edited alongside the code it measures.
 //!
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
-//! each budget sits about 15 % above what the harness below measures (12.0
-//! and 213.2 allocations, 4.75 MiB peak live; run with `--nocapture` to see
-//! them). With a boxed closure per scheduled event and a one-element `Vec`
-//! per posted send, the same harness read 30.3 and 371.6; with a `format!`ed
-//! key per counter bump, the state before typed metric handles, 109.0 and
+//! each budget sits about 15 % above what the harness below measures (7.0
+//! and 105.0 allocations, 3.52 MiB peak live; run with `--nocapture` to see
+//! them). With a boxed select call, a fresh ready-key list per selector
+//! wake-up and fresh re-post lists, and with every signed message encoded
+//! twice, copied out on receipt and cloned per receiver, the same harness
+//! read 12.0 and 213.2; with a boxed closure per scheduled event and a
+//! one-element `Vec` per posted send, 30.3 and 371.6; with a `format!`ed key
+//! per counter bump, the state before typed metric handles, 109.0 and
 //! 1,978.3. The PBFT figure scales with the messages per request: an
 //! 8-request round is two agreement instances (batches of 1 and 7), and read
 //! 682.5 as eight.
@@ -25,8 +28,12 @@ mod counting_alloc;
 use std::cell::Cell;
 use std::rc::Rc;
 
+use bft_crypto::{Digest, KeyTable};
 use counting_alloc::{allocs, peak_live_bytes, reset_peak, CountingAlloc};
-use reptor::{Cluster, CodecError, CounterService, Message, ReptorConfig, SignedMessage, Stack};
+use reptor::{
+    Cluster, CodecError, CounterService, Envelope, Message, ReptorConfig, Request, SignedMessage,
+    Stack, DOMAIN_SECRET,
+};
 use simnet::{CoreId, CpuModel, Network, Simulator};
 
 #[global_allocator]
@@ -35,12 +42,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PAYLOAD: usize = 1024;
 
 /// Allocations per 1 KB message echoed over `RubinTransport` on one host.
-const ECHO_BUDGET: f64 = 14.0;
+const ECHO_BUDGET: f64 = 8.0;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
-const PBFT_BUDGET: f64 = 245.0;
+const PBFT_BUDGET: f64 = 121.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
-const PBFT_PEAK_LIVE_MIB: f64 = 5.4;
+const PBFT_PEAK_LIVE_MIB: f64 = 4.1;
 
 #[test]
 fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
@@ -138,6 +145,39 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
             "replica {}",
             r.id()
         );
+    }
+}
+
+/// One hop of a signed message: sealing writes the one wire buffer and
+/// nothing else, and opening in place allocates only what the decoded
+/// message owns: nothing for a PREPARE, the payload for a REQUEST. The
+/// owned envelope path this replaced sealed with three allocations and
+/// opened with two and three.
+#[test]
+fn sealing_and_opening_a_message_allocate_only_what_it_owns() {
+    let sender = KeyTable::new(4, DOMAIN_SECRET);
+    let receiver = KeyTable::new(1, DOMAIN_SECRET);
+    let prepare = Message::Prepare {
+        view: 3,
+        seq: 17,
+        digest: Digest::of(b"batch"),
+        replica: 4,
+    };
+    let request = Message::Request(Request {
+        client: 4,
+        timestamp: 9,
+        payload: vec![0x5a; PAYLOAD],
+    });
+    for (msg, owned) in [(prepare, 0), (request, 1)] {
+        let before = allocs();
+        let wire = msg.seal(&sender, &[0, 1, 2, 3]);
+        assert_eq!(allocs() - before, 1, "sealing a {}", msg.kind());
+
+        let before = allocs();
+        let envelope = Envelope::parse(&wire).expect("sealed envelopes parse");
+        let opened = envelope.open(&receiver);
+        assert_eq!(allocs() - before, owned, "opening a {}", msg.kind());
+        assert_eq!(opened, Ok(Some(msg)));
     }
 }
 

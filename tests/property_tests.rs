@@ -1,13 +1,13 @@
 //! Property-based tests on the core data structures and invariants,
 //! spanning every crate in the workspace.
 
-use bft_crypto::{hmac_sha256, sha256, verify_hmac, Digest, KeyTable, Sha256};
+use bft_crypto::{hmac_sha256, sha256, verify_hmac, Authenticator, Digest, KeyTable, Sha256};
 use chainstore::{Chain, Transaction};
 use kvstore::KvStoreService;
 use proptest::prelude::*;
 use reptor::{
-    CheckpointPayload, Cluster, CounterService, KvOp, KvService, Manifest, Message, PreparedProof,
-    ReptorConfig, Request, SignedMessage, StateMachine,
+    CheckpointPayload, Cluster, CodecError, CounterService, Envelope, KvOp, KvService, Manifest,
+    Message, PreparedProof, ReptorConfig, Request, SignedMessage, StateMachine,
 };
 use rubin::HybridEventQueue;
 use simnet::{Bandwidth, Nanos, Simulator};
@@ -272,6 +272,21 @@ fn flipped(mut bytes: Vec<u8>, at: prop::sample::Index, mask: u8) -> Vec<u8> {
     bytes
 }
 
+/// What opening `wire` in place yields for the holder of `keys`: the
+/// authenticated sender and the message, `None` for a failed MAC.
+fn open_in_place(wire: &[u8], keys: &KeyTable) -> Result<Option<(u32, Message)>, CodecError> {
+    let envelope = Envelope::parse(wire)?;
+    Ok(envelope.open(keys)?.map(|m| (envelope.sender(), m)))
+}
+
+/// The same through the owned envelope.
+fn open_owned(wire: &[u8], keys: &KeyTable) -> Result<Option<(u32, Message)>, CodecError> {
+    let signed = SignedMessage::decode(wire)?;
+    Ok(signed
+        .verify_and_decode(keys)?
+        .map(|m| (signed.auth.sender, m)))
+}
+
 proptest! {
     /// Every protocol message round-trips through the wire codec, and the
     /// lane demultiplexer reads the sequence number out of the signed wire
@@ -291,6 +306,65 @@ proptest! {
             _ => None,
         };
         prop_assert_eq!(SignedMessage::peek_wire_seq(&wire), lane_seq, "{}", msg.kind());
+    }
+
+    /// The one writer and the one reader agree with the owned envelope:
+    /// sealing is `SignedMessage::create(..).encode()` byte for byte, and
+    /// opening in place returns what `decode` then `verify_and_decode`
+    /// return, on valid envelopes and on every kind of damage a peer can
+    /// put on the wire.
+    #[test]
+    fn sealed_envelopes_open_like_the_owned_path(
+        msg in arb_message(),
+        receivers in proptest::collection::btree_set(0u32..8, 1..5),
+        sender in 0u32..8,
+        at in any::<prop::sample::Index>(),
+        mask in 1u8..=255,
+        cut in any::<prop::sample::Index>(),
+        trailing in proptest::collection::vec(any::<u8>(), 1..8),
+        hostile_count in any::<u32>(),
+    ) {
+        let keys = KeyTable::new(sender, b"prop".to_vec());
+        let rvec: Vec<u32> = receivers.iter().copied().collect();
+        let wire = msg.seal(&keys, &rvec);
+        prop_assert_eq!(&wire, &SignedMessage::create(&msg, &keys, &rvec).encode());
+        let me = KeyTable::new(rvec[0], b"prop".to_vec());
+        prop_assert_eq!(open_in_place(&wire, &me), Ok(Some((sender, msg.clone()))));
+
+        let body = msg.encode();
+        let mut with_trailing = wire.clone();
+        with_trailing.extend_from_slice(&trailing);
+        let mut hostile = wire.clone();
+        let count_at = 4 + body.len() + 4;
+        hostile[count_at..count_at + 4].copy_from_slice(&hostile_count.to_le_bytes());
+        // `me` listed twice: the first entry decides, valid or not.
+        let listed_twice = |first_valid: bool| {
+            let good = (me.me(), keys.mac(&body, me.me()));
+            let bad = (me.me(), [0u8; 32]);
+            let macs = if first_valid { vec![good, bad] } else { vec![bad, good] };
+            SignedMessage {
+                body: body.clone(),
+                auth: Authenticator { sender, macs },
+            }
+            .encode()
+        };
+        prop_assert_eq!(open_in_place(&listed_twice(true), &me), Ok(Some((sender, msg.clone()))));
+        prop_assert_eq!(open_in_place(&listed_twice(false), &me), Ok(None));
+
+        let outsider = KeyTable::new(8, b"prop".to_vec());
+        for input in [
+            wire.clone(),
+            flipped(wire.clone(), at, mask),
+            wire[..cut.index(wire.len())].to_vec(),
+            with_trailing,
+            hostile,
+            listed_twice(true),
+            listed_twice(false),
+        ] {
+            for keys in [&me, &outsider] {
+                prop_assert_eq!(open_in_place(&input, keys), open_owned(&input, keys));
+            }
+        }
     }
 
     /// No decoder a peer or a drive can feed panics on arbitrary bytes
