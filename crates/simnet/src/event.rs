@@ -5,45 +5,33 @@
 //! increasing sequence number assigned at scheduling time, so two runs of the
 //! same program always execute events in the same order.
 //!
-//! # Sharded queue with conservative lookahead
+//! # One heap over a slot arena
 //!
 //! The queue is the simulator's hottest data structure: every frame delivery,
-//! CPU completion and protocol timer passes through it, and big geo-cluster
-//! runs keep hundreds of thousands of events pending. The implementation is
-//! built for that load:
+//! CPU completion and protocol timer passes through it. The benchmark
+//! workloads keep at most about five thousand events pending, and the
+//! ignored geo-scale tests about a hundred thousand.
 //!
 //! * **Arena-allocated events.** Actions live in a slab ([`Slot`] arena with
-//!   a free list); the heaps order 16-byte plain-old-data [`Entry`] values
+//!   a free list); the heap orders 16-byte plain-old-data [`Entry`] values
 //!   (`(time, id)`), so a sift moves two words instead of a closure, and
 //!   the slot index is packed into the id's low bits — no side map is
 //!   needed to find an event from its handle. A slot stores its closure in
 //!   place ([`Action`]), so scheduling an event allocates nothing.
-//! * **Per-host shards.** Events carry a shard hint (the destination host of
-//!   a frame delivery, propagated to everything an event schedules in turn),
-//!   and each shard keeps its own small heap — small enough to stay
-//!   cache-resident where one global heap of the same events spills. The
-//!   shard heads are merged through a tiny *head index* (a lazily
-//!   invalidated min-heap holding each shard's current head), so a pop
-//!   costs `O(log shards)` on the index plus `O(log n/shards)` on one
-//!   shard instead of `O(log n)` on a cache-cold global heap.
-//! * **Conservative lookahead fence.** After a merge, the winning shard may
-//!   keep popping without re-consulting the index for as long as its head
-//!   stays at or below the runner-up key observed at merge time. Events
-//!   cluster per host, so bursty stretches take the fenced fast path. The
-//!   merge always yields the global `(time, id)` minimum, so the execution
-//!   order is bit-identical to a single global queue.
+//! * **One 4-ary heap.** Every pending entry sits in one flat 4-ary
+//!   min-heap ([`MinHeap4`]); its minimum is the next event.
 //! * **O(1) cancellation without tombstone growth.** Cancelling frees the
 //!   slot immediately (the action drops, the arena slot recycles); the dead
-//!   heap entry is drained lazily the next time it surfaces, and a tombstone
-//!   counter triggers a compaction sweep when dead entries outnumber live
-//!   ones, so cancel-heavy runs (per-segment ACK timers) stay bounded.
+//!   heap entry is dropped lazily the next time it reaches the top, and a
+//!   tombstone counter triggers a compaction sweep when dead entries
+//!   outnumber live ones, so cancel-heavy runs (per-segment ACK timers) stay
+//!   bounded.
 //!
-//! Under `cfg(test)` every queue carries the pre-sharding global heap (the
-//! `legacy` module) and [`EventQueue::pop`] asserts that both agree on each
-//! pop's `(time, seq)`, so every simnet unit test that runs a simulation is
-//! also a lock-step proof that sharding preserves the total order.
+//! Under `cfg(test)` every queue also feeds a plain `BinaryHeap` of
+//! `(time, seq)` keys (the `legacy` module), and both [`EventQueue::pop`] and
+//! [`EventQueue::peek_time`] assert that the two agree, so every simnet unit
+//! test that runs a simulation is also a lock-step check of the total order.
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
@@ -51,55 +39,24 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use crate::sim::Simulator;
 use crate::time::Nanos;
 
-/// A 4-ary min-heap of small `Copy` items.
+/// A 4-ary min-heap of [`Entry`] values.
 ///
-/// The event core's heaps hold 16-byte plain-old-data entries, so a node's
-/// four children share one 64-byte cache line: a sift-down touches half the
-/// levels of a binary heap and one line per level, which is most of the
-/// sharded core's speed advantage over the `std::collections::BinaryHeap`
-/// generation it replaced.
-#[derive(Debug)]
-struct MinHeap4<T: Copy + Ord> {
-    v: Vec<T>,
+/// Entries are 16 bytes, so a node's four children share one 64-byte cache
+/// line: a sift-down touches half the levels of a binary heap and one line
+/// per level.
+#[derive(Debug, Default)]
+struct MinHeap4 {
+    v: Vec<Entry>,
 }
 
-impl<T: Copy + Ord> Default for MinHeap4<T> {
-    fn default() -> Self {
-        MinHeap4::new()
-    }
-}
-
-impl<T: Copy + Ord> MinHeap4<T> {
-    fn new() -> MinHeap4<T> {
-        MinHeap4 { v: Vec::new() }
-    }
-
-    /// Heapifies a vec in O(n).
-    fn from_vec(v: Vec<T>) -> MinHeap4<T> {
-        let mut h = MinHeap4 { v };
-        if h.v.len() > 1 {
-            for i in (0..=(h.v.len() - 2) / 4).rev() {
-                h.sift_down(i);
-            }
-        }
-        h
-    }
-
-    fn into_vec(self) -> Vec<T> {
-        self.v
-    }
-
-    fn clear(&mut self) {
-        self.v.clear();
-    }
-
+impl MinHeap4 {
     #[inline]
-    fn peek(&self) -> Option<&T> {
+    fn peek(&self) -> Option<&Entry> {
         self.v.first()
     }
 
     #[inline]
-    fn push(&mut self, item: T) {
+    fn push(&mut self, item: Entry) {
         self.v.push(item);
         let mut i = self.v.len() - 1;
         while i > 0 {
@@ -113,7 +70,7 @@ impl<T: Copy + Ord> MinHeap4<T> {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<T> {
+    fn pop(&mut self) -> Option<Entry> {
         let n = self.v.len();
         if n == 0 {
             return None;
@@ -124,6 +81,14 @@ impl<T: Copy + Ord> MinHeap4<T> {
             self.sift_down(0);
         }
         out
+    }
+
+    /// Keeps only the entries `keep` accepts, then re-heapifies in O(n).
+    fn retain(&mut self, keep: impl FnMut(&Entry) -> bool) {
+        self.v.retain(keep);
+        for i in (0..(self.v.len() + 2) / 4).rev() {
+            self.sift_down(i);
+        }
     }
 
     #[inline]
@@ -283,31 +248,13 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
 
-/// A heap entry: plain old data, 16 bytes, cheap to sift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A heap entry: plain old data, 16 bytes, cheap to sift. The derived order
+/// is the queue's: earliest time first, ties broken by scheduling order
+/// (lower id first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: Nanos,
     id: u64,
-}
-
-impl Entry {
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.id)
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Natural (min-first) order: earliest time, ties broken by
-        // scheduling order (lower id first).
-        self.at.cmp(&other.at).then_with(|| self.id.cmp(&other.id))
-    }
 }
 
 /// One arena slot: the stored action plus the id it belongs to, so stale
@@ -316,6 +263,18 @@ impl Ord for Entry {
 struct Slot {
     id: u64,
     action: Option<Action>,
+}
+
+impl Slot {
+    /// Whether the event `id` is still pending in this slot.
+    fn holds(&self, id: u64) -> bool {
+        self.id == id && self.action.is_some()
+    }
+}
+
+/// The arena slot an event id points at.
+fn slot_of(id: u64) -> usize {
+    (id & SLOT_MASK) as usize
 }
 
 /// Counters describing the queue's lifetime behaviour, surfaced as the
@@ -329,138 +288,63 @@ pub struct QueueStats {
     pub boxed: u64,
     /// Events cancelled before firing.
     pub cancelled: u64,
-    /// Dead heap entries drained lazily on pop/peek.
+    /// Dead heap entries dropped, lazily on pop/peek or by compaction.
     pub tombstones_purged: u64,
-    /// Compaction sweeps rebuilding the shard heaps.
+    /// Compaction sweeps rebuilding the heap.
     pub compactions: u64,
     /// Live (pending, non-cancelled) events right now.
     pub pending: usize,
-    /// Dead entries currently sitting in the heaps.
+    /// Dead entries currently sitting in the heap.
     pub tombstones: usize,
     /// Maximum simultaneously pending live events.
     pub high_water: usize,
-    /// Pops served by the fenced fast path (no index traffic).
-    pub run_hits: u64,
-    /// Pops that needed a full head-index merge.
-    pub merges: u64,
-    /// Stale head-index entries discarded during merges.
-    pub index_stale: u64,
-}
-
-/// Fenced fast-path state: while `shard`'s head stays at or below `fence`
-/// (the runner-up key from the last index merge, `None` = no other entry
-/// was indexed), it may pop without consulting the index.
-#[derive(Clone, Copy)]
-struct RunCache {
-    shard: usize,
-    fence: Option<(Nanos, u64)>,
-}
-
-/// A head-index entry: one shard's head at the time it was indexed. Stale
-/// entries (the head has since been popped or displaced) are discarded
-/// lazily when they surface at the index top.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct IndexEntry {
-    e: Entry,
-    shard: u32,
-}
-
-impl PartialOrd for IndexEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Order purely by the entry key; the shard tag is payload.
-        self.e.cmp(&other.e)
-    }
 }
 
 /// Deterministic priority queue of scheduled events with O(1) cancellation.
-///
-/// Invariant: every non-empty shard's *current* head has an entry in
-/// `index` (possibly alongside stale duplicates). Pops keep it by
-/// re-indexing a shard's new head immediately after popping the old one.
 pub(crate) struct EventQueue {
-    shards: Vec<MinHeap4<Entry>>,
-    index: MinHeap4<IndexEntry>,
+    heap: MinHeap4,
     slots: Vec<Slot>,
     free: Vec<u32>,
     next_seq: u64,
     live: usize,
-    tombstones: usize,
-    scheduled: u64,
-    boxed: u64,
-    cancelled: u64,
-    tombstones_purged: u64,
-    compactions: u64,
-    high_water: usize,
-    run_hits: u64,
-    merges: u64,
-    index_stale: u64,
-    cache: Option<RunCache>,
+    /// Everything [`stats`](Self::stats) reports but `pending`, which is
+    /// `live`.
+    counters: QueueStats,
     #[cfg(test)]
     shadow: legacy::LegacyEventQueue,
 }
 
 impl EventQueue {
     pub fn new() -> EventQueue {
-        EventQueue::with_shards(DEFAULT_SHARDS)
-    }
-
-    pub fn with_shards(shards: usize) -> EventQueue {
-        let shards = shards.max(1);
         EventQueue {
-            shards: (0..shards).map(|_| MinHeap4::new()).collect(),
-            index: MinHeap4::new(),
+            heap: MinHeap4::default(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             live: 0,
-            tombstones: 0,
-            scheduled: 0,
-            boxed: 0,
-            cancelled: 0,
-            tombstones_purged: 0,
-            compactions: 0,
-            high_water: 0,
-            run_hits: 0,
-            merges: 0,
-            index_stale: 0,
-            cache: None,
+            counters: QueueStats::default(),
             #[cfg(test)]
             shadow: legacy::LegacyEventQueue::new(),
         }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn is_live(&self, entry: Entry) -> bool {
-        let slot = &self.slots[(entry.id & SLOT_MASK) as usize];
-        slot.id == entry.id && slot.action.is_some()
-    }
-
     /// Schedules `action` at `at`. The closure goes straight into its slot;
     /// everything else is [`enqueue`](Self::enqueue), which is not generic.
     #[inline]
-    pub fn push<F>(&mut self, at: Nanos, shard_hint: u32, action: F) -> EventId
+    pub fn push<F>(&mut self, at: Nanos, action: F) -> EventId
     where
         F: FnOnce(&mut Simulator) + 'static,
     {
-        let id = self.enqueue(at, shard_hint);
-        if Action::put(&mut self.slots[(id & SLOT_MASK) as usize].action, action) {
-            self.boxed += 1;
+        let id = self.enqueue(at);
+        if Action::put(&mut self.slots[slot_of(id)].action, action) {
+            self.counters.boxed += 1;
         }
         EventId(id)
     }
 
     /// Takes a slot, stamps it with a fresh id and orders `(at, id)`; the
     /// caller fills the slot's action before anything else runs.
-    fn enqueue(&mut self, at: Nanos, shard_hint: u32) -> u64 {
+    fn enqueue(&mut self, at: Nanos) -> u64 {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -478,246 +362,96 @@ impl EventQueue {
         debug_assert!(seq < (1 << (64 - SLOT_BITS)), "event sequence overflow");
         let id = (seq << SLOT_BITS) | slot as u64;
         self.slots[slot as usize].id = id;
-        let shard = (shard_hint as usize) % self.shards.len();
-        // A push into another shard below the fence can change the merge
-        // winner; retire the fast path and re-merge on the next pop.
-        if let Some(c) = self.cache {
-            if c.shard != shard && c.fence.is_none_or(|f| (at, id) < f) {
-                self.retire_cache();
-            }
-        }
-        let entry = Entry { at, id };
-        // Index the entry iff it becomes its shard's head; otherwise the
-        // current head's index entry already covers the shard. The cached
-        // shard is exempt while its run is active — `retire_cache`
-        // re-indexes its head on run exit — so same-shard cascade pushes
-        // generate no index traffic at all.
-        let new_head = self.shards[shard]
-            .peek()
-            .is_none_or(|head| entry.key() < head.key());
-        self.shards[shard].push(entry);
-        if new_head && !matches!(self.cache, Some(c) if c.shard == shard) {
-            self.index.push(IndexEntry {
-                e: entry,
-                shard: shard as u32,
-            });
-        }
+        self.heap.push(Entry { at, id });
         self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-        self.scheduled += 1;
+        let c = &mut self.counters;
+        c.high_water = c.high_water.max(self.live);
+        c.scheduled += 1;
         #[cfg(test)]
         self.shadow.push(at);
         id
     }
 
     pub fn cancel(&mut self, id: EventId) {
-        let idx = (id.0 & SLOT_MASK) as usize;
-        if idx >= self.slots.len() {
+        let idx = slot_of(id.0);
+        let Some(slot) = self.slots.get_mut(idx) else {
             return;
-        }
-        let slot = &mut self.slots[idx];
-        if slot.id != id.0 || slot.action.is_none() {
+        };
+        if !slot.holds(id.0) {
             return; // already ran or already cancelled
         }
         // Dropped on return, once the queue's books are straight.
         let _action = slot.action.take();
         self.free.push(idx as u32);
         self.live -= 1;
-        self.tombstones += 1;
-        self.cancelled += 1;
+        self.counters.tombstones += 1;
+        self.counters.cancelled += 1;
         #[cfg(test)]
         self.shadow.cancel(id.0 >> SLOT_BITS);
         self.maybe_compact();
     }
 
-    /// Rebuilds every shard heap without its dead entries once tombstones
-    /// outnumber live events, bounding memory on cancel-heavy runs. The
-    /// head index is rebuilt from the surviving shard heads.
+    /// Rebuilds the heap without its dead entries once tombstones
+    /// outnumber live events, bounding memory on cancel-heavy runs.
     fn maybe_compact(&mut self) {
-        if self.tombstones <= 64 || self.tombstones <= self.live {
+        let c = &mut self.counters;
+        if c.tombstones <= 64 || c.tombstones <= self.live {
             return;
         }
-        for shard in &mut self.shards {
-            let entries: Vec<Entry> = std::mem::take(shard)
-                .into_vec()
-                .into_iter()
-                .filter(|e| {
-                    let slot = &self.slots[(e.id & SLOT_MASK) as usize];
-                    slot.id == e.id && slot.action.is_some()
-                })
-                .collect();
-            *shard = MinHeap4::from_vec(entries);
-        }
-        self.index.clear();
-        for (s, shard) in self.shards.iter().enumerate() {
-            if let Some(&head) = shard.peek() {
-                self.index.push(IndexEntry {
-                    e: head,
-                    shard: s as u32,
-                });
-            }
-        }
-        self.tombstones_purged += self.tombstones as u64;
-        self.tombstones = 0;
-        self.compactions += 1;
-        self.cache = None;
+        let slots = &self.slots;
+        self.heap.retain(|e| slots[slot_of(e.id)].holds(e.id));
+        c.tombstones_purged += c.tombstones as u64;
+        c.tombstones = 0;
+        c.compactions += 1;
     }
 
-    /// Ends a fast-path run: re-indexes the cached shard's current head
-    /// (the one entry the lazy invariant exempts while the run is active)
-    /// and clears the cache.
-    #[cold]
-    fn retire_cache(&mut self) {
-        if let Some(c) = self.cache.take() {
-            if let Some(&head) = self.shards[c.shard].peek() {
-                self.index.push(IndexEntry {
-                    e: head,
-                    shard: c.shard as u32,
-                });
-            }
+    /// The heap's top once the dead entries above the first live one are
+    /// dropped; `None` when no event is pending.
+    fn live_head(&mut self) -> Option<Entry> {
+        if self.live == 0 {
+            return None;
         }
-    }
-
-    /// Frees `entry`'s slot if its event is still live, leaving the action
-    /// in it for [`pop`](Self::pop) to move out; purges the tombstone
-    /// counter otherwise.
-    #[inline]
-    fn claim(&mut self, entry: Entry) -> bool {
-        if self.is_live(entry) {
-            self.free.push((entry.id & SLOT_MASK) as u32);
-            self.live -= 1;
-            return true;
-        }
-        self.tombstones -= 1;
-        self.tombstones_purged += 1;
-        false
-    }
-
-    /// Full merge via the head index: pops the globally minimal live event,
-    /// discarding dead entries and stale index entries along the way, and
-    /// opens a new fenced run for the winning shard.
-    fn merge_pop(&mut self) -> Option<(u32, Entry)> {
-        self.merges += 1;
         loop {
-            let top = *self.index.peek()?;
-            let shard = top.shard as usize;
-            if self.shards[shard].peek() != Some(&top.e) {
-                // Stale: that head was popped or displaced since indexing.
-                self.index.pop();
-                self.index_stale += 1;
-                continue;
+            let head = *self.heap.peek().expect("a live event is in the heap");
+            if self.slots[slot_of(head.id)].holds(head.id) {
+                return Some(head);
             }
-            self.index.pop();
-            self.shards[shard].pop();
-            if self.claim(top.e) {
-                // Open a run: the shard's next head stays un-indexed while
-                // the fence (runner-up key; possibly a stale entry, which
-                // is conservative — a too-low fence only re-merges early)
-                // lets the fast path keep popping it.
-                let fence = self.index.peek().map(|i| i.e.key());
-                self.cache = Some(RunCache { shard, fence });
-                return Some((shard as u32, top.e));
-            }
-            // Dead head: no run opened, so restore the shard's index cover.
-            if let Some(&next) = self.shards[shard].peek() {
-                self.index.push(IndexEntry {
-                    e: next,
-                    shard: top.shard,
-                });
-            }
+            self.heap.pop();
+            self.counters.tombstones -= 1;
+            self.counters.tombstones_purged += 1;
         }
     }
 
-    /// Pops the next live (non-cancelled) event with its shard. The action
-    /// moves out of its slot here, once.
-    pub fn pop(&mut self) -> Option<(u32, Nanos, Action)> {
-        let popped = self.pop_inner();
+    /// Pops the next live (non-cancelled) event. The action moves out of
+    /// its slot here, once.
+    pub fn pop(&mut self) -> Option<(Nanos, Action)> {
+        let head = self.live_head();
         #[cfg(test)]
         assert_eq!(
             self.shadow.pop(),
-            popped.map(|(_, e)| (e.at, e.id >> SLOT_BITS)),
-            "sharded queue diverged from the legacy (time, seq) order"
+            head.map(|e| (e.at, e.id >> SLOT_BITS)),
+            "event queue diverged from the legacy (time, seq) order"
         );
-        let (shard, e) = popped?;
-        let action = self.slots[(e.id & SLOT_MASK) as usize].action.take();
-        Some((
-            shard,
-            e.at,
-            action.expect("a claimed slot holds its action"),
-        ))
+        let e = head?;
+        self.heap.pop();
+        let idx = slot_of(e.id);
+        let action = self.slots[idx].action.take();
+        self.free.push(idx as u32);
+        self.live -= 1;
+        Some((e.at, action.expect("a live slot holds its action")))
     }
 
-    fn pop_inner(&mut self) -> Option<(u32, Entry)> {
-        if self.live == 0 {
-            self.retire_cache();
-            return None;
-        }
-        // Fenced fast path: the last winner keeps popping while its head
-        // stays at or below the runner-up key from the last merge — no
-        // index traffic at all during the run.
-        if let Some(c) = self.cache {
-            while let Some(&head) = self.shards[c.shard].peek() {
-                if c.fence.is_some_and(|f| head.key() > f) {
-                    break;
-                }
-                self.shards[c.shard].pop();
-                if self.claim(head) {
-                    self.run_hits += 1;
-                    return Some((c.shard as u32, head));
-                }
-            }
-            self.retire_cache();
-        }
-        self.merge_pop()
-    }
-
-    /// Timestamp of the next live event, if any. Purges dead heads and
-    /// stale index entries encountered on the way.
+    /// Timestamp of the next live event, if any. Drops the dead entries
+    /// above it.
     pub fn peek_time(&mut self) -> Option<Nanos> {
-        if self.live == 0 {
-            return None;
-        }
-        // Fast path mirror of `pop_inner`: the cached shard's head is the
-        // global minimum while it stays at or below the fence.
-        if let Some(c) = self.cache {
-            while let Some(&head) = self.shards[c.shard].peek() {
-                if c.fence.is_some_and(|f| head.key() > f) {
-                    break;
-                }
-                if self.is_live(head) {
-                    return Some(head.at);
-                }
-                self.shards[c.shard].pop();
-                self.tombstones -= 1;
-                self.tombstones_purged += 1;
-            }
-            self.retire_cache();
-        }
-        loop {
-            let top = *self.index.peek()?;
-            let shard = top.shard as usize;
-            if self.shards[shard].peek() != Some(&top.e) {
-                self.index.pop();
-                continue;
-            }
-            if self.is_live(top.e) {
-                // Open a run so the following `pop` takes the fast path.
-                self.index.pop();
-                let fence = self.index.peek().map(|i| i.e.key());
-                self.cache = Some(RunCache { shard, fence });
-                return Some(top.e.at);
-            }
-            self.index.pop();
-            self.shards[shard].pop();
-            self.tombstones -= 1;
-            self.tombstones_purged += 1;
-            if let Some(&next) = self.shards[shard].peek() {
-                self.index.push(IndexEntry {
-                    e: next,
-                    shard: top.shard,
-                });
-            }
-        }
+        let at = self.live_head().map(|e| e.at);
+        #[cfg(test)]
+        assert_eq!(
+            self.shadow.peek_time(),
+            at,
+            "event queue's next time diverged from the legacy queue"
+        );
+        at
     }
 
     pub fn is_empty(&self) -> bool {
@@ -730,30 +464,17 @@ impl EventQueue {
 
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            scheduled: self.scheduled,
-            boxed: self.boxed,
-            cancelled: self.cancelled,
-            tombstones_purged: self.tombstones_purged,
-            compactions: self.compactions,
             pending: self.live,
-            tombstones: self.tombstones,
-            high_water: self.high_water,
-            run_hits: self.run_hits,
-            merges: self.merges,
-            index_stale: self.index_stale,
+            ..self.counters
         }
     }
 }
 
-/// Default shard count: enough that a 31-replica cluster spreads ~2 hosts
-/// per shard while the merge scan stays a cache-line-friendly sweep.
-pub(crate) const DEFAULT_SHARDS: usize = 16;
-
 #[cfg(test)]
 mod legacy {
-    //! The pre-sharding event queue: one global `BinaryHeap` keyed by
-    //! `(time, seq)` plus a cancelled-id `HashSet` checked on every pop.
-    //! Kept as the order oracle the sharded queue is tested against.
+    //! The original event queue: one `BinaryHeap` keyed by `(time, seq)`
+    //! plus a cancelled-id `HashSet` checked on every pop. Kept as the
+    //! order oracle the event queue is tested against.
 
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashSet};
@@ -819,35 +540,37 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(Nanos::from_nanos(30), 0, noop());
-        q.push(Nanos::from_nanos(10), 1, noop());
-        q.push(Nanos::from_nanos(20), 2, noop());
-        assert_eq!(q.pop().unwrap().1.as_nanos(), 10);
-        assert_eq!(q.pop().unwrap().1.as_nanos(), 20);
-        assert_eq!(q.pop().unwrap().1.as_nanos(), 30);
+        q.push(Nanos::from_nanos(30), noop());
+        q.push(Nanos::from_nanos(10), noop());
+        q.push(Nanos::from_nanos(20), noop());
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 10);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 20);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 30);
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn ties_break_by_insertion_order_across_shards() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos::from_nanos(5), 3, noop());
-        let b = q.push(Nanos::from_nanos(5), 9, noop());
-        let first = q.pop().unwrap();
-        let second = q.pop().unwrap();
-        // Entries live in different shards; insertion order still wins.
-        assert!(a < b);
-        assert_eq!(first.1, Nanos::from_nanos(5));
-        assert_eq!(second.1, Nanos::from_nanos(5));
+    fn ties_break_by_insertion_order() {
+        let mut sim = Simulator::new(0);
+        let order = Rc::new(Cell::new(0u32));
+        let ids: Vec<EventId> = (1..=3)
+            .map(|tag| {
+                let order = order.clone();
+                sim.schedule_at(ns(5), move |_| order.set(order.get() * 10 + tag))
+            })
+            .collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        sim.run_until_idle();
+        assert_eq!(order.get(), 123);
     }
 
     #[test]
     fn cancelled_events_are_skipped_and_counted() {
         let mut q = EventQueue::new();
-        let a = q.push(Nanos::from_nanos(1), 0, noop());
-        q.push(Nanos::from_nanos(2), 0, noop());
+        let a = q.push(Nanos::from_nanos(1), noop());
+        q.push(Nanos::from_nanos(2), noop());
         q.cancel(a);
-        assert_eq!(q.pop().unwrap().1.as_nanos(), 2);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 2);
         assert!(q.pop().is_none());
         let s = q.stats();
         assert_eq!(s.cancelled, 1);
@@ -858,12 +581,12 @@ mod tests {
     #[test]
     fn cancel_after_pop_is_a_noop() {
         let mut q = EventQueue::new();
-        let a = q.push(Nanos::from_nanos(1), 0, noop());
+        let a = q.push(Nanos::from_nanos(1), noop());
         let _ = q.pop().unwrap();
         q.cancel(a);
         // The slot was recycled; cancelling the stale handle must not
         // damage a new event reusing it.
-        let b = q.push(Nanos::from_nanos(9), 0, noop());
+        let b = q.push(Nanos::from_nanos(9), noop());
         q.cancel(a);
         assert_eq!(q.len(), 1);
         q.cancel(b);
@@ -873,8 +596,8 @@ mod tests {
     #[test]
     fn peek_time_skips_cancelled() {
         let mut q = EventQueue::new();
-        let a = q.push(Nanos::from_nanos(1), 0, noop());
-        q.push(Nanos::from_nanos(7), 0, noop());
+        let a = q.push(Nanos::from_nanos(1), noop());
+        q.push(Nanos::from_nanos(7), noop());
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(Nanos::from_nanos(7)));
         assert!(!q.is_empty());
@@ -886,7 +609,7 @@ mod tests {
     fn slots_recycle_under_churn() {
         let mut q = EventQueue::new();
         for round in 0..1_000u64 {
-            let id = q.push(Nanos::from_nanos(round), (round % 7) as u32, noop());
+            let id = q.push(Nanos::from_nanos(round), noop());
             if round % 2 == 0 {
                 q.cancel(id);
             } else {
@@ -902,7 +625,7 @@ mod tests {
     fn compaction_bounds_tombstones() {
         let mut q = EventQueue::new();
         let ids: Vec<EventId> = (0..1_000)
-            .map(|i| q.push(Nanos::from_nanos(1_000 + i), (i % 16) as u32, noop()))
+            .map(|i| q.push(Nanos::from_nanos(1_000 + i), noop()))
             .collect();
         // One survivor; cancel everything else without popping.
         for id in &ids[1..] {
@@ -914,15 +637,15 @@ mod tests {
             s.tombstones <= s.pending.max(64),
             "tombstones must stay bounded by live events: {s:?}"
         );
-        assert_eq!(q.pop().unwrap().1.as_nanos(), 1_000);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 1_000);
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn matches_legacy_order_under_random_churn() {
         // The oracle is the queue's own shadow heap: `push` and `cancel`
-        // feed it, and every `pop` asserts both agree on `(time, seq)`.
-        let mut q = EventQueue::with_shards(5);
+        // feed it, and every `pop` and `peek_time` asserts both agree.
+        let mut q = EventQueue::new();
         let mut state = 0x5EEDu64;
         let mut lcg = move || {
             state = state
@@ -933,22 +656,47 @@ mod tests {
         let mut live: Vec<EventId> = Vec::new();
         for _ in 0..5_000 {
             match lcg() % 4 {
-                0 | 1 => {
-                    let at = Nanos::from_nanos(lcg() % 512);
-                    let shard = (lcg() % 5) as u32;
-                    live.push(q.push(at, shard, noop()));
-                }
+                0 | 1 => live.push(q.push(Nanos::from_nanos(lcg() % 512), noop())),
                 2 if !live.is_empty() => {
                     let i = (lcg() as usize) % live.len();
                     q.cancel(live.swap_remove(i));
                 }
                 _ => {
                     q.pop();
-                    assert_eq!(q.peek_time(), q.shadow.peek_time());
+                    q.peek_time();
                 }
             }
         }
         while q.pop().is_some() {}
+
+        // A standing window of about 200 events with three cancels per pop:
+        // dead entries pile up below the top faster than pops drain them,
+        // so compaction runs again and again between pops and cancels.
+        let mut window: Vec<(u64, EventId)> = Vec::new();
+        let mut now = 0;
+        for round in 0..4_000 {
+            for _ in 0..if round == 0 { 200 } else { 4 } {
+                let at = now + 1 + lcg() % 4_096;
+                window.push((at, q.push(Nanos::from_nanos(at), noop())));
+            }
+            for _ in 0..3 {
+                let i = (lcg() as usize) % window.len();
+                q.cancel(window.swap_remove(i).1);
+            }
+            if let Some((at, _)) = q.pop() {
+                now = at.as_nanos();
+                window.retain(|&(t, _)| t >= now);
+            }
+            q.peek_time();
+        }
+        let s = q.stats();
+        assert!(
+            s.compactions >= 10,
+            "churn must keep reaching compaction: {s:?}"
+        );
+        while q.pop().is_some() {}
+        let s = q.stats();
+        assert_eq!(s.cancelled, s.tombstones_purged + s.tombstones as u64);
     }
 
     /// Runs and drops of the closures that captured a [`Witness`].

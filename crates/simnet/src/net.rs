@@ -118,10 +118,6 @@ crate::metric_names! {
         Compactions => "events_compactions",
         Pending => "events_pending",
         HighWater => "events_high_water",
-        Shards => "events_shards",
-        RunHits => "events_run_hits",
-        Merges => "events_merges",
-        IndexStale => "events_index_stale",
     }
 }
 
@@ -454,10 +450,7 @@ impl Network {
             }
         }
         let net = self.clone();
-        // Deliveries shard by destination host: the handler runs (and mostly
-        // reschedules) on that host, keeping event-queue traffic local.
-        let shard = frame.dst.host.0;
-        sim.schedule_at_on(shard, deliver_at, move |sim| net.deliver(sim, frame));
+        sim.schedule_at(deliver_at, move |sim| net.deliver(sim, frame));
     }
 
     fn deliver(&self, sim: &mut Simulator, frame: Frame) {
@@ -526,10 +519,6 @@ impl Network {
         g[SimGauge::Compactions].set(q.compactions as i64);
         g[SimGauge::Pending].set(q.pending as i64);
         g[SimGauge::HighWater].set(q.high_water as i64);
-        g[SimGauge::Shards].set(sim.queue_shards() as i64);
-        g[SimGauge::RunHits].set(q.run_hits as i64);
-        g[SimGauge::Merges].set(q.merges as i64);
-        g[SimGauge::IndexStale].set(q.index_stale as i64);
         inner.pool.publish(&inner.pool_gauges);
     }
 

@@ -36,10 +36,6 @@ pub struct Simulator {
     queue: EventQueue,
     rng: StdRng,
     executed: u64,
-    /// Shard affinity of the event currently executing. Events scheduled
-    /// without an explicit hint inherit it, so work stays clustered on the
-    /// host that caused it (see the sharding notes in [`crate::event`]).
-    current_shard: u32,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -60,7 +56,6 @@ impl Simulator {
             queue: EventQueue::new(),
             rng: StdRng::seed_from_u64(seed),
             executed: 0,
-            current_shard: 0,
         }
     }
 
@@ -89,29 +84,13 @@ impl Simulator {
         at: Nanos,
         action: impl FnOnce(&mut Simulator) + 'static,
     ) -> EventId {
-        self.schedule_at_on(self.current_shard, at, action)
-    }
-
-    /// Schedules `action` at absolute time `at` with an explicit shard hint
-    /// (typically the destination host id of a frame delivery). The hint
-    /// only affects queue locality, never execution order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_at_on(
-        &mut self,
-        shard_hint: u32,
-        at: Nanos,
-        action: impl FnOnce(&mut Simulator) + 'static,
-    ) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={} at={}",
             self.now,
             at
         );
-        self.queue.push(at, shard_hint, action)
+        self.queue.push(at, action)
     }
 
     /// Schedules `action` to run `delay` after the current time.
@@ -121,7 +100,7 @@ impl Simulator {
         action: impl FnOnce(&mut Simulator) + 'static,
     ) -> EventId {
         let at = self.now + delay;
-        self.queue.push(at, self.current_shard, action)
+        self.queue.push(at, action)
     }
 
     /// Schedules `action` to run every `period`, starting one period from
@@ -155,11 +134,10 @@ impl Simulator {
     /// Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((shard, at, action)) => {
+            Some((at, action)) => {
                 debug_assert!(at >= self.now);
                 self.now = at;
                 self.executed += 1;
-                self.current_shard = shard;
                 action.run(self);
                 true
             }
@@ -209,11 +187,6 @@ impl Simulator {
     /// tombstones / compactions), surfaced as `sim.events_*` gauges.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
-    }
-
-    /// Number of event-queue shards.
-    pub fn queue_shards(&self) -> usize {
-        self.queue.num_shards()
     }
 }
 
