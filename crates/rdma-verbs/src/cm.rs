@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use simnet::{Addr, Frame, Simulator};
+use simnet::{Addr, Simulator};
 
 use crate::device::{QpConfig, RdmaDevice};
 use crate::error::{VerbsError, VerbsResult};
@@ -98,7 +98,7 @@ impl ConnRequest {
         let wire = pkt.wire_bytes(self.device.model().ack_bytes);
         self.device
             .net()
-            .send(sim, Frame::new(qp.local_addr(), self.peer_reply, wire, pkt));
+            .send(sim, qp.local_addr(), self.peer_reply, wire, pkt);
         Ok(qp)
     }
 
@@ -113,7 +113,7 @@ impl ConnRequest {
         let from = Addr::new(self.device.host(), self.listen_port);
         self.device
             .net()
-            .send(sim, Frame::new(from, self.peer_reply, wire, pkt));
+            .send(sim, from, self.peer_reply, wire, pkt);
     }
 }
 
@@ -248,8 +248,6 @@ pub(crate) fn connect(
         conn_id,
     };
     let wire = pkt.wire_bytes(device.model().ack_bytes);
-    device
-        .net()
-        .send(sim, Frame::new(reply_addr, remote, wire, pkt));
+    device.net().send(sim, reply_addr, remote, wire, pkt);
     Ok((qp, conn_id))
 }

@@ -86,6 +86,11 @@ pub(crate) enum RdmaPacket {
     },
 }
 
+// A frame in flight is an event closure holding the network handle (8 B),
+// the frame header (24 B) and this packet by value, stored in place in a
+// 96-byte event slot. A packet over 64 B would box every RDMA frame's event.
+const _: () = assert!(std::mem::size_of::<RdmaPacket>() <= 64);
+
 impl RdmaPacket {
     /// Bytes this packet occupies on the wire (before per-segment framing).
     pub(crate) fn wire_bytes(&self, ack_bytes: usize) -> usize {

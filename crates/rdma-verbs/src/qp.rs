@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{Addr, CoreId, Counters, EventId, Frame, Nanos, Simulator};
+use simnet::{Addr, CoreId, Counters, EventId, Nanos, Simulator};
 
 use crate::device::{EventHook, RdmaDevice, WeakDevice};
 use crate::error::{VerbsError, VerbsResult};
@@ -641,9 +641,7 @@ impl QueuePair {
         };
         let wire = packet.wire_bytes(model.ack_bytes);
         let local = self.local_addr();
-        self.device
-            .net()
-            .send(sim, Frame::new(local, remote.0, wire, packet));
+        self.device.net().send(sim, local, remote.0, wire, packet);
         self.arm_retry(sim, seq);
     }
 
@@ -733,9 +731,7 @@ impl QueuePair {
         match resend {
             Some((pkt, local, Some((raddr, _)))) => {
                 let wire = pkt.wire_bytes(model.ack_bytes);
-                self.device
-                    .net()
-                    .send(sim, Frame::new(local, raddr, wire, pkt));
+                self.device.net().send(sim, local, raddr, wire, pkt);
                 self.arm_retry(sim, seq);
             }
             Some(_) => {}
@@ -985,9 +981,7 @@ impl QueuePair {
                     if let Some((raddr, _)) = remote {
                         let ack = RdmaPacket::Ack { seq };
                         let wire = ack.wire_bytes(model.ack_bytes);
-                        qp.device
-                            .net()
-                            .send(sim, Frame::new(local, raddr, wire, ack));
+                        qp.device.net().send(sim, local, raddr, wire, ack);
                     }
                     qp.fire_hook(sim);
                 });
@@ -1013,9 +1007,7 @@ impl QueuePair {
                         status: WcStatus::RemoteOperationError,
                     };
                     let wire = nak.wire_bytes(model.ack_bytes);
-                    self.device
-                        .net()
-                        .send(sim, Frame::new(local, raddr, wire, nak));
+                    self.device.net().send(sim, local, raddr, wire, nak);
                 }
                 self.enter_error();
                 self.fire_hook(sim);
@@ -1054,9 +1046,7 @@ impl QueuePair {
             if let Some((raddr, _)) = remote {
                 let nak = RdmaPacket::RnrNak { seq };
                 let wire = nak.wire_bytes(model.ack_bytes);
-                self.device
-                    .net()
-                    .send(sim, Frame::new(local, raddr, wire, nak));
+                self.device.net().send(sim, local, raddr, wire, nak);
             }
         }
     }
@@ -1169,9 +1159,7 @@ impl QueuePair {
             if let Some((raddr, _)) = remote {
                 let ack = RdmaPacket::Ack { seq };
                 let wire = ack.wire_bytes(model.ack_bytes);
-                qp.device
-                    .net()
-                    .send(sim, Frame::new(local, raddr, wire, ack));
+                qp.device.net().send(sim, local, raddr, wire, ack);
             }
             qp.fire_hook(sim);
         });
@@ -1222,9 +1210,7 @@ impl QueuePair {
             if let Some((raddr, _)) = remote {
                 let resp = RdmaPacket::ReadResp { seq, data };
                 let wire = resp.wire_bytes(model.ack_bytes);
-                qp.device
-                    .net()
-                    .send(sim, Frame::new(local, raddr, wire, resp));
+                qp.device.net().send(sim, local, raddr, wire, resp);
             }
         });
     }
@@ -1369,9 +1355,7 @@ impl QueuePair {
         if let Some((raddr, _)) = remote {
             let ack = RdmaPacket::Ack { seq };
             let wire = ack.wire_bytes(model.ack_bytes);
-            self.device
-                .net()
-                .send(sim, Frame::new(local, raddr, wire, ack));
+            self.device.net().send(sim, local, raddr, wire, ack);
         }
     }
 
@@ -1384,9 +1368,7 @@ impl QueuePair {
         if let Some((raddr, _)) = remote {
             let nak = RdmaPacket::Nak { seq, status };
             let wire = nak.wire_bytes(model.ack_bytes);
-            self.device
-                .net()
-                .send(sim, Frame::new(local, raddr, wire, nak));
+            self.device.net().send(sim, local, raddr, wire, nak);
         }
     }
 
@@ -1434,9 +1416,7 @@ impl QueuePair {
         if let Some((raddr, _)) = remote {
             let pkt = RdmaPacket::Disconnect { src_qp: num };
             let wire = pkt.wire_bytes(model.ack_bytes);
-            self.device
-                .net()
-                .send(sim, Frame::new(local, raddr, wire, pkt));
+            self.device.net().send(sim, local, raddr, wire, pkt);
         }
         self.enter_error();
     }

@@ -42,7 +42,7 @@ impl ReplicaInner {
                     store_len: advertised.len,
                     store_epoch: advertised.epoch,
                 };
-                self.send_msg(sim, attest, Receivers::One(requester));
+                self.send_msg(sim, &attest, Receivers::One(requester));
             }
         }
         // Merge the per-pipeline logs back into one seq-ordered view of
@@ -82,7 +82,7 @@ impl ReplicaInner {
             self.counters[ReplicaCounter::CatchUpRepliesTruncated].incr();
         }
         for msg in replies {
-            self.send_msg(sim, msg, Receivers::One(requester));
+            self.send_msg(sim, &msg, Receivers::One(requester));
         }
     }
 

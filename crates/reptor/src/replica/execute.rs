@@ -26,8 +26,9 @@ impl ReplicaInner {
                 let cost = self.service.op_cost(req);
                 self.charge(sim, CoreId(0), cost);
                 let result = self.service.apply(req);
+                // The result itself is cached once its REPLY is sealed.
                 self.client_state
-                    .insert(req.client, (req.timestamp, result.clone()));
+                    .insert(req.client, (req.timestamp, Vec::new()));
                 self.proposed.remove(&(req.client, req.timestamp));
                 self.stats.executed_requests += 1;
                 self.counters[ReplicaCounter::RequestsExecuted].incr();
@@ -83,6 +84,10 @@ impl ReplicaInner {
         self.try_propose(sim);
     }
 
+    /// Seals and sends the REPLY to `client`'s request `timestamp`, then
+    /// stores `result` as that client's cached reply unless a later request
+    /// of the client has executed since. The result moves into the message
+    /// and back, uncopied.
     pub(super) fn send_reply(
         &mut self,
         sim: &mut Simulator,
@@ -91,16 +96,21 @@ impl ReplicaInner {
         result: Vec<u8>,
     ) {
         self.stats.replies_sent += 1;
-        self.send_msg(
-            sim,
-            Message::Reply {
-                view: self.view,
-                client,
-                timestamp,
-                replica: self.id,
-                result,
-            },
-            Receivers::One(client),
-        );
+        let reply = Message::Reply {
+            view: self.view,
+            client,
+            timestamp,
+            replica: self.id,
+            result,
+        };
+        self.send_msg(sim, &reply, Receivers::One(client));
+        let Message::Reply { result, .. } = reply else {
+            unreachable!("built as a REPLY")
+        };
+        if let Some((ts, cached)) = self.client_state.get_mut(&client) {
+            if *ts == timestamp {
+                *cached = result;
+            }
+        }
     }
 }

@@ -56,7 +56,7 @@ impl ReplicaInner {
         self.counters[ReplicaCounter::FastPathGrantsSent].incr();
         self.send_msg(
             sim,
-            Message::SlotGrant {
+            &Message::SlotGrant {
                 view,
                 replica: self.id,
                 rkey: region.rkey,
@@ -203,7 +203,7 @@ impl ReplicaInner {
         if current {
             self.stats.fast_path_fallbacks += 1;
             self.counters[ReplicaCounter::FastPathFallbacks].incr();
-            self.send_msg(sim, msg, Receivers::One(peer));
+            self.send_msg(sim, &msg, Receivers::One(peer));
         }
     }
 

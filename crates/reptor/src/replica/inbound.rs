@@ -124,12 +124,12 @@ impl ReplicaInner {
     /// A client request, from the wire or straight from the harness.
     pub(super) fn on_request(&mut self, sim: &mut Simulator, req: Request) {
         self.maybe_arm_fast_path(sim);
-        match self.client_state.get(&req.client) {
+        match self.client_state.get_mut(&req.client) {
             Some((last_ts, _)) if req.timestamp < *last_ts => return, // stale
             Some((last_ts, result)) if req.timestamp == *last_ts => {
                 // Duplicate of the last executed request: resend reply.
-                let (ts, result) = (*last_ts, result.clone());
-                self.send_reply(sim, req.client, ts, result);
+                let result = std::mem::take(result);
+                self.send_reply(sim, req.client, req.timestamp, result);
                 return;
             }
             _ => {}

@@ -102,7 +102,7 @@ impl ReplicaInner {
         }
         self.send_msg(
             sim,
-            Message::LeaseGrant {
+            &Message::LeaseGrant {
                 replica: self.id,
                 rkey,
                 len,

@@ -751,10 +751,10 @@ impl ReplicaInner {
     }
 
     fn broadcast_to_replicas(&mut self, sim: &mut Simulator, msg: Message) {
-        self.send_msg(sim, msg, self.peers());
+        self.send_msg(sim, &msg, self.peers());
     }
 
-    fn send_msg(&mut self, sim: &mut Simulator, msg: Message, to: Receivers) {
+    fn send_msg(&mut self, sim: &mut Simulator, msg: &Message, to: Receivers) {
         let count = to.len();
         if count == 0 || self.byzantine == ByzantineMode::Crash {
             return;
@@ -763,7 +763,7 @@ impl ReplicaInner {
         if self.byzantine == ByzantineMode::CorruptMacs {
             corrupt_macs(&mut wire, count);
         }
-        let core = self.msg_core(&msg);
+        let core = self.msg_core(msg);
         let cost = self.cfg.crypto.authenticator_cost(msg.encoded_len(), count);
         let done = self.charge(sim, core, cost);
         // Keep the wire order equal to the submission order even when

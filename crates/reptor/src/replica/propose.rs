@@ -114,7 +114,7 @@ impl ReplicaInner {
                 let even = self.propose_via_slots(sim, view, seq, digest, &batch, half(0));
                 self.send_msg(
                     sim,
-                    Message::PrePrepare {
+                    &Message::PrePrepare {
                         view,
                         seq,
                         digest,
@@ -125,7 +125,7 @@ impl ReplicaInner {
                 let odd = self.propose_via_slots(sim, view, seq, alt_digest, &alt, half(1));
                 self.send_msg(
                     sim,
-                    Message::PrePrepare {
+                    &Message::PrePrepare {
                         view,
                         seq,
                         digest: alt_digest,
@@ -144,7 +144,7 @@ impl ReplicaInner {
             let uncovered = self.propose_via_slots(sim, view, seq, digest, &batch, self.peers());
             self.send_msg(
                 sim,
-                Message::PrePrepare {
+                &Message::PrePrepare {
                     view,
                     seq,
                     digest,

@@ -302,7 +302,7 @@ impl ReplicaInner {
         };
         self.send_msg(
             sim,
-            Message::StateRequest {
+            &Message::StateRequest {
                 seq,
                 chunk,
                 replica: self.id,
@@ -395,7 +395,7 @@ impl ReplicaInner {
         };
         self.send_msg(
             sim,
-            Message::StateChunk {
+            &Message::StateChunk {
                 seq,
                 chunk,
                 data,

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{Addr, Frame, HostId, Network, Simulator};
+use simnet::{Addr, HostId, Network, Simulator};
 
 use crate::state_transfer::StateOffer;
 
@@ -323,10 +323,7 @@ impl Transport for SimTransport {
             (inner.net.clone(), src, dst, msg.len())
         };
         let from = self.node();
-        net.send(
-            sim,
-            Frame::new(src, dst, len + 16, SimMsg { from, bytes: msg }),
-        );
+        net.send(sim, src, dst, len + 16, SimMsg { from, bytes: msg });
     }
 
     fn set_delivery(&self, f: DeliveryFn) {

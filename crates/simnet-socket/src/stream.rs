@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{Addr, CoreId, Counters, CpuModel, EventId, Frame, HostId, Nanos, Network, Simulator};
+use simnet::{Addr, CoreId, Counters, CpuModel, EventId, HostId, Nanos, Network, Simulator};
 
 use crate::model::TcpModel;
 use crate::selector::{KeyId, Ops, Selector};
@@ -124,6 +124,12 @@ pub(crate) enum TcpSegment {
     },
     Fin,
 }
+
+// A frame in flight is an event closure holding the network handle (8 B),
+// the frame header (24 B) and this segment by value, stored in place in a
+// 96-byte event slot. A segment is 32 B; one over 64 B would box every TCP
+// frame's event.
+const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 64);
 
 simnet::metric_names! {
     /// Counters of one socket, under `tcp.<addr>.`.
@@ -314,10 +320,7 @@ impl TcpStream {
                 let inner = s.inner.borrow();
                 (inner.net.clone(), inner.local)
             };
-            net.send(
-                sim,
-                Frame::new(local, remote, 40, TcpSegment::Syn { reply_to: local }),
-            );
+            net.send(sim, local, remote, 40, TcpSegment::Syn { reply_to: local });
             s.arm_syn_retry(sim);
         });
         stream
@@ -354,7 +357,10 @@ impl TcpStream {
             Some((net, local, listener)) => {
                 net.send(
                     sim,
-                    Frame::new(local, listener, 40, TcpSegment::Syn { reply_to: local }),
+                    local,
+                    listener,
+                    40,
+                    TcpSegment::Syn { reply_to: local },
                 );
                 self.arm_syn_retry(sim);
             }
@@ -529,15 +535,13 @@ impl TcpStream {
             sim.schedule_at(send_at, move |sim| {
                 net.send(
                     sim,
-                    Frame::new(
-                        local,
-                        remote,
-                        wire,
-                        TcpSegment::Data {
-                            seq,
-                            bytes: seg_bytes,
-                        },
-                    ),
+                    local,
+                    remote,
+                    wire,
+                    TcpSegment::Data {
+                        seq,
+                        bytes: seg_bytes,
+                    },
                 );
             });
         }
@@ -605,10 +609,7 @@ impl TcpStream {
         match act {
             Act::Resend(net, local, remote, seq, bytes, header) => {
                 let wire = bytes.len() + header;
-                net.send(
-                    sim,
-                    Frame::new(local, remote, wire, TcpSegment::Data { seq, bytes }),
-                );
+                net.send(sim, local, remote, wire, TcpSegment::Data { seq, bytes });
                 self.arm_rto(sim);
             }
             Act::GiveUp => self.refresh_readiness(sim),
@@ -669,7 +670,10 @@ impl TcpStream {
             sim.schedule_at(credit_at, move |sim| {
                 net.send(
                     sim,
-                    Frame::new(local, remote, ack_bytes, TcpSegment::Credit { total_read }),
+                    local,
+                    remote,
+                    ack_bytes,
+                    TcpSegment::Credit { total_read },
                 );
             });
         }
@@ -695,7 +699,7 @@ impl TcpStream {
             return;
         }
         if let Some(remote) = remote {
-            net.send(sim, Frame::new(local, remote, ack_bytes, TcpSegment::Fin));
+            net.send(sim, local, remote, ack_bytes, TcpSegment::Fin);
         }
         net.unbind(local);
     }
@@ -782,10 +786,7 @@ impl TcpStream {
                         )
                     };
                     if let Some(remote) = remote {
-                        net.send(
-                            sim,
-                            Frame::new(local, remote, ack_bytes, TcpSegment::Ack { upto }),
-                        );
+                        net.send(sim, local, remote, ack_bytes, TcpSegment::Ack { upto });
                     }
                     s.refresh_readiness(sim);
                 });
@@ -958,12 +959,10 @@ impl TcpListener {
         if let Some((net, data_port, credit)) = known {
             net.send(
                 sim,
-                Frame::new(
-                    data_port,
-                    reply_to,
-                    40,
-                    TcpSegment::SynAck { data_port, credit },
-                ),
+                data_port,
+                reply_to,
+                40,
+                TcpSegment::SynAck { data_port, credit },
             );
             return;
         }
@@ -997,15 +996,13 @@ impl TcpListener {
         }
         net.send(
             sim,
-            Frame::new(
-                local_port,
-                reply_to,
-                40,
-                TcpSegment::SynAck {
-                    data_port: local_port,
-                    credit,
-                },
-            ),
+            local_port,
+            reply_to,
+            40,
+            TcpSegment::SynAck {
+                data_port: local_port,
+                credit,
+            },
         );
         let reg = self.inner.borrow().reg.clone();
         if let Some((sel, key)) = reg {

@@ -122,9 +122,11 @@ impl MinHeap4 {
 /// type) is accepted too, and is stored like any other closure.
 pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
-/// Closure bytes a slot holds in place. The largest closure the system
-/// schedules on the benchmark workloads is 96 B (the RDMA receive-placement
-/// step in `QueuePair::handle_inbound_send`); the rest are 8–80 B.
+/// Closure bytes a slot holds in place. The largest closures the system
+/// schedules on the benchmark workloads are 96 B (the RDMA receive-placement
+/// step in `QueuePair::handle_inbound_send`, and the delivery of a frame
+/// carrying an RDMA packet: network handle, 24-byte header, 64-byte packet);
+/// the rest are 8–80 B.
 const INLINE_BYTES: usize = 96;
 
 /// In-place storage for one closure: [`INLINE_BYTES`], 8-aligned.

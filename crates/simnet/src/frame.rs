@@ -30,41 +30,48 @@ impl fmt::Display for Addr {
     }
 }
 
-/// A frame payload: any `'static` message type that can be cloned.
+/// What travels with every frame besides its payload.
 ///
-/// Cloning is required so the fault plane can duplicate frames in flight
-/// (real networks deliver duplicates; a type-erased but uncloneable payload
-/// could not model that). The blanket impl covers every `Any + Clone` type,
-/// so protocol layers keep defining plain message enums/structs.
-pub trait Payload: Any {
-    /// Clones the payload behind the type-erased box.
-    fn clone_box(&self) -> Box<dyn Payload>;
-    /// Borrows the payload as `Any` for type checks.
-    fn as_any(&self) -> &dyn Any;
-    /// Upcasts to `Any` so [`Frame::into_payload`] can downcast.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+/// 24 bytes: a delivery event holds the network handle (8 B), this header
+/// and the payload by value, so a 64-byte payload (an RDMA packet) keeps the
+/// whole event within its 96-byte in-place slot. A `usize` size would make
+/// it 32 and push every RDMA frame's event onto the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub src: Addr,
+    pub dst: Addr,
+    pub wire_bytes: u32,
+    pub corrupted: bool,
 }
 
-impl<T: Any + Clone> Payload for T {
-    fn clone_box(&self) -> Box<dyn Payload> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+impl Header {
+    /// A clean header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire_bytes` does not fit in a `u32`.
+    pub fn new(src: Addr, dst: Addr, wire_bytes: usize) -> Header {
+        let wire_bytes = u32::try_from(wire_bytes)
+            .unwrap_or_else(|_| panic!("a {wire_bytes}-byte frame exceeds 4 GiB"));
+        Header {
+            src,
+            dst,
+            wire_bytes,
+            corrupted: false,
+        }
     }
 }
 
-/// A frame in flight between two addresses.
+/// A frame being delivered: its header, and a borrow of the payload.
 ///
-/// The `payload` is a type-erased message owned by the protocol layer that
-/// sent it (TCP segment, RoCE packet, …); `wire_bytes` is the size the link
-/// timing model charges for it. Keeping payloads type-erased lets every
-/// protocol layer define its own message types without a central enum, while
-/// the real bytes still travel end to end so data integrity is genuine.
-pub struct Frame {
+/// [`Network::send`](crate::Network::send) keeps a payload typed, by value,
+/// inside its delivery event; only at delivery is it erased, into this view
+/// of an `Option<T>` on the delivering stack frame. The bound handler takes
+/// it out with [`into_payload`](Frame::into_payload), within the call.
+/// Keeping payloads typed lets every protocol layer define its own message
+/// types without a central enum, while the real bytes still travel end to
+/// end so data integrity is genuine.
+pub struct Frame<'a> {
     /// Source address.
     pub src: Addr,
     /// Destination address.
@@ -76,55 +83,36 @@ pub struct Frame {
     /// flipping payload bits at delivery; integrity checks (MACs,
     /// checksums) downstream are what must catch it.
     pub corrupted: bool,
-    /// The protocol message being carried.
-    pub payload: Box<dyn Payload>,
+    /// The `Option<T>` holding the payload, still `Some`.
+    payload: &'a mut dyn Any,
 }
 
-impl Frame {
-    /// Creates a frame carrying `payload`, charged as `wire_bytes` on the
-    /// wire.
-    pub fn new<T: Any + Clone>(src: Addr, dst: Addr, wire_bytes: usize, payload: T) -> Frame {
+impl<'a> Frame<'a> {
+    /// A view of `payload` (`Some`) travelling under `header`.
+    pub(crate) fn view<T: Any>(header: Header, payload: &'a mut Option<T>) -> Frame<'a> {
         Frame {
-            src,
-            dst,
-            wire_bytes,
-            corrupted: false,
-            payload: Box::new(payload),
+            src: header.src,
+            dst: header.dst,
+            wire_bytes: header.wire_bytes as usize,
+            corrupted: header.corrupted,
+            payload,
         }
     }
 
-    /// Downcasts the payload to `T`, consuming the frame.
+    /// Takes the payload out as a `T`, consuming the frame.
     ///
     /// # Errors
     ///
     /// Returns the frame unchanged if the payload is not a `T`.
-    pub fn into_payload<T: Any>(self) -> Result<T, Frame> {
-        if self.payload.as_any().is::<T>() {
-            let b = self
-                .payload
-                .into_any()
-                .downcast::<T>()
-                .expect("type already checked");
-            Ok(*b)
-        } else {
-            Err(self)
+    pub fn into_payload<T: Any>(self) -> Result<T, Frame<'a>> {
+        match self.payload.downcast_mut::<Option<T>>() {
+            Some(slot) => Ok(slot.take().expect("a frame's payload is taken once")),
+            None => Err(self),
         }
     }
 }
 
-impl Clone for Frame {
-    fn clone(&self) -> Frame {
-        Frame {
-            src: self.src,
-            dst: self.dst,
-            wire_bytes: self.wire_bytes,
-            corrupted: self.corrupted,
-            payload: self.payload.clone_box(),
-        }
-    }
-}
-
-impl fmt::Debug for Frame {
+impl fmt::Debug for Frame<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Frame")
             .field("src", &self.src)
@@ -139,6 +127,10 @@ impl fmt::Debug for Frame {
 mod tests {
     use super::*;
 
+    fn header(wire_bytes: usize) -> Header {
+        Header::new(Addr::new(HostId(0), 1), Addr::new(HostId(1), 2), wire_bytes)
+    }
+
     #[test]
     fn addr_display() {
         let a = Addr::new(HostId(3), 80);
@@ -146,19 +138,29 @@ mod tests {
     }
 
     #[test]
+    fn header_fits_three_words() {
+        assert_eq!(std::mem::size_of::<Header>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 4 GiB")]
+    fn oversized_frame_panics() {
+        header(u32::MAX as usize + 1);
+    }
+
+    #[test]
     fn payload_downcast_roundtrip() {
-        let a = Addr::new(HostId(0), 1);
-        let b = Addr::new(HostId(1), 2);
-        let f = Frame::new(a, b, 100, String::from("hello"));
+        let mut payload = Some(String::from("hello"));
+        let f = Frame::view(header(100), &mut payload);
         let s: String = f.into_payload().expect("payload is a String");
         assert_eq!(s, "hello");
+        assert_eq!(payload, None);
     }
 
     #[test]
     fn payload_downcast_wrong_type_returns_frame() {
-        let a = Addr::new(HostId(0), 1);
-        let b = Addr::new(HostId(1), 2);
-        let f = Frame::new(a, b, 100, 42u64);
+        let mut payload = Some(42u64);
+        let f = Frame::view(header(100), &mut payload);
         let f = f.into_payload::<String>().expect_err("not a String");
         assert_eq!(f.wire_bytes, 100);
         let v: u64 = f.into_payload().expect("payload is u64");
@@ -167,12 +169,15 @@ mod tests {
 
     #[test]
     fn clone_duplicates_payload() {
-        let a = Addr::new(HostId(0), 1);
-        let b = Addr::new(HostId(1), 2);
-        let f = Frame::new(a, b, 100, vec![1u8, 2, 3]);
-        let g = f.clone();
-        let v1: Vec<u8> = f.into_payload().expect("payload is bytes");
-        let v2: Vec<u8> = g.into_payload().expect("clone carries same bytes");
+        // The fault plane's duplicate: the header is `Copy`, the payload a
+        // plain `T::clone`.
+        let h = header(100);
+        let (mut original, mut copy) = (Some(vec![1u8, 2, 3]), None);
+        copy.clone_from(&original);
+        let v1: Vec<u8> = Frame::view(h, &mut original).into_payload().expect("bytes");
+        let v2: Vec<u8> = Frame::view(h, &mut copy)
+            .into_payload()
+            .expect("same bytes");
         assert_eq!(v1, v2);
     }
 }

@@ -13,8 +13,9 @@
 //!   one core serializes, work on different cores overlaps.
 //! * [`Network`] — hosts joined by full-duplex [`LinkSpec`] links with
 //!   bandwidth, propagation delay, MTU segmentation overhead, and an
-//!   implicit per-host loopback. Frames are typed messages ([`Frame`]) bound
-//!   to [`Addr`] handlers.
+//!   implicit per-host loopback. [`Network::send`] carries any `Clone`
+//!   message type by value inside its delivery event; the handler bound to
+//!   the destination [`Addr`] takes it out of a borrowed [`Frame`].
 //! * [`FaultPlane`] — partitions, probabilistic loss, duplication,
 //!   corruption, reordering jitter, host crash/restart, and added delay,
 //!   applied deterministically from the simulator's seeded RNG.
@@ -30,7 +31,7 @@
 //! # Example: two hosts exchanging a frame
 //!
 //! ```
-//! use simnet::{Addr, CpuModel, Frame, LinkSpec, Network, Simulator};
+//! use simnet::{Addr, CpuModel, LinkSpec, Network, Simulator};
 //!
 //! let mut sim = Simulator::new(42);
 //! let net = Network::new();
@@ -39,9 +40,11 @@
 //! net.connect(a, b, LinkSpec::ten_gbe());
 //!
 //! net.bind(Addr::new(b, 1), Box::new(|sim, frame| {
-//!     println!("got {} wire bytes at {}", frame.wire_bytes, sim.now());
+//!     let wire_bytes = frame.wire_bytes;
+//!     let seq: u64 = frame.into_payload().expect("a u64 payload");
+//!     println!("got #{seq}, {wire_bytes} wire bytes, at {}", sim.now());
 //! }));
-//! net.send(&mut sim, Frame::new(Addr::new(a, 1), Addr::new(b, 1), 1024, ()));
+//! net.send(&mut sim, Addr::new(a, 1), Addr::new(b, 1), 1024, 7u64);
 //! sim.run_until_idle();
 //! assert_eq!(net.stats().delivered, 1);
 //! ```
@@ -69,7 +72,7 @@ pub use chaos::{ChaosAction, ChaosSchedule};
 pub use disk::{DiskFault, DiskSpec, SimDisk};
 pub use event::{Action, EventFn, EventId, QueueStats};
 pub use fault::{FaultCoins, FaultPlane, FaultVerdict};
-pub use frame::{Addr, Frame, Payload};
+pub use frame::{Addr, Frame};
 pub use host::{CoreId, CpuModel, Host, HostId, HostRef};
 pub use metrics::{
     Counter, Counters, Gauge, Gauges, Histo, Histogram, HistogramSummary, Histos, MetricKind,
@@ -173,7 +176,10 @@ mod tests {
         // Any pair can exchange frames.
         net.send(
             &mut sim,
-            Frame::new(Addr::new(hosts[0], 1), Addr::new(hosts[3], 1), 10, ()),
+            Addr::new(hosts[0], 1),
+            Addr::new(hosts[3], 1),
+            10,
+            (),
         );
         sim.run_until_idle();
         assert_eq!(net.stats().unroutable, 1);

@@ -7,6 +7,7 @@
 //! overhead, full-duplex but serialized per direction), applies injected
 //! faults, and schedules delivery to the destination handler.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -14,15 +15,16 @@ use std::rc::Rc;
 use rand::Rng;
 
 use crate::fault::{FaultCoins, FaultPlane, FaultVerdict};
-use crate::frame::{Addr, Frame};
+use crate::frame::{Addr, Frame, Header};
 use crate::host::{CpuModel, Host, HostId, HostRef};
 use crate::metrics::{Counters, Gauges, Metrics};
 use crate::pool::{BytePool, PoolGauge};
 use crate::sim::Simulator;
 use crate::time::{Bandwidth, Nanos};
 
-/// A frame-delivery callback registered on an address.
-pub type FrameHandler = Box<dyn FnMut(&mut Simulator, Frame)>;
+/// A frame-delivery callback registered on an address. It must take the
+/// frame's payload within the call: the [`Frame`] only borrows it.
+pub type FrameHandler = Box<dyn FnMut(&mut Simulator, Frame<'_>)>;
 
 /// Identifier of a link within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,7 +164,7 @@ impl NetInner {
 /// # Examples
 ///
 /// ```
-/// use simnet::{Addr, CpuModel, Frame, LinkSpec, Network, Simulator};
+/// use simnet::{Addr, CpuModel, LinkSpec, Network, Simulator};
 ///
 /// let mut sim = Simulator::new(1);
 /// let net = Network::new();
@@ -175,7 +177,7 @@ impl NetInner {
 ///     let msg: String = frame.into_payload().expect("string payload");
 ///     assert_eq!(msg, "ping");
 /// }));
-/// net.send(&mut sim, Frame::new(Addr::new(a, 99), dst, 64, String::from("ping")));
+/// net.send(&mut sim, Addr::new(a, 99), dst, 64, String::from("ping"));
 /// sim.run_until_idle();
 /// assert_eq!(net.stats().delivered, 1);
 /// ```
@@ -351,18 +353,30 @@ impl Network {
         Addr::new(host, port)
     }
 
-    /// Sends a frame, modelling link serialization, propagation, and faults.
-    /// Delivery (if any) is scheduled on `sim`.
+    /// Sends `payload` from `src` to `dst` as one frame charged as
+    /// `wire_bytes` on the wire, modelling link serialization, propagation,
+    /// and faults. Delivery (if any) is scheduled on `sim`, with the payload
+    /// held by value in the delivery event until the handler bound to `dst`
+    /// takes it ([`Frame::into_payload`]).
     ///
     /// Four fault coins are drawn from the simulator RNG for *every* frame,
     /// whether or not any fault rule is installed, so the random stream is
     /// independent of when chaos rules are toggled and a seeded run replays
-    /// byte-identically.
+    /// byte-identically. A fault-injected duplicate is a `T::clone`.
     ///
     /// # Panics
     ///
-    /// Panics if the two hosts are distinct and not connected by a link.
-    pub fn send(&self, sim: &mut Simulator, frame: Frame) {
+    /// Panics if the two hosts are distinct and not connected by a link, or
+    /// if `wire_bytes` does not fit in a `u32`.
+    pub fn send<T: Any + Clone>(
+        &self,
+        sim: &mut Simulator,
+        src: Addr,
+        dst: Addr,
+        wire_bytes: usize,
+        payload: T,
+    ) {
+        let mut header = Header::new(src, dst, wire_bytes);
         let coins = {
             let rng = sim.rng();
             FaultCoins {
@@ -372,91 +386,82 @@ impl Network {
                 jitter: rng.gen(),
             }
         };
-        let verdict = self
-            .inner
-            .borrow()
-            .faults
-            .judge(frame.src.host, frame.dst.host, &coins);
+        let verdict = self.inner.borrow().faults.judge(src.host, dst.host, &coins);
         match verdict {
             FaultVerdict::Drop => {
                 let mut inner = self.inner.borrow_mut();
                 inner.stats.dropped_by_fault += 1;
-                inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Dropped);
+                inner.count_fault(src.host, dst.host, FaultCounter::Dropped);
             }
             FaultVerdict::Deliver {
                 extra_delay,
                 duplicate,
                 corrupt,
             } => {
-                let mut frame = frame;
                 if corrupt {
-                    frame.corrupted = true;
+                    header.corrupted = true;
                     let mut inner = self.inner.borrow_mut();
                     inner.stats.corrupted_by_fault += 1;
-                    inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Corrupted);
+                    inner.count_fault(src.host, dst.host, FaultCounter::Corrupted);
                 }
                 if duplicate {
-                    let copy = frame.clone();
                     {
                         let mut inner = self.inner.borrow_mut();
                         inner.stats.duplicated_by_fault += 1;
-                        inner.count_fault(frame.src.host, frame.dst.host, FaultCounter::Duplicated);
+                        inner.count_fault(src.host, dst.host, FaultCounter::Duplicated);
                     }
-                    self.transmit(sim, copy, extra_delay);
+                    self.transmit(sim, header, payload.clone(), extra_delay);
                 }
-                self.transmit(sim, frame, extra_delay);
+                self.transmit(sim, header, payload, extra_delay);
             }
         }
     }
 
     /// Serializes one frame copy on its link (or the loopback path) and
-    /// schedules its delivery.
-    fn transmit(&self, sim: &mut Simulator, frame: Frame, extra_delay: Nanos) {
+    /// schedules its delivery, the payload held by value in the event.
+    fn transmit<T: Any>(&self, sim: &mut Simulator, header: Header, payload: T, extra: Nanos) {
+        let (src, dst) = (header.src.host, header.dst.host);
+        let wire_bytes = header.wire_bytes as usize;
         let now = sim.now();
         let deliver_at;
         {
             let mut inner = self.inner.borrow_mut();
-            if frame.src.host == frame.dst.host {
+            if src == dst {
                 let ready = match inner.loopback_bandwidth {
                     Some(bw) => {
-                        let ser = bw.transmit_time(frame.wire_bytes);
-                        let busy = inner
-                            .loopback_busy
-                            .entry(frame.src.host)
-                            .or_insert(Nanos::ZERO);
+                        let ser = bw.transmit_time(wire_bytes);
+                        let busy = inner.loopback_busy.entry(src).or_insert(Nanos::ZERO);
                         let start = now.max(*busy);
                         *busy = start + ser;
                         *busy
                     }
                     None => now,
                 };
-                deliver_at = ready + inner.loopback_delay + extra_delay;
+                deliver_at = ready + inner.loopback_delay + extra;
             } else {
                 let idx = *inner
                     .adjacency
-                    .get(&(frame.src.host, frame.dst.host))
-                    .unwrap_or_else(|| {
-                        panic!("no link between {} and {}", frame.src.host, frame.dst.host)
-                    });
+                    .get(&(src, dst))
+                    .unwrap_or_else(|| panic!("no link between {src} and {dst}"));
                 let link = &mut inner.links[idx];
-                let dir = usize::from(frame.src.host != link.ends.0);
+                let dir = usize::from(src != link.ends.0);
                 let spec = &link.spec[dir];
-                let wire = spec.wire_size(frame.wire_bytes);
+                let wire = spec.wire_size(wire_bytes);
                 let ser = spec.bandwidth.transmit_time(wire);
                 let start = now.max(link.busy_until[dir]);
                 link.busy_until[dir] = start + ser;
                 link.bytes_carried += wire as u64;
-                deliver_at = link.busy_until[dir] + spec.propagation + extra_delay;
+                deliver_at = link.busy_until[dir] + spec.propagation + extra;
             }
         }
         let net = self.clone();
-        sim.schedule_at(deliver_at, move |sim| net.deliver(sim, frame));
+        sim.schedule_at(deliver_at, move |sim| net.deliver(sim, header, payload));
     }
 
-    fn deliver(&self, sim: &mut Simulator, frame: Frame) {
+    fn deliver<T: Any>(&self, sim: &mut Simulator, header: Header, payload: T) {
         let handler = {
             let mut inner = self.inner.borrow_mut();
-            match inner.handlers.get(&frame.dst).cloned() {
+            match inner.handlers.get(&header.dst).cloned() {
                 Some(h) => {
                     inner.stats.delivered += 1;
                     h
@@ -467,9 +472,12 @@ impl Network {
                 }
             }
         };
-        // The handler may itself send frames or (un)bind addresses, so the
-        // network borrow must be released before invoking it.
-        (handler.borrow_mut())(sim, frame);
+        // The handler takes the payload out of this stack frame's `Option`
+        // through the `Frame` view. It may itself send frames or (un)bind
+        // addresses, so the network borrow must be released before invoking
+        // it.
+        let mut payload = Some(payload);
+        (handler.borrow_mut())(sim, Frame::view(header, &mut payload));
     }
 
     /// Delivery statistics so far.
@@ -563,7 +571,7 @@ mod tests {
                 *arr.borrow_mut() = Some(sim.now());
             }),
         );
-        net.send(&mut sim, Frame::new(Addr::new(a, 9), dst, 1500, ()));
+        net.send(&mut sim, Addr::new(a, 9), dst, 1500, ());
         sim.run_until_idle();
         let expect = spec.serialize_time(1500) + spec.propagation;
         assert_eq!(arrived.borrow().unwrap(), expect);
@@ -577,7 +585,7 @@ mod tests {
         let dst = Addr::new(b, 1);
         net.bind(dst, Box::new(move |sim, _f| t.borrow_mut().push(sim.now())));
         for _ in 0..2 {
-            net.send(&mut sim, Frame::new(Addr::new(a, 9), dst, 1500, ()));
+            net.send(&mut sim, Addr::new(a, 9), dst, 1500, ());
         }
         sim.run_until_idle();
         let times = times.borrow();
@@ -599,7 +607,7 @@ mod tests {
                 addr,
                 Box::new(move |sim, _f| t.borrow_mut().push(sim.now())),
             );
-            net.send(&mut sim, Frame::new(Addr::new(src, 9), addr, 1500, ()));
+            net.send(&mut sim, Addr::new(src, 9), addr, 1500, ());
         }
         sim.run_until_idle();
         let times = times.borrow();
@@ -612,10 +620,7 @@ mod tests {
         let (mut sim, net, a, b) = two_host_net();
         net.bind(Addr::new(b, 1), Box::new(|_, _| panic!("must not deliver")));
         net.with_faults(|f| f.partition(a, b));
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 9), Addr::new(b, 1), 100, ()),
-        );
+        net.send(&mut sim, Addr::new(a, 9), Addr::new(b, 1), 100, ());
         sim.run_until_idle();
         assert_eq!(net.stats().dropped_by_fault, 1);
         assert_eq!(net.stats().delivered, 0);
@@ -636,10 +641,7 @@ mod tests {
             }),
         );
         net.with_faults(|f| f.set_duplication(a, b, 1.0));
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 9), dst, 16, vec![9u8; 16]),
-        );
+        net.send(&mut sim, Addr::new(a, 9), dst, 16, vec![9u8; 16]);
         sim.run_until_idle();
         assert_eq!(*count.borrow(), 2);
         assert_eq!(net.stats().duplicated_by_fault, 1);
@@ -660,7 +662,7 @@ mod tests {
             }),
         );
         net.with_faults(|f| f.set_corruption(a, b, 1.0));
-        net.send(&mut sim, Frame::new(Addr::new(a, 9), dst, 16, ()));
+        net.send(&mut sim, Addr::new(a, 9), dst, 16, ());
         sim.run_until_idle();
         assert!(*saw_corrupt.borrow());
         assert_eq!(net.stats().corrupted_by_fault, 1);
@@ -671,10 +673,7 @@ mod tests {
     fn drops_are_charged_per_link() {
         let (mut sim, net, a, b) = two_host_net();
         net.with_faults(|f| f.set_loss(a, b, 1.0));
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 9), Addr::new(b, 1), 100, ()),
-        );
+        net.send(&mut sim, Addr::new(a, 9), Addr::new(b, 1), 100, ());
         sim.run_until_idle();
         assert_eq!(net.stats().dropped_by_fault, 1);
         assert_eq!(net.metrics().counter("net.h0.h1.faults_dropped"), 1);
@@ -689,11 +688,11 @@ mod tests {
         let dst = Addr::new(b, 1);
         net.bind(dst, Box::new(move |_, _| *c.borrow_mut() += 1));
         net.with_faults(|f| f.crash_host(b));
-        net.send(&mut sim, Frame::new(Addr::new(a, 9), dst, 100, ()));
+        net.send(&mut sim, Addr::new(a, 9), dst, 100, ());
         sim.run_until_idle();
         assert_eq!(*count.borrow(), 0);
         net.with_faults(|f| f.restart_host(b));
-        net.send(&mut sim, Frame::new(Addr::new(a, 9), dst, 100, ()));
+        net.send(&mut sim, Addr::new(a, 9), dst, 100, ());
         sim.run_until_idle();
         assert_eq!(*count.borrow(), 1);
     }
@@ -701,10 +700,7 @@ mod tests {
     #[test]
     fn unbound_address_counts_unroutable() {
         let (mut sim, net, a, b) = two_host_net();
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 9), Addr::new(b, 1), 100, ()),
-        );
+        net.send(&mut sim, Addr::new(a, 9), Addr::new(b, 1), 100, ());
         sim.run_until_idle();
         assert_eq!(net.stats().unroutable, 1);
     }
@@ -722,10 +718,7 @@ mod tests {
                 *g.borrow_mut() = true;
             }),
         );
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 1), Addr::new(a, 2), 64, ()),
-        );
+        net.send(&mut sim, Addr::new(a, 1), Addr::new(a, 2), 64, ());
         sim.run_until_idle();
         assert!(*got.borrow());
     }
@@ -749,7 +742,7 @@ mod tests {
             src_echo,
             Box::new(move |sim, f| {
                 // Echo the frame back.
-                net2.send(sim, Frame::new(f.dst, back, f.wire_bytes, ()));
+                net2.send(sim, f.dst, back, f.wire_bytes, ());
             }),
         );
         let d = done.clone();
@@ -759,7 +752,7 @@ mod tests {
                 *d.borrow_mut() = true;
             }),
         );
-        net.send(&mut sim, Frame::new(back, src_echo, 500, ()));
+        net.send(&mut sim, back, src_echo, 500, ());
         sim.run_until_idle();
         assert!(*done.borrow());
         assert_eq!(net.stats().delivered, 2);
@@ -780,10 +773,7 @@ mod tests {
         let net = Network::new();
         let a = net.add_host("a", 1, CpuModel::xeon_v2());
         let b = net.add_host("b", 1, CpuModel::xeon_v2());
-        net.send(
-            &mut sim,
-            Frame::new(Addr::new(a, 1), Addr::new(b, 1), 10, ()),
-        );
+        net.send(&mut sim, Addr::new(a, 1), Addr::new(b, 1), 10, ());
     }
 
     #[test]
@@ -800,7 +790,10 @@ mod tests {
                 if i != j {
                     net.send(
                         &mut sim,
-                        Frame::new(Addr::new(HostId(i), 1), Addr::new(HostId(j), 1), 10, ()),
+                        Addr::new(HostId(i), 1),
+                        Addr::new(HostId(j), 1),
+                        10,
+                        (),
                     );
                 }
             }

@@ -239,7 +239,7 @@ impl LatencyMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Addr, Frame};
+    use crate::frame::Addr;
     use crate::host::CpuModel;
     use crate::sim::Simulator;
     use std::cell::RefCell;
@@ -287,10 +287,7 @@ mod tests {
             let t = times.clone();
             let addr = Addr::new(hosts[dst], 5);
             net.bind(addr, Box::new(move |sim, _| t.borrow_mut().push(sim.now())));
-            net.send(
-                &mut sim,
-                Frame::new(Addr::new(hosts[src], 5), addr, 100, ()),
-            );
+            net.send(&mut sim, Addr::new(hosts[src], 5), addr, 100, ());
         }
         sim.run_until_idle();
         let times = times.borrow();

@@ -1,23 +1,25 @@
-//! Heap budgets for the two steady states the system benchmark judges
-//! host-side cost on (`echo_rubin`, `pbft_rubin`), pinned in tier-1 because
-//! `benchmark/` cannot be edited alongside the code it measures.
+//! Heap budgets for the three steady states the system benchmark judges
+//! host-side cost on (`echo_rubin`, `pbft_rubin`, `pbft_nio`), pinned in
+//! tier-1 because `benchmark/` cannot be edited alongside the code it
+//! measures.
 //!
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
-//! each budget sits about 15 % above what the harness below measures (7.0
-//! and 105.0 allocations, 3.52 MiB peak live; run with `--nocapture` to see
-//! them). With a boxed select call, a fresh ready-key list per selector
-//! wake-up and fresh re-post lists, and with every signed message encoded
-//! twice, copied out on receipt and cloned per receiver, the same harness
-//! read 12.0 and 213.2; with a boxed closure per scheduled event and a
-//! one-element `Vec` per posted send, 30.3 and 371.6; with a `format!`ed key
-//! per counter bump, the state before typed metric handles, 109.0 and
-//! 1,978.3. The PBFT figure scales with the messages per request: an
-//! 8-request round is two agreement instances (batches of 1 and 7), and read
-//! 682.5 as eight.
+//! each budget sits about 15 % above what the harness below measures (3.0,
+//! 66.9 and 104.9 allocations, 3.51 MiB peak live; run with `--nocapture` to
+//! see them). With a boxed payload per frame and a copied result per reply
+//! cache entry, the same harness read 7.0, 105.0 and 142.2; with a boxed
+//! select call, a fresh ready-key list per selector wake-up and fresh
+//! re-post lists, and with every signed message encoded twice, copied out on
+//! receipt and cloned per receiver, 12.0 and 213.2; with a boxed closure per
+//! scheduled event and a one-element `Vec` per posted send, 30.3 and 371.6;
+//! with a `format!`ed key per counter bump, the state before typed metric
+//! handles, 109.0 and 1,978.3. The PBFT figures scale with the messages per
+//! request: an 8-request round is two agreement instances (batches of 1 and
+//! 7), and read 682.5 as eight.
 //!
-//! Neither steady state may box an event closure: one that outgrows its
-//! in-place slot buffer fails here instead of costing an allocation per
-//! event unnoticed.
+//! No steady state may box an event closure: one that outgrows its in-place
+//! slot buffer fails here instead of costing an allocation per event
+//! unnoticed.
 //!
 //! The same allocator pins what a hostile frame may cost a receiver before
 //! it is refused: less than a kilobyte, whatever count it claims.
@@ -42,12 +44,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PAYLOAD: usize = 1024;
 
 /// Allocations per 1 KB message echoed over `RubinTransport` on one host.
-const ECHO_BUDGET: f64 = 8.0;
+const ECHO_BUDGET: f64 = 3.5;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
-const PBFT_BUDGET: f64 = 121.0;
+const PBFT_BUDGET: f64 = 77.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
 const PBFT_PEAK_LIVE_MIB: f64 = 4.1;
+/// Allocations per 1 KB request ordered by the same group over NIO.
+const PBFT_NIO_BUDGET: f64 = 121.0;
 
 #[test]
 fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
@@ -97,14 +101,17 @@ fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
     );
 }
 
-#[test]
-fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
+/// Orders `MEASURED_ROUNDS` rounds of eight 1 KB requests through four
+/// replicas over `stack`, after ten rounds of warm-up; returns the
+/// allocations per request and the peak live heap in MiB from before the
+/// group is built. No event closure may be boxed on the way.
+fn pbft_steady_state(stack: Stack) -> (f64, f64) {
     const OUTSTANDING: u64 = 8;
     const WARMUP_ROUNDS: u64 = 10;
     const MEASURED_ROUNDS: u64 = 50;
 
     let heap_base = reset_peak();
-    let mut c = Cluster::build(Stack::Rubin, ReptorConfig::small(), 1, 7, || {
+    let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 7, || {
         Box::new(CounterService::default())
     });
     let client = c.clients[0].clone();
@@ -123,21 +130,12 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
     rounds(MEASURED_ROUNDS);
     let requests = MEASURED_ROUNDS * OUTSTANDING;
     let per_request = (allocs() - before) as f64 / requests as f64;
-    println!("PBFT over RUBIN: {per_request:.1} allocations per request");
+    let label = stack.label();
+    println!("PBFT over {label}: {per_request:.1} allocations per request");
     assert_eq!(
         c.sim.queue_stats().boxed,
         0,
         "an event closure outgrew its slot"
-    );
-    assert!(
-        per_request <= PBFT_BUDGET,
-        "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
-    );
-    let peak_live = (peak_live_bytes() - heap_base) as f64 / (1 << 20) as f64;
-    println!("PBFT over RUBIN: {peak_live:.2} MiB peak live heap");
-    assert!(
-        peak_live <= PBFT_PEAK_LIVE_MIB,
-        "group peaked at {peak_live:.2} MiB live, budget {PBFT_PEAK_LIVE_MIB}"
     );
     for r in &c.replicas {
         assert!(
@@ -146,6 +144,31 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
             r.id()
         );
     }
+    let peak_live = (peak_live_bytes() - heap_base) as f64 / (1 << 20) as f64;
+    println!("PBFT over {label}: {peak_live:.2} MiB peak live heap");
+    (per_request, peak_live)
+}
+
+#[test]
+fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
+    let (per_request, peak_live) = pbft_steady_state(Stack::Rubin);
+    assert!(
+        per_request <= PBFT_BUDGET,
+        "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
+    );
+    assert!(
+        peak_live <= PBFT_PEAK_LIVE_MIB,
+        "group peaked at {peak_live:.2} MiB live, budget {PBFT_PEAK_LIVE_MIB}"
+    );
+}
+
+#[test]
+fn steady_state_pbft_over_nio_stays_within_its_allocation_budget() {
+    let (per_request, _) = pbft_steady_state(Stack::Nio);
+    assert!(
+        per_request <= PBFT_NIO_BUDGET,
+        "{per_request:.1} allocations per ordered request, budget {PBFT_NIO_BUDGET}"
+    );
 }
 
 /// One hop of a signed message: sealing writes the one wire buffer and

@@ -496,7 +496,7 @@ proptest! {
     #[test]
     fn simulation_is_deterministic(seed in any::<u64>(),
                                    payloads in proptest::collection::vec(1usize..4096, 1..8)) {
-        use simnet::{Addr, Frame, TestBed};
+        use simnet::{Addr, TestBed};
         let run = |seed: u64, payloads: &[usize]| -> Vec<u64> {
             use std::cell::RefCell;
             use std::rc::Rc;
@@ -507,7 +507,7 @@ proptest! {
                 t.borrow_mut().push(sim.now().as_nanos());
             }));
             for &p in payloads {
-                tb.net.send(&mut tb.sim, Frame::new(Addr::new(tb.a, 1), Addr::new(tb.b, 1), p, ()));
+                tb.net.send(&mut tb.sim, Addr::new(tb.a, 1), Addr::new(tb.b, 1), p, ());
             }
             tb.sim.run_until_idle();
             let out = times.borrow().clone();
