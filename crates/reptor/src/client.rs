@@ -11,7 +11,7 @@ use bft_crypto::KeyTable;
 use simnet::{Nanos, Simulator};
 
 use crate::config::ReptorConfig;
-use crate::messages::{ClientId, Envelope, Message, ReplicaId, Request};
+use crate::messages::{ClientId, Envelope, Message, ReplicaId, Request, SealBuffers};
 use crate::transport::Transport;
 
 /// Client statistics.
@@ -78,6 +78,10 @@ struct ClientInner {
     reply_quorum: usize,
     stats: ClientStats,
     aux_handler: Option<AuxHandler>,
+    /// The replica ids `0..n`, every request's receivers.
+    replicas: Box<[ReplicaId]>,
+    /// Completed requests' buffers, to seal the next ones into.
+    buffers: SealBuffers,
 }
 
 /// A closed-loop BFT client.
@@ -115,6 +119,8 @@ impl Client {
                 keys: KeyTable::new(id, domain_secret.to_vec()),
                 resend_timeout: cfg.view_change_timeout * 3 / 2,
                 reply_quorum: cfg.f() + 1,
+                replicas: (0..cfg.n as ReplicaId).collect(),
+                buffers: SealBuffers::default(),
                 cfg,
                 transport: transport.clone(),
                 next_ts: 1,
@@ -208,7 +214,8 @@ impl Client {
                 timestamp: ts,
                 payload,
             });
-            let wire = request.seal_for(&inner.keys, inner.cfg.n, |r| r as ReplicaId);
+            let mut wire = inner.buffers.take();
+            request.seal_into(&inner.keys, inner.cfg.n, |r| r as ReplicaId, &mut wire);
             inner.pending.insert(
                 ts,
                 PendingReq {
@@ -229,10 +236,8 @@ impl Client {
     /// Sends pending request `ts`'s sealed bytes to every replica.
     fn send_request(&self, sim: &mut Simulator, ts: u64) {
         let inner = self.inner.borrow();
-        let (transport, wire) = (inner.transport.clone(), &inner.pending[&ts].wire);
-        for r in 0..inner.cfg.n as ReplicaId {
-            transport.send(sim, r, wire.clone());
-        }
+        let wire = &inner.pending[&ts].wire;
+        inner.transport.broadcast(sim, &inner.replicas, wire);
     }
 
     fn arm_resend(&self, sim: &mut Simulator, ts: u64) {
@@ -311,6 +316,7 @@ impl Client {
             submitted_at: p.submitted_at,
             completed_at: sim.now(),
         });
+        inner.buffers.put(p.wire);
         inner.stats.completed += 1;
     }
 }

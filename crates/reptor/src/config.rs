@@ -3,6 +3,8 @@
 use bft_crypto::CryptoCostModel;
 use simnet::{DiskSpec, Nanos};
 
+use crate::pipeline::Votes;
+
 /// Configuration of the per-replica persistence layer (durable checkpoint
 /// snapshots plus a write-ahead log of executed batches on a simulated
 /// local drive). `None` in [`ReptorConfig::durability`] keeps replicas
@@ -125,6 +127,12 @@ impl ReptorConfig {
     pub fn validate(&self) {
         assert!(self.n >= 4, "BFT needs n >= 4 (got {})", self.n);
         assert_eq!(self.n, 3 * self.f() + 1, "n must be 3f + 1");
+        assert!(
+            self.n <= Votes::MAX_N,
+            "vote sets count at most {} replicas (got n = {})",
+            Votes::MAX_N,
+            self.n
+        );
         assert!(self.batch_size > 0, "batch_size must be positive");
         assert!(self.window > 0, "window must be positive");
         assert!(self.checkpoint_interval > 0, "checkpoint interval positive");

@@ -9,6 +9,7 @@
 //! and which readiness it wants. DESIGN.md "Transport reconnect" is the
 //! full description.
 
+use std::borrow::Cow;
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -100,12 +101,17 @@ pub(crate) trait Wire: Sized + 'static {
         outq: &mut VecDeque<Vec<u8>>,
     ) -> bool;
     fn is_established(link: &Self::Link) -> bool;
-    /// Turns a message into this wire's queue entry.
-    fn encode(msg: Vec<u8>) -> Vec<u8>;
     fn recv(&self, sim: &mut Simulator, link: &mut Self::Link) -> Recv;
-    /// Writes as much of `outq` as the link takes (the dialer's hello
-    /// first) and re-arms the link's selector interest.
-    fn flush(&self, sim: &mut Simulator, link: &mut Self::Link, outq: &mut VecDeque<Vec<u8>>);
+    /// Writes as much of `outq`, then of `msg`, as the link takes (the
+    /// dialer's hello first), queues whatever of `msg` it did not take as
+    /// an owned copy, and re-arms the link's selector interest.
+    fn flush(
+        &self,
+        sim: &mut Simulator,
+        link: &mut Self::Link,
+        outq: &mut VecDeque<Vec<u8>>,
+        msg: Option<Cow<'_, [u8]>>,
+    );
     /// Retires a link: cancels its key, leaves `outq` holding only whole
     /// unsent messages.
     fn close(&self, sim: &mut Simulator, link: &mut Self::Link, outq: &mut VecDeque<Vec<u8>>);
@@ -277,27 +283,44 @@ impl<W: Wire> Mesh<W> {
         }));
     }
 
-    pub(crate) fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(&slot) = inner.by_node.get(&to) else {
-                return; // no link to that peer (yet): drop
-            };
-            let link = &mut inner.links[slot];
-            link.outq.push_back(W::encode(msg));
-            // A dead or still-connecting link cannot drain; bound the
-            // holding pen by shedding the oldest message. The survivors are
-            // the newest traffic — recent checkpoints and votes — which is
-            // what a peer returning from a long outage can still use; older
-            // history is recovered by catch-up/state transfer, not replay.
-            let draining = !link.dead && W::is_established(&link.wire);
-            if !draining && link.outq.len() > PEN_CAP {
-                link.outq.pop_front();
-                inner.pen_dropped.incr();
-            }
-            slot
+    /// The one send path. A link that can drain gets `msg` in place — the
+    /// wire queues it, as an owned copy, only behind output that must
+    /// wait — and a link that cannot parks it in the holding pen.
+    pub(crate) fn send(&self, sim: &mut Simulator, to: NodeId, msg: Cow<'_, [u8]>) {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let Some(&slot) = inner.by_node.get(&to) else {
+            return; // no link to that peer (yet): drop
         };
-        self.flush(sim, slot);
+        let link = &mut inner.links[slot];
+        if !link.dead && W::is_established(&link.wire) {
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, Some(msg));
+            return;
+        }
+        link.outq.push_back(msg.into_owned());
+        // A dead or still-connecting link cannot drain; bound the holding
+        // pen by shedding the oldest message. The survivors are the newest
+        // traffic — recent checkpoints and votes — which is what a peer
+        // returning from a long outage can still use; older history is
+        // recovered by catch-up/state transfer, not replay.
+        if link.outq.len() > PEN_CAP {
+            link.outq.pop_front();
+            inner.pen_dropped.incr();
+        }
+        if !link.dead {
+            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
+        }
+    }
+
+    /// [`Mesh::send`] of borrowed bytes to every node in `peers` but this
+    /// one.
+    pub(crate) fn broadcast(&self, sim: &mut Simulator, peers: &[NodeId], msg: &[u8]) {
+        let me = self.node();
+        for &peer in peers.iter().filter(|&&p| p != me) {
+            self.send(sim, peer, Cow::Borrowed(msg));
+        }
     }
 
     fn add_link(
@@ -569,7 +592,7 @@ impl<W: Wire> Mesh<W> {
         let inner = &mut *guard;
         let link = &mut inner.links[slot];
         if !link.dead {
-            inner.wire.flush(sim, &mut link.wire, &mut link.outq);
+            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
         }
     }
 }

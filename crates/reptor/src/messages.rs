@@ -323,18 +323,23 @@ impl Message {
     /// Seals the message from the holder of `keys` towards `receivers`:
     /// its wire envelope, written once into one buffer (see [`Envelope`]).
     pub fn seal(&self, keys: &KeyTable, receivers: &[NodeId]) -> Vec<u8> {
-        self.seal_for(keys, receivers.len(), |i| receivers[i])
+        let mut out = Vec::new();
+        self.seal_into(keys, receivers.len(), |i| receivers[i], &mut out);
+        out
     }
 
-    /// [`Message::seal`] towards `count` receivers named by index, for a
-    /// receiver set that is not a slice.
-    pub(crate) fn seal_for(
+    /// [`Message::seal`] towards `count` receivers named by index, written
+    /// over `out`'s contents: a sender that recycles its buffers (see
+    /// [`SealBuffers`]) seals without allocating once one is large enough.
+    pub(crate) fn seal_into(
         &self,
         keys: &KeyTable,
         count: usize,
         receiver: impl Fn(usize) -> NodeId,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         write_envelope(
+            out,
             self.encoded_len(),
             |out| self.write(out),
             keys.me(),
@@ -343,7 +348,31 @@ impl Message {
                 let r = receiver(i);
                 (r, keys.mac(body, r))
             },
-        )
+        );
+    }
+}
+
+/// Spare buffers to seal into: a sender takes one, seals a message into it,
+/// and puts it back once the transport has written it, so a steady stream
+/// of messages reuses a few buffers instead of allocating one each.
+#[derive(Debug, Default)]
+pub(crate) struct SealBuffers(Vec<Vec<u8>>);
+
+impl SealBuffers {
+    /// Most buffers kept.
+    const MAX_KEPT: usize = 16;
+    /// Largest buffer kept: one grown by a state chunk or a catch-up burst
+    /// is freed rather than held for good.
+    const MAX_CAPACITY: usize = 64 * 1024;
+
+    pub(crate) fn take(&mut self) -> Vec<u8> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
+        if self.0.len() < Self::MAX_KEPT && buf.capacity() <= Self::MAX_CAPACITY {
+            self.0.push(buf);
+        }
     }
 }
 
@@ -351,31 +380,32 @@ impl Message {
 const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
 
 /// The one envelope writer: `[body_len][body][sender][count]`, then
-/// `count` `(receiver, mac)` entries, in one buffer allocated once at
-/// exactly its length. `write_body` appends the `body_len` body bytes, and
-/// `entry(i, body)` gives entry `i`, its MAC computed over the body where
-/// it already sits in that buffer.
+/// `count` `(receiver, mac)` entries, written over `out`'s contents, which
+/// grows at most once, to exactly the envelope's length. `write_body`
+/// appends the `body_len` body bytes, and `entry(i, body)` gives entry `i`,
+/// its MAC computed over the body where it already sits in that buffer.
 fn write_envelope(
+    out: &mut Vec<u8>,
     body_len: usize,
     write_body: impl FnOnce(&mut Vec<u8>),
     sender: NodeId,
     count: usize,
     mut entry: impl FnMut(usize, &[u8]) -> (NodeId, [u8; DIGEST_LEN]),
-) -> Vec<u8> {
+) {
     let len = 4 + body_len + 4 + 4 + count * MAC_ENTRY_LEN;
-    let mut out = Vec::with_capacity(len);
-    (body_len as u32).write(&mut out);
-    write_body(&mut out);
+    out.clear();
+    out.reserve_exact(len);
+    (body_len as u32).write(out);
+    write_body(out);
     debug_assert_eq!(out.len(), 4 + body_len, "body_len disagrees with the body");
-    sender.write(&mut out);
-    (count as u32).write(&mut out);
+    sender.write(out);
+    (count as u32).write(out);
     for i in 0..count {
         let (receiver, mac) = entry(i, &out[4..4 + body_len]);
-        receiver.write(&mut out);
-        mac.write(&mut out);
+        receiver.write(out);
+        mac.write(out);
     }
     debug_assert_eq!(out.len(), len, "envelope sized exactly");
-    out
 }
 
 /// Flips the first byte of each of the `receivers` MACs that end a sealed
@@ -500,13 +530,16 @@ impl SignedMessage {
     /// Wire encoding: body, sender, MAC vector.
     pub fn encode(&self) -> Vec<u8> {
         let macs = &self.auth.macs;
+        let mut out = Vec::new();
         write_envelope(
+            &mut out,
             self.body.len(),
             |out| out.extend_from_slice(&self.body),
             self.auth.sender,
             macs.len(),
             |i, _| macs[i],
-        )
+        );
+        out
     }
 
     /// Decodes the wire form.

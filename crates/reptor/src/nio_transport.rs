@@ -13,6 +13,7 @@
 //! would desync the length-prefix framing), which the BFT layer above
 //! tolerates.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
@@ -40,8 +41,11 @@ const MAX_FRAME: usize = MAX_STORE_BYTES as usize;
 struct NioLink {
     stream: TcpStream,
     key: KeyId,
-    /// Bytes of the front frame already written to the socket.
+    /// Bytes of the front message's frame (length prefix and body)
+    /// already written to the socket.
     front_written: usize,
+    /// One write's worth of frames, coalesced; kept between flushes.
+    out: Vec<u8>,
     /// Partial inbound frame bytes.
     inbuf: Vec<u8>,
 }
@@ -57,11 +61,17 @@ struct NioWire {
     listener_key: KeyId,
 }
 
-fn frame(msg: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + msg.len());
-    out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    out.extend_from_slice(msg);
-    out
+/// Appends `body`'s frame — its 4-byte length prefix, then `body` — from
+/// byte `skip` of the frame on, to `out`, up to [`WRITE_CHUNK`] bytes in
+/// all. True if `out` is full.
+fn put_frame(out: &mut Vec<u8>, body: &[u8], mut skip: usize) -> bool {
+    for part in [&(body.len() as u32).to_le_bytes()[..], body] {
+        let from = skip.min(part.len());
+        skip -= from;
+        let take = (WRITE_CHUNK - out.len()).min(part.len() - from);
+        out.extend_from_slice(&part[from..from + take]);
+    }
+    out.len() == WRITE_CHUNK
 }
 
 impl NioWire {
@@ -71,6 +81,7 @@ impl NioWire {
             stream,
             key,
             front_written: 0,
+            out: Vec::new(),
             inbuf: Vec::new(),
         }
     }
@@ -134,16 +145,12 @@ impl Wire for NioWire {
         // The hello must be the first frame on the stream, ahead of any
         // carried-over output.
         debug_assert_eq!(link.front_written, 0);
-        outq.push_front(frame(&self.node.to_le_bytes()));
+        outq.push_front(self.node.to_le_bytes().to_vec());
         true
     }
 
     fn is_established(link: &NioLink) -> bool {
         link.stream.is_established()
-    }
-
-    fn encode(msg: Vec<u8>) -> Vec<u8> {
-        frame(&msg)
     }
 
     fn recv(&self, sim: &mut Simulator, link: &mut NioLink) -> Recv {
@@ -161,42 +168,59 @@ impl Wire for NioWire {
                     return Recv::Msg(body);
                 }
             }
-            match link.stream.read(sim, 1 << 20) {
-                Ok(ReadOutcome::Data(bytes)) => link.inbuf.extend(bytes),
+            match link.stream.read_into(sim, 1 << 20, &mut link.inbuf) {
+                Ok(ReadOutcome::Data(_)) => {}
                 Ok(ReadOutcome::WouldBlock) => return Recv::Idle,
                 Ok(ReadOutcome::Eof) | Err(_) => return Recv::Down,
             }
         }
     }
 
-    fn flush(&self, sim: &mut Simulator, link: &mut NioLink, outq: &mut VecDeque<Vec<u8>>) {
-        while !outq.is_empty() && link.stream.is_established() {
-            // Coalesce queued frames into one write, resuming mid-frame
-            // where the last write left off.
-            let mut chunk = Vec::new();
+    fn flush(
+        &self,
+        sim: &mut Simulator,
+        link: &mut NioLink,
+        outq: &mut VecDeque<Vec<u8>>,
+        mut msg: Option<Cow<'_, [u8]>>,
+    ) {
+        while (!outq.is_empty() || msg.is_some()) && link.stream.is_established() {
+            // Coalesce the queued frames, then `msg`'s, into one write,
+            // resuming mid-frame where the last write left off.
+            link.out.clear();
             let mut skip = link.front_written;
-            for f in outq.iter() {
-                let take = (WRITE_CHUNK - chunk.len()).min(f.len() - skip);
-                chunk.extend_from_slice(&f[skip..skip + take]);
-                skip = 0;
-                if chunk.len() == WRITE_CHUNK {
+            for body in outq.iter().map(Vec::as_slice).chain(msg.as_deref()) {
+                if put_frame(&mut link.out, body, skip) {
                     break;
                 }
+                skip = 0;
             }
-            let Ok(mut n @ 1..) = link.stream.write(sim, &chunk) else {
+            let Ok(mut n @ 1..) = link.stream.write(sim, &link.out) else {
                 break;
             };
             while n > 0 {
-                let remaining = outq[0].len() - link.front_written;
-                if n >= remaining {
+                let Some(front) = outq.front() else { break };
+                let remaining = 4 + front.len() - link.front_written;
+                if n < remaining {
+                    link.front_written += n;
+                    n = 0;
+                } else {
                     n -= remaining;
                     outq.pop_front();
                     link.front_written = 0;
-                } else {
-                    link.front_written += n;
-                    n = 0;
                 }
             }
+            // Whatever the queue did not account for was `msg`'s; a frame
+            // cut short waits at the front of the queue.
+            if n > 0 {
+                let rest = msg.take().expect("written bytes past the queue are msg's");
+                if n < 4 + rest.len() {
+                    link.front_written = n;
+                    outq.push_back(rest.into_owned());
+                }
+            }
+        }
+        if let Some(msg) = msg {
+            outq.push_back(msg.into_owned());
         }
         // WRITE interest only while there is something to flush.
         let interest = if !link.stream.is_established() {
@@ -271,7 +295,11 @@ impl Transport for NioTransport {
     }
 
     fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        self.mesh.send(sim, to, msg);
+        self.mesh.send(sim, to, Cow::Owned(msg));
+    }
+
+    fn broadcast(&self, sim: &mut Simulator, peers: &[NodeId], msg: &[u8]) {
+        self.mesh.broadcast(sim, peers, msg);
     }
 
     fn set_delivery(&self, f: DeliveryFn) {

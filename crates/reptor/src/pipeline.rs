@@ -11,12 +11,33 @@
 //! ([`crate::executor::Executor`]) and the shared view/checkpoint
 //! coordination in [`crate::replica::Replica`].
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use bft_crypto::Digest;
 use simnet::{CoreId, Nanos};
 
 use crate::messages::{ReplicaId, Request, SeqNum, View};
+
+/// The set of replicas that cast one kind of vote for an instance: one bit
+/// per replica id. Groups are configured with at most [`Votes::MAX_N`]
+/// replicas; an id past that is no replica's and is never counted.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Votes(u128);
+
+impl Votes {
+    /// Largest group a vote set can count.
+    pub(crate) const MAX_N: usize = u128::BITS as usize;
+
+    pub(crate) fn insert(&mut self, replica: ReplicaId) {
+        if let Some(bit) = 1u128.checked_shl(replica) {
+            self.0 |= bit;
+        }
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
 
 /// Agreement state of one sequence number.
 #[derive(Debug, Default)]
@@ -25,8 +46,8 @@ pub(crate) struct Instance {
     pub(crate) digest: Option<Digest>,
     pub(crate) batch: Option<Vec<Request>>,
     pub(crate) pre_prepared: bool,
-    pub(crate) prepares: HashSet<ReplicaId>,
-    pub(crate) commits: HashSet<ReplicaId>,
+    pub(crate) prepares: Votes,
+    pub(crate) commits: Votes,
     pub(crate) prepared: bool,
     pub(crate) committed: bool,
     pub(crate) executed: bool,

@@ -37,7 +37,7 @@ use crate::executor::Executor;
 use crate::mesh::backoff;
 use crate::messages::{
     batch_digest, corrupt_macs, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request,
-    SeqNum, View, MANIFEST_CHUNK,
+    SealBuffers, SeqNum, View, MANIFEST_CHUNK,
 };
 use crate::pipeline::{Instance, Pipeline, PipelineStats};
 use crate::state::{RegionWrite, StateMachine};
@@ -312,6 +312,7 @@ struct ReplicaInner {
     /// Outbound serialization horizon: sends leave the replica in
     /// submission order (the comm stack's single sender queue).
     send_horizon: Nanos,
+    outbox: Rc<Outbox>,
     stats: ReplicaStats,
     /// Shared registry plus this replica's `reptor.r{id}.` key prefix.
     metrics: simnet::Metrics,
@@ -429,6 +430,10 @@ impl Replica {
                 format!("reptor.r{id}."),
             )
         });
+        let outbox = Rc::new(Outbox {
+            replicas: (0..cfg.n as u32).collect(),
+            buffers: RefCell::default(),
+        });
         let replica = Replica {
             inner: Rc::new_cyclic(|me| {
                 RefCell::new(ReplicaInner {
@@ -464,6 +469,7 @@ impl Replica {
                     voted_view: 0,
                     vc_attempts: 0,
                     send_horizon: Nanos::ZERO,
+                    outbox,
                     stats: ReplicaStats::default(),
                     counters: metrics.counters(&metrics_prefix),
                     histos: metrics.histos(&metrics_prefix),
@@ -716,6 +722,27 @@ enum Receivers {
     Listed(Vec<u32>),
 }
 
+/// What a replica's deferred sends share. It outlives a crash of the
+/// replica: a message sealed before the crash still leaves.
+struct Outbox {
+    /// The replica ids `0..n`: [`Receivers::Peers`] as the slice a
+    /// broadcast takes (the transport skips the sender).
+    replicas: Box<[u32]>,
+    /// Where a sent message's buffer goes back to.
+    buffers: RefCell<SealBuffers>,
+}
+
+impl Outbox {
+    /// `to` as the node list a transport broadcast takes.
+    fn resolve<'a>(&'a self, to: &'a Receivers) -> &'a [u32] {
+        match to {
+            Receivers::One(r) => std::slice::from_ref(r),
+            Receivers::Peers { .. } => &self.replicas,
+            Receivers::Listed(list) => list,
+        }
+    }
+}
+
 impl Receivers {
     fn len(&self) -> usize {
         match self {
@@ -759,7 +786,14 @@ impl ReplicaInner {
         if count == 0 || self.byzantine == ByzantineMode::Crash {
             return;
         }
-        let mut wire = msg.seal_for(&self.keys, count, |i| to.get(i));
+        // A broadcast skips its sender: a list naming it would silently
+        // lose that copy.
+        debug_assert!(
+            (0..count).all(|i| to.get(i) != self.id),
+            "{to:?} names the sender"
+        );
+        let mut wire = self.outbox.buffers.borrow_mut().take();
+        msg.seal_into(&self.keys, count, |i| to.get(i), &mut wire);
         if self.byzantine == ByzantineMode::CorruptMacs {
             corrupt_macs(&mut wire, count);
         }
@@ -771,14 +805,12 @@ impl ReplicaInner {
         // still has a single outbound sender queue.
         let send_at = done.max(self.send_horizon);
         self.send_horizon = send_at;
-        let transport = self.transport.clone();
-        // Every receiver but the last gets a copy; the last takes the
-        // sealed buffer itself.
+        let (transport, outbox) = (self.transport.clone(), self.outbox.clone());
+        // One hand-over for every receiver; the transport copies the bytes
+        // only for a link that cannot take them now.
         sim.schedule_at(send_at, move |sim| {
-            for i in 0..count - 1 {
-                transport.send(sim, to.get(i), wire.clone());
-            }
-            transport.send(sim, to.get(count - 1), wire);
+            transport.broadcast(sim, outbox.resolve(&to), &wire);
+            outbox.buffers.borrow_mut().put(wire);
         });
     }
 

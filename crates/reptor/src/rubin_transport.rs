@@ -12,17 +12,18 @@
 //! flight on a dead queue pair are lost, which the BFT layer above already
 //! tolerates (it re-sends during view changes and client retries).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice, RnicModel};
 use rubin::{
-    Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RecvOutcome, RubinConfig, RubinKey,
-    SelectedKey,
+    ChannelError, Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RecvOutcome, RubinConfig,
+    RubinKey, SelectedKey,
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
-use crate::mesh::{Mesh, Ready, Recv, Wire};
+use crate::mesh::{key, Mesh, Ready, Recv, Wire};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
     DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
@@ -63,6 +64,22 @@ struct RubinWire {
 }
 
 impl RubinWire {
+    /// Writes one message; true once it is off the link's hands. A message
+    /// longer than the channel's buffers can never go, so it is dropped
+    /// and counted (`oversize_dropped`) rather than left to block the
+    /// messages behind it.
+    fn write(&self, sim: &mut Simulator, link: &RubinLink, msg: &[u8]) -> bool {
+        match link.channel.write(sim, msg) {
+            Ok(true) => true,
+            Err(ChannelError::MessageTooLarge { .. }) => {
+                let key = key::<Self>(self.node, "oversize_dropped");
+                self.device.net().metrics().incr(&key);
+                true
+            }
+            Ok(false) | Err(_) => false,
+        }
+    }
+
     fn link(&self, sim: &mut Simulator, channel: RdmaChannel, dialed: bool) -> RubinLink {
         let interest = if dialed {
             Interest::OP_ACCEPT | Interest::OP_RECEIVE
@@ -158,10 +175,6 @@ impl Wire for RubinWire {
         link.channel.is_established()
     }
 
-    fn encode(msg: Vec<u8>) -> Vec<u8> {
-        msg
-    }
-
     fn recv(&self, sim: &mut Simulator, link: &mut RubinLink) -> Recv {
         match link.channel.read(sim) {
             Ok(RecvOutcome::Msg(body)) => Recv::Msg(body),
@@ -170,7 +183,13 @@ impl Wire for RubinWire {
         }
     }
 
-    fn flush(&self, sim: &mut Simulator, link: &mut RubinLink, outq: &mut VecDeque<Vec<u8>>) {
+    fn flush(
+        &self,
+        sim: &mut Simulator,
+        link: &mut RubinLink,
+        outq: &mut VecDeque<Vec<u8>>,
+        mut msg: Option<Cow<'_, [u8]>>,
+    ) {
         let established = link.channel.is_established();
         if established && !link.hello_sent {
             let hello = self.node.to_le_bytes();
@@ -179,12 +198,18 @@ impl Wire for RubinWire {
         if established && link.hello_sent {
             // A refused write means the send buffers are full: OP_SEND
             // fires when space frees up.
-            while let Some(msg) = outq.front() {
-                if !matches!(link.channel.write(sim, msg), Ok(true)) {
+            while let Some(front) = outq.front() {
+                if !self.write(sim, link, front) {
                     break;
                 }
                 outq.pop_front();
             }
+            if outq.is_empty() && msg.as_deref().is_some_and(|m| self.write(sim, link, m)) {
+                msg = None;
+            }
+        }
+        if let Some(msg) = msg {
+            outq.push_back(msg.into_owned());
         }
         // OP_SEND readiness is level-triggered (send buffers are almost
         // always available), so subscribe to it only while output is
@@ -257,7 +282,11 @@ impl Transport for RubinTransport {
     }
 
     fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        self.mesh.send(sim, to, msg);
+        self.mesh.send(sim, to, Cow::Owned(msg));
+    }
+
+    fn broadcast(&self, sim: &mut Simulator, peers: &[NodeId], msg: &[u8]) {
+        self.mesh.broadcast(sim, peers, msg);
     }
 
     fn set_delivery(&self, f: DeliveryFn) {

@@ -93,7 +93,11 @@ pub trait Transport {
         }));
     }
 
-    /// Sends `msg` to every node in `peers` (excluding self).
+    /// Sends `msg` to every node in `peers` (excluding self), in list
+    /// order. The default hands each a copy through [`Transport::send`];
+    /// the mesh transports write the borrowed bytes straight to every link
+    /// that can take them now and copy them only for a link that must
+    /// queue them.
     fn broadcast(&self, sim: &mut Simulator, peers: &[NodeId], msg: &[u8]) {
         for &p in peers {
             if p != self.node() {

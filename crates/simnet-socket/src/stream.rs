@@ -56,11 +56,12 @@ impl fmt::Display for SockError {
 
 impl std::error::Error for SockError {}
 
-/// Result of a non-blocking read.
+/// Result of a non-blocking read: [`TcpStream::read`] hands over the bytes,
+/// [`TcpStream::read_into`] how many it appended.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadOutcome {
+pub enum ReadOutcome<T = Vec<u8>> {
     /// Bytes were available and copied out.
-    Data(Vec<u8>),
+    Data(T),
     /// No bytes available right now.
     WouldBlock,
     /// The peer closed and the buffer is drained.
@@ -626,7 +627,27 @@ impl TcpStream {
     ///
     /// [`SockError::Closed`] if the stream was closed locally.
     pub fn read(&self, sim: &mut Simulator, max: usize) -> Result<ReadOutcome, SockError> {
-        let (data, credit_at) = {
+        let mut data = Vec::new();
+        Ok(match self.read_into(sim, max, &mut data)? {
+            ReadOutcome::Data(_) => ReadOutcome::Data(data),
+            ReadOutcome::WouldBlock => ReadOutcome::WouldBlock,
+            ReadOutcome::Eof => ReadOutcome::Eof,
+        })
+    }
+
+    /// [`TcpStream::read`] appending to `buf` instead of into a fresh
+    /// buffer, with the same charges; `Data` holds the byte count.
+    ///
+    /// # Errors
+    ///
+    /// [`SockError::Closed`] if the stream was closed locally.
+    pub fn read_into(
+        &self,
+        sim: &mut Simulator,
+        max: usize,
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadOutcome<usize>, SockError> {
+        let (n, credit_at) = {
             let mut inner = self.inner.borrow_mut();
             if inner.state == StreamState::Closed {
                 return Err(SockError::Closed);
@@ -649,10 +670,10 @@ impl TcpStream {
                 h.exec(sim.now(), core, Nanos::from_nanos(inner.cpu.runtime_io_ns))
             };
             inner.note_crossing(1);
-            let data: Vec<u8> = inner.recv_buf.drain(..n).collect();
+            buf.extend(inner.recv_buf.drain(..n));
             inner.stats.bytes_read += n as u64;
             inner.total_read += n as u64;
-            (data, done)
+            (n, done)
         };
         // Return window credit to the peer (a cumulative counter, so a
         // lost update is repaired by whichever later one gets through).
@@ -678,7 +699,7 @@ impl TcpStream {
             });
         }
         self.refresh_readiness(sim);
-        Ok(ReadOutcome::Data(data))
+        Ok(ReadOutcome::Data(n))
     }
 
     /// Closes the stream, notifying the peer (FIN).

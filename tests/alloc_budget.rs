@@ -5,9 +5,12 @@
 //!
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
 //! each budget sits about 15 % above what the harness below measures (3.0,
-//! 66.9 and 104.9 allocations, 3.51 MiB peak live; run with `--nocapture` to
-//! see them). With a boxed payload per frame and a copied result per reply
-//! cache entry, the same harness read 7.0, 105.0 and 142.2; with a boxed
+//! 44.4 and 50.5 allocations, 3.49 MiB peak live; run with `--nocapture` to
+//! see them). With a fresh buffer per seal and a copy of it per receiver,
+//! hashed vote sets, and over NIO a framed copy per message, a coalescing
+//! buffer per flush and a fresh buffer per socket read, the same harness
+//! read 3.0, 66.9 and 104.9; with a boxed payload per frame and a copied
+//! result per reply cache entry, 7.0, 105.0 and 142.2; with a boxed
 //! select call, a fresh ready-key list per selector wake-up and fresh
 //! re-post lists, and with every signed message encoded twice, copied out on
 //! receipt and cloned per receiver, 12.0 and 213.2; with a boxed closure per
@@ -21,13 +24,17 @@
 //! slot buffer fails here instead of costing an allocation per event
 //! unnoticed.
 //!
+//! Below those budgets sits the send path they rest on: on either mesh
+//! stack, a broadcast to links that can drain allocates nothing at the
+//! sender.
+//!
 //! The same allocator pins what a hostile frame may cost a receiver before
 //! it is refused: less than a kilobyte, whatever count it claims.
 
 #[path = "../crates/simnet/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bft_crypto::{Digest, KeyTable};
@@ -36,7 +43,7 @@ use reptor::{
     Cluster, CodecError, CounterService, Envelope, Message, ReptorConfig, Request, SignedMessage,
     Stack, DOMAIN_SECRET,
 };
-use simnet::{CoreId, CpuModel, Network, Simulator};
+use simnet::{CoreId, CpuModel, Nanos, Network, Simulator, TestBed};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -46,12 +53,12 @@ const PAYLOAD: usize = 1024;
 /// Allocations per 1 KB message echoed over `RubinTransport` on one host.
 const ECHO_BUDGET: f64 = 3.5;
 /// Allocations per 1 KB request ordered by four replicas over RUBIN.
-const PBFT_BUDGET: f64 = 77.0;
+const PBFT_BUDGET: f64 = 51.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
 const PBFT_PEAK_LIVE_MIB: f64 = 4.1;
 /// Allocations per 1 KB request ordered by the same group over NIO.
-const PBFT_NIO_BUDGET: f64 = 121.0;
+const PBFT_NIO_BUDGET: f64 = 58.0;
 
 #[test]
 fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
@@ -169,6 +176,95 @@ fn steady_state_pbft_over_nio_stays_within_its_allocation_budget() {
         per_request <= PBFT_NIO_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_NIO_BUDGET}"
     );
+}
+
+/// Broadcasts from node 0 of a four-node `stack` mesh. A link that can
+/// drain takes the borrowed bytes in place: after warm-up, 1,000
+/// broadcasts of a 1 KB message to three established, drained peers
+/// allocate nothing at the sender, where a copy per receiver cost three
+/// each. A peer whose link cannot drain gets owned copies, which arrive
+/// whole and in order once the link is back. `down` is the link-down
+/// counter of the stack's `wire`.
+fn mesh_broadcast(stack: Stack, wire: &str, down: &str) {
+    const WARMUP: u32 = 100;
+    const MEASURED: u32 = 1_000;
+    const HELD: u32 = reptor::PEN_CAP as u32;
+
+    let (mut sim, net, hosts) = TestBed::cluster(7, 4);
+    let nodes: Vec<_> = (0..4u32)
+        .map(|i| (i, hosts[i as usize], CoreId(0)))
+        .collect();
+    let ts = stack.mesh(&mut sim, &net, &nodes);
+    // The numbers each peer received, in arrival order.
+    let got: Rc<RefCell<[Vec<u32>; 4]>> = Rc::default();
+    for t in &ts[1..] {
+        let (got, me) = (got.clone(), t.node() as usize);
+        t.set_delivery(Rc::new(move |_sim, _from, bytes| {
+            if bytes.len() == PAYLOAD {
+                let seq = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+                got.borrow_mut()[me].push(seq);
+            }
+        }));
+    }
+    let mut msg = vec![0x5a; PAYLOAD];
+    let mut broadcast = |sim: &mut Simulator, seq: u32| {
+        msg[..4].copy_from_slice(&seq.to_le_bytes());
+        let before = allocs();
+        ts[0].broadcast(sim, &[1, 2, 3], &msg);
+        allocs() - before
+    };
+
+    for seq in 0..WARMUP {
+        broadcast(&mut sim, seq);
+        sim.run_until_idle();
+    }
+    let mut at_sender = 0;
+    for seq in WARMUP..WARMUP + MEASURED {
+        at_sender += broadcast(&mut sim, seq);
+        sim.run_until_idle();
+    }
+    let label = stack.label();
+    println!("broadcast over {label}: {at_sender} allocations at the sender in {MEASURED}");
+    assert_eq!(at_sender, 0, "{label}: drained links took copies");
+
+    // Hold peer 3's link non-draining: cut it, and let both ends retire
+    // it (each notices only with traffic outstanding).
+    let (a, b) = (hosts[0], hosts[3]);
+    net.with_faults(|f| f.partition(a, b));
+    ts[0].send(&mut sim, 3, b"probe".to_vec());
+    ts[3].send(&mut sim, 0, b"probe".to_vec());
+    let downs = |node: u32| {
+        net.metrics()
+            .counter(&format!("{wire}_transport.{node}.{down}"))
+    };
+    while downs(0) == 0 || downs(3) == 0 {
+        assert!(sim.step(), "{label}: both ends must notice the cut");
+    }
+    for seq in WARMUP + MEASURED..WARMUP + MEASURED + HELD {
+        broadcast(&mut sim, seq);
+    }
+    net.with_faults(|f| f.heal(a, b));
+    sim.run_for(Nanos::from_secs(1));
+
+    let all: Vec<u32> = (0..WARMUP + MEASURED + HELD).collect();
+    for peer in 1..4 {
+        assert_eq!(got.borrow()[peer], all, "{label}: peer {peer}");
+    }
+    assert_eq!(
+        sim.queue_stats().boxed,
+        0,
+        "an event closure outgrew its slot"
+    );
+}
+
+#[test]
+fn broadcast_over_rubin_writes_drained_links_in_place() {
+    mesh_broadcast(Stack::Rubin, "rubin", "channels_down");
+}
+
+#[test]
+fn broadcast_over_nio_writes_drained_links_in_place() {
+    mesh_broadcast(Stack::Nio, "nio", "conns_down");
 }
 
 /// One hop of a signed message: sealing writes the one wire buffer and

@@ -424,6 +424,52 @@ fn hello_with_unknown_or_own_id_is_refused_and_disturbs_nobody() {
     }
 }
 
+/// Steps `r` until `done`, failing rather than spinning for good if that
+/// takes more than a bounded number of events.
+fn step_until(r: &mut Rig, done: impl Fn() -> bool) {
+    for _ in 0..200_000 {
+        if done() {
+            return;
+        }
+        assert!(r.sim.step(), "{}: went idle first", r.stack);
+    }
+    panic!("{}: not done within 200,000 events", r.stack);
+}
+
+/// A message longer than a RUBIN channel's buffers can never be written.
+/// It is dropped and counted — off the queue and on the in-place path
+/// alike — and the link carries on with what follows it, where it once
+/// stayed at the head of the queue and spun the selector on OP_SEND.
+#[test]
+fn rubin_drops_an_oversize_message_and_keeps_the_link_flowing() {
+    let mut r = rubin_rig(2, 46);
+    let log = wire_log(&r.ts);
+    let cfg = RubinConfig::paper();
+    let big = vec![7u8; cfg.buffer_size + 1];
+    // More than the channel's send buffers take at once: `big` waits in
+    // the queue.
+    let ahead = 2 * cfg.send_buffers as u32;
+    for i in 0..ahead {
+        r.ts[0].send(&mut r.sim, 1, i.to_le_bytes().to_vec());
+    }
+    r.ts[0].send(&mut r.sim, 1, big.clone());
+    r.ts[0].send(&mut r.sim, 1, b"after".to_vec());
+    step_until(&mut r, || log.borrow().len() == ahead as usize + 1);
+    assert_eq!(r.counter(0, "oversize_dropped"), 1);
+
+    // A drained link meets it on the in-place path.
+    r.ts[0].broadcast(&mut r.sim, &[1], &big);
+    r.ts[0].broadcast(&mut r.sim, &[1], b"last");
+    step_until(&mut r, || log.borrow().len() == ahead as usize + 2);
+    assert_eq!(r.counter(0, "oversize_dropped"), 2);
+    let log = log.borrow();
+    let tail: Vec<&[u8]> = log[ahead as usize..]
+        .iter()
+        .map(|(_, _, b)| &b[..])
+        .collect();
+    assert_eq!(tail, [&b"after"[..], b"last"]);
+}
+
 #[test]
 fn nio_oversize_length_prefix_tears_the_stream_down() {
     let mut r = nio_rig(3, 45);
