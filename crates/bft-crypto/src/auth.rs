@@ -6,13 +6,21 @@
 //! the paper's §III-C notes these HMACs are what lets the protocol treat a
 //! replica with compromised memory keys as simply faulty.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
-use crate::hmac::{hmac_sha256, verify_hmac};
+use crate::hmac::{hmac_sha256, HmacKey};
 use crate::sha256::DIGEST_LEN;
 
 /// A node identifier in the authentication domain (replicas and clients).
 pub type NodeId = u32;
+
+/// Most peers a [`KeyTable`] keeps derived keys for. A sender id comes off
+/// the wire, so past this many a peer's key is derived per MAC instead:
+/// hostile ids cost time, never memory.
+const MAX_CACHED_PEERS: usize = 4096;
 
 /// Table of pairwise session keys, derived deterministically from a domain
 /// secret (stands in for the key-exchange phase of a real deployment).
@@ -20,6 +28,9 @@ pub type NodeId = u32;
 pub struct KeyTable {
     me: NodeId,
     secret: Vec<u8>,
+    /// The pair key with each peer, its HMAC pads absorbed, derived on
+    /// first use: a MAC then costs only the compressions of its message.
+    peers: RefCell<HashMap<NodeId, HmacKey>>,
 }
 
 impl KeyTable {
@@ -28,6 +39,7 @@ impl KeyTable {
         KeyTable {
             me,
             secret: secret.into(),
+            peers: RefCell::default(),
         }
     }
 
@@ -45,15 +57,29 @@ impl KeyTable {
         hmac_sha256(&self.secret, &msg)
     }
 
+    /// The HMAC key this node shares with `peer` (either direction: the
+    /// pair key is order-independent).
+    fn peer_key(&self, peer: NodeId) -> HmacKey {
+        let mut peers = self.peers.borrow_mut();
+        if let Some(&key) = peers.get(&peer) {
+            return key;
+        }
+        let key = HmacKey::new(&self.pair_key(self.me, peer));
+        if peers.len() < MAX_CACHED_PEERS {
+            peers.insert(peer, key);
+        }
+        key
+    }
+
     /// This node's MAC of `message` towards `receiver`: one entry of an
     /// authenticator.
     pub fn mac(&self, message: &[u8], receiver: NodeId) -> [u8; DIGEST_LEN] {
-        hmac_sha256(&self.pair_key(self.me, receiver), message)
+        self.peer_key(receiver).mac(message)
     }
 
     /// Whether `mac` is `sender`'s MAC of `message` towards this node.
     pub fn verify_mac(&self, message: &[u8], sender: NodeId, mac: &[u8; DIGEST_LEN]) -> bool {
-        verify_hmac(&self.pair_key(sender, self.me), message, mac)
+        self.peer_key(sender).verify(message, mac)
     }
 
     /// Authenticates `message` towards every node in `receivers`.
@@ -142,6 +168,21 @@ mod tests {
         assert!(receiver.verify_mac(b"msg", 0, &auth.macs[1].1));
         assert!(!receiver.verify_mac(b"msg", 0, &auth.macs[0].1));
         assert!(!receiver.verify_mac(b"msg", 1, &auth.macs[1].1));
+    }
+
+    /// Derived keys are kept for at most `MAX_CACHED_PEERS` peers; a peer
+    /// past the bound is still MACed with its own key.
+    #[test]
+    fn the_key_cache_is_bounded_and_exact_past_its_bound() {
+        let table = KeyTable::new(0, b"domain".to_vec());
+        let last = MAX_CACHED_PEERS as NodeId + 8;
+        for r in 1..=last {
+            table.mac(b"m", r);
+        }
+        assert_eq!(table.peers.borrow().len(), MAX_CACHED_PEERS);
+        let peer = KeyTable::new(last, b"domain".to_vec());
+        assert!(peer.verify_mac(b"m", 0, &table.mac(b"m", last)));
+        assert!(table.verify_mac(b"m", last, &peer.mac(b"m", 0)));
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! From-scratch implementations (the offline environment provides no crypto
 //! crates) of everything Reptor's message authentication needs:
 //!
-//! * [`Sha256`] / [`sha256`] — FIPS 180-4, validated against NIST vectors.
+//! * [`Sha256`] / [`sha256`] — FIPS 180-4, validated against NIST vectors,
+//!   compressing on the CPU's SHA extensions where it has them.
 //! * [`hmac_sha256`] / [`verify_hmac`] — RFC 2104, validated against
 //!   RFC 4231 vectors.
 //! * [`Digest`] — the digest newtype used for requests, batches,
 //!   checkpoints and blockchain blocks.
 //! * [`KeyTable`] / [`Authenticator`] — PBFT-style MAC vectors with
-//!   pairwise session keys ("additional integrity protection mechanisms
-//!   such as HMACs are employed in Reptor to detect invalid messages",
-//!   paper §III-C).
+//!   pairwise session keys, each derived once per peer ("additional
+//!   integrity protection mechanisms such as HMACs are employed in Reptor
+//!   to detect invalid messages", paper §III-C).
 //!
 //! # Example
 //!

@@ -24,7 +24,8 @@ pub struct ClientStats {
     /// Retransmissions sent.
     pub retransmissions: u64,
     /// Messages dropped for failing MAC verification, or for speaking in
-    /// the name of a node other than the one that authenticated them.
+    /// the name of a node other than the one that authenticated them, or
+    /// for a replica's message from a node that is not one.
     pub bad_mac_dropped: u64,
     /// Messages dropped as malformed: an envelope or a body that does not
     /// decode.
@@ -269,8 +270,8 @@ impl Client {
             let opened = Envelope::parse(&bytes).and_then(|envelope| {
                 let msg = envelope.open(&inner.keys)?;
                 // A reply counts for the replica whose keys made it, not
-                // for the one its body names.
-                Ok(msg.filter(|m| m.author(|v| inner.cfg.primary(v)) == envelope.sender()))
+                // for the one its body names, and never for a client.
+                Ok(msg.filter(|m| m.spoken_by(envelope.sender(), &inner.cfg)))
             });
             match opened {
                 Ok(Some(m)) => m,

@@ -1,8 +1,9 @@
 //! PBFT protocol messages and their wire encoding.
 
-use bft_crypto::{Authenticator, Digest, KeyTable, NodeId, DIGEST_LEN};
+use bft_crypto::{Authenticator, Digest, KeyTable, NodeId, Sha256, DIGEST_LEN};
 
 use crate::codec::{self, Codec, CodecError, Reader};
+use crate::config::ReptorConfig;
 
 /// A view number (the current primary is `view % n`).
 pub type View = u64;
@@ -38,11 +39,15 @@ impl Request {
     }
 }
 
-/// Digest of an ordered batch of requests.
+/// Digest of an ordered batch of requests: [`Digest::of_parts`] over the
+/// request digests, each fed as it is computed.
 pub fn batch_digest(batch: &[Request]) -> Digest {
-    let parts: Vec<Digest> = batch.iter().map(Request::digest).collect();
-    let slices: Vec<&[u8]> = parts.iter().map(|d| d.as_ref()).collect();
-    Digest::of_parts(&slices)
+    let mut h = Sha256::new();
+    for req in batch {
+        h.update(&(DIGEST_LEN as u64).to_le_bytes());
+        h.update(req.digest().as_ref());
+    }
+    Digest(h.finalize())
 }
 
 crate::wire_format! {
@@ -303,6 +308,15 @@ impl Message {
             | Message::SlotGrant { replica, .. }
             | Message::LeaseGrant { replica, .. } => *replica,
         }
+    }
+
+    /// Whether `sender`, whose MAC opened this message, may speak it in
+    /// `cfg`'s group: it must be the node the body names
+    /// ([`Message::author`]), and that node must be a replica for every
+    /// kind but a client's REQUEST and LEASE-QUERY.
+    pub(crate) fn spoken_by(&self, sender: NodeId, cfg: &ReptorConfig) -> bool {
+        let client_kind = matches!(self, Message::Request(_) | Message::LeaseQuery { .. });
+        self.author(|v| cfg.primary(v)) == sender && (client_kind || (sender as usize) < cfg.n)
     }
 
     /// Encodes the message body (without authentication).
@@ -729,7 +743,15 @@ mod tests {
     fn batch_digest_is_order_sensitive() {
         let a = req(1, 1);
         let b = req(2, 2);
-        assert_ne!(batch_digest(&[a.clone(), b.clone()]), batch_digest(&[b, a]));
+        assert_ne!(
+            batch_digest(&[a.clone(), b.clone()]),
+            batch_digest(&[b.clone(), a.clone()])
+        );
+        // The digest a batch has always had: its request digests as parts.
+        assert_eq!(
+            batch_digest(&[a.clone(), b.clone()]),
+            Digest::of_parts(&[a.digest().as_ref(), b.digest().as_ref()])
+        );
     }
 
     #[test]

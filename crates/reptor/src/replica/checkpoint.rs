@@ -113,7 +113,7 @@ impl ReplicaInner {
         replica: ReplicaId,
         offer: StateOffer,
     ) {
-        if seq <= self.low_mark || replica >= self.cfg.n as u32 {
+        if seq <= self.low_mark {
             return;
         }
         self.checkpoint_votes

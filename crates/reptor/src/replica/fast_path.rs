@@ -93,7 +93,6 @@ impl ReplicaInner {
         slots: u64,
     ) {
         if !self.cfg.fast_path
-            || replica >= self.cfg.n as u32
             || replica == self.id
             || self.cfg.primary(view) != self.id
             || view < self.view

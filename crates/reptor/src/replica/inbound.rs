@@ -14,8 +14,9 @@ impl ReplicaInner {
                 return;
             }
             // The MAC proves who produced the bytes, not whom they speak
-            // for: a vote in another node's name is no better than none.
-            Ok(Some(m)) if m.author(|v| self.cfg.primary(v)) == envelope.sender() => m,
+            // for: a vote in another node's name, or a client's, is no
+            // better than none.
+            Ok(Some(m)) if m.spoken_by(envelope.sender(), &self.cfg) => m,
             Ok(_) => {
                 self.stats.bad_mac_dropped += 1;
                 return;

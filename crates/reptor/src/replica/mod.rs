@@ -157,7 +157,8 @@ pub struct ReplicaStats {
     /// Responder switches and timeout re-drives during state transfer.
     pub state_transfer_retries: u64,
     /// Messages dropped for failing MAC verification, or for speaking in
-    /// the name of a node other than the one that authenticated them.
+    /// the name of a node other than the one that authenticated them, or
+    /// for a replica's message from a node that is not one.
     pub bad_mac_dropped: u64,
     /// Messages dropped as malformed.
     pub malformed_dropped: u64,
@@ -653,7 +654,9 @@ impl Replica {
     /// Injects an already-authenticated protocol message directly into the
     /// replica's dispatcher — adversarial-testing hook modelling a
     /// Byzantine peer whose MACs verify (it holds valid session keys) but
-    /// whose message content is hostile.
+    /// whose message content is hostile. The author rule `on_raw` applies
+    /// to the wire is skipped here: a message other than a client's must
+    /// name a replica.
     pub fn inject_message(&self, sim: &mut Simulator, msg: Message) {
         self.unless_crashed(|inner| inner.dispatch(sim, msg));
     }

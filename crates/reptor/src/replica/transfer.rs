@@ -361,7 +361,7 @@ impl ReplicaInner {
         requester: ReplicaId,
         epoch: u64,
     ) {
-        if requester == self.id || requester >= self.cfg.n as u32 {
+        if requester == self.id {
             return;
         }
         // Message-path mirror of the RNIC rkey fence: a request tagged

@@ -67,6 +67,29 @@ proptest! {
         let stranger = KeyTable::new(outsider, b"prop-domain".to_vec());
         prop_assert!(!stranger.verify(&msg, &auth));
     }
+
+    /// A table's MAC towards a peer is HMAC under their pair key, the
+    /// first time (key derived) and every later time (key cached), and
+    /// its check refuses the tag with any one bit flipped.
+    #[test]
+    fn key_table_macs_are_hmac_under_the_pair_key(
+        msg in proptest::collection::vec(any::<u8>(), 0..300),
+        me in 0u32..8,
+        peers in proptest::collection::vec(0u32..8, 1..6),
+        bit in 0usize..256,
+    ) {
+        let table = KeyTable::new(me, b"prop-domain".to_vec());
+        for _ in 0..2 {
+            for &r in &peers {
+                let want = hmac_sha256(&table.pair_key(me, r), &msg);
+                prop_assert_eq!(table.mac(&msg, r), want);
+                prop_assert!(table.verify_mac(&msg, r, &want));
+                let mut flipped = want;
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(!table.verify_mac(&msg, r, &flipped));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

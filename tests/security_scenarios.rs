@@ -332,3 +332,75 @@ fn forged_agreement_votes_do_not_commit_a_batch() {
         .any(|&(_, d)| d == digest));
     assert!(c.replicas[1].stats().bad_mac_dropped >= in_others_names);
 }
+
+/// A client shares pair keys with every replica, so it can seal a vote in
+/// its own name that any replica's MAC check accepts. With replicas 2 and
+/// 3 crashed, the client's PREPARE and COMMIT would make the missing
+/// quorum members for the primary's first proposal: they must be refused,
+/// and counted, because no replica sent them.
+#[test]
+fn client_votes_never_count() {
+    use reptor::{
+        batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig, Request,
+        SignedMessage, Stack,
+    };
+    for stack in [Stack::Direct, Stack::Nio, Stack::Rubin] {
+        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 58, || {
+            Box::new(CounterService::default())
+        });
+        for r in [2, 3] {
+            c.replicas[r].set_byzantine(ByzantineMode::Crash);
+        }
+        let client = c.clients[0].clone();
+        let me = client.id();
+        let timestamp = client.submit(&mut c.sim, b"inc".to_vec());
+        let digest = batch_digest(&[Request {
+            client: me,
+            timestamp,
+            payload: b"inc".to_vec(),
+        }]);
+        let keys = bft_crypto::KeyTable::new(me, reptor::DOMAIN_SECRET.to_vec());
+        // The votes go out once the proposal is in place at both replicas.
+        while c.replicas[1].stats().prepares_sent == 0 {
+            assert!(c.sim.step(), "{stack:?}: the primary never proposed");
+        }
+        let (view, seq) = (0, 1);
+        let votes = [
+            Message::Prepare {
+                view,
+                seq,
+                digest,
+                replica: me,
+            },
+            Message::Commit {
+                view,
+                seq,
+                digest,
+                replica: me,
+            },
+        ];
+        for vote in &votes {
+            for to in [0, 1] {
+                let wire = SignedMessage::create(vote, &keys, &[to]).encode();
+                c.transports[me as usize].send(&mut c.sim, to, wire);
+            }
+        }
+        assert!(
+            !c.run_until_completed(1, 100_000),
+            "{stack:?}: two replicas and a client completed a request"
+        );
+        for r in &c.replicas[..2] {
+            assert_eq!(
+                r.last_executed(),
+                0,
+                "{stack:?}: replica {} executed",
+                r.id()
+            );
+            assert!(
+                r.stats().bad_mac_dropped >= 2,
+                "{stack:?}: replica {} did not count the client's votes",
+                r.id()
+            );
+        }
+    }
+}
