@@ -49,8 +49,10 @@ pub struct ReptorConfig {
     /// its own core (`simnet::CoreAffinity` maps lanes onto cores `1..`,
     /// leaving core 0 for the sequential executor stage).
     pub pillars: usize,
-    /// Backup timer before suspecting the primary and starting a view
-    /// change.
+    /// Ceiling of a backup's request timer. Each replica times requests
+    /// from its own measured arrival→execute latency (at least 8 ms); this
+    /// caps that, and is the timer itself until the first request executes.
+    /// Client resends, state-transfer stalls and rejoin probes use it as is.
     pub view_change_timeout: Nanos,
     /// One-sided fast path: the leader proposes by RDMA WRITE into
     /// per-view follower slot regions instead of sending PRE-PREPARE

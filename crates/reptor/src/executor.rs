@@ -27,6 +27,9 @@ pub(crate) struct ExecutableBatch {
     pub(crate) batch: Vec<Request>,
     /// When the instance committed (feeds `phase.committed_to_executed`).
     pub(crate) committed_at: Option<Nanos>,
+    /// The earliest arrival among the batch's requests, if this replica
+    /// witnessed one (feeds the request-timer estimate).
+    pub(crate) arrived_at: Option<Nanos>,
 }
 
 /// Totally orders committed batches across pipelines before the service
@@ -87,13 +90,14 @@ impl Executor {
         entry.executed = true;
         let digest = entry.digest.expect("committed instance has digest");
         let batch = entry.batch.take().expect("committed instance has batch");
-        let committed_at = entry.committed_at;
+        let (committed_at, arrived_at) = (entry.committed_at, entry.arrived_at);
         self.last_executed = next;
         self.executed_log.push((next, digest));
         Some(ExecutableBatch {
             seq: next,
             batch,
             committed_at,
+            arrived_at,
         })
     }
 

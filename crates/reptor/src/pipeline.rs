@@ -51,6 +51,9 @@ pub(crate) struct Instance {
     pub(crate) prepared: bool,
     pub(crate) committed: bool,
     pub(crate) executed: bool,
+    /// The earliest arrival this replica witnessed among the batch's
+    /// requests; execution turns it into a request-timer sample.
+    pub(crate) arrived_at: Option<Nanos>,
     /// Phase timestamps feeding the `reptor.r{id}.phase.*` histograms.
     pub(crate) pre_prepared_at: Option<Nanos>,
     pub(crate) prepared_at: Option<Nanos>,

@@ -11,28 +11,25 @@ impl ReplicaInner {
         seq > self.low_mark && seq <= self.low_mark + 2 * self.cfg.checkpoint_interval
     }
 
-    /// Marks `seq` as pre-prepared at `now`: stamps the instance and
-    /// settles the request→pre-prepare latency for every request in the
-    /// batch whose arrival this replica witnessed.
+    /// Marks `seq` as pre-prepared at `now`: stamps the instance, settles
+    /// the request→pre-prepare latency for every request in the batch whose
+    /// arrival this replica witnessed, and keeps the earliest of those
+    /// arrivals for the request-timer sample taken at execution.
     pub(super) fn note_pre_prepare(&mut self, now: Nanos, seq: SeqNum) {
         let lane = self.affinity.lane_of(seq);
-        let keys: Vec<(ClientId, u64)> = {
-            let Some(entry) = self.pipelines[lane].log.get_mut(&seq) else {
-                return;
-            };
-            entry.pre_prepared_at = Some(now);
-            entry
-                .batch
-                .as_ref()
-                .map(|b| b.iter().map(|r| (r.client, r.timestamp)).collect())
-                .unwrap_or_default()
+        let Some(entry) = self.pipelines[lane].log.get_mut(&seq) else {
+            return;
         };
-        for key in keys {
-            if let Some(t0) = self.arrivals.remove(&key) {
+        entry.pre_prepared_at = Some(now);
+        let mut oldest: Option<Nanos> = None;
+        for r in entry.batch.iter().flatten() {
+            if let Some(t0) = self.arrivals.remove(&(r.client, r.timestamp)) {
                 self.histos[ReplicaHisto::RequestToPreprepare]
                     .observe(now.as_nanos().saturating_sub(t0.as_nanos()));
+                oldest = Some(oldest.map_or(t0, |o| o.min(t0)));
             }
         }
+        entry.arrived_at = oldest;
     }
 
     pub(super) fn handle_pre_prepare(

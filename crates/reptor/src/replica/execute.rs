@@ -11,6 +11,9 @@ impl ReplicaInner {
             let since_commit = exec
                 .committed_at
                 .map(|t| sim.now().as_nanos().saturating_sub(t.as_nanos()));
+            if let Some(t0) = exec.arrived_at {
+                self.suspicion.observe(sim.now().saturating_sub(t0));
+            }
             let (seq, batch) = (exec.seq, exec.batch);
             self.stats.executed_batches += 1;
             self.counters[ReplicaCounter::BatchesExecuted].incr();

@@ -160,9 +160,10 @@ impl ReplicaInner {
     }
 
     /// Arms the view-change timer of request `key`, `(client, timestamp)`.
+    /// Each stage waits the suspicion time read when the stage is armed.
     fn arm_request_timer(&self, sim: &mut Simulator, key: (ClientId, u64)) {
         let view_at_start = self.view;
-        self.later(sim, self.cfg.view_change_timeout, move |r, sim| {
+        self.later(sim, self.suspicion_time(), move |r, sim| {
             if r.stalled(key, view_at_start) {
                 // Ask before accusing: the stall may be this replica
                 // lagging (its commits were lost for good, e.g. MAC
@@ -174,13 +175,19 @@ impl ReplicaInner {
                 // Second stage, after the catch-up round was given a
                 // chance: if the request is still unexecuted in the same
                 // view, vote.
-                r.later(sim, r.cfg.view_change_timeout, move |r, sim| {
+                r.later(sim, r.suspicion_time(), move |r, sim| {
                     if r.stalled(key, view_at_start) {
                         r.start_view_change(sim, view_at_start + 1);
                     }
                 });
             }
         });
+    }
+
+    /// How long a request may wait here before this replica suspects the
+    /// primary: [`Suspicion::time`] under the configured ceiling.
+    pub(super) fn suspicion_time(&self) -> Nanos {
+        self.suspicion.time(self.cfg.view_change_timeout)
     }
 
     /// Broadcasts a CATCH-UP-REQUEST for everything past `last_executed`.
@@ -201,5 +208,49 @@ impl ReplicaInner {
                 replica: self.id,
             },
         );
+    }
+}
+
+/// The lower bound of the suspicion time: 8 × the RC ACK timeout
+/// (`RnicModel::timeout`), so the retransmissions of a lossy link do not
+/// look like a faulty primary.
+pub(super) const SUSPICION_FLOOR: Nanos = Nanos::from_millis(8);
+
+/// This replica's estimate of how long a request takes from arrival to
+/// execution, smoothed as RFC 6298 smooths a round-trip time (`α = 1/8`,
+/// `β = 1/4`). It sets the request timers and the view-change escalation,
+/// so a backup suspects the primary after a few multiples of the latency it
+/// sees rather than after a fixed timeout.
+#[derive(Debug, Default)]
+pub(super) struct Suspicion {
+    /// Smoothed latency in nanoseconds; 0 before the first sample.
+    srtt: u64,
+    /// Smoothed mean deviation in nanoseconds.
+    rttvar: u64,
+}
+
+impl Suspicion {
+    /// Folds in one arrival→execute latency.
+    pub(super) fn observe(&mut self, sample: Nanos) {
+        let r = sample.as_nanos().max(1);
+        if self.srtt == 0 {
+            self.srtt = r;
+            self.rttvar = r / 2;
+        } else {
+            self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(r)) / 4;
+            self.srtt = (7 * self.srtt + r) / 8;
+        }
+    }
+
+    /// `4 × (SRTT + 4·RTTVAR)`, at least [`SUSPICION_FLOOR`] and at most
+    /// `ceiling`; `ceiling` itself before the first sample.
+    pub(super) fn time(&self, ceiling: Nanos) -> Nanos {
+        if self.srtt == 0 {
+            return ceiling;
+        }
+        let rto = self.srtt.saturating_add(self.rttvar.saturating_mul(4));
+        Nanos::from_nanos(rto.saturating_mul(4))
+            .max(SUSPICION_FLOOR)
+            .min(ceiling)
     }
 }

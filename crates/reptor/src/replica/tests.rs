@@ -1,3 +1,4 @@
+use super::inbound::SUSPICION_FLOOR;
 use super::*;
 use crate::{Cluster, CounterService};
 
@@ -97,4 +98,93 @@ fn rejoin_probe_backoff_matches_reconnect_schedule() {
     assert_eq!(delays[5], base.as_nanos() << 5);
     assert_eq!(delays[6], delays[5], "cap holds past attempt 5");
     assert_eq!(delays[7], delays[5], "cap holds past attempt 5");
+}
+
+/// A cluster whose replicas have each measured a few executed requests.
+fn warmed(seed: u64) -> Cluster {
+    let mut c = cluster(64, seed);
+    c.submit_sequentially((0..8).map(|_| b"inc".to_vec()));
+    c
+}
+
+fn suspicion_time(r: &Replica) -> Nanos {
+    r.inner.borrow().suspicion_time()
+}
+
+#[test]
+fn suspicion_time_is_the_configured_timeout_before_any_sample() {
+    let c = cluster(64, 43);
+    for r in &c.replicas {
+        assert_eq!(suspicion_time(r), c.cfg.view_change_timeout);
+    }
+    let ceiling = Nanos::from_millis(40);
+    assert_eq!(Suspicion::default().time(ceiling), ceiling);
+}
+
+#[test]
+fn suspicion_time_stays_between_the_floor_and_the_ceiling() {
+    let ceiling = Nanos::from_millis(40);
+    let mut fast = Suspicion::default();
+    for _ in 0..32 {
+        fast.observe(Nanos::from_micros(1));
+    }
+    assert_eq!(fast.time(ceiling), SUSPICION_FLOOR);
+    let mut slow = Suspicion::default();
+    for _ in 0..32 {
+        slow.observe(Nanos::from_secs(1));
+    }
+    assert_eq!(slow.time(ceiling), ceiling);
+    // A ceiling below the floor wins: the configuration is the bound.
+    assert_eq!(fast.time(Nanos::from_millis(2)), Nanos::from_millis(2));
+    // A LAN group measures well under the floor.
+    let c = warmed(44);
+    for r in &c.replicas[1..] {
+        assert_eq!(suspicion_time(r), SUSPICION_FLOOR, "replica {}", r.id());
+    }
+}
+
+#[test]
+fn slow_samples_raise_the_suspicion_time() {
+    // A uniformly slower group, such as a WAN cluster with 20 ms commits,
+    // is timed from its own latency and not suspected at the LAN floor.
+    let ceiling = Nanos::from_secs(1);
+    let mut s = Suspicion::default();
+    for _ in 0..32 {
+        s.observe(Nanos::from_micros(200));
+    }
+    assert_eq!(s.time(ceiling), SUSPICION_FLOOR);
+    s.observe(Nanos::from_millis(20));
+    assert!(
+        s.time(ceiling) > SUSPICION_FLOOR,
+        "one slow sample raises it"
+    );
+    for _ in 0..32 {
+        s.observe(Nanos::from_millis(20));
+    }
+    // Once the deviation has decayed, `T` rests near 4 × the latency.
+    let t = s.time(ceiling);
+    assert!(
+        (Nanos::from_millis(80)..Nanos::from_millis(120)).contains(&t),
+        "settled at {t}"
+    );
+}
+
+#[test]
+fn restart_returns_the_suspicion_time_to_the_configured_timeout() {
+    let mut c = warmed(45);
+    assert!(suspicion_time(&c.replicas[2]) < c.cfg.view_change_timeout);
+    c.replicas[2].restart(&mut c.sim, Box::new(CounterService::default()));
+    assert_eq!(suspicion_time(&c.replicas[2]), c.cfg.view_change_timeout);
+}
+
+#[test]
+fn view_change_escalation_doubles_from_the_suspicion_time() {
+    let c = warmed(46);
+    let r = c.replicas[1].inner.clone();
+    let t = r.borrow().suspicion_time();
+    assert_eq!(t, SUSPICION_FLOOR);
+    for attempts in 1..=3 {
+        r.borrow_mut().vc_attempts = attempts;
+        assert_eq!(r.borrow().escalation_delay(), t * (1 << attempts));
+    }
 }

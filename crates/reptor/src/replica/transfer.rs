@@ -25,6 +25,7 @@ impl ReplicaInner {
         self.last_catch_up_at = 0;
         self.voted_view = 0;
         self.vc_attempts = 0;
+        self.suspicion = Suspicion::default();
         self.transfer = None;
         // The recovery epoch survives a restart: it is local wall-clock
         // bookkeeping, not replicated state, and the scheduler that

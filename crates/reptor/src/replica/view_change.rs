@@ -62,11 +62,11 @@ impl ReplicaInner {
         self.request_catch_up(sim);
         self.maybe_new_view(sim, self.voted_view);
         // Escalation: if the view change does not complete, vote higher,
-        // doubling the timeout each attempt (PBFT's exponential backoff —
-        // this also keeps an isolated replica from flooding itself).
+        // doubling the suspicion time each attempt (PBFT's exponential
+        // backoff — this also keeps an isolated replica from flooding
+        // itself).
         self.vc_attempts = (self.vc_attempts + 1).min(16);
-        let shift = self.vc_attempts.min(10);
-        let backoff = self.cfg.view_change_timeout * (1u64 << shift);
+        let backoff = self.escalation_delay();
         self.later(sim, backoff, |r, sim| {
             if !r.in_view_change {
                 return;
@@ -98,6 +98,12 @@ impl ReplicaInner {
             // region so the one-sided path resumes.
             r.grant_slot_region(sim, r.view);
         });
+    }
+
+    /// How long the current view-change attempt runs before this replica
+    /// votes one view higher: the suspicion time doubled per attempt.
+    pub(super) fn escalation_delay(&self) -> Nanos {
+        self.suspicion_time() * (1u64 << self.vc_attempts.min(10))
     }
 
     pub(super) fn handle_view_change(

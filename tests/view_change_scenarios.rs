@@ -3,8 +3,9 @@
 //! the interaction of view changes with checkpoints.
 
 use reptor::{
-    batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig, Request,
+    batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig, Request, Stack,
 };
+use simnet::Nanos;
 
 fn cluster(seed: u64, cfg: ReptorConfig) -> Cluster {
     Cluster::sim_transport(cfg, 1, seed, || Box::new(CounterService::default()))
@@ -268,6 +269,39 @@ fn requests_held_at_a_crashing_primary_complete_exactly_once() {
         for r in &c.replicas[1..] {
             assert!(r.view() >= 1, "seed {seed}: replica {}", r.id());
             assert_eq!(r.stats().executed_requests, 8, "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn crashed_primary_is_replaced_within_milliseconds() {
+    // Backups time requests from the latency they measure. Once steady load
+    // has shown them what a request costs, a dead primary is suspected
+    // after milliseconds, not after the configured 40 ms ceiling.
+    for stack in [Stack::Direct, Stack::Nio, Stack::Rubin] {
+        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 78, || {
+            Box::new(CounterService::default())
+        });
+        c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
+        let crashed_at = c.sim.now();
+        c.replicas[0].set_byzantine(ByzantineMode::Crash);
+        let client = c.clients[0].clone();
+        for _ in 0..4 {
+            client.submit(&mut c.sim, b"inc".to_vec());
+        }
+        let deadline = crashed_at + Nanos::from_millis(20);
+        while c.replicas[1..].iter().any(|r| r.view() == 0) {
+            assert!(c.sim.step(), "{stack:?}: went idle in view 0");
+            assert!(
+                c.sim.now() <= deadline,
+                "{stack:?}: a survivor is still in view 0 20 ms after the crash"
+            );
+        }
+        assert!(c.run_until_completed(24, 5_000_000), "{stack:?}");
+        c.settle();
+        c.assert_safety();
+        for r in &c.replicas[1..] {
+            assert_eq!(r.stats().executed_requests, 24, "{stack:?}: {}", r.id());
         }
     }
 }
