@@ -191,9 +191,10 @@ impl ReplicaInner {
     }
 
     /// Broadcasts a CATCH-UP-REQUEST for everything past `last_executed`.
-    /// Rate-limited: every stalled request funnels here.
+    /// Rate-limited to one per half suspicion time: every stalled request
+    /// funnels here.
     pub(super) fn request_catch_up(&mut self, sim: &mut Simulator) {
-        let gap = self.cfg.view_change_timeout.as_nanos() / 2;
+        let gap = self.suspicion_time().as_nanos() / 2;
         let now = sim.now().as_nanos();
         if self.last_catch_up_at != 0 && now < self.last_catch_up_at + gap {
             return;

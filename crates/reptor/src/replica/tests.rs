@@ -188,3 +188,30 @@ fn view_change_escalation_doubles_from_the_suspicion_time() {
         assert_eq!(r.borrow().escalation_delay(), t * (1 << attempts));
     }
 }
+
+#[test]
+fn a_wan_group_is_timed_from_its_own_latency() {
+    // On a WAN a request takes 77–209 ms from arrival to execution, so each
+    // replica's suspicion time lands between the LAN floor and the ceiling
+    // the topology raises (744 ms on three regions, 904 ms on five):
+    // 316–750 ms here, shorter near the primary than far from it.
+    for topo in [
+        simnet::LatencyMatrix::three_region_wan(),
+        simnet::LatencyMatrix::five_region_wan(),
+    ] {
+        let mut c = Cluster::sim_transport_geo(ReptorConfig::small(), 1, 1, 47, &topo, || {
+            Box::new(CounterService::default())
+        });
+        let ceiling = c.cfg.view_change_timeout;
+        assert_eq!(ceiling, topo.suggested_timeout());
+        c.submit_sequentially((0..16).map(|_| b"inc".to_vec()));
+        for r in &c.replicas {
+            let t = suspicion_time(r);
+            assert!(
+                Nanos::from_millis(300) < t && t < ceiling,
+                "replica {}: {t} against a ceiling of {ceiling}",
+                r.id()
+            );
+        }
+    }
+}

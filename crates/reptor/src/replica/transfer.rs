@@ -172,9 +172,11 @@ impl ReplicaInner {
 
     /// One grace period between "certified checkpoint this replica has not
     /// reached" and full state transfer: per-instance catch-up is cheaper
-    /// when the gap is small, so it gets the first try.
+    /// when the gap is small, so it gets the first try. The grace is the
+    /// suspicion time: a primary that must fetch a checkpoint does so
+    /// before its backups, which wait twice that, accuse it.
     pub(super) fn arm_transfer_grace(&self, sim: &mut Simulator, seq: SeqNum) {
-        self.later(sim, self.cfg.view_change_timeout, move |r, sim| {
+        self.later(sim, self.suspicion_time(), move |r, sim| {
             if r.transfer.is_none()
                 && r.pending_stable.is_some_and(|(s, _)| s == seq)
                 && r.executor.last_executed < seq

@@ -274,6 +274,41 @@ fn requests_held_at_a_crashing_primary_complete_exactly_once() {
 }
 
 #[test]
+fn a_burst_queued_at_a_correct_primary_deposes_no_one() {
+    // A sudden burst queues longer than twice the 8 ms floor the backups'
+    // warmed timers start from. Each batch that executes during
+    // the burst is a slow sample, and its deviation raises the suspicion
+    // time before a request's accusing stage is armed, so a busy but
+    // correct primary stays in office.
+    for (stack, clients, per_client) in [(Stack::Direct, 8, 500), (Stack::Rubin, 16, 40)] {
+        let mut c = Cluster::build(stack, ReptorConfig::small(), clients, 79, || {
+            Box::new(CounterService::default())
+        });
+        c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
+        let burst_at = c.sim.now();
+        for client in c.clients.clone() {
+            for _ in 0..per_client {
+                client.submit(&mut c.sim, b"inc".to_vec());
+            }
+        }
+        let want = 20 + clients as u64 * per_client;
+        while c.clients.iter().map(|cl| cl.stats().completed).sum::<u64>() < want {
+            assert!(c.sim.step(), "{stack:?}: went idle mid-burst");
+        }
+        let drained = c.sim.now() - burst_at;
+        assert!(
+            drained > Nanos::from_millis(20),
+            "{stack:?}: the burst drained in {drained}, too small to test"
+        );
+        c.settle();
+        c.assert_safety();
+        for r in &c.replicas {
+            assert_eq!(r.stats().view_changes_sent, 0, "{stack:?}: {}", r.id());
+        }
+    }
+}
+
+#[test]
 fn crashed_primary_is_replaced_within_milliseconds() {
     // Backups time requests from the latency they measure. Once steady load
     // has shown them what a request costs, a dead primary is suspected
