@@ -3,145 +3,27 @@
 //! while the group keeps serving clients.
 //!
 //! The scheduler's stagger bound (at most one replica mid-refresh) is
-//! what keeps the agreement quorum `2f + 1 = 3` of `n = 4` intact, so
-//! the tests here drive a closed-loop client *through* the rotation and
-//! assert that progress never stops — at COP pillar counts 1 and 4 —
-//! then replay a whole rotation from a fixed seed and compare metrics
-//! snapshots byte for byte.
+//! what keeps the agreement quorum `2f + 1 = 3` of `n = 4` intact, so the
+//! rows drive a closed-loop client *through* the rotation at COP pillar
+//! counts 1 and 4 and assert that progress never stops.
 
-use reptor::{Cluster, CounterService, RecoveryConfig, RecoveryScheduler, ReptorConfig};
-use simnet::Nanos;
+#[macro_use]
+mod scenarios;
 
-fn rotation_cfg(pillars: usize) -> ReptorConfig {
-    ReptorConfig {
-        checkpoint_interval: 4,
-        pillars,
-        ..ReptorConfig::small()
-    }
-}
+use scenarios::rows::{brisk_rotation, rotation_under_load};
+use scenarios::scenario::{start_rotation, world, Scenario, Service};
 
-fn recovery_cfg() -> RecoveryConfig {
-    RecoveryConfig {
-        period: Nanos::from_millis(30),
-        poll: Nanos::from_millis(2),
-        refresh_deadline: Nanos::from_millis(400),
-    }
-}
+proactive_rows!(row_tests);
 
-fn scheduler(c: &Cluster) -> RecoveryScheduler {
-    RecoveryScheduler::new(
-        c.replicas.clone(),
-        recovery_cfg(),
-        c.metrics(),
-        Box::new(|| Box::new(CounterService::default())),
-    )
-}
-
-/// Runs a full rotation under closed-loop client load and returns the
-/// simulated timestamps of every request completed while it ran.
-fn drive_rotation_under_load(c: &mut Cluster, sched: &RecoveryScheduler) -> Vec<Nanos> {
-    let client = c.clients[0].clone();
-    let mut done = client.stats().completed;
-    let mut stamps = Vec::new();
-    let mut guard = 0u32;
-    while sched.stats().rotations_completed < 1 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-        assert!(
-            c.run_until_completed(done + 1, 2_000_000),
-            "request stalled mid-rotation after {done} completions"
-        );
-        done += 1;
-        stamps.push(c.sim.now());
-        guard += 1;
-        assert!(guard < 10_000, "rotation never completed");
-    }
-    stamps
-}
-
-/// Client throughput never drops to zero during a full epoch rotation:
-/// every closed-loop request completes, and no gap between consecutive
-/// completions exceeds a bound comfortably under the refresh deadline —
-/// even while the primary itself is mid-refresh (the backups view-change
-/// around it on the 40 ms protocol timeout).
-fn throughput_survives_rotation(pillars: usize) {
-    let mut c = Cluster::sim_transport(rotation_cfg(pillars), 1, 7, || {
-        Box::new(CounterService::default())
-    });
-
-    // Warm-up: get past the first checkpoint so refreshed replicas have
-    // a certified store to rebuild from.
-    let client = c.clients[0].clone();
-    for _ in 0..6 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(6, 2_000_000));
-    c.settle();
-
-    let sched = scheduler(&c);
-    sched.start(&mut c.sim, 1);
-    let stamps = drive_rotation_under_load(&mut c, &sched);
-
-    assert!(
-        stamps.len() >= 4,
-        "a rotation spanning four refreshes must overlap several requests"
-    );
-    let mut prev = stamps[0];
-    for &t in &stamps[1..] {
-        assert!(
-            t - prev < Nanos::from_millis(500),
-            "throughput dropped to zero for {} between completions",
-            t - prev
-        );
-        prev = t;
-    }
-
-    let stats = sched.stats();
-    assert_eq!(stats.rotations_completed, 1);
-    assert_eq!(
-        stats.refreshes_completed, 4,
-        "every replica must refresh and rejoin ({stats:?})"
-    );
-    assert_eq!(stats.refresh_timeouts, 0, "{stats:?}");
-    for r in &c.replicas {
-        assert_eq!(r.recovery_epoch(), 1, "replica {}", r.id());
-        assert!(
-            r.stats().state_transfers_completed >= 1,
-            "replica {} must have rebuilt via state transfer",
-            r.id()
-        );
-    }
-
-    // Zero committed-sequence divergence across the whole run.
-    c.settle();
-    c.assert_safety();
-    let digests: Vec<_> = c
-        .replicas
-        .iter()
-        .map(|r| r.with_service(|s| s.state_digest()))
-        .collect();
-    for d in &digests[1..] {
-        assert_eq!(*d, digests[0], "refreshed replicas must converge");
-    }
-}
-
-#[test]
-fn throughput_never_zero_during_rotation_single_pillar() {
-    throughput_survives_rotation(1);
-}
-
-#[test]
-fn throughput_never_zero_during_rotation_four_pillars() {
-    throughput_survives_rotation(4);
-}
-
-/// The stagger bound, sampled at every simulator step: at no instant is
-/// more than one replica mid-refresh — both by the scheduler's own
-/// accounting and by the observable replica state (wiped log, i.e.
-/// restarted and not yet rejoined).
+/// The stagger bound of proactive recovery, sampled at every simulator
+/// step: at no instant is more than one replica mid-refresh — both by the
+/// scheduler's own accounting and by the observable replica state (wiped
+/// log, i.e. restarted and not yet rejoined).
 #[test]
 fn at_most_one_replica_mid_refresh_at_any_instant() {
-    let mut c = Cluster::sim_transport(rotation_cfg(1), 1, 11, || {
-        Box::new(CounterService::default())
+    let mut c = world(&Scenario {
+        seed: 11,
+        ..rotation_under_load(1)
     });
     let client = c.clients[0].clone();
     for _ in 0..6 {
@@ -150,8 +32,7 @@ fn at_most_one_replica_mid_refresh_at_any_instant() {
     assert!(c.run_until_completed(6, 2_000_000));
     c.settle();
 
-    let sched = scheduler(&c);
-    sched.start(&mut c.sim, 1);
+    let sched = start_rotation(&mut c, &brisk_rotation(), Service::Counter);
     let mut guard = 0u64;
     while sched.stats().rotations_completed < 1 {
         assert!(c.sim.step(), "sim went idle mid-rotation");
@@ -171,30 +52,4 @@ fn at_most_one_replica_mid_refresh_at_any_instant() {
     let stats = sched.stats();
     assert_eq!(stats.refreshes_completed, 4, "{stats:?}");
     assert_eq!(stats.refresh_timeouts, 0, "{stats:?}");
-}
-
-/// A whole rotation under load — epoch roll, MR re-registration, four
-/// restarts, four state transfers, the client traffic woven between
-/// them — replays byte-identically from a fixed seed.
-#[test]
-fn fixed_seed_rotation_replays_byte_identically() {
-    fn run(seed: u64) -> String {
-        let mut c = Cluster::sim_transport(rotation_cfg(1), 1, seed, || {
-            Box::new(CounterService::default())
-        });
-        let client = c.clients[0].clone();
-        for _ in 0..6 {
-            client.submit(&mut c.sim, b"inc".to_vec());
-        }
-        assert!(c.run_until_completed(6, 2_000_000));
-        c.settle();
-        let sched = scheduler(&c);
-        sched.start(&mut c.sim, 1);
-        drive_rotation_under_load(&mut c, &sched);
-        c.settle();
-        c.metrics_snapshot().to_json()
-    }
-    let a = run(23);
-    let b = run(23);
-    assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }

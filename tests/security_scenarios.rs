@@ -6,12 +6,27 @@
 //! denial-of-service. These tests exercise the corresponding enforcement
 //! in the verbs layer, and the protocol-level containment (a replica with
 //! compromised memory "cannot operate reliably ... and will therefore be
-//! considered faulty, which can be tolerated by the protocol").
+//! considered faulty, which can be tolerated by the protocol"), down to
+//! messages forged in other nodes' names.
 
+#[macro_use]
+mod scenarios;
+
+use bft_crypto::Digest;
 use rdma_verbs::{
-    connect_pair, Access, QpConfig, RdmaDevice, RecvWr, RnicModel, SendWr, Sge, WcStatus, WrId,
+    connect_pair, Access, QpConfig, QueuePair, RdmaDevice, RecvWr, RnicModel, SendWr, Sge,
+    WcStatus, WrId,
 };
+use reptor::{batch_digest, ByzantineMode, Cluster, Message, Request, SignedMessage, Stack};
+use scenarios::scenario::{world, Scenario};
 use simnet::{CoreId, TestBed};
+
+security_rows!(row_tests);
+
+/// Four counter replicas and one client on the direct transport.
+fn direct(seed: u64) -> Cluster {
+    world(&Scenario::new(Stack::Direct, seed))
+}
 
 struct Host {
     dev: RdmaDevice,
@@ -26,13 +41,30 @@ fn host_on(tb: &TestBed, id: simnet::HostId) -> Host {
     Host { dev, pd, cq }
 }
 
-fn qp_for(h: &Host) -> rdma_verbs::QueuePair {
+fn qp_for(h: &Host) -> QueuePair {
     h.dev.create_qp(&QpConfig {
         pd: h.pd,
         send_cq: h.cq.clone(),
         recv_cq: h.cq.clone(),
         core: CoreId(0),
     })
+}
+
+/// A fresh connection from `from` to `to`; returns `from`'s queue pair
+/// and `to`'s.
+fn connected(from: &Host, to: &Host) -> (QueuePair, QueuePair) {
+    let to_qp = qp_for(to);
+    let from_qp = qp_for(from);
+    connect_pair(&from_qp, &to_qp).unwrap();
+    (from_qp, to_qp)
+}
+
+/// Posts `wr` signaled on `from`'s queue pair `qp`, runs the fabric idle
+/// and returns the status of `from`'s completion.
+fn complete(tb: &mut TestBed, from: &Host, qp: &QueuePair, wr: SendWr) -> WcStatus {
+    qp.post_send(&mut tb.sim, wr.signaled()).unwrap();
+    tb.sim.run_until_idle();
+    from.cq.poll(8)[0].status
 }
 
 /// §III-C: "An adversary might get access to a buffer with STag enabled
@@ -52,39 +84,24 @@ fn stolen_stag_useless_against_two_sided_buffers() {
     secret.write(0, b"replica private state").unwrap();
     let stolen_stag = secret.rkey(); // assume the attacker learned the key
 
-    let vqp = qp_for(&victim);
-    let aqp = qp_for(&attacker);
-    connect_pair(&aqp, &vqp).unwrap();
-
     // Attempted MITM read.
+    let (aqp, _vqp) = connected(&attacker, &victim);
     let sink = attacker.dev.reg_mr(&attacker.pd, 4096, Access::LOCAL_WRITE);
-    aqp.post_send(
-        &mut tb.sim,
-        SendWr::read(WrId(1), Sge::whole(sink.clone()), stolen_stag, 0).signaled(),
-    )
-    .unwrap();
-    tb.sim.run_until_idle();
-    let wc = attacker.cq.poll(8);
-    assert_eq!(wc[0].status, WcStatus::RemoteAccessError, "read refused");
+    let read = SendWr::read(WrId(1), Sge::whole(sink.clone()), stolen_stag, 0);
+    let status = complete(&mut tb, &attacker, &aqp, read);
+    assert_eq!(status, WcStatus::RemoteAccessError, "read refused");
     assert_eq!(sink.read(0, 7).unwrap(), vec![0; 7], "no data leaked");
 
     // Attempted MITM write (fresh connection: the NAK broke the first).
-    let vqp2 = qp_for(&victim);
-    let aqp2 = qp_for(&attacker);
-    connect_pair(&aqp2, &vqp2).unwrap();
+    let (aqp2, _vqp2) = connected(&attacker, &victim);
     let payload = attacker.dev.reg_mr(&attacker.pd, 32, Access::NONE);
     payload.write(0, b"overwritten-by-mallory!").unwrap();
-    aqp2.post_send(
-        &mut tb.sim,
-        SendWr::write(WrId(2), Sge::whole(payload), stolen_stag, 0).signaled(),
-    )
-    .unwrap();
-    tb.sim.run_until_idle();
-    let wc = attacker.cq.poll(8);
-    assert_eq!(wc[0].status, WcStatus::RemoteAccessError, "write refused");
+    let write = SendWr::write(WrId(2), Sge::whole(payload), stolen_stag, 0);
+    let status = complete(&mut tb, &attacker, &aqp2, write);
+    assert_eq!(status, WcStatus::RemoteAccessError, "write refused");
+    let untouched = secret.read(0, 21).unwrap();
     assert_eq!(
-        secret.read(0, 21).unwrap(),
-        b"replica private state",
+        untouched, b"replica private state",
         "victim memory untouched"
     );
 }
@@ -96,38 +113,23 @@ fn access_flags_bound_remote_capability() {
     let mut tb = TestBed::paper_testbed(52);
     let victim = host_on(&tb, tb.b);
     let attacker = host_on(&tb, tb.a);
-    let exposed = victim
-        .dev
-        .reg_mr(&victim.pd, 1024, Access::LOCAL_WRITE | Access::REMOTE_READ);
+    let flags = Access::LOCAL_WRITE | Access::REMOTE_READ;
+    let exposed = victim.dev.reg_mr(&victim.pd, 1024, flags);
     exposed.write(0, b"public-read-only").unwrap();
 
-    let vqp = qp_for(&victim);
-    let aqp = qp_for(&attacker);
-    connect_pair(&aqp, &vqp).unwrap();
-
     // Reads succeed…
+    let (aqp, _vqp) = connected(&attacker, &victim);
     let sink = attacker.dev.reg_mr(&attacker.pd, 1024, Access::LOCAL_WRITE);
-    aqp.post_send(
-        &mut tb.sim,
-        SendWr::read(WrId(1), Sge::new(sink.clone(), 0, 16), exposed.rkey(), 0).signaled(),
-    )
-    .unwrap();
-    tb.sim.run_until_idle();
-    assert!(attacker.cq.poll(8)[0].is_ok());
+    let read = SendWr::read(WrId(1), Sge::new(sink.clone(), 0, 16), exposed.rkey(), 0);
+    assert!(complete(&mut tb, &attacker, &aqp, read).is_ok());
     assert_eq!(sink.read(0, 16).unwrap(), b"public-read-only");
 
     // …but writes through the same STag are refused.
-    let vqp2 = qp_for(&victim);
-    let aqp2 = qp_for(&attacker);
-    connect_pair(&aqp2, &vqp2).unwrap();
+    let (aqp2, _vqp2) = connected(&attacker, &victim);
     let payload = attacker.dev.reg_mr(&attacker.pd, 16, Access::NONE);
-    aqp2.post_send(
-        &mut tb.sim,
-        SendWr::write(WrId(2), Sge::whole(payload), exposed.rkey(), 0).signaled(),
-    )
-    .unwrap();
-    tb.sim.run_until_idle();
-    assert_eq!(attacker.cq.poll(8)[0].status, WcStatus::RemoteAccessError);
+    let write = SendWr::write(WrId(2), Sge::whole(payload), exposed.rkey(), 0);
+    let status = complete(&mut tb, &attacker, &aqp2, write);
+    assert_eq!(status, WcStatus::RemoteAccessError);
     assert_eq!(exposed.read(0, 16).unwrap(), b"public-read-only");
 }
 
@@ -140,13 +142,9 @@ fn invalidated_stag_denies_everyone_loudly() {
     let mut tb = TestBed::paper_testbed(53);
     let victim = host_on(&tb, tb.b);
     let peer = host_on(&tb, tb.a);
-    let region = victim
-        .dev
-        .reg_mr(&victim.pd, 1024, Access::LOCAL_WRITE | Access::REMOTE_WRITE);
-
-    let vqp = qp_for(&victim);
-    let pqp = qp_for(&peer);
-    connect_pair(&pqp, &vqp).unwrap();
+    let flags = Access::LOCAL_WRITE | Access::REMOTE_WRITE;
+    let region = victim.dev.reg_mr(&victim.pd, 1024, flags);
+    let (pqp, _vqp) = connected(&peer, &victim);
 
     // Attacker invalidates the STag (compromised victim process).
     region.invalidate();
@@ -154,13 +152,9 @@ fn invalidated_stag_denies_everyone_loudly() {
     // The legitimate peer's write now fails with an explicit error — the
     // replica is observably faulty, not silently corrupt.
     let payload = peer.dev.reg_mr(&peer.pd, 64, Access::NONE);
-    pqp.post_send(
-        &mut tb.sim,
-        SendWr::write(WrId(1), Sge::whole(payload), region.rkey(), 0).signaled(),
-    )
-    .unwrap();
-    tb.sim.run_until_idle();
-    assert_eq!(peer.cq.poll(8)[0].status, WcStatus::RemoteAccessError);
+    let write = SendWr::write(WrId(1), Sge::whole(payload), region.rkey(), 0);
+    let status = complete(&mut tb, &peer, &pqp, write);
+    assert_eq!(status, WcStatus::RemoteAccessError);
     // And local application access fails too.
     assert!(region.read(0, 1).is_err());
 }
@@ -173,31 +167,19 @@ fn receiver_chooses_placement_for_two_sided_transfers() {
     let mut tb = TestBed::paper_testbed(54);
     let rx = host_on(&tb, tb.b);
     let tx = host_on(&tb, tb.a);
-    let rqp = qp_for(&rx);
-    let sqp = qp_for(&tx);
-    connect_pair(&sqp, &rqp).unwrap();
+    let (sqp, rqp) = connected(&tx, &rx);
 
     // Receiver posts two disjoint slots in one region.
     let buf = rx.dev.reg_mr(&rx.pd, 256, Access::LOCAL_WRITE);
-    rqp.post_recv(
-        &mut tb.sim,
-        RecvWr::new(WrId(10), Sge::new(buf.clone(), 0, 128)),
-    )
-    .unwrap();
-    rqp.post_recv(
-        &mut tb.sim,
-        RecvWr::new(WrId(11), Sge::new(buf.clone(), 128, 128)),
-    )
-    .unwrap();
-
+    for (id, offset) in [(10, 0), (11, 128)] {
+        let slot = RecvWr::new(WrId(id), Sge::new(buf.clone(), offset, 128));
+        rqp.post_recv(&mut tb.sim, slot).unwrap();
+    }
     for (i, msg) in [b"first!", b"second"].iter().enumerate() {
         let src = tx.dev.reg_mr(&tx.pd, 6, Access::NONE);
         src.write(0, *msg).unwrap();
-        sqp.post_send(
-            &mut tb.sim,
-            SendWr::send(WrId(i as u64), Sge::whole(src)).signaled(),
-        )
-        .unwrap();
+        let send = SendWr::send(WrId(i as u64), Sge::whole(src)).signaled();
+        sqp.post_send(&mut tb.sim, send).unwrap();
     }
     tb.sim.run_until_idle();
     // Data landed exactly in the receiver-chosen slots, in order.
@@ -205,41 +187,33 @@ fn receiver_chooses_placement_for_two_sided_transfers() {
     assert_eq!(buf.read(128, 6).unwrap(), b"second");
 }
 
-/// The protocol-level containment claim: a replica whose memory keys were
-/// compromised (modelled as corrupted MACs / silence) is simply tolerated
-/// as one of the `f` faults.
-#[test]
-fn compromised_replica_is_contained_by_the_protocol() {
-    use reptor::{ByzantineMode, Cluster, CounterService, ReptorConfig};
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 55, || {
-        Box::new(CounterService::default())
-    });
-    // Replica 1's "memory was compromised": it now emits garbage MACs.
-    c.replicas[1].set_byzantine(ByzantineMode::CorruptMacs);
-    let client = c.clients[0].clone();
-    for _ in 0..5 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(5, 3_000_000));
-    c.settle();
-    c.assert_safety();
-    let dropped: u64 = c.replicas.iter().map(|r| r.stats().bad_mac_dropped).sum();
-    assert!(dropped > 0, "the compromise is detected, not absorbed");
-    assert_eq!(
-        c.replicas[0].stats().executed_requests,
-        5,
-        "service unaffected"
-    );
-}
-
 /// What a Byzantine replica 3 can put on the wire: anything at all, under
 /// valid MACs of its own (a client shares pair keys with every replica and
 /// could do the same). Replica 3 itself is silenced; the test speaks for it
 /// through its transport endpoint.
-fn forge_as_replica_3(c: &mut reptor::Cluster, to: u32, msg: &reptor::Message) {
+fn forge_as_replica_3(c: &mut Cluster, to: u32, msg: &Message) {
     let keys = bft_crypto::KeyTable::new(3, reptor::DOMAIN_SECRET.to_vec());
-    let wire = reptor::SignedMessage::create(msg, &keys, &[to]).encode();
+    let wire = SignedMessage::create(msg, &keys, &[to]).encode();
     c.transports[3].send(&mut c.sim, to, wire);
+}
+
+/// A PREPARE and a COMMIT for `digest` at view 0, sequence number 1, in
+/// `replica`'s name.
+fn votes(digest: Digest, replica: u32) -> [Message; 2] {
+    let (view, seq) = (0, 1);
+    let prepare = Message::Prepare {
+        view,
+        seq,
+        digest,
+        replica,
+    };
+    let commit = Message::Commit {
+        view,
+        seq,
+        digest,
+        replica,
+    };
+    [prepare, commit]
 }
 
 /// `f + 1` matching replies complete a request, so each must count for the
@@ -247,10 +221,7 @@ fn forge_as_replica_3(c: &mut reptor::Cluster, to: u32, msg: &reptor::Message) {
 /// correct replicas' names must not hand the client a fabricated result.
 #[test]
 fn forged_replies_do_not_complete_a_request() {
-    use reptor::{ByzantineMode, Cluster, CounterService, Message, ReptorConfig};
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 56, || {
-        Box::new(CounterService::default())
-    });
+    let mut c = direct(56);
     c.replicas[3].set_byzantine(ByzantineMode::Crash);
     let client = c.clients[0].clone();
     let timestamp = client.submit(&mut c.sim, b"inc".to_vec());
@@ -283,37 +254,22 @@ fn forged_replies_do_not_complete_a_request() {
 /// a batch the primary never proposed.
 #[test]
 fn forged_agreement_votes_do_not_commit_a_batch() {
-    use reptor::{batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig};
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 57, || {
-        Box::new(CounterService::default())
-    });
+    let mut c = direct(57);
     c.replicas[3].set_byzantine(ByzantineMode::Crash);
-    let batch = vec![reptor::Request {
+    let batch = vec![Request {
         client: c.clients[0].id(),
         timestamp: 1,
         payload: b"never proposed".to_vec(),
     }];
     let digest = batch_digest(&batch);
-    let (view, seq) = (0, 1);
     let mut forged = vec![Message::PrePrepare {
-        view,
-        seq,
+        view: 0,
+        seq: 1,
         digest,
         batch,
     }];
     for replica in [0, 2, 3] {
-        forged.push(Message::Prepare {
-            view,
-            seq,
-            digest,
-            replica,
-        });
-        forged.push(Message::Commit {
-            view,
-            seq,
-            digest,
-            replica,
-        });
+        forged.extend(votes(digest, replica));
     }
     // All but replica 3's own PREPARE and COMMIT speak in another's name.
     let in_others_names = forged.len() as u64 - 2;
@@ -340,14 +296,8 @@ fn forged_agreement_votes_do_not_commit_a_batch() {
 /// and counted, because no replica sent them.
 #[test]
 fn client_votes_never_count() {
-    use reptor::{
-        batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig, Request,
-        SignedMessage, Stack,
-    };
     for stack in [Stack::Direct, Stack::Nio, Stack::Rubin] {
-        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 58, || {
-            Box::new(CounterService::default())
-        });
+        let mut c = world(&Scenario::new(stack, 58));
         for r in [2, 3] {
             c.replicas[r].set_byzantine(ByzantineMode::Crash);
         }
@@ -364,22 +314,7 @@ fn client_votes_never_count() {
         while c.replicas[1].stats().prepares_sent == 0 {
             assert!(c.sim.step(), "{stack:?}: the primary never proposed");
         }
-        let (view, seq) = (0, 1);
-        let votes = [
-            Message::Prepare {
-                view,
-                seq,
-                digest,
-                replica: me,
-            },
-            Message::Commit {
-                view,
-                seq,
-                digest,
-                replica: me,
-            },
-        ];
-        for vote in &votes {
+        for vote in &votes(digest, me) {
             for to in [0, 1] {
                 let wire = SignedMessage::create(vote, &keys, &[to]).encode();
                 c.transports[me as usize].send(&mut c.sim, to, wire);

@@ -1,107 +1,27 @@
 //! Deep view-change scenarios: cascading faulty primaries, re-proposal of
-//! prepared-but-uncommitted batches, rejection of forged NEW-VIEWs, and
-//! the interaction of view changes with checkpoints.
+//! prepared-but-uncommitted batches, rejection of forged NEW-VIEWs, the
+//! interaction of view changes with checkpoints, and request timers that
+//! follow measured latency.
 
-use reptor::{
-    batch_digest, ByzantineMode, Cluster, CounterService, Message, ReptorConfig, Request, Stack,
-};
+#[macro_use]
+mod scenarios;
+
+use reptor::{batch_digest, ByzantineMode, Cluster, Message, Request, Stack};
+use scenarios::scenario::{world, Scenario};
 use simnet::Nanos;
 
-fn cluster(seed: u64, cfg: ReptorConfig) -> Cluster {
-    Cluster::sim_transport(cfg, 1, seed, || Box::new(CounterService::default()))
-}
+view_change_rows!(row_tests);
 
-#[test]
-fn cascading_faulty_primaries_are_skipped() {
-    // Views 0 and 1 both have silent primaries; the group must reach a
-    // view whose primary is correct (view >= 2) and then make progress.
-    let mut c = cluster(71, ReptorConfig::small());
-    c.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
-    c.replicas[1].set_byzantine(ByzantineMode::SilentPrimary);
-    let client = c.clients[0].clone();
-    for _ in 0..3 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(
-        c.run_until_completed(3, 15_000_000),
-        "progress must resume under a correct primary"
-    );
-    c.settle();
-    c.assert_safety();
-    for r in &c.replicas[2..] {
-        assert!(
-            r.view() >= 2,
-            "replica {} stuck in view {}",
-            r.id(),
-            r.view()
-        );
-    }
-    // The metrics registry recorded the cascade: every correct replica
-    // voted for at least the two view changes it sat through, and the
-    // trace carries the view-change events.
-    let snap = c.metrics_snapshot();
-    for r in &c.replicas[2..] {
-        let vc = snap.counter(&format!("reptor.r{}.view_changes", r.id()));
-        assert!(
-            vc >= 2,
-            "replica {} counted {vc} view changes, expected >= 2",
-            r.id()
-        );
-        assert_eq!(
-            vc,
-            r.stats().view_changes_sent,
-            "registry and ReplicaStats must agree for replica {}",
-            r.id()
-        );
-    }
-    assert!(
-        snap.trace
-            .iter()
-            .any(|ev| ev.layer == "reptor" && ev.event.contains("view_change")),
-        "trace ring must carry the view-change events"
-    );
-}
-
-#[test]
-fn view_change_replays_prepared_batches_without_duplication() {
-    // Run a workload across a forced view change; every request must
-    // execute exactly once even if its batch was re-proposed.
-    let mut c = cluster(72, ReptorConfig::small());
-    let client = c.clients[0].clone();
-    // Warm up in view 0.
-    for _ in 0..4 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(4, 2_000_000));
-    // Now the primary goes silent mid-stream.
-    c.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
-    for _ in 0..4 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(8, 15_000_000));
-    c.settle();
-    c.assert_safety();
-    // Exactly-once execution shows up as the correct final counter value.
-    let max = client
-        .completions()
-        .iter()
-        .map(|cm| u64::from_le_bytes(cm.result.clone().try_into().unwrap()))
-        .max()
-        .unwrap();
-    assert_eq!(
-        max, 8,
-        "each inc applied exactly once across the view change"
-    );
-    for r in &c.replicas[1..] {
-        assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
-    }
+/// Four counter replicas and one client on the direct transport.
+fn direct(seed: u64) -> Cluster {
+    world(&Scenario::new(Stack::Direct, seed))
 }
 
 #[test]
 fn forged_new_view_with_bad_digest_is_rejected() {
     // A replica receiving a NEW-VIEW whose digests do not bind the batches
     // must ignore it and stay in its current view.
-    let mut c = cluster(73, ReptorConfig::small());
+    let mut c = direct(73);
     let client = c.clients[0].clone();
     client.submit(&mut c.sim, b"inc".to_vec());
     assert!(c.run_until_completed(1, 1_000_000));
@@ -133,7 +53,7 @@ fn forged_new_view_with_bad_digest_is_rejected() {
 
 #[test]
 fn new_view_from_wrong_primary_is_rejected() {
-    let mut c = cluster(74, ReptorConfig::small());
+    let mut c = direct(74);
     let view_before = c.replicas[1].view();
     // Replica 3 is not the primary of view 1 (that is replica 1); replica
     // 2 claims otherwise.
@@ -150,7 +70,7 @@ fn new_view_from_wrong_primary_is_rejected() {
 #[test]
 fn stale_view_messages_are_ignored() {
     // After moving to view 1, messages from view 0 must be dropped.
-    let mut c = cluster(75, ReptorConfig::small());
+    let mut c = direct(75);
     c.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
     let client = c.clients[0].clone();
     client.submit(&mut c.sim, b"inc".to_vec());
@@ -173,78 +93,13 @@ fn stale_view_messages_are_ignored() {
 }
 
 #[test]
-fn checkpoints_continue_after_view_change() {
-    let cfg = ReptorConfig {
-        checkpoint_interval: 4,
-        batch_size: 1,
-        ..ReptorConfig::small()
-    };
-    let mut c = cluster(76, cfg);
-    c.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
-    let client = c.clients[0].clone();
-    for _ in 0..10 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(10, 20_000_000));
-    c.settle();
-    c.assert_safety();
-    for r in &c.replicas[1..] {
-        assert!(
-            r.low_mark() >= 4,
-            "replica {} checkpointing stalled after view change (low mark {})",
-            r.id(),
-            r.low_mark()
-        );
-    }
-    // Checkpoint garbage collection actually freed log entries, and the
-    // registry agrees with the per-replica stats.
-    let snap = c.metrics_snapshot();
-    for r in &c.replicas[1..] {
-        let stable = snap.counter(&format!("reptor.r{}.checkpoints_stable", r.id()));
-        let freed = snap.counter(&format!("reptor.r{}.checkpoint_gc_freed", r.id()));
-        assert!(stable >= 1, "replica {} stabilised no checkpoint", r.id());
-        assert_eq!(stable, r.stats().stable_checkpoints, "replica {}", r.id());
-        assert!(
-            freed >= 4,
-            "replica {} freed only {freed} log entries at its checkpoints",
-            r.id()
-        );
-    }
-    assert!(
-        snap.trace
-            .iter()
-            .any(|ev| ev.layer == "reptor" && ev.event.contains("checkpoint_stable")),
-        "trace ring must carry the checkpoint events"
-    );
-}
-
-#[test]
-fn seven_replicas_survive_two_cascading_silent_primaries() {
-    let cfg = ReptorConfig::for_f(2);
-    let mut c = cluster(77, cfg);
-    c.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
-    c.replicas[1].set_byzantine(ByzantineMode::Crash);
-    let client = c.clients[0].clone();
-    for _ in 0..3 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(3, 25_000_000));
-    c.settle();
-    c.assert_safety();
-    for r in &c.replicas[2..] {
-        assert!(r.view() >= 2, "replica {} in view {}", r.id(), r.view());
-        assert_eq!(r.stats().executed_requests, 3);
-    }
-}
-
-#[test]
 fn requests_held_at_a_crashing_primary_complete_exactly_once() {
     // The primary has one instance open and the rest of the burst held
     // behind it (self-clocked batching) when it dies: the held requests
     // were never proposed, so only the backups' request timers and the new
     // primary's own buffer can bring them back.
     for seed in 1..=5 {
-        let mut c = cluster(seed, ReptorConfig::small());
+        let mut c = direct(seed);
         let client = c.clients[0].clone();
         for _ in 0..8 {
             client.submit(&mut c.sim, b"inc".to_vec());
@@ -281,9 +136,7 @@ fn a_burst_queued_at_a_correct_primary_deposes_no_one() {
     // time before a request's accusing stage is armed, so a busy but
     // correct primary stays in office.
     for (stack, clients, per_client) in [(Stack::Direct, 8, 500), (Stack::Rubin, 16, 40)] {
-        let mut c = Cluster::build(stack, ReptorConfig::small(), clients, 79, || {
-            Box::new(CounterService::default())
-        });
+        let mut c = world(&Scenario::new(stack, 79).clients(clients));
         c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
         let burst_at = c.sim.now();
         for client in c.clients.clone() {
@@ -314,9 +167,7 @@ fn crashed_primary_is_replaced_within_milliseconds() {
     // has shown them what a request costs, a dead primary is suspected
     // after milliseconds, not after the configured 40 ms ceiling.
     for stack in [Stack::Direct, Stack::Nio, Stack::Rubin] {
-        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 78, || {
-            Box::new(CounterService::default())
-        });
+        let mut c = world(&Scenario::new(stack, 78));
         c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
         let crashed_at = c.sim.now();
         c.replicas[0].set_byzantine(ByzantineMode::Crash);
