@@ -82,46 +82,50 @@ macro_rules! named_rows {
 
 /// `tests/chaos_scenarios.rs`.
 macro_rules! chaos_rows {
-    ($then:ident) => { $then! {
-        pbft_reaches_agreement_under_loss_on_rubin_stack => loss(Stack::Rubin),
-        pbft_reaches_agreement_under_loss_on_nio_stack => loss(Stack::Nio),
-        duplicated_and_reordered_frames_execute_exactly_once_on_rubin_stack => dup_reorder(Stack::Rubin),
-        duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack => dup_reorder(Stack::Nio),
-        duplicated_client_requests_are_deduplicated_by_replicas => duplicated_client_requests(),
-        corrupted_frames_are_rejected_by_mac_and_agreement_survives => corrupted_frames(),
-        primary_crash_view_change_and_reconnect_on_rubin_stack => primary_crash(Stack::Rubin),
-        primary_crash_view_change_and_reconnect_on_nio_stack => primary_crash(Stack::Nio),
-        fixed_seed_crash_timeline_replays_byte_identically => Replay(primary_crash(Stack::Rubin)),
-        partitioned_replica_rejoins_via_state_transfer_on_rubin_stack => state_transfer(Stack::Rubin, ByzantineMode::Honest),
-        partitioned_replica_rejoins_via_state_transfer_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::Honest),
-        bogus_state_chunks_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::BogusStateChunks),
-        bogus_state_chunks_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::BogusStateChunks),
-        stale_checkpoint_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::StaleCheckpoint),
-        fixed_seed_state_transfer_replays_byte_identically => Replay(state_transfer(Stack::Rubin, ByzantineMode::Honest)),
-        crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack => cold_restart(Stack::Rubin),
-        crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack => cold_restart(Stack::Nio),
-        proactive_refresh_collides_with_partition_on_rubin_stack => refresh_into_partition(Stack::Rubin),
-        proactive_refresh_collides_with_partition_on_nio_stack => refresh_into_partition(Stack::Nio),
-        stale_epoch_rkey_responder_is_fenced_by_rnic_on_rubin_stack => stale_epoch_offer(),
-        equivocating_slot_writer_is_caught_at_prepare_and_deposed => equivocating_slot_writer(),
-        deposed_slot_writer_late_writes_are_rnic_denied => deposed_slot_writer(),
-        fixed_seed_deposed_slot_writer_replays_byte_identically => Replay(deposed_slot_writer()),
-    } };
+    ($then:ident) => {
+        $then! {
+            pbft_reaches_agreement_under_loss_on_rubin_stack => loss(Stack::Rubin),
+            pbft_reaches_agreement_under_loss_on_nio_stack => loss(Stack::Nio),
+            duplicated_and_reordered_frames_execute_exactly_once_on_rubin_stack => dup_reorder(Stack::Rubin),
+            duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack => dup_reorder(Stack::Nio),
+            duplicated_client_requests_are_deduplicated_by_replicas => duplicated_client_requests(),
+            corrupted_frames_are_rejected_by_mac_and_agreement_survives => corrupted_frames(),
+            primary_crash_view_change_and_reconnect_on_rubin_stack => primary_crash(Stack::Rubin),
+            primary_crash_view_change_and_reconnect_on_nio_stack => primary_crash(Stack::Nio),
+            fixed_seed_crash_timeline_replays_byte_identically => Replay(primary_crash(Stack::Rubin)),
+            partitioned_replica_rejoins_via_state_transfer_on_rubin_stack => state_transfer(Stack::Rubin, ByzantineMode::Honest),
+            partitioned_replica_rejoins_via_state_transfer_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::Honest),
+            bogus_state_chunks_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::BogusStateChunks),
+            bogus_state_chunks_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::BogusStateChunks),
+            stale_checkpoint_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::StaleCheckpoint),
+            fixed_seed_state_transfer_replays_byte_identically => Replay(state_transfer(Stack::Rubin, ByzantineMode::Honest)),
+            crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack => cold_restart(Stack::Rubin),
+            crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack => cold_restart(Stack::Nio),
+            proactive_refresh_collides_with_partition_on_rubin_stack => refresh_into_partition(Stack::Rubin),
+            proactive_refresh_collides_with_partition_on_nio_stack => refresh_into_partition(Stack::Nio),
+            stale_epoch_rkey_responder_is_fenced_by_rnic_on_rubin_stack => stale_epoch_offer(),
+            equivocating_slot_writer_is_caught_at_prepare_and_deposed => equivocating_slot_writer(),
+            deposed_slot_writer_late_writes_are_rnic_denied => deposed_slot_writer(),
+            fixed_seed_deposed_slot_writer_replays_byte_identically => Replay(deposed_slot_writer()),
+        }
+    };
 }
 
 /// `tests/durable_restart.rs`.
 macro_rules! durable_rows {
-    ($then:ident) => { $then! {
-        torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack => torn_wal_tail(Stack::Rubin),
-        torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack => torn_wal_tail(Stack::Nio),
-        fixed_seed_torn_tail_timeline_replays_byte_identically => Replay(torn_wal_tail(Stack::Rubin)),
-        bitflipped_snapshot_falls_back_to_peer_state_transfer => bitflipped_snapshot(),
-        crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
-        full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
-        full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack => full_cluster_restart(Stack::Nio),
-        fixed_seed_full_cluster_restart_replays_byte_identically => Replay(full_cluster_restart(Stack::Rubin)),
-        second_crash_rejoins_without_inherited_backoff => second_crash(),
-    } };
+    ($then:ident) => {
+        $then! {
+            torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack => torn_wal_tail(Stack::Rubin),
+            torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack => torn_wal_tail(Stack::Nio),
+            fixed_seed_torn_tail_timeline_replays_byte_identically => Replay(torn_wal_tail(Stack::Rubin)),
+            bitflipped_snapshot_falls_back_to_peer_state_transfer => bitflipped_snapshot(),
+            crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
+            full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
+            full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack => full_cluster_restart(Stack::Nio),
+            fixed_seed_full_cluster_restart_replays_byte_identically => Replay(full_cluster_restart(Stack::Rubin)),
+            second_crash_rejoins_without_inherited_backoff => second_crash(),
+        }
+    };
 }
 
 /// `tests/security_scenarios.rs`.
@@ -147,49 +151,57 @@ macro_rules! view_change_rows {
 
 /// `tests/fast_path_scenarios.rs`.
 macro_rules! fast_path_rows {
-    ($then:ident) => { $then! {
-        fast_path_engages_and_commits_exactly_once => fast_path_commit(),
-        fixed_seed_fast_path_timeline_replays_byte_identically => Replay(fast_path_commit()),
-        fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
-        disabled_fast_path_leaves_no_trace_in_the_snapshot => Replay(disabled_fast_path()),
-        fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
-        fallback_engages_cleanly_without_one_sided_writes_four_pipelines => message_fallback(4),
-        fast_path_composes_with_four_cop_pipelines => fast_path_four_pipelines(),
-    } };
+    ($then:ident) => {
+        $then! {
+            fast_path_engages_and_commits_exactly_once => fast_path_commit(),
+            fixed_seed_fast_path_timeline_replays_byte_identically => Replay(fast_path_commit()),
+            fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
+            disabled_fast_path_leaves_no_trace_in_the_snapshot => Replay(disabled_fast_path()),
+            fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
+            fallback_engages_cleanly_without_one_sided_writes_four_pipelines => message_fallback(4),
+            fast_path_composes_with_four_cop_pipelines => fast_path_four_pipelines(),
+        }
+    };
 }
 
 /// `tests/bft_safety_fuzz.rs`: rows swept over seeds 1–5 in one test,
 /// because none of them may be seed-sensitive.
 macro_rules! fuzz_rows {
-    ($then:ident) => { $then! {
-        stale_lease_offer_is_rnic_denied_and_rotated_out => (1..=5).map(stale_lease_offer).collect::<Vec<_>>(),
-        forged_lease_cells_are_outvoted_and_never_served => (1..=5).map(forged_lease_cells).collect::<Vec<_>>(),
-        apply_lag_quorum_divergence_never_inverts_reads => (1..=5).map(apply_lag).collect::<Vec<_>>(),
-    } };
+    ($then:ident) => {
+        $then! {
+            stale_lease_offer_is_rnic_denied_and_rotated_out => (1..=5).map(stale_lease_offer).collect::<Vec<_>>(),
+            forged_lease_cells_are_outvoted_and_never_served => (1..=5).map(forged_lease_cells).collect::<Vec<_>>(),
+            apply_lag_quorum_divergence_never_inverts_reads => (1..=5).map(apply_lag).collect::<Vec<_>>(),
+        }
+    };
 }
 
 /// `tests/proactive_recovery.rs`.
 macro_rules! proactive_rows {
-    ($then:ident) => { $then! {
-        throughput_never_zero_during_rotation_single_pillar => rotation_under_load(1),
-        throughput_never_zero_during_rotation_four_pillars => rotation_under_load(4),
-        // A whole rotation under load — epoch roll, MR re-registration,
-        // four restarts, four state transfers, the client traffic woven
-        // between them.
-        fixed_seed_rotation_replays_byte_identically => Replay(Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) }),
-    } };
+    ($then:ident) => {
+        $then! {
+            throughput_never_zero_during_rotation_single_pillar => rotation_under_load(1),
+            throughput_never_zero_during_rotation_four_pillars => rotation_under_load(4),
+            // A whole rotation under load — epoch roll, MR re-registration,
+            // four restarts, four state transfers, the client traffic woven
+            // between them.
+            fixed_seed_rotation_replays_byte_identically => Replay(Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) }),
+        }
+    };
 }
 
 /// `tests/kv_linearizability.rs`.
 macro_rules! kv_rows {
-    ($then:ident) => { $then! {
-        rubin_ycsb_b_is_linearizable_with_onesided_reads => rubin_ycsb_b(),
-        rubin_ycsb_a_write_heavy_is_linearizable => rubin_ycsb_a(),
-        lease_revocation_mid_run_denies_stale_rkeys_and_stays_linearizable => lease_revocation_mid_run(),
-        view_change_rolls_leases_and_stays_linearizable => view_change_rolls_leases(),
-        nio_stack_serves_all_reads_through_agreement => nio_kv(),
-        geo_kv_workload_commits_across_regions => geo_kv(48, 3, 3, 0xF1),
-    } };
+    ($then:ident) => {
+        $then! {
+            rubin_ycsb_b_is_linearizable_with_onesided_reads => rubin_ycsb_b(),
+            rubin_ycsb_a_write_heavy_is_linearizable => rubin_ycsb_a(),
+            lease_revocation_mid_run_denies_stale_rkeys_and_stays_linearizable => lease_revocation_mid_run(),
+            view_change_rolls_leases_and_stays_linearizable => view_change_rolls_leases(),
+            nio_stack_serves_all_reads_through_agreement => nio_kv(),
+            geo_kv_workload_commits_across_regions => geo_kv(48, 3, 3, 0xF1),
+        }
+    };
 }
 
 /// Every row of the table, each under its name.

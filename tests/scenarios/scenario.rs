@@ -384,7 +384,7 @@ fn build(s: &Scenario, seed: u64) -> KvHarness {
 
 /// `s`'s world at its run seed, for a test that drives it by hand.
 pub fn world(s: &Scenario) -> Cluster {
-    build(s, s.seed + chaos_seed() - 1).cluster
+    build(s, s.seed.wrapping_add(chaos_seed() - 1)).cluster
 }
 
 /// A proactive recovery scheduler over `c`'s replicas, started for one
