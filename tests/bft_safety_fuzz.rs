@@ -9,6 +9,8 @@
 //! number** — whatever the schedule. Liveness is only expected when the
 //! schedule is benign enough to guarantee it.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

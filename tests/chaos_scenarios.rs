@@ -16,6 +16,8 @@
 //! * a replica cut off past the group's watermark window rejoins by
 //!   checkpoint state transfer, routed around Byzantine responders.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

@@ -7,6 +7,8 @@
 //! durability layer must always recover a clean prefix — never panic,
 //! never install wrong state — and fetch only the missing delta from peers.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

@@ -8,6 +8,8 @@
 //! replica leaves zero trace of the feature; and on a transport without a
 //! one-sided write (the NIO socket stack) the message path takes over.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

@@ -9,6 +9,8 @@
 //! torn value. The revocation rows assert that the RNIC actually denied a
 //! revoked rkey and that the client's fallback engaged.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

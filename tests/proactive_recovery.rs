@@ -7,6 +7,8 @@
 //! rows drive a closed-loop client *through* the rotation at COP pillar
 //! counts 1 and 4 and assert that progress never stops.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

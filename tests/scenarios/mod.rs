@@ -11,9 +11,6 @@
 //! `CHAOS_SEED=1` (the default) and runs at `seed + CHAOS_SEED − 1`, so the
 //! CI matrix sweeps every row over seeds 1–5.
 
-// Each test file runs its own group of the table.
-#![allow(dead_code)]
-
 #[path = "../common/mod.rs"]
 pub mod common;
 pub mod scenario;

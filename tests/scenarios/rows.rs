@@ -20,6 +20,7 @@ pub trait Row: Sized {
     fn scenarios(self, name: &'static str) -> Vec<Scenario>;
 
     /// The entry's test: runs every scenario and checks it.
+    #[allow(dead_code)] // `row_tests!` calls it in the group files.
     fn test(self, name: &'static str) {
         for s in self.scenarios(name) {
             run(&s);
@@ -42,7 +43,7 @@ impl Row for Vec<Scenario> {
 /// A row whose test runs it twice: the whole timeline — fault coins,
 /// retransmissions, view changes, reconnect backoff, transfers, restarts —
 /// must replay byte-identically from the seed, down to the metrics
-/// snapshot.
+/// snapshot with the simulator's event and buffer-pool gauges.
 pub struct Replay(pub Scenario);
 
 impl Row for Replay {
@@ -54,7 +55,7 @@ impl Row for Replay {
         let s = Scenario { name, ..self.0 };
         let (a, b) = (run(&s), run(&s));
         assert_eq!(
-            a.snapshot, b.snapshot,
+            a.published, b.published,
             "row `{name}` at seed {} replayed differently",
             a.seed
         );

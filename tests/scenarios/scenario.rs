@@ -141,10 +141,12 @@ pub enum Step {
     /// `CompleteWithin(n, events)`: the same, within that many events.
     CompleteWithin(u64, u64),
     /// The same, but the schedule may forbid it.
+    #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     Attempt(u64, u64),
     Idle,
     RunFor(Nanos),
     /// A fault-plane change.
+    #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     Chaos(When, ChaosAction),
     /// A link fault, now, from every host in the first range to every other
     /// host in the second.
@@ -277,6 +279,7 @@ pub enum Expect {
     /// them this far apart or more.
     Steady(usize, Nanos),
     /// Each replica's executed log is as long as its executed-batch count.
+    #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     LogsMatchStats,
 }
 
@@ -348,6 +351,9 @@ pub struct Outcome {
     /// The metrics snapshot JSON at the end of the timeline, before the
     /// runner publishes the simulator gauges for its own checks.
     pub snapshot: String,
+    /// The metrics snapshot JSON after every check, the simulator's
+    /// `sim.events_*` and `pool.*` gauges included.
+    pub published: String,
 }
 
 /// The world at `seed`: a KV harness with KV clients only when the row
@@ -383,6 +389,7 @@ fn build(s: &Scenario, seed: u64) -> KvHarness {
 }
 
 /// `s`'s world at its run seed, for a test that drives it by hand.
+#[allow(dead_code)] // The hand-written tests of the group files use it.
 pub fn world(s: &Scenario) -> Cluster {
     build(s, s.seed.wrapping_add(chaos_seed() - 1)).cluster
 }
@@ -455,7 +462,11 @@ impl Runner {
             g("outstanding"),
             "pooled buffers"
         );
-        Outcome { seed, snapshot }
+        Outcome {
+            seed,
+            snapshot,
+            published: snap.to_json(),
+        }
     }
 
     /// Applies fault-plane `actions` now, or schedules them for `at`.

@@ -9,6 +9,8 @@
 //! considered faulty, which can be tolerated by the protocol"), down to
 //! messages forged in other nodes' names.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 

@@ -3,6 +3,8 @@
 //! interaction of view changes with checkpoints, and request timers that
 //! follow measured latency.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
 #[macro_use]
 mod scenarios;
 
