@@ -7,41 +7,22 @@
 //! primary — and read it back through `stats()`, `last_executed()` and the
 //! metrics registry while stepping the simulator.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
+#[macro_use]
+mod scenarios;
+
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use bft_crypto::Digest;
 use proptest::prelude::*;
-use reptor::{
-    ClientId, Cluster, CounterService, ReptorConfig, Request, SeqNum, Stack, StateMachine,
-};
+use reptor::{ClientId, Cluster, ReptorConfig, Request, SeqNum, Stack, StateMachine};
+use scenarios::scenario::{closed_loop, world, Scenario};
 use simnet::{HostId, Nanos};
 
-fn counter() -> Box<dyn StateMachine> {
-    Box::new(CounterService::default())
-}
-
-/// Keeps `outstanding` requests of every client in flight until each has
-/// completed `total`, calling `observe` after every simulator step.
-fn closed_loop(c: &mut Cluster, outstanding: u64, total: u64, mut observe: impl FnMut(&Cluster)) {
-    let clients = c.clients.clone();
-    loop {
-        let mut done = true;
-        for client in &clients {
-            let stats = client.stats();
-            for _ in stats.submitted..total.min(stats.completed + outstanding) {
-                client.submit(&mut c.sim, b"inc".to_vec());
-            }
-            done &= stats.completed >= total;
-        }
-        if done {
-            return;
-        }
-        assert!(c.sim.step(), "simulation went idle before completion");
-        observe(c);
-    }
-}
+batching_rows!(row_tests);
 
 /// Client `i`'s `total(i)` requests were each answered once, in timestamp
 /// order.
@@ -98,7 +79,7 @@ impl PartialWatch {
 fn eight_outstanding_fill_batches_on_every_stack() {
     const TOTAL: u64 = 200;
     for stack in [Stack::Direct, Stack::Rubin, Stack::Nio] {
-        let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 18, counter);
+        let mut c = world(&Scenario::new(stack, 18));
         let mut watch = PartialWatch::default();
         closed_loop(&mut c, 8, TOTAL, |c| watch.observe(c));
         c.settle();
@@ -144,7 +125,7 @@ fn full_batches_are_never_held_behind_an_open_instance() {
         batch_size: 3,
         ..ReptorConfig::small()
     };
-    let mut c = Cluster::build(Stack::Direct, cfg, 1, 19, counter);
+    let mut c = world(&Scenario::new(Stack::Direct, 19).cfg(cfg));
     let mut watch = PartialWatch::default();
     closed_loop(&mut c, 8, TOTAL, |c| watch.observe(c));
     c.settle();
@@ -167,7 +148,7 @@ fn single_outstanding_client_sees_no_added_latency() {
             batch_size,
             ..ReptorConfig::small()
         };
-        let mut c = Cluster::build(Stack::Direct, cfg, 1, 20, counter);
+        let mut c = world(&Scenario::new(Stack::Direct, 20).cfg(cfg));
         closed_loop(&mut c, 1, 50, |_| {});
         let done = c.clients[0].completions();
         done.iter().map(|d| d.latency().as_nanos()).sum::<u64>() as f64 / done.len() as f64
@@ -293,7 +274,7 @@ fn primary_proposes_held_batch_when_state_transfer_completes_its_instance() {
         checkpoint_interval: 2,
         ..ReptorConfig::small()
     };
-    let mut c = Cluster::build(Stack::Direct, cfg, 1, 22, counter);
+    let mut c = world(&Scenario::new(Stack::Direct, 22).cfg(cfg));
     let client = c.clients[0].clone();
     let (primary, backups) = (c.replicas[0].clone(), c.replicas[1..].to_vec());
     client.submit(&mut c.sim, b"inc".to_vec());
@@ -345,28 +326,6 @@ fn primary_proposes_held_batch_when_state_transfer_completes_its_instance() {
             r.with_service(|s| s.state_digest()),
             Digest::of(&4u64.to_le_bytes())
         );
-    }
-}
-
-/// (f) The hold decision reads nothing but replica state, so same-seed
-/// runs stay byte-identical on both real stacks, with and without COP.
-#[test]
-fn same_seed_snapshots_are_byte_identical_under_batching() {
-    for stack in [Stack::Rubin, Stack::Nio] {
-        for pillars in [1, 3] {
-            let run = || {
-                let cfg = ReptorConfig {
-                    pillars,
-                    ..ReptorConfig::small()
-                };
-                let mut c = Cluster::build(stack, cfg, 1, 23, counter);
-                closed_loop(&mut c, 8, 64, |_| {});
-                c.settle();
-                assert!(c.replicas[0].stats().executed_batches < 64);
-                c.metrics_snapshot().to_json()
-            };
-            assert_eq!(run(), run(), "{stack:?} p={pillars}");
-        }
     }
 }
 

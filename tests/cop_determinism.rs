@@ -12,6 +12,11 @@
 //!   sequence-number space: the other pipelines keep committing, and the
 //!   PR 2 catch-up protocol repairs the gap once the loss heals.
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
+#[macro_use]
+mod scenarios;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -20,100 +25,7 @@ use reptor::{
 };
 use simnet::{CoreId, HostId, Simulator, TestBed};
 
-/// A single-client cluster with `pipelines` COP pipelines and unbatched
-/// agreement, so request `k` lands at sequence number `k` regardless of
-/// pipeline count and runs are comparable across `p`.
-fn cop_cluster(seed: u64, pipelines: usize) -> Cluster {
-    let cfg = ReptorConfig {
-        pillars: pipelines,
-        batch_size: 1,
-        window: 64,
-        ..ReptorConfig::small()
-    };
-    Cluster::sim_transport(cfg, 1, seed, || Box::new(CounterService::default()))
-}
-
-fn run_workload(cluster: &mut Cluster, requests: u64) {
-    let client = cluster.clients[0].clone();
-    for _ in 0..requests {
-        client.submit(&mut cluster.sim, b"inc".to_vec());
-    }
-    assert!(
-        cluster.run_until_completed(requests, 5_000_000),
-        "workload must complete"
-    );
-    cluster.settle();
-}
-
-#[test]
-fn fixed_seed_p1_metrics_snapshot_is_byte_identical() {
-    let run = || {
-        let mut c = cop_cluster(0xD5, 1);
-        run_workload(&mut c, 16);
-        c.metrics_snapshot().to_json()
-    };
-    let first = run();
-    let second = run();
-    assert!(!first.is_empty());
-    assert_eq!(
-        first, second,
-        "fixed-seed p=1 runs must serialize byte-identical snapshots"
-    );
-}
-
-#[test]
-fn fixed_seed_p4_metrics_snapshot_is_byte_identical() {
-    let run = || {
-        let mut c = cop_cluster(0xD5, 4);
-        run_workload(&mut c, 16);
-        c.metrics_snapshot().to_json()
-    };
-    assert_eq!(
-        run(),
-        run(),
-        "fixed-seed p=4 runs must serialize byte-identical snapshots"
-    );
-}
-
-#[test]
-fn executor_total_order_is_independent_of_pipeline_count() {
-    const REQUESTS: u64 = 24;
-    let mut histories = Vec::new();
-    let mut digests = Vec::new();
-    for pipelines in [1usize, 2, 4] {
-        let mut c = cop_cluster(0xC0B, pipelines);
-        run_workload(&mut c, REQUESTS);
-        c.assert_safety();
-        let log = c.replicas[0].executed_log();
-        assert_eq!(log.len() as u64, REQUESTS, "p={pipelines}: all executed");
-        // The executed history is gapless and in sequence order.
-        for (i, (seq, _)) in log.iter().enumerate() {
-            assert_eq!(*seq, i as u64 + 1, "p={pipelines}: total order violated");
-        }
-        // Every replica converged on the same state.
-        let state: Vec<_> = c
-            .replicas
-            .iter()
-            .map(|r| r.with_service(|s| s.state_digest()))
-            .collect();
-        assert!(state.windows(2).all(|w| w[0] == w[1]));
-        if pipelines > 1 {
-            // Agreement genuinely spread across pipelines.
-            let active = c.replicas[0]
-                .pipeline_stats()
-                .iter()
-                .filter(|p| p.committed > 0)
-                .count();
-            assert_eq!(active, pipelines, "p={pipelines}: idle pipeline");
-        }
-        histories.push(log);
-        digests.push(state[0]);
-    }
-    // Same committed sequence, same batch digests, same final state — the
-    // pipeline count is invisible in the outcome.
-    assert!(histories.windows(2).all(|w| w[0] == w[1]));
-    assert!(digests.windows(2).all(|w| w[0] == w[1]));
-}
+cop_rows!(row_tests);
 
 // ---------------------------------------------------------------------
 // Pipeline-targeted loss

@@ -5,81 +5,13 @@
 //! writes with scheduled commit closures, denial-driven re-queries — and
 //! none of it may cost the simulator its reproducibility guarantee. A
 //! fixed-seed YCSB run must replay byte-identically down to the full
-//! metrics snapshot JSON (every counter, gauge, and trace), for both
-//! canonical workload mixes, across COP pipeline counts, on both comm
-//! stacks.
+//! metrics snapshot JSON (every counter, gauge, and trace) and the
+//! rendered operation history, for both canonical workload mixes, across
+//! COP pipeline counts, on both comm stacks.
 
-use kvstore::{KvHarness, Stack, YcsbSpec};
-use reptor::ReptorConfig;
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
+#[macro_use]
+mod scenarios;
 
-/// One full YCSB run, reduced to its complete metrics snapshot JSON plus
-/// the rendered operation history.
-fn run_fingerprint(stack: Stack, spec: &YcsbSpec, pipelines: usize, seed: u64) -> String {
-    let cfg = ReptorConfig {
-        pillars: pipelines,
-        batch_size: 1,
-        window: 64,
-        read_leases: true,
-        ..ReptorConfig::small()
-    };
-    let mut h = KvHarness::build(stack, seed, 3, cfg, 64);
-    assert!(
-        h.run_ycsb(spec, seed, 12, 40_000_000),
-        "run wedged ({} p={pipelines} seed {seed})",
-        stack.label()
-    );
-    h.check_history().expect("replayed run must linearize");
-    format!("{:?}\n{}", h.history(), h.metrics_snapshot().to_json())
-}
-
-fn assert_replays_identically(stack: Stack, spec: YcsbSpec, pipelines: usize, seed: u64) {
-    let first = run_fingerprint(stack, &spec, pipelines, seed);
-    let second = run_fingerprint(stack, &spec, pipelines, seed);
-    assert!(!first.is_empty());
-    assert_eq!(
-        first,
-        second,
-        "{} p={pipelines} {} replay diverged",
-        stack.label(),
-        spec.label()
-    );
-}
-
-#[test]
-fn ycsb_a_replays_byte_identically_over_rubin() {
-    assert_replays_identically(Stack::Rubin, YcsbSpec::a(12), 1, 0x2A);
-}
-
-#[test]
-fn ycsb_b_replays_byte_identically_over_rubin() {
-    assert_replays_identically(Stack::Rubin, YcsbSpec::b(12), 1, 0x2B);
-}
-
-#[test]
-fn ycsb_a_replays_byte_identically_over_nio() {
-    assert_replays_identically(Stack::Nio, YcsbSpec::a(12), 1, 0x3A);
-}
-
-#[test]
-fn ycsb_b_replays_byte_identically_over_nio() {
-    assert_replays_identically(Stack::Nio, YcsbSpec::b(12), 1, 0x3B);
-}
-
-#[test]
-fn cop_p4_ycsb_a_replays_byte_identically_over_rubin() {
-    assert_replays_identically(Stack::Rubin, YcsbSpec::a(12), 4, 0x4A);
-}
-
-#[test]
-fn cop_p4_ycsb_b_replays_byte_identically_over_nio() {
-    assert_replays_identically(Stack::Nio, YcsbSpec::b(12), 4, 0x4B);
-}
-
-/// Different seeds must actually produce different runs (the fingerprint
-/// is not vacuously constant).
-#[test]
-fn different_seeds_diverge() {
-    let a = run_fingerprint(Stack::Rubin, &YcsbSpec::b(12), 1, 5);
-    let b = run_fingerprint(Stack::Rubin, &YcsbSpec::b(12), 1, 6);
-    assert_ne!(a, b, "fingerprint must be sensitive to the seed");
-}
+kv_replay_rows!(row_tests);

@@ -6,7 +6,9 @@ mod scenarios;
 use std::env::VarError;
 use std::panic::catch_unwind;
 
-use scenarios::{common, rows, scenario::run};
+use scenarios::common;
+use scenarios::rows::{self, compare, Compare};
+use scenarios::scenario::{run, Ops::Incs, Scenario, Step::*};
 
 /// Runs every row of the table at the current `CHAOS_SEED`, with every
 /// check, and prints `row seed sha256(snapshot JSON)`. A change that
@@ -25,6 +27,18 @@ fn row_snapshot_hashes() {
         let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
         println!("{} {} {hex}", s.name, outcome.seed);
     }
+}
+
+/// The cross-row comparison bites: two counter rows that differ only in
+/// how many increments client 0 sends do not show the same outcome.
+#[test]
+#[should_panic(expected = "rows `ten` and `nine`")]
+fn rows_with_different_replies_are_not_the_same() {
+    let incs = |name, n| Scenario {
+        name,
+        ..Scenario::new(rows::Stack::Direct, 1).steps([Burst(Incs(n)), Complete(n), Idle])
+    };
+    compare(Compare::Same, &[incs("ten", 10), incs("nine", 9)]);
 }
 
 #[test]

@@ -1,20 +1,24 @@
-//! The table: every fault test that a timeline of steps can express, as a
-//! row. Rows are grouped by the test file that runs them; a file hands
+//! The table: every test that a timeline of steps can express, as a row.
+//! Rows are grouped by the test file that runs them; a file hands
 //! its group to `row_tests!`, which makes one `#[test]` per row under the
 //! row's name.
 
-use kvstore::{kv_config, YcsbSpec};
+use kvstore::kv_config;
+pub use kvstore::YcsbSpec;
 pub use reptor::{ByzantineMode, Stack};
 use reptor::{DurabilityConfig, RecoveryConfig, ReptorConfig, SLOT_BYTES};
-use simnet::{DiskFault, DiskSpec, Nanos};
+pub use simnet::LatencyMatrix;
+use simnet::{ChaosAction, DiskFault, DiskSpec, HostId, Nanos};
 
-pub use super::scenario::Scenario;
-use super::scenario::{
-    eq, ge, run, Expect, Expect::*, Fabric, Link::*, Ops, Ops::*, Service, Stat::*, Step, Step::*,
-    When::*, Who::*,
+use super::scenario::{run, Outcome};
+// The vocabulary the group macros' rows are written in.
+pub use super::scenario::{
+    eq, ge, Expect, Expect::*, Fabric, Link::*, Ops, Ops::*, Scenario, Service, Stat::*, Step,
+    Step::*, When::*, Who::*,
 };
 
-/// A table entry: a row, one row per sweep seed, or a replayed row.
+/// A table entry: a row, one row per sweep seed, a replayed row, or rows
+/// compared with each other.
 pub trait Row: Sized {
     /// The entry's scenarios, named.
     fn scenarios(self, name: &'static str) -> Vec<Scenario>;
@@ -34,16 +38,32 @@ impl Row for Scenario {
     }
 }
 
-impl Row for Vec<Scenario> {
+impl<R: Row> Row for Vec<R> {
     fn scenarios(self, name: &'static str) -> Vec<Scenario> {
-        self.into_iter().map(|s| Scenario { name, ..s }).collect()
+        self.into_iter().flat_map(|r| r.scenarios(name)).collect()
+    }
+
+    fn test(self, name: &'static str) {
+        self.into_iter().for_each(|r| r.test(name));
+    }
+}
+
+impl<A: Row, B: Row> Row for (A, B) {
+    fn scenarios(self, name: &'static str) -> Vec<Scenario> {
+        [self.0.scenarios(name), self.1.scenarios(name)].concat()
+    }
+
+    fn test(self, name: &'static str) {
+        self.0.test(name);
+        self.1.test(name);
     }
 }
 
 /// A row whose test runs it twice: the whole timeline — fault coins,
 /// retransmissions, view changes, reconnect backoff, transfers, restarts —
 /// must replay byte-identically from the seed, down to the metrics
-/// snapshot with the simulator's event and buffer-pool gauges.
+/// snapshot with the simulator's event and buffer-pool gauges and, with KV
+/// clients, the rendered operation history.
 pub struct Replay(pub Scenario);
 
 impl Row for Replay {
@@ -55,17 +75,79 @@ impl Row for Replay {
         let s = Scenario { name, ..self.0 };
         let (a, b) = (run(&s), run(&s));
         assert_eq!(
-            a.published, b.published,
+            (a.published, a.history),
+            (b.published, b.history),
             "row `{name}` at seed {} replayed differently",
             a.seed
         );
     }
 }
 
+/// Rows whose test runs each and compares every outcome with the next.
+pub struct Across(pub Compare, pub Vec<Scenario>);
+
+#[derive(Clone, Copy, Debug)]
+pub enum Compare {
+    /// What the clients see: the same client 0 replies and the same state
+    /// on every replica. Batches may form differently.
+    Same,
+    /// That, and the same batches in the same order: replica 0's executed
+    /// `(seq, batch digest)` log.
+    SameLog,
+    /// A lower mean latency for client 0.
+    Faster,
+    /// A different published snapshot or history.
+    Differ,
+}
+
+impl Row for Across {
+    fn scenarios(self, name: &'static str) -> Vec<Scenario> {
+        self.1.scenarios(name)
+    }
+
+    fn test(self, name: &'static str) {
+        compare(self.0, &self.1.scenarios(name));
+    }
+}
+
+/// Runs `rows` and requires `how` of every row against the next.
+///
+/// # Panics
+///
+/// Panics naming both rows of the first pair that fails.
+pub fn compare(how: Compare, rows: &[Scenario]) {
+    let outcomes: Vec<Outcome> = rows.iter().map(run).collect();
+    for (i, pair) in outcomes.windows(2).enumerate() {
+        let (a, b, s, t) = (&pair[0], &pair[1], &rows[i], &rows[i + 1]);
+        let rows = format!(
+            "rows `{}` and `{}` ({:?} p={} seed {} vs {:?} p={} seed {})",
+            s.name, t.name, s.stack, s.cfg.pillars, a.seed, t.stack, t.cfg.pillars, b.seed
+        );
+        match how {
+            Compare::Same | Compare::SameLog => {
+                assert_eq!(a.replies, b.replies, "{rows}: client 0's replies");
+                assert_eq!(a.states, b.states, "{rows}: the replicas' states");
+                if let Compare::SameLog = how {
+                    assert_eq!(a.log, b.log, "{rows}: replica 0's executed log");
+                }
+            }
+            Compare::Faster => {
+                let (x, y) = (a.mean_latency, b.mean_latency);
+                assert!(x < y, "{rows}: mean latency {x:?} vs {y:?}");
+            }
+            Compare::Differ => assert!(
+                (&a.published, &a.history) != (&b.published, &b.history),
+                "{rows}: the same snapshot and history"
+            ),
+        }
+    }
+}
+
 /// One `#[test]` per row, named after it.
 #[allow(unused_macros)] // The table-wide checks read the table and make no row tests.
 macro_rules! row_tests {
-    ($($name:ident => $row:expr,)*) => {$(
+    ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {$(
+        $(#[$attr])*
         #[test]
         fn $name() {
             use crate::scenarios::rows::*;
@@ -76,7 +158,7 @@ macro_rules! row_tests {
 
 /// Every scenario of a group, named.
 macro_rules! named_rows {
-    ($($name:ident => $row:expr,)*) => {
+    ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {
         [$(Row::scenarios($row, stringify!($name)),)*].concat()
     };
 }
@@ -205,6 +287,108 @@ macro_rules! kv_rows {
     };
 }
 
+/// `tests/bft_over_stacks.rs`: one body per stack; what the client and
+/// the service see must not depend on which.
+macro_rules! stacks_rows {
+    ($then:ident) => {
+        $then! {
+            bft_counter_over_direct_stack => counter(Stack::Direct, 100),
+            bft_counter_over_nio_tcp_stack => counter(Stack::Nio, 101),
+            bft_counter_over_rubin_rdma_stack => counter(Stack::Rubin, 102),
+            // The integration claim itself: the comm stack is invisible to the
+            // protocol's observers.
+            replies_and_state_are_identical_on_all_three_stacks => Across(Compare::Same, STACKS.map(|stack| counter(stack, 103)).into()),
+            // The paper's motivation end to end: agreement over RUBIN beats
+            // agreement over the NIO TCP stack, and the direct fabric, which
+            // charges no comm-stack CPU at all, bounds both from below.
+            rdma_stack_commits_faster_than_tcp_stack => Across(Compare::Faster, [Stack::Direct, Stack::Rubin, Stack::Nio].map(|stack| counter(stack, 103)).into()),
+            byzantine_leader_tolerated_over_rubin_stack => silent_leader(Stack::Rubin),
+            byzantine_leader_tolerated_identically_on_all_three_stacks => Across(Compare::Same, STACKS.map(silent_leader).into()),
+            crashed_replica_tolerated_over_nio_stack => crashed_backup(Stack::Nio),
+            crashed_replica_tolerated_identically_on_all_three_stacks => Across(Compare::Same, STACKS.map(crashed_backup).into()),
+        }
+    };
+}
+
+/// `tests/stack_invariants.rs`: the agreement rows.
+macro_rules! invariants_rows {
+    ($then:ident) => {
+        $then! {
+            fixed_seed_reproduces_identical_phase_counter_sequences => Replay(incs(1234, 5, 2_000_000).expect([Phases, Counter(All, "reptor.r{}.requests_executed", eq(5))])),
+            // Timing, and so histograms and traces, may differ across seeds;
+            // the logical counters are workload-determined.
+            different_seeds_still_execute_the_same_workload => [1, 2].map(|seed| incs(seed, 5, 2_000_000).expect([Counter(Only(&[0, 3]), "reptor.r{}.requests_executed", eq(5))])).to_vec(),
+            simulator_health_gauges_are_published_and_consistent => simulator_health(),
+        }
+    };
+}
+
+/// `tests/cop_determinism.rs`: COP costs none of the simulator's
+/// reproducibility, whatever the pipeline count.
+macro_rules! cop_rows {
+    ($then:ident) => {
+        $then! {
+            fixed_seed_p1_metrics_snapshot_is_byte_identical => Replay(cop(1, 0xD5, 16)),
+            fixed_seed_p4_metrics_snapshot_is_byte_identical => Replay(cop(4, 0xD5, 16)),
+            // The executor's total order makes the outcome independent of
+            // how many pipelines agreement was split across, and agreement
+            // genuinely spreads across them.
+            executor_total_order_is_independent_of_pipeline_count => Across(Compare::SameLog, [1, 2, 4].map(|p| cop(p, 0xC0B, 24).expect([Gapless(24), Converged(All), Pipelines(p)])).into()),
+        }
+    };
+}
+
+/// `tests/kv_determinism.rs`: the one-sided read path's asynchronous
+/// machinery costs no reproducibility, for both workload mixes, across
+/// pipeline counts, on both stacks.
+macro_rules! kv_replay_rows {
+    ($then:ident) => {
+        $then! {
+            ycsb_a_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::a(12), 1, 0x2A)),
+            ycsb_b_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::b(12), 1, 0x2B)),
+            ycsb_a_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::a(12), 1, 0x3A)),
+            ycsb_b_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::b(12), 1, 0x3B)),
+            cop_p4_ycsb_a_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::a(12), 4, 0x4A)),
+            cop_p4_ycsb_b_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::b(12), 4, 0x4B)),
+            // The replay is not vacuously constant.
+            different_seeds_diverge => Across(Compare::Differ, [5, 6].map(|seed| kv_replay(Stack::Rubin, YcsbSpec::b(12), 1, seed)).into()),
+        }
+    };
+}
+
+/// `tests/geo_scale.rs`. The `#[ignore]`d rows are the scale tier, run
+/// in release by the CI `scale` job.
+macro_rules! geo_rows {
+    ($then:ident) => {
+        $then! {
+            wan3_group_commits_across_regions => wan3_group(),
+            // The node directory multiplexes several transport endpoints per
+            // host via distinct ports.
+            clients_share_hosts_without_interfering => geo(LatencyMatrix::lan, [4, 48, 3], 13).steps(drive(1, 20_000_000)),
+            wan_partition_composes_with_geo_links => wan_partition(),
+            // Reorder jitter makes the timeline seed-dependent (a fault-free
+            // run consumes no randomness at all).
+            geo_runs_replay_byte_identically => (Replay(jittered_wan(23)), Across(Compare::Differ, vec![jittered_wan(23), jittered_wan(24)])),
+            #[ignore = "scale tier: run in release via the CI scale job"]
+            wan3_31_replica_group_commits => wan3_31_replicas(),
+            #[ignore = "scale tier: run in release via the CI scale job"]
+            thousand_clients_share_eight_hosts => thousand_clients(),
+            one_way_latency_floor_is_visible_per_region_pair => one_way_floor(),
+        }
+    };
+}
+
+/// `tests/batching.rs`: the hold decision reads nothing but replica
+/// state, so same-seed runs stay byte-identical on both real stacks, with
+/// and without COP.
+macro_rules! batching_rows {
+    ($then:ident) => {
+        $then! {
+            same_seed_snapshots_are_byte_identical_under_batching => [Stack::Rubin, Stack::Nio].into_iter().flat_map(|stack| [1, 3].map(|p| Replay(eight_outstanding(stack, p)))).collect::<Vec<_>>(),
+        }
+    };
+}
+
 /// Every row of the table, each under its name.
 pub fn table() -> Vec<Scenario> {
     [
@@ -216,6 +400,12 @@ pub fn table() -> Vec<Scenario> {
         fuzz_rows!(named_rows),
         proactive_rows!(named_rows),
         kv_rows!(named_rows),
+        stacks_rows!(named_rows),
+        invariants_rows!(named_rows),
+        cop_rows!(named_rows),
+        kv_replay_rows!(named_rows),
+        geo_rows!(named_rows),
+        batching_rows!(named_rows),
     ]
     .concat()
 }
@@ -421,7 +611,7 @@ pub fn state_transfer(stack: Stack, responder: ByzantineMode) -> Scenario {
             Each(laggard, TransfersStarted, ge(1)),
             Each(laggard, TransfersCompleted, ge(1)),
             CaughtUp(laggard),
-            Converged,
+            Converged(All),
         ]);
     let done = Has("\"reptor.r2.state_transfer_completed\":");
     match (responder, stack) {
@@ -458,7 +648,7 @@ pub fn cold_restart(stack: Stack) -> Scenario {
             Sequential(Incs(3)),
             RunFor(ms(100)),
         ])
-        .expect([CaughtUp(victim), Converged])
+        .expect([CaughtUp(victim), Converged(All)])
 }
 
 /// Proactive recovery colliding with a partition: a full epoch rotation
@@ -500,7 +690,7 @@ pub fn refresh_into_partition(stack: Stack) -> Scenario {
         .expect([
             Each(victim, TransfersCompleted, ge(1)),
             CaughtUp(victim),
-            Converged,
+            Converged(All),
             Total("proactive_rotations_completed", eq(1)),
             Total("proactive_refresh_timeouts", eq(1)),
         ])
@@ -545,7 +735,7 @@ pub fn stale_epoch_offer() -> Scenario {
             // (a revoked rkey returns no bytes to check).
             Each(All, StaleEpochRejected, eq(0)),
             CaughtUp(laggard),
-            Converged,
+            Converged(All),
             Has("stale_rkey_denied"),
             Has("mr_rotations"),
         ])
@@ -589,7 +779,7 @@ pub fn equivocating_slot_writer() -> Scenario {
         // replicas cannot verify client intent); what matters is that every
         // replica executes the same version.
         Completed(8),
-        Converged,
+        Converged(All),
         // The lie travelled one-sided and was caught at the digest/prepare
         // layer, not by the RNIC.
         Total("fast_path_deliveries", ge(1)),
@@ -709,7 +899,7 @@ pub fn torn_wal_tail(stack: Stack) -> Scenario {
             ],
         ))
         .steps([Sequential(Puts('t', 3, 0xEE, 0)), RunFor(ms(100))])
-        .expect([Converged, CaughtUp(All)]);
+        .expect([Converged(All), CaughtUp(All)]);
     match stack {
         Stack::Rubin => s.expect([
             Has("\"reptor.r1.state_transfer_bytes_local\":"),
@@ -742,7 +932,7 @@ pub fn bitflipped_snapshot() -> Scenario {
         ))
         .steps([Sequential(Incs(3)), RunFor(ms(100))])
         .expect([
-            Converged,
+            Converged(All),
             CaughtUp(All),
             Has("\"reptor.r1.snapshot_corrupt_fallback\":"),
         ])
@@ -777,7 +967,7 @@ pub fn crash_during_compaction() -> Scenario {
             ],
         ))
         .steps([Sequential(Incs(3)), RunFor(ms(100))])
-        .expect([Converged, CaughtUp(All)])
+        .expect([Converged(All), CaughtUp(All)])
 }
 
 /// Whole-cluster power loss: every replica restarts cold from its own
@@ -803,7 +993,7 @@ pub fn full_cluster_restart(stack: Stack) -> Scenario {
             RunFor(ms(100)),
         ])
         // No increment lost or doubled.
-        .expect([Converged, CaughtUp(All), LastResult(11)]);
+        .expect([Converged(All), CaughtUp(All), LastResult(11)]);
     match stack {
         Stack::Rubin => s.expect([Has("\"reptor.r0.durable_restores\":1")]),
         _ => s,
@@ -825,7 +1015,7 @@ pub fn second_crash() -> Scenario {
         .steps([Sequential(Incs(3)), Idle])
         .steps(outage_of_1(Incs(12), rejoined(2)))
         .steps([Sequential(Incs(3)), RunFor(ms(100))])
-        .expect([Converged, CaughtUp(All)])
+        .expect([Converged(All), CaughtUp(All)])
 }
 
 /// The protocol-level containment claim of the paper's §III-C: a replica
@@ -1116,7 +1306,7 @@ pub fn rotation_under_load(pillars: usize) -> Scenario {
             Rotations(1, 4, 0),
             Each(All, RecoveryEpoch, eq(1)),
             Each(All, TransfersCompleted, ge(1)),
-            Converged,
+            Converged(All),
         ])
 }
 
@@ -1191,9 +1381,197 @@ pub fn nio_kv() -> Scenario {
 /// *driver*, and the safety cross-check gates it.)
 pub fn geo_kv(clients: usize, client_hosts: usize, per_client: u64, seed: u64) -> Scenario {
     leased_kv(Stack::Direct, seed, clients, 256)
-        .fabric(Fabric::Wan(client_hosts))
+        .fabric(Fabric::Geo(LatencyMatrix::three_region_wan, client_hosts))
         .steps([
             Burst(Mixed(per_client)),
             CompleteWithin(per_client, 300_000_000),
         ])
+}
+
+pub const STACKS: [Stack; 3] = [Stack::Direct, Stack::Nio, Stack::Rubin];
+
+/// The fault-free burst: ten increments, answered 1..=10 in order.
+pub fn counter(stack: Stack, seed: u64) -> Scenario {
+    Scenario::new(stack, seed).steps(burst(10)).expect([
+        Each(All, Executed, eq(10)),
+        Converged(All),
+        Answered(10),
+    ])
+}
+
+/// A silent primary is voted out and the request commits in a later view.
+pub fn silent_leader(stack: Stack) -> Scenario {
+    let backups = Only(&[1, 2, 3]);
+    Scenario::new(stack, 104)
+        .steps([Byzantine(0, ByzantineMode::SilentPrimary)])
+        .steps(burst(1))
+        .expect([
+            Each(backups, Executed, eq(1)),
+            Converged(backups),
+            Each(backups, View, ge(1)),
+        ])
+}
+
+/// A crashed backup costs nothing but its vote.
+pub fn crashed_backup(stack: Stack) -> Scenario {
+    let live = Only(&[0, 1, 3]);
+    Scenario::new(stack, 105)
+        .steps([Byzantine(2, ByzantineMode::Crash)])
+        .steps(burst(5))
+        .expect([
+            Each(live, Executed, eq(5)),
+            Converged(live),
+            Each(Only(&[2]), LastExecuted, eq(0)),
+        ])
+}
+
+/// `n` increments at once on the direct transport, complete within
+/// `events` events, then idle.
+pub fn incs(seed: u64, n: u64, events: u64) -> Scenario {
+    Scenario::new(Stack::Direct, seed).steps([Burst(Incs(n)), CompleteWithin(n, events), Idle])
+}
+
+/// Every snapshot carries the event-core and buffer-pool gauges, and they
+/// obey the core's own arithmetic: the runner checks the conservation
+/// identities on every row (so no tombstone outlives its cancel, and
+/// tombstones never outnumber the scheduled events), and a settled
+/// simulator has nothing pending. The pool gauges are zero here, because
+/// the direct transport bypasses the RNIC buffer pool.
+pub fn simulator_health() -> Scenario {
+    incs(99, 5, 2_000_000).expect([
+        Gauge("sim.events_scheduled", ge(1)),
+        Gauge("sim.events_executed", ge(1)),
+        Gauge("sim.events_pending", eq(0)),
+        Gauge("sim.events_high_water", ge(1)),
+    ])
+}
+
+/// `cfg` with `pipelines` COP pipelines and unbatched agreement, so
+/// request `k` lands at sequence number `k` whatever the pipeline count
+/// and runs compare across it.
+fn unbatched(pipelines: usize, cfg: ReptorConfig) -> ReptorConfig {
+    ReptorConfig {
+        pillars: pipelines,
+        batch_size: 1,
+        window: 64,
+        ..cfg
+    }
+}
+
+/// `requests` increments at once over `pipelines` unbatched pipelines.
+pub fn cop(pipelines: usize, seed: u64, requests: u64) -> Scenario {
+    incs(seed, requests, 5_000_000).cfg(unbatched(pipelines, ReptorConfig::small()))
+}
+
+/// Three KV clients with read leases run twelve operations of `spec` each
+/// over `pipelines` unbatched pipelines.
+pub fn kv_replay(stack: Stack, spec: YcsbSpec, pipelines: usize, seed: u64) -> Scenario {
+    let s = leased_kv(stack, seed, 3, 64).cfg(unbatched(pipelines, kv_config()));
+    s.steps([ycsb(spec, seed, 0, 12, 40_000_000)])
+}
+
+/// `n` counter replicas round-robin over the regions of `matrix` and
+/// `clients` clients sharing `hosts` hosts.
+pub fn geo(matrix: fn() -> LatencyMatrix, [n, clients, hosts]: [usize; 3], seed: u64) -> Scenario {
+    let cfg = ReptorConfig {
+        n,
+        ..ReptorConfig::small()
+    };
+    let s = Scenario::new(Stack::Direct, seed).cfg(cfg).clients(clients);
+    s.fabric(Fabric::Geo(matrix, hosts))
+}
+
+/// The same over the three-region WAN.
+pub fn wan(shape: [usize; 3], seed: u64) -> Scenario {
+    geo(LatencyMatrix::three_region_wan, shape, seed)
+}
+
+/// `k` increments from every client, each of which sees them all commit
+/// within `events` events.
+pub fn drive(k: u64, events: u64) -> [Step; 3] {
+    [
+        Burst(Incs(k)),
+        CompleteWithin(k, events),
+        Check(Completed(k)),
+    ]
+}
+
+/// A four-replica group over the three-region WAN: commit latency is
+/// bounded below by one cross-region one-way delay.
+pub fn wan3_group() -> Scenario {
+    let topo = LatencyMatrix::three_region_wan();
+    let hop = topo.one_way(0, 1).min(topo.one_way(1, 0));
+    wan([4, 2, 1], 11)
+        .steps(drive(3, 20_000_000))
+        .expect([Took(hop)])
+}
+
+/// Cutting one backup's region links must not block agreement (f = 1),
+/// and healing lets follow-up traffic complete on the same timeline.
+pub fn wan_partition() -> Scenario {
+    let cut = |heal| {
+        (0..3).map(move |h| {
+            let (a, b) = (HostId(h), HostId(3));
+            let action = match heal {
+                false => ChaosAction::Partition { a, b },
+                true => ChaosAction::Heal { a, b },
+            };
+            Chaos(Now, action)
+        })
+    };
+    wan([4, 1, 1], 17)
+        .steps(cut(false))
+        .steps(drive(2, 40_000_000))
+        .steps(cut(true))
+        .steps([Burst(Incs(1)), CompleteWithin(3, 40_000_000)])
+}
+
+/// Two clients over the WAN with reorder jitter between replicas 0 and 1,
+/// run idle.
+pub fn jittered_wan(seed: u64) -> Scenario {
+    let jitter = Links(0..2, 0..2, Jitter(us(200)));
+    let s = wan([4, 2, 1], seed)
+        .steps([jitter])
+        .steps(drive(2, 20_000_000));
+    s.steps([Idle])
+}
+
+/// The full 31-replica group (f = 10) over three regions: simulated time
+/// advances across the WAN rounds, and the event heap absorbs the n²
+/// message load without its tombstones outgrowing the live events.
+pub fn wan3_31_replicas() -> Scenario {
+    let s = wan([31, 2, 1], 31).steps(drive(4, 400_000_000));
+    s.expect([Took(Nanos::from_nanos(1)), Compacted])
+}
+
+/// A thousand clients packed onto eight shared hosts drive a
+/// seven-replica WAN group; the pending-event high water, a deterministic
+/// function of the seed, shows them piling up.
+pub fn thousand_clients() -> Scenario {
+    let s = wan([7, 1_000, 8], 1_000).steps(drive(1, 2_000_000_000));
+    s.expect([Gauge("sim.events_high_water", ge(101))])
+}
+
+/// The asymmetric matrix is visible end to end. Replicas land round-robin,
+/// so replica 0 is in region 0 and replica 2 in region 2, and each
+/// direction between them carries its own, different one-way delay.
+pub fn one_way_floor() -> Scenario {
+    let topo = LatencyMatrix::three_region_wan();
+    let (there, back) = (topo.one_way(0, 2), topo.one_way(2, 0));
+    assert_ne!(there, back, "the matrix is asymmetric");
+    let s = wan([7, 1, 1], 29).steps(drive(1, 20_000_000));
+    s.expect([OneWay(0, 2, there), OneWay(2, 0, back)])
+}
+
+/// Eight increments outstanding against batch size 10 until 64 complete:
+/// batches fill, so the primary executes fewer batches than requests.
+pub fn eight_outstanding(stack: Stack, pillars: usize) -> Scenario {
+    let cfg = ReptorConfig {
+        pillars,
+        ..ReptorConfig::small()
+    };
+    let s = Scenario::new(stack, 23)
+        .cfg(cfg)
+        .steps([Window(8, 64), Idle]);
+    s.expect([Each(Only(&[0]), ExecutedBatches, 0..=63)])
 }

@@ -3,11 +3,13 @@
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bft_crypto::Digest;
 use kvstore::{KvHarness, KvStoreService, YcsbSpec};
 use reptor::{
-    ByzantineMode, Cluster, CounterService, KvOp, KvService, RecoveryConfig, RecoveryScheduler,
-    Replica, ReptorConfig, Stack, StateMachine,
+    ByzantineMode, Client, Cluster, CounterService, KvOp, KvService, RecoveryConfig,
+    RecoveryScheduler, Replica, ReptorConfig, SeqNum, Stack, StateMachine,
 };
+use simnet::metrics::validate_json;
 use simnet::{
     ChaosAction, ChaosSchedule, CpuModel, DiskFault, HostId, LatencyMatrix, LinkSpec, Nanos,
     Network, Simulator,
@@ -67,9 +69,10 @@ pub enum Fabric {
     Lan,
     /// The same mesh with this one-way propagation delay.
     Propagation(Nanos),
-    /// The three-region WAN, direct transport, the clients sharing this
-    /// many hosts.
-    Wan(usize),
+    /// `cfg.n` replicas round-robin over the regions of this latency
+    /// matrix, one host each, on the direct transport, the clients sharing
+    /// this many hosts.
+    Geo(fn() -> LatencyMatrix, usize),
 }
 
 /// Client requests.
@@ -124,6 +127,9 @@ pub enum Step {
     Sequential(Ops),
     /// Every client submits its requests at once.
     Burst(Ops),
+    /// `Window(k, n)`: every client keeps `k` increments outstanding until
+    /// each has completed `n`.
+    Window(u64, u64),
     /// Each KV client runs `ops` operations of `spec` in a closed loop under
     /// run seed `(seed + CHAOS_SEED − 1) ^ salt`, within `within` events.
     Ycsb {
@@ -146,7 +152,6 @@ pub enum Step {
     Idle,
     RunFor(Nanos),
     /// A fault-plane change.
-    #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     Chaos(When, ChaosAction),
     /// A link fault, now, from every host in the first range to every other
     /// host in the second.
@@ -202,6 +207,7 @@ pub enum Who {
 #[derive(Clone, Copy, Debug)]
 pub enum Stat {
     Executed,
+    ExecutedBatches,
     ViewChangesSent,
     BadMacs,
     FastPathWrites,
@@ -223,6 +229,7 @@ impl Stat {
         let s = r.stats();
         match self {
             Stat::Executed => s.executed_requests,
+            Stat::ExecutedBatches => s.executed_batches,
             Stat::ViewChangesSent => s.view_changes_sent,
             Stat::BadMacs => s.bad_mac_dropped,
             Stat::FastPathWrites => s.fast_path_writes,
@@ -251,8 +258,8 @@ pub enum Expect {
     Sum(Stat, RangeInclusive<u64>),
     /// The selected replicas executed as far as replica 0.
     CaughtUp(Who),
-    /// Every replica's service holds byte-identical state.
-    Converged,
+    /// The selected replicas' services hold byte-identical state.
+    Converged(Who),
     /// The sum of every registry counter whose key ends in `.{name}`.
     Total(&'static str, RangeInclusive<u64>),
     /// A registry counter.
@@ -261,12 +268,25 @@ pub enum Expect {
     Mirrors(Who, &'static str, Stat),
     /// The p50 of a registry histogram, in nanoseconds.
     P50(Who, &'static str, RangeInclusive<u64>),
+    /// Every replica executed a batch, and each of its three phase
+    /// histograms counts every batch it executed.
+    Phases,
+    /// A simulator gauge (`sim.events_*`, `pool.*`), published now.
+    Gauge(&'static str, RangeInclusive<u64>),
     /// Client 0's latest result is this counter value.
     LastResult(u64),
     /// The largest counter value among client 0's results.
     MaxResult(u64),
-    /// Client 0 completed exactly this many requests, each recorded once.
+    /// Client 0's replies are timestamps `1..=n` in order, the `k`-th
+    /// answering the count `k`.
+    Answered(u64),
+    /// Every client completed exactly this many requests, each recorded
+    /// once.
     Completed(u64),
+    /// Replica 0 executed sequence numbers `1..=n`, in order.
+    Gapless(u64),
+    /// This many of replica 0's COP pipelines committed.
+    Pipelines(usize),
     /// The metrics snapshot JSON contains this text.
     Has(&'static str),
     Lacks(&'static str),
@@ -278,6 +298,14 @@ pub enum Expect {
     /// `ThroughRotation` completed at least this many requests, no two of
     /// them this far apart or more.
     Steady(usize, Nanos),
+    /// The timeline took at least this long.
+    Took(Nanos),
+    /// Compaction kept up: the event heap holds no more dead entries than
+    /// live ones, or 64.
+    Compacted,
+    /// `OneWay(a, b, d)`: the link from node `a`'s host to node `b`'s has
+    /// one-way propagation delay `d`.
+    OneWay(usize, usize, Nanos),
     /// Each replica's executed log is as long as its executed-batch count.
     #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     LogsMatchStats,
@@ -354,6 +382,16 @@ pub struct Outcome {
     /// The metrics snapshot JSON after every check, the simulator's
     /// `sim.events_*` and `pool.*` gauges included.
     pub published: String,
+    /// The KV clients' rendered operation history, empty without them.
+    pub history: String,
+    /// Client 0's `(timestamp, result)` replies in completion order.
+    pub replies: Vec<(u64, Vec<u8>)>,
+    /// Client 0's mean request latency.
+    pub mean_latency: Nanos,
+    /// Every replica's service state.
+    pub states: Vec<Digest>,
+    /// Replica 0's executed `(seq, batch digest)` history.
+    pub log: Vec<(SeqNum, Digest)>,
 }
 
 /// The world at `seed`: a KV harness with KV clients only when the row
@@ -377,15 +415,23 @@ fn build(s: &Scenario, seed: u64) -> KvHarness {
             });
             Cluster::on_fabric(s.stack, cfg, Simulator::new(seed), net, hosts, service)
         }
-        (Fabric::Wan(hosts), _) => {
-            let wan = LatencyMatrix::three_region_wan();
-            Cluster::sim_transport_geo(cfg, s.clients, hosts, seed, &wan, service)
+        (Fabric::Geo(matrix, hosts), _) => {
+            let topo = matrix();
+            let c = Cluster::sim_transport_geo(cfg, s.clients, hosts, seed, &topo, service);
+            // WAN round trips under a LAN timeout would depose every primary.
+            assert!(c.cfg.view_change_timeout >= topo.suggested_timeout());
+            c
         }
     };
     KvHarness {
         cluster,
         clients: Vec::new(),
     }
+}
+
+/// Replica `r`'s service state.
+fn state(r: &Replica) -> Digest {
+    r.with_service(|s| s.state_digest())
 }
 
 /// `s`'s world at its run seed, for a test that drives it by hand.
@@ -427,17 +473,41 @@ pub fn run(s: &Scenario) -> Outcome {
     })
 }
 
+/// Keeps `window` requests of every client in flight until each has
+/// completed `total`, calling `observe` after every simulator step.
+pub fn closed_loop(c: &mut Cluster, window: u64, total: u64, mut observe: impl FnMut(&Cluster)) {
+    let clients = c.clients.clone();
+    loop {
+        let mut done = true;
+        for client in &clients {
+            let stats = client.stats();
+            for _ in stats.submitted..total.min(stats.completed + window) {
+                client.submit(&mut c.sim, b"inc".to_vec());
+            }
+            done &= stats.completed >= total;
+        }
+        if done {
+            return;
+        }
+        assert!(c.sim.step(), "simulation went idle before completion");
+        observe(c);
+    }
+}
+
 struct Runner {
     h: KvHarness,
     seed: u64,
+    start: Nanos,
     sched: Option<RecoveryScheduler>,
     stamps: Vec<Nanos>,
 }
 
 impl Runner {
     fn run(s: &Scenario, seed: u64, k: u64) -> Outcome {
+        let h = build(s, seed);
         let mut r = Runner {
-            h: build(s, seed),
+            start: h.cluster.sim.now(),
+            h,
             seed,
             sched: None,
             stamps: Vec::new(),
@@ -462,10 +532,29 @@ impl Runner {
             g("outstanding"),
             "pooled buffers"
         );
+        let published = snap.to_json();
+        for json in [&snapshot, &published] {
+            validate_json(json).unwrap_or_else(|e| panic!("the snapshot JSON: {e}"));
+        }
+        let c = &r.h.cluster;
+        let done = c
+            .clients
+            .first()
+            .map(Client::completions)
+            .unwrap_or_default();
+        let waited = done.iter().map(|d| d.latency().as_nanos()).sum::<u64>();
         Outcome {
             seed,
             snapshot,
-            published: snap.to_json(),
+            published,
+            history: match s.records_history() {
+                true => format!("{:?}", r.h.history()),
+                false => String::new(),
+            },
+            mean_latency: Nanos::from_nanos(waited / done.len().max(1) as u64),
+            replies: done.into_iter().map(|d| (d.timestamp, d.result)).collect(),
+            states: c.replicas.iter().map(state).collect(),
+            log: c.replicas[0].executed_log(),
         }
     }
 
@@ -526,6 +615,7 @@ impl Runner {
                     }
                 }
             }
+            Step::Window(outstanding, total) => closed_loop(c, outstanding, total, |_| {}),
             Step::Ycsb {
                 ref spec,
                 seed,
@@ -659,15 +749,10 @@ impl Runner {
                     assert_eq!(r.last_executed(), head, "replica {} lags replica 0", r.id());
                 }
             }
-            Expect::Converged => {
-                let digest = |r: &Replica| r.with_service(|s| s.state_digest());
-                for r in &c.replicas {
-                    assert_eq!(
-                        digest(r),
-                        digest(&c.replicas[0]),
-                        "replica {}'s state",
-                        r.id()
-                    );
+            Expect::Converged(who) => {
+                let chosen = chosen(who);
+                for r in &chosen {
+                    assert_eq!(state(r), state(chosen[0]), "replica {}'s state", r.id());
                 }
             }
             Expect::Total(name, ref want) => {
@@ -699,15 +784,57 @@ impl Runner {
                     );
                 }
             }
+            Expect::Phases => {
+                let snap = m.snapshot();
+                for r in &c.replicas {
+                    let batches = m.counter(&key(r, "reptor.r{}.batches_executed"));
+                    assert!(batches > 0, "replica {} executed nothing", r.id());
+                    for phase in [
+                        "preprepare_to_prepared",
+                        "prepared_to_committed",
+                        "committed_to_executed",
+                    ] {
+                        let name = format!("reptor.r{}.phase.{phase}", r.id());
+                        let h = snap.histogram(&name).unwrap_or_else(|| panic!("no {name}"));
+                        assert_eq!(h.count, batches, "{name} counts every executed batch");
+                    }
+                }
+            }
+            Expect::Gauge(name, ref want) => {
+                let gauge = u64::try_from(c.metrics_snapshot().gauge(name));
+                within(&name, gauge.expect("a gauge that counts"), want)
+            }
             Expect::LastResult(n) => {
                 assert_eq!(results().next_back(), Some(n), "client 0's last result")
             }
             Expect::MaxResult(n) => {
                 assert_eq!(results().max(), Some(n), "client 0's largest result")
             }
+            Expect::Answered(n) => {
+                let replies = c.clients[0].completions().into_iter();
+                let replies = replies.map(|d| (d.timestamp, d.result)).collect::<Vec<_>>();
+                let want = (1..=n).map(|k| (k, k.to_le_bytes().to_vec()));
+                assert_eq!(replies, want.collect::<Vec<_>>(), "client 0's replies");
+            }
             Expect::Completed(n) => {
-                assert_eq!(c.clients[0].stats().completed, n, "completed requests");
-                assert_eq!(results().count() as u64, n, "recorded completions");
+                for (i, client) in c.clients.iter().enumerate() {
+                    let done = (client.stats().completed, client.completions().len() as u64);
+                    assert_eq!(done, (n, n), "client {i}'s completed and recorded requests");
+                }
+            }
+            Expect::Gapless(n) => {
+                let log = c.replicas[0].executed_log();
+                let seqs: Vec<SeqNum> = log.iter().map(|&(seq, _)| seq).collect();
+                assert_eq!(
+                    seqs,
+                    (1..=n).collect::<Vec<_>>(),
+                    "replica 0's executed seqs"
+                );
+            }
+            Expect::Pipelines(n) => {
+                let stats = c.replicas[0].pipeline_stats();
+                let committed = stats.iter().filter(|p| p.committed > 0).count();
+                assert_eq!(committed, n, "replica 0's committing pipelines");
             }
             Expect::Has(text) => assert!(m.snapshot().to_json().contains(text), "no {text}"),
             Expect::Lacks(text) => assert!(!m.snapshot().to_json().contains(text), "{text}"),
@@ -736,6 +863,21 @@ impl Runner {
                 for w in self.stamps.windows(2) {
                     assert!(w[1] - w[0] < gap, "no completion for {}", w[1] - w[0]);
                 }
+            }
+            Expect::Took(d) => {
+                let took = c.sim.now() - self.start;
+                assert!(took >= d, "the timeline took {took:?}, want {d:?} or more");
+            }
+            Expect::Compacted => {
+                let q = c.sim.queue_stats();
+                assert!(q.tombstones <= q.pending.max(64), "{q:?}");
+            }
+            Expect::OneWay(a, b, d) => {
+                let link = c
+                    .net
+                    .link_spec_between(c.hosts[a], c.hosts[b])
+                    .expect("a link");
+                assert_eq!(link.propagation, d, "node {a} to node {b}");
             }
             Expect::LogsMatchStats => {
                 for r in &c.replicas {

@@ -10,16 +10,23 @@
 //! * A quiescent RDMA run (receives always pre-posted) sees no RNR
 //!   retries.
 //! * The whole stack is deterministic: a fixed seed reproduces the
-//!   metrics snapshot byte for byte, phase counters included.
+//!   metrics snapshot byte for byte, phase counters included (the rows of
+//!   `invariants_rows!` in `tests/scenarios/rows.rs`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+// This file runs one group of the table; `--test scenarios` lints it all.
+#[allow(dead_code)]
+#[macro_use]
+mod scenarios;
+
 use bench::{fig3, fig4};
-use reptor::{Cluster, CounterService, NodeId, ReptorConfig, Stack};
+use reptor::{NodeId, Stack};
 use rubin::RubinConfig;
-use simnet::metrics::validate_json;
 use simnet::{CoreId, HostId, TestBed};
+
+invariants_rows!(row_tests);
 
 const PAYLOAD: usize = 4096;
 const MSGS: usize = 10;
@@ -246,124 +253,6 @@ fn one_sided_state_read_costs_the_responder_zero_cpu_work() {
     assert!(
         fetcher_dma >= fetcher_dma_before + CHUNKS as u64,
         "each chunk lands by DMA at the fetcher"
-    );
-}
-
-/// Runs a small deterministic PBFT workload and returns its snapshot JSON.
-fn bft_snapshot_json(seed: u64) -> String {
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, seed, || {
-        Box::new(CounterService::default())
-    });
-    let client = c.clients[0].clone();
-    for _ in 0..5 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(
-        c.run_until_completed(5, 2_000_000),
-        "workload must complete"
-    );
-    c.settle();
-    c.assert_safety();
-    c.metrics_snapshot().to_json()
-}
-
-#[test]
-fn fixed_seed_reproduces_identical_phase_counter_sequences() {
-    let a = bft_snapshot_json(1234);
-    let b = bft_snapshot_json(1234);
-    validate_json(&a).expect("snapshot JSON must be valid");
-    assert_eq!(a, b, "same seed must give a byte-identical snapshot");
-
-    // The snapshot carries the per-phase agreement pipeline for every
-    // replica: each phase histogram saw every executed batch.
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 1234, || {
-        Box::new(CounterService::default())
-    });
-    let client = c.clients[0].clone();
-    for _ in 0..5 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(5, 2_000_000));
-    c.settle();
-    let snap = c.metrics_snapshot();
-    for r in 0..4 {
-        let executed = snap.counter(&format!("reptor.r{r}.batches_executed"));
-        assert!(executed > 0, "replica {r} executed nothing");
-        for phase in [
-            "phase.preprepare_to_prepared",
-            "phase.prepared_to_committed",
-            "phase.committed_to_executed",
-        ] {
-            let h = snap
-                .histogram(&format!("reptor.r{r}.{phase}"))
-                .unwrap_or_else(|| panic!("replica {r} missing {phase}"));
-            assert_eq!(
-                h.count, executed,
-                "replica {r} {phase} must see every executed batch"
-            );
-        }
-        assert_eq!(snap.counter(&format!("reptor.r{r}.requests_executed")), 5);
-    }
-}
-
-#[test]
-fn different_seeds_still_execute_the_same_workload() {
-    // Timing (and therefore histograms and traces) may differ across
-    // seeds, but the logical phase counters are workload-determined.
-    let a = bft_snapshot_json(1);
-    let b = bft_snapshot_json(2);
-    validate_json(&a).expect("valid JSON");
-    validate_json(&b).expect("valid JSON");
-    // Both runs executed the same five requests on every replica, so the
-    // logical counters agree even if the byte-level snapshots do not.
-    for json in [&a, &b] {
-        assert!(json.contains("\"reptor.r0.requests_executed\":5"));
-        assert!(json.contains("\"reptor.r3.requests_executed\":5"));
-    }
-}
-
-#[test]
-fn simulator_health_gauges_are_published_and_consistent() {
-    // Every snapshot carries the event-core and buffer-pool gauges the CI
-    // counter-drift gate watches across the chaos seed matrix, and they
-    // obey the core's own arithmetic.
-    let mut c = Cluster::sim_transport(ReptorConfig::small(), 1, 99, || {
-        Box::new(CounterService::default())
-    });
-    let client = c.clients[0].clone();
-    for _ in 0..5 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(5, 2_000_000));
-    c.settle();
-    let snap = c.metrics_snapshot();
-
-    let scheduled = snap.gauge("sim.events_scheduled");
-    let executed = snap.gauge("sim.events_executed");
-    let cancelled = snap.gauge("sim.events_cancelled");
-    let pending = snap.gauge("sim.events_pending");
-    assert!(scheduled > 0, "the run scheduled events");
-    assert!(executed > 0 && executed <= scheduled);
-    // Conservation: every scheduled event is executed, cancelled, or
-    // still pending.
-    assert_eq!(scheduled, executed + cancelled + pending);
-    assert_eq!(pending, 0, "settled simulator has nothing pending");
-    assert!(snap.gauge("sim.events_high_water") > 0);
-    // Tombstone conservation: a cancel leaves one tombstone, which is
-    // purged when it surfaces or by compaction, or is still in the heap.
-    let tombstones = snap.gauge("sim.events_tombstones_live");
-    assert_eq!(
-        cancelled,
-        snap.gauge("sim.events_tombstones_purged") + tombstones
-    );
-    // Tombstones never outlive compaction pressure.
-    assert!(tombstones <= scheduled.max(64));
-
-    // Pool gauges are present (zero here: SimTransport bypasses the
-    // RNIC buffer pool) and never report phantom leaks.
-    assert_eq!(
-        snap.gauge("pool.net.takes") - snap.gauge("pool.net.returns"),
-        snap.gauge("pool.net.outstanding")
     );
 }
 
