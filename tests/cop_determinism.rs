@@ -3,8 +3,8 @@
 //! Consensus-Oriented Parallelization must not cost any of the simulator's
 //! reproducibility guarantees:
 //!
-//! * a fixed-seed run is byte-identical down to the full metrics snapshot
-//!   JSON, whatever the pipeline count;
+//! * a fixed-seed run matches its golden line, a hash of the full metrics
+//!   snapshot JSON, whatever the pipeline count;
 //! * the executor's total order makes the *outcome* — executed `(seq,
 //!   digest)` history and service state — independent of how many
 //!   pipelines agreement was split across;

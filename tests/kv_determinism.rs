@@ -4,7 +4,7 @@
 //! the wire — lease grants, parallel quorum READs, two-phase region
 //! writes with scheduled commit closures, denial-driven re-queries — and
 //! none of it may cost the simulator its reproducibility guarantee. A
-//! fixed-seed YCSB run must replay byte-identically down to the full
+//! fixed-seed YCSB run must match its golden line, a hash of the full
 //! metrics snapshot JSON (every counter, gauge, and trace) and the
 //! rendered operation history, for both canonical workload mixes, across
 //! COP pipeline counts, on both comm stacks.

@@ -15,6 +15,7 @@
 
 #[path = "../common/mod.rs"]
 pub mod common;
+pub mod golden;
 pub mod scenario;
 #[macro_use]
 pub mod rows;

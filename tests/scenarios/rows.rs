@@ -17,18 +17,17 @@ pub use super::scenario::{
     Step::*, When::*, Who::*,
 };
 
-/// A table entry: a row, one row per sweep seed, a replayed row, or rows
-/// compared with each other.
+/// A table entry: a row, one row per sweep seed, or rows compared with
+/// each other.
 pub trait Row: Sized {
     /// The entry's scenarios, named.
     fn scenarios(self, name: &'static str) -> Vec<Scenario>;
 
-    /// The entry's test: runs every scenario and checks it.
+    /// The entry's test: runs every scenario and checks it, and returns
+    /// the outcomes in [`Row::scenarios`] order.
     #[allow(dead_code)] // `row_tests!` calls it in the group files.
-    fn test(self, name: &'static str) {
-        for s in self.scenarios(name) {
-            run(&s);
-        }
+    fn test(self, name: &'static str) -> Vec<Outcome> {
+        self.scenarios(name).iter().map(run).collect()
     }
 }
 
@@ -43,8 +42,8 @@ impl<R: Row> Row for Vec<R> {
         self.into_iter().flat_map(|r| r.scenarios(name)).collect()
     }
 
-    fn test(self, name: &'static str) {
-        self.into_iter().for_each(|r| r.test(name));
+    fn test(self, name: &'static str) -> Vec<Outcome> {
+        self.into_iter().flat_map(|r| r.test(name)).collect()
     }
 }
 
@@ -53,33 +52,10 @@ impl<A: Row, B: Row> Row for (A, B) {
         [self.0.scenarios(name), self.1.scenarios(name)].concat()
     }
 
-    fn test(self, name: &'static str) {
-        self.0.test(name);
-        self.1.test(name);
-    }
-}
-
-/// A row whose test runs it twice: the whole timeline — fault coins,
-/// retransmissions, view changes, reconnect backoff, transfers, restarts —
-/// must replay byte-identically from the seed, down to the metrics
-/// snapshot with the simulator's event and buffer-pool gauges and, with KV
-/// clients, the rendered operation history.
-pub struct Replay(pub Scenario);
-
-impl Row for Replay {
-    fn scenarios(self, name: &'static str) -> Vec<Scenario> {
-        self.0.scenarios(name)
-    }
-
-    fn test(self, name: &'static str) {
-        let s = Scenario { name, ..self.0 };
-        let (a, b) = (run(&s), run(&s));
-        assert_eq!(
-            (a.published, a.history),
-            (b.published, b.history),
-            "row `{name}` at seed {} replayed differently",
-            a.seed
-        );
+    fn test(self, name: &'static str) -> Vec<Outcome> {
+        let mut outcomes = self.0.test(name);
+        outcomes.extend(self.1.test(name));
+        outcomes
     }
 }
 
@@ -105,17 +81,18 @@ impl Row for Across {
         self.1.scenarios(name)
     }
 
-    fn test(self, name: &'static str) {
-        compare(self.0, &self.1.scenarios(name));
+    fn test(self, name: &'static str) -> Vec<Outcome> {
+        compare(self.0, &self.1.scenarios(name))
     }
 }
 
-/// Runs `rows` and requires `how` of every row against the next.
+/// Runs `rows`, requires `how` of every row against the next and returns
+/// the outcomes.
 ///
 /// # Panics
 ///
 /// Panics naming both rows of the first pair that fails.
-pub fn compare(how: Compare, rows: &[Scenario]) {
+pub fn compare(how: Compare, rows: &[Scenario]) -> Vec<Outcome> {
     let outcomes: Vec<Outcome> = rows.iter().map(run).collect();
     for (i, pair) in outcomes.windows(2).enumerate() {
         let (a, b, s, t) = (&pair[0], &pair[1], &rows[i], &rows[i + 1]);
@@ -141,9 +118,11 @@ pub fn compare(how: Compare, rows: &[Scenario]) {
             ),
         }
     }
+    outcomes
 }
 
-/// One `#[test]` per row, named after it.
+/// One `#[test]` per row, named after it: runs the row and checks its
+/// outcomes against its golden line.
 #[allow(unused_macros)] // The table-wide checks read the table and make no row tests.
 macro_rules! row_tests {
     ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {$(
@@ -151,15 +130,16 @@ macro_rules! row_tests {
         #[test]
         fn $name() {
             use crate::scenarios::rows::*;
-            Row::test($row, stringify!($name));
+            let outcomes = Row::test($row, stringify!($name));
+            crate::scenarios::golden::check(stringify!($name), &outcomes);
         }
     )*};
 }
 
-/// Every scenario of a group, named.
+/// Every row of a group: its name and its scenarios.
 macro_rules! named_rows {
     ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {
-        [$(Row::scenarios($row, stringify!($name)),)*].concat()
+        vec![$((stringify!($name), Row::scenarios($row, stringify!($name))),)*]
     };
 }
 
@@ -175,13 +155,19 @@ macro_rules! chaos_rows {
             corrupted_frames_are_rejected_by_mac_and_agreement_survives => corrupted_frames(),
             primary_crash_view_change_and_reconnect_on_rubin_stack => primary_crash(Stack::Rubin),
             primary_crash_view_change_and_reconnect_on_nio_stack => primary_crash(Stack::Nio),
-            fixed_seed_crash_timeline_replays_byte_identically => Replay(primary_crash(Stack::Rubin)),
+            fixed_seed_crash_timeline_replays_byte_identically => primary_crash(Stack::Rubin),
             partitioned_replica_rejoins_via_state_transfer_on_rubin_stack => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             partitioned_replica_rejoins_via_state_transfer_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::Honest),
             bogus_state_chunks_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::BogusStateChunks),
             bogus_state_chunks_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::BogusStateChunks),
             stale_checkpoint_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::StaleCheckpoint),
-            fixed_seed_state_transfer_replays_byte_identically => Replay(state_transfer(Stack::Rubin, ByzantineMode::Honest)),
+            // The stale liar over the message path. The golden lines show
+            // each stale-checkpoint row identical to its stack's
+            // bogus-chunks row at seeds 1–5: both liars are rejected the
+            // same way, at the manifest, so the snapshot cannot tell them
+            // apart.
+            stale_checkpoint_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::StaleCheckpoint),
+            fixed_seed_state_transfer_replays_byte_identically => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack => cold_restart(Stack::Rubin),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack => cold_restart(Stack::Nio),
             proactive_refresh_collides_with_partition_on_rubin_stack => refresh_into_partition(Stack::Rubin),
@@ -189,7 +175,7 @@ macro_rules! chaos_rows {
             stale_epoch_rkey_responder_is_fenced_by_rnic_on_rubin_stack => stale_epoch_offer(),
             equivocating_slot_writer_is_caught_at_prepare_and_deposed => equivocating_slot_writer(),
             deposed_slot_writer_late_writes_are_rnic_denied => deposed_slot_writer(),
-            fixed_seed_deposed_slot_writer_replays_byte_identically => Replay(deposed_slot_writer()),
+            fixed_seed_deposed_slot_writer_replays_byte_identically => deposed_slot_writer(),
         }
     };
 }
@@ -200,12 +186,12 @@ macro_rules! durable_rows {
         $then! {
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack => torn_wal_tail(Stack::Rubin),
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack => torn_wal_tail(Stack::Nio),
-            fixed_seed_torn_tail_timeline_replays_byte_identically => Replay(torn_wal_tail(Stack::Rubin)),
+            fixed_seed_torn_tail_timeline_replays_byte_identically => torn_wal_tail(Stack::Rubin),
             bitflipped_snapshot_falls_back_to_peer_state_transfer => bitflipped_snapshot(),
             crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack => full_cluster_restart(Stack::Nio),
-            fixed_seed_full_cluster_restart_replays_byte_identically => Replay(full_cluster_restart(Stack::Rubin)),
+            fixed_seed_full_cluster_restart_replays_byte_identically => full_cluster_restart(Stack::Rubin),
             second_crash_rejoins_without_inherited_backoff => second_crash(),
         }
     };
@@ -237,9 +223,9 @@ macro_rules! fast_path_rows {
     ($then:ident) => {
         $then! {
             fast_path_engages_and_commits_exactly_once => fast_path_commit(),
-            fixed_seed_fast_path_timeline_replays_byte_identically => Replay(fast_path_commit()),
+            fixed_seed_fast_path_timeline_replays_byte_identically => fast_path_commit(),
             fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
-            disabled_fast_path_leaves_no_trace_in_the_snapshot => Replay(disabled_fast_path()),
+            disabled_fast_path_leaves_no_trace_in_the_snapshot => disabled_fast_path(),
             fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
             fallback_engages_cleanly_without_one_sided_writes_four_pipelines => message_fallback(4),
             fast_path_composes_with_four_cop_pipelines => fast_path_four_pipelines(),
@@ -268,7 +254,7 @@ macro_rules! proactive_rows {
             // A whole rotation under load — epoch roll, MR re-registration,
             // four restarts, four state transfers, the client traffic woven
             // between them.
-            fixed_seed_rotation_replays_byte_identically => Replay(Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) }),
+            fixed_seed_rotation_replays_byte_identically => Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) },
         }
     };
 }
@@ -314,7 +300,7 @@ macro_rules! stacks_rows {
 macro_rules! invariants_rows {
     ($then:ident) => {
         $then! {
-            fixed_seed_reproduces_identical_phase_counter_sequences => Replay(incs(1234, 5, 2_000_000).expect([Phases, Counter(All, "reptor.r{}.requests_executed", eq(5))])),
+            fixed_seed_reproduces_identical_phase_counter_sequences => incs(1234, 5, 2_000_000).expect([Phases, Counter(All, "reptor.r{}.requests_executed", eq(5))]),
             // Timing, and so histograms and traces, may differ across seeds;
             // the logical counters are workload-determined.
             different_seeds_still_execute_the_same_workload => [1, 2].map(|seed| incs(seed, 5, 2_000_000).expect([Counter(Only(&[0, 3]), "reptor.r{}.requests_executed", eq(5))])).to_vec(),
@@ -328,8 +314,8 @@ macro_rules! invariants_rows {
 macro_rules! cop_rows {
     ($then:ident) => {
         $then! {
-            fixed_seed_p1_metrics_snapshot_is_byte_identical => Replay(cop(1, 0xD5, 16)),
-            fixed_seed_p4_metrics_snapshot_is_byte_identical => Replay(cop(4, 0xD5, 16)),
+            fixed_seed_p1_metrics_snapshot_is_byte_identical => cop(1, 0xD5, 16),
+            fixed_seed_p4_metrics_snapshot_is_byte_identical => cop(4, 0xD5, 16),
             // The executor's total order makes the outcome independent of
             // how many pipelines agreement was split across, and agreement
             // genuinely spreads across them.
@@ -344,13 +330,13 @@ macro_rules! cop_rows {
 macro_rules! kv_replay_rows {
     ($then:ident) => {
         $then! {
-            ycsb_a_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::a(12), 1, 0x2A)),
-            ycsb_b_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::b(12), 1, 0x2B)),
-            ycsb_a_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::a(12), 1, 0x3A)),
-            ycsb_b_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::b(12), 1, 0x3B)),
-            cop_p4_ycsb_a_replays_byte_identically_over_rubin => Replay(kv_replay(Stack::Rubin, YcsbSpec::a(12), 4, 0x4A)),
-            cop_p4_ycsb_b_replays_byte_identically_over_nio => Replay(kv_replay(Stack::Nio, YcsbSpec::b(12), 4, 0x4B)),
-            // The replay is not vacuously constant.
+            ycsb_a_replays_byte_identically_over_rubin => kv_replay(Stack::Rubin, YcsbSpec::a(12), 1, 0x2A),
+            ycsb_b_replays_byte_identically_over_rubin => kv_replay(Stack::Rubin, YcsbSpec::b(12), 1, 0x2B),
+            ycsb_a_replays_byte_identically_over_nio => kv_replay(Stack::Nio, YcsbSpec::a(12), 1, 0x3A),
+            ycsb_b_replays_byte_identically_over_nio => kv_replay(Stack::Nio, YcsbSpec::b(12), 1, 0x3B),
+            cop_p4_ycsb_a_replays_byte_identically_over_rubin => kv_replay(Stack::Rubin, YcsbSpec::a(12), 4, 0x4A),
+            cop_p4_ycsb_b_replays_byte_identically_over_nio => kv_replay(Stack::Nio, YcsbSpec::b(12), 4, 0x4B),
+            // The golden lines are not vacuously constant.
             different_seeds_diverge => Across(Compare::Differ, [5, 6].map(|seed| kv_replay(Stack::Rubin, YcsbSpec::b(12), 1, seed)).into()),
         }
     };
@@ -368,7 +354,7 @@ macro_rules! geo_rows {
             wan_partition_composes_with_geo_links => wan_partition(),
             // Reorder jitter makes the timeline seed-dependent (a fault-free
             // run consumes no randomness at all).
-            geo_runs_replay_byte_identically => (Replay(jittered_wan(23)), Across(Compare::Differ, vec![jittered_wan(23), jittered_wan(24)])),
+            geo_runs_replay_byte_identically => (jittered_wan(23), Across(Compare::Differ, vec![jittered_wan(23), jittered_wan(24)])),
             #[ignore = "scale tier: run in release via the CI scale job"]
             wan3_31_replica_group_commits => wan3_31_replicas(),
             #[ignore = "scale tier: run in release via the CI scale job"]
@@ -384,13 +370,13 @@ macro_rules! geo_rows {
 macro_rules! batching_rows {
     ($then:ident) => {
         $then! {
-            same_seed_snapshots_are_byte_identical_under_batching => [Stack::Rubin, Stack::Nio].into_iter().flat_map(|stack| [1, 3].map(|p| Replay(eight_outstanding(stack, p)))).collect::<Vec<_>>(),
+            same_seed_snapshots_are_byte_identical_under_batching => [Stack::Rubin, Stack::Nio].into_iter().flat_map(|stack| [1, 3].map(|p| eight_outstanding(stack, p))).collect::<Vec<_>>(),
         }
     };
 }
 
-/// Every row of the table, each under its name.
-pub fn table() -> Vec<Scenario> {
+/// Every row of the table in order: its name and its scenarios.
+pub fn table() -> Vec<(&'static str, Vec<Scenario>)> {
     [
         chaos_rows!(named_rows),
         durable_rows!(named_rows),

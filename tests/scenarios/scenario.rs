@@ -376,9 +376,6 @@ impl Scenario {
 pub struct Outcome {
     /// The seed the row ran at.
     pub seed: u64,
-    /// The metrics snapshot JSON at the end of the timeline, before the
-    /// runner publishes the simulator gauges for its own checks.
-    pub snapshot: String,
     /// The metrics snapshot JSON after every check, the simulator's
     /// `sim.events_*` and `pool.*` gauges included.
     pub published: String,
@@ -513,7 +510,6 @@ impl Runner {
             stamps: Vec::new(),
         };
         s.steps.iter().for_each(|step| r.step(step, s.service, k));
-        let snapshot = r.h.cluster.net.metrics().snapshot().to_json();
         s.expect.iter().for_each(|e| r.check(e));
         r.h.cluster.assert_safety();
         if s.records_history() {
@@ -533,9 +529,7 @@ impl Runner {
             "pooled buffers"
         );
         let published = snap.to_json();
-        for json in [&snapshot, &published] {
-            validate_json(json).unwrap_or_else(|e| panic!("the snapshot JSON: {e}"));
-        }
+        validate_json(&published).unwrap_or_else(|e| panic!("the snapshot JSON: {e}"));
         let c = &r.h.cluster;
         let done = c
             .clients
@@ -545,7 +539,6 @@ impl Runner {
         let waited = done.iter().map(|d| d.latency().as_nanos()).sum::<u64>();
         Outcome {
             seed,
-            snapshot,
             published,
             history: match s.records_history() {
                 true => format!("{:?}", r.h.history()),
