@@ -22,6 +22,9 @@ impl ReplicaInner {
                 return;
             }
         };
+        if envelope.sender() == self.cfg.primary(self.view) {
+            self.primary_heard_at = sim.now();
+        }
         // Charge MAC verification to the core of the pipeline that owns
         // this message's sequence number — the transport's lane demux
         // already derived it from the wire frame (lane 0 / core 0 for
@@ -159,28 +162,39 @@ impl ReplicaInner {
         !self.has_executed(client, timestamp) && self.view == view_at_start && !self.in_view_change
     }
 
-    /// Arms the view-change timer of request `key`, `(client, timestamp)`.
-    /// Each stage waits the suspicion time read when the stage is armed.
+    /// Arms the view-change timer of request `key`, `(client, timestamp)`:
+    /// one stage if the primary stays silent while it runs, two (ask, then
+    /// accuse) if it was heard. Each stage waits the suspicion time read
+    /// when the stage is armed.
     fn arm_request_timer(&self, sim: &mut Simulator, key: (ClientId, u64)) {
         let view_at_start = self.view;
+        let armed_at = sim.now();
         self.later(sim, self.suspicion_time(), move |r, sim| {
-            if r.stalled(key, view_at_start) {
-                // Ask before accusing: the stall may be this replica
-                // lagging (its commits were lost for good, e.g. MAC
-                // rejections), not a faulty primary. A premature
-                // VIEW-CHANGE vote is worse than a late one — the vote
-                // freezes a snapshot of prepared certificates, while a
-                // catch-up round costs one more timeout.
-                r.request_catch_up(sim);
-                // Second stage, after the catch-up round was given a
-                // chance: if the request is still unexecuted in the same
-                // view, vote.
-                r.later(sim, r.suspicion_time(), move |r, sim| {
-                    if r.stalled(key, view_at_start) {
-                        r.start_view_change(sim, view_at_start + 1);
-                    }
-                });
+            if !r.stalled(key, view_at_start) {
+                return;
             }
+            // A primary that has sent nothing for a whole suspicion time is
+            // accused at once, as in PBFT. `start_view_change` broadcasts a
+            // catch-up request too, so a voter that merely lags still
+            // recovers.
+            if r.primary_heard_at <= armed_at {
+                r.start_view_change(sim, view_at_start + 1);
+                return;
+            }
+            // A primary still talking is asked about before it is accused:
+            // the stall may be this replica lagging (its commits were lost
+            // for good, e.g. MAC rejections), not a faulty primary. A
+            // premature VIEW-CHANGE vote is worse than a late one — the
+            // vote freezes a snapshot of prepared certificates, while a
+            // catch-up round costs one more timeout.
+            r.request_catch_up(sim);
+            // Second stage, after the catch-up round was given a chance: if
+            // the request is still unexecuted in the same view, vote.
+            r.later(sim, r.suspicion_time(), move |r, sim| {
+                if r.stalled(key, view_at_start) {
+                    r.start_view_change(sim, view_at_start + 1);
+                }
+            });
         });
     }
 

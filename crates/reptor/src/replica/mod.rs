@@ -315,6 +315,10 @@ struct ReplicaInner {
     vc_attempts: u32,
     /// The measured latency the request timers are set from.
     suspicion: Suspicion,
+    /// When an authenticated message from the current view's primary last
+    /// arrived: a request timer accuses a primary silent for its whole
+    /// first stage without asking for catch-up first.
+    primary_heard_at: Nanos,
     /// Outbound serialization horizon: sends leave the replica in
     /// submission order (the comm stack's single sender queue).
     send_horizon: Nanos,
@@ -475,6 +479,7 @@ impl Replica {
                     voted_view: 0,
                     vc_attempts: 0,
                     suspicion: Suspicion::default(),
+                    primary_heard_at: Nanos::ZERO,
                     send_horizon: Nanos::ZERO,
                     outbox,
                     stats: ReplicaStats::default(),

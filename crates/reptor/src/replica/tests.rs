@@ -215,3 +215,42 @@ fn a_wan_group_is_timed_from_its_own_latency() {
         }
     }
 }
+
+#[test]
+fn only_the_primarys_own_authenticated_word_counts_as_hearing_it() {
+    let mut c = cluster(8, 48);
+    c.sim.run_for(Nanos::from_millis(1));
+    let backup = c.replicas[1].inner.clone();
+    let heard_at = || backup.borrow().primary_heard_at;
+    let keys = |id| KeyTable::new(id, crate::cluster::DOMAIN_SECRET.to_vec());
+    let (primary, other) = (keys(0), keys(2));
+    // Any message works: a catch-up request names its author.
+    let from = |replica| Message::CatchUpRequest {
+        from_seq: 1,
+        replica,
+    };
+    let receivers = [0, 1, 2, 3];
+    let mut forged = from(0).seal(&primary, &receivers);
+    corrupt_macs(&mut forged, receivers.len());
+    let hearsay = from(0).seal(&other, &receivers);
+    let backups_own = from(2).seal(&other, &receivers);
+    for (wire, what) in [
+        (&forged, "a frame whose MAC fails"),
+        (&hearsay, "a backup speaking in the primary's name"),
+        (&backups_own, "a backup's own message"),
+    ] {
+        backup.borrow_mut().on_raw(&mut c.sim, 0, wire);
+        assert_eq!(heard_at(), Nanos::ZERO, "{what} is not the primary");
+    }
+    let dropped = backup.borrow().stats.bad_mac_dropped;
+    assert_eq!(dropped, 2, "the forged frame and the hearsay were refused");
+
+    let now = c.sim.now();
+    backup
+        .borrow_mut()
+        .on_raw(&mut c.sim, 0, &from(0).seal(&primary, &receivers));
+    assert_eq!(heard_at(), now, "the primary's own message");
+    c.sim.run_for(Nanos::from_millis(1));
+    backup.borrow_mut().on_raw(&mut c.sim, 0, &backups_own);
+    assert_eq!(heard_at(), now, "a later backup message moves nothing");
+}

@@ -26,6 +26,7 @@ impl ReplicaInner {
         self.voted_view = 0;
         self.vc_attempts = 0;
         self.suspicion = Suspicion::default();
+        self.primary_heard_at = Nanos::ZERO;
         self.transfer = None;
         // The recovery epoch survives a restart: it is local wall-clock
         // bookkeeping, not replicated state, and the scheduler that
@@ -174,7 +175,15 @@ impl ReplicaInner {
     /// reached" and full state transfer: per-instance catch-up is cheaper
     /// when the gap is small, so it gets the first try. The grace is the
     /// suspicion time: a primary that must fetch a checkpoint does so
-    /// before its backups, which wait twice that, accuse it.
+    /// before its backups accuse it, because they have heard it while
+    /// their timers ran and so ask for catch-up before voting, `2T` in
+    /// all. What they heard is its last PRE-PREPARE, for the instance it
+    /// could not commit: the requests queued behind that instance reach
+    /// the backups first and arm their timers (traced in
+    /// `primary_proposes_held_batch_when_state_transfer_completes_its_instance`:
+    /// armed at 60.002 ms, PRE-PREPARE at 60.010 ms, grace over at
+    /// 68.043 ms, the first stage at 68.002 ms). A primary silent for a
+    /// whole `T` is accused at `T`, before its grace ends.
     pub(super) fn arm_transfer_grace(&self, sim: &mut Simulator, seq: SeqNum) {
         self.later(sim, self.suspicion_time(), move |r, sim| {
             if r.transfer.is_none()

@@ -509,6 +509,9 @@ pub fn primary_crash(stack: Stack) -> Scenario {
             Complete(8),
             Check(Each(backups, View, ge(1))),
             Check(Each(backups, Executed, eq(8))),
+            // The view change can finish before the first re-dial: give the
+            // backoff time to fire while the host is still down.
+            RunFor(ms(10)),
             Check(Total("reconnect_attempts", ge(1))),
             // The host restarts and the re-dials land. The peers' holding pens
             // carried recent traffic for the dead host across the outage (at

@@ -167,7 +167,9 @@ fn a_burst_queued_at_a_correct_primary_deposes_no_one() {
 fn crashed_primary_is_replaced_within_milliseconds() {
     // Backups time requests from the latency they measure. Once steady load
     // has shown them what a request costs, a dead primary is suspected
-    // after milliseconds, not after the configured 40 ms ceiling.
+    // after milliseconds, not after the configured 40 ms ceiling. A primary
+    // silent for one suspicion time is accused then, without a catch-up
+    // round first, so the new view is up well inside two of them.
     for stack in [Stack::Direct, Stack::Nio, Stack::Rubin] {
         let mut c = world(&Scenario::new(stack, 78));
         c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
@@ -177,12 +179,12 @@ fn crashed_primary_is_replaced_within_milliseconds() {
         for _ in 0..4 {
             client.submit(&mut c.sim, b"inc".to_vec());
         }
-        let deadline = crashed_at + Nanos::from_millis(20);
+        let deadline = crashed_at + Nanos::from_millis(12);
         while c.replicas[1..].iter().any(|r| r.view() == 0) {
             assert!(c.sim.step(), "{stack:?}: went idle in view 0");
             assert!(
                 c.sim.now() <= deadline,
-                "{stack:?}: a survivor is still in view 0 20 ms after the crash"
+                "{stack:?}: a survivor is still in view 0 12 ms after the crash"
             );
         }
         assert!(c.run_until_completed(24, 5_000_000), "{stack:?}");
