@@ -202,6 +202,7 @@ macro_rules! security_rows {
     ($then:ident) => {
         $then! {
             compromised_replica_is_contained_by_the_protocol => compromised_replica(),
+            corrupt_macs_are_dropped_and_tolerated => corrupt_macs(),
         }
     };
 }
@@ -214,6 +215,14 @@ macro_rules! view_change_rows {
             view_change_replays_prepared_batches_without_duplication => silent_primary_mid_stream(),
             checkpoints_continue_after_view_change => checkpoints_after_view_change(),
             seven_replicas_survive_two_cascading_silent_primaries => seven_replicas(),
+            silent_primary_triggers_view_change => silent_primary(),
+            equivocating_primary_cannot_violate_safety => equivocating_primary(),
+            // The view change collects prepared certificates from every
+            // pipeline's log, and the new primary re-proposes the merged set.
+            silent_primary_view_change_merges_two_pipelines => faulty_primary_over_pipelines(ByzantineMode::SilentPrimary, 2, 40),
+            silent_primary_view_change_merges_four_pipelines => faulty_primary_over_pipelines(ByzantineMode::SilentPrimary, 4, 41),
+            equivocating_primary_view_change_merges_two_pipelines => faulty_primary_over_pipelines(ByzantineMode::EquivocatingPrimary, 2, 42),
+            equivocating_primary_view_change_merges_four_pipelines => faulty_primary_over_pipelines(ByzantineMode::EquivocatingPrimary, 4, 43),
         }
     };
 }
@@ -1016,6 +1025,61 @@ pub fn compromised_replica() -> Scenario {
         .steps([Byzantine(1, ByzantineMode::CorruptMacs), Burst(Incs(5))])
         .steps([CompleteWithin(5, 3_000_000), Idle])
         .expect([Sum(BadMacs, ge(1)), Each(Only(&[0]), Executed, eq(5))])
+}
+
+/// A replica whose MACs never verify: its peers drop its messages and
+/// count them, and the other three carry the workload.
+pub fn corrupt_macs() -> Scenario {
+    Scenario::new(Stack::Direct, 8)
+        .steps([Byzantine(2, ByzantineMode::CorruptMacs), Burst(Incs(4))])
+        .steps([CompleteWithin(4, 3_000_000), Idle])
+        .expect([Sum(BadMacs, ge(1))])
+}
+
+/// A primary that never proposes is voted out, and the request commits in
+/// a later view.
+pub fn silent_primary() -> Scenario {
+    Scenario::new(Stack::Direct, 6)
+        .steps([Byzantine(0, ByzantineMode::SilentPrimary), Burst(Incs(1))])
+        .steps([CompleteWithin(1, 5_000_000), Idle])
+        .expect([
+            Each(Only(&[1, 2, 3]), View, ge(1)),
+            Each(Only(&[1]), ViewChangesSent, ge(1)),
+        ])
+}
+
+/// A primary that sends half the group one batch and the other half a
+/// conflicting one: no digest gathers a prepare quorum, the equivocator is
+/// voted out and every request completes.
+pub fn equivocating_primary() -> Scenario {
+    let s = Scenario::new(Stack::Direct, 7);
+    s.steps([
+        Byzantine(0, ByzantineMode::EquivocatingPrimary),
+        Burst(Incs(3)),
+        Attempt(3, 8_000_000),
+        Idle,
+    ])
+    .expect([Completed(3), Each(Only(&[1, 2, 3]), View, ge(1))])
+}
+
+/// A faulty primary (`mode`) while unbatched agreement spreads eight
+/// requests over `pillars` COP pipelines: once it is voted out, every
+/// backup executes all eight, and no lane's progress is lost.
+pub fn faulty_primary_over_pipelines(mode: ByzantineMode, pillars: usize, seed: u64) -> Scenario {
+    let backups = Only(&[1, 2, 3]);
+    let cfg = ReptorConfig {
+        pillars,
+        batch_size: 1,
+        ..ReptorConfig::small()
+    };
+    Scenario::new(Stack::Direct, seed)
+        .cfg(cfg)
+        .steps([Byzantine(0, mode), Burst(Incs(8)), Attempt(8, 10_000_000), Idle])
+        .expect([
+            Completed(8),
+            Each(backups, View, ge(1)),
+            Each(backups, Executed, eq(8)),
+        ])
 }
 
 /// Views 0 and 1 both have silent primaries; the group must reach a view

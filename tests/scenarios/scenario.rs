@@ -147,7 +147,6 @@ pub enum Step {
     /// `CompleteWithin(n, events)`: the same, within that many events.
     CompleteWithin(u64, u64),
     /// The same, but the schedule may forbid it.
-    #[allow(dead_code)] // Only `bft_safety_fuzz`'s strategy builds it.
     Attempt(u64, u64),
     Idle,
     RunFor(Nanos),
