@@ -391,7 +391,7 @@ impl SealBuffers {
 }
 
 /// Bytes of one MAC entry of an envelope: the receiver, then its MAC.
-const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
+pub(crate) const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
 
 /// The one envelope writer: `[body_len][body][sender][count]`, then
 /// `count` `(receiver, mac)` entries, written over `out`'s contents, which
@@ -420,15 +420,6 @@ fn write_envelope(
         mac.write(out);
     }
     debug_assert_eq!(out.len(), len, "envelope sized exactly");
-}
-
-/// Flips the first byte of each of the `receivers` MACs that end a sealed
-/// envelope: the bytes a replica with corrupted session keys sends.
-pub(crate) fn corrupt_macs(wire: &mut [u8], receivers: usize) {
-    let macs = wire.len() - receivers * MAC_ENTRY_LEN;
-    for entry in wire[macs..].chunks_exact_mut(MAC_ENTRY_LEN) {
-        entry[4] ^= 0xFF;
-    }
 }
 
 /// A signed envelope read in place: its body and MAC entries are slices of
@@ -793,22 +784,6 @@ mod tests {
         assert_eq!(envelope.open(&keys2).unwrap(), Some(msg));
         let outsider = KeyTable::new(7, b"secret".to_vec());
         assert_eq!(envelope.open(&outsider).unwrap(), None);
-    }
-
-    #[test]
-    fn corrupted_macs_match_the_flipped_authenticator() {
-        let keys = KeyTable::new(1, b"secret".to_vec());
-        let msg = Message::CatchUpRequest {
-            from_seq: 3,
-            replica: 1,
-        };
-        let mut signed = SignedMessage::create(&msg, &keys, &[0, 2, 3]);
-        for (_, mac) in &mut signed.auth.macs {
-            mac[0] ^= 0xFF;
-        }
-        let mut wire = msg.seal(&keys, &[0, 2, 3]);
-        corrupt_macs(&mut wire, 3);
-        assert_eq!(wire, signed.encode());
     }
 
     #[test]

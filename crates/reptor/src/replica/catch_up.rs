@@ -24,24 +24,10 @@ impl ReplicaInner {
         }
         let me = self.id;
         // Below the stable checkpoint: that history is gone. Attest the
-        // latest sealed checkpoint (a StaleCheckpoint responder lies
-        // and attests its oldest; `f + 1` matching honest attestations
-        // outvote it at the requester).
+        // latest sealed checkpoint.
         if from_seq <= self.low_mark {
-            let pick = match self.byzantine {
-                ByzantineMode::StaleCheckpoint => self.stores.iter().next(),
-                _ => self.stores.iter().next_back(),
-            };
-            if let Some((&s, (store, offer))) = pick {
-                let advertised = self.advertised_offer(*offer);
-                let attest = Message::Checkpoint {
-                    seq: s,
-                    state_digest: store.root(),
-                    replica: me,
-                    store_rkey: advertised.rkey,
-                    store_len: advertised.len,
-                    store_epoch: advertised.epoch,
-                };
+            if let Some((&s, (store, offer))) = self.stores.iter().next_back() {
+                let attest = self.checkpoint_vote(s, store.root(), *offer);
                 self.send_msg(sim, &attest, Receivers::One(requester));
             }
         }

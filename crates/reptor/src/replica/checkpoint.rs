@@ -20,21 +20,16 @@ impl ReplicaInner {
         }
     }
 
-    /// The store offer this replica actually advertises in checkpoint
-    /// attestations. Honest replicas advertise the real (current-epoch)
-    /// offer; a [`ByzantineMode::StaleEpochOffer`] replica substitutes the
-    /// rkey of its previous, invalidated region re-tagged with the current
-    /// epoch — the advisory epoch field is attacker-controlled, so every
-    /// message-path check passes and only the responder RNIC refusing the
-    /// revoked rkey exposes the lie.
-    pub(super) fn advertised_offer(&self, real: StateOffer) -> StateOffer {
-        match (self.byzantine, self.stale_offer) {
-            (ByzantineMode::StaleEpochOffer, Some(stale)) => StateOffer {
-                rkey: stale.rkey,
-                len: stale.len,
-                epoch: self.recovery_epoch,
-            },
-            _ => real,
+    /// This replica's CHECKPOINT vote for its store at `seq` with root
+    /// `root`, readable through `offer`.
+    pub(super) fn checkpoint_vote(&self, seq: SeqNum, root: Digest, offer: StateOffer) -> Message {
+        Message::Checkpoint {
+            seq,
+            state_digest: root,
+            replica: self.id,
+            store_rkey: offer.rkey,
+            store_len: offer.len,
+            store_epoch: offer.epoch,
         }
     }
 
@@ -49,40 +44,20 @@ impl ReplicaInner {
         let store = CheckpointStore::build(seq, payload);
         let root = store.root();
         self.own_checkpoints.insert(seq, root);
-        // What actually backs the read offer depends on honesty: a
-        // Byzantine responder registers corrupted or stale bytes while
-        // still voting the honest root.
-        let forged: Option<Vec<u8>> = match self.byzantine {
-            ByzantineMode::BogusStateChunks => Some(corrupt_chunks(store.bytes())),
-            ByzantineMode::StaleCheckpoint => {
-                let mut stale = self
-                    .stores
-                    .last_key_value()
-                    .map(|(_, (prev, _))| prev.bytes().to_vec())
-                    .unwrap_or_else(|| corrupt_chunks(store.bytes()));
-                // Pad to the honest length so remote reads stay within
-                // the region (the *content* is what's wrong).
-                stale.resize(store.bytes().len(), 0);
-                Some(stale)
-            }
-            _ => None,
-        };
         let mut offer = self
             .transport
-            .register_state_region(sim, forged.as_deref().unwrap_or(store.bytes()))
+            .register_state_region(sim, &self.store_image(&store))
             .unwrap_or_default();
         // Tag the freshly registered region with the current recovery
         // epoch; fetchers echo the tag and responders reject mismatches.
         offer.epoch = self.recovery_epoch;
         self.stores.insert(seq, (store, offer));
-        let me = self.id;
-        let advertised = self.advertised_offer(offer);
         self.checkpoint_votes
             .entry(seq)
             .or_default()
             .entry(root)
             .or_default()
-            .insert(me, advertised);
+            .insert(self.id, offer);
         // Retain the latest two stores; release everything older so the
         // registered regions do not accumulate.
         while self.stores.len() > 2 {
@@ -91,17 +66,7 @@ impl ReplicaInner {
                 self.transport.release_state_region(&old_offer);
             }
         }
-        self.broadcast_to_replicas(
-            sim,
-            Message::Checkpoint {
-                seq,
-                state_digest: root,
-                replica: me,
-                store_rkey: advertised.rkey,
-                store_len: advertised.len,
-                store_epoch: advertised.epoch,
-            },
-        );
+        self.broadcast_to_replicas(sim, self.checkpoint_vote(seq, root, offer));
         self.maybe_stable_checkpoint(sim, seq, root);
     }
 
@@ -224,7 +189,7 @@ impl ReplicaInner {
             "reptor",
             format!("{}recovery_epoch_roll epoch={epoch}", self.metrics_prefix),
         );
-        if self.byzantine == ByzantineMode::Crash {
+        if self.fault.mode == ByzantineMode::Crash {
             return;
         }
         // Every store's advertised offer is re-stamped with the new
@@ -232,9 +197,7 @@ impl ReplicaInner {
         // memory region so the old rkey is revoked at the NIC. Stacks
         // without one-sided READs (no registered region) still roll
         // the epoch so stale `StateRequest`s die at the responder.
-        let me = self.id;
-        let mut msgs = Vec::new();
-        let mut released = Vec::new();
+        let mut rolled = Vec::new();
         let seqs: Vec<SeqNum> = self.stores.keys().copied().collect();
         for seq in seqs {
             let (store, old) = &self.stores[&seq];
@@ -246,40 +209,28 @@ impl ReplicaInner {
             let mut offer = minted.unwrap_or(old);
             offer.epoch = epoch;
             self.stores.get_mut(&seq).expect("listed above").1 = offer;
-            let rotated = offer.rkey != old.rkey;
-            if rotated && self.byzantine == ByzantineMode::StaleEpochOffer {
-                // Remember the revoked offer: this is the rkey the
-                // Byzantine replica will keep advertising.
-                self.stale_offer = Some(old);
-            }
-            let advertised = self.advertised_offer(offer);
             if let Some(votes) = self
                 .checkpoint_votes
                 .get_mut(&seq)
                 .and_then(|m| m.get_mut(&root))
             {
-                votes.insert(me, advertised);
+                votes.insert(self.id, offer);
             }
-            if rotated {
-                released.push(old);
-            }
-            msgs.push(Message::Checkpoint {
-                seq,
-                state_digest: root,
-                replica: me,
-                store_rkey: advertised.rkey,
-                store_len: advertised.len,
-                store_epoch: advertised.epoch,
-            });
+            let vote = self.checkpoint_vote(seq, root, offer);
+            rolled.push(((offer.rkey != old.rkey).then_some(old), vote));
         }
+        let released: Vec<StateOffer> = rolled.iter().filter_map(|(old, _)| *old).collect();
         if !released.is_empty() {
             self.counters[ReplicaCounter::MrRotations].add(released.len() as u64);
         }
         for old in &released {
             self.transport.release_state_region(old);
         }
-        for msg in msgs {
-            self.broadcast_to_replicas(sim, msg);
+        for (released, vote) in rolled {
+            if let Some(old) = released {
+                self.fault.store_revoked(old);
+            }
+            self.broadcast_to_replicas(sim, vote);
         }
         // The read lease joins the roll: its region moves to a fresh rkey
         // under the new epoch, so clients holding the pre-roll lease are

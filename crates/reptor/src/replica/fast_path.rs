@@ -113,11 +113,11 @@ impl ReplicaInner {
         self.counters[ReplicaCounter::FastPathGrantsReceived].incr();
     }
 
-    /// WRITEs the pre-prepare one-sided into each granted peer slot and
-    /// returns the peers still needing a message-path PRE-PREPARE: fast
-    /// path off, no current-view grant, batch too large for the slot, or
-    /// no one-sided write path to that peer.
-    pub(super) fn propose_via_slots(
+    /// Proposes `batch` to `peers`: WRITEs the PRE-PREPARE one-sided into
+    /// each granted peer slot and sends it over the message path to every
+    /// other peer — fast path off, no current-view grant, batch too large
+    /// for the slot, or no one-sided write path to that peer.
+    pub(super) fn send_pre_prepare(
         &mut self,
         sim: &mut Simulator,
         view: View,
@@ -125,16 +125,16 @@ impl ReplicaInner {
         digest: Digest,
         batch: &[Request],
         peers: Receivers,
-    ) -> Receivers {
-        if !self.cfg.fast_path {
-            return peers;
-        }
+    ) {
         let msg = Message::PrePrepare {
             view,
             seq,
             digest,
             batch: batch.to_vec(),
         };
+        if !self.cfg.fast_path {
+            return self.send_msg(sim, &msg, peers);
+        }
         // The slot record is the *unsigned* encoded PRE-PREPARE: the RNIC
         // WRITE permission replaces the MAC (only the granted leader can
         // reach the region), and the digest still binds the batch.
@@ -183,7 +183,7 @@ impl ReplicaInner {
             self.stats.fast_path_fallbacks += uncovered.len() as u64;
             self.counters[ReplicaCounter::FastPathFallbacks].add(uncovered.len() as u64);
         }
-        Receivers::Listed(uncovered)
+        self.send_msg(sim, &msg, Receivers::Listed(uncovered));
     }
 
     /// A posted slot WRITE completed with an error: the peer's RNIC denied
@@ -283,56 +283,5 @@ impl ReplicaInner {
         self.stats.fast_path_deliveries += 1;
         self.counters[ReplicaCounter::FastPathDeliveries].incr();
         self.handle_pre_prepare(sim, view, seq, digest, batch);
-    }
-
-    /// A deposed [`ByzantineMode::LateSlotWriter`] fires its retained —
-    /// and by now revoked — slot grants the moment it learns of the new
-    /// view. The followers invalidated their regions when they *voted*,
-    /// strictly before any NewView certificate could form, so every one
-    /// of these WRITEs is denied in the target RNIC.
-    pub(super) fn maybe_fire_stale_slot_writes(&mut self, sim: &mut Simulator, new_view: View) {
-        if self.byzantine != ByzantineMode::LateSlotWriter || !self.cfg.fast_path {
-            return;
-        }
-        let mut stale: Vec<(u32, SlotGrantInfo)> = self
-            .slot_grants
-            .iter()
-            .filter(|(_, g)| g.view < new_view)
-            .map(|(&p, &g)| (p, g))
-            .collect();
-        if stale.is_empty() {
-            return;
-        }
-        // HashMap order is not deterministic; the simulation is.
-        stale.sort_unstable_by_key(|(p, _)| *p);
-        let seq = self.low_mark + 1;
-        let batch = vec![Request {
-            client: u32::MAX,
-            timestamp: 1,
-            payload: b"late".to_vec(),
-        }];
-        let digest = batch_digest(&batch);
-        for (peer, g) in stale {
-            let msg = Message::PrePrepare {
-                view: g.view,
-                seq,
-                digest,
-                batch: batch.clone(),
-            };
-            let slot = seq % g.slots.max(1);
-            let Ok(imm) = u32::try_from(slot) else {
-                continue;
-            };
-            self.transport.write_slot(
-                sim,
-                peer,
-                g.rkey,
-                slot * g.slot_size,
-                &msg.encode(),
-                imm,
-                Box::new(|_, _| {}),
-            );
-        }
-        self.slot_grants.clear();
     }
 }

@@ -11,13 +11,6 @@ use super::*;
 /// the torn stamp and fall back to the message path.
 pub const LEASE_TORN_WINDOW: Nanos = Nanos::from_nanos(1_000);
 
-/// Stamp inflation a [`ByzantineMode::ForgedLeaseCells`] replica applies
-/// to every cell it publishes: large and even, so the forged cell decodes
-/// as a perfectly committed state far newer than anything honest replicas
-/// have applied. A max-stamp reader would swallow it; a unanimity reader
-/// sees it disagree with every honest cell and falls back.
-const FORGE_STAMP_BOOST: u64 = 1 << 20;
-
 impl ReplicaInner {
     /// Lazily runs the initial lease registration: construction has no
     /// simulator handle, so the lease rides the first event this replica
@@ -31,10 +24,7 @@ impl ReplicaInner {
     }
 
     /// Registers the service's applied-state region image as a one-sided
-    /// READ MR and remembers its offer as the current read lease. A
-    /// [`ByzantineMode::StaleLeaseOffer`] replica additionally registers
-    /// and immediately invalidates a decoy region whose dead rkey it will
-    /// advertise to clients.
+    /// READ MR and remembers its offer as the current read lease.
     fn register_read_lease(&mut self, sim: &mut Simulator) {
         if !self.cfg.read_leases {
             return;
@@ -46,13 +36,7 @@ impl ReplicaInner {
             return; // service exposes no read region
         };
         let epoch = self.recovery_epoch;
-        if self.byzantine == ByzantineMode::StaleLeaseOffer {
-            if let Some(mut decoy) = self.transport.register_state_region(sim, &image) {
-                decoy.epoch = epoch;
-                self.transport.release_state_region(&decoy);
-                self.stale_lease = Some(decoy);
-            }
-        }
+        self.register_lease_decoy(sim, &image, epoch);
         if let Some(mut offer) = self.transport.register_state_region(sim, &image) {
             offer.epoch = epoch;
             self.read_lease = Some(offer);
@@ -84,32 +68,28 @@ impl ReplicaInner {
         self.register_read_lease(sim);
     }
 
-    /// A client's lease query: answer with the current lease's rkey (or
-    /// the revoked decoy, for a [`ByzantineMode::StaleLeaseOffer`] liar;
-    /// or rkey 0 when no lease exists).
+    /// A client's lease query: answer with the current lease's rkey, or
+    /// rkey 0 when no lease exists.
     pub(super) fn handle_lease_query(&mut self, sim: &mut Simulator, client: ClientId) {
         self.counters[ReplicaCounter::LeaseQueries].incr();
-        let advertised = match (self.byzantine, self.stale_lease) {
-            (ByzantineMode::StaleLeaseOffer, Some(stale)) => Some(stale),
-            _ => self.read_lease,
-        };
-        let (rkey, len, epoch) =
-            advertised
-                .map(|o| (o.rkey, o.len, o.epoch))
-                .unwrap_or((0, 0, self.recovery_epoch));
-        if rkey != 0 {
+        let lease = self.read_lease.unwrap_or(StateOffer {
+            epoch: self.recovery_epoch,
+            ..StateOffer::default()
+        });
+        if lease.readable() {
             self.counters[ReplicaCounter::LeaseGrants].incr();
         }
-        self.send_msg(
-            sim,
-            &Message::LeaseGrant {
-                replica: self.id,
-                rkey,
-                len,
-                epoch,
-            },
-            Receivers::One(client),
-        );
+        self.send_msg(sim, &self.lease_grant(lease), Receivers::One(client));
+    }
+
+    /// This replica's LEASE-GRANT naming `lease`.
+    pub(super) fn lease_grant(&self, lease: StateOffer) -> Message {
+        Message::LeaseGrant {
+            replica: self.id,
+            rkey: lease.rkey,
+            len: lease.len,
+            epoch: lease.epoch,
+        }
     }
 
     /// Publishes the cells the just-executed batch dirtied into the leased
@@ -131,23 +111,7 @@ impl ReplicaInner {
                 begin,
                 mut commit,
             } = w;
-            if self.byzantine == ByzantineMode::ForgedLeaseCells && commit.len() > 72 {
-                // The forger serves (and therefore knows) the KVLEASE1
-                // cell layout: stamp copies in the first and last 8 bytes,
-                // value bytes from offset 64. Inflating the stamps keeps
-                // the cell decoding as perfectly committed while claiming
-                // a state far in the future; the scribbled value bytes
-                // fabricate its content.
-                let stamp = u64::from_le_bytes(commit[0..8].try_into().expect("8 bytes"));
-                let forged = (stamp + FORGE_STAMP_BOOST).to_le_bytes();
-                let end = commit.len() - 8;
-                commit[0..8].copy_from_slice(&forged);
-                commit[end..].copy_from_slice(&forged);
-                for b in &mut commit[64..72] {
-                    *b ^= 0xA5;
-                }
-                self.counters[ReplicaCounter::LeaseCellsForged].incr();
-            }
+            self.forge_cell(&mut commit);
             if !self.transport.write_state_region(&lease, offset, &begin) {
                 return; // lease revoked mid-batch; fresh image comes with the next one
             }

@@ -36,8 +36,8 @@ use crate::durability::{DurableStore, WalFrame};
 use crate::executor::Executor;
 use crate::mesh::backoff;
 use crate::messages::{
-    batch_digest, corrupt_macs, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request,
-    SealBuffers, SeqNum, View, MANIFEST_CHUNK,
+    batch_digest, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request, SealBuffers,
+    SeqNum, View, MANIFEST_CHUNK,
 };
 use crate::pipeline::{Instance, Pipeline, PipelineStats};
 use crate::state::{RegionWrite, StateMachine};
@@ -51,6 +51,7 @@ mod catch_up;
 mod checkpoint;
 mod execute;
 mod fast_path;
+mod fault;
 mod inbound;
 mod lease;
 mod propose;
@@ -58,71 +59,11 @@ mod send;
 mod transfer;
 mod view_change;
 
+pub use fault::ByzantineMode;
+use fault::Fault;
 use inbound::Suspicion;
 pub use lease::LEASE_TORN_WINDOW;
 use send::{Outbox, Receivers};
-
-/// Fault-injection modes for a replica (the Byzantine behaviours the
-/// protocol must tolerate, up to `f` of them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ByzantineMode {
-    /// Correct behaviour.
-    #[default]
-    Honest,
-    /// Crashed: ignores everything and sends nothing.
-    Crash,
-    /// As primary, never proposes (provokes view changes); otherwise
-    /// behaves correctly.
-    SilentPrimary,
-    /// As primary, sends conflicting proposals for the same sequence
-    /// number to different halves of the group.
-    EquivocatingPrimary,
-    /// Sends messages whose MACs do not verify (receivers must drop them).
-    CorruptMacs,
-    /// Serves corrupted checkpoint-store bytes to state-transferring peers
-    /// (both over `StateChunk` messages and through its registered RDMA
-    /// region); otherwise behaves correctly. Fetchers detect the chunks by
-    /// digest mismatch against the certified manifest.
-    BogusStateChunks,
-    /// Answers state-transfer traffic with its *previous* checkpoint's
-    /// bytes and attests stale checkpoints during catch-up; fetchers detect
-    /// the manifest root mismatch and route around.
-    StaleCheckpoint,
-    /// After a recovery-epoch roll, keeps advertising the rkey of its
-    /// *previous* epoch's (invalidated) store region, re-tagged with the
-    /// current epoch so the advisory epoch field looks fresh. The lie is
-    /// undetectable by digest checks — the attested root is honest — and
-    /// is caught only by the responder RNIC refusing the revoked rkey
-    /// (`stale_rkey_denied`); fetchers route around on the failed READ.
-    StaleEpochOffer,
-    /// Advertises a *revoked* read-lease rkey in its LEASE-GRANT answers:
-    /// the replica registers its applied-state region, immediately
-    /// invalidates it, registers a fresh one for its own use, and hands
-    /// clients the dead rkey. As with [`ByzantineMode::StaleEpochOffer`]
-    /// the lie is undetectable from the grant itself — only
-    /// the replica's RNIC refusing the revoked rkey exposes it
-    /// (`stale_rkey_denied`); clients fall back to the message path and
-    /// rotate their read quorum to correct replicas.
-    StaleLeaseOffer,
-    /// Publishes *forged* cells into its own validly-leased read region:
-    /// every committed cell write lands with its (even) version stamp
-    /// inflated by `FORGE_STAMP_BOOST` and its value bytes scribbled
-    /// over — a fabricated out-of-history state behind a lease the RNIC
-    /// will happily serve. No rkey fence can catch this: the region is
-    /// live and the READ succeeds. The defense is the client's unanimity
-    /// rule — a fabricated (stamp, value) can never gather `f + 1`
-    /// honest look-alikes, so forged cells only break quorum agreement
-    /// (`kv_read_divergent`), the read falls back to agreement, and the
-    /// out-voted forger is demerited out of future read quorums.
-    ForgedLeaseCells,
-    /// As primary, never proposes (provoking its own deposition); once it
-    /// learns of the new view it fires fast-path slot WRITEs with the
-    /// grants of its *revoked* leadership. The followers invalidated those
-    /// regions the moment they voted, so every late WRITE is denied in
-    /// their RNICs (`fast_path_write_denied`) — the stale proposals never
-    /// reach a slot.
-    LateSlotWriter,
-}
 
 /// Per-replica counters used by tests and benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -262,7 +203,8 @@ struct ReplicaInner {
     net: Network,
     host: HostId,
     service: Box<dyn StateMachine>,
-    byzantine: ByzantineMode,
+    /// How this replica lies, if it does (`fault.rs`).
+    fault: Fault,
 
     view: View,
     in_view_change: bool,
@@ -292,9 +234,6 @@ struct ReplicaInner {
     /// [`Replica::roll_recovery_epoch`]; every store offer advertised and
     /// every `StateRequest` served is tagged/checked against it.
     recovery_epoch: u64,
-    /// A `StaleEpochOffer` responder's recorded previous-epoch offer (the
-    /// rkey/len of the region invalidated at the last roll).
-    stale_offer: Option<StateOffer>,
     /// A checkpoint certified by `2f + 1` votes that this replica has not
     /// executed up to yet: stabilization is deferred until execution (or a
     /// state transfer) reaches it.
@@ -354,9 +293,6 @@ struct ReplicaInner {
     /// region lease, if any (`cfg.read_leases` plus a service exposing a
     /// region image plus a one-sided transport).
     read_lease: Option<StateOffer>,
-    /// A `StaleLeaseOffer` replica's recorded revoked lease — the dead
-    /// rkey it advertises to clients instead of `read_lease`.
-    stale_lease: Option<StateOffer>,
     /// Whether the lazy initial lease registration has run.
     lease_armed: bool,
     /// Local persistence layer (WAL + snapshot slots on a simulated
@@ -455,7 +391,7 @@ impl Replica {
                     net: net.clone(),
                     host,
                     service,
-                    byzantine: ByzantineMode::Honest,
+                    fault: Fault::default(),
                     view: 0,
                     in_view_change: false,
                     next_seq: 1,
@@ -471,7 +407,6 @@ impl Replica {
                     stores: BTreeMap::new(),
                     transfer: None,
                     recovery_epoch: 0,
-                    stale_offer: None,
                     pending_stable: None,
                     vc_votes: BTreeMap::new(),
                     catch_up_votes: BTreeMap::new(),
@@ -495,7 +430,6 @@ impl Replica {
                     slot_seqs: HashMap::new(),
                     fast_path_armed: false,
                     read_lease: None,
-                    stale_lease: None,
                     lease_armed: false,
                     durable,
                     rejoin_attempts: 0,
@@ -541,7 +475,7 @@ impl Replica {
     /// the one place [`ByzantineMode::Crash`] makes a replica deaf.
     fn unless_crashed(&self, f: impl FnOnce(&mut ReplicaInner)) {
         self.enter(|inner| {
-            if inner.byzantine != ByzantineMode::Crash {
+            if inner.fault.mode != ByzantineMode::Crash {
                 f(inner);
             }
         });
@@ -549,7 +483,7 @@ impl Replica {
 
     /// Sets the fault-injection mode.
     pub fn set_byzantine(&self, mode: ByzantineMode) {
-        self.inner.borrow_mut().byzantine = mode;
+        self.inner.borrow_mut().fault.mode = mode;
     }
 
     /// This replica's id.
@@ -591,28 +525,6 @@ impl Replica {
             .durable
             .as_ref()
             .map(|d| d.disk().clone())
-    }
-
-    /// Whether `seq` falls inside the agreement window (test hook).
-    #[cfg(test)]
-    pub(crate) fn in_watermarks(&self, seq: SeqNum) -> bool {
-        self.inner.borrow().in_watermarks(seq)
-    }
-
-    /// Claims the fast-path slot for `seq` (test hook for the slot
-    /// reuse/GC rules — see [`ReplicaInner::slot_accept`]).
-    #[cfg(test)]
-    pub(crate) fn slot_accept_for_test(&self, seq: SeqNum) -> bool {
-        self.inner.borrow_mut().slot_accept(seq)
-    }
-
-    /// Simulates checkpoint GC at stable sequence `seq`: advances the low
-    /// watermark and retires fast-path slot occupants at or below it.
-    #[cfg(test)]
-    pub(crate) fn gc_slots_for_test(&self, seq: SeqNum) {
-        let mut inner = self.inner.borrow_mut();
-        inner.low_mark = seq;
-        inner.slot_seqs.retain(|_, s| *s > seq);
     }
 
     /// True if this replica is the current primary.
@@ -722,19 +634,6 @@ impl ReplicaInner {
 
 fn batch_bytes(batch: &[Request]) -> usize {
     batch.iter().map(|r| r.payload.len() + 16).sum::<usize>()
-}
-
-/// Byzantine store bytes: flips one byte in every chunk-sized slice, so
-/// each corrupted chunk fails its digest check at the fetcher while
-/// lengths (and therefore read offsets) stay valid.
-fn corrupt_chunks(bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    for chunk in out.chunks_mut(CHUNK_SIZE) {
-        if let Some(b) = chunk.first_mut() {
-            *b ^= 0xA5;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

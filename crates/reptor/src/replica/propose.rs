@@ -27,12 +27,7 @@ impl ReplicaInner {
             if self.in_view_change
                 || self.cfg.primary(self.view) != self.id
                 || self.pending.is_empty()
-                || matches!(
-                    self.byzantine,
-                    ByzantineMode::SilentPrimary
-                        | ByzantineMode::Crash
-                        | ByzantineMode::LateSlotWriter
-                )
+                || self.fault.holds_proposals()
             {
                 return;
             }
@@ -90,68 +85,7 @@ impl ReplicaInner {
             self.histos[ReplicaHisto::BatchFillPct]
                 .observe((batch.len() as u64 * 100) / self.cfg.batch_size as u64);
             let view = self.view;
-
-            if self.byzantine == ByzantineMode::EquivocatingPrimary {
-                // Conflicting proposals: half the group sees the real batch,
-                // the other half sees it reversed (different order, different
-                // digest when len > 1; with len == 1 the payload is tweaked).
-                // With the fast path on, each half's version is WRITE-en
-                // into that half's slots — the RNIC permission check cannot
-                // see the equivocation (the leader legitimately holds every
-                // grant), so detection stays where PBFT puts it: conflicting
-                // prepares never reach a quorum and the view change fires.
-                let mut alt = batch.clone();
-                if alt.len() > 1 {
-                    alt.reverse();
-                } else {
-                    alt[0].payload.push(0xEE);
-                }
-                let alt_digest = batch_digest(&alt);
-                let (n, me) = (self.cfg.n as u32, self.id);
-                let half = |parity| {
-                    Receivers::Listed((0..n).filter(|&r| r != me && r % 2 == parity).collect())
-                };
-                let even = self.propose_via_slots(sim, view, seq, digest, &batch, half(0));
-                self.send_msg(
-                    sim,
-                    &Message::PrePrepare {
-                        view,
-                        seq,
-                        digest,
-                        batch: batch.clone(),
-                    },
-                    even,
-                );
-                let odd = self.propose_via_slots(sim, view, seq, alt_digest, &alt, half(1));
-                self.send_msg(
-                    sim,
-                    &Message::PrePrepare {
-                        view,
-                        seq,
-                        digest: alt_digest,
-                        batch: alt,
-                    },
-                    odd,
-                );
-                // The equivocator records its own (first) version.
-                self.accept_pre_prepare(sim, view, seq, digest, batch);
-                continue;
-            }
-
-            // Fast path: deposit the proposal one-sided into every granted
-            // follower slot; any peer without a usable grant gets the
-            // message-path PRE-PREPARE instead.
-            let uncovered = self.propose_via_slots(sim, view, seq, digest, &batch, self.peers());
-            self.send_msg(
-                sim,
-                &Message::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                },
-                uncovered,
-            );
+            self.send_proposal(sim, view, seq, digest, &batch);
             // The primary's pre-prepare stands in for its prepare.
             self.accept_pre_prepare(sim, view, seq, digest, batch);
         }

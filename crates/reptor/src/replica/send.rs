@@ -74,11 +74,13 @@ impl ReplicaInner {
         self.send_msg(sim, &msg, self.peers());
     }
 
+    /// Seals `msg` for `to` and sends it once its MAC work is done, as
+    /// the replica's fault has it (`fault.rs`).
     pub(super) fn send_msg(&mut self, sim: &mut Simulator, msg: &Message, to: Receivers) {
         let count = to.len();
-        if count == 0 || self.byzantine == ByzantineMode::Crash {
+        let Some(msg) = self.egress(msg, &to).filter(|_| count > 0) else {
             return;
-        }
+        };
         // A broadcast skips its sender: a list naming it would silently
         // lose that copy.
         debug_assert!(
@@ -87,10 +89,8 @@ impl ReplicaInner {
         );
         let mut wire = self.outbox.buffers.borrow_mut().take();
         msg.seal_into(&self.keys, count, |i| to.get(i), &mut wire);
-        if self.byzantine == ByzantineMode::CorruptMacs {
-            corrupt_macs(&mut wire, count);
-        }
-        let core = self.msg_core(msg);
+        self.tamper_sealed(&mut wire, count);
+        let core = self.msg_core(&msg);
         let cost = self.cfg.crypto.authenticator_cost(msg.encoded_len(), count);
         let done = self.charge(sim, core, cost);
         // Keep the wire order equal to the submission order even when

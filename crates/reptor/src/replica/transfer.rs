@@ -5,7 +5,7 @@ use super::*;
 impl ReplicaInner {
     /// See [`Replica::restart`].
     pub(super) fn restart(&mut self, sim: &mut Simulator, service: Box<dyn StateMachine>) {
-        self.byzantine = ByzantineMode::Honest;
+        self.fault = Fault::default();
         self.service = service;
         self.view = 0;
         self.in_view_change = false;
@@ -32,7 +32,6 @@ impl ReplicaInner {
         // bookkeeping, not replicated state, and the scheduler that
         // restarted this replica expects its offers to stay
         // current-epoch-tagged.
-        self.stale_offer = None;
         self.pending_stable = None;
         self.arrivals.clear();
         let released: Vec<StateOffer> = self
@@ -52,7 +51,6 @@ impl ReplicaInner {
         // surviving rkey would let clients one-sided-READ the stale
         // pre-crash region image while recovery is still rebuilding.
         let read_lease = self.read_lease.take();
-        self.stale_lease = None;
         self.lease_armed = false;
         self.rejoin_attempts = 0;
         self.rejoin_generation += 1;
@@ -384,27 +382,10 @@ impl ReplicaInner {
             self.counters[ReplicaCounter::StaleEpochRejected].incr();
             return;
         }
-        // A StaleCheckpoint responder answers with its *oldest*
-        // retained store's content under the requested seq; the
-        // fetcher's root/digest checks catch the substitution.
-        let store = match self.byzantine {
-            ByzantineMode::StaleCheckpoint => self.stores.values().next().map(|(s, _)| s),
-            _ => self.stores.get(&seq).map(|(s, _)| s),
+        let Some(data) = self.stores.get(&seq).and_then(|(s, _)| s.part(chunk)) else {
+            return;
         };
-        let Some(store) = store else { return };
-        let data = if chunk == MANIFEST_CHUNK {
-            store.manifest().to_vec()
-        } else {
-            match store.chunk(chunk) {
-                Some(c) => c.to_vec(),
-                None => return,
-            }
-        };
-        let data = if self.byzantine == ByzantineMode::BogusStateChunks {
-            corrupt_chunks(&data)
-        } else {
-            data
-        };
+        let data = data.to_vec();
         self.send_msg(
             sim,
             &Message::StateChunk {

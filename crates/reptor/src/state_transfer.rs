@@ -23,7 +23,7 @@
 use bft_crypto::Digest;
 
 use crate::codec;
-use crate::messages::{ClientId, ReplicaId, SeqNum};
+use crate::messages::{ClientId, ReplicaId, SeqNum, MANIFEST_CHUNK};
 
 /// Bytes per checkpoint-store chunk. Deliberately small so even modest
 /// service states exercise multi-chunk transfers (and multi-READ RDMA
@@ -189,6 +189,15 @@ impl CheckpointStore {
         let start = idx as usize * CHUNK_SIZE;
         let end = (start + CHUNK_SIZE).min(self.bytes.len());
         self.bytes.get(start..end)
+    }
+
+    /// What a `StateChunk` numbered `idx` carries: the manifest for
+    /// [`MANIFEST_CHUNK`], else chunk `idx`.
+    pub(crate) fn part(&self, idx: u32) -> Option<&[u8]> {
+        match idx {
+            MANIFEST_CHUNK => Some(&self.manifest),
+            _ => self.chunk(idx),
+        }
     }
 }
 

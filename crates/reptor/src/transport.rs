@@ -83,7 +83,7 @@ pub trait Transport {
 
     /// Installs a lane-demultiplexed delivery callback: each inbound frame
     /// is routed to one of `lanes` COP pipelines by peeking the sequence
-    /// number out of the wire header ([`wire_lane`]). The default adapts
+    /// number out of the wire header (`wire_lane`). The default adapts
     /// [`Transport::set_delivery`]; transports with per-lane accounting
     /// override it.
     fn set_lane_delivery(&self, lanes: usize, f: LaneDeliveryFn) {

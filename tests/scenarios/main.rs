@@ -9,8 +9,8 @@ use std::panic::catch_unwind;
 
 use scenarios::common::{self, chaos_seed};
 use scenarios::golden;
-use scenarios::rows::{self, compare, Compare};
-use scenarios::scenario::{run, Ops::Incs, Outcome, Scenario, Step::*};
+use scenarios::rows::{self, compare, ByzantineMode, Compare};
+use scenarios::scenario::{run, Ops::Incs, Outcome, Scenario, Step, Step::*};
 
 /// The golden files' only writer: runs every row of the table at the
 /// current `CHAOS_SEED`, with every check, and rewrites that seed's file
@@ -58,6 +58,47 @@ fn golden_files_cover_exactly_the_table() {
             }
         }
         assert_eq!(lines.len(), table.len(), "seed{seed}.txt: one line per row");
+    }
+}
+
+/// Each mode and the next in declaration order: a `match` with no
+/// wildcard, so a new variant does not compile until it joins the walk.
+fn after(mode: ByzantineMode) -> Option<ByzantineMode> {
+    use ByzantineMode::*;
+    match mode {
+        Honest => Some(Crash),
+        Crash => Some(SilentPrimary),
+        SilentPrimary => Some(EquivocatingPrimary),
+        EquivocatingPrimary => Some(CorruptMacs),
+        CorruptMacs => Some(BogusStateChunks),
+        BogusStateChunks => Some(StaleCheckpoint),
+        StaleCheckpoint => Some(StaleEpochOffer),
+        StaleEpochOffer => Some(StaleLeaseOffer),
+        StaleLeaseOffer => Some(ForgedLeaseCells),
+        ForgedLeaseCells => Some(LateSlotWriter),
+        LateSlotWriter => None,
+    }
+}
+
+/// Every fault mode is set by some row of the table (`Crash` also by a
+/// crash step), so each has golden lines at every seed.
+#[test]
+fn every_byzantine_mode_has_a_row() {
+    let table = rows::table();
+    let steps: Vec<&Step> = table
+        .iter()
+        .flat_map(|(_, scenarios)| scenarios)
+        .flat_map(|s| &s.steps)
+        .collect();
+    let mut mode = Some(ByzantineMode::Honest);
+    while let Some(m) = mode {
+        let set = steps.iter().any(|step| match step {
+            Byzantine(_, set) => *set == m,
+            Crash(..) => m == ByzantineMode::Crash,
+            _ => false,
+        });
+        assert!(set, "no row of the table sets {m:?}");
+        mode = after(m);
     }
 }
 

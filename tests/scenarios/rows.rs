@@ -1074,7 +1074,12 @@ pub fn faulty_primary_over_pipelines(mode: ByzantineMode, pillars: usize, seed: 
     };
     Scenario::new(Stack::Direct, seed)
         .cfg(cfg)
-        .steps([Byzantine(0, mode), Burst(Incs(8)), Attempt(8, 10_000_000), Idle])
+        .steps([
+            Byzantine(0, mode),
+            Burst(Incs(8)),
+            Attempt(8, 10_000_000),
+            Idle,
+        ])
         .expect([
             Completed(8),
             Each(backups, View, ge(1)),
