@@ -779,6 +779,25 @@ mod tests {
     }
 
     #[test]
+    fn receive_completions_keep_posting_order_across_sizes() {
+        // A small SEND right behind a large one on the same RC queue pair
+        // lands while the large one is still being placed; its completion
+        // must still come second.
+        let mut p = connected_pair();
+        for (i, len) in [65536usize, 64].into_iter().enumerate() {
+            let rbuf = p.dev_b.reg_mr(&p.pd_b, len, Access::LOCAL_WRITE);
+            p.qp_b
+                .post_recv(&mut p.tb.sim, RecvWr::new(WrId(i as u64), Sge::whole(rbuf)))
+                .unwrap();
+        }
+        send_bytes(&mut p, &vec![7u8; 65536], false);
+        send_bytes(&mut p, &[8u8; 64], false);
+        p.tb.sim.run_until_idle();
+        let lens: Vec<usize> = p.rcq_b.poll(8).iter().map(|wc| wc.byte_len).collect();
+        assert_eq!(lens, [65536, 64]);
+    }
+
+    #[test]
     fn cq_overflow_sets_flag_instead_of_panicking() {
         // A 2-entry CQ with many signaled sends overflows; the device
         // reports it via the flag (fatal on real hardware, observable in
