@@ -130,6 +130,10 @@ pub(crate) struct QpInner {
     /// The NIC's WQE-processing horizon: send work requests are fetched
     /// and executed in posting order.
     nic_busy_until: Nanos,
+    /// The receive side's placement horizon: inbound SENDs are DMAed into
+    /// their receive buffers one after another, so each completion comes
+    /// no earlier than the one before it (RC delivers in order).
+    rx_dma_until: Nanos,
     next_seq: u64,
     /// Receiver-side sequence watermark: the next in-order sequence number
     /// expected from the remote QP. Request packets are accepted only at
@@ -235,6 +239,7 @@ impl QueuePair {
                 pending: HashMap::new(),
                 outstanding_sends: 0,
                 nic_busy_until: Nanos::ZERO,
+                rx_dma_until: Nanos::ZERO,
                 next_seq: 0,
                 rx_expected: 0,
                 last_ack_progress: Nanos::ZERO,
@@ -950,8 +955,13 @@ impl QueuePair {
                 self.device.net().buffer_pool().put(data);
             }
             Action::Place(rwr) => {
-                let dma = model.dma_cost(data.len());
-                let cqe_at = sim.now() + dma + Nanos::from_nanos(model.cqe_ns);
+                let placed = {
+                    let mut inner = self.inner.borrow_mut();
+                    inner.rx_dma_until =
+                        sim.now().max(inner.rx_dma_until) + model.dma_cost(data.len());
+                    inner.rx_dma_until
+                };
+                let cqe_at = placed + Nanos::from_nanos(model.cqe_ns);
                 let qp = self.clone();
                 let len = data.len();
                 sim.schedule_at(cqe_at, move |sim| {
