@@ -380,6 +380,9 @@ macro_rules! batching_rows {
     ($then:ident) => {
         $then! {
             same_seed_snapshots_are_byte_identical_under_batching => [Stack::Rubin, Stack::Nio].into_iter().flat_map(|stack| [1, 3].map(|p| eight_outstanding(stack, p))).collect::<Vec<_>>(),
+            // A PRE-PREPARE must fit a RUBIN receive buffer (128 KiB), so
+            // the primary cuts a batch once it carries 64 KiB of requests.
+            big_requests_are_batched_by_bytes_on_all_three_stacks => STACKS.map(big_puts).to_vec(),
         }
     };
 }
@@ -1632,4 +1635,20 @@ pub fn eight_outstanding(stack: Stack, pillars: usize) -> Scenario {
         .cfg(cfg)
         .steps([Window(8, 64), Idle]);
     s.expect([Each(Only(&[0]), ExecutedBatches, 0..=63)])
+}
+
+/// Eight 64 KiB puts outstanding at once against batch size 10: every
+/// batch fits the RUBIN buffers, so all eight complete in view 0 and no
+/// replica drops a message as oversize.
+pub fn big_puts(stack: Stack) -> Scenario {
+    let s =
+        Scenario::new(stack, 25)
+            .service(Service::Kv)
+            .steps([Burst(BigPuts(8)), Complete(8), Idle]);
+    s.expect([
+        Each(All, Executed, eq(8)),
+        Each(All, ViewChangesSent, eq(0)),
+        Converged(All),
+        Total("oversize_dropped", eq(0)),
+    ])
 }

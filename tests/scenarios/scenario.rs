@@ -85,6 +85,8 @@ pub enum Ops {
     Puts(char, u64, u8, u8),
     /// Alternating puts and gets, this many per client, over 64 keys.
     Mixed(u64),
+    /// Puts of 64 KiB values to the keys `big000`, `big001`, ….
+    BigPuts(u64),
 }
 
 impl Ops {
@@ -105,6 +107,11 @@ impl Ops {
                         _ => KvOp::Get(key),
                     }
                     .encode()
+                })
+                .collect(),
+            Ops::BigPuts(n) => (0..n)
+                .map(|i| {
+                    KvOp::Put(format!("big{i:03}").into_bytes(), vec![i as u8; 64 << 10]).encode()
                 })
                 .collect(),
         }
