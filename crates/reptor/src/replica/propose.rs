@@ -2,6 +2,17 @@
 
 use super::*;
 
+/// Most request bytes one batch carries: a PRE-PREPARE must fit the
+/// receive buffers of every comm stack (RUBIN's are 128 KiB), so the
+/// primary stops adding requests once the next would take a batch past
+/// this. A batch of one request is always allowed.
+const MAX_BATCH_BYTES: usize = 64 * 1024;
+
+/// Whether `req` may join a batch already carrying `bytes` request bytes.
+fn fits(bytes: usize, req: &Request) -> bool {
+    bytes == 0 || bytes + req.payload.len() <= MAX_BATCH_BYTES
+}
+
 impl ReplicaInner {
     /// True once `req`, or a later request of its client, has executed.
     pub(super) fn executed(&self, req: &Request) -> bool {
@@ -20,6 +31,21 @@ impl ReplicaInner {
     /// in an instance already proposed.
     fn awaits_proposal(&self, req: &Request) -> bool {
         !self.executed(req) && !self.proposed.contains(&(req.client, req.timestamp))
+    }
+
+    /// Whether the live requests at the front of `pending` fill a batch:
+    /// `batch_size` of them, or as many as fit in [`MAX_BATCH_BYTES`] with
+    /// one more waiting behind them.
+    fn batch_full(&self) -> bool {
+        let (mut count, mut bytes) = (0, 0);
+        for r in self.pending.iter().filter(|r| self.awaits_proposal(r)) {
+            if count == self.cfg.batch_size || !fits(bytes, r) {
+                return true;
+            }
+            count += 1;
+            bytes += r.payload.len();
+        }
+        count == self.cfg.batch_size
     }
 
     pub(super) fn try_propose(&mut self, sim: &mut Simulator) {
@@ -45,25 +71,25 @@ impl ReplicaInner {
             // already police: a primary that holds forever is
             // deposed like a `SilentPrimary`.
             let batch_size = self.cfg.batch_size;
-            let held = in_flight > 0
-                && self
-                    .pending
-                    .iter()
-                    .filter(|r| self.awaits_proposal(r))
-                    .take(batch_size)
-                    .count()
-                    < batch_size;
+            let held = in_flight > 0 && !self.batch_full();
             if in_flight >= self.cfg.window as u64 || self.next_seq > high_mark || held {
                 return;
             }
             let mut batch: Vec<Request> = Vec::new();
+            let mut bytes = 0;
             while batch.len() < batch_size {
                 let Some(r) = self.pending.pop_front() else {
                     break;
                 };
-                if self.awaits_proposal(&r) {
-                    batch.push(r);
+                if !self.awaits_proposal(&r) {
+                    continue;
                 }
+                if !fits(bytes, &r) {
+                    self.pending.push_front(r);
+                    break;
+                }
+                bytes += r.payload.len();
+                batch.push(r);
             }
             if batch.is_empty() {
                 return;
