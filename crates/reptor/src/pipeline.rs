@@ -275,6 +275,27 @@ mod tests {
     }
 
     #[test]
+    fn votes_that_arrive_before_their_pre_prepare_count_for_its_digest() {
+        // Over several links a backup can hear the other backups' PREPAREs
+        // and COMMITs before the primary's PRE-PREPARE. They count once the
+        // pre-prepare names their digest; a vote for another digest never
+        // does.
+        let mut pl = Pipeline::new(0, CoreId(1));
+        let (d, other) = (digest(1), digest(9));
+        let now = Nanos::from_nanos(5);
+        assert!(pl.add_prepare(0, 2, d, 2));
+        assert!(pl.add_prepare(0, 2, other, 3));
+        assert!(pl.add_commit(2, d, 2));
+        assert!(pl.add_commit(2, d, 3));
+        assert!(pl.accept_pre_prepare(0, 2, d, vec![], 1));
+        // Own vote and replica 2's: replica 3's was for another digest.
+        assert!(pl.try_prepare(2, 3, 1, now).is_none());
+        assert!(pl.try_prepare(2, 2, 1, now).is_some());
+        // Own commit, recorded on prepare, and replicas 2 and 3.
+        assert!(pl.try_commit(2, 3, now).is_some());
+    }
+
+    #[test]
     fn conflicting_votes_are_dropped() {
         let mut pl = Pipeline::new(0, CoreId(1));
         assert!(pl.accept_pre_prepare(0, 2, digest(1), vec![], 0));
