@@ -48,6 +48,10 @@ pub(crate) struct Instance {
     pub(crate) pre_prepared: bool,
     pub(crate) prepares: Votes,
     pub(crate) commits: Votes,
+    /// Votes heard before the pre-prepare, with the digest each named:
+    /// `(digest, replica, is_commit)`, at most one of each kind per
+    /// replica. The pre-prepare counts those that match it.
+    pub(crate) early: Vec<(Digest, ReplicaId, bool)>,
     pub(crate) prepared: bool,
     pub(crate) committed: bool,
     pub(crate) executed: bool,
@@ -132,6 +136,11 @@ impl Pipeline {
             return false;
         }
         if view > entry.view || !entry.pre_prepared {
+            let early = if view == entry.view {
+                std::mem::take(&mut entry.early)
+            } else {
+                Vec::new()
+            };
             *entry = Instance {
                 view,
                 digest: Some(digest),
@@ -139,9 +148,28 @@ impl Pipeline {
                 pre_prepared: true,
                 ..Instance::default()
             };
+            for (_, replica, commit) in early.into_iter().filter(|&(d, ..)| d == digest) {
+                let votes = if commit {
+                    &mut entry.commits
+                } else {
+                    &mut entry.prepares
+                };
+                votes.insert(replica);
+            }
         }
         entry.prepares.insert(me);
         true
+    }
+
+    /// Keeps a vote heard before the pre-prepare, one per replica and kind.
+    fn early_vote(entry: &mut Instance, digest: Digest, replica: ReplicaId, commit: bool) {
+        if !entry
+            .early
+            .iter()
+            .any(|&(_, r, c)| r == replica && c == commit)
+        {
+            entry.early.push((digest, replica, commit));
+        }
     }
 
     /// Installs an instance wholesale (primary's own proposal, NEW-VIEW
@@ -165,8 +193,15 @@ impl Pipeline {
         if entry.pre_prepared && entry.digest != Some(digest) {
             return false;
         }
+        if view > entry.view {
+            entry.early.clear();
+        }
         entry.view = entry.view.max(view);
-        entry.prepares.insert(replica);
+        if entry.pre_prepared {
+            entry.prepares.insert(replica);
+        } else {
+            Pipeline::early_vote(entry, digest, replica, false);
+        }
         true
     }
 
@@ -201,7 +236,11 @@ impl Pipeline {
         if entry.pre_prepared && entry.digest != Some(digest) {
             return false;
         }
-        entry.commits.insert(replica);
+        if entry.pre_prepared {
+            entry.commits.insert(replica);
+        } else {
+            Pipeline::early_vote(entry, digest, replica, true);
+        }
         true
     }
 
