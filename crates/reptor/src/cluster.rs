@@ -132,8 +132,9 @@ impl Cluster {
     }
 
     /// Builds a cluster on an existing fabric: node `i` runs on `hosts[i]`
-    /// (replicas `0..n`, then one entry per client), its comm stack on
-    /// core 0, over a settled `stack` mesh.
+    /// (replicas `0..n`, then one entry per client), its comm stack's
+    /// first reactor on core 0 and one more on each other core, over a
+    /// settled `stack` mesh.
     pub fn on_fabric(
         stack: Stack,
         cfg: ReptorConfig,

@@ -3,11 +3,16 @@
 //! [`Mesh`] owns everything about replica connectivity that does not
 //! depend on what carries the bytes: the link table, peer identification
 //! (hello), the holding pen, the re-dial state machine and its backoff,
-//! the reactor loop and the lane demux. A [`Wire`] — TCP streams under an
-//! NIO selector, or RUBIN channels under the RDMA selector — contributes
+//! the reactors and the lane demux. A [`Wire`] — TCP streams under NIO
+//! selectors, or RUBIN channels under the RDMA selector — contributes
 //! only dial/accept/close, how a message is put on and taken off a link,
 //! and which readiness it wants. DESIGN.md "Transport reconnect" is the
 //! full description.
+//!
+//! An endpoint runs one reactor (selector thread) per core of its host:
+//! the first on the core it was given, the others on the host's remaining
+//! cores in order ([`reactor_cores`]). Each link lives on one reactor,
+//! whose core pays for everything the link costs.
 
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell, RefMut};
@@ -37,6 +42,15 @@ pub const PEN_CAP: usize = 16;
 /// probe): `base << min(attempts, RECONNECT_CAP_SHIFT)`.
 pub(crate) fn backoff(base: Nanos, attempts: u32) -> Nanos {
     Nanos::from_nanos(base.as_nanos() << attempts.min(RECONNECT_CAP_SHIFT))
+}
+
+/// The cores of an endpoint's reactors on `host`: `first`, then the
+/// host's other cores in order, wrapping around.
+pub(crate) fn reactor_cores(net: &Network, host: HostId, first: CoreId) -> Vec<CoreId> {
+    let cores = net.host(host).borrow().num_cores();
+    (0..cores)
+        .map(|i| CoreId(((usize::from(first.0) + i) % cores) as u16))
+        .collect()
 }
 
 /// What a selector event says is ready, in wire-neutral terms.
@@ -80,17 +94,32 @@ pub(crate) trait Wire: Sized + 'static {
     /// says so with a connect event that did not establish).
     const DIAL_TIMEOUT: Option<Nanos>;
 
-    /// Registers the listener with the selector.
+    /// Registers the listener with the first reactor.
     fn listen(&mut self, sim: &mut Simulator);
-    /// Parks one blocking select.
-    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, &[Self::Event]) + 'static);
+    /// How many reactors the endpoint runs.
+    fn reactors(&self) -> usize;
+    /// Parks one blocking select on `reactor`.
+    fn select(
+        &self,
+        sim: &mut Simulator,
+        reactor: usize,
+        f: impl FnOnce(&mut Simulator, &[Self::Event]) + 'static,
+    );
     fn ready(&self, ev: &Self::Event) -> Ready;
-    /// Whether `ev` belongs to `link`'s selector key.
+    /// Whether `ev` belongs to `link`'s selector key. Keys are unique
+    /// across one endpoint's reactors.
     fn owns(link: &Self::Link, ev: &Self::Event) -> bool;
-    /// Starts connecting to `peer` and registers the new link.
-    fn dial(&self, sim: &mut Simulator, peer: NodeId, host: HostId) -> Option<Self::Link>;
-    /// Takes one pending inbound connection and registers it.
-    fn accept(&self, sim: &mut Simulator) -> Option<Self::Link>;
+    /// Starts connecting to `peer` and registers the new link on
+    /// `reactor`.
+    fn dial(
+        &self,
+        sim: &mut Simulator,
+        peer: NodeId,
+        host: HostId,
+        reactor: usize,
+    ) -> Option<Self::Link>;
+    /// Takes one pending inbound connection and registers it on `reactor`.
+    fn accept(&self, sim: &mut Simulator, reactor: usize) -> Option<Self::Link>;
     /// Called once per new link, before the mesh stores it.
     fn link_added(_mesh: &Mesh<Self>, _link: &Self::Link) {}
     /// Consumes a connect event; true once the dialed link is established.
@@ -119,6 +148,8 @@ pub(crate) trait Wire: Sized + 'static {
 
 struct Link<L> {
     wire: L,
+    /// The reactor serving this link.
+    reactor: usize,
     /// Messages waiting for establishment or buffer space. On a dead link
     /// this is the holding pen.
     outq: VecDeque<Vec<u8>>,
@@ -217,13 +248,16 @@ impl<W: Wire> Mesh<W> {
             .collect();
         for m in &meshes {
             m.inner.borrow_mut().wire.listen(sim);
-            m.pump(sim);
+            for reactor in 0..m.inner.borrow().wire.reactors() {
+                m.pump(sim, reactor);
+            }
         }
         for (idx, m) in meshes.iter().enumerate() {
             for &(peer, host, _) in &nodes[..idx] {
-                let link = m.inner.borrow().wire.dial(sim, peer, host);
+                let reactor = m.place();
+                let link = m.inner.borrow().wire.dial(sim, peer, host, reactor);
                 let link = link.expect("initial dial initiates");
-                m.add_link(link, Some(peer), VecDeque::new(), false);
+                m.add_link(link, reactor, Some(peer), VecDeque::new(), false);
             }
         }
         meshes
@@ -323,9 +357,22 @@ impl<W: Wire> Mesh<W> {
         }
     }
 
+    /// The reactor a new link goes on: the one with the fewest live
+    /// links, the lowest (nearest the first core) among equals. A link is
+    /// placed before its peer is known, so placement ignores the peer.
+    fn place(&self) -> usize {
+        let inner = self.inner.borrow();
+        let mut live = vec![0usize; inner.wire.reactors()];
+        for link in inner.links.iter().filter(|l| !l.dead) {
+            live[link.reactor] += 1;
+        }
+        (0..live.len()).min_by_key(|&r| live[r]).unwrap_or(0)
+    }
+
     fn add_link(
         &self,
         wire: W::Link,
+        reactor: usize,
         peer: Option<NodeId>,
         outq: VecDeque<Vec<u8>>,
         redial: bool,
@@ -335,6 +382,7 @@ impl<W: Wire> Mesh<W> {
         let slot = inner.links.len();
         inner.links.push(Link {
             wire,
+            reactor,
             outq,
             peer,
             dead: false,
@@ -346,15 +394,17 @@ impl<W: Wire> Mesh<W> {
         slot
     }
 
-    /// The reactor: parks a select and handles whatever becomes ready.
-    fn pump(&self, sim: &mut Simulator) {
+    /// One reactor: parks a select on it and handles whatever becomes
+    /// ready there.
+    fn pump(&self, sim: &mut Simulator, reactor: usize) {
         let t = self.downgrade();
-        self.inner.borrow().wire.select(sim, move |sim, ready| {
+        let inner = self.inner.borrow();
+        inner.wire.select(sim, reactor, move |sim, ready| {
             let Some(t) = t.upgrade() else { return };
             for ev in ready {
                 t.on_event(sim, ev);
             }
-            t.pump(sim);
+            t.pump(sim, reactor);
         });
     }
 
@@ -362,10 +412,11 @@ impl<W: Wire> Mesh<W> {
         let ready = self.inner.borrow().wire.ready(ev);
         if ready.accept {
             loop {
-                let Some(link) = self.inner.borrow().wire.accept(sim) else {
+                let reactor = self.place();
+                let Some(link) = self.inner.borrow().wire.accept(sim, reactor) else {
                     return;
                 };
-                self.add_link(link, None, VecDeque::new(), false);
+                self.add_link(link, reactor, None, VecDeque::new(), false);
             }
         }
         let slot = {
@@ -557,7 +608,8 @@ impl<W: Wire> Mesh<W> {
             let outq = current.map(|slot| std::mem::take(&mut inner.links[slot].outq));
             (host, outq.unwrap_or_default())
         };
-        let link = self.inner.borrow().wire.dial(sim, peer, host);
+        let reactor = self.place();
+        let link = self.inner.borrow().wire.dial(sim, peer, host, reactor);
         let Some(link) = link else {
             // Could not even initiate (e.g. resource exhaustion): put the
             // queue back and back off again.
@@ -569,7 +621,7 @@ impl<W: Wire> Mesh<W> {
             self.schedule_redial(sim, peer);
             return;
         };
-        let slot = self.add_link(link, Some(peer), outq, true);
+        let slot = self.add_link(link, reactor, Some(peer), outq, true);
         if let Some(timeout) = W::DIAL_TIMEOUT {
             let t = self.clone();
             sim.schedule_in(timeout, move |sim| {

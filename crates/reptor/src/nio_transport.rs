@@ -1,8 +1,9 @@
 //! The NIO-style TCP transport: Reptor's baseline comm stack.
 //!
-//! One selector thread per node multiplexes a full mesh of non-blocking
-//! TCP streams (exactly how Reptor/UpRight use the Java NIO selector for
-//! replica communication, paper §I/§III). Messages are framed with a 4-byte
+//! One selector thread per core of a node's host multiplexes its share of
+//! a full mesh of non-blocking TCP streams (how Reptor uses the Java NIO
+//! selector for replica communication, paper §I/§III, with one selector
+//! per pillar as in its COP design). Messages are framed with a 4-byte
 //! little-endian length prefix; the first frame a dialer writes is its
 //! hello.
 //!
@@ -21,7 +22,7 @@ use simnet_socket::{
     KeyId, Ops, ReadOutcome, Selected, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
 };
 
-use crate::mesh::{key, Mesh, Ready, Recv, Wire};
+use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Wire};
 use crate::state_transfer::MAX_STORE_BYTES;
 use crate::transport::{DeliveryFn, LaneDeliveryFn, NodeId, Transport};
 
@@ -40,6 +41,8 @@ const MAX_FRAME: usize = MAX_STORE_BYTES as usize;
 
 struct NioLink {
     stream: TcpStream,
+    /// The reactor whose selector the stream is registered with.
+    reactor: usize,
     key: KeyId,
     /// Bytes of the front message's frame (length prefix and body)
     /// already written to the socket.
@@ -53,10 +56,11 @@ struct NioLink {
 struct NioWire {
     node: NodeId,
     host: HostId,
-    core: CoreId,
     net: Network,
     model: TcpModel,
-    selector: Selector,
+    /// One selector per reactor, each on its own core; siblings, so their
+    /// keys never collide.
+    selectors: Vec<Selector>,
     listener: TcpListener,
     listener_key: KeyId,
 }
@@ -75,10 +79,17 @@ fn put_frame(out: &mut Vec<u8>, body: &[u8], mut skip: usize) -> bool {
 }
 
 impl NioWire {
-    fn link(&self, sim: &mut Simulator, stream: TcpStream, interest: Ops) -> NioLink {
-        let key = stream.register(sim, &self.selector, interest);
+    fn link(
+        &self,
+        sim: &mut Simulator,
+        stream: TcpStream,
+        reactor: usize,
+        interest: Ops,
+    ) -> NioLink {
+        let key = stream.register(sim, &self.selectors[reactor], interest);
         NioLink {
             stream,
+            reactor,
             key,
             front_written: 0,
             out: Vec::new(),
@@ -97,11 +108,20 @@ impl Wire for NioWire {
     const DIAL_TIMEOUT: Option<Nanos> = None;
 
     fn listen(&mut self, sim: &mut Simulator) {
-        self.listener_key = self.listener.register(sim, &self.selector);
+        self.listener_key = self.listener.register(sim, &self.selectors[0]);
     }
 
-    fn select(&self, sim: &mut Simulator, f: impl FnOnce(&mut Simulator, &[Selected]) + 'static) {
-        self.selector.select(sim, move |sim, ready| f(sim, &ready));
+    fn reactors(&self) -> usize {
+        self.selectors.len()
+    }
+
+    fn select(
+        &self,
+        sim: &mut Simulator,
+        reactor: usize,
+        f: impl FnOnce(&mut Simulator, &[Selected]) + 'static,
+    ) {
+        self.selectors[reactor].select(sim, f);
     }
 
     fn ready(&self, ev: &Selected) -> Ready {
@@ -117,16 +137,24 @@ impl Wire for NioWire {
         link.key == ev.key
     }
 
-    fn dial(&self, sim: &mut Simulator, peer: NodeId, host: HostId) -> Option<NioLink> {
+    fn dial(
+        &self,
+        sim: &mut Simulator,
+        peer: NodeId,
+        host: HostId,
+        reactor: usize,
+    ) -> Option<NioLink> {
         let remote = Addr::new(host, NIO_PORT_BASE + peer);
         let model = self.model.clone();
-        let stream = TcpStream::connect(sim, &self.net, self.host, self.core, model, remote);
-        Some(self.link(sim, stream, Ops::CONNECT | Ops::READ))
+        let core = self.selectors[reactor].core();
+        let stream = TcpStream::connect(sim, &self.net, self.host, core, model, remote);
+        Some(self.link(sim, stream, reactor, Ops::CONNECT | Ops::READ))
     }
 
-    fn accept(&self, sim: &mut Simulator) -> Option<NioLink> {
-        let stream = self.listener.accept(sim)?;
-        Some(self.link(sim, stream, Ops::READ))
+    fn accept(&self, sim: &mut Simulator, reactor: usize) -> Option<NioLink> {
+        let core = self.selectors[reactor].core();
+        let stream = self.listener.accept_on(sim, core)?;
+        Some(self.link(sim, stream, reactor, Ops::READ))
     }
 
     fn finish_connect(
@@ -141,7 +169,7 @@ impl Wire for NioWire {
         if !link.stream.finish_connect(sim) {
             return false;
         }
-        self.selector.set_interest(sim, link.key, Ops::READ);
+        self.selectors[link.reactor].set_interest(sim, link.key, Ops::READ);
         // The hello must be the first frame on the stream, ahead of any
         // carried-over output.
         debug_assert_eq!(link.front_written, 0);
@@ -230,7 +258,7 @@ impl Wire for NioWire {
         } else {
             Ops::READ | Ops::WRITE
         };
-        self.selector.set_interest(sim, link.key, interest);
+        self.selectors[link.reactor].set_interest(sim, link.key, interest);
     }
 
     fn close(&self, sim: &mut Simulator, link: &mut NioLink, outq: &mut VecDeque<Vec<u8>>) {
@@ -240,7 +268,7 @@ impl Wire for NioWire {
             outq.pop_front();
             link.front_written = 0;
         }
-        self.selector.cancel(link.key);
+        self.selectors[link.reactor].cancel(link.key);
         // Close the socket so its port unbinds: a peer that still thinks
         // this stream is alive must see its segments go unanswered (RTO
         // exhaustion -> EOF) instead of having them silently buffered and
@@ -265,16 +293,21 @@ impl NioTransport {
         nodes: &[(NodeId, HostId, CoreId)],
         model: TcpModel,
     ) -> Vec<NioTransport> {
-        let wire = |node, host, core| NioWire {
-            node,
-            host,
-            core,
-            net: net.clone(),
-            model: model.clone(),
-            selector: Selector::new(net, host, core, NIO_SELECT_NS),
-            listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
-                .expect("transport port free"),
-            listener_key: KeyId(u64::MAX),
+        let wire = |node, host, core| {
+            let mut selectors = vec![Selector::new(net, host, core, NIO_SELECT_NS)];
+            for &other in &reactor_cores(net, host, core)[1..] {
+                selectors.push(selectors[0].sibling(other));
+            }
+            NioWire {
+                node,
+                host,
+                net: net.clone(),
+                model: model.clone(),
+                selectors,
+                listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
+                    .expect("transport port free"),
+                listener_key: KeyId(u64::MAX),
+            }
         };
         let meshes = Mesh::build_group(sim, net, nodes, wire);
         meshes

@@ -23,7 +23,7 @@ use rubin::{
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
-use crate::mesh::{key, Mesh, Ready, Recv, Wire};
+use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Wire};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
     DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
@@ -43,7 +43,8 @@ struct RubinLink {
 struct RubinWire {
     node: NodeId,
     device: RdmaDevice,
-    core: CoreId,
+    /// Reactor `i`'s core; the selector runs one select thread on each.
+    cores: Vec<CoreId>,
     cfg: RubinConfig,
     selector: RdmaSelector,
     server: RdmaServerChannel,
@@ -110,12 +111,17 @@ impl Wire for RubinWire {
         self.selector.register_server(sim, &self.server);
     }
 
+    fn reactors(&self) -> usize {
+        self.cores.len()
+    }
+
     fn select(
         &self,
         sim: &mut Simulator,
+        reactor: usize,
         f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
-        self.selector.select(sim, f);
+        self.selector.select_on(sim, reactor, f);
     }
 
     fn ready(&self, ev: &SelectedKey) -> Ready {
@@ -131,15 +137,24 @@ impl Wire for RubinWire {
         link.key == ev.key
     }
 
-    fn dial(&self, sim: &mut Simulator, peer: NodeId, host: HostId) -> Option<RubinLink> {
+    /// A channel charged to a reactor's core registers with that core's
+    /// select thread.
+    fn dial(
+        &self,
+        sim: &mut Simulator,
+        peer: NodeId,
+        host: HostId,
+        reactor: usize,
+    ) -> Option<RubinLink> {
         let remote = Addr::new(host, RUBIN_PORT_BASE + peer);
+        let core = self.cores[reactor];
         let channel =
-            RdmaChannel::connect(sim, &self.device, remote, self.cfg.clone(), self.core).ok()?;
+            RdmaChannel::connect(sim, &self.device, remote, self.cfg.clone(), core).ok()?;
         Some(self.link(sim, channel, true))
     }
 
-    fn accept(&self, sim: &mut Simulator) -> Option<RubinLink> {
-        let channel = self.server.accept(sim).ok()??;
+    fn accept(&self, sim: &mut Simulator, reactor: usize) -> Option<RubinLink> {
+        let channel = self.server.accept_on(sim, self.cores[reactor]).ok()??;
         Some(self.link(sim, channel, false))
     }
 
@@ -251,14 +266,15 @@ impl RubinTransport {
     ) -> Vec<RubinTransport> {
         let wire = |node, host, core| {
             let device = RdmaDevice::open(net, host, rnic.clone());
-            let selector = RdmaSelector::new(&device, core, cfg.select_ns);
+            let cores = reactor_cores(net, host, core);
+            let selector = RdmaSelector::on_cores(&device, &cores, cfg.select_ns);
             let server =
                 RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
                     .expect("transport port free");
             RubinWire {
                 node,
                 device,
-                core,
+                cores,
                 cfg: cfg.clone(),
                 selector,
                 server,

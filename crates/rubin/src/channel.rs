@@ -449,6 +449,11 @@ impl RdmaChannel {
         self.inner.borrow().qp.clone()
     }
 
+    /// The core this channel's CPU work is charged to.
+    pub fn core(&self) -> CoreId {
+        self.inner.borrow().core
+    }
+
     /// The connection id of an outgoing connection.
     pub fn conn_id(&self) -> Option<u64> {
         self.inner.borrow().conn_id

@@ -13,6 +13,12 @@
 //! wake-up drains it, polling each channel's completion queues once for
 //! everything that accumulated. An idle selector (no wake-up pending) polls
 //! at arrival, so unloaded latency does not depend on the rule.
+//!
+//! One selector may run one select thread per core (Reptor's COP design
+//! runs one selector thread per pillar). The key table and the device's
+//! connection events stay with the selector, the first thread dispatching
+//! the latter; each thread has its own hybrid queue, parked call, ready
+//! list and wake-up, and serves the channels charged to its core.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -42,6 +48,8 @@ enum Registered {
 
 struct KeyEntry {
     what: Registered,
+    /// The select thread this key reports to.
+    thread: usize,
     interest: Interest,
     ready: Interest,
     cancelled: bool,
@@ -60,12 +68,9 @@ simnet::metric_names! {
     }
 }
 
-struct SelInner {
-    device: RdmaDevice,
+/// One select thread: the core it runs on and what it waits with.
+struct SelectThread {
     core: CoreId,
-    select_ns: u64,
-    keys: BTreeMap<RubinKey, KeyEntry>,
-    next_key: u64,
     hybrid: HybridEventQueue,
     /// The parked select call, held in place; it reads `ready` when run.
     parked: Option<Action>,
@@ -73,6 +78,14 @@ struct SelInner {
     ready: Vec<SelectedKey>,
     wake_scheduled: bool,
     process_scheduled: bool,
+}
+
+struct SelInner {
+    device: RdmaDevice,
+    select_ns: u64,
+    keys: BTreeMap<RubinKey, KeyEntry>,
+    next_key: u64,
+    threads: Vec<SelectThread>,
     cm_hooked: bool,
     counters: Counters<SelectorCounter>,
     /// `rubin.<host>.selector.events_per_round`.
@@ -120,30 +133,47 @@ impl fmt::Debug for RdmaSelector {
         let inner = self.inner.borrow();
         f.debug_struct("RdmaSelector")
             .field("keys", &inner.keys.len())
-            .field("hybrid_pending", &inner.hybrid.len())
-            .field("parked", &inner.parked.is_some())
+            .field("threads", &inner.threads.len())
+            .field("hybrid_pending", &self.hybrid_pending())
             .finish()
     }
 }
 
 impl RdmaSelector {
-    /// Creates a selector on `device`, charging `select_ns` per select
-    /// call to `core`.
+    /// Creates a selector on `device` with one select thread, charging
+    /// `select_ns` per select call to `core`.
     pub fn new(device: &RdmaDevice, core: CoreId, select_ns: u64) -> RdmaSelector {
+        RdmaSelector::on_cores(device, &[core], select_ns)
+    }
+
+    /// Creates a selector on `device` with one select thread per entry of
+    /// `cores`, thread `i` charging its select calls to `cores[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is empty.
+    pub fn on_cores(device: &RdmaDevice, cores: &[CoreId], select_ns: u64) -> RdmaSelector {
+        assert!(!cores.is_empty(), "a selector needs a select thread");
         let metrics = device.net().metrics();
         let prefix = format!("rubin.{}.selector.", device.host());
-        RdmaSelector {
-            inner: Rc::new(RefCell::new(SelInner {
-                device: device.clone(),
+        let threads = cores
+            .iter()
+            .map(|&core| SelectThread {
                 core,
-                select_ns,
-                keys: BTreeMap::new(),
-                next_key: 0,
                 hybrid: HybridEventQueue::new(),
                 parked: None,
                 ready: Vec::new(),
                 wake_scheduled: false,
                 process_scheduled: false,
+            })
+            .collect();
+        RdmaSelector {
+            inner: Rc::new(RefCell::new(SelInner {
+                device: device.clone(),
+                select_ns,
+                keys: BTreeMap::new(),
+                next_key: 0,
+                threads,
                 cm_hooked: false,
                 counters: metrics.counters(&prefix),
                 events_per_round: metrics.histo_handle(&format!("{prefix}events_per_round")),
@@ -162,7 +192,12 @@ impl RdmaSelector {
         }
     }
 
-    fn alloc_key(&self, what: Registered, interest: Interest) -> RubinKey {
+    /// The number of select threads.
+    pub fn threads(&self) -> usize {
+        self.inner.borrow().threads.len()
+    }
+
+    fn alloc_key(&self, what: Registered, thread: usize, interest: Interest) -> RubinKey {
         let mut inner = self.inner.borrow_mut();
         let key = RubinKey(inner.next_key);
         inner.next_key += 1;
@@ -170,6 +205,7 @@ impl RdmaSelector {
             key,
             KeyEntry {
                 what,
+                thread,
                 interest,
                 ready: Interest::NONE,
                 cancelled: false,
@@ -194,36 +230,43 @@ impl RdmaSelector {
         let device = self.inner.borrow().device.clone();
         device.set_cm_hook(Rc::new(move |sim| {
             let Some(sel) = sel.upgrade() else { return };
-            // Event manager: copy CM events into the hybrid queue.
+            // Event manager: copy CM events into the first thread's
+            // hybrid queue.
             let dev = sel.inner.borrow().device.clone();
             while let Some(ev) = dev.poll_cm_event() {
-                sel.inner
-                    .borrow_mut()
+                sel.inner.borrow_mut().threads[0]
                     .hybrid
                     .push(RubinEvent::Connection(ev));
             }
-            sel.schedule_process(sim);
+            sel.schedule_process(sim, 0);
         }));
     }
 
     /// Registers an [`RdmaChannel`] with the given interest set and wires
-    /// its completion events into the event manager.
+    /// its completion events into the event manager. The channel is served
+    /// by the select thread on its core, or by the first thread if none
+    /// runs there.
     pub fn register_channel(
         &self,
         sim: &mut Simulator,
         channel: &RdmaChannel,
         interest: Interest,
     ) -> RubinKey {
-        let key = self.alloc_key(Registered::Channel(channel.clone()), interest);
+        let core = channel.core();
+        let thread = {
+            let inner = self.inner.borrow();
+            inner.threads.iter().position(|t| t.core == core)
+        };
+        let thread = thread.unwrap_or(0);
+        let key = self.alloc_key(Registered::Channel(channel.clone()), thread, interest);
         channel.set_registration(self.registration(key));
         let sel = self.downgrade();
         channel.qp().set_event_hook(Rc::new(move |sim| {
             let Some(sel) = sel.upgrade() else { return };
-            sel.inner
-                .borrow_mut()
+            sel.inner.borrow_mut().threads[thread]
                 .hybrid
                 .push(RubinEvent::Completion { key });
-            sel.schedule_process(sim);
+            sel.schedule_process(sim, thread);
         }));
         self.hook_cm(sim);
         // Report the channel's current readiness under the new key.
@@ -231,9 +274,10 @@ impl RdmaSelector {
         key
     }
 
-    /// Registers a server channel for `OP_CONNECT` readiness.
+    /// Registers a server channel for `OP_CONNECT` readiness, served by the
+    /// first select thread.
     pub fn register_server(&self, sim: &mut Simulator, server: &RdmaServerChannel) -> RubinKey {
-        let key = self.alloc_key(Registered::Server(server.clone()), Interest::OP_CONNECT);
+        let key = self.alloc_key(Registered::Server(server.clone()), 0, Interest::OP_CONNECT);
         server.set_registration(self.registration(key));
         self.hook_cm(sim);
         if server.pending_count() > 0 {
@@ -248,15 +292,13 @@ impl RdmaSelector {
     ///
     /// Panics on an unknown key.
     pub fn set_interest(&self, sim: &mut Simulator, key: RubinKey, interest: Interest) {
-        {
+        let thread = {
             let mut inner = self.inner.borrow_mut();
-            inner
-                .keys
-                .get_mut(&key)
-                .expect("unknown selection key")
-                .interest = interest;
-        }
-        self.maybe_wake(sim);
+            let entry = inner.keys.get_mut(&key).expect("unknown selection key");
+            entry.interest = interest;
+            entry.thread
+        };
+        self.maybe_wake(sim, thread);
     }
 
     /// A key's interest set.
@@ -277,7 +319,7 @@ impl RdmaSelector {
     }
 
     fn set_ready(&self, sim: &mut Simulator, key: RubinKey, op: Interest, on: bool) {
-        {
+        let thread = {
             let mut inner = self.inner.borrow_mut();
             let Some(entry) = inner.keys.get_mut(&key) else {
                 return;
@@ -290,52 +332,56 @@ impl RdmaSelector {
             } else {
                 entry.ready = entry.ready.without(op);
             }
-        }
+            entry.thread
+        };
         if on {
-            self.maybe_wake(sim);
+            self.maybe_wake(sim, thread);
         }
     }
 
-    /// Schedules hybrid-queue processing (the event-manager notification).
-    fn schedule_process(&self, sim: &mut Simulator) {
+    /// Schedules `thread`'s hybrid-queue processing (the event-manager
+    /// notification).
+    fn schedule_process(&self, sim: &mut Simulator, thread: usize) {
         {
             let mut inner = self.inner.borrow_mut();
-            if inner.process_scheduled {
+            let t = &mut inner.threads[thread];
+            if t.process_scheduled {
                 return;
             }
-            inner.process_scheduled = true;
+            t.process_scheduled = true;
         }
         let sel = self.clone();
         sim.schedule_in(Nanos::ZERO, move |sim| {
-            sel.inner.borrow_mut().process_scheduled = false;
-            sel.process(sim);
+            sel.inner.borrow_mut().threads[thread].process_scheduled = false;
+            sel.process(sim, thread);
         });
     }
 
-    /// The event-manager notification: an idle selector handles the events
+    /// The event-manager notification: an idle thread handles the events
     /// where they arrive; one with a wake-up pending leaves them queued for
     /// the wake-up's own drain.
-    fn process(&self, sim: &mut Simulator) {
-        if self.inner.borrow().wake_scheduled {
+    fn process(&self, sim: &mut Simulator, thread: usize) {
+        if self.inner.borrow().threads[thread].wake_scheduled {
             return;
         }
-        self.drain(sim);
-        self.maybe_wake(sim);
+        self.drain(sim, thread);
+        self.maybe_wake(sim, thread);
     }
 
-    /// Drains the hybrid event queue in arrival order, dispatching each
-    /// event to the matching selection key (paper Figure 2, step 5: compare
-    /// ids and event type, update the key's ready set). A channel's
-    /// completion queues are polled once for all of its events queued
-    /// before that poll.
-    fn drain(&self, sim: &mut Simulator) {
+    /// Drains `thread`'s hybrid event queue in arrival order, dispatching
+    /// each event to the matching selection key (paper Figure 2, step 5:
+    /// compare ids and event type, update the key's ready set). A
+    /// channel's completion queues are polled once for all of its events
+    /// queued before that poll.
+    fn drain(&self, sim: &mut Simulator, thread: usize) {
         let mut dispatched: u64 = 0;
         loop {
             let next = {
                 let mut inner = self.inner.borrow_mut();
-                let ev = inner.hybrid.pop();
+                let hybrid = &mut inner.threads[thread].hybrid;
+                let ev = hybrid.pop();
                 // The arrival number of `ev`: the queue is FIFO.
-                let seq = inner.hybrid.total_events() - inner.hybrid.len() as u64;
+                let seq = hybrid.total_events() - hybrid.len() as u64;
                 ev.map(|ev| (ev, seq))
             };
             let Some((ev, seq)) = next else { break };
@@ -344,7 +390,7 @@ impl RdmaSelector {
                 RubinEvent::Completion { key } => {
                     let chan = {
                         let mut inner = self.inner.borrow_mut();
-                        let queued = inner.hybrid.total_events();
+                        let queued = inner.threads[thread].hybrid.total_events();
                         match inner.keys.get_mut(&key) {
                             Some(KeyEntry {
                                 what: Registered::Channel(c),
@@ -464,59 +510,80 @@ impl RdmaSelector {
         }
     }
 
-    /// Non-blocking select: charges one select call, handles the events
-    /// that have arrived and returns the currently ready keys.
+    /// Non-blocking select on the first thread: charges one select call,
+    /// handles the events that have arrived and returns the currently
+    /// ready keys.
     pub fn select_now(&self, sim: &mut Simulator) -> Vec<SelectedKey> {
-        self.charge_select(sim);
-        self.drain(sim);
-        ready_keys(&self.inner.borrow().keys).collect()
+        self.charge_select(sim, 0);
+        self.drain(sim, 0);
+        ready_keys(&self.inner.borrow().keys, 0).collect()
     }
 
-    /// Blocking select: `f` runs (after one select-call cost) once at least
-    /// one registered key is ready, with the ready keys. Neither the parked
-    /// call nor the key list allocates: the selector keeps both.
+    /// Blocking select on the first thread: [`RdmaSelector::select_on`]
+    /// thread 0.
     ///
     /// # Panics
     ///
-    /// Panics if a select is already parked (single selector thread).
+    /// Panics if a select is already parked there.
     pub fn select(
         &self,
         sim: &mut Simulator,
         f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
+        self.select_on(sim, 0, f);
+    }
+
+    /// Blocking select on `thread`: `f` runs (after one select-call cost,
+    /// charged to the thread's core) once at least one of the thread's
+    /// keys is ready, with those keys. Neither the parked call nor the key
+    /// list allocates: the thread keeps both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a select is already parked on `thread` (one call per
+    /// thread) or there is no such thread.
+    pub fn select_on(
+        &self,
+        sim: &mut Simulator,
+        thread: usize,
+        f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
+    ) {
         let sel = self.downgrade();
         let call = Action::new(move |sim| {
             let Some(sel) = sel.upgrade() else { return };
-            let mut ready = std::mem::take(&mut sel.inner.borrow_mut().ready);
+            let mut ready = std::mem::take(&mut sel.inner.borrow_mut().threads[thread].ready);
             f(sim, &ready);
             ready.clear();
-            sel.inner.borrow_mut().ready = ready;
+            sel.inner.borrow_mut().threads[thread].ready = ready;
         });
         {
             let mut inner = self.inner.borrow_mut();
+            let t = &mut inner.threads[thread];
             assert!(
-                inner.parked.is_none(),
+                t.parked.is_none(),
                 "selector already has a parked select call"
             );
-            inner.parked = Some(call);
+            t.parked = Some(call);
         }
-        self.maybe_wake(sim);
+        self.maybe_wake(sim, thread);
     }
 
-    /// Total events that flowed through the hybrid queue.
+    /// Total events that flowed through the hybrid queues.
     pub fn hybrid_events_total(&self) -> u64 {
-        self.inner.borrow().hybrid.total_events()
+        let inner = self.inner.borrow();
+        inner.threads.iter().map(|t| t.hybrid.total_events()).sum()
     }
 
-    /// Events waiting in the hybrid queue for the selector thread.
+    /// Events waiting in the hybrid queues for the select threads.
     pub fn hybrid_pending(&self) -> usize {
-        self.inner.borrow().hybrid.len()
+        let inner = self.inner.borrow();
+        inner.threads.iter().map(|t| t.hybrid.len()).sum()
     }
 
-    fn charge_select(&self, sim: &mut Simulator) -> Nanos {
+    fn charge_select(&self, sim: &mut Simulator, thread: usize) -> Nanos {
         let inner = self.inner.borrow();
         inner.counters[SelectorCounter::Polls].incr();
-        let (core, ns) = (inner.core, inner.select_ns);
+        let (core, ns) = (inner.threads[thread].core, inner.select_ns);
         let device = inner.device.clone();
         drop(inner);
         device
@@ -526,53 +593,60 @@ impl RdmaSelector {
             .exec(sim.now(), core, Nanos::from_nanos(ns))
     }
 
-    fn maybe_wake(&self, sim: &mut Simulator) {
+    fn maybe_wake(&self, sim: &mut Simulator, thread: usize) {
         {
             let inner = self.inner.borrow();
-            if inner.parked.is_none() || inner.wake_scheduled {
+            let t = &inner.threads[thread];
+            if t.parked.is_none() || t.wake_scheduled {
                 return;
             }
             let any = inner
                 .keys
                 .values()
-                .any(|e| !e.cancelled && e.ready.intersects(e.interest));
+                .any(|e| e.thread == thread && !e.cancelled && e.ready.intersects(e.interest));
             if !any {
                 return;
             }
         }
-        self.inner.borrow_mut().wake_scheduled = true;
-        let fire_at = self.charge_select(sim);
+        self.inner.borrow_mut().threads[thread].wake_scheduled = true;
+        let fire_at = self.charge_select(sim, thread);
         let sel = self.clone();
         sim.schedule_at(fire_at, move |sim| {
             let cb = {
                 let mut inner = sel.inner.borrow_mut();
-                inner.wake_scheduled = false;
-                inner.parked.take()
+                let t = &mut inner.threads[thread];
+                t.wake_scheduled = false;
+                t.parked.take()
             };
             // The selector thread runs: what arrived while it was
             // busy is handled now, before the ready sets are read.
-            sel.drain(sim);
+            sel.drain(sim, thread);
             let Some(cb) = cb else { return };
             let any = {
                 let mut guard = sel.inner.borrow_mut();
                 let inner = &mut *guard;
-                inner.ready.clear();
-                inner.ready.extend(ready_keys(&inner.keys));
-                !inner.ready.is_empty()
+                let t = &mut inner.threads[thread];
+                t.ready.clear();
+                t.ready.extend(ready_keys(&inner.keys, thread));
+                !t.ready.is_empty()
             };
             if any {
                 cb.run(sim);
             } else {
-                sel.inner.borrow_mut().parked = Some(cb);
+                sel.inner.borrow_mut().threads[thread].parked = Some(cb);
             }
         });
     }
 }
 
-/// The live keys whose ready set meets their interest, in key order.
-fn ready_keys(keys: &BTreeMap<RubinKey, KeyEntry>) -> impl Iterator<Item = SelectedKey> + '_ {
+/// `thread`'s live keys whose ready set meets their interest, in key
+/// order.
+fn ready_keys(
+    keys: &BTreeMap<RubinKey, KeyEntry>,
+    thread: usize,
+) -> impl Iterator<Item = SelectedKey> + '_ {
     keys.iter()
-        .filter(|(_, e)| !e.cancelled)
+        .filter(move |(_, e)| e.thread == thread && !e.cancelled)
         .filter_map(|(k, e)| {
             let ready = e.ready.and(e.interest);
             (!ready.is_empty()).then_some(SelectedKey { key: *k, ready })

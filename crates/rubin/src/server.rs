@@ -112,19 +112,34 @@ impl RdmaServerChannel {
         }
     }
 
-    /// Accepts one pending connection, returning the connected channel.
-    /// `None` if nothing is pending.
+    /// Accepts one pending connection, returning the connected channel,
+    /// charged to the server's core. `None` if nothing is pending.
     ///
     /// # Errors
     ///
     /// Propagates channel-construction failures.
     pub fn accept(&self, sim: &mut Simulator) -> Result<Option<RdmaChannel>, ChannelError> {
-        let (req, device, cfg, core) = {
+        let core = self.inner.borrow().core;
+        self.accept_on(sim, core)
+    }
+
+    /// [`RdmaServerChannel::accept`], with the channel charged to `core`
+    /// (the core of the select thread that will serve it).
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel-construction failures.
+    pub fn accept_on(
+        &self,
+        sim: &mut Simulator,
+        core: CoreId,
+    ) -> Result<Option<RdmaChannel>, ChannelError> {
+        let (req, device, cfg) = {
             let mut inner = self.inner.borrow_mut();
             let Some(req) = inner.pending.pop_front() else {
                 return Ok(None);
             };
-            (req, inner.device.clone(), inner.cfg.clone(), inner.core)
+            (req, inner.device.clone(), inner.cfg.clone())
         };
         let channel = RdmaChannel::from_accepted(sim, &device, req, cfg, core)?;
         let reg = {

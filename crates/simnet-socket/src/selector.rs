@@ -7,14 +7,18 @@
 //! select-call cost to the selector's core (the Java NIO selector is backed
 //! by epoll and is highly optimized — paper §IV notes RUBIN's select is
 //! slower, which the respective cost constants reflect).
+//!
+//! An endpoint may run one selector per core; [`Selector::sibling`] makes
+//! the next one, drawing its keys from the same sequence so that a key
+//! names one registration across all of them.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use simnet::{CoreId, HostId, Nanos, Network, Simulator};
+use simnet::{Action, CoreId, HostId, Nanos, Network, Simulator};
 
 /// Interest/readiness operation flags (Java `SelectionKey` ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,16 +95,18 @@ struct KeyState {
     cancelled: bool,
 }
 
-type SelectCb = Box<dyn FnOnce(&mut Simulator, Vec<Selected>)>;
-
 struct SelInner {
     net: Network,
     host: HostId,
     core: CoreId,
     select_ns: u64,
     keys: BTreeMap<KeyId, KeyState>,
-    next_key: u64,
-    parked: Option<SelectCb>,
+    /// The next key id, shared with every sibling.
+    next_key: Rc<Cell<u64>>,
+    /// The parked select call, held in place; it reads `ready` when run.
+    parked: Option<Action>,
+    /// The ready keys handed to the parked call, kept between wake-ups.
+    ready: Vec<Selected>,
     wake_scheduled: bool,
     selects: u64,
 }
@@ -126,6 +132,16 @@ impl Selector {
     /// Creates a selector whose select calls are charged to `core` of
     /// `host`, costing `select_ns` per call.
     pub fn new(net: &Network, host: HostId, core: CoreId, select_ns: u64) -> Selector {
+        Selector::with_keys(net, host, core, select_ns, Rc::default())
+    }
+
+    fn with_keys(
+        net: &Network,
+        host: HostId,
+        core: CoreId,
+        select_ns: u64,
+        next_key: Rc<Cell<u64>>,
+    ) -> Selector {
         Selector {
             inner: Rc::new(RefCell::new(SelInner {
                 net: net.clone(),
@@ -133,20 +149,34 @@ impl Selector {
                 core,
                 select_ns,
                 keys: BTreeMap::new(),
-                next_key: 0,
+                next_key,
                 parked: None,
+                ready: Vec::new(),
                 wake_scheduled: false,
                 selects: 0,
             })),
         }
     }
 
+    /// Another selector (another thread) of the same host and cost, on
+    /// `core`. Its keys and this one's never collide.
+    pub fn sibling(&self, core: CoreId) -> Selector {
+        let inner = self.inner.borrow();
+        let next_key = inner.next_key.clone();
+        Selector::with_keys(&inner.net, inner.host, core, inner.select_ns, next_key)
+    }
+
+    /// The core this selector's thread runs on.
+    pub fn core(&self) -> CoreId {
+        self.inner.borrow().core
+    }
+
     /// Registers a new key with the given interest set. Channels call this
     /// and then report readiness transitions via [`Selector::set_ready`].
     pub fn register(&self, interest: Ops) -> KeyId {
         let mut inner = self.inner.borrow_mut();
-        let key = KeyId(inner.next_key);
-        inner.next_key += 1;
+        let key = KeyId(inner.next_key.get());
+        inner.next_key.set(key.0 + 1);
         inner.keys.insert(
             key,
             KeyState {
@@ -228,7 +258,9 @@ impl Selector {
     }
 
     /// Blocking select: `f` runs (after one select-call cost) as soon as at
-    /// least one registered key is ready — immediately if one already is.
+    /// least one registered key is ready — immediately if one already is —
+    /// with the ready keys. Neither the parked call nor the key list
+    /// allocates: the selector keeps both.
     ///
     /// # Panics
     ///
@@ -237,15 +269,27 @@ impl Selector {
     pub fn select(
         &self,
         sim: &mut Simulator,
-        f: impl FnOnce(&mut Simulator, Vec<Selected>) + 'static,
+        f: impl FnOnce(&mut Simulator, &[Selected]) + 'static,
     ) {
+        // The call is stored in the selector itself: it holds the selector
+        // weakly.
+        let sel = Rc::downgrade(&self.inner);
+        let call = Action::new(move |sim| {
+            let Some(sel) = Weak::upgrade(&sel) else {
+                return;
+            };
+            let mut ready = std::mem::take(&mut sel.borrow_mut().ready);
+            f(sim, &ready);
+            ready.clear();
+            sel.borrow_mut().ready = ready;
+        });
         {
             let mut inner = self.inner.borrow_mut();
             assert!(
                 inner.parked.is_none(),
                 "selector already has a parked select call"
             );
-            inner.parked = Some(Box::new(f));
+            inner.parked = Some(call);
         }
         self.maybe_wake(sim);
     }
@@ -256,16 +300,7 @@ impl Selector {
     }
 
     fn collect_ready(&self) -> Vec<Selected> {
-        let inner = self.inner.borrow();
-        inner
-            .keys
-            .iter()
-            .filter(|(_, ks)| !ks.cancelled)
-            .filter_map(|(k, ks)| {
-                let ready = ks.ready.and(ks.interest);
-                (!ready.is_empty()).then_some(Selected { key: *k, ready })
-            })
-            .collect()
+        ready_keys(&self.inner.borrow().keys).collect()
     }
 
     fn maybe_wake(&self, sim: &mut Simulator) {
@@ -298,15 +333,31 @@ impl Selector {
                 inner.parked.take()
             };
             let Some(cb) = cb else { return };
-            let ready = sel.collect_ready();
-            if ready.is_empty() {
+            let any = {
+                let mut guard = sel.inner.borrow_mut();
+                let inner = &mut *guard;
+                inner.ready.clear();
+                inner.ready.extend(ready_keys(&inner.keys));
+                !inner.ready.is_empty()
+            };
+            if any {
+                cb.run(sim);
+            } else {
                 // Readiness vanished while waking: re-park.
                 sel.inner.borrow_mut().parked = Some(cb);
-            } else {
-                cb(sim, ready);
             }
         });
     }
+}
+
+/// The live keys whose ready set meets their interest, in key order.
+fn ready_keys(keys: &BTreeMap<KeyId, KeyState>) -> impl Iterator<Item = Selected> + '_ {
+    keys.iter()
+        .filter(|(_, ks)| !ks.cancelled)
+        .filter_map(|(k, ks)| {
+            let ready = ks.ready.and(ks.interest);
+            (!ready.is_empty()).then_some(Selected { key: *k, ready })
+        })
 }
 
 #[cfg(test)]
@@ -352,7 +403,7 @@ mod tests {
         let fired: Rc<RefCell<Vec<Selected>>> = Rc::new(RefCell::new(vec![]));
         let f = fired.clone();
         sel.select(&mut sim, move |_sim, ready| {
-            *f.borrow_mut() = ready;
+            *f.borrow_mut() = ready.to_vec();
         });
         sim.run_until_idle();
         assert!(fired.borrow().is_empty(), "nothing ready yet");

@@ -954,8 +954,17 @@ impl TcpListener {
         key
     }
 
-    /// Accepts a pending connection, if any (non-blocking).
+    /// Accepts a pending connection, if any (non-blocking), charged to
+    /// the listener's core.
     pub fn accept(&self, sim: &mut Simulator) -> Option<TcpStream> {
+        let core = self.inner.borrow().core;
+        self.accept_on(sim, core)
+    }
+
+    /// [`TcpListener::accept`], moving the stream's CPU work — its reads
+    /// and writes and its kernel-side segment and interrupt charges — to
+    /// `core` (the core of the selector that will serve it).
+    pub fn accept_on(&self, sim: &mut Simulator, core: CoreId) -> Option<TcpStream> {
         let (stream, reg, still_pending) = {
             let mut inner = self.inner.borrow_mut();
             let s = inner.pending.pop_front();
@@ -963,6 +972,9 @@ impl TcpListener {
         };
         if let Some((sel, key)) = reg {
             sel.set_ready(sim, key, Ops::ACCEPT, still_pending);
+        }
+        if let Some(stream) = &stream {
+            stream.inner.borrow_mut().core = core;
         }
         stream
     }

@@ -12,6 +12,8 @@
 //! * The whole stack is deterministic: a fixed seed reproduces the
 //!   metrics snapshot byte for byte, phase counters included (the rows of
 //!   `invariants_rows!` in `tests/scenarios/rows.rs`).
+//! * Each endpoint spreads its links over its host's cores, one reactor
+//!   per core; an endpoint with one peer keeps to the core it was given.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,9 +24,10 @@ use std::rc::Rc;
 mod scenarios;
 
 use bench::{fig3, fig4};
-use reptor::{NodeId, Stack};
+use reptor::{NodeId, ReptorConfig, Stack};
 use rubin::RubinConfig;
-use simnet::{CoreId, HostId, TestBed};
+use scenarios::scenario::{world, Scenario};
+use simnet::{CoreId, CpuModel, HostId, Nanos, Network, Simulator, TestBed};
 
 invariants_rows!(row_tests);
 
@@ -307,4 +310,62 @@ fn rubin_stack_recycles_pooled_buffers_without_leaking() {
     // Reuse actually happens: misses (fresh allocations) are strictly
     // fewer than takes once the pool warms up.
     assert!(snap.gauge("pool.net.misses") < takes);
+}
+
+/// Busy time of every core of `host`.
+fn core_busy(net: &Network, host: HostId) -> Vec<Nanos> {
+    let host = net.host(host);
+    let host = host.borrow();
+    (0..host.num_cores())
+        .map(|c| host.core_busy_time(CoreId(c as u16)))
+        .collect()
+}
+
+#[test]
+fn every_core_of_a_meshed_host_serves_links() {
+    // One pillar: replica 0's agreement runs on core 1 and execution on
+    // core 0, so only its links can keep cores 2 and 3 busy. The client
+    // charges nothing but comm work.
+    for stack in [Stack::Rubin, Stack::Nio] {
+        let cfg = ReptorConfig {
+            pillars: 1,
+            ..ReptorConfig::small()
+        };
+        let mut c = world(&Scenario::new(stack, 31).cfg(cfg));
+        c.submit_sequentially((0..100).map(|_| b"inc".to_vec()));
+        let client = c.hosts[c.replicas.len()];
+        for (who, host) in [("replica 0", c.hosts[0]), ("the client", client)] {
+            let busy = core_busy(&c.net, host);
+            assert!(
+                busy.iter().all(|&b| b > Nanos::ZERO),
+                "{stack:?}: a core of {who}'s host is idle: {busy:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_one_peer_endpoint_keeps_to_its_core() {
+    // The Fig. 4 layout: two endpoints on one host, on cores 0 and 2.
+    for stack in [Stack::Rubin, Stack::Nio] {
+        let mut sim = Simulator::new(5);
+        let net = Network::new();
+        let host = net.add_host("local", 4, CpuModel::xeon_v2());
+        let nodes = [(0, host, CoreId(0)), (1, host, CoreId(2))];
+        let ts = stack.mesh(&mut sim, &net, &nodes);
+        let got = Rc::new(RefCell::new(0));
+        let g = got.clone();
+        ts[0].set_delivery(Rc::new(move |_, _, _| *g.borrow_mut() += 1));
+        for _ in 0..100 {
+            ts[1].send(&mut sim, 0, vec![7; 1024]);
+        }
+        sim.run_until_idle();
+        assert_eq!(*got.borrow(), 100, "{stack:?}");
+        let busy = core_busy(&net, host);
+        assert!(
+            busy[0] > Nanos::ZERO && busy[2] > Nanos::ZERO,
+            "{stack:?}: {busy:?}"
+        );
+        assert_eq!([busy[1], busy[3]], [Nanos::ZERO; 2], "{stack:?}: {busy:?}");
+    }
 }

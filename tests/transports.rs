@@ -250,9 +250,10 @@ fn rubin_transport_is_faster_than_nio_for_small_messages() {
 
 #[test]
 fn rubin_selector_multiplexes_many_peers_on_one_thread() {
-    // Seven nodes, one selector each; node 0 talks to all six peers; the
-    // single reactor must interleave them all (paper §III: the selector
-    // handles numerous channels in a single thread).
+    // Seven nodes on 4-core hosts; node 0 talks to all six peers over its
+    // four reactors, so some reactor must interleave several channels on
+    // its one thread (paper §III: the selector handles numerous channels
+    // in a single thread).
     let (mut sim, ts) = rubin_mesh(7, 38);
     let log = wire_log(&ts);
     for round in 0..10u8 {
