@@ -192,11 +192,6 @@ impl RdmaSelector {
         }
     }
 
-    /// The number of select threads.
-    pub fn threads(&self) -> usize {
-        self.inner.borrow().threads.len()
-    }
-
     fn alloc_key(&self, what: Registered, thread: usize, interest: Interest) -> RubinKey {
         let mut inner = self.inner.borrow_mut();
         let key = RubinKey(inner.next_key);

@@ -449,6 +449,23 @@ mod tests {
     }
 
     #[test]
+    fn siblings_draw_keys_from_one_sequence() {
+        let (mut sim, sel) = setup();
+        let other = sel.sibling(CoreId(1));
+        let keys = [
+            sel.register(Ops::READ),
+            other.register(Ops::READ),
+            sel.register(Ops::READ),
+        ];
+        assert_eq!(keys, [KeyId(0), KeyId(1), KeyId(2)]);
+        // Each sibling reports only its own registrations, on its own core.
+        other.set_ready(&mut sim, keys[1], Ops::READ, true);
+        assert!(sel.select_now(&mut sim).is_empty());
+        assert_eq!(other.select_now(&mut sim)[0].key, keys[1]);
+        assert_eq!(other.core(), CoreId(1));
+    }
+
+    #[test]
     fn cancelled_key_never_fires() {
         let (mut sim, sel) = setup();
         let k = sel.register(Ops::READ);
