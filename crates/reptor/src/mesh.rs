@@ -3,8 +3,8 @@
 //! [`Mesh`] owns everything about replica connectivity that does not
 //! depend on what carries the bytes: the link table, peer identification
 //! (hello), the holding pen, the re-dial state machine and its backoff,
-//! the reactors and the lane demux. A [`Wire`] — TCP streams under NIO
-//! selectors, or RUBIN channels under the RDMA selector — contributes
+//! the reactors and the lane demux. A [`Wire`] — TCP streams under the NIO
+//! selector, or RUBIN channels under the RDMA selector — contributes
 //! only dial/accept/close, how a message is put on and taken off a link,
 //! and which readiness it wants. DESIGN.md "Transport reconnect" is the
 //! full description.

@@ -41,8 +41,6 @@ const MAX_FRAME: usize = MAX_STORE_BYTES as usize;
 
 struct NioLink {
     stream: TcpStream,
-    /// The reactor whose selector the stream is registered with.
-    reactor: usize,
     key: KeyId,
     /// Bytes of the front message's frame (length prefix and body)
     /// already written to the socket.
@@ -58,9 +56,8 @@ struct NioWire {
     host: HostId,
     net: Network,
     model: TcpModel,
-    /// One selector per reactor, each on its own core; siblings, so their
-    /// keys never collide.
-    selectors: Vec<Selector>,
+    /// One select thread per reactor, each on its own core.
+    selector: Selector,
     listener: TcpListener,
     listener_key: KeyId,
 }
@@ -79,17 +76,11 @@ fn put_frame(out: &mut Vec<u8>, body: &[u8], mut skip: usize) -> bool {
 }
 
 impl NioWire {
-    fn link(
-        &self,
-        sim: &mut Simulator,
-        stream: TcpStream,
-        reactor: usize,
-        interest: Ops,
-    ) -> NioLink {
-        let key = stream.register(sim, &self.selectors[reactor], interest);
+    /// Registers `stream` with the select thread on its core.
+    fn link(&self, sim: &mut Simulator, stream: TcpStream, interest: Ops) -> NioLink {
+        let key = stream.register(sim, &self.selector, interest);
         NioLink {
             stream,
-            reactor,
             key,
             front_written: 0,
             out: Vec::new(),
@@ -108,11 +99,11 @@ impl Wire for NioWire {
     const DIAL_TIMEOUT: Option<Nanos> = None;
 
     fn listen(&mut self, sim: &mut Simulator) {
-        self.listener_key = self.listener.register(sim, &self.selectors[0]);
+        self.listener_key = self.listener.register(sim, &self.selector);
     }
 
     fn reactors(&self) -> usize {
-        self.selectors.len()
+        self.selector.threads()
     }
 
     fn select(
@@ -121,7 +112,7 @@ impl Wire for NioWire {
         reactor: usize,
         f: impl FnOnce(&mut Simulator, &[Selected]) + 'static,
     ) {
-        self.selectors[reactor].select(sim, f);
+        self.selector.select(sim, reactor, f);
     }
 
     fn ready(&self, ev: &Selected) -> Ready {
@@ -146,15 +137,14 @@ impl Wire for NioWire {
     ) -> Option<NioLink> {
         let remote = Addr::new(host, NIO_PORT_BASE + peer);
         let model = self.model.clone();
-        let core = self.selectors[reactor].core();
+        let core = self.selector.core(reactor);
         let stream = TcpStream::connect(sim, &self.net, self.host, core, model, remote);
-        Some(self.link(sim, stream, reactor, Ops::CONNECT | Ops::READ))
+        Some(self.link(sim, stream, Ops::CONNECT | Ops::READ))
     }
 
     fn accept(&self, sim: &mut Simulator, reactor: usize) -> Option<NioLink> {
-        let core = self.selectors[reactor].core();
-        let stream = self.listener.accept_on(sim, core)?;
-        Some(self.link(sim, stream, reactor, Ops::READ))
+        let stream = self.listener.accept_on(sim, self.selector.core(reactor))?;
+        Some(self.link(sim, stream, Ops::READ))
     }
 
     fn finish_connect(
@@ -169,7 +159,7 @@ impl Wire for NioWire {
         if !link.stream.finish_connect(sim) {
             return false;
         }
-        self.selectors[link.reactor].set_interest(sim, link.key, Ops::READ);
+        self.selector.set_interest(sim, link.key, Ops::READ);
         // The hello must be the first frame on the stream, ahead of any
         // carried-over output.
         debug_assert_eq!(link.front_written, 0);
@@ -258,7 +248,7 @@ impl Wire for NioWire {
         } else {
             Ops::READ | Ops::WRITE
         };
-        self.selectors[link.reactor].set_interest(sim, link.key, interest);
+        self.selector.set_interest(sim, link.key, interest);
     }
 
     fn close(&self, sim: &mut Simulator, link: &mut NioLink, outq: &mut VecDeque<Vec<u8>>) {
@@ -268,7 +258,7 @@ impl Wire for NioWire {
             outq.pop_front();
             link.front_written = 0;
         }
-        self.selectors[link.reactor].cancel(link.key);
+        self.selector.cancel(link.key);
         // Close the socket so its port unbinds: a peer that still thinks
         // this stream is alive must see its segments go unanswered (RTO
         // exhaustion -> EOF) instead of having them silently buffered and
@@ -294,16 +284,13 @@ impl NioTransport {
         model: TcpModel,
     ) -> Vec<NioTransport> {
         let wire = |node, host, core| {
-            let mut selectors = vec![Selector::new(net, host, core, NIO_SELECT_NS)];
-            for &other in &reactor_cores(net, host, core)[1..] {
-                selectors.push(selectors[0].sibling(other));
-            }
+            let cores = reactor_cores(net, host, core);
             NioWire {
                 node,
                 host,
                 net: net.clone(),
                 model: model.clone(),
-                selectors,
+                selector: Selector::new(net, host, &cores, NIO_SELECT_NS),
                 listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
                     .expect("transport port free"),
                 listener_key: KeyId(u64::MAX),

@@ -43,9 +43,8 @@ struct RubinLink {
 struct RubinWire {
     node: NodeId,
     device: RdmaDevice,
-    /// Reactor `i`'s core; the selector runs one select thread on each.
-    cores: Vec<CoreId>,
     cfg: RubinConfig,
+    /// One select thread per reactor, each on its own core.
     selector: RdmaSelector,
     server: RdmaServerChannel,
     /// Protection domain holding checkpoint-store regions. Allocated on
@@ -112,7 +111,7 @@ impl Wire for RubinWire {
     }
 
     fn reactors(&self) -> usize {
-        self.cores.len()
+        self.selector.threads()
     }
 
     fn select(
@@ -121,7 +120,7 @@ impl Wire for RubinWire {
         reactor: usize,
         f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
-        self.selector.select_on(sim, reactor, f);
+        self.selector.select(sim, reactor, f);
     }
 
     fn ready(&self, ev: &SelectedKey) -> Ready {
@@ -147,14 +146,15 @@ impl Wire for RubinWire {
         reactor: usize,
     ) -> Option<RubinLink> {
         let remote = Addr::new(host, RUBIN_PORT_BASE + peer);
-        let core = self.cores[reactor];
+        let core = self.selector.core(reactor);
         let channel =
             RdmaChannel::connect(sim, &self.device, remote, self.cfg.clone(), core).ok()?;
         Some(self.link(sim, channel, true))
     }
 
     fn accept(&self, sim: &mut Simulator, reactor: usize) -> Option<RubinLink> {
-        let channel = self.server.accept_on(sim, self.cores[reactor]).ok()??;
+        let core = self.selector.core(reactor);
+        let channel = self.server.accept_on(sim, core).ok()??;
         Some(self.link(sim, channel, false))
     }
 
@@ -267,14 +267,13 @@ impl RubinTransport {
         let wire = |node, host, core| {
             let device = RdmaDevice::open(net, host, rnic.clone());
             let cores = reactor_cores(net, host, core);
-            let selector = RdmaSelector::on_cores(&device, &cores, cfg.select_ns);
+            let selector = RdmaSelector::new(&device, &cores, cfg.select_ns);
             let server =
                 RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
                     .expect("transport port free");
             RubinWire {
                 node,
                 device,
-                cores,
                 cfg: cfg.clone(),
                 selector,
                 server,

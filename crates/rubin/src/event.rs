@@ -8,70 +8,28 @@
 //! the selector.
 
 use std::collections::VecDeque;
-use std::ops::{BitOr, BitOrAssign};
 
 use rdma_verbs::CmEvent;
 
-/// Identifier of a channel registration with an [`RdmaSelector`](crate::RdmaSelector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RubinKey(pub u64);
+/// Identifier of a channel registration with an
+/// [`RdmaSelector`](crate::RdmaSelector): the selector core's key.
+pub use simnet::KeyId as RubinKey;
 
-/// Interest/readiness flags of an RDMA selection key.
-///
-/// Naming follows the paper (§III-B), which inverts Java's convention:
-/// `OP_CONNECT` signals *incoming connections* on a server channel and
-/// `OP_ACCEPT` signals *connection establishment* on a client channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Interest(u8);
-
-impl Interest {
-    /// No operations.
-    pub const NONE: Interest = Interest(0);
-    /// Incoming connection requests (server channels).
-    pub const OP_CONNECT: Interest = Interest(1);
-    /// Connection establishment completed (client channels).
-    pub const OP_ACCEPT: Interest = Interest(2);
-    /// Received messages are available.
-    pub const OP_RECEIVE: Interest = Interest(4);
-    /// Send buffers are available.
-    pub const OP_SEND: Interest = Interest(8);
-
-    /// True if every flag of `other` is present.
-    pub fn contains(self, other: Interest) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// True if any flag is shared.
-    pub fn intersects(self, other: Interest) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Intersection.
-    pub fn and(self, other: Interest) -> Interest {
-        Interest(self.0 & other.0)
-    }
-
-    /// Set difference.
-    pub fn without(self, other: Interest) -> Interest {
-        Interest(self.0 & !other.0)
-    }
-
-    /// True if empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-impl BitOr for Interest {
-    type Output = Interest;
-    fn bitor(self, rhs: Interest) -> Interest {
-        Interest(self.0 | rhs.0)
-    }
-}
-
-impl BitOrAssign for Interest {
-    fn bitor_assign(&mut self, rhs: Interest) {
-        self.0 |= rhs.0;
+simnet::select_ops! {
+    /// Interest/readiness flags of an RDMA selection key.
+    ///
+    /// Naming follows the paper (§III-B), which inverts Java's convention:
+    /// `OP_CONNECT` signals *incoming connections* on a server channel and
+    /// `OP_ACCEPT` signals *connection establishment* on a client channel.
+    pub struct Interest {
+        /// Incoming connection requests (server channels).
+        OP_CONNECT = 1,
+        /// Connection establishment completed (client channels).
+        OP_ACCEPT = 2,
+        /// Received messages are available.
+        OP_RECEIVE = 4,
+        /// Send buffers are available.
+        OP_SEND = 8,
     }
 }
 

@@ -12,8 +12,10 @@
 //!   `write()` in the style of a NIO socket channel.
 //! * [`RdmaServerChannel`] — the `ServerSocketChannel` analogue.
 //! * [`RdmaSelector`] + [`RubinKey`] selection keys — readiness
-//!   multiplexing for many channels on one thread, driven by the
-//!   **hybrid event queue** and **event manager** (§III-B, Figure 2).
+//!   multiplexing for many channels on one select thread per core, driven
+//!   by the **hybrid event queue** and **event manager** (§III-B, Figure
+//!   2). The keys and select threads are the selector core the NIO stack
+//!   shares, [`simnet::Selector`].
 //! * [`Interest`] — `OP_CONNECT`, `OP_ACCEPT`, `OP_RECEIVE`, `OP_SEND`
 //!   (§III-B naming).
 //!
@@ -41,17 +43,17 @@
 //!
 //! // Server side: bind, register with a selector, accept on OP_CONNECT.
 //! let server = RdmaServerChannel::bind(&dev_b, 4000, RubinConfig::paper(), CoreId(0))?;
-//! let sel_b = RdmaSelector::new(&dev_b, CoreId(0), RubinConfig::paper().select_ns);
+//! let sel_b = RdmaSelector::new(&dev_b, &[CoreId(0)], RubinConfig::paper().select_ns);
 //! sel_b.register_server(&mut tb.sim, &server);
 //! let srv = server.clone();
-//! sel_b.select(&mut tb.sim, move |sim, _ready| {
+//! sel_b.select(&mut tb.sim, 0, move |sim, _ready| {
 //!     srv.accept(sim).unwrap().unwrap();
 //! });
 //!
 //! // Client side: connect; OP_ACCEPT readiness fires when established.
 //! let client = RdmaChannel::connect(&mut tb.sim, &dev_a, Addr::new(tb.b, 4000),
 //!                                   RubinConfig::paper(), CoreId(0))?;
-//! let sel_a = RdmaSelector::new(&dev_a, CoreId(0), RubinConfig::paper().select_ns);
+//! let sel_a = RdmaSelector::new(&dev_a, &[CoreId(0)], RubinConfig::paper().select_ns);
 //! sel_a.register_channel(&mut tb.sim, &client, Interest::OP_ACCEPT);
 //!
 //! tb.sim.run_until_idle();
@@ -103,10 +105,10 @@ mod tests {
     /// on both sides. Returns (client, server-side channel).
     fn connected_channels(w: &mut World, cfg: RubinConfig) -> (RdmaChannel, RdmaChannel) {
         let server = RdmaServerChannel::bind(&w.dev_b, 4000, cfg.clone(), CoreId(0)).unwrap();
-        let sel_b = RdmaSelector::new(&w.dev_b, CoreId(0), cfg.select_ns);
+        let sel_b = RdmaSelector::new(&w.dev_b, &[CoreId(0)], cfg.select_ns);
         sel_b.register_server(&mut w.tb.sim, &server);
 
-        let sel_a = RdmaSelector::new(&w.dev_a, CoreId(0), cfg.select_ns);
+        let sel_a = RdmaSelector::new(&w.dev_a, &[CoreId(0)], cfg.select_ns);
         let client = RdmaChannel::connect(
             &mut w.tb.sim,
             &w.dev_a,
@@ -124,7 +126,7 @@ mod tests {
         let accepted: Rc<RefCell<Option<RdmaChannel>>> = Rc::new(RefCell::new(None));
         let acc = accepted.clone();
         let srv = server.clone();
-        sel_b.select(&mut w.tb.sim, move |sim, ready| {
+        sel_b.select(&mut w.tb.sim, 0, move |sim, ready| {
             assert!(ready[0].ready.contains(Interest::OP_CONNECT));
             *acc.borrow_mut() = srv.accept(sim).unwrap();
         });
@@ -344,14 +346,14 @@ mod tests {
         let mut w = world(12);
         let cfg = RubinConfig::paper();
         let server = RdmaServerChannel::bind(&w.dev_b, 5000, cfg.clone(), CoreId(0)).unwrap();
-        let sel_b = RdmaSelector::new(&w.dev_b, CoreId(0), cfg.select_ns);
+        let sel_b = RdmaSelector::new(&w.dev_b, &[CoreId(0)], cfg.select_ns);
         sel_b.register_server(&mut w.tb.sim, &server);
 
         // Fully event-driven echo server: accept on OP_CONNECT, echo on
         // OP_RECEIVE, re-arming select each time.
         fn serve(sel: RdmaSelector, server: RdmaServerChannel, sim: &mut simnet::Simulator) {
             let sel2 = sel.clone();
-            sel.select(sim, move |sim, ready| {
+            sel.select(sim, 0, move |sim, ready| {
                 for r in ready {
                     if r.ready.contains(Interest::OP_CONNECT) {
                         let chan = server.accept(sim).unwrap().unwrap();
@@ -378,7 +380,7 @@ mod tests {
             CoreId(0),
         )
         .unwrap();
-        let sel_a = RdmaSelector::new(&w.dev_a, CoreId(0), cfg.select_ns);
+        let sel_a = RdmaSelector::new(&w.dev_a, &[CoreId(0)], cfg.select_ns);
         sel_a.register_channel(
             &mut w.tb.sim,
             &client,
@@ -502,14 +504,14 @@ mod tests {
             got: &Deliveries,
         ) {
             let (sel2, chan, got) = (sel.clone(), chan.clone(), got.clone());
-            sel.select(sim, move |sim, _ready| {
+            sel.select(sim, 0, move |sim, _ready| {
                 while let RecvOutcome::Msg(m) = chan.read(sim).unwrap() {
                     got.borrow_mut().push((sim.now(), m));
                 }
                 arm(sim, &sel2, &chan, &got);
             });
         }
-        let sel = RdmaSelector::new(&w.dev_b, CoreId(0), chan.config().select_ns);
+        let sel = RdmaSelector::new(&w.dev_b, &[CoreId(0)], chan.config().select_ns);
         sel.register_channel(&mut w.tb.sim, chan, Interest::OP_RECEIVE);
         let got = Rc::new(RefCell::new(Vec::new()));
         arm(&mut w.tb.sim, &sel, chan, &got);
@@ -591,7 +593,7 @@ mod tests {
     fn select_now_sees_an_arrival_nobody_polled_for() {
         let mut w = world(33);
         let (client, server) = connected_channels(&mut w, RubinConfig::paper());
-        let sel = RdmaSelector::new(&w.dev_b, CoreId(0), server.config().select_ns);
+        let sel = RdmaSelector::new(&w.dev_b, &[CoreId(0)], server.config().select_ns);
         let key = sel.register_channel(&mut w.tb.sim, &server, Interest::OP_RECEIVE);
         // A wake-up is pending behind 200 us of other work when the
         // message arrives, so its completion event waits in the hybrid
@@ -603,7 +605,7 @@ mod tests {
             .exec(now, CoreId(0), Nanos::from_micros(200));
         client.write(&mut w.tb.sim, b"first").unwrap();
         w.tb.sim.run_until(now + Nanos::from_micros(20));
-        sel.select(&mut w.tb.sim, |_, _| {});
+        sel.select(&mut w.tb.sim, 0, |_, _| {});
         client.write(&mut w.tb.sim, b"second").unwrap();
         w.tb.sim.run_until(now + Nanos::from_micros(40));
         assert_eq!(
@@ -612,7 +614,7 @@ mod tests {
         );
         assert_eq!(server.read(&mut w.tb.sim).unwrap(), RecvOutcome::WouldBlock);
         // A non-blocking caller on the same thread must see "second".
-        let ready = sel.select_now(&mut w.tb.sim);
+        let ready = sel.select_now(&mut w.tb.sim, 0);
         assert_eq!(
             ready,
             [SelectedKey {
@@ -632,7 +634,7 @@ mod tests {
         let cfg = RubinConfig::paper();
         let (client, server) = connected_channels(&mut w, cfg.clone());
         // A dedicated selector watching the server channel.
-        let sel = RdmaSelector::new(&w.dev_b, CoreId(1), cfg.select_ns);
+        let sel = RdmaSelector::new(&w.dev_b, &[CoreId(1)], cfg.select_ns);
         let key = sel.register_channel(&mut w.tb.sim, &server, Interest::OP_RECEIVE);
         assert!(sel.channel_for(key).is_some());
         sel.cancel(key);
@@ -643,7 +645,7 @@ mod tests {
         client.write(&mut w.tb.sim, b"after-cancel").unwrap();
         w.tb.sim.run_until_idle();
         assert!(
-            sel.select_now(&mut w.tb.sim).is_empty(),
+            sel.select_now(&mut w.tb.sim, 0).is_empty(),
             "cancelled key must not appear ready"
         );
     }
@@ -653,18 +655,18 @@ mod tests {
         let mut w = world(19);
         let cfg = RubinConfig::paper();
         let (client, server) = connected_channels(&mut w, cfg.clone());
-        let sel = RdmaSelector::new(&w.dev_b, CoreId(1), cfg.select_ns);
+        let sel = RdmaSelector::new(&w.dev_b, &[CoreId(1)], cfg.select_ns);
         // Interested only in OP_SEND: an inbound message must not surface.
         let key = sel.register_channel(&mut w.tb.sim, &server, Interest::OP_SEND);
         client.write(&mut w.tb.sim, b"hidden").unwrap();
         w.tb.sim.run_until_idle();
-        let ready = sel.select_now(&mut w.tb.sim);
+        let ready = sel.select_now(&mut w.tb.sim, 0);
         assert!(ready
             .iter()
             .all(|r| !r.ready.contains(Interest::OP_RECEIVE)));
         // Widen the interest: the queued message becomes visible.
         sel.set_interest(&mut w.tb.sim, key, Interest::OP_RECEIVE | Interest::OP_SEND);
-        let ready = sel.select_now(&mut w.tb.sim);
+        let ready = sel.select_now(&mut w.tb.sim, 0);
         assert!(ready
             .iter()
             .any(|r| r.key == key && r.ready.contains(Interest::OP_RECEIVE)));
@@ -676,7 +678,7 @@ mod tests {
         let cfg = RubinConfig::paper();
         let s1 = RdmaServerChannel::bind(&w.dev_b, 6001, cfg.clone(), CoreId(0)).unwrap();
         let s2 = RdmaServerChannel::bind(&w.dev_b, 6002, cfg.clone(), CoreId(0)).unwrap();
-        let sel = RdmaSelector::new(&w.dev_b, CoreId(0), cfg.select_ns);
+        let sel = RdmaSelector::new(&w.dev_b, &[CoreId(0)], cfg.select_ns);
         let k1 = sel.register_server(&mut w.tb.sim, &s1);
         let k2 = sel.register_server(&mut w.tb.sim, &s2);
         assert_eq!(sel.server_for(k1).map(|s| s.port()), Some(6001));
@@ -701,7 +703,7 @@ mod tests {
         w.tb.sim.run_until_idle();
         assert_eq!(s1.pending_count(), 1, "request routed to port 6001");
         assert_eq!(s2.pending_count(), 1, "request routed to port 6002");
-        let ready = sel.select_now(&mut w.tb.sim);
+        let ready = sel.select_now(&mut w.tb.sim, 0);
         assert_eq!(ready.len(), 2, "both server keys ready");
         assert!(ready.iter().all(|r| r.ready.contains(Interest::OP_CONNECT)));
     }
@@ -712,7 +714,7 @@ mod tests {
         let cfg = RubinConfig::paper();
         // A selector with no registered server: its CM dispatcher rejects
         // inbound requests politely.
-        let server_sel = RdmaSelector::new(&w.dev_b, CoreId(0), cfg.select_ns);
+        let server_sel = RdmaSelector::new(&w.dev_b, &[CoreId(0)], cfg.select_ns);
         let lonely = RdmaServerChannel::bind(&w.dev_b, 6100, cfg.clone(), CoreId(0)).unwrap();
         server_sel.register_server(&mut w.tb.sim, &lonely);
         // Client dials a *different*, unbound port: nothing listens there,
@@ -725,7 +727,7 @@ mod tests {
             CoreId(0),
         )
         .unwrap();
-        let sel = RdmaSelector::new(&w.dev_a, CoreId(0), cfg.select_ns);
+        let sel = RdmaSelector::new(&w.dev_a, &[CoreId(0)], cfg.select_ns);
         sel.register_channel(&mut w.tb.sim, &client, Interest::OP_ACCEPT);
         w.tb.sim.run_until_idle();
         assert!(!client.is_established());

@@ -80,6 +80,12 @@ impl RdmaServerChannel {
         self.inner.borrow().port
     }
 
+    /// The core accepted channels are charged to unless
+    /// [`RdmaServerChannel::accept_on`] names another.
+    pub(crate) fn core(&self) -> CoreId {
+        self.inner.borrow().core
+    }
+
     /// The listening address.
     pub fn local_addr(&self) -> Addr {
         Addr::new(self.inner.borrow().device.host(), self.port())

@@ -5,7 +5,8 @@
 //! designed to avoid — two intermediate copies per message, kernel
 //! crossings, per-segment protocol processing and receive interrupts
 //! (paper §I, §II-A) — plus the epoll-backed [`Selector`] that Java NIO
-//! builds on and that RUBIN re-creates for RDMA (paper §III).
+//! builds on and that RUBIN re-creates for RDMA (paper §III): the selector
+//! core both stacks share, [`simnet::Selector`], over Java's [`Ops`].
 //!
 //! # Example: echo a message over simulated TCP
 //!
@@ -34,12 +35,32 @@
 #![warn(missing_docs)]
 
 mod model;
-mod selector;
 mod stream;
 
 pub use model::TcpModel;
-pub use selector::{KeyId, Ops, Selected, Selector};
+pub use simnet::KeyId;
 pub use stream::{ReadOutcome, SockError, TcpListener, TcpStats, TcpStream};
+
+simnet::select_ops! {
+    /// Interest/readiness operation flags (Java `SelectionKey` ops).
+    pub struct Ops {
+        /// Channel has bytes to read (or EOF).
+        READ = 1,
+        /// Channel can accept more outbound bytes.
+        WRITE = 2,
+        /// Listener has pending inbound connections.
+        ACCEPT = 4,
+        /// Outbound connection completed.
+        CONNECT = 8,
+    }
+}
+
+/// The NIO selector: [`simnet::Selector`] over Java's flags. A stream or
+/// listener registers with the select thread on its core.
+pub type Selector = simnet::Selector<Ops>;
+
+/// One ready key returned by a NIO select call.
+pub type Selected = simnet::Selected<Ops>;
 
 /// Default cost of one Java NIO `select()` call in nanoseconds (epoll-backed
 /// and highly optimized; compare with the RUBIN selector's higher cost,
@@ -213,7 +234,7 @@ mod tests {
         let mut tb = TestBed::paper_testbed(3);
         let model = TcpModel::linux_xeon();
         let listener = TcpListener::bind(&tb.net, tb.b, 90, CoreId(0), model.clone()).unwrap();
-        let selector = Selector::new(&tb.net, tb.b, CoreId(0), NIO_SELECT_NS);
+        let selector = Selector::new(&tb.net, tb.b, &[CoreId(0)], NIO_SELECT_NS);
         let lkey = listener.register(&mut tb.sim, &selector);
 
         let client = TcpStream::connect(
@@ -228,7 +249,7 @@ mod tests {
         let accepted: Rc<RefCell<Option<TcpStream>>> = Rc::new(RefCell::new(None));
         let acc = accepted.clone();
         let l2 = listener.clone();
-        selector.select(&mut tb.sim, move |sim, ready| {
+        selector.select(&mut tb.sim, 0, move |sim, ready| {
             assert_eq!(ready[0].key, lkey);
             assert!(ready[0].ready.contains(Ops::ACCEPT));
             *acc.borrow_mut() = l2.accept(sim);
@@ -241,7 +262,7 @@ mod tests {
         let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(vec![]));
         let g = got.clone();
         let srv = server.clone();
-        selector.select(&mut tb.sim, move |sim, ready| {
+        selector.select(&mut tb.sim, 0, move |sim, ready| {
             assert_eq!(ready[0].key, skey);
             if let ReadOutcome::Data(d) = srv.read(sim, 64).unwrap() {
                 *g.borrow_mut() = d;
@@ -258,7 +279,7 @@ mod tests {
         let mut tb = TestBed::paper_testbed(3);
         let model = TcpModel::linux_xeon();
         let listener = TcpListener::bind(&tb.net, tb.b, 91, CoreId(0), model.clone()).unwrap();
-        let selector = Selector::new(&tb.net, tb.a, CoreId(0), NIO_SELECT_NS);
+        let selector = Selector::new(&tb.net, tb.a, &[CoreId(0)], NIO_SELECT_NS);
         let client = TcpStream::connect(
             &mut tb.sim,
             &tb.net,
@@ -269,12 +290,12 @@ mod tests {
         );
         let key = client.register(&mut tb.sim, &selector, Ops::CONNECT);
         tb.sim.run_until_idle();
-        let ready = selector.select_now(&mut tb.sim);
+        let ready = selector.select_now(&mut tb.sim, 0);
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].key, key);
         assert!(client.finish_connect(&mut tb.sim));
         // After finish_connect the CONNECT readiness is consumed.
-        let ready = selector.select_now(&mut tb.sim);
+        let ready = selector.select_now(&mut tb.sim, 0);
         assert!(ready.is_empty() || !ready[0].ready.contains(Ops::CONNECT));
     }
 
@@ -314,11 +335,11 @@ mod tests {
         assert_eq!(client.write(&mut tb.sim, &payload).unwrap(), model.send_buf);
         assert_eq!(client.write(&mut tb.sim, &payload).unwrap(), 0, "full");
         // Register WRITE interest; it must fire once the server drains.
-        let selector = Selector::new(&tb.net, tb.a, CoreId(0), NIO_SELECT_NS);
+        let selector = Selector::new(&tb.net, tb.a, &[CoreId(0)], NIO_SELECT_NS);
         let key = client.register(&mut tb.sim, &selector, Ops::WRITE);
         let fired = Rc::new(RefCell::new(false));
         let f = fired.clone();
-        selector.select(&mut tb.sim, move |_s, ready| {
+        selector.select(&mut tb.sim, 0, move |_s, ready| {
             assert!(ready
                 .iter()
                 .any(|r| r.key == key && r.ready.contains(Ops::WRITE)));

@@ -31,7 +31,7 @@ use std::rc::Rc;
 use simnet::{Addr, CoreId, Counters, CpuModel, EventId, HostId, Nanos, Network, Simulator};
 
 use crate::model::TcpModel;
-use crate::selector::{KeyId, Ops, Selector};
+use crate::{KeyId, Ops, Selector};
 
 /// Errors surfaced by socket operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,10 +400,10 @@ impl TcpStream {
         self.inner.borrow().recv_buf.len()
     }
 
-    /// Registers the stream with a selector for the given interest ops.
-    /// Current readiness is reported immediately.
+    /// Registers the stream with the selector thread on its core for the
+    /// given interest ops. Current readiness is reported immediately.
     pub fn register(&self, sim: &mut Simulator, selector: &Selector, interest: Ops) -> KeyId {
-        let key = selector.register(interest);
+        let key = selector.register(self.inner.borrow().core, interest);
         {
             let mut inner = self.inner.borrow_mut();
             inner.reg = Some((selector.clone(), key));
@@ -940,9 +940,10 @@ impl TcpListener {
         self.inner.borrow().addr
     }
 
-    /// Registers the listener for `OP_ACCEPT` readiness.
+    /// Registers the listener for `OP_ACCEPT` readiness with the selector
+    /// thread on its core.
     pub fn register(&self, sim: &mut Simulator, selector: &Selector) -> KeyId {
-        let key = selector.register(Ops::ACCEPT);
+        let key = selector.register(self.inner.borrow().core, Ops::ACCEPT);
         {
             let mut inner = self.inner.borrow_mut();
             inner.reg = Some((selector.clone(), key));

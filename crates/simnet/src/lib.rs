@@ -24,6 +24,9 @@
 //!   from a seed.
 //! * [`LatencyRecorder`] / [`Series`] — measurement helpers used by the
 //!   benchmark harness to regenerate the paper's figures.
+//! * [`Selector`] — the selector core both comm stacks share: selection
+//!   keys with interest and ready sets, and one blocking `select()` per
+//!   core, each charging its select calls to its core.
 //!
 //! Protocol *policy* — TCP's double copy, verbs queue pairs, RDMA zero-copy —
 //! lives in the `simnet-socket` and `rdma-verbs` crates built on top.
@@ -62,6 +65,7 @@ pub mod metrics;
 mod net;
 mod pool;
 mod sched;
+mod selector;
 mod sim;
 mod stats;
 mod time;
@@ -81,6 +85,7 @@ pub use metrics::{
 pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network};
 pub use pool::{BytePool, PoolStats};
 pub use sched::CoreAffinity;
+pub use selector::{KeyId, SelectOps, Selected, Selector};
 pub use sim::Simulator;
 pub use stats::{
     render_table, throughput_ops_per_sec, LatencyRecorder, LatencySummary, Series, SeriesPoint,

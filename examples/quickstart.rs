@@ -21,12 +21,12 @@ fn main() {
     // --- Server: accept connections and echo every message back. -------
     let server = RdmaServerChannel::bind(&dev_server, 4242, cfg.clone(), CoreId(0))
         .expect("bind server channel");
-    let selector = RdmaSelector::new(&dev_server, CoreId(0), cfg.select_ns);
+    let selector = RdmaSelector::new(&dev_server, &[CoreId(0)], cfg.select_ns);
     selector.register_server(&mut tb.sim, &server);
 
     fn serve(sel: rubin::RdmaSelector, server: RdmaServerChannel, sim: &mut simnet::Simulator) {
         let sel2 = sel.clone();
-        sel.select(sim, move |sim, ready| {
+        sel.select(sim, 0, move |sim, ready| {
             for ev in ready {
                 if ev.ready.contains(Interest::OP_CONNECT) {
                     let chan = server.accept(sim).expect("accept").expect("pending");
@@ -56,7 +56,7 @@ fn main() {
         CoreId(0),
     )
     .expect("connect");
-    let client_sel = RdmaSelector::new(&dev_client, CoreId(0), cfg.select_ns);
+    let client_sel = RdmaSelector::new(&dev_client, &[CoreId(0)], cfg.select_ns);
     client_sel.register_channel(
         &mut tb.sim,
         &client,

@@ -980,7 +980,7 @@ struct SelServer {
 
 fn arm_sel_server(sim: &mut Simulator, srv: &Rc<SelServer>) {
     let st = srv.clone();
-    srv.sel.select(sim, move |sim, ready| {
+    srv.sel.select(sim, 0, move |sim, ready| {
         for r in ready {
             if r.ready.contains(Interest::OP_CONNECT) {
                 while let Some(ch) = st.listener.accept(sim).expect("accept") {
@@ -1027,7 +1027,7 @@ proptest! {
         let core = simnet::CoreId(0);
         let listener = RdmaServerChannel::bind(&dev_b, 4000, cfg.clone(), core).unwrap();
         let srv = Rc::new(SelServer {
-            sel: RdmaSelector::new(&dev_b, core, cfg.select_ns),
+            sel: RdmaSelector::new(&dev_b, &[core], cfg.select_ns),
             listener,
             chans: RefCell::new(Vec::new()),
             got: RefCell::new(Vec::new()),
@@ -1036,7 +1036,7 @@ proptest! {
         arm_sel_server(&mut tb.sim, &srv);
         // Clients: a selector nobody parks on handles their completions
         // where they arrive.
-        let sel_a = RdmaSelector::new(&dev_a, core, cfg.select_ns);
+        let sel_a = RdmaSelector::new(&dev_a, &[core], cfg.select_ns);
         let mut clients = Vec::new();
         for _ in 0..nchan {
             let c = RdmaChannel::connect(

@@ -111,7 +111,7 @@ fn rubin_rig(n: usize, seed: u64) -> Rig {
         intrude: |r, victim, msg| {
             let cfg = RubinConfig::paper();
             let device = RdmaDevice::open(&r.net, r.spare_host(), RnicModel::mt27520());
-            let selector = RdmaSelector::new(&device, CoreId(0), cfg.select_ns);
+            let selector = RdmaSelector::new(&device, &[CoreId(0)], cfg.select_ns);
             let remote = Addr::new(r.hosts[victim as usize], 1100 + victim);
             let chan = RdmaChannel::connect(&mut r.sim, &device, remote, cfg, CoreId(0))
                 .expect("connect initiates");
