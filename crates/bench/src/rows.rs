@@ -292,14 +292,15 @@ fn ablation_row(args: &[String]) -> Report {
 const COP_TOTAL: u64 = 240;
 const COP_DEPTH: usize = 16;
 
-/// The `p = 1` operating point of the pre-COP replica (captured on the
-/// seed revision at the default parameters: payload 4096 B, `total` 240,
-/// `depth` 16, seed `0xC0C`). The deterministic simulator reproduces these
-/// digits exactly; the gate fails on any drift.
+/// The `p = 1` operating point at the default parameters (payload 4096 B,
+/// `total` 240, `depth` 16, seed `0xC0C`), re-pinned when a PRE-PREPARE's
+/// MACs came to cover only its header and replies to be sealed on the
+/// earlier-free of the execution and ordering cores. The deterministic
+/// simulator reproduces these digits exactly; the gate fails on any drift.
 const P1_BASELINE: CopPoint = CopPoint {
     pipelines: 1,
-    latency_us: 896.579,
-    rps: 17276.130146847107,
+    latency_us: 540.47,
+    rps: 29090.986666873538,
 };
 
 fn fast_path_row(args: &[String]) -> Report {

@@ -11,7 +11,8 @@ use bft_crypto::KeyTable;
 use simnet::{Nanos, Simulator};
 
 use crate::config::ReptorConfig;
-use crate::messages::{ClientId, Envelope, Message, ReplicaId, Request, SealBuffers};
+use crate::envelope::{Envelope, SealBuffers};
+use crate::messages::{ClientId, Message, ReplicaId, Request};
 use crate::transport::Transport;
 
 /// Client statistics.
@@ -324,11 +325,9 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
-    use bft_crypto::Authenticator;
-
     use super::*;
     use crate::cluster::{Cluster, DOMAIN_SECRET};
-    use crate::messages::SignedMessage;
+    use crate::envelope::SignedMessage;
     use crate::state::CounterService;
 
     /// The client counts what does not decode, as a replica does: a cut
@@ -353,10 +352,7 @@ mod tests {
 
         let body = vec![0xFF, 1, 2, 3];
         let garbage = SignedMessage {
-            auth: Authenticator {
-                sender: 0,
-                macs: vec![(client.id(), replica.mac(&body, client.id()))],
-            },
+            auth: replica.authenticate(&body, &[client.id()]),
             body,
         };
         client.on_raw(&mut c.sim, garbage.encode());

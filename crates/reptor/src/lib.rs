@@ -44,6 +44,7 @@ mod cluster;
 pub mod codec;
 mod config;
 mod durability;
+mod envelope;
 mod executor;
 mod mesh;
 mod messages;
@@ -64,10 +65,11 @@ pub use durability::{
     crc32, encode_frame, scan_frames, DurableStore, Recovered, WalFrame, WalScan, MAX_FRAME,
     SLOT_BYTES, WAL_BASE,
 };
+pub use envelope::{Envelope, SignedMessage};
 pub use mesh::PEN_CAP;
 pub use messages::{
-    batch_digest, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request, SeqNum,
-    SignedMessage, View, MANIFEST_CHUNK,
+    batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, View,
+    MANIFEST_CHUNK,
 };
 pub use nio_transport::NioTransport;
 pub use pipeline::PipelineStats;

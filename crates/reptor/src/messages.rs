@@ -1,8 +1,8 @@
 //! PBFT protocol messages and their wire encoding.
 
-use bft_crypto::{Authenticator, Digest, KeyTable, NodeId, Sha256, DIGEST_LEN};
+use bft_crypto::{Digest, NodeId, Sha256, DIGEST_LEN};
 
-use crate::codec::{self, Codec, CodecError, Reader};
+use crate::codec::{self, CodecError};
 use crate::config::ReptorConfig;
 
 /// A view number (the current primary is `view % n`).
@@ -333,272 +333,14 @@ impl Message {
     pub fn decode(buf: &[u8]) -> Result<Message, CodecError> {
         codec::decode(buf)
     }
-
-    /// Seals the message from the holder of `keys` towards `receivers`:
-    /// its wire envelope, written once into one buffer (see [`Envelope`]).
-    pub fn seal(&self, keys: &KeyTable, receivers: &[NodeId]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.seal_into(keys, receivers.len(), |i| receivers[i], &mut out);
-        out
-    }
-
-    /// [`Message::seal`] towards `count` receivers named by index, written
-    /// over `out`'s contents: a sender that recycles its buffers (see
-    /// [`SealBuffers`]) seals without allocating once one is large enough.
-    pub(crate) fn seal_into(
-        &self,
-        keys: &KeyTable,
-        count: usize,
-        receiver: impl Fn(usize) -> NodeId,
-        out: &mut Vec<u8>,
-    ) {
-        write_envelope(
-            out,
-            self.encoded_len(),
-            |out| self.write(out),
-            keys.me(),
-            count,
-            |i, body| {
-                let r = receiver(i);
-                (r, keys.mac(body, r))
-            },
-        );
-    }
-}
-
-/// Spare buffers to seal into: a sender takes one, seals a message into it,
-/// and puts it back once the transport has written it, so a steady stream
-/// of messages reuses a few buffers instead of allocating one each.
-#[derive(Debug, Default)]
-pub(crate) struct SealBuffers(Vec<Vec<u8>>);
-
-impl SealBuffers {
-    /// Most buffers kept.
-    const MAX_KEPT: usize = 16;
-    /// Largest buffer kept: one grown by a state chunk or a catch-up burst
-    /// is freed rather than held for good.
-    const MAX_CAPACITY: usize = 64 * 1024;
-
-    pub(crate) fn take(&mut self) -> Vec<u8> {
-        self.0.pop().unwrap_or_default()
-    }
-
-    pub(crate) fn put(&mut self, buf: Vec<u8>) {
-        if self.0.len() < Self::MAX_KEPT && buf.capacity() <= Self::MAX_CAPACITY {
-            self.0.push(buf);
-        }
-    }
-}
-
-/// Bytes of one MAC entry of an envelope: the receiver, then its MAC.
-pub(crate) const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
-
-/// The one envelope writer: `[body_len][body][sender][count]`, then
-/// `count` `(receiver, mac)` entries, written over `out`'s contents, which
-/// grows at most once, to exactly the envelope's length. `write_body`
-/// appends the `body_len` body bytes, and `entry(i, body)` gives entry `i`,
-/// its MAC computed over the body where it already sits in that buffer.
-fn write_envelope(
-    out: &mut Vec<u8>,
-    body_len: usize,
-    write_body: impl FnOnce(&mut Vec<u8>),
-    sender: NodeId,
-    count: usize,
-    mut entry: impl FnMut(usize, &[u8]) -> (NodeId, [u8; DIGEST_LEN]),
-) {
-    let len = 4 + body_len + 4 + 4 + count * MAC_ENTRY_LEN;
-    out.clear();
-    out.reserve_exact(len);
-    (body_len as u32).write(out);
-    write_body(out);
-    debug_assert_eq!(out.len(), 4 + body_len, "body_len disagrees with the body");
-    sender.write(out);
-    (count as u32).write(out);
-    for i in 0..count {
-        let (receiver, mac) = entry(i, &out[4..4 + body_len]);
-        receiver.write(out);
-        mac.write(out);
-    }
-    debug_assert_eq!(out.len(), len, "envelope sized exactly");
-}
-
-/// A signed envelope read in place: its body and MAC entries are slices of
-/// the buffer it arrived in, so opening one copies nothing but what the
-/// decoded [`Message`] owns.
-///
-/// [`Envelope::parse`] checks the framing before any MAC is computed;
-/// [`Envelope::open`] verifies this node's MAC and decodes the body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Envelope<'a> {
-    body: &'a [u8],
-    sender: NodeId,
-    /// The MAC entries, [`MAC_ENTRY_LEN`] bytes each.
-    macs: &'a [u8],
-}
-
-impl<'a> Envelope<'a> {
-    /// Reads the framing of `wire`: one bounds check per field, the codec's
-    /// count check on the MAC list, and trailing bytes refused.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on malformed framing.
-    pub fn parse(wire: &'a [u8]) -> Result<Envelope<'a>, CodecError> {
-        let mut r = Reader::new(wire);
-        let body_len = r.count::<u8>()?;
-        let body = r.take(body_len)?;
-        let sender = NodeId::read(&mut r)?;
-        let count = r.count::<(NodeId, [u8; DIGEST_LEN])>()?;
-        let macs = r.take(count * MAC_ENTRY_LEN)?;
-        r.expect_end()?;
-        Ok(Envelope { body, sender, macs })
-    }
-
-    /// The encoded message body.
-    pub fn body(&self) -> &'a [u8] {
-        self.body
-    }
-
-    /// The node whose keys made the MACs.
-    pub fn sender(&self) -> NodeId {
-        self.sender
-    }
-
-    /// The `(receiver, mac)` entries, in wire order.
-    fn macs(&self) -> impl ExactSizeIterator<Item = (NodeId, &'a [u8; DIGEST_LEN])> {
-        self.macs.chunks_exact(MAC_ENTRY_LEN).map(|entry| {
-            let (receiver, mac) = entry
-                .split_first_chunk()
-                .expect("an entry starts with its receiver");
-            (
-                NodeId::from_le_bytes(*receiver),
-                mac.try_into().expect("and ends with its MAC"),
-            )
-        })
-    }
-
-    /// Whether the first entry addressed to the holder of `keys` is the
-    /// sender's MAC of the body: [`KeyTable::verify`]'s rule.
-    fn verify(&self, keys: &KeyTable) -> bool {
-        self.macs()
-            .find(|(r, _)| *r == keys.me())
-            .is_some_and(|(_, mac)| keys.verify_mac(self.body, self.sender, mac))
-    }
-
-    /// Verifies the MAC for the holder of `keys` and decodes the body.
-    ///
-    /// # Errors
-    ///
-    /// A codec error for a malformed body; a failed verification is
-    /// `Ok(None)`, so callers can count it as Byzantine behaviour rather
-    /// than a local fault.
-    pub fn open(&self, keys: &KeyTable) -> Result<Option<Message>, CodecError> {
-        if !self.verify(keys) {
-            return Ok(None);
-        }
-        Message::decode(self.body).map(Some)
-    }
-}
-
-/// An [`Envelope`] copied out of its buffer. The protocol seals with
-/// [`Message::seal`] and opens envelopes in place; this owned form is for
-/// tests and probes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignedMessage {
-    /// Encoded message body.
-    pub body: Vec<u8>,
-    /// MAC vector over `body`.
-    pub auth: Authenticator,
-}
-
-impl From<Envelope<'_>> for SignedMessage {
-    fn from(envelope: Envelope<'_>) -> SignedMessage {
-        SignedMessage {
-            body: envelope.body.to_vec(),
-            auth: Authenticator {
-                sender: envelope.sender,
-                macs: envelope.macs().map(|(r, mac)| (r, *mac)).collect(),
-            },
-        }
-    }
-}
-
-impl SignedMessage {
-    /// Authenticates `msg` from the holder of `keys` towards `receivers`.
-    pub fn create(msg: &Message, keys: &KeyTable, receivers: &[u32]) -> SignedMessage {
-        let wire = msg.seal(keys, receivers);
-        Envelope::parse(&wire)
-            .expect("a sealed envelope parses")
-            .into()
-    }
-
-    /// Wire encoding: body, sender, MAC vector.
-    pub fn encode(&self) -> Vec<u8> {
-        let macs = &self.auth.macs;
-        let mut out = Vec::new();
-        write_envelope(
-            &mut out,
-            self.body.len(),
-            |out| out.extend_from_slice(&self.body),
-            self.auth.sender,
-            macs.len(),
-            |i, _| macs[i],
-        );
-        out
-    }
-
-    /// Decodes the wire form.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<SignedMessage, CodecError> {
-        Envelope::parse(buf).map(SignedMessage::from)
-    }
-
-    /// Peeks the agreement sequence number out of an encoded wire frame
-    /// without decoding or verifying it — the cheap header inspection the
-    /// COP transport demultiplexer uses to route a frame to its owning
-    /// pipeline before MAC verification runs on that pipeline's core.
-    ///
-    /// Returns `Some(seq)` only for sequence-bearing agreement messages
-    /// (PRE-PREPARE, PREPARE, COMMIT, CATCH-UP-REPLY); `None` for all other
-    /// kinds and for frames too short to carry the claimed fields. A
-    /// Byzantine header can only misroute its own frame to a different
-    /// pipeline core; verification and full decoding still gate acceptance.
-    pub fn peek_wire_seq(wire: &[u8]) -> Option<SeqNum> {
-        let mut wire = Reader::new(wire);
-        let body_len = wire.count::<u8>().ok()?;
-        let mut body = Reader::new(wire.take(body_len).ok()?);
-        let tag = u8::read(&mut body).ok()?;
-        let mut field = || u64::read(&mut body).ok();
-        match tag {
-            // PRE-PREPARE / PREPARE / COMMIT: tag, view, seq.
-            1..=3 => field().and_then(|_view| field()),
-            // CATCH-UP-REPLY: tag, seq.
-            9 => field(),
-            _ => None,
-        }
-    }
-
-    /// Verifies the MAC for the holder of `keys` and decodes the body.
-    ///
-    /// # Errors
-    ///
-    /// `None`-like error via `Result`: a codec error for malformed bodies;
-    /// verification failure is reported as `Ok(None)` so callers can count
-    /// it as Byzantine behaviour rather than a local fault.
-    pub fn verify_and_decode(&self, keys: &KeyTable) -> Result<Option<Message>, CodecError> {
-        if !keys.verify(&self.body, &self.auth) {
-            return Ok(None);
-        }
-        Message::decode(&self.body).map(Some)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_crypto::KeyTable;
+
+    use crate::envelope::{Envelope, SignedMessage};
 
     fn req(c: u32, ts: u64) -> Request {
         Request {

@@ -49,11 +49,13 @@ impl ReplicaInner {
         if !self.in_watermarks(seq) {
             return;
         }
-        // Verify the digest binds the batch.
+        // Verify the digest binds the batch: the MACs covered only the
+        // header, the digest included.
         let core = self.affinity.seq_core(seq);
         let cost = self.cfg.crypto.digest_cost(batch_bytes(&batch));
         self.charge(sim, core, cost);
         if batch_digest(&batch) != digest {
+            self.stats.digest_mismatch_dropped += 1;
             return;
         }
         let me = self.id;

@@ -66,7 +66,8 @@ impl ReplicaInner {
                 self.transport.release_state_region(&old_offer);
             }
         }
-        self.broadcast_to_replicas(sim, self.checkpoint_vote(seq, root, offer));
+        let (vote, peers) = (self.checkpoint_vote(seq, root, offer), self.peers());
+        self.send_msg_on(sim, &vote, peers, &self.executed_cores(seq));
         self.maybe_stable_checkpoint(sim, seq, root);
     }
 

@@ -44,8 +44,9 @@ impl ReplicaInner {
             while self.pending.front().is_some_and(|r| self.executed(r)) {
                 self.pending.pop_front();
             }
+            let cores = self.executed_cores(seq);
             for (client, ts, result) in replies {
-                self.send_reply(sim, client, ts, result);
+                self.send_reply(sim, client, ts, result, &cores);
             }
             // Agreement-free reads: publish the cells this batch dirtied
             // into the leased region.
@@ -87,16 +88,27 @@ impl ReplicaInner {
         self.try_propose(sim);
     }
 
-    /// Seals and sends the REPLY to `client`'s request `timestamp`, then
-    /// stores `result` as that client's cached reply unless a later request
-    /// of the client has executed since. The result moves into the message
-    /// and back, uncopied.
+    /// The cores the messages that executing batch `seq` produces — its
+    /// REPLYs and, at a checkpoint, the CHECKPOINT vote — are sealed on,
+    /// whichever frees first: the execution core, or the core of the
+    /// pipeline that ordered the batch. Under load the execution core is
+    /// the one that saturates.
+    pub(super) fn executed_cores(&self, seq: SeqNum) -> [CoreId; 2] {
+        [self.affinity.exec_core(), self.affinity.seq_core(seq)]
+    }
+
+    /// Seals and sends the REPLY to `client`'s request `timestamp` on
+    /// whichever of `cores` frees first, then stores `result` as that
+    /// client's cached reply unless a later request of the client has
+    /// executed since. The result moves into the message and back,
+    /// uncopied.
     pub(super) fn send_reply(
         &mut self,
         sim: &mut Simulator,
         client: ClientId,
         timestamp: u64,
         result: Vec<u8>,
+        cores: &[CoreId],
     ) {
         self.stats.replies_sent += 1;
         let reply = Message::Reply {
@@ -106,7 +118,7 @@ impl ReplicaInner {
             replica: self.id,
             result,
         };
-        self.send_msg(sim, &reply, Receivers::One(client));
+        self.send_msg_on(sim, &reply, Receivers::One(client), cores);
         let Message::Reply { result, .. } = reply else {
             unreachable!("built as a REPLY")
         };

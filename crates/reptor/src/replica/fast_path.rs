@@ -116,25 +116,43 @@ impl ReplicaInner {
     /// Proposes `batch` to `peers`: WRITEs the PRE-PREPARE one-sided into
     /// each granted peer slot and sends it over the message path to every
     /// other peer — fast path off, no current-view grant, batch too large
-    /// for the slot, or no one-sided write path to that peer.
+    /// for the slot, or no one-sided write path to that peer. The batch
+    /// moves into the message and back, uncopied.
     pub(super) fn send_pre_prepare(
         &mut self,
         sim: &mut Simulator,
         view: View,
         seq: SeqNum,
         digest: Digest,
-        batch: &[Request],
+        batch: Vec<Request>,
         peers: Receivers,
-    ) {
+    ) -> Vec<Request> {
         let msg = Message::PrePrepare {
             view,
             seq,
             digest,
-            batch: batch.to_vec(),
+            batch,
         };
-        if !self.cfg.fast_path {
-            return self.send_msg(sim, &msg, peers);
+        if self.cfg.fast_path {
+            self.propose_one_sided(sim, view, seq, &msg, peers);
+        } else {
+            self.send_msg(sim, &msg, peers);
         }
+        let Message::PrePrepare { batch, .. } = msg else {
+            unreachable!("built as a PRE-PREPARE")
+        };
+        batch
+    }
+
+    /// The fast path of [`ReplicaInner::send_pre_prepare`].
+    fn propose_one_sided(
+        &mut self,
+        sim: &mut Simulator,
+        view: View,
+        seq: SeqNum,
+        msg: &Message,
+        peers: Receivers,
+    ) {
         // The slot record is the *unsigned* encoded PRE-PREPARE: the RNIC
         // WRITE permission replaces the MAC (only the granted leader can
         // reach the region), and the digest still binds the batch.
@@ -183,7 +201,7 @@ impl ReplicaInner {
             self.stats.fast_path_fallbacks += uncovered.len() as u64;
             self.counters[ReplicaCounter::FastPathFallbacks].add(uncovered.len() as u64);
         }
-        self.send_msg(sim, &msg, Receivers::Listed(uncovered));
+        self.send_msg(sim, msg, Receivers::Listed(uncovered));
     }
 
     /// A posted slot WRITE completed with an error: the peer's RNIC denied

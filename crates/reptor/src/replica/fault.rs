@@ -6,7 +6,7 @@
 use std::borrow::Cow;
 
 use super::*;
-use crate::messages::MAC_ENTRY_LEN;
+use crate::envelope::MAC_ENTRY_LEN;
 
 /// Fault-injection modes for a replica (the Byzantine behaviours the
 /// protocol must tolerate, up to `f` of them).
@@ -175,19 +175,19 @@ impl ReplicaInner {
     /// see the equivocation (the leader legitimately holds every grant), so
     /// detection stays where PBFT puts it: conflicting prepares never reach
     /// a quorum and the view change fires. The equivocator records its own
-    /// (first) version.
+    /// (first) version, handed back as `batch` is to an honest primary.
     pub(super) fn send_proposal(
         &mut self,
         sim: &mut Simulator,
         view: View,
         seq: SeqNum,
         digest: Digest,
-        batch: &[Request],
-    ) {
+        batch: Vec<Request>,
+    ) -> Vec<Request> {
         if self.fault.mode != ByzantineMode::EquivocatingPrimary {
             return self.send_pre_prepare(sim, view, seq, digest, batch, self.peers());
         }
-        let mut alt = batch.to_vec();
+        let mut alt = batch.clone();
         if alt.len() > 1 {
             alt.reverse();
         } else {
@@ -196,8 +196,9 @@ impl ReplicaInner {
         let (n, me) = (self.cfg.n as u32, self.id);
         let half =
             |parity| Receivers::Listed((0..n).filter(|&r| r != me && r % 2 == parity).collect());
-        self.send_pre_prepare(sim, view, seq, digest, batch, half(0));
-        self.send_pre_prepare(sim, view, seq, batch_digest(&alt), &alt, half(1));
+        let batch = self.send_pre_prepare(sim, view, seq, digest, batch, half(0));
+        self.send_pre_prepare(sim, view, seq, batch_digest(&alt), alt, half(1));
+        batch
     }
 
     /// The bytes registered behind `store`: corrupted chunks for a
@@ -331,7 +332,8 @@ mod tests {
     use bft_crypto::KeyTable;
 
     use super::corrupt_macs;
-    use crate::messages::{Message, SignedMessage};
+    use crate::envelope::SignedMessage;
+    use crate::messages::Message;
 
     #[test]
     fn corrupted_macs_match_the_flipped_authenticator() {

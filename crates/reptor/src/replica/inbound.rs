@@ -30,7 +30,7 @@ impl ReplicaInner {
         // already derived it from the wire frame (lane 0 / core 0 for
         // non-agreement messages).
         let core = self.lane_core_for(lane, &msg);
-        let cost = self.cfg.crypto.verify_cost(envelope.body().len());
+        let cost = self.cfg.crypto.verify_cost(envelope.covered().len());
         self.charge(sim, core, cost);
         self.dispatch(sim, msg);
     }
@@ -133,7 +133,8 @@ impl ReplicaInner {
             Some((last_ts, result)) if req.timestamp == *last_ts => {
                 // Duplicate of the last executed request: resend reply.
                 let result = std::mem::take(result);
-                self.send_reply(sim, req.client, req.timestamp, result);
+                let core = self.affinity.exec_core();
+                self.send_reply(sim, req.client, req.timestamp, result, &[core]);
                 return;
             }
             _ => {}

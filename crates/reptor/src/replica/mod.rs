@@ -30,14 +30,14 @@ use simnet::{
     CoreAffinity, CoreId, Counter, Counters, Histos, HostId, Nanos, Network, SimDisk, Simulator,
 };
 
-use crate::codec::Codec;
 use crate::config::ReptorConfig;
 use crate::durability::{DurableStore, WalFrame};
+use crate::envelope::{Envelope, SealBuffers};
 use crate::executor::Executor;
 use crate::mesh::backoff;
 use crate::messages::{
-    batch_digest, ClientId, Envelope, Message, PreparedProof, ReplicaId, Request, SealBuffers,
-    SeqNum, View, MANIFEST_CHUNK,
+    batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, View,
+    MANIFEST_CHUNK,
 };
 use crate::pipeline::{Instance, Pipeline, PipelineStats};
 use crate::state::{RegionWrite, StateMachine};
@@ -106,6 +106,9 @@ pub struct ReplicaStats {
     pub bad_mac_dropped: u64,
     /// Messages dropped as malformed.
     pub malformed_dropped: u64,
+    /// PRE-PREPAREs dropped because their batch does not match the digest
+    /// in their header, the bytes their MACs cover.
+    pub digest_mismatch_dropped: u64,
     /// State requests rejected for carrying a stale recovery epoch (the
     /// message-path mirror of the RNIC rkey fence).
     pub stale_epoch_rejected: u64,

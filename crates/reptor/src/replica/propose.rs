@@ -111,7 +111,7 @@ impl ReplicaInner {
             self.histos[ReplicaHisto::BatchFillPct]
                 .observe((batch.len() as u64 * 100) / self.cfg.batch_size as u64);
             let view = self.view;
-            self.send_proposal(sim, view, seq, digest, &batch);
+            let batch = self.send_proposal(sim, view, seq, digest, batch);
             // The primary's pre-prepare stands in for its prepare.
             self.accept_pre_prepare(sim, view, seq, digest, batch);
         }

@@ -77,6 +77,18 @@ impl ReplicaInner {
     /// Seals `msg` for `to` and sends it once its MAC work is done, as
     /// the replica's fault has it (`fault.rs`).
     pub(super) fn send_msg(&mut self, sim: &mut Simulator, msg: &Message, to: Receivers) {
+        self.send_msg_on(sim, msg, to, &[self.msg_core(msg)]);
+    }
+
+    /// [`ReplicaInner::send_msg`] with its MAC work charged to whichever
+    /// of `cores` frees first.
+    pub(super) fn send_msg_on(
+        &mut self,
+        sim: &mut Simulator,
+        msg: &Message,
+        to: Receivers,
+        cores: &[CoreId],
+    ) {
         let count = to.len();
         let Some(msg) = self.egress(msg, &to).filter(|_| count > 0) else {
             return;
@@ -88,11 +100,11 @@ impl ReplicaInner {
             "{to:?} names the sender"
         );
         let mut wire = self.outbox.buffers.borrow_mut().take();
-        msg.seal_into(&self.keys, count, |i| to.get(i), &mut wire);
+        let covered = msg.seal_into(&self.keys, count, |i| to.get(i), &mut wire);
         self.tamper_sealed(&mut wire, count);
-        let core = self.msg_core(&msg);
-        let cost = self.cfg.crypto.authenticator_cost(msg.encoded_len(), count);
-        let done = self.charge(sim, core, cost);
+        let cost = self.cfg.crypto.authenticator_cost(covered, count);
+        let host = self.net.host(self.host);
+        let (_, done) = host.borrow_mut().exec_earliest_free(sim.now(), cores, cost);
         // Keep the wire order equal to the submission order even when
         // MAC work lands on different pipeline cores: the comm stack
         // still has a single outbound sender queue.
@@ -109,6 +121,9 @@ impl ReplicaInner {
 
     /// The core an outbound message's MAC work runs on: the owning
     /// pipeline's core for agreement traffic, the execution core otherwise.
+    /// What executing a batch sends — its REPLYs, a CHECKPOINT vote — may
+    /// move to the core of the pipeline that ordered the batch instead
+    /// ([`ReplicaInner::executed_cores`]).
     fn msg_core(&self, msg: &Message) -> CoreId {
         match msg {
             Message::PrePrepare { seq, .. }

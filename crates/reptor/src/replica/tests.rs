@@ -1,5 +1,6 @@
 use super::inbound::SUSPICION_FLOOR;
 use super::*;
+use crate::codec::Codec;
 use crate::{Cluster, CounterService};
 
 fn cluster(interval: u64, seed: u64) -> Cluster {
@@ -256,4 +257,115 @@ fn only_the_primarys_own_authenticated_word_counts_as_hearing_it() {
     c.sim.run_for(Nanos::from_millis(1));
     backup.borrow_mut().on_raw(&mut c.sim, 0, &backups_own);
     assert_eq!(heard_at(), now, "a later backup message moves nothing");
+}
+
+/// Four 1 KiB requests: a 4 KB batch.
+fn four_kib_batch() -> Vec<Request> {
+    (1..=4)
+        .map(|timestamp| Request {
+            client: 4,
+            timestamp,
+            payload: vec![7; 1024],
+        })
+        .collect()
+}
+
+#[test]
+fn a_pre_prepare_macs_its_header_and_its_digest_binds_the_batch() {
+    let mut c = cluster(8, 49);
+    let backup = c.replicas[1].inner.clone();
+    let primary = KeyTable::new(0, crate::cluster::DOMAIN_SECRET.to_vec());
+    let batch = four_kib_batch();
+    let msg = Message::PrePrepare {
+        view: 0,
+        seq: 1,
+        digest: batch_digest(&batch),
+        batch,
+    };
+    let wire = msg.seal(&primary, &[1, 2, 3]);
+    let stats = || {
+        let s = backup.borrow().stats;
+        (
+            s.bad_mac_dropped,
+            s.digest_mismatch_dropped,
+            s.prepares_sent,
+        )
+    };
+    // The body's last byte is the batch's: the header MAC still verifies,
+    // and the digest check refuses the batch.
+    let mut batch_flipped = wire.clone();
+    batch_flipped[4 + msg.encoded_len() - 1] ^= 0xFF;
+    backup.borrow_mut().on_raw(&mut c.sim, 1, &batch_flipped);
+    assert_eq!(stats(), (0, 1, 0), "refused by the digest and counted");
+    // A header byte (the view's) flipped fails the MAC.
+    let mut header_flipped = wire.clone();
+    header_flipped[4 + 1] ^= 0xFF;
+    backup.borrow_mut().on_raw(&mut c.sim, 1, &header_flipped);
+    assert_eq!(stats(), (1, 1, 0), "refused by the MAC");
+    backup.borrow_mut().on_raw(&mut c.sim, 1, &wire);
+    assert_eq!(stats(), (1, 1, 1), "the untouched proposal is prepared");
+}
+
+#[test]
+fn a_pre_prepare_charges_its_seq_core_for_its_header_macs_only() {
+    let mut c = cluster(8, 50);
+    let primary = c.replicas[0].inner.clone();
+    let mut r = primary.borrow_mut();
+    let (seq, batch) = (1, four_kib_batch());
+    let digest = batch_digest(&batch);
+    let core = r.affinity.seq_core(seq);
+    let busy = |r: &ReplicaInner| r.net.host(r.host).borrow().core_busy_time(core);
+    let before = busy(&r);
+    let peers = r.peers();
+    let back = r.send_pre_prepare(&mut c.sim, 0, seq, digest, batch.clone(), peers);
+    assert_eq!(back, batch, "the batch comes back");
+    assert_eq!(
+        busy(&r) - before,
+        r.cfg
+            .crypto
+            .authenticator_cost(crate::envelope::PRE_PREPARE_HEADER_LEN, r.cfg.n - 1)
+    );
+}
+
+#[test]
+fn a_reply_is_sealed_on_the_earlier_free_of_the_execution_and_ordering_cores() {
+    let mut c = cluster(8, 51);
+    let backup = c.replicas[1].inner.clone();
+    let mut r = backup.borrow_mut();
+    let seq = 2;
+    let cores = r.executed_cores(seq);
+    let [exec, ordering] = cores;
+    assert_eq!(exec, r.affinity.exec_core());
+    assert_eq!(ordering, r.affinity.seq_core(seq));
+    assert_ne!(exec, ordering);
+    let reply = Message::Reply {
+        view: 0,
+        client: 4,
+        timestamp: 1,
+        replica: 1,
+        result: b"ok".to_vec(),
+    };
+    let cost = r.cfg.crypto.authenticator_cost(reply.encoded_len(), 1);
+    let busy =
+        |r: &ReplicaInner| cores.map(|core| r.net.host(r.host).borrow().core_busy_time(core));
+    let sealed_on = |r: &mut ReplicaInner, sim: &mut Simulator| {
+        let before = busy(r);
+        r.send_reply(sim, 4, 1, b"ok".to_vec(), &cores);
+        let after = busy(r);
+        let grew = [0, 1].map(|i| after[i] - before[i]);
+        assert!(
+            grew.contains(&Nanos::ZERO) && grew.contains(&cost),
+            "{grew:?}"
+        );
+        cores[grew.iter().position(|&g| g == cost).expect("one core paid")]
+    };
+    assert_eq!(sealed_on(&mut r, &mut c.sim), exec, "both free: the first");
+    r.charge(&c.sim, exec, Nanos::from_millis(1));
+    assert_eq!(
+        sealed_on(&mut r, &mut c.sim),
+        ordering,
+        "execution core busy"
+    );
+    r.charge(&c.sim, ordering, Nanos::from_millis(2));
+    assert_eq!(sealed_on(&mut r, &mut c.sim), exec, "ordering core busier");
 }

@@ -57,7 +57,7 @@ pub type LaneDeliveryFn = Rc<dyn Fn(&mut Simulator, usize, NodeId, Vec<u8>)>;
 /// traffic routes to pipeline `seq mod lanes`, everything else (requests,
 /// replies, checkpoints, view-change traffic) to lane 0.
 pub fn wire_lane(bytes: &[u8], lanes: usize) -> usize {
-    crate::messages::SignedMessage::peek_wire_seq(bytes)
+    crate::envelope::SignedMessage::peek_wire_seq(bytes)
         .map_or(0, |seq| (seq % lanes.max(1) as u64) as usize)
 }
 

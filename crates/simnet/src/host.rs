@@ -174,17 +174,23 @@ impl Host {
         c.busy_until
     }
 
-    /// Reserves `work` on the least-busy core; returns `(core, completion)`.
-    pub fn exec_least_busy(&mut self, now: Nanos, work: Nanos) -> (CoreId, Nanos) {
-        let (idx, _) = self
-            .cores
+    /// Reserves `work` on whichever of `cores` frees first at or after
+    /// `now`, the first of them on a tie; returns `(core, completion)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is empty or names a core out of range.
+    pub fn exec_earliest_free(
+        &mut self,
+        now: Nanos,
+        cores: &[CoreId],
+        work: Nanos,
+    ) -> (CoreId, Nanos) {
+        let core = *cores
             .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.busy_until)
-            .expect("host has at least one core");
-        let core = CoreId(idx as u16);
-        let done = self.exec(now, core, work);
-        (core, done)
+            .min_by_key(|c| self.core_free_at(**c).max(now))
+            .expect("at least one core to choose from");
+        (core, self.exec(now, core, work))
     }
 
     /// Charges one user/kernel crossing (syscall entry+exit) to `core` and
@@ -287,13 +293,20 @@ mod tests {
 
     #[test]
     fn exec_overlaps_across_cores() {
-        let mut h = host(2);
+        let mut h = host(3);
         let now = Nanos::from_nanos(0);
         let a = h.exec(now, CoreId(0), Nanos::from_nanos(100));
-        let (core, b) = h.exec_least_busy(now, Nanos::from_nanos(100));
-        assert_eq!(core, CoreId(1));
-        assert_eq!(a.as_nanos(), 100);
-        assert_eq!(b.as_nanos(), 100);
+        let busy = Nanos::from_nanos(100);
+        // Core 0 is busy: the work overlaps it on core 2.
+        let (core, b) = h.exec_earliest_free(now, &[CoreId(0), CoreId(2)], busy);
+        assert_eq!((core, a.as_nanos(), b.as_nanos()), (CoreId(2), 100, 100));
+        // Both free by `now`: a tie goes to the first listed.
+        let later = Nanos::from_nanos(500);
+        let (core, c) = h.exec_earliest_free(later, &[CoreId(2), CoreId(0)], busy);
+        assert_eq!((core, c.as_nanos()), (CoreId(2), 600));
+        // Core 2 is now busy until 600: the same list picks core 0.
+        let (core, d) = h.exec_earliest_free(later, &[CoreId(2), CoreId(0)], busy);
+        assert_eq!((core, d.as_nanos()), (CoreId(0), 600));
     }
 
     #[test]

@@ -362,7 +362,7 @@ proptest! {
         hostile[count_at..count_at + 4].copy_from_slice(&hostile_count.to_le_bytes());
         // `me` listed twice: the first entry decides, valid or not.
         let listed_twice = |first_valid: bool| {
-            let good = (me.me(), keys.mac(&body, me.me()));
+            let good = SignedMessage::create(&msg, &keys, &[me.me()]).auth.macs[0];
             let bad = (me.me(), [0u8; 32]);
             let macs = if first_valid { vec![good, bad] } else { vec![bad, good] };
             SignedMessage {

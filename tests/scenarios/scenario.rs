@@ -216,6 +216,9 @@ pub enum Stat {
     ExecutedBatches,
     ViewChangesSent,
     BadMacs,
+    /// Frames refused as tampered: by their MAC, or, for a PRE-PREPARE's
+    /// batch, by the digest its MACs cover.
+    Tampered,
     FastPathWrites,
     FastPathDeliveries,
     FastPathFallbacks,
@@ -238,6 +241,7 @@ impl Stat {
             Stat::ExecutedBatches => s.executed_batches,
             Stat::ViewChangesSent => s.view_changes_sent,
             Stat::BadMacs => s.bad_mac_dropped,
+            Stat::Tampered => s.bad_mac_dropped + s.digest_mismatch_dropped,
             Stat::FastPathWrites => s.fast_path_writes,
             Stat::FastPathDeliveries => s.fast_path_deliveries,
             Stat::FastPathFallbacks => s.fast_path_fallbacks,

@@ -10,9 +10,9 @@ use bft_crypto::{Digest, KeyTable};
 use chainstore::Transaction;
 use kvstore::KvStoreService;
 use reptor::{
-    encode_frame, scan_frames, CheckpointPayload, CheckpointStore, KvOp, KvService, Manifest,
-    Message, PreparedProof, Request, SignedMessage, StateMachine, WalFrame, DOMAIN_SECRET,
-    MANIFEST_CHUNK,
+    encode_frame, scan_frames, CheckpointPayload, CheckpointStore, Envelope, KvOp, KvService,
+    Manifest, Message, PreparedProof, Request, SignedMessage, StateMachine, WalFrame,
+    DOMAIN_SECRET, MANIFEST_CHUNK,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -148,7 +148,7 @@ const MESSAGES: [&str; 15] = [
 ];
 const SIGNED: [&str; 15] = [
     "14000000000a000000010000000000000003000000010203000000000300000001000000eb76deeb0dff373848fc9eb5a838fd83a12906d7c65293b272d7053b94d9363b02000000f5fd953b8711eb7e9d3c76fa5d273570337fbcde57c1cf14d9713683c9be90b403000000903b17ffcab4ed6d062adf3fca57bf0865f6ab78028bf38d74e3d0838fb9375b",
-    "5b00000001010000000000000002000000000000002d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881020000000a0000000100000000000000030000000102030b00000002000000000000000300000001020300000000030000000100000052b13c4e09dafb5c355436af41b342aae77b095d8f4589e15dfa9c0793553e56020000003669bc3e463f1b2ae7a495209e6b6726ec8c53a7e8216ff0a9151da34a113bdc030000008eabc44edcc9fd995eaa24032e27d2530ea3dff1ab7f23baa9597628e9d31b68",
+    "5b00000001010000000000000002000000000000002d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881020000000a0000000100000000000000030000000102030b0000000200000000000000030000000102030000000003000000010000008adc626930cc289dca2e6d393a36a2419186395798244b771419e116a6575e2502000000dd9425ca71a5ac01c04b3b2a212f799b395a9209ffabbf3fb9f5056dd1f13c1303000000eb480c17bb1d7d3f640f7b03fbf4928876cae9d90ccbc3555d80f418cbeb68e0",
     "3500000002010000000000000002000000000000002d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881030000000000000003000000010000007e2777fda1d898388c9b600099be5b5c96cf0e3bcf5f238abefd579ff58b8f1902000000ab897e3e64edc4f449df6cda1b705e83f36ac61510e8e75d5834b10b2b4069b003000000b732c4efb5d7594185fd7fa6b249720ef2af43c0f585c8bc28fc868ec98944d1",
     "3500000003010000000000000002000000000000002d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881030000000000000003000000010000000bc9312d1c4ec9517a12501485e21d94bf3ea9e7107867e99cfc74b4f7c2a55902000000e8228294bef23662a52761852ed26accd4bcf70df49851beddf63468a4e5f4ce030000007fc738116920cbc1910523ffee088a5465f3702564ad2ba68af3751bb06e65c0",
     "1f0000000401000000000000000a000000050000000000000002000000020000006f6b000000000300000001000000e1efb75f9ebbdd83f082566ee7f460e0216f8340cba0baa5a56ae04a36d3550b020000000052f65c3b1880bb51dc3e4644eb6e736c916c6a86724fce913342740c80073d03000000aaea352bab33ccd98e8bbac8b8bb7a5c15bc471c513c7d8b8db558bb8da2ccb5",
@@ -196,6 +196,35 @@ fn signed_envelopes_are_pinned() {
             back.verify_and_decode(&receiver).as_ref(),
             Ok(&Some(msg.clone()))
         );
+    }
+}
+
+#[test]
+fn sealing_and_opening_agree_with_the_owned_form() {
+    // `seal` and `Envelope::open`, `SignedMessage::create` and
+    // `verify_and_decode` follow one rule for the bytes a MAC covers: they
+    // write the same envelope and agree on it intact, with any one body
+    // byte flipped, and at a node it was not sealed for.
+    let sender = KeyTable::new(0, DOMAIN_SECRET);
+    let receiver = KeyTable::new(2, DOMAIN_SECRET);
+    let stranger = KeyTable::new(7, DOMAIN_SECRET);
+    for msg in messages() {
+        let wire = msg.seal(&sender, &[1, 2, 3]);
+        let signed = SignedMessage::create(&msg, &sender, &[1, 2, 3]);
+        assert_eq!(wire, signed.encode(), "{}", msg.kind());
+        let agree = |wire: &[u8], keys: &KeyTable| {
+            let opened = Envelope::parse(wire).unwrap().open(keys);
+            let owned = SignedMessage::decode(wire).unwrap().verify_and_decode(keys);
+            assert_eq!(opened, owned, "{}", msg.kind());
+            opened
+        };
+        assert_eq!(agree(&wire, &receiver), Ok(Some(msg.clone())));
+        assert_eq!(agree(&wire, &stranger), Ok(None), "{}", msg.kind());
+        for i in 4..4 + msg.encode().len() {
+            let mut flipped = wire.clone();
+            flipped[i] ^= 0x01;
+            assert_ne!(agree(&flipped, &receiver), Ok(Some(msg.clone())));
+        }
     }
 }
 
