@@ -295,12 +295,14 @@ const COP_DEPTH: usize = 16;
 /// The `p = 1` operating point at the default parameters (payload 4096 B,
 /// `total` 240, `depth` 16, seed `0xC0C`), re-pinned when a PRE-PREPARE's
 /// MACs came to cover only its header and replies to be sealed on the
-/// earlier-free of the execution and ordering cores. The deterministic
-/// simulator reproduces these digits exactly; the gate fails on any drift.
+/// earlier-free of the execution and ordering cores, and again when client
+/// requests came to be verified on the host's earliest-free core. The
+/// deterministic simulator reproduces these digits exactly; the gate fails
+/// on any drift.
 const P1_BASELINE: CopPoint = CopPoint {
     pipelines: 1,
-    latency_us: 540.47,
-    rps: 29090.986666873538,
+    latency_us: 539.03,
+    rps: 29146.725954345784,
 };
 
 fn fast_path_row(args: &[String]) -> Report {

@@ -315,8 +315,13 @@ impl Message {
     /// ([`Message::author`]), and that node must be a replica for every
     /// kind but a client's REQUEST and LEASE-QUERY.
     pub(crate) fn spoken_by(&self, sender: NodeId, cfg: &ReptorConfig) -> bool {
-        let client_kind = matches!(self, Message::Request(_) | Message::LeaseQuery { .. });
-        self.author(|v| cfg.primary(v)) == sender && (client_kind || (sender as usize) < cfg.n)
+        self.author(|v| cfg.primary(v)) == sender
+            && (self.client_kind() || (sender as usize) < cfg.n)
+    }
+
+    /// Whether this is a kind a client sends: a REQUEST or a LEASE-QUERY.
+    pub(crate) fn client_kind(&self) -> bool {
+        matches!(self, Message::Request(_) | Message::LeaseQuery { .. })
     }
 
     /// Encodes the message body (without authentication).

@@ -3,7 +3,7 @@
 use super::*;
 
 impl ReplicaInner {
-    pub(super) fn on_raw(&mut self, sim: &mut Simulator, lane: usize, bytes: &[u8]) {
+    pub(super) fn on_raw(&mut self, sim: &mut Simulator, bytes: &[u8]) {
         let Ok(envelope) = Envelope::parse(bytes) else {
             self.stats.malformed_dropped += 1;
             return;
@@ -25,13 +25,10 @@ impl ReplicaInner {
         if envelope.sender() == self.cfg.primary(self.view) {
             self.primary_heard_at = sim.now();
         }
-        // Charge MAC verification to the core of the pipeline that owns
-        // this message's sequence number — the transport's lane demux
-        // already derived it from the wire frame (lane 0 / core 0 for
-        // non-agreement messages).
-        let core = self.lane_core_for(lane, &msg);
+        // Dispatched at once: the message decides only which core pays
+        // for its MAC check.
         let cost = self.cfg.crypto.verify_cost(envelope.covered().len());
-        self.charge(sim, core, cost);
+        self.verify_on(sim, &msg, cost);
         self.dispatch(sim, msg);
     }
 

@@ -217,6 +217,9 @@ struct ReplicaInner {
     pipelines: Vec<Pipeline>,
     /// The static pipeline → core map (core 0 reserved for execution).
     affinity: CoreAffinity,
+    /// Every core of the host, in order: a client's message is verified on
+    /// whichever frees first.
+    cores: Box<[CoreId]>,
     /// The deterministic total-order execution stage.
     executor: Executor,
     pending: VecDeque<Request>,
@@ -401,6 +404,7 @@ impl Replica {
                     low_mark: 0,
                     pipelines,
                     affinity,
+                    cores: (0..num_cores as u16).map(CoreId).collect(),
                     executor: Executor::new(),
                     pending: VecDeque::new(),
                     proposed: BTreeSet::new(),
@@ -440,15 +444,15 @@ impl Replica {
                 })
             }),
         };
-        // Inbound demultiplexing: the transport peeks the sequence number
-        // out of the wire frame and routes agreement traffic to its owning
-        // pipeline (lane 0 carries everything without a sequence number).
+        // Inbound delivery. The transport's lane demux (`wire_lane`) only
+        // feeds its per-lane counters: the replica places each message's
+        // verification itself once the MAC has opened it (`verify_on`).
         let r = replica.inner.borrow().weak();
         transport.set_lane_delivery(
             lanes,
-            Rc::new(move |sim, lane, _from, bytes| {
+            Rc::new(move |sim, _lane, _from, bytes| {
                 if let Some(r) = r.upgrade() {
-                    r.unless_crashed(|inner| inner.on_raw(sim, lane, &bytes));
+                    r.unless_crashed(|inner| inner.on_raw(sim, &bytes));
                 }
             }),
         );

@@ -1,5 +1,5 @@
-//! Outbound path: whom a message goes to, sealing it, and the core its MAC
-//! work is charged to.
+//! Outbound path: whom a message goes to, sealing it, and the core that
+//! pays for a message's MACs, sealed or checked.
 
 use super::*;
 
@@ -119,7 +119,7 @@ impl ReplicaInner {
         });
     }
 
-    /// The core an outbound message's MAC work runs on: the owning
+    /// The core that seals, or checks, a replica's message: the owning
     /// pipeline's core for agreement traffic, the execution core otherwise.
     /// What executing a batch sends — its REPLYs, a CHECKPOINT vote — may
     /// move to the core of the pipeline that ordered the batch instead
@@ -134,17 +134,18 @@ impl ReplicaInner {
         }
     }
 
-    /// The core inbound MAC verification runs on. The transport's demux
-    /// already peeked the lane from the wire; trust it only for agreement
-    /// messages (everything else runs on the execution core regardless of
-    /// what a hostile frame header claims).
-    pub(super) fn lane_core_for(&self, lane: usize, msg: &Message) -> CoreId {
-        match msg {
-            Message::PrePrepare { .. }
-            | Message::Prepare { .. }
-            | Message::Commit { .. }
-            | Message::CatchUpReply { .. } => self.pipelines[lane % self.pipelines.len()].core,
-            _ => self.affinity.exec_core(),
+    /// Charges `work`, the MAC check of inbound `msg`, to the core that
+    /// would seal it ([`ReplicaInner::msg_core`]) — unless a client sent
+    /// it. Checking a client's MAC reads no replica state, so that runs on
+    /// whichever core of the host frees first, core 0 on a tie, and leaves
+    /// the execution core to execution.
+    pub(super) fn verify_on(&self, sim: &Simulator, msg: &Message, work: Nanos) {
+        let host = self.net.host(self.host);
+        let mut host = host.borrow_mut();
+        if msg.client_kind() {
+            host.exec_earliest_free(sim.now(), &self.cores, work);
+        } else {
+            host.exec(sim.now(), self.msg_core(msg), work);
         }
     }
 

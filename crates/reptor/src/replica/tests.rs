@@ -243,7 +243,7 @@ fn only_the_primarys_own_authenticated_word_counts_as_hearing_it() {
         (&hearsay, "a backup speaking in the primary's name"),
         (&backups_own, "a backup's own message"),
     ] {
-        backup.borrow_mut().on_raw(&mut c.sim, 0, wire);
+        backup.borrow_mut().on_raw(&mut c.sim, wire);
         assert_eq!(heard_at(), Nanos::ZERO, "{what} is not the primary");
     }
     let dropped = backup.borrow().stats.bad_mac_dropped;
@@ -252,10 +252,10 @@ fn only_the_primarys_own_authenticated_word_counts_as_hearing_it() {
     let now = c.sim.now();
     backup
         .borrow_mut()
-        .on_raw(&mut c.sim, 0, &from(0).seal(&primary, &receivers));
+        .on_raw(&mut c.sim, &from(0).seal(&primary, &receivers));
     assert_eq!(heard_at(), now, "the primary's own message");
     c.sim.run_for(Nanos::from_millis(1));
-    backup.borrow_mut().on_raw(&mut c.sim, 0, &backups_own);
+    backup.borrow_mut().on_raw(&mut c.sim, &backups_own);
     assert_eq!(heard_at(), now, "a later backup message moves nothing");
 }
 
@@ -295,14 +295,14 @@ fn a_pre_prepare_macs_its_header_and_its_digest_binds_the_batch() {
     // and the digest check refuses the batch.
     let mut batch_flipped = wire.clone();
     batch_flipped[4 + msg.encoded_len() - 1] ^= 0xFF;
-    backup.borrow_mut().on_raw(&mut c.sim, 1, &batch_flipped);
+    backup.borrow_mut().on_raw(&mut c.sim, &batch_flipped);
     assert_eq!(stats(), (0, 1, 0), "refused by the digest and counted");
     // A header byte (the view's) flipped fails the MAC.
     let mut header_flipped = wire.clone();
     header_flipped[4 + 1] ^= 0xFF;
-    backup.borrow_mut().on_raw(&mut c.sim, 1, &header_flipped);
+    backup.borrow_mut().on_raw(&mut c.sim, &header_flipped);
     assert_eq!(stats(), (1, 1, 0), "refused by the MAC");
-    backup.borrow_mut().on_raw(&mut c.sim, 1, &wire);
+    backup.borrow_mut().on_raw(&mut c.sim, &wire);
     assert_eq!(stats(), (1, 1, 1), "the untouched proposal is prepared");
 }
 
@@ -327,17 +327,44 @@ fn a_pre_prepare_charges_its_seq_core_for_its_header_macs_only() {
     );
 }
 
+/// Runs `f` and returns the one core whose busy time grew, and by how much.
+fn the_core_that_paid(
+    replica: &RefCell<ReplicaInner>,
+    sim: &mut Simulator,
+    f: impl FnOnce(&mut ReplicaInner, &mut Simulator),
+) -> (CoreId, Nanos) {
+    let busy = |r: &ReplicaInner| {
+        let host = r.net.host(r.host);
+        let host = host.borrow();
+        r.cores
+            .iter()
+            .map(|&c| host.core_busy_time(c))
+            .collect::<Vec<_>>()
+    };
+    let before = busy(&replica.borrow());
+    f(&mut replica.borrow_mut(), sim);
+    let after = busy(&replica.borrow());
+    let grew: Vec<_> = (0..after.len())
+        .filter(|&i| after[i] != before[i])
+        .map(|i| (CoreId(i as u16), after[i] - before[i]))
+        .collect();
+    assert_eq!(grew.len(), 1, "one core pays: {grew:?}");
+    grew[0]
+}
+
 #[test]
 fn a_reply_is_sealed_on_the_earlier_free_of_the_execution_and_ordering_cores() {
     let mut c = cluster(8, 51);
     let backup = c.replicas[1].inner.clone();
-    let mut r = backup.borrow_mut();
     let seq = 2;
-    let cores = r.executed_cores(seq);
+    let cores = backup.borrow().executed_cores(seq);
     let [exec, ordering] = cores;
-    assert_eq!(exec, r.affinity.exec_core());
-    assert_eq!(ordering, r.affinity.seq_core(seq));
-    assert_ne!(exec, ordering);
+    {
+        let r = backup.borrow();
+        assert_eq!(exec, r.affinity.exec_core());
+        assert_eq!(ordering, r.affinity.seq_core(seq));
+        assert_ne!(exec, ordering);
+    }
     let reply = Message::Reply {
         view: 0,
         client: 4,
@@ -345,27 +372,97 @@ fn a_reply_is_sealed_on_the_earlier_free_of_the_execution_and_ordering_cores() {
         replica: 1,
         result: b"ok".to_vec(),
     };
-    let cost = r.cfg.crypto.authenticator_cost(reply.encoded_len(), 1);
-    let busy =
-        |r: &ReplicaInner| cores.map(|core| r.net.host(r.host).borrow().core_busy_time(core));
-    let sealed_on = |r: &mut ReplicaInner, sim: &mut Simulator| {
-        let before = busy(r);
-        r.send_reply(sim, 4, 1, b"ok".to_vec(), &cores);
-        let after = busy(r);
-        let grew = [0, 1].map(|i| after[i] - before[i]);
-        assert!(
-            grew.contains(&Nanos::ZERO) && grew.contains(&cost),
-            "{grew:?}"
-        );
-        cores[grew.iter().position(|&g| g == cost).expect("one core paid")]
+    let cost = backup
+        .borrow()
+        .cfg
+        .crypto
+        .authenticator_cost(reply.encoded_len(), 1);
+    let sealed_on = |sim: &mut Simulator| {
+        the_core_that_paid(&backup, sim, |r, sim| {
+            r.send_reply(sim, 4, 1, b"ok".to_vec(), &cores)
+        })
     };
-    assert_eq!(sealed_on(&mut r, &mut c.sim), exec, "both free: the first");
-    r.charge(&c.sim, exec, Nanos::from_millis(1));
+    assert_eq!(sealed_on(&mut c.sim), (exec, cost), "both free: the first");
+    backup
+        .borrow_mut()
+        .charge(&c.sim, exec, Nanos::from_millis(1));
     assert_eq!(
-        sealed_on(&mut r, &mut c.sim),
-        ordering,
+        sealed_on(&mut c.sim),
+        (ordering, cost),
         "execution core busy"
     );
-    r.charge(&c.sim, ordering, Nanos::from_millis(2));
-    assert_eq!(sealed_on(&mut r, &mut c.sim), exec, "ordering core busier");
+    backup
+        .borrow_mut()
+        .charge(&c.sim, ordering, Nanos::from_millis(2));
+    assert_eq!(sealed_on(&mut c.sim), (exec, cost), "ordering core busier");
+}
+
+/// What checking the MAC of the sealed message `wire` costs `replica`.
+fn check_cost(replica: &RefCell<ReplicaInner>, wire: &[u8]) -> Nanos {
+    let covered = Envelope::parse(wire).unwrap().covered().len();
+    replica.borrow().cfg.crypto.verify_cost(covered)
+}
+
+#[test]
+fn a_request_is_verified_on_the_earliest_free_core_of_the_host() {
+    let mut c = cluster(8, 52);
+    let backup = c.replicas[1].inner.clone();
+    let client = KeyTable::new(4, crate::cluster::DOMAIN_SECRET.to_vec());
+    let request = |timestamp| {
+        Message::Request(Request {
+            client: 4,
+            timestamp,
+            payload: vec![7; 1024],
+        })
+        .seal(&client, &[0, 1, 2, 3])
+    };
+    let cost = check_cost(&backup, &request(1));
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| r.on_raw(sim, &request(1)));
+    assert_eq!(paid, (CoreId(0), cost), "every core idle: core 0");
+
+    let mut r = backup.borrow_mut();
+    assert!(r.cores.len() >= 3, "{:?}", r.cores);
+    r.charge(&c.sim, CoreId(0), Nanos::from_millis(1));
+    r.charge(&c.sim, CoreId(1), Nanos::from_micros(500));
+    drop(r);
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| r.on_raw(sim, &request(2)));
+    assert_eq!(
+        paid,
+        (CoreId(2), cost),
+        "core 0 loaded: the earliest-free other"
+    );
+    assert_eq!(backup.borrow().pending.len(), 2, "both requests dispatched");
+}
+
+#[test]
+fn a_lease_query_follows_the_client_rule_and_a_prepare_its_seq_core() {
+    let mut c = cluster(8, 53);
+    let backup = c.replicas[1].inner.clone();
+    let work = Nanos::from_micros(3);
+    backup
+        .borrow_mut()
+        .charge(&c.sim, CoreId(0), Nanos::from_millis(1));
+    let query = Message::LeaseQuery { client: 4 };
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| r.verify_on(sim, &query, work));
+    assert_eq!(paid, (CoreId(1), work), "core 0 loaded: the next free core");
+
+    // A replica's PREPARE stays on its pipeline's core, the busiest one.
+    let seq = 2;
+    let owner = backup.borrow().affinity.seq_core(seq);
+    backup
+        .borrow_mut()
+        .charge(&c.sim, owner, Nanos::from_millis(2));
+    let prepare = Message::Prepare {
+        view: 0,
+        seq,
+        digest: batch_digest(&four_kib_batch()),
+        replica: 2,
+    };
+    let wire = prepare.seal(
+        &KeyTable::new(2, crate::cluster::DOMAIN_SECRET.to_vec()),
+        &[0, 1, 3],
+    );
+    let cost = check_cost(&backup, &wire);
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| r.on_raw(sim, &wire));
+    assert_eq!(paid, (owner, cost), "the PREPARE's pipeline core");
 }
