@@ -14,14 +14,4 @@
 #[macro_use]
 mod scenarios;
 
-use scenarios::rows::{geo_kv, Row};
-
 kv_rows!(row_tests);
-
-/// The scale tier: a thousand simulated KV clients across eight WAN
-/// hosts. Run by hand in release mode.
-#[test]
-#[ignore]
-fn geo_kv_thousand_clients() {
-    geo_kv(1000, 8, 2, 0x1F1).test("geo_kv_thousand_clients");
-}
