@@ -155,6 +155,7 @@ macro_rules! chaos_rows {
             corrupted_frames_are_rejected_by_mac_and_agreement_survives => corrupted_frames(),
             primary_crash_view_change_and_reconnect_on_rubin_stack => primary_crash(Stack::Rubin),
             primary_crash_view_change_and_reconnect_on_nio_stack => primary_crash(Stack::Nio),
+            fixed_seed_crash_timeline_replays_byte_identically => primary_crash(Stack::Rubin),
             partitioned_replica_rejoins_via_state_transfer_on_rubin_stack => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             partitioned_replica_rejoins_via_state_transfer_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::Honest),
             bogus_state_chunks_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::BogusStateChunks),
@@ -166,6 +167,7 @@ macro_rules! chaos_rows {
             // same way, at the manifest, so the snapshot cannot tell them
             // apart.
             stale_checkpoint_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::StaleCheckpoint),
+            fixed_seed_state_transfer_replays_byte_identically => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack => cold_restart(Stack::Rubin),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack => cold_restart(Stack::Nio),
             proactive_refresh_collides_with_partition_on_rubin_stack => refresh_into_partition(Stack::Rubin),
@@ -173,6 +175,7 @@ macro_rules! chaos_rows {
             stale_epoch_rkey_responder_is_fenced_by_rnic_on_rubin_stack => stale_epoch_offer(),
             equivocating_slot_writer_is_caught_at_prepare_and_deposed => equivocating_slot_writer(),
             deposed_slot_writer_late_writes_are_rnic_denied => deposed_slot_writer(),
+            fixed_seed_deposed_slot_writer_replays_byte_identically => deposed_slot_writer(),
         }
     };
 }
@@ -183,10 +186,12 @@ macro_rules! durable_rows {
         $then! {
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack => torn_wal_tail(Stack::Rubin),
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack => torn_wal_tail(Stack::Nio),
+            fixed_seed_torn_tail_timeline_replays_byte_identically => torn_wal_tail(Stack::Rubin),
             bitflipped_snapshot_falls_back_to_peer_state_transfer => bitflipped_snapshot(),
             crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack => full_cluster_restart(Stack::Nio),
+            fixed_seed_full_cluster_restart_replays_byte_identically => full_cluster_restart(Stack::Rubin),
             second_crash_rejoins_without_inherited_backoff => second_crash(),
         }
     };
@@ -227,7 +232,9 @@ macro_rules! fast_path_rows {
     ($then:ident) => {
         $then! {
             fast_path_engages_and_commits_exactly_once => fast_path_commit(),
+            fixed_seed_fast_path_timeline_replays_byte_identically => fast_path_commit(),
             fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
+            disabled_fast_path_leaves_no_trace_in_the_snapshot => disabled_fast_path(),
             fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
             fallback_engages_cleanly_without_one_sided_writes_four_pipelines => message_fallback(4),
             fast_path_composes_with_four_cop_pipelines => fast_path_four_pipelines(),
@@ -253,6 +260,10 @@ macro_rules! proactive_rows {
         $then! {
             throughput_never_zero_during_rotation_single_pillar => rotation_under_load(1),
             throughput_never_zero_during_rotation_four_pillars => rotation_under_load(4),
+            // A whole rotation under load — epoch roll, MR re-registration,
+            // four restarts, four state transfers, the client traffic woven
+            // between them.
+            fixed_seed_rotation_replays_byte_identically => Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) },
         }
     };
 }
@@ -280,10 +291,7 @@ macro_rules! stacks_rows {
         $then! {
             bft_counter_over_direct_stack => counter(Stack::Direct, 100),
             bft_counter_over_nio_tcp_stack => counter(Stack::Nio, 101),
-            // With `fast_path: false` (the default) the fast path leaves no
-            // trace: no slot region registered, no grant sent, no fast-path
-            // counter ever created.
-            bft_counter_over_rubin_rdma_stack => counter(Stack::Rubin, 102).expect([Lacks("fast_path"), Lacks("slot")]),
+            bft_counter_over_rubin_rdma_stack => counter(Stack::Rubin, 102),
             // The integration claim itself: the comm stack is invisible to the
             // protocol's observers.
             replies_and_state_are_identical_on_all_three_stacks => Across(Compare::Same, STACKS.map(|stack| counter(stack, 103)).into()),
@@ -303,6 +311,7 @@ macro_rules! stacks_rows {
 macro_rules! invariants_rows {
     ($then:ident) => {
         $then! {
+            fixed_seed_reproduces_identical_phase_counter_sequences => incs(1234, 5, 2_000_000).expect([Phases, Counter(All, "reptor.r{}.requests_executed", eq(5))]),
             // Reorder jitter draws on the seed, so the two timelines differ;
             // the logical counters are workload-determined.
             different_seeds_still_execute_the_same_workload => Across(Compare::Differ, [1, 2].map(|seed| jittered_incs(seed).expect([Counter(Only(&[0, 3]), "reptor.r{}.requests_executed", eq(5))])).into()),
@@ -1177,8 +1186,7 @@ pub fn fast_path_commit() -> Scenario {
             Total("fast_path_grants_sent", ge(3)),
             // No revocation happened, so nothing may be denied.
             Total("fast_path_write_denied", eq(0)),
-            // What `bft_counter_over_rubin_rdma_stack` finds absent with the
-            // fast path off is here when it is on.
+            // What the disabled row's probe looks for is here when enabled.
             Has("fast_path_writes"),
         ])
 }
@@ -1210,6 +1218,15 @@ pub fn fast_path_two_delays() -> Scenario {
                 one_delay,
             ),
         ])
+}
+
+/// `fast_path: false` must leave zero trace: no slot region registered,
+/// no grant sent, no fast-path counter ever created — the snapshot is
+/// bit-for-bit what the pre-fast-path replica produced.
+pub fn disabled_fast_path() -> Scenario {
+    Scenario::new(Stack::Rubin, 1)
+        .steps(burst(10))
+        .expect([Lacks("fast_path"), Lacks("slot")])
 }
 
 /// On a transport without a one-sided write primitive (the socket stack)
@@ -1495,12 +1512,9 @@ pub fn jittered_incs(seed: u64) -> Scenario {
 /// identities on every row (so no tombstone outlives its cancel, and
 /// tombstones never outnumber the scheduled events), and a settled
 /// simulator has nothing pending. The pool gauges are zero here, because
-/// the direct transport bypasses the RNIC buffer pool. Every replica
-/// executed the workload and published its phase histograms.
+/// the direct transport bypasses the RNIC buffer pool.
 pub fn simulator_health() -> Scenario {
     incs(99, 5, 2_000_000).expect([
-        Phases,
-        Counter(All, "reptor.r{}.requests_executed", eq(5)),
         Gauge("sim.events_scheduled", ge(1)),
         Gauge("sim.events_executed", ge(1)),
         Gauge("sim.events_pending", eq(0)),
