@@ -2,12 +2,9 @@
 //! matrices, clients packed many-per-host, and fault composition on WAN
 //! links.
 //!
-//! The cheap variants run in the regular test suite. The `#[ignore]`d
-//! tests are the scale tier — the n = 31 WAN group, the n = 13 RUBIN group
-//! and the thousand-client scenario — run in release mode by the CI `scale`
-//! job (`cargo test --release --test geo_scale -- --ignored`), where they
-//! take seconds instead of the minutes they would need under the debug
-//! profile in the fast `build-and-test` job.
+//! The largest shapes — the n = 31 WAN group, the n = 13 RUBIN group and
+//! a thousand clients on eight hosts — take at most about a second each in
+//! a debug build, so they run in the regular suite like the rest.
 
 #[path = "../crates/simnet/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -25,11 +22,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 geo_rows!(row_tests);
 
-/// Scale tier: a 13-replica group (f = 4) with two clients over RUBIN —
-/// 210 channel ends, each with 128 pre-registered 128 KiB buffers. The
-/// group's heap is what those buffers hold, not the ≈ 3 GB they span.
+/// A 13-replica group (f = 4) with two clients over RUBIN — 210 channel
+/// ends, each with 128 pre-registered 128 KiB buffers. The group's heap is
+/// what those buffers hold, not the ≈ 3 GB they span: about 10 MB live, in
+/// debug and release alike.
 #[test]
-#[ignore = "scale tier: run in release via the CI scale job"]
 fn rubin_13_replica_group_commits() {
     let before = live_bytes();
     let group = Scenario::new(Stack::Rubin, 13).cfg(ReptorConfig::for_f(4));

@@ -125,8 +125,7 @@ pub fn compare(how: Compare, rows: &[Scenario]) -> Vec<Outcome> {
 /// outcomes against its golden line.
 #[allow(unused_macros)] // The table-wide checks read the table and make no row tests.
 macro_rules! row_tests {
-    ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {$(
-        $(#[$attr])*
+    ($($name:ident => $row:expr,)*) => {$(
         #[test]
         fn $name() {
             use crate::scenarios::rows::*;
@@ -138,7 +137,7 @@ macro_rules! row_tests {
 
 /// Every row of a group: its name and its scenarios.
 macro_rules! named_rows {
-    ($($(#[$attr:meta])* $name:ident => $row:expr,)*) => {
+    ($($name:ident => $row:expr,)*) => {
         vec![$((stringify!($name), Row::scenarios($row, stringify!($name))),)*]
     };
 }
@@ -155,7 +154,6 @@ macro_rules! chaos_rows {
             corrupted_frames_are_rejected_by_mac_and_agreement_survives => corrupted_frames(),
             primary_crash_view_change_and_reconnect_on_rubin_stack => primary_crash(Stack::Rubin),
             primary_crash_view_change_and_reconnect_on_nio_stack => primary_crash(Stack::Nio),
-            fixed_seed_crash_timeline_replays_byte_identically => primary_crash(Stack::Rubin),
             partitioned_replica_rejoins_via_state_transfer_on_rubin_stack => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             partitioned_replica_rejoins_via_state_transfer_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::Honest),
             bogus_state_chunks_responder_is_detected_and_routed_around => state_transfer(Stack::Rubin, ByzantineMode::BogusStateChunks),
@@ -167,7 +165,6 @@ macro_rules! chaos_rows {
             // same way, at the manifest, so the snapshot cannot tell them
             // apart.
             stale_checkpoint_responder_is_routed_around_on_nio_stack => state_transfer(Stack::Nio, ByzantineMode::StaleCheckpoint),
-            fixed_seed_state_transfer_replays_byte_identically => state_transfer(Stack::Rubin, ByzantineMode::Honest),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack => cold_restart(Stack::Rubin),
             crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack => cold_restart(Stack::Nio),
             proactive_refresh_collides_with_partition_on_rubin_stack => refresh_into_partition(Stack::Rubin),
@@ -186,7 +183,6 @@ macro_rules! durable_rows {
         $then! {
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack => torn_wal_tail(Stack::Rubin),
             torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack => torn_wal_tail(Stack::Nio),
-            fixed_seed_torn_tail_timeline_replays_byte_identically => torn_wal_tail(Stack::Rubin),
             bitflipped_snapshot_falls_back_to_peer_state_transfer => bitflipped_snapshot(),
             crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
@@ -353,8 +349,7 @@ macro_rules! kv_replay_rows {
     };
 }
 
-/// `tests/geo_scale.rs`. The `#[ignore]`d rows are the scale tier, run
-/// in release by the CI `scale` job.
+/// `tests/geo_scale.rs`.
 macro_rules! geo_rows {
     ($then:ident) => {
         $then! {
@@ -366,9 +361,7 @@ macro_rules! geo_rows {
             // Reorder jitter makes the timeline seed-dependent (a fault-free
             // run consumes no randomness at all).
             geo_runs_replay_byte_identically => Across(Compare::Differ, vec![jittered_wan(23), jittered_wan(24)]),
-            #[ignore = "scale tier: run in release via the CI scale job"]
             wan3_31_replica_group_commits => wan3_31_replicas(),
-            #[ignore = "scale tier: run in release via the CI scale job"]
             thousand_clients_share_eight_hosts => thousand_clients(),
             one_way_latency_floor_is_visible_per_region_pair => one_way_floor(),
         }
