@@ -295,14 +295,16 @@ const COP_DEPTH: usize = 16;
 /// The `p = 1` operating point at the default parameters (payload 4096 B,
 /// `total` 240, `depth` 16, seed `0xC0C`), re-pinned when a PRE-PREPARE's
 /// MACs came to cover only its header and replies to be sealed on the
-/// earlier-free of the execution and ordering cores, and again when client
-/// requests came to be verified on the host's earliest-free core. The
-/// deterministic simulator reproduces these digits exactly; the gate fails
-/// on any drift.
+/// earlier-free of the execution and ordering cores, again when client
+/// requests came to be verified on the host's earliest-free core, and
+/// again when a REQUEST of at least 1 KiB came to be MACed over its digest,
+/// which the batch digest folds instead of hashing the request a second
+/// time (539.03 µs / 29,146.7 rps before). The deterministic simulator
+/// reproduces these digits exactly; the gate fails on any drift.
 const P1_BASELINE: CopPoint = CopPoint {
     pipelines: 1,
-    latency_us: 539.03,
-    rps: 29146.725954345784,
+    latency_us: 422.532,
+    rps: 37136.27341209937,
 };
 
 fn fast_path_row(args: &[String]) -> Report {

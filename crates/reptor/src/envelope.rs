@@ -2,13 +2,17 @@
 //! opened by one of them, and which of its bytes the MACs cover. This is
 //! the one module that computes or checks a MAC.
 
-use bft_crypto::{Authenticator, KeyTable, NodeId, DIGEST_LEN};
+use bft_crypto::{Authenticator, CryptoCostModel, Digest, KeyTable, NodeId, DIGEST_LEN};
+use simnet::Nanos;
 
 use crate::codec::{Codec, CodecError, Reader};
-use crate::messages::{Message, SeqNum};
+use crate::messages::{request_digest, Message, SeqNum};
 
 /// Bytes of one MAC entry of an envelope: the receiver, then its MAC.
 pub(crate) const MAC_ENTRY_LEN: usize = 4 + DIGEST_LEN;
+
+/// The wire tag of a REQUEST body.
+const REQUEST_TAG: u8 = 0;
 
 /// The wire tag of a PRE-PREPARE body.
 const PRE_PREPARE_TAG: u8 = 1;
@@ -17,16 +21,84 @@ const PRE_PREPARE_TAG: u8 = 1;
 /// digest, the fields before its batch.
 pub(crate) const PRE_PREPARE_HEADER_LEN: usize = 1 + 8 + 8 + DIGEST_LEN;
 
-/// The bytes of `body` its MACs cover. For a PRE-PREPARE that is its
-/// header, as in Castro and Liskov's PBFT: the batch that follows is bound
-/// by the header's digest, which every backup checks before it uses the
-/// batch. For every other message it is the whole body.
-pub(crate) fn covered(body: &[u8]) -> &[u8] {
+/// Bytes of the smallest REQUEST body whose MACs cover its digest. Below
+/// about 820 B, hashing the request before its MAC costs more than the
+/// batch digest saves by folding that digest in.
+pub(crate) const REQUEST_DIGEST_MAC_MIN: usize = 1024;
+
+/// What the MACs of one body cover.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Covered {
+    /// The body's first `n` bytes.
+    Prefix(usize),
+    /// The [`crate::Request::digest`] of a large REQUEST.
+    Digest(Digest),
+}
+
+/// What the MACs of `body` cover, as in Castro and Liskov's PBFT:
+/// - a PRE-PREPARE's header: the batch that follows is bound by the
+///   header's digest, which every backup checks before it uses the batch;
+/// - a REQUEST body of at least [`REQUEST_DIGEST_MAC_MIN`] bytes: the
+///   request's digest, the one a batch digest folds, so a replica hashes
+///   the request once;
+/// - every other body whole.
+pub(crate) fn covered(body: &[u8]) -> Covered {
     match body.first() {
         Some(&PRE_PREPARE_TAG) if body.len() >= PRE_PREPARE_HEADER_LEN => {
-            &body[..PRE_PREPARE_HEADER_LEN]
+            Covered::Prefix(PRE_PREPARE_HEADER_LEN)
         }
-        _ => body,
+        Some(&REQUEST_TAG) if body.len() >= REQUEST_DIGEST_MAC_MIN => {
+            encoded_request_digest(body).map_or(Covered::Prefix(body.len()), Covered::Digest)
+        }
+        _ => Covered::Prefix(body.len()),
+    }
+}
+
+/// The digest of the request an encoded REQUEST body holds, read in place;
+/// `None` if the body is not one.
+fn encoded_request_digest(body: &[u8]) -> Option<Digest> {
+    let mut r = Reader::new(body.get(1..)?);
+    let client = u32::read(&mut r).ok()?;
+    let timestamp = u64::read(&mut r).ok()?;
+    let len = r.count::<u8>().ok()?;
+    let payload = r.take(len).ok()?;
+    r.expect_end().ok()?;
+    Some(request_digest(client, timestamp, payload))
+}
+
+impl Covered {
+    /// The bytes each MAC is computed over, out of `body`.
+    pub(crate) fn bytes<'a>(&'a self, body: &'a [u8]) -> &'a [u8] {
+        match self {
+            Covered::Prefix(n) => &body[..*n],
+            Covered::Digest(d) => d.as_ref(),
+        }
+    }
+
+    /// How many bytes each MAC covers.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Covered::Prefix(n) => *n,
+            Covered::Digest(_) => DIGEST_LEN,
+        }
+    }
+
+    /// The request digest this rule computed, if it covers one.
+    pub(crate) fn digest(&self) -> Option<Digest> {
+        match self {
+            Covered::Prefix(_) => None,
+            Covered::Digest(d) => Some(*d),
+        }
+    }
+
+    /// What checking one MAC of a `body_len`-byte body costs: a covered
+    /// digest is computed over the body first.
+    pub(crate) fn verify_cost(&self, body_len: usize, crypto: &CryptoCostModel) -> Nanos {
+        let hash = match self {
+            Covered::Prefix(_) => Nanos::ZERO,
+            Covered::Digest(_) => crypto.digest_cost(body_len),
+        };
+        hash + crypto.verify_cost(self.len())
     }
 }
 
@@ -51,6 +123,8 @@ impl Message {
         out: &mut Vec<u8>,
     ) -> usize {
         let body_len = self.encoded_len();
+        // Computed once for every receiver's MAC: it may be a digest.
+        let mut cover = None;
         write_envelope(
             out,
             body_len,
@@ -58,11 +132,14 @@ impl Message {
             keys.me(),
             count,
             |i, body| {
+                let cover = cover.get_or_insert_with(|| covered(body));
                 let r = receiver(i);
-                (r, keys.mac(covered(body), r))
+                (r, keys.mac(cover.bytes(body), r))
             },
         );
-        covered(&out[4..4 + body_len]).len()
+        cover
+            .unwrap_or_else(|| covered(&out[4..4 + body_len]))
+            .len()
     }
 }
 
@@ -156,8 +233,8 @@ impl<'a> Envelope<'a> {
         self.body
     }
 
-    /// The bytes of the body the MACs cover (see [`covered`]).
-    pub(crate) fn covered(&self) -> &'a [u8] {
+    /// What the body's MACs cover (see [`covered`]).
+    pub(crate) fn covered(&self) -> Covered {
         covered(self.body)
     }
 
@@ -180,11 +257,11 @@ impl<'a> Envelope<'a> {
     }
 
     /// Whether the first entry addressed to the holder of `keys` is the
-    /// sender's MAC of the covered bytes: [`KeyTable::verify`]'s rule.
-    fn verify(&self, keys: &KeyTable) -> bool {
+    /// sender's MAC of `cover`: [`KeyTable::verify`]'s rule.
+    fn verify(&self, keys: &KeyTable, cover: &Covered) -> bool {
         self.macs()
             .find(|(r, _)| *r == keys.me())
-            .is_some_and(|(_, mac)| keys.verify_mac(self.covered(), self.sender, mac))
+            .is_some_and(|(_, mac)| keys.verify_mac(cover.bytes(self.body), self.sender, mac))
     }
 
     /// Verifies the MAC for the holder of `keys` and decodes the body.
@@ -195,10 +272,20 @@ impl<'a> Envelope<'a> {
     /// `Ok(None)`, so callers can count it as Byzantine behaviour rather
     /// than a local fault.
     pub fn open(&self, keys: &KeyTable) -> Result<Option<Message>, CodecError> {
-        if !self.verify(keys) {
+        Ok(self.open_covered(keys)?.map(|(msg, _)| msg))
+    }
+
+    /// [`Envelope::open`], with what the MACs covered: a receiver charges
+    /// its check by it and keeps a REQUEST's digest.
+    pub(crate) fn open_covered(
+        &self,
+        keys: &KeyTable,
+    ) -> Result<Option<(Message, Covered)>, CodecError> {
+        let cover = self.covered();
+        if !self.verify(keys, &cover) {
             return Ok(None);
         }
-        Message::decode(self.body).map(Some)
+        Message::decode(self.body).map(|msg| Some((msg, cover)))
     }
 }
 
@@ -291,7 +378,7 @@ impl SignedMessage {
     /// verification failure is reported as `Ok(None)` so callers can count
     /// it as Byzantine behaviour rather than a local fault.
     pub fn verify_and_decode(&self, keys: &KeyTable) -> Result<Option<Message>, CodecError> {
-        if !keys.verify(covered(&self.body), &self.auth) {
+        if !keys.verify(covered(&self.body).bytes(&self.body), &self.auth) {
             return Ok(None);
         }
         Message::decode(&self.body).map(Some)
@@ -325,7 +412,7 @@ mod tests {
     fn a_pre_prepare_macs_its_header_and_everything_else_its_body() {
         let pp = pre_prepare().encode();
         assert_eq!(pp[0], PRE_PREPARE_TAG);
-        assert_eq!(covered(&pp), &pp[..PRE_PREPARE_HEADER_LEN]);
+        assert_eq!(covered(&pp), Covered::Prefix(PRE_PREPARE_HEADER_LEN));
         // The header ends where the batch begins: its digest is the last
         // field before it.
         let Message::PrePrepare { digest, .. } = pre_prepare() else {
@@ -336,14 +423,71 @@ mod tests {
             digest.as_ref()
         );
         let request = Message::Request(req(9, 4)).encode();
-        assert_eq!(covered(&request), &request[..]);
+        assert_eq!(covered(&request), Covered::Prefix(request.len()));
         // A body too short to hold a header is covered whole.
-        assert_eq!(covered(&pp[..10]), &pp[..10]);
+        assert_eq!(covered(&pp[..10]), Covered::Prefix(10));
 
         let keys = KeyTable::new(0, b"secret".to_vec());
         let mut wire = Vec::new();
         let len = pre_prepare().seal_into(&keys, 3, |i| i as NodeId + 1, &mut wire);
         assert_eq!(len, PRE_PREPARE_HEADER_LEN);
         assert_eq!(Envelope::parse(&wire).unwrap().covered().len(), len);
+    }
+
+    /// A REQUEST of `len` body bytes.
+    fn request_of(len: usize) -> Request {
+        Request {
+            client: 9,
+            timestamp: 4,
+            payload: vec![7; len - 17],
+        }
+    }
+
+    #[test]
+    fn a_request_of_at_least_one_kib_macs_its_digest() {
+        let below = Message::Request(request_of(REQUEST_DIGEST_MAC_MIN - 1)).encode();
+        assert_eq!(below.len(), REQUEST_DIGEST_MAC_MIN - 1);
+        assert_eq!(covered(&below), Covered::Prefix(below.len()));
+        let large = request_of(REQUEST_DIGEST_MAC_MIN);
+        let at = Message::Request(large.clone()).encode();
+        assert_eq!(at.len(), REQUEST_DIGEST_MAC_MIN);
+        assert_eq!(covered(&at), Covered::Digest(large.digest()));
+        // A REQUEST tag on a body that is no request is covered whole.
+        let mut cut = at.clone();
+        cut.pop();
+        cut.push(0);
+        cut.push(0);
+        assert_eq!(covered(&cut), Covered::Prefix(cut.len()));
+
+        let keys = KeyTable::new(9, b"secret".to_vec());
+        let mut wire = Vec::new();
+        let len = Message::Request(large.clone()).seal_into(&keys, 4, |i| i as NodeId, &mut wire);
+        assert_eq!(len, DIGEST_LEN);
+        let envelope = Envelope::parse(&wire).unwrap();
+        let (receiver, mac) = envelope.macs().nth(2).unwrap();
+        assert_eq!(*mac, keys.mac(large.digest().as_ref(), receiver));
+        let at_two = KeyTable::new(2, b"secret".to_vec());
+        let opened = envelope.open_covered(&at_two).unwrap();
+        assert_eq!(
+            opened,
+            Some((
+                Message::Request(large.clone()),
+                Covered::Digest(large.digest())
+            ))
+        );
+    }
+
+    #[test]
+    fn checking_a_digest_mac_charges_the_hash_and_a_32_byte_mac() {
+        let crypto = CryptoCostModel::default();
+        let body = 4096 + 17;
+        assert_eq!(
+            Covered::Digest(Digest::ZERO).verify_cost(body, &crypto),
+            crypto.digest_cost(body) + crypto.verify_cost(DIGEST_LEN)
+        );
+        assert_eq!(
+            Covered::Prefix(100).verify_cost(body, &crypto),
+            crypto.verify_cost(100)
+        );
     }
 }

@@ -31,23 +31,61 @@ crate::wire_format! {
 impl Request {
     /// The request digest.
     pub fn digest(&self) -> Digest {
-        Digest::of_parts(&[
-            &self.client.to_le_bytes(),
-            &self.timestamp.to_le_bytes(),
-            &self.payload,
-        ])
+        request_digest(self.client, self.timestamp, &self.payload)
     }
+}
+
+/// [`Request::digest`] of the request with these fields, for a reader that
+/// holds them as encoded bytes rather than as a [`Request`].
+pub(crate) fn request_digest(client: ClientId, timestamp: u64, payload: &[u8]) -> Digest {
+    Digest::of_parts(&[&client.to_le_bytes(), &timestamp.to_le_bytes(), payload])
 }
 
 /// Digest of an ordered batch of requests: [`Digest::of_parts`] over the
 /// request digests, each fed as it is computed.
 pub fn batch_digest(batch: &[Request]) -> Digest {
-    let mut h = Sha256::new();
+    let mut fold = BatchDigest::default();
     for req in batch {
-        h.update(&(DIGEST_LEN as u64).to_le_bytes());
-        h.update(req.digest().as_ref());
+        fold.push(req, None);
     }
-    Digest(h.finalize())
+    fold.finish().0
+}
+
+/// [`batch_digest`] folded one request at a time, in batch order, with the
+/// bytes it hashed: a request whose digest the caller already holds is
+/// folded in for [`BatchDigest::PART_LEN`] bytes, any other is hashed whole
+/// (its payload and 16 bytes).
+#[derive(Debug, Default)]
+pub(crate) struct BatchDigest {
+    hasher: Sha256,
+    hashed: usize,
+}
+
+impl BatchDigest {
+    /// Bytes one request digest adds to the hash: its length, then itself.
+    pub(crate) const PART_LEN: usize = 8 + DIGEST_LEN;
+
+    /// Folds in the next request, whose digest is `held` if the caller
+    /// holds it.
+    pub(crate) fn push(&mut self, req: &Request, held: Option<Digest>) {
+        let digest = match held {
+            Some(d) => {
+                self.hashed += Self::PART_LEN;
+                d
+            }
+            None => {
+                self.hashed += req.payload.len() + 16;
+                req.digest()
+            }
+        };
+        self.hasher.update(&(DIGEST_LEN as u64).to_le_bytes());
+        self.hasher.update(digest.as_ref());
+    }
+
+    /// The batch digest, and how many bytes computing it hashed.
+    pub(crate) fn finish(self) -> (Digest, usize) {
+        (Digest(self.hasher.finalize()), self.hashed)
+    }
 }
 
 crate::wire_format! {

@@ -52,9 +52,9 @@ impl ReplicaInner {
         // Verify the digest binds the batch: the MACs covered only the
         // header, the digest included.
         let core = self.affinity.seq_core(seq);
-        let cost = self.cfg.crypto.digest_cost(batch_bytes(&batch));
+        let (folded, cost) = self.fold_batch(&batch);
         self.charge(sim, core, cost);
-        if batch_digest(&batch) != digest {
+        if folded != digest {
             self.stats.digest_mismatch_dropped += 1;
             return;
         }

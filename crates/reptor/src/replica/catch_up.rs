@@ -90,10 +90,10 @@ impl ReplicaInner {
         }
         // The digest must bind the batch, like a pre-prepare.
         let core = self.affinity.seq_core(seq);
-        let cost = self.cfg.crypto.digest_cost(batch_bytes(&batch));
+        let (folded, cost) = self.fold_batch(&batch);
         self.charge(sim, core, cost);
         let lane = self.affinity.lane_of(seq);
-        if batch_digest(&batch) != digest {
+        if folded != digest {
             return;
         }
         if self.pipelines[lane]

@@ -8,7 +8,7 @@ impl ReplicaInner {
             self.stats.malformed_dropped += 1;
             return;
         };
-        let msg = match envelope.open(&self.keys) {
+        let (msg, cover) = match envelope.open_covered(&self.keys) {
             Err(_) => {
                 self.stats.malformed_dropped += 1;
                 return;
@@ -16,7 +16,7 @@ impl ReplicaInner {
             // The MAC proves who produced the bytes, not whom they speak
             // for: a vote in another node's name, or a client's, is no
             // better than none.
-            Ok(Some(m)) if m.spoken_by(envelope.sender(), &self.cfg) => m,
+            Ok(Some((m, cover))) if m.spoken_by(envelope.sender(), &self.cfg) => (m, cover),
             Ok(_) => {
                 self.stats.bad_mac_dropped += 1;
                 return;
@@ -27,18 +27,20 @@ impl ReplicaInner {
         }
         // Dispatched at once: the message decides only which core pays
         // for its MAC check.
-        let cost = self.cfg.crypto.verify_cost(envelope.covered().len());
+        let cost = cover.verify_cost(envelope.body().len(), &self.cfg.crypto);
         self.verify_on(sim, &msg, cost);
-        self.dispatch(sim, msg);
+        self.dispatch(sim, msg, cover.digest());
     }
 
-    pub(super) fn dispatch(&mut self, sim: &mut Simulator, msg: Message) {
+    /// Acts on an authenticated message. `digest` is the request digest
+    /// its MAC check computed, if it did.
+    pub(super) fn dispatch(&mut self, sim: &mut Simulator, msg: Message, digest: Option<Digest>) {
         // Construction has no simulator handle, so the initial (view-0)
         // slot grant rides the first event this replica processes.
         self.maybe_arm_fast_path(sim);
         self.maybe_arm_read_lease(sim);
         match msg {
-            Message::Request(req) => self.on_request(sim, req),
+            Message::Request(req) => self.on_request(sim, req, digest),
             Message::PrePrepare {
                 view,
                 seq,
@@ -122,8 +124,9 @@ impl ReplicaInner {
         }
     }
 
-    /// A client request, from the wire or straight from the harness.
-    pub(super) fn on_request(&mut self, sim: &mut Simulator, req: Request) {
+    /// A client request, from the wire or straight from the harness, with
+    /// its digest if its MAC check computed one.
+    pub(super) fn on_request(&mut self, sim: &mut Simulator, req: Request, digest: Option<Digest>) {
         self.maybe_arm_fast_path(sim);
         match self.client_state.get_mut(&req.client) {
             Some((last_ts, _)) if req.timestamp < *last_ts => return, // stale
@@ -143,7 +146,7 @@ impl ReplicaInner {
         if !self.proposed.contains(&key)
             && !self.pending.iter().any(|r| (r.client, r.timestamp) == key)
         {
-            self.pending.push_back(req);
+            self.pending.push_back(Buffered { req, digest });
             self.arrivals.entry(key).or_insert_with(|| sim.now());
         }
         if self.cfg.primary(self.view) == self.id {

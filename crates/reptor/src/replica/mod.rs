@@ -23,6 +23,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Deref;
 use std::rc::{Rc, Weak};
 
 use bft_crypto::{Digest, KeyTable};
@@ -36,7 +37,7 @@ use crate::envelope::{Envelope, SealBuffers};
 use crate::executor::Executor;
 use crate::mesh::backoff;
 use crate::messages::{
-    batch_digest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, View,
+    batch_digest, BatchDigest, ClientId, Message, PreparedProof, ReplicaId, Request, SeqNum, View,
     MANIFEST_CHUNK,
 };
 use crate::pipeline::{Instance, Pipeline, PipelineStats};
@@ -222,7 +223,7 @@ struct ReplicaInner {
     cores: Box<[CoreId]>,
     /// The deterministic total-order execution stage.
     executor: Executor,
-    pending: VecDeque<Request>,
+    pending: VecDeque<Buffered>,
     proposed: BTreeSet<(ClientId, u64)>,
     client_state: HashMap<ClientId, (u64, Vec<u8>)>,
     /// `seq → digest → voter → read offer`, for checkpoint certificates.
@@ -588,7 +589,7 @@ impl Replica {
     /// to the wire is skipped here: a message other than a client's must
     /// name a replica.
     pub fn inject_message(&self, sim: &mut Simulator, msg: Message) {
-        self.unless_crashed(|inner| inner.dispatch(sim, msg));
+        self.unless_crashed(|inner| inner.dispatch(sim, msg, None));
     }
 
     /// Restarts the replica cold: every piece of volatile state —
@@ -605,7 +606,7 @@ impl Replica {
 
     /// Client request entry point (also used directly by the harness).
     pub fn on_request(&self, sim: &mut Simulator, req: Request) {
-        self.unless_crashed(|inner| inner.on_request(sim, req));
+        self.unless_crashed(|inner| inner.on_request(sim, req, None));
     }
 }
 
@@ -639,8 +640,39 @@ impl ReplicaInner {
     }
 }
 
-fn batch_bytes(batch: &[Request]) -> usize {
-    batch.iter().map(|r| r.payload.len() + 16).sum::<usize>()
+/// A client request as a replica buffers it, with the digest its MAC
+/// check computed if its MACs covered one (`envelope.rs`).
+#[derive(Debug)]
+struct Buffered {
+    req: Request,
+    digest: Option<Digest>,
+}
+
+impl Deref for Buffered {
+    type Target = Request;
+
+    fn deref(&self) -> &Request {
+        &self.req
+    }
+}
+
+impl ReplicaInner {
+    /// The digest of a batch that arrived from another replica, and what
+    /// computing it costs. A request's held digest is reused only when the
+    /// batch carries the very bytes whose MAC this replica checked.
+    fn fold_batch(&self, batch: &[Request]) -> (Digest, Nanos) {
+        let mut fold = BatchDigest::default();
+        for req in batch {
+            let held = self
+                .pending
+                .iter()
+                .find(|b| b.req == *req)
+                .and_then(|b| b.digest);
+            fold.push(req, held);
+        }
+        let (digest, hashed) = fold.finish();
+        (digest, self.cfg.crypto.digest_cost(hashed))
+    }
 }
 
 #[cfg(test)]

@@ -76,6 +76,7 @@ impl ReplicaInner {
                 return;
             }
             let mut batch: Vec<Request> = Vec::new();
+            let mut fold = BatchDigest::default();
             let mut bytes = 0;
             while batch.len() < batch_size {
                 let Some(r) = self.pending.pop_front() else {
@@ -89,7 +90,8 @@ impl ReplicaInner {
                     break;
                 }
                 bytes += r.payload.len();
-                batch.push(r);
+                fold.push(&r.req, r.digest);
+                batch.push(r.req);
             }
             if batch.is_empty() {
                 return;
@@ -102,10 +104,9 @@ impl ReplicaInner {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            let digest = batch_digest(&batch);
+            let (digest, hashed) = fold.finish();
             let core = self.affinity.seq_core(seq);
-            let cost = self.cfg.crypto.digest_cost(batch_bytes(&batch));
-            self.charge(sim, core, cost);
+            self.charge(sim, core, self.cfg.crypto.digest_cost(hashed));
             self.stats.pre_prepares_sent += 1;
             self.counters[ReplicaCounter::PrePreparesSent].incr();
             self.histos[ReplicaHisto::BatchFillPct]

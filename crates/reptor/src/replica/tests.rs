@@ -399,8 +399,11 @@ fn a_reply_is_sealed_on_the_earlier_free_of_the_execution_and_ordering_cores() {
 
 /// What checking the MAC of the sealed message `wire` costs `replica`.
 fn check_cost(replica: &RefCell<ReplicaInner>, wire: &[u8]) -> Nanos {
-    let covered = Envelope::parse(wire).unwrap().covered().len();
-    replica.borrow().cfg.crypto.verify_cost(covered)
+    let envelope = Envelope::parse(wire).unwrap();
+    let body = envelope.body().len();
+    envelope
+        .covered()
+        .verify_cost(body, &replica.borrow().cfg.crypto)
 }
 
 #[test]
@@ -416,7 +419,12 @@ fn a_request_is_verified_on_the_earliest_free_core_of_the_host() {
         })
         .seal(&client, &[0, 1, 2, 3])
     };
+    // A body of at least 1 KiB is MACed over its digest: the check hashes
+    // the body once, then checks a 32-byte MAC.
     let cost = check_cost(&backup, &request(1));
+    let crypto = backup.borrow().cfg.crypto.clone();
+    let body = 17 + 1024;
+    assert_eq!(cost, crypto.digest_cost(body) + crypto.verify_cost(32));
     let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| r.on_raw(sim, &request(1)));
     assert_eq!(paid, (CoreId(0), cost), "every core idle: core 0");
 
@@ -432,6 +440,154 @@ fn a_request_is_verified_on_the_earliest_free_core_of_the_host() {
         "core 0 loaded: the earliest-free other"
     );
     assert_eq!(backup.borrow().pending.len(), 2, "both requests dispatched");
+    assert!(
+        backup
+            .borrow()
+            .pending
+            .iter()
+            .all(|b| b.digest == Some(b.req.digest())),
+        "each kept with the digest its check computed"
+    );
+}
+
+fn client_keys() -> KeyTable {
+    KeyTable::new(4, crate::cluster::DOMAIN_SECRET.to_vec())
+}
+
+/// A client's 4 KB request, as the client seals it for every replica.
+fn four_kb_request(timestamp: u64, fill: u8) -> (Request, Vec<u8>) {
+    let req = Request {
+        client: 4,
+        timestamp,
+        payload: vec![fill; 4096],
+    };
+    let wire = Message::Request(req.clone()).seal(&client_keys(), &[0, 1, 2, 3]);
+    (req, wire)
+}
+
+/// What a backup's seq core pays to send its PREPARE for `seq`.
+fn prepare_seal_cost(r: &ReplicaInner, seq: SeqNum, digest: Digest) -> Nanos {
+    let prepare = Message::Prepare {
+        view: 0,
+        seq,
+        digest,
+        replica: r.id,
+    };
+    r.cfg
+        .crypto
+        .authenticator_cost(prepare.encoded_len(), r.cfg.n - 1)
+}
+
+#[test]
+fn a_backup_holding_a_request_folds_its_digest_into_the_batch_digest() {
+    let mut c = cluster(8, 54);
+    let backup = c.replicas[1].inner.clone();
+    let (req, wire) = four_kb_request(1, 7);
+    backup.borrow_mut().on_raw(&mut c.sim, &wire);
+    let batch = vec![req];
+    let digest = batch_digest(&batch);
+    let (seq, core) = (1, backup.borrow().affinity.seq_core(1));
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| {
+        r.handle_pre_prepare(sim, 0, seq, digest, batch)
+    });
+    let r = backup.borrow();
+    assert_eq!(r.stats.prepares_sent, 1);
+    assert_eq!(
+        paid,
+        (
+            core,
+            r.cfg.crypto.digest_cost(40) + prepare_seal_cost(&r, seq, digest)
+        ),
+        "one held digest folded in, then the PREPARE sealed"
+    );
+}
+
+#[test]
+fn a_held_digest_never_vouches_for_other_bytes() {
+    let mut c = cluster(8, 55);
+    let backup = c.replicas[1].inner.clone();
+    let (held, wire) = four_kb_request(1, 7);
+    backup.borrow_mut().on_raw(&mut c.sim, &wire);
+    // The same client and timestamp, another payload.
+    let other = vec![Request {
+        payload: vec![8; 4096],
+        ..held.clone()
+    }];
+    let crypto = backup.borrow().cfg.crypto.clone();
+    let full = crypto.digest_cost(4096 + 16);
+
+    // Its header carries the held request's digest: the batch is hashed in
+    // full and refused.
+    let held_digest = batch_digest(std::slice::from_ref(&held));
+    let core = backup.borrow().affinity.seq_core(1);
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| {
+        r.handle_pre_prepare(sim, 0, 1, held_digest, other.clone())
+    });
+    assert_eq!(paid, (core, full));
+    let stats = backup.borrow().stats;
+    assert_eq!((stats.digest_mismatch_dropped, stats.prepares_sent), (1, 0));
+
+    // Its header carries its own digest: hashed in full and prepared.
+    let digest = batch_digest(&other);
+    let core = backup.borrow().affinity.seq_core(2);
+    let paid = the_core_that_paid(&backup, &mut c.sim, |r, sim| {
+        r.handle_pre_prepare(sim, 0, 2, digest, other)
+    });
+    let r = backup.borrow();
+    assert_eq!(paid, (core, full + prepare_seal_cost(&r, 2, digest)));
+    assert_eq!(
+        (r.stats.digest_mismatch_dropped, r.stats.prepares_sent),
+        (1, 1)
+    );
+}
+
+#[test]
+fn a_folded_batch_digest_is_the_batch_digest() {
+    let mut c = cluster(8, 56);
+    // Requests 1 and 3 arrive sealed; request 2 straight from the harness,
+    // so no replica holds its digest.
+    let (r1, w1) = four_kb_request(1, 1);
+    let (r3, w3) = four_kb_request(3, 3);
+    let r2 = Request {
+        client: 4,
+        timestamp: 2,
+        payload: vec![2; 4096],
+    };
+    let batch = vec![r1, r2.clone(), r3];
+    let backup = c.replicas[1].inner.clone();
+    {
+        let mut b = backup.borrow_mut();
+        b.on_raw(&mut c.sim, &w1);
+        b.on_raw(&mut c.sim, &w3);
+        b.on_request(&mut c.sim, r2.clone(), None);
+        let (digest, cost) = b.fold_batch(&batch);
+        assert_eq!(digest, batch_digest(&batch));
+        assert_eq!(cost, b.cfg.crypto.digest_cost(2 * 40 + 4096 + 16));
+    }
+
+    // The primary folds what it holds into the digest it proposes, and
+    // every backup agrees with it.
+    let primary = c.replicas[0].inner.clone();
+    for wire in [&w1, &w3] {
+        primary.borrow_mut().on_raw(&mut c.sim, wire);
+    }
+    c.settle();
+    let p = primary.borrow();
+    let proposed: Vec<_> = p
+        .pipelines
+        .iter()
+        .flat_map(|pl| pl.log.values())
+        .map(|e| (e.digest, e.batch.clone().unwrap()))
+        .collect();
+    assert!(!proposed.is_empty());
+    for (digest, batch) in proposed {
+        assert_eq!(digest, Some(batch_digest(&batch)));
+    }
+    drop(p);
+    for r in &c.replicas {
+        assert_eq!(r.stats().digest_mismatch_dropped, 0, "replica {}", r.id());
+    }
+    assert_eq!(c.replicas[0].executed_log(), c.replicas[3].executed_log());
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! The queue is the simulator's hottest data structure: every frame delivery,
 //! CPU completion and protocol timer passes through it. The benchmark
 //! workloads keep at most about five thousand events pending, and the
-//! ignored geo-scale tests about a hundred thousand.
+//! geo-scale tests (`tests/geo_scale.rs`) about a hundred thousand.
 //!
 //! * **Arena-allocated events.** Actions live in a slab ([`Slot`] arena with
 //!   a free list); the heap orders 16-byte plain-old-data [`Entry`] values

@@ -199,6 +199,65 @@ fn signed_envelopes_are_pinned() {
     }
 }
 
+/// A REQUEST whose body is exactly 1 KiB, the smallest whose MACs cover
+/// the request's digest instead of its body.
+fn large_request() -> Message {
+    Message::Request(Request {
+        client: 10,
+        timestamp: 1,
+        payload: (0..1024 - 17).map(|i| (i % 251) as u8).collect(),
+    })
+}
+
+/// `large_request()` sealed by replica 0's keys towards 1, 2 and 3: the
+/// body, then MACs over `Request::digest`.
+const LARGE_REQUEST_SIGNED: &str = concat!(
+    "00040000000a0000000100000000000000ef030000000102030405060708090a0b0c0d0e0f101112131415161718191a",
+    "1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a",
+    "4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a",
+    "7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aa",
+    "abacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9da",
+    "dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fa000102030405060708090a0b0c0d0e0f",
+    "101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
+    "404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f",
+    "707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f",
+    "a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecf",
+    "d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fa0001020304",
+    "05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f3031323334",
+    "35363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f6061626364",
+    "65666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f9091929394",
+    "95969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4",
+    "c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4",
+    "f5f6f7f8f9fa000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526272829",
+    "2a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f50515253545556575859",
+    "5a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f80818283848586878889",
+    "8a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9",
+    "babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9",
+    "eaebecedeeeff0f1f2f3f4f5f6f7f8f9fa000102000000000300000001000000d34dd267ba4a66dc50a89f401c61b1c6",
+    "e85671800329aff69e6311cb96961394020000006690fe44adf7aed7392260bb5d703edb9adfabdaa459aac1ac298c6e",
+    "5774850103000000c1df7fe1a68b9f9759778997f79eac4dee5975c963ed1c6488ab4656fb777f4d",
+);
+
+#[test]
+fn a_large_request_envelope_is_pinned() {
+    let msg = large_request();
+    assert_eq!(msg.encode().len(), 1024);
+    let sender = KeyTable::new(0, DOMAIN_SECRET);
+    let signed = SignedMessage::create(&msg, &sender, &[1, 2, 3]);
+    assert_eq!(hex(&signed.encode()), LARGE_REQUEST_SIGNED);
+    let Message::Request(req) = &msg else {
+        unreachable!()
+    };
+    for (receiver, mac) in &signed.auth.macs {
+        let over_digest = sender.authenticate(req.digest().as_ref(), &[*receiver]);
+        assert_eq!(over_digest.macs, [(*receiver, *mac)], "MAC for {receiver}");
+    }
+    let receiver = KeyTable::new(2, DOMAIN_SECRET);
+    let back =
+        SignedMessage::decode(&unhex(LARGE_REQUEST_SIGNED)).expect("pinned envelope decodes");
+    assert_eq!(back.verify_and_decode(&receiver), Ok(Some(msg)));
+}
+
 #[test]
 fn sealing_and_opening_agree_with_the_owned_form() {
     // `seal` and `Envelope::open`, `SignedMessage::create` and
@@ -208,7 +267,7 @@ fn sealing_and_opening_agree_with_the_owned_form() {
     let sender = KeyTable::new(0, DOMAIN_SECRET);
     let receiver = KeyTable::new(2, DOMAIN_SECRET);
     let stranger = KeyTable::new(7, DOMAIN_SECRET);
-    for msg in messages() {
+    for msg in messages().into_iter().chain([large_request()]) {
         let wire = msg.seal(&sender, &[1, 2, 3]);
         let signed = SignedMessage::create(&msg, &sender, &[1, 2, 3]);
         assert_eq!(wire, signed.encode(), "{}", msg.kind());
