@@ -943,6 +943,61 @@ mod tests {
         assert!(p.scq_a.poll(8)[0].is_ok());
     }
 
+    /// Posts a `len`-byte WRITE_WITH_IMM from A into a fresh region of B.
+    fn write_with_imm_bytes(p: &mut Pair, len: usize) {
+        let target = p
+            .dev_b
+            .reg_mr(&p.pd_b, len, Access::LOCAL_WRITE | Access::REMOTE_WRITE);
+        let src = p.dev_a.reg_mr(&p.pd_a, len, Access::NONE);
+        let wr = SendWr::write_with_imm(WrId(43), Sge::whole(src), target.rkey(), 0, 1);
+        p.qp_a.post_send(&mut p.tb.sim, wr).unwrap();
+    }
+
+    fn post_recvs(p: &mut Pair, lens: &[usize]) {
+        for (i, &len) in lens.iter().enumerate() {
+            let rbuf = p.dev_b.reg_mr(&p.pd_b, len, Access::LOCAL_WRITE);
+            p.qp_b
+                .post_recv(&mut p.tb.sim, RecvWr::new(WrId(i as u64), Sge::whole(rbuf)))
+                .unwrap();
+        }
+    }
+
+    fn recv_opcodes(p: &Pair) -> Vec<WcOpcode> {
+        p.rcq_b.poll(8).iter().map(|wc| wc.opcode).collect()
+    }
+
+    #[test]
+    fn write_with_imm_completes_after_an_earlier_send() {
+        // The WRITE_WITH_IMM lands while the large SEND ahead of it is
+        // still being placed; RC order still completes the SEND first.
+        let mut p = connected_pair();
+        post_recvs(&mut p, &[65536, 64]);
+        send_bytes(&mut p, &vec![7u8; 65536], false);
+        write_with_imm_bytes(&mut p, 64);
+        p.tb.sim.run_until_idle();
+        assert_eq!(
+            recv_opcodes(&p),
+            [WcOpcode::Recv, WcOpcode::RecvRdmaWithImm]
+        );
+    }
+
+    #[test]
+    fn held_write_with_imm_completes_after_a_held_send() {
+        // Both arrive with no receive posted and wait in the RNR hold; the
+        // receives posted later are claimed in arrival order.
+        let mut p = connected_pair();
+        send_bytes(&mut p, &vec![7u8; 4096], false);
+        write_with_imm_bytes(&mut p, 64);
+        p.tb.sim.run_for(Nanos::from_micros(50));
+        assert_eq!(p.rcq_b.pending(), 0, "both held");
+        post_recvs(&mut p, &[4096, 64]);
+        p.tb.sim.run_until_idle();
+        assert_eq!(
+            recv_opcodes(&p),
+            [WcOpcode::Recv, WcOpcode::RecvRdmaWithImm]
+        );
+    }
+
     #[test]
     fn reg_mr_cost_is_exposed_for_critical_path_decisions() {
         // RUBIN's pool pre-registers at setup because registration is
