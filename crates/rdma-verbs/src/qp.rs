@@ -787,6 +787,14 @@ impl QueuePair {
                     imm,
                     seq,
                 } => self.handle_inbound_send(sim, src_qp, data, imm, seq, true),
+                RdmaPacket::WriteReq {
+                    src_qp,
+                    rkey,
+                    offset,
+                    data,
+                    imm,
+                    seq,
+                } => self.handle_write(sim, src_qp, rkey, offset, data, imm, seq, true),
                 other => self.dispatch(sim, other),
             }
         }
@@ -871,7 +879,7 @@ impl QueuePair {
                 data,
                 imm,
                 seq,
-            } => self.handle_write(sim, src_qp, rkey, offset, data, imm, seq),
+            } => self.handle_write(sim, src_qp, rkey, offset, data, imm, seq, false),
             RdmaPacket::ReadReq {
                 src_qp: _,
                 rkey,
@@ -1071,6 +1079,7 @@ impl QueuePair {
         data: Vec<u8>,
         imm: Option<u32>,
         seq: u64,
+        redelivery: bool,
     ) {
         let model = self.device.model().clone();
         {
@@ -1102,43 +1111,75 @@ impl QueuePair {
                 return;
             }
         };
-        if imm.is_some() {
-            // WRITE_WITH_IMM consumes a receive WR; hold if none is posted.
-            let has_recv = !self.inner.borrow().recv_queue.is_empty();
-            if !has_recv {
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.rnr_stalls += 1;
-                    inner.counters[QpCounter::RnrRetries].incr();
-                    inner.rx_mark_seen(seq);
-                    inner.held.push_back(HeldInbound {
+        // WRITE_WITH_IMM consumes a receive WR, claimed on arrival in the
+        // same FIFO order as a SEND's: behind anything RNR-held, or held.
+        let rwr = if imm.is_some() {
+            let mut inner = self.inner.borrow_mut();
+            let wr = if redelivery || inner.held.is_empty() {
+                inner.recv_queue.pop_front()
+            } else {
+                None
+            };
+            if wr.is_none() {
+                inner.stats.rnr_stalls += 1;
+                inner.counters[QpCounter::RnrRetries].incr();
+                inner.metrics.trace(
+                    sim.now(),
+                    "rdma",
+                    format!("{}rnr_hold seq={seq}", inner.metrics_prefix),
+                );
+                inner.rx_mark_seen(seq);
+                inner.held.push_back(HeldInbound {
+                    seq,
+                    packet: RdmaPacket::WriteReq {
+                        src_qp,
+                        rkey,
+                        offset,
+                        data,
+                        imm,
                         seq,
-                        packet: RdmaPacket::WriteReq {
-                            src_qp,
-                            rkey,
-                            offset,
-                            data,
-                            imm,
-                            seq,
-                        },
-                    });
-                }
+                    },
+                });
+                drop(inner);
                 let deadline = sim.now()
                     + Nanos::from_nanos(model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1));
                 let qp = self.clone();
                 sim.schedule_at(deadline, move |sim| qp.expire_held(sim, seq));
                 return;
             }
-        }
-        self.inner.borrow_mut().rx_mark_seen(seq);
-        let dma = model.dma_cost(data.len());
-        let done_at = sim.now() + dma;
+            wr
+        } else {
+            None
+        };
+        // Placed on the receive horizon like a SEND, so its completion and
+        // ACK never overtake an earlier message's; a plain WRITE has no CQE
+        // to wait for.
+        let placed = {
+            let mut inner = self.inner.borrow_mut();
+            inner.rx_mark_seen(seq);
+            inner.rx_dma_until = sim.now().max(inner.rx_dma_until) + model.dma_cost(data.len());
+            inner.rx_dma_until
+        };
+        let cqe = if rwr.is_some() { model.cqe_ns } else { 0 };
         let qp = self.clone();
-        sim.schedule_at(done_at, move |sim| {
+        sim.schedule_at(placed + Nanos::from_nanos(cqe), move |sim| {
             let len = data.len();
             let write_ok = target.dma_write(offset, &data).is_ok();
             qp.device.net().buffer_pool().put(data);
             if !write_ok {
+                // The region was deregistered since admission: the requester
+                // fails on the NAK, and the claimed receive fails with it.
+                if let Some(rwr) = rwr {
+                    let inner = qp.inner.borrow();
+                    inner.recv_cq.push(Wc {
+                        wr_id: rwr.wr_id,
+                        status: WcStatus::LocalProtectionError,
+                        opcode: WcOpcode::RecvRdmaWithImm,
+                        byte_len: 0,
+                        qp: inner.num,
+                        imm,
+                    });
+                }
                 qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
                 return;
             }
@@ -1150,19 +1191,17 @@ impl QueuePair {
                     .host(inner.local_addr.host)
                     .borrow()
                     .count_dma(len);
-                if let Some(iv) = imm {
-                    if let Some(rwr) = inner.recv_queue.pop_front() {
-                        inner.counters[QpCounter::RecvsCompleted].incr();
-                        let wc = Wc {
-                            wr_id: rwr.wr_id,
-                            status: WcStatus::Success,
-                            opcode: WcOpcode::RecvRdmaWithImm,
-                            byte_len: len,
-                            qp: inner.num,
-                            imm: Some(iv),
-                        };
-                        inner.recv_cq.push(wc);
-                    }
+                if let Some(rwr) = rwr {
+                    inner.counters[QpCounter::RecvsCompleted].incr();
+                    let wc = Wc {
+                        wr_id: rwr.wr_id,
+                        status: WcStatus::Success,
+                        opcode: WcOpcode::RecvRdmaWithImm,
+                        byte_len: len,
+                        qp: inner.num,
+                        imm,
+                    };
+                    inner.recv_cq.push(wc);
                 }
                 (inner.local_addr, inner.remote)
             };
