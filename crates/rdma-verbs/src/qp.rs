@@ -37,11 +37,13 @@ use std::rc::{Rc, Weak};
 
 use simnet::{Addr, CoreId, Counters, EventId, Nanos, Simulator};
 
+use crate::config::RnicModel;
 use crate::device::{EventHook, RdmaDevice, WeakDevice};
 use crate::error::{VerbsError, VerbsResult};
+use crate::mr::MemoryRegion;
 use crate::packet::RdmaPacket;
-use crate::types::{Access, QpNum, QpState, Wc, WcOpcode, WcStatus, WrId};
-use crate::wr::{RecvWr, SendOp, SendWr};
+use crate::types::{Access, QpNum, QpState, RKey, Wc, WcOpcode, WcStatus, WrId};
+use crate::wr::{RecvWr, SendOp, SendWr, Sge};
 use crate::CompletionQueue;
 
 simnet::metric_names! {
@@ -72,34 +74,44 @@ pub struct QpStats {
     pub sends_posted: u64,
     /// Receive-queue WRs posted.
     pub recvs_posted: u64,
-    /// Payload bytes carried by completed outbound operations.
-    pub bytes_sent: u64,
     /// Payload bytes placed by inbound operations.
     pub bytes_received: u64,
     /// Inbound messages that had to wait for a receive WR (RNR holds).
     pub rnr_stalls: u64,
     /// Successful completions suppressed by selective signaling.
     pub completions_suppressed: u64,
-    /// Packets dropped because the QP could not receive.
-    pub dropped_packets: u64,
     /// Operations retransmitted after an ACK timeout.
     pub retransmits: u64,
     /// Inbound duplicates (retransmitted or fault-duplicated copies)
     /// suppressed by receiver-side sequence tracking.
     pub duplicates_suppressed: u64,
-    /// Inbound request packets dropped for arriving ahead of the in-order
-    /// sequence watermark (go-back-N: an earlier packet was lost and the
-    /// sender will retransmit the whole tail in order).
-    pub ooo_dropped: u64,
 }
 
-struct PendingSend {
+/// What a send-queue operation's completion reports.
+struct SentOp {
     wr_id: WrId,
     signaled: bool,
     opcode: WcOpcode,
     byte_len: usize,
+}
+
+impl SentOp {
+    fn wc(&self, qp: QpNum, status: WcStatus, byte_len: usize) -> Wc {
+        Wc {
+            wr_id: self.wr_id,
+            status,
+            opcode: self.opcode,
+            byte_len,
+            qp,
+            imm: None,
+        }
+    }
+}
+
+struct PendingSend {
+    op: SentOp,
     /// Local destination for READ responses.
-    read_sink: Option<crate::wr::Sge>,
+    read_sink: Option<Sge>,
     /// Copy of the emitted packet, kept for retransmission.
     packet: RdmaPacket,
     /// Transport retries remaining before `RetryExceeded`.
@@ -108,9 +120,23 @@ struct PendingSend {
     retry_timer: Option<EventId>,
 }
 
-struct HeldInbound {
+/// An inbound SEND or WRITE past the sequence gate, as it arrived or as it
+/// waits in the RNR hold.
+struct Inbound {
     seq: u64,
-    packet: RdmaPacket,
+    data: Vec<u8>,
+    imm: Option<u32>,
+    /// A WRITE's `(rkey, offset)`; `None` for a SEND.
+    write: Option<(u32, usize)>,
+}
+
+/// Where an admitted message's bytes land, and the receive it completes.
+struct Landing {
+    mr: MemoryRegion,
+    offset: usize,
+    /// The claimed receive WR and the opcode of its completion; `None` for
+    /// a plain WRITE, which completes no receive.
+    recv: Option<(WrId, WcOpcode)>,
 }
 
 pub(crate) struct QpInner {
@@ -123,16 +149,16 @@ pub(crate) struct QpInner {
     local_addr: Addr,
     remote: Option<(Addr, QpNum)>,
     recv_queue: VecDeque<RecvWr>,
-    held: VecDeque<HeldInbound>,
+    held: VecDeque<Inbound>,
     pending: HashMap<u64, PendingSend>,
     /// Send WRs accepted but not yet completed (capacity accounting).
     outstanding_sends: usize,
     /// The NIC's WQE-processing horizon: send work requests are fetched
     /// and executed in posting order.
     nic_busy_until: Nanos,
-    /// The receive side's placement horizon: inbound SENDs are DMAed into
-    /// their receive buffers one after another, so each completion comes
-    /// no earlier than the one before it (RC delivers in order).
+    /// The receive side's placement horizon: inbound SENDs and WRITEs are
+    /// DMAed into place one after another, so each completion comes no
+    /// earlier than the one before it (RC delivers in order).
     rx_dma_until: Nanos,
     next_seq: u64,
     /// Receiver-side sequence watermark: the next in-order sequence number
@@ -167,6 +193,73 @@ impl QpInner {
         if seq == self.rx_expected {
             self.rx_expected += 1;
         }
+    }
+
+    /// Counts and reports an operation the peer answered: a success only
+    /// when signaled, a failure always.
+    fn complete_send(&mut self, op: &SentOp, status: WcStatus, byte_len: usize) {
+        self.counters[QpCounter::SendsCompleted].incr();
+        if op.signaled || status != WcStatus::Success {
+            self.counters[QpCounter::SignaledCompletions].incr();
+            self.send_cq.push(op.wc(self.num, status, byte_len));
+        } else {
+            self.stats.completions_suppressed += 1;
+            self.counters[QpCounter::UnsignaledCompletions].incr();
+        }
+    }
+}
+
+/// A work request either queue takes.
+trait WorkRequest {
+    /// Whether `qp`'s state admits this kind of request, how many the
+    /// queue holds and how many it may hold.
+    fn queue(qp: &QpInner, model: &RnicModel) -> (bool, usize, usize);
+    fn sge(&self) -> &Sge;
+    /// The check this kind of request needs beyond PD and range.
+    fn check(&self, model: &RnicModel) -> VerbsResult<()>;
+}
+
+impl WorkRequest for RecvWr {
+    fn queue(qp: &QpInner, model: &RnicModel) -> (bool, usize, usize) {
+        let can = qp.state.can_post_recv();
+        (can, qp.recv_queue.len(), model.max_recv_wr)
+    }
+
+    fn sge(&self) -> &Sge {
+        &self.sge
+    }
+
+    fn check(&self, _: &RnicModel) -> VerbsResult<()> {
+        if !self.sge.mr.access().allows(Access::LOCAL_WRITE) {
+            return Err(VerbsError::LocalAccess);
+        }
+        Ok(())
+    }
+}
+
+impl WorkRequest for SendWr {
+    fn queue(qp: &QpInner, model: &RnicModel) -> (bool, usize, usize) {
+        let can = qp.state.can_post_send();
+        (can, qp.outstanding_sends, model.max_send_wr)
+    }
+
+    fn sge(&self) -> &Sge {
+        &self.sge
+    }
+
+    fn check(&self, model: &RnicModel) -> VerbsResult<()> {
+        if self.inline && self.sge.len > model.max_inline {
+            return Err(VerbsError::InlineTooLarge {
+                len: self.sge.len,
+                max: model.max_inline,
+            });
+        }
+        if matches!(self.op, SendOp::Read { .. })
+            && !self.sge.mr.access().allows(Access::LOCAL_WRITE)
+        {
+            return Err(VerbsError::LocalAccess);
+        }
+        Ok(())
     }
 }
 
@@ -211,7 +304,6 @@ impl fmt::Debug for QueuePair {
             .finish()
     }
 }
-
 impl QueuePair {
     pub(crate) fn new(
         device: RdmaDevice,
@@ -396,46 +488,15 @@ impl QueuePair {
     where
         W: AsRef<[RecvWr]> + IntoIterator<Item = RecvWr>,
     {
-        let model = self.device.model().clone();
-        let cpu_done;
-        {
-            let batch = wrs.as_ref();
+        let cpu_done = {
             let mut inner = self.inner.borrow_mut();
-            if !inner.state.can_post_recv() {
-                return Err(VerbsError::InvalidQpState {
-                    qp: inner.num,
-                    state: inner.state,
-                });
-            }
-            if batch.len() > model.max_post_batch {
-                return Err(VerbsError::BatchTooLarge {
-                    len: batch.len(),
-                    max: model.max_post_batch,
-                });
-            }
-            if inner.recv_queue.len() + batch.len() > model.max_recv_wr {
-                return Err(VerbsError::QueueFull {
-                    qp: inner.num,
-                    capacity: model.max_recv_wr,
-                });
-            }
-            for wr in batch {
-                if wr.sge.mr.pd() != inner.pd {
-                    return Err(VerbsError::PdMismatch);
-                }
-                wr.sge.mr.check_range(wr.sge.offset, wr.sge.len)?;
-                if !wr.sge.mr.access().allows(Access::LOCAL_WRITE) {
-                    return Err(VerbsError::LocalAccess);
-                }
-            }
-            let len = batch.len();
-            let cost = model.post_batch_cost(len);
-            let core = inner.core;
-            cpu_done = self.device.host_exec(sim, core, cost);
-            inner.stats.recvs_posted += len as u64;
-            inner.counters[QpCounter::RecvsPosted].add(len as u64);
+            let cpu_done = self.doorbell(sim, &inner, wrs.as_ref())?;
+            let len = wrs.as_ref().len() as u64;
+            inner.stats.recvs_posted += len;
+            inner.counters[QpCounter::RecvsPosted].add(len);
             inner.recv_queue.extend(wrs);
-        }
+            cpu_done
+        };
         // Any held inbound messages can now be delivered (after the posting
         // CPU work completes).
         let qp = self.clone();
@@ -477,49 +538,11 @@ impl QueuePair {
     where
         W: AsRef<[SendWr]> + IntoIterator<Item = SendWr>,
     {
-        let model = self.device.model().clone();
-        let cpu_done;
-        {
+        let model = self.device.model();
+        let cpu_done = {
             let batch = wrs.as_ref();
             let mut inner = self.inner.borrow_mut();
-            if !inner.state.can_post_send() {
-                return Err(VerbsError::InvalidQpState {
-                    qp: inner.num,
-                    state: inner.state,
-                });
-            }
-            if batch.len() > model.max_post_batch {
-                return Err(VerbsError::BatchTooLarge {
-                    len: batch.len(),
-                    max: model.max_post_batch,
-                });
-            }
-            if inner.outstanding_sends + batch.len() > model.max_send_wr {
-                return Err(VerbsError::QueueFull {
-                    qp: inner.num,
-                    capacity: model.max_send_wr,
-                });
-            }
-            for wr in batch {
-                if wr.sge.mr.pd() != inner.pd {
-                    return Err(VerbsError::PdMismatch);
-                }
-                wr.sge.mr.check_range(wr.sge.offset, wr.sge.len)?;
-                if wr.inline && wr.sge.len > model.max_inline {
-                    return Err(VerbsError::InlineTooLarge {
-                        len: wr.sge.len,
-                        max: model.max_inline,
-                    });
-                }
-                if matches!(wr.op, SendOp::Read { .. })
-                    && !wr.sge.mr.access().allows(Access::LOCAL_WRITE)
-                {
-                    return Err(VerbsError::LocalAccess);
-                }
-            }
-            let cost = model.post_batch_cost(batch.len());
-            let core = inner.core;
-            cpu_done = self.device.host_exec(sim, core, cost);
+            let cpu_done = self.doorbell(sim, &inner, batch)?;
             inner.stats.sends_posted += batch.len() as u64;
             inner.counters[QpCounter::SendsPosted].add(batch.len() as u64);
             for wr in batch {
@@ -530,7 +553,8 @@ impl QueuePair {
                 }
             }
             inner.outstanding_sends += batch.len();
-        }
+            cpu_done
+        };
         // NIC processing: WQE fetch plus payload DMA (skipped inline).
         // The NIC consumes WQEs strictly in posting order (RC ordering).
         for wr in wrs {
@@ -557,97 +581,139 @@ impl QueuePair {
         Ok(())
     }
 
+    /// The checks every post makes, then its CPU work: the QP's state
+    /// admits the queue, the batch fits the doorbell and the queue, and
+    /// each buffer lies in range in a region of this QP's PD. Returns when
+    /// the posting work is done.
+    fn doorbell<W: WorkRequest>(
+        &self,
+        sim: &Simulator,
+        inner: &QpInner,
+        batch: &[W],
+    ) -> VerbsResult<Nanos> {
+        let model = self.device.model();
+        let (can_post, queued, capacity) = W::queue(inner, model);
+        if !can_post {
+            return Err(VerbsError::InvalidQpState {
+                qp: inner.num,
+                state: inner.state,
+            });
+        }
+        if batch.len() > model.max_post_batch {
+            return Err(VerbsError::BatchTooLarge {
+                len: batch.len(),
+                max: model.max_post_batch,
+            });
+        }
+        if queued + batch.len() > capacity {
+            return Err(VerbsError::QueueFull {
+                qp: inner.num,
+                capacity,
+            });
+        }
+        for wr in batch {
+            let sge = wr.sge();
+            if sge.mr.pd() != inner.pd {
+                return Err(VerbsError::PdMismatch);
+            }
+            sge.mr.check_range(sge.offset, sge.len)?;
+            wr.check(model)?;
+        }
+        let cost = model.post_batch_cost(batch.len());
+        Ok(self.device.host_exec(sim, inner.core, cost))
+    }
+
     /// NIC-side: fetch payload and emit the packet for one WR.
     fn nic_transmit(&self, sim: &mut Simulator, wr: SendWr) {
-        let model = self.device.model().clone();
         let pool = self.device.net().buffer_pool();
-        let (remote, seq, packet) = {
+        let op = SentOp {
+            wr_id: wr.wr_id,
+            signaled: wr.signaled,
+            opcode: opcode_of(&wr.op),
+            byte_len: wr.sge.len,
+        };
+        let (seq, packet) = {
             let mut inner = self.inner.borrow_mut();
             if inner.state == QpState::Error {
                 // Queue pair failed between posting and fetch: flush.
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                let wc = Wc {
-                    wr_id: wr.wr_id,
-                    status: WcStatus::WorkRequestFlushed,
-                    opcode: opcode_of(&wr.op),
-                    byte_len: 0,
-                    qp: inner.num,
-                    imm: None,
-                };
-                inner.send_cq.push(wc);
+                inner
+                    .send_cq
+                    .push(op.wc(inner.num, WcStatus::WorkRequestFlushed, 0));
                 return;
             }
-            let remote = inner.remote.expect("QP in RTS must have a remote endpoint");
             let seq = inner.next_seq;
             inner.next_seq += 1;
-
-            let packet = match &wr.op {
-                SendOp::Send { imm } => {
-                    match wr.sge.mr.dma_read_pooled(wr.sge.offset, wr.sge.len, &pool) {
-                        Ok(data) => RdmaPacket::Send {
-                            src_qp: inner.num,
-                            data,
-                            imm: *imm,
-                            seq,
-                        },
-                        Err(_) => {
-                            let num = inner.num;
-                            drop(inner);
-                            self.complete_error(sim, wr.wr_id, opcode_of(&wr.op), num);
-                            return;
-                        }
-                    }
-                }
+            let src_qp = inner.num;
+            let payload = || wr.sge.mr.dma_read_pooled(wr.sge.offset, wr.sge.len, &pool);
+            let packet = match wr.op {
+                SendOp::Send { imm } => payload().map(|data| RdmaPacket::Send {
+                    src_qp,
+                    data,
+                    imm,
+                    seq,
+                }),
                 SendOp::Write {
                     rkey,
                     remote_offset,
                     imm,
-                } => match wr.sge.mr.dma_read_pooled(wr.sge.offset, wr.sge.len, &pool) {
-                    Ok(data) => RdmaPacket::WriteReq {
-                        src_qp: inner.num,
-                        rkey: rkey.0,
-                        offset: *remote_offset,
-                        data,
-                        imm: *imm,
-                        seq,
-                    },
-                    Err(_) => {
-                        let num = inner.num;
-                        drop(inner);
-                        self.complete_error(sim, wr.wr_id, opcode_of(&wr.op), num);
-                        return;
-                    }
-                },
+                } => payload().map(|data| RdmaPacket::WriteReq {
+                    src_qp,
+                    rkey: rkey.0,
+                    offset: remote_offset,
+                    data,
+                    imm,
+                    seq,
+                }),
                 SendOp::Read {
                     rkey,
                     remote_offset,
-                } => RdmaPacket::ReadReq {
-                    src_qp: inner.num,
+                } => Ok(RdmaPacket::ReadReq {
+                    src_qp,
                     rkey: rkey.0,
-                    offset: *remote_offset,
+                    offset: remote_offset,
                     len: wr.sge.len,
                     seq,
-                },
+                }),
             };
+            let Ok(packet) = packet else {
+                // Local-protection failure discovered at WQE fetch time.
+                inner
+                    .send_cq
+                    .push(op.wc(src_qp, WcStatus::LocalProtectionError, 0));
+                drop(inner);
+                self.enter_error();
+                self.fire_hook(sim);
+                return;
+            };
+            let read_sink = matches!(wr.op, SendOp::Read { .. }).then_some(wr.sge);
             inner.pending.insert(
                 seq,
                 PendingSend {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    opcode: opcode_of(&wr.op),
-                    byte_len: wr.sge.len,
-                    read_sink: matches!(wr.op, SendOp::Read { .. }).then(|| wr.sge.clone()),
+                    op,
+                    read_sink,
                     packet: packet.clone_with_pool(&pool),
-                    retries_left: model.retry_cnt,
+                    retries_left: self.device.model().retry_cnt,
                     retry_timer: None,
                 },
             );
-            (remote, seq, packet)
+            (seq, packet)
         };
-        let wire = packet.wire_bytes(model.ack_bytes);
-        let local = self.local_addr();
-        self.device.net().send(sim, local, remote.0, wire, packet);
+        self.emit(sim, packet);
         self.arm_retry(sim, seq);
+    }
+
+    /// Puts `pkt` on the wire to the connected peer. Every packet a queue
+    /// pair sends leaves here; before it is connected there is no peer.
+    fn emit(&self, sim: &mut Simulator, pkt: RdmaPacket) {
+        let (local, remote) = {
+            let inner = self.inner.borrow();
+            (inner.local_addr, inner.remote)
+        };
+        if let Some((raddr, _)) = remote {
+            let wire = pkt.wire_bytes(self.device.model().ack_bytes);
+            self.device.net().send(sim, local, raddr, wire, pkt);
+        }
     }
 
     /// Arms (or re-arms) the ACK-timeout retransmission timer for `seq`.
@@ -672,7 +738,7 @@ impl QueuePair {
     /// the operation with [`WcStatus::RetryExceeded`] once the transport
     /// retry budget is spent.
     fn retry_fire(&self, sim: &mut Simulator, seq: u64) {
-        let model = self.device.model().clone();
+        let timeout = self.device.model().timeout;
         let rearm = {
             let inner = self.inner.borrow();
             if inner.state == QpState::Error || !inner.pending.contains_key(&seq) {
@@ -685,14 +751,14 @@ impl QueuePair {
                 // re-arm without consuming their retry budget — on a deep
                 // send queue their ACKs are late because of queueing, not
                 // loss.
-                Some(model.timeout)
+                Some(timeout)
             } else {
                 // Oldest entry, but the window advanced less than one
                 // timeout ago: the link is live, so keep clocking silence
                 // rather than age.
                 let idle = sim.now() - inner.last_ack_progress;
-                (inner.last_ack_progress > Nanos::ZERO && idle < model.timeout)
-                    .then(|| Nanos::from_nanos(model.timeout.as_nanos() - idle.as_nanos()))
+                (inner.last_ack_progress > Nanos::ZERO && idle < timeout)
+                    .then(|| Nanos::from_nanos(timeout.as_nanos() - idle.as_nanos()))
             }
         };
         if let Some(delay) = rearm {
@@ -701,102 +767,82 @@ impl QueuePair {
         }
         let resend = {
             let mut inner = self.inner.borrow_mut();
-            let Some(p) = inner.pending.get_mut(&seq) else {
-                // Completed while the timer event was already popped.
-                return;
-            };
-            if p.retries_left == 0 {
-                let p = inner.pending.remove(&seq).expect("checked present");
-                inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                inner.counters[QpCounter::RetryExceeded].incr();
-                inner.metrics.trace(
-                    sim.now(),
-                    "rdma",
-                    format!("{}retry_exceeded seq={seq}", inner.metrics_prefix),
-                );
-                let wc = Wc {
-                    wr_id: p.wr_id,
-                    status: WcStatus::RetryExceeded,
-                    opcode: p.opcode,
-                    byte_len: 0,
-                    qp: inner.num,
-                    imm: None,
-                };
-                inner.send_cq.push(wc);
-                None
-            } else {
+            let p = inner.pending.get_mut(&seq).expect("checked present");
+            (p.retries_left > 0).then(|| {
                 p.retries_left -= 1;
                 p.retry_timer = None;
-                let pkt = p.packet.clone();
+                p.packet.clone()
+            })
+        };
+        if let Some(pkt) = resend {
+            {
+                let mut inner = self.inner.borrow_mut();
                 inner.stats.retransmits += 1;
                 inner.counters[QpCounter::Retransmits].incr();
-                Some((pkt, inner.local_addr, inner.remote))
             }
-        };
-        match resend {
-            Some((pkt, local, Some((raddr, _)))) => {
-                let wire = pkt.wire_bytes(model.ack_bytes);
-                self.device.net().send(sim, local, raddr, wire, pkt);
-                self.arm_retry(sim, seq);
-            }
-            Some(_) => {}
-            None => {
-                // The peer is unreachable: fail the QP so the remaining
-                // queue flushes, exactly as RC hardware reports
-                // IBV_WC_RETRY_EXC_ERR and transitions to the error state.
-                self.enter_error();
-                self.fire_hook(sim);
-            }
+            self.emit(sim, pkt);
+            self.arm_retry(sim, seq);
+            return;
         }
-    }
-
-    /// Local-protection failure discovered at WQE fetch time.
-    fn complete_error(&self, sim: &mut Simulator, wr_id: WrId, opcode: WcOpcode, num: QpNum) {
+        let (op, _) = self.retire(sim, seq, false).expect("checked present");
         {
             let inner = self.inner.borrow();
-            inner.send_cq.push(Wc {
-                wr_id,
-                status: WcStatus::LocalProtectionError,
-                opcode,
-                byte_len: 0,
-                qp: num,
-                imm: None,
-            });
+            inner.counters[QpCounter::RetryExceeded].incr();
+            inner.metrics.trace(
+                sim.now(),
+                "rdma",
+                format!("{}retry_exceeded seq={seq}", inner.metrics_prefix),
+            );
+            inner
+                .send_cq
+                .push(op.wc(inner.num, WcStatus::RetryExceeded, 0));
         }
+        // The peer is unreachable: fail the QP so the remaining queue
+        // flushes, exactly as RC hardware reports IBV_WC_RETRY_EXC_ERR and
+        // transitions to the error state.
         self.enter_error();
         self.fire_hook(sim);
+    }
+
+    /// Takes `seq`'s operation off the send queue: frees its slot and
+    /// cancels its ACK timer. An operation the peer `answered` gives its
+    /// retransmission copy back to the pool; a timed-out one's is dropped,
+    /// as the error transition that follows drops the rest of the queue's.
+    /// The caller counts and completes the operation.
+    fn retire(
+        &self,
+        sim: &mut Simulator,
+        seq: u64,
+        answered: bool,
+    ) -> Option<(SentOp, Option<Sge>)> {
+        let p = {
+            let mut inner = self.inner.borrow_mut();
+            let p = inner.pending.remove(&seq)?;
+            inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
+            p
+        };
+        if let Some(id) = p.retry_timer {
+            sim.cancel(id);
+        }
+        if let Some(buf) = p.packet.into_data().filter(|_| answered) {
+            self.device.net().buffer_pool().put(buf);
+        }
+        Some((p.op, p.read_sink))
     }
 
     /// Delivers held inbound messages now that receive WRs are available.
     fn drain_held(&self, sim: &mut Simulator) {
         loop {
-            let item = {
+            let msg = {
                 let mut inner = self.inner.borrow_mut();
                 if inner.held.is_empty() || inner.recv_queue.is_empty() {
                     break;
                 }
                 inner.held.pop_front().expect("checked non-empty")
             };
-            // Held packets already passed the sequence gate on arrival;
-            // deliver directly (redelivery) so they are neither mistaken
-            // for duplicates nor blocked behind the remaining held tail.
-            match item.packet {
-                RdmaPacket::Send {
-                    src_qp,
-                    data,
-                    imm,
-                    seq,
-                } => self.handle_inbound_send(sim, src_qp, data, imm, seq, true),
-                RdmaPacket::WriteReq {
-                    src_qp,
-                    rkey,
-                    offset,
-                    data,
-                    imm,
-                    seq,
-                } => self.handle_write(sim, src_qp, rkey, offset, data, imm, seq, true),
-                other => self.dispatch(sim, other),
-            }
+            // Held messages already passed the sequence gate on arrival;
+            // each claims its receive now, ahead of any later arrival.
+            self.receive(sim, msg, true);
         }
     }
 
@@ -816,8 +862,9 @@ impl QueuePair {
     ///   original ACK may have been the loss. A duplicate READ is instead
     ///   re-served, because the data response itself may have been lost and
     ///   re-execution is idempotent.
-    /// * `seq == rx_expected` — accepted; the watermark advances at the
-    ///   accept sites once the packet passes validation.
+    /// * `seq == rx_expected` — accepted if the QP can receive; the
+    ///   watermark advances at the accept sites once the packet passes
+    ///   validation.
     pub(crate) fn handle_packet(&self, sim: &mut Simulator, pkt: RdmaPacket) {
         let gate = match &pkt {
             RdmaPacket::Send { seq, .. } | RdmaPacket::WriteReq { seq, .. } => Some((*seq, false)),
@@ -829,16 +876,19 @@ impl QueuePair {
                 Accept,
                 Drop,
                 ReAck,
-                Silent,
+                Discard,
             }
             let verdict = {
                 let mut inner = self.inner.borrow_mut();
                 if seq > inner.rx_expected {
-                    inner.stats.ooo_dropped += 1;
                     inner.counters[QpCounter::OooDropped].incr();
                     Verdict::Drop
                 } else if seq == inner.rx_expected || is_read {
-                    Verdict::Accept
+                    if inner.state.can_receive() {
+                        Verdict::Accept
+                    } else {
+                        Verdict::Discard
+                    }
                 } else {
                     inner.stats.duplicates_suppressed += 1;
                     inner.counters[QpCounter::DuplicatesSuppressed].incr();
@@ -847,45 +897,64 @@ impl QueuePair {
                     // that may yet be rejected. Otherwise re-ack, because
                     // a retransmission means our original ACK was lost.
                     if inner.held.iter().any(|h| h.seq == seq) {
-                        Verdict::Silent
+                        Verdict::Drop
                     } else {
                         Verdict::ReAck
                     }
                 }
             };
             match verdict {
-                Verdict::Drop | Verdict::Silent => return,
-                Verdict::ReAck => return self.send_ack(sim, seq),
                 Verdict::Accept => {}
+                Verdict::Drop => return,
+                Verdict::ReAck => return self.emit(sim, RdmaPacket::Ack { seq }),
+                Verdict::Discard => {
+                    if let Some(data) = pkt.into_data() {
+                        self.device.net().buffer_pool().put(data);
+                    }
+                    return;
+                }
             }
         }
-        self.dispatch(sim, pkt)
-    }
-
-    /// Dispatches a packet that passed (or is exempt from) duplicate
-    /// suppression.
-    fn dispatch(&self, sim: &mut Simulator, pkt: RdmaPacket) {
         match pkt {
-            RdmaPacket::Send {
-                src_qp,
-                data,
-                imm,
-                seq,
-            } => self.handle_inbound_send(sim, src_qp, data, imm, seq, false),
+            RdmaPacket::Send { data, imm, seq, .. } => {
+                let write = None;
+                self.receive(
+                    sim,
+                    Inbound {
+                        seq,
+                        data,
+                        imm,
+                        write,
+                    },
+                    false,
+                )
+            }
             RdmaPacket::WriteReq {
-                src_qp,
                 rkey,
                 offset,
                 data,
                 imm,
                 seq,
-            } => self.handle_write(sim, src_qp, rkey, offset, data, imm, seq, false),
+                ..
+            } => {
+                let write = Some((rkey, offset));
+                self.receive(
+                    sim,
+                    Inbound {
+                        seq,
+                        data,
+                        imm,
+                        write,
+                    },
+                    false,
+                )
+            }
             RdmaPacket::ReadReq {
-                src_qp: _,
                 rkey,
                 offset,
                 len,
                 seq,
+                ..
             } => self.handle_read(sim, rkey, offset, len, seq),
             RdmaPacket::ReadResp { seq, data } => self.handle_read_resp(sim, seq, data),
             RdmaPacket::Ack { seq } => self.handle_ack(sim, seq),
@@ -905,520 +974,291 @@ impl QueuePair {
         }
     }
 
-    fn handle_inbound_send(
-        &self,
-        sim: &mut Simulator,
-        src_qp: QpNum,
-        data: Vec<u8>,
-        imm: Option<u32>,
-        seq: u64,
-        redelivery: bool,
-    ) {
-        let model = self.device.model().clone();
-        enum Action {
-            Place(RecvWr),
+    /// The one receive path: admits an inbound SEND or WRITE that passed
+    /// the sequence gate (or a held one, on `redelivery`).
+    ///
+    /// A WRITE's rkey is checked first. A SEND or WRITE_WITH_IMM then
+    /// claims the next receive WR in arrival order: while earlier messages
+    /// wait in the RNR hold, a later arrival is held behind them rather
+    /// than overtake them. A plain WRITE claims nothing. Admitted messages
+    /// are placed one after another on the receive horizon; a receive's
+    /// CQE follows its placement by `cqe_ns`, and the ACK follows that, so
+    /// completions keep arrival order.
+    fn receive(&self, sim: &mut Simulator, msg: Inbound, redelivery: bool) {
+        let len = msg.data.len();
+        let target = match msg.write {
+            Some((rkey, offset)) => {
+                let region =
+                    self.remote_region(sim, rkey, offset, len, Access::REMOTE_WRITE, msg.seq);
+                let Some(mr) = region else {
+                    self.device.net().buffer_pool().put(msg.data);
+                    return;
+                };
+                Some((mr, offset))
+            }
+            None => None,
+        };
+        let claims = msg.write.is_none() || msg.imm.is_some();
+        enum Admit {
+            Land(Landing),
             Hold,
-            Drop,
             FailLength(RecvWr),
         }
-        let action = {
+        let admit = {
             let mut inner = self.inner.borrow_mut();
-            // FIFO: while earlier messages wait in the RNR hold queue, a
-            // later arrival must queue behind them rather than grab a
-            // fresh receive WR and overtake them.
-            let wr = if redelivery || inner.held.is_empty() {
+            let wr = if claims && (redelivery || inner.held.is_empty()) {
                 inner.recv_queue.pop_front()
             } else {
                 None
             };
-            if !inner.state.can_receive() {
-                inner.stats.dropped_packets += 1;
-                if let Some(rwr) = wr {
-                    inner.recv_queue.push_front(rwr);
+            match wr {
+                Some(rwr) if target.is_none() && (rwr.sge.len < len || !rwr.sge.mr.is_valid()) => {
+                    Admit::FailLength(rwr)
                 }
-                Action::Drop
-            } else if let Some(rwr) = wr {
-                if rwr.sge.len >= data.len() && rwr.sge.mr.is_valid() {
-                    inner.rx_mark_seen(seq);
-                    Action::Place(rwr)
-                } else {
-                    Action::FailLength(rwr)
-                }
-            } else {
-                if !redelivery {
+                None if claims => {
                     inner.stats.rnr_stalls += 1;
                     inner.counters[QpCounter::RnrRetries].incr();
                     inner.metrics.trace(
                         sim.now(),
                         "rdma",
-                        format!("{}rnr_hold seq={seq}", inner.metrics_prefix),
+                        format!("{}rnr_hold seq={}", inner.metrics_prefix, msg.seq),
                     );
+                    inner.rx_mark_seen(msg.seq);
+                    Admit::Hold
                 }
-                inner.rx_mark_seen(seq);
-                Action::Hold
+                wr => {
+                    inner.rx_mark_seen(msg.seq);
+                    Admit::Land(match target {
+                        Some((mr, offset)) => Landing {
+                            mr,
+                            offset,
+                            recv: wr.map(|r| (r.wr_id, WcOpcode::RecvRdmaWithImm)),
+                        },
+                        None => {
+                            let r = wr.expect("a SEND lands only in a claimed receive");
+                            Landing {
+                                mr: r.sge.mr,
+                                offset: r.sge.offset,
+                                recv: Some((r.wr_id, WcOpcode::Recv)),
+                            }
+                        }
+                    })
+                }
             }
         };
-        match action {
-            Action::Drop => {
-                self.device.net().buffer_pool().put(data);
-            }
-            Action::Place(rwr) => {
+        let model = self.device.model();
+        match admit {
+            Admit::Land(landing) => {
                 let placed = {
                     let mut inner = self.inner.borrow_mut();
-                    inner.rx_dma_until =
-                        sim.now().max(inner.rx_dma_until) + model.dma_cost(data.len());
+                    inner.rx_dma_until = sim.now().max(inner.rx_dma_until) + model.dma_cost(len);
                     inner.rx_dma_until
                 };
-                let cqe_at = placed + Nanos::from_nanos(model.cqe_ns);
+                let cqe = if landing.recv.is_some() {
+                    model.cqe_ns
+                } else {
+                    0
+                };
+                let Inbound { seq, data, imm, .. } = msg;
                 let qp = self.clone();
-                let len = data.len();
-                sim.schedule_at(cqe_at, move |sim| {
-                    let (num, remote, local) = {
-                        let mut inner = qp.inner.borrow_mut();
-                        let _ = rwr.sge.mr.dma_write(rwr.sge.offset, &data);
-                        qp.device.net().buffer_pool().put(data);
-                        inner.stats.bytes_received += len as u64;
-                        inner.counters[QpCounter::RecvsCompleted].incr();
-                        qp.device
-                            .net()
-                            .host(inner.local_addr.host)
-                            .borrow()
-                            .count_dma(len);
-                        let wc = Wc {
-                            wr_id: rwr.wr_id,
-                            status: WcStatus::Success,
-                            opcode: WcOpcode::Recv,
-                            byte_len: len,
-                            qp: inner.num,
-                            imm,
-                        };
-                        inner.recv_cq.push(wc);
-                        (inner.num, inner.remote, inner.local_addr)
-                    };
-                    let _ = num;
-                    if let Some((raddr, _)) = remote {
-                        let ack = RdmaPacket::Ack { seq };
-                        let wire = ack.wire_bytes(model.ack_bytes);
-                        qp.device.net().send(sim, local, raddr, wire, ack);
-                    }
-                    qp.fire_hook(sim);
+                sim.schedule_at(placed + Nanos::from_nanos(cqe), move |sim| {
+                    qp.land(sim, seq, data, imm, landing)
                 });
             }
-            Action::FailLength(rwr) => {
-                let (local, remote) = {
-                    let inner = self.inner.borrow_mut();
-                    let wc = Wc {
+            Admit::Hold => {
+                let window = model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1);
+                let seq = msg.seq;
+                self.inner.borrow_mut().held.push_back(msg);
+                let qp = self.clone();
+                sim.schedule_in(Nanos::from_nanos(window), move |sim| {
+                    qp.expire_held(sim, seq)
+                });
+            }
+            Admit::FailLength(rwr) => {
+                {
+                    let inner = self.inner.borrow();
+                    inner.recv_cq.push(Wc {
                         wr_id: rwr.wr_id,
                         status: WcStatus::LocalLengthError,
                         opcode: WcOpcode::Recv,
-                        byte_len: data.len(),
+                        byte_len: len,
                         qp: inner.num,
-                        imm,
-                    };
-                    inner.recv_cq.push(wc);
-                    (inner.local_addr, inner.remote)
-                };
-                self.device.net().buffer_pool().put(data);
-                if let Some((raddr, _)) = remote {
-                    let nak = RdmaPacket::Nak {
-                        seq,
-                        status: WcStatus::RemoteOperationError,
-                    };
-                    let wire = nak.wire_bytes(model.ack_bytes);
-                    self.device.net().send(sim, local, raddr, wire, nak);
+                        imm: msg.imm,
+                    });
                 }
+                self.device.net().buffer_pool().put(msg.data);
+                let status = WcStatus::RemoteOperationError;
+                self.emit(
+                    sim,
+                    RdmaPacket::Nak {
+                        seq: msg.seq,
+                        status,
+                    },
+                );
                 self.enter_error();
                 self.fire_hook(sim);
             }
-            Action::Hold => {
-                let deadline = sim.now()
-                    + Nanos::from_nanos(model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1));
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.held.push_back(HeldInbound {
-                        seq,
-                        packet: RdmaPacket::Send {
-                            src_qp,
-                            data,
-                            imm,
-                            seq,
-                        },
-                    });
-                }
-                let qp = self.clone();
-                sim.schedule_at(deadline, move |sim| qp.expire_held(sim, seq));
+        }
+    }
+
+    /// Writes a placed message into its region, completes its receive and
+    /// ACKs it. A region deregistered since admission NAKs the requester,
+    /// and the receive it claimed fails with it.
+    fn land(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>, imm: Option<u32>, to: Landing) {
+        let len = data.len();
+        let written = to.mr.dma_write(to.offset, &data).is_ok();
+        self.device.net().buffer_pool().put(data);
+        {
+            let mut inner = self.inner.borrow_mut();
+            if written {
+                inner.stats.bytes_received += len as u64;
+                self.device
+                    .net()
+                    .host(inner.local_addr.host)
+                    .borrow()
+                    .count_dma(len);
+            }
+            if let Some((wr_id, opcode)) = to.recv {
+                let (status, byte_len) = if written {
+                    inner.counters[QpCounter::RecvsCompleted].incr();
+                    (WcStatus::Success, len)
+                } else {
+                    (WcStatus::LocalProtectionError, 0)
+                };
+                let qp = inner.num;
+                inner.recv_cq.push(Wc {
+                    wr_id,
+                    status,
+                    opcode,
+                    byte_len,
+                    qp,
+                    imm,
+                });
             }
         }
+        if !written {
+            let status = WcStatus::RemoteAccessError;
+            return self.emit(sim, RdmaPacket::Nak { seq, status });
+        }
+        self.emit(sim, RdmaPacket::Ack { seq });
+        self.fire_hook(sim);
     }
 
     /// RNR window expired for a held message: reject it.
     fn expire_held(&self, sim: &mut Simulator, seq: u64) {
-        let model = self.device.model().clone();
-        let (expired, local, remote) = {
+        let expired = {
             let mut inner = self.inner.borrow_mut();
             let before = inner.held.len();
             inner.held.retain(|h| h.seq != seq);
-            (inner.held.len() != before, inner.local_addr, inner.remote)
+            inner.held.len() != before
         };
         if expired {
-            if let Some((raddr, _)) = remote {
-                let nak = RdmaPacket::RnrNak { seq };
-                let wire = nak.wire_bytes(model.ack_bytes);
-                self.device.net().send(sim, local, raddr, wire, nak);
-            }
+            self.emit(sim, RdmaPacket::RnrNak { seq });
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_write(
+    /// The region a one-sided request names, if `rkey` grants `access` to
+    /// `[offset, offset + len)`. Otherwise the request is NAKed.
+    fn remote_region(
         &self,
         sim: &mut Simulator,
-        src_qp: QpNum,
         rkey: u32,
         offset: usize,
-        data: Vec<u8>,
-        imm: Option<u32>,
+        len: usize,
+        access: Access,
         seq: u64,
-        redelivery: bool,
-    ) {
-        let model = self.device.model().clone();
+    ) -> Option<MemoryRegion> {
+        let e = match self.device.validate_remote(RKey(rkey), offset, len, access) {
+            Ok(mr) => return Some(mr),
+            Err(e) => e,
+        };
         {
             let inner = self.inner.borrow();
-            if !inner.state.can_receive() {
-                drop(inner);
-                self.device.net().buffer_pool().put(data);
-                return;
+            // A revoked-but-known rkey is a permission fence firing: a
+            // READ with a stale offer after an epoch roll, or a deposed or
+            // equivocating leader's in-flight fast-path WRITE, denied in
+            // the RNIC, never in software.
+            if matches!(e, VerbsError::Deregistered) {
+                inner.counters[QpCounter::StaleRkeyDenied].incr();
+            }
+            if access == Access::REMOTE_WRITE {
+                inner.counters[QpCounter::FastPathWriteDenied].incr();
             }
         }
-        let target = self.device.validate_remote(
-            crate::types::RKey(rkey),
-            offset,
-            data.len(),
-            Access::REMOTE_WRITE,
-        );
-        let target = match target {
-            Ok(mr) => mr,
-            Err(e) => {
-                // A WRITE with a revoked (re-registered) rkey is the fast-path
-                // permission fence firing: a deposed or equivocating leader's
-                // in-flight proposal is denied in the RNIC, never in software.
-                if matches!(e, VerbsError::Deregistered) {
-                    self.inner.borrow().counters[QpCounter::StaleRkeyDenied].incr();
-                }
-                self.inner.borrow().counters[QpCounter::FastPathWriteDenied].incr();
-                self.device.net().buffer_pool().put(data);
-                self.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                return;
-            }
+        let status = WcStatus::RemoteAccessError;
+        self.emit(sim, RdmaPacket::Nak { seq, status });
+        None
+    }
+
+    fn handle_read(&self, sim: &mut Simulator, rkey: u32, offset: usize, len: usize, seq: u64) {
+        let Some(target) = self.remote_region(sim, rkey, offset, len, Access::REMOTE_READ, seq)
+        else {
+            return;
         };
-        // WRITE_WITH_IMM consumes a receive WR, claimed on arrival in the
-        // same FIFO order as a SEND's: behind anything RNR-held, or held.
-        let rwr = if imm.is_some() {
-            let mut inner = self.inner.borrow_mut();
-            let wr = if redelivery || inner.held.is_empty() {
-                inner.recv_queue.pop_front()
-            } else {
-                None
-            };
-            if wr.is_none() {
-                inner.stats.rnr_stalls += 1;
-                inner.counters[QpCounter::RnrRetries].incr();
-                inner.metrics.trace(
-                    sim.now(),
-                    "rdma",
-                    format!("{}rnr_hold seq={seq}", inner.metrics_prefix),
-                );
-                inner.rx_mark_seen(seq);
-                inner.held.push_back(HeldInbound {
-                    seq,
-                    packet: RdmaPacket::WriteReq {
-                        src_qp,
-                        rkey,
-                        offset,
-                        data,
-                        imm,
-                        seq,
-                    },
-                });
-                drop(inner);
-                let deadline = sim.now()
-                    + Nanos::from_nanos(model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1));
-                let qp = self.clone();
-                sim.schedule_at(deadline, move |sim| qp.expire_held(sim, seq));
-                return;
-            }
-            wr
-        } else {
-            None
-        };
-        // Placed on the receive horizon like a SEND, so its completion and
-        // ACK never overtake an earlier message's; a plain WRITE has no CQE
-        // to wait for.
-        let placed = {
-            let mut inner = self.inner.borrow_mut();
-            inner.rx_mark_seen(seq);
-            inner.rx_dma_until = sim.now().max(inner.rx_dma_until) + model.dma_cost(data.len());
-            inner.rx_dma_until
-        };
-        let cqe = if rwr.is_some() { model.cqe_ns } else { 0 };
+        // READs share the request sequence space: advance the in-order
+        // watermark so later SENDs/WRITEs are not gated behind this seq.
+        self.inner.borrow_mut().rx_mark_seen(seq);
+        let dma = self.device.model().dma_cost(len);
         let qp = self.clone();
-        sim.schedule_at(placed + Nanos::from_nanos(cqe), move |sim| {
+        sim.schedule_at(sim.now() + dma, move |sim| {
+            let pool = qp.device.net().buffer_pool();
+            let resp = match target.dma_read_pooled(offset, len, &pool) {
+                Ok(data) => RdmaPacket::ReadResp { seq, data },
+                Err(_) => RdmaPacket::Nak {
+                    seq,
+                    status: WcStatus::RemoteAccessError,
+                },
+            };
+            qp.emit(sim, resp);
+        });
+    }
+
+    fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>) {
+        let Some((op, sink)) = self.retire(sim, seq, true) else {
+            return;
+        };
+        let sink = sink.expect("READ pending entries carry a sink");
+        let model = self.device.model();
+        let done_at = sim.now() + model.dma_cost(data.len()) + Nanos::from_nanos(model.cqe_ns);
+        let qp = self.clone();
+        sim.schedule_at(done_at, move |sim| {
             let len = data.len();
-            let write_ok = target.dma_write(offset, &data).is_ok();
+            let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
             qp.device.net().buffer_pool().put(data);
-            if !write_ok {
-                // The region was deregistered since admission: the requester
-                // fails on the NAK, and the claimed receive fails with it.
-                if let Some(rwr) = rwr {
-                    let inner = qp.inner.borrow();
-                    inner.recv_cq.push(Wc {
-                        wr_id: rwr.wr_id,
-                        status: WcStatus::LocalProtectionError,
-                        opcode: WcOpcode::RecvRdmaWithImm,
-                        byte_len: 0,
-                        qp: inner.num,
-                        imm,
-                    });
-                }
-                qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                return;
-            }
-            let (local, remote) = {
+            {
                 let mut inner = qp.inner.borrow_mut();
-                inner.stats.bytes_received += len as u64;
                 qp.device
                     .net()
                     .host(inner.local_addr.host)
                     .borrow()
                     .count_dma(len);
-                if let Some(rwr) = rwr {
-                    inner.counters[QpCounter::RecvsCompleted].incr();
-                    let wc = Wc {
-                        wr_id: rwr.wr_id,
-                        status: WcStatus::Success,
-                        opcode: WcOpcode::RecvRdmaWithImm,
-                        byte_len: len,
-                        qp: inner.num,
-                        imm,
-                    };
-                    inner.recv_cq.push(wc);
-                }
-                (inner.local_addr, inner.remote)
-            };
-            if let Some((raddr, _)) = remote {
-                let ack = RdmaPacket::Ack { seq };
-                let wire = ack.wire_bytes(model.ack_bytes);
-                qp.device.net().send(sim, local, raddr, wire, ack);
+                let status = if ok {
+                    WcStatus::Success
+                } else {
+                    WcStatus::LocalProtectionError
+                };
+                inner.complete_send(&op, status, len);
             }
             qp.fire_hook(sim);
         });
     }
 
-    fn handle_read(&self, sim: &mut Simulator, rkey: u32, offset: usize, len: usize, seq: u64) {
-        let model = self.device.model().clone();
-        {
-            let inner = self.inner.borrow();
-            if !inner.state.can_receive() {
-                return;
-            }
-        }
-        let target =
-            self.device
-                .validate_remote(crate::types::RKey(rkey), offset, len, Access::REMOTE_READ);
-        let target = match target {
-            Ok(mr) => mr,
-            Err(e) => {
-                // A revoked-but-known rkey is the proactive-recovery fence
-                // firing: the region was invalidated on an epoch roll and
-                // the requester is reading with a stale offer.
-                if matches!(e, VerbsError::Deregistered) {
-                    self.inner.borrow().counters[QpCounter::StaleRkeyDenied].incr();
-                }
-                self.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                return;
-            }
-        };
-        // READs share the request sequence space: advance the in-order
-        // watermark so later SENDs/WRITEs are not gated behind this seq.
-        self.inner.borrow_mut().rx_mark_seen(seq);
-        let dma = model.dma_cost(len);
-        let qp = self.clone();
-        sim.schedule_at(sim.now() + dma, move |sim| {
-            let pool = qp.device.net().buffer_pool();
-            let data = match target.dma_read_pooled(offset, len, &pool) {
-                Ok(d) => d,
-                Err(_) => {
-                    qp.send_nak(sim, seq, WcStatus::RemoteAccessError);
-                    return;
-                }
-            };
-            let (local, remote) = {
-                let inner = qp.inner.borrow();
-                (inner.local_addr, inner.remote)
-            };
-            if let Some((raddr, _)) = remote {
-                let resp = RdmaPacket::ReadResp { seq, data };
-                let wire = resp.wire_bytes(model.ack_bytes);
-                qp.device.net().send(sim, local, raddr, wire, resp);
-            }
-        });
-    }
-
-    fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>) {
-        let model = self.device.model().clone();
-        let pending = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner.pending.remove(&seq);
-            if p.is_some() {
-                inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-            }
-            p
-        };
-        let Some(p) = pending else { return };
-        if let Some(id) = p.retry_timer {
-            sim.cancel(id);
-        }
-        let sink = p.read_sink.expect("READ pending entries carry a sink");
-        let dma = model.dma_cost(data.len());
-        let qp = self.clone();
-        sim.schedule_at(
-            sim.now() + dma + Nanos::from_nanos(model.cqe_ns),
-            move |sim| {
-                let len = data.len();
-                let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
-                qp.device.net().buffer_pool().put(data);
-                {
-                    let mut inner = qp.inner.borrow_mut();
-                    inner.stats.bytes_sent += len as u64;
-                    inner.counters[QpCounter::SendsCompleted].incr();
-                    qp.device
-                        .net()
-                        .host(inner.local_addr.host)
-                        .borrow()
-                        .count_dma(len);
-                    if p.signaled || !ok {
-                        inner.counters[QpCounter::SignaledCompletions].incr();
-                        let wc = Wc {
-                            wr_id: p.wr_id,
-                            status: if ok {
-                                WcStatus::Success
-                            } else {
-                                WcStatus::LocalProtectionError
-                            },
-                            opcode: WcOpcode::RdmaRead,
-                            byte_len: len,
-                            qp: inner.num,
-                            imm: None,
-                        };
-                        inner.send_cq.push(wc);
-                    } else {
-                        inner.stats.completions_suppressed += 1;
-                        inner.counters[QpCounter::UnsignaledCompletions].incr();
-                    }
-                }
-                qp.fire_hook(sim);
-            },
-        );
-    }
-
     fn handle_ack(&self, sim: &mut Simulator, seq: u64) {
-        let timer = {
+        if let Some((op, _)) = self.retire(sim, seq, true) {
             let mut inner = self.inner.borrow_mut();
-            if let Some(p) = inner.pending.remove(&seq) {
-                inner.last_ack_progress = sim.now();
-                inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                inner.stats.bytes_sent += p.byte_len as u64;
-                inner.counters[QpCounter::SendsCompleted].incr();
-                if p.signaled {
-                    inner.counters[QpCounter::SignaledCompletions].incr();
-                    let wc = Wc {
-                        wr_id: p.wr_id,
-                        status: WcStatus::Success,
-                        opcode: p.opcode,
-                        byte_len: p.byte_len,
-                        qp: inner.num,
-                        imm: None,
-                    };
-                    inner.send_cq.push(wc);
-                } else {
-                    inner.stats.completions_suppressed += 1;
-                    inner.counters[QpCounter::UnsignaledCompletions].incr();
-                }
-                let timer = p.retry_timer;
-                drop(inner);
-                // Recycle the parked retransmission copy now that the
-                // message is acknowledged.
-                if let Some(buf) = p.packet.into_data() {
-                    self.device.net().buffer_pool().put(buf);
-                }
-                timer
-            } else {
-                None
-            }
-        };
-        if let Some(id) = timer {
-            sim.cancel(id);
+            inner.last_ack_progress = sim.now();
+            inner.complete_send(&op, WcStatus::Success, op.byte_len);
         }
         self.fire_hook(sim);
     }
 
     fn handle_nak(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
-        let timer = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(p) = inner.pending.remove(&seq) {
-                inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                let wc = Wc {
-                    wr_id: p.wr_id,
-                    status,
-                    opcode: p.opcode,
-                    byte_len: 0,
-                    qp: inner.num,
-                    imm: None,
-                };
-                inner.send_cq.push(wc);
-                let timer = p.retry_timer;
-                drop(inner);
-                if let Some(buf) = p.packet.into_data() {
-                    self.device.net().buffer_pool().put(buf);
-                }
-                timer
-            } else {
-                None
-            }
-        };
-        if let Some(id) = timer {
-            sim.cancel(id);
+        if let Some((op, _)) = self.retire(sim, seq, true) {
+            let inner = self.inner.borrow();
+            inner.send_cq.push(op.wc(inner.num, status, 0));
         }
         self.enter_error();
         self.fire_hook(sim);
-    }
-
-    /// Re-acknowledges an already-delivered sequence number (the original
-    /// ACK was lost, so the sender retransmitted).
-    fn send_ack(&self, sim: &mut Simulator, seq: u64) {
-        let model = self.device.model().clone();
-        let (local, remote) = {
-            let inner = self.inner.borrow();
-            (inner.local_addr, inner.remote)
-        };
-        if let Some((raddr, _)) = remote {
-            let ack = RdmaPacket::Ack { seq };
-            let wire = ack.wire_bytes(model.ack_bytes);
-            self.device.net().send(sim, local, raddr, wire, ack);
-        }
-    }
-
-    fn send_nak(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
-        let model = self.device.model().clone();
-        let (local, remote) = {
-            let inner = self.inner.borrow();
-            (inner.local_addr, inner.remote)
-        };
-        if let Some((raddr, _)) = remote {
-            let nak = RdmaPacket::Nak { seq, status };
-            let wire = nak.wire_bytes(model.ack_bytes);
-            self.device.net().send(sim, local, raddr, wire, nak);
-        }
     }
 
     /// Moves the QP to the error state and flushes all outstanding work.
@@ -1432,14 +1272,9 @@ impl QueuePair {
         inner.outstanding_sends = 0;
         let pending: Vec<PendingSend> = inner.pending.drain().map(|(_, p)| p).collect();
         for p in pending {
-            inner.send_cq.push(Wc {
-                wr_id: p.wr_id,
-                status: WcStatus::WorkRequestFlushed,
-                opcode: p.opcode,
-                byte_len: 0,
-                qp: num,
-                imm: None,
-            });
+            inner
+                .send_cq
+                .push(p.op.wc(num, WcStatus::WorkRequestFlushed, 0));
         }
         let recvs: Vec<RecvWr> = inner.recv_queue.drain(..).collect();
         for r in recvs {
@@ -1457,16 +1292,8 @@ impl QueuePair {
 
     /// Sends a disconnect notification and enters the error state.
     pub fn disconnect(&self, sim: &mut Simulator) {
-        let model = self.device.model().clone();
-        let (local, remote, num) = {
-            let inner = self.inner.borrow();
-            (inner.local_addr, inner.remote, inner.num)
-        };
-        if let Some((raddr, _)) = remote {
-            let pkt = RdmaPacket::Disconnect { src_qp: num };
-            let wire = pkt.wire_bytes(model.ack_bytes);
-            self.device.net().send(sim, local, raddr, wire, pkt);
-        }
+        let src_qp = self.num();
+        self.emit(sim, RdmaPacket::Disconnect { src_qp });
         self.enter_error();
     }
 
