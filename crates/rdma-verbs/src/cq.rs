@@ -153,11 +153,6 @@ impl CompletionQueue {
     pub fn req_notify(&self) {
         self.inner.borrow_mut().armed = true;
     }
-
-    /// True if a completion channel is attached.
-    pub fn has_channel(&self) -> bool {
-        self.inner.borrow().channel.is_some()
-    }
 }
 
 #[cfg(test)]

@@ -145,8 +145,6 @@ pub struct ChannelStats {
     pub msgs_sent: u64,
     /// Messages returned by `read`.
     pub msgs_received: u64,
-    /// Payload bytes accepted by `write`.
-    pub bytes_sent: u64,
     /// Payload bytes returned by `read`.
     pub bytes_received: u64,
     /// Sends that used the inline path.
@@ -163,14 +161,6 @@ pub struct ChannelStats {
     pub repost_batches: u64,
     /// Messages delivered through the zero-copy borrowed-receive path.
     pub borrowed_reads: u64,
-    /// One-sided RDMA READs posted via [`RdmaChannel::post_read`].
-    pub reads_posted: u64,
-    /// Bytes pulled by completed one-sided READs.
-    pub read_bytes: u64,
-    /// One-sided RDMA WRITEs posted via [`RdmaChannel::post_write`].
-    pub writes_posted: u64,
-    /// Bytes pushed by posted one-sided WRITEs.
-    pub write_bytes: u64,
 }
 
 /// Completion callback for [`RdmaChannel::post_read`]: `Some(bytes)` on a
@@ -187,22 +177,39 @@ pub type WriteDoneFn = Box<dyn FnOnce(&mut Simulator, bool)>;
 /// [`RdmaChannel::set_write_doorbell`].
 pub type WriteDoorbellFn = Rc<dyn Fn(&mut Simulator, u32, usize)>;
 
-/// One-sided READ work-request ids live in their own range so the in-order
-/// send-completion pop below can never confuse them with SEND wr_ids.
-const READ_WR_BASE: u64 = 1 << 48;
+/// One-sided work-request ids live in their own range, so the in-order
+/// send-completion pop can never confuse them with SEND wr_ids.
+const ONE_SIDED_WR_BASE: u64 = 1 << 48;
 
-/// One-sided WRITE work-request ids: a third disjoint range.
-const WRITE_WR_BASE: u64 = 1 << 49;
-
-struct PendingRead {
-    sink: MemoryRegion,
-    len: usize,
-    done: ReadDoneFn,
+/// An outstanding one-sided operation: the region registered for it (a
+/// READ's sink, a WRITE's source) and whom to tell when it completes.
+struct OneSided {
+    region: MemoryRegion,
+    done: OneSidedDone,
 }
 
-struct PendingWrite {
-    src: MemoryRegion,
-    done: WriteDoneFn,
+enum OneSidedDone {
+    Read { len: usize, done: ReadDoneFn },
+    Write(WriteDoneFn),
+}
+
+impl OneSided {
+    /// Deregisters the operation's region and reports the outcome: a
+    /// READ's bytes, or whether a WRITE was acknowledged.
+    fn finish(self, sim: &mut Simulator, ok: bool) {
+        let OneSided { region, done } = self;
+        match done {
+            OneSidedDone::Read { len, done } => {
+                let data = ok.then(|| region.read(0, len).ok()).flatten();
+                region.invalidate();
+                done(sim, data);
+            }
+            OneSidedDone::Write(done) => {
+                region.invalidate();
+                done(sim, ok);
+            }
+        }
+    }
 }
 
 /// Where an outstanding send's payload lives until the send completes.
@@ -224,12 +231,9 @@ pub(crate) struct ChanInner {
     recv_pool: BufferPool,
     /// Outstanding sends in posting order.
     inflight: VecDeque<(u64, SendBuf)>,
-    /// Outstanding one-sided READs by wr_id (disjoint id range).
-    pending_reads: HashMap<u64, PendingRead>,
-    /// Outstanding one-sided WRITEs by wr_id (disjoint id range).
-    pending_writes: HashMap<u64, PendingWrite>,
-    read_count: u64,
-    write_count: u64,
+    /// Outstanding one-sided READs and WRITEs by wr_id.
+    one_sided: HashMap<u64, OneSided>,
+    one_sided_count: u64,
     send_count: u64,
     since_signal: usize,
     outstanding_sends: usize,
@@ -254,6 +258,31 @@ pub(crate) struct ChanInner {
     /// the (payload-free) receive slab as a message.
     write_doorbell: Option<WriteDoorbellFn>,
     stats: ChannelStats,
+}
+
+impl ChanInner {
+    /// Fails unless the channel is established and unbroken.
+    fn check_open(&self) -> Result<(), ChannelError> {
+        if let Some(why) = &self.broken {
+            return Err(ChannelError::Broken(why.clone()));
+        }
+        if !self.established {
+            return Err(ChannelError::NotConnected);
+        }
+        Ok(())
+    }
+
+    /// Charges one channel call to its core: the copy of `copied` bytes,
+    /// if any, then the managed-runtime overhead plus `extra_ns`.
+    fn charge_call(&self, sim: &Simulator, copied: Option<usize>, extra_ns: u64) {
+        let host_ref = self.device.net().host(self.device.host());
+        let mut h = host_ref.borrow_mut();
+        if let Some(len) = copied {
+            h.charge_user_copy(sim.now(), self.core, len);
+        }
+        let work = Nanos::from_nanos(h.cpu().runtime_io_ns + extra_ns);
+        h.exec(sim.now(), self.core, work);
+    }
 }
 
 /// A non-blocking, message-oriented RDMA channel.
@@ -322,10 +351,8 @@ impl RdmaChannel {
                 send_pool,
                 recv_pool,
                 inflight: VecDeque::new(),
-                pending_reads: HashMap::new(),
-                pending_writes: HashMap::new(),
-                read_count: 0,
-                write_count: 0,
+                one_sided: HashMap::new(),
+                one_sided_count: 0,
                 send_count: 0,
                 since_signal: 0,
                 outstanding_sends: 0,
@@ -545,12 +572,7 @@ impl RdmaChannel {
         }
         let (qp, wr) = {
             let mut inner = self.inner.borrow_mut();
-            if let Some(why) = &inner.broken {
-                return Err(ChannelError::Broken(why.clone()));
-            }
-            if !inner.established {
-                return Err(ChannelError::NotConnected);
-            }
+            inner.check_open()?;
             if data.len() > inner.cfg.buffer_size {
                 return Err(ChannelError::MessageTooLarge {
                     len: data.len(),
@@ -592,20 +614,10 @@ impl RdmaChannel {
             // CPU cost of the channel write: managed-runtime overhead plus
             // the copy into the registered buffer (skipped for zero copy,
             // where only the registration cache is consulted).
-            {
-                let host_ref = inner.device.net().host(inner.device.host());
-                let mut h = host_ref.borrow_mut();
-                let runtime = Nanos::from_nanos(h.cpu().runtime_io_ns);
-                match &path {
-                    Path::ZeroCopy(_) => {
-                        let work = runtime + Nanos::from_nanos(inner.cfg.reg_cache_ns);
-                        h.exec(sim.now(), inner.core, work);
-                    }
-                    _ => {
-                        h.charge_user_copy(sim.now(), inner.core, data.len());
-                        h.exec(sim.now(), inner.core, runtime);
-                    }
-                }
+            if use_zero_copy {
+                inner.charge_call(sim, None, inner.cfg.reg_cache_ns);
+            } else {
+                inner.charge_call(sim, Some(data.len()), 0);
             }
 
             inner.since_signal += 1;
@@ -634,7 +646,6 @@ impl RdmaChannel {
             };
             inner.inflight.push_back((wr_id, buf));
             inner.stats.msgs_sent += 1;
-            inner.stats.bytes_sent += data.len() as u64;
             let mut wr = SendWr::send(WrId(wr_id), sge);
             if signaled {
                 wr = wr.signaled();
@@ -669,37 +680,18 @@ impl RdmaChannel {
         len: usize,
         done: ReadDoneFn,
     ) -> Result<(), ChannelError> {
-        let (qp, wr, wr_id) = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(why) = &inner.broken {
-                return Err(ChannelError::Broken(why.clone()));
-            }
-            if !inner.established {
-                return Err(ChannelError::NotConnected);
-            }
-            let sink = inner
-                .device
-                .reg_mr(&inner.pd, len.max(1), Access::LOCAL_WRITE);
-            let wr_id = READ_WR_BASE + inner.read_count;
-            inner.read_count += 1;
-            inner.stats.reads_posted += 1;
-            let wr = SendWr::read(
-                WrId(wr_id),
-                Sge::new(sink.clone(), 0, len),
-                RKey(rkey),
-                remote_offset as usize,
-            )
-            .signaled();
+        let sink = {
+            let inner = self.inner.borrow();
+            inner.check_open()?;
             inner
-                .pending_reads
-                .insert(wr_id, PendingRead { sink, len, done });
-            (inner.qp.clone(), wr, wr_id)
+                .device
+                .reg_mr(&inner.pd, len.max(1), Access::LOCAL_WRITE)
         };
-        if let Err(e) = qp.post_send(sim, wr) {
-            self.inner.borrow_mut().pending_reads.remove(&wr_id);
-            return Err(e.into());
-        }
-        Ok(())
+        let sge = Sge::new(sink.clone(), 0, len);
+        let done = OneSidedDone::Read { len, done };
+        self.post_one_sided(sim, OneSided { region: sink, done }, |wr_id| {
+            SendWr::read(wr_id, sge, RKey(rkey), remote_offset as usize)
+        })
     }
 
     /// Posts a one-sided RDMA WRITE_WITH_IMM of `data` into the peer's
@@ -724,46 +716,42 @@ impl RdmaChannel {
         imm: u32,
         done: WriteDoneFn,
     ) -> Result<(), ChannelError> {
-        let (qp, wr, wr_id) = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(why) = &inner.broken {
-                return Err(ChannelError::Broken(why.clone()));
-            }
-            if !inner.established {
-                return Err(ChannelError::NotConnected);
-            }
+        let src = {
+            let inner = self.inner.borrow();
+            inner.check_open()?;
             // Source registration models the zero-copy send path: the
             // application buffer is registered (cache lookup), not copied.
             let src = inner
                 .device
                 .reg_mr(&inner.pd, data.len().max(1), Access::NONE);
             src.write(0, data).expect("fresh region fits payload");
-            {
-                let host_ref = inner.device.net().host(inner.device.host());
-                let mut h = host_ref.borrow_mut();
-                let runtime = Nanos::from_nanos(h.cpu().runtime_io_ns);
-                let work = runtime + Nanos::from_nanos(inner.cfg.reg_cache_ns);
-                h.exec(sim.now(), inner.core, work);
-            }
-            let wr_id = WRITE_WR_BASE + inner.write_count;
-            inner.write_count += 1;
-            inner.stats.writes_posted += 1;
-            inner.stats.write_bytes += data.len() as u64;
-            let wr = SendWr::write_with_imm(
-                WrId(wr_id),
-                Sge::new(src.clone(), 0, data.len()),
-                RKey(rkey),
-                remote_offset as usize,
-                imm,
-            )
-            .signaled();
-            inner
-                .pending_writes
-                .insert(wr_id, PendingWrite { src, done });
-            (inner.qp.clone(), wr, wr_id)
+            inner.charge_call(sim, None, inner.cfg.reg_cache_ns);
+            src
+        };
+        let sge = Sge::new(src.clone(), 0, data.len());
+        let done = OneSidedDone::Write(done);
+        self.post_one_sided(sim, OneSided { region: src, done }, |wr_id| {
+            SendWr::write_with_imm(wr_id, sge, RKey(rkey), remote_offset as usize, imm)
+        })
+    }
+
+    /// Posts the signaled one-sided request `wr` builds for its wr_id and
+    /// tracks `op` until it completes.
+    fn post_one_sided(
+        &self,
+        sim: &mut Simulator,
+        op: OneSided,
+        wr: impl FnOnce(WrId) -> SendWr,
+    ) -> Result<(), ChannelError> {
+        let (qp, wr, wr_id) = {
+            let mut inner = self.inner.borrow_mut();
+            let wr_id = ONE_SIDED_WR_BASE + inner.one_sided_count;
+            inner.one_sided_count += 1;
+            inner.one_sided.insert(wr_id, op);
+            (inner.qp.clone(), wr(WrId(wr_id)).signaled(), wr_id)
         };
         if let Err(e) = qp.post_send(sim, wr) {
-            self.inner.borrow_mut().pending_writes.remove(&wr_id);
+            self.inner.borrow_mut().one_sided.remove(&wr_id);
             return Err(e.into());
         }
         Ok(())
@@ -803,13 +791,7 @@ impl RdmaChannel {
                 }
                 return Ok(RecvOutcome::WouldBlock);
             };
-            {
-                let host_ref = inner.device.net().host(inner.device.host());
-                let mut h = host_ref.borrow_mut();
-                let runtime = Nanos::from_nanos(h.cpu().runtime_io_ns);
-                h.charge_user_copy(sim.now(), inner.core, len);
-                h.exec(sim.now(), inner.core, runtime);
-            }
+            inner.charge_call(sim, Some(len), 0);
             let data = inner
                 .recv_pool
                 .slab(slab)
@@ -866,12 +848,7 @@ impl RdmaChannel {
                 }
                 return Ok(None);
             };
-            {
-                let host_ref = inner.device.net().host(inner.device.host());
-                let mut h = host_ref.borrow_mut();
-                let runtime = Nanos::from_nanos(h.cpu().runtime_io_ns);
-                h.exec(sim.now(), inner.core, runtime);
-            }
+            inner.charge_call(sim, None, 0);
             inner.stats.msgs_received += 1;
             inner.stats.bytes_received += len as u64;
             inner.stats.borrowed_reads += 1;
@@ -891,8 +868,7 @@ impl RdmaChannel {
     /// many completions it found. Registered channels have this driven by
     /// the selector's event manager; manual drivers call it directly.
     pub fn process_completions(&self, sim: &mut Simulator) -> usize {
-        let mut finished_reads: Vec<(ReadDoneFn, Option<Vec<u8>>)> = Vec::new();
-        let mut finished_writes: Vec<(WriteDoneFn, bool)> = Vec::new();
+        let mut finished: Vec<(OneSided, bool)> = Vec::new();
         let mut doorbells: Vec<(WriteDoorbellFn, u32, usize)> = Vec::new();
         let total = {
             let mut inner = self.inner.borrow_mut();
@@ -903,33 +879,13 @@ impl RdmaChannel {
             let total = send_wcs.len() + recv_wcs.len();
             inner.device.charge_poll(sim, inner.core, total);
             for wc in send_wcs.drain(..) {
-                // One-sided WRITE completions also carry their own id range
-                // and resolve a pending-write callback outside the in-order
-                // SEND pop. A non-success status here is the RNIC denying a
-                // revoked permission (or a flush after one did).
-                if wc.opcode == WcOpcode::RdmaWrite {
-                    if let Some(pw) = inner.pending_writes.remove(&wc.wr_id.0) {
-                        pw.src.invalidate();
-                        finished_writes.push((pw.done, wc.status == WcStatus::Success));
-                    }
-                    if wc.status == WcStatus::WorkRequestFlushed {
-                        inner.eof = true;
-                    }
-                    continue;
-                }
-                // One-sided READ completions carry their own id range and
-                // resolve a pending-read callback; they never participate
-                // in the in-order SEND pop below.
-                if wc.opcode == WcOpcode::RdmaRead {
-                    if let Some(pr) = inner.pending_reads.remove(&wc.wr_id.0) {
-                        let data = (wc.status == WcStatus::Success)
-                            .then(|| pr.sink.read(0, pr.len).ok())
-                            .flatten();
-                        if let Some(d) = &data {
-                            inner.stats.read_bytes += d.len() as u64;
-                        }
-                        pr.sink.invalidate();
-                        finished_reads.push((pr.done, data));
+                // One-sided READ and WRITE completions carry their own id
+                // range and resolve their callback; they never take part in
+                // the in-order SEND pop below. A failed one is the RNIC
+                // denying a revoked permission, or a flush after a failure.
+                if matches!(wc.opcode, WcOpcode::RdmaRead | WcOpcode::RdmaWrite) {
+                    if let Some(op) = inner.one_sided.remove(&wc.wr_id.0) {
+                        finished.push((op, wc.status == WcStatus::Success));
                     }
                     if wc.status == WcStatus::WorkRequestFlushed {
                         inner.eof = true;
@@ -996,11 +952,8 @@ impl RdmaChannel {
         };
         // Callbacks run with the channel borrow released: a completion
         // handler may immediately post follow-up reads or sends.
-        for (done, data) in finished_reads {
-            done(sim, data);
-        }
-        for (done, ok) in finished_writes {
-            done(sim, ok);
+        for (op, ok) in finished {
+            op.finish(sim, ok);
         }
         let rang = !doorbells.is_empty();
         for (db, imm, len) in doorbells {
