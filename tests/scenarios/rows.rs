@@ -172,7 +172,6 @@ macro_rules! chaos_rows {
             stale_epoch_rkey_responder_is_fenced_by_rnic_on_rubin_stack => stale_epoch_offer(),
             equivocating_slot_writer_is_caught_at_prepare_and_deposed => equivocating_slot_writer(),
             deposed_slot_writer_late_writes_are_rnic_denied => deposed_slot_writer(),
-            fixed_seed_deposed_slot_writer_replays_byte_identically => deposed_slot_writer(),
         }
     };
 }
@@ -228,7 +227,6 @@ macro_rules! fast_path_rows {
     ($then:ident) => {
         $then! {
             fast_path_engages_and_commits_exactly_once => fast_path_commit(),
-            fixed_seed_fast_path_timeline_replays_byte_identically => fast_path_commit(),
             fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
             disabled_fast_path_leaves_no_trace_in_the_snapshot => disabled_fast_path(),
             fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
