@@ -9,8 +9,9 @@
 //! ## Divergences from hardware, by design
 //!
 //! * Receiver-not-ready is modelled as a bounded *hold window*: an inbound
-//!   SEND that finds no receive WR waits up to `rnr_timer × (rnr_retry+1)`
-//!   for one to be posted, then fails the sender with `RnrRetryExceeded`.
+//!   SEND or WRITE_WITH_IMM that finds no receive WR waits up to
+//!   `rnr_timer × (rnr_retry+1)` for one to be posted, then fails the
+//!   sender with `RnrRetryExceeded`.
 //!   This preserves RC's in-order delivery without simulating per-packet
 //!   RNR polling, while still failing loudly when an application
 //!   under-posts receives (the pitfall paper §II-A warns about).
@@ -1136,11 +1137,13 @@ impl QueuePair {
                 });
             }
         }
-        if !written {
+        let reply = if written {
+            RdmaPacket::Ack { seq }
+        } else {
             let status = WcStatus::RemoteAccessError;
-            return self.emit(sim, RdmaPacket::Nak { seq, status });
-        }
-        self.emit(sim, RdmaPacket::Ack { seq });
+            RdmaPacket::Nak { seq, status }
+        };
+        self.emit(sim, reply);
         self.fire_hook(sim);
     }
 
