@@ -28,7 +28,7 @@ use std::fmt;
 use std::rc::{Rc, Weak};
 
 use rdma_verbs::{CmEvent, RdmaDevice};
-use simnet::{CoreId, Counters, Histo, Nanos, Selector, Simulator};
+use simnet::{CoreId, Counters, Nanos, Selector, Simulator};
 
 use crate::channel::RdmaChannel;
 use crate::event::{HybridEventQueue, Interest, RubinEvent, RubinKey};
@@ -78,8 +78,6 @@ struct Inner {
     base: Selector<Interest>,
     device: RdmaDevice,
     counters: Counters<SelectorCounter>,
-    /// `rubin.<host>.selector.events_per_round`.
-    events_per_round: Histo,
     manager: RefCell<Manager>,
 }
 
@@ -145,7 +143,6 @@ impl RdmaSelector {
                 base: Selector::new(device.net(), device.host(), cores, select_ns),
                 device: device.clone(),
                 counters: metrics.counters(&prefix),
-                events_per_round: metrics.histo_handle(&format!("{prefix}events_per_round")),
                 manager: RefCell::new(Manager {
                     threads: cores.iter().map(|_| EventThread::default()).collect(),
                     table: BTreeMap::new(),
@@ -339,7 +336,6 @@ impl RdmaSelector {
         }
         if dispatched > 0 {
             self.inner.counters[SelectorCounter::EventsDispatched].add(dispatched);
-            self.inner.events_per_round.observe(dispatched);
         }
     }
 
