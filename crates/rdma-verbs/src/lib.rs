@@ -866,6 +866,25 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_queue_pair_gives_every_pooled_copy_back() {
+        let mut p = connected_pair();
+        // No receive is posted at b: the three SENDs wait in its RNR hold.
+        for _ in 0..3 {
+            send_bytes(&mut p, &[7u8; 512], true);
+        }
+        p.tb.sim.run_for(Nanos::from_micros(20));
+        assert!(p.tb.net.buffer_pool().stats().outstanding > 0);
+        // b fails with the three held; a retransmits into the void until
+        // its retry budget is spent and fails with the three pending.
+        p.qp_b.destroy();
+        p.tb.sim.run_until_idle();
+        assert_eq!(p.qp_a.state(), QpState::Error);
+        p.qp_a.destroy();
+        p.tb.sim.run_until_idle();
+        assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
+    }
+
+    #[test]
     fn deep_send_queue_on_healthy_link_never_retransmits() {
         // 30 × 100 KB takes far longer to drain (≈3 MB at 10 Gbps ≈ 2.4 ms)
         // than one ACK `timeout` (1 ms). The timeout must clock ACK

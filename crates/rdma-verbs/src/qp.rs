@@ -785,7 +785,7 @@ impl QueuePair {
             self.arm_retry(sim, seq);
             return;
         }
-        let (op, _) = self.retire(sim, seq, false).expect("checked present");
+        let (op, _) = self.retire(sim, seq).expect("checked present");
         {
             let inner = self.inner.borrow();
             inner.counters[QpCounter::RetryExceeded].incr();
@@ -805,17 +805,10 @@ impl QueuePair {
         self.fire_hook(sim);
     }
 
-    /// Takes `seq`'s operation off the send queue: frees its slot and
-    /// cancels its ACK timer. An operation the peer `answered` gives its
-    /// retransmission copy back to the pool; a timed-out one's is dropped,
-    /// as the error transition that follows drops the rest of the queue's.
+    /// Takes `seq`'s operation off the send queue: frees its slot, cancels
+    /// its ACK timer and gives its retransmission copy back to the pool.
     /// The caller counts and completes the operation.
-    fn retire(
-        &self,
-        sim: &mut Simulator,
-        seq: u64,
-        answered: bool,
-    ) -> Option<(SentOp, Option<Sge>)> {
+    fn retire(&self, sim: &mut Simulator, seq: u64) -> Option<(SentOp, Option<Sge>)> {
         let p = {
             let mut inner = self.inner.borrow_mut();
             let p = inner.pending.remove(&seq)?;
@@ -825,7 +818,7 @@ impl QueuePair {
         if let Some(id) = p.retry_timer {
             sim.cancel(id);
         }
-        if let Some(buf) = p.packet.into_data().filter(|_| answered) {
+        if let Some(buf) = p.packet.into_data() {
             self.device.net().buffer_pool().put(buf);
         }
         Some((p.op, p.read_sink))
@@ -1151,11 +1144,11 @@ impl QueuePair {
     fn expire_held(&self, sim: &mut Simulator, seq: u64) {
         let expired = {
             let mut inner = self.inner.borrow_mut();
-            let before = inner.held.len();
-            inner.held.retain(|h| h.seq != seq);
-            inner.held.len() != before
+            let at = inner.held.iter().position(|h| h.seq == seq);
+            at.and_then(|at| inner.held.remove(at))
         };
-        if expired {
+        if let Some(msg) = expired {
+            self.device.net().buffer_pool().put(msg.data);
             self.emit(sim, RdmaPacket::RnrNak { seq });
         }
     }
@@ -1217,7 +1210,7 @@ impl QueuePair {
     }
 
     fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>) {
-        let Some((op, sink)) = self.retire(sim, seq, true) else {
+        let Some((op, sink)) = self.retire(sim, seq) else {
             return;
         };
         let sink = sink.expect("READ pending entries carry a sink");
@@ -1247,7 +1240,7 @@ impl QueuePair {
     }
 
     fn handle_ack(&self, sim: &mut Simulator, seq: u64) {
-        if let Some((op, _)) = self.retire(sim, seq, true) {
+        if let Some((op, _)) = self.retire(sim, seq) {
             let mut inner = self.inner.borrow_mut();
             inner.last_ack_progress = sim.now();
             inner.complete_send(&op, WcStatus::Success, op.byte_len);
@@ -1256,7 +1249,7 @@ impl QueuePair {
     }
 
     fn handle_nak(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
-        if let Some((op, _)) = self.retire(sim, seq, true) {
+        if let Some((op, _)) = self.retire(sim, seq) {
             let inner = self.inner.borrow();
             inner.send_cq.push(op.wc(inner.num, status, 0));
         }
@@ -1264,7 +1257,9 @@ impl QueuePair {
         self.fire_hook(sim);
     }
 
-    /// Moves the QP to the error state and flushes all outstanding work.
+    /// Moves the QP to the error state and flushes all outstanding work,
+    /// giving every retransmission copy and held inbound message back to
+    /// the pool.
     pub(crate) fn enter_error(&self) {
         let mut inner = self.inner.borrow_mut();
         if inner.state == QpState::Error {
@@ -1273,11 +1268,15 @@ impl QueuePair {
         inner.state = QpState::Error;
         let num = inner.num;
         inner.outstanding_sends = 0;
+        let pool = self.device.net().buffer_pool();
         let pending: Vec<PendingSend> = inner.pending.drain().map(|(_, p)| p).collect();
         for p in pending {
             inner
                 .send_cq
                 .push(p.op.wc(num, WcStatus::WorkRequestFlushed, 0));
+            if let Some(buf) = p.packet.into_data() {
+                pool.put(buf);
+            }
         }
         let recvs: Vec<RecvWr> = inner.recv_queue.drain(..).collect();
         for r in recvs {
@@ -1290,7 +1289,9 @@ impl QueuePair {
                 imm: None,
             });
         }
-        inner.held.clear();
+        for msg in inner.held.drain(..) {
+            pool.put(msg.data);
+        }
     }
 
     /// Sends a disconnect notification and enters the error state.
