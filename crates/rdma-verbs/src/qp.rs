@@ -511,10 +511,12 @@ impl QueuePair {
     ///
     /// As for [`post_send_batch`](Self::post_send_batch).
     pub fn post_send(&self, sim: &mut Simulator, wr: SendWr) -> VerbsResult<()> {
-        self.post_sends(sim, [wr])
+        self.post_send_batch(sim, [wr])
     }
 
-    /// Posts a batch of send work requests in one doorbell.
+    /// Posts a batch of send work requests in one doorbell. The batch is
+    /// anything that lends a slice and yields its requests: a `Vec`, an
+    /// array, or a `drain` of a buffer the caller keeps.
     ///
     /// Successful completions are only generated for WRs with
     /// [`signaled`](SendWr::signaled) set (selective signaling); failed
@@ -528,14 +530,7 @@ impl QueuePair {
     /// * [`VerbsError::InlineTooLarge`] for oversized inline payloads.
     /// * [`VerbsError::PdMismatch`] / [`VerbsError::InvalidRange`] /
     ///   [`VerbsError::LocalAccess`] for bad buffers.
-    pub fn post_send_batch(&self, sim: &mut Simulator, wrs: Vec<SendWr>) -> VerbsResult<()> {
-        self.post_sends(sim, wrs)
-    }
-
-    /// Validates and posts `wrs` in one doorbell: the body of
-    /// [`post_send`](Self::post_send) (over `[wr]`, no `Vec`) and
-    /// [`post_send_batch`](Self::post_send_batch).
-    fn post_sends<W>(&self, sim: &mut Simulator, wrs: W) -> VerbsResult<()>
+    pub fn post_send_batch<W>(&self, sim: &mut Simulator, wrs: W) -> VerbsResult<()>
     where
         W: AsRef<[SendWr]> + IntoIterator<Item = SendWr>,
     {

@@ -160,6 +160,10 @@ struct Link<L> {
     dead: bool,
     /// This link is a reconnect attempt (not an initial mesh dial).
     redial: bool,
+    /// The reactor round of the last send that went to this link at once.
+    round: u64,
+    /// A later send of that round waits in `outq` for the round's end.
+    deferred: bool,
 }
 
 struct MeshInner<W: Wire> {
@@ -177,6 +181,12 @@ struct MeshInner<W: Wire> {
     /// Consecutive failed re-dial attempts per peer (drives the backoff).
     redial_attempts: HashMap<NodeId, u32>,
     delivery: Option<DeliveryFn>,
+    /// The running reactor round's number, if one is running.
+    round: Option<u64>,
+    /// Reactor rounds started so far.
+    rounds: u64,
+    /// Slots of the links with a send deferred to the running round's end.
+    deferred: Vec<usize>,
 }
 
 /// Metric key of `node`'s endpoint: `<NAME>_transport.<node>.<counter>`.
@@ -243,6 +253,9 @@ impl<W: Wire> Mesh<W> {
                     directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
                     redial_attempts: HashMap::new(),
                     delivery: None,
+                    round: None,
+                    rounds: 0,
+                    deferred: Vec::new(),
                 })),
             })
             .collect();
@@ -283,11 +296,27 @@ impl<W: Wire> Mesh<W> {
         RefMut::map(self.inner.borrow_mut(), |i| &mut i.wire)
     }
 
-    /// `f` of `peer`'s current link, if that link is up.
-    pub(crate) fn live_link<T>(&self, peer: NodeId, f: impl FnOnce(&W::Link) -> T) -> Option<T> {
-        let inner = self.inner.borrow();
-        let link = &inner.links[*inner.by_node.get(&peer)?];
-        (!link.dead && W::is_established(&link.wire)).then(|| f(&link.wire))
+    /// `f` of `peer`'s current link, if that link is up, once the link has
+    /// flushed its queue: a one-sided operation posted by `f` follows every
+    /// message sent to `peer` before it.
+    pub(crate) fn flushed_link<T>(
+        &self,
+        sim: &mut Simulator,
+        peer: NodeId,
+        f: impl FnOnce(&W::Link) -> T,
+    ) -> Option<T> {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let link = &mut inner.links[*inner.by_node.get(&peer)?];
+        if link.dead || !W::is_established(&link.wire) {
+            return None;
+        }
+        if !link.outq.is_empty() {
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, None);
+        }
+        Some(f(&link.wire))
     }
 
     /// The identified peer behind the link matching `pred`.
@@ -320,6 +349,10 @@ impl<W: Wire> Mesh<W> {
     /// The one send path. A link that can drain gets `msg` in place — the
     /// wire queues it, as an owned copy, only behind output that must
     /// wait — and a link that cannot parks it in the holding pen.
+    ///
+    /// Within a reactor round only a link's first message goes at once;
+    /// later ones wait in its queue, which the round's end flushes in one
+    /// wire call.
     pub(crate) fn send(&self, sim: &mut Simulator, to: NodeId, msg: Cow<'_, [u8]>) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
@@ -328,6 +361,17 @@ impl<W: Wire> Mesh<W> {
         };
         let link = &mut inner.links[slot];
         if !link.dead && W::is_established(&link.wire) {
+            if let Some(round) = inner.round {
+                if link.round == round {
+                    if !link.deferred {
+                        link.deferred = true;
+                        inner.deferred.push(slot);
+                    }
+                    link.outq.push_back(msg.into_owned());
+                    return;
+                }
+                link.round = round;
+            }
             inner
                 .wire
                 .flush(sim, &mut link.wire, &mut link.outq, Some(msg));
@@ -387,6 +431,8 @@ impl<W: Wire> Mesh<W> {
             peer,
             dead: false,
             redial,
+            round: 0,
+            deferred: false,
         });
         if let Some(peer) = peer {
             inner.by_node.insert(peer, slot);
@@ -395,17 +441,40 @@ impl<W: Wire> Mesh<W> {
     }
 
     /// One reactor: parks a select on it and handles whatever becomes
-    /// ready there.
+    /// ready there, in one round.
     fn pump(&self, sim: &mut Simulator, reactor: usize) {
         let t = self.downgrade();
         let inner = self.inner.borrow();
         inner.wire.select(sim, reactor, move |sim, ready| {
             let Some(t) = t.upgrade() else { return };
+            {
+                let mut inner = t.inner.borrow_mut();
+                inner.rounds += 1;
+                inner.round = Some(inner.rounds);
+            }
             for ev in ready {
                 t.on_event(sim, ev);
             }
+            t.end_round(sim);
             t.pump(sim, reactor);
         });
+    }
+
+    /// Ends a reactor round: each link with sends deferred to now flushes
+    /// its queue, once.
+    fn end_round(&self, sim: &mut Simulator) {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        inner.round = None;
+        for slot in inner.deferred.drain(..) {
+            let link = &mut inner.links[slot];
+            link.deferred = false;
+            if !link.dead {
+                inner
+                    .wire
+                    .flush(sim, &mut link.wire, &mut link.outq, None);
+            }
+        }
     }
 
     fn on_event(&self, sim: &mut Simulator, ev: &W::Event) {

@@ -18,8 +18,7 @@ use std::rc::Rc;
 
 use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice, RnicModel};
 use rubin::{
-    ChannelError, Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RecvOutcome, RubinConfig,
-    RubinKey, SelectedKey,
+    Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RubinConfig, RubinKey, SelectedKey,
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
@@ -38,6 +37,9 @@ struct RubinLink {
     key: RubinKey,
     /// Accepted channels send no hello, so they start out true.
     hello_sent: bool,
+    /// Messages one `read_all` took off the channel and the mesh has not
+    /// yet taken; kept between drains.
+    inbox: VecDeque<Vec<u8>>,
 }
 
 struct RubinWire {
@@ -64,19 +66,21 @@ struct RubinWire {
 }
 
 impl RubinWire {
-    /// Writes one message; true once it is off the link's hands. A message
-    /// longer than the channel's buffers can never go, so it is dropped
-    /// and counted (`oversize_dropped`) rather than left to block the
-    /// messages behind it.
-    fn write(&self, sim: &mut Simulator, link: &RubinLink, msg: &[u8]) -> bool {
-        match link.channel.write(sim, msg) {
-            Ok(true) => true,
-            Err(ChannelError::MessageTooLarge { .. }) => {
-                let key = key::<Self>(self.node, "oversize_dropped");
-                self.device.net().metrics().incr(&key);
-                true
-            }
-            Ok(false) | Err(_) => false,
+    /// Drops every message of `outq` and `msg` longer than the channel's
+    /// buffers, counting each (`oversize_dropped`): such a message can
+    /// never go, and left in place it would block the messages behind it.
+    fn drop_oversize(&self, outq: &mut VecDeque<Vec<u8>>, msg: &mut Option<Cow<'_, [u8]>>) {
+        let max = self.cfg.buffer_size;
+        let queued = outq.len();
+        outq.retain(|m| m.len() <= max);
+        let mut dropped = queued - outq.len();
+        if msg.as_deref().is_some_and(|m| m.len() > max) {
+            *msg = None;
+            dropped += 1;
+        }
+        if dropped > 0 {
+            let key = key::<Self>(self.node, "oversize_dropped");
+            self.device.net().metrics().incr_by(&key, dropped as u64);
         }
     }
 
@@ -91,6 +95,7 @@ impl RubinWire {
             channel,
             key,
             hello_sent: !dialed,
+            inbox: VecDeque::new(),
         }
     }
 }
@@ -190,12 +195,17 @@ impl Wire for RubinWire {
         link.channel.is_established()
     }
 
+    /// Hands out the inbox, refilling it, once empty, with one `read_all`
+    /// of everything the channel has received.
     fn recv(&self, sim: &mut Simulator, link: &mut RubinLink) -> Recv {
-        match link.channel.read(sim) {
-            Ok(RecvOutcome::Msg(body)) => Recv::Msg(body),
-            Ok(RecvOutcome::WouldBlock) => Recv::Idle,
-            Ok(RecvOutcome::Eof) | Err(_) => Recv::Down,
+        if link.inbox.is_empty() {
+            match link.channel.read_all(sim, &mut link.inbox) {
+                Ok(0) if link.channel.is_eof() => return Recv::Down,
+                Ok(_) => {}
+                Err(_) => return Recv::Down,
+            }
         }
+        link.inbox.pop_front().map_or(Recv::Idle, Recv::Msg)
     }
 
     fn flush(
@@ -206,20 +216,27 @@ impl Wire for RubinWire {
         mut msg: Option<Cow<'_, [u8]>>,
     ) {
         let established = link.channel.is_established();
-        if established && !link.hello_sent {
-            let hello = self.node.to_le_bytes();
-            link.hello_sent = matches!(link.channel.write(sim, &hello), Ok(true));
+        if established {
+            self.drop_oversize(outq, &mut msg);
         }
-        if established && link.hello_sent {
-            // A refused write means the send buffers are full: OP_SEND
-            // fires when space frees up.
-            while let Some(front) = outq.front() {
-                if !self.write(sim, link, front) {
-                    break;
-                }
-                outq.pop_front();
+        let hello = self.node.to_le_bytes();
+        let hello = (!link.hello_sent).then_some(&hello[..]);
+        if established && (hello.is_some() || !outq.is_empty() || msg.is_some()) {
+            // The hello, the queue, then `msg`, in one channel call. What
+            // it does not take waits for OP_SEND, which fires when send
+            // buffers free up.
+            let msgs = hello
+                .into_iter()
+                .chain(outq.iter().map(Vec::as_slice))
+                .chain(msg.as_deref());
+            let mut taken = link.channel.write_all(sim, msgs).unwrap_or(0);
+            if hello.is_some() && taken > 0 {
+                link.hello_sent = true;
+                taken -= 1;
             }
-            if outq.is_empty() && msg.as_deref().is_some_and(|m| self.write(sim, link, m)) {
+            let queued = taken.min(outq.len());
+            outq.drain(..queued);
+            if taken > queued {
                 msg = None;
             }
         }
@@ -358,7 +375,7 @@ impl Transport for RubinTransport {
         len: usize,
         done: StateReadFn,
     ) -> bool {
-        let Some(channel) = self.mesh.live_link(peer, |l| l.channel.clone()) else {
+        let Some(channel) = self.mesh.flushed_link(sim, peer, |l| l.channel.clone()) else {
             return false;
         };
         channel.post_read(sim, rkey, offset, len, done).is_ok()
@@ -405,7 +422,7 @@ impl Transport for RubinTransport {
         imm: u32,
         done: SlotWriteFn,
     ) -> bool {
-        let Some(channel) = self.mesh.live_link(peer, |l| l.channel.clone()) else {
+        let Some(channel) = self.mesh.flushed_link(sim, peer, |l| l.channel.clone()) else {
             return false;
         };
         channel

@@ -3,9 +3,10 @@
 //! An [`RdmaChannel`] wraps a reliable-connection queue pair together with
 //! pre-registered send/receive buffer pools and implements the paper's §IV
 //! optimizations (inline sends, selective signaling, batched receive
-//! posting, send-side zero copy). `write()` and `read()` are non-blocking
-//! and message-oriented: one `write` becomes one RDMA SEND, one `read`
-//! returns one received message.
+//! posting, send-side zero copy). Its calls are non-blocking and
+//! message-oriented: `write_all` posts a list of messages, one RDMA SEND
+//! each, and `read_all` takes every message that has arrived, each in one
+//! channel call; `write` and `read` are their one-message case.
 //!
 //! The receive path always copies from the pre-posted registered buffer
 //! into a fresh application buffer — the cost the paper identifies as the
@@ -243,6 +244,8 @@ pub(crate) struct ChanInner {
     to_repost: Vec<SlabIndex>,
     /// Work requests of one re-post, kept between re-posts.
     repost_wrs: Vec<RecvWr>,
+    /// Work requests of one `write_all`, kept between calls.
+    send_wrs: Vec<SendWr>,
     /// Borrowed slabs dropped without release, reclaimed lazily.
     parked_slabs: Vec<SlabIndex>,
     /// Poll buffers of the two completion queues, kept between polls.
@@ -272,16 +275,72 @@ impl ChanInner {
         Ok(())
     }
 
-    /// Charges one channel call to its core: the copy of `copied` bytes,
-    /// if any, then the managed-runtime overhead plus `extra_ns`.
-    fn charge_call(&self, sim: &Simulator, copied: Option<usize>, extra_ns: u64) {
+    /// Charges one channel call to its core: the managed-runtime overhead
+    /// plus `extra_ns`.
+    fn charge_call(&self, sim: &Simulator, extra_ns: u64) {
         let host_ref = self.device.net().host(self.device.host());
         let mut h = host_ref.borrow_mut();
-        if let Some(len) = copied {
-            h.charge_user_copy(sim.now(), self.core, len);
-        }
         let work = Nanos::from_nanos(h.cpu().runtime_io_ns + extra_ns);
         h.exec(sim.now(), self.core, work);
+    }
+
+    /// Charges the copy of `len` bytes between an application buffer and a
+    /// registered one to the channel's core.
+    fn charge_copy(&self, sim: &Simulator, len: usize) {
+        let host_ref = self.device.net().host(self.device.host());
+        host_ref
+            .borrow_mut()
+            .charge_user_copy(sim.now(), self.core, len);
+    }
+
+    /// Takes `data` into the send work request of its path (inline, a
+    /// copy into a pooled slab, or its own registration for zero copy),
+    /// charging the copy; `None` if the send buffers are full.
+    fn prepare_send(&mut self, sim: &Simulator, data: &[u8]) -> Option<SendWr> {
+        if self.outstanding_sends >= self.cfg.send_buffers {
+            return None;
+        }
+        let use_inline = data.len() <= self.cfg.inline_threshold;
+        let use_zero_copy =
+            !use_inline && self.cfg.zero_copy_send && data.len() > self.cfg.small_copy_threshold;
+        let (sge, buf) = if use_zero_copy {
+            // Models registering the application's own buffer: the payload
+            // is not copied on the send side; the caller charges the
+            // registration-cache lookup.
+            let mr = self.device.reg_mr(&self.pd, data.len(), Access::NONE);
+            mr.write(0, data).expect("fresh region fits payload");
+            self.stats.zero_copy_sends += 1;
+            (Sge::new(mr.clone(), 0, data.len()), SendBuf::Registered(mr))
+        } else {
+            let (idx, mr) = self.send_pool.lend()?;
+            mr.write(0, data).expect("slab fits message");
+            self.charge_copy(sim, data.len());
+            if use_inline {
+                self.stats.inline_sends += 1;
+            } else {
+                self.stats.copied_sends += 1;
+            }
+            (Sge::new(mr, 0, data.len()), SendBuf::Slab(idx))
+        };
+        self.since_signal += 1;
+        let signaled = self.since_signal >= self.cfg.signal_interval;
+        if signaled {
+            self.since_signal = 0;
+            self.stats.signaled_sends += 1;
+        }
+        let wr_id = self.send_count;
+        self.send_count += 1;
+        self.outstanding_sends += 1;
+        self.inflight.push_back((wr_id, buf));
+        self.stats.msgs_sent += 1;
+        let mut wr = SendWr::send(WrId(wr_id), sge);
+        if signaled {
+            wr = wr.signaled();
+        }
+        if use_inline {
+            wr = wr.with_inline();
+        }
+        Some(wr)
     }
 }
 
@@ -359,6 +418,7 @@ impl RdmaChannel {
                 rx_ready: VecDeque::new(),
                 to_repost: Vec::new(),
                 repost_wrs: Vec::new(),
+                send_wrs: Vec::new(),
                 parked_slabs: Vec::new(),
                 send_wcs: Vec::new(),
                 recv_wcs: Vec::new(),
@@ -553,111 +613,74 @@ impl RdmaChannel {
         est
     }
 
-    /// Non-blocking message send. Returns `Ok(true)` if the message was
-    /// accepted, `Ok(false)` if the channel is temporarily full
-    /// (`OP_SEND` readiness will fire when space frees up).
+    /// Non-blocking message send: [`write_all`](Self::write_all) of one
+    /// message. Returns `Ok(true)` if the message was accepted, `Ok(false)`
+    /// if the channel is temporarily full (`OP_SEND` readiness will fire
+    /// when space frees up).
+    ///
+    /// # Errors
+    ///
+    /// As for [`write_all`](Self::write_all).
+    pub fn write(&self, sim: &mut Simulator, data: &[u8]) -> Result<bool, ChannelError> {
+        Ok(self.write_all(sim, [data])? == 1)
+    }
+
+    /// Non-blocking send of `msgs`, in order, in one channel call: as many
+    /// as the send buffers take, each one RDMA SEND. Returns how many it
+    /// took; the rest wait for `OP_SEND` readiness.
+    ///
+    /// The call charges the managed-runtime overhead once, plus each
+    /// message's copy into a registered buffer (a registration-cache
+    /// lookup, `reg_cache_ns`, for a zero-copy one), and posts the sends
+    /// with one doorbell per `max_post_batch` work requests.
     ///
     /// # Errors
     ///
     /// * [`ChannelError::NotConnected`] before establishment.
     /// * [`ChannelError::Broken`] after a failure.
-    /// * [`ChannelError::MessageTooLarge`] if `data` exceeds the buffer
-    ///   size.
+    /// * [`ChannelError::MessageTooLarge`] if any message exceeds the
+    ///   buffer size; then none is sent.
     /// * [`ChannelError::Verbs`] on posting errors.
-    pub fn write(&self, sim: &mut Simulator, data: &[u8]) -> Result<bool, ChannelError> {
-        enum Path {
-            Inline(SlabIndex, rdma_verbs::MemoryRegion),
-            Pooled(SlabIndex, rdma_verbs::MemoryRegion),
-            ZeroCopy(rdma_verbs::MemoryRegion),
-        }
-        let (qp, wr) = {
-            let mut inner = self.inner.borrow_mut();
+    pub fn write_all<'a, I>(&self, sim: &mut Simulator, msgs: I) -> Result<usize, ChannelError>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
+        let msgs = msgs.into_iter();
+        let (qp, mut wrs, limit) = {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             inner.check_open()?;
-            if data.len() > inner.cfg.buffer_size {
-                return Err(ChannelError::MessageTooLarge {
-                    len: data.len(),
-                    max: inner.cfg.buffer_size,
-                });
+            let max = inner.cfg.buffer_size;
+            if let Some(len) = msgs.clone().map(<[u8]>::len).find(|&len| len > max) {
+                return Err(ChannelError::MessageTooLarge { len, max });
             }
-            if inner.outstanding_sends >= inner.cfg.send_buffers {
-                inner.stats.send_stalls += 1;
-                drop(inner);
-                self.refresh_readiness(sim);
-                return Ok(false);
-            }
-            let use_inline = data.len() <= inner.cfg.inline_threshold;
-            let use_zero_copy = !use_inline
-                && inner.cfg.zero_copy_send
-                && data.len() > inner.cfg.small_copy_threshold;
-            let path = if use_zero_copy {
-                // Models registering the application's own buffer: the
-                // payload is not copied on the send side; only a
-                // registration-cache lookup is charged.
-                let mr = inner.device.reg_mr(&inner.pd, data.len(), Access::NONE);
-                mr.write(0, data).expect("fresh region fits payload");
-                Path::ZeroCopy(mr)
-            } else {
-                let Some((idx, mr)) = inner.send_pool.lend() else {
+            let mut wrs = std::mem::take(&mut inner.send_wrs);
+            let zero_copy_before = inner.stats.zero_copy_sends;
+            for data in msgs {
+                let Some(wr) = inner.prepare_send(sim, data) else {
                     inner.stats.send_stalls += 1;
-                    drop(inner);
-                    self.refresh_readiness(sim);
-                    return Ok(false);
+                    break;
                 };
-                mr.write(0, data).expect("slab fits message");
-                if use_inline {
-                    Path::Inline(idx, mr)
-                } else {
-                    Path::Pooled(idx, mr)
-                }
-            };
-
-            // CPU cost of the channel write: managed-runtime overhead plus
-            // the copy into the registered buffer (skipped for zero copy,
-            // where only the registration cache is consulted).
-            if use_zero_copy {
-                inner.charge_call(sim, None, inner.cfg.reg_cache_ns);
-            } else {
-                inner.charge_call(sim, Some(data.len()), 0);
+                wrs.push(wr);
             }
-
-            inner.since_signal += 1;
-            let signaled = inner.since_signal >= inner.cfg.signal_interval;
-            if signaled {
-                inner.since_signal = 0;
-                inner.stats.signaled_sends += 1;
+            if !wrs.is_empty() {
+                let zero_copy = inner.stats.zero_copy_sends - zero_copy_before;
+                inner.charge_call(sim, zero_copy * inner.cfg.reg_cache_ns);
             }
-            let wr_id = inner.send_count;
-            inner.send_count += 1;
-            inner.outstanding_sends += 1;
-            let (sge, buf, inline) = match path {
-                Path::Inline(idx, mr) => {
-                    inner.stats.inline_sends += 1;
-                    (Sge::new(mr, 0, data.len()), SendBuf::Slab(idx), true)
-                }
-                Path::Pooled(idx, mr) => {
-                    inner.stats.copied_sends += 1;
-                    (Sge::new(mr, 0, data.len()), SendBuf::Slab(idx), false)
-                }
-                Path::ZeroCopy(mr) => {
-                    inner.stats.zero_copy_sends += 1;
-                    let sge = Sge::new(mr.clone(), 0, data.len());
-                    (sge, SendBuf::Registered(mr), false)
-                }
-            };
-            inner.inflight.push_back((wr_id, buf));
-            inner.stats.msgs_sent += 1;
-            let mut wr = SendWr::send(WrId(wr_id), sge);
-            if signaled {
-                wr = wr.signaled();
-            }
-            if inline {
-                wr = wr.with_inline();
-            }
-            (inner.qp.clone(), wr)
+            (inner.qp.clone(), wrs, inner.device.model().max_post_batch)
         };
-        qp.post_send(sim, wr)?;
+        let taken = wrs.len();
+        let mut posted = Ok(());
+        while posted.is_ok() && !wrs.is_empty() {
+            let n = wrs.len().min(limit);
+            posted = qp.post_send_batch(sim, wrs.drain(..n));
+        }
+        wrs.clear();
+        self.inner.borrow_mut().send_wrs = wrs;
+        posted?;
         self.refresh_readiness(sim);
-        Ok(true)
+        Ok(taken)
     }
 
     /// Posts a one-sided RDMA READ of `[remote_offset, remote_offset+len)`
@@ -725,7 +748,7 @@ impl RdmaChannel {
                 .device
                 .reg_mr(&inner.pd, data.len().max(1), Access::NONE);
             src.write(0, data).expect("fresh region fits payload");
-            inner.charge_call(sim, None, inner.cfg.reg_cache_ns);
+            inner.charge_call(sim, inner.cfg.reg_cache_ns);
             src
         };
         let sge = Sge::new(src.clone(), 0, data.len());
@@ -766,45 +789,90 @@ impl RdmaChannel {
         self.inner.borrow_mut().write_doorbell = Some(doorbell);
     }
 
-    /// Non-blocking message receive.
-    ///
-    /// Copies the message out of the pre-posted registered buffer (the
-    /// receive-side copy of paper §IV) and batches the freed buffer for
-    /// re-posting.
+    /// Non-blocking message receive: [`read_all`](Self::read_all) of at
+    /// most one message.
     ///
     /// # Errors
     ///
-    /// [`ChannelError::Broken`] after a queue-pair failure, or posting
-    /// errors while re-posting receive buffers.
+    /// As for [`read_all`](Self::read_all).
     pub fn read(&self, sim: &mut Simulator) -> Result<RecvOutcome, ChannelError> {
+        let mut msg = None;
+        self.take_received(sim, 1, |m| msg = Some(m))?;
+        Ok(match msg {
+            Some(m) => RecvOutcome::Msg(m),
+            None if self.inner.borrow().eof => RecvOutcome::Eof,
+            None => RecvOutcome::WouldBlock,
+        })
+    }
+
+    /// Non-blocking receive of every message that has arrived, appended to
+    /// `inbox` in arrival order, in one channel call. Returns how many it
+    /// moved; `Ok(0)` when none has arrived, and also once the peer has
+    /// disconnected and everything was read ([`is_eof`](Self::is_eof)).
+    ///
+    /// The call charges the managed-runtime overhead once, plus each
+    /// message's copy out of the pre-posted registered buffer (the
+    /// receive-side copy of paper §IV), and re-posts the freed buffers in
+    /// batches of `recv_batch`.
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::Broken`] after a queue-pair failure, once every
+    /// message that arrived before it was read, or posting errors while
+    /// re-posting receive buffers.
+    pub fn read_all(
+        &self,
+        sim: &mut Simulator,
+        inbox: &mut VecDeque<Vec<u8>>,
+    ) -> Result<usize, ChannelError> {
+        self.take_received(sim, usize::MAX, |m| inbox.push_back(m))
+    }
+
+    /// Copies up to `max` received messages out to `deliver`: the body of
+    /// [`read`](Self::read) and [`read_all`](Self::read_all).
+    fn take_received(
+        &self,
+        sim: &mut Simulator,
+        max: usize,
+        mut deliver: impl FnMut(Vec<u8>),
+    ) -> Result<usize, ChannelError> {
         if !self.inner.borrow().parked_slabs.is_empty() {
             self.return_slab(sim, None)?;
         }
-        let data = {
-            let mut inner = self.inner.borrow_mut();
-            let Some((slab, len)) = inner.rx_ready.pop_front() else {
-                if inner.eof {
-                    return Ok(RecvOutcome::Eof);
-                }
-                if let Some(why) = &inner.broken {
-                    return Err(ChannelError::Broken(why.clone()));
-                }
-                return Ok(RecvOutcome::WouldBlock);
+        {
+            let inner = self.inner.borrow();
+            if inner.rx_ready.is_empty() {
+                return match &inner.broken {
+                    Some(why) if !inner.eof => Err(ChannelError::Broken(why.clone())),
+                    _ => Ok(0),
+                };
+            }
+            inner.charge_call(sim, 0);
+        }
+        let mut taken = 0;
+        while taken < max {
+            let data = {
+                let mut inner = self.inner.borrow_mut();
+                let Some((slab, len)) = inner.rx_ready.pop_front() else {
+                    break;
+                };
+                inner.charge_copy(sim, len);
+                let data = inner
+                    .recv_pool
+                    .slab(slab)
+                    .read(0, len)
+                    .expect("received message fits its slab");
+                inner.stats.msgs_received += 1;
+                inner.stats.bytes_received += len as u64;
+                inner.to_repost.push(slab);
+                data
             };
-            inner.charge_call(sim, Some(len), 0);
-            let data = inner
-                .recv_pool
-                .slab(slab)
-                .read(0, len)
-                .expect("received message fits its slab");
-            inner.stats.msgs_received += 1;
-            inner.stats.bytes_received += len as u64;
-            inner.to_repost.push(slab);
-            data
-        };
-        self.repost_if_full(sim)?;
+            deliver(data);
+            taken += 1;
+            self.repost_if_full(sim)?;
+        }
         self.refresh_readiness(sim);
-        Ok(RecvOutcome::Msg(data))
+        Ok(taken)
     }
 
     /// Returns a consumed receive slab (if any) to the batched re-posting
@@ -848,7 +916,7 @@ impl RdmaChannel {
                 }
                 return Ok(None);
             };
-            inner.charge_call(sim, None, 0);
+            inner.charge_call(sim, 0);
             inner.stats.msgs_received += 1;
             inner.stats.bytes_received += len as u64;
             inner.stats.borrowed_reads += 1;

@@ -312,6 +312,103 @@ mod tests {
         assert_eq!(client.stats().send_stalls, 1);
     }
 
+    /// CPU time `f` charges to `host`'s core 0.
+    fn charged(w: &mut World, host: simnet::HostId, f: impl FnOnce(&mut World)) -> Nanos {
+        let busy = |w: &World| w.tb.net.host(host).borrow().core_busy_time(CoreId(0));
+        let before = busy(w);
+        f(w);
+        busy(w) - before
+    }
+
+    /// `host`'s managed-runtime overhead per channel call, and its copy
+    /// cost by length.
+    fn runtime_and_copy(w: &World, host: simnet::HostId) -> (u64, impl Fn(usize) -> u64) {
+        let cpu = w.tb.net.host(host).borrow().cpu().clone();
+        (cpu.runtime_io_ns, move |len| cpu.copy_cost(len).as_nanos())
+    }
+
+    #[test]
+    fn read_all_charges_one_call_and_each_copy() {
+        let mut w = world(41);
+        let (client, server) = connected_channels(&mut w, RubinConfig::paper());
+        let sizes = [100, 1024, 3000, 64, 2048];
+        for (i, &len) in sizes.iter().enumerate() {
+            assert!(client.write(&mut w.tb.sim, &vec![i as u8; len]).unwrap());
+        }
+        w.tb.sim.run_until_idle();
+        server.process_completions(&mut w.tb.sim);
+        let mut inbox = std::collections::VecDeque::new();
+        let b = w.tb.b;
+        let spent = charged(&mut w, b, |w| {
+            assert_eq!(server.read_all(&mut w.tb.sim, &mut inbox), Ok(5));
+        });
+        let (runtime, copy) = runtime_and_copy(&w, b);
+        let copies: u64 = sizes.iter().map(|&len| copy(len)).sum();
+        assert_eq!(spent.as_nanos(), runtime + copies);
+        for (i, (msg, &len)) in inbox.iter().zip(&sizes).enumerate() {
+            assert_eq!(msg, &vec![i as u8; len]);
+        }
+        // Nothing left: no call, no charge.
+        let spent = charged(&mut w, b, |w| {
+            assert_eq!(server.read_all(&mut w.tb.sim, &mut inbox), Ok(0));
+        });
+        assert_eq!(spent, Nanos::ZERO);
+    }
+
+    #[test]
+    fn write_all_rings_one_doorbell_per_device_batch() {
+        let mut w = world(42);
+        let cfg = RubinConfig::paper();
+        let (client, server) = connected_channels(&mut w, cfg.clone());
+        // Twenty inline messages and twenty copied ones.
+        let msgs: Vec<Vec<u8>> = (0..40u8)
+            .map(|i| vec![i; if i % 2 == 0 { 200 } else { 1024 }])
+            .collect();
+        let a = w.tb.a;
+        let spent = charged(&mut w, a, |w| {
+            let taken = client.write_all(&mut w.tb.sim, msgs.iter().map(Vec::as_slice));
+            assert_eq!(taken, Ok(40));
+        });
+        let (runtime, copy) = runtime_and_copy(&w, a);
+        let copies: u64 = msgs.iter().map(|m| copy(m.len())).sum();
+        let model = RnicModel::mt27520();
+        let doorbells = model.post_batch_cost(32) + model.post_batch_cost(8);
+        assert_eq!(spent.as_nanos(), runtime + copies + doorbells.as_nanos());
+        assert_eq!(client.qp().stats().sends_posted, 40);
+        let st = client.stats();
+        assert_eq!(st.signaled_sends, 40 / cfg.signal_interval as u64);
+        assert_eq!((st.inline_sends, st.copied_sends), (20, 20));
+        for msg in &msgs {
+            assert_eq!(&read_one(&mut w, &server), msg);
+        }
+    }
+
+    #[test]
+    fn a_stalled_write_all_returns_what_it_took() {
+        let mut w = world(43);
+        let cfg = RubinConfig {
+            send_buffers: 4,
+            signal_interval: 2,
+            recv_batch: 2,
+            ..RubinConfig::paper()
+        };
+        let (client, server) = connected_channels(&mut w, cfg);
+        let msgs: Vec<[u8; 300]> = (0..6u8).map(|i| [i; 300]).collect();
+        let taken = client.write_all(&mut w.tb.sim, msgs.iter().map(|m| &m[..]));
+        assert_eq!(taken, Ok(4));
+        assert_eq!(client.stats().send_stalls, 1);
+        for msg in &msgs[..4] {
+            assert_eq!(read_one(&mut w, &server), msg);
+        }
+        w.tb.sim.run_until_idle();
+        client.process_completions(&mut w.tb.sim);
+        let rest = client.write_all(&mut w.tb.sim, msgs[4..].iter().map(|m| &m[..]));
+        assert_eq!(rest, Ok(2));
+        for msg in &msgs[4..] {
+            assert_eq!(read_one(&mut w, &server), msg);
+        }
+    }
+
     #[test]
     fn batched_reposting_matches_config() {
         let mut w = world(10);

@@ -479,3 +479,127 @@ fn nio_oversize_length_prefix_tears_the_stream_down() {
     assert_eq!(r.counter(0, r.down), 1);
     assert_link_0_2_alive(&mut r);
 }
+
+// ---- One reactor round: a link's first message at once, the rest at its end ----
+
+/// Node 1 answers node 0's "go" with three messages from its delivery,
+/// inside one reactor round, or, with `in_round` false, from an event at
+/// the same instant outside any round. `probe` reads a count of node 1's
+/// host. Returns node 0's deliveries and `probe`'s rise inside the round's
+/// sends and over the whole exchange.
+fn answer_three(mut r: Rig, in_round: bool, probe: fn(&Network, HostId) -> u64) -> Answer {
+    let log = wire_log(&r.ts);
+    let (net, host) = (r.net.clone(), r.hosts[1]);
+    let node1 = Rc::downgrade(&r.ts[1]);
+    let during = Rc::new(RefCell::new(0));
+    let d = during.clone();
+    r.ts[1].set_delivery(Rc::new(move |sim, _from, _bytes| {
+        let Some(t) = node1.upgrade() else { return };
+        let answer = move |sim: &mut Simulator| {
+            for m in THREE {
+                t.send(sim, 0, m.to_vec());
+            }
+        };
+        if in_round {
+            let before = probe(&net, host);
+            answer(sim);
+            *d.borrow_mut() = probe(&net, host) - before;
+        } else {
+            sim.schedule_in(Nanos::ZERO, answer);
+        }
+    }));
+    let before = probe(&r.net, host);
+    r.ts[0].send(&mut r.sim, 1, b"go".to_vec());
+    r.sim.run_until_idle();
+    let got = log.borrow().iter().map(|(_, _, b)| b.clone()).collect();
+    let during = *during.borrow();
+    Answer {
+        got,
+        during,
+        total: probe(&r.net, host) - before,
+    }
+}
+
+struct Answer {
+    got: Vec<Vec<u8>>,
+    during: u64,
+    total: u64,
+}
+
+const THREE: [&[u8]; 3] = [&[1u8; 1024], &[2u8; 1024], &[3u8; 1024]];
+
+fn syscalls(net: &Network, host: HostId) -> u64 {
+    net.metrics().counter(&format!("host.{host}.syscalls"))
+}
+
+fn busy_ns(net: &Network, host: HostId) -> u64 {
+    net.host(host).borrow().total_busy_time().as_nanos()
+}
+
+#[test]
+fn nio_round_writes_a_peers_first_message_at_once_and_the_rest_in_one_write() {
+    let round = answer_three(nio_rig(2, 51), true, syscalls);
+    let apart = answer_three(nio_rig(2, 51), false, syscalls);
+    assert_eq!(round.got, THREE);
+    assert_eq!(apart.got, THREE);
+    // One write inside the round; the other two messages share one write
+    // at its end, where apart each takes its own.
+    assert_eq!(round.during, 1);
+    assert_eq!(apart.total - round.total, 1);
+}
+
+#[test]
+fn rubin_round_writes_a_peers_first_message_at_once_and_the_rest_in_one_call() {
+    let r = rubin_rig(2, 52);
+    let cpu = r.net.host(r.hosts[1]).borrow().cpu().clone();
+    let rnic = RnicModel::mt27520();
+    let round = answer_three(r, true, busy_ns);
+    let apart = answer_three(rubin_rig(2, 52), false, busy_ns);
+    assert_eq!(round.got, THREE);
+    assert_eq!(apart.got, THREE);
+    // One channel call inside the round: the first message's copy, the
+    // runtime overhead and its own doorbell.
+    let one_call = cpu.runtime_io_ns + cpu.copy_cost(1024).as_nanos() + rnic.post_wr_ns;
+    assert_eq!(round.during, one_call);
+    // The other two share one call at its end: one runtime charge and one
+    // doorbell for both, where apart each pays its own.
+    let saved = cpu.runtime_io_ns + rnic.post_wr_ns - rnic.post_batch_extra_ns;
+    assert_eq!(apart.total - round.total, saved);
+}
+
+/// A one-sided WRITE follows the messages sent before it: the send it is
+/// issued behind, still waiting for its round to end, is posted first, so
+/// on the peer the WRITE completes after that SEND (RC receive order).
+#[test]
+fn rubin_slot_write_completes_after_a_send_queued_before_it() {
+    let mut r = rubin_rig(2, 53);
+    let big = vec![9u8; 64 * 1024];
+    let region = r.ts[0].register_write_region(&mut r.sim, 64).expect("RUBIN grants");
+    let events: Rc<RefCell<Vec<(Nanos, &'static str)>>> = Rc::default();
+    let ev = events.clone();
+    r.ts[0].set_delivery(Rc::new(move |sim, _from, bytes| {
+        let what = if bytes.len() > 1024 { "send" } else { "first" };
+        ev.borrow_mut().push((sim.now(), what));
+    }));
+    let ev = events.clone();
+    r.ts[0].set_slot_doorbell(Rc::new(move |sim, _from, _imm, _len| {
+        ev.borrow_mut().push((sim.now(), "write"));
+    }));
+    let node1 = Rc::downgrade(&r.ts[1]);
+    r.ts[1].set_delivery(Rc::new(move |sim, _from, _bytes| {
+        let Some(t) = node1.upgrade() else { return };
+        t.send(sim, 0, b"first".to_vec());
+        t.send(sim, 0, big.clone());
+        let posted = t.write_slot(sim, 0, region.rkey, 0, &[5u8; 64], 7, Box::new(|_, _| {}));
+        assert!(posted);
+    }));
+    r.ts[0].send(&mut r.sim, 1, b"go".to_vec());
+    r.sim.run_until_idle();
+    let events = events.borrow();
+    let at = |what| events.iter().find(|e| e.1 == what).expect("happened").0;
+    assert_eq!(events.len(), 3);
+    assert!(at("first") < at("send"));
+    // Posted ahead of the SEND, the small WRITE would land tens of
+    // microseconds before the 64 KiB message.
+    assert!(at("write") >= at("send"), "{events:?}");
+}

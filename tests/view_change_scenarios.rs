@@ -137,7 +137,7 @@ fn a_burst_queued_at_a_correct_primary_deposes_no_one() {
     // the burst is a slow sample, and its deviation raises the suspicion
     // time before a request's accusing stage is armed, so a busy but
     // correct primary stays in office.
-    for (stack, clients, per_client) in [(Stack::Direct, 8, 1400), (Stack::Rubin, 32, 60)] {
+    for (stack, clients, per_client) in [(Stack::Direct, 8, 1400), (Stack::Rubin, 40, 60)] {
         let mut c = world(&Scenario::new(stack, 79).clients(clients));
         c.submit_sequentially((0..20).map(|_| b"inc".to_vec()));
         let burst_at = c.sim.now();
