@@ -1235,12 +1235,18 @@ impl QueuePair {
     }
 
     fn handle_ack(&self, sim: &mut Simulator, seq: u64) {
-        if let Some((op, _)) = self.retire(sim, seq) {
+        let Some((op, _)) = self.retire(sim, seq) else {
+            return;
+        };
+        {
             let mut inner = self.inner.borrow_mut();
             inner.last_ack_progress = sim.now();
             inner.complete_send(&op, WcStatus::Success, op.byte_len);
         }
-        self.fire_hook(sim);
+        // The ACK of an unsignaled send leaves no completion to report.
+        if op.signaled {
+            self.fire_hook(sim);
+        }
     }
 
     fn handle_nak(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {

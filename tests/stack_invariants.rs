@@ -261,13 +261,15 @@ fn one_sided_state_read_costs_the_responder_zero_cpu_work() {
 
 #[test]
 fn saturated_rubin_selector_polls_each_completion_queue_once_per_wake_up() {
-    // The paper's Figure 4 echo (window 30, bursts of 10) keeps both
-    // selector threads saturated: completion events wait in the hybrid
-    // queue and each wake-up polls a channel once for all of them. Polling
-    // per event measured 4.000 polls per echo here, 1.750 of them empty
-    // (the ACK of an unsignaled send leaves no completion).
+    // The paper's Figure 4 echo (window 30, bursts of 10) at 16 KB keeps
+    // both selector threads saturated: completion events wait in the
+    // hybrid queue and each wake-up polls a channel once for all of them.
+    // Polling per event measured 4.000 polls per echo at 1 KB, 1.750 of
+    // them empty. Since a drain and a flush are one channel call each,
+    // 1 KB no longer saturates the threads (0.60 polls per echo), so the
+    // copies of a larger payload keep them busy.
     const ECHOES: u64 = 6000;
-    let (_, snap) = fig4::rubin_selector_echo(1024, ECHOES as usize);
+    let (_, snap) = fig4::rubin_selector_echo(16 * 1024, ECHOES as usize);
     let polls = snap.total("cq_polls");
     let empty = snap.total("cq_polls_empty");
     assert!(polls > 0, "the selectors must have polled");
