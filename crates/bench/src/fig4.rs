@@ -171,8 +171,9 @@ fn selector_echo(
     let mut sim = Simulator::new(seed);
     let net = Network::new();
     let host = net.add_host("local", 4, CpuModel::xeon_v2());
+    let core = |i: u32| if i == 0 { 0 } else { (i + 1) % 4 };
     let nodes: Vec<_> = (0..=clients as u32)
-        .map(|i| (i, host, CoreId(if i == 0 { 0 } else { ((i + 1) % 4) as u16 })))
+        .map(|i| (i, host, CoreId(core(i) as u16)))
         .collect();
     let ts = stack.mesh(&mut sim, &net, &nodes);
     let result = drive_echo(&mut sim, &ts[1..], ts[0].clone(), payload, msgs);

@@ -312,9 +312,7 @@ impl<W: Wire> Mesh<W> {
             return None;
         }
         if !link.outq.is_empty() {
-            inner
-                .wire
-                .flush(sim, &mut link.wire, &mut link.outq, None);
+            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
         }
         Some(f(&link.wire))
     }
@@ -470,9 +468,7 @@ impl<W: Wire> Mesh<W> {
             let link = &mut inner.links[slot];
             link.deferred = false;
             if !link.dead {
-                inner
-                    .wire
-                    .flush(sim, &mut link.wire, &mut link.outq, None);
+                inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
             }
         }
     }

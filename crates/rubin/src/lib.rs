@@ -8,8 +8,9 @@
 //! The pieces map one-to-one onto the paper's Figure 1:
 //!
 //! * [`RdmaChannel`] — a non-blocking, message-oriented channel wrapping an
-//!   RC queue pair and its pre-registered buffer pools, with `read()` /
-//!   `write()` in the style of a NIO socket channel.
+//!   RC queue pair and its pre-registered buffer pools, with `read_all()`
+//!   / `write_all()` (and their one-message `read()` / `write()`) in the
+//!   style of a NIO socket channel.
 //! * [`RdmaServerChannel`] — the `ServerSocketChannel` analogue.
 //! * [`RdmaSelector`] + [`RubinKey`] selection keys — readiness
 //!   multiplexing for many channels on one select thread per core, driven

@@ -574,7 +574,9 @@ fn rubin_round_writes_a_peers_first_message_at_once_and_the_rest_in_one_call() {
 fn rubin_slot_write_completes_after_a_send_queued_before_it() {
     let mut r = rubin_rig(2, 53);
     let big = vec![9u8; 64 * 1024];
-    let region = r.ts[0].register_write_region(&mut r.sim, 64).expect("RUBIN grants");
+    let region = r.ts[0]
+        .register_write_region(&mut r.sim, 64)
+        .expect("RUBIN grants");
     let events: Rc<RefCell<Vec<(Nanos, &'static str)>>> = Rc::default();
     let ev = events.clone();
     r.ts[0].set_delivery(Rc::new(move |sim, _from, bytes| {
