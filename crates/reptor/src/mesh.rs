@@ -130,10 +130,13 @@ pub(crate) trait Wire: Sized + 'static {
         outq: &mut VecDeque<Vec<u8>>,
     ) -> bool;
     fn is_established(link: &Self::Link) -> bool;
+    /// Takes the next message off a link. One wire call drains everything
+    /// readable; later calls hand out what it drained.
     fn recv(&self, sim: &mut Simulator, link: &mut Self::Link) -> Recv;
     /// Writes as much of `outq`, then of `msg`, as the link takes (the
-    /// dialer's hello first), queues whatever of `msg` it did not take as
-    /// an owned copy, and re-arms the link's selector interest.
+    /// dialer's hello first) in one wire call, queues whatever of `msg` it
+    /// did not take as an owned copy, and re-arms the link's selector
+    /// interest.
     fn flush(
         &self,
         sim: &mut Simulator,
