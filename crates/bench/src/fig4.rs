@@ -49,57 +49,23 @@ struct ClientState {
     completed: usize,
     outstanding: usize,
     send_times: VecDeque<Nanos>,
-    /// Shared by every client of one run.
-    rec: Rc<RefCell<LatencyRecorder>>,
+    rec: LatencyRecorder,
 }
 
-/// Each of `clients` echoes `msgs` messages of `payload` bytes through
-/// `server`, with the paper's window and bursts; latencies are pooled.
 fn drive_echo(
     sim: &mut Simulator,
-    clients: &[Rc<dyn Transport>],
+    client: Rc<dyn Transport>,
     server: Rc<dyn Transport>,
     payload: usize,
     msgs: usize,
 ) -> EchoResult {
     // Server: echo every message straight back.
     let server_t = server.clone();
-    server.set_delivery(Rc::new(move |sim, from, bytes| {
-        server_t.send(sim, from, bytes);
+    let client_node = client.node();
+    server.set_delivery(Rc::new(move |sim, _from, bytes| {
+        server_t.send(sim, client_node, bytes);
     }));
-    let rec = Rc::new(RefCell::new(LatencyRecorder::new()));
-    let t0 = sim.now();
-    let states: Vec<_> = clients
-        .iter()
-        .map(|client| start_client(sim, client.clone(), server.node(), payload, msgs, &rec))
-        .collect();
-    sim.run_until_idle();
-    for s in &states {
-        let s = s.borrow();
-        assert_eq!(
-            s.completed, msgs,
-            "selector echo stalled at {}/{msgs}",
-            s.completed
-        );
-    }
-    let total = (msgs * clients.len()) as u64;
-    let latency_us = rec.borrow().mean().as_micros_f64();
-    EchoResult {
-        latency_us,
-        rps: throughput_ops_per_sec(total, sim.now() - t0),
-    }
-}
 
-/// Starts one echo client: its first bursts go out now, and each echo that
-/// comes back tops its window up again.
-fn start_client(
-    sim: &mut Simulator,
-    client: Rc<dyn Transport>,
-    server_node: u32,
-    payload: usize,
-    msgs: usize,
-    rec: &Rc<RefCell<LatencyRecorder>>,
-) -> Rc<RefCell<ClientState>> {
     let state = Rc::new(RefCell::new(ClientState {
         payload: pattern(payload),
         total: msgs,
@@ -107,7 +73,7 @@ fn start_client(
         completed: 0,
         outstanding: 0,
         send_times: VecDeque::new(),
-        rec: rec.clone(),
+        rec: LatencyRecorder::new(),
     }));
 
     fn top_up(
@@ -141,6 +107,7 @@ fn start_client(
         }
     }
 
+    let server_node = server.node();
     let st = state.clone();
     let client_for_cb = client.clone();
     client.set_delivery(Rc::new(move |sim, _from, bytes| {
@@ -148,58 +115,55 @@ fn start_client(
             let mut s = st.borrow_mut();
             assert_eq!(bytes.len(), s.payload.len(), "echo length mismatch");
             let sent_at = s.send_times.pop_front().expect("matching send");
-            s.rec.borrow_mut().record(sim.now() - sent_at);
+            s.rec.record(sim.now() - sent_at);
             s.completed += 1;
             s.outstanding -= 1;
         }
         top_up(sim, &client_for_cb, server_node, &st);
     }));
+
+    let t0 = sim.now();
     top_up(sim, &client, server_node, &state);
-    state
+    sim.run_until_idle();
+    let s = state.borrow();
+    assert_eq!(
+        s.completed, msgs,
+        "selector echo stalled at {}/{msgs}",
+        s.completed
+    );
+    EchoResult {
+        latency_us: s.rec.mean().as_micros_f64(),
+        rps: throughput_ops_per_sec(msgs as u64, sim.now() - t0),
+    }
 }
 
-/// Echo between endpoints of `stack` on one 4-core machine, as in the
-/// paper's local run: server on core 0, the first client on core 2 and
-/// any further ones on the cores after it, wrapping around.
+/// Echo between two endpoints of `stack` on one 4-core machine, as in the
+/// paper's local run: server on core 0, client on core 2.
 fn selector_echo(
     stack: Stack,
     seed: u64,
     payload: usize,
     msgs: usize,
-    clients: usize,
 ) -> (EchoResult, MetricsSnapshot) {
     let mut sim = Simulator::new(seed);
     let net = Network::new();
     let host = net.add_host("local", 4, CpuModel::xeon_v2());
-    let core = |i: u32| if i == 0 { 0 } else { (i + 1) % 4 };
-    let nodes: Vec<_> = (0..=clients as u32)
-        .map(|i| (i, host, CoreId(core(i) as u16)))
-        .collect();
+    let nodes = [(0u32, host, CoreId(0)), (1u32, host, CoreId(2))];
     let ts = stack.mesh(&mut sim, &net, &nodes);
-    let result = drive_echo(&mut sim, &ts[1..], ts[0].clone(), payload, msgs);
+    let result = drive_echo(&mut sim, ts[1].clone(), ts[0].clone(), payload, msgs);
     net.publish_sim_gauges(&sim);
     (result, net.metrics().snapshot())
 }
 
 /// Echo over the Java-NIO-style selector stack.
 pub fn nio_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
-    selector_echo(Stack::Nio, 0xF1641, payload, msgs, 1)
+    selector_echo(Stack::Nio, 0xF1641, payload, msgs)
 }
 
-/// Echo over the RUBIN selector stack.
+/// Echo over the RUBIN selector stack (the stack-invariant tests count
+/// completion-queue polls per echo on its [`MetricsSnapshot`]).
 pub fn rubin_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
-    rubin_selector_echo_clients(payload, msgs, 1)
-}
-
-/// [`rubin_selector_echo`] with `clients` echo clients of `msgs` messages
-/// each (the stack-invariant tests count completion-queue polls per echo
-/// on its [`MetricsSnapshot`]).
-pub fn rubin_selector_echo_clients(
-    payload: usize,
-    msgs: usize,
-    clients: usize,
-) -> (EchoResult, MetricsSnapshot) {
-    selector_echo(Stack::Rubin, 0xF1642, payload, msgs, clients)
+    selector_echo(Stack::Rubin, 0xF1642, payload, msgs)
 }
 
 /// Shape checks for Figure 4 (§V): RUBIN ~19–20 % lower latency at the
