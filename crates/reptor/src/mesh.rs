@@ -38,6 +38,36 @@ const RECONNECT_CAP_SHIFT: u32 = 5;
 /// checkpoint state transfer instead of replay.
 pub const PEN_CAP: usize = 16;
 
+/// Spare message buffers, at most [`PEN_CAP`]: a flush hands back the
+/// buffers it wrote, and a message that must queue is copied into one, so
+/// a queued copy of a borrowed broadcast costs no allocation once the
+/// mesh has run a while.
+#[derive(Default)]
+pub(crate) struct Spares(Vec<Vec<u8>>);
+
+impl Spares {
+    /// `msg` as a buffer the queue can own: itself if it already is one,
+    /// else a copy in a spare buffer.
+    pub(crate) fn own(&mut self, msg: Cow<'_, [u8]>) -> Vec<u8> {
+        match msg {
+            Cow::Owned(buf) => buf,
+            Cow::Borrowed(bytes) => {
+                let mut buf = self.0.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(bytes);
+                buf
+            }
+        }
+    }
+
+    /// Keeps a written message's buffer for a later queued copy.
+    pub(crate) fn give(&mut self, buf: Vec<u8>) {
+        if self.0.len() < PEN_CAP {
+            self.0.push(buf);
+        }
+    }
+}
+
 /// The one backoff schedule (link re-dials and the replica's rejoin
 /// probe): `base << min(attempts, RECONNECT_CAP_SHIFT)`.
 pub(crate) fn backoff(base: Nanos, attempts: u32) -> Nanos {
@@ -134,8 +164,9 @@ pub(crate) trait Wire: Sized + 'static {
     /// readable; later calls hand out what it drained.
     fn recv(&self, sim: &mut Simulator, link: &mut Self::Link) -> Recv;
     /// Writes as much of `outq`, then of `msg`, as the link takes (the
-    /// dialer's hello first) in one wire call, queues whatever of `msg` it
-    /// did not take as an owned copy, and re-arms the link's selector
+    /// dialer's hello first) in one wire call, hands the buffers it wrote
+    /// to `spares`, queues whatever of `msg` it did not take (a borrowed
+    /// one copied into a spare buffer), and re-arms the link's selector
     /// interest.
     fn flush(
         &self,
@@ -143,6 +174,7 @@ pub(crate) trait Wire: Sized + 'static {
         link: &mut Self::Link,
         outq: &mut VecDeque<Vec<u8>>,
         msg: Option<Cow<'_, [u8]>>,
+        spares: &mut Spares,
     );
     /// Retires a link: cancels its key, leaves `outq` holding only whole
     /// unsent messages.
@@ -184,6 +216,7 @@ struct MeshInner<W: Wire> {
     /// Consecutive failed re-dial attempts per peer (drives the backoff).
     redial_attempts: HashMap<NodeId, u32>,
     delivery: Option<DeliveryFn>,
+    spares: Spares,
     /// The running reactor round's number, if one is running.
     round: Option<u64>,
     /// Reactor rounds started so far.
@@ -256,6 +289,7 @@ impl<W: Wire> Mesh<W> {
                     directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
                     redial_attempts: HashMap::new(),
                     delivery: None,
+                    spares: Spares::default(),
                     round: None,
                     rounds: 0,
                     deferred: Vec::new(),
@@ -315,7 +349,9 @@ impl<W: Wire> Mesh<W> {
             return None;
         }
         if !link.outq.is_empty() {
-            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
         }
         Some(f(&link.wire))
     }
@@ -368,17 +404,21 @@ impl<W: Wire> Mesh<W> {
                         link.deferred = true;
                         inner.deferred.push(slot);
                     }
-                    link.outq.push_back(msg.into_owned());
+                    link.outq.push_back(inner.spares.own(msg));
                     return;
                 }
                 link.round = round;
             }
-            inner
-                .wire
-                .flush(sim, &mut link.wire, &mut link.outq, Some(msg));
+            inner.wire.flush(
+                sim,
+                &mut link.wire,
+                &mut link.outq,
+                Some(msg),
+                &mut inner.spares,
+            );
             return;
         }
-        link.outq.push_back(msg.into_owned());
+        link.outq.push_back(inner.spares.own(msg));
         // A dead or still-connecting link cannot drain; bound the holding
         // pen by shedding the oldest message. The survivors are the newest
         // traffic — recent checkpoints and votes — which is what a peer
@@ -389,7 +429,9 @@ impl<W: Wire> Mesh<W> {
             inner.pen_dropped.incr();
         }
         if !link.dead {
-            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
         }
     }
 
@@ -471,7 +513,9 @@ impl<W: Wire> Mesh<W> {
             let link = &mut inner.links[slot];
             link.deferred = false;
             if !link.dead {
-                inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
+                inner
+                    .wire
+                    .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
             }
         }
     }
@@ -712,7 +756,29 @@ impl<W: Wire> Mesh<W> {
         let inner = &mut *guard;
         let link = &mut inner.links[slot];
         if !link.dead {
-            inner.wire.flush(sim, &mut link.wire, &mut link.outq, None);
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_queued_copy_reuses_a_written_buffer_and_spares_stay_bounded() {
+        let mut spares = Spares::default();
+        let written = spares.own(Cow::Borrowed(&[1u8; 64][..]));
+        let at = written.as_ptr();
+        spares.give(written);
+        let copy = spares.own(Cow::Borrowed(&[2u8; 8][..]));
+        assert_eq!(copy.as_ptr(), at, "the copy lands in the written buffer");
+        assert_eq!(copy, [2u8; 8]);
+        for _ in 0..2 * PEN_CAP {
+            spares.give(Vec::with_capacity(8));
+        }
+        assert_eq!(spares.0.len(), PEN_CAP);
     }
 }

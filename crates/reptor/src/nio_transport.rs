@@ -22,7 +22,7 @@ use simnet_socket::{
     KeyId, Ops, ReadOutcome, Selected, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
 };
 
-use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Wire};
+use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Spares, Wire};
 use crate::state_transfer::MAX_STORE_BYTES;
 use crate::transport::{DeliveryFn, LaneDeliveryFn, NodeId, Transport};
 
@@ -200,6 +200,7 @@ impl Wire for NioWire {
         link: &mut NioLink,
         outq: &mut VecDeque<Vec<u8>>,
         mut msg: Option<Cow<'_, [u8]>>,
+        spares: &mut Spares,
     ) {
         while (!outq.is_empty() || msg.is_some()) && link.stream.is_established() {
             // Coalesce the queued frames, then `msg`'s, into one write,
@@ -223,7 +224,7 @@ impl Wire for NioWire {
                     n = 0;
                 } else {
                     n -= remaining;
-                    outq.pop_front();
+                    spares.give(outq.pop_front().expect("front exists"));
                     link.front_written = 0;
                 }
             }
@@ -233,12 +234,12 @@ impl Wire for NioWire {
                 let rest = msg.take().expect("written bytes past the queue are msg's");
                 if n < 4 + rest.len() {
                     link.front_written = n;
-                    outq.push_back(rest.into_owned());
+                    outq.push_back(spares.own(rest));
                 }
             }
         }
         if let Some(msg) = msg {
-            outq.push_back(msg.into_owned());
+            outq.push_back(spares.own(msg));
         }
         // WRITE interest only while there is something to flush.
         let interest = if !link.stream.is_established() {

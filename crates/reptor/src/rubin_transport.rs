@@ -22,7 +22,7 @@ use rubin::{
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
-use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Wire};
+use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Spares, Wire};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
     DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
@@ -214,6 +214,7 @@ impl Wire for RubinWire {
         link: &mut RubinLink,
         outq: &mut VecDeque<Vec<u8>>,
         mut msg: Option<Cow<'_, [u8]>>,
+        spares: &mut Spares,
     ) {
         let established = link.channel.is_established();
         if established {
@@ -235,13 +236,15 @@ impl Wire for RubinWire {
                 taken -= 1;
             }
             let queued = taken.min(outq.len());
-            outq.drain(..queued);
+            for buf in outq.drain(..queued) {
+                spares.give(buf);
+            }
             if taken > queued {
                 msg = None;
             }
         }
         if let Some(msg) = msg {
-            outq.push_back(msg.into_owned());
+            outq.push_back(spares.own(msg));
         }
         // OP_SEND readiness is level-triggered (send buffers are almost
         // always available), so subscribe to it only while output is
