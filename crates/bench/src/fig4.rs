@@ -44,6 +44,7 @@ pub fn run(msgs: usize) -> (Vec<Series>, Vec<Series>) {
 
 struct ClientState {
     payload: Vec<u8>,
+    window: usize,
     total: usize,
     sent: usize,
     completed: usize,
@@ -56,6 +57,7 @@ fn drive_echo(
     sim: &mut Simulator,
     client: Rc<dyn Transport>,
     server: Rc<dyn Transport>,
+    window: usize,
     payload: usize,
     msgs: usize,
 ) -> EchoResult {
@@ -68,6 +70,7 @@ fn drive_echo(
 
     let state = Rc::new(RefCell::new(ClientState {
         payload: pattern(payload),
+        window,
         total: msgs,
         sent: 0,
         completed: 0,
@@ -85,7 +88,7 @@ fn drive_echo(
         loop {
             let burst = {
                 let s = state.borrow();
-                if s.sent >= s.total || s.outstanding + BATCH > WINDOW {
+                if s.sent >= s.total || s.outstanding + BATCH > s.window {
                     0
                 } else {
                     BATCH.min(s.total - s.sent)
@@ -142,6 +145,7 @@ fn drive_echo(
 fn selector_echo(
     stack: Stack,
     seed: u64,
+    window: usize,
     payload: usize,
     msgs: usize,
 ) -> (EchoResult, MetricsSnapshot) {
@@ -150,20 +154,37 @@ fn selector_echo(
     let host = net.add_host("local", 4, CpuModel::xeon_v2());
     let nodes = [(0u32, host, CoreId(0)), (1u32, host, CoreId(2))];
     let ts = stack.mesh(&mut sim, &net, &nodes);
-    let result = drive_echo(&mut sim, ts[1].clone(), ts[0].clone(), payload, msgs);
+    let result = drive_echo(
+        &mut sim,
+        ts[1].clone(),
+        ts[0].clone(),
+        window,
+        payload,
+        msgs,
+    );
     net.publish_sim_gauges(&sim);
     (result, net.metrics().snapshot())
 }
 
 /// Echo over the Java-NIO-style selector stack.
 pub fn nio_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
-    selector_echo(Stack::Nio, 0xF1641, payload, msgs)
+    selector_echo(Stack::Nio, 0xF1641, WINDOW, payload, msgs)
 }
 
 /// Echo over the RUBIN selector stack (the stack-invariant tests count
 /// completion-queue polls per echo on its [`MetricsSnapshot`]).
 pub fn rubin_selector_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
-    selector_echo(Stack::Rubin, 0xF1642, payload, msgs)
+    rubin_selector_echo_in_window(WINDOW, payload, msgs)
+}
+
+/// [`rubin_selector_echo`] with up to `window` echoes outstanding, still
+/// injected in bursts of [`BATCH`].
+pub fn rubin_selector_echo_in_window(
+    window: usize,
+    payload: usize,
+    msgs: usize,
+) -> (EchoResult, MetricsSnapshot) {
+    selector_echo(Stack::Rubin, 0xF1642, window, payload, msgs)
 }
 
 /// Shape checks for Figure 4 (§V): RUBIN ~19–20 % lower latency at the

@@ -12,7 +12,8 @@
 //! An endpoint runs one reactor (selector thread) per core of its host:
 //! the first on the core it was given, the others on the host's remaining
 //! cores in order ([`reactor_cores`]). Each link lives on one reactor,
-//! whose core pays for everything the link costs.
+//! whose core pays for everything the link costs, and a message for a
+//! link waits while that core is busy.
 
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell, RefMut};
@@ -20,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{CoreId, Counter, HostId, Metrics, Nanos, Network, Simulator};
+use simnet::{CoreId, Counter, HostId, HostRef, Metrics, Nanos, Network, Simulator};
 
 use crate::transport::{wire_lane, DeliveryFn, LaneDeliveryFn, NodeId};
 
@@ -76,7 +77,7 @@ pub(crate) fn backoff(base: Nanos, attempts: u32) -> Nanos {
 
 /// The cores of an endpoint's reactors on `host`: `first`, then the
 /// host's other cores in order, wrapping around.
-pub(crate) fn reactor_cores(net: &Network, host: HostId, first: CoreId) -> Vec<CoreId> {
+fn reactor_cores(net: &Network, host: HostId, first: CoreId) -> Vec<CoreId> {
     let cores = net.host(host).borrow().num_cores();
     (0..cores)
         .map(|i| CoreId(((usize::from(first.0) + i) % cores) as u16))
@@ -126,8 +127,6 @@ pub(crate) trait Wire: Sized + 'static {
 
     /// Registers the listener with the first reactor.
     fn listen(&mut self, sim: &mut Simulator);
-    /// How many reactors the endpoint runs.
-    fn reactors(&self) -> usize;
     /// Parks one blocking select on `reactor`.
     fn select(
         &self,
@@ -164,7 +163,9 @@ pub(crate) trait Wire: Sized + 'static {
     /// readable; later calls hand out what it drained.
     fn recv(&self, sim: &mut Simulator, link: &mut Self::Link) -> Recv;
     /// Writes as much of `outq`, then of `msg`, as the link takes (the
-    /// dialer's hello first) in one wire call, hands the buffers it wrote
+    /// dialer's hello first) in one wire call — so every message that
+    /// waited for the link's reactor core leaves together — hands the
+    /// buffers it wrote
     /// to `spares`, queues whatever of `msg` it did not take (a borrowed
     /// one copied into a spare buffer), and re-arms the link's selector
     /// interest.
@@ -195,15 +196,17 @@ struct Link<L> {
     dead: bool,
     /// This link is a reconnect attempt (not an initial mesh dial).
     redial: bool,
-    /// The reactor round of the last send that went to this link at once.
-    round: u64,
-    /// A later send of that round waits in `outq` for the round's end.
-    deferred: bool,
+    /// Sends wait in `outq` for a flush scheduled when the reactor's core
+    /// frees.
+    waiting: bool,
 }
 
 struct MeshInner<W: Wire> {
     node: NodeId,
     wire: W,
+    /// The endpoint's host and its reactors' cores, one per reactor.
+    host: HostRef,
+    cores: Vec<CoreId>,
     metrics: Metrics,
     /// Bumped per shed message while a link is down; the reconnect
     /// milestones next to it are rare enough to go by name.
@@ -217,12 +220,6 @@ struct MeshInner<W: Wire> {
     redial_attempts: HashMap<NodeId, u32>,
     delivery: Option<DeliveryFn>,
     spares: Spares,
-    /// The running reactor round's number, if one is running.
-    round: Option<u64>,
-    /// Reactor rounds started so far.
-    rounds: u64,
-    /// Slots of the links with a send deferred to the running round's end.
-    deferred: Vec<usize>,
 }
 
 /// Metric key of `node`'s endpoint: `<NAME>_transport.<node>.<counter>`.
@@ -274,31 +271,33 @@ impl<W: Wire> Mesh<W> {
         sim: &mut Simulator,
         net: &Network,
         nodes: &[(NodeId, HostId, CoreId)],
-        mut wire: impl FnMut(NodeId, HostId, CoreId) -> W,
+        mut wire: impl FnMut(NodeId, HostId, &[CoreId]) -> W,
     ) -> Vec<Mesh<W>> {
         let meshes: Vec<Mesh<W>> = nodes
             .iter()
-            .map(|&(node, host, core)| Mesh {
-                inner: Rc::new(RefCell::new(MeshInner {
-                    node,
-                    wire: wire(node, host, core),
-                    metrics: net.metrics(),
-                    pen_dropped: net.metrics().counter_handle(&key::<W>(node, "pen_dropped")),
-                    links: Vec::new(),
-                    by_node: HashMap::new(),
-                    directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
-                    redial_attempts: HashMap::new(),
-                    delivery: None,
-                    spares: Spares::default(),
-                    round: None,
-                    rounds: 0,
-                    deferred: Vec::new(),
-                })),
+            .map(|&(node, host, core)| {
+                let cores = reactor_cores(net, host, core);
+                Mesh {
+                    inner: Rc::new(RefCell::new(MeshInner {
+                        node,
+                        wire: wire(node, host, &cores),
+                        host: net.host(host),
+                        cores,
+                        metrics: net.metrics(),
+                        pen_dropped: net.metrics().counter_handle(&key::<W>(node, "pen_dropped")),
+                        links: Vec::new(),
+                        by_node: HashMap::new(),
+                        directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
+                        redial_attempts: HashMap::new(),
+                        delivery: None,
+                        spares: Spares::default(),
+                    })),
+                }
             })
             .collect();
         for m in &meshes {
             m.inner.borrow_mut().wire.listen(sim);
-            for reactor in 0..m.inner.borrow().wire.reactors() {
+            for reactor in 0..m.inner.borrow().cores.len() {
                 m.pump(sim, reactor);
             }
         }
@@ -383,13 +382,13 @@ impl<W: Wire> Mesh<W> {
         }));
     }
 
-    /// The one send path. A link that can drain gets `msg` in place — the
-    /// wire queues it, as an owned copy, only behind output that must
-    /// wait — and a link that cannot parks it in the holding pen.
-    ///
-    /// Within a reactor round only a link's first message goes at once;
-    /// later ones wait in its queue, which the round's end flushes in one
-    /// wire call.
+    /// The one send path, whoever sends. While the link's reactor core is
+    /// busy, `msg` waits in the link's queue, and one flush, scheduled for
+    /// the instant the core frees, writes everything queued by then in one
+    /// wire call. On an idle core a link that can drain gets `msg` in
+    /// place — the wire queues it, as an owned copy, only behind output
+    /// that must wait — and a link that cannot parks it in the holding
+    /// pen.
     pub(crate) fn send(&self, sim: &mut Simulator, to: NodeId, msg: Cow<'_, [u8]>) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
@@ -398,16 +397,19 @@ impl<W: Wire> Mesh<W> {
         };
         let link = &mut inner.links[slot];
         if !link.dead && W::is_established(&link.wire) {
-            if let Some(round) = inner.round {
-                if link.round == round {
-                    if !link.deferred {
-                        link.deferred = true;
-                        inner.deferred.push(slot);
-                    }
-                    link.outq.push_back(inner.spares.own(msg));
-                    return;
+            let free_at = inner.host.borrow().core_free_at(inner.cores[link.reactor]);
+            if link.waiting || free_at > sim.now() {
+                link.outq.push_back(inner.spares.own(msg));
+                if !link.waiting {
+                    link.waiting = true;
+                    let t = self.downgrade();
+                    sim.schedule_at(free_at, move |sim| {
+                        if let Some(t) = t.upgrade() {
+                            t.flush_waiting(sim, slot);
+                        }
+                    });
                 }
-                link.round = round;
+                return;
             }
             inner.wire.flush(
                 sim,
@@ -449,7 +451,7 @@ impl<W: Wire> Mesh<W> {
     /// placed before its peer is known, so placement ignores the peer.
     fn place(&self) -> usize {
         let inner = self.inner.borrow();
-        let mut live = vec![0usize; inner.wire.reactors()];
+        let mut live = vec![0usize; inner.cores.len()];
         for link in inner.links.iter().filter(|l| !l.dead) {
             live[link.reactor] += 1;
         }
@@ -474,8 +476,7 @@ impl<W: Wire> Mesh<W> {
             peer,
             dead: false,
             redial,
-            round: 0,
-            deferred: false,
+            waiting: false,
         });
         if let Some(peer) = peer {
             inner.by_node.insert(peer, slot);
@@ -484,39 +485,31 @@ impl<W: Wire> Mesh<W> {
     }
 
     /// One reactor: parks a select on it and handles whatever becomes
-    /// ready there, in one round.
+    /// ready there.
     fn pump(&self, sim: &mut Simulator, reactor: usize) {
         let t = self.downgrade();
         let inner = self.inner.borrow();
         inner.wire.select(sim, reactor, move |sim, ready| {
             let Some(t) = t.upgrade() else { return };
-            {
-                let mut inner = t.inner.borrow_mut();
-                inner.rounds += 1;
-                inner.round = Some(inner.rounds);
-            }
             for ev in ready {
                 t.on_event(sim, ev);
             }
-            t.end_round(sim);
             t.pump(sim, reactor);
         });
     }
 
-    /// Ends a reactor round: each link with sends deferred to now flushes
-    /// its queue, once.
-    fn end_round(&self, sim: &mut Simulator) {
+    /// The flush [`Mesh::send`] scheduled for the instant `slot`'s reactor
+    /// core frees: writes what waited, unless the link has died since
+    /// (its queue then carries over to the replacement).
+    fn flush_waiting(&self, sim: &mut Simulator, slot: usize) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        inner.round = None;
-        for slot in inner.deferred.drain(..) {
-            let link = &mut inner.links[slot];
-            link.deferred = false;
-            if !link.dead {
-                inner
-                    .wire
-                    .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
-            }
+        let link = &mut inner.links[slot];
+        link.waiting = false;
+        if !link.dead && !link.outq.is_empty() {
+            inner
+                .wire
+                .flush(sim, &mut link.wire, &mut link.outq, None, &mut inner.spares);
         }
     }
 

@@ -22,7 +22,7 @@ use simnet_socket::{
     KeyId, Ops, ReadOutcome, Selected, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
 };
 
-use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Spares, Wire};
+use crate::mesh::{key, Mesh, Ready, Recv, Spares, Wire};
 use crate::state_transfer::MAX_STORE_BYTES;
 use crate::transport::{DeliveryFn, LaneDeliveryFn, NodeId, Transport};
 
@@ -100,10 +100,6 @@ impl Wire for NioWire {
 
     fn listen(&mut self, sim: &mut Simulator) {
         self.listener_key = self.listener.register(sim, &self.selector);
-    }
-
-    fn reactors(&self) -> usize {
-        self.selector.threads()
     }
 
     fn select(
@@ -284,18 +280,15 @@ impl NioTransport {
         nodes: &[(NodeId, HostId, CoreId)],
         model: TcpModel,
     ) -> Vec<NioTransport> {
-        let wire = |node, host, core| {
-            let cores = reactor_cores(net, host, core);
-            NioWire {
-                node,
-                host,
-                net: net.clone(),
-                model: model.clone(),
-                selector: Selector::new(net, host, &cores, NIO_SELECT_NS),
-                listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, core, model.clone())
-                    .expect("transport port free"),
-                listener_key: KeyId(u64::MAX),
-            }
+        let wire = |node, host, cores: &[CoreId]| NioWire {
+            node,
+            host,
+            net: net.clone(),
+            model: model.clone(),
+            selector: Selector::new(net, host, cores, NIO_SELECT_NS),
+            listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, cores[0], model.clone())
+                .expect("transport port free"),
+            listener_key: KeyId(u64::MAX),
         };
         let meshes = Mesh::build_group(sim, net, nodes, wire);
         meshes

@@ -22,7 +22,7 @@ use rubin::{
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
-use crate::mesh::{key, reactor_cores, Mesh, Ready, Recv, Spares, Wire};
+use crate::mesh::{key, Mesh, Ready, Recv, Spares, Wire};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
     DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
@@ -113,10 +113,6 @@ impl Wire for RubinWire {
 
     fn listen(&mut self, sim: &mut Simulator) {
         self.selector.register_server(sim, &self.server);
-    }
-
-    fn reactors(&self) -> usize {
-        self.selector.threads()
     }
 
     fn select(
@@ -284,12 +280,11 @@ impl RubinTransport {
         rnic: RnicModel,
         cfg: RubinConfig,
     ) -> Vec<RubinTransport> {
-        let wire = |node, host, core| {
+        let wire = |node, host, cores: &[CoreId]| {
             let device = RdmaDevice::open(net, host, rnic.clone());
-            let cores = reactor_cores(net, host, core);
-            let selector = RdmaSelector::new(&device, &cores, cfg.select_ns);
+            let selector = RdmaSelector::new(&device, cores, cfg.select_ns);
             let server =
-                RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
+                RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), cores[0])
                     .expect("transport port free");
             RubinWire {
                 node,

@@ -261,15 +261,16 @@ fn one_sided_state_read_costs_the_responder_zero_cpu_work() {
 
 #[test]
 fn saturated_rubin_selector_polls_each_completion_queue_once_per_wake_up() {
-    // The paper's Figure 4 echo (window 30, bursts of 10) at 16 KB keeps
-    // both selector threads saturated: completion events wait in the
-    // hybrid queue and each wake-up polls a channel once for all of them.
-    // Polling per event measured 4.000 polls per echo at 1 KB, 1.750 of
-    // them empty. Since a drain and a flush are one channel call each,
-    // 1 KB no longer saturates the threads (0.60 polls per echo), so the
-    // copies of a larger payload keep them busy.
+    // The paper's Figure 4 echo (bursts of 10) at 1 KB with twice its
+    // window, 60 echoes outstanding, keeps both selector threads
+    // saturated: completion events wait in the hybrid queue and each
+    // wake-up polls a channel once for all of them. Polling per event
+    // measured 4.000 polls per echo at 1 KB, 1.750 of them empty. Since a
+    // message waits while its link's reactor core is busy, the paper's
+    // window of 30 no longer saturates the threads at any payload (1 KB
+    // 0.65 polls per echo, 16 KB 0.85, 64 KB 1.00).
     const ECHOES: u64 = 6000;
-    let (_, snap) = fig4::rubin_selector_echo(16 * 1024, ECHOES as usize);
+    let (_, snap) = fig4::rubin_selector_echo_in_window(60, 1024, ECHOES as usize);
     let polls = snap.total("cq_polls");
     let empty = snap.total("cq_polls_empty");
     assert!(polls > 0, "the selectors must have polled");

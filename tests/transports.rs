@@ -480,43 +480,66 @@ fn nio_oversize_length_prefix_tears_the_stream_down() {
     assert_link_0_2_alive(&mut r);
 }
 
-// ---- One reactor round: a link's first message at once, the rest at its end ----
+// ---- One send rule: a message waits while its link's reactor core is busy ----
 
-/// Node 1 answers node 0's "go" with three messages from its delivery,
-/// inside one reactor round, or, with `in_round` false, from an event at
-/// the same instant outside any round. `probe` reads a count of node 1's
-/// host. Returns node 0's deliveries and `probe`'s rise inside the round's
-/// sends and over the whole exchange.
-fn answer_three(mut r: Rig, in_round: bool, probe: fn(&Network, HostId) -> u64) -> Answer {
+/// When node 1 answers node 0's "go" with three 1 KB messages.
+#[derive(Clone, Copy)]
+enum When {
+    /// From its delivery, inside the reactor round that read "go": the
+    /// read keeps the reactor core busy.
+    InRound,
+    /// From an event outside any round, at the instant the reactor core
+    /// frees: the first goes at once and keeps the core busy.
+    CoreFree,
+    /// Each from its own event, a millisecond apart, on an idle core:
+    /// three separate wire calls.
+    Apart,
+}
+
+/// Node 1 (one link, on its first reactor, core 0) answers node 0's "go"
+/// with [`THREE`] at `when`. `probe` reads a count of node 1's host.
+/// Returns node 0's deliveries and `probe`'s rise inside the first
+/// answer's send calls and from the first answer on.
+fn answer_three(mut r: Rig, when: When, probe: fn(&Network, HostId) -> u64) -> Answer {
     let log = wire_log(&r.ts);
     let (net, host) = (r.net.clone(), r.hosts[1]);
     let node1 = Rc::downgrade(&r.ts[1]);
-    let during = Rc::new(RefCell::new(0));
-    let d = during.clone();
+    let first: Rc<RefCell<Option<(u64, u64)>>> = Rc::default();
+    let f = first.clone();
     r.ts[1].set_delivery(Rc::new(move |sim, _from, _bytes| {
         let Some(t) = node1.upgrade() else { return };
-        let answer = move |sim: &mut Simulator| {
-            for m in THREE {
+        let (n, f) = (net.clone(), f.clone());
+        let answer = move |sim: &mut Simulator, msgs: &[&[u8]]| {
+            let before = probe(&n, host);
+            for m in msgs {
                 t.send(sim, 0, m.to_vec());
             }
+            let during = probe(&n, host) - before;
+            f.borrow_mut().get_or_insert((during, before));
         };
-        if in_round {
-            let before = probe(&net, host);
-            answer(sim);
-            *d.borrow_mut() = probe(&net, host) - before;
-        } else {
-            sim.schedule_in(Nanos::ZERO, answer);
+        match when {
+            When::InRound => answer(sim, &THREE),
+            When::CoreFree => {
+                let free = net.host(host).borrow().core_free_at(CoreId(0));
+                sim.schedule_at(free, move |sim| answer(sim, &THREE));
+            }
+            When::Apart => {
+                for (i, m) in THREE.into_iter().enumerate() {
+                    let answer = answer.clone();
+                    let at = Nanos::from_millis(i as u64 + 1);
+                    sim.schedule_in(at, move |sim| answer(sim, &[m]));
+                }
+            }
         }
     }));
-    let before = probe(&r.net, host);
     r.ts[0].send(&mut r.sim, 1, b"go".to_vec());
     r.sim.run_until_idle();
     let got = log.borrow().iter().map(|(_, _, b)| b.clone()).collect();
-    let during = *during.borrow();
+    let (during, from) = first.borrow().expect("answered");
     Answer {
         got,
         during,
-        total: probe(&r.net, host) - before,
+        total: probe(&r.net, host) - from,
     }
 }
 
@@ -537,41 +560,83 @@ fn busy_ns(net: &Network, host: HostId) -> u64 {
 }
 
 #[test]
-fn nio_round_writes_a_peers_first_message_at_once_and_the_rest_in_one_write() {
-    let round = answer_three(nio_rig(2, 51), true, syscalls);
-    let apart = answer_three(nio_rig(2, 51), false, syscalls);
-    assert_eq!(round.got, THREE);
-    assert_eq!(apart.got, THREE);
-    // One write inside the round; the other two messages share one write
-    // at its end, where apart each takes its own.
-    assert_eq!(round.during, 1);
-    assert_eq!(apart.total - round.total, 1);
+fn nio_sends_to_a_busy_reactor_core_wait_and_leave_in_one_write() {
+    let core_free = answer_three(nio_rig(2, 51), When::CoreFree, syscalls);
+    let in_round = answer_three(nio_rig(2, 51), When::InRound, syscalls);
+    let apart = answer_three(nio_rig(2, 51), When::Apart, syscalls);
+    for a in [&core_free, &in_round, &apart] {
+        assert_eq!(a.got, THREE);
+    }
+    // Outside any round on an idle core the first message goes at once;
+    // its write keeps the core busy, so the other two wait and share one
+    // write.
+    assert_eq!(core_free.during, 1);
+    assert_eq!(core_free.total, 2);
+    // Inside a round the read of "go" keeps the core busy: all three
+    // wait and share one write.
+    assert_eq!(in_round.during, 0);
+    assert_eq!(in_round.total, 1);
+    assert_eq!(apart.total, 3);
 }
 
 #[test]
-fn rubin_round_writes_a_peers_first_message_at_once_and_the_rest_in_one_call() {
+fn rubin_sends_to_a_busy_reactor_core_wait_and_leave_in_one_call() {
     let r = rubin_rig(2, 52);
     let cpu = r.net.host(r.hosts[1]).borrow().cpu().clone();
     let rnic = RnicModel::mt27520();
-    let round = answer_three(r, true, busy_ns);
-    let apart = answer_three(rubin_rig(2, 52), false, busy_ns);
-    assert_eq!(round.got, THREE);
-    assert_eq!(apart.got, THREE);
-    // One channel call inside the round: the first message's copy, the
-    // runtime overhead and its own doorbell.
+    let core_free = answer_three(r, When::CoreFree, busy_ns);
+    let in_round = answer_three(rubin_rig(2, 52), When::InRound, busy_ns);
+    let apart = answer_three(rubin_rig(2, 52), When::Apart, busy_ns);
+    for a in [&core_free, &in_round, &apart] {
+        assert_eq!(a.got, THREE);
+    }
+    // The first message goes at once in its own channel call: its copy,
+    // the runtime overhead and its own doorbell.
     let one_call = cpu.runtime_io_ns + cpu.copy_cost(1024).as_nanos() + rnic.post_wr_ns;
-    assert_eq!(round.during, one_call);
-    // The other two share one call at its end: one runtime charge and one
-    // doorbell for both, where apart each pays its own.
+    assert_eq!(core_free.during, one_call);
+    // Each call that carries one more message saves one runtime charge and
+    // a doorbell's worth of posting against three separate calls.
     let saved = cpu.runtime_io_ns + rnic.post_wr_ns - rnic.post_batch_extra_ns;
-    assert_eq!(apart.total - round.total, saved);
+    assert_eq!(apart.total - core_free.total, saved);
+    assert_eq!(in_round.during, 0);
+    assert_eq!(apart.total - in_round.total, 2 * saved);
 }
 
-/// A one-sided WRITE follows the messages sent before it: the send it is
-/// issued behind, still waiting for its round to end, is posted first, so
-/// on the peer the WRITE completes after that SEND (RC receive order).
+/// A lone send to an idle reactor core goes at once, in place: the rule
+/// costs the unloaded path nothing. The arrival instants are those of the
+/// reactor-round rule this one replaced.
 #[test]
-fn rubin_slot_write_completes_after_a_send_queued_before_it() {
+fn a_lone_send_to_an_idle_reactor_core_leaves_at_once() {
+    for (mk, at) in [(nio_rig as RigFn, 22_407), (rubin_rig, 18_302)] {
+        let mut r = mk(2, 54);
+        let arrived = Rc::new(RefCell::new(None));
+        let a = arrived.clone();
+        r.ts[1].set_delivery(Rc::new(move |sim, _from, _bytes| {
+            *a.borrow_mut() = Some(sim.now());
+        }));
+        r.sim.run_until_idle();
+        // Wait until every core of node 0's host is idle.
+        let host = r.net.host(r.hosts[0]);
+        let idle = (0..4).map(|c| host.borrow().core_free_at(CoreId(c))).max();
+        r.sim
+            .schedule_at(idle.expect("cores").max(r.sim.now()), |_| {});
+        r.sim.run_until_idle();
+        let sent = r.sim.now();
+        r.ts[0].send(&mut r.sim, 1, vec![4u8; 1024]);
+        r.sim.run_until_idle();
+        let took = arrived.borrow().expect("delivered") - sent;
+        assert_eq!(took, Nanos::from_nanos(at), "{}", r.stack);
+    }
+}
+
+/// A one-sided WRITE follows the messages sent before it: the sends it is
+/// issued behind, still waiting for their reactor core to free, are
+/// posted first, so on the peer the WRITE completes after that SEND (RC
+/// receive order). Node 1 issues both from its delivery, inside the
+/// reactor round, or, with `in_round` false, from an event at the same
+/// instant outside any round; either way the round's read keeps the core
+/// busy.
+fn slot_write_behind_waiting_sends(in_round: bool) {
     let mut r = rubin_rig(2, 53);
     let big = vec![9u8; 64 * 1024];
     let region = r.ts[0]
@@ -590,10 +655,18 @@ fn rubin_slot_write_completes_after_a_send_queued_before_it() {
     let node1 = Rc::downgrade(&r.ts[1]);
     r.ts[1].set_delivery(Rc::new(move |sim, _from, _bytes| {
         let Some(t) = node1.upgrade() else { return };
-        t.send(sim, 0, b"first".to_vec());
-        t.send(sim, 0, big.clone());
-        let posted = t.write_slot(sim, 0, region.rkey, 0, &[5u8; 64], 7, Box::new(|_, _| {}));
-        assert!(posted);
+        let big = big.clone();
+        let answer = move |sim: &mut Simulator| {
+            t.send(sim, 0, b"first".to_vec());
+            t.send(sim, 0, big);
+            let posted = t.write_slot(sim, 0, region.rkey, 0, &[5u8; 64], 7, Box::new(|_, _| {}));
+            assert!(posted);
+        };
+        if in_round {
+            answer(sim);
+        } else {
+            sim.schedule_in(Nanos::ZERO, answer);
+        }
     }));
     r.ts[0].send(&mut r.sim, 1, b"go".to_vec());
     r.sim.run_until_idle();
@@ -603,5 +676,65 @@ fn rubin_slot_write_completes_after_a_send_queued_before_it() {
     assert!(at("first") < at("send"));
     // Posted ahead of the SEND, the small WRITE would land tens of
     // microseconds before the 64 KiB message.
-    assert!(at("write") >= at("send"), "{events:?}");
+    assert!(at("write") >= at("send"), "in round {in_round}: {events:?}");
+}
+
+#[test]
+fn rubin_slot_write_completes_after_a_send_queued_before_it() {
+    slot_write_behind_waiting_sends(true);
+    slot_write_behind_waiting_sends(false);
+}
+
+/// Node 0's link to node 2 goes down while sends on it wait for their
+/// reactor core: node 2 has noticed a cut node 0 has not, and re-dials.
+/// The replacement link takes the whole queue, in order, and the flush
+/// that waited touches nothing on the dead link when the core frees.
+#[test]
+fn a_link_that_dies_while_its_flush_waits_hands_its_queue_on_in_order() {
+    for mk in [nio_rig as RigFn, rubin_rig] {
+        let mut r = mk(3, 55);
+        let (a, b) = (r.hosts[0], r.hosts[2]);
+        r.net.with_faults(|f| f.partition(a, b));
+        r.ts[2].send(&mut r.sim, 0, b"probe".to_vec());
+        while r.counter(2, r.down) == 0 {
+            assert!(r.sim.step(), "{}: node 2 must notice the cut", r.stack);
+        }
+        r.net.with_faults(|f| f.heal(a, b));
+        let log = wire_log(&r.ts);
+        // Node 0 accepted node 1's link on its first reactor (core 0, the
+        // listener's) and node 2's on its second, core 1: keep core 1 busy
+        // past node 2's re-dial, which lands on a third reactor.
+        let busy = Nanos::from_millis(50);
+        let host = r.net.host(a);
+        let free = host.borrow_mut().exec(r.sim.now(), CoreId(1), busy);
+        let busy_before = host.borrow().core_busy_time(CoreId(1));
+        for i in 0..3u32 {
+            r.ts[0].send(&mut r.sim, 2, i.to_le_bytes().to_vec());
+        }
+        let waited = host.borrow().core_busy_time(CoreId(1)) == busy_before;
+        assert!(waited, "{}: nothing written at once", r.stack);
+        r.sim.run_until(free - Nanos::from_nanos(1));
+        assert_eq!(r.counter(0, r.down), 0, "{}", r.stack);
+        assert_eq!(r.counter(2, "reconnects_completed"), 1, "{}", r.stack);
+        let got: Vec<u32> = log
+            .borrow()
+            .iter()
+            .map(|(_, _, b)| u32::from_le_bytes(b.clone().try_into().expect("4 bytes")))
+            .collect();
+        assert_eq!(
+            got,
+            [0, 1, 2],
+            "{}: carried over before the core freed",
+            r.stack
+        );
+        let busy_before = host.borrow().core_busy_time(CoreId(1));
+        r.sim.run_until_idle();
+        assert_eq!(log.borrow().len(), 3, "{}", r.stack);
+        assert_eq!(
+            host.borrow().core_busy_time(CoreId(1)),
+            busy_before,
+            "{}",
+            r.stack
+        );
+    }
 }
