@@ -206,12 +206,6 @@ impl KvClient {
         inner.client.pending_count() > 0 || inner.inflight_reads > 0
     }
 
-    /// Completed operations so far (both paths).
-    pub fn completed_ops(&self) -> u64 {
-        let inner = self.inner.borrow();
-        inner.onesided.len() as u64 + inner.client.stats().completed
-    }
-
     fn count(&self, counter: KvCounter) {
         self.inner.borrow().counters[counter].incr();
     }

@@ -248,11 +248,6 @@ impl RdmaDevice {
         self.inner.cm_events.borrow_mut().pop_front()
     }
 
-    /// Number of queued CM events.
-    pub fn cm_pending(&self) -> usize {
-        self.inner.cm_events.borrow().len()
-    }
-
     pub(crate) fn push_cm_event(&self, sim: &mut Simulator, ev: CmEvent) {
         self.inner.cm_events.borrow_mut().push_back(ev);
         let hook = self.inner.cm_hook.borrow().clone();

@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{CoreId, Counter, HostId, HostRef, Metrics, Nanos, Network, Simulator};
+use simnet::{CoreId, Counter, Counters, HostId, HostRef, Metrics, Nanos, Network, Simulator};
 
 use crate::transport::{wire_lane, DeliveryFn, LaneDeliveryFn, NodeId};
 
@@ -38,6 +38,17 @@ const RECONNECT_CAP_SHIFT: u32 = 5;
 /// peers — a revived replica recovers truncated history through
 /// checkpoint state transfer instead of replay.
 pub const PEN_CAP: usize = 16;
+
+simnet::metric_names! {
+    /// Counters of one endpoint, under `<NAME>_transport.<node>.`; the
+    /// link-down counter is the wire's [`Wire::DOWN`].
+    enum MeshCounter {
+        PenDropped => "pen_dropped",
+        HelloRejected => "hello_rejected",
+        ReconnectAttempts => "reconnect_attempts",
+        ReconnectsCompleted => "reconnects_completed",
+    }
+}
 
 /// Spare message buffers, at most [`PEN_CAP`]: a flush hands back the
 /// buffers it wrote, and a message that must queue is copied into one, so
@@ -208,9 +219,8 @@ struct MeshInner<W: Wire> {
     host: HostRef,
     cores: Vec<CoreId>,
     metrics: Metrics,
-    /// Bumped per shed message while a link is down; the reconnect
-    /// milestones next to it are rare enough to go by name.
-    pen_dropped: Counter,
+    counters: Counters<MeshCounter>,
+    down: Counter,
     links: Vec<Link<W::Link>>,
     /// Each identified peer's current link.
     by_node: HashMap<NodeId, usize>,
@@ -284,7 +294,8 @@ impl<W: Wire> Mesh<W> {
                         host: net.host(host),
                         cores,
                         metrics: net.metrics(),
-                        pen_dropped: net.metrics().counter_handle(&key::<W>(node, "pen_dropped")),
+                        counters: net.metrics().counters(&key::<W>(node, "")),
+                        down: net.metrics().counter_handle(&key::<W>(node, W::DOWN)),
                         links: Vec::new(),
                         by_node: HashMap::new(),
                         directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
@@ -428,7 +439,7 @@ impl<W: Wire> Mesh<W> {
         // recovered by catch-up/state transfer, not replay.
         if link.outq.len() > PEN_CAP {
             link.outq.pop_front();
-            inner.pen_dropped.incr();
+            inner.counters[MeshCounter::PenDropped].incr();
         }
         if !link.dead {
             inner
@@ -563,9 +574,7 @@ impl<W: Wire> Mesh<W> {
             let mut inner = self.inner.borrow_mut();
             let peer = inner.links[slot].peer.expect("re-dials know their peer");
             inner.redial_attempts.remove(&peer);
-            inner
-                .metrics
-                .incr(&key::<W>(inner.node, "reconnects_completed"));
+            inner.counters[MeshCounter::ReconnectsCompleted].incr();
             inner.metrics.trace(
                 sim.now(),
                 "transport",
@@ -626,7 +635,7 @@ impl<W: Wire> Mesh<W> {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         if peer == inner.node || !inner.directory.contains_key(&peer) {
-            inner.metrics.incr(&key::<W>(inner.node, "hello_rejected"));
+            inner.counters[MeshCounter::HelloRejected].incr();
             drop(guard);
             self.link_down(sim, slot);
             return false;
@@ -663,9 +672,9 @@ impl<W: Wire> Mesh<W> {
             let shed = link.outq.len().saturating_sub(PEN_CAP);
             link.outq.drain(..shed);
             if shed > 0 {
-                inner.pen_dropped.add(shed as u64);
+                inner.counters[MeshCounter::PenDropped].add(shed as u64);
             }
-            inner.metrics.incr(&key::<W>(inner.node, W::DOWN));
+            inner.down.incr();
             inner.metrics.trace(
                 sim.now(),
                 "transport",
@@ -707,9 +716,7 @@ impl<W: Wire> Mesh<W> {
                 return;
             };
             *inner.redial_attempts.entry(peer).or_insert(0) += 1;
-            inner
-                .metrics
-                .incr(&key::<W>(inner.node, "reconnect_attempts"));
+            inner.counters[MeshCounter::ReconnectAttempts].incr();
             let outq = current.map(|slot| std::mem::take(&mut inner.links[slot].outq));
             (host, outq.unwrap_or_default())
         };

@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
-use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
+use simnet::{Addr, CoreId, Counter, HostId, Nanos, Network, Simulator};
 use simnet_socket::{
     KeyId, Ops, ReadOutcome, Selected, Selector, TcpListener, TcpModel, TcpStream, NIO_SELECT_NS,
 };
@@ -60,6 +60,7 @@ struct NioWire {
     selector: Selector,
     listener: TcpListener,
     listener_key: KeyId,
+    oversize_frame: Counter,
 }
 
 /// Appends `body`'s frame — its 4-byte length prefix, then `body` — from
@@ -172,8 +173,7 @@ impl Wire for NioWire {
             if let Some(prefix) = link.inbuf.first_chunk::<4>() {
                 let len = u32::from_le_bytes(*prefix) as usize;
                 if len > MAX_FRAME {
-                    let key = key::<Self>(self.node, "oversize_frame");
-                    self.net.metrics().incr(&key);
+                    self.oversize_frame.incr();
                     return Recv::Down;
                 }
                 if link.inbuf.len() >= 4 + len {
@@ -289,6 +289,9 @@ impl NioTransport {
             listener: TcpListener::bind(net, host, NIO_PORT_BASE + node, cores[0], model.clone())
                 .expect("transport port free"),
             listener_key: KeyId(u64::MAX),
+            oversize_frame: net
+                .metrics()
+                .counter_handle(&key::<NioWire>(node, "oversize_frame")),
         };
         let meshes = Mesh::build_group(sim, net, nodes, wire);
         meshes

@@ -20,7 +20,7 @@ use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice, RnicModel};
 use rubin::{
     Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RubinConfig, RubinKey, SelectedKey,
 };
-use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
+use simnet::{Addr, CoreId, Counter, HostId, Nanos, Network, Simulator};
 
 use crate::mesh::{key, Mesh, Ready, Recv, Spares, Wire};
 use crate::state_transfer::StateOffer;
@@ -63,6 +63,7 @@ struct RubinWire {
     /// Installed fast-path doorbell, rung when a peer WRITEs into one of
     /// our slot regions.
     slot_doorbell: Option<SlotDoorbellFn>,
+    oversize_dropped: Counter,
 }
 
 impl RubinWire {
@@ -79,8 +80,7 @@ impl RubinWire {
             dropped += 1;
         }
         if dropped > 0 {
-            let key = key::<Self>(self.node, "oversize_dropped");
-            self.device.net().metrics().incr_by(&key, dropped as u64);
+            self.oversize_dropped.add(dropped as u64);
         }
     }
 
@@ -296,6 +296,9 @@ impl RubinTransport {
                 state_regions: HashMap::new(),
                 slot_regions: HashMap::new(),
                 slot_doorbell: None,
+                oversize_dropped: net
+                    .metrics()
+                    .counter_handle(&key::<RubinWire>(node, "oversize_dropped")),
             }
         };
         let meshes = Mesh::build_group(sim, net, nodes, wire);

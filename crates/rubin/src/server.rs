@@ -91,11 +91,6 @@ impl RdmaServerChannel {
         Addr::new(self.inner.borrow().device.host(), self.port())
     }
 
-    /// Connections accepted so far.
-    pub fn accepted_count(&self) -> u64 {
-        self.inner.borrow().accepted
-    }
-
     /// Number of queued, not-yet-accepted connection requests.
     pub fn pending_count(&self) -> usize {
         self.inner.borrow().pending.len()

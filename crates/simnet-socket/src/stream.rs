@@ -374,11 +374,6 @@ impl TcpStream {
         self.inner.borrow().local
     }
 
-    /// The peer's data address, once known.
-    pub fn peer_addr(&self) -> Option<Addr> {
-        self.inner.borrow().remote
-    }
-
     /// True once the connection is established.
     pub fn is_established(&self) -> bool {
         self.inner.borrow().state == StreamState::Established

@@ -197,13 +197,13 @@ impl ChaosSchedule {
     ///
     /// Panics if any entry is scheduled before `sim.now()`.
     pub fn install(&self, sim: &mut Simulator, net: &Network) {
+        let applied = net.metrics().counter_handle("chaos.actions_applied");
         for (at, action) in self.entries.clone() {
-            let net = net.clone();
+            let (net, applied) = (net.clone(), applied.clone());
             sim.schedule_at(at, move |sim| {
                 net.with_faults(|f| action.apply(f));
-                let m = net.metrics();
-                m.incr("chaos.actions_applied");
-                m.trace(sim.now(), "chaos", action.label());
+                applied.incr();
+                net.metrics().trace(sim.now(), "chaos", action.label());
             });
         }
     }

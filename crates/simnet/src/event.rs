@@ -456,10 +456,6 @@ impl EventQueue {
         at
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     pub fn len(&self) -> usize {
         self.live
     }
@@ -602,9 +598,9 @@ mod tests {
         q.push(Nanos::from_nanos(7), noop());
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(Nanos::from_nanos(7)));
-        assert!(!q.is_empty());
+        assert_eq!(q.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -620,7 +616,7 @@ mod tests {
         }
         // The arena never grew past the tiny working set.
         assert!(q.slots.len() <= 4, "arena grew to {}", q.slots.len());
-        assert!(q.is_empty() || q.len() <= 1);
+        assert!(q.len() <= 1);
     }
 
     #[test]

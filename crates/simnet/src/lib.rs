@@ -138,28 +138,6 @@ impl TestBed {
         net.connect_full_mesh(LinkSpec::ten_gbe());
         (sim, net, hosts)
     }
-
-    /// Builds an `n`-host full-mesh cluster whose links come from a
-    /// [`LatencyMatrix`]: hosts are assigned to regions round-robin and
-    /// every pair is connected with the (possibly asymmetric) specs of
-    /// their regions. Returns the per-host region assignment alongside.
-    pub fn geo_cluster(
-        seed: u64,
-        n: usize,
-        topology: &LatencyMatrix,
-    ) -> (Simulator, Network, Vec<HostId>, Vec<usize>) {
-        let sim = Simulator::new(seed);
-        let net = Network::new();
-        let assignment = topology.round_robin(n);
-        let hosts: Vec<HostId> = (0..n)
-            .map(|i| {
-                let region = topology.region_name(assignment[i]);
-                net.add_host(format!("replica-{i}-{region}"), 4, CpuModel::xeon_v2())
-            })
-            .collect();
-        topology.wire(&net, &hosts, &assignment);
-        (sim, net, hosts, assignment)
-    }
 }
 
 #[cfg(test)]

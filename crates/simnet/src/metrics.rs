@@ -11,24 +11,21 @@
 //! times") directly from counters, and lets a determinism regression test
 //! compare whole runs by comparing two JSON strings.
 //!
-//! There are two ways in, over the same slots:
-//!
-//! * **Handles** ([`Counter`], [`Gauge`], [`Histo`]) for anything bumped per
-//!   message. A layer formats `prefix + name` once at construction —
-//!   normally for a whole name table at a time, see [`metric_names!`] and
-//!   [`Handles`] — and a bump is then one indexed add: no formatting, no
-//!   string compare, no allocation. A handle finds its slot on its *first*
-//!   bump, so a key shows up in snapshots exactly when something was
-//!   recorded under it.
-//! * **By name** ([`Metrics::incr`], [`Metrics::set_gauge`],
-//!   [`Metrics::observe`], …) for cold sites, tests and readers: one
-//!   lookup-or-insert in the index per call.
+//! There is one way in: **handles** ([`Counter`], [`Gauge`], [`Histo`]). A
+//! layer formats `prefix + name` once where it builds its owner — normally
+//! for a whole name table at a time, see [`metric_names!`] and [`Handles`]
+//! — and a bump is then one indexed add: no formatting, no string compare,
+//! no allocation. Building a handle declares its key to the registry
+//! ([`Metrics::catalogue`]); a handle finds its slot on its *first* bump, so
+//! a key shows up in snapshots exactly when something was recorded under
+//! it. Readers ([`Metrics::counter`], [`Metrics::total`],
+//! [`Metrics::snapshot`], …) look keys up by name.
 //!
 //! Key naming convention: `layer.scope.metric`, e.g.
 //! `host.h0.kernel_crossings`, `rdma.h1.qp3.rnr_retries`,
 //! `reptor.r2.view_changes`. Dots order lexicographically, so related keys
 //! group together in snapshots. `METRICS.md` at the repository root lists
-//! every key pattern; a test keeps it current.
+//! every declared key pattern; a test keeps it current.
 //!
 //! # Example
 //!
@@ -36,18 +33,19 @@
 //! use simnet::metrics::Metrics;
 //!
 //! let m = Metrics::new();
-//! m.incr("host.h0.syscalls");
-//! m.incr_by("host.h0.kernel_copy_bytes", 1024);
-//! m.observe("reptor.r0.batch_fill_pct", 75);
 //! let syscalls = m.counter_handle("host.h0.syscalls");
+//! let _fill = m.histo_handle("reptor.r0.batch_fill_pct");
 //! syscalls.incr();
+//! syscalls.add(2);
 //! let snap = m.snapshot();
-//! assert_eq!(snap.counter("host.h0.syscalls"), 2);
+//! assert_eq!(snap.counter("host.h0.syscalls"), 3);
+//! assert!(!snap.histograms.contains_key("reptor.r0.batch_fill_pct"));
+//! assert_eq!(m.catalogue().len(), 2, "both keys are declared");
 //! assert!(simnet::metrics::validate_json(&snap.to_json()).is_ok());
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -181,21 +179,15 @@ impl<T: Default> Slots<T> {
     }
 
     /// The slot of `key`, appended (holding `T::default()`) if the key is
-    /// new; `owned` supplies the index's copy of the key only then.
-    fn slot(&mut self, key: &str, owned: impl FnOnce() -> Rc<str>) -> u32 {
-        if let Some(&slot) = self.index.get(key) {
+    /// new.
+    fn slot(&mut self, key: &Rc<str>) -> u32 {
+        if let Some(&slot) = self.index.get(&**key) {
             return slot;
         }
         let slot = u32::try_from(self.values.len()).expect("fewer than 2^32 metric keys");
         self.values.push(T::default());
-        self.index.insert(owned(), slot);
+        self.index.insert(Rc::clone(key), slot);
         slot
-    }
-
-    /// By-name lookup-or-insert.
-    fn entry(&mut self, key: &str) -> &mut T {
-        let slot = self.slot(key, || Rc::from(key));
-        &mut self.values[slot as usize]
     }
 
     /// `(key, value)` in lexicographic key order.
@@ -211,6 +203,9 @@ struct Registry {
     counters: Slots<u64>,
     gauges: Slots<i64>,
     histograms: Slots<Histogram>,
+    /// Every key pattern a handle was built for: a table's prefix pattern
+    /// with its names, or a lone key's pattern with the one name `""`.
+    declared: BTreeSet<(MetricKind, String, &'static [&'static str])>,
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     trace_dropped: u64,
@@ -220,6 +215,26 @@ struct Registry {
 fn has_metric_suffix(key: &str, metric: &str) -> bool {
     key.strip_suffix(metric)
         .is_some_and(|scope| scope.ends_with('.'))
+}
+
+/// `key` with every run of digits written `<N>`, so `host.h3.syscalls`,
+/// `rdma.h0.qp12.sends_posted` and `tcp.h1:49152.copies` each collapse into
+/// one pattern.
+fn pattern(key: &str) -> String {
+    let mut out = String::with_capacity(key.len());
+    let mut in_digits = false;
+    for c in key.chars() {
+        if c.is_ascii_digit() {
+            if !in_digits {
+                out.push_str("<N>");
+            }
+            in_digits = true;
+        } else {
+            out.push(c);
+            in_digits = false;
+        }
+    }
+    out
 }
 
 /// Kind of a metric slot, as listed by [`Metrics::catalogue`].
@@ -268,7 +283,7 @@ impl Handle {
         let slots = slots(&mut registry);
         let mut slot = self.slot.get();
         if slot == UNRESOLVED {
-            slot = slots.slot(&self.key, || Rc::clone(&self.key));
+            slot = slots.slot(&self.key);
             self.slot.set(slot);
         }
         update(&mut slots.values[slot as usize]);
@@ -422,7 +437,21 @@ impl Metrics {
         }
     }
 
-    fn handles<K: MetricNames, H>(&self, prefix: &str, make: fn(Handle) -> H) -> Handles<K, H> {
+    /// Records that keys `{prefix}{name}` of `kind` exist, one per name.
+    fn declare(&self, kind: MetricKind, prefix: &str, names: &'static [&'static str]) {
+        self.inner
+            .borrow_mut()
+            .declared
+            .insert((kind, pattern(prefix), names));
+    }
+
+    fn handles<K: MetricNames, H>(
+        &self,
+        kind: MetricKind,
+        prefix: &str,
+        make: fn(Handle) -> H,
+    ) -> Handles<K, H> {
+        self.declare(kind, prefix, K::NAMES);
         let mut key = String::from(prefix);
         let handles = K::NAMES
             .iter()
@@ -438,47 +467,40 @@ impl Metrics {
         }
     }
 
-    /// A handle to the counter `key`. Nothing is created until its first
-    /// bump.
+    /// A handle to the counter `key`. The key is declared now; its value is
+    /// created on the first bump.
     pub fn counter_handle(&self, key: &str) -> Counter {
+        self.declare(MetricKind::Counter, key, &[""]);
         Counter(self.handle(key))
     }
 
-    /// A handle to the gauge `key`. Nothing is created until it is first
-    /// set.
+    /// A handle to the gauge `key`. The key is declared now; its value is
+    /// created when it is first set.
     pub fn gauge_handle(&self, key: &str) -> Gauge {
+        self.declare(MetricKind::Gauge, key, &[""]);
         Gauge(self.handle(key))
     }
 
-    /// A handle to the histogram `key`. Nothing is created until its first
-    /// observation.
+    /// A handle to the histogram `key`. The key is declared now; its value
+    /// is created on the first observation.
     pub fn histo_handle(&self, key: &str) -> Histo {
+        self.declare(MetricKind::Histogram, key, &[""]);
         Histo(self.handle(key))
     }
 
     /// Counter handles for every name of `K`, keyed `{prefix}{name}`.
     pub fn counters<K: MetricNames>(&self, prefix: &str) -> Counters<K> {
-        self.handles(prefix, Counter)
+        self.handles(MetricKind::Counter, prefix, Counter)
     }
 
     /// Gauge handles for every name of `K`, keyed `{prefix}{name}`.
     pub fn gauges<K: MetricNames>(&self, prefix: &str) -> Gauges<K> {
-        self.handles(prefix, Gauge)
+        self.handles(MetricKind::Gauge, prefix, Gauge)
     }
 
     /// Histogram handles for every name of `K`, keyed `{prefix}{name}`.
     pub fn histos<K: MetricNames>(&self, prefix: &str) -> Histos<K> {
-        self.handles(prefix, Histo)
-    }
-
-    /// Increments the counter `key` by one.
-    pub fn incr(&self, key: &str) {
-        self.incr_by(key, 1);
-    }
-
-    /// Increments the counter `key` by `n`.
-    pub fn incr_by(&self, key: &str, n: u64) {
-        *self.inner.borrow_mut().counters.entry(key) += n;
+        self.handles(MetricKind::Histogram, prefix, Histo)
     }
 
     /// Current value of counter `key` (zero if never incremented).
@@ -486,19 +508,9 @@ impl Metrics {
         self.inner.borrow().counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge `key` to `value`.
-    pub fn set_gauge(&self, key: &str, value: i64) {
-        *self.inner.borrow_mut().gauges.entry(key) = value;
-    }
-
     /// Current value of gauge `key` (zero if never set).
     pub fn gauge(&self, key: &str) -> i64 {
         self.inner.borrow().gauges.get(key).copied().unwrap_or(0)
-    }
-
-    /// Records `value` into the histogram `key`, creating it on first use.
-    pub fn observe(&self, key: &str, value: u64) {
-        self.inner.borrow_mut().histograms.entry(key).observe(value);
     }
 
     /// A clone of the histogram `key`, if any values were observed.
@@ -543,20 +555,22 @@ impl Metrics {
             .sum()
     }
 
-    /// Kind and key of every metric recorded so far, ordered by kind, then
-    /// key.
+    /// Kind and key pattern (digit runs written `<N>`) of every metric a
+    /// handle was built for, bumped or not, ordered by kind, then pattern.
     pub fn catalogue(&self) -> Vec<(MetricKind, String)> {
-        fn keys<T>(
-            kind: MetricKind,
-            slots: &Slots<T>,
-        ) -> impl Iterator<Item = (MetricKind, String)> + '_ {
-            slots.index.keys().map(move |key| (kind, key.to_string()))
-        }
         let reg = self.inner.borrow();
-        keys(MetricKind::Counter, &reg.counters)
-            .chain(keys(MetricKind::Gauge, &reg.gauges))
-            .chain(keys(MetricKind::Histogram, &reg.histograms))
-            .collect()
+        let mut out: Vec<(MetricKind, String)> = reg
+            .declared
+            .iter()
+            .flat_map(|(kind, prefix, names)| {
+                names
+                    .iter()
+                    .map(move |name| (*kind, pattern(&format!("{prefix}{name}"))))
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
     }
 
     /// Produces an immutable, serializable snapshot of everything recorded
@@ -871,18 +885,24 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.incr("a.b.c");
-        m.incr_by("a.b.c", 4);
-        assert_eq!(m.counter("a.b.c"), 5);
+        let a = m.counter_handle("a.b.c");
+        let b = m.counter_handle("a.b.c");
+        a.incr();
+        a.add(4);
+        // Two handles for one key share its slot, whichever resolved it.
+        b.add(5);
+        a.clone().incr();
+        assert_eq!(m.counter("a.b.c"), 11);
+        assert_eq!(m.snapshot().counters.len(), 1);
         assert_eq!(m.counter("missing"), 0);
     }
 
     #[test]
     fn totals_sum_by_suffix() {
         let m = Metrics::new();
-        m.incr_by("host.h0.syscalls", 3);
-        m.incr_by("host.h1.syscalls", 4);
-        m.incr_by("host.h0.syscalls_total_other", 100);
+        m.counter_handle("host.h0.syscalls").add(3);
+        m.counter_handle("host.h1.syscalls").add(4);
+        m.counter_handle("host.h0.syscalls_total_other").add(100);
         assert_eq!(m.total("syscalls"), 7);
         assert_eq!(m.snapshot().total("syscalls"), 7);
     }
@@ -895,74 +915,61 @@ mod tests {
     }
 
     #[test]
-    fn handle_and_by_name_paths_render_identical_json() {
-        let by_name = Metrics::new();
-        by_name.incr("probe.p0.hits");
-        by_name.incr_by("probe.p0.misses", 3);
-        by_name.incr("aaa.first");
-        by_name.set_gauge("probe.p0.depth", -4);
-        by_name.observe("probe.p0.wait_ns", 17);
-        by_name.observe("probe.p0.wait_ns", 5);
-
-        let by_handle = Metrics::new();
-        let counters: Counters<Probe> = by_handle.counters("probe.p0.");
-        // Bumped in another order than the keys sort: slots are numbered
-        // by first use, snapshots are ordered by key.
-        counters[Probe::Misses].add(3);
-        counters[Probe::Hits].incr();
-        by_handle.counter_handle("aaa.first").incr();
-        by_handle.gauge_handle("probe.p0.depth").set(-4);
-        let wait = by_handle.histo_handle("probe.p0.wait_ns");
-        wait.observe(17);
-        wait.observe(5);
-
-        assert_eq!(by_handle.snapshot(), by_name.snapshot());
-        assert_eq!(by_handle.snapshot().to_json(), by_name.snapshot().to_json());
-        assert_eq!(by_handle.catalogue(), by_name.catalogue());
-    }
-
-    #[test]
     fn never_bumped_handle_leaves_no_key() {
         let m = Metrics::new();
         let counters: Counters<Probe> = m.counters("probe.p0.");
         let _gauge = m.gauge_handle("probe.p0.depth");
         let _histo = m.histo_handle("probe.p0.wait_ns");
+        // Bumped in another order than the keys sort: slots are numbered
+        // by first use, snapshots are ordered by key.
+        counters[Probe::Misses].add(3);
         counters[Probe::Hits].incr();
-        assert_eq!(m.counter("probe.p0.misses"), 0);
+        assert_eq!(m.counter("probe.p0.misses"), 3);
         let snap = m.snapshot();
         assert_eq!(
             snap.counters.keys().collect::<Vec<_>>(),
-            ["probe.p0.hits"],
-            "only the bumped counter exists"
+            ["probe.p0.hits", "probe.p0.misses"],
+            "only the bumped counters exist"
         );
         assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn catalogue_lists_a_tables_keys_before_any_bump() {
+        let m = Metrics::new();
+        let p0: Counters<Probe> = m.counters("probe.p0.");
+        let _p12: Counters<Probe> = m.counters("probe.p12.");
+        let _depth = m.gauge_handle("probe.p3.depth");
+        let _wait = m.histo_handle("probe.wait_ns");
+        let declared = [
+            (MetricKind::Counter, "probe.p<N>.hits"),
+            (MetricKind::Counter, "probe.p<N>.misses"),
+            (MetricKind::Gauge, "probe.p<N>.depth"),
+            (MetricKind::Histogram, "probe.wait_ns"),
+        ]
+        .map(|(kind, key)| (kind, key.to_string()));
+        assert_eq!(m.catalogue(), declared, "declared when built");
+        assert_eq!(m.snapshot(), Metrics::new().snapshot(), "nothing recorded");
+
+        p0[Probe::Hits].incr();
+        assert_eq!(m.catalogue(), declared, "a bump declares nothing new");
         assert_eq!(
-            m.catalogue(),
-            [(MetricKind::Counter, "probe.p0.hits".to_string())]
+            m.snapshot().counters.into_iter().collect::<Vec<_>>(),
+            [("probe.p0.hits".to_string(), 1)],
+            "a snapshot lists only the bumped key"
         );
     }
 
     #[test]
     fn zero_increment_still_creates_the_key() {
         let m = Metrics::new();
-        m.incr_by("by.name", 0);
+        let counters: Counters<Probe> = m.counters("by.table.");
+        counters[Probe::Hits].add(0);
         m.counter_handle("by.handle").add(0);
         let snap = m.snapshot();
-        assert_eq!(snap.counters.get("by.name"), Some(&0));
+        assert_eq!(snap.counters.get("by.table.hits"), Some(&0));
         assert_eq!(snap.counters.get("by.handle"), Some(&0));
-    }
-
-    #[test]
-    fn handles_and_names_for_one_key_share_a_slot() {
-        let m = Metrics::new();
-        let a = m.counter_handle("shared.key");
-        let b = m.counter_handle("shared.key");
-        a.incr();
-        m.incr("shared.key");
-        b.add(5);
-        a.clone().incr();
-        assert_eq!(m.counter("shared.key"), 8);
-        assert_eq!(m.snapshot().counters.len(), 1);
+        assert_eq!(snap.counters.len(), 2);
     }
 
     #[test]
@@ -997,9 +1004,9 @@ mod tests {
     fn snapshot_json_is_valid_and_deterministic() {
         let build = || {
             let m = Metrics::new();
-            m.incr_by("host.h0.kernel_copies", 2);
-            m.set_gauge("rubin.h0.pool.recv.high_water", -1);
-            m.observe("reptor.r0.phase.commit_ns", 420);
+            m.counter_handle("host.h0.kernel_copies").add(2);
+            m.gauge_handle("rubin.h0.pool.recv.high_water").set(-1);
+            m.histo_handle("reptor.r0.phase.commit_ns").observe(420);
             m.trace(Nanos::from_nanos(7), "reptor", "view change \"quoted\"\n");
             m.snapshot().to_json()
         };

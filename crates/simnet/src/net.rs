@@ -81,7 +81,6 @@ struct Link {
     ends: (HostId, HostId),
     /// Wire-busy horizon for each direction, keyed by source end (0 = ends.0).
     busy_until: [Nanos; 2],
-    bytes_carried: u64,
 }
 
 /// Aggregate delivery statistics.
@@ -293,7 +292,6 @@ impl Network {
             spec: [spec_ab, spec_ba],
             ends: (a, b),
             busy_until: [Nanos::ZERO; 2],
-            bytes_carried: 0,
         });
         inner.adjacency.insert((a, b), idx);
         inner.adjacency.insert((b, a), idx);
@@ -450,7 +448,6 @@ impl Network {
                 let ser = spec.bandwidth.transmit_time(wire);
                 let start = now.max(link.busy_until[dir]);
                 link.busy_until[dir] = start + ser;
-                link.bytes_carried += wire as u64;
                 deliver_at = link.busy_until[dir] + spec.propagation + extra;
             }
         }
@@ -485,22 +482,6 @@ impl Network {
         self.inner.borrow().stats
     }
 
-    /// Total bytes carried by a link so far.
-    pub fn link_bytes(&self, id: LinkId) -> u64 {
-        self.inner.borrow().links[id.0 as usize].bytes_carried
-    }
-
-    /// Sets the latency of the implicit same-host loopback path.
-    pub fn set_loopback_delay(&self, d: Nanos) {
-        self.inner.borrow_mut().loopback_delay = d;
-    }
-
-    /// Sets the serialization rate of the loopback path (`None` =
-    /// infinitely fast).
-    pub fn set_loopback_bandwidth(&self, bw: Option<Bandwidth>) {
-        self.inner.borrow_mut().loopback_bandwidth = bw;
-    }
-
     /// Applies a function to the fault plane (partitions, loss, delay).
     pub fn with_faults<R>(&self, f: impl FnOnce(&mut FaultPlane) -> R) -> R {
         f(&mut self.inner.borrow_mut().faults)
@@ -528,18 +509,6 @@ impl Network {
         g[SimGauge::Pending].set(q.pending as i64);
         g[SimGauge::HighWater].set(q.high_water as i64);
         inner.pool.publish(&inner.pool_gauges);
-    }
-
-    /// Charges `work` of CPU time on `core` of `host`, returning completion
-    /// time. Convenience wrapper over [`Host::exec`].
-    pub fn exec_on(
-        &self,
-        sim: &Simulator,
-        host: HostId,
-        core: crate::host::CoreId,
-        work: Nanos,
-    ) -> Nanos {
-        self.host(host).borrow_mut().exec(sim.now(), core, work)
     }
 }
 

@@ -173,16 +173,6 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// True if no events are pending.
-    pub fn is_idle(&mut self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Timestamp of the next pending event.
-    pub fn next_event_time(&mut self) -> Option<Nanos> {
-        self.queue.peek_time()
-    }
-
     /// Lifetime counters of the event queue (scheduled / cancelled /
     /// tombstones / compactions), surfaced as `sim.events_*` gauges.
     pub fn queue_stats(&self) -> QueueStats {

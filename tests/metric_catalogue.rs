@@ -1,154 +1,87 @@
 //! `METRICS.md` is the metric catalogue: every key pattern the system
-//! records, with its kind. This test regenerates it from live registries
-//! (`Metrics::catalogue`) and fails when the committed file has drifted —
-//! a renamed or new metric must show up in the catalogue in the same
-//! change, because the system benchmark and the determinism gates read
-//! these keys by their exact spelling.
+//! declares, with its kind. This test regenerates it from the declarations
+//! of built worlds (`Metrics::catalogue`) and fails when the committed file
+//! has drifted — a renamed or new metric must show up in the catalogue in
+//! the same change, because the system benchmark and the determinism gates
+//! read these keys by their exact spelling.
 //!
-//! The scenarios below are chosen to reach every layer's name table: a
-//! proactive-recovery rotation on the direct fabric (restarts, state
-//! transfer, view changes) and a KV group — PBFT underneath — over faulty
-//! links on NIO and on RUBIN, the latter with the one-sided fast path,
-//! read leases, a WAL, and a replica restarting from its drive. Keys only
-//! a rarer event bumps (an RNR retry, an abandoned view change) are in the
-//! layer's `metric_names!` table but not here.
+//! A key is declared when the handle that writes it is built, which is when
+//! the handle's owner is built, so the worlds below are only built: a
+//! direct-fabric group with a proactive-recovery scheduler, and a KV group
+//! on NIO and on RUBIN, the latter with the one-sided fast path, read
+//! leases and a WAL. Building a group runs its mesh until the links
+//! connect. One scripted partition while the NIO mesh dials makes the
+//! per-pair fault counters, which the fabric builds on a pair's first
+//! fault.
 
 use std::collections::BTreeSet;
 
-use kvstore::{KvHarness, KvStoreService, Stack, YcsbSpec};
+use kvstore::{KvHarness, KvStoreService, Stack};
 use reptor::{
     Cluster, CounterService, DurabilityConfig, RecoveryConfig, RecoveryScheduler, ReptorConfig,
 };
-use simnet::{HostId, MetricKind, Nanos, Network, Simulator};
+use simnet::{ChaosAction, ChaosSchedule, MetricKind, Nanos, TestBed};
 
 type Catalogue = BTreeSet<(MetricKind, String)>;
 
-/// Replaces every run of digits with `<N>`, so `host.h3.syscalls`,
-/// `rdma.h0.qp12.sends_posted` and `tcp.h1:49152.copies` each collapse
-/// into one pattern.
-fn pattern(key: &str) -> String {
-    let mut out = String::with_capacity(key.len());
-    let mut in_digits = false;
-    for c in key.chars() {
-        if c.is_ascii_digit() {
-            if !in_digits {
-                out.push_str("<N>");
-            }
-            in_digits = true;
-        } else {
-            out.push(c);
-            in_digits = false;
-        }
-    }
-    out
-}
+const CELLS: usize = 64;
 
-fn collect(into: &mut Catalogue, net: &Network, sim: &Simulator) {
-    net.publish_sim_gauges(sim);
-    for (kind, key) in net.metrics().catalogue() {
-        into.insert((kind, pattern(&key)));
-    }
-}
+/// The union of the catalogues of every world, each built from `base`.
+fn worlds(base: &ReptorConfig) -> Catalogue {
+    let mut catalogue = Catalogue::new();
 
-/// A full proactive-recovery rotation under closed-loop load on the
-/// direct fabric.
-fn recovery_rotation(into: &mut Catalogue) {
-    let cfg = ReptorConfig {
-        checkpoint_interval: 4,
-        ..ReptorConfig::small()
-    };
-    let mut c = Cluster::sim_transport(cfg, 1, 7, || Box::new(CounterService::default()));
-    let client = c.clients[0].clone();
-    for _ in 0..6 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-    }
-    assert!(c.run_until_completed(6, 2_000_000));
-    c.settle();
-    let sched = RecoveryScheduler::new(
-        c.replicas.clone(),
-        RecoveryConfig {
-            period: Nanos::from_millis(30),
-            poll: Nanos::from_millis(2),
-            refresh_deadline: Nanos::from_millis(400),
-        },
-        c.metrics(),
+    let direct = Cluster::sim_transport(base.clone(), 1, 7, || Box::new(CounterService::default()));
+    RecoveryScheduler::new(
+        direct.replicas.clone(),
+        RecoveryConfig::default(),
+        direct.metrics(),
         Box::new(|| Box::new(CounterService::default())),
     );
-    sched.start(&mut c.sim, 1);
-    let mut done = client.stats().completed;
-    while sched.stats().rotations_completed < 1 {
-        client.submit(&mut c.sim, b"inc".to_vec());
-        done += 1;
-        assert!(
-            c.run_until_completed(done, 2_000_000),
-            "stalled mid-rotation"
-        );
-        assert!(done < 10_000, "rotation never completed");
-    }
-    c.settle();
-    collect(into, &c.net, &c.sim);
-}
+    catalogue.extend(direct.metrics().catalogue());
 
-/// YCSB-A on a four-replica KV group (PBFT underneath) over `stack`, with
-/// frame faults on the primary's links to a client and to one backup.
-/// With `durable`, replicas keep a WAL and snapshots, and one of them
-/// restarts from its drive halfway.
-fn kv_group(into: &mut Catalogue, stack: Stack, seed: u64, durable: bool) {
-    const CELLS: usize = 64;
-    let cfg = ReptorConfig {
-        batch_size: 1,
-        window: 64,
-        checkpoint_interval: 8,
+    let kv = ReptorConfig {
         read_leases: true,
-        fast_path: stack == Stack::Rubin,
-        durability: durable.then(DurabilityConfig::default),
-        ..ReptorConfig::small()
+        ..base.clone()
     };
-    let n = cfg.n as u32;
-    let mut h = KvHarness::build(stack, seed, 3, cfg, CELLS);
-    // `TestBed::cluster` numbers hosts like nodes: replicas, then clients.
-    let (primary, peers) = (HostId(0), [HostId(1), HostId(n)]);
-    h.cluster.net.with_faults(|f| {
-        for peer in peers {
-            f.set_loss(peer, primary, 0.1);
-            f.set_duplication(primary, peer, 0.2);
-            f.set_corruption(primary, peer, 0.1);
-        }
+    let (mut sim, net, hosts) = TestBed::cluster(0x3A, kv.n + 1);
+    let (a, b) = (hosts[0], hosts[1]);
+    ChaosSchedule::new()
+        .at(Nanos::ZERO, ChaosAction::Partition { a, b })
+        .at(Nanos::from_micros(600), ChaosAction::Heal { a, b })
+        .install(&mut sim, &net);
+    let nio = Cluster::on_fabric(Stack::Nio, kv.clone(), sim, net, hosts, || {
+        Box::new(KvStoreService::new(CELLS))
     });
-    assert!(
-        h.run_ycsb(&YcsbSpec::a(12), seed, 40, 40_000_000),
-        "KV run wedged"
-    );
-    h.cluster.net.with_faults(|f| f.clear());
-    if durable {
-        h.cluster.replicas[1].restart(&mut h.cluster.sim, Box::new(KvStoreService::new(CELLS)));
-        assert!(
-            h.run_ycsb(&YcsbSpec::a(12), seed + 1, 40, 40_000_000),
-            "KV run wedged after the restart"
-        );
-    }
-    h.check_history().expect("KV run must linearize");
-    collect(into, &h.cluster.net, &h.cluster.sim);
+    catalogue.extend(nio.metrics().catalogue());
+
+    let rubin = ReptorConfig {
+        fast_path: true,
+        durability: Some(DurabilityConfig::default()),
+        ..kv
+    };
+    let h = KvHarness::build(Stack::Rubin, 0x2A, 1, rubin, CELLS);
+    catalogue.extend(h.cluster.metrics().catalogue());
+    catalogue
 }
 
 fn render(catalogue: &Catalogue) -> String {
     let mut out = String::from(
         "# Metric catalogue\n\
          \n\
-         Every key pattern the simulated system records into its `simnet::Metrics`\n\
+         Every key pattern the simulated system declares in its `simnet::Metrics`\n\
          registry, with its kind. Digit runs are written `<N>` (`h<N>` a host,\n\
          `r<N>` a replica, `c<N>` a client, `qp<N>` a queue pair, `h<N>:<N>` a socket\n\
          address, `pipeline.<N>` / `lane<N>` a COP pipeline). The spellings are read\n\
          by `benchmark/` and by the determinism gates: renaming one is a benchmark\n\
          change.\n\
          \n\
-         A key exists from the first time something is recorded under it. The table\n\
-         is what the scenarios of `tests/metric_catalogue.rs` reach (recovery\n\
-         rotation; KV over faulty links on NIO and on RUBIN, durable, with a restart);\n\
-         that test fails when this file and the code disagree and writes the current\n\
-         file to `target/tmp/METRICS.md`. A key only a rarer event bumps (an RNR\n\
-         retry, an abandoned view change) is listed where all names live: in the\n\
-         `simnet::metric_names!` table next to the code that bumps it.\n\
+         A key is declared when the handle that writes it is built, and a snapshot\n\
+         lists it once something is recorded under it. The table is generated from\n\
+         the declarations of the worlds `tests/metric_catalogue.rs` builds (a\n\
+         direct-fabric group with proactive recovery; KV on NIO and on RUBIN with\n\
+         the fast path, read leases and a WAL), not from a run; that test fails\n\
+         when this file and the code disagree and writes the current file to\n\
+         `target/tmp/METRICS.md`.\n\
          \n\
          | kind | key |\n\
          |---|---|\n",
@@ -161,10 +94,16 @@ fn render(catalogue: &Catalogue) -> String {
 
 #[test]
 fn metrics_md_lists_every_key_the_system_records() {
-    let mut catalogue = Catalogue::new();
-    recovery_rotation(&mut catalogue);
-    kv_group(&mut catalogue, Stack::Nio, 0x3A, false);
-    kv_group(&mut catalogue, Stack::Rubin, 0x2A, true);
+    let base = ReptorConfig::small();
+    let catalogue = worlds(&base);
+
+    let mut slower = base.clone();
+    slower.crypto.hmac_base_ns += 1;
+    assert_eq!(
+        worlds(&slower),
+        catalogue,
+        "the catalogue must not depend on the run's timeline"
+    );
 
     // The key families `benchmark/` reads must all be there.
     for family in [
@@ -182,12 +121,13 @@ fn metrics_md_lists_every_key_the_system_records() {
         "disk.r<N>.",
         "recovery.",
         "net.h<N>.h<N>.faults_",
+        "chaos.actions_applied",
         "sim.events_",
         "pool.net.",
     ] {
         assert!(
             catalogue.iter().any(|(_, key)| key.starts_with(family)),
-            "no `{family}*` key was recorded"
+            "no `{family}*` key was declared"
         );
     }
 
