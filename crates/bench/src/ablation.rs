@@ -18,17 +18,20 @@ pub const ABLATION_PAYLOADS: [usize; 4] = [256, 1024, 16 * 1024, 64 * 1024];
 /// Outstanding messages during the ablation echo.
 pub const ABLATION_WINDOW: usize = 16;
 
-/// The ablation variants.
-pub fn variants() -> Vec<(&'static str, RubinConfig)> {
+/// The ablation variants: label, configuration, and whether the echo
+/// server reads through zero-copy borrowed receives
+/// ([`rubin::RdmaChannel::read_borrowed`]) instead of copying out.
+pub fn variants() -> Vec<(&'static str, RubinConfig, bool)> {
     let base = RubinConfig::future();
     vec![
-        ("all optimizations", base.clone()),
+        ("all optimizations", base.clone(), true),
         (
             "no inline",
             RubinConfig {
                 inline_threshold: 0,
                 ..base.clone()
             },
+            true,
         ),
         (
             "no selective signaling",
@@ -36,6 +39,7 @@ pub fn variants() -> Vec<(&'static str, RubinConfig)> {
                 signal_interval: 1,
                 ..base.clone()
             },
+            true,
         ),
         (
             "no batched reposting",
@@ -43,16 +47,15 @@ pub fn variants() -> Vec<(&'static str, RubinConfig)> {
                 recv_batch: 1,
                 ..base.clone()
             },
+            true,
         ),
+        ("no zero-copy receive", base, false),
         (
-            "no zero-copy receive",
-            RubinConfig {
-                zero_copy_receive: false,
-                ..base
-            },
+            "no zero-copy at all (as evaluated)",
+            RubinConfig::paper(),
+            false,
         ),
-        ("no zero-copy at all (as evaluated)", RubinConfig::paper()),
-        ("none (naive Send/Recv)", RubinConfig::unoptimized()),
+        ("none (naive Send/Recv)", RubinConfig::unoptimized(), false),
     ]
 }
 
@@ -60,10 +63,10 @@ pub fn variants() -> Vec<(&'static str, RubinConfig)> {
 pub fn run(msgs: usize) -> Vec<Series> {
     variants()
         .into_iter()
-        .map(|(label, cfg)| {
+        .map(|(label, cfg, borrowed)| {
             let mut s = Series::new(label);
             for &p in &ABLATION_PAYLOADS {
-                let r = channel_echo_pipelined(p, msgs, ABLATION_WINDOW, cfg.clone());
+                let r = channel_echo_pipelined(p, msgs, ABLATION_WINDOW, cfg.clone(), borrowed);
                 s.push(p, r.latency_us);
             }
             s

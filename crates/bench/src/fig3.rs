@@ -426,12 +426,14 @@ pub fn channel_echo(
 /// Pipelined RUBIN channel echo: keeps `window` messages outstanding so
 /// per-message overheads (signaling, posting) land on the critical path —
 /// used by the ablation benchmark where the sequential echo would hide
-/// them in idle time.
+/// them in idle time. With `borrowed_receive` the server echoes from the
+/// borrowed receive buffer instead of copying it out first.
 pub fn channel_echo_pipelined(
     payload: usize,
     msgs: usize,
     window: usize,
     cfg: RubinConfig,
+    borrowed_receive: bool,
 ) -> EchoResult {
     let mut tb = TestBed::paper_testbed(0xF1635);
     let dev_a = RdmaDevice::open(&tb.net, tb.a, RnicModel::mt27520());
@@ -479,7 +481,7 @@ pub fn channel_echo_pipelined(
             sent += 1;
         }
         server.process_completions(&mut tb.sim);
-        if cfg.zero_copy_receive {
+        if borrowed_receive {
             // §VII path: echo from the borrowed buffer without copying out.
             while let Some(m) = server.read_borrowed(&mut tb.sim).expect("read") {
                 let echoed = m.with_data(|d| d.to_vec());

@@ -60,8 +60,6 @@ pub struct RnicModel {
     /// advancing — so the value must exceed the worst-case single-message
     /// ACK round trip, including the receiver's RNR hold window
     /// (`rnr_timer × (rnr_retry + 1)`), not the whole queue's drain time.
-    /// `Nanos::ZERO` disables retransmission entirely (pre-recovery
-    /// behaviour: a lost frame stalls the sender forever).
     pub timeout: Nanos,
     /// Wire size of a NIC-level acknowledgement.
     pub ack_bytes: usize,

@@ -75,7 +75,7 @@ pub use cq::{CompChannel, CompletionQueue};
 pub use device::{EventHook, QpConfig, RdmaDevice};
 pub use error::{VerbsError, VerbsResult};
 pub use mr::{MemoryRegion, ProtectionDomain};
-pub use qp::{connect_pair, QpStats, QueuePair};
+pub use qp::{connect_pair, QueuePair};
 pub use types::{Access, CqId, LKey, PdId, QpNum, QpState, RKey, Wc, WcOpcode, WcStatus, WrId};
 pub use wr::{RecvWr, SendOp, SendWr, Sge};
 
@@ -141,6 +141,12 @@ mod tests {
         }
     }
 
+    /// `rdma.<host>.<qp>.<name>`: one queue pair's counter in the registry.
+    fn qp_counter(p: &Pair, qp: &QueuePair, name: &str) -> u64 {
+        let key = format!("rdma.{}.{}.{name}", qp.local_addr().host, qp.num());
+        p.tb.net.metrics().counter(&key)
+    }
+
     fn send_bytes(p: &mut Pair, data: &[u8], signaled: bool) {
         let sbuf = p.dev_a.reg_mr(&p.pd_a, data.len(), Access::NONE);
         sbuf.write(0, data).unwrap();
@@ -186,7 +192,7 @@ mod tests {
         send_bytes(&mut p, &[1u8; 100], false);
         p.tb.sim.run_until_idle();
         assert_eq!(p.scq_a.poll(8).len(), 0);
-        assert_eq!(p.qp_a.stats().completions_suppressed, 1);
+        assert_eq!(qp_counter(&p, &p.qp_a, "unsignaled_completions"), 1);
         // Data still arrived.
         assert_eq!(p.rcq_b.poll(8).len(), 1);
     }
@@ -197,7 +203,7 @@ mod tests {
         send_bytes(&mut p, &[9u8; 64], true);
         // Let the message arrive and stall.
         p.tb.sim.run_for(Nanos::from_micros(50));
-        assert_eq!(p.qp_b.stats().rnr_stalls, 1);
+        assert_eq!(qp_counter(&p, &p.qp_b, "rnr_retries"), 1);
         // Now post the receive; message must be delivered.
         let rbuf = p.dev_b.reg_mr(&p.pd_b, 4096, Access::LOCAL_WRITE);
         p.qp_b
@@ -858,7 +864,10 @@ mod tests {
         p.tb.sim.run_until_idle();
         assert!(p.tb.net.stats().unroutable > unroutable_before);
         let model = RnicModel::mt27520();
-        assert_eq!(p.qp_a.stats().retransmits, model.retry_cnt as u64);
+        assert_eq!(
+            qp_counter(&p, &p.qp_a, "retransmits"),
+            model.retry_cnt as u64
+        );
         let wcs = p.scq_a.poll(8);
         assert_eq!(wcs.len(), 1);
         assert_eq!(wcs[0].status, WcStatus::RetryExceeded);
@@ -910,7 +919,7 @@ mod tests {
         assert_eq!(tx.len(), N);
         assert!(tx.iter().all(|wc| wc.is_ok()));
         assert_eq!(
-            p.qp_a.stats().retransmits,
+            qp_counter(&p, &p.qp_a, "retransmits"),
             0,
             "a healthy link must never retransmit, however deep the queue"
         );
@@ -934,8 +943,10 @@ mod tests {
         send_bytes(&mut p, &[1u8; 32], false);
         p.tb.sim.run_until_idle();
         assert_eq!(p.qp_b.recv_posted(), 4, "one receive consumed");
-        assert_eq!(p.qp_b.stats().recvs_posted, 5);
-        assert_eq!(p.qp_b.stats().bytes_received, 32);
+        assert_eq!(qp_counter(&p, &p.qp_b, "recvs_posted"), 5);
+        let rx = p.rcq_b.poll(8);
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx[0].byte_len, 32);
     }
 
     #[test]
@@ -1079,14 +1090,17 @@ mod tests {
         });
         send_bytes(&mut p, &[9u8; 32], true);
         p.tb.sim.run_until_idle();
-        assert!(p.qp_a.stats().retransmits >= 2, "early copies were lost");
+        assert!(
+            qp_counter(&p, &p.qp_a, "retransmits") >= 2,
+            "early copies were lost"
+        );
         let tx = p.scq_a.poll(8);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].status, WcStatus::Success);
         let rx = p.rcq_b.poll(8);
         assert_eq!(rx.len(), 1, "delivered exactly once");
         assert_eq!(rbuf.read(0, 32).unwrap(), vec![9u8; 32]);
-        assert_eq!(p.qp_b.stats().duplicates_suppressed, 0);
+        assert_eq!(qp_counter(&p, &p.qp_b, "duplicates_suppressed"), 0);
     }
 
     #[test]
@@ -1107,7 +1121,7 @@ mod tests {
         });
         send_bytes(&mut p, &[5u8; 32], true);
         p.tb.sim.run_until_idle();
-        assert!(p.qp_b.stats().duplicates_suppressed >= 1);
+        assert!(qp_counter(&p, &p.qp_b, "duplicates_suppressed") >= 1);
         assert_eq!(p.rcq_b.poll(8).len(), 1, "executed exactly once");
         let tx = p.scq_a.poll(8);
         assert_eq!(tx.len(), 1, "sender completes once, via the re-ACK");
@@ -1127,7 +1141,7 @@ mod tests {
         send_bytes(&mut p, &[3u8; 32], true);
         p.tb.sim.run_until_idle();
         assert_eq!(p.rcq_b.poll(8).len(), 1, "dup copy must not redeliver");
-        assert!(p.qp_b.stats().duplicates_suppressed >= 1);
+        assert!(qp_counter(&p, &p.qp_b, "duplicates_suppressed") >= 1);
         assert_eq!(p.scq_a.poll(8).len(), 1);
     }
 
@@ -1145,9 +1159,13 @@ mod tests {
         // No receive posted: the send is held at the receiver.
         send_bytes(&mut p, &[1u8; 16], true);
         p.tb.sim.run_until_idle();
-        assert_eq!(p.qp_b.stats().rnr_stalls, 1, "held once, not per copy");
+        assert_eq!(
+            qp_counter(&p, &p.qp_b, "rnr_retries"),
+            1,
+            "held once, not per copy"
+        );
         assert!(
-            p.qp_b.stats().duplicates_suppressed >= 1,
+            qp_counter(&p, &p.qp_b, "duplicates_suppressed") >= 1,
             "retransmitted copies of the held seq are suppressed"
         );
         let tx = p.scq_a.poll(8);

@@ -68,26 +68,6 @@ simnet::metric_names! {
     }
 }
 
-/// Counters exposed for tests, ablations and debugging.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QpStats {
-    /// Send-queue WRs posted.
-    pub sends_posted: u64,
-    /// Receive-queue WRs posted.
-    pub recvs_posted: u64,
-    /// Payload bytes placed by inbound operations.
-    pub bytes_received: u64,
-    /// Inbound messages that had to wait for a receive WR (RNR holds).
-    pub rnr_stalls: u64,
-    /// Successful completions suppressed by selective signaling.
-    pub completions_suppressed: u64,
-    /// Operations retransmitted after an ACK timeout.
-    pub retransmits: u64,
-    /// Inbound duplicates (retransmitted or fault-duplicated copies)
-    /// suppressed by receiver-side sequence tracking.
-    pub duplicates_suppressed: u64,
-}
-
 /// What a send-queue operation's completion reports.
 struct SentOp {
     wr_id: WrId,
@@ -173,7 +153,6 @@ pub(crate) struct QpInner {
     /// retransmitted (RC hardware times the oldest unacknowledged PSN and
     /// restarts the clock on every ACK).
     last_ack_progress: Nanos,
-    stats: QpStats,
     /// Shared cross-layer registry (the owning network's), this QP's key
     /// prefix `rdma.{host}.{qpnum}.` (for trace milestones) and its
     /// counters under that prefix.
@@ -204,7 +183,6 @@ impl QpInner {
             self.counters[QpCounter::SignaledCompletions].incr();
             self.send_cq.push(op.wc(self.num, status, byte_len));
         } else {
-            self.stats.completions_suppressed += 1;
             self.counters[QpCounter::UnsignaledCompletions].incr();
         }
     }
@@ -336,7 +314,6 @@ impl QueuePair {
                 next_seq: 0,
                 rx_expected: 0,
                 last_ack_progress: Nanos::ZERO,
-                stats: QpStats::default(),
                 counters: metrics.counters(&metrics_prefix),
                 metrics,
                 metrics_prefix,
@@ -386,11 +363,6 @@ impl QueuePair {
     /// The receive completion queue.
     pub fn recv_cq(&self) -> CompletionQueue {
         self.inner.borrow().recv_cq.clone()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> QpStats {
-        self.inner.borrow().stats
     }
 
     /// Number of receive WRs currently posted.
@@ -493,7 +465,6 @@ impl QueuePair {
             let mut inner = self.inner.borrow_mut();
             let cpu_done = self.doorbell(sim, &inner, wrs.as_ref())?;
             let len = wrs.as_ref().len() as u64;
-            inner.stats.recvs_posted += len;
             inner.counters[QpCounter::RecvsPosted].add(len);
             inner.recv_queue.extend(wrs);
             cpu_done
@@ -539,7 +510,6 @@ impl QueuePair {
             let batch = wrs.as_ref();
             let mut inner = self.inner.borrow_mut();
             let cpu_done = self.doorbell(sim, &inner, batch)?;
-            inner.stats.sends_posted += batch.len() as u64;
             inner.counters[QpCounter::SendsPosted].add(batch.len() as u64);
             for wr in batch {
                 if wr.inline {
@@ -714,11 +684,7 @@ impl QueuePair {
 
     /// Arms (or re-arms) the ACK-timeout retransmission timer for `seq`.
     fn arm_retry(&self, sim: &mut Simulator, seq: u64) {
-        let timeout = self.device.model().timeout;
-        if timeout == Nanos::ZERO {
-            return;
-        }
-        self.arm_retry_in(sim, seq, timeout);
+        self.arm_retry_in(sim, seq, self.device.model().timeout);
     }
 
     /// Arms the retransmission timer for `seq` with an explicit delay.
@@ -771,11 +737,7 @@ impl QueuePair {
             })
         };
         if let Some(pkt) = resend {
-            {
-                let mut inner = self.inner.borrow_mut();
-                inner.stats.retransmits += 1;
-                inner.counters[QpCounter::Retransmits].incr();
-            }
+            self.inner.borrow().counters[QpCounter::Retransmits].incr();
             self.emit(sim, pkt);
             self.arm_retry(sim, seq);
             return;
@@ -868,7 +830,7 @@ impl QueuePair {
                 Discard,
             }
             let verdict = {
-                let mut inner = self.inner.borrow_mut();
+                let inner = self.inner.borrow();
                 if seq > inner.rx_expected {
                     inner.counters[QpCounter::OooDropped].incr();
                     Verdict::Drop
@@ -879,7 +841,6 @@ impl QueuePair {
                         Verdict::Discard
                     }
                 } else {
-                    inner.stats.duplicates_suppressed += 1;
                     inner.counters[QpCounter::DuplicatesSuppressed].incr();
                     // If the first copy is still parked in the RNR hold
                     // queue, stay silent: acking now would confirm data
@@ -1005,7 +966,6 @@ impl QueuePair {
                     Admit::FailLength(rwr)
                 }
                 None if claims => {
-                    inner.stats.rnr_stalls += 1;
                     inner.counters[QpCounter::RnrRetries].incr();
                     inner.metrics.trace(
                         sim.now(),
@@ -1098,9 +1058,8 @@ impl QueuePair {
         let written = to.mr.dma_write(to.offset, &data).is_ok();
         self.device.net().buffer_pool().put(data);
         {
-            let mut inner = self.inner.borrow_mut();
+            let inner = self.inner.borrow();
             if written {
-                inner.stats.bytes_received += len as u64;
                 self.device
                     .net()
                     .host(inner.local_addr.host)

@@ -202,8 +202,6 @@ pub struct DurableStore {
     wal_cache: Vec<(SeqNum, Vec<u8>)>,
     /// Generation of the last snapshot written or recovered.
     snap_gen: u64,
-    /// Seq of the last snapshot written or recovered.
-    snap_seq: Option<SeqNum>,
     /// Which slot holds `snap_gen` (the next write goes to the other).
     active_slot: u64,
     /// Stable checkpoints seen since the last snapshot.
@@ -229,7 +227,6 @@ impl DurableStore {
             wal_last_seq: None,
             wal_cache: Vec::new(),
             snap_gen: 0,
-            snap_seq: None,
             // The first snapshot goes to slot 0 (`1 - active_slot`).
             active_slot: 1,
             stable_since_snapshot: 0,
@@ -240,11 +237,6 @@ impl DurableStore {
     /// The underlying device (for fault arming in tests).
     pub fn disk(&self) -> &SimDisk {
         &self.disk
-    }
-
-    /// Seq covered by the current snapshot, if any.
-    pub fn snapshot_seq(&self) -> Option<SeqNum> {
-        self.snap_seq
     }
 
     /// Appends one executed batch to the WAL, returning the disk ack
@@ -292,7 +284,6 @@ impl DurableStore {
         let slot = 1 - self.active_slot;
         let mut done = self.disk.write(now, slot * SLOT_BYTES, &record);
         self.snap_gen += 1;
-        self.snap_seq = Some(seq);
         self.active_slot = slot;
         self.counters[StoreCounter::SnapshotWrites].incr();
         self.counters[StoreCounter::SnapshotBytesWritten].add(record.len() as u64);
@@ -349,14 +340,12 @@ impl DurableStore {
             self.counters[StoreCounter::SnapshotCorruptFallback].incr();
         }
         match &best {
-            Some((gen, seq, _, slot)) => {
+            Some((gen, _, _, slot)) => {
                 self.snap_gen = *gen;
-                self.snap_seq = Some(*seq);
                 self.active_slot = *slot;
             }
             None => {
                 self.snap_gen = 0;
-                self.snap_seq = None;
                 self.active_slot = 1;
             }
         }

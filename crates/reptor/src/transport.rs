@@ -208,7 +208,6 @@ struct SimTransportInner {
     directory: Rc<RefCell<Vec<(NodeId, HostId)>>>,
     delivery: Option<DeliveryFn>,
     sent: u64,
-    received: u64,
 }
 
 /// Direct fabric transport: frames travel over the simulated links with
@@ -224,7 +223,6 @@ impl fmt::Debug for SimTransport {
         f.debug_struct("SimTransport")
             .field("node", &inner.node)
             .field("sent", &inner.sent)
-            .field("received", &inner.received)
             .finish()
     }
 }
@@ -251,7 +249,6 @@ impl SimTransport {
                         directory: directory.clone(),
                         delivery: None,
                         sent: 0,
-                        received: 0,
                     })),
                 };
                 let addr = Addr::new(host, SIM_TRANSPORT_PORT + node);
@@ -283,11 +280,7 @@ impl SimTransport {
     }
 
     fn deliver(&self, sim: &mut Simulator, from: NodeId, bytes: Vec<u8>) {
-        let cb = {
-            let mut inner = self.inner.borrow_mut();
-            inner.received += 1;
-            inner.delivery.clone()
-        };
+        let cb = self.inner.borrow().delivery.clone();
         if let Some(cb) = cb {
             cb(sim, from, bytes);
         }
@@ -296,11 +289,6 @@ impl SimTransport {
     /// Messages sent by this endpoint.
     pub fn sent_count(&self) -> u64 {
         self.inner.borrow().sent
-    }
-
-    /// Messages delivered to this endpoint.
-    pub fn received_count(&self) -> u64 {
-        self.inner.borrow().received
     }
 }
 

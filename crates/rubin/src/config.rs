@@ -41,12 +41,6 @@ pub struct RubinConfig {
     /// copied into a pooled slab (registration would cost more than the
     /// copy; paper §IV recommends 256 B).
     pub small_copy_threshold: usize,
-    /// Enables zero-copy receives through
-    /// [`RdmaChannel::read_borrowed`](crate::RdmaChannel::read_borrowed):
-    /// the application borrows the registered receive buffer instead of
-    /// copying out of it — the §VII goal of "remov\[ing\] any additional
-    /// buffer copy steps".
-    pub zero_copy_receive: bool,
     /// CPU cost of one RUBIN `select()` call. Higher than the epoll-backed
     /// Java NIO selector (paper §IV plans a native reimplementation).
     pub select_ns: u64,
@@ -72,19 +66,20 @@ impl RubinConfig {
             inline_threshold: 256,
             zero_copy_send: false,
             small_copy_threshold: 256,
-            zero_copy_receive: false,
             select_ns: 2_400,
             reg_cache_ns: 350,
         }
     }
 
     /// The paper's planned future version (§IV/§VII): send-side zero copy
-    /// for payloads above `small_copy_threshold`, and zero-copy borrowed
-    /// receives — "remove any additional buffer copy steps".
+    /// for payloads above `small_copy_threshold`. Its receive-side half,
+    /// borrowing the registered buffer instead of copying out of it
+    /// ("remove any additional buffer copy steps"), is the application's
+    /// choice of [`RdmaChannel::read_borrowed`](crate::RdmaChannel::read_borrowed)
+    /// over [`RdmaChannel::read`](crate::RdmaChannel::read), not a setting.
     pub fn future() -> RubinConfig {
         RubinConfig {
             zero_copy_send: true,
-            zero_copy_receive: true,
             ..RubinConfig::paper()
         }
     }
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(c.recv_batch, 1);
         assert_eq!(c.inline_threshold, 0);
         assert!(!c.zero_copy_send);
-        assert!(!c.zero_copy_receive);
     }
 
     #[test]

@@ -268,7 +268,7 @@ mod tests {
         assert_eq!(st.msgs_sent, 8);
         assert_eq!(st.signaled_sends, 2, "every 4th send is signaled");
         // The QP saw 6 suppressed successful completions.
-        assert_eq!(client.qp().stats().completions_suppressed, 6);
+        assert_eq!(qp_counter(&w, &client, "unsignaled_completions"), 6);
     }
 
     #[test]
@@ -375,7 +375,7 @@ mod tests {
         let model = RnicModel::mt27520();
         let doorbells = model.post_batch_cost(32) + model.post_batch_cost(8);
         assert_eq!(spent.as_nanos(), runtime + copies + doorbells.as_nanos());
-        assert_eq!(client.qp().stats().sends_posted, 40);
+        assert_eq!(qp_counter(&w, &client, "sends_posted"), 40);
         let st = client.stats();
         assert_eq!(st.signaled_sends, 40 / cfg.signal_interval as u64);
         assert_eq!((st.inline_sends, st.copied_sends), (20, 20));
@@ -614,6 +614,13 @@ mod tests {
         let got = Rc::new(RefCell::new(Vec::new()));
         arm(&mut w.tb.sim, &sel, chan, &got);
         (sel, got)
+    }
+
+    /// `rdma.<host>.<qp>.<name>`: the counter of `chan`'s queue pair.
+    fn qp_counter(w: &World, chan: &RdmaChannel, name: &str) -> u64 {
+        let qp = chan.qp();
+        let key = format!("rdma.{}.{}.{name}", qp.local_addr().host, qp.num());
+        w.tb.net.metrics().counter(&key)
     }
 
     /// `rubin.<host b>.selector.<name>`: every selector of the host counts

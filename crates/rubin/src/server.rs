@@ -22,7 +22,6 @@ struct ServerInner {
     core: CoreId,
     pending: VecDeque<ConnRequest>,
     reg: Option<Registration>,
-    accepted: u64,
 }
 
 /// A listening RDMA channel that accepts inbound connections.
@@ -41,7 +40,6 @@ impl fmt::Debug for RdmaServerChannel {
         f.debug_struct("RdmaServerChannel")
             .field("port", &inner.port)
             .field("pending", &inner.pending.len())
-            .field("accepted", &inner.accepted)
             .finish()
     }
 }
@@ -70,7 +68,6 @@ impl RdmaServerChannel {
                 core,
                 pending: VecDeque::new(),
                 reg: None,
-                accepted: 0,
             })),
         })
     }
@@ -143,11 +140,7 @@ impl RdmaServerChannel {
             (req, inner.device.clone(), inner.cfg.clone())
         };
         let channel = RdmaChannel::from_accepted(sim, &device, req, cfg, core)?;
-        let reg = {
-            let mut inner = self.inner.borrow_mut();
-            inner.accepted += 1;
-            inner.reg.clone()
-        };
+        let reg = self.inner.borrow().reg.clone();
         if let Some(reg) = reg {
             let still = self.pending_count() > 0;
             reg.set_ready(sim, Interest::OP_CONNECT, still);

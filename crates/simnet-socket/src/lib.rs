@@ -459,6 +459,12 @@ mod tests {
         tb.sim.run_until_idle();
         assert!(client.is_established());
         assert!(client.stats().retransmits >= 1);
+        // SYN retries live in the stats alone; the registry counts data.
+        let count = |name| {
+            let key = format!("tcp.{}.{name}", client.local_addr());
+            tb.net.metrics().counter(&key)
+        };
+        assert_eq!(count("retransmits"), 0);
         let server = listener.accept(&mut tb.sim).expect("pending connection");
         assert!(
             listener.accept(&mut tb.sim).is_none(),
@@ -472,5 +478,6 @@ mod tests {
             ReadOutcome::Data(d) => assert_eq!(d, b"hello"),
             other => panic!("expected data, got {other:?}"),
         }
+        assert_eq!(count("syscalls"), 1, "the key above names this socket");
     }
 }

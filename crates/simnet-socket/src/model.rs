@@ -70,11 +70,6 @@ impl TcpModel {
     pub fn tx_cost(&self, bytes: usize) -> Nanos {
         Nanos::from_nanos(self.segments(bytes) as u64 * self.segment_tx_ns)
     }
-
-    /// Kernel receive CPU cost for one segment of `bytes`.
-    pub fn rx_cost_per_segment(&self) -> Nanos {
-        Nanos::from_nanos(self.segment_rx_ns)
-    }
 }
 
 impl Default for TcpModel {

@@ -81,12 +81,9 @@ pub struct TcpStats {
     pub segments_rx: u64,
     /// Times `write` could not accept any bytes (send buffer full).
     pub write_stalls: u64,
-    /// Buffer copies across the user/kernel boundary (one per successful
-    /// `write`, one per successful `read` — TCP's double copy).
-    pub copies: u64,
-    /// User/kernel crossings charged to this socket's syscalls.
-    pub syscalls: u64,
-    /// Segments (or SYNs) re-sent after a retransmission timeout.
+    /// Segments and SYNs re-sent after a retransmission timeout. SYN
+    /// retries are counted only here: the registry's
+    /// `tcp.<addr>.retransmits` counts data segments alone.
     pub retransmits: u64,
     /// Duplicate data segments suppressed by receive sequencing.
     pub dup_segments: u64,
@@ -133,7 +130,9 @@ pub(crate) enum TcpSegment {
 const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 64);
 
 simnet::metric_names! {
-    /// Counters of one socket, under `tcp.<addr>.`.
+    /// Counters of one socket, under `tcp.<addr>.`. `Retransmits` counts
+    /// data segments alone; SYN retries appear only in
+    /// [`TcpStats::retransmits`].
     enum TcpCounter {
         Syscalls => "syscalls",
         Copies => "copies",
@@ -182,13 +181,11 @@ struct StreamInner {
 }
 
 impl StreamInner {
-    /// Records one syscall + one user/kernel buffer copy in the per-stream
-    /// stats and the per-socket registry keys (`tcp.{addr}.syscalls` /
+    /// Records one syscall + one user/kernel buffer copy under the
+    /// per-socket registry keys (`tcp.{addr}.syscalls` /
     /// `tcp.{addr}.copies`). The host-level counters are bumped by the
     /// `Host::charge_*` helpers at the charge site.
     fn note_crossing(&mut self, copies: u64) {
-        self.stats.syscalls += 1;
-        self.stats.copies += copies;
         self.counters[TcpCounter::Syscalls].incr();
         self.counters[TcpCounter::Copies].add(copies);
     }
@@ -349,6 +346,7 @@ impl TcpStream {
                 None
             } else {
                 inner.rto_strikes += 1;
+                // A SYN retry: counted in the stats alone (see `TcpCounter`).
                 inner.stats.retransmits += 1;
                 let listener = inner.remote.expect("connecting stream has a target");
                 Some((inner.net.clone(), inner.local, listener))

@@ -88,12 +88,6 @@ struct Link {
 pub struct NetStats {
     /// Frames delivered to a bound handler.
     pub delivered: u64,
-    /// Frames dropped by faults (partition, loss, or host crash).
-    pub dropped_by_fault: u64,
-    /// Extra frame copies injected by the duplication fault.
-    pub duplicated_by_fault: u64,
-    /// Frames whose payload was damaged by the corruption fault.
-    pub corrupted_by_fault: u64,
     /// Frames that arrived at an address with no bound handler.
     pub unroutable: u64,
 }
@@ -122,18 +116,20 @@ crate::metric_names! {
     }
 }
 
+/// Latency of the host-local loopback path (same-host frames).
+const LOOPBACK_DELAY: Nanos = Nanos::from_micros(5);
+
+/// Serialization rate of the loopback path: RoCE loopback passes through
+/// the adapter at port speed, kernel loopback is bounded by memory
+/// bandwidth.
+const LOOPBACK_BANDWIDTH: Bandwidth = Bandwidth::gbps(10);
+
 struct NetInner {
     hosts: Vec<HostRef>,
     links: Vec<Link>,
     adjacency: HashMap<(HostId, HostId), usize>,
     handlers: HashMap<Addr, Rc<RefCell<FrameHandler>>>,
     faults: FaultPlane,
-    /// Latency of the host-local loopback path (same-host frames).
-    loopback_delay: Nanos,
-    /// Serialization rate of the loopback path (RoCE loopback passes
-    /// through the adapter at port speed; kernel loopback is bounded by
-    /// memory bandwidth). `None` = infinitely fast.
-    loopback_bandwidth: Option<Bandwidth>,
     /// Per-host loopback transmit horizon.
     loopback_busy: std::collections::HashMap<HostId, Nanos>,
     stats: NetStats,
@@ -145,17 +141,6 @@ struct NetInner {
     sim_gauges: Gauges<SimGauge>,
     pool: BytePool,
     pool_gauges: Gauges<PoolGauge>,
-}
-
-impl NetInner {
-    fn count_fault(&mut self, src: HostId, dst: HostId, fault: FaultCounter) {
-        let metrics = &self.metrics;
-        let counters = self
-            .fault_counters
-            .entry((src, dst))
-            .or_insert_with(|| metrics.counters(&format!("net.{src}.{dst}.")));
-        counters[fault].incr();
-    }
 }
 
 /// Shared handle to the simulated network.
@@ -214,8 +199,6 @@ impl Network {
                 adjacency: HashMap::new(),
                 handlers: HashMap::new(),
                 faults: FaultPlane::new(),
-                loopback_delay: Nanos::from_micros(5),
-                loopback_bandwidth: Some(Bandwidth::gbps(10)),
                 loopback_busy: std::collections::HashMap::new(),
                 stats: NetStats::default(),
                 next_ephemeral_port: 49_152,
@@ -387,9 +370,7 @@ impl Network {
         let verdict = self.inner.borrow().faults.judge(src.host, dst.host, &coins);
         match verdict {
             FaultVerdict::Drop => {
-                let mut inner = self.inner.borrow_mut();
-                inner.stats.dropped_by_fault += 1;
-                inner.count_fault(src.host, dst.host, FaultCounter::Dropped);
+                self.count_fault(&header, FaultCounter::Dropped);
             }
             FaultVerdict::Deliver {
                 extra_delay,
@@ -398,21 +379,31 @@ impl Network {
             } => {
                 if corrupt {
                     header.corrupted = true;
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.corrupted_by_fault += 1;
-                    inner.count_fault(src.host, dst.host, FaultCounter::Corrupted);
+                    self.count_fault(&header, FaultCounter::Corrupted);
                 }
                 if duplicate {
-                    {
-                        let mut inner = self.inner.borrow_mut();
-                        inner.stats.duplicated_by_fault += 1;
-                        inner.count_fault(src.host, dst.host, FaultCounter::Duplicated);
-                    }
+                    self.count_fault(&header, FaultCounter::Duplicated);
                     self.transmit(sim, header, payload.clone(), extra_delay);
                 }
                 self.transmit(sim, header, payload, extra_delay);
             }
         }
+    }
+
+    /// Counts one injected fault on `header`'s directed host pair, making
+    /// the pair's counters on its first fault.
+    fn count_fault(&self, header: &Header, fault: FaultCounter) {
+        let (src, dst) = (header.src.host, header.dst.host);
+        let mut inner = self.inner.borrow_mut();
+        let NetInner {
+            metrics,
+            fault_counters,
+            ..
+        } = &mut *inner;
+        let counters = fault_counters
+            .entry((src, dst))
+            .or_insert_with(|| metrics.counters(&format!("net.{src}.{dst}.")));
+        counters[fault].incr();
     }
 
     /// Serializes one frame copy on its link (or the loopback path) and
@@ -425,17 +416,11 @@ impl Network {
         {
             let mut inner = self.inner.borrow_mut();
             if src == dst {
-                let ready = match inner.loopback_bandwidth {
-                    Some(bw) => {
-                        let ser = bw.transmit_time(wire_bytes);
-                        let busy = inner.loopback_busy.entry(src).or_insert(Nanos::ZERO);
-                        let start = now.max(*busy);
-                        *busy = start + ser;
-                        *busy
-                    }
-                    None => now,
-                };
-                deliver_at = ready + inner.loopback_delay + extra;
+                let ser = LOOPBACK_BANDWIDTH.transmit_time(wire_bytes);
+                let busy = inner.loopback_busy.entry(src).or_insert(Nanos::ZERO);
+                let start = now.max(*busy);
+                *busy = start + ser;
+                deliver_at = *busy + LOOPBACK_DELAY + extra;
             } else {
                 let idx = *inner
                     .adjacency
@@ -591,7 +576,7 @@ mod tests {
         net.with_faults(|f| f.partition(a, b));
         net.send(&mut sim, Addr::new(a, 9), Addr::new(b, 1), 100, ());
         sim.run_until_idle();
-        assert_eq!(net.stats().dropped_by_fault, 1);
+        assert_eq!(net.metrics().total("faults_dropped"), 1);
         assert_eq!(net.stats().delivered, 0);
     }
 
@@ -613,7 +598,7 @@ mod tests {
         net.send(&mut sim, Addr::new(a, 9), dst, 16, vec![9u8; 16]);
         sim.run_until_idle();
         assert_eq!(*count.borrow(), 2);
-        assert_eq!(net.stats().duplicated_by_fault, 1);
+        assert_eq!(net.metrics().total("faults_duplicated"), 1);
         assert_eq!(net.stats().delivered, 2);
         assert_eq!(net.metrics().counter("net.h0.h1.faults_duplicated"), 1);
     }
@@ -634,7 +619,7 @@ mod tests {
         net.send(&mut sim, Addr::new(a, 9), dst, 16, ());
         sim.run_until_idle();
         assert!(*saw_corrupt.borrow());
-        assert_eq!(net.stats().corrupted_by_fault, 1);
+        assert_eq!(net.metrics().total("faults_corrupted"), 1);
         assert_eq!(net.metrics().counter("net.h0.h1.faults_corrupted"), 1);
     }
 
@@ -644,7 +629,7 @@ mod tests {
         net.with_faults(|f| f.set_loss(a, b, 1.0));
         net.send(&mut sim, Addr::new(a, 9), Addr::new(b, 1), 100, ());
         sim.run_until_idle();
-        assert_eq!(net.stats().dropped_by_fault, 1);
+        assert_eq!(net.metrics().total("faults_dropped"), 1);
         assert_eq!(net.metrics().counter("net.h0.h1.faults_dropped"), 1);
         assert_eq!(net.metrics().counter("net.h1.h0.faults_dropped"), 0);
     }
@@ -679,17 +664,19 @@ mod tests {
         let mut sim = Simulator::new(1);
         let net = Network::new();
         let a = net.add_host("solo", 1, CpuModel::xeon_v2());
-        let got = Rc::new(RefCell::new(false));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         net.bind(
             Addr::new(a, 2),
-            Box::new(move |_, _| {
-                *g.borrow_mut() = true;
-            }),
+            Box::new(move |sim, _| g.borrow_mut().push(sim.now())),
         );
         net.send(&mut sim, Addr::new(a, 1), Addr::new(a, 2), 64, ());
+        net.send(&mut sim, Addr::new(a, 1), Addr::new(a, 2), 64, ());
         sim.run_until_idle();
-        assert!(*got.borrow());
+        // 64 B at the loopback's 10 Gbps serializes in 52 ns (51.2 rounded
+        // up), then takes its 5 us; the second frame waits for the first.
+        let at = |ns| Nanos::from_nanos(ns);
+        assert_eq!(*got.borrow(), [at(5_052), at(5_104)]);
     }
 
     #[test]

@@ -186,18 +186,18 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn bps(n: u64) -> Bandwidth {
+    pub const fn bps(n: u64) -> Bandwidth {
         assert!(n > 0, "bandwidth must be positive");
         Bandwidth { bits_per_sec: n }
     }
 
     /// Creates a bandwidth of `n` megabits per second.
-    pub fn mbps(n: u64) -> Bandwidth {
+    pub const fn mbps(n: u64) -> Bandwidth {
         Bandwidth::bps(n * 1_000_000)
     }
 
     /// Creates a bandwidth of `n` gigabits per second.
-    pub fn gbps(n: u64) -> Bandwidth {
+    pub const fn gbps(n: u64) -> Bandwidth {
         Bandwidth::bps(n * 1_000_000_000)
     }
 

@@ -132,8 +132,8 @@ fn a_duplicate_delivers_an_equal_payload_and_corruption_reaches_the_handler() {
     net.send(&mut sim, Addr::new(a, 9), dst, 64, packet);
     sim.run_until_idle();
     assert_eq!(seen.take(), [(true, packet), (true, packet)]);
-    assert_eq!(net.stats().duplicated_by_fault, 1);
-    assert_eq!(net.stats().corrupted_by_fault, 1);
+    assert_eq!(net.metrics().total("faults_duplicated"), 1);
+    assert_eq!(net.metrics().total("faults_corrupted"), 1);
 }
 
 #[test]

@@ -186,7 +186,6 @@ macro_rules! durable_rows {
             crash_during_compaction_recovers_safely_from_peers => crash_during_compaction(),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack => full_cluster_restart(Stack::Rubin),
             full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack => full_cluster_restart(Stack::Nio),
-            fixed_seed_full_cluster_restart_replays_byte_identically => full_cluster_restart(Stack::Rubin),
             second_crash_rejoins_without_inherited_backoff => second_crash(),
         }
     };
@@ -252,12 +251,11 @@ macro_rules! fuzz_rows {
 macro_rules! proactive_rows {
     ($then:ident) => {
         $then! {
-            throughput_never_zero_during_rotation_single_pillar => rotation_under_load(1),
-            throughput_never_zero_during_rotation_four_pillars => rotation_under_load(4),
             // A whole rotation under load — epoch roll, MR re-registration,
             // four restarts, four state transfers, the client traffic woven
             // between them.
-            fixed_seed_rotation_replays_byte_identically => Scenario { seed: 23, expect: Vec::new(), ..rotation_under_load(1) },
+            throughput_never_zero_during_rotation_single_pillar => rotation_under_load(1),
+            throughput_never_zero_during_rotation_four_pillars => rotation_under_load(4),
         }
     };
 }
