@@ -73,18 +73,3 @@ pub fn run(msgs: usize) -> Vec<Series> {
         })
         .collect()
 }
-
-/// Ablation of the replica-side COP parallelization: the same replicated
-/// workload with the pipeline count swept over [`crate::replicated::COP_SWEEP`]
-/// (`p = 1` is COP "off" — the pre-parallelization replica). One series for
-/// throughput, one for latency, both keyed by pipeline count.
-pub fn cop_run(total: u64, depth: usize) -> Vec<Series> {
-    let points = crate::replicated::cop_scaling(total, depth);
-    let mut rps = Series::new("throughput (req/s)");
-    let mut lat = Series::new("latency (us)");
-    for pt in points {
-        rps.push(pt.pipelines, pt.rps);
-        lat.push(pt.pipelines, pt.latency_us);
-    }
-    vec![rps, lat]
-}

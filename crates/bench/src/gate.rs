@@ -7,9 +7,7 @@ use simnet::metrics::{json_string, validate_json};
 use simnet::{render_table, Series};
 
 /// The outcome of one experiment: the text it prints, the checks it gates
-/// on, and the sections of its machine-readable sidecar. Reports compose by
-/// [`Report::extend`], so a composite experiment is the concatenation of
-/// its parts.
+/// on, and the sections of its machine-readable sidecar.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Printed output: tables and check lines, in order.
@@ -42,13 +40,6 @@ impl Report {
     /// Adds a sidecar section; `json` must be one complete JSON value.
     pub fn section(&mut self, key: &str, json: String) {
         self.sections.push((key.to_string(), json));
-    }
-
-    /// Appends `other`'s output, checks and sections to this report.
-    pub fn extend(&mut self, other: Report) {
-        self.text.push_str(&other.text);
-        self.checks.extend(other.checks);
-        self.sections.extend(other.sections);
     }
 
     /// The sidecar: one object holding every section, then `"checks"`.

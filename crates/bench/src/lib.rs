@@ -20,8 +20,8 @@
 //! tables, checks, sidecar sections). The one binary, `bench <name> [args]`,
 //! runs a row and passes its report through [`gate::gate`], which writes
 //! `target/bench/<name>.json` and exits non-zero on any failed check;
-//! `bench all` is CI's evaluation step. EXPERIMENTS.md owns the command of
-//! each experiment. Criterion benches wrap representative points.
+//! `bench all` is CI's evaluation step and runs each experiment once.
+//! EXPERIMENTS.md owns the command of each experiment.
 
 pub mod ablation;
 pub mod fig3;

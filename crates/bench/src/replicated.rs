@@ -128,43 +128,6 @@ pub fn bft_echo(
     (result, c.metrics().snapshot())
 }
 
-/// Runs the checkpoint state-transfer recovery drill over the RUBIN stack
-/// and returns the run's cross-layer metrics snapshot: one replica is
-/// partitioned until it falls below the low-water mark, then rejoins via
-/// the one-sided RDMA READ fast path. The report sidecar embeds this
-/// snapshot so the bench artifact records the `state_transfer_*` counters
-/// (started/chunks/bytes/reads/retries/completed) for every CI run.
-pub fn state_transfer_instrumented(seed: u64) -> MetricsSnapshot {
-    let cfg = ReptorConfig {
-        checkpoint_interval: 4,
-        ..ReptorConfig::small()
-    };
-    let mut c = Cluster::build(Stack::Rubin, cfg, 1, seed, || {
-        Box::new(EchoService::default())
-    });
-
-    // Warm up, then cut replica 2 off from everyone (client included).
-    c.submit_sequentially(pings(3));
-    let laggard = c.hosts[2];
-    set_isolated(&c, laggard, true);
-    // Three checkpoint intervals of progress put the laggard below the
-    // low-water mark; the hold lets QP retries exhaust so the outage is
-    // real (holding pens shed, channels break) rather than replayable.
-    c.submit_sequentially(pings(12));
-    c.sim.run_for(Nanos::from_millis(100));
-    set_isolated(&c, laggard, false);
-    c.sim.run_for(Nanos::from_millis(150));
-    // Fresh traffic triggers the laggard's recovery path; give the
-    // transfer time to finish.
-    c.submit_sequentially(pings(3));
-    c.sim.run_for(Nanos::from_millis(400));
-    assert!(
-        c.replicas[2].stats().state_transfers_completed >= 1,
-        "recovery drill must complete a state transfer"
-    );
-    c.metrics().snapshot()
-}
-
 /// Partitions `host` from every other host of the cluster, clients
 /// included, or heals those partitions.
 fn set_isolated(c: &Cluster, host: HostId, isolated: bool) {
@@ -279,9 +242,9 @@ fn durable_restart_run(seed: u64, durability: Option<DurabilityConfig>) -> Metri
 
 /// Runs the durable cold-restart drill over the RUBIN stack: the same
 /// partition + cold-restart workload with and without the durable
-/// checkpoint store, so CI can gate the delta-fetch saving. The report
-/// sidecar embeds both snapshots (`durable_restart_drill` /
-/// `durable_restart_drill_baseline` keys).
+/// checkpoint store, so CI can gate the delta-fetch saving. The
+/// `recovery_drill` sidecar embeds both snapshots (`durable_restart_drill`
+/// / `durable_restart_drill_baseline` keys).
 pub fn durable_restart_drill_instrumented(seed: u64) -> DurableRestartDrill {
     let baseline = durable_restart_run(seed, None);
     let durable = durable_restart_run(
@@ -301,10 +264,11 @@ pub fn durable_restart_drill_instrumented(seed: u64) -> DurableRestartDrill {
 /// returns the run's cross-layer metrics snapshot: a [`RecoveryScheduler`]
 /// drives one full epoch rotation — epoch roll, per-replica memory-region
 /// re-registration, four staggered restart + state-transfer refreshes —
-/// while a closed-loop client keeps the group under load. The report
-/// sidecar embeds this snapshot so the bench artifact records the
+/// while a closed-loop client keeps the group under load. The
+/// `recovery_drill` sidecar embeds this snapshot so the bench artifact records the
 /// `proactive_*` counters (epoch_rolls/refreshes/rotations) plus the
-/// `mr_rotations` and `epoch_rolls` replica counters for every CI run.
+/// `mr_rotations`, `epoch_rolls` and `state_transfer_*` replica counters
+/// for every CI run.
 pub fn recovery_epoch_drill_instrumented(seed: u64) -> MetricsSnapshot {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
@@ -374,7 +338,7 @@ pub struct FastPathComparison {
     /// follower's leader-granted slot region).
     pub fast: EchoResult,
     /// Cross-layer metrics snapshot of the fast-path run — carries the
-    /// `fast_path_*` counters the report sidecar and bench gate embed.
+    /// `fast_path_*` counters the `fast_path` sidecar and gate read.
     pub snapshot: MetricsSnapshot,
 }
 

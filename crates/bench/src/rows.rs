@@ -4,11 +4,11 @@
 use std::path::Path;
 
 use reptor::{Cluster, CounterService, ReptorConfig};
-use simnet::{LatencyMatrix, MetricsSnapshot, Series};
+use simnet::{LatencyMatrix, Series};
 
 use crate::gate::{gate, json_series, Report};
 use crate::replicated::{self, CopPoint};
-use crate::{ablation, fig3, fig4, kv, workload::Mix};
+use crate::{ablation, fig3, fig4, kv};
 
 /// One experiment of the evaluation.
 pub struct Row {
@@ -44,14 +44,14 @@ pub const TABLE: &[Row] = &[
         name: "replicated",
         usage: "[total] [depth]",
         ci_args: &[],
-        about: "4-replica PBFT over every stack, COP sweep, request mixes",
+        about: "4-replica PBFT over every stack, request mixes",
         run: replicated_row,
     },
     Row {
         name: "ablation",
         usage: "[msgs]",
         ci_args: &[],
-        about: "each RUBIN optimization and the COP pipeline count toggled",
+        about: "each RUBIN optimization toggled",
         run: ablation_row,
     },
     Row {
@@ -65,7 +65,7 @@ pub const TABLE: &[Row] = &[
         name: "cop_scaling",
         usage: "[msgs] [total] [depth]",
         ci_args: &[],
-        about: "COP p in {1,2,4} with the exact p=1 baseline, plus fast_path, fig3 and fig4 at reduced counts",
+        about: "COP p in {1,2,4} with the exact p=1 baseline (msgs is not read)",
         run: cop_scaling_row,
     },
     Row {
@@ -88,13 +88,6 @@ pub const TABLE: &[Row] = &[
         ci_args: &[],
         about: "proactive-recovery epoch rotation and the durable cold-restart delta fetch",
         run: recovery_drill_row,
-    },
-    Row {
-        name: "report",
-        usage: "[msgs]",
-        ci_args: &["40"],
-        about: "the evaluation as markdown on stdout; the sidecar holds one metrics snapshot per stack",
-        run: report_row,
     },
 ];
 
@@ -213,14 +206,10 @@ impl Figure {
         r.section(&format!("{}_latency_us", self.key), json_series(&lat));
         r.section(&format!("{}_rps", self.key), json_series(&thr));
         r.say("\n# Shape checks vs. paper §V");
-        self.check_shape(&mut r, &lat, &thr);
-        r
-    }
-
-    fn check_shape(&self, r: &mut Report, lat: &[Series], thr: &[Series]) {
-        for (desc, ok) in (self.shape)(lat, thr) {
+        for (desc, ok) in (self.shape)(&lat, &thr) {
             r.check(format!("{}: {desc}", self.key), ok);
         }
+        r
     }
 }
 
@@ -247,20 +236,6 @@ fn replicated_row(args: &[String]) -> Report {
     r.section("replicated_latency_us", json_series(&lat));
     r.section("replicated_rps", json_series(&thr));
 
-    r.say("\n# COP scaling (consensus pipelines, direct transport)");
-    r.say(format!(
-        "{:>10} {:>14} {:>12}",
-        "pipelines", "latency(us)", "req/s"
-    ));
-    let points = replicated::cop_scaling(total, depth.max(16));
-    for p in &points {
-        r.say(format!(
-            "{:>10} {:>14.1} {:>12.0}",
-            p.pipelines, p.latency_us, p.rps
-        ));
-    }
-    r.section("cop_scaling", json_cop_points(&points));
-
     r.say("\n# Mixed workloads (Troxy-style request mixes)");
     r.say(format!(
         "{:>16} {:>14} {:>14} {:>12}",
@@ -281,10 +256,6 @@ fn ablation_row(args: &[String]) -> Report {
     let series = ablation::run(msgs);
     r.table("RUBIN optimization ablation — latency", "us", &series);
     r.section("ablation_latency_us", json_series(&series));
-    let cop = ablation::cop_run(4 * msgs as u64, 16);
-    r.say("");
-    r.table("COP parallelization ablation — by pipeline count", "", &cop);
-    r.section("ablation_cop", json_series(&cop));
     r
 }
 
@@ -357,10 +328,10 @@ fn fast_path_row(args: &[String]) -> Report {
     r
 }
 
-/// The COP sweep with its scaling and exact-baseline checks, followed by
-/// `fast_path`, `fig3` and `fig4` at this row's (reduced) counts.
+/// The COP sweep with its scaling and exact-baseline checks. The first
+/// argument, `msgs`, is not read; it keeps `total` and `depth` at their
+/// positions.
 fn cop_scaling_row(args: &[String]) -> Report {
-    let msgs: usize = arg(args, 0, 60);
     let total: u64 = arg(args, 1, COP_TOTAL);
     let depth: usize = arg(args, 2, COP_DEPTH);
     let mut r = Report::default();
@@ -406,16 +377,6 @@ fn cop_scaling_row(args: &[String]) -> Report {
         );
     }
     r.section("cop_scaling", json_cop_points(&points));
-
-    let figure_args = ["both".to_string(), msgs.to_string()];
-    for part in [
-        fast_path_row(&[(total / 2).to_string(), depth.to_string()]),
-        FIG3.row(&figure_args),
-        FIG4.row(&figure_args),
-    ] {
-        r.say("");
-        r.extend(part);
-    }
     r
 }
 
@@ -567,7 +528,8 @@ fn geo_sweep_row(args: &[String]) -> Report {
 /// closed-loop client load) and the durable cold-restart drill (the same
 /// partition + cold-restart workload with and without the durable
 /// checkpoint store), gating that WAL replay shrinks the peer fetch to
-/// less than half the full checkpoint.
+/// less than half the full checkpoint. The sidecar keeps the three runs'
+/// metrics snapshots, `state_transfer_*` counters included.
 fn recovery_drill_row(args: &[String]) -> Report {
     let seed: u64 = arg(args, 0, 0xB8);
     let mut r = Report::default();
@@ -625,115 +587,8 @@ fn recovery_drill_row(args: &[String]) -> Report {
         format!("delta fetch ({delta} B) < 50% of the full fetch ({full} B): local WAL replay shrinks the cold-restart transfer"),
         drill.gate_passes(),
     );
-    r
-}
-
-fn md_table(r: &mut Report, title: &str, unit: &str, series: &[Series]) {
-    r.say(format!("\n### {title} ({unit})\n"));
-    let mut head = String::from("| payload |");
-    let mut rule = String::from("|---|");
-    for s in series {
-        head.push_str(&format!(" {} |", s.label));
-        rule.push_str("---|");
-    }
-    r.say(head);
-    r.say(rule);
-    let payloads: std::collections::BTreeSet<usize> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.payload_bytes))
-        .collect();
-    for p in payloads {
-        let mut line = if p % 1024 == 0 {
-            format!("| {} KB |", p / 1024)
-        } else {
-            format!("| {p} B |")
-        };
-        for s in series {
-            match s.value_at(p) {
-                Some(v) => line.push_str(&format!(" {v:.1} |")),
-                None => line.push_str(" – |"),
-            }
-        }
-        r.say(line);
-    }
-}
-
-/// Regenerates the complete evaluation in one run as a markdown report
-/// (the data behind `EXPERIMENTS.md`), then re-runs one representative
-/// workload per stack for the sidecar's cross-layer metrics snapshots.
-fn report_row(args: &[String]) -> Report {
-    let msgs: usize = arg(args, 0, 100);
-    let mut r = Report::default();
-    r.say("# RUBIN reproduction — full evaluation report");
-    r.say(format!(
-        "\nDeterministic simulation; {msgs} messages per point."
-    ));
-
-    for (fig, heading) in [
-        (FIG3, "echo micro-benchmark"),
-        (FIG4, "selector comparison (window 30, batch 10)"),
-    ] {
-        let name = fig.name;
-        let (lat, thr) = (fig.run)(msgs);
-        r.say(format!("\n## {name} — {heading}"));
-        md_table(&mut r, &format!("{name}a — latency"), "µs", &lat);
-        md_table(&mut r, &format!("{name}b — throughput"), "rps", &thr);
-        r.say(format!("\n**{name} shape checks:**\n"));
-        fig.check_shape(&mut r, &lat, &thr);
-    }
-
-    r.say("\n## Replicated system (paper §VII future work)");
-    let (latr, thrr) = replicated::run(msgs as u64 / 2, 8);
-    md_table(&mut r, "BFT request latency", "µs", &latr);
-    md_table(&mut r, "BFT throughput", "req/s", &thrr);
-
-    r.say("\n### Mixed workloads\n");
-    r.say("| mix | stack | latency (µs) | req/s |");
-    r.say("|---|---|---|---|");
-    for (mix, stack, p) in replicated::run_mixes(msgs as u64 / 2, 8) {
-        r.say(format!(
-            "| {mix} | {stack} | {:.1} | {:.0} |",
-            p.latency_us, p.rps
-        ));
-    }
-
-    r.say("\n## Ablation of the §IV/§VII optimizations");
-    md_table(
-        &mut r,
-        "Pipelined channel echo latency",
-        "µs",
-        &ablation::run(msgs.min(100)),
-    );
-    r.say("\n---\nGenerated by `bench report`; see EXPERIMENTS.md for analysis.");
-
-    let msgs = msgs.min(50);
-    let mut snapshot = |key, snap: MetricsSnapshot| r.section(key, snap.to_json());
-    let bft = |cfg| {
-        let mix = Mix::Fixed(1024);
-        replicated::bft_echo(replicated::Stack::Rubin, mix, msgs as u64, 8, 0xB4, cfg).1
-    };
-    let fast = ReptorConfig {
-        fast_path: true,
-        ..ReptorConfig::small()
-    };
-    let paper = rubin::RubinConfig::paper();
-    snapshot("tcp_echo", fig3::tcp_echo(4096, msgs).1);
-    snapshot(
-        "rdma_channel_echo",
-        fig3::channel_echo(4096, msgs, paper, 0.0).1,
-    );
-    snapshot("bft_rubin", bft(ReptorConfig::small()));
-    snapshot("bft_rubin_fast_path", bft(fast));
-    snapshot(
-        "bft_rubin_state_transfer",
-        replicated::state_transfer_instrumented(0xB7),
-    );
-    snapshot(
-        "bft_rubin_proactive_recovery",
-        replicated::recovery_epoch_drill_instrumented(0xB8),
-    );
-    let drill = replicated::durable_restart_drill_instrumented(0xB9);
-    snapshot("durable_restart_drill", drill.durable);
-    snapshot("durable_restart_drill_baseline", drill.baseline);
+    r.section("bft_rubin_proactive_recovery", snap.to_json());
+    r.section("durable_restart_drill", drill.durable.to_json());
+    r.section("durable_restart_drill_baseline", drill.baseline.to_json());
     r
 }

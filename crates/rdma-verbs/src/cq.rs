@@ -54,7 +54,6 @@ struct CqInner {
     overflowed: bool,
     channel: Option<CompChannel>,
     armed: bool,
-    total_completions: u64,
 }
 
 /// A completion queue, mirroring `ibv_cq`.
@@ -90,7 +89,6 @@ impl CompletionQueue {
                 overflowed: false,
                 channel,
                 armed: false,
-                total_completions: 0,
             })),
         }
     }
@@ -110,7 +108,6 @@ impl CompletionQueue {
             return;
         }
         inner.entries.push_back(wc);
-        inner.total_completions += 1;
         if inner.armed {
             if let Some(ch) = inner.channel.clone() {
                 inner.armed = false;
@@ -136,11 +133,6 @@ impl CompletionQueue {
     /// Number of completions currently queued.
     pub fn pending(&self) -> usize {
         self.inner.borrow().entries.len()
-    }
-
-    /// Total completions ever enqueued (statistics).
-    pub fn total_completions(&self) -> u64 {
-        self.inner.borrow().total_completions
     }
 
     /// True if the queue ever overflowed.
@@ -182,7 +174,6 @@ mod tests {
         assert_eq!(got[0].wr_id, WrId(1));
         assert_eq!(got[1].wr_id, WrId(2));
         assert_eq!(cq.pending(), 1);
-        assert_eq!(cq.total_completions(), 3);
     }
 
     #[test]

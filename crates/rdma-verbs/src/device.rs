@@ -122,11 +122,6 @@ impl RdmaDevice {
         MrTable::register(&self.inner.mr_table, pd.id(), len, access)
     }
 
-    /// Number of regions registered so far.
-    pub fn mrs_registered(&self) -> u64 {
-        self.inner.mr_table.borrow().registered()
-    }
-
     /// Creates a completion queue of the given capacity, optionally
     /// attached to a completion channel.
     pub fn create_cq(&self, capacity: usize, channel: Option<&CompChannel>) -> CompletionQueue {
@@ -316,7 +311,6 @@ mod tests {
         let mr1 = dev.reg_mr(&pd1, 64, Access::LOCAL_WRITE);
         let mr2 = dev.reg_mr(&pd1, 64, Access::LOCAL_WRITE);
         assert_ne!(mr1.rkey(), mr2.rkey());
-        assert_eq!(dev.mrs_registered(), 2);
         let cq1 = dev.create_cq(8, None);
         let cq2 = dev.create_cq(8, None);
         assert_ne!(cq1.id(), cq2.id());

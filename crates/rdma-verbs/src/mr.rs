@@ -293,11 +293,6 @@ impl MrTable {
         mr
     }
 
-    /// Regions registered so far, deregistered ones included.
-    pub fn registered(&self) -> u64 {
-        u64::from(self.next_key - 1)
-    }
-
     /// Looks up a region by rkey and validates access + bounds, exactly the
     /// checks a real RNIC performs before honouring a one-sided request.
     pub fn validate(
@@ -422,7 +417,6 @@ mod tests {
             1 << 20,
             "length is a property of the registration"
         );
-        assert_eq!(table.borrow().registered(), 1);
         let next = MrTable::register(&table, PdId(0), 8, Access::NONE);
         assert_ne!(next.rkey(), mr.rkey(), "keys are never reused");
     }

@@ -63,11 +63,6 @@ impl Access {
     pub fn allows(self, other: Access) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// True if no remote permission is granted.
-    pub fn is_local_only(self) -> bool {
-        self.0 & (Self::REMOTE_READ.0 | Self::REMOTE_WRITE.0) == 0
-    }
 }
 
 impl BitOr for Access {
@@ -202,8 +197,6 @@ mod tests {
         assert!(a.allows(Access::LOCAL_WRITE));
         assert!(a.allows(Access::REMOTE_WRITE));
         assert!(!a.allows(Access::REMOTE_READ));
-        assert!(!a.is_local_only());
-        assert!(Access::LOCAL_WRITE.is_local_only());
         assert!(Access::NONE.allows(Access::NONE));
         let mut b = Access::NONE;
         b |= Access::REMOTE_READ;

@@ -98,14 +98,6 @@ impl SendWr {
         }
     }
 
-    /// A two-sided SEND carrying immediate data.
-    pub fn send_with_imm(wr_id: WrId, sge: Sge, imm: u32) -> SendWr {
-        SendWr {
-            op: SendOp::Send { imm: Some(imm) },
-            ..SendWr::send(wr_id, sge)
-        }
-    }
-
     /// A one-sided RDMA WRITE of the SGE contents into remote memory.
     pub fn write(wr_id: WrId, sge: Sge, rkey: RKey, remote_offset: usize) -> SendWr {
         SendWr {
@@ -203,9 +195,6 @@ mod tests {
         assert_eq!(wr.op, SendOp::Send { imm: None });
         assert!(!wr.signaled);
         assert!(!wr.inline);
-
-        let wr = SendWr::send_with_imm(WrId(1), Sge::whole(mr()), 9);
-        assert_eq!(wr.op, SendOp::Send { imm: Some(9) });
 
         let wr = SendWr::write(WrId(2), Sge::whole(mr()), RKey(5), 8).signaled();
         assert!(matches!(

@@ -146,8 +146,6 @@ pub struct ChannelStats {
     pub msgs_sent: u64,
     /// Messages returned by `read`.
     pub msgs_received: u64,
-    /// Payload bytes returned by `read`.
-    pub bytes_received: u64,
     /// Sends that used the inline path.
     pub inline_sends: u64,
     /// Sends that used the zero-copy registered-application-buffer path.
@@ -863,7 +861,6 @@ impl RdmaChannel {
                     .read(0, len)
                     .expect("received message fits its slab");
                 inner.stats.msgs_received += 1;
-                inner.stats.bytes_received += len as u64;
                 inner.to_repost.push(slab);
                 data
             };
@@ -918,7 +915,6 @@ impl RdmaChannel {
             };
             inner.charge_call(sim, 0);
             inner.stats.msgs_received += 1;
-            inner.stats.bytes_received += len as u64;
             inner.stats.borrowed_reads += 1;
             BorrowedMsg {
                 chan: self.clone(),

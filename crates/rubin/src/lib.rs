@@ -490,7 +490,10 @@ mod tests {
         client.write(&mut w.tb.sim, b"echo-me").unwrap();
         let back = read_one(&mut w, &client);
         assert_eq!(back, b"echo-me");
-        assert!(sel_b.hybrid_events_total() > 0, "hybrid queue must be used");
+        assert!(
+            selector_counter(&w, "events_dispatched") > 0,
+            "hybrid queue must be used"
+        );
     }
 
     #[test]

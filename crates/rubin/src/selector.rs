@@ -430,12 +430,6 @@ impl RdmaSelector {
         self.inner.base.select(sim, thread, f);
     }
 
-    /// Total events that flowed through the hybrid queues.
-    pub fn hybrid_events_total(&self) -> u64 {
-        let threads = &self.inner.manager.borrow().threads;
-        threads.iter().map(|t| t.hybrid.total_events()).sum()
-    }
-
     /// Events waiting in the hybrid queues for the select threads.
     pub fn hybrid_pending(&self) -> usize {
         let threads = &self.inner.manager.borrow().threads;

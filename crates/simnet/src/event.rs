@@ -136,7 +136,7 @@ type InlineBuf = MaybeUninit<[u64; INLINE_BYTES / 8]>;
 /// event slot holds, and what anything else that keeps one pending closure
 /// at a time (a parked select call) can hold.
 ///
-/// A closure larger than [`INLINE_BYTES`] or aligned above 8 is boxed, and
+/// A closure larger than `INLINE_BYTES` (96) or aligned above 8 is boxed, and
 /// the `Box` (8 bytes) is what the buffer holds, so every closure takes the
 /// one path below. [`QueueStats::boxed`] counts the boxed event closures.
 ///

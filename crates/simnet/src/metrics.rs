@@ -13,7 +13,7 @@
 //!
 //! There is one way in: **handles** ([`Counter`], [`Gauge`], [`Histo`]). A
 //! layer formats `prefix + name` once where it builds its owner — normally
-//! for a whole name table at a time, see [`metric_names!`] and [`Handles`]
+//! for a whole name table at a time, see [`metric_names!`](crate::metric_names) and [`Handles`]
 //! — and a bump is then one indexed add: no formatting, no string compare,
 //! no allocation. Building a handle declares its key to the registry
 //! ([`Metrics::catalogue`]); a handle finds its slot on its *first* bump, so
@@ -328,7 +328,7 @@ impl Histo {
     }
 }
 
-/// A layer's table of metric names. Implemented by [`metric_names!`]; the
+/// A layer's table of metric names. Implemented by [`metric_names!`](crate::metric_names); the
 /// table is that layer's slice of the metric catalogue.
 pub trait MetricNames: Copy {
     /// Key suffixes, in variant order.

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build container cannot reach a crates registry, so the workspace
-//! vendors the subset of proptest it uses: the [`Strategy`] trait with the
+//! vendors the subset of proptest it uses: the [`Strategy`](strategy::Strategy) trait with the
 //! combinators that appear in our tests (`prop_map`, tuples, collections,
 //! `prop_oneof!`, ranges, a small regex-class string strategy), `any::<T>()`,
 //! and the `proptest!` / `prop_assert!` macros.

@@ -227,7 +227,6 @@ macro_rules! fast_path_rows {
         $then! {
             fast_path_engages_and_commits_exactly_once => fast_path_commit(),
             fast_path_commits_two_network_delays_after_the_write_lands => fast_path_two_delays(),
-            disabled_fast_path_leaves_no_trace_in_the_snapshot => disabled_fast_path(),
             fallback_engages_cleanly_without_one_sided_writes_single_pipeline => message_fallback(1),
             fallback_engages_cleanly_without_one_sided_writes_four_pipelines => message_fallback(4),
             fast_path_composes_with_four_cop_pipelines => fast_path_four_pipelines(),
@@ -283,7 +282,10 @@ macro_rules! stacks_rows {
         $then! {
             bft_counter_over_direct_stack => counter(Stack::Direct, 100),
             bft_counter_over_nio_tcp_stack => counter(Stack::Nio, 101),
-            bft_counter_over_rubin_rdma_stack => counter(Stack::Rubin, 102),
+            // `fast_path: false` (the default) must leave zero trace: no slot
+            // region registered, no grant sent, no fast-path counter ever
+            // created.
+            bft_counter_over_rubin_rdma_stack => counter(Stack::Rubin, 102).expect([Lacks("fast_path"), Lacks("slot")]),
             // The integration claim itself: the comm stack is invisible to the
             // protocol's observers.
             replies_and_state_are_identical_on_all_three_stacks => Across(Compare::Same, STACKS.map(|stack| counter(stack, 103)).into()),
@@ -303,7 +305,6 @@ macro_rules! stacks_rows {
 macro_rules! invariants_rows {
     ($then:ident) => {
         $then! {
-            fixed_seed_reproduces_identical_phase_counter_sequences => incs(1234, 5, 2_000_000).expect([Phases, Counter(All, "reptor.r{}.requests_executed", eq(5))]),
             // Reorder jitter draws on the seed, so the two timelines differ;
             // the logical counters are workload-determined.
             different_seeds_still_execute_the_same_workload => Across(Compare::Differ, [1, 2].map(|seed| jittered_incs(seed).expect([Counter(Only(&[0, 3]), "reptor.r{}.requests_executed", eq(5))])).into()),
@@ -1175,7 +1176,8 @@ pub fn fast_path_commit() -> Scenario {
             Total("fast_path_grants_sent", ge(3)),
             // No revocation happened, so nothing may be denied.
             Total("fast_path_write_denied", eq(0)),
-            // What the disabled row's probe looks for is here when enabled.
+            // What `bft_counter_over_rubin_rdma_stack` (fast path off) must
+            // lack is here when enabled.
             Has("fast_path_writes"),
         ])
 }
@@ -1207,15 +1209,6 @@ pub fn fast_path_two_delays() -> Scenario {
                 one_delay,
             ),
         ])
-}
-
-/// `fast_path: false` must leave zero trace: no slot region registered,
-/// no grant sent, no fast-path counter ever created — the snapshot is
-/// bit-for-bit what the pre-fast-path replica produced.
-pub fn disabled_fast_path() -> Scenario {
-    Scenario::new(Stack::Rubin, 1)
-        .steps(burst(10))
-        .expect([Lacks("fast_path"), Lacks("slot")])
 }
 
 /// On a transport without a one-sided write primitive (the socket stack)
@@ -1501,9 +1494,12 @@ pub fn jittered_incs(seed: u64) -> Scenario {
 /// identities on every row (so no tombstone outlives its cancel, and
 /// tombstones never outnumber the scheduled events), and a settled
 /// simulator has nothing pending. The pool gauges are zero here, because
-/// the direct transport bypasses the RNIC buffer pool.
+/// the direct transport bypasses the RNIC buffer pool. Every replica's
+/// three phase histograms count every batch it executed.
 pub fn simulator_health() -> Scenario {
     incs(99, 5, 2_000_000).expect([
+        Phases,
+        Counter(All, "reptor.r{}.requests_executed", eq(5)),
         Gauge("sim.events_scheduled", ge(1)),
         Gauge("sim.events_executed", ge(1)),
         Gauge("sim.events_pending", eq(0)),
