@@ -54,7 +54,8 @@ use serde::{Deserialize, Serialize};
 use crate::stats::LatencyRecorder;
 use crate::time::Nanos;
 
-/// Default bound on the structured event trace.
+/// Bound on the structured event trace: past it, each new entry drops
+/// (and counts) the oldest.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// A histogram of unit-agnostic `u64` observations, built on
@@ -207,7 +208,6 @@ struct Registry {
     /// with its names, or a lone key's pattern with the one name `""`.
     declared: BTreeSet<(MetricKind, String, &'static [&'static str])>,
     trace: VecDeque<TraceEvent>,
-    trace_capacity: usize,
     trace_dropped: u64,
 }
 
@@ -407,26 +407,15 @@ pub type Histos<K> = Handles<K, Histo>;
 
 /// Shared handle to a metrics registry. Cheap to clone; every layer of one
 /// simulated world holds the same underlying registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     inner: Rc<RefCell<Registry>>,
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics::new()
-    }
 }
 
 impl Metrics {
     /// Creates a fresh, empty registry.
     pub fn new() -> Metrics {
-        Metrics {
-            inner: Rc::new(RefCell::new(Registry {
-                trace_capacity: DEFAULT_TRACE_CAPACITY,
-                ..Registry::default()
-            })),
-        }
+        Metrics::default()
     }
 
     fn handle(&self, key: &str) -> Handle {
@@ -522,7 +511,7 @@ impl Metrics {
     /// counted) once the ring is full.
     pub fn trace(&self, at: Nanos, layer: &'static str, event: impl Into<String>) {
         let mut reg = self.inner.borrow_mut();
-        if reg.trace.len() >= reg.trace_capacity {
+        if reg.trace.len() >= DEFAULT_TRACE_CAPACITY {
             reg.trace.pop_front();
             reg.trace_dropped += 1;
         }
@@ -531,17 +520,6 @@ impl Metrics {
             layer,
             event: event.into(),
         });
-    }
-
-    /// Changes the trace ring capacity (existing excess entries are
-    /// dropped oldest-first and counted).
-    pub fn set_trace_capacity(&self, capacity: usize) {
-        let mut reg = self.inner.borrow_mut();
-        reg.trace_capacity = capacity;
-        while reg.trace.len() > capacity {
-            reg.trace.pop_front();
-            reg.trace_dropped += 1;
-        }
     }
 
     /// Sums every counter whose key ends in `.{metric}` — e.g.
@@ -989,15 +967,18 @@ mod tests {
     #[test]
     fn trace_ring_is_bounded() {
         let m = Metrics::new();
-        m.set_trace_capacity(3);
-        for i in 0..5u64 {
+        let pushed = DEFAULT_TRACE_CAPACITY as u64 + 2;
+        for i in 0..pushed {
             m.trace(Nanos::from_nanos(i), "test", format!("ev{i}"));
         }
         let snap = m.snapshot();
-        assert_eq!(snap.trace.len(), 3);
+        assert_eq!(snap.trace.len(), DEFAULT_TRACE_CAPACITY);
         assert_eq!(snap.trace_dropped, 2);
         assert_eq!(snap.trace[0].event, "ev2");
-        assert_eq!(snap.trace[2].event, "ev4");
+        assert_eq!(
+            snap.trace[DEFAULT_TRACE_CAPACITY - 1].event,
+            format!("ev{}", pushed - 1)
+        );
     }
 
     #[test]

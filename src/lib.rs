@@ -1,7 +1,6 @@
 #![doc = include_str!("../README.md")]
 
 pub use bft_crypto;
-pub use chainstore;
 pub use rdma_verbs;
 pub use reptor;
 pub use rubin;

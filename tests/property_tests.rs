@@ -2,7 +2,6 @@
 //! spanning every crate in the workspace.
 
 use bft_crypto::{hmac_sha256, sha256, verify_hmac, Authenticator, Digest, KeyTable, Sha256};
-use chainstore::{Chain, Transaction};
 use kvstore::KvStoreService;
 use proptest::prelude::*;
 use reptor::{
@@ -452,29 +451,6 @@ proptest! {
             }
         }
     }
-
-    /// Ledger transactions round-trip; garbage never panics, and whatever
-    /// decodes re-encodes to the same bytes.
-    #[test]
-    fn transaction_roundtrip(a in "[a-z]{1,12}", b in "[a-z]{1,12}", amount in any::<u64>(),
-                             garbage in proptest::collection::vec(any::<u8>(), 0..128),
-                             at in any::<prop::sample::Index>(),
-                             mask in 1u8..=255) {
-        let shipment = Transaction::shipment(&a, &b, &a, &b);
-        let near_miss = flipped(shipment.encode(), at, mask);
-        for tx in [
-            Transaction::transfer(&a, &b, amount),
-            Transaction::mint(&a, amount),
-            shipment,
-        ] {
-            prop_assert_eq!(Transaction::decode(&tx.encode()), Some(tx));
-        }
-        for input in [garbage, near_miss] {
-            if let Some(tx) = Transaction::decode(&input) {
-                prop_assert_eq!(tx.encode(), input);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -537,33 +513,6 @@ proptest! {
             out
         };
         prop_assert_eq!(run(seed, &payloads), run(seed, &payloads));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Blockchain
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// A chain built through `next_block`/`append` always verifies, and
-    /// flipping any transaction breaks verification from that height on.
-    #[test]
-    fn chain_integrity(amounts in proptest::collection::vec(1u64..1_000, 1..12),
-                       tamper_at in any::<prop::sample::Index>()) {
-        let mut chain = Chain::new();
-        for &a in &amounts {
-            let b = chain.next_block(vec![Transaction::mint("acct", a)]);
-            chain.append(b).expect("extends tip");
-        }
-        chain.verify().expect("untampered chain verifies");
-
-        if chain.len() > 2 {
-            let h = 1 + tamper_at.index(chain.len() - 2) as u64;
-            chain.tamper(h, |b| {
-                b.transactions[0] = Transaction::mint("mallory", u64::MAX);
-            });
-            prop_assert!(chain.verify().is_err());
-        }
     }
 }
 

@@ -7,7 +7,6 @@
 //! it is never part of a refactor.
 
 use bft_crypto::{Digest, KeyTable};
-use chainstore::Transaction;
 use kvstore::KvStoreService;
 use reptor::{
     encode_frame, scan_frames, CheckpointPayload, CheckpointStore, Envelope, KvOp, KvService,
@@ -169,11 +168,6 @@ const WAL_FRAME: &str = "5200000059f575e9070000000000000027a75a1c9d8f31b0bc4ca48
 const KV_OPS: [&str; 3] = ["00010000006b", "01010000006b0100000076", "02010000006b"];
 const KV_SERVICE_SNAPSHOT: &str = "03000000000000000100000001000000620100000032";
 const KV_STORE_SNAPSHOT: &str = "030000000000000008000000000000000100000001000000620100000032";
-const TRANSACTIONS: [&str; 3] = [
-    "0005000000616c69636503000000626f622a00000000000000",
-    "010800000070616c6c65742d3907000000666163746f72790900000077617265686f7573650700000068616d62757267",
-    "0205000000616c696365e803000000000000",
-];
 
 #[test]
 fn message_bodies_are_pinned() {
@@ -382,20 +376,4 @@ fn kv_service_snapshots_are_pinned() {
     assert_eq!(back.capacity(), 8);
     assert_eq!(back.state_digest(), store.state_digest());
     assert_eq!(back.get(b"b"), Some(&b"2".to_vec()));
-}
-
-fn transactions() -> [Transaction; 3] {
-    [
-        Transaction::transfer("alice", "bob", 42),
-        Transaction::shipment("pallet-9", "factory", "warehouse", "hamburg"),
-        Transaction::mint("alice", 1_000),
-    ]
-}
-
-#[test]
-fn transactions_are_pinned() {
-    for (tx, lit) in transactions().into_iter().zip(TRANSACTIONS) {
-        assert_eq!(hex(&tx.encode()), lit, "{tx:?}");
-        assert_eq!(Transaction::decode(&unhex(lit)), Some(tx));
-    }
 }
