@@ -56,7 +56,8 @@ struct MrInner {
 /// Registration fixes the region's length, keys and access flags; its
 /// bytes appear on first touch (a write zero-fills up to its end, and
 /// whatever lies beyond reads as zero), so a large region that only ever
-/// carries small messages costs what it holds.
+/// carries small messages costs what it holds. [`MemoryRegion::take`]
+/// hands the bytes out and leaves the region untouched again.
 ///
 /// Handles are cheaply cloneable and share the underlying buffer.
 /// Deregistration ([`MemoryRegion::invalidate`]) makes every handle
@@ -198,6 +199,22 @@ impl MemoryRegion {
         self.check_range(offset, len)?;
         let mut out = Vec::with_capacity(len);
         self.copy_out(offset, len, &mut out);
+        Ok(out)
+    }
+
+    /// Hands `[0, len)` to the caller without a copy: the touched prefix
+    /// as it is, zero-filled past it, exactly what `read(0, len)` returns.
+    /// The region is left empty (it reads as zero and costs no memory)
+    /// until something next writes it.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`MemoryRegion::check_range`], leaving the region as it
+    /// was.
+    pub fn take(&self, len: usize) -> VerbsResult<Vec<u8>> {
+        self.check_range(0, len)?;
+        let mut out = std::mem::take(&mut *self.inner.buf.borrow_mut());
+        out.resize(len, 0);
         Ok(out)
     }
 
@@ -351,6 +368,13 @@ mod tests {
             mr.read(0, 9),
             Err(VerbsError::InvalidRange { .. })
         ));
+        mr.write(0, b"abcd").unwrap();
+        assert!(matches!(mr.take(9), Err(VerbsError::InvalidRange { .. })));
+        assert_eq!(
+            mr.read(0, 4).unwrap(),
+            b"abcd",
+            "a refused take keeps the bytes"
+        );
         // Offset overflow must not panic.
         assert!(mr.check_range(usize::MAX, 2).is_err());
     }
@@ -362,6 +386,7 @@ mod tests {
         mr.invalidate();
         assert!(!clone.is_valid());
         assert!(matches!(clone.read(0, 1), Err(VerbsError::Deregistered)));
+        assert!(matches!(clone.take(1), Err(VerbsError::Deregistered)));
     }
 
     #[test]
@@ -419,6 +444,23 @@ mod tests {
         );
         let next = MrTable::register(&table, PdId(0), 8, Access::NONE);
         assert_ne!(next.rkey(), mr.rkey(), "keys are never reused");
+    }
+
+    #[test]
+    fn take_returns_what_read_returns_and_leaves_the_region_empty() {
+        let (_table, mr) = region(64, Access::LOCAL_WRITE);
+        // Shorter than, equal to and longer than the touched prefix.
+        for len in [0, 5, 8, 20, 64] {
+            mr.dma_write(0, b"abcdefgh").unwrap();
+            let want = mr.read(0, len).unwrap();
+            assert_eq!(mr.take(len).unwrap(), want, "take({len})");
+            assert_eq!(mr.inner.buf.borrow().capacity(), 0, "nothing held");
+            assert_eq!(mr.read(0, 64).unwrap(), vec![0; 64], "reads as zero");
+        }
+        mr.dma_write(10, b"xy").unwrap();
+        let mut want = vec![0; 12];
+        want[10..].copy_from_slice(b"xy");
+        assert_eq!(mr.read(0, 12).unwrap(), want, "a later DMA lands normally");
     }
 
     proptest! {

@@ -199,7 +199,7 @@ impl OneSided {
         let OneSided { region, done } = self;
         match done {
             OneSidedDone::Read { len, done } => {
-                let data = ok.then(|| region.read(0, len).ok()).flatten();
+                let data = ok.then(|| region.take(len).ok()).flatten();
                 region.invalidate();
                 done(sim, data);
             }
@@ -227,7 +227,7 @@ pub(crate) struct ChanInner {
     core: CoreId,
     cfg: RubinConfig,
     send_pool: BufferPool,
-    recv_pool: BufferPool,
+    pub(crate) recv_pool: BufferPool,
     /// Outstanding sends in posting order.
     inflight: VecDeque<(u64, SendBuf)>,
     /// Outstanding one-sided READs and WRITEs by wr_id.
@@ -237,7 +237,7 @@ pub(crate) struct ChanInner {
     since_signal: usize,
     outstanding_sends: usize,
     /// Received messages not yet read: `(recv slab, length)`.
-    rx_ready: VecDeque<(SlabIndex, usize)>,
+    pub(crate) rx_ready: VecDeque<(SlabIndex, usize)>,
     /// Consumed receive slabs awaiting batched re-posting.
     to_repost: Vec<SlabIndex>,
     /// Work requests of one re-post, kept between re-posts.
@@ -826,8 +826,11 @@ impl RdmaChannel {
         self.take_received(sim, usize::MAX, |m| inbox.push_back(m))
     }
 
-    /// Copies up to `max` received messages out to `deliver`: the body of
-    /// [`read`](Self::read) and [`read_all`](Self::read_all).
+    /// Hands up to `max` received messages to `deliver`: the body of
+    /// [`read`](Self::read) and [`read_all`](Self::read_all). Each message
+    /// is charged its copy out of the registered buffer, but on the host
+    /// the slab's bytes are taken, not copied, so a slab holds memory only
+    /// while a message sits in it.
     fn take_received(
         &self,
         sim: &mut Simulator,
@@ -858,7 +861,7 @@ impl RdmaChannel {
                 let data = inner
                     .recv_pool
                     .slab(slab)
-                    .read(0, len)
+                    .take(len)
                     .expect("received message fits its slab");
                 inner.stats.msgs_received += 1;
                 inner.to_repost.push(slab);

@@ -84,7 +84,7 @@ pub use server::RdmaServerChannel;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_verbs::{RdmaDevice, RnicModel};
+    use rdma_verbs::{Access, RdmaDevice, RnicModel};
     use simnet::{Addr, CoreId, Nanos, TestBed};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -328,16 +328,24 @@ mod tests {
         (cpu.runtime_io_ns, move |len| cpu.copy_cost(len).as_nanos())
     }
 
+    /// The copy out of each receive slab is charged, but on the host the
+    /// slab's bytes are handed over: every consumed slab is left empty.
     #[test]
     fn read_all_charges_one_call_and_each_copy() {
         let mut w = world(41);
         let (client, server) = connected_channels(&mut w, RubinConfig::paper());
         let sizes = [100, 1024, 3000, 64, 2048];
         for (i, &len) in sizes.iter().enumerate() {
-            assert!(client.write(&mut w.tb.sim, &vec![i as u8; len]).unwrap());
+            assert!(client
+                .write(&mut w.tb.sim, &vec![i as u8 + 1; len])
+                .unwrap());
         }
         w.tb.sim.run_until_idle();
         server.process_completions(&mut w.tb.sim);
+        let slab_bytes =
+            |slab: SlabIndex, len: usize| server.inner.borrow().recv_pool.slab(slab).read(0, len);
+        let landed: Vec<(SlabIndex, usize)> =
+            server.inner.borrow().rx_ready.iter().copied().collect();
         let mut inbox = std::collections::VecDeque::new();
         let b = w.tb.b;
         let spent = charged(&mut w, b, |w| {
@@ -347,13 +355,45 @@ mod tests {
         let copies: u64 = sizes.iter().map(|&len| copy(len)).sum();
         assert_eq!(spent.as_nanos(), runtime + copies);
         for (i, (msg, &len)) in inbox.iter().zip(&sizes).enumerate() {
-            assert_eq!(msg, &vec![i as u8; len]);
+            assert_eq!(msg, &vec![i as u8 + 1; len]);
+        }
+        assert_eq!(landed.len(), sizes.len());
+        for (slab, len) in landed {
+            assert_eq!(
+                slab_bytes(slab, len),
+                Ok(vec![0; len]),
+                "slab {slab} emptied"
+            );
         }
         // Nothing left: no call, no charge.
         let spent = charged(&mut w, b, |w| {
             assert_eq!(server.read_all(&mut w.tb.sim, &mut inbox), Ok(0));
         });
         assert_eq!(spent, Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_read_sinks_bytes_reach_done_intact() {
+        let mut w = world(44);
+        let (client, _server) = connected_channels(&mut w, RubinConfig::paper());
+        let pd = w.dev_b.alloc_pd();
+        let source = w.dev_b.reg_mr(&pd, 4096, Access::REMOTE_READ);
+        let want: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        source.write(500, &want).unwrap();
+        let got: Rc<RefCell<Option<Option<Vec<u8>>>>> = Rc::new(RefCell::new(None));
+        let sink = got.clone();
+        client
+            .post_read(
+                &mut w.tb.sim,
+                source.rkey().0,
+                500,
+                want.len(),
+                Box::new(move |_sim, data| *sink.borrow_mut() = Some(data)),
+            )
+            .unwrap();
+        w.tb.sim.run_until_idle();
+        client.process_completions(&mut w.tb.sim);
+        assert_eq!(got.borrow_mut().take(), Some(Some(want)));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The build container cannot reach a crates registry, so the workspace
 //! vendors the subset of proptest it uses: the [`Strategy`](strategy::Strategy) trait with the
 //! combinators that appear in our tests (`prop_map`, tuples, collections,
-//! `prop_oneof!`, ranges, a small regex-class string strategy), `any::<T>()`,
-//! and the `proptest!` / `prop_assert!` macros.
+//! `prop_oneof!`, ranges), `any::<T>()`, and the `proptest!` /
+//! `prop_assert!` macros.
 //!
 //! Differences from real proptest, chosen deliberately for an offline,
 //! reproducible test suite:
@@ -19,7 +19,6 @@ pub mod collection;
 pub mod option;
 pub mod sample;
 pub mod strategy;
-pub mod string;
 pub mod test_runner;
 
 pub mod prelude {
@@ -32,7 +31,7 @@ pub mod prelude {
 
     pub mod prop {
         //! Shorthand module tree, mirroring `proptest::prelude::prop`.
-        pub use crate::{collection, option, sample, strategy, string};
+        pub use crate::{collection, option, sample, strategy};
     }
 }
 

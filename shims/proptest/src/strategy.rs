@@ -206,14 +206,6 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 impl_tuple_strategy!(A, B, C, D, E, F, G);
 impl_tuple_strategy!(A, B, C, D, E, F, G, H);
 
-impl Strategy for &'static str {
-    type Value = String;
-
-    fn new_value(&self, rng: &mut TestRng) -> String {
-        crate::string::generate(self, rng)
-    }
-}
-
 /// `any::<T>()` support struct; see [`crate::arbitrary::any`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Any<T>(pub(crate) PhantomData<T>);
