@@ -49,6 +49,7 @@ impl CompChannel {
 
 struct CqInner {
     id: CqId,
+    /// Grows on demand: `capacity` bounds it but reserves nothing.
     entries: VecDeque<Wc>,
     capacity: usize,
     overflowed: bool,
@@ -84,7 +85,7 @@ impl CompletionQueue {
         CompletionQueue {
             inner: Rc::new(RefCell::new(CqInner {
                 id,
-                entries: VecDeque::with_capacity(capacity.min(1024)),
+                entries: VecDeque::new(),
                 capacity,
                 overflowed: false,
                 channel,
@@ -201,6 +202,18 @@ mod tests {
         cq.push(wc(3));
         assert!(cq.overflowed());
         assert_eq!(cq.pending(), 2);
+    }
+
+    #[test]
+    fn entry_storage_grows_on_demand_within_the_capacity() {
+        let cq = CompletionQueue::new(CqId(0), 512, None);
+        assert_eq!(cq.inner.borrow().entries.capacity(), 0, "nothing reserved");
+        for id in 0..=512 {
+            cq.push(wc(id));
+        }
+        assert!(cq.overflowed(), "the push past capacity overflows");
+        assert_eq!(cq.pending(), 512, "and its entry is dropped");
+        assert_eq!(cq.poll(usize::MAX).last().unwrap().wr_id, WrId(511));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Simulated block storage: a flat byte device with an NVMe-style cost
 //! model and injectable write faults.
 //!
-//! A [`SimDisk`] models one replica-local drive as a growable byte array
-//! plus a serial command queue: every read or write starts no earlier
+//! A [`SimDisk`] models one replica-local drive as a byte device of some
+//! length, stored as fixed 4 KiB pages of which only those a write touched
+//! exist (a hole and everything past the end read as zeros), plus a serial
+//! command queue: every read or write starts no earlier
 //! than the previous operation finished (the device horizon, mirroring
 //! [`Host::exec`](crate::Host::exec)) and costs a fixed submission
 //! latency plus a bandwidth term — so a burst of log appends genuinely
@@ -107,10 +109,118 @@ crate::metric_names! {
     }
 }
 
+/// Bytes per stored page: a write allocates only the pages it touches.
+const PAGE_BYTES: usize = 4096;
+
+/// The device's bytes: `len` and the pages holding what was written below
+/// it. Every stored byte at or past `len` is zero, so a device that grows
+/// again reads zeros there, as a resized `Vec<u8>` would.
+#[derive(Debug, Default)]
+struct Pages {
+    len: u64,
+    /// Page `i` holds bytes `[i * PAGE_BYTES, (i + 1) * PAGE_BYTES)`;
+    /// `None` is a hole that reads as zeros.
+    pages: Vec<Option<Box<[u8]>>>,
+    /// Pages a truncate freed, reused before any new allocation (WAL
+    /// compaction truncates and refills the same range every few
+    /// checkpoints).
+    spare: Vec<Box<[u8]>>,
+}
+
+impl Pages {
+    /// Page `index`, created zeroed if it is a hole.
+    fn page_mut(&mut self, index: usize) -> &mut [u8] {
+        if self.pages.len() <= index {
+            self.pages.resize_with(index + 1, || None);
+        }
+        let spare = &mut self.spare;
+        self.pages[index].get_or_insert_with(|| match spare.pop() {
+            Some(mut page) => {
+                page.fill(0);
+                page
+            }
+            None => vec![0; PAGE_BYTES].into_boxed_slice(),
+        })
+    }
+
+    /// Stores `bytes` at `offset`, growing `len` to cover them.
+    fn write(&mut self, offset: u64, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        let mut from = 0;
+        for (index, within, n) in split_at_pages(offset, bytes.len()) {
+            self.page_mut(index)[within..within + n].copy_from_slice(&bytes[from..from + n]);
+            from += n;
+        }
+        self.len = self.len.max(offset + bytes.len() as u64);
+    }
+
+    /// Flips bit 6 of the stored byte at `at` (which a write just stored).
+    fn flip(&mut self, at: u64) {
+        let (index, within) = locate(at);
+        self.page_mut(index)[within] ^= 0x40;
+    }
+
+    /// Copies the bytes at `offset` into `out`, which the caller zeroed;
+    /// holes and everything past `len` stay zero.
+    fn read(&self, offset: u64, out: &mut [u8]) {
+        let stored = self.len.saturating_sub(offset).min(out.len() as u64) as usize;
+        let mut from = 0;
+        for (index, within, n) in split_at_pages(offset, stored) {
+            if let Some(Some(page)) = self.pages.get(index) {
+                out[from..from + n].copy_from_slice(&page[within..within + n]);
+            }
+            from += n;
+        }
+    }
+
+    /// Shortens the device to `len` bytes (a longer `len` is a no-op):
+    /// whole pages past the end go to the spare list, and the tail of the
+    /// last partial page is zeroed.
+    fn truncate(&mut self, len: u64) {
+        if len >= self.len {
+            return;
+        }
+        self.len = len;
+        let (last, within) = locate(len);
+        let keep = last + usize::from(within != 0);
+        if self.pages.len() > keep {
+            self.spare.extend(self.pages.drain(keep..).flatten());
+        }
+        if within != 0 {
+            if let Some(Some(page)) = self.pages.get_mut(last) {
+                page[within..].fill(0);
+            }
+        }
+    }
+}
+
+/// The page holding device byte `at`, and `at`'s offset within it.
+fn locate(at: u64) -> (usize, usize) {
+    let page = PAGE_BYTES as u64;
+    ((at / page) as usize, (at % page) as usize)
+}
+
+/// Splits `len` bytes at `offset` into `(page index, offset within the
+/// page, bytes)` pieces, one per page they cross.
+fn split_at_pages(offset: u64, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let end = offset + len as u64;
+    let mut at = offset;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (index, within) = locate(at);
+            let n = ((end - at) as usize).min(PAGE_BYTES - within);
+            at += n as u64;
+            (index, within, n)
+        })
+    })
+}
+
 #[derive(Debug)]
 struct DiskInner {
     spec: DiskSpec,
-    data: Vec<u8>,
+    data: Pages,
     /// Serial command-queue horizon: the instant the device is next free.
     busy_until: Nanos,
     /// Armed one-shot faults, consumed front-first by the first write
@@ -143,7 +253,7 @@ impl SimDisk {
         SimDisk {
             inner: Rc::new(RefCell::new(DiskInner {
                 spec,
-                data: Vec::new(),
+                data: Pages::default(),
                 busy_until: Nanos::ZERO,
                 faults: Vec::new(),
                 counters: metrics.counters(&format!("disk.{}.", name.into())),
@@ -164,12 +274,18 @@ impl SimDisk {
 
     /// Current device length in bytes (highest byte ever written + 1).
     pub fn len(&self) -> u64 {
-        self.inner.borrow().data.len() as u64
+        self.inner.borrow().data.len
     }
 
     /// True if nothing was ever written.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().data.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of pages holding written bytes (holes and spares excluded).
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.inner.borrow().data.pages.iter().flatten().count()
     }
 
     /// The instant the device's serial command queue is next free.
@@ -208,15 +324,9 @@ impl SimDisk {
             }
             None => (bytes.len(), None),
         };
-        if persist_len > 0 {
-            let end = offset as usize + persist_len;
-            if inner.data.len() < end {
-                inner.data.resize(end, 0);
-            }
-            inner.data[offset as usize..end].copy_from_slice(&bytes[..persist_len]);
-        }
+        inner.data.write(offset, &bytes[..persist_len]);
         if let Some(at) = flip_at {
-            inner.data[offset as usize + at] ^= 0x40;
+            inner.data.flip(offset + at as u64);
         }
         done
     }
@@ -230,10 +340,7 @@ impl SimDisk {
         inner.counters[DiskCounter::Reads].incr();
         inner.counters[DiskCounter::BytesRead].add(len as u64);
         let mut out = vec![0u8; len];
-        let dev_len = inner.data.len();
-        let start = (offset as usize).min(dev_len);
-        let end = (offset as usize + len).min(dev_len);
-        out[..end - start].copy_from_slice(&inner.data[start..end]);
+        inner.data.read(offset, &mut out);
         (out, done)
     }
 
@@ -244,7 +351,7 @@ impl SimDisk {
         let mut inner = self.inner.borrow_mut();
         let cost = inner.spec.write_latency;
         let done = inner.charge(now, cost);
-        inner.data.truncate(len as usize);
+        inner.data.truncate(len);
         done
     }
 }
@@ -345,6 +452,160 @@ mod tests {
         assert_eq!(d.len(), 8);
         d.truncate(Nanos::ZERO, 64);
         assert_eq!(d.len(), 8, "growing truncate is a no-op");
+    }
+
+    #[test]
+    fn a_write_far_past_the_end_holds_one_page() {
+        let d = disk();
+        d.write(Nanos::ZERO, 512 << 10, &[9u8; 100]);
+        assert_eq!(d.len(), (512 << 10) + 100);
+        assert_eq!(d.resident_pages(), 1, "the gap below it is a hole");
+        let (gap, _) = d.read(Nanos::ZERO, 0, 512 << 10);
+        assert!(gap.iter().all(|&b| b == 0));
+        d.truncate(Nanos::ZERO, 0);
+        assert_eq!(d.resident_pages(), 0);
+    }
+
+    /// The flat byte array the paged store replaced: the reference whose
+    /// length and contents the device must match after every operation.
+    #[derive(Default)]
+    struct FlatDisk {
+        data: Vec<u8>,
+        faults: Vec<DiskFault>,
+    }
+
+    impl FlatDisk {
+        fn write(&mut self, offset: u64, bytes: &[u8]) {
+            let fault = self
+                .faults
+                .iter()
+                .position(|f| f.applies(offset, bytes.len() as u64))
+                .map(|i| self.faults.remove(i));
+            let (persist_len, flip_at) = match fault {
+                Some(DiskFault::TornWrite { at_byte }) => ((at_byte - offset) as usize, None),
+                Some(DiskFault::BitFlip { at_byte }) => {
+                    (bytes.len(), Some((at_byte - offset) as usize))
+                }
+                Some(DiskFault::LostAfterAck) => (0, None),
+                None => (bytes.len(), None),
+            };
+            if persist_len > 0 {
+                let end = offset as usize + persist_len;
+                if self.data.len() < end {
+                    self.data.resize(end, 0);
+                }
+                self.data[offset as usize..end].copy_from_slice(&bytes[..persist_len]);
+            }
+            if let Some(at) = flip_at {
+                self.data[offset as usize + at] ^= 0x40;
+            }
+        }
+
+        fn read(&self, offset: u64, len: usize) -> Vec<u8> {
+            let mut out = vec![0u8; len];
+            let start = (offset as usize).min(self.data.len());
+            let end = (offset as usize + len).min(self.data.len());
+            out[..end - start].copy_from_slice(&self.data[start..end]);
+            out
+        }
+    }
+
+    enum Step {
+        Write(u64, Vec<u8>),
+        Truncate(u64),
+        Arm(DiskFault),
+    }
+
+    fn apply(step: &Step, d: &SimDisk, flat: &mut FlatDisk) {
+        match step {
+            Step::Write(offset, bytes) => {
+                d.write(Nanos::ZERO, *offset, bytes);
+                flat.write(*offset, bytes);
+            }
+            Step::Truncate(len) => {
+                d.truncate(Nanos::ZERO, *len);
+                flat.data.truncate(*len as usize);
+            }
+            Step::Arm(fault) => {
+                d.arm_fault(*fault);
+                flat.faults.push(*fault);
+            }
+        }
+        let len = flat.data.len() as u64;
+        assert_eq!(d.len(), len);
+        assert_eq!(d.armed_faults(), flat.faults.len());
+        // The whole device and a page past its end.
+        let span = len as usize + PAGE_BYTES;
+        let (got, _) = d.read(Nanos::ZERO, 0, span);
+        assert!(
+            got == flat.read(0, span),
+            "contents diverge from the flat array"
+        );
+    }
+
+    /// A random operation on a device of `len` bytes: writes straddling
+    /// page boundaries, far past the end or over what is there; truncates
+    /// to anywhere below the end (and no-op ones above it); and every
+    /// fault, armed where a write may reach it.
+    fn random_step(rng: &mut rand::rngs::StdRng, len: u64) -> Step {
+        use rand::Rng;
+        let page = PAGE_BYTES as u64;
+        let near_end = |rng: &mut rand::rngs::StdRng| rng.gen_range(0..=len + 2 * page);
+        match rng.gen_range(0..10u32) {
+            0..=4 => {
+                let offset = match rng.gen_range(0..4u32) {
+                    0 => (rng.gen_range(0..160u64) * page).saturating_sub(rng.gen_range(0..64u64)),
+                    1 => 512 << 10,
+                    2 => near_end(rng),
+                    _ => rng.gen_range(0..640u64 << 10),
+                };
+                let n = rng.gen_range(0..3 * PAGE_BYTES);
+                Step::Write(offset, (0..n).map(|_| rng.gen_range(1..=255u8)).collect())
+            }
+            5..=6 => Step::Truncate(near_end(rng)),
+            7 => Step::Arm(DiskFault::TornWrite {
+                at_byte: near_end(rng),
+            }),
+            8 => Step::Arm(DiskFault::BitFlip {
+                at_byte: near_end(rng),
+            }),
+            _ => Step::Arm(DiskFault::LostAfterAck),
+        }
+    }
+
+    #[test]
+    fn paged_storage_matches_a_flat_byte_array() {
+        use rand::SeedableRng;
+        let page = PAGE_BYTES as u64;
+        for seed in 1..=4 {
+            let d = disk();
+            let mut flat = FlatDisk::default();
+            let scripted = [
+                Step::Write(512 << 10, vec![1; 100]),
+                Step::Write(page - 10, vec![2; 20]),
+                Step::Truncate(page + 5),
+                Step::Write(3 * page, vec![3; 10]),
+                Step::Arm(DiskFault::TornWrite { at_byte: 2 * page }),
+                Step::Write(2 * page - 8, vec![4; 16]),
+                Step::Arm(DiskFault::BitFlip { at_byte: page + 1 }),
+                Step::Write(page - 2, vec![5; 8]),
+                Step::Arm(DiskFault::LostAfterAck),
+                Step::Write(0, vec![6; 4]),
+                Step::Truncate(10),
+                Step::Write(2 * page, vec![7; 1]),
+                Step::Write(0, vec![8; 3 * PAGE_BYTES]),
+                Step::Truncate(2 * page),
+                Step::Write(3 * page - 1, vec![9; 1]),
+            ];
+            for step in &scripted {
+                apply(step, &d, &mut flat);
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for _ in 0..400 {
+                let step = random_step(&mut rng, d.len());
+                apply(&step, &d, &mut flat);
+            }
+        }
     }
 
     #[test]

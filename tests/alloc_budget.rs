@@ -6,8 +6,12 @@
 //! Counts and bytes repeat exactly, in debug and release builds alike, so
 //! each budget was set about 15 % above what the harness below measured
 //! (3.0, 44.4 and 50.5 allocations). It now reads 3.0, 36.2 (RUBIN) and
-//! 36.1 (NIO) allocations, and a RUBIN group peak of 2.74 MiB live, whose
-//! budget sits 15 % above it (run with `--nocapture` to see them). While
+//! 36.1 (NIO) allocations, and a RUBIN group peak of 2.44 MiB live, or
+//! 6.31 MiB with a WAL and snapshots on every replica's simulated drive;
+//! each peak budget sits 15 % above its reading (run with `--nocapture` to
+//! see them). While every completion queue reserved its 512 entries up
+//! front and every drive was one flat byte array, zeros below the WAL and
+//! `Vec` doubling included, the two peaks read 2.74 and 8.68 MiB. While
 //! a RUBIN receive copied its message out of the registered slab, every
 //! slab kept the bytes of the last message it carried, and the group
 //! peaked at 3.95 MiB (37.2 allocations). With a fresh buffer per seal
@@ -45,8 +49,8 @@ use std::rc::Rc;
 use bft_crypto::{Digest, KeyTable};
 use counting_alloc::{allocs, peak_live_bytes, reset_peak, CountingAlloc};
 use reptor::{
-    Cluster, CodecError, CounterService, Envelope, Message, ReptorConfig, Request, SignedMessage,
-    Stack, DOMAIN_SECRET,
+    Cluster, CodecError, CounterService, DurabilityConfig, Envelope, Message, ReptorConfig,
+    Request, SignedMessage, Stack, DOMAIN_SECRET,
 };
 use simnet::{CoreId, CpuModel, Nanos, Network, Simulator, TestBed};
 
@@ -61,7 +65,10 @@ const ECHO_BUDGET: f64 = 3.5;
 const PBFT_BUDGET: f64 = 51.0;
 /// Peak live heap of that group (four replicas and a client, 20 channel
 /// ends spanning 320 MiB of registered buffers), from before it is built.
-const PBFT_PEAK_LIVE_MIB: f64 = 3.15;
+const PBFT_PEAK_LIVE_MIB: f64 = 2.81;
+/// Peak live heap of the same group with a WAL and snapshots on each
+/// replica's simulated drive.
+const DURABLE_PEAK_LIVE_MIB: f64 = 7.26;
 /// Allocations per 1 KB request ordered by the same group over NIO.
 const PBFT_NIO_BUDGET: f64 = 58.0;
 
@@ -114,18 +121,20 @@ fn steady_state_rubin_echo_stays_within_its_allocation_budget() {
 }
 
 /// Orders `MEASURED_ROUNDS` rounds of eight 1 KB requests through four
-/// replicas over `stack`, after ten rounds of warm-up; returns the
-/// allocations per request and the peak live heap in MiB from before the
-/// group is built. No event closure may be boxed on the way.
-fn pbft_steady_state(stack: Stack) -> (f64, f64) {
+/// replicas configured by `cfg` over `stack`, after ten rounds of warm-up;
+/// returns the allocations per request and the peak live heap in MiB from
+/// before the group is built. No event closure may be boxed on the way.
+fn pbft_steady_state(stack: Stack, cfg: ReptorConfig) -> (f64, f64) {
     const OUTSTANDING: u64 = 8;
     const WARMUP_ROUNDS: u64 = 10;
     const MEASURED_ROUNDS: u64 = 50;
 
+    let label = match cfg.durability {
+        Some(_) => format!("{} (durable)", stack.label()),
+        None => stack.label().to_string(),
+    };
     let heap_base = reset_peak();
-    let mut c = Cluster::build(stack, ReptorConfig::small(), 1, 7, || {
-        Box::new(CounterService::default())
-    });
+    let mut c = Cluster::build(stack, cfg, 1, 7, || Box::new(CounterService::default()));
     let client = c.clients[0].clone();
 
     let mut rounds = |count: u64| {
@@ -142,7 +151,6 @@ fn pbft_steady_state(stack: Stack) -> (f64, f64) {
     rounds(MEASURED_ROUNDS);
     let requests = MEASURED_ROUNDS * OUTSTANDING;
     let per_request = (allocs() - before) as f64 / requests as f64;
-    let label = stack.label();
     println!("PBFT over {label}: {per_request:.1} allocations per request");
     assert_eq!(
         c.sim.queue_stats().boxed,
@@ -163,7 +171,7 @@ fn pbft_steady_state(stack: Stack) -> (f64, f64) {
 
 #[test]
 fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
-    let (per_request, peak_live) = pbft_steady_state(Stack::Rubin);
+    let (per_request, peak_live) = pbft_steady_state(Stack::Rubin, ReptorConfig::small());
     assert!(
         per_request <= PBFT_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_BUDGET}"
@@ -175,8 +183,21 @@ fn steady_state_pbft_over_rubin_stays_within_its_allocation_budget() {
 }
 
 #[test]
+fn durable_pbft_group_over_rubin_stays_within_its_peak_budget() {
+    let cfg = ReptorConfig {
+        durability: Some(DurabilityConfig::default()),
+        ..ReptorConfig::small()
+    };
+    let (_, peak_live) = pbft_steady_state(Stack::Rubin, cfg);
+    assert!(
+        peak_live <= DURABLE_PEAK_LIVE_MIB,
+        "durable group peaked at {peak_live:.2} MiB live, budget {DURABLE_PEAK_LIVE_MIB}"
+    );
+}
+
+#[test]
 fn steady_state_pbft_over_nio_stays_within_its_allocation_budget() {
-    let (per_request, _) = pbft_steady_state(Stack::Nio);
+    let (per_request, _) = pbft_steady_state(Stack::Nio, ReptorConfig::small());
     assert!(
         per_request <= PBFT_NIO_BUDGET,
         "{per_request:.1} allocations per ordered request, budget {PBFT_NIO_BUDGET}"
