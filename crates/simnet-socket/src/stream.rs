@@ -5,7 +5,9 @@
 //!
 //! * **Two copies per message** — `write` copies user→socket buffer,
 //!   `read` copies socket buffer→user, both charged to the caller's core
-//!   (plus a kernel crossing and the managed-runtime I/O overhead).
+//!   (plus a kernel crossing and the managed-runtime I/O overhead). The
+//!   copies are charged per byte in simulated time; on the host, each
+//!   buffer moves by the slice, never byte by byte.
 //! * **Per-segment processing** — transmit and receive path CPU per MSS
 //!   segment, and an interrupt per inbound segment.
 //! * **Flow control** — a byte-credit window the size of the peer's receive
@@ -189,6 +191,18 @@ impl StreamInner {
         self.counters[TcpCounter::Syscalls].incr();
         self.counters[TcpCounter::Copies].add(copies);
     }
+}
+
+/// Appends the first `n` bytes of `ring` to `out` and discards them from
+/// `ring`: at most two slice copies, wherever the ring has wrapped, after
+/// one reservation, so `out` grows at most once.
+fn move_front(ring: &mut VecDeque<u8>, n: usize, out: &mut Vec<u8>) {
+    let (front, back) = ring.as_slices();
+    let head = n.min(front.len());
+    out.reserve(n);
+    out.extend_from_slice(&front[..head]);
+    out.extend_from_slice(&back[..n - head]);
+    ring.drain(..n);
 }
 
 /// A non-blocking simulated TCP stream.
@@ -497,7 +511,7 @@ impl TcpStream {
                 // for the wire, one for the unacked retransmission copy.
                 let pool = inner.net.buffer_pool();
                 let mut bytes = pool.take(n);
-                bytes.extend(inner.send_buf.drain(..n));
+                move_front(&mut inner.send_buf, n, &mut bytes);
                 inner.bytes_pushed += n as u64;
                 let seq = inner.snd_next;
                 inner.snd_next += 1;
@@ -663,7 +677,7 @@ impl TcpStream {
                 h.exec(sim.now(), core, Nanos::from_nanos(inner.cpu.runtime_io_ns))
             };
             inner.note_crossing(1);
-            buf.extend(inner.recv_buf.drain(..n));
+            move_front(&mut inner.recv_buf, n, buf);
             inner.stats.bytes_read += n as u64;
             inner.total_read += n as u64;
             (n, done)
@@ -1041,5 +1055,120 @@ impl TcpListener {
     pub fn close(&self) {
         let inner = self.inner.borrow();
         inner.net.unbind(inner.addr);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::{SplitMix64, TestBed};
+
+    /// Writes chunks of random size and reads them back with a random small
+    /// `max` through 4 KiB socket buffers, so both rings always hold bytes
+    /// and `send_buf` and `recv_buf` wrap inside a single copy, many times.
+    /// Every byte arrives in order, and each `write` and `read_into` charges
+    /// one crossing and one kernel copy of exactly the bytes it moved.
+    #[test]
+    fn random_chunks_wrap_both_rings_and_arrive_in_order_with_exact_charges() {
+        const TOTAL: usize = 200_000;
+        let mut tb = TestBed::paper_testbed(2833);
+        let model = TcpModel {
+            send_buf: 4096,
+            recv_buf: 4096,
+            ..TcpModel::linux_xeon()
+        };
+        let listener = TcpListener::bind(&tb.net, tb.b, 80, CoreId(0), model.clone()).unwrap();
+        let client = TcpStream::connect(
+            &mut tb.sim,
+            &tb.net,
+            tb.a,
+            CoreId(0),
+            model,
+            listener.local_addr(),
+        );
+        tb.sim.run_until_idle();
+        let server = listener.accept(&mut tb.sim).expect("pending connection");
+        let metrics = tb.net.metrics().clone();
+        // One call's charges on its host and socket: syscalls, kernel
+        // copies, kernel copy bytes, and the socket's syscalls and copies.
+        let charges = |host: HostId, stream: &TcpStream| {
+            let addr = stream.local_addr();
+            [
+                format!("host.{host}.syscalls"),
+                format!("host.{host}.kernel_copies"),
+                format!("host.{host}.kernel_copy_bytes"),
+                format!("tcp.{addr}.syscalls"),
+                format!("tcp.{addr}.copies"),
+            ]
+            .map(|key| metrics.counter(&key))
+        };
+        let delta = |before: [u64; 5], after: [u64; 5]| -> [u64; 5] {
+            std::array::from_fn(|i| after[i] - before[i])
+        };
+        let moved = |n: usize| [1, 1, n as u64, 1, 1];
+
+        let mut rng = SplitMix64::new(2833);
+        let (mut written, mut read) = (Vec::new(), Vec::new());
+        let (mut send_wraps, mut recv_wraps) = (0, 0);
+        let mut guard = 0;
+        while read.len() < TOTAL {
+            guard += 1;
+            assert!(guard < 100_000, "transfer stalled at {} bytes", read.len());
+            if written.len() < TOTAL {
+                let len = (1 + rng.next_bounded(3000) as usize).min(TOTAL - written.len());
+                let chunk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let before = charges(tb.a, &client);
+                let n = client.write(&mut tb.sim, &chunk).unwrap();
+                let expect = if n == 0 { [0; 5] } else { moved(n) };
+                assert_eq!(delta(before, charges(tb.a, &client)), expect);
+                written.extend_from_slice(&chunk[..n]);
+            }
+            // Run a few events, noting each pump that drains across the
+            // send ring's wrap.
+            for _ in 0..rng.next_bounded(40) {
+                let (head, len) = {
+                    let inner = client.inner.borrow();
+                    (inner.send_buf.as_slices().0.len(), inner.send_buf.len())
+                };
+                if !tb.sim.step() {
+                    break;
+                }
+                if head < len - client.inner.borrow().send_buf.len() {
+                    send_wraps += 1;
+                }
+            }
+            let max = 1 + rng.next_bounded(1500) as usize;
+            let wraps = {
+                let inner = server.inner.borrow();
+                inner.recv_buf.as_slices().0.len() < max.min(inner.recv_buf.len())
+            };
+            let (before, had) = (charges(tb.b, &server), read.len());
+            match server.read_into(&mut tb.sim, max, &mut read).unwrap() {
+                ReadOutcome::Data(n) => {
+                    assert!(n <= max);
+                    assert_eq!(read.len() - had, n, "read_into appends what it reports");
+                    assert!(
+                        written.get(had..had + n) == Some(&read[had..]),
+                        "bytes {had}..{} arrive as written, in order",
+                        had + n
+                    );
+                    assert_eq!(delta(before, charges(tb.b, &server)), moved(n));
+                    recv_wraps += usize::from(wraps);
+                }
+                ReadOutcome::WouldBlock => {
+                    assert_eq!(delta(before, charges(tb.b, &server)), [0; 5]);
+                }
+                ReadOutcome::Eof => panic!("unexpected EOF"),
+            }
+        }
+        assert_eq!(read.len(), written.len());
+        assert!(
+            send_wraps >= 10,
+            "{send_wraps} pumps drained across the send ring's wrap"
+        );
+        assert!(
+            recv_wraps >= 10,
+            "{recv_wraps} reads copied across the receive ring's wrap"
+        );
     }
 }
