@@ -1171,4 +1171,99 @@ mod tests {
             "{recv_wraps} reads copied across the receive ring's wrap"
         );
     }
+
+    /// The first SYN-ACK is lost: the client's SYN retry reaches a listener
+    /// that has already accepted it, which answers again from the same
+    /// data port instead of accepting a second stream.
+    #[test]
+    fn lost_syn_ack_is_answered_again_from_the_same_data_port() {
+        let mut tb = TestBed::paper_testbed(7);
+        let model = TcpModel::linux_xeon();
+        let listener = TcpListener::bind(&tb.net, tb.b, 80, CoreId(0), model.clone()).unwrap();
+        // Lose b→a from before the first SYN-ACK until well before the
+        // client's SYN retry, one RTO after its first SYN.
+        let (a, b) = (tb.a, tb.b);
+        tb.net.with_faults(|f| f.set_loss(b, a, 1.0));
+        let net = tb.net.clone();
+        tb.sim.schedule_at(Nanos::from_micros(300), move |_| {
+            net.with_faults(|f| f.set_loss(b, a, 0.0))
+        });
+        let client = TcpStream::connect(
+            &mut tb.sim,
+            &tb.net,
+            tb.a,
+            CoreId(0),
+            model,
+            listener.local_addr(),
+        );
+        tb.sim.run_until_idle();
+        let metrics = tb.net.metrics().clone();
+        assert_eq!(
+            metrics.counter(&format!("net.{b}.{a}.faults_dropped")),
+            1,
+            "the first SYN-ACK was lost"
+        );
+        assert!(client.is_established());
+        let server = listener.accept(&mut tb.sim).expect("pending connection");
+        assert!(listener.accept(&mut tb.sim).is_none(), "one accept");
+        // The retry took no second data port: the next ephemeral port
+        // follows the one stream's.
+        let next = tb.net.ephemeral_port(b);
+        assert_eq!(next.port, server.local_addr().port + 1);
+        assert!(client.stats().retransmits >= 1);
+        let key = format!("tcp.{}.retransmits", client.local_addr());
+        assert_eq!(metrics.counter(&key), 0, "SYN retries live in the stats");
+        // Data reaches the one data port, and the answer comes back.
+        client.write(&mut tb.sim, b"hello").unwrap();
+        tb.sim.run_until_idle();
+        assert_eq!(
+            server.read(&mut tb.sim, 16).unwrap(),
+            ReadOutcome::Data(b"hello".to_vec())
+        );
+        server.write(&mut tb.sim, b"world").unwrap();
+        tb.sim.run_until_idle();
+        assert_eq!(
+            client.read(&mut tb.sim, 16).unwrap(),
+            ReadOutcome::Data(b"world".to_vec())
+        );
+    }
+
+    /// A connect to a port nobody listens on re-sends its SYN
+    /// `max_retransmits` times, then fails: CONNECT readiness fires once,
+    /// `finish_connect` reports no connection and the stream reads EOF.
+    #[test]
+    fn unanswered_connect_gives_up_after_the_retry_budget() {
+        let mut tb = TestBed::paper_testbed(4);
+        let model = TcpModel::linux_xeon();
+        let selector = Selector::new(&tb.net, tb.a, &[CoreId(0)], crate::NIO_SELECT_NS);
+        let client = TcpStream::connect(
+            &mut tb.sim,
+            &tb.net,
+            tb.a,
+            CoreId(0),
+            model.clone(),
+            Addr::new(tb.b, 97),
+        );
+        client.register(&mut tb.sim, &selector, Ops::CONNECT);
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let select = |sim: &mut Simulator| {
+            let (f, c) = (fired.clone(), client.clone());
+            selector.select(sim, 0, move |sim, ready| {
+                assert!(ready[0].ready.contains(Ops::CONNECT));
+                f.borrow_mut().push((sim.now(), c.finish_connect(sim)));
+            });
+        };
+        select(&mut tb.sim);
+        tb.sim.run_until_idle();
+        select(&mut tb.sim);
+        tb.sim.run_until_idle();
+        let fired = fired.borrow();
+        assert_eq!(fired.len(), 1, "CONNECT fires once");
+        let (at, established) = fired[0];
+        assert!(!established, "finish_connect reports the failure");
+        assert!(at >= model.rto * u64::from(model.max_retransmits + 1));
+        assert_eq!(client.stats().retransmits, u64::from(model.max_retransmits));
+        assert!(!client.is_established());
+        assert_eq!(client.read(&mut tb.sim, 16).unwrap(), ReadOutcome::Eof);
+    }
 }
