@@ -16,11 +16,11 @@
 //!   mid-range payloads).
 //!
 //! * **Reliability** — go-back-N retransmission: data segments carry
-//!   sequence numbers and are acknowledged cumulatively; the oldest
-//!   unacknowledged segment is re-sent after [`TcpModel::rto`], SYNs are
-//!   retransmitted during connect, window credit is a cumulative counter
-//!   (so a lost credit update is repaired by the next one), and the
-//!   receiver suppresses duplicates. After
+//!   sequence numbers and are acknowledged cumulatively; one timer re-sends
+//!   the oldest unacknowledged frame (the SYN while connecting, the front
+//!   segment once established) after [`TcpModel::rto`], window credit is a
+//!   cumulative counter (so a lost credit update is repaired by the next
+//!   one), and the receiver suppresses duplicates. After
 //!   [`TcpModel::max_retransmits`] consecutive timeouts without progress
 //!   the stream is declared broken and surfaces EOF, which transports use
 //!   to trigger reconnection.
@@ -98,11 +98,11 @@ enum StreamState {
     Closed,
 }
 
+/// A segment on the wire. A SYN carries nothing: the listener answers the
+/// frame's source.
 #[derive(Clone)]
 pub(crate) enum TcpSegment {
-    Syn {
-        reply_to: Addr,
-    },
+    Syn,
     SynAck {
         data_port: Addr,
         credit: usize,
@@ -149,7 +149,8 @@ struct StreamInner {
     model: TcpModel,
     cpu: CpuModel,
     local: Addr,
-    remote: Option<Addr>,
+    /// The listener while connecting, the peer's data port after.
+    remote: Addr,
     state: StreamState,
     send_buf: VecDeque<u8>,
     recv_buf: VecDeque<u8>,
@@ -164,7 +165,7 @@ struct StreamInner {
     snd_next: u64,
     /// Transmitted-but-unacknowledged segments, oldest first.
     unacked: VecDeque<(u64, Vec<u8>)>,
-    /// Armed RTO (or SYN-retry) timer.
+    /// The armed retransmission timer (the SYN's while connecting).
     rto_timer: Option<EventId>,
     /// Consecutive timeouts without acknowledged progress.
     rto_strikes: u32,
@@ -183,13 +184,24 @@ struct StreamInner {
 }
 
 impl StreamInner {
-    /// Records one syscall + one user/kernel buffer copy under the
-    /// per-socket registry keys (`tcp.{addr}.syscalls` /
-    /// `tcp.{addr}.copies`). The host-level counters are bumped by the
-    /// `Host::charge_*` helpers at the charge site.
-    fn note_crossing(&mut self, copies: u64) {
+    /// Sends `seg` to the peer now, charged as `wire` bytes. Safe under the
+    /// stream's borrow: `Network::send` only schedules the delivery.
+    fn send(&self, sim: &mut Simulator, wire: usize, seg: TcpSegment) {
+        self.net.send(sim, self.local, self.remote, wire, seg);
+    }
+
+    /// Charges one `write` or `read` call that moves `n` bytes on the
+    /// stream's core: a kernel crossing, the user/kernel copy and the
+    /// managed-runtime I/O overhead, counted under `tcp.<addr>.` too.
+    /// Returns when the call's work is done.
+    fn charge_call(&mut self, now: Nanos, n: usize) -> Nanos {
+        let host = self.net.host(self.host);
+        let mut h = host.borrow_mut();
+        h.charge_syscall(now, self.core);
+        h.charge_kernel_copy(now, self.core, n);
         self.counters[TcpCounter::Syscalls].incr();
-        self.counters[TcpCounter::Copies].add(copies);
+        self.counters[TcpCounter::Copies].incr();
+        h.exec(now, self.core, Nanos::from_nanos(self.cpu.runtime_io_ns))
     }
 }
 
@@ -233,7 +245,7 @@ impl TcpStream {
         core: CoreId,
         model: TcpModel,
         local: Addr,
-        remote: Option<Addr>,
+        remote: Addr,
         state: StreamState,
         peer_window: usize,
     ) -> TcpStream {
@@ -307,78 +319,28 @@ impl TcpStream {
         remote: Addr,
     ) -> TcpStream {
         let local = net.ephemeral_port(host);
+        let connect_ns = Nanos::from_nanos(model.connect_ns);
         let stream = TcpStream::create(
             net,
             host,
             core,
-            model.clone(),
+            model,
             local,
-            Some(remote),
+            remote,
             StreamState::Connecting,
             0,
         );
         // Handshake cost, then SYN on the wire.
-        let done = {
-            let inner = stream.inner.borrow();
-            inner.net.host(host).borrow_mut().exec(
-                sim.now(),
-                core,
-                Nanos::from_nanos(model.connect_ns),
-            )
-        };
+        let done = net
+            .host(host)
+            .borrow_mut()
+            .exec(sim.now(), core, connect_ns);
         let s = stream.clone();
         sim.schedule_at(done, move |sim| {
-            let (net, local) = {
-                let inner = s.inner.borrow();
-                (inner.net.clone(), inner.local)
-            };
-            net.send(sim, local, remote, 40, TcpSegment::Syn { reply_to: local });
-            s.arm_syn_retry(sim);
+            s.inner.borrow().send(sim, 40, TcpSegment::Syn);
+            s.arm_rto(sim);
         });
         stream
-    }
-
-    /// Arms the SYN retransmission timer while the handshake is in flight.
-    fn arm_syn_retry(&self, sim: &mut Simulator) {
-        let rto = self.inner.borrow().model.rto;
-        let s = self.clone();
-        let id = sim.schedule_in(rto, move |sim| s.syn_retry_fire(sim));
-        self.inner.borrow_mut().rto_timer = Some(id);
-    }
-
-    fn syn_retry_fire(&self, sim: &mut Simulator) {
-        let resend = {
-            let mut inner = self.inner.borrow_mut();
-            inner.rto_timer = None;
-            if inner.state != StreamState::Connecting {
-                return;
-            }
-            if inner.rto_strikes >= inner.model.max_retransmits {
-                // The listener is unreachable; fail the connect attempt.
-                inner.eof = true;
-                inner.connect_ready = true;
-                None
-            } else {
-                inner.rto_strikes += 1;
-                // A SYN retry: counted in the stats alone (see `TcpCounter`).
-                inner.stats.retransmits += 1;
-                let listener = inner.remote.expect("connecting stream has a target");
-                Some((inner.net.clone(), inner.local, listener))
-            }
-        };
-        match resend {
-            Some((net, local, listener)) => {
-                net.send(
-                    sim,
-                    local,
-                    listener,
-                    40,
-                    TcpSegment::Syn { reply_to: local },
-                );
-                self.arm_syn_retry(sim);
-            }
-            None => self.refresh_readiness(sim),
-        }
     }
 
     /// The local address.
@@ -411,10 +373,7 @@ impl TcpStream {
     /// given interest ops. Current readiness is reported immediately.
     pub fn register(&self, sim: &mut Simulator, selector: &Selector, interest: Ops) -> KeyId {
         let key = selector.register(self.inner.borrow().core, interest);
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.reg = Some((selector.clone(), key));
-        }
+        self.inner.borrow_mut().reg = Some((selector.clone(), key));
         self.refresh_readiness(sim);
         key
     }
@@ -464,22 +423,12 @@ impl TcpStream {
                 StreamState::Closed => return Err(SockError::Closed),
                 StreamState::Established => {}
             }
-            let free = inner.model.send_buf - inner.send_buf.len();
-            let n = free.min(data.len());
+            let n = (inner.model.send_buf - inner.send_buf.len()).min(data.len());
             if n == 0 {
                 inner.stats.write_stalls += 1;
                 return Ok(0);
             }
-            let host = inner.host;
-            let core = inner.core;
-            let done = {
-                let host_ref = inner.net.host(host);
-                let mut h = host_ref.borrow_mut();
-                h.charge_syscall(sim.now(), core);
-                h.charge_kernel_copy(sim.now(), core, n);
-                h.exec(sim.now(), core, Nanos::from_nanos(inner.cpu.runtime_io_ns))
-            };
-            inner.note_crossing(1);
+            let done = inner.charge_call(sim.now(), n);
             inner.send_buf.extend(&data[..n]);
             inner.stats.bytes_written += n as u64;
             (n, done)
@@ -495,62 +444,39 @@ impl TcpStream {
     /// the unacked queue until cumulatively acknowledged.
     fn pump(&self, sim: &mut Simulator) {
         loop {
-            let (seq, seg_bytes, send_at) = {
-                let mut inner = self.inner.borrow_mut();
-                if inner.state != StreamState::Established {
-                    break;
-                }
-                let open = (inner.peer_window as u64 + inner.peer_total_read)
-                    .saturating_sub(inner.bytes_pushed) as usize;
-                let window = open.min(inner.send_buf.len());
-                if window == 0 {
-                    break;
-                }
-                let n = window.min(inner.model.mss);
-                // Segment buffers recycle through the network's pool: one
-                // for the wire, one for the unacked retransmission copy.
-                let pool = inner.net.buffer_pool();
-                let mut bytes = pool.take(n);
-                move_front(&mut inner.send_buf, n, &mut bytes);
-                inner.bytes_pushed += n as u64;
-                let seq = inner.snd_next;
-                inner.snd_next += 1;
-                let mut unacked_copy = pool.take(n);
-                unacked_copy.extend_from_slice(&bytes);
-                inner.unacked.push_back((seq, unacked_copy));
-                inner.stats.segments_tx += 1;
-                let work = Nanos::from_nanos(inner.model.segment_tx_ns);
-                let host = inner.host;
-                let core = inner.core;
-                let done = inner
-                    .net
-                    .host(host)
-                    .borrow_mut()
-                    .exec(sim.now(), core, work);
-                (seq, bytes, done)
-            };
-            let (net, local, remote, header) = {
-                let inner = self.inner.borrow();
-                (
-                    inner.net.clone(),
-                    inner.local,
-                    inner.remote.expect("established stream has a peer"),
-                    inner.model.header_bytes,
-                )
-            };
-            let wire = seg_bytes.len() + header;
-            // Schedule the wire transmission when the kernel work is done.
+            let mut inner = self.inner.borrow_mut();
+            if inner.state != StreamState::Established {
+                break;
+            }
+            let open = (inner.peer_window as u64 + inner.peer_total_read)
+                .saturating_sub(inner.bytes_pushed) as usize;
+            let n = open.min(inner.send_buf.len()).min(inner.model.mss);
+            if n == 0 {
+                break;
+            }
+            // Segment buffers recycle through the network's pool: one for
+            // the wire, one for the unacked retransmission copy.
+            let pool = inner.net.buffer_pool();
+            let mut bytes = pool.take(n);
+            move_front(&mut inner.send_buf, n, &mut bytes);
+            inner.bytes_pushed += n as u64;
+            let seq = inner.snd_next;
+            inner.snd_next += 1;
+            let mut unacked_copy = pool.take(n);
+            unacked_copy.extend_from_slice(&bytes);
+            inner.unacked.push_back((seq, unacked_copy));
+            inner.stats.segments_tx += 1;
+            let work = Nanos::from_nanos(inner.model.segment_tx_ns);
+            let send_at = inner
+                .net
+                .host(inner.host)
+                .borrow_mut()
+                .exec(sim.now(), inner.core, work);
+            let (net, local, remote) = (inner.net.clone(), inner.local, inner.remote);
+            let wire = n + inner.model.header_bytes;
+            // On the wire when the kernel work is done.
             sim.schedule_at(send_at, move |sim| {
-                net.send(
-                    sim,
-                    local,
-                    remote,
-                    wire,
-                    TcpSegment::Data {
-                        seq,
-                        bytes: seg_bytes,
-                    },
-                );
+                net.send(sim, local, remote, wire, TcpSegment::Data { seq, bytes });
             });
         }
         let needs_timer = {
@@ -566,7 +492,7 @@ impl TcpStream {
         self.refresh_readiness(sim);
     }
 
-    /// Arms the retransmission timer for the oldest unacked segment.
+    /// Arms the retransmission timer for the oldest unacknowledged frame.
     fn arm_rto(&self, sim: &mut Simulator) {
         let rto = self.inner.borrow().model.rto;
         let s = self.clone();
@@ -574,55 +500,41 @@ impl TcpStream {
         self.inner.borrow_mut().rto_timer = Some(id);
     }
 
-    /// RTO expired: go-back-N resend of the oldest unacked segment, or
-    /// declare the stream broken once the strike budget is spent.
+    /// RTO expired: go-back-N re-send of the oldest unacknowledged frame —
+    /// the SYN while connecting, the front segment once established — or,
+    /// once the strike budget is spent, declare the stream broken.
     fn rto_fire(&self, sim: &mut Simulator) {
-        enum Act {
-            Resend(Network, Addr, Addr, u64, Vec<u8>, usize),
-            GiveUp,
-            Idle,
+        let mut inner = self.inner.borrow_mut();
+        inner.rto_timer = None;
+        let connecting = inner.state == StreamState::Connecting;
+        if !connecting && (inner.state == StreamState::Closed || inner.unacked.is_empty()) {
+            return;
         }
-        let act = {
-            let mut inner = self.inner.borrow_mut();
-            inner.rto_timer = None;
-            if inner.state != StreamState::Established || inner.unacked.is_empty() {
-                Act::Idle
-            } else if inner.rto_strikes >= inner.model.max_retransmits {
-                // No progress across the whole strike budget: the peer is
-                // gone. Surface as EOF (kernel ETIMEDOUT analogue) so the
-                // application's disconnect handling runs.
-                inner.eof = true;
-                Act::GiveUp
-            } else {
-                inner.rto_strikes += 1;
-                inner.stats.retransmits += 1;
-                inner.counters[TcpCounter::Retransmits].incr();
-                let pool = inner.net.buffer_pool();
-                let (seq, bytes) = {
-                    let (seq, front) = inner.unacked.front().expect("checked non-empty");
-                    let mut copy = pool.take(front.len());
-                    copy.extend_from_slice(front);
-                    (*seq, copy)
-                };
-                Act::Resend(
-                    inner.net.clone(),
-                    inner.local,
-                    inner.remote.expect("established stream has a peer"),
-                    seq,
-                    bytes,
-                    inner.model.header_bytes,
-                )
-            }
-        };
-        match act {
-            Act::Resend(net, local, remote, seq, bytes, header) => {
-                let wire = bytes.len() + header;
-                net.send(sim, local, remote, wire, TcpSegment::Data { seq, bytes });
-                self.arm_rto(sim);
-            }
-            Act::GiveUp => self.refresh_readiness(sim),
-            Act::Idle => {}
+        if inner.rto_strikes >= inner.model.max_retransmits {
+            // No progress across the whole strike budget: the peer is gone.
+            // Surface as EOF (kernel ETIMEDOUT analogue) so the
+            // application's disconnect handling runs; a connect fails.
+            inner.eof = true;
+            inner.connect_ready |= connecting;
+            drop(inner);
+            self.refresh_readiness(sim);
+            return;
         }
+        inner.rto_strikes += 1;
+        inner.stats.retransmits += 1;
+        if connecting {
+            // A SYN retry: counted in the stats alone (see `TcpCounter`).
+            inner.send(sim, 40, TcpSegment::Syn);
+        } else {
+            inner.counters[TcpCounter::Retransmits].incr();
+            let (seq, front) = inner.unacked.front().expect("checked non-empty");
+            let mut bytes = inner.net.buffer_pool().take(front.len());
+            bytes.extend_from_slice(front);
+            let (seq, wire) = (*seq, bytes.len() + inner.model.header_bytes);
+            inner.send(sim, wire, TcpSegment::Data { seq, bytes });
+        }
+        drop(inner);
+        self.arm_rto(sim);
     }
 
     /// Non-blocking read of up to `max` bytes.
@@ -654,7 +566,7 @@ impl TcpStream {
         max: usize,
         buf: &mut Vec<u8>,
     ) -> Result<ReadOutcome<usize>, SockError> {
-        let (n, credit_at) = {
+        let (n, credit_at, total_read) = {
             let mut inner = self.inner.borrow_mut();
             if inner.state == StreamState::Closed {
                 return Err(SockError::Closed);
@@ -667,93 +579,59 @@ impl TcpStream {
                 });
             }
             let n = max.min(inner.recv_buf.len());
-            let host = inner.host;
-            let core = inner.core;
-            let done = {
-                let host_ref = inner.net.host(host);
-                let mut h = host_ref.borrow_mut();
-                h.charge_syscall(sim.now(), core);
-                h.charge_kernel_copy(sim.now(), core, n);
-                h.exec(sim.now(), core, Nanos::from_nanos(inner.cpu.runtime_io_ns))
-            };
-            inner.note_crossing(1);
+            let done = inner.charge_call(sim.now(), n);
             move_front(&mut inner.recv_buf, n, buf);
             inner.stats.bytes_read += n as u64;
             inner.total_read += n as u64;
-            (n, done)
+            (n, done, inner.total_read)
         };
         // Return window credit to the peer (a cumulative counter, so a
         // lost update is repaired by whichever later one gets through).
-        let (net, local, remote, ack_bytes, total_read) = {
-            let inner = self.inner.borrow();
-            (
-                inner.net.clone(),
-                inner.local,
-                inner.remote,
+        let s = self.clone();
+        sim.schedule_at(credit_at, move |sim| {
+            let inner = s.inner.borrow();
+            inner.send(
+                sim,
                 inner.model.ack_bytes,
-                inner.total_read,
-            )
-        };
-        if let Some(remote) = remote {
-            sim.schedule_at(credit_at, move |sim| {
-                net.send(
-                    sim,
-                    local,
-                    remote,
-                    ack_bytes,
-                    TcpSegment::Credit { total_read },
-                );
-            });
-        }
+                TcpSegment::Credit { total_read },
+            );
+        });
         self.refresh_readiness(sim);
         Ok(ReadOutcome::Data(n))
     }
 
     /// Closes the stream, notifying the peer (FIN).
     pub fn close(&self, sim: &mut Simulator) {
-        let (net, local, remote, ack_bytes, already_closed) = {
-            let mut inner = self.inner.borrow_mut();
-            let already = inner.state == StreamState::Closed;
-            inner.state = StreamState::Closed;
-            (
-                inner.net.clone(),
-                inner.local,
-                inner.remote,
-                inner.model.ack_bytes,
-                already,
-            )
-        };
-        if already_closed {
+        let mut inner = self.inner.borrow_mut();
+        if inner.state == StreamState::Closed {
             return;
         }
-        if let Some(remote) = remote {
-            net.send(sim, local, remote, ack_bytes, TcpSegment::Fin);
-        }
-        net.unbind(local);
+        inner.state = StreamState::Closed;
+        inner.send(sim, inner.model.ack_bytes, TcpSegment::Fin);
+        inner.net.unbind(inner.local);
     }
 
     fn handle_segment(&self, sim: &mut Simulator, seg: TcpSegment) {
         match seg {
             TcpSegment::SynAck { data_port, credit } => {
-                let timer = {
+                {
                     let mut inner = self.inner.borrow_mut();
                     if inner.state != StreamState::Connecting {
                         // Duplicate SYN-ACK from a retransmitted SYN.
                         return;
                     }
-                    inner.remote = Some(data_port);
+                    inner.remote = data_port;
                     inner.peer_window = credit;
                     inner.state = StreamState::Established;
                     inner.connect_ready = true;
                     inner.rto_strikes = 0;
-                    inner.rto_timer.take()
-                };
-                if let Some(id) = timer {
-                    sim.cancel(id);
+                    if let Some(id) = inner.rto_timer.take() {
+                        sim.cancel(id);
+                    }
                 }
+                // Nothing is buffered yet (a write before establishment is
+                // refused), so there is nothing to pump.
                 self.refresh_readiness(sim);
-                // Anything already buffered can flow now.
-                self.pump(sim);
             }
             TcpSegment::Data { seq, bytes } => {
                 let done = {
@@ -762,85 +640,34 @@ impl TcpStream {
                         return;
                     }
                     inner.stats.segments_rx += 1;
-                    let host = inner.host;
-                    let core = inner.core;
-                    let host_ref = inner.net.host(host);
-                    let mut h = host_ref.borrow_mut();
-                    h.charge_interrupt(sim.now(), core);
-                    h.exec(
-                        sim.now(),
-                        core,
-                        Nanos::from_nanos(inner.model.segment_rx_ns),
-                    )
+                    let host = inner.net.host(inner.host);
+                    let mut h = host.borrow_mut();
+                    h.charge_interrupt(sim.now(), inner.core);
+                    let work = Nanos::from_nanos(inner.model.segment_rx_ns);
+                    h.exec(sim.now(), inner.core, work)
                 };
                 let s = self.clone();
-                sim.schedule_at(done, move |sim| {
-                    let (net, local, remote, ack_bytes, upto) = {
-                        let mut inner = s.inner.borrow_mut();
-                        let pool = inner.net.buffer_pool();
-                        if seq == inner.rcv_next {
-                            inner.recv_buf.extend(bytes.iter());
-                            pool.put(bytes);
-                            inner.rcv_next += 1;
-                            while let Some(parked) = {
-                                let next = inner.rcv_next;
-                                inner.rcv_ooo.remove(&next)
-                            } {
-                                inner.recv_buf.extend(parked.iter());
-                                pool.put(parked);
-                                inner.rcv_next += 1;
-                            }
-                        } else if seq > inner.rcv_next {
-                            if let std::collections::btree_map::Entry::Vacant(e) =
-                                inner.rcv_ooo.entry(seq)
-                            {
-                                e.insert(bytes);
-                            } else {
-                                inner.stats.dup_segments += 1;
-                                pool.put(bytes);
-                            }
-                        } else {
-                            // Already delivered: the cumulative ack
-                            // below repairs the sender's view.
-                            inner.stats.dup_segments += 1;
-                            pool.put(bytes);
-                        }
-                        (
-                            inner.net.clone(),
-                            inner.local,
-                            inner.remote,
-                            inner.model.ack_bytes,
-                            inner.rcv_next,
-                        )
-                    };
-                    if let Some(remote) = remote {
-                        net.send(sim, local, remote, ack_bytes, TcpSegment::Ack { upto });
-                    }
-                    s.refresh_readiness(sim);
-                });
+                sim.schedule_at(done, move |sim| s.receive(sim, seq, bytes));
             }
             TcpSegment::Ack { upto } => {
-                let (timer, rearm) = {
-                    let mut inner = self.inner.borrow_mut();
-                    let pool = inner.net.buffer_pool();
-                    let before = inner.unacked.len();
-                    while inner.unacked.front().is_some_and(|(s, _)| *s < upto) {
-                        if let Some((_, buf)) = inner.unacked.pop_front() {
-                            pool.put(buf);
-                        }
-                    }
-                    if inner.unacked.len() == before {
-                        // No progress (stale or duplicate ack): leave the
-                        // running timer alone.
-                        (None, false)
-                    } else {
-                        inner.rto_strikes = 0;
-                        (inner.rto_timer.take(), !inner.unacked.is_empty())
-                    }
-                };
-                if let Some(id) = timer {
+                let mut guard = self.inner.borrow_mut();
+                let inner = &mut *guard;
+                let acked = inner.unacked.iter().take_while(|(s, _)| *s < upto).count();
+                if acked == 0 {
+                    // No progress (stale or duplicate ack): leave the
+                    // running timer alone.
+                    return;
+                }
+                let pool = inner.net.buffer_pool();
+                for (_, buf) in inner.unacked.drain(..acked) {
+                    pool.put(buf);
+                }
+                inner.rto_strikes = 0;
+                if let Some(id) = inner.rto_timer.take() {
                     sim.cancel(id);
                 }
+                let rearm = !inner.unacked.is_empty();
+                drop(guard);
                 if rearm {
                     self.arm_rto(sim);
                 }
@@ -850,20 +677,45 @@ impl TcpStream {
                     let mut inner = self.inner.borrow_mut();
                     inner.peer_total_read = inner.peer_total_read.max(total_read);
                 }
+                // The pump ends by reporting readiness.
                 self.pump(sim);
-                self.refresh_readiness(sim);
             }
             TcpSegment::Fin => {
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.eof = true;
-                }
+                self.inner.borrow_mut().eof = true;
                 self.refresh_readiness(sim);
             }
-            TcpSegment::Syn { .. } => {
-                debug_assert!(false, "SYN delivered to a data port");
-            }
+            TcpSegment::Syn => debug_assert!(false, "SYN delivered to a data port"),
         }
+    }
+
+    /// Takes in data segment `seq` once the receive path has processed it:
+    /// delivers it in order (with the parked segments it unblocks), parks
+    /// an early one, drops a duplicate, and acknowledges cumulatively.
+    fn receive(&self, sim: &mut Simulator, seq: u64, bytes: Vec<u8>) {
+        {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let pool = inner.net.buffer_pool();
+            if seq == inner.rcv_next {
+                let mut next = Some(bytes);
+                while let Some(bytes) = next {
+                    inner.recv_buf.extend(bytes.iter());
+                    pool.put(bytes);
+                    inner.rcv_next += 1;
+                    next = inner.rcv_ooo.remove(&inner.rcv_next);
+                }
+            } else if seq > inner.rcv_next && !inner.rcv_ooo.contains_key(&seq) {
+                inner.rcv_ooo.insert(seq, bytes);
+            } else {
+                // Already delivered or parked: the cumulative ack below
+                // repairs the sender's view.
+                inner.stats.dup_segments += 1;
+                pool.put(bytes);
+            }
+            let upto = inner.rcv_next;
+            inner.send(sim, inner.model.ack_bytes, TcpSegment::Ack { upto });
+        }
+        self.refresh_readiness(sim);
     }
 }
 
@@ -874,9 +726,9 @@ struct ListenerInner {
     model: TcpModel,
     addr: Addr,
     pending: VecDeque<TcpStream>,
-    /// Connections already accepted, keyed by the client's reply address:
-    /// a retransmitted SYN re-sends the SYN-ACK instead of spawning a
-    /// second server-side stream.
+    /// Data port of each connection already accepted, keyed by the
+    /// client's address: a retransmitted SYN re-sends the SYN-ACK instead
+    /// of spawning a second server-side stream.
     accepted: HashMap<Addr, Addr>,
     reg: Option<(Selector, KeyId)>,
 }
@@ -934,8 +786,9 @@ impl TcpListener {
                 let Some(l) = l.upgrade().map(|inner| TcpListener { inner }) else {
                     return;
                 };
-                if let Ok(TcpSegment::Syn { reply_to }) = frame.into_payload::<TcpSegment>() {
-                    l.handle_syn(sim, reply_to);
+                let client = frame.src;
+                if let Ok(TcpSegment::Syn) = frame.into_payload::<TcpSegment>() {
+                    l.handle_syn(sim, client);
                 }
             }),
         );
@@ -951,11 +804,11 @@ impl TcpListener {
     /// thread on its core.
     pub fn register(&self, sim: &mut Simulator, selector: &Selector) -> KeyId {
         let key = selector.register(self.inner.borrow().core, Ops::ACCEPT);
-        {
+        let pending = {
             let mut inner = self.inner.borrow_mut();
             inner.reg = Some((selector.clone(), key));
-        }
-        let pending = !self.inner.borrow().pending.is_empty();
+            !inner.pending.is_empty()
+        };
         if pending {
             selector.set_ready(sim, key, Ops::ACCEPT, true);
         }
@@ -987,65 +840,42 @@ impl TcpListener {
         stream
     }
 
-    fn handle_syn(&self, sim: &mut Simulator, reply_to: Addr) {
-        // A retransmitted SYN for an already-accepted connection means the
-        // SYN-ACK was lost: re-send it, do not accept a second stream.
-        let known = {
-            let inner = self.inner.borrow();
-            inner
-                .accepted
-                .get(&reply_to)
-                .map(|port| (inner.net.clone(), *port, inner.model.recv_buf))
-        };
-        if let Some((net, data_port, credit)) = known {
-            net.send(
-                sim,
-                data_port,
-                reply_to,
-                40,
-                TcpSegment::SynAck { data_port, credit },
-            );
-            return;
-        }
-        let (net, host, core, model, local_port) = {
-            let inner = self.inner.borrow();
-            (
-                inner.net.clone(),
+    /// Answers a SYN from `client` with a SYN-ACK from its data port,
+    /// creating the port and its pending stream on the first SYN. A later
+    /// SYN from a client already accepted is a retry after a lost SYN-ACK:
+    /// it is answered again from the same port.
+    fn handle_syn(&self, sim: &mut Simulator, client: Addr) {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let known = inner.accepted.get(&client).copied();
+        let data_port = known.unwrap_or_else(|| {
+            let port = inner.net.ephemeral_port(inner.host);
+            // The client's initial credit towards us is our recv_buf; our
+            // credit towards the client is its recv_buf (symmetric model).
+            let stream = TcpStream::create(
+                &inner.net,
                 inner.host,
                 inner.core,
                 inner.model.clone(),
-                inner.net.ephemeral_port(inner.host),
-            )
-        };
-        let credit = model.recv_buf;
-        let stream = TcpStream::create(
-            &net,
-            host,
-            core,
-            model.clone(),
-            local_port,
-            Some(reply_to),
-            StreamState::Established,
-            // The client's initial credit towards us is our recv_buf; our
-            // credit towards the client is its recv_buf (symmetric model).
-            model.recv_buf,
-        );
-        {
-            let mut inner = self.inner.borrow_mut();
+                port,
+                client,
+                StreamState::Established,
+                inner.model.recv_buf,
+            );
             inner.pending.push_back(stream);
-            inner.accepted.insert(reply_to, local_port);
-        }
-        net.send(
+            inner.accepted.insert(client, port);
+            port
+        });
+        let credit = inner.model.recv_buf;
+        inner.net.send(
             sim,
-            local_port,
-            reply_to,
+            data_port,
+            client,
             40,
-            TcpSegment::SynAck {
-                data_port: local_port,
-                credit,
-            },
+            TcpSegment::SynAck { data_port, credit },
         );
-        let reg = self.inner.borrow().reg.clone();
+        let reg = inner.reg.clone().filter(|_| known.is_none());
+        drop(guard);
         if let Some((sel, key)) = reg {
             sel.set_ready(sim, key, Ops::ACCEPT, true);
         }
