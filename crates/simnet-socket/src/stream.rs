@@ -194,7 +194,7 @@ impl StreamInner {
     /// stream's core: a kernel crossing, the user/kernel copy and the
     /// managed-runtime I/O overhead, counted under `tcp.<addr>.` too.
     /// Returns when the call's work is done.
-    fn charge_call(&mut self, now: Nanos, n: usize) -> Nanos {
+    fn charge_call(&self, now: Nanos, n: usize) -> Nanos {
         let host = self.net.host(self.host);
         let mut h = host.borrow_mut();
         h.charge_syscall(now, self.core);
@@ -600,15 +600,23 @@ impl TcpStream {
         Ok(ReadOutcome::Data(n))
     }
 
-    /// Closes the stream, notifying the peer (FIN).
+    /// Closes the stream, notifying the peer (FIN), and returns to the pool
+    /// the unacknowledged segments' copies and the parked segments: a
+    /// closed stream re-sends and reads nothing.
     pub fn close(&self, sim: &mut Simulator) {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         if inner.state == StreamState::Closed {
             return;
         }
         inner.state = StreamState::Closed;
         inner.send(sim, inner.model.ack_bytes, TcpSegment::Fin);
         inner.net.unbind(inner.local);
+        let pool = inner.net.buffer_pool();
+        let parked = std::mem::take(&mut inner.rcv_ooo).into_values();
+        for buf in inner.unacked.drain(..).map(|(_, buf)| buf).chain(parked) {
+            pool.put(buf);
+        }
     }
 
     fn handle_segment(&self, sim: &mut Simulator, seg: TcpSegment) {
@@ -1095,5 +1103,42 @@ mod tests {
         assert_eq!(client.stats().retransmits, u64::from(model.max_retransmits));
         assert!(!client.is_established());
         assert_eq!(client.read(&mut tb.sim, 16).unwrap(), ReadOutcome::Eof);
+    }
+
+    /// Closing a stream gives the network's pool back every buffer the
+    /// stream still holds: the retransmission copies of segments not yet
+    /// acknowledged, and the segments parked out of order.
+    #[test]
+    fn close_returns_unacked_and_parked_buffers_to_the_pool() {
+        let mut tb = TestBed::paper_testbed(5);
+        let model = TcpModel::linux_xeon();
+        let listener = TcpListener::bind(&tb.net, tb.b, 80, CoreId(0), model.clone()).unwrap();
+        let client = TcpStream::connect(
+            &mut tb.sim,
+            &tb.net,
+            tb.a,
+            CoreId(0),
+            model,
+            listener.local_addr(),
+        );
+        tb.sim.run_until_idle();
+        let server = listener.accept(&mut tb.sim).expect("pending connection");
+        let pool = tb.net.buffer_pool();
+        // The client closes 20 µs after a 5,000 B write, before the ACKs
+        // of its four segments return.
+        client.write(&mut tb.sim, &[7; 5000]).unwrap();
+        tb.sim.run_for(Nanos::from_micros(20));
+        assert_eq!(client.inner.borrow().unacked.len(), 4);
+        client.close(&mut tb.sim);
+        tb.sim.run_until_idle();
+        // A segment that arrived ahead of a gap is parked when the server
+        // closes.
+        let mut early = pool.take(100);
+        early.extend_from_slice(&[9; 100]);
+        server.receive(&mut tb.sim, 1_000, early);
+        assert_eq!(server.inner.borrow().rcv_ooo.len(), 1);
+        server.close(&mut tb.sim);
+        tb.sim.run_until_idle();
+        assert_eq!(pool.stats().outstanding, 0);
     }
 }
