@@ -59,9 +59,11 @@ use crate::time::Nanos;
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// A histogram of unit-agnostic `u64` observations, built on
-/// [`LatencyRecorder`]. Most users record nanoseconds, but any
-/// non-negative integer quantity (batch fill percent, events per poll)
-/// works; the summary is reported in the recorded unit.
+/// [`LatencyRecorder`]: it keeps one count per distinct value, so its
+/// memory grows with the values seen, not with the observations. Most
+/// users record nanoseconds, but any non-negative integer quantity
+/// (batch fill percent, events per poll) works; the summary is reported
+/// in the recorded unit and is exact.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     rec: LatencyRecorder,

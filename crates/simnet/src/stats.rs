@@ -9,6 +9,13 @@ use crate::time::Nanos;
 
 /// Collects latency samples and computes summary statistics.
 ///
+/// The recorder keeps one count per distinct value, not every sample: the
+/// distinct values in ascending order, a parallel `u32` count for each, the
+/// total count and a `u128` sum. Recording is a binary search that bumps a
+/// count or inserts a new value (O(distinct) in the worst case, when every
+/// sample is new); every statistic comes out exact from the counts, with
+/// nothing cloned or sorted.
+///
 /// # Examples
 ///
 /// ```
@@ -23,7 +30,14 @@ use crate::time::Nanos;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
-    samples: Vec<u64>,
+    /// Distinct sample values, ascending.
+    values: Vec<u64>,
+    /// How often each of `values` was recorded.
+    counts: Vec<u32>,
+    /// Number of samples recorded.
+    len: u64,
+    /// Sum of every sample.
+    sum: u128,
 }
 
 impl LatencyRecorder {
@@ -33,56 +47,81 @@ impl LatencyRecorder {
     }
 
     /// Adds one latency sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one value is recorded 2^32 times.
     pub fn record(&mut self, latency: Nanos) {
-        self.samples.push(latency.as_nanos());
+        let value = latency.as_nanos();
+        match self.values.binary_search(&value) {
+            Ok(i) => {
+                self.counts[i] = self.counts[i]
+                    .checked_add(1)
+                    .expect("a latency value was recorded 2^32 times");
+            }
+            Err(i) => {
+                self.values.insert(i, value);
+                self.counts.insert(i, 1);
+            }
+        }
+        self.len += 1;
+        self.sum += u128::from(value);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len as usize
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
-    /// Arithmetic mean. Returns zero when empty.
+    /// Arithmetic mean, rounded down. Returns zero when empty.
     pub fn mean(&self) -> Nanos {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return Nanos::ZERO;
         }
-        let sum: u128 = self.samples.iter().map(|&s| s as u128).sum();
-        Nanos::from_nanos((sum / self.samples.len() as u128) as u64)
+        Nanos::from_nanos((self.sum / u128::from(self.len)) as u64)
     }
 
-    /// The `p`-th percentile (0.0..=100.0), nearest-rank method.
+    /// The `p`-th percentile (0.0..=100.0), nearest-rank method: the
+    /// sample at index `round(p/100 · (n−1))` of the sorted samples.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]` or the recorder is empty.
     pub fn percentile(&self, p: f64) -> Nanos {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        assert!(!self.samples.is_empty(), "no samples recorded");
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        Nanos::from_nanos(sorted[rank])
+        assert!(!self.is_empty(), "no samples recorded");
+        let rank = ((p / 100.0) * (self.len as f64 - 1.0)).round() as u64;
+        let mut below = 0u64;
+        for (&value, &count) in self.values.iter().zip(&self.counts) {
+            below += u64::from(count);
+            if rank < below {
+                return Nanos::from_nanos(value);
+            }
+        }
+        unreachable!("rank {rank} lies below the count {}", self.len)
     }
 
     /// Minimum sample. Zero when empty.
     pub fn min(&self) -> Nanos {
-        Nanos::from_nanos(self.samples.iter().copied().min().unwrap_or(0))
+        Nanos::from_nanos(self.values.first().copied().unwrap_or(0))
     }
 
     /// Maximum sample. Zero when empty.
     pub fn max(&self) -> Nanos {
-        Nanos::from_nanos(self.samples.iter().copied().max().unwrap_or(0))
+        Nanos::from_nanos(self.values.last().copied().unwrap_or(0))
     }
 
     /// Clears all samples.
     pub fn clear(&mut self) {
-        self.samples.clear();
+        self.values.clear();
+        self.counts.clear();
+        self.len = 0;
+        self.sum = 0;
     }
 
     /// Produces an immutable summary of the current samples.
@@ -250,6 +289,39 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn percentile_of_empty_panics() {
         LatencyRecorder::new().percentile(50.0);
+    }
+
+    #[test]
+    fn repeated_values_keep_one_count_each() {
+        let mut rec = LatencyRecorder::new();
+        for n in [5u64, 1, 5, 3, 5, 1, u64::MAX, u64::MAX] {
+            rec.record(Nanos::from_nanos(n));
+        }
+        assert_eq!(rec.values, [1, 3, 5, u64::MAX]);
+        assert_eq!(rec.counts, [2, 1, 3, 2]);
+        assert_eq!(rec.len(), 8);
+        // Sorted: 1 1 3 5 5 5 MAX MAX; rank round(p/100 · 7).
+        assert_eq!(rec.percentile(0.0).as_nanos(), 1);
+        assert_eq!(rec.percentile(30.0).as_nanos(), 3);
+        assert_eq!(rec.percentile(50.0).as_nanos(), 5);
+        assert_eq!(rec.percentile(90.0).as_nanos(), u64::MAX);
+        assert_eq!(
+            rec.mean().as_nanos(),
+            ((2 * u128::from(u64::MAX) + 20) / 8) as u64
+        );
+        rec.clear();
+        assert!(rec.is_empty());
+        assert_eq!(rec.max(), Nanos::ZERO);
+        assert_eq!(rec.mean(), Nanos::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded 2^32 times")]
+    fn a_count_that_would_overflow_panics() {
+        let mut rec = LatencyRecorder::new();
+        rec.record(Nanos::from_nanos(7));
+        rec.counts[0] = u32::MAX;
+        rec.record(Nanos::from_nanos(7));
     }
 
     #[test]

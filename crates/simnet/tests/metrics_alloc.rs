@@ -57,20 +57,46 @@ fn resolved_counter_and_gauge_handles_allocate_nothing() {
 }
 
 #[test]
-fn histogram_observations_allocate_only_to_grow_the_sample_vector() {
+fn histogram_observations_allocate_only_to_grow_the_value_vectors() {
     let m = Metrics::new();
-    let histo = m.histo_handle("reptor.r0.phase.commit_ns");
-    histo.observe(0);
+    // Repeats of values already seen bump a count in place.
+    let repeats = m.histo_handle("reptor.r0.phase.commit_ns");
+    for v in 0..64 {
+        repeats.observe(v);
+    }
     let before = allocs();
     for i in 0..BUMPS {
-        histo.observe(i);
+        repeats.observe(i % 64);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "{BUMPS} observations of 64 seen values"
+    );
+
+    // Each new value is inserted into two doubling vectors (values and
+    // counts), each reaching 10 001 entries in at most log2(10 001) < 14
+    // steps.
+    let distinct = m.histo_handle("reptor.r0.phase.execute_ns");
+    distinct.observe(0);
+    let before = allocs();
+    for i in 1..=BUMPS {
+        distinct.observe(i);
     }
     let grown = allocs() - before;
-    // A doubling `Vec<u64>` reaches 10 001 samples in at most
-    // log2(10 001) < 14 steps.
-    assert!(grown <= 14, "{grown} allocations for {BUMPS} observations");
+    assert!(
+        grown <= 28,
+        "{grown} allocations for {BUMPS} distinct values"
+    );
+
+    let summary = m.histogram("reptor.r0.phase.commit_ns").unwrap().summary();
     assert_eq!(
-        m.histogram("reptor.r0.phase.commit_ns").unwrap().count(),
-        BUMPS + 1
+        (summary.count, summary.min, summary.max),
+        (64 + BUMPS, 0, 63)
+    );
+    let summary = m.histogram("reptor.r0.phase.execute_ns").unwrap().summary();
+    assert_eq!(
+        (summary.count, summary.p50, summary.max),
+        (BUMPS + 1, BUMPS / 2, BUMPS)
     );
 }

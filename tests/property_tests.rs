@@ -529,12 +529,25 @@ fn nearest_rank_reference(samples: &[u64], p: f64) -> u64 {
     sorted[rank]
 }
 
+/// Histogram draws: spread values, duplicate-heavy ones (`0..8`), values
+/// near `u64::MAX` (whose sum needs more than 64 bits) and a mix of both
+/// ends.
+fn arb_histogram_samples() -> impl Strategy<Value = Vec<u64>> {
+    let near_max = || (u64::MAX - 8)..=u64::MAX;
+    prop_oneof![
+        proptest::collection::vec(0u64..10_000_000, 1..128),
+        proptest::collection::vec(0u64..8, 1..256),
+        proptest::collection::vec(near_max(), 1..64),
+        proptest::collection::vec(prop_oneof![0u64..8, near_max()], 1..64),
+    ]
+}
+
 proptest! {
     /// `LatencyRecorder::percentile` matches the naive nearest-rank
     /// reference and is monotone in `p`, with the usual ordering
     /// invariants.
     #[test]
-    fn latency_percentiles_match_reference(samples in proptest::collection::vec(0u64..10_000_000, 1..128)) {
+    fn latency_percentiles_match_reference(samples in arb_histogram_samples()) {
         use simnet::LatencyRecorder;
         let mut rec = LatencyRecorder::new();
         for &s in &samples {
@@ -564,7 +577,7 @@ proptest! {
     /// summary is internally consistent, and observation order does not
     /// matter.
     #[test]
-    fn metrics_histogram_summary_invariants(samples in proptest::collection::vec(0u64..10_000_000, 1..128)) {
+    fn metrics_histogram_summary_invariants(samples in arb_histogram_samples()) {
         use simnet::Histogram;
         let mut h = Histogram::new();
         for &s in &samples {
@@ -585,6 +598,30 @@ proptest! {
             rev.observe(s);
         }
         prop_assert_eq!(rev.summary(), sum);
+    }
+
+    /// `Histogram::summary` equals a summary computed from the sorted
+    /// samples, in every field.
+    #[test]
+    fn histogram_summary_matches_sorted_reference(samples in arb_histogram_samples()) {
+        use simnet::{Histogram, HistogramSummary};
+        let mut h = Histogram::new();
+        for &s in &samples {
+            h.observe(s);
+        }
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let sum: u128 = sorted.iter().map(|&s| u128::from(s)).sum();
+        let reference = HistogramSummary {
+            count: sorted.len() as u64,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            mean: (sum / sorted.len() as u128) as u64,
+            p50: nearest_rank_reference(&samples, 50.0),
+            p90: nearest_rank_reference(&samples, 90.0),
+            p99: nearest_rank_reference(&samples, 99.0),
+        };
+        prop_assert_eq!(h.summary(), reference);
     }
 }
 
