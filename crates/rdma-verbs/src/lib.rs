@@ -893,6 +893,35 @@ mod tests {
         assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
     }
 
+    /// SENDs the network drops give their pooled buffers back. The first
+    /// dies in a partition and its retransmission lands after the heal;
+    /// the second and every retransmission of it die in a partition that
+    /// outlasts the retry budget. Once idle no buffer is out.
+    #[test]
+    fn dropped_sends_return_their_buffers_to_the_pool() {
+        let mut p = connected_pair();
+        let rbuf = p.dev_b.reg_mr(&p.pd_b, 512, Access::LOCAL_WRITE);
+        p.qp_b
+            .post_recv(&mut p.tb.sim, RecvWr::new(WrId(1), Sge::whole(rbuf)))
+            .unwrap();
+        let (a, b) = (p.tb.a, p.tb.b);
+        p.tb.net.with_faults(|f| f.partition(a, b));
+        send_bytes(&mut p, &[7u8; 512], true);
+        p.tb.sim.run_for(Nanos::from_micros(100));
+        p.tb.net.with_faults(|f| f.heal(a, b));
+        p.tb.sim.run_until_idle();
+        assert_eq!(qp_counter(&p, &p.qp_a, "retransmits"), 1);
+        assert_eq!(p.rcq_b.poll(8)[0].status, WcStatus::Success);
+        assert_eq!(p.scq_a.poll(8)[0].status, WcStatus::Success);
+        assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
+
+        p.tb.net.with_faults(|f| f.partition(a, b));
+        send_bytes(&mut p, &[8u8; 512], true);
+        p.tb.sim.run_until_idle();
+        assert_eq!(p.scq_a.poll(8)[0].status, WcStatus::RetryExceeded);
+        assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
+    }
+
     #[test]
     fn deep_send_queue_on_healthy_link_never_retransmits() {
         // 30 × 100 KB takes far longer to drain (≈3 MB at 10 Gbps ≈ 2.4 ms)

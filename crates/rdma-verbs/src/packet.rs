@@ -3,7 +3,7 @@
 //! These are internal to the crate: applications never see packets, only
 //! work completions and CM events, exactly as with real verbs.
 
-use simnet::{Addr, BytePool};
+use simnet::{Addr, BytePool, PooledPayload};
 
 use crate::types::{QpNum, WcStatus};
 
@@ -109,9 +109,24 @@ impl RdmaPacket {
         }
     }
 
-    /// Clones the packet with its payload buffer drawn from `pool` — the
-    /// retransmission copy the sender parks per unacked data packet.
-    pub(crate) fn clone_with_pool(&self, pool: &BytePool) -> RdmaPacket {
+    /// Takes the payload buffer out of a data packet so the caller can
+    /// recycle it (`None` for control packets).
+    pub(crate) fn into_data(self) -> Option<Vec<u8>> {
+        match self {
+            RdmaPacket::Send { data, .. }
+            | RdmaPacket::WriteReq { data, .. }
+            | RdmaPacket::ReadResp { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+}
+
+/// A data packet's payload is a pool buffer, which its receiver puts back.
+impl PooledPayload for RdmaPacket {
+    /// The packet with its payload buffer drawn from `pool`: the
+    /// retransmission copy the sender parks per unacknowledged data
+    /// packet, each retransmission, and a fault-injected duplicate.
+    fn clone_pooled(&self, pool: &BytePool) -> RdmaPacket {
         let pooled = |data: &[u8]| {
             let mut c = pool.take(data.len());
             c.extend_from_slice(data);
@@ -144,18 +159,17 @@ impl RdmaPacket {
                 imm: *imm,
                 seq: *seq,
             },
+            RdmaPacket::ReadResp { seq, data } => RdmaPacket::ReadResp {
+                seq: *seq,
+                data: pooled(data),
+            },
             other => other.clone(),
         }
     }
 
-    /// Takes the payload buffer out of a data packet so the caller can
-    /// recycle it (`None` for control packets).
-    pub(crate) fn into_data(self) -> Option<Vec<u8>> {
-        match self {
-            RdmaPacket::Send { data, .. }
-            | RdmaPacket::WriteReq { data, .. }
-            | RdmaPacket::ReadResp { data, .. } => Some(data),
-            _ => None,
+    fn recycle(self, pool: &BytePool) {
+        if let Some(data) = self.into_data() {
+            pool.put(data);
         }
     }
 }

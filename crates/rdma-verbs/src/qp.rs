@@ -36,7 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{Addr, CoreId, Counters, EventId, Nanos, Simulator};
+use simnet::{Addr, CoreId, Counters, EventId, Nanos, PooledPayload, Simulator};
 
 use crate::config::RnicModel;
 use crate::device::{EventHook, RdmaDevice, WeakDevice};
@@ -658,7 +658,7 @@ impl QueuePair {
                 PendingSend {
                     op,
                     read_sink,
-                    packet: packet.clone_with_pool(&pool),
+                    packet: packet.clone_pooled(&pool),
                     retries_left: self.device.model().retry_cnt,
                     retry_timer: None,
                 },
@@ -733,7 +733,9 @@ impl QueuePair {
             (p.retries_left > 0).then(|| {
                 p.retries_left -= 1;
                 p.retry_timer = None;
-                p.packet.clone()
+                // A pooled copy: whoever ends it (the receiver, or the
+                // network dropping it) puts it back.
+                p.packet.clone_pooled(&self.device.net().buffer_pool())
             })
         };
         if let Some(pkt) = resend {
@@ -827,7 +829,6 @@ impl QueuePair {
                 Accept,
                 Drop,
                 ReAck,
-                Discard,
             }
             let verdict = {
                 let inner = self.inner.borrow();
@@ -838,7 +839,7 @@ impl QueuePair {
                     if inner.state.can_receive() {
                         Verdict::Accept
                     } else {
-                        Verdict::Discard
+                        Verdict::Drop
                     }
                 } else {
                     inner.counters[QpCounter::DuplicatesSuppressed].incr();
@@ -853,16 +854,13 @@ impl QueuePair {
                     }
                 }
             };
-            match verdict {
-                Verdict::Accept => {}
-                Verdict::Drop => return,
-                Verdict::ReAck => return self.emit(sim, RdmaPacket::Ack { seq }),
-                Verdict::Discard => {
-                    if let Some(data) = pkt.into_data() {
-                        self.device.net().buffer_pool().put(data);
-                    }
-                    return;
+            if !matches!(verdict, Verdict::Accept) {
+                // A packet not taken gives its buffer back.
+                pkt.recycle(&self.device.net().buffer_pool());
+                if matches!(verdict, Verdict::ReAck) {
+                    self.emit(sim, RdmaPacket::Ack { seq });
                 }
+                return;
             }
         }
         match pkt {

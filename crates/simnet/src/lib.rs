@@ -82,7 +82,7 @@ pub use metrics::{
     Counter, Counters, Gauge, Gauges, Histo, Histogram, HistogramSummary, Histos, MetricKind,
     Metrics, MetricsSnapshot, TraceEvent,
 };
-pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network};
+pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network, PooledPayload};
 pub use pool::{BytePool, PoolStats};
 pub use sched::CoreAffinity;
 pub use selector::{KeyId, SelectOps, Selected, Selector};

@@ -7,7 +7,7 @@
 //! overhead, full-duplex but serialized per direction), applies injected
 //! faults, and schedules delivery to the destination handler.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -25,6 +25,52 @@ use crate::time::{Bandwidth, Nanos};
 /// A frame-delivery callback registered on an address. It must take the
 /// frame's payload within the call: the [`Frame`] only borrows it.
 pub type FrameHandler = Box<dyn FnMut(&mut Simulator, Frame<'_>)>;
+
+/// A frame payload that may carry a buffer taken from the network's
+/// [`BytePool`], which its receiver puts back. Registered with
+/// [`Network::register_pooled_payload`], its frames keep
+/// `pool.net.outstanding` exact: a fault-injected duplicate takes its
+/// buffer from the pool too, and a frame the network drops gives its
+/// buffer back.
+pub trait PooledPayload: Any + Clone {
+    /// A copy whose buffer, if it has one, is taken from `pool`.
+    fn clone_pooled(&self, pool: &BytePool) -> Self;
+
+    /// Returns this payload's buffer, if it has one, to `pool`.
+    fn recycle(self, pool: &BytePool);
+}
+
+/// A registered [`PooledPayload`] type's two methods, erased: the network
+/// holds payloads as `T` and `Option<T>` behind `dyn Any`.
+#[derive(Clone, Copy)]
+struct PoolHooks {
+    type_id: TypeId,
+    /// Writes a pooled copy of a `T` into an `Option<T>`.
+    duplicate: fn(&dyn Any, &mut dyn Any, &BytePool),
+    /// Recycles the `T` taken out of an `Option<T>`.
+    recycle: fn(&mut dyn Any, &BytePool),
+}
+
+impl PoolHooks {
+    fn of<T: PooledPayload>() -> PoolHooks {
+        PoolHooks {
+            type_id: TypeId::of::<T>(),
+            duplicate: |payload, copy, pool| {
+                if let (Some(payload), Some(copy)) = (
+                    payload.downcast_ref::<T>(),
+                    copy.downcast_mut::<Option<T>>(),
+                ) {
+                    *copy = Some(payload.clone_pooled(pool));
+                }
+            },
+            recycle: |payload, pool| {
+                if let Some(payload) = payload.downcast_mut::<Option<T>>().and_then(Option::take) {
+                    payload.recycle(pool);
+                }
+            },
+        }
+    }
+}
 
 /// Identifier of a link within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,6 +187,8 @@ struct NetInner {
     sim_gauges: Gauges<SimGauge>,
     pool: BytePool,
     pool_gauges: Gauges<PoolGauge>,
+    /// The registered [`PooledPayload`] types.
+    pool_hooks: Vec<PoolHooks>,
 }
 
 /// Shared handle to the simulated network.
@@ -207,6 +255,7 @@ impl Network {
                 pool_gauges: pool.gauges(&metrics),
                 metrics,
                 pool,
+                pool_hooks: Vec::new(),
             })),
         }
     }
@@ -343,7 +392,8 @@ impl Network {
     /// Four fault coins are drawn from the simulator RNG for *every* frame,
     /// whether or not any fault rule is installed, so the random stream is
     /// independent of when chaos rules are toggled and a seeded run replays
-    /// byte-identically. A fault-injected duplicate is a `T::clone`.
+    /// byte-identically. A fault-injected duplicate is a `T::clone`, or a
+    /// [`PooledPayload::clone_pooled`] for a registered type.
     ///
     /// # Panics
     ///
@@ -371,6 +421,7 @@ impl Network {
         match verdict {
             FaultVerdict::Drop => {
                 self.count_fault(&header, FaultCounter::Dropped);
+                self.recycle(&mut Some(payload));
             }
             FaultVerdict::Deliver {
                 extra_delay,
@@ -383,7 +434,8 @@ impl Network {
                 }
                 if duplicate {
                     self.count_fault(&header, FaultCounter::Duplicated);
-                    self.transmit(sim, header, payload.clone(), extra_delay);
+                    let copy = self.duplicate(&payload);
+                    self.transmit(sim, header, copy, extra_delay);
                 }
                 self.transmit(sim, header, payload, extra_delay);
             }
@@ -441,25 +493,71 @@ impl Network {
     }
 
     fn deliver<T: Any>(&self, sim: &mut Simulator, header: Header, payload: T) {
+        let mut payload = Some(payload);
         let handler = {
             let mut inner = self.inner.borrow_mut();
-            match inner.handlers.get(&header.dst).cloned() {
-                Some(h) => {
-                    inner.stats.delivered += 1;
-                    h
-                }
-                None => {
-                    inner.stats.unroutable += 1;
-                    return;
-                }
+            let handler = inner.handlers.get(&header.dst).cloned();
+            match handler {
+                Some(_) => inner.stats.delivered += 1,
+                None => inner.stats.unroutable += 1,
             }
+            handler
         };
         // The handler takes the payload out of this stack frame's `Option`
         // through the `Frame` view. It may itself send frames or (un)bind
         // addresses, so the network borrow must be released before invoking
         // it.
-        let mut payload = Some(payload);
-        (handler.borrow_mut())(sim, Frame::view(header, &mut payload));
+        if let Some(handler) = handler {
+            (handler.borrow_mut())(sim, Frame::view(header, &mut payload));
+        }
+        // Unroutable, or left by a handler whose endpoint is gone.
+        self.recycle(&mut payload);
+    }
+
+    /// Registers `T` as a [`PooledPayload`]: from now on a duplicate of a
+    /// `T` frame takes its buffer from the pool, and a `T` frame the fault
+    /// plane drops, sent to an unbound address or not taken by its handler
+    /// gives its buffer back. Registering a type again changes nothing.
+    pub fn register_pooled_payload<T: PooledPayload>(&self) {
+        let mut inner = self.inner.borrow_mut();
+        if inner
+            .pool_hooks
+            .iter()
+            .all(|h| h.type_id != TypeId::of::<T>())
+        {
+            inner.pool_hooks.push(PoolHooks::of::<T>());
+        }
+    }
+
+    /// The hooks of `T` if it is registered, with the pool they act on.
+    fn pool_hooks<T: Any>(&self) -> Option<(PoolHooks, BytePool)> {
+        let inner = self.inner.borrow();
+        let hooks = inner
+            .pool_hooks
+            .iter()
+            .find(|h| h.type_id == TypeId::of::<T>());
+        hooks.map(|&h| (h, inner.pool.clone()))
+    }
+
+    /// A fault-injected copy of `payload`.
+    fn duplicate<T: Any + Clone>(&self, payload: &T) -> T {
+        let Some((hooks, pool)) = self.pool_hooks::<T>() else {
+            return payload.clone();
+        };
+        let mut copy = None;
+        (hooks.duplicate)(payload, &mut copy, &pool);
+        copy.expect("a registered type's hooks copy it")
+    }
+
+    /// Gives the payload still in `payload`, if any, back through its
+    /// type's hooks; an unregistered type is simply dropped.
+    fn recycle<T: Any>(&self, payload: &mut Option<T>) {
+        if payload.is_none() {
+            return;
+        }
+        if let Some((hooks, pool)) = self.pool_hooks::<T>() {
+            (hooks.recycle)(payload, &pool);
+        }
     }
 
     /// Delivery statistics so far.
