@@ -13,7 +13,10 @@
 //! "minimal response" pruning rule and memoization on
 //! `(taken-set, register value)`; bounded-concurrency sim histories keep
 //! it tractable (the state space is exponential only in per-key
-//! *concurrency*, not history length).
+//! *concurrency*, not history length). A key's ops are sorted by invoke,
+//! so each step scans only the ops that can come next: from the first
+//! untaken op to the first one invoked after the smallest pending
+//! response, a window as wide as the key's concurrency.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -92,6 +95,17 @@ impl OpMask {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// Index of the lowest clear bit, found a word at a time (past the
+    /// last op when every op is taken).
+    fn first_unset(&self) -> usize {
+        self.0
+            .iter()
+            .position(|&w| w != u64::MAX)
+            .map_or(self.0.len() * 64, |w| {
+                w * 64 + self.0[w].trailing_ones() as usize
+            })
+    }
+
     fn set(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
     }
@@ -111,20 +125,31 @@ impl OpMask {
 /// Checks a history for linearizability. Returns `Err` with a diagnostic
 /// naming the first key whose sub-history admits no valid linearization.
 pub fn check_linearizable(history: &[KvEvent]) -> Result<(), String> {
-    let mut per_key: BTreeMap<Vec<u8>, Vec<&KvEvent>> = BTreeMap::new();
+    let mut per_key: BTreeMap<&[u8], Vec<&KvEvent>> = BTreeMap::new();
     for e in history {
-        per_key.entry(e.op.key().to_vec()).or_default().push(e);
+        per_key.entry(e.op.key()).or_default().push(e);
     }
     for (key, events) in per_key {
-        check_key(&key, &events)?;
+        check_key(key, &events)?;
     }
     Ok(())
 }
 
 fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
-    // Intern values: 0 is the initial (absent / empty) value.
+    let mut regs = project(events);
+    regs.sort_by_key(|r| r.invoke);
+    if linearizes(&regs) {
+        Ok(())
+    } else {
+        Err(not_linearizable(key, &regs))
+    }
+}
+
+/// A key's events as register ops, values interned (0 is the initial,
+/// absent / empty value).
+fn project(events: &[&KvEvent]) -> Vec<RegEvent> {
     let mut values: Vec<Vec<u8>> = vec![Vec::new()];
-    let intern = |v: &[u8], values: &mut Vec<Vec<u8>>| -> usize {
+    let mut intern = |v: &[u8]| -> usize {
         match values.iter().position(|x| x == v) {
             Some(i) => i,
             None => {
@@ -133,16 +158,14 @@ fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
             }
         }
     };
-    let regs: Vec<RegEvent> = events
+    events
         .iter()
         .map(|e| {
             let op = match &e.op {
                 KvHistOp::Get { result, .. } => RegOp::Read {
-                    expect: intern(result, &mut values),
+                    expect: intern(result),
                 },
-                KvHistOp::Put { val, .. } => RegOp::Write {
-                    val: intern(val, &mut values),
-                },
+                KvHistOp::Put { val, .. } => RegOp::Write { val: intern(val) },
                 KvHistOp::Del { .. } => RegOp::Write { val: 0 },
             };
             RegEvent {
@@ -152,29 +175,101 @@ fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
                 op,
             }
         })
-        .collect();
-    let mut completed_mask = OpMask::empty(regs.len());
-    let mut completed_count = 0u64;
+        .collect()
+}
+
+/// Ops every accepted linearization must take: the completed ones
+/// (incomplete ops may be dropped — their effect never became visible).
+fn completed_mask(regs: &[RegEvent]) -> OpMask {
+    let mut mask = OpMask::empty(regs.len());
     for (i, r) in regs.iter().enumerate() {
         if r.completed {
-            completed_mask.set(i);
-            completed_count += 1;
+            mask.set(i);
         }
     }
-    // Iterative DFS over (taken-mask, register value) with a failed-state
-    // memo. Acceptance: every *completed* op linearized (incomplete ops
-    // may be dropped — their effect never became visible).
+    mask
+}
+
+/// The register value after op `r` when the register holds `val`, or
+/// `None` for a read of a value the register does not hold.
+fn apply(r: &RegEvent, val: usize) -> Option<usize> {
+    match r.op {
+        RegOp::Read { expect } => (expect == val).then_some(val),
+        RegOp::Write { val: w } => Some(w),
+    }
+}
+
+/// True if `regs`, sorted by invoke, admit a linearization.
+///
+/// Iterative DFS over (taken-mask, register value) with a failed-state
+/// memo. The next linearized op must have been invoked before every
+/// untaken op's response (minimal-response pruning). Since an op responds
+/// no earlier than it is invoked, the first untaken op invoked after the
+/// smallest response seen so far, and every op after it, can neither
+/// lower that minimum nor be a candidate: both scans stop there.
+fn linearizes(regs: &[RegEvent]) -> bool {
+    let completed = completed_mask(regs);
     let mut failed: HashSet<(OpMask, usize)> = HashSet::new();
     let mut stack: Vec<(OpMask, usize)> = vec![(OpMask::empty(regs.len()), 0)];
     while let Some((taken, val)) = stack.pop() {
-        if taken.covers(&completed_mask) {
-            return Ok(());
+        if taken.covers(&completed) {
+            return true;
         }
         if !failed.insert((taken.clone(), val)) {
             continue;
         }
-        // Minimal-response pruning: the next linearized op must have been
-        // invoked before every untaken op's response.
+        let first = taken.first_unset();
+        let mut min_resp = u64::MAX;
+        let mut end = first;
+        for r in &regs[first..] {
+            if r.invoke > min_resp {
+                break;
+            }
+            if !taken.get(end) {
+                min_resp = min_resp.min(r.response);
+            }
+            end += 1;
+        }
+        for (i, r) in regs.iter().enumerate().take(end).skip(first) {
+            if taken.get(i) || r.invoke > min_resp {
+                continue;
+            }
+            let Some(next_val) = apply(r, val) else {
+                continue;
+            };
+            let next = (taken.with(i), next_val);
+            if !failed.contains(&next) {
+                stack.push(next);
+            }
+        }
+    }
+    false
+}
+
+fn not_linearizable(key: &[u8], regs: &[RegEvent]) -> String {
+    format!(
+        "history for key {:?} is not linearizable ({} ops, {} completed)",
+        String::from_utf8_lossy(key),
+        regs.len(),
+        regs.iter().filter(|r| r.completed).count(),
+    )
+}
+
+/// The checker before its ops were sorted: every DFS step scans all of a
+/// key's ops, once for the smallest pending response and once for the
+/// candidates. The oracle the sorted scan is tested against.
+#[cfg(test)]
+fn linearizes_reference(regs: &[RegEvent]) -> bool {
+    let completed = completed_mask(regs);
+    let mut failed: HashSet<(OpMask, usize)> = HashSet::new();
+    let mut stack: Vec<(OpMask, usize)> = vec![(OpMask::empty(regs.len()), 0)];
+    while let Some((taken, val)) = stack.pop() {
+        if taken.covers(&completed) {
+            return true;
+        }
+        if !failed.insert((taken.clone(), val)) {
+            continue;
+        }
         let min_resp = regs
             .iter()
             .enumerate()
@@ -186,14 +281,8 @@ fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
             if taken.get(i) || r.invoke > min_resp {
                 continue;
             }
-            let next_val = match r.op {
-                RegOp::Read { expect } => {
-                    if expect != val {
-                        continue; // read of a value the register doesn't hold
-                    }
-                    val
-                }
-                RegOp::Write { val: w } => w,
+            let Some(next_val) = apply(r, val) else {
+                continue;
             };
             let next = (taken.with(i), next_val);
             if !failed.contains(&next) {
@@ -201,12 +290,7 @@ fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
             }
         }
     }
-    Err(format!(
-        "history for key {:?} is not linearizable ({} ops, {} completed)",
-        String::from_utf8_lossy(key),
-        regs.len(),
-        completed_count,
-    ))
+    false
 }
 
 #[cfg(test)]
@@ -322,6 +406,102 @@ mod tests {
         // ...and a stale read planted past op 128 is still caught.
         h.push(ev(2, 40_000, 40_010, get("hot", "v0")));
         assert!(check_linearizable(&h).is_err());
+    }
+
+    /// A random history of ≤ 12 ops over ≤ 3 keys with overlapping
+    /// intervals. Each op takes effect at a random instant inside its
+    /// interval (an incomplete write at most once, maybe never) and its
+    /// read sees the register at that instant; two histories in three then
+    /// get one read's result replaced by a random value.
+    fn random_history(rng: &mut simnet::SplitMix64) -> Vec<KvEvent> {
+        const KEYS: [&str; 3] = ["x", "y", "z"];
+        const VALUES: [&str; 4] = ["", "a", "b", "c"];
+        let keys = 1 + rng.next_bounded(3) as usize;
+        let ops = 1 + rng.next_bounded(12) as usize;
+        let mut timed: Vec<(u64, KvEvent, bool)> = (0..ops)
+            .map(|_| {
+                let key = KEYS[rng.next_bounded(keys as u64) as usize];
+                // Coarse instants: ties between one op's invoke and
+                // another's response are common.
+                let invoke = rng.next_bounded(30);
+                let response = invoke + 1 + rng.next_bounded(10);
+                let at = invoke + rng.next_bounded(response - invoke + 1);
+                let op = match rng.next_bounded(4) {
+                    0 => KvHistOp::Del { key: key.into() },
+                    1 => put(key, VALUES[1 + rng.next_bounded(3) as usize]),
+                    _ => get(key, ""),
+                };
+                let complete = rng.next_bounded(6) != 0;
+                let applies = complete || rng.next_bounded(2) == 0;
+                let event = KvEvent {
+                    client: 0,
+                    invoke,
+                    response: complete.then_some(response),
+                    op,
+                };
+                (at, event, applies)
+            })
+            .collect();
+        timed.sort_by_key(|(at, ..)| *at);
+        let mut register: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (_, e, applies) in &mut timed {
+            if !*applies {
+                continue;
+            }
+            match &mut e.op {
+                KvHistOp::Get { key, result } => {
+                    *result = register.get(key).cloned().unwrap_or_default();
+                }
+                KvHistOp::Put { key, val } => {
+                    register.insert(key.clone(), val.clone());
+                }
+                KvHistOp::Del { key } => {
+                    register.remove(key);
+                }
+            }
+        }
+        let mut history: Vec<KvEvent> = timed.into_iter().map(|(_, e, _)| e).collect();
+        let mut reads: Vec<&mut Vec<u8>> = history
+            .iter_mut()
+            .filter_map(|e| match &mut e.op {
+                KvHistOp::Get { result, .. } => Some(result),
+                _ => None,
+            })
+            .collect();
+        if !reads.is_empty() && rng.next_bounded(3) != 0 {
+            let pick = rng.next_bounded(reads.len() as u64) as usize;
+            *reads[pick] = VALUES[rng.next_bounded(4) as usize].into();
+        }
+        // Interleave the ops out of invoke order, as clients record them.
+        let rotate = rng.next_bounded(history.len() as u64) as usize;
+        history.rotate_left(rotate);
+        history
+    }
+
+    /// The sorted, windowed scan gives the reference's verdict on every
+    /// key of 600 random small histories, both verdicts well represented.
+    #[test]
+    fn sorted_scan_matches_the_reference_checker() {
+        let mut rng = simnet::SplitMix64::new(0x5eed_11ea);
+        let (mut pass, mut fail) = (0, 0);
+        for case in 0..600 {
+            let history = random_history(&mut rng);
+            let mut per_key: BTreeMap<&[u8], Vec<&KvEvent>> = BTreeMap::new();
+            for e in &history {
+                per_key.entry(e.op.key()).or_default().push(e);
+            }
+            for (key, events) in per_key {
+                let reference = linearizes_reference(&project(&events));
+                let fast = check_key(key, &events).is_ok();
+                assert_eq!(fast, reference, "case {case}: {history:?}");
+                if fast {
+                    pass += 1;
+                } else {
+                    fail += 1;
+                }
+            }
+        }
+        assert!(pass >= 100 && fail >= 100, "{pass} keys pass, {fail} fail");
     }
 
     #[test]
