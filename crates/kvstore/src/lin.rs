@@ -139,10 +139,14 @@ fn check_key(key: &[u8], events: &[&KvEvent]) -> Result<(), String> {
     let mut regs = project(events);
     regs.sort_by_key(|r| r.invoke);
     if linearizes(&regs) {
-        Ok(())
-    } else {
-        Err(not_linearizable(key, &regs))
+        return Ok(());
     }
+    Err(format!(
+        "history for key {:?} is not linearizable ({} ops, {} completed)",
+        String::from_utf8_lossy(key),
+        regs.len(),
+        regs.iter().filter(|r| r.completed).count(),
+    ))
 }
 
 /// A key's events as register ops, values interned (0 is the initial,
@@ -244,15 +248,6 @@ fn linearizes(regs: &[RegEvent]) -> bool {
         }
     }
     false
-}
-
-fn not_linearizable(key: &[u8], regs: &[RegEvent]) -> String {
-    format!(
-        "history for key {:?} is not linearizable ({} ops, {} completed)",
-        String::from_utf8_lossy(key),
-        regs.len(),
-        regs.iter().filter(|r| r.completed).count(),
-    )
 }
 
 /// The checker before its ops were sorted: every DFS step scans all of a

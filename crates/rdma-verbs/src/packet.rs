@@ -108,17 +108,6 @@ impl RdmaPacket {
             RdmaPacket::Disconnect { .. } => 32,
         }
     }
-
-    /// Takes the payload buffer out of a data packet so the caller can
-    /// recycle it (`None` for control packets).
-    pub(crate) fn into_data(self) -> Option<Vec<u8>> {
-        match self {
-            RdmaPacket::Send { data, .. }
-            | RdmaPacket::WriteReq { data, .. }
-            | RdmaPacket::ReadResp { data, .. } => Some(data),
-            _ => None,
-        }
-    }
 }
 
 /// A data packet's payload is a pool buffer, which its receiver puts back.
@@ -168,8 +157,11 @@ impl PooledPayload for RdmaPacket {
     }
 
     fn recycle(self, pool: &BytePool) {
-        if let Some(data) = self.into_data() {
-            pool.put(data);
+        match self {
+            RdmaPacket::Send { data, .. }
+            | RdmaPacket::WriteReq { data, .. }
+            | RdmaPacket::ReadResp { data, .. } => pool.put(data),
+            _ => {}
         }
     }
 }

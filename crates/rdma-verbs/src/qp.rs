@@ -777,9 +777,7 @@ impl QueuePair {
         if let Some(id) = p.retry_timer {
             sim.cancel(id);
         }
-        if let Some(buf) = p.packet.into_data() {
-            self.device.net().buffer_pool().put(buf);
-        }
+        p.packet.recycle(&self.device.net().buffer_pool());
         Some((p.op, p.read_sink))
     }
 
@@ -1232,9 +1230,7 @@ impl QueuePair {
             inner
                 .send_cq
                 .push(p.op.wc(num, WcStatus::WorkRequestFlushed, 0));
-            if let Some(buf) = p.packet.into_data() {
-                pool.put(buf);
-            }
+            p.packet.recycle(&pool);
         }
         let recvs: Vec<RecvWr> = inner.recv_queue.drain(..).collect();
         for r in recvs {

@@ -757,6 +757,63 @@ mod tests {
         assert_eq!(net.stats().unroutable, 1);
     }
 
+    /// A pooled test payload: its bytes come from the network's pool.
+    #[derive(Clone)]
+    struct Pooled(Vec<u8>);
+
+    impl PooledPayload for Pooled {
+        fn clone_pooled(&self, pool: &BytePool) -> Pooled {
+            let mut copy = pool.take(self.0.len());
+            copy.extend_from_slice(&self.0);
+            Pooled(copy)
+        }
+
+        fn recycle(self, pool: &BytePool) {
+            pool.put(self.0);
+        }
+    }
+
+    /// A registered payload keeps the pool exact: duplicates are taken
+    /// from it, and frames dropped by a fault, sent to an unbound address
+    /// or left by their handler are put back.
+    #[test]
+    fn registered_payloads_keep_the_pool_exact() {
+        let (mut sim, net, a, b) = two_host_net();
+        net.register_pooled_payload::<Pooled>();
+        let pool = net.buffer_pool();
+        let taken = Rc::new(RefCell::new(0));
+        let counter = taken.clone();
+        let dst = Addr::new(b, 1);
+        net.bind(
+            dst,
+            Box::new(move |_, frame| {
+                if let Ok(Pooled(bytes)) = frame.into_payload::<Pooled>() {
+                    *counter.borrow_mut() += 1;
+                    pool.put(bytes);
+                }
+            }),
+        );
+        net.bind(Addr::new(b, 2), Box::new(|_, _| {}));
+        let send = |sim: &mut Simulator, port| {
+            let mut bytes = net.buffer_pool().take(100);
+            bytes.resize(100, 7);
+            net.send(sim, Addr::new(a, 9), Addr::new(b, port), 100, Pooled(bytes));
+        };
+        net.with_faults(|f| f.set_duplication(a, b, 1.0));
+        send(&mut sim, 1);
+        net.with_faults(|f| f.set_duplication(a, b, 0.0));
+        net.with_faults(|f| f.partition(a, b));
+        send(&mut sim, 1);
+        net.with_faults(|f| f.heal(a, b));
+        send(&mut sim, 2);
+        send(&mut sim, 3);
+        sim.run_until_idle();
+        assert_eq!(*taken.borrow(), 2, "the original and its duplicate");
+        assert_eq!(net.stats().unroutable, 1);
+        let stats = net.buffer_pool().stats();
+        assert_eq!((stats.takes, stats.outstanding), (5, 0));
+    }
+
     #[test]
     fn loopback_works_without_a_link() {
         let mut sim = Simulator::new(1);
