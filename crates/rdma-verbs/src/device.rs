@@ -72,7 +72,6 @@ impl fmt::Debug for RdmaDevice {
 impl RdmaDevice {
     /// Opens a device context on `host`.
     pub fn open(net: &Network, host: HostId, model: RnicModel) -> RdmaDevice {
-        net.register_pooled_payload::<RdmaPacket>();
         RdmaDevice {
             inner: Rc::new(DeviceInner {
                 net: net.clone(),

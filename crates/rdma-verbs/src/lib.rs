@@ -922,6 +922,30 @@ mod tests {
         assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
     }
 
+    /// A failed queue pair flushes its pending sends in posting order, so
+    /// a same-seed run replays the same completion queue: eight signaled
+    /// SENDs wait for ACKs behind a partition when the QP disconnects.
+    #[test]
+    fn disconnect_flushes_pending_sends_in_posting_order() {
+        let mut p = connected_pair();
+        let (a, b) = (p.tb.a, p.tb.b);
+        p.tb.net.with_faults(|f| f.partition(a, b));
+        for id in 0..8 {
+            let sbuf = p.dev_a.reg_mr(&p.pd_a, 64, Access::NONE);
+            let wr = SendWr::send(WrId(id), Sge::whole(sbuf)).signaled();
+            p.qp_a.post_send(&mut p.tb.sim, wr).unwrap();
+        }
+        p.tb.sim.run_for(Nanos::from_micros(50));
+        assert!(p.scq_a.poll(8).is_empty(), "all eight wait for an ACK");
+        p.qp_a.disconnect(&mut p.tb.sim);
+        let flushed = p.scq_a.poll(16);
+        assert!(flushed
+            .iter()
+            .all(|wc| wc.status == WcStatus::WorkRequestFlushed));
+        let ids: Vec<u64> = flushed.iter().map(|wc| wc.wr_id.0).collect();
+        assert_eq!(ids, (0..8).collect::<Vec<_>>());
+    }
+
     #[test]
     fn deep_send_queue_on_healthy_link_never_retransmits() {
         // 30 × 100 KB takes far longer to drain (≈3 MB at 10 Gbps ≈ 2.4 ms)

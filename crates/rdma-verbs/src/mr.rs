@@ -253,7 +253,7 @@ impl MemoryRegion {
         offset: usize,
         len: usize,
         pool: &simnet::BytePool,
-    ) -> VerbsResult<Vec<u8>> {
+    ) -> VerbsResult<simnet::PooledBuf> {
         self.check_range(offset, len)?;
         let mut out = pool.take(len);
         self.copy_out(offset, len, &mut out);
@@ -488,7 +488,7 @@ mod tests {
             for (offset, n) in reads.into_iter().chain(edge) {
                 let got = mr.dma_read_pooled(offset, n, &pool);
                 match offset.checked_add(n).filter(|&end| end <= len) {
-                    Some(end) => prop_assert_eq!(got.unwrap(), &oracle[offset..end]),
+                    Some(end) => prop_assert_eq!(&got.unwrap()[..], &oracle[offset..end]),
                     None => prop_assert!(
                         matches!(got, Err(VerbsError::InvalidRange { .. }))
                     ),

@@ -3,7 +3,7 @@
 //! These are internal to the crate: applications never see packets, only
 //! work completions and CM events, exactly as with real verbs.
 
-use simnet::{Addr, BytePool, PooledPayload};
+use simnet::{Addr, PooledBuf};
 
 use crate::types::{QpNum, WcStatus};
 
@@ -16,15 +16,15 @@ pub(crate) const ROCE_MSG_OVERHEAD: usize = 14;
 ///
 /// `Clone` serves two masters: the sender keeps a copy of every
 /// unacknowledged data packet for retransmission, and the simulated network
-/// needs cloneable payloads to model fault-injected duplication.
+/// needs cloneable payloads to model fault-injected duplication. A data
+/// packet's bytes are a [`PooledBuf`], so a copy takes its buffer from the
+/// network's pool and every copy gives it back when dropped.
 #[derive(Debug, Clone)]
 pub(crate) enum RdmaPacket {
     /// Two-sided SEND payload.
     Send {
-        /// Sender's QP number (for completion bookkeeping on acks).
-        src_qp: QpNum,
         /// Message payload (the DMA'd bytes).
-        data: Vec<u8>,
+        data: PooledBuf,
         /// Optional immediate data.
         imm: Option<u32>,
         /// Sender-side sequence number for ack matching.
@@ -32,27 +32,24 @@ pub(crate) enum RdmaPacket {
     },
     /// One-sided RDMA WRITE request.
     WriteReq {
-        src_qp: QpNum,
         /// Remote key presented for validation.
         rkey: u32,
         /// Destination offset within the remote region.
         offset: usize,
-        data: Vec<u8>,
+        data: PooledBuf,
         /// Present for WRITE_WITH_IMM: consumes a remote receive WR.
         imm: Option<u32>,
         seq: u64,
     },
     /// One-sided RDMA READ request.
     ReadReq {
-        #[allow(dead_code)]
-        src_qp: QpNum,
         rkey: u32,
         offset: usize,
         len: usize,
         seq: u64,
     },
     /// Response to a READ request carrying the remote data.
-    ReadResp { seq: u64, data: Vec<u8> },
+    ReadResp { seq: u64, data: PooledBuf },
     /// Positive acknowledgement completing a SEND or WRITE at the requester.
     Ack { seq: u64 },
     /// Receiver-not-ready: no receive WR was posted within the RNR window.
@@ -80,10 +77,7 @@ pub(crate) enum RdmaPacket {
     /// Connection management: rejection.
     ConnReject { conn_id: u64, reason: String },
     /// Orderly teardown notification.
-    Disconnect {
-        #[allow(dead_code)]
-        src_qp: QpNum,
-    },
+    Disconnect,
 }
 
 // A frame in flight is an event closure holding the network handle (8 B),
@@ -105,63 +99,7 @@ impl RdmaPacket {
             RdmaPacket::ConnReq { private, .. } => 64 + private.len(),
             RdmaPacket::ConnAccept { private, .. } => 64 + private.len(),
             RdmaPacket::ConnReject { reason, .. } => 64 + reason.len(),
-            RdmaPacket::Disconnect { .. } => 32,
-        }
-    }
-}
-
-/// A data packet's payload is a pool buffer, which its receiver puts back.
-impl PooledPayload for RdmaPacket {
-    /// The packet with its payload buffer drawn from `pool`: the
-    /// retransmission copy the sender parks per unacknowledged data
-    /// packet, each retransmission, and a fault-injected duplicate.
-    fn clone_pooled(&self, pool: &BytePool) -> RdmaPacket {
-        let pooled = |data: &[u8]| {
-            let mut c = pool.take(data.len());
-            c.extend_from_slice(data);
-            c
-        };
-        match self {
-            RdmaPacket::Send {
-                src_qp,
-                data,
-                imm,
-                seq,
-            } => RdmaPacket::Send {
-                src_qp: *src_qp,
-                data: pooled(data),
-                imm: *imm,
-                seq: *seq,
-            },
-            RdmaPacket::WriteReq {
-                src_qp,
-                rkey,
-                offset,
-                data,
-                imm,
-                seq,
-            } => RdmaPacket::WriteReq {
-                src_qp: *src_qp,
-                rkey: *rkey,
-                offset: *offset,
-                data: pooled(data),
-                imm: *imm,
-                seq: *seq,
-            },
-            RdmaPacket::ReadResp { seq, data } => RdmaPacket::ReadResp {
-                seq: *seq,
-                data: pooled(data),
-            },
-            other => other.clone(),
-        }
-    }
-
-    fn recycle(self, pool: &BytePool) {
-        match self {
-            RdmaPacket::Send { data, .. }
-            | RdmaPacket::WriteReq { data, .. }
-            | RdmaPacket::ReadResp { data, .. } => pool.put(data),
-            _ => {}
+            RdmaPacket::Disconnect => 32,
         }
     }
 }
@@ -172,9 +110,10 @@ mod tests {
 
     #[test]
     fn wire_sizes_reflect_payload() {
+        let mut data = simnet::BytePool::new("test").take(1000);
+        data.resize(1000, 0);
         let send = RdmaPacket::Send {
-            src_qp: QpNum(0),
-            data: vec![0; 1000],
+            data,
             imm: None,
             seq: 1,
         };
@@ -182,7 +121,6 @@ mod tests {
         let ack = RdmaPacket::Ack { seq: 1 };
         assert_eq!(ack.wire_bytes(16), 16);
         let rr = RdmaPacket::ReadReq {
-            src_qp: QpNum(0),
             rkey: 1,
             offset: 0,
             len: 4096,

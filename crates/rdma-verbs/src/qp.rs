@@ -32,11 +32,11 @@
 //!   as on real hardware.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{Addr, CoreId, Counters, EventId, Nanos, PooledPayload, Simulator};
+use simnet::{Addr, CoreId, Counters, EventId, Nanos, PooledBuf, Simulator};
 
 use crate::config::RnicModel;
 use crate::device::{EventHook, RdmaDevice, WeakDevice};
@@ -105,7 +105,7 @@ struct PendingSend {
 /// waits in the RNR hold.
 struct Inbound {
     seq: u64,
-    data: Vec<u8>,
+    data: PooledBuf,
     imm: Option<u32>,
     /// A WRITE's `(rkey, offset)`; `None` for a SEND.
     write: Option<(u32, usize)>,
@@ -131,7 +131,10 @@ pub(crate) struct QpInner {
     remote: Option<(Addr, QpNum)>,
     recv_queue: VecDeque<RecvWr>,
     held: VecDeque<Inbound>,
-    pending: HashMap<u64, PendingSend>,
+    /// Operations awaiting their ACK or READ response, in posting order:
+    /// seqs are assigned in increasing order, so the front is the oldest
+    /// and an error flushes them as they were posted.
+    pending: VecDeque<(u64, PendingSend)>,
     /// Send WRs accepted but not yet completed (capacity accounting).
     outstanding_sends: usize,
     /// The NIC's WQE-processing horizon: send work requests are fetched
@@ -173,6 +176,11 @@ impl QpInner {
         if seq == self.rx_expected {
             self.rx_expected += 1;
         }
+    }
+
+    /// Where `seq`'s operation sits in `pending`, if it is still there.
+    fn pending_at(&self, seq: u64) -> Option<usize> {
+        self.pending.binary_search_by_key(&seq, |&(s, _)| s).ok()
     }
 
     /// Counts and reports an operation the peer answered: a success only
@@ -307,7 +315,7 @@ impl QueuePair {
                 remote: None,
                 recv_queue: VecDeque::new(),
                 held: VecDeque::new(),
-                pending: HashMap::new(),
+                pending: VecDeque::new(),
                 outstanding_sends: 0,
                 nic_busy_until: Nanos::ZERO,
                 rx_dma_until: Nanos::ZERO,
@@ -610,21 +618,14 @@ impl QueuePair {
             }
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            let src_qp = inner.num;
             let payload = || wr.sge.mr.dma_read_pooled(wr.sge.offset, wr.sge.len, &pool);
             let packet = match wr.op {
-                SendOp::Send { imm } => payload().map(|data| RdmaPacket::Send {
-                    src_qp,
-                    data,
-                    imm,
-                    seq,
-                }),
+                SendOp::Send { imm } => payload().map(|data| RdmaPacket::Send { data, imm, seq }),
                 SendOp::Write {
                     rkey,
                     remote_offset,
                     imm,
                 } => payload().map(|data| RdmaPacket::WriteReq {
-                    src_qp,
                     rkey: rkey.0,
                     offset: remote_offset,
                     data,
@@ -635,7 +636,6 @@ impl QueuePair {
                     rkey,
                     remote_offset,
                 } => Ok(RdmaPacket::ReadReq {
-                    src_qp,
                     rkey: rkey.0,
                     offset: remote_offset,
                     len: wr.sge.len,
@@ -646,23 +646,23 @@ impl QueuePair {
                 // Local-protection failure discovered at WQE fetch time.
                 inner
                     .send_cq
-                    .push(op.wc(src_qp, WcStatus::LocalProtectionError, 0));
+                    .push(op.wc(inner.num, WcStatus::LocalProtectionError, 0));
                 drop(inner);
                 self.enter_error();
                 self.fire_hook(sim);
                 return;
             };
             let read_sink = matches!(wr.op, SendOp::Read { .. }).then_some(wr.sge);
-            inner.pending.insert(
+            inner.pending.push_back((
                 seq,
                 PendingSend {
                     op,
                     read_sink,
-                    packet: packet.clone_pooled(&pool),
+                    packet: packet.clone(),
                     retries_left: self.device.model().retry_cnt,
                     retry_timer: None,
                 },
-            );
+            ));
             (seq, packet)
         };
         self.emit(sim, packet);
@@ -691,8 +691,9 @@ impl QueuePair {
     fn arm_retry_in(&self, sim: &mut Simulator, seq: u64, delay: Nanos) {
         let qp = self.clone();
         let id = sim.schedule_in(delay, move |sim| qp.retry_fire(sim, seq));
-        if let Some(p) = self.inner.borrow_mut().pending.get_mut(&seq) {
-            p.retry_timer = Some(id);
+        let mut inner = self.inner.borrow_mut();
+        if let Some(at) = inner.pending_at(seq) {
+            inner.pending[at].1.retry_timer = Some(id);
         }
     }
 
@@ -703,11 +704,10 @@ impl QueuePair {
         let timeout = self.device.model().timeout;
         let rearm = {
             let inner = self.inner.borrow();
-            if inner.state == QpState::Error || !inner.pending.contains_key(&seq) {
+            if inner.state == QpState::Error || inner.pending_at(seq).is_none() {
                 return;
             }
-            let oldest = inner.pending.keys().min().copied();
-            if oldest != Some(seq) {
+            if inner.pending.front().map(|&(s, _)| s) != Some(seq) {
                 // Go-back-N: only the oldest unacknowledged operation's
                 // timer drives retransmission. Entries queued behind it
                 // re-arm without consuming their retry budget — on a deep
@@ -729,13 +729,11 @@ impl QueuePair {
         }
         let resend = {
             let mut inner = self.inner.borrow_mut();
-            let p = inner.pending.get_mut(&seq).expect("checked present");
+            let (_, p) = inner.pending.front_mut().expect("checked oldest");
             (p.retries_left > 0).then(|| {
                 p.retries_left -= 1;
                 p.retry_timer = None;
-                // A pooled copy: whoever ends it (the receiver, or the
-                // network dropping it) puts it back.
-                p.packet.clone_pooled(&self.device.net().buffer_pool())
+                p.packet.clone()
             })
         };
         if let Some(pkt) = resend {
@@ -765,19 +763,18 @@ impl QueuePair {
     }
 
     /// Takes `seq`'s operation off the send queue: frees its slot, cancels
-    /// its ACK timer and gives its retransmission copy back to the pool.
-    /// The caller counts and completes the operation.
+    /// its ACK timer and drops its retransmission copy. The caller counts
+    /// and completes the operation.
     fn retire(&self, sim: &mut Simulator, seq: u64) -> Option<(SentOp, Option<Sge>)> {
         let p = {
             let mut inner = self.inner.borrow_mut();
-            let p = inner.pending.remove(&seq)?;
+            let at = inner.pending_at(seq)?;
             inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-            p
+            inner.pending.remove(at).expect("found").1
         };
         if let Some(id) = p.retry_timer {
             sim.cancel(id);
         }
-        p.packet.recycle(&self.device.net().buffer_pool());
         Some((p.op, p.read_sink))
     }
 
@@ -853,8 +850,7 @@ impl QueuePair {
                 }
             };
             if !matches!(verdict, Verdict::Accept) {
-                // A packet not taken gives its buffer back.
-                pkt.recycle(&self.device.net().buffer_pool());
+                drop(pkt);
                 if matches!(verdict, Verdict::ReAck) {
                     self.emit(sim, RdmaPacket::Ack { seq });
                 }
@@ -906,7 +902,7 @@ impl QueuePair {
             RdmaPacket::Ack { seq } => self.handle_ack(sim, seq),
             RdmaPacket::RnrNak { seq } => self.handle_nak(sim, seq, WcStatus::RnrRetryExceeded),
             RdmaPacket::Nak { seq, status } => self.handle_nak(sim, seq, status),
-            RdmaPacket::Disconnect { .. } => {
+            RdmaPacket::Disconnect => {
                 let num = self.num();
                 self.enter_error();
                 self.device
@@ -937,7 +933,6 @@ impl QueuePair {
                 let region =
                     self.remote_region(sim, rkey, offset, len, Access::REMOTE_WRITE, msg.seq);
                 let Some(mr) = region else {
-                    self.device.net().buffer_pool().put(msg.data);
                     return;
                 };
                 Some((mr, offset))
@@ -1031,7 +1026,7 @@ impl QueuePair {
                         imm: msg.imm,
                     });
                 }
-                self.device.net().buffer_pool().put(msg.data);
+                drop(msg.data);
                 let status = WcStatus::RemoteOperationError;
                 self.emit(
                     sim,
@@ -1049,10 +1044,10 @@ impl QueuePair {
     /// Writes a placed message into its region, completes its receive and
     /// ACKs it. A region deregistered since admission NAKs the requester,
     /// and the receive it claimed fails with it.
-    fn land(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>, imm: Option<u32>, to: Landing) {
+    fn land(&self, sim: &mut Simulator, seq: u64, data: PooledBuf, imm: Option<u32>, to: Landing) {
         let len = data.len();
         let written = to.mr.dma_write(to.offset, &data).is_ok();
-        self.device.net().buffer_pool().put(data);
+        drop(data);
         {
             let inner = self.inner.borrow();
             if written {
@@ -1095,10 +1090,9 @@ impl QueuePair {
         let expired = {
             let mut inner = self.inner.borrow_mut();
             let at = inner.held.iter().position(|h| h.seq == seq);
-            at.and_then(|at| inner.held.remove(at))
+            at.and_then(|at| inner.held.remove(at)).is_some()
         };
-        if let Some(msg) = expired {
-            self.device.net().buffer_pool().put(msg.data);
+        if expired {
             self.emit(sim, RdmaPacket::RnrNak { seq });
         }
     }
@@ -1159,7 +1153,7 @@ impl QueuePair {
         });
     }
 
-    fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: Vec<u8>) {
+    fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: PooledBuf) {
         let Some((op, sink)) = self.retire(sim, seq) else {
             return;
         };
@@ -1170,7 +1164,7 @@ impl QueuePair {
         sim.schedule_at(done_at, move |sim| {
             let len = data.len();
             let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
-            qp.device.net().buffer_pool().put(data);
+            drop(data);
             {
                 let mut inner = qp.inner.borrow_mut();
                 qp.device
@@ -1213,27 +1207,24 @@ impl QueuePair {
         self.fire_hook(sim);
     }
 
-    /// Moves the QP to the error state and flushes all outstanding work,
-    /// giving every retransmission copy and held inbound message back to
-    /// the pool.
+    /// Moves the QP to the error state and flushes all outstanding work in
+    /// posting order, dropping every retransmission copy and held inbound
+    /// message.
     pub(crate) fn enter_error(&self) {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         if inner.state == QpState::Error {
             return;
         }
         inner.state = QpState::Error;
         let num = inner.num;
         inner.outstanding_sends = 0;
-        let pool = self.device.net().buffer_pool();
-        let pending: Vec<PendingSend> = inner.pending.drain().map(|(_, p)| p).collect();
-        for p in pending {
+        for (_, p) in inner.pending.drain(..) {
             inner
                 .send_cq
                 .push(p.op.wc(num, WcStatus::WorkRequestFlushed, 0));
-            p.packet.recycle(&pool);
         }
-        let recvs: Vec<RecvWr> = inner.recv_queue.drain(..).collect();
-        for r in recvs {
+        for r in inner.recv_queue.drain(..) {
             inner.recv_cq.push(Wc {
                 wr_id: r.wr_id,
                 status: WcStatus::WorkRequestFlushed,
@@ -1243,15 +1234,12 @@ impl QueuePair {
                 imm: None,
             });
         }
-        for msg in inner.held.drain(..) {
-            pool.put(msg.data);
-        }
+        inner.held.clear();
     }
 
     /// Sends a disconnect notification and enters the error state.
     pub fn disconnect(&self, sim: &mut Simulator) {
-        let src_qp = self.num();
-        self.emit(sim, RdmaPacket::Disconnect { src_qp });
+        self.emit(sim, RdmaPacket::Disconnect);
         self.enter_error();
     }
 

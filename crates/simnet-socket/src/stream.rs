@@ -31,8 +31,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use simnet::{
-    Addr, BytePool, CoreId, Counters, CpuModel, EventId, HostId, Nanos, Network, PooledPayload,
-    Simulator,
+    Addr, CoreId, Counters, CpuModel, EventId, HostId, Nanos, Network, PooledBuf, Simulator,
 };
 
 use crate::model::TcpModel;
@@ -102,7 +101,8 @@ enum StreamState {
 }
 
 /// A segment on the wire. A SYN carries nothing: the listener answers the
-/// frame's source.
+/// frame's source. A data segment's bytes are a [`PooledBuf`], so a copy
+/// takes its buffer from the network's pool and gives it back when dropped.
 #[derive(Clone)]
 pub(crate) enum TcpSegment {
     Syn,
@@ -113,7 +113,7 @@ pub(crate) enum TcpSegment {
     /// Sequenced payload; `seq` counts segments, not bytes.
     Data {
         seq: u64,
-        bytes: Vec<u8>,
+        bytes: PooledBuf,
     },
     /// Cumulative acknowledgement: every segment with `seq < upto` arrived.
     Ack {
@@ -128,33 +128,9 @@ pub(crate) enum TcpSegment {
     Fin,
 }
 
-/// A data segment's bytes are a pool buffer, which its receiver puts
-/// back.
-impl PooledPayload for TcpSegment {
-    fn clone_pooled(&self, pool: &BytePool) -> TcpSegment {
-        match self {
-            TcpSegment::Data { seq, bytes } => {
-                let mut copy = pool.take(bytes.len());
-                copy.extend_from_slice(bytes);
-                TcpSegment::Data {
-                    seq: *seq,
-                    bytes: copy,
-                }
-            }
-            other => other.clone(),
-        }
-    }
-
-    fn recycle(self, pool: &BytePool) {
-        if let TcpSegment::Data { bytes, .. } = self {
-            pool.put(bytes);
-        }
-    }
-}
-
 // A frame in flight is an event closure holding the network handle (8 B),
 // the frame header (24 B) and this segment by value, stored in place in a
-// 96-byte event slot. A segment is 32 B; one over 64 B would box every TCP
+// 96-byte event slot. A segment is 40 B; one over 64 B would box every TCP
 // frame's event.
 const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 64);
 
@@ -191,7 +167,7 @@ struct StreamInner {
     /// Next data sequence number to assign.
     snd_next: u64,
     /// Transmitted-but-unacknowledged segments, oldest first.
-    unacked: VecDeque<(u64, Vec<u8>)>,
+    unacked: VecDeque<(u64, PooledBuf)>,
     /// The armed retransmission timer (the SYN's while connecting).
     rto_timer: Option<EventId>,
     /// Consecutive timeouts without acknowledged progress.
@@ -199,7 +175,7 @@ struct StreamInner {
     /// Next in-order data sequence number expected.
     rcv_next: u64,
     /// Out-of-order segments parked until the gap fills.
-    rcv_ooo: BTreeMap<u64, Vec<u8>>,
+    rcv_ooo: BTreeMap<u64, PooledBuf>,
     /// Cumulative payload bytes consumed by the local application
     /// (advertised to the peer in `Credit` updates).
     total_read: u64,
@@ -276,7 +252,6 @@ impl TcpStream {
         state: StreamState,
         peer_window: usize,
     ) -> TcpStream {
-        net.register_pooled_payload::<TcpSegment>();
         let cpu = net.host(host).borrow().cpu().clone();
         let stream = TcpStream {
             inner: Rc::new(RefCell::new(StreamInner {
@@ -484,15 +459,12 @@ impl TcpStream {
             }
             // Segment buffers recycle through the network's pool: one for
             // the wire, one for the unacked retransmission copy.
-            let pool = inner.net.buffer_pool();
-            let mut bytes = pool.take(n);
+            let mut bytes = inner.net.buffer_pool().take(n);
             move_front(&mut inner.send_buf, n, &mut bytes);
             inner.bytes_pushed += n as u64;
             let seq = inner.snd_next;
             inner.snd_next += 1;
-            let mut unacked_copy = pool.take(n);
-            unacked_copy.extend_from_slice(&bytes);
-            inner.unacked.push_back((seq, unacked_copy));
+            inner.unacked.push_back((seq, bytes.clone()));
             inner.stats.segments_tx += 1;
             let work = Nanos::from_nanos(inner.model.segment_tx_ns);
             let send_at = inner
@@ -556,9 +528,8 @@ impl TcpStream {
         } else {
             inner.counters[TcpCounter::Retransmits].incr();
             let (seq, front) = inner.unacked.front().expect("checked non-empty");
-            let mut bytes = inner.net.buffer_pool().take(front.len());
-            bytes.extend_from_slice(front);
-            let (seq, wire) = (*seq, bytes.len() + inner.model.header_bytes);
+            let (seq, bytes) = (*seq, front.clone());
+            let wire = bytes.len() + inner.model.header_bytes;
             inner.send(sim, wire, TcpSegment::Data { seq, bytes });
         }
         drop(inner);
@@ -628,9 +599,9 @@ impl TcpStream {
         Ok(ReadOutcome::Data(n))
     }
 
-    /// Closes the stream, notifying the peer (FIN), and returns to the pool
-    /// the unacknowledged segments' copies and the parked segments: a
-    /// closed stream re-sends and reads nothing.
+    /// Closes the stream, notifying the peer (FIN), and drops the
+    /// unacknowledged segments' copies and the parked segments: a closed
+    /// stream re-sends and reads nothing.
     pub fn close(&self, sim: &mut Simulator) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
@@ -640,11 +611,8 @@ impl TcpStream {
         inner.state = StreamState::Closed;
         inner.send(sim, inner.model.ack_bytes, TcpSegment::Fin);
         inner.net.unbind(inner.local);
-        let pool = inner.net.buffer_pool();
-        let parked = std::mem::take(&mut inner.rcv_ooo).into_values();
-        for buf in inner.unacked.drain(..).map(|(_, buf)| buf).chain(parked) {
-            pool.put(buf);
-        }
+        inner.unacked.clear();
+        inner.rcv_ooo.clear();
     }
 
     fn handle_segment(&self, sim: &mut Simulator, seg: TcpSegment) {
@@ -694,10 +662,7 @@ impl TcpStream {
                     // running timer alone.
                     return;
                 }
-                let pool = inner.net.buffer_pool();
-                for (_, buf) in inner.unacked.drain(..acked) {
-                    pool.put(buf);
-                }
+                inner.unacked.drain(..acked);
                 inner.rto_strikes = 0;
                 if let Some(id) = inner.rto_timer.take() {
                     sim.cancel(id);
@@ -727,16 +692,15 @@ impl TcpStream {
     /// Takes in data segment `seq` once the receive path has processed it:
     /// delivers it in order (with the parked segments it unblocks), parks
     /// an early one, drops a duplicate, and acknowledges cumulatively.
-    fn receive(&self, sim: &mut Simulator, seq: u64, bytes: Vec<u8>) {
+    fn receive(&self, sim: &mut Simulator, seq: u64, bytes: PooledBuf) {
         {
             let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
-            let pool = inner.net.buffer_pool();
             if seq == inner.rcv_next {
                 let mut next = Some(bytes);
                 while let Some(bytes) = next {
                     inner.recv_buf.extend(bytes.iter());
-                    pool.put(bytes);
+                    drop(bytes);
                     inner.rcv_next += 1;
                     next = inner.rcv_ooo.remove(&inner.rcv_next);
                 }
@@ -746,7 +710,6 @@ impl TcpStream {
                 // Already delivered or parked: the cumulative ack below
                 // repairs the sender's view.
                 inner.stats.dup_segments += 1;
-                pool.put(bytes);
             }
             let upto = inner.rcv_next;
             inner.send(sim, inner.model.ack_bytes, TcpSegment::Ack { upto });
@@ -1199,6 +1162,49 @@ mod tests {
         assert_eq!(
             server.read(&mut tb.sim, 8192).unwrap(),
             ReadOutcome::Data(vec![7; 5000])
+        );
+        tb.sim.run_until_idle();
+        assert_eq!(tb.net.buffer_pool().stats().outstanding, 0);
+    }
+
+    /// A data segment that reaches a stream still connecting is dropped
+    /// and gives its buffer back. The first SYN-ACK is lost, the server
+    /// writes at once, and its first segment finds the client connecting;
+    /// the retransmission after the SYN retry carries it, and once idle no
+    /// buffer is out.
+    #[test]
+    fn a_segment_reaching_a_connecting_stream_returns_its_buffer() {
+        let mut tb = TestBed::paper_testbed(7);
+        let model = TcpModel::linux_xeon();
+        let listener = TcpListener::bind(&tb.net, tb.b, 80, CoreId(0), model.clone()).unwrap();
+        let (a, b) = (tb.a, tb.b);
+        tb.net.with_faults(|f| f.set_loss(b, a, 1.0));
+        let client = TcpStream::connect(
+            &mut tb.sim,
+            &tb.net,
+            tb.a,
+            CoreId(0),
+            model,
+            listener.local_addr(),
+        );
+        tb.sim.run_for(Nanos::from_micros(50));
+        let dropped = format!("net.{b}.{a}.faults_dropped");
+        assert_eq!(tb.net.metrics().counter(&dropped), 1, "the SYN-ACK");
+        tb.net.with_faults(|f| f.set_loss(b, a, 0.0));
+        let server = listener.accept(&mut tb.sim).expect("pending connection");
+        server.write(&mut tb.sim, b"early").unwrap();
+        tb.sim.run_for(Nanos::from_micros(50));
+        assert!(
+            !client.is_established(),
+            "the segment met a connecting stream"
+        );
+        assert_eq!(server.inner.borrow().unacked.len(), 1);
+        tb.sim.run_until_idle();
+        assert!(client.is_established());
+        assert_eq!(server.stats().retransmits, 1);
+        assert_eq!(
+            client.read(&mut tb.sim, 16).unwrap(),
+            ReadOutcome::Data(b"early".to_vec())
         );
         tb.sim.run_until_idle();
         assert_eq!(tb.net.buffer_pool().stats().outstanding, 0);

@@ -82,8 +82,8 @@ pub use metrics::{
     Counter, Counters, Gauge, Gauges, Histo, Histogram, HistogramSummary, Histos, MetricKind,
     Metrics, MetricsSnapshot, TraceEvent,
 };
-pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network, PooledPayload};
-pub use pool::{BytePool, PoolStats};
+pub use net::{FrameHandler, LinkId, LinkSpec, NetStats, Network};
+pub use pool::{BytePool, PoolStats, PooledBuf};
 pub use sched::CoreAffinity;
 pub use selector::{KeyId, SelectOps, Selected, Selector};
 pub use sim::Simulator;

@@ -7,7 +7,7 @@
 //! overhead, full-duplex but serialized per direction), applies injected
 //! faults, and schedules delivery to the destination handler.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -25,52 +25,6 @@ use crate::time::{Bandwidth, Nanos};
 /// A frame-delivery callback registered on an address. It must take the
 /// frame's payload within the call: the [`Frame`] only borrows it.
 pub type FrameHandler = Box<dyn FnMut(&mut Simulator, Frame<'_>)>;
-
-/// A frame payload that may carry a buffer taken from the network's
-/// [`BytePool`], which its receiver puts back. Registered with
-/// [`Network::register_pooled_payload`], its frames keep
-/// `pool.net.outstanding` exact: a fault-injected duplicate takes its
-/// buffer from the pool too, and a frame the network drops gives its
-/// buffer back.
-pub trait PooledPayload: Any + Clone {
-    /// A copy whose buffer, if it has one, is taken from `pool`.
-    fn clone_pooled(&self, pool: &BytePool) -> Self;
-
-    /// Returns this payload's buffer, if it has one, to `pool`.
-    fn recycle(self, pool: &BytePool);
-}
-
-/// A registered [`PooledPayload`] type's two methods, erased: the network
-/// holds payloads as `T` and `Option<T>` behind `dyn Any`.
-#[derive(Clone, Copy)]
-struct PoolHooks {
-    type_id: TypeId,
-    /// Writes a pooled copy of a `T` into an `Option<T>`.
-    duplicate: fn(&dyn Any, &mut dyn Any, &BytePool),
-    /// Recycles the `T` taken out of an `Option<T>`.
-    recycle: fn(&mut dyn Any, &BytePool),
-}
-
-impl PoolHooks {
-    fn of<T: PooledPayload>() -> PoolHooks {
-        PoolHooks {
-            type_id: TypeId::of::<T>(),
-            duplicate: |payload, copy, pool| {
-                if let (Some(payload), Some(copy)) = (
-                    payload.downcast_ref::<T>(),
-                    copy.downcast_mut::<Option<T>>(),
-                ) {
-                    *copy = Some(payload.clone_pooled(pool));
-                }
-            },
-            recycle: |payload, pool| {
-                if let Some(payload) = payload.downcast_mut::<Option<T>>().and_then(Option::take) {
-                    payload.recycle(pool);
-                }
-            },
-        }
-    }
-}
 
 /// Identifier of a link within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,8 +141,6 @@ struct NetInner {
     sim_gauges: Gauges<SimGauge>,
     pool: BytePool,
     pool_gauges: Gauges<PoolGauge>,
-    /// The registered [`PooledPayload`] types.
-    pool_hooks: Vec<PoolHooks>,
 }
 
 /// Shared handle to the simulated network.
@@ -255,7 +207,6 @@ impl Network {
                 pool_gauges: pool.gauges(&metrics),
                 metrics,
                 pool,
-                pool_hooks: Vec::new(),
             })),
         }
     }
@@ -392,8 +343,8 @@ impl Network {
     /// Four fault coins are drawn from the simulator RNG for *every* frame,
     /// whether or not any fault rule is installed, so the random stream is
     /// independent of when chaos rules are toggled and a seeded run replays
-    /// byte-identically. A fault-injected duplicate is a `T::clone`, or a
-    /// [`PooledPayload::clone_pooled`] for a registered type.
+    /// byte-identically. A fault-injected duplicate is a `T::clone`; a
+    /// dropped frame's payload is simply dropped.
     ///
     /// # Panics
     ///
@@ -421,7 +372,6 @@ impl Network {
         match verdict {
             FaultVerdict::Drop => {
                 self.count_fault(&header, FaultCounter::Dropped);
-                self.recycle(&mut Some(payload));
             }
             FaultVerdict::Deliver {
                 extra_delay,
@@ -434,8 +384,7 @@ impl Network {
                 }
                 if duplicate {
                     self.count_fault(&header, FaultCounter::Duplicated);
-                    let copy = self.duplicate(&payload);
-                    self.transmit(sim, header, copy, extra_delay);
+                    self.transmit(sim, header, payload.clone(), extra_delay);
                 }
                 self.transmit(sim, header, payload, extra_delay);
             }
@@ -510,54 +459,8 @@ impl Network {
         if let Some(handler) = handler {
             (handler.borrow_mut())(sim, Frame::view(header, &mut payload));
         }
-        // Unroutable, or left by a handler whose endpoint is gone.
-        self.recycle(&mut payload);
-    }
-
-    /// Registers `T` as a [`PooledPayload`]: from now on a duplicate of a
-    /// `T` frame takes its buffer from the pool, and a `T` frame the fault
-    /// plane drops, sent to an unbound address or not taken by its handler
-    /// gives its buffer back. Registering a type again changes nothing.
-    pub fn register_pooled_payload<T: PooledPayload>(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner
-            .pool_hooks
-            .iter()
-            .all(|h| h.type_id != TypeId::of::<T>())
-        {
-            inner.pool_hooks.push(PoolHooks::of::<T>());
-        }
-    }
-
-    /// The hooks of `T` if it is registered, with the pool they act on.
-    fn pool_hooks<T: Any>(&self) -> Option<(PoolHooks, BytePool)> {
-        let inner = self.inner.borrow();
-        let hooks = inner
-            .pool_hooks
-            .iter()
-            .find(|h| h.type_id == TypeId::of::<T>());
-        hooks.map(|&h| (h, inner.pool.clone()))
-    }
-
-    /// A fault-injected copy of `payload`.
-    fn duplicate<T: Any + Clone>(&self, payload: &T) -> T {
-        let Some((hooks, pool)) = self.pool_hooks::<T>() else {
-            return payload.clone();
-        };
-        let mut copy = None;
-        (hooks.duplicate)(payload, &mut copy, &pool);
-        copy.expect("a registered type's hooks copy it")
-    }
-
-    /// Gives the payload still in `payload`, if any, back through its
-    /// type's hooks; an unregistered type is simply dropped.
-    fn recycle<T: Any>(&self, payload: &mut Option<T>) {
-        if payload.is_none() {
-            return;
-        }
-        if let Some((hooks, pool)) = self.pool_hooks::<T>() {
-            (hooks.recycle)(payload, &pool);
-        }
+        // Unroutable, or left by a handler whose endpoint is gone: the
+        // payload drops here.
     }
 
     /// Delivery statistics so far.
@@ -598,6 +501,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PooledBuf;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -757,39 +661,20 @@ mod tests {
         assert_eq!(net.stats().unroutable, 1);
     }
 
-    /// A pooled test payload: its bytes come from the network's pool.
-    #[derive(Clone)]
-    struct Pooled(Vec<u8>);
-
-    impl PooledPayload for Pooled {
-        fn clone_pooled(&self, pool: &BytePool) -> Pooled {
-            let mut copy = pool.take(self.0.len());
-            copy.extend_from_slice(&self.0);
-            Pooled(copy)
-        }
-
-        fn recycle(self, pool: &BytePool) {
-            pool.put(self.0);
-        }
-    }
-
-    /// A registered payload keeps the pool exact: duplicates are taken
+    /// A pooled payload keeps the pool exact: a duplicate takes its copy
     /// from it, and frames dropped by a fault, sent to an unbound address
-    /// or left by their handler are put back.
+    /// or left by their handler give their buffer back.
     #[test]
-    fn registered_payloads_keep_the_pool_exact() {
+    fn pooled_payloads_keep_the_pool_exact() {
         let (mut sim, net, a, b) = two_host_net();
-        net.register_pooled_payload::<Pooled>();
-        let pool = net.buffer_pool();
         let taken = Rc::new(RefCell::new(0));
         let counter = taken.clone();
         let dst = Addr::new(b, 1);
         net.bind(
             dst,
             Box::new(move |_, frame| {
-                if let Ok(Pooled(bytes)) = frame.into_payload::<Pooled>() {
+                if frame.into_payload::<PooledBuf>().is_ok() {
                     *counter.borrow_mut() += 1;
-                    pool.put(bytes);
                 }
             }),
         );
@@ -797,7 +682,7 @@ mod tests {
         let send = |sim: &mut Simulator, port| {
             let mut bytes = net.buffer_pool().take(100);
             bytes.resize(100, 7);
-            net.send(sim, Addr::new(a, 9), Addr::new(b, port), 100, Pooled(bytes));
+            net.send(sim, Addr::new(a, 9), Addr::new(b, port), 100, bytes);
         };
         net.with_faults(|f| f.set_duplication(a, b, 1.0));
         send(&mut sim, 1);

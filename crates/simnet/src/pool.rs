@@ -6,6 +6,10 @@
 //! simulation profiles. [`BytePool`] keeps freed buffers in power-of-two
 //! size-class freelists so the steady state recycles instead of allocating.
 //!
+//! A buffer leaves the pool as a [`PooledBuf`], which is the only way back
+//! in: dropping it returns the buffer, and cloning it takes the copy from
+//! the same pool, so no caller decides who puts a buffer back.
+//!
 //! The pool is pure bookkeeping over deterministic callers — takes and
 //! returns happen in event order, so recycling never perturbs a fixed-seed
 //! run. Occupancy and hit/miss counts are surfaced as `pool.*` gauges in
@@ -13,6 +17,8 @@
 //! [`Network::publish_sim_gauges`](crate::Network::publish_sim_gauges).
 
 use std::cell::RefCell;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::metrics::{Gauges, Metrics};
@@ -65,18 +71,17 @@ struct PoolInner {
 /// A shared, size-classed freelist of `Vec<u8>` buffers.
 ///
 /// Cloning is cheap (`Rc`); all clones share one freelist. [`take`]
-/// returns an empty vec with at least the requested capacity; [`put`]
-/// recycles a spent buffer.
+/// returns an empty [`PooledBuf`] with at least the requested capacity,
+/// which goes back to the freelist when dropped.
 ///
 /// [`take`]: BytePool::take
-/// [`put`]: BytePool::put
 #[derive(Clone)]
 pub struct BytePool {
     inner: Rc<RefCell<PoolInner>>,
 }
 
-impl std::fmt::Debug for BytePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for BytePool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("BytePool")
             .field("name", &inner.name)
@@ -104,7 +109,14 @@ impl BytePool {
 
     /// Hands out an empty buffer with capacity ≥ `len`, recycling a parked
     /// one when the size class has any.
-    pub fn take(&self, len: usize) -> Vec<u8> {
+    pub fn take(&self, len: usize) -> PooledBuf {
+        PooledBuf {
+            buf: self.take_vec(len),
+            pool: self.clone(),
+        }
+    }
+
+    fn take_vec(&self, len: usize) -> Vec<u8> {
         let mut inner = self.inner.borrow_mut();
         inner.stats.takes += 1;
         inner.stats.outstanding += 1;
@@ -131,7 +143,7 @@ impl BytePool {
 
     /// Returns a spent buffer to its size class for reuse. Oversized
     /// buffers and full classes fall back to the allocator.
-    pub fn put(&self, buf: Vec<u8>) {
+    fn put(&self, buf: Vec<u8>) {
         let mut inner = self.inner.borrow_mut();
         inner.stats.returns += 1;
         inner.stats.outstanding -= 1;
@@ -179,6 +191,48 @@ impl BytePool {
     }
 }
 
+/// A buffer taken from a [`BytePool`]: it dereferences to its `Vec<u8>`,
+/// goes back to its pool when dropped, and a clone takes its copy from the
+/// same pool. 32 bytes: the vector and the pool handle.
+pub struct PooledBuf {
+    buf: Vec<u8>,
+    pool: BytePool,
+}
+
+impl Drop for PooledBuf {
+    fn drop(&mut self) {
+        self.pool.put(std::mem::take(&mut self.buf));
+    }
+}
+
+impl Clone for PooledBuf {
+    fn clone(&self) -> PooledBuf {
+        let mut copy = self.pool.take(self.buf.len());
+        copy.extend_from_slice(&self.buf);
+        copy
+    }
+}
+
+impl Deref for PooledBuf {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        &self.buf
+    }
+}
+
+impl DerefMut for PooledBuf {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+}
+
+impl fmt::Debug for PooledBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.buf.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +243,7 @@ mod tests {
         let mut a = pool.take(1000);
         a.extend_from_slice(&[7u8; 1000]);
         let cap = a.capacity();
-        pool.put(a);
+        drop(a);
         let b = pool.take(900);
         assert!(b.is_empty());
         assert!(b.capacity() >= 900);
@@ -224,7 +278,6 @@ mod tests {
         for round in 0..100 {
             let mut b = pool.take(1460);
             b.extend_from_slice(&[round as u8; 1460]);
-            pool.put(b);
         }
         let s = pool.stats();
         assert_eq!(s.takes, 100);
@@ -236,12 +289,24 @@ mod tests {
     fn publishes_gauges() {
         let m = Metrics::new();
         let pool = BytePool::new("net");
-        let b = pool.take(100);
-        pool.put(b);
+        drop(pool.take(100));
         pool.publish(&pool.gauges(&m));
         let snap = m.snapshot();
         assert_eq!(snap.gauge("pool.net.takes"), 1);
         assert_eq!(snap.gauge("pool.net.returns"), 1);
         assert_eq!(snap.gauge("pool.net.outstanding"), 0);
+    }
+
+    #[test]
+    fn a_clone_takes_its_copy_from_the_pool_and_both_go_back() {
+        let pool = BytePool::new("t");
+        let mut a = pool.take(100);
+        a.extend_from_slice(&[3; 100]);
+        let b = a.clone();
+        assert_eq!(*b, *a);
+        assert_eq!((pool.stats().takes, pool.stats().outstanding), (2, 2));
+        drop((a, b));
+        let s = pool.stats();
+        assert_eq!((s.returns, s.outstanding, s.parked), (2, 0, 2));
     }
 }

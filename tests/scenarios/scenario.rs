@@ -461,9 +461,9 @@ pub fn start_rotation(
 }
 
 /// Runs `s` at its run seed. Checks each expectation, then on every row
-/// agreement, a linearizable history for a row with KV clients, and the
+/// agreement, a linearizable history for a row with KV clients, the
 /// simulator's conservation identities (events, tombstones, pooled
-/// buffers).
+/// buffers) and, once the world is dropped, that no pooled buffer is out.
 ///
 /// # Panics
 ///
@@ -547,7 +547,7 @@ impl Runner {
             .map(Client::completions)
             .unwrap_or_default();
         let waited = done.iter().map(|d| d.latency().as_nanos()).sum::<u64>();
-        Outcome {
+        let outcome = Outcome {
             seed,
             published,
             history: match s.records_history() {
@@ -558,7 +558,17 @@ impl Runner {
             replies: done.into_iter().map(|d| (d.timestamp, d.result)).collect(),
             states: c.replicas.iter().map(state).collect(),
             log: c.replicas[0].executed_log(),
-        }
+        };
+        // The leak oracle: once the world is gone, frames in flight and
+        // queued copies included, every pooled buffer is back.
+        let pool = r.h.cluster.net.buffer_pool();
+        drop(r);
+        assert_eq!(
+            pool.stats().outstanding,
+            0,
+            "pooled buffers outlive the world"
+        );
+        outcome
     }
 
     /// Applies fault-plane `actions` now, or schedules them for `at`.
