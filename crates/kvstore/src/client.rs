@@ -54,13 +54,35 @@ use reptor::{Client, KvOp, Message, ReptorConfig, Transport};
 use simnet::{Counters, Metrics, Simulator};
 
 use crate::lin::{KvEvent, KvHistOp};
+use crate::read_log::ReadLog;
 use crate::region::{
     bucket_of, cell_offset, decode_cell, judge, KeyVerdict, CELL_SIZE, HEADER_SIZE,
 };
 
-/// Shared aggregator for one quorum read: per-replica outcomes
-/// (`None` = denied / failed to issue) collected by the READ callbacks.
-type ReadResults = Rc<RefCell<Vec<(u32, Option<Vec<u8>>)>>>;
+/// One quorum read in flight, shared by its READ callbacks: the key, the
+/// invocation instant and the per-replica outcomes (`None` = denied /
+/// failed to issue) collected so far.
+#[derive(Default)]
+struct QuorumRead {
+    key: Vec<u8>,
+    invoke: u64,
+    want: usize,
+    results: Vec<(u32, Option<Vec<u8>>)>,
+}
+
+impl QuorumRead {
+    /// Records one replica's outcome; the last of the `want` outcomes
+    /// takes the finished read out for [`KvClient::finish_read`].
+    fn land(
+        read: &RefCell<QuorumRead>,
+        replica: u32,
+        bytes: Option<Vec<u8>>,
+    ) -> Option<QuorumRead> {
+        let mut read = read.borrow_mut();
+        read.results.push((replica, bytes));
+        (read.results.len() == read.want).then(|| std::mem::take(&mut *read))
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Lease {
@@ -100,7 +122,7 @@ struct KvClientInner {
     /// their original invocation instants.
     pending: HashMap<u64, (KvHistOp, u64)>,
     /// Completed one-sided reads.
-    onesided: Vec<KvEvent>,
+    onesided: ReadLog,
     /// One-sided reads whose quorum responses are still in flight.
     inflight_reads: u64,
     /// Whether a lease query round has been sent at all.
@@ -163,7 +185,7 @@ impl KvClient {
             leases: BTreeMap::new(),
             demerits: BTreeMap::new(),
             pending: HashMap::new(),
-            onesided: Vec::new(),
+            onesided: ReadLog::default(),
             inflight_reads: 0,
             queried: false,
         }));
@@ -279,14 +301,19 @@ impl KvClient {
             return;
         }
         self.inner.borrow_mut().inflight_reads += 1;
-        let want = quorum.len();
-        let results: ReadResults = Rc::new(RefCell::new(Vec::with_capacity(want)));
         let transport = self.inner.borrow().transport.clone();
+        let read = Rc::new(RefCell::new(QuorumRead {
+            key,
+            invoke,
+            want: quorum.len(),
+            results: Vec::with_capacity(quorum.len()),
+        }));
         for (replica, lease) in quorum {
-            let off = cell_offset(bucket_of(&key, lease.capacity)) as u64;
+            // Only the last outcome takes the key out, so it is still
+            // here for every READ this loop issues.
+            let off = cell_offset(bucket_of(&read.borrow().key, lease.capacity)) as u64;
             let kv = Rc::downgrade(&self.inner);
-            let res = results.clone();
-            let key2 = key.clone();
+            let shared = read.clone();
             let issued = transport.read_state(
                 sim,
                 replica,
@@ -294,11 +321,9 @@ impl KvClient {
                 off,
                 CELL_SIZE,
                 Box::new(move |sim, bytes| {
-                    res.borrow_mut().push((replica, bytes));
-                    if res.borrow().len() == want {
-                        let all = std::mem::take(&mut *res.borrow_mut());
+                    if let Some(done) = QuorumRead::land(&shared, replica, bytes) {
                         if let Some(inner) = kv.upgrade() {
-                            KvClient { inner }.finish_read(sim, key2, invoke, all);
+                            KvClient { inner }.finish_read(sim, done);
                         }
                     }
                 }),
@@ -306,10 +331,8 @@ impl KvClient {
             if !issued {
                 // No one-sided path to this replica right now (channel
                 // re-dialing after a NAK, or transport without READs).
-                results.borrow_mut().push((replica, None));
-                if results.borrow().len() == want {
-                    let all = std::mem::take(&mut *results.borrow_mut());
-                    self.finish_read(sim, key.clone(), invoke, all);
+                if let Some(done) = QuorumRead::land(&read, replica, None) {
+                    self.finish_read(sim, done);
                 }
             }
         }
@@ -320,13 +343,13 @@ impl KvClient {
     /// back to agreement. Unanimity is what makes the result Byzantine-
     /// proof: at most `f` cells can lie, so an accepted (stamp, value) is
     /// vouched for by at least `f + 1` honest replicas (module docs).
-    fn finish_read(
-        &self,
-        sim: &mut Simulator,
-        key: Vec<u8>,
-        invoke: u64,
-        results: Vec<(u32, Option<Vec<u8>>)>,
-    ) {
+    fn finish_read(&self, sim: &mut Simulator, read: QuorumRead) {
+        let QuorumRead {
+            key,
+            invoke,
+            results,
+            ..
+        } = read;
         self.inner.borrow_mut().inflight_reads -= 1;
         let denied: Vec<u32> = results
             .iter()
@@ -381,8 +404,8 @@ impl KvClient {
                     };
                     (votes, stamp)
                 })
-                .expect("quorum is non-empty")
-                .clone();
+                .copied()
+                .expect("quorum is non-empty");
             {
                 let mut inner = self.inner.borrow_mut();
                 for (r, v) in &verdicts {
@@ -395,21 +418,16 @@ impl KvClient {
             self.fallback_get(sim, key, invoke);
             return;
         }
-        let result = match &verdicts[0].1 {
-            KeyVerdict::Absent(_) => Vec::new(),
-            KeyVerdict::Value(_, val) => val.clone(),
+        let (stamp, result) = match verdicts[0].1 {
+            KeyVerdict::Absent(stamp) => (stamp, &[][..]),
+            KeyVerdict::Value(stamp, val) => (stamp, val),
             KeyVerdict::Fallback => unreachable!("handled above"),
         };
         let response = sim.now().as_nanos();
-        let mut inner = self.inner.borrow_mut();
-        let client = inner.id;
-        inner.onesided.push(KvEvent {
-            client,
-            invoke,
-            response: Some(response),
-            op: KvHistOp::Get { key, result },
-        });
-        drop(inner);
+        self.inner
+            .borrow_mut()
+            .onesided
+            .push(&key, stamp, result, invoke, response);
         self.count(KvCounter::ReadOnesided);
     }
 
@@ -437,7 +455,7 @@ impl KvClient {
     /// Operations still in flight appear with `response: None`.
     pub fn history(&self) -> Vec<KvEvent> {
         let inner = self.inner.borrow();
-        let mut events = inner.onesided.clone();
+        let mut events: Vec<KvEvent> = inner.onesided.events(inner.id).collect();
         let completions: HashMap<u64, (u64, Vec<u8>)> = inner
             .client
             .completions()

@@ -20,6 +20,7 @@
 pub mod client;
 pub mod harness;
 pub mod lin;
+mod read_log;
 pub mod region;
 pub mod service;
 pub mod workload;

@@ -118,9 +118,10 @@ pub fn fits(key: &[u8], val: &[u8]) -> bool {
     !key.is_empty() && key.len() <= KEY_MAX && val.len() <= VAL_MAX
 }
 
-/// The outcome of decoding one cell on the read path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellRead {
+/// The outcome of decoding one cell on the read path; it borrows the
+/// key and value from the bytes read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellRead<'a> {
     /// Never written: the key is absent (version 0).
     Empty,
     /// Odd or mismatched stamps: in-progress, poisoned, or torn — the
@@ -131,14 +132,14 @@ pub enum CellRead {
         /// The (even) version stamp.
         stamp: u64,
         /// Resident key (empty for the bucket-empty marker).
-        key: Vec<u8>,
+        key: &'a [u8],
         /// Resident value.
-        val: Vec<u8>,
+        val: &'a [u8],
     },
 }
 
 /// Decodes one cell's bytes as read one-sided.
-pub fn decode_cell(bytes: &[u8]) -> CellRead {
+pub fn decode_cell(bytes: &[u8]) -> CellRead<'_> {
     if bytes.len() != CELL_SIZE {
         return CellRead::Invalid;
     }
@@ -157,20 +158,20 @@ pub fn decode_cell(bytes: &[u8]) -> CellRead {
     }
     CellRead::Committed {
         stamp: ver,
-        key: bytes[16..16 + klen].to_vec(),
-        val: bytes[64..64 + vlen].to_vec(),
+        key: &bytes[16..16 + klen],
+        val: &bytes[64..64 + vlen],
     }
 }
 
 /// What a decoded cell says about one specific key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KeyVerdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyVerdict<'a> {
     /// The cell is unusable; fall back.
     Fallback,
     /// The key is absent as of the given stamp.
     Absent(u64),
     /// The key maps to this value as of the given stamp.
-    Value(u64, Vec<u8>),
+    Value(u64, &'a [u8]),
 }
 
 /// Interprets a cell read with respect to `key`.
@@ -178,15 +179,15 @@ pub enum KeyVerdict {
 /// A committed cell holding a *different* key still decides `key`: the
 /// single-owner invariant (colliding live keys poison the cell) means the
 /// probed key cannot be live anywhere if another key owns its bucket.
-pub fn judge(cell: &CellRead, key: &[u8]) -> KeyVerdict {
-    match cell {
+pub fn judge<'a>(cell: &CellRead<'a>, key: &[u8]) -> KeyVerdict<'a> {
+    match *cell {
         CellRead::Empty => KeyVerdict::Absent(0),
         CellRead::Invalid => KeyVerdict::Fallback,
         CellRead::Committed { stamp, key: k, val } => {
             if k == key {
-                KeyVerdict::Value(*stamp, val.clone())
+                KeyVerdict::Value(stamp, val)
             } else {
-                KeyVerdict::Absent(*stamp)
+                KeyVerdict::Absent(stamp)
             }
         }
     }
@@ -242,8 +243,9 @@ mod tests {
 
     #[test]
     fn judge_resolves_foreign_keys_as_absent() {
-        let c = decode_cell(&encode_cell(6, b"owner", b"v"));
-        assert_eq!(judge(&c, b"owner"), KeyVerdict::Value(6, b"v".to_vec()));
+        let bytes = encode_cell(6, b"owner", b"v");
+        let c = decode_cell(&bytes);
+        assert_eq!(judge(&c, b"owner"), KeyVerdict::Value(6, b"v"));
         assert_eq!(judge(&c, b"other"), KeyVerdict::Absent(6));
         assert_eq!(judge(&CellRead::Empty, b"x"), KeyVerdict::Absent(0));
         assert_eq!(judge(&CellRead::Invalid, b"x"), KeyVerdict::Fallback);

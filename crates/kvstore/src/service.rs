@@ -348,8 +348,9 @@ mod tests {
         // Every key judges to the same value through the restored image.
         for i in 0..40u32 {
             let k = format!("user{i}");
-            let a = judge(&decode_cell(&cell_for(&s, k.as_bytes())), k.as_bytes());
-            let b = judge(&decode_cell(&cell_for(&fresh, k.as_bytes())), k.as_bytes());
+            let (cell_a, cell_b) = (cell_for(&s, k.as_bytes()), cell_for(&fresh, k.as_bytes()));
+            let a = judge(&decode_cell(&cell_a), k.as_bytes());
+            let b = judge(&decode_cell(&cell_b), k.as_bytes());
             match (a, b) {
                 (KeyVerdict::Fallback, KeyVerdict::Fallback) => {}
                 (KeyVerdict::Absent(_), KeyVerdict::Absent(sb)) => {

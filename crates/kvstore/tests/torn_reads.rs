@@ -56,10 +56,10 @@ fn assert_no_leaked_values(
         if let KeyVerdict::Value(_, val) = verdict {
             let history = written.get(key);
             prop_assert!(
-                history.is_some_and(|h| h.contains(&val)),
+                history.is_some_and(|h| h.contains(val)),
                 "key {:?} returned value {:?} outside its write history",
                 String::from_utf8_lossy(key),
-                String::from_utf8_lossy(&val),
+                String::from_utf8_lossy(val),
             );
         }
     }
