@@ -19,8 +19,9 @@ pub const ABLATION_PAYLOADS: [usize; 4] = [256, 1024, 16 * 1024, 64 * 1024];
 pub const ABLATION_WINDOW: usize = 16;
 
 /// The ablation variants: label, configuration, and whether the echo
-/// server reads through zero-copy borrowed receives
-/// ([`rubin::RdmaChannel::read_borrowed`]) instead of copying out.
+/// server reads each message in place, lent to a closure by the zero-copy
+/// receive ([`rubin::RdmaChannel::read_borrowed`]), instead of copying it
+/// out with `read`.
 pub fn variants() -> Vec<(&'static str, RubinConfig, bool)> {
     let base = RubinConfig::future();
     vec![

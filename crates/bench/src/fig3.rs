@@ -426,8 +426,8 @@ pub fn channel_echo(
 /// Pipelined RUBIN channel echo: keeps `window` messages outstanding so
 /// per-message overheads (signaling, posting) land on the critical path —
 /// used by the ablation benchmark where the sequential echo would hide
-/// them in idle time. With `borrowed_receive` the server echoes from the
-/// borrowed receive buffer instead of copying it out first.
+/// them in idle time. With `borrowed_receive` the server reads each
+/// message in place, lent by `read_borrowed`, instead of copying it out.
 pub fn channel_echo_pipelined(
     payload: usize,
     msgs: usize,
@@ -482,10 +482,12 @@ pub fn channel_echo_pipelined(
         }
         server.process_completions(&mut tb.sim);
         if borrowed_receive {
-            // §VII path: echo from the borrowed buffer without copying out.
-            while let Some(m) = server.read_borrowed(&mut tb.sim).expect("read") {
-                let echoed = m.with_data(|d| d.to_vec());
-                m.release(&mut tb.sim).expect("release");
+            // §VII path: echo from the lent buffer without charging the
+            // receive copy.
+            while let Some(echoed) = server
+                .read_borrowed(&mut tb.sim, |d| d.to_vec())
+                .expect("read")
+            {
                 if !server.write(&mut tb.sim, &echoed).expect("echo") {
                     break;
                 }

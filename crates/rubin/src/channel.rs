@@ -8,9 +8,11 @@
 //! each, and `read_all` takes every message that has arrived, each in one
 //! channel call; `write` and `read` are their one-message case.
 //!
-//! The receive path always copies from the pre-posted registered buffer
-//! into a fresh application buffer — the cost the paper identifies as the
-//! source of RUBIN's degradation beyond 16 KB payloads.
+//! `read` and `read_all` copy each message from the pre-posted registered
+//! buffer into a fresh application buffer — the cost the paper identifies
+//! as the source of RUBIN's degradation beyond 16 KB payloads.
+//! `read_borrowed` is the §VII zero-copy receive: it lends one message's
+//! bytes to a closure in place and re-posts the buffer once it returns.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -81,70 +83,12 @@ pub enum RecvOutcome {
     Eof,
 }
 
-/// A received message borrowed in place from the registered receive
-/// buffer — the zero-copy receive path of the paper's §VII plan.
-///
-/// The buffer stays lent to the application until
-/// [`release`](BorrowedMsg::release) returns it for re-posting. Dropping
-/// without releasing parks the buffer; it is reclaimed on the next
-/// `read`/`read_borrowed` call.
-#[derive(Debug)]
-pub struct BorrowedMsg {
-    chan: RdmaChannel,
-    slab: SlabIndex,
-    len: usize,
-    released: bool,
-}
-
-impl BorrowedMsg {
-    /// Message length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for empty messages.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Runs `f` over the message bytes in place (no copy).
-    pub fn with_data<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let inner = self.chan.inner.borrow();
-        inner
-            .recv_pool
-            .slab(self.slab)
-            .with_slice(0, self.len, f)
-            .expect("received message fits its slab")
-    }
-
-    /// Returns the buffer to the channel for batched re-posting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-posting failures.
-    pub fn release(mut self, sim: &mut Simulator) -> Result<(), ChannelError> {
-        self.released = true;
-        let slab = self.slab;
-        self.chan.clone().return_slab(sim, Some(slab))
-    }
-}
-
-impl Drop for BorrowedMsg {
-    fn drop(&mut self) {
-        if !self.released {
-            // No simulator here: park the slab; the channel reclaims it on
-            // the next read call.
-            self.chan.inner.borrow_mut().parked_slabs.push(self.slab);
-        }
-    }
-}
-
 /// Channel statistics (also used by the ablation benchmarks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
-    /// Messages accepted by `write`.
+    /// Messages accepted by `write_all` (and `write`).
     pub msgs_sent: u64,
-    /// Messages returned by `read`.
+    /// Messages handed out by `read_all`, `read` and `read_borrowed`.
     pub msgs_received: u64,
     /// Sends that used the inline path.
     pub inline_sends: u64,
@@ -158,7 +102,7 @@ pub struct ChannelStats {
     pub send_stalls: u64,
     /// Receive-buffer re-post batches issued.
     pub repost_batches: u64,
-    /// Messages delivered through the zero-copy borrowed-receive path.
+    /// Messages lent in place by `read_borrowed` (no receive copy).
     pub borrowed_reads: u64,
 }
 
@@ -175,6 +119,13 @@ pub type WriteDoneFn = Box<dyn FnOnce(&mut Simulator, bool)>;
 /// registered regions: `(imm, byte_len)`. Installed with
 /// [`RdmaChannel::set_write_doorbell`].
 pub type WriteDoorbellFn = Rc<dyn Fn(&mut Simulator, u32, usize)>;
+
+/// Moves a copied message's bytes out of its receive buffer: the copy is
+/// charged, but on the host the slab's bytes are taken, not copied, so a
+/// slab holds memory only while a message sits in it.
+fn copy_out(slab: &MemoryRegion, len: usize) -> Vec<u8> {
+    slab.take(len).expect("received message fits its slab")
+}
 
 /// One-sided work-request ids live in their own range, so the in-order
 /// send-completion pop can never confuse them with SEND wr_ids.
@@ -235,7 +186,6 @@ pub(crate) struct ChanInner {
     one_sided_count: u64,
     send_count: u64,
     since_signal: usize,
-    outstanding_sends: usize,
     /// Received messages not yet read: `(recv slab, length)`.
     pub(crate) rx_ready: VecDeque<(SlabIndex, usize)>,
     /// Consumed receive slabs awaiting batched re-posting.
@@ -244,8 +194,6 @@ pub(crate) struct ChanInner {
     repost_wrs: Vec<RecvWr>,
     /// Work requests of one `write_all`, kept between calls.
     send_wrs: Vec<SendWr>,
-    /// Borrowed slabs dropped without release, reclaimed lazily.
-    parked_slabs: Vec<SlabIndex>,
     /// Poll buffers of the two completion queues, kept between polls.
     send_wcs: Vec<Wc>,
     recv_wcs: Vec<Wc>,
@@ -295,7 +243,7 @@ impl ChanInner {
     /// copy into a pooled slab, or its own registration for zero copy),
     /// charging the copy; `None` if the send buffers are full.
     fn prepare_send(&mut self, sim: &Simulator, data: &[u8]) -> Option<SendWr> {
-        if self.outstanding_sends >= self.cfg.send_buffers {
+        if self.inflight.len() >= self.cfg.send_buffers {
             return None;
         }
         let use_inline = data.len() <= self.cfg.inline_threshold;
@@ -328,7 +276,6 @@ impl ChanInner {
         }
         let wr_id = self.send_count;
         self.send_count += 1;
-        self.outstanding_sends += 1;
         self.inflight.push_back((wr_id, buf));
         self.stats.msgs_sent += 1;
         let mut wr = SendWr::send(WrId(wr_id), sge);
@@ -355,7 +302,7 @@ impl fmt::Debug for RdmaChannel {
             .field("qp", &inner.qp.num())
             .field("established", &inner.established)
             .field("rx_ready", &inner.rx_ready.len())
-            .field("outstanding_sends", &inner.outstanding_sends)
+            .field("outstanding_sends", &inner.inflight.len())
             .field("broken", &inner.broken)
             .finish()
     }
@@ -412,12 +359,10 @@ impl RdmaChannel {
                 one_sided_count: 0,
                 send_count: 0,
                 since_signal: 0,
-                outstanding_sends: 0,
                 rx_ready: VecDeque::new(),
                 to_repost: Vec::new(),
                 repost_wrs: Vec::new(),
                 send_wrs: Vec::new(),
-                parked_slabs: Vec::new(),
                 send_wcs: Vec::new(),
                 recv_wcs: Vec::new(),
                 established,
@@ -795,7 +740,7 @@ impl RdmaChannel {
     /// As for [`read_all`](Self::read_all).
     pub fn read(&self, sim: &mut Simulator) -> Result<RecvOutcome, ChannelError> {
         let mut msg = None;
-        self.take_received(sim, 1, |m| msg = Some(m))?;
+        self.take_received(sim, 1, true, |slab, len| msg = Some(copy_out(slab, len)))?;
         Ok(match msg {
             Some(m) => RecvOutcome::Msg(m),
             None if self.inner.borrow().eof => RecvOutcome::Eof,
@@ -823,23 +768,54 @@ impl RdmaChannel {
         sim: &mut Simulator,
         inbox: &mut VecDeque<Vec<u8>>,
     ) -> Result<usize, ChannelError> {
-        self.take_received(sim, usize::MAX, |m| inbox.push_back(m))
+        self.take_received(sim, usize::MAX, true, |slab, len| {
+            inbox.push_back(copy_out(slab, len));
+        })
     }
 
-    /// Hands up to `max` received messages to `deliver`: the body of
-    /// [`read`](Self::read) and [`read_all`](Self::read_all). Each message
-    /// is charged its copy out of the registered buffer, but on the host
-    /// the slab's bytes are taken, not copied, so a slab holds memory only
-    /// while a message sits in it.
+    /// Zero-copy receive (paper §VII: "remove any additional buffer copy
+    /// steps"): lends the next message's bytes to `f` in place, in the
+    /// registered buffer it arrived in, and returns what `f` returns, or
+    /// `Ok(None)` when no message is waiting (also after EOF, as for
+    /// [`read_all`](Self::read_all)). The call charges only the
+    /// managed-runtime overhead; the buffer is queued for re-posting after
+    /// `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// As for [`read_all`](Self::read_all).
+    pub fn read_borrowed<R>(
+        &self,
+        sim: &mut Simulator,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, ChannelError> {
+        let mut f = Some(f);
+        let mut out = None;
+        self.take_received(sim, 1, false, |slab, len| {
+            let f = f.take().expect("one message per call");
+            out = Some(
+                slab.with_slice(0, len, f)
+                    .expect("received message fits its slab"),
+            );
+        })?;
+        Ok(out)
+    }
+
+    /// Hands up to `max` received messages, in arrival order, to `deliver`
+    /// with the registered buffer each arrived in: the one body of
+    /// [`read`](Self::read), [`read_all`](Self::read_all) and
+    /// [`read_borrowed`](Self::read_borrowed). The call charges the
+    /// managed-runtime overhead once and, if `copy`, each message's copy
+    /// out of its buffer. A buffer is queued for re-posting only after
+    /// `deliver` has returned, and `deliver` runs with the channel
+    /// unborrowed.
     fn take_received(
         &self,
         sim: &mut Simulator,
         max: usize,
-        mut deliver: impl FnMut(Vec<u8>),
+        copy: bool,
+        mut deliver: impl FnMut(&MemoryRegion, usize),
     ) -> Result<usize, ChannelError> {
-        if !self.inner.borrow().parked_slabs.is_empty() {
-            self.return_slab(sim, None)?;
-        }
         {
             let inner = self.inner.borrow();
             if inner.rx_ready.is_empty() {
@@ -852,82 +828,26 @@ impl RdmaChannel {
         }
         let mut taken = 0;
         while taken < max {
-            let data = {
+            let (idx, slab, len) = {
                 let mut inner = self.inner.borrow_mut();
-                let Some((slab, len)) = inner.rx_ready.pop_front() else {
+                let Some((idx, len)) = inner.rx_ready.pop_front() else {
                     break;
                 };
-                inner.charge_copy(sim, len);
-                let data = inner
-                    .recv_pool
-                    .slab(slab)
-                    .take(len)
-                    .expect("received message fits its slab");
+                if copy {
+                    inner.charge_copy(sim, len);
+                } else {
+                    inner.stats.borrowed_reads += 1;
+                }
                 inner.stats.msgs_received += 1;
-                inner.to_repost.push(slab);
-                data
+                (idx, inner.recv_pool.slab(idx).clone(), len)
             };
-            deliver(data);
+            deliver(&slab, len);
+            self.inner.borrow_mut().to_repost.push(idx);
             taken += 1;
             self.repost_if_full(sim)?;
         }
         self.refresh_readiness(sim);
         Ok(taken)
-    }
-
-    /// Returns a consumed receive slab (if any) to the batched re-posting
-    /// queue, also reclaiming slabs parked by dropped [`BorrowedMsg`]s.
-    fn return_slab(
-        &self,
-        sim: &mut Simulator,
-        slab: Option<SlabIndex>,
-    ) -> Result<(), ChannelError> {
-        {
-            let mut guard = self.inner.borrow_mut();
-            let inner = &mut *guard;
-            if let Some(slab) = slab {
-                inner.to_repost.push(slab);
-            }
-            // Reclaim any slabs parked by dropped `BorrowedMsg`s.
-            inner.to_repost.append(&mut inner.parked_slabs);
-        }
-        self.repost_if_full(sim)?;
-        self.refresh_readiness(sim);
-        Ok(())
-    }
-
-    /// Zero-copy receive: borrows the next message in place instead of
-    /// copying it out (paper §VII: "remove any additional buffer copy
-    /// steps"). Charges only the runtime dispatch overhead.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::Broken`] after a queue-pair failure.
-    pub fn read_borrowed(&self, sim: &mut Simulator) -> Result<Option<BorrowedMsg>, ChannelError> {
-        // Reclaim buffers parked by earlier dropped borrows.
-        if !self.inner.borrow().parked_slabs.is_empty() {
-            self.return_slab(sim, None)?;
-        }
-        let msg = {
-            let mut inner = self.inner.borrow_mut();
-            let Some((slab, len)) = inner.rx_ready.pop_front() else {
-                if let Some(why) = &inner.broken {
-                    return Err(ChannelError::Broken(why.clone()));
-                }
-                return Ok(None);
-            };
-            inner.charge_call(sim, 0);
-            inner.stats.msgs_received += 1;
-            inner.stats.borrowed_reads += 1;
-            BorrowedMsg {
-                chan: self.clone(),
-                slab,
-                len,
-                released: false,
-            }
-        };
-        self.refresh_readiness(sim);
-        Ok(Some(msg))
     }
 
     /// Drains this channel's completion queues, recycling send buffers and
@@ -969,7 +889,6 @@ impl RdmaChannel {
                             .is_some_and(|&(id, _)| id <= wc.wr_id.0)
                         {
                             let (_, buf) = inner.inflight.pop_front().expect("checked");
-                            inner.outstanding_sends -= 1;
                             match buf {
                                 SendBuf::Slab(idx) => inner.send_pool.give_back(idx),
                                 SendBuf::Registered(mr) => mr.invalidate(),
@@ -1029,7 +948,7 @@ impl RdmaChannel {
         if rang {
             // Doorbell slabs were recycled without a read() call; flush the
             // repost batch if it filled up.
-            self.return_slab(sim, None).ok();
+            self.repost_if_full(sim).ok();
         }
         self.refresh_readiness(sim);
         total
@@ -1042,7 +961,7 @@ impl RdmaChannel {
             let receive = !inner.rx_ready.is_empty() || inner.eof || inner.broken.is_some();
             let send = inner.established
                 && inner.broken.is_none()
-                && inner.outstanding_sends < inner.cfg.send_buffers
+                && inner.inflight.len() < inner.cfg.send_buffers
                 && inner.send_pool.available() > 0;
             (inner.reg.clone(), receive, send, inner.accept_ready)
         };

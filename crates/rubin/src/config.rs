@@ -72,11 +72,14 @@ impl RubinConfig {
     }
 
     /// The paper's planned future version (§IV/§VII): send-side zero copy
-    /// for payloads above `small_copy_threshold`. Its receive-side half,
-    /// borrowing the registered buffer instead of copying out of it
-    /// ("remove any additional buffer copy steps"), is the application's
-    /// choice of [`RdmaChannel::read_borrowed`](crate::RdmaChannel::read_borrowed)
-    /// over [`RdmaChannel::read`](crate::RdmaChannel::read), not a setting.
+    /// for payloads above `small_copy_threshold`. Its receive-side half
+    /// ("remove any additional buffer copy steps") is not a setting: the
+    /// application calls
+    /// [`RdmaChannel::read_borrowed`](crate::RdmaChannel::read_borrowed),
+    /// which lends a message's bytes to a closure in the registered buffer
+    /// and re-posts the buffer when the closure returns, instead of
+    /// [`RdmaChannel::read`](crate::RdmaChannel::read), which copies them
+    /// out.
     pub fn future() -> RubinConfig {
         RubinConfig {
             zero_copy_send: true,

@@ -73,8 +73,7 @@ mod server;
 
 pub use buffer::{BufferPool, PoolStats, SlabIndex};
 pub use channel::{
-    BorrowedMsg, ChannelError, ChannelStats, RdmaChannel, ReadDoneFn, RecvOutcome, WriteDoneFn,
-    WriteDoorbellFn,
+    ChannelError, ChannelStats, RdmaChannel, ReadDoneFn, RecvOutcome, WriteDoneFn, WriteDoorbellFn,
 };
 pub use config::RubinConfig;
 pub use event::{HybridEventQueue, Interest, RubinEvent, RubinKey};
@@ -545,47 +544,54 @@ mod tests {
         client.write(&mut w.tb.sim, &payload).unwrap();
         w.tb.sim.run_until_idle();
         server.process_completions(&mut w.tb.sim);
-        let msg = server
-            .read_borrowed(&mut w.tb.sim)
+        let len = server
+            .read_borrowed(&mut w.tb.sim, |d| {
+                assert_eq!(d, &payload[..]);
+                d.len()
+            })
             .unwrap()
             .expect("message available");
-        assert_eq!(msg.len(), payload.len());
-        assert!(!msg.is_empty());
-        msg.with_data(|d| assert_eq!(d, &payload[..]));
-        msg.release(&mut w.tb.sim).unwrap();
+        assert_eq!(len, payload.len());
         assert_eq!(server.stats().borrowed_reads, 1);
+        assert_eq!(server.read_borrowed(&mut w.tb.sim, |d| d.len()), Ok(None));
 
-        // The copying path charges the receive copy; the borrowed path
-        // does not — compare CPU busy time for the same payload.
-        let busy_borrowed = {
+        // The same message read in place and copied out: the two reads
+        // differ by exactly the receive copy, in host busy time and in
+        // bytes copied by the application.
+        let cost = |borrowed: bool| {
             let mut w = world(16);
             let (client, server) = connected_channels(&mut w, RubinConfig::future());
             client.write(&mut w.tb.sim, &payload).unwrap();
             w.tb.sim.run_until_idle();
             server.process_completions(&mut w.tb.sim);
-            let before = w.tb.net.host(w.tb.b).borrow().total_busy_time();
-            let m = server.read_borrowed(&mut w.tb.sim).unwrap().unwrap();
-            m.release(&mut w.tb.sim).unwrap();
-            w.tb.net.host(w.tb.b).borrow().total_busy_time() - before
+            let copied = format!("host.{}.user_copy_bytes", w.tb.b);
+            let busy = || w.tb.net.host(w.tb.b).borrow().total_busy_time();
+            let before = (busy(), w.tb.net.metrics().counter(&copied));
+            if borrowed {
+                server
+                    .read_borrowed(&mut w.tb.sim, |_| ())
+                    .unwrap()
+                    .unwrap();
+            } else {
+                assert!(matches!(
+                    server.read(&mut w.tb.sim),
+                    Ok(RecvOutcome::Msg(_))
+                ));
+            }
+            (
+                busy() - before.0,
+                w.tb.net.metrics().counter(&copied) - before.1,
+            )
         };
-        let busy_copied = {
-            let mut w = world(16);
-            let (client, server) = connected_channels(&mut w, RubinConfig::future());
-            client.write(&mut w.tb.sim, &payload).unwrap();
-            w.tb.sim.run_until_idle();
-            server.process_completions(&mut w.tb.sim);
-            let before = w.tb.net.host(w.tb.b).borrow().total_busy_time();
-            let _ = server.read(&mut w.tb.sim).unwrap();
-            w.tb.net.host(w.tb.b).borrow().total_busy_time() - before
-        };
-        assert!(
-            busy_borrowed < busy_copied,
-            "borrowed {busy_borrowed} must beat copied {busy_copied}"
-        );
+        let (busy_borrowed, copied_borrowed) = cost(true);
+        let (busy_copied, copied_copied) = cost(false);
+        let copy_ns = w.tb.net.host(w.tb.b).borrow().cpu().copy_cost(32 * 1024);
+        assert_eq!(busy_copied - busy_borrowed, copy_ns);
+        assert_eq!(copied_copied - copied_borrowed, 32 * 1024);
     }
 
     #[test]
-    fn dropped_borrow_is_reclaimed() {
+    fn borrowed_reads_repost_each_buffer_when_the_closure_returns() {
         let mut w = world(17);
         let cfg = RubinConfig {
             recv_buffers: 4,
@@ -593,18 +599,18 @@ mod tests {
             ..RubinConfig::future()
         };
         let (client, server) = connected_channels(&mut w, cfg);
-        // Messages whose borrows are dropped without release must still be
-        // reclaimed so the receive queue never starves.
+        // Three times as many messages as receive buffers: each read must
+        // give its buffer back, or the receive queue starves.
         for round in 0..12u8 {
             client.write(&mut w.tb.sim, &[round; 128]).unwrap();
             w.tb.sim.run_until_idle();
             server.process_completions(&mut w.tb.sim);
-            let msg = server
-                .read_borrowed(&mut w.tb.sim)
+            let first = server
+                .read_borrowed(&mut w.tb.sim, |d| d[0])
                 .unwrap()
                 .expect("delivered");
-            msg.with_data(|d| assert_eq!(d[0], round));
-            drop(msg); // parked, not released
+            assert_eq!(first, round);
+            assert_eq!(server.qp().recv_posted(), 4, "round {round}");
         }
         assert_eq!(server.stats().borrowed_reads, 12);
     }

@@ -351,11 +351,8 @@ impl RdmaSelector {
                     }
                 }
             }
-            CmEvent::Established { qp, conn_id, .. } => {
-                let channel = self
-                    .find_channel(|c| c.conn_id() == Some(conn_id))
-                    .or_else(|| self.find_channel(|c| c.qp().num() == qp.num()));
-                if let Some(c) = channel {
+            CmEvent::Established { conn_id, .. } => {
+                if let Some(c) = self.find_channel(|c| c.conn_id() == Some(conn_id)) {
                     c.mark_established(sim);
                 }
             }

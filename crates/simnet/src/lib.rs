@@ -87,9 +87,7 @@ pub use pool::{BytePool, PoolStats, PooledBuf};
 pub use sched::CoreAffinity;
 pub use selector::{KeyId, SelectOps, Selected, Selector};
 pub use sim::Simulator;
-pub use stats::{
-    render_table, throughput_ops_per_sec, LatencyRecorder, LatencySummary, Series, SeriesPoint,
-};
+pub use stats::{render_table, throughput_ops_per_sec, LatencyRecorder, Series, SeriesPoint};
 pub use time::{Bandwidth, Nanos};
 pub use topo::LatencyMatrix;
 pub use zipf::{KeyDist, SplitMix64};

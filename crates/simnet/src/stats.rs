@@ -115,51 +115,6 @@ impl LatencyRecorder {
     pub fn max(&self) -> Nanos {
         Nanos::from_nanos(self.values.last().copied().unwrap_or(0))
     }
-
-    /// Clears all samples.
-    pub fn clear(&mut self) {
-        self.values.clear();
-        self.counts.clear();
-        self.len = 0;
-        self.sum = 0;
-    }
-
-    /// Produces an immutable summary of the current samples.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.len() as u64,
-            mean_us: self.mean().as_micros_f64(),
-            p50_us: if self.is_empty() {
-                0.0
-            } else {
-                self.percentile(50.0).as_micros_f64()
-            },
-            p99_us: if self.is_empty() {
-                0.0
-            } else {
-                self.percentile(99.0).as_micros_f64()
-            },
-            min_us: self.min().as_micros_f64(),
-            max_us: self.max().as_micros_f64(),
-        }
-    }
-}
-
-/// Immutable latency summary, serializable for bench output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Mean latency in microseconds.
-    pub mean_us: f64,
-    /// Median latency in microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: f64,
-    /// Minimum latency in microseconds.
-    pub min_us: f64,
-    /// Maximum latency in microseconds.
-    pub max_us: f64,
 }
 
 /// Computes closed-loop throughput: `ops` completed over `elapsed`.
@@ -270,7 +225,6 @@ mod tests {
         assert_eq!(rec.mean(), Nanos::ZERO);
         assert_eq!(rec.min(), Nanos::ZERO);
         assert_eq!(rec.max(), Nanos::ZERO);
-        assert_eq!(rec.summary().count, 0);
     }
 
     #[test]
@@ -309,10 +263,6 @@ mod tests {
             rec.mean().as_nanos(),
             ((2 * u128::from(u64::MAX) + 20) / 8) as u64
         );
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.max(), Nanos::ZERO);
-        assert_eq!(rec.mean(), Nanos::ZERO);
     }
 
     #[test]
@@ -355,16 +305,5 @@ mod tests {
         assert!(t.contains("1KB"));
         assert!(t.contains("2KB"));
         assert!(t.contains('-'));
-    }
-
-    #[test]
-    fn summary_round_trip_serde() {
-        let mut rec = LatencyRecorder::new();
-        rec.record(Nanos::from_micros(5));
-        let s = rec.summary();
-        // Field sanity rather than full serde round trip (no json crate
-        // offline); Serialize derive compiles, values accessible.
-        assert_eq!(s.count, 1);
-        assert!((s.mean_us - 5.0).abs() < 1e-9);
     }
 }
