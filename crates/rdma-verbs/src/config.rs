@@ -45,15 +45,15 @@ pub struct RnicModel {
     pub rnr_retry: u32,
     /// Delay between RNR retries.
     pub rnr_timer: Nanos,
-    /// Transport retry count: how many times an unacknowledged operation is
-    /// retransmitted before the send fails with
+    /// Transport retry count: how many times the oldest unacknowledged
+    /// operation is retransmitted without progress before it fails with
     /// [`WcStatus::RetryExceeded`](crate::WcStatus::RetryExceeded) and the
     /// QP enters the error state. Mirrors ibverbs `retry_cnt` (7 is the
     /// common maximum).
     pub retry_cnt: u32,
-    /// ACK timeout: how long the connection may go without cumulative ACK
-    /// progress before the oldest unacknowledged operation is
-    /// retransmitted. Mirrors ibverbs `timeout` (which encodes
+    /// ACK timeout: how long the connection may go without an ACK or READ
+    /// response retiring an operation before the oldest unacknowledged one
+    /// is retransmitted. Mirrors ibverbs `timeout` (which encodes
     /// `4.096 µs × 2^timeout`); here the duration is given directly. The
     /// clock measures *silence*, not per-packet age — operations queued
     /// behind a deep send window are not retransmitted while ACKs keep

@@ -287,6 +287,11 @@ mod tests {
         assert!(tx[0].is_ok());
         assert_eq!(tx[0].opcode, WcOpcode::RdmaRead);
         assert_eq!(local.read(0, 13).unwrap(), b"remote-secret");
+        assert_eq!(
+            p.tb.sim.queue_stats().boxed,
+            0,
+            "a READ's steps fit their slots"
+        );
     }
 
     #[test]
@@ -894,25 +899,31 @@ mod tests {
     }
 
     /// SENDs the network drops give their pooled buffers back. The first
-    /// dies in a partition and its retransmission lands after the heal;
-    /// the second and every retransmission of it die in a partition that
-    /// outlasts the retry budget. Once idle no buffer is out.
+    /// dies in a partition and its retransmission, rebuilt from the posted
+    /// buffer, lands that buffer's bytes after the heal; the second and
+    /// every retransmission of it die in a partition that outlasts the
+    /// retry budget. Once idle no buffer is out.
     #[test]
     fn dropped_sends_return_their_buffers_to_the_pool() {
         let mut p = connected_pair();
         let rbuf = p.dev_b.reg_mr(&p.pd_b, 512, Access::LOCAL_WRITE);
         p.qp_b
-            .post_recv(&mut p.tb.sim, RecvWr::new(WrId(1), Sge::whole(rbuf)))
+            .post_recv(
+                &mut p.tb.sim,
+                RecvWr::new(WrId(1), Sge::whole(rbuf.clone())),
+            )
             .unwrap();
         let (a, b) = (p.tb.a, p.tb.b);
         p.tb.net.with_faults(|f| f.partition(a, b));
-        send_bytes(&mut p, &[7u8; 512], true);
+        let data: Vec<u8> = (0..512).map(|i| (i % 251) as u8).collect();
+        send_bytes(&mut p, &data, true);
         p.tb.sim.run_for(Nanos::from_micros(100));
         p.tb.net.with_faults(|f| f.heal(a, b));
         p.tb.sim.run_until_idle();
         assert_eq!(qp_counter(&p, &p.qp_a, "retransmits"), 1);
         assert_eq!(p.rcq_b.poll(8)[0].status, WcStatus::Success);
         assert_eq!(p.scq_a.poll(8)[0].status, WcStatus::Success);
+        assert_eq!(rbuf.read(0, 512).unwrap(), data);
         assert_eq!(p.tb.net.buffer_pool().stats().outstanding, 0);
 
         p.tb.net.with_faults(|f| f.partition(a, b));
@@ -930,11 +941,7 @@ mod tests {
         let mut p = connected_pair();
         let (a, b) = (p.tb.a, p.tb.b);
         p.tb.net.with_faults(|f| f.partition(a, b));
-        for id in 0..8 {
-            let sbuf = p.dev_a.reg_mr(&p.pd_a, 64, Access::NONE);
-            let wr = SendWr::send(WrId(id), Sge::whole(sbuf)).signaled();
-            p.qp_a.post_send(&mut p.tb.sim, wr).unwrap();
-        }
+        post_sends(&mut p, 8);
         p.tb.sim.run_for(Nanos::from_micros(50));
         assert!(p.scq_a.poll(8).is_empty(), "all eight wait for an ACK");
         p.qp_a.disconnect(&mut p.tb.sim);
@@ -1225,5 +1232,125 @@ mod tests {
         assert_eq!(tx.len(), 1, "exactly one failure completion");
         assert_eq!(tx[0].status, WcStatus::RnrRetryExceeded);
         assert_eq!(p.qp_a.state(), QpState::Error);
+    }
+
+    /// Steps `p`'s simulator until `done` holds and returns the time.
+    fn step_until(p: &mut Pair, mut done: impl FnMut(&Pair) -> bool) -> Nanos {
+        while !done(p) {
+            assert!(p.tb.sim.step(), "the simulator ran idle first");
+        }
+        p.tb.sim.now()
+    }
+
+    /// Posts `n` signaled 64-byte SENDs from A, with ids `0..n`.
+    fn post_sends(p: &mut Pair, n: u64) {
+        for id in 0..n {
+            let sbuf = p.dev_a.reg_mr(&p.pd_a, 64, Access::NONE);
+            let wr = SendWr::send(WrId(id), Sge::whole(sbuf)).signaled();
+            p.qp_a.post_send(&mut p.tb.sim, wr).unwrap();
+        }
+    }
+
+    /// The transport timer restarts on the ACK that retires the first
+    /// SEND, so the second, lost on the wire, is re-sent exactly one
+    /// `timeout` after that ACK.
+    #[test]
+    fn a_send_lost_behind_an_acked_one_is_resent_one_timeout_after_the_ack() {
+        let mut p = connected_pair();
+        post_recvs(&mut p, &[64, 64]);
+        let (a, b) = (p.tb.a, p.tb.b);
+        let pool = p.tb.net.buffer_pool();
+        post_sends(&mut p, 2);
+        // A data packet takes its buffer when the NIC builds it.
+        step_until(&mut p, |_| pool.stats().takes > 0);
+        p.tb.net.with_faults(|f| f.set_loss(a, b, 1.0));
+        let taken = pool.stats().takes;
+        step_until(&mut p, |_| pool.stats().takes > taken);
+        p.tb.net.with_faults(|f| f.set_loss(a, b, 0.0));
+        let acked = step_until(&mut p, |p| p.scq_a.pending() > 0);
+        let resent = step_until(&mut p, |p| qp_counter(p, &p.qp_a, "retransmits") > 0);
+        assert_eq!(resent - acked, RnicModel::mt27520().timeout);
+        p.tb.sim.run_until_idle();
+        assert_eq!(p.rcq_b.poll(8).len(), 2);
+        let ids: Vec<u64> = p.scq_a.poll(8).iter().map(|wc| wc.wr_id.0).collect();
+        assert_eq!(ids, [0, 1]);
+    }
+
+    /// With the peer gone the oldest operation is re-sent `retry_cnt`
+    /// times, one `timeout` apart, and fails one `timeout` after the last;
+    /// the operations behind it flush in posting order.
+    #[test]
+    fn retry_exceeded_comes_retry_cnt_plus_one_timeouts_after_the_first_transmission() {
+        let mut p = connected_pair();
+        let (a, b) = (p.tb.a, p.tb.b);
+        p.tb.net.with_faults(|f| f.partition(a, b));
+        let pool = p.tb.net.buffer_pool();
+        post_sends(&mut p, 4);
+        let sent = step_until(&mut p, |_| pool.stats().takes > 0);
+        let failed = step_until(&mut p, |p| p.scq_a.pending() > 0);
+        let model = RnicModel::mt27520();
+        assert_eq!(failed - sent, model.timeout * (model.retry_cnt as u64 + 1));
+        assert_eq!(
+            qp_counter(&p, &p.qp_a, "retransmits"),
+            model.retry_cnt as u64
+        );
+        let wcs = p.scq_a.poll(8);
+        let got: Vec<(u64, WcStatus)> = wcs.iter().map(|wc| (wc.wr_id.0, wc.status)).collect();
+        assert_eq!(
+            got,
+            [
+                (0, WcStatus::RetryExceeded),
+                (1, WcStatus::WorkRequestFlushed),
+                (2, WcStatus::WorkRequestFlushed),
+                (3, WcStatus::WorkRequestFlushed),
+            ]
+        );
+    }
+
+    /// A READ response is progress, as RC specifies: it restarts the
+    /// transport timer, so a SEND lost behind the READ is re-sent one
+    /// `timeout` after the response arrives, not after its own post.
+    #[test]
+    fn a_read_response_restarts_the_transport_timer() {
+        const LEN: usize = 256 * 1024;
+        let mut p = connected_pair();
+        post_recvs(&mut p, &[64]);
+        let (a, b) = (p.tb.a, p.tb.b);
+        let pool = p.tb.net.buffer_pool();
+        let remote = p.dev_b.reg_mr(&p.pd_b, LEN, Access::REMOTE_READ);
+        let sink = p.dev_a.reg_mr(&p.pd_a, LEN, Access::LOCAL_WRITE);
+        let read = SendWr::read(WrId(7), Sge::whole(sink), remote.rkey(), 0).signaled();
+        p.qp_a.post_send(&mut p.tb.sim, read).unwrap();
+        // The responder builds the READ response; the SEND posted now is
+        // lost on the wire while the response is in flight.
+        step_until(&mut p, |_| pool.stats().takes > 0);
+        p.tb.net.with_faults(|f| f.set_loss(a, b, 1.0));
+        post_sends(&mut p, 1);
+        let taken = pool.stats().takes;
+        step_until(&mut p, |_| pool.stats().takes > taken);
+        p.tb.net.with_faults(|f| f.set_loss(a, b, 0.0));
+        let read_done = step_until(&mut p, |p| p.scq_a.pending() > 0);
+        let model = RnicModel::mt27520();
+        // The READ completes a DMA and a CQE after its response arrives.
+        let arrived = read_done - model.dma_cost(LEN) - Nanos::from_nanos(model.cqe_ns);
+        let resent = step_until(&mut p, |p| qp_counter(p, &p.qp_a, "retransmits") > 0);
+        assert_eq!(resent - arrived, model.timeout);
+        p.tb.sim.run_until_idle();
+        assert_eq!(qp_counter(&p, &p.qp_a, "retransmits"), 1);
+        let ids: Vec<u64> = p.scq_a.poll(8).iter().map(|wc| wc.wr_id.0).collect();
+        assert_eq!(ids, [7, 0]);
+    }
+
+    /// However many operations are outstanding, the queue pair keeps one
+    /// transport timer, not one per operation.
+    #[test]
+    fn one_retry_timer_is_pending_however_many_operations_are_outstanding() {
+        let mut p = connected_pair();
+        let (a, b) = (p.tb.a, p.tb.b);
+        p.tb.net.with_faults(|f| f.partition(a, b));
+        post_sends(&mut p, 8);
+        p.tb.sim.run_for(Nanos::from_micros(100));
+        assert_eq!(p.tb.sim.queue_stats().pending, 1);
+        assert!(p.scq_a.poll(8).is_empty(), "all eight are outstanding");
     }
 }

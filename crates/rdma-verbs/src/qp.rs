@@ -15,11 +15,15 @@
 //!   This preserves RC's in-order delivery without simulating per-packet
 //!   RNR polling, while still failing loudly when an application
 //!   under-posts receives (the pitfall paper §II-A warns about).
-//! * Loss recovery is retransmission at *message* granularity: every
-//!   unacknowledged operation keeps a copy of its packet and an ACK-timeout
-//!   timer ([`RnicModel::timeout`](crate::RnicModel)); on expiry the packet
-//!   is re-sent up to [`RnicModel::retry_cnt`](crate::RnicModel) times, then
-//!   the WR fails with [`WcStatus::RetryExceeded`] and the QP enters the
+//! * Loss recovery is RC's, at *message* granularity. A queue pair keeps
+//!   one transport timer ([`RnicModel::timeout`](crate::RnicModel)) while
+//!   any operation is unanswered: armed when an operation is posted with
+//!   none outstanding, restarted by every ACK or READ response that
+//!   retires one. On expiry the oldest operation is re-sent, its packet
+//!   rebuilt from the posted work request's buffer as an RNIC re-reads the
+//!   WQE (no packet copy is kept); after
+//!   [`RnicModel::retry_cnt`](crate::RnicModel) expiries without progress
+//!   it fails with [`WcStatus::RetryExceeded`] and the QP enters the
 //!   error state. The receiver accepts request packets only at its in-order
 //!   sequence watermark, exactly like RC hardware's go-back-N responder: a
 //!   packet ahead of the watermark (an earlier one was lost in flight) is
@@ -36,7 +40,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use simnet::{Addr, CoreId, Counters, EventId, Nanos, PooledBuf, Simulator};
+use simnet::{Addr, BytePool, CoreId, Counters, EventId, Nanos, PooledBuf, Simulator};
 
 use crate::config::RnicModel;
 use crate::device::{EventHook, RdmaDevice, WeakDevice};
@@ -68,37 +72,64 @@ simnet::metric_names! {
     }
 }
 
-/// What a send-queue operation's completion reports.
-struct SentOp {
-    wr_id: WrId,
-    signaled: bool,
-    opcode: WcOpcode,
-    byte_len: usize,
-}
-
-impl SentOp {
+impl SendWr {
+    /// The completion this operation reports.
     fn wc(&self, qp: QpNum, status: WcStatus, byte_len: usize) -> Wc {
+        let opcode = match self.op {
+            SendOp::Send { .. } => WcOpcode::Send,
+            SendOp::Write { .. } => WcOpcode::RdmaWrite,
+            SendOp::Read { .. } => WcOpcode::RdmaRead,
+        };
         Wc {
             wr_id: self.wr_id,
             status,
-            opcode: self.opcode,
+            opcode,
             byte_len,
             qp,
             imm: None,
         }
     }
+
+    /// The request packet for sequence number `seq`, its payload read
+    /// from the posted buffer into one of `pool`'s buffers.
+    fn packet(&self, seq: u64, pool: &BytePool) -> VerbsResult<RdmaPacket> {
+        let sge = &self.sge;
+        let payload = || sge.mr.dma_read_pooled(sge.offset, sge.len, pool);
+        Ok(match self.op {
+            SendOp::Send { imm } => RdmaPacket::Send {
+                data: payload()?,
+                imm,
+                seq,
+            },
+            SendOp::Write {
+                rkey,
+                remote_offset,
+                imm,
+            } => RdmaPacket::WriteReq {
+                rkey: rkey.0,
+                offset: remote_offset,
+                data: payload()?,
+                imm,
+                seq,
+            },
+            SendOp::Read {
+                rkey,
+                remote_offset,
+            } => RdmaPacket::ReadReq {
+                rkey: rkey.0,
+                offset: remote_offset,
+                len: sge.len,
+                seq,
+            },
+        })
+    }
 }
 
+/// An operation awaiting its ACK or READ response: the posted work
+/// request, all a retransmission needs, and its sequence number.
 struct PendingSend {
-    op: SentOp,
-    /// Local destination for READ responses.
-    read_sink: Option<Sge>,
-    /// Copy of the emitted packet, kept for retransmission.
-    packet: RdmaPacket,
-    /// Transport retries remaining before `RetryExceeded`.
-    retries_left: u32,
-    /// The armed ACK-timeout event, cancelled when the operation completes.
-    retry_timer: Option<EventId>,
+    seq: u64,
+    wr: SendWr,
 }
 
 /// An inbound SEND or WRITE past the sequence gate, as it arrived or as it
@@ -134,7 +165,7 @@ pub(crate) struct QpInner {
     /// Operations awaiting their ACK or READ response, in posting order:
     /// seqs are assigned in increasing order, so the front is the oldest
     /// and an error flushes them as they were posted.
-    pending: VecDeque<(u64, PendingSend)>,
+    pending: VecDeque<PendingSend>,
     /// Send WRs accepted but not yet completed (capacity accounting).
     outstanding_sends: usize,
     /// The NIC's WQE-processing horizon: send work requests are fetched
@@ -150,12 +181,14 @@ pub(crate) struct QpInner {
     /// exactly this value (RC go-back-N ordering); anything below it is a
     /// duplicate, anything above it is dropped for the sender to retransmit.
     rx_expected: u64,
-    /// When the last ACK advanced the pending window. The retransmission
-    /// timeout clocks *silence*, not per-packet age: as long as cumulative
-    /// ACK progress is being made, queued-behind operations are not
-    /// retransmitted (RC hardware times the oldest unacknowledged PSN and
-    /// restarts the clock on every ACK).
-    last_ack_progress: Nanos,
+    /// The transport timer, pending while `pending` is not empty. It
+    /// clocks *silence*, not per-operation age: it fires `timeout` after
+    /// the later of the oldest operation's post and the last response
+    /// that retired one.
+    retry_timer: Option<EventId>,
+    /// Expiries since the last progress: the oldest operation is re-sent
+    /// on each until there have been `retry_cnt`.
+    retry_strikes: u32,
     /// Shared cross-layer registry (the owning network's), this QP's key
     /// prefix `rdma.{host}.{qpnum}.` (for trace milestones) and its
     /// counters under that prefix.
@@ -180,16 +213,16 @@ impl QpInner {
 
     /// Where `seq`'s operation sits in `pending`, if it is still there.
     fn pending_at(&self, seq: u64) -> Option<usize> {
-        self.pending.binary_search_by_key(&seq, |&(s, _)| s).ok()
+        self.pending.binary_search_by_key(&seq, |p| p.seq).ok()
     }
 
     /// Counts and reports an operation the peer answered: a success only
     /// when signaled, a failure always.
-    fn complete_send(&mut self, op: &SentOp, status: WcStatus, byte_len: usize) {
+    fn complete_send(&mut self, signaled: bool, wc: Wc) {
         self.counters[QpCounter::SendsCompleted].incr();
-        if op.signaled || status != WcStatus::Success {
+        if signaled || wc.status != WcStatus::Success {
             self.counters[QpCounter::SignaledCompletions].incr();
-            self.send_cq.push(op.wc(self.num, status, byte_len));
+            self.send_cq.push(wc);
         } else {
             self.counters[QpCounter::UnsignaledCompletions].incr();
         }
@@ -321,7 +354,8 @@ impl QueuePair {
                 rx_dma_until: Nanos::ZERO,
                 next_seq: 0,
                 rx_expected: 0,
-                last_ack_progress: Nanos::ZERO,
+                retry_timer: None,
+                retry_strikes: 0,
                 counters: metrics.counters(&metrics_prefix),
                 metrics,
                 metrics_prefix,
@@ -600,73 +634,31 @@ impl QueuePair {
     /// NIC-side: fetch payload and emit the packet for one WR.
     fn nic_transmit(&self, sim: &mut Simulator, wr: SendWr) {
         let pool = self.device.net().buffer_pool();
-        let op = SentOp {
-            wr_id: wr.wr_id,
-            signaled: wr.signaled,
-            opcode: opcode_of(&wr.op),
-            byte_len: wr.sge.len,
-        };
-        let (seq, packet) = {
+        let (seq, packet, arm) = {
             let mut inner = self.inner.borrow_mut();
             if inner.state == QpState::Error {
                 // Queue pair failed between posting and fetch: flush.
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                inner
-                    .send_cq
-                    .push(op.wc(inner.num, WcStatus::WorkRequestFlushed, 0));
+                let wc = wr.wc(inner.num, WcStatus::WorkRequestFlushed, 0);
+                inner.send_cq.push(wc);
                 return;
             }
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            let payload = || wr.sge.mr.dma_read_pooled(wr.sge.offset, wr.sge.len, &pool);
-            let packet = match wr.op {
-                SendOp::Send { imm } => payload().map(|data| RdmaPacket::Send { data, imm, seq }),
-                SendOp::Write {
-                    rkey,
-                    remote_offset,
-                    imm,
-                } => payload().map(|data| RdmaPacket::WriteReq {
-                    rkey: rkey.0,
-                    offset: remote_offset,
-                    data,
-                    imm,
-                    seq,
-                }),
-                SendOp::Read {
-                    rkey,
-                    remote_offset,
-                } => Ok(RdmaPacket::ReadReq {
-                    rkey: rkey.0,
-                    offset: remote_offset,
-                    len: wr.sge.len,
-                    seq,
-                }),
-            };
-            let Ok(packet) = packet else {
-                // Local-protection failure discovered at WQE fetch time.
-                inner
-                    .send_cq
-                    .push(op.wc(inner.num, WcStatus::LocalProtectionError, 0));
-                drop(inner);
-                self.enter_error();
-                self.fire_hook(sim);
-                return;
-            };
-            let read_sink = matches!(wr.op, SendOp::Read { .. }).then_some(wr.sge);
-            inner.pending.push_back((
-                seq,
-                PendingSend {
-                    op,
-                    read_sink,
-                    packet: packet.clone(),
-                    retries_left: self.device.model().retry_cnt,
-                    retry_timer: None,
-                },
-            ));
-            (seq, packet)
+            let packet = wr.packet(seq, &pool);
+            inner.pending.push_back(PendingSend { seq, wr });
+            (seq, packet, inner.retry_timer.is_none())
         };
-        self.emit(sim, packet);
-        self.arm_retry(sim, seq);
+        match packet {
+            Ok(packet) => {
+                self.emit(sim, packet);
+                if arm {
+                    self.arm_retry(sim);
+                }
+            }
+            // Local-protection failure discovered at WQE fetch time.
+            Err(_) => self.fail(sim, seq, WcStatus::LocalProtectionError),
+        }
     }
 
     /// Puts `pkt` on the wire to the connected peer. Every packet a queue
@@ -682,100 +674,83 @@ impl QueuePair {
         }
     }
 
-    /// Arms (or re-arms) the ACK-timeout retransmission timer for `seq`.
-    fn arm_retry(&self, sim: &mut Simulator, seq: u64) {
-        self.arm_retry_in(sim, seq, self.device.model().timeout);
-    }
-
-    /// Arms the retransmission timer for `seq` with an explicit delay.
-    fn arm_retry_in(&self, sim: &mut Simulator, seq: u64, delay: Nanos) {
+    /// Arms the transport timer `timeout` from now.
+    fn arm_retry(&self, sim: &mut Simulator) {
         let qp = self.clone();
-        let id = sim.schedule_in(delay, move |sim| qp.retry_fire(sim, seq));
-        let mut inner = self.inner.borrow_mut();
-        if let Some(at) = inner.pending_at(seq) {
-            inner.pending[at].1.retry_timer = Some(id);
-        }
+        let id = sim.schedule_in(self.device.model().timeout, move |sim| qp.retry_fire(sim));
+        self.inner.borrow_mut().retry_timer = Some(id);
     }
 
-    /// ACK timeout expired for `seq`: retransmit the stored packet, or fail
-    /// the operation with [`WcStatus::RetryExceeded`] once the transport
-    /// retry budget is spent.
-    fn retry_fire(&self, sim: &mut Simulator, seq: u64) {
-        let timeout = self.device.model().timeout;
-        let rearm = {
-            let inner = self.inner.borrow();
-            if inner.state == QpState::Error || inner.pending_at(seq).is_none() {
+    /// The transport timer expired: re-send the oldest operation, its
+    /// packet rebuilt from its work request, or fail it with
+    /// [`WcStatus::RetryExceeded`] once `retry_cnt` re-sends made no
+    /// progress. The re-send is charged only on the wire.
+    fn retry_fire(&self, sim: &mut Simulator) {
+        let pool = self.device.net().buffer_pool();
+        let retry_cnt = self.device.model().retry_cnt;
+        let (seq, resend) = {
+            let mut inner = self.inner.borrow_mut();
+            inner.retry_timer = None;
+            // An error drained the queue.
+            let Some(oldest) = inner.pending.front() else {
                 return;
+            };
+            let seq = oldest.seq;
+            let resend = (inner.retry_strikes < retry_cnt).then(|| oldest.wr.packet(seq, &pool));
+            if resend.is_some() {
+                inner.retry_strikes += 1;
             }
-            if inner.pending.front().map(|&(s, _)| s) != Some(seq) {
-                // Go-back-N: only the oldest unacknowledged operation's
-                // timer drives retransmission. Entries queued behind it
-                // re-arm without consuming their retry budget — on a deep
-                // send queue their ACKs are late because of queueing, not
-                // loss.
-                Some(timeout)
-            } else {
-                // Oldest entry, but the window advanced less than one
-                // timeout ago: the link is live, so keep clocking silence
-                // rather than age.
-                let idle = sim.now() - inner.last_ack_progress;
-                (inner.last_ack_progress > Nanos::ZERO && idle < timeout)
-                    .then(|| Nanos::from_nanos(timeout.as_nanos() - idle.as_nanos()))
+            (seq, resend)
+        };
+        match resend {
+            Some(Ok(pkt)) => {
+                self.inner.borrow().counters[QpCounter::Retransmits].incr();
+                self.emit(sim, pkt);
+                self.arm_retry(sim);
             }
-        };
-        if let Some(delay) = rearm {
-            self.arm_retry_in(sim, seq, delay);
-            return;
+            // The posted buffer was deregistered under the request.
+            Some(Err(_)) => self.fail(sim, seq, WcStatus::LocalProtectionError),
+            None => {
+                {
+                    let inner = self.inner.borrow();
+                    inner.counters[QpCounter::RetryExceeded].incr();
+                    inner.metrics.trace(
+                        sim.now(),
+                        "rdma",
+                        format!("{}retry_exceeded seq={seq}", inner.metrics_prefix),
+                    );
+                }
+                // The peer is unreachable: fail the QP so the remaining
+                // queue flushes, exactly as RC hardware reports
+                // IBV_WC_RETRY_EXC_ERR and transitions to the error state.
+                self.fail(sim, seq, WcStatus::RetryExceeded);
+            }
         }
-        let resend = {
-            let mut inner = self.inner.borrow_mut();
-            let (_, p) = inner.pending.front_mut().expect("checked oldest");
-            (p.retries_left > 0).then(|| {
-                p.retries_left -= 1;
-                p.retry_timer = None;
-                p.packet.clone()
-            })
-        };
-        if let Some(pkt) = resend {
-            self.inner.borrow().counters[QpCounter::Retransmits].incr();
-            self.emit(sim, pkt);
-            self.arm_retry(sim, seq);
-            return;
-        }
-        let (op, _) = self.retire(sim, seq).expect("checked present");
-        {
-            let inner = self.inner.borrow();
-            inner.counters[QpCounter::RetryExceeded].incr();
-            inner.metrics.trace(
-                sim.now(),
-                "rdma",
-                format!("{}retry_exceeded seq={seq}", inner.metrics_prefix),
-            );
-            inner
-                .send_cq
-                .push(op.wc(inner.num, WcStatus::RetryExceeded, 0));
-        }
-        // The peer is unreachable: fail the QP so the remaining queue
-        // flushes, exactly as RC hardware reports IBV_WC_RETRY_EXC_ERR and
-        // transitions to the error state.
-        self.enter_error();
-        self.fire_hook(sim);
     }
 
-    /// Takes `seq`'s operation off the send queue: frees its slot, cancels
-    /// its ACK timer and drops its retransmission copy. The caller counts
-    /// and completes the operation.
-    fn retire(&self, sim: &mut Simulator, seq: u64) -> Option<(SentOp, Option<Sge>)> {
-        let p = {
+    /// Takes `seq`'s operation off the send queue and frees its slot. The
+    /// caller counts and completes the operation.
+    fn retire(&self, seq: u64) -> Option<SendWr> {
+        let mut inner = self.inner.borrow_mut();
+        let at = inner.pending_at(seq)?;
+        inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
+        Some(inner.pending.remove(at).expect("found").wr)
+    }
+
+    /// A response retired an operation: the strikes clear and the
+    /// transport timer restarts if anything is still outstanding.
+    fn progress(&self, sim: &mut Simulator) {
+        let rearm = {
             let mut inner = self.inner.borrow_mut();
-            let at = inner.pending_at(seq)?;
-            inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-            inner.pending.remove(at).expect("found").1
+            inner.retry_strikes = 0;
+            if let Some(id) = inner.retry_timer.take() {
+                sim.cancel(id);
+            }
+            !inner.pending.is_empty()
         };
-        if let Some(id) = p.retry_timer {
-            sim.cancel(id);
+        if rearm {
+            self.arm_retry(sim);
         }
-        Some((p.op, p.read_sink))
     }
 
     /// Delivers held inbound messages now that receive WRs are available.
@@ -900,8 +875,8 @@ impl QueuePair {
             } => self.handle_read(sim, rkey, offset, len, seq),
             RdmaPacket::ReadResp { seq, data } => self.handle_read_resp(sim, seq, data),
             RdmaPacket::Ack { seq } => self.handle_ack(sim, seq),
-            RdmaPacket::RnrNak { seq } => self.handle_nak(sim, seq, WcStatus::RnrRetryExceeded),
-            RdmaPacket::Nak { seq, status } => self.handle_nak(sim, seq, status),
+            RdmaPacket::RnrNak { seq } => self.fail(sim, seq, WcStatus::RnrRetryExceeded),
+            RdmaPacket::Nak { seq, status } => self.fail(sim, seq, status),
             RdmaPacket::Disconnect => {
                 let num = self.num();
                 self.enter_error();
@@ -1154,16 +1129,19 @@ impl QueuePair {
     }
 
     fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: PooledBuf) {
-        let Some((op, sink)) = self.retire(sim, seq) else {
+        let Some(wr) = self.retire(seq) else {
             return;
         };
-        let sink = sink.expect("READ pending entries carry a sink");
+        self.progress(sim);
         let model = self.device.model();
         let done_at = sim.now() + model.dma_cost(data.len()) + Nanos::from_nanos(model.cqe_ns);
+        // The step keeps only what it needs of the request, so it fits an
+        // event slot.
+        let (wr_id, signaled, sge) = (wr.wr_id, wr.signaled, wr.sge);
         let qp = self.clone();
         sim.schedule_at(done_at, move |sim| {
             let len = data.len();
-            let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
+            let ok = sge.mr.dma_write(sge.offset, &data).is_ok();
             drop(data);
             {
                 let mut inner = qp.inner.borrow_mut();
@@ -1177,39 +1155,49 @@ impl QueuePair {
                 } else {
                     WcStatus::LocalProtectionError
                 };
-                inner.complete_send(&op, status, len);
+                let wc = Wc {
+                    wr_id,
+                    status,
+                    opcode: WcOpcode::RdmaRead,
+                    byte_len: len,
+                    qp: inner.num,
+                    imm: None,
+                };
+                inner.complete_send(signaled, wc);
             }
             qp.fire_hook(sim);
         });
     }
 
     fn handle_ack(&self, sim: &mut Simulator, seq: u64) {
-        let Some((op, _)) = self.retire(sim, seq) else {
+        let Some(wr) = self.retire(seq) else {
             return;
         };
+        self.progress(sim);
         {
             let mut inner = self.inner.borrow_mut();
-            inner.last_ack_progress = sim.now();
-            inner.complete_send(&op, WcStatus::Success, op.byte_len);
+            let wc = wr.wc(inner.num, WcStatus::Success, wr.sge.len);
+            inner.complete_send(wr.signaled, wc);
         }
         // The ACK of an unsignaled send leaves no completion to report.
-        if op.signaled {
+        if wr.signaled {
             self.fire_hook(sim);
         }
     }
 
-    fn handle_nak(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
-        if let Some((op, _)) = self.retire(sim, seq) {
+    /// Fails `seq`'s operation with `status`, and the QP with it: a NAK,
+    /// a spent retry budget or a buffer gone at WQE fetch.
+    fn fail(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
+        if let Some(wr) = self.retire(seq) {
             let inner = self.inner.borrow();
-            inner.send_cq.push(op.wc(inner.num, status, 0));
+            inner.send_cq.push(wr.wc(inner.num, status, 0));
         }
         self.enter_error();
         self.fire_hook(sim);
     }
 
     /// Moves the QP to the error state and flushes all outstanding work in
-    /// posting order, dropping every retransmission copy and held inbound
-    /// message.
+    /// posting order, dropping every held inbound message.
     pub(crate) fn enter_error(&self) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
@@ -1219,10 +1207,10 @@ impl QueuePair {
         inner.state = QpState::Error;
         let num = inner.num;
         inner.outstanding_sends = 0;
-        for (_, p) in inner.pending.drain(..) {
+        for p in inner.pending.drain(..) {
             inner
                 .send_cq
-                .push(p.op.wc(num, WcStatus::WorkRequestFlushed, 0));
+                .push(p.wr.wc(num, WcStatus::WorkRequestFlushed, 0));
         }
         for r in inner.recv_queue.drain(..) {
             inner.recv_cq.push(Wc {
@@ -1248,14 +1236,6 @@ impl QueuePair {
         let addr = self.local_addr();
         self.device.net().unbind(addr);
         self.enter_error();
-    }
-}
-
-fn opcode_of(op: &SendOp) -> WcOpcode {
-    match op {
-        SendOp::Send { .. } => WcOpcode::Send,
-        SendOp::Write { .. } => WcOpcode::RdmaWrite,
-        SendOp::Read { .. } => WcOpcode::RdmaRead,
     }
 }
 

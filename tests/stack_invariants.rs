@@ -306,9 +306,11 @@ fn rubin_stack_recycles_pooled_buffers_without_leaking() {
         snap.gauge("pool.net.parked") > 0,
         "returned buffers must be parked for reuse"
     );
-    assert!(
-        takes >= 2 * MSGS as i64,
-        "every echoed payload uses pooled buffers both ways"
+    assert_eq!(
+        takes,
+        2 * MSGS as i64,
+        "one pooled buffer per data packet, a SEND each way per echo; \
+         the handshake draws none and nothing keeps a copy"
     );
     // Reuse actually happens: misses (fresh allocations) are strictly
     // fewer than takes once the pool warms up.
