@@ -1353,4 +1353,122 @@ mod tests {
         assert_eq!(p.tb.sim.queue_stats().pending, 1);
         assert!(p.scq_a.poll(8).is_empty(), "all eight are outstanding");
     }
+
+    /// Posts, in one doorbell, a signaled 32 B SEND (id 0) and a signaled
+    /// inline plain WRITE of 32 B of 9s into a fresh region of B (id 1);
+    /// returns that region.
+    fn post_send_then_write(p: &mut Pair) -> MemoryRegion {
+        let sbuf = p.dev_a.reg_mr(&p.pd_a, 32, Access::NONE);
+        let send = SendWr::send(WrId(0), Sge::whole(sbuf)).signaled();
+        let target = p.dev_b.reg_mr(&p.pd_b, 32, Access::REMOTE_WRITE);
+        let src = p.dev_a.reg_mr(&p.pd_a, 32, Access::NONE);
+        src.write(0, &[9; 32]).unwrap();
+        let write = SendWr::write(WrId(1), Sge::whole(src), target.rkey(), 0);
+        let write = write.signaled().with_inline();
+        p.qp_a
+            .post_send_batch(&mut p.tb.sim, [send, write])
+            .unwrap();
+        target
+    }
+
+    fn send_statuses(p: &Pair) -> Vec<(u64, WcStatus)> {
+        let wcs = p.scq_a.poll(8);
+        wcs.iter().map(|wc| (wc.wr_id.0, wc.status)).collect()
+    }
+
+    /// An ACK is cumulative: when the first SEND's ACK is lost, the
+    /// second's completes both, in posting order, and nothing is re-sent.
+    /// So a sender that frees every buffer up to a successful completion,
+    /// as a zero-copy RUBIN channel deregisters its buffers, leaves the
+    /// queue pair working: the transport never re-reads a buffer its owner
+    /// was told is done.
+    #[test]
+    fn a_lost_ack_is_covered_by_the_next_so_freed_buffers_are_never_resent() {
+        let mut p = connected_pair();
+        post_recvs(&mut p, &[64, 64]);
+        let (a, b) = (p.tb.a, p.tb.b);
+        p.tb.net.with_faults(|f| f.set_loss(b, a, 1.0));
+        let bufs: Vec<MemoryRegion> = (0..2)
+            .map(|id| {
+                let sbuf = p.dev_a.reg_mr(&p.pd_a, 64, Access::NONE);
+                let wr = SendWr::send(WrId(id), Sge::whole(sbuf.clone())).signaled();
+                p.qp_a.post_send(&mut p.tb.sim, wr).unwrap();
+                sbuf
+            })
+            .collect();
+        // B completes the first receive and ACKs it into the loss.
+        step_until(&mut p, |p| p.rcq_b.pending() == 1);
+        p.tb.net.with_faults(|f| f.set_loss(b, a, 0.0));
+        let mut done = Vec::new();
+        while p.tb.sim.step() {
+            for (id, status) in send_statuses(&p) {
+                if status == WcStatus::Success {
+                    for buf in &bufs[..=id as usize] {
+                        buf.invalidate();
+                    }
+                }
+                done.push((id, status));
+            }
+        }
+        assert_eq!(p.tb.net.metrics().total("faults_dropped"), 1);
+        assert_eq!(done, [(0, WcStatus::Success), (1, WcStatus::Success)]);
+        assert_eq!(qp_counter(&p, &p.qp_a, "retransmits"), 0);
+        assert_eq!(p.qp_a.state(), QpState::ReadyToSend);
+        assert_eq!(p.rcq_b.poll(8).len(), 2);
+    }
+
+    /// A plain WRITE lands no earlier than the SEND ahead of it, whose
+    /// receive completes `cqe_ns` after placement, so its ACK cannot
+    /// overtake the SEND's: neither completes at the sender before the
+    /// SEND's receive completes, and they complete in posting order.
+    #[test]
+    fn a_write_right_behind_a_send_completes_after_it() {
+        let mut p = connected_pair();
+        post_recvs(&mut p, &[64]);
+        post_send_then_write(&mut p);
+        step_until(&mut p, |p| p.scq_a.pending() > 0);
+        assert_eq!(p.rcq_b.pending(), 1, "the SEND's receive completed first");
+        p.tb.sim.run_until_idle();
+        assert_eq!(
+            send_statuses(&p),
+            [(0, WcStatus::Success), (1, WcStatus::Success)]
+        );
+    }
+
+    /// A plain WRITE that passes a SEND waiting in the RNR hold is placed
+    /// but not ACKed over it; once a receive is posted the SEND lands and
+    /// its ACK covers both, so they complete in posting order without a
+    /// re-send.
+    #[test]
+    fn a_write_past_a_held_send_completes_after_it() {
+        let mut p = connected_pair();
+        let target = post_send_then_write(&mut p);
+        p.tb.sim.run_for(Nanos::from_micros(50));
+        assert_eq!(target.read(0, 32).unwrap(), [9; 32], "the WRITE is placed");
+        assert_eq!(p.scq_a.pending(), 0, "and not ACKed over the held SEND");
+        post_recvs(&mut p, &[64]);
+        p.tb.sim.run_until_idle();
+        assert_eq!(
+            send_statuses(&p),
+            [(0, WcStatus::Success), (1, WcStatus::Success)]
+        );
+        assert_eq!(qp_counter(&p, &p.qp_a, "retransmits"), 0);
+    }
+
+    /// When the held SEND's RNR window runs out it fails first, and the
+    /// WRITE behind it flushes: no success is reported past a failure.
+    #[test]
+    fn a_write_past_a_send_the_rnr_window_fails_is_flushed() {
+        let mut p = connected_pair();
+        post_send_then_write(&mut p);
+        p.tb.sim.run_until_idle();
+        assert_eq!(
+            send_statuses(&p),
+            [
+                (0, WcStatus::RnrRetryExceeded),
+                (1, WcStatus::WorkRequestFlushed)
+            ]
+        );
+        assert_eq!(p.qp_a.state(), QpState::Error);
+    }
 }

@@ -32,6 +32,10 @@
 //!   suppressed and re-ACKed. Delivery is therefore exactly-once *and
 //!   in-order* even on lossy links — protocol layers above may rely on RC
 //!   FIFO semantics.
+//! * ACKs are cumulative, as on RC: messages land and are ACKed in order,
+//!   and an ACK retires every SEND and WRITE up to its sequence number,
+//!   so a lost ACK neither reorders completions nor re-reads a buffer its
+//!   owner was told is done.
 //! * A NAK moves the QP to the error state and flushes outstanding work,
 //!   as on real hardware.
 
@@ -73,20 +77,12 @@ simnet::metric_names! {
 }
 
 impl SendWr {
-    /// The completion this operation reports.
-    fn wc(&self, qp: QpNum, status: WcStatus, byte_len: usize) -> Wc {
-        let opcode = match self.op {
+    /// The opcode of the completion this operation reports.
+    fn opcode(&self) -> WcOpcode {
+        match self.op {
             SendOp::Send { .. } => WcOpcode::Send,
             SendOp::Write { .. } => WcOpcode::RdmaWrite,
             SendOp::Read { .. } => WcOpcode::RdmaRead,
-        };
-        Wc {
-            wr_id: self.wr_id,
-            status,
-            opcode,
-            byte_len,
-            qp,
-            imm: None,
         }
     }
 
@@ -172,15 +168,21 @@ pub(crate) struct QpInner {
     /// and executed in posting order.
     nic_busy_until: Nanos,
     /// The receive side's placement horizon: inbound SENDs and WRITEs are
-    /// DMAed into place one after another, so each completion comes no
-    /// earlier than the one before it (RC delivers in order).
+    /// DMAed into place one after another.
     rx_dma_until: Nanos,
+    /// The latest landing: each message lands, completes its receive and
+    /// is ACKed no earlier than the one before it (RC delivers in order),
+    /// so a plain WRITE's ACK never overtakes an earlier SEND's.
+    rx_land_until: Nanos,
     next_seq: u64,
     /// Receiver-side sequence watermark: the next in-order sequence number
     /// expected from the remote QP. Request packets are accepted only at
     /// exactly this value (RC go-back-N ordering); anything below it is a
     /// duplicate, anything above it is dropped for the sender to retransmit.
     rx_expected: u64,
+    /// The latest landed WRITE whose ACK waits for an earlier message in
+    /// the RNR hold; the ACK of the next message to land covers it.
+    rx_unacked: Option<u64>,
     /// The transport timer, pending while `pending` is not empty. It
     /// clocks *silence*, not per-operation age: it fires `timeout` after
     /// the later of the oldest operation's post and the last response
@@ -211,18 +213,39 @@ impl QpInner {
         }
     }
 
-    /// Where `seq`'s operation sits in `pending`, if it is still there.
-    fn pending_at(&self, seq: u64) -> Option<usize> {
-        self.pending.binary_search_by_key(&seq, |p| p.seq).ok()
+    /// Whether a message sequenced before `seq` waits in the RNR hold.
+    fn held_before(&self, seq: u64) -> bool {
+        self.held.iter().any(|h| h.seq < seq)
+    }
+
+    /// Takes `seq`'s operation off the send queue and frees its slot. The
+    /// caller completes it.
+    fn retire(&mut self, seq: u64) -> Option<SendWr> {
+        let at = self.pending.binary_search_by_key(&seq, |p| p.seq).ok()?;
+        self.outstanding_sends = self.outstanding_sends.saturating_sub(1);
+        Some(self.pending.remove(at).expect("found").wr)
+    }
+
+    /// Reports a send-queue completion uncounted: a flush or a failure the
+    /// peer did not answer. Every send-queue completion is built here.
+    fn push_send_wc(&self, wr_id: WrId, opcode: WcOpcode, status: WcStatus, byte_len: usize) {
+        self.send_cq.push(Wc {
+            wr_id,
+            status,
+            opcode,
+            byte_len,
+            qp: self.num,
+            imm: None,
+        });
     }
 
     /// Counts and reports an operation the peer answered: a success only
     /// when signaled, a failure always.
-    fn complete_send(&mut self, signaled: bool, wc: Wc) {
+    fn complete_send(&mut self, id: WrId, signaled: bool, op: WcOpcode, st: WcStatus, len: usize) {
         self.counters[QpCounter::SendsCompleted].incr();
-        if signaled || wc.status != WcStatus::Success {
+        if signaled || st != WcStatus::Success {
             self.counters[QpCounter::SignaledCompletions].incr();
-            self.send_cq.push(wc);
+            self.push_send_wc(id, op, st, len);
         } else {
             self.counters[QpCounter::UnsignaledCompletions].incr();
         }
@@ -352,8 +375,10 @@ impl QueuePair {
                 outstanding_sends: 0,
                 nic_busy_until: Nanos::ZERO,
                 rx_dma_until: Nanos::ZERO,
+                rx_land_until: Nanos::ZERO,
                 next_seq: 0,
                 rx_expected: 0,
+                rx_unacked: None,
                 retry_timer: None,
                 retry_strikes: 0,
                 counters: metrics.counters(&metrics_prefix),
@@ -639,8 +664,7 @@ impl QueuePair {
             if inner.state == QpState::Error {
                 // Queue pair failed between posting and fetch: flush.
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                let wc = wr.wc(inner.num, WcStatus::WorkRequestFlushed, 0);
-                inner.send_cq.push(wc);
+                inner.push_send_wc(wr.wr_id, wr.opcode(), WcStatus::WorkRequestFlushed, 0);
                 return;
             }
             let seq = inner.next_seq;
@@ -728,15 +752,6 @@ impl QueuePair {
         }
     }
 
-    /// Takes `seq`'s operation off the send queue and frees its slot. The
-    /// caller counts and completes the operation.
-    fn retire(&self, seq: u64) -> Option<SendWr> {
-        let mut inner = self.inner.borrow_mut();
-        let at = inner.pending_at(seq)?;
-        inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-        Some(inner.pending.remove(at).expect("found").wr)
-    }
-
     /// A response retired an operation: the strikes clear and the
     /// transport timer restarts if anything is still outstanding.
     fn progress(&self, sim: &mut Simulator) {
@@ -813,11 +828,12 @@ impl QueuePair {
                     }
                 } else {
                     inner.counters[QpCounter::DuplicatesSuppressed].incr();
-                    // If the first copy is still parked in the RNR hold
-                    // queue, stay silent: acking now would confirm data
-                    // that may yet be rejected. Otherwise re-ack, because
-                    // a retransmission means our original ACK was lost.
-                    if inner.held.iter().any(|h| h.seq == seq) {
+                    // If the first copy or an earlier message is still
+                    // parked in the RNR hold queue, stay silent: a
+                    // cumulative ACK now would confirm data that may yet be
+                    // rejected. Otherwise re-ack, because a retransmission
+                    // means our original ACK was lost.
+                    if inner.held_before(seq + 1) {
                         Verdict::Drop
                     } else {
                         Verdict::ReAck
@@ -832,63 +848,45 @@ impl QueuePair {
                 return;
             }
         }
-        match pkt {
-            RdmaPacket::Send { data, imm, seq, .. } => {
-                let write = None;
-                self.receive(
-                    sim,
-                    Inbound {
-                        seq,
-                        data,
-                        imm,
-                        write,
-                    },
-                    false,
-                )
-            }
+        let (seq, data, imm, write) = match pkt {
+            RdmaPacket::Send { data, imm, seq } => (seq, data, imm, None),
             RdmaPacket::WriteReq {
                 rkey,
                 offset,
                 data,
                 imm,
                 seq,
-                ..
-            } => {
-                let write = Some((rkey, offset));
-                self.receive(
-                    sim,
-                    Inbound {
-                        seq,
-                        data,
-                        imm,
-                        write,
-                    },
-                    false,
-                )
-            }
+            } => (seq, data, imm, Some((rkey, offset))),
             RdmaPacket::ReadReq {
                 rkey,
                 offset,
                 len,
                 seq,
-                ..
-            } => self.handle_read(sim, rkey, offset, len, seq),
-            RdmaPacket::ReadResp { seq, data } => self.handle_read_resp(sim, seq, data),
-            RdmaPacket::Ack { seq } => self.handle_ack(sim, seq),
-            RdmaPacket::RnrNak { seq } => self.fail(sim, seq, WcStatus::RnrRetryExceeded),
-            RdmaPacket::Nak { seq, status } => self.fail(sim, seq, status),
+            } => return self.handle_read(sim, rkey, offset, len, seq),
+            RdmaPacket::ReadResp { seq, data } => return self.handle_read_resp(sim, seq, data),
+            RdmaPacket::Ack { seq } => return self.handle_ack(sim, seq),
+            RdmaPacket::RnrNak { seq } => return self.fail(sim, seq, WcStatus::RnrRetryExceeded),
+            RdmaPacket::Nak { seq, status } => return self.fail(sim, seq, status),
             RdmaPacket::Disconnect => {
                 let num = self.num();
                 self.enter_error();
                 self.device
                     .push_cm_event(sim, crate::cm::CmEvent::Disconnected { qp: num });
-                self.fire_hook(sim);
+                return self.fire_hook(sim);
             }
             // CM packets are routed to listeners, not QPs.
             other => {
                 debug_assert!(false, "unexpected CM packet at QP: {other:?}");
+                return;
             }
-        }
+        };
+        let msg = Inbound {
+            seq,
+            data,
+            imm,
+            write,
+        };
+        self.receive(sim, msg, false);
     }
 
     /// The one receive path: admits an inbound SEND or WRITE that passed
@@ -964,21 +962,21 @@ impl QueuePair {
         let model = self.device.model();
         match admit {
             Admit::Land(landing) => {
-                let placed = {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.rx_dma_until = sim.now().max(inner.rx_dma_until) + model.dma_cost(len);
-                    inner.rx_dma_until
-                };
                 let cqe = if landing.recv.is_some() {
                     model.cqe_ns
                 } else {
                     0
                 };
+                let land_at = {
+                    let mut inner = self.inner.borrow_mut();
+                    inner.rx_dma_until = sim.now().max(inner.rx_dma_until) + model.dma_cost(len);
+                    let at = inner.rx_dma_until + Nanos::from_nanos(cqe);
+                    inner.rx_land_until = at.max(inner.rx_land_until);
+                    inner.rx_land_until
+                };
                 let Inbound { seq, data, imm, .. } = msg;
                 let qp = self.clone();
-                sim.schedule_at(placed + Nanos::from_nanos(cqe), move |sim| {
-                    qp.land(sim, seq, data, imm, landing)
-                });
+                sim.schedule_at(land_at, move |sim| qp.land(sim, seq, data, imm, landing));
             }
             Admit::Hold => {
                 let window = model.rnr_timer.as_nanos() * (model.rnr_retry as u64 + 1);
@@ -1017,8 +1015,9 @@ impl QueuePair {
     }
 
     /// Writes a placed message into its region, completes its receive and
-    /// ACKs it. A region deregistered since admission NAKs the requester,
-    /// and the receive it claimed fails with it.
+    /// ACKs it, unless an earlier message still waits in the RNR hold. A
+    /// region deregistered since admission NAKs the requester, and the
+    /// receive it claimed fails with it.
     fn land(&self, sim: &mut Simulator, seq: u64, data: PooledBuf, imm: Option<u32>, to: Landing) {
         let len = data.len();
         let written = to.mr.dma_write(to.offset, &data).is_ok();
@@ -1050,13 +1049,24 @@ impl QueuePair {
                 });
             }
         }
-        let reply = if written {
-            RdmaPacket::Ack { seq }
-        } else {
+        let reply = if !written {
             let status = WcStatus::RemoteAccessError;
-            RdmaPacket::Nak { seq, status }
+            Some(RdmaPacket::Nak { seq, status })
+        } else {
+            let mut inner = self.inner.borrow_mut();
+            let seq = inner.rx_unacked.take().map_or(seq, |w| w.max(seq));
+            if inner.held_before(seq) {
+                // A WRITE passed a message waiting in the RNR hold: a
+                // cumulative ACK now would confirm that message too.
+                inner.rx_unacked = Some(seq);
+                None
+            } else {
+                Some(RdmaPacket::Ack { seq })
+            }
         };
-        self.emit(sim, reply);
+        if let Some(reply) = reply {
+            self.emit(sim, reply);
+        }
         self.fire_hook(sim);
     }
 
@@ -1129,7 +1139,7 @@ impl QueuePair {
     }
 
     fn handle_read_resp(&self, sim: &mut Simulator, seq: u64, data: PooledBuf) {
-        let Some(wr) = self.retire(seq) else {
+        let Some(wr) = self.inner.borrow_mut().retire(seq) else {
             return;
         };
         self.progress(sim);
@@ -1155,32 +1165,40 @@ impl QueuePair {
                 } else {
                     WcStatus::LocalProtectionError
                 };
-                let wc = Wc {
-                    wr_id,
-                    status,
-                    opcode: WcOpcode::RdmaRead,
-                    byte_len: len,
-                    qp: inner.num,
-                    imm: None,
-                };
-                inner.complete_send(signaled, wc);
+                inner.complete_send(wr_id, signaled, WcOpcode::RdmaRead, status, len);
             }
             qp.fire_hook(sim);
         });
     }
 
+    /// An ACK is cumulative, as on RC hardware: the responder accepts
+    /// requests only in sequence order, so an ACK for `seq` answers every
+    /// SEND and WRITE up to it, and they complete in posting order even
+    /// when an earlier one's own ACK was lost. A READ below `seq` still
+    /// waits for its response.
     fn handle_ack(&self, sim: &mut Simulator, seq: u64) {
-        let Some(wr) = self.retire(seq) else {
+        let mut signaled = None;
+        {
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let mut at = 0;
+            while let Some(p) = inner.pending.get(at).filter(|p| p.seq <= seq) {
+                if matches!(p.wr.op, SendOp::Read { .. }) {
+                    at += 1;
+                    continue;
+                }
+                let wr = inner.retire(p.seq).expect("pending");
+                let (status, len) = (WcStatus::Success, wr.sge.len);
+                inner.complete_send(wr.wr_id, wr.signaled, wr.opcode(), status, len);
+                signaled = Some(signaled.unwrap_or(false) || wr.signaled);
+            }
+        }
+        let Some(signaled) = signaled else {
             return;
         };
         self.progress(sim);
-        {
-            let mut inner = self.inner.borrow_mut();
-            let wc = wr.wc(inner.num, WcStatus::Success, wr.sge.len);
-            inner.complete_send(wr.signaled, wc);
-        }
-        // The ACK of an unsignaled send leaves no completion to report.
-        if wr.signaled {
+        // The ACK of unsignaled sends leaves no completion to report.
+        if signaled {
             self.fire_hook(sim);
         }
     }
@@ -1188,9 +1206,11 @@ impl QueuePair {
     /// Fails `seq`'s operation with `status`, and the QP with it: a NAK,
     /// a spent retry budget or a buffer gone at WQE fetch.
     fn fail(&self, sim: &mut Simulator, seq: u64, status: WcStatus) {
-        if let Some(wr) = self.retire(seq) {
-            let inner = self.inner.borrow();
-            inner.send_cq.push(wr.wc(inner.num, status, 0));
+        {
+            let mut inner = self.inner.borrow_mut();
+            if let Some(wr) = inner.retire(seq) {
+                inner.push_send_wc(wr.wr_id, wr.opcode(), status, 0);
+            }
         }
         self.enter_error();
         self.fire_hook(sim);
@@ -1207,10 +1227,8 @@ impl QueuePair {
         inner.state = QpState::Error;
         let num = inner.num;
         inner.outstanding_sends = 0;
-        for p in inner.pending.drain(..) {
-            inner
-                .send_cq
-                .push(p.wr.wc(num, WcStatus::WorkRequestFlushed, 0));
+        while let Some(PendingSend { wr, .. }) = inner.pending.pop_front() {
+            inner.push_send_wc(wr.wr_id, wr.opcode(), WcStatus::WorkRequestFlushed, 0);
         }
         for r in inner.recv_queue.drain(..) {
             inner.recv_cq.push(Wc {

@@ -91,8 +91,6 @@ pub struct TcpStats {
     pub retransmits: u64,
     /// Duplicate data segments suppressed by receive sequencing.
     pub dup_segments: u64,
-    /// Bytes `write` accepted that `close` threw away unsent.
-    pub close_dropped_bytes: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -603,8 +601,7 @@ impl TcpStream {
 
     /// Closes the stream, notifying the peer (FIN), and drops the
     /// unacknowledged segments' copies and the parked segments: a closed
-    /// stream re-sends and reads nothing. Bytes written but not yet sent
-    /// are thrown away too, counted in [`TcpStats::close_dropped_bytes`].
+    /// stream re-sends and reads nothing.
     pub fn close(&self, sim: &mut Simulator) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
@@ -612,7 +609,6 @@ impl TcpStream {
             return;
         }
         inner.state = StreamState::Closed;
-        inner.stats.close_dropped_bytes += inner.send_buf.len() as u64;
         inner.send(sim, inner.model.ack_bytes, TcpSegment::Fin);
         inner.net.unbind(inner.local);
         inner.unacked.clear();
@@ -1135,34 +1131,6 @@ mod tests {
         server.close(&mut tb.sim);
         tb.sim.run_until_idle();
         assert_eq!(pool.stats().outstanding, 0);
-    }
-
-    /// Closing 5 µs after a 5,000 B write, before the pump sends a
-    /// segment, throws the bytes away and counts them: the peer reads 0 B,
-    /// then `Eof`.
-    #[test]
-    fn close_counts_the_written_bytes_it_throws_away() {
-        let mut tb = TestBed::paper_testbed(5);
-        let model = TcpModel::linux_xeon();
-        let listener = TcpListener::bind(&tb.net, tb.b, 80, CoreId(0), model.clone()).unwrap();
-        let client = TcpStream::connect(
-            &mut tb.sim,
-            &tb.net,
-            tb.a,
-            CoreId(0),
-            model,
-            listener.local_addr(),
-        );
-        tb.sim.run_until_idle();
-        let server = listener.accept(&mut tb.sim).expect("pending connection");
-        assert_eq!(client.write(&mut tb.sim, &[7; 5000]).unwrap(), 5000);
-        tb.sim.run_for(Nanos::from_micros(5));
-        assert_eq!(client.stats().segments_tx, 0);
-        client.close(&mut tb.sim);
-        tb.sim.run_until_idle();
-        assert_eq!(server.read(&mut tb.sim, 8192).unwrap(), ReadOutcome::Eof);
-        assert_eq!(server.stats().bytes_read, 0);
-        assert_eq!(client.stats().close_dropped_bytes, 5000);
     }
 
     /// A data segment the network drops gives its pooled buffer back: a
