@@ -16,9 +16,7 @@ use rdma_verbs::{
     connect_pair, Access, QpConfig, RdmaDevice, RecvWr, RnicModel, SendWr, Sge, WrId,
 };
 use rubin::{RdmaChannel, RecvOutcome, RubinConfig};
-use simnet::{
-    throughput_ops_per_sec, CoreId, LatencyRecorder, MetricsSnapshot, Nanos, Series, TestBed,
-};
+use simnet::{throughput_ops_per_sec, CoreId, Histogram, MetricsSnapshot, Nanos, Series, TestBed};
 use simnet_socket::{ReadOutcome, TcpListener, TcpModel, TcpStream};
 
 use crate::{pattern, EchoResult, PAYLOAD_SWEEP};
@@ -67,7 +65,7 @@ pub fn tcp_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
     let server = listener.accept(&mut tb.sim).expect("accepted");
     let data = pattern(payload);
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     let t0 = tb.sim.now();
     for _ in 0..msgs {
         let start = tb.sim.now();
@@ -100,10 +98,10 @@ pub fn tcp_echo(payload: usize, msgs: usize) -> (EchoResult, MetricsSnapshot) {
             }
             assert!(tb.sim.step(), "echo stalled with no pending events");
         }
-        rec.record(tb.sim.now() - start);
+        rec.observe((tb.sim.now() - start).as_nanos());
     }
     let result = EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, tb.sim.now() - t0),
     };
     (result, tb.net.metrics().snapshot())
@@ -195,7 +193,7 @@ pub fn send_recv_echo(payload: usize, msgs: usize) -> EchoResult {
         )
         .expect("post recv");
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     let t0 = tb.sim.now();
     for m in 0..msgs {
         let start = tb.sim.now();
@@ -271,10 +269,10 @@ pub fn send_recv_echo(payload: usize, msgs: usize) -> EchoResult {
             }
             assert!(tb.sim.step(), "echo stalled");
         }
-        rec.record(tb.sim.now() - start);
+        rec.observe((tb.sim.now() - start).as_nanos());
     }
     EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, tb.sim.now() - t0),
     }
 }
@@ -293,7 +291,7 @@ pub fn write_oneway(payload: usize, msgs: usize) -> EchoResult {
     // An 8-byte tail pointer at the end of the server region.
     let tail_src = client.dev.reg_mr(&client_pd(&client), 8, Access::NONE);
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     let t0 = tb.sim.now();
     for m in 0..msgs {
         let start = tb.sim.now();
@@ -326,10 +324,10 @@ pub fn write_oneway(payload: usize, msgs: usize) -> EchoResult {
             }
             assert!(tb.sim.step(), "write stalled");
         }
-        rec.record(tb.sim.now() - start);
+        rec.observe((tb.sim.now() - start).as_nanos());
     }
     EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, tb.sim.now() - t0),
     }
 }
@@ -391,7 +389,7 @@ pub fn channel_echo(
     }
     let data = pattern(payload);
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     let t0 = tb.sim.now();
     for _ in 0..msgs {
         let start = tb.sim.now();
@@ -413,10 +411,10 @@ pub fn channel_echo(
             }
             assert!(tb.sim.step(), "channel echo stalled");
         }
-        rec.record(tb.sim.now() - start);
+        rec.observe((tb.sim.now() - start).as_nanos());
     }
     let result = EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, tb.sim.now() - t0),
     };
     tb.net.publish_sim_gauges(&tb.sim);
@@ -466,7 +464,7 @@ pub fn channel_echo_pipelined(
     }
     let data = pattern(payload);
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     let mut send_times = std::collections::VecDeque::new();
     let mut sent = 0usize;
     let mut done = 0usize;
@@ -503,7 +501,7 @@ pub fn channel_echo_pipelined(
         client.process_completions(&mut tb.sim);
         while let RecvOutcome::Msg(_) = client.read(&mut tb.sim).expect("read") {
             let at = send_times.pop_front().expect("matching send");
-            rec.record(tb.sim.now() - at);
+            rec.observe((tb.sim.now() - at).as_nanos());
             done += 1;
         }
         if done < msgs && !tb.sim.step() {
@@ -511,7 +509,7 @@ pub fn channel_echo_pipelined(
         }
     }
     EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, tb.sim.now() - t0),
     }
 }

@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use reptor::{Stack, Transport};
 use simnet::{
-    throughput_ops_per_sec, CoreId, CpuModel, LatencyRecorder, MetricsSnapshot, Nanos, Network,
-    Series, Simulator,
+    throughput_ops_per_sec, CoreId, CpuModel, Histogram, MetricsSnapshot, Nanos, Network, Series,
+    Simulator,
 };
 
 use crate::{pattern, EchoResult, PAYLOAD_SWEEP};
@@ -50,7 +50,7 @@ struct ClientState {
     completed: usize,
     outstanding: usize,
     send_times: VecDeque<Nanos>,
-    rec: LatencyRecorder,
+    rec: Histogram,
 }
 
 fn drive_echo(
@@ -76,7 +76,7 @@ fn drive_echo(
         completed: 0,
         outstanding: 0,
         send_times: VecDeque::new(),
-        rec: LatencyRecorder::new(),
+        rec: Histogram::new(),
     }));
 
     fn top_up(
@@ -118,7 +118,7 @@ fn drive_echo(
             let mut s = st.borrow_mut();
             assert_eq!(bytes.len(), s.payload.len(), "echo length mismatch");
             let sent_at = s.send_times.pop_front().expect("matching send");
-            s.rec.record(sim.now() - sent_at);
+            s.rec.observe((sim.now() - sent_at).as_nanos());
             s.completed += 1;
             s.outstanding -= 1;
         }
@@ -135,7 +135,7 @@ fn drive_echo(
         s.completed
     );
     EchoResult {
-        latency_us: s.rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(s.rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(msgs as u64, sim.now() - t0),
     }
 }

@@ -12,7 +12,7 @@ use reptor::{
     Cluster, DurabilityConfig, EchoService, KvOp, KvService, RecoveryConfig, RecoveryScheduler,
     ReptorConfig,
 };
-use simnet::{throughput_ops_per_sec, HostId, LatencyRecorder, MetricsSnapshot, Nanos, Series};
+use simnet::{throughput_ops_per_sec, Histogram, HostId, MetricsSnapshot, Nanos, Series};
 
 use crate::workload::{Mix, Workload};
 use crate::EchoResult;
@@ -117,12 +117,12 @@ pub fn bft_echo(
         completed, total,
         "not all requests completed over {stack:?}"
     );
-    let mut rec = LatencyRecorder::new();
+    let mut rec = Histogram::new();
     for done in client.completions() {
-        rec.record(done.latency());
+        rec.observe(done.latency().as_nanos());
     }
     let result = EchoResult {
-        latency_us: rec.mean().as_micros_f64(),
+        latency_us: Nanos::from_nanos(rec.mean()).as_micros_f64(),
         rps: throughput_ops_per_sec(total, c.sim.now() - t0),
     };
     (result, c.metrics().snapshot())

@@ -1,9 +1,9 @@
 //! Connection management (the `rdma_cm` analogue).
 //!
 //! Establishing an RC connection exchanges small CM packets: the active side
-//! sends a `ConnReq` with optional private data, the passive side's listener
-//! surfaces a [`CmEvent::ConnectRequest`], and the application accepts or
-//! rejects it. Both sides end with fully connected [`QueuePair`]s.
+//! sends a `ConnReq`, the passive side's listener surfaces a
+//! [`CmEvent::ConnectRequest`], and the application accepts or rejects it.
+//! Both sides end with fully connected [`QueuePair`]s.
 //!
 //! All CM events are delivered to the *device-wide* event queue
 //! ([`RdmaDevice::poll_cm_event`]), mirroring `rdma_event_channel`; the
@@ -30,8 +30,6 @@ pub enum CmEvent {
     Established {
         /// The now-connected local queue pair.
         qp: QueuePair,
-        /// Private data supplied by the peer.
-        private: Vec<u8>,
         /// Connection identifier (matches the `connect` call's QP).
         conn_id: u64,
     },
@@ -54,8 +52,6 @@ pub struct ConnRequest {
     device: RdmaDevice,
     /// Port of the local listener that received the request.
     pub listen_port: u32,
-    /// Private data carried in the request.
-    pub private: Vec<u8>,
     peer_reply: Addr,
     peer_data_addr: Addr,
     peer_qp: QpNum,
@@ -79,12 +75,7 @@ impl ConnRequest {
     /// # Errors
     ///
     /// Propagates QP state errors (which cannot occur for a fresh QP).
-    pub fn accept(
-        self,
-        sim: &mut Simulator,
-        cfg: &QpConfig,
-        private: Vec<u8>,
-    ) -> VerbsResult<QueuePair> {
+    pub fn accept(self, sim: &mut Simulator, cfg: &QpConfig) -> VerbsResult<QueuePair> {
         let qp = self.device.create_qp(cfg);
         qp.modify_to_init()?;
         qp.modify_to_rtr(self.peer_data_addr, self.peer_qp)?;
@@ -93,7 +84,6 @@ impl ConnRequest {
             conn_id: self.conn_id,
             src_data_addr: qp.local_addr(),
             src_qp: qp.num(),
-            private,
         };
         let wire = pkt.wire_bytes(self.device.model().ack_bytes);
         self.device
@@ -153,7 +143,6 @@ pub(crate) fn listen(device: &RdmaDevice, port: u32) -> VerbsResult<CmListener> 
                 src_data_addr,
                 reply_to,
                 src_qp,
-                private,
                 conn_id,
             } = pkt
             {
@@ -162,7 +151,6 @@ pub(crate) fn listen(device: &RdmaDevice, port: u32) -> VerbsResult<CmListener> 
                     CmEvent::ConnectRequest(ConnRequest {
                         device: dev.clone(),
                         listen_port: port,
-                        private,
                         peer_reply: reply_to,
                         peer_data_addr: src_data_addr,
                         peer_qp: src_qp,
@@ -183,7 +171,6 @@ pub(crate) fn connect(
     sim: &mut Simulator,
     remote: Addr,
     cfg: &QpConfig,
-    private: Vec<u8>,
 ) -> VerbsResult<(QueuePair, u64)> {
     let qp = device.create_qp(cfg);
     qp.modify_to_init()?;
@@ -206,7 +193,6 @@ pub(crate) fn connect(
                     conn_id,
                     src_data_addr,
                     src_qp,
-                    private,
                 } => {
                     let established = qp_for_reply
                         .modify_to_rtr(src_data_addr, src_qp)
@@ -216,7 +202,6 @@ pub(crate) fn connect(
                             sim,
                             CmEvent::Established {
                                 qp: qp_for_reply.clone(),
-                                private,
                                 conn_id,
                             },
                         ),
@@ -244,7 +229,6 @@ pub(crate) fn connect(
         src_data_addr: qp.local_addr(),
         reply_to: reply_addr,
         src_qp: qp.num(),
-        private,
         conn_id,
     };
     let wire = pkt.wire_bytes(device.model().ack_bytes);

@@ -233,9 +233,8 @@ impl RdmaDevice {
         sim: &mut Simulator,
         remote: Addr,
         cfg: &QpConfig,
-        private: Vec<u8>,
     ) -> VerbsResult<(QueuePair, u64)> {
-        crate::cm::connect(self, sim, remote, cfg, private)
+        crate::cm::connect(self, sim, remote, cfg)
     }
 
     /// Removes and returns the next connection-management event.

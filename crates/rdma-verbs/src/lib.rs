@@ -287,11 +287,6 @@ mod tests {
         assert!(tx[0].is_ok());
         assert_eq!(tx[0].opcode, WcOpcode::RdmaRead);
         assert_eq!(local.read(0, 13).unwrap(), b"remote-secret");
-        assert_eq!(
-            p.tb.sim.queue_stats().boxed,
-            0,
-            "a READ's steps fit their slots"
-        );
     }
 
     #[test]
@@ -612,17 +607,15 @@ mod tests {
                     recv_cq: cq_a.clone(),
                     core: CoreId(0),
                 },
-                b"hello-from-a".to_vec(),
             )
             .unwrap();
         tb.sim.run_until_idle();
 
-        // Server sees the request with private data.
+        // Server sees the request.
         let ev = dev_b.poll_cm_event().expect("connect request pending");
         let CmEvent::ConnectRequest(req) = ev else {
             panic!("expected ConnectRequest, got {ev:?}");
         };
-        assert_eq!(req.private, b"hello-from-a");
         assert_eq!(req.listen_port, 500);
         let qp_b = req
             .accept(
@@ -633,17 +626,15 @@ mod tests {
                     recv_cq: cq_b.clone(),
                     core: CoreId(0),
                 },
-                b"welcome".to_vec(),
             )
             .unwrap();
         tb.sim.run_until_idle();
 
-        // Client sees Established with the server's private data.
+        // Client sees Established.
         let ev = dev_a.poll_cm_event().expect("established pending");
-        let CmEvent::Established { qp, private, .. } = ev else {
+        let CmEvent::Established { qp, .. } = ev else {
             panic!("expected Established, got {ev:?}");
         };
-        assert_eq!(private, b"welcome");
         assert_eq!(qp.state(), QpState::ReadyToSend);
         assert_eq!(qp_a.state(), QpState::ReadyToSend);
         assert_eq!(qp_b.state(), QpState::ReadyToSend);
@@ -681,7 +672,6 @@ mod tests {
                     recv_cq: cq_a,
                     core: CoreId(0),
                 },
-                vec![],
             )
             .unwrap();
         tb.sim.run_until_idle();

@@ -14,9 +14,8 @@ pub(crate) const ROCE_MSG_OVERHEAD: usize = 14;
 
 /// RDMA transport packets (RC service).
 ///
-/// `Clone` serves two masters: the sender keeps a copy of every
-/// unacknowledged data packet for retransmission, and the simulated network
-/// needs cloneable payloads to model fault-injected duplication. A data
+/// `Clone` lets the simulated network model fault-injected duplication
+/// (a retransmission is rebuilt from the posted work request). A data
 /// packet's bytes are a [`PooledBuf`], so a copy takes its buffer from the
 /// network's pool and every copy gives it back when dropped.
 #[derive(Debug, Clone)]
@@ -63,8 +62,6 @@ pub(crate) enum RdmaPacket {
         /// Address the active side receives CM replies on.
         reply_to: Addr,
         src_qp: QpNum,
-        /// Application-provided private data (rdma_cm style).
-        private: Vec<u8>,
         conn_id: u64,
     },
     /// Connection management: accept, carrying the passive side's QP info.
@@ -72,18 +69,12 @@ pub(crate) enum RdmaPacket {
         conn_id: u64,
         src_data_addr: Addr,
         src_qp: QpNum,
-        private: Vec<u8>,
     },
     /// Connection management: rejection.
     ConnReject { conn_id: u64, reason: String },
     /// Orderly teardown notification.
     Disconnect,
 }
-
-// A frame in flight is an event closure holding the network handle (8 B),
-// the frame header (24 B) and this packet by value, stored in place in a
-// 96-byte event slot. A packet over 64 B would box every RDMA frame's event.
-const _: () = assert!(std::mem::size_of::<RdmaPacket>() <= 64);
 
 impl RdmaPacket {
     /// Bytes this packet occupies on the wire (before per-segment framing).
@@ -96,8 +87,7 @@ impl RdmaPacket {
             RdmaPacket::Ack { .. } | RdmaPacket::RnrNak { .. } | RdmaPacket::Nak { .. } => {
                 ack_bytes
             }
-            RdmaPacket::ConnReq { private, .. } => 64 + private.len(),
-            RdmaPacket::ConnAccept { private, .. } => 64 + private.len(),
+            RdmaPacket::ConnReq { .. } | RdmaPacket::ConnAccept { .. } => 64,
             RdmaPacket::ConnReject { reason, .. } => 64 + reason.len(),
             RdmaPacket::Disconnect => 32,
         }

@@ -398,7 +398,7 @@ impl RdmaChannel {
         core: CoreId,
     ) -> Result<RdmaChannel, ChannelError> {
         RdmaChannel::build(sim, device, cfg, core, |sim, qp_cfg| {
-            let (qp, conn_id) = device.connect(sim, remote, qp_cfg, Vec::new())?;
+            let (qp, conn_id) = device.connect(sim, remote, qp_cfg)?;
             Ok((qp, Some(conn_id), false))
         })
     }
@@ -416,7 +416,7 @@ impl RdmaChannel {
         core: CoreId,
     ) -> Result<RdmaChannel, ChannelError> {
         RdmaChannel::build(sim, device, cfg, core, |sim, qp_cfg| {
-            let qp = req.accept(sim, qp_cfg, Vec::new())?;
+            let qp = req.accept(sim, qp_cfg)?;
             Ok((qp, None, true))
         })
     }

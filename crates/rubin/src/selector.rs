@@ -122,7 +122,6 @@ impl fmt::Debug for RdmaSelector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RdmaSelector")
             .field("base", &self.inner.base)
-            .field("hybrid_pending", &self.hybrid_pending())
             .finish()
     }
 }
@@ -425,11 +424,5 @@ impl RdmaSelector {
         f: impl FnOnce(&mut Simulator, &[SelectedKey]) + 'static,
     ) {
         self.inner.base.select(sim, thread, f);
-    }
-
-    /// Events waiting in the hybrid queues for the select threads.
-    pub fn hybrid_pending(&self) -> usize {
-        let threads = &self.inner.manager.borrow().threads;
-        threads.iter().map(|t| t.hybrid.len()).sum()
     }
 }

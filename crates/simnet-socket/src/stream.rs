@@ -77,7 +77,8 @@ pub enum ReadOutcome<T = Vec<u8>> {
 pub struct TcpStats {
     /// Payload bytes accepted by `write`.
     pub bytes_written: u64,
-    /// Payload bytes returned by `read`.
+    /// Payload bytes returned by `read`: the cumulative count a `Credit`
+    /// update advertises to the peer.
     pub bytes_read: u64,
     /// Data segments transmitted.
     pub segments_tx: u64,
@@ -128,12 +129,6 @@ pub(crate) enum TcpSegment {
     Fin,
 }
 
-// A frame in flight is an event closure holding the network handle (8 B),
-// the frame header (24 B) and this segment by value, stored in place in a
-// 96-byte event slot. A segment is 40 B; one over 64 B would box every TCP
-// frame's event.
-const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 64);
-
 simnet::metric_names! {
     /// Counters of one socket, under `tcp.<addr>.`. `Retransmits` counts
     /// data segments alone; SYN retries appear only in
@@ -176,9 +171,6 @@ struct StreamInner {
     rcv_next: u64,
     /// Out-of-order segments parked until the gap fills.
     rcv_ooo: BTreeMap<u64, PooledBuf>,
-    /// Cumulative payload bytes consumed by the local application
-    /// (advertised to the peer in `Credit` updates).
-    total_read: u64,
     eof: bool,
     connect_ready: bool,
     reg: Option<(Selector, KeyId)>,
@@ -274,7 +266,6 @@ impl TcpStream {
                 rto_strikes: 0,
                 rcv_next: 0,
                 rcv_ooo: BTreeMap::new(),
-                total_read: 0,
                 eof: false,
                 connect_ready: false,
                 reg: None,
@@ -581,8 +572,7 @@ impl TcpStream {
             let done = inner.charge_call(sim.now(), n);
             move_front(&mut inner.recv_buf, n, buf);
             inner.stats.bytes_read += n as u64;
-            inner.total_read += n as u64;
-            (n, done, inner.total_read)
+            (n, done, inner.stats.bytes_read)
         };
         // Return window credit to the peer (a cumulative counter, so a
         // lost update is repaired by whichever later one gets through).

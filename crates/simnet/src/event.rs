@@ -17,9 +17,13 @@
 //!   in an arena slot ([`Slot`]), so scheduling an event allocates nothing.
 //!   A small slot holds a closure of at most [`SMALL_BYTES`] (40, every
 //!   timer): 56 bytes. A large slot holds one of at most [`INLINE_BYTES`]
-//!   (96, frame deliveries and RDMA steps): 112 bytes. Each class's
-//!   [`Arena`] grows by fixed chunks of [`CHUNK`] slots, so a slot never
-//!   moves, and chains its free slots through the slots themselves.
+//!   (96, frame deliveries and RDMA steps): 112 bytes. The class is
+//!   picked at compile time ([`Class::of`]), and a closure that fits
+//!   neither buffer, or is aligned above 8, fails the build: a caller that
+//!   needs one schedules `Box::new(f)`, so the allocation shows where it is
+//!   made. Each class's [`Arena`] grows by fixed chunks of [`CHUNK`] slots,
+//!   so a slot never moves, and chains its free slots through the slots
+//!   themselves.
 //! * **One 4-ary heap of integer keys.** Every pending event is one `u128`
 //!   key in a flat 4-ary min-heap ([`MinHeap4`]): the time in the high half,
 //!   the [`EventId`] in the low. The id packs the sequence number above the
@@ -149,8 +153,9 @@ impl MinHeap4 {
 /// An event action: a one-shot closure run at its scheduled time.
 ///
 /// [`Simulator::schedule_at`](crate::Simulator::schedule_at) and its
-/// siblings take any `FnOnce(&mut Simulator) + 'static`; a boxed one (this
-/// type) is accepted too, and is stored like any other closure.
+/// siblings take any `FnOnce(&mut Simulator) + 'static` of at most 96
+/// bytes, aligned to at most 8; a boxed one (this type, 16 bytes) is
+/// accepted too, and is how a caller schedules a larger closure.
 pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
 /// Closure bytes a large slot holds in place. The largest closure the
@@ -170,24 +175,29 @@ type SmallBuf = [u64; SMALL_BYTES / 8];
 /// A large slot's closure buffer: [`INLINE_BYTES`], 8-aligned.
 type LargeBuf = [u64; INLINE_BYTES / 8];
 
-/// Where a closure of type `F` is stored.
+/// Where a closure of type `F` is stored: in place, in the buffer of its
+/// class.
 enum Class {
-    /// In place, in a [`SmallBuf`].
+    /// In a [`SmallBuf`].
     Small,
-    /// In place, in a [`LargeBuf`].
+    /// In a [`LargeBuf`].
     Large,
-    /// Boxed, the `Box` (8 bytes) in a [`SmallBuf`].
-    Boxed,
 }
 
 impl Class {
+    /// The class of a closure of type `F`. Called in a `const` block, so a
+    /// closure that fits neither buffer is a build error, not an
+    /// allocation per event.
     const fn of<F>() -> Class {
         if Stored::<SmallBuf>::fits::<F>() {
             Class::Small
-        } else if Stored::<LargeBuf>::fits::<F>() {
-            Class::Large
         } else {
-            Class::Boxed
+            assert!(
+                Stored::<LargeBuf>::fits::<F>(),
+                "an event closure must be at most 96 bytes and aligned to at most 8: \
+                 schedule `Box::new(f)` to store a larger one"
+            );
+            Class::Large
         }
     }
 }
@@ -215,6 +225,9 @@ impl<B> Stored<B> {
     /// Writes `f` straight into the empty `dst`: one move of the closure.
     #[inline]
     fn put<F: FnOnce(&mut Simulator) + 'static>(dst: &mut Option<Self>, f: F) {
+        // Not a `const` assert: the dead arm of a class match instantiates
+        // `put` for the other buffer too. The condition is a constant, so
+        // this costs nothing at run time.
         assert!(Self::fits::<F>());
         debug_assert!(dst.is_none(), "slot already holds an action");
         let stored = dst.insert(Stored {
@@ -276,11 +289,24 @@ impl<B> Drop for Stored<B> {
 /// popped event carries, and what anything else that keeps one pending
 /// closure at a time (a parked select call) can hold.
 ///
-/// A closure of at most `SMALL_BYTES` (40) takes the small buffer, one of at
-/// most `INLINE_BYTES` (96) the large one. A larger closure, or one aligned
-/// above 8, is boxed, and the `Box` (8 bytes) is what the small buffer
-/// holds, so every closure takes one of the two paths below.
-/// [`QueueStats::boxed`] counts the boxed event closures.
+/// A closure of at most 40 bytes takes the small buffer, one of at most 96
+/// the large one, both 8-aligned. A larger closure, or one aligned above 8,
+/// does not compile; `Box::new(f)` (8 bytes, or 16 for a `dyn`) stores one
+/// behind an allocation the caller can see:
+///
+/// ```compile_fail,E0080
+/// let bytes = [0u8; 97];
+/// simnet::Action::new(move |_| {
+///     std::hint::black_box(bytes);
+/// });
+/// ```
+///
+/// ```
+/// let bytes = [0u8; 97];
+/// simnet::Action::new(Box::new(move |_: &mut simnet::Simulator| {
+///     std::hint::black_box(bytes);
+/// }));
+/// ```
 pub struct Action(Held);
 
 /// An [`Action`]'s closure, in the buffer of its class.
@@ -290,12 +316,11 @@ enum Held {
 }
 
 impl Action {
-    /// Stores `f`, in place unless it does not fit.
+    /// Stores `f` in place.
     pub fn new<F: FnOnce(&mut Simulator) + 'static>(f: F) -> Action {
-        Action(match Class::of::<F>() {
+        Action(match const { Class::of::<F>() } {
             Class::Small => Held::Small(Stored::new(f)),
             Class::Large => Held::Large(Stored::new(f)),
-            Class::Boxed => Held::Small(Stored::new(Box::new(f))),
         })
     }
 
@@ -434,14 +459,11 @@ impl<B> Arena<B> {
 }
 
 /// Counters describing the queue's lifetime behaviour, surfaced as the
-/// `sim.events_*` gauges in metrics snapshots (all but `boxed`).
+/// `sim.events_*` gauges in metrics snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled.
     pub scheduled: u64,
-    /// Events whose closure was too large or too aligned for a slot and
-    /// was boxed: one heap allocation each.
-    pub boxed: u64,
     /// Events cancelled before firing.
     pub cancelled: u64,
     /// Dead heap entries dropped, lazily on pop/peek or by compaction.
@@ -495,13 +517,9 @@ impl EventQueue {
         let seq = self.next_seq;
         debug_assert!(seq < (1 << (64 - SLOT_BITS)), "event sequence overflow");
         let tag = seq << SLOT_BITS;
-        let id = match Class::of::<F>() {
+        let id = match const { Class::of::<F>() } {
             Class::Small => self.small.insert(tag, action),
             Class::Large => self.large.insert(tag | LARGE, action),
-            Class::Boxed => {
-                self.counters.boxed += 1;
-                self.small.insert(tag, Box::new(action))
-            }
         };
         self.enqueue(at, id);
         EventId(id)
@@ -687,7 +705,7 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
     use std::hint::black_box;
-    use std::mem::{align_of_val, size_of_val};
+    use std::mem::size_of_val;
     use std::rc::Rc;
 
     fn noop() -> impl FnOnce(&mut Simulator) {
@@ -707,8 +725,8 @@ mod tests {
     struct Aligned(u64);
 
     /// Schedules a closure of the `kind`-th shape: 0, 8, 40, 48 and 96 B in
-    /// place, then 200 B and 16-aligned, both boxed. Returns the id and
-    /// whether the event took a large slot.
+    /// place, then 200 B and 16-aligned, both boxed at the call site.
+    /// Returns the id and whether the event took a large slot.
     fn push_shaped(q: &mut EventQueue, at: Nanos, kind: u64) -> (EventId, bool) {
         let id = match kind % 7 {
             0 => q.push(at, noop()),
@@ -738,15 +756,21 @@ mod tests {
             }
             5 => {
                 let w = [kind as u8; 200];
-                q.push(at, move |_| {
-                    black_box(w);
-                })
+                q.push(
+                    at,
+                    Box::new(move |_: &mut Simulator| {
+                        black_box(w);
+                    }),
+                )
             }
             _ => {
                 let w = Aligned(kind);
-                q.push(at, move |_| {
-                    black_box(w);
-                })
+                q.push(
+                    at,
+                    Box::new(move |_: &mut Simulator| {
+                        assert_eq!(black_box(&w).0, kind);
+                    }),
+                )
             }
         };
         (id, matches!(kind % 7, 3 | 4))
@@ -952,7 +976,7 @@ mod tests {
             s.compactions >= 10,
             "churn must keep reaching compaction: {s:?}"
         );
-        assert!(s.boxed > 0 && q.small.chunks.len() > 1 && q.large.chunks.len() > 1);
+        assert!(q.small.chunks.len() > 1 && q.large.chunks.len() > 1);
         while q.pop().is_some() {}
         let s = q.stats();
         assert_eq!(s.cancelled, s.tombstones_purged + s.tombstones as u64);
@@ -987,8 +1011,7 @@ mod tests {
     }
 
     /// Schedules at `at` a closure that captures a [`Witness`] of `tally`
-    /// and `W` words: 8 B with none, 96 B (a large slot) with 11, 104 B
-    /// (boxed) with 12.
+    /// and `W` words: 8 B with none, 96 B (a large slot) with 11.
     fn witness_event<const W: usize>(sim: &mut Simulator, at: u64, tally: &Rc<Tally>) -> EventId {
         let (words, w) = ([7u64; W], Witness(tally.clone()));
         let id = sim.schedule_in(ns(at), move |_| {
@@ -999,13 +1022,28 @@ mod tests {
         id
     }
 
+    /// Schedules at `at` a 208 B closure capturing a [`Witness`] of
+    /// `tally`, boxed at the call site: the `Box` takes a small slot.
+    fn boxed_witness_event(sim: &mut Simulator, at: u64, tally: &Rc<Tally>) -> EventId {
+        let (bytes, w) = ([7u8; 200], Witness(tally.clone()));
+        let f = move |_: &mut Simulator| {
+            black_box(bytes);
+            w.ran();
+        };
+        assert!(size_of_val(&f) > INLINE_BYTES);
+        let id = sim.schedule_in(ns(at), Box::new(f));
+        assert!(!is_large(id));
+        id
+    }
+
     type Schedule = fn(&mut Simulator, u64, &Rc<Tally>) -> EventId;
 
-    /// Runs `check` once for a closure of each class: small, large, boxed.
+    /// Runs `check` once for a closure of each class, small and large, and
+    /// for one boxed by its caller.
     fn for_each_class(check: fn(Schedule)) {
         check(witness_event::<0>);
         check(witness_event::<11>);
-        check(witness_event::<12>);
+        check(boxed_witness_event);
     }
 
     #[test]
@@ -1074,49 +1112,6 @@ mod tests {
         assert!(is_large(sim.schedule_in(ns(1), large)));
         sim.run_until_idle();
         assert_eq!(tally.counts(), (2, 2));
-        assert_eq!(sim.queue_stats().boxed, 0);
-    }
-
-    #[test]
-    fn oversized_and_overaligned_closures_are_boxed_run_and_drop_once() {
-        let tally = Rc::new(Tally::default());
-        let mut sim = Simulator::new(0);
-        let (bytes, w) = ([7u8; 200], Witness(tally.clone()));
-        let big = move |_: &mut Simulator| {
-            assert_eq!(bytes.iter().map(|&b| b as u32).sum::<u32>(), 1_400);
-            w.ran();
-        };
-        assert!(size_of_val(&big) > INLINE_BYTES);
-        let (a, w) = (Aligned(0xA11), Witness(tally.clone()));
-        let aligned = move |_: &mut Simulator| {
-            assert_eq!(black_box(&a).0, 0xA11);
-            w.ran();
-        };
-        assert_eq!(align_of_val(&aligned), 16);
-        // The `Box` is one word: both take a small slot.
-        assert!(!is_large(sim.schedule_in(ns(1), big)));
-        assert!(!is_large(sim.schedule_in(ns(2), aligned)));
-        assert_eq!(sim.queue_stats().boxed, 2);
-        sim.run_until_idle();
-        assert_eq!(tally.counts(), (2, 2));
-
-        // Boxed, then cancelled or left pending: still dropped once.
-        let (bytes, w) = ([0u8; 200], Witness(tally.clone()));
-        let id = sim.schedule_in(ns(1), move |_| {
-            black_box(bytes);
-            w.ran();
-        });
-        sim.cancel(id);
-        assert_eq!(tally.counts(), (2, 3));
-        let (a, w) = (Aligned(1), Witness(tally.clone()));
-        sim.schedule_in(ns(1), move |_| {
-            black_box(&a);
-            w.ran();
-        });
-        assert_eq!(sim.queue_stats().boxed, 4);
-        drop(sim);
-        assert_eq!(tally.counts(), (2, 4));
-        assert_eq!(Rc::strong_count(&tally), 1);
     }
 
     #[test]
@@ -1133,10 +1128,10 @@ mod tests {
         assert!(matches!(large.0, Held::Large(_)));
         large.run(&mut sim);
         let (bytes, w) = ([0u8; 200], Witness(tally.clone()));
-        drop(Action::new(move |_| {
+        drop(Action::new(Box::new(move |_: &mut Simulator| {
             black_box(bytes);
             w.ran();
-        }));
+        })));
         assert_eq!(tally.counts(), (2, 3));
         assert_eq!(Rc::strong_count(&tally), 1);
     }
@@ -1161,6 +1156,5 @@ mod tests {
         sim.cancel(id);
         sim.run_until_idle();
         assert_eq!(ZST_RUNS.with(Cell::get), 2);
-        assert_eq!(sim.queue_stats().boxed, 0);
     }
 }

@@ -22,7 +22,7 @@
 //! * [`ChaosSchedule`] — scripted `(time, fault)` timelines applied over
 //!   simulated time, so whole failure scenarios replay byte-identically
 //!   from a seed.
-//! * [`LatencyRecorder`] / [`Series`] — measurement helpers used by the
+//! * [`Histogram`] / [`Series`] — measurement helpers used by the
 //!   benchmark harness to regenerate the paper's figures.
 //! * [`Selector`] — the selector core both comm stacks share: selection
 //!   keys with interest and ready sets, and one blocking `select()` per
@@ -87,7 +87,7 @@ pub use pool::{BytePool, PoolStats, PooledBuf};
 pub use sched::CoreAffinity;
 pub use selector::{KeyId, SelectOps, Selected, Selector};
 pub use sim::Simulator;
-pub use stats::{render_table, throughput_ops_per_sec, LatencyRecorder, Series, SeriesPoint};
+pub use stats::{render_table, throughput_ops_per_sec, Series, SeriesPoint};
 pub use time::{Bandwidth, Nanos};
 pub use topo::LatencyMatrix;
 pub use zipf::{KeyDist, SplitMix64};

@@ -51,82 +51,12 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::LatencyRecorder;
+pub use crate::stats::Histogram;
 use crate::time::Nanos;
 
 /// Bound on the structured event trace: past it, each new entry drops
 /// (and counts) the oldest.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
-
-/// A histogram of unit-agnostic `u64` observations, built on
-/// [`LatencyRecorder`]: it keeps one count per distinct value, so its
-/// memory grows with the values seen, not with the observations. Most
-/// users record nanoseconds, but any non-negative integer quantity
-/// (batch fill percent, events per poll) works; the summary is reported
-/// in the recorded unit and is exact.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    rec: LatencyRecorder,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        self.rec.record(Nanos::from_nanos(value));
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.rec.len() as u64
-    }
-
-    /// True if nothing was observed.
-    pub fn is_empty(&self) -> bool {
-        self.rec.is_empty()
-    }
-
-    /// The `p`-th percentile (nearest rank). See
-    /// [`LatencyRecorder::percentile`] for panics.
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.rec.percentile(p).as_nanos()
-    }
-
-    /// Minimum observation (zero when empty).
-    pub fn min(&self) -> u64 {
-        self.rec.min().as_nanos()
-    }
-
-    /// Maximum observation (zero when empty).
-    pub fn max(&self) -> u64 {
-        self.rec.max().as_nanos()
-    }
-
-    /// Integer mean (zero when empty).
-    pub fn mean(&self) -> u64 {
-        self.rec.mean().as_nanos()
-    }
-
-    /// Produces the integer summary embedded in snapshots.
-    pub fn summary(&self) -> HistogramSummary {
-        if self.is_empty() {
-            return HistogramSummary::default();
-        }
-        HistogramSummary {
-            count: self.count(),
-            min: self.min(),
-            max: self.max(),
-            mean: self.mean(),
-            p50: self.percentile(50.0),
-            p90: self.percentile(90.0),
-            p99: self.percentile(99.0),
-        }
-    }
-}
 
 /// Integer summary of a [`Histogram`], in the recorded unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -168,7 +168,6 @@ struct Inner<O> {
     keys: BTreeMap<KeyId, Key>,
     next_key: u64,
     threads: Vec<Thread<O>>,
-    selects: u64,
     drain: Option<Rc<Drain>>,
 }
 
@@ -192,7 +191,6 @@ impl<O> fmt::Debug for Selector<O> {
         f.debug_struct("Selector")
             .field("keys", &inner.keys.len())
             .field("threads", &inner.threads.len())
-            .field("selects", &inner.selects)
             .finish()
     }
 }
@@ -224,7 +222,6 @@ impl<O: SelectOps> Selector<O> {
                 keys: BTreeMap::new(),
                 next_key: 0,
                 threads,
-                selects: 0,
                 drain: None,
             })),
         }
@@ -367,15 +364,9 @@ impl<O: SelectOps> Selector<O> {
         self.maybe_wake(sim, thread);
     }
 
-    /// Number of select calls charged, on every thread.
-    pub fn selects_performed(&self) -> u64 {
-        self.inner.borrow().selects
-    }
-
     /// Charges one select call to `thread`'s core; returns when it ends.
     fn charge(&self, sim: &mut Simulator, thread: usize) -> Nanos {
-        let mut inner = self.inner.borrow_mut();
-        inner.selects += 1;
+        let inner = self.inner.borrow();
         if let Some(drain) = &inner.drain {
             drain.selects.incr();
         }
@@ -641,7 +632,6 @@ mod tests {
         assert_eq!(fired.borrow()[0][0].key, keys[0]);
         assert_eq!((busy(CoreId(0)), busy(CoreId(1))), (1_000, 3_000));
         assert_eq!(*drained.borrow(), [1, 1, 1, 0]);
-        assert_eq!(sel.selects_performed(), 4);
         assert_eq!(tb.net.metrics().counter("test.selects"), 4);
     }
 

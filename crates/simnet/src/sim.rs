@@ -94,6 +94,53 @@ impl Simulator {
     }
 
     /// Schedules `action` to run `delay` after the current time.
+    ///
+    /// `action` is stored in place in an event slot, so it must be at most
+    /// 96 bytes and aligned to at most 8 ([`schedule_at`] too): a larger
+    /// closure fails the build, and boxing it makes the allocation explicit.
+    ///
+    /// ```compile_fail,E0080
+    /// # let mut sim = simnet::Simulator::new(0);
+    /// let bytes = [0u8; 97];
+    /// sim.schedule_in(simnet::Nanos::ZERO, move |_| {
+    ///     std::hint::black_box(bytes);
+    /// });
+    /// ```
+    ///
+    /// ```
+    /// # let mut sim = simnet::Simulator::new(0);
+    /// let words = [0u64; 12]; // 96 B, 8-aligned: in place
+    /// sim.schedule_in(simnet::Nanos::ZERO, move |_| {
+    ///     std::hint::black_box(words);
+    /// });
+    /// let bytes = [0u8; 97]; // boxed by its caller
+    /// sim.schedule_in(
+    ///     simnet::Nanos::ZERO,
+    ///     Box::new(move |_: &mut simnet::Simulator| {
+    ///         std::hint::black_box(bytes);
+    ///     }),
+    /// );
+    /// sim.run_until_idle();
+    /// ```
+    ///
+    /// ```compile_fail,E0080
+    /// # let mut sim = simnet::Simulator::new(0);
+    /// #[repr(align(16))]
+    /// struct Aligned(u64);
+    /// let a = Aligned(1);
+    /// sim.schedule_in(simnet::Nanos::ZERO, move |_| drop(a));
+    /// ```
+    ///
+    /// ```
+    /// # let mut sim = simnet::Simulator::new(0);
+    /// #[repr(align(8))]
+    /// struct Aligned(u64);
+    /// let a = Aligned(1);
+    /// sim.schedule_in(simnet::Nanos::ZERO, move |_| drop(a));
+    /// sim.run_until_idle();
+    /// ```
+    ///
+    /// [`schedule_at`]: Simulator::schedule_at
     pub fn schedule_in(
         &mut self,
         delay: Nanos,

@@ -1,63 +1,68 @@
-//! Measurement utilities: latency recording and throughput accounting.
+//! Measurement utilities: the exact histogram every latency and count
+//! distribution is recorded in, and throughput accounting.
 //!
 //! These are used by the benchmark harness to report the same quantities the
 //! paper plots (mean latency in µs, requests per second).
 
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::HistogramSummary;
 use crate::time::Nanos;
 
-/// Collects latency samples and computes summary statistics.
+/// An exact histogram of unit-agnostic `u64` observations.
 ///
-/// The recorder keeps one count per distinct value, not every sample: the
+/// It keeps one count per distinct value, not every observation: the
 /// distinct values in ascending order, a parallel `u32` count for each, the
-/// total count and a `u128` sum. Recording is a binary search that bumps a
-/// count or inserts a new value (O(distinct) in the worst case, when every
-/// sample is new); every statistic comes out exact from the counts, with
-/// nothing cloned or sorted.
+/// total count and a `u128` sum, so its memory grows with the values seen.
+/// Recording is a binary search that bumps a count or inserts a new value
+/// (O(distinct) in the worst case, when every observation is new); every
+/// statistic comes out exact from the counts, with nothing cloned or
+/// sorted. Most users record nanoseconds (`Nanos::as_nanos`), but any
+/// non-negative integer quantity (batch fill percent, events per poll)
+/// works; every statistic is in the recorded unit. A registry histogram
+/// ([`Metrics::histogram`](crate::Metrics::histogram)) is one of these.
 ///
 /// # Examples
 ///
 /// ```
-/// use simnet::{LatencyRecorder, Nanos};
+/// use simnet::{Histogram, Nanos};
 ///
-/// let mut rec = LatencyRecorder::new();
+/// let mut h = Histogram::new();
 /// for us in [10, 20, 30] {
-///     rec.record(Nanos::from_micros(us));
+///     h.observe(Nanos::from_micros(us).as_nanos());
 /// }
-/// assert_eq!(rec.len(), 3);
-/// assert_eq!(rec.mean().as_micros(), 20);
+/// assert_eq!(h.count(), 3);
+/// assert_eq!(Nanos::from_nanos(h.mean()).as_micros(), 20);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    /// Distinct sample values, ascending.
+pub struct Histogram {
+    /// Distinct observed values, ascending.
     values: Vec<u64>,
-    /// How often each of `values` was recorded.
+    /// How often each of `values` was observed.
     counts: Vec<u32>,
-    /// Number of samples recorded.
+    /// Number of observations.
     len: u64,
-    /// Sum of every sample.
+    /// Sum of every observation.
     sum: u128,
 }
 
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder::default()
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Histogram {
+        Histogram::default()
     }
 
-    /// Adds one latency sample.
+    /// Records one observation.
     ///
     /// # Panics
     ///
-    /// Panics if one value is recorded 2^32 times.
-    pub fn record(&mut self, latency: Nanos) {
-        let value = latency.as_nanos();
+    /// Panics if one value is observed 2^32 times.
+    pub fn observe(&mut self, value: u64) {
         match self.values.binary_search(&value) {
             Ok(i) => {
                 self.counts[i] = self.counts[i]
                     .checked_add(1)
-                    .expect("a latency value was recorded 2^32 times");
+                    .expect("a histogram value was recorded 2^32 times");
             }
             Err(i) => {
                 self.values.insert(i, value);
@@ -68,31 +73,31 @@ impl LatencyRecorder {
         self.sum += u128::from(value);
     }
 
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.len as usize
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.len
     }
 
-    /// True if nothing was recorded.
+    /// True if nothing was observed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Arithmetic mean, rounded down. Returns zero when empty.
-    pub fn mean(&self) -> Nanos {
+    /// Arithmetic mean, rounded down. Zero when empty.
+    pub fn mean(&self) -> u64 {
         if self.is_empty() {
-            return Nanos::ZERO;
+            return 0;
         }
-        Nanos::from_nanos((self.sum / u128::from(self.len)) as u64)
+        (self.sum / u128::from(self.len)) as u64
     }
 
     /// The `p`-th percentile (0.0..=100.0), nearest-rank method: the
-    /// sample at index `round(p/100 · (n−1))` of the sorted samples.
+    /// observation at index `round(p/100 · (n−1))` of the sorted ones.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is outside `[0, 100]` or the recorder is empty.
-    pub fn percentile(&self, p: f64) -> Nanos {
+    /// Panics if `p` is outside `[0, 100]` or the histogram is empty.
+    pub fn percentile(&self, p: f64) -> u64 {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
         assert!(!self.is_empty(), "no samples recorded");
         let rank = ((p / 100.0) * (self.len as f64 - 1.0)).round() as u64;
@@ -100,20 +105,36 @@ impl LatencyRecorder {
         for (&value, &count) in self.values.iter().zip(&self.counts) {
             below += u64::from(count);
             if rank < below {
-                return Nanos::from_nanos(value);
+                return value;
             }
         }
         unreachable!("rank {rank} lies below the count {}", self.len)
     }
 
-    /// Minimum sample. Zero when empty.
-    pub fn min(&self) -> Nanos {
-        Nanos::from_nanos(self.values.first().copied().unwrap_or(0))
+    /// Minimum observation. Zero when empty.
+    pub fn min(&self) -> u64 {
+        self.values.first().copied().unwrap_or(0)
     }
 
-    /// Maximum sample. Zero when empty.
-    pub fn max(&self) -> Nanos {
-        Nanos::from_nanos(self.values.last().copied().unwrap_or(0))
+    /// Maximum observation. Zero when empty.
+    pub fn max(&self) -> u64 {
+        self.values.last().copied().unwrap_or(0)
+    }
+
+    /// Produces the integer summary embedded in snapshots.
+    pub fn summary(&self) -> HistogramSummary {
+        if self.is_empty() {
+            return HistogramSummary::default();
+        }
+        HistogramSummary {
+            count: self.count(),
+            min: self.min(),
+            max: self.max(),
+            mean: self.mean(),
+            p50: self.percentile(50.0),
+            p90: self.percentile(90.0),
+            p99: self.percentile(99.0),
+        }
     }
 }
 
@@ -220,58 +241,55 @@ mod tests {
 
     #[test]
     fn empty_recorder_is_safe() {
-        let rec = LatencyRecorder::new();
+        let rec = Histogram::new();
         assert!(rec.is_empty());
-        assert_eq!(rec.mean(), Nanos::ZERO);
-        assert_eq!(rec.min(), Nanos::ZERO);
-        assert_eq!(rec.max(), Nanos::ZERO);
+        assert_eq!(rec.mean(), 0);
+        assert_eq!(rec.min(), 0);
+        assert_eq!(rec.max(), 0);
     }
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut rec = LatencyRecorder::new();
+        let mut rec = Histogram::new();
         for n in 1..=100u64 {
-            rec.record(Nanos::from_nanos(n));
+            rec.observe(n);
         }
-        assert_eq!(rec.percentile(0.0).as_nanos(), 1);
-        assert_eq!(rec.percentile(100.0).as_nanos(), 100);
-        let p50 = rec.percentile(50.0).as_nanos();
+        assert_eq!(rec.percentile(0.0), 1);
+        assert_eq!(rec.percentile(100.0), 100);
+        let p50 = rec.percentile(50.0);
         assert!((50..=51).contains(&p50));
     }
 
     #[test]
     #[should_panic(expected = "no samples")]
     fn percentile_of_empty_panics() {
-        LatencyRecorder::new().percentile(50.0);
+        Histogram::new().percentile(50.0);
     }
 
     #[test]
     fn repeated_values_keep_one_count_each() {
-        let mut rec = LatencyRecorder::new();
+        let mut rec = Histogram::new();
         for n in [5u64, 1, 5, 3, 5, 1, u64::MAX, u64::MAX] {
-            rec.record(Nanos::from_nanos(n));
+            rec.observe(n);
         }
         assert_eq!(rec.values, [1, 3, 5, u64::MAX]);
         assert_eq!(rec.counts, [2, 1, 3, 2]);
-        assert_eq!(rec.len(), 8);
+        assert_eq!(rec.count(), 8);
         // Sorted: 1 1 3 5 5 5 MAX MAX; rank round(p/100 · 7).
-        assert_eq!(rec.percentile(0.0).as_nanos(), 1);
-        assert_eq!(rec.percentile(30.0).as_nanos(), 3);
-        assert_eq!(rec.percentile(50.0).as_nanos(), 5);
-        assert_eq!(rec.percentile(90.0).as_nanos(), u64::MAX);
-        assert_eq!(
-            rec.mean().as_nanos(),
-            ((2 * u128::from(u64::MAX) + 20) / 8) as u64
-        );
+        assert_eq!(rec.percentile(0.0), 1);
+        assert_eq!(rec.percentile(30.0), 3);
+        assert_eq!(rec.percentile(50.0), 5);
+        assert_eq!(rec.percentile(90.0), u64::MAX);
+        assert_eq!(rec.mean(), ((2 * u128::from(u64::MAX) + 20) / 8) as u64);
     }
 
     #[test]
     #[should_panic(expected = "recorded 2^32 times")]
     fn a_count_that_would_overflow_panics() {
-        let mut rec = LatencyRecorder::new();
-        rec.record(Nanos::from_nanos(7));
+        let mut rec = Histogram::new();
+        rec.observe(7);
         rec.counts[0] = u32::MAX;
-        rec.record(Nanos::from_nanos(7));
+        rec.observe(7);
     }
 
     #[test]

@@ -543,39 +543,37 @@ fn arb_histogram_samples() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    /// `LatencyRecorder::percentile` matches the naive nearest-rank
-    /// reference and is monotone in `p`, with the usual ordering
-    /// invariants.
+    /// `Histogram::percentile` matches the naive nearest-rank reference
+    /// and is monotone in `p`, with the usual ordering invariants.
     #[test]
     fn latency_percentiles_match_reference(samples in arb_histogram_samples()) {
-        use simnet::LatencyRecorder;
-        let mut rec = LatencyRecorder::new();
+        use simnet::Histogram;
+        let mut rec = Histogram::new();
         for &s in &samples {
-            rec.record(Nanos::from_nanos(s));
+            rec.observe(s);
         }
         for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
             prop_assert_eq!(
-                rec.percentile(p).as_nanos(),
+                rec.percentile(p),
                 nearest_rank_reference(&samples, p),
                 "percentile {} disagrees with the reference", p
             );
         }
         let (min, p50, p99, max) = (
-            rec.min().as_nanos(),
-            rec.percentile(50.0).as_nanos(),
-            rec.percentile(99.0).as_nanos(),
-            rec.max().as_nanos(),
+            rec.min(),
+            rec.percentile(50.0),
+            rec.percentile(99.0),
+            rec.max(),
         );
         prop_assert!(min <= p50 && p50 <= p99 && p99 <= max);
-        prop_assert_eq!(rec.percentile(0.0).as_nanos(), min);
-        prop_assert_eq!(rec.percentile(100.0).as_nanos(), max);
-        let mean = rec.mean().as_nanos();
+        prop_assert_eq!(rec.percentile(0.0), min);
+        prop_assert_eq!(rec.percentile(100.0), max);
+        let mean = rec.mean();
         prop_assert!(mean >= min && mean <= max, "mean must lie in [min, max]");
     }
 
-    /// The metrics `Histogram` mirrors the recorder invariants, its
-    /// summary is internally consistent, and observation order does not
-    /// matter.
+    /// The `Histogram` summary is internally consistent, and observation
+    /// order does not matter.
     #[test]
     fn metrics_histogram_summary_invariants(samples in arb_histogram_samples()) {
         use simnet::Histogram;
@@ -999,8 +997,8 @@ proptest! {
     /// thread's core, interest flips and a cancel: every message on a live
     /// channel is delivered exactly once and in order, a cancelled channel
     /// delivers a prefix, and once the simulator is idle nothing is left
-    /// behind — the hybrid queue, both completion queues of every live
-    /// channel and its received-message queue are empty (no lost wake-up).
+    /// behind — both completion queues of every live channel and its
+    /// received-message queue are empty (no lost wake-up).
     #[test]
     fn selector_delivers_everything_exactly_once_and_leaves_nothing_queued(
         nchan in 1usize..=4,
@@ -1081,7 +1079,6 @@ proptest! {
         for (idx, msg) in srv.got.borrow().iter() {
             delivered[*idx].push(msg.clone());
         }
-        prop_assert_eq!(srv.sel.hybrid_pending(), 0, "hybrid queue drained");
         for (i, (_, ch)) in srv.chans.borrow().iter().enumerate() {
             if cancelled == Some(i) {
                 prop_assert!(delivered[i].len() <= sent[i].len());
